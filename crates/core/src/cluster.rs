@@ -15,7 +15,7 @@ use pls_net::{Endpoint, Envelope, MessageCounter, MsgClass, ServerId, SimNet};
 
 use crate::engine::{NodeEngine, Outbound};
 use crate::{
-    ConfigError, DetRng, Entry, FailureSet, IndexedSet, LookupResult, Message, Placement,
+    lookup, ConfigError, DetRng, Entry, FailureSet, IndexedSet, LookupResult, Message, Placement,
     ServiceError, StrategySpec,
 };
 
@@ -197,11 +197,7 @@ impl<V: Entry> Cluster<V> {
                     self.net.charge(MsgClass::Control, 1);
                 }
                 let donor = donors[0];
-                send(
-                    &mut self.net,
-                    Message::ChooseSubset { entries: union.as_slice().to_vec(), x },
-                    donor,
-                );
+                send(&mut self.net, Message::ChooseSubset { entries: union.into_vec(), x }, donor);
             }
             StrategySpec::Hash { .. } => {
                 // Re-derive this server's share of the surviving coverage
@@ -213,7 +209,7 @@ impl<V: Entry> Cluster<V> {
                     self.net.charge(MsgClass::Control, 1);
                 }
                 send(&mut self.net, Message::Reset, donors[0]);
-                for v in union.as_slice().to_vec() {
+                for v in union.into_vec() {
                     if self.engines[donors[0].index()].assigns_to(&v, s) {
                         send(&mut self.net, Message::Store { v }, donors[0]);
                     }
@@ -367,111 +363,25 @@ impl<V: Entry> Cluster<V> {
         if self.net.failures().operational_count() == 0 {
             return Err(ServiceError::AllServersFailed);
         }
-        match self.spec {
-            StrategySpec::FullReplication | StrategySpec::Fixed { .. } => self.lookup_single(t),
+        // One probe: ask server `s` for `t` random entries from its store
+        // (all of them when it has fewer).
+        let engines = &mut self.engines;
+        let probe = |s: ServerId| engines[s.index()].sample(t);
+        let failures = self.net.failures();
+        let result = match self.spec {
+            StrategySpec::FullReplication | StrategySpec::Fixed { .. } => {
+                lookup::single_probe(failures, &mut self.rng, probe)
+            }
             StrategySpec::RandomServer { .. } | StrategySpec::Hash { .. } => {
-                self.lookup_random_probe(t)
+                lookup::random_probe(t, failures, &mut self.rng, probe)
             }
-            StrategySpec::RoundRobin { y } => self.lookup_stride(t, y),
-        }
-    }
-
-    // ---------------------------------------------------------------
-    // Client lookup procedures (§3)
-    // ---------------------------------------------------------------
-
-    /// One probe: ask server `s` for `t` random entries from its store
-    /// (all of them when it has fewer). Charged as one processed lookup
-    /// message.
-    fn server_answer(&mut self, s: ServerId, t: usize) -> Vec<V> {
-        self.net.charge(MsgClass::Lookup, 1);
-        self.engines[s.index()].sample(t)
-    }
-
-    /// Trims a merged answer down to exactly `t` entries (uniformly at
-    /// random) when probing over-delivered; see [`Cluster::partial_lookup`].
-    fn trim_answer(&mut self, acc: IndexedSet<V>, t: usize) -> Vec<V> {
-        if acc.len() > t {
-            acc.sample(t, &mut self.rng)
-        } else {
-            acc.as_slice().to_vec()
-        }
-    }
-
-    fn lookup_single(&mut self, t: usize) -> Result<LookupResult<V>, ServiceError> {
-        let s = self
-            .rng
-            .random_operational_server(self.net.failures())
-            .expect("operational server available");
-        let entries = self.server_answer(s, t);
-        Ok(LookupResult::new(entries, vec![s]))
-    }
-
-    fn lookup_random_probe(&mut self, t: usize) -> Result<LookupResult<V>, ServiceError> {
-        let order = self.rng.shuffled_servers(self.n());
-        let mut acc: IndexedSet<V> = IndexedSet::new();
-        let mut contacted = Vec::new();
-        for s in order {
-            if self.net.failures().is_failed(s) {
-                continue;
+            StrategySpec::RoundRobin { y } => {
+                lookup::stride_walk(t, y, failures, &mut self.rng, probe)
             }
-            let answer = self.server_answer(s, t);
-            contacted.push(s);
-            acc.extend(answer);
-            if acc.len() >= t {
-                break;
-            }
-        }
-        let entries = self.trim_answer(acc, t);
-        Ok(LookupResult::new(entries, contacted))
-    }
-
-    fn lookup_stride(&mut self, t: usize, y: usize) -> Result<LookupResult<V>, ServiceError> {
-        let n = self.n();
-        let start = self
-            .rng
-            .random_operational_server(self.net.failures())
-            .expect("operational server available");
-        let mut visited = vec![false; n];
-        let mut acc: IndexedSet<V> = IndexedSet::new();
-        let mut contacted = Vec::new();
-
-        // Phase 1: the deterministic stride walk start, start+y, start+2y,
-        // … — consecutive contacts share no entries, so each one adds h/n
-        // fresh entries. Abandoned on the first failed server (the paper
-        // switches to random probing) or when the walk cycles.
-        let mut cur = start;
-        while !visited[cur.index()] && acc.len() < t {
-            visited[cur.index()] = true;
-            if self.net.failures().is_failed(cur) {
-                break;
-            }
-            let answer = self.server_answer(cur, t);
-            contacted.push(cur);
-            acc.extend(answer);
-            cur = cur.wrapping_add(y, n);
-        }
-
-        // Phase 2: random probing over whatever operational servers the
-        // walk did not reach.
-        if acc.len() < t {
-            let mut rest: Vec<ServerId> = (0..n as u32)
-                .map(ServerId::new)
-                .filter(|s| !visited[s.index()] && !self.net.failures().is_failed(*s))
-                .collect();
-            self.rng.shuffle(&mut rest);
-            for s in rest {
-                let answer = self.server_answer(s, t);
-                contacted.push(s);
-                acc.extend(answer);
-                if acc.len() >= t {
-                    break;
-                }
-            }
-        }
-
-        let entries = self.trim_answer(acc, t);
-        Ok(LookupResult::new(entries, contacted))
+        };
+        // One processed lookup message per contacted server.
+        self.net.charge(MsgClass::Lookup, result.servers_contacted() as u64);
+        Ok(result)
     }
 
     // ---------------------------------------------------------------

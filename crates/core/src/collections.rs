@@ -3,14 +3,85 @@
 //!
 //! Servers must answer "return `t` random entries from your store" on every
 //! lookup and "replace a random entry" on reservoir-sampled adds, so
-//! uniform random selection has to be cheap. [`IndexedSet`] pairs a `Vec`
-//! (for indexing) with a `HashMap` from value to position (for membership),
-//! using swap-remove to keep both O(1).
+//! uniform random selection has to be cheap. [`IndexedSet`] keeps the
+//! values in a dense `Vec` (for indexing) and finds them through one
+//! open-addressing table of `(hash tag, position)` slots (for
+//! membership), so every stored value lives in memory exactly once: the
+//! paper's storage cost (§4.1) counts one copy of an entry per server
+//! that keeps it, and so does the store.
+//!
+//! # Layout and invariants
+//!
+//! * `items` holds the values; removal is a swap-remove, so the order is
+//!   the insertion order permuted by removals.
+//! * `slots` is empty or a power of two long. A slot is vacant or holds
+//!   the low 32 bits of a value's keyed hash (its *tag*) and the value's
+//!   position in `items`. Every position `< items.len()` appears in
+//!   exactly one slot, and no slot holds any other position.
+//! * A value's *home* slot is `tag & (slots.len() - 1)`; probing is
+//!   linear and wraps. Robin Hood order: each slot from a value's home
+//!   up to its own is occupied, by a value at least as far from its own
+//!   home as that slot is from this value's. A probe can therefore stop
+//!   at the first slot that is vacant or whose occupant is closer to home
+//!   than the probe has walked, and deletion shifts the rest of the run
+//!   back by one slot instead of leaving a tombstone.
+//! * Tags never decide equality alone: a matching tag only earns the
+//!   comparison with `items[position]`.
+//! * At most 7/16 of the slots are occupied, so a probe always ends, and
+//!   soon.
+//!
+//! Hashing is keyed per set ([`RandomState`], as `HashMap`'s is): the TCP
+//! server stores bytes that clients supply.
 
-use std::collections::HashMap;
-use std::hash::Hash;
+use std::collections::hash_map::RandomState;
+use std::fmt;
+use std::hash::{BuildHasher, Hash};
 
 use pls_net::DetRng;
+
+/// One cell of the table: vacant, or a value's tag and position.
+#[derive(Clone, Copy)]
+struct Slot {
+    tag: u32,
+    pos: u32,
+}
+
+impl Slot {
+    /// No position is ever `u32::MAX`: the table stops at 2^32 slots.
+    const VACANT: Slot = Slot { tag: 0, pos: u32::MAX };
+
+    fn is_vacant(self) -> bool {
+        self.pos == u32::MAX
+    }
+}
+
+/// Slots allocated by the first insert.
+const MIN_SLOTS: usize = 8;
+
+/// How many values a table of `slots` slots takes before it grows:
+/// `HashMap`'s capacities (3, 7, then 7/8 of its buckets) at two slots
+/// per bucket. So the set allocates exactly as often as the map it
+/// replaced, but never probes a table more than 7/16 full: linear probing
+/// at 7/8 walks and shifts runs several times as long, which on integer
+/// sets, where hashing is cheap, made remove + insert a third slower than
+/// the map was. Two 8-byte slots are still smaller than the map's bucket
+/// (value, position, control byte).
+fn capacity_of(slots: usize) -> usize {
+    if slots < 16 {
+        (slots / 2).saturating_sub(1)
+    } else {
+        slots / 16 * 7
+    }
+}
+
+/// The smallest table that takes `cap` values without growing.
+fn slots_for(cap: usize) -> usize {
+    let mut slots = if cap == 0 { 0 } else { MIN_SLOTS };
+    while capacity_of(slots) < cap {
+        slots = slots.checked_mul(2).expect("capacity overflow");
+    }
+    slots
+}
 
 /// A set over `T` supporting O(1) insert, remove, contains, and uniform
 /// random sampling.
@@ -29,28 +100,48 @@ use pls_net::DetRng;
 /// assert!(s.remove(&7));
 /// assert!(s.is_empty());
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct IndexedSet<T> {
     items: Vec<T>,
-    index: HashMap<T, usize>,
+    slots: Vec<Slot>,
+    hasher: RandomState,
 }
 
 // Manual impl: the derive would wrongly require `T: Default`.
 impl<T> Default for IndexedSet<T> {
     fn default() -> Self {
-        IndexedSet { items: Vec::new(), index: HashMap::new() }
+        IndexedSet { items: Vec::new(), slots: Vec::new(), hasher: RandomState::new() }
     }
 }
 
-impl<T: Clone + Eq + Hash> IndexedSet<T> {
-    /// Creates an empty set.
+impl<T: fmt::Debug> fmt::Debug for IndexedSet<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_set().entries(&self.items).finish()
+    }
+}
+
+// No `T: Clone` here: nothing in this block can copy a value.
+impl<T: Eq + Hash> IndexedSet<T> {
+    /// Creates an empty set. Allocates nothing until the first insert.
     pub fn new() -> Self {
-        IndexedSet { items: Vec::new(), index: HashMap::new() }
+        Self::default()
     }
 
     /// Creates an empty set with capacity for `cap` elements.
     pub fn with_capacity(cap: usize) -> Self {
-        IndexedSet { items: Vec::with_capacity(cap), index: HashMap::with_capacity(cap) }
+        let mut set = Self::new();
+        set.reserve(cap);
+        set
+    }
+
+    /// Makes room for `additional` more elements without further
+    /// allocation.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        self.items.reserve(additional);
+        let want = self.items.len().saturating_add(additional);
+        if want > capacity_of(self.slots.len()) {
+            self.rebuild(slots_for(want));
+        }
     }
 
     /// Number of elements.
@@ -65,30 +156,29 @@ impl<T: Clone + Eq + Hash> IndexedSet<T> {
 
     /// Whether `value` is in the set.
     pub fn contains(&self, value: &T) -> bool {
-        self.index.contains_key(value)
+        self.find(self.tag_of(value), value).is_some()
     }
 
     /// Inserts `value`; returns `false` if it was already present.
     pub fn insert(&mut self, value: T) -> bool {
-        if self.index.contains_key(&value) {
-            return false;
+        if self.items.len() >= capacity_of(self.slots.len()) {
+            self.rebuild((self.slots.len() * 2).max(MIN_SLOTS));
         }
-        self.index.insert(value.clone(), self.items.len());
+        let tag = self.tag_of(&value);
+        let Err(i) = Self::probe(&self.slots, tag, |pos| self.items[pos] == value) else {
+            return false;
+        };
+        Self::shift_in(&mut self.slots, i, Slot { tag, pos: self.items.len() as u32 });
         self.items.push(value);
         true
     }
 
     /// Removes `value`; returns `false` if it was absent.
     pub fn remove(&mut self, value: &T) -> bool {
-        match self.index.remove(value) {
+        match self.find(self.tag_of(value), value) {
             None => false,
-            Some(pos) => {
-                self.items.swap_remove(pos);
-                if pos < self.items.len() {
-                    // The former last element moved into `pos`.
-                    let moved = self.items[pos].clone();
-                    self.index.insert(moved, pos);
-                }
+            Some(slot) => {
+                self.remove_slot(slot);
                 true
             }
         }
@@ -105,16 +195,34 @@ impl<T: Clone + Eq + Hash> IndexedSet<T> {
 
     /// Removes and returns a uniformly random element.
     pub fn remove_random(&mut self, rng: &mut DetRng) -> Option<T> {
-        let victim = self.choose(rng)?.clone();
-        self.remove(&victim);
-        Some(victim)
+        if self.items.is_empty() {
+            return None;
+        }
+        let pos = rng.below(self.items.len());
+        Some(self.remove_slot(self.slot_of(pos)))
     }
 
-    /// `k` distinct uniformly random elements (all elements when
-    /// `k >= len`). This is the "return t random entries from the stored
-    /// entries" server behaviour of every strategy's lookup.
-    pub fn sample(&self, k: usize, rng: &mut DetRng) -> Vec<T> {
-        rng.subset(&self.items, k)
+    /// Consumes the set into `k` distinct uniformly random elements (all
+    /// of them when `k >= len`), moving the values out: the owning
+    /// counterpart of [`IndexedSet::sample`], for a merged answer that is
+    /// about to be trimmed and handed on.
+    pub fn into_sample(self, k: usize, rng: &mut DetRng) -> Vec<T> {
+        let mut items = self.items;
+        let len = items.len();
+        if k >= len {
+            return items;
+        }
+        // Partial Fisher–Yates: the front `k` become a uniform `k`-subset.
+        for i in 0..k {
+            items.swap(i, i + rng.below(len - i));
+        }
+        items.truncate(k);
+        items
+    }
+
+    /// Consumes the set into its elements, in internal order.
+    pub fn into_vec(self) -> Vec<T> {
+        self.items
     }
 
     /// Iterates the elements in internal (unspecified) order.
@@ -127,25 +235,139 @@ impl<T: Clone + Eq + Hash> IndexedSet<T> {
         &self.items
     }
 
-    /// Removes all elements.
+    /// Removes all elements, keeping the allocations.
     pub fn clear(&mut self) {
         self.items.clear();
-        self.index.clear();
+        self.slots.fill(Slot::VACANT);
+    }
+
+    fn tag_of(&self, value: &T) -> u32 {
+        self.hasher.hash_one(value) as u32
+    }
+
+    /// How far the occupant of slot `i` sits from its home slot.
+    fn displacement(slot: Slot, i: usize, mask: usize) -> usize {
+        i.wrapping_sub(slot.tag as usize) & mask
+    }
+
+    /// The slot holding `value`, whose tag is `tag`.
+    fn find(&self, tag: u32, value: &T) -> Option<usize> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        Self::probe(&self.slots, tag, |pos| self.items[pos] == *value).ok()
+    }
+
+    /// Walks the probe sequence of `tag` through `slots` (not empty):
+    /// `Ok` is the first slot with that tag whose position `is_it`
+    /// accepts, `Err` the slot a new value with that tag is inserted at.
+    fn probe(
+        slots: &[Slot],
+        tag: u32,
+        mut is_it: impl FnMut(usize) -> bool,
+    ) -> Result<usize, usize> {
+        let mask = slots.len() - 1;
+        let mut i = tag as usize & mask;
+        let mut dist = 0;
+        loop {
+            let slot = slots[i];
+            if slot.is_vacant() || Self::displacement(slot, i, mask) < dist {
+                return Err(i); // a match would have been met by now
+            }
+            if slot.tag == tag && is_it(slot.pos as usize) {
+                return Ok(i);
+            }
+            i = (i + 1) & mask;
+            dist += 1;
+        }
+    }
+
+    /// The slot holding position `pos`, found by position alone.
+    fn slot_of(&self, pos: usize) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut i = self.tag_of(&self.items[pos]) as usize & mask;
+        while self.slots[i].pos as usize != pos {
+            i = (i + 1) & mask;
+        }
+        i
+    }
+
+    /// Puts `incoming` at its insertion point `i`, moving the rest of the
+    /// run one slot on. Robin Hood: everything moved was no further from
+    /// home than `incoming` is.
+    fn shift_in(slots: &mut [Slot], mut i: usize, mut incoming: Slot) {
+        let mask = slots.len() - 1;
+        while !slots[i].is_vacant() {
+            std::mem::swap(&mut slots[i], &mut incoming);
+            i = (i + 1) & mask;
+        }
+        slots[i] = incoming;
+    }
+
+    /// Vacates slot `i` and swap-removes the value it points at,
+    /// repointing the slot of the value that moves into its place.
+    fn remove_slot(&mut self, mut i: usize) -> T {
+        let pos = self.slots[i].pos;
+        let last = self.items.len() - 1;
+        if (pos as usize) < last {
+            let moved = self.slot_of(last);
+            self.slots[moved].pos = pos;
+        }
+        // Backward shift: pull the rest of the run one slot closer to
+        // home, up to the first vacant slot or value already at home.
+        let mask = self.slots.len() - 1;
+        loop {
+            let next = (i + 1) & mask;
+            let slot = self.slots[next];
+            if slot.is_vacant() || Self::displacement(slot, next, mask) == 0 {
+                break;
+            }
+            self.slots[i] = slot;
+            i = next;
+        }
+        self.slots[i] = Slot::VACANT;
+        self.items.swap_remove(pos as usize)
+    }
+
+    /// Replaces the table with one of `new_len` slots. The stored tags
+    /// carry every bit a home slot needs, so no value is hashed again.
+    fn rebuild(&mut self, new_len: usize) {
+        // Tags and positions are 32 bits wide.
+        assert!(new_len as u64 <= 1 << 32, "IndexedSet is limited to 2^32 slots");
+        let mut slots = vec![Slot::VACANT; new_len];
+        for slot in self.slots.iter().filter(|s| !s.is_vacant()) {
+            let i = Self::probe(&slots, slot.tag, |_| false).expect_err("nothing matches");
+            Self::shift_in(&mut slots, i, *slot);
+        }
+        self.slots = slots;
     }
 }
 
-impl<T: Clone + Eq + Hash> FromIterator<T> for IndexedSet<T> {
+impl<T: Clone + Eq + Hash> IndexedSet<T> {
+    /// `k` distinct uniformly random elements (all elements when
+    /// `k >= len`). This is the "return t random entries from the stored
+    /// entries" server behaviour of every strategy's lookup; the clones
+    /// are the copy of the answer that leaves the server.
+    pub fn sample(&self, k: usize, rng: &mut DetRng) -> Vec<T> {
+        rng.subset(&self.items, k)
+    }
+}
+
+impl<T: Eq + Hash> FromIterator<T> for IndexedSet<T> {
     fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
         let mut set = IndexedSet::new();
-        for v in iter {
-            set.insert(v);
-        }
+        set.extend(iter);
         set
     }
 }
 
-impl<T: Clone + Eq + Hash> Extend<T> for IndexedSet<T> {
+impl<T: Eq + Hash> Extend<T> for IndexedSet<T> {
     fn extend<I: IntoIterator<Item = T>>(&mut self, iter: I) {
+        let iter = iter.into_iter();
+        // As `HashMap` does: trust the hint on an empty set, expect half
+        // of it to be duplicates otherwise.
+        let hint = iter.size_hint().0;
+        self.reserve(if self.is_empty() { hint } else { hint.div_ceil(2) });
         for v in iter {
             self.insert(v);
         }
@@ -161,18 +383,151 @@ impl<'a, T> IntoIterator for &'a IndexedSet<T> {
     }
 }
 
-impl<T: Clone + Eq + Hash> PartialEq for IndexedSet<T> {
+impl<T: Eq + Hash> PartialEq for IndexedSet<T> {
     fn eq(&self, other: &Self) -> bool {
         self.len() == other.len() && self.iter().all(|v| other.contains(v))
     }
 }
 
-impl<T: Clone + Eq + Hash> Eq for IndexedSet<T> {}
+impl<T: Eq + Hash> Eq for IndexedSet<T> {}
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
+    use std::cell::Cell;
+    use std::collections::HashSet;
+    use std::hash::Hasher;
+
+    thread_local! {
+        static CLONES: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// An entry that counts its clones, per thread (so per test).
+    #[derive(Debug, PartialEq, Eq, Hash)]
+    pub(crate) struct Counted(pub u64);
+
+    impl Clone for Counted {
+        fn clone(&self) -> Self {
+            CLONES.with(|c| c.set(c.get() + 1));
+            Counted(self.0)
+        }
+    }
+
+    /// Clones of [`Counted`] made by this thread so far.
+    pub(crate) fn clones() -> usize {
+        CLONES.with(Cell::get)
+    }
+
+    /// A value whose `Hash` sees only `value % BUCKETS`: with one bucket
+    /// every value has the same tag and home slot, with two there are two
+    /// runs and tags that differ.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    struct Colliding<const BUCKETS: u8>(u8);
+
+    impl<const BUCKETS: u8> Hash for Colliding<BUCKETS> {
+        fn hash<H: Hasher>(&self, state: &mut H) {
+            state.write_u8(self.0 % BUCKETS);
+        }
+    }
+
+    impl<T: Eq + Hash> IndexedSet<T> {
+        /// The module doc's invariants, checked slot by slot.
+        fn assert_invariants(&self) {
+            assert!(self.slots.is_empty() || self.slots.len().is_power_of_two());
+            assert!(self.items.len() <= capacity_of(self.slots.len()));
+            let mut seen = vec![false; self.items.len()];
+            let mask = self.slots.len().wrapping_sub(1);
+            for (i, slot) in self.slots.iter().enumerate() {
+                if slot.is_vacant() {
+                    continue;
+                }
+                let pos = slot.pos as usize;
+                assert!(!std::mem::replace(&mut seen[pos], true), "position {pos} in two slots");
+                assert_eq!(slot.tag, self.tag_of(&self.items[pos]), "stale tag at slot {i}");
+                // Robin Hood: a displaced value follows a value at least
+                // as far from home, less one step.
+                let dist = Self::displacement(*slot, i, mask);
+                if dist > 0 {
+                    let before = self.slots[i.wrapping_sub(1) & mask];
+                    assert!(!before.is_vacant(), "vacant slot inside a run at {i}");
+                    let before_dist = Self::displacement(before, i.wrapping_sub(1) & mask, mask);
+                    assert!(dist <= before_dist + 1, "slot {i} sits behind a richer value");
+                }
+            }
+            assert!(seen.iter().all(|&s| s), "a position has no slot");
+        }
+    }
+
+    /// One step of a set history.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Insert(u8),
+        Remove(u8),
+        RemoveRandom,
+        Clear,
+    }
+
+    fn op_strategy() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            (0u8..48).prop_map(Op::Insert),
+            (0u8..48).prop_map(Op::Insert),
+            (0u8..48).prop_map(Op::Remove),
+            Just(Op::RemoveRandom),
+            (0u8..40).prop_map(|roll| if roll == 0 { Op::Clear } else { Op::RemoveRandom }),
+        ]
+    }
+
+    /// Replays `ops` on the set, on a `HashSet`, and on the `Vec` +
+    /// swap-remove the set's order is defined by.
+    fn check_history<T: Copy + Eq + Hash + std::fmt::Debug>(
+        ops: &[Op],
+        seed: u64,
+        make: fn(u8) -> T,
+    ) -> Result<(), TestCaseError> {
+        let mut ours: IndexedSet<T> = IndexedSet::new();
+        let mut reference: HashSet<T> = HashSet::new();
+        let mut order: Vec<T> = Vec::new();
+        let (mut rng, mut model_rng) = (DetRng::seed_from(seed), DetRng::seed_from(seed));
+        for op in ops {
+            match *op {
+                Op::Insert(v) => {
+                    let fresh = reference.insert(make(v));
+                    prop_assert_eq!(ours.insert(make(v)), fresh);
+                    if fresh {
+                        order.push(make(v));
+                    }
+                }
+                Op::Remove(v) => {
+                    let present = reference.remove(&make(v));
+                    prop_assert_eq!(ours.remove(&make(v)), present);
+                    if let Some(pos) = order.iter().position(|x| *x == make(v)) {
+                        order.swap_remove(pos);
+                    }
+                }
+                Op::RemoveRandom => {
+                    let victim = (!order.is_empty())
+                        .then(|| order.swap_remove(model_rng.below(order.len())));
+                    prop_assert_eq!(ours.remove_random(&mut rng), victim);
+                    if let Some(v) = victim {
+                        reference.remove(&v);
+                    }
+                }
+                Op::Clear => {
+                    ours.clear();
+                    reference.clear();
+                    order.clear();
+                }
+            }
+            prop_assert_eq!(ours.as_slice(), order.as_slice());
+            ours.assert_invariants();
+        }
+        for v in 0u8..48 {
+            prop_assert_eq!(ours.contains(&make(v)), reference.contains(&make(v)));
+        }
+        Ok(())
+    }
 
     #[test]
     fn insert_remove_contains_roundtrip() {
@@ -188,11 +543,13 @@ mod tests {
         for i in 0..100 {
             assert_eq!(s.contains(&i), i % 2 == 1, "element {i}");
         }
+        s.assert_invariants();
     }
 
     #[test]
     fn remove_absent_is_noop() {
         let mut s: IndexedSet<u32> = IndexedSet::new();
+        assert!(!s.remove(&2)); // no table yet
         s.insert(1);
         assert!(!s.remove(&2));
         assert_eq!(s.len(), 1);
@@ -206,11 +563,36 @@ mod tests {
         s.insert("c");
         // Removing the first element moves "c" into its slot.
         s.remove(&"a");
+        assert_eq!(s.as_slice(), &["c", "b"]);
         assert!(s.contains(&"b"));
         assert!(s.contains(&"c"));
         assert!(s.remove(&"c"));
         assert!(s.remove(&"b"));
         assert!(s.is_empty());
+    }
+
+    #[test]
+    fn table_grows_on_the_hash_map_schedule() {
+        let mut s: IndexedSet<u64> = IndexedSet::new();
+        assert_eq!((s.items.capacity(), s.slots.capacity()), (0, 0), "empty sets own no heap");
+        assert!(!s.contains(&0));
+        // (values held, slots) at each growth: hashbrown's capacities 3,
+        // 7, 14, 28, 56, at two slots per bucket.
+        let mut growth = Vec::new();
+        for i in 0..57 {
+            let before = s.slots.len();
+            s.insert(i);
+            if s.slots.len() != before {
+                growth.push((i, s.slots.len()));
+            }
+        }
+        assert_eq!(growth, [(0, 8), (3, 16), (7, 32), (14, 64), (28, 128), (56, 256)]);
+        assert_eq!(IndexedSet::<u64>::with_capacity(20).slots.len(), 64);
+        let mut merged: IndexedSet<u64> = (0..20).collect();
+        assert_eq!((merged.items.capacity(), merged.slots.len()), (20, 64), "sized by the hint");
+        merged.clear();
+        assert_eq!(merged.slots.len(), 64);
+        merged.assert_invariants();
     }
 
     #[test]
@@ -244,12 +626,31 @@ mod tests {
     }
 
     #[test]
+    fn into_sample_is_roughly_uniform() {
+        // Each of 10 items should land in a 3-sample with p = 0.3.
+        let mut rng = DetRng::seed_from(8);
+        let mut counts = [0usize; 10];
+        let trials = 30_000;
+        for _ in 0..trials {
+            let s: IndexedSet<usize> = (0..10).collect();
+            for v in s.into_sample(3, &mut rng) {
+                counts[v] += 1;
+            }
+        }
+        for (i, &c) in counts.iter().enumerate() {
+            let p = c as f64 / trials as f64;
+            assert!((p - 0.3).abs() < 0.02, "item {i} frequency {p}");
+        }
+    }
+
+    #[test]
     fn empty_set_sampling() {
         let mut rng = DetRng::seed_from(3);
         let mut s: IndexedSet<u32> = IndexedSet::new();
         assert_eq!(s.choose(&mut rng), None);
         assert_eq!(s.remove_random(&mut rng), None);
         assert!(s.sample(5, &mut rng).is_empty());
+        assert!(s.into_sample(5, &mut rng).is_empty());
     }
 
     #[test]
@@ -258,41 +659,67 @@ mod tests {
         let mut b: IndexedSet<u32> = [3, 1].into_iter().collect();
         b.insert(2);
         assert_eq!(a, b);
+        assert_eq!(a, a.clone());
         b.remove(&1);
         assert_ne!(a, b);
+        assert_eq!(format!("{b:?}"), "{3, 2}");
+    }
+
+    #[test]
+    fn the_set_never_clones_what_it_holds() {
+        let mut rng = DetRng::seed_from(4);
+        let mut s: IndexedSet<Counted> = IndexedSet::new();
+        for i in 0..40 {
+            s.insert(Counted(i)); // grows the table four times
+        }
+        s.insert(Counted(7));
+        s.extend((30..60).map(Counted));
+        for i in (0..60).step_by(3) {
+            s.remove(&Counted(i));
+        }
+        let evicted = s.remove_random(&mut rng).expect("non-empty");
+        assert!(!s.contains(&evicted));
+        assert_eq!(s.len(), 39);
+        s.assert_invariants();
+        assert_eq!(clones(), 0, "insert, extend, remove and remove_random move");
+        // The answer that leaves a server is the one copy.
+        assert_eq!(s.sample(10, &mut rng).len(), 10);
+        assert_eq!(clones(), 10);
+        let copy = s.clone();
+        assert_eq!(clones(), 10 + 39);
+        assert_eq!(copy.into_sample(35, &mut rng).len(), 35);
+        assert_eq!(s.into_vec().len(), 39);
+        assert_eq!(clones(), 10 + 39, "into_sample and into_vec move");
     }
 
     proptest! {
-        /// The set agrees with a reference `std::collections::HashSet`
-        /// under any interleaving of inserts and removes.
+        /// Under any history the set agrees with a reference `HashSet`,
+        /// keeps the order a `Vec` with swap-remove would, and keeps its
+        /// table's invariants — with a well-spread hash, with every value
+        /// in one run under one tag, and with two runs and two tags.
         #[test]
-        fn matches_reference_set(ops in proptest::collection::vec((any::<bool>(), 0u8..32), 0..200)) {
-            let mut ours: IndexedSet<u8> = IndexedSet::new();
-            let mut reference = std::collections::HashSet::new();
-            for (is_insert, v) in ops {
-                if is_insert {
-                    prop_assert_eq!(ours.insert(v), reference.insert(v));
-                } else {
-                    prop_assert_eq!(ours.remove(&v), reference.remove(&v));
-                }
-                prop_assert_eq!(ours.len(), reference.len());
-            }
-            for v in 0u8..32 {
-                prop_assert_eq!(ours.contains(&v), reference.contains(&v));
-            }
+        fn matches_reference_set(
+            ops in proptest::collection::vec(op_strategy(), 0..300),
+            seed in any::<u64>(),
+        ) {
+            check_history(&ops, seed, |v| v)?;
+            check_history(&ops, seed, Colliding::<1>)?;
+            check_history(&ops, seed, Colliding::<2>)?;
         }
 
-        /// `sample(k)` always returns `min(k, len)` distinct members.
+        /// `sample(k)` and `into_sample(k)` always return `min(k, len)`
+        /// distinct members.
         #[test]
         fn sample_size_invariant(len in 0usize..40, k in 0usize..60, seed in any::<u64>()) {
             let mut rng = DetRng::seed_from(seed);
             let s: IndexedSet<usize> = (0..len).collect();
-            let got = s.sample(k, &mut rng);
-            prop_assert_eq!(got.len(), k.min(len));
-            let mut sorted = got.clone();
-            sorted.sort_unstable();
-            sorted.dedup();
-            prop_assert_eq!(sorted.len(), got.len());
+            for mut got in [s.sample(k, &mut rng), s.clone().into_sample(k, &mut rng)] {
+                prop_assert_eq!(got.len(), k.min(len));
+                prop_assert!(got.iter().all(|v| s.contains(v)));
+                got.sort_unstable();
+                got.dedup();
+                prop_assert_eq!(got.len(), k.min(len));
+            }
         }
     }
 }

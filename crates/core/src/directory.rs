@@ -13,14 +13,14 @@
 //! traffic over many servers, where key-partitioned services concentrate
 //! it on one.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 
 use pls_net::{Endpoint, ServerId};
 
 use crate::engine::{NodeEngine, Outbound};
 use crate::{
-    ConfigError, DetRng, Entry, FailureSet, IndexedSet, LookupResult, Message, ServiceError,
+    lookup, ConfigError, DetRng, Entry, FailureSet, LookupResult, Message, ServiceError,
     StrategySpec,
 };
 
@@ -176,18 +176,6 @@ impl<K: Key, V: Entry> Directory<K, V> {
         self.seed ^ hasher.finish()
     }
 
-    fn engines_for(&mut self, key: &K) -> Result<&mut Vec<NodeEngine<V>>, ConfigError> {
-        if !self.engines.contains_key(key) {
-            let spec = self.assignment.spec_for(key);
-            let seed = self.key_seed(key);
-            let engines = (0..self.n)
-                .map(|i| NodeEngine::new(ServerId::new(i as u32), self.n, spec, seed))
-                .collect::<Result<Vec<_>, _>>()?;
-            self.engines.insert(key.clone(), engines);
-        }
-        Ok(self.engines.get_mut(key).expect("just inserted"))
-    }
-
     /// Delivers a client message to a coordinator and drains the
     /// resulting fan-out, charging per-server update load. Messages to
     /// failed servers are dropped.
@@ -198,39 +186,39 @@ impl<K: Key, V: Entry> Directory<K, V> {
         msg: Message<V>,
     ) -> Result<(), ServiceError> {
         let n = self.n;
-        let failures = self.failures.clone();
-        let mut load = std::mem::take(&mut self.update_load);
-        {
-            let engines = self.engines_for(key).map_err(|_| ServiceError::AllServersFailed)?;
-            // (sender, destination, message) work queue.
-            let mut queue: Vec<(Endpoint, ServerId, Message<V>)> =
-                vec![(Endpoint::client(0), coordinator, msg)];
-            let mut head = 0;
-            while head < queue.len() {
-                let (from, dest, m) = queue[head].clone();
-                head += 1;
-                if failures.is_failed(dest) {
-                    continue;
-                }
-                load[dest.index()] += 1;
-                let outs = engines[dest.index()].handle(from, m);
-                for out in outs {
-                    match out {
-                        Outbound::To(d, m2) => queue.push((Endpoint::Server(dest), d, m2)),
-                        Outbound::Broadcast(m2) => {
-                            for i in 0..n {
-                                queue.push((
-                                    Endpoint::Server(dest),
-                                    ServerId::new(i as u32),
-                                    m2.clone(),
-                                ));
-                            }
+        let engines = match self.engines.get_mut(key) {
+            Some(engines) => engines,
+            None => {
+                let spec = self.assignment.spec_for(key);
+                let seed = self.key_seed(key);
+                let engines = (0..n)
+                    .map(|i| NodeEngine::new(ServerId::new(i as u32), n, spec, seed))
+                    .collect::<Result<Vec<_>, _>>()
+                    .map_err(|_| ServiceError::AllServersFailed)?;
+                self.engines.entry(key.clone()).or_insert(engines)
+            }
+        };
+        // (sender, destination, message) work queue, first in first out.
+        let mut queue = VecDeque::from([(Endpoint::client(0), coordinator, msg)]);
+        while let Some((from, dest, m)) = queue.pop_front() {
+            if self.failures.is_failed(dest) {
+                continue;
+            }
+            self.update_load[dest.index()] += 1;
+            let me = Endpoint::Server(dest);
+            for out in engines[dest.index()].handle(from, m) {
+                match out {
+                    Outbound::To(d, m2) => queue.push_back((me, d, m2)),
+                    Outbound::Broadcast(m2) => {
+                        // n - 1 copies, and the original to the last server.
+                        for i in 0..n - 1 {
+                            queue.push_back((me, ServerId::new(i as u32), m2.clone()));
                         }
+                        queue.push_back((me, ServerId::new(n as u32 - 1), m2));
                     }
                 }
             }
         }
-        self.update_load = load;
         Ok(())
     }
 
@@ -285,12 +273,6 @@ impl<K: Key, V: Entry> Directory<K, V> {
         self.drive(key, coordinator, Message::DeleteReq { v: v.clone() })
     }
 
-    fn probe(&mut self, key: &K, s: ServerId, t: usize) -> Vec<V> {
-        self.lookup_load[s.index()] += 1;
-        let engines = self.engines.get_mut(key).expect("probed keys exist");
-        engines[s.index()].sample(t)
-    }
-
     /// `partial_lookup(k, t)`: the strategy-specific client procedure of
     /// the key's strategy (see [`Cluster::partial_lookup`] for the
     /// semantics, including the trim to exactly `t`).
@@ -310,83 +292,25 @@ impl<K: Key, V: Entry> Directory<K, V> {
         if self.failures.operational_count() == 0 {
             return Err(ServiceError::AllServersFailed);
         }
-        if !self.engines.contains_key(key) {
+        let Some(engines) = self.engines.get_mut(key) else {
             return Ok(LookupResult::new(Vec::new(), Vec::new()));
-        }
-        match self.assignment.spec_for(key) {
+        };
+        let lookup_load = &mut self.lookup_load;
+        let probe = |s: ServerId| {
+            lookup_load[s.index()] += 1;
+            engines[s.index()].sample(t)
+        };
+        Ok(match self.assignment.spec_for(key) {
             StrategySpec::FullReplication | StrategySpec::Fixed { .. } => {
-                let s = self
-                    .rng
-                    .random_operational_server(&self.failures)
-                    .expect("operational server available");
-                let entries = self.probe(key, s, t);
-                Ok(LookupResult::new(entries, vec![s]))
+                lookup::single_probe(&self.failures, &mut self.rng, probe)
             }
             StrategySpec::RandomServer { .. } | StrategySpec::Hash { .. } => {
-                let order = self.rng.shuffled_servers(self.n);
-                let mut acc: IndexedSet<V> = IndexedSet::new();
-                let mut contacted = Vec::new();
-                for s in order {
-                    if self.failures.is_failed(s) {
-                        continue;
-                    }
-                    let answer = self.probe(key, s, t);
-                    contacted.push(s);
-                    acc.extend(answer);
-                    if acc.len() >= t {
-                        break;
-                    }
-                }
-                let entries = self.trim(acc, t);
-                Ok(LookupResult::new(entries, contacted))
+                lookup::random_probe(t, &self.failures, &mut self.rng, probe)
             }
             StrategySpec::RoundRobin { y } => {
-                let n = self.n;
-                let start = self
-                    .rng
-                    .random_operational_server(&self.failures)
-                    .expect("operational server available");
-                let mut visited = vec![false; n];
-                let mut acc: IndexedSet<V> = IndexedSet::new();
-                let mut contacted = Vec::new();
-                let mut cur = start;
-                while !visited[cur.index()] && acc.len() < t {
-                    visited[cur.index()] = true;
-                    if self.failures.is_failed(cur) {
-                        break;
-                    }
-                    let answer = self.probe(key, cur, t);
-                    contacted.push(cur);
-                    acc.extend(answer);
-                    cur = cur.wrapping_add(y, n);
-                }
-                if acc.len() < t {
-                    let mut rest: Vec<ServerId> = (0..n as u32)
-                        .map(ServerId::new)
-                        .filter(|s| !visited[s.index()] && !self.failures.is_failed(*s))
-                        .collect();
-                    self.rng.shuffle(&mut rest);
-                    for s in rest {
-                        let answer = self.probe(key, s, t);
-                        contacted.push(s);
-                        acc.extend(answer);
-                        if acc.len() >= t {
-                            break;
-                        }
-                    }
-                }
-                let entries = self.trim(acc, t);
-                Ok(LookupResult::new(entries, contacted))
+                lookup::stride_walk(t, y, &self.failures, &mut self.rng, probe)
             }
-        }
-    }
-
-    fn trim(&mut self, acc: IndexedSet<V>, t: usize) -> Vec<V> {
-        if acc.len() > t {
-            acc.sample(t, &mut self.rng)
-        } else {
-            acc.as_slice().to_vec()
-        }
+        })
     }
 
     /// The entries a server stores for one key (empty for unknown keys).
@@ -462,6 +386,27 @@ mod tests {
             let r = dir.partial_lookup(&"k", 30).unwrap();
             assert!(r.is_satisfied(30));
             assert!(!r.entries().contains(&0));
+        }
+    }
+
+    #[test]
+    fn merged_lookup_copies_each_fetched_entry_once() {
+        use crate::collections::tests::{clones, Counted};
+        for spec in
+            [StrategySpec::random_server(20), StrategySpec::round_robin(2), StrategySpec::hash(2)]
+        {
+            let mut dir: Directory<&str, Counted> = Directory::new(10, uniform(spec), 11).unwrap();
+            dir.place("k", (0..100).map(Counted).collect()).unwrap();
+            for _ in 0..50 {
+                let before = clones();
+                let r = dir.partial_lookup(&"k", 35).unwrap();
+                assert!(r.servers_contacted() >= 2, "{spec}: one probe cannot hold 35");
+                assert_eq!(r.entries().len(), 35);
+                // The copy that leaves each contacted server, and no other.
+                let fetched: usize =
+                    r.contacted().iter().map(|s| dir.server_entries(&"k", *s).len().min(35)).sum();
+                assert_eq!(clones() - before, fetched, "{spec}");
+            }
         }
     }
 
