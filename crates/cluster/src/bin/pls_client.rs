@@ -8,10 +8,9 @@
 //!   --rpc-timeout-ms  deadline for each RPC attempt (default 2000)
 //!   --op-budget-ms    total budget for one command across all its
 //!                     probes and retries (default 10000)
-//!   --hedge-ms        enable hedged probes for the merging strategies:
-//!                     when a probe stays silent past max(MS, observed
-//!                     p99), the next server is tried without cancelling
-//!                     it (off by default)
+//!   --hedge-ms        enable hedged probes: when a lookup's probes stay
+//!                     silent past max(MS, observed p99), its next server
+//!                     is tried without cancelling them (off by default)
 //!
 //! commands:
 //!   place  KEY ENTRY[,ENTRY...] [STRATEGY]   batch-specify a key's entries,

@@ -1,11 +1,14 @@
-//! The client library: the §3 lookup procedures over real sockets.
+//! The client library: §3's lookup procedure — `pls_core`'s
+//! [`LookupPlan`] — and the update routing of §5, over real sockets.
 
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use pls_core::membership::DEFAULT_GROUP_SIZE;
-use pls_core::{DetRng, GroupRouter, Membership, ServiceError, StrategySpec};
+use pls_core::{
+    DetRng, FailureSet, GroupRouter, LookupPlan, Membership, ServiceError, StrategySpec,
+};
 use pls_net::ServerId;
 use pls_telemetry::trace::Span;
 use pls_telemetry::{Level, MetricsSnapshot, SpanRecord};
@@ -37,12 +40,12 @@ pub struct ClientConfig {
     pub retry: RetryPolicy,
     /// Circuit-breaker tuning for each per-server connection pool.
     pub breaker: BreakerConfig,
-    /// Hedge-delay floor for the merging lookups (RandomServer-x,
-    /// Hash-y): a probe silent this long triggers the next probe
-    /// without cancelling the slow one. Raised to the observed p99
-    /// probe latency once enough samples exist. `None` (the default)
-    /// disables hedging — it trades extra probes for latency, which
-    /// distorts the §4.2 probe-count measurements.
+    /// Hedge-delay floor for lookups: probes silent this long trigger
+    /// the procedure's next probe without cancelling the slow ones.
+    /// Raised to the observed p99 probe latency once enough samples
+    /// exist. `None` (the default) disables hedging — it trades extra
+    /// probes for latency, which distorts the §4.2 probe-count
+    /// measurements.
     pub hedge: Option<Duration>,
     /// Placement-group size `g`: each key lives on (at most) `g`
     /// servers chosen by consistent hashing over the membership. Must
@@ -106,8 +109,8 @@ impl ClientConfig {
         self
     }
 
-    /// Enables hedged probes for the merging lookups, with `floor` as
-    /// the minimum hedge delay.
+    /// Enables hedged probes for lookups, with `floor` as the minimum
+    /// hedge delay.
     #[must_use]
     pub fn with_hedging(mut self, floor: Duration) -> Self {
         self.hedge = Some(floor);
@@ -244,13 +247,12 @@ impl Client {
         self.key_specs.get(key).copied().unwrap_or(self.spec)
     }
 
-    /// A shuffled probe order over a key's placement group — **group
-    /// positions**, not global ids (the engines are group-local, so
-    /// position arithmetic like the round-robin stride walks this
-    /// space) — with breaker-suspect members demoted to the tail. The
-    /// sort is stable, so each health class keeps its shuffled order —
-    /// healthy members still share load uniformly, and sick ones are
-    /// only tried once everyone else has answered short.
+    /// A shuffled order over a key's placement group (as **group
+    /// positions**) in which to offer an update, with breaker-suspect
+    /// members demoted to the tail. The sort is stable, so each health
+    /// class keeps its shuffled order — healthy members still share load
+    /// uniformly, and sick ones are only tried once everyone else has
+    /// failed.
     fn probe_order(&mut self, group: &[u64]) -> Vec<ServerId> {
         let mut order = self.rng.shuffled_servers(group.len());
         order.sort_by_key(|s| !self.member_healthy(group[s.index()]));
@@ -393,56 +395,10 @@ impl Client {
         });
     }
 
-    /// One probe against one server, stamped with the surrounding
-    /// operation's request id and bounded by `limit` (the per-RPC
-    /// deadline, already capped to the operation's remaining budget).
-    /// `Err` means unreachable, silent past the deadline, or
-    /// fast-failed by the server's breaker.
-    async fn probe(
-        &self,
-        id: u64,
-        member: u64,
-        key: &[u8],
-        t: usize,
-        limit: Duration,
-    ) -> Result<Vec<Entry>, ClusterError> {
-        let req = Request::Probe { key: key.to_vec(), t: t as u32 };
-        let started = Instant::now();
-        let Some(peer) = self.peer_for(member) else {
-            // Unknown member / unparseable address: treat like an
-            // unreachable peer so lookups skip it and move on.
-            self.metrics.probe_failures.inc();
-            return Err(ClusterError::PeerUnhealthy);
-        };
-        match peer.call_bounded_timed(id, &req, limit).await {
-            Ok((Response::Entries(entries), service_us)) => {
-                self.record_probe_timing(id, member as usize, elapsed_us(started), service_us);
-                pls_telemetry::event!(
-                    Level::Trace,
-                    "probe_answered",
-                    req = id,
-                    server = member,
-                    returned = entries.len(),
-                    service_us = service_us
-                );
-                Ok(entries)
-            }
-            Ok((other, _service_us)) => {
-                self.metrics.probe_failures.inc();
-                Err(ClusterError::Remote(format!("unexpected probe response {other:?}")))
-            }
-            Err(err) => {
-                self.metrics.probe_failures.inc();
-                pls_telemetry::debug!("probe_failed", req = id, server = member, err = err);
-                Err(err)
-            }
-        }
-    }
-
     /// `partial_lookup(k, t)`: at least `t` distinct entries when the
     /// surviving placement allows it, using the strategy's §3 client
-    /// procedure. Over-delivery from merged probes is trimmed to exactly
-    /// `t` (the §4.5 fairness model).
+    /// procedure, one probe at a time. Over-delivery from merged probes
+    /// is trimmed to exactly `t` (the §4.5 fairness model).
     ///
     /// The whole lookup is bounded by the configured per-operation
     /// budget; every probe by the per-RPC deadline. A server that is
@@ -464,356 +420,8 @@ impl Client {
         key: &[u8],
         t: usize,
     ) -> Result<Vec<Entry>, ClusterError> {
-        if t == 0 {
-            return Err(ClusterError::Service(ServiceError::ZeroTarget));
-        }
-        self.metrics.lookups.inc();
-        let id = self.fresh_id();
-        let mut span = Span::enter_with_id(Level::Debug, module_path!(), "partial_lookup", id);
-        span.field("t", t);
-        span.field("strategy", self.spec_of(key));
-        let probes_before = self.metrics.probes.get();
-        let deadline = Deadline::within(self.timeouts.op_budget);
-        let group = self.group_of(key);
-        let result = match self.spec_of(key) {
-            StrategySpec::FullReplication | StrategySpec::Fixed { .. } => {
-                self.lookup_single(id, key, t, &group, deadline).await
-            }
-            StrategySpec::RandomServer { .. } | StrategySpec::Hash { .. } => {
-                let order = self.probe_order(&group);
-                match self.hedge_delay() {
-                    Some(hedge) => {
-                        self.lookup_merge_hedged(id, key, t, &group, order, deadline, hedge).await
-                    }
-                    None => self.lookup_merge(id, key, t, &group, order, deadline).await,
-                }
-            }
-            StrategySpec::RoundRobin { y } => {
-                self.lookup_stride(id, key, t, y, &group, deadline).await
-            }
-        };
-        if result.is_ok() {
-            // Servers contacted for this lookup: the client lookup cost.
-            self.metrics.probes_per_lookup.observe(self.metrics.probes.get() - probes_before);
-            self.metrics.lookup_latency_us.observe(span.elapsed_us());
-        }
-        result
-    }
-
-    async fn lookup_single(
-        &mut self,
-        id: u64,
-        key: &[u8],
-        t: usize,
-        group: &[u64],
-        deadline: Deadline,
-    ) -> Result<Vec<Entry>, ClusterError> {
-        let order = self.probe_order(group);
-        for s in order {
-            if deadline.expired() {
-                self.metrics.op_budget_exhausted.inc();
-                return Err(ClusterError::Timeout("op-budget"));
-            }
-            let member = group[s.index()];
-            match self.probe(id, member, key, t, deadline.cap(self.timeouts.rpc)).await {
-                Ok(entries) => return Ok(entries),
-                Err(err) if err.is_peer_fault() => continue, // failed server: pick another
-                Err(other) => return Err(other),
-            }
-        }
-        Err(ClusterError::NoServerAvailable)
-    }
-
-    async fn lookup_merge(
-        &mut self,
-        id: u64,
-        key: &[u8],
-        t: usize,
-        group: &[u64],
-        order: Vec<ServerId>,
-        deadline: Deadline,
-    ) -> Result<Vec<Entry>, ClusterError> {
-        let mut acc: Vec<Entry> = Vec::new();
-        let mut reached_any = false;
-        for s in order {
-            if acc.len() >= t {
-                break;
-            }
-            if deadline.expired() {
-                self.metrics.op_budget_exhausted.inc();
-                if reached_any {
-                    break; // partial results beat none
-                }
-                return Err(ClusterError::Timeout("op-budget"));
-            }
-            let member = group[s.index()];
-            let answer = match self.probe(id, member, key, t, deadline.cap(self.timeouts.rpc)).await
-            {
-                Ok(a) => a,
-                Err(err) if err.is_peer_fault() => continue,
-                Err(other) => return Err(other),
-            };
-            reached_any = true;
-            for v in answer {
-                if !acc.contains(&v) {
-                    acc.push(v);
-                }
-            }
-        }
-        if !reached_any {
-            return Err(ClusterError::NoServerAvailable);
-        }
-        Ok(self.trim(acc, t))
-    }
-
-    /// The hedge delay in effect, `None` when hedging is disabled: the
-    /// configured floor, raised to the observed p99 probe latency once
-    /// enough samples exist, capped at the per-RPC deadline.
-    fn hedge_delay(&self) -> Option<Duration> {
-        let floor = self.hedge?;
-        let seen = self.metrics.probe_latency_us.snapshot();
-        let delay = if seen.count >= 32 {
-            Duration::from_micros(seen.quantile(0.99) as u64).max(floor)
-        } else {
-            floor
-        };
-        Some(delay.min(self.timeouts.rpc))
-    }
-
-    /// The merging lookup with **hedged probes**: like
-    /// [`Client::lookup_merge`], but when the outstanding probe stays
-    /// silent past the hedge delay the next server in the order is
-    /// probed *without cancelling the slow one* — first answer wins,
-    /// and a late answer still merges. Probes launch strictly in
-    /// `order` (only the trigger changes: completion vs. timer), so the
-    /// procedure visits the same servers the sequential merge would.
-    #[allow(clippy::too_many_arguments)]
-    async fn lookup_merge_hedged(
-        &mut self,
-        id: u64,
-        key: &[u8],
-        t: usize,
-        group: &[u64],
-        order: Vec<ServerId>,
-        deadline: Deadline,
-        hedge: Duration,
-    ) -> Result<Vec<Entry>, ClusterError> {
-        type ProbeOutcome = (u64, bool, u64, Result<(Response, u64), ClusterError>);
-        let mut pending: tokio::task::JoinSet<ProbeOutcome> = tokio::task::JoinSet::new();
-        let spawn_probe = |pending: &mut tokio::task::JoinSet<ProbeOutcome>,
-                           peer: std::sync::Arc<PeerClient>,
-                           member: u64,
-                           hedged: bool,
-                           limit: Duration| {
-            let req = Request::Probe { key: key.to_vec(), t: t as u32 };
-            pending.spawn(async move {
-                let started = Instant::now();
-                let res = peer.call_bounded_timed(id, &req, limit).await;
-                (member, hedged, elapsed_us(started), res)
-            });
-        };
-
-        let mut acc: Vec<Entry> = Vec::new();
-        let mut reached_any = false;
-        let mut next = 0usize;
-        let mut last_launch = Instant::now();
-        while acc.len() < t {
-            if pending.is_empty() {
-                if next >= order.len() {
-                    break;
-                }
-                let limit = deadline.cap(self.timeouts.rpc);
-                let member = group[order[next].index()];
-                next += 1;
-                let Some(peer) = self.peer_for(member) else {
-                    // Unknown member: a failed probe, move down the order.
-                    self.metrics.probe_failures.inc();
-                    continue;
-                };
-                spawn_probe(&mut pending, peer, member, false, limit);
-                last_launch = Instant::now();
-            }
-            if deadline.expired() {
-                self.metrics.op_budget_exhausted.inc();
-                break;
-            }
-            let hedge_wait = hedge.saturating_sub(last_launch.elapsed());
-            tokio::select! {
-                joined = pending.join_next() => {
-                    let Some(joined) = joined else { continue };
-                    match joined {
-                        Err(join_err) => {
-                            // A panicked probe task is a failed probe,
-                            // not a client crash.
-                            self.metrics.probe_failures.inc();
-                            pls_telemetry::warn!("probe_task_failed", req = id, err = join_err);
-                        }
-                        Ok((
-                            server,
-                            hedged,
-                            latency_us,
-                            Ok((Response::Entries(entries), service_us)),
-                        )) => {
-                            self.record_probe_timing(id, server as usize, latency_us, service_us);
-                            if hedged && !pending.is_empty() {
-                                // The hedge answered while an earlier
-                                // probe was still silent: a win.
-                                self.metrics.hedge_wins.inc();
-                                self.metrics.hedge_win_latency_us.observe(latency_us);
-                            }
-                            pls_telemetry::event!(
-                                Level::Trace,
-                                "probe_answered",
-                                req = id,
-                                server = server,
-                                returned = entries.len(),
-                                service_us = service_us
-                            );
-                            reached_any = true;
-                            for v in entries {
-                                if !acc.contains(&v) {
-                                    acc.push(v);
-                                }
-                            }
-                        }
-                        Ok((server, _, _, Ok(_other))) => {
-                            // Byzantine answer: skip this server.
-                            self.metrics.probe_failures.inc();
-                            pls_telemetry::debug!("probe_unexpected", req = id, server = server);
-                        }
-                        Ok((server, _, _, Err(err))) if err.is_peer_fault() => {
-                            self.metrics.probe_failures.inc();
-                            pls_telemetry::debug!(
-                                "probe_failed",
-                                req = id,
-                                server = server,
-                                err = err
-                            );
-                        }
-                        Ok((_, _, _, Err(err))) => {
-                            self.metrics.probe_failures.inc();
-                            return Err(err);
-                        }
-                    }
-                }
-                _ = tokio::time::sleep(deadline.cap(hedge_wait)), if next < order.len() => {
-                    // The outstanding probe is slow: hedge with the next
-                    // server; first answer wins.
-                    let member = group[order[next].index()];
-                    next += 1;
-                    let Some(peer) = self.peer_for(member) else {
-                        self.metrics.probe_failures.inc();
-                        continue;
-                    };
-                    self.metrics.hedges.inc();
-                    pls_telemetry::debug!(
-                        "probe_hedged",
-                        req = id,
-                        server = member,
-                        after_ms = hedge.as_millis()
-                    );
-                    let limit = deadline.cap(self.timeouts.rpc);
-                    spawn_probe(&mut pending, peer, member, true, limit);
-                    last_launch = Instant::now();
-                }
-            }
-        }
-        if !reached_any {
-            if deadline.expired() {
-                return Err(ClusterError::Timeout("op-budget"));
-            }
-            return Err(ClusterError::NoServerAvailable);
-        }
-        Ok(self.trim(acc, t))
-    }
-
-    async fn lookup_stride(
-        &mut self,
-        id: u64,
-        key: &[u8],
-        t: usize,
-        y: usize,
-        group: &[u64],
-        deadline: Deadline,
-    ) -> Result<Vec<Entry>, ClusterError> {
-        let n = group.len();
-        let start = self.rng.random_server(n);
-        let mut visited = vec![false; n];
-        let mut acc: Vec<Entry> = Vec::new();
-        let mut reached_any = false;
-
-        // Phase 1: deterministic stride walk over the key's placement
-        // group; abandoned on the first failed server (§3.4's "choose
-        // random servers instead" — applied equally to unreachable,
-        // silent, and byzantine peers). When gcd(y, n) > 1 the walk
-        // revisits its start after n/gcd(y, n) hops, so it can exhaust
-        // its cycle with acc still short of `t`; phase 2 then probes
-        // the group members the cycle never touched.
-        let mut cur = start;
-        while !visited[cur.index()] && acc.len() < t && !deadline.expired() {
-            visited[cur.index()] = true;
-            let member = group[cur.index()];
-            match self.probe(id, member, key, t, deadline.cap(self.timeouts.rpc)).await {
-                Ok(answer) => {
-                    reached_any = true;
-                    for v in answer {
-                        if !acc.contains(&v) {
-                            acc.push(v);
-                        }
-                    }
-                }
-                Err(err) if err.is_peer_fault() => break,
-                Err(other) => return Err(other),
-            }
-            cur = cur.wrapping_add(y, n);
-        }
-
-        // Phase 2: random probing of whatever the walk did not reach,
-        // sick servers last.
-        if acc.len() < t {
-            let mut rest: Vec<ServerId> =
-                (0..n as u32).map(ServerId::new).filter(|s| !visited[s.index()]).collect();
-            self.rng.shuffle(&mut rest);
-            rest.sort_by_key(|s| !self.member_healthy(group[s.index()]));
-            for s in rest {
-                if deadline.expired() {
-                    self.metrics.op_budget_exhausted.inc();
-                    break;
-                }
-                let member = group[s.index()];
-                match self.probe(id, member, key, t, deadline.cap(self.timeouts.rpc)).await {
-                    Ok(answer) => {
-                        reached_any = true;
-                        for v in answer {
-                            if !acc.contains(&v) {
-                                acc.push(v);
-                            }
-                        }
-                    }
-                    Err(err) if err.is_peer_fault() => continue,
-                    Err(other) => return Err(other),
-                }
-                if acc.len() >= t {
-                    break;
-                }
-            }
-        }
-
-        if !reached_any {
-            if deadline.expired() {
-                return Err(ClusterError::Timeout("op-budget"));
-            }
-            return Err(ClusterError::NoServerAvailable);
-        }
-        Ok(self.trim(acc, t))
-    }
-
-    fn trim(&mut self, acc: Vec<Entry>, t: usize) -> Vec<Entry> {
-        if acc.len() > t {
-            self.rng.subset(&acc, t)
-        } else {
-            acc
-        }
+        let spec = self.spec_of(key);
+        self.lookup("partial_lookup", key, t, 1, Some(spec)).await
     }
 
     /// Like [`Client::partial_lookup`], but probes up to `fanout` servers
@@ -839,100 +447,194 @@ impl Client {
         t: usize,
         fanout: usize,
     ) -> Result<Vec<Entry>, ClusterError> {
+        self.lookup("partial_lookup_parallel", key, t, fanout, None).await
+    }
+
+    /// The hedge delay in effect, `None` when hedging is disabled: the
+    /// configured floor, raised to the observed p99 probe latency once
+    /// enough samples exist, capped at the per-RPC deadline.
+    fn hedge_delay(&self) -> Option<Duration> {
+        let floor = self.hedge?;
+        let seen = self.metrics.probe_latency_us.snapshot();
+        let delay = if seen.count >= 32 {
+            Duration::from_micros(seen.quantile(0.99) as u64).max(floor)
+        } else {
+            floor
+        };
+        Some(delay.min(self.timeouts.rpc))
+    }
+
+    /// The one lookup driver. Whom to probe next, when enough is
+    /// gathered, the merge and the trim are the [`LookupPlan`]'s (`spec`
+    /// picks the key's §3 procedure, `None` strategy-blind random
+    /// probing; breaker-suspect members are what the plan is told to
+    /// ask last). This loop owns the sockets and the clock: it keeps a
+    /// wave of up to `fanout` probes in flight as tasks, launches the
+    /// next wave when one drains unsatisfied, and — with hedging on —
+    /// one more probe whenever those in flight stay silent past the
+    /// hedge delay, *without cancelling them*: first answer wins, a late
+    /// one still merges. Probes launch strictly in the plan's order
+    /// (only the trigger differs: completion or timer), so with
+    /// `fanout` 1 and no hedge this is §3's sequential procedure and
+    /// costs exactly its probe count.
+    async fn lookup(
+        &mut self,
+        name: &'static str,
+        key: &[u8],
+        t: usize,
+        fanout: usize,
+        spec: Option<StrategySpec>,
+    ) -> Result<Vec<Entry>, ClusterError> {
         if t == 0 || fanout == 0 {
             return Err(ClusterError::Service(ServiceError::ZeroTarget));
         }
         self.metrics.lookups.inc();
         let id = self.fresh_id();
-        let mut span =
-            Span::enter_with_id(Level::Debug, module_path!(), "partial_lookup_parallel", id);
+        let mut span = Span::enter_with_id(Level::Debug, module_path!(), name, id);
         span.field("t", t);
-        span.field("fanout", fanout);
-        let probes_before = self.metrics.probes.get();
+        match spec {
+            Some(spec) => span.field("strategy", spec),
+            None => span.field("fanout", fanout),
+        }
         let deadline = Deadline::within(self.timeouts.op_budget);
+        let hedge = self.hedge_delay();
         let group = self.group_of(key);
-        let order = self.probe_order(&group);
-        let mut acc: Vec<Entry> = Vec::new();
-        let mut reached_any = false;
-        for wave in order.chunks(fanout) {
+        if group.is_empty() {
+            return Err(ClusterError::NoServerAvailable);
+        }
+        // The plan walks **group positions**, not global ids: the engines
+        // are group-local, so the round-robin stride is over this space.
+        let mut suspect = FailureSet::new(group.len());
+        for (pos, member) in group.iter().enumerate() {
+            if !self.member_healthy(*member) {
+                suspect.fail(ServerId::new(pos as u32));
+            }
+        }
+        let mut plan = match spec {
+            Some(spec) => LookupPlan::new(spec, t, &suspect, &mut self.rng),
+            None => LookupPlan::shuffled(t, &suspect, &mut self.rng),
+        };
+
+        // One probe task's report: position probed, whether it was a
+        // hedge, round trip in µs, and the entries with the server's
+        // echoed service time.
+        type Probed = (ServerId, bool, u64, Result<(Vec<Entry>, u64), ClusterError>);
+        let mut in_flight: tokio::task::JoinSet<Probed> = tokio::task::JoinSet::new();
+        let mut to_launch = fanout;
+        let mut hedging = false;
+        let mut drained = false; // the plan has nobody left to offer
+        let mut last_launch = Instant::now();
+        while !plan.is_satisfied() {
             if deadline.expired() {
+                // Partial results beat none: keep what was gathered.
                 self.metrics.op_budget_exhausted.inc();
                 break;
             }
-            let limit = deadline.cap(self.timeouts.rpc);
-            let mut tasks = tokio::task::JoinSet::new();
-            for &s in wave {
-                let member = group[s.index()];
+            while to_launch > 0 && !drained {
+                let Some(pos) = plan.next(&mut self.rng) else {
+                    drained = true;
+                    break;
+                };
+                let member = group[pos.index()];
                 let Some(peer) = self.peer_for(member) else {
-                    // Unknown member: a failed probe, skip it.
+                    // Unknown member / unparseable address: a failed
+                    // probe, move down the order.
                     self.metrics.probe_failures.inc();
+                    plan.unreachable(pos);
                     continue;
                 };
+                if hedging {
+                    self.metrics.hedges.inc();
+                    pls_telemetry::debug!(
+                        "probe_hedged",
+                        req = id,
+                        server = member,
+                        after_ms = hedge.unwrap_or_default().as_millis()
+                    );
+                }
                 let req = Request::Probe { key: key.to_vec(), t: t as u32 };
-                tasks.spawn(async move {
+                let limit = deadline.cap(self.timeouts.rpc);
+                in_flight.spawn(async move {
                     let started = Instant::now();
-                    let res = peer.call_bounded_timed(id, &req, limit).await;
-                    (member, elapsed_us(started), res)
+                    let outcome = match peer.call_bounded_timed(id, &req, limit).await {
+                        Ok((Response::Entries(entries), service_us)) => Ok((entries, service_us)),
+                        // Byzantine answer: a fault of this server.
+                        Ok((other, _)) => Err(ClusterError::Remote(format!(
+                            "unexpected probe response {other:?}"
+                        ))),
+                        Err(err) => Err(err),
+                    };
+                    (pos, hedging, elapsed_us(started), outcome)
                 });
+                last_launch = Instant::now();
+                to_launch -= 1;
             }
-            while let Some(joined) = tasks.join_next().await {
-                let (server, latency_us, outcome) = match joined {
-                    Ok(outcome) => outcome,
-                    Err(join_err) => {
+            (to_launch, hedging) = (0, false);
+            if in_flight.is_empty() {
+                break; // nobody left to ask
+            }
+            let hedge_wait = hedge.unwrap_or_default().saturating_sub(last_launch.elapsed());
+            tokio::select! {
+                joined = in_flight.join_next() => match joined {
+                    None => {}
+                    Some(Err(join_err)) => {
                         // A panicked probe task is a failed probe, not a
-                        // client crash: count it and skip that server.
+                        // client crash.
                         self.metrics.probe_failures.inc();
                         pls_telemetry::warn!("probe_task_failed", req = id, err = join_err);
-                        continue;
                     }
-                };
-                match outcome {
-                    Ok((Response::Entries(entries), service_us)) => {
-                        self.record_probe_timing(id, server as usize, latency_us, service_us);
+                    Some(Ok((pos, hedged, rtt_us, Ok((entries, service_us))))) => {
+                        let member = group[pos.index()];
+                        self.record_probe_timing(id, member as usize, rtt_us, service_us);
+                        if hedged && !in_flight.is_empty() {
+                            // The hedge answered while an earlier probe
+                            // was still silent: a win.
+                            self.metrics.hedge_wins.inc();
+                            self.metrics.hedge_win_latency_us.observe(rtt_us);
+                        }
                         pls_telemetry::event!(
                             Level::Trace,
                             "probe_answered",
                             req = id,
-                            server = server,
+                            server = member,
                             returned = entries.len(),
                             service_us = service_us
                         );
-                        reached_any = true;
-                        for v in entries {
-                            if !acc.contains(&v) {
-                                acc.push(v);
-                            }
+                        plan.answered(pos, entries);
+                    }
+                    Some(Ok((pos, _, _, Err(err)))) => {
+                        self.metrics.probe_failures.inc();
+                        if !err.is_peer_fault() {
+                            return Err(err);
                         }
+                        // Down, silent, breaker-open or byzantine: skip
+                        // it like a crashed server (§3.1).
+                        let member = group[pos.index()];
+                        pls_telemetry::debug!("probe_failed", req = id, server = member, err = err);
+                        plan.unreachable(pos);
                     }
-                    Ok(_other) => {
-                        // Byzantine answer: skip this server.
-                        self.metrics.probe_failures.inc();
-                        continue;
-                    }
-                    Err(err) if err.is_peer_fault() => {
-                        self.metrics.probe_failures.inc();
-                        pls_telemetry::debug!("probe_failed", req = id, server = server, err = err);
-                        continue;
-                    }
-                    Err(other) => {
-                        self.metrics.probe_failures.inc();
-                        return Err(other);
-                    }
+                },
+                _ = tokio::time::sleep(deadline.cap(hedge_wait)), if hedge.is_some() && !drained => {
+                    // Those in flight are slow: hedge with the plan's
+                    // next server.
+                    (to_launch, hedging) = (1, true);
                 }
             }
-            if acc.len() >= t {
-                break;
+            if in_flight.is_empty() {
+                to_launch = fanout; // the wave drained: launch the next
             }
         }
-        if !reached_any {
-            if deadline.expired() {
-                return Err(ClusterError::Timeout("op-budget"));
-            }
-            return Err(ClusterError::NoServerAvailable);
+        if plan.contacted().is_empty() {
+            return Err(if deadline.expired() {
+                ClusterError::Timeout("op-budget")
+            } else {
+                ClusterError::NoServerAvailable
+            });
         }
-        self.metrics.probes_per_lookup.observe(self.metrics.probes.get() - probes_before);
+        // Servers contacted for this lookup: the client lookup cost.
+        self.metrics.probes_per_lookup.observe(plan.contacted().len() as u64);
         self.metrics.lookup_latency_us.observe(span.elapsed_us());
-        Ok(self.trim(acc, t))
+        Ok(plan.finish(&mut self.rng).into_entries())
     }
 
     /// Queries the cluster for a key's strategy and records it locally,

@@ -15,8 +15,8 @@ use pls_net::{Endpoint, Envelope, MessageCounter, MsgClass, ServerId, SimNet};
 
 use crate::engine::{NodeEngine, Outbound};
 use crate::{
-    lookup, ConfigError, DetRng, Entry, FailureSet, IndexedSet, LookupResult, Message, Placement,
-    ServiceError, StrategySpec,
+    lookup, ConfigError, DetRng, Entry, FailureSet, IndexedSet, LookupPlan, LookupResult, Message,
+    Placement, ServiceError, StrategySpec,
 };
 
 /// A partial lookup service instance: `n` servers managing the entries of
@@ -363,22 +363,18 @@ impl<V: Entry> Cluster<V> {
         if self.net.failures().operational_count() == 0 {
             return Err(ServiceError::AllServersFailed);
         }
-        // One probe: ask server `s` for `t` random entries from its store
-        // (all of them when it has fewer).
-        let engines = &mut self.engines;
-        let probe = |s: ServerId| engines[s.index()].sample(t);
         let failures = self.net.failures();
-        let result = match self.spec {
-            StrategySpec::FullReplication | StrategySpec::Fixed { .. } => {
-                lookup::single_probe(failures, &mut self.rng, probe)
+        let mut plan = LookupPlan::new(self.spec, t, failures, &mut self.rng);
+        while let Some(s) = plan.next(&mut self.rng) {
+            if failures.is_failed(s) {
+                plan.unreachable(s);
+            } else {
+                // One probe: `t` random entries of the server's store
+                // (all of them when it has fewer).
+                plan.answered(s, self.engines[s.index()].sample(t));
             }
-            StrategySpec::RandomServer { .. } | StrategySpec::Hash { .. } => {
-                lookup::random_probe(t, failures, &mut self.rng, probe)
-            }
-            StrategySpec::RoundRobin { y } => {
-                lookup::stride_walk(t, y, failures, &mut self.rng, probe)
-            }
-        };
+        }
+        let result = plan.finish(&mut self.rng);
         // One processed lookup message per contacted server.
         self.net.charge(MsgClass::Lookup, result.servers_contacted() as u64);
         Ok(result)
@@ -388,23 +384,8 @@ impl<V: Entry> Cluster<V> {
     // Protocol plumbing
     // ---------------------------------------------------------------
 
-    /// The server a client sends an update request to: server 0 for
-    /// Round-Robin (the dedicated counter holder, §5.4), a random
-    /// operational server otherwise.
     fn update_coordinator(&mut self) -> Result<ServerId, ServiceError> {
-        if self.net.failures().operational_count() == 0 {
-            return Err(ServiceError::AllServersFailed);
-        }
-        match self.spec {
-            StrategySpec::RoundRobin { .. } => (0..self.rr_mirrors)
-                .map(|i| ServerId::new(i as u32))
-                .find(|s| !self.net.failures().is_failed(*s))
-                .ok_or(ServiceError::CoordinatorUnavailable),
-            _ => Ok(self
-                .rng
-                .random_operational_server(self.net.failures())
-                .expect("operational server available")),
-        }
+        lookup::update_coordinator(self.spec, self.rr_mirrors, self.net.failures(), &mut self.rng)
     }
 
     fn inject(&mut self, to: ServerId, msg: Message<V>) {

@@ -20,8 +20,8 @@ use pls_net::{Endpoint, ServerId};
 
 use crate::engine::{NodeEngine, Outbound};
 use crate::{
-    lookup, ConfigError, DetRng, Entry, FailureSet, LookupResult, Message, ServiceError,
-    StrategySpec,
+    lookup, ConfigError, DetRng, Entry, FailureSet, LookupPlan, LookupResult, Message,
+    ServiceError, StrategySpec,
 };
 
 /// Key types for the directory: anything hashable and cloneable.
@@ -194,7 +194,7 @@ impl<K: Key, V: Entry> Directory<K, V> {
                 let engines = (0..n)
                     .map(|i| NodeEngine::new(ServerId::new(i as u32), n, spec, seed))
                     .collect::<Result<Vec<_>, _>>()
-                    .map_err(|_| ServiceError::AllServersFailed)?;
+                    .map_err(ServiceError::InvalidStrategy)?;
                 self.engines.entry(key.clone()).or_insert(engines)
             }
         };
@@ -223,30 +223,17 @@ impl<K: Key, V: Entry> Directory<K, V> {
     }
 
     fn update_coordinator(&mut self, key: &K) -> Result<ServerId, ServiceError> {
-        if self.failures.operational_count() == 0 {
-            return Err(ServiceError::AllServersFailed);
-        }
-        match self.assignment.spec_for(key) {
-            StrategySpec::RoundRobin { .. } => {
-                let coord = ServerId::new(0);
-                if self.failures.is_failed(coord) {
-                    Err(ServiceError::CoordinatorUnavailable)
-                } else {
-                    Ok(coord)
-                }
-            }
-            _ => Ok(self
-                .rng
-                .random_operational_server(&self.failures)
-                .expect("operational server available")),
-        }
+        // Directory keys do not mirror the Round-Robin counters: server 0 alone.
+        lookup::update_coordinator(self.assignment.spec_for(key), 1, &self.failures, &mut self.rng)
     }
 
     /// `place` for one key (§2).
     ///
     /// # Errors
     ///
-    /// [`ServiceError::AllServersFailed`] when no coordinator is up.
+    /// [`ServiceError::AllServersFailed`] when no coordinator is up;
+    /// [`ServiceError::InvalidStrategy`] when the key's assigned strategy
+    /// does not fit this directory (only that key is affected).
     pub fn place(&mut self, key: K, entries: Vec<V>) -> Result<(), ServiceError> {
         let coordinator = self.update_coordinator(&key)?;
         self.drive(&key, coordinator, Message::PlaceReq { entries })
@@ -295,22 +282,17 @@ impl<K: Key, V: Entry> Directory<K, V> {
         let Some(engines) = self.engines.get_mut(key) else {
             return Ok(LookupResult::new(Vec::new(), Vec::new()));
         };
-        let lookup_load = &mut self.lookup_load;
-        let probe = |s: ServerId| {
-            lookup_load[s.index()] += 1;
-            engines[s.index()].sample(t)
-        };
-        Ok(match self.assignment.spec_for(key) {
-            StrategySpec::FullReplication | StrategySpec::Fixed { .. } => {
-                lookup::single_probe(&self.failures, &mut self.rng, probe)
+        let spec = self.assignment.spec_for(key);
+        let mut plan = LookupPlan::new(spec, t, &self.failures, &mut self.rng);
+        while let Some(s) = plan.next(&mut self.rng) {
+            if self.failures.is_failed(s) {
+                plan.unreachable(s);
+            } else {
+                self.lookup_load[s.index()] += 1;
+                plan.answered(s, engines[s.index()].sample(t));
             }
-            StrategySpec::RandomServer { .. } | StrategySpec::Hash { .. } => {
-                lookup::random_probe(t, &self.failures, &mut self.rng, probe)
-            }
-            StrategySpec::RoundRobin { y } => {
-                lookup::stride_walk(t, y, &self.failures, &mut self.rng, probe)
-            }
-        })
+        }
+        Ok(plan.finish(&mut self.rng))
     }
 
     /// The entries a server stores for one key (empty for unknown keys).
@@ -448,6 +430,31 @@ mod tests {
         assert_eq!(dir.add(&"k", 99).unwrap_err(), ServiceError::CoordinatorUnavailable);
         dir.recover_server(ServerId::new(0));
         dir.add(&"k", 99).unwrap();
+    }
+
+    #[test]
+    fn a_bad_per_key_strategy_is_reported_as_such_and_spares_other_keys() {
+        let assignment: StrategyAssignment<&str> = StrategyAssignment::PerKey(Box::new(|key| {
+            match *key {
+                // (Hash-y takes y > n: colliding copies collapse.)
+                "wide" => StrategySpec::round_robin(9),
+                "none" => StrategySpec::hash(0),
+                _ => StrategySpec::hash(2),
+            }
+        }));
+        let mut dir: Directory<&str, u64> = Directory::new(5, assignment, 12).unwrap();
+        dir.place("fine", (0..20).collect()).unwrap();
+        for bad in ["wide", "none"] {
+            let err = dir.place(bad, (0..20).collect()).unwrap_err();
+            assert!(matches!(err, ServiceError::InvalidStrategy(_)), "{bad}: {err:?}");
+            assert!(matches!(dir.add(&bad, 1), Err(ServiceError::InvalidStrategy(_))), "{bad}");
+            assert!(matches!(dir.delete(&bad, &1), Err(ServiceError::InvalidStrategy(_))), "{bad}");
+            assert!(dir.partial_lookup(&bad, 3).unwrap().entries().is_empty());
+        }
+        assert_eq!(dir.failures().failed_count(), 0);
+        assert_eq!(dir.key_count(), 1);
+        dir.add(&"fine", 99).unwrap();
+        assert!(dir.partial_lookup(&"fine", 21).unwrap().is_satisfied(21));
     }
 
     #[test]

@@ -3,6 +3,8 @@
 use std::error::Error;
 use std::fmt;
 
+use crate::ConfigError;
+
 /// Error performing a service operation (`place`, `add`, `delete`,
 /// `partial_lookup`).
 ///
@@ -25,6 +27,10 @@ pub enum ServiceError {
     /// counters of Fig. 10) is down — the single-point-of-failure
     /// drawback the paper calls out in §5.4.
     CoordinatorUnavailable,
+    /// The strategy assigned to this key is invalid for this many servers
+    /// (per-key strategies are validated when the key is first used).
+    /// The servers are fine; other keys keep working.
+    InvalidStrategy(ConfigError),
 }
 
 impl fmt::Display for ServiceError {
@@ -35,11 +41,19 @@ impl fmt::Display for ServiceError {
             ServiceError::CoordinatorUnavailable => {
                 write!(f, "round-robin coordinator server is down")
             }
+            ServiceError::InvalidStrategy(e) => write!(f, "invalid strategy for this key: {e}"),
         }
     }
 }
 
-impl Error for ServiceError {}
+impl Error for ServiceError {
+    fn source(&self) -> Option<&(dyn Error + 'static)> {
+        match self {
+            ServiceError::InvalidStrategy(e) => Some(e),
+            _ => None,
+        }
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -53,6 +67,13 @@ mod tests {
             ServiceError::CoordinatorUnavailable.to_string(),
             "round-robin coordinator server is down"
         );
+        let bad =
+            ServiceError::InvalidStrategy(ConfigError::InvalidParameter("y must be positive"));
+        assert_eq!(
+            bad.to_string(),
+            "invalid strategy for this key: invalid parameter: y must be positive"
+        );
+        assert!(bad.source().is_some());
     }
 
     #[test]

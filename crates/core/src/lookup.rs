@@ -1,15 +1,29 @@
-//! The result of a partial lookup, and §3's client procedures that
-//! produce it.
+//! The client's side of the service, written once: §3's lookup procedure
+//! as a plan that does no I/O, and §5's rule for where an update goes.
 //!
-//! The procedures are written once, over a `probe` callback ("ask server
-//! `s` for `t` random entries of its store"), and shared by the
-//! single-key [`Cluster`](crate::Cluster) and the multi-key
-//! [`Directory`](crate::directory::Directory), which differ only in
-//! where a probe lands and what it is charged to.
+//! [`LookupPlan`] decides *whom to probe next* and *when enough has been
+//! gathered*. It sends nothing and waits for nothing: the caller calls
+//! [`next`](LookupPlan::next), does the probe its own way, and reports
+//! [`answered`](LookupPlan::answered) or
+//! [`unreachable`](LookupPlan::unreachable). Three callers drive it:
+//!
+//! * [`Cluster`](crate::Cluster) and
+//!   [`Directory`](crate::directory::Directory) probe an in-process
+//!   engine on the spot (`sample(t)`) and report servers in their
+//!   [`FailureSet`] unreachable;
+//! * `pls-cluster`'s TCP client sends each probe as a task, keeps up to
+//!   `fanout` (plus a hedge) in flight, and reports answers and peer
+//!   faults as they come back — `next` never waits for an outstanding
+//!   answer, which is all that fan-out and hedging need from the plan.
+//!
+//! The plan owns the probe order, the `contacted` list, the
+//! [`IndexedSet`] merge and the uniform trim to `t`. Answers are moved in
+//! and the result is moved out, so the only copy of an entry made during
+//! a lookup is still the one that left its server.
 
 use pls_net::{FailureSet, ServerId};
 
-use crate::{DetRng, Entry, IndexedSet};
+use crate::{DetRng, Entry, IndexedSet, ServiceError, StrategySpec};
 
 /// What a `partial_lookup(t)` returned: the merged distinct entries and
 /// which servers the client contacted, in contact order.
@@ -65,132 +79,283 @@ impl<V: Entry> LookupResult<V> {
     }
 }
 
-/// The client's side of a multi-probe lookup (§3, §4.2): "probe servers
-/// until at least `t` distinct entries, then return `t`". Answers are
-/// moved in and the result is moved out, so the only copy of an entry
-/// made during a lookup is the one that left its server.
+/// Whom to probe next.
 #[derive(Debug)]
-struct Merge<V> {
-    t: usize,
-    acc: IndexedSet<V>,
+enum Order {
+    /// Full replication and Fixed-x: one random server believed up; the
+    /// others only if that one is unreachable or slow.
+    One { first: ServerId, yielded: bool },
+    /// Round-Robin-y: `cur, cur+y, cur+2y, …` — consecutive contacts share
+    /// no entries, so each adds `h/n` fresh ones. Left for random probing
+    /// on the first unreachable (or believed-down) contact, as the paper
+    /// prescribes, and when the walk cycles short of `t`.
+    Walk { cur: ServerId, y: usize, visited: Vec<bool>, abandoned: bool },
+    /// RandomServer-x and Hash-y, and what the other two fall back to:
+    /// a uniformly random order, servers believed down last.
+    Shuffled(std::vec::IntoIter<ServerId>),
 }
 
-impl<V: Entry> Merge<V> {
-    fn new(t: usize) -> Self {
-        Merge { t, acc: IndexedSet::new() }
-    }
-
-    /// Whether `t` distinct entries have been gathered.
-    fn is_satisfied(&self) -> bool {
-        self.acc.len() >= self.t
-    }
-
-    /// Merges one server's answer; returns [`Merge::is_satisfied`].
-    fn absorb(&mut self, answer: Vec<V>) -> bool {
-        if self.acc.is_empty() {
-            // Probing stops at `t`, so the merge ends below `t` plus one
-            // answer. `t` is the caller's and may exceed anything stored:
-            // never reserve beyond a few answers' worth.
-            self.acc.reserve(self.t.saturating_add(answer.len()).min(4 * answer.len()));
-        }
-        self.acc.extend(answer);
-        self.is_satisfied()
-    }
-
-    /// The answer: everything gathered, trimmed to a uniformly random
-    /// `t`-subset when probing over-delivered (the fairness model of
-    /// §4.5 has each entry returned with probability exactly `t/h`).
-    fn finish(self, rng: &mut DetRng) -> Vec<V> {
-        self.acc.into_sample(self.t, rng)
-    }
+/// What the answers so far amount to.
+#[derive(Debug)]
+enum Gathered<V> {
+    /// Any one server's answer is the result, as it came.
+    First(Option<Vec<V>>),
+    /// Answers merge until `t` distinct entries.
+    Merged(IndexedSet<V>),
 }
 
-/// Full replication and Fixed-x: one probe of a random operational
-/// server.
+/// §3's client procedure for one `partial_lookup(t)`, as a state machine:
 ///
-/// Like the other procedures, expects at least one operational server.
-pub(crate) fn single_probe<V: Entry>(
-    failures: &FailureSet,
-    rng: &mut DetRng,
-    mut probe: impl FnMut(ServerId) -> Vec<V>,
-) -> LookupResult<V> {
-    let s = rng.random_operational_server(failures).expect("operational server available");
-    LookupResult::new(probe(s), vec![s])
+/// ```
+/// use pls_core::{DetRng, FailureSet, LookupPlan, StrategySpec};
+///
+/// let servers = [vec![1, 2], vec![2, 3], vec![3, 1]]; // what each would answer
+/// let (down, mut rng) = (FailureSet::new(3), DetRng::seed_from(7));
+/// let mut plan = LookupPlan::new(StrategySpec::hash(2), 3, &down, &mut rng);
+/// while let Some(s) = plan.next(&mut rng) {
+///     plan.answered(s, servers[s.index()].clone()); // or plan.unreachable(s)
+/// }
+/// let result = plan.finish(&mut rng);
+/// assert!(result.is_satisfied(3) && result.servers_contacted() == 2);
+/// ```
+///
+/// Servers the caller *believes* down are probed last, not never: a
+/// client's belief can be stale. A caller that knows — the simulator —
+/// reports them [`unreachable`](LookupPlan::unreachable) when they come
+/// up.
+#[derive(Debug)]
+pub struct LookupPlan<'a, V> {
+    t: usize,
+    down: &'a FailureSet,
+    order: Order,
+    gathered: Gathered<V>,
+    contacted: Vec<ServerId>,
 }
 
-/// RandomServer-x and Hash-y: probe the operational servers in a
-/// uniformly random order, merging, until `t` distinct entries.
-pub(crate) fn random_probe<V: Entry>(
-    t: usize,
-    failures: &FailureSet,
-    rng: &mut DetRng,
-    mut probe: impl FnMut(ServerId) -> Vec<V>,
-) -> LookupResult<V> {
-    let mut merge = Merge::new(t);
-    let mut contacted = Vec::new();
-    for s in rng.shuffled_servers(failures.len()) {
-        if failures.is_failed(s) {
-            continue;
-        }
-        contacted.push(s);
-        if merge.absorb(probe(s)) {
-            break;
-        }
-    }
-    LookupResult::new(merge.finish(rng), contacted)
-}
-
-/// Round-Robin-y: a random start followed by a deterministic stride-`y`
-/// walk, falling back to random probing when the walk hits a failed
-/// server.
-pub(crate) fn stride_walk<V: Entry>(
-    t: usize,
-    y: usize,
-    failures: &FailureSet,
-    rng: &mut DetRng,
-    mut probe: impl FnMut(ServerId) -> Vec<V>,
-) -> LookupResult<V> {
-    let n = failures.len();
-    let start = rng.random_operational_server(failures).expect("operational server available");
-    let mut visited = vec![false; n];
-    let mut merge = Merge::new(t);
-    let mut contacted = Vec::new();
-
-    // Phase 1: the deterministic stride walk start, start+y, start+2y,
-    // … — consecutive contacts share no entries, so each one adds h/n
-    // fresh entries. Abandoned on the first failed server (the paper
-    // switches to random probing) or when the walk cycles.
-    let mut cur = start;
-    while !visited[cur.index()] && !merge.is_satisfied() {
-        visited[cur.index()] = true;
-        if failures.is_failed(cur) {
-            break;
-        }
-        contacted.push(cur);
-        merge.absorb(probe(cur));
-        cur = cur.wrapping_add(y, n);
-    }
-
-    // Phase 2: random probing over whatever operational servers the
-    // walk did not reach.
-    if !merge.is_satisfied() {
-        let mut rest: Vec<ServerId> =
-            failures.operational().filter(|s| !visited[s.index()]).collect();
-        rng.shuffle(&mut rest);
-        for s in rest {
-            contacted.push(s);
-            if merge.absorb(probe(s)) {
-                break;
+impl<'a, V: Entry> LookupPlan<'a, V> {
+    /// The procedure `spec` prescribes for `t` entries from
+    /// `down.len()` servers: one random server for full replication and
+    /// Fixed-x; random probing with merging for RandomServer-x and
+    /// Hash-y; a random start and a stride-`y` walk for Round-Robin-y.
+    ///
+    /// # Panics
+    ///
+    /// Panics if there are no servers at all (`down.len() == 0`) to pick
+    /// the single probe or the walk's start from.
+    pub fn new(spec: StrategySpec, t: usize, down: &'a FailureSet, rng: &mut DetRng) -> Self {
+        // With everyone believed down the belief ranks nobody: start anywhere.
+        let mut start =
+            || rng.random_operational_server(down).unwrap_or_else(|| rng.random_server(down.len()));
+        match spec {
+            StrategySpec::FullReplication | StrategySpec::Fixed { .. } => LookupPlan {
+                t,
+                down,
+                order: Order::One { first: start(), yielded: false },
+                gathered: Gathered::First(None),
+                contacted: Vec::with_capacity(1),
+            },
+            StrategySpec::RoundRobin { y } => {
+                let visited = vec![false; down.len()];
+                Self::merging(t, down, Order::Walk { cur: start(), y, visited, abandoned: false })
+            }
+            StrategySpec::RandomServer { .. } | StrategySpec::Hash { .. } => {
+                Self::shuffled(t, down, rng)
             }
         }
     }
 
-    LookupResult::new(merge.finish(rng), contacted)
+    /// Random probing with merging whatever the strategy — the procedure
+    /// of RandomServer-x and Hash-y, for callers that want it on any
+    /// placement (wave probing, the stride-vs-random ablation).
+    pub fn shuffled(t: usize, down: &'a FailureSet, rng: &mut DetRng) -> Self {
+        let order = probe_order(rng.shuffled_servers(down.len()), down);
+        Self::merging(t, down, Order::Shuffled(order))
+    }
+
+    fn merging(t: usize, down: &'a FailureSet, order: Order) -> Self {
+        LookupPlan {
+            t,
+            down,
+            order,
+            gathered: Gathered::Merged(IndexedSet::new()),
+            contacted: Vec::new(),
+        }
+    }
+
+    /// The next server to probe; `None` once the lookup is satisfied or
+    /// nobody is left to ask. Does not wait for outstanding answers, so
+    /// a caller may hold several probes in flight.
+    #[inline]
+    pub fn next(&mut self, rng: &mut DetRng) -> Option<ServerId> {
+        if self.is_satisfied() {
+            return None;
+        }
+        match &mut self.order {
+            Order::Shuffled(rest) => rest.next(),
+            Order::One { first, yielded } if !*yielded => {
+                *yielded = true;
+                Some(*first)
+            }
+            Order::Walk { cur, y, visited, abandoned }
+                if !(*abandoned || visited[cur.index()] || self.down.is_failed(*cur)) =>
+            {
+                let s = *cur;
+                visited[s.index()] = true;
+                *cur = s.wrapping_add(*y, self.down.len());
+                Some(s)
+            }
+            Order::One { .. } | Order::Walk { .. } => self.fall_back(rng),
+        }
+    }
+
+    /// The single probe or the walk gives way to random probing over
+    /// whoever has not been asked yet.
+    #[cold]
+    fn fall_back(&mut self, rng: &mut DetRng) -> Option<ServerId> {
+        let everyone = (0..self.down.len() as u32).map(ServerId::new);
+        let mut unasked: Vec<ServerId> = match &mut self.order {
+            Order::One { first, .. } => everyone.filter(|s| s != first).collect(),
+            Order::Walk { visited, .. } => everyone.filter(|s| !visited[s.index()]).collect(),
+            Order::Shuffled(rest) => return rest.next(),
+        };
+        rng.shuffle(&mut unasked);
+        let mut rest = probe_order(unasked, self.down);
+        let s = rest.next();
+        self.order = Order::Shuffled(rest);
+        s
+    }
+
+    /// Server `s` answered with up to `t` entries of its store.
+    #[inline]
+    pub fn answered(&mut self, s: ServerId, answer: Vec<V>) {
+        self.contacted.push(s);
+        match &mut self.gathered {
+            // A second answer can only be a probe that was already in
+            // flight; the first one stands.
+            Gathered::First(first) => {
+                first.get_or_insert(answer);
+            }
+            Gathered::Merged(acc) => {
+                if acc.is_empty() {
+                    // Probing stops at `t`, so the merge ends below `t`
+                    // plus one answer. `t` is the caller's and may exceed
+                    // anything stored: never reserve beyond a few
+                    // answers' worth.
+                    acc.reserve(self.t.saturating_add(answer.len()).min(4 * answer.len()));
+                }
+                acc.extend(answer);
+            }
+        }
+    }
+
+    /// Server `s` could not be reached (or answered nonsense): a stride
+    /// walk is abandoned for random probing; the other procedures just
+    /// move on to their next server.
+    pub fn unreachable(&mut self, _s: ServerId) {
+        if let Order::Walk { abandoned, .. } = &mut self.order {
+            *abandoned = true;
+        }
+    }
+
+    /// Whether enough has been gathered: one answer for the single-probe
+    /// strategies, `t` distinct entries for the merging ones.
+    #[inline]
+    pub fn is_satisfied(&self) -> bool {
+        match &self.gathered {
+            Gathered::First(first) => first.is_some(),
+            Gathered::Merged(acc) => acc.len() >= self.t,
+        }
+    }
+
+    /// The servers that have answered so far, in answer order.
+    pub fn contacted(&self) -> &[ServerId] {
+        &self.contacted
+    }
+
+    /// The result: everything gathered, trimmed to a uniformly random
+    /// `t`-subset when merging over-delivered (the fairness model of §4.5
+    /// has each entry returned with probability exactly `t/h`).
+    pub fn finish(self, rng: &mut DetRng) -> LookupResult<V> {
+        let contacted = self.contacted;
+        match self.gathered {
+            // As it came, unchecked: the answer is its sender's word (over
+            // TCP, another program's), not something the plan merged.
+            Gathered::First(first) => {
+                LookupResult { entries: first.unwrap_or_default(), contacted }
+            }
+            Gathered::Merged(acc) => LookupResult::new(acc.into_sample(self.t, rng), contacted),
+        }
+    }
+}
+
+/// `shuffled` with the servers believed down moved behind the others;
+/// each class keeps its shuffled order.
+fn probe_order(mut shuffled: Vec<ServerId>, down: &FailureSet) -> std::vec::IntoIter<ServerId> {
+    if down.failed_count() > 0 {
+        shuffled.sort_by_key(|s| down.is_failed(*s));
+    }
+    shuffled.into_iter()
+}
+
+/// The server a client sends an update to (§5): for Round-Robin-y the
+/// first operational of the `rr_mirrors` servers holding the `head`/`tail`
+/// counters (server 0 alone unless mirrored, §5.4), otherwise a random
+/// operational server.
+///
+/// # Errors
+///
+/// [`ServiceError::AllServersFailed`] when nothing is up;
+/// [`ServiceError::CoordinatorUnavailable`] when every counter holder is
+/// down.
+pub(crate) fn update_coordinator(
+    spec: StrategySpec,
+    rr_mirrors: usize,
+    failures: &FailureSet,
+    rng: &mut DetRng,
+) -> Result<ServerId, ServiceError> {
+    if failures.operational_count() == 0 {
+        return Err(ServiceError::AllServersFailed);
+    }
+    match spec {
+        StrategySpec::RoundRobin { .. } => (0..rr_mirrors as u32)
+            .map(ServerId::new)
+            .find(|s| !failures.is_failed(*s))
+            .ok_or(ServiceError::CoordinatorUnavailable),
+        _ => Ok(rng.random_operational_server(failures).expect("operational server available")),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Cluster;
+    use std::collections::HashSet;
+
+    const N: usize = 10;
+    const H: u64 = 100;
+
+    fn all_specs() -> [StrategySpec; 5] {
+        [
+            StrategySpec::full_replication(),
+            StrategySpec::fixed(20),
+            StrategySpec::random_server(20),
+            StrategySpec::round_robin(2),
+            StrategySpec::hash(2),
+        ]
+    }
+
+    /// What each of `N` servers stores under `spec` after `place(0..H)`.
+    fn stores(spec: StrategySpec) -> Vec<Vec<u64>> {
+        let mut c = Cluster::new(N, spec, 17).unwrap();
+        c.place((0..H).collect()).unwrap();
+        (0..N as u32).map(|i| c.server_entries(ServerId::new(i)).to_vec()).collect()
+    }
+
+    fn failing(ids: impl IntoIterator<Item = u32>) -> FailureSet {
+        let mut down = FailureSet::new(N);
+        ids.into_iter().for_each(|i| down.fail(ServerId::new(i)));
+        down
+    }
 
     #[test]
     fn accessors_and_satisfaction() {
@@ -208,5 +373,193 @@ mod tests {
     #[should_panic(expected = "distinct")]
     fn duplicate_answers_are_a_bug() {
         let _ = LookupResult::new(vec![1u32, 1], vec![]);
+    }
+
+    #[test]
+    fn a_driven_plan_asks_nobody_twice_and_stops_when_satisfied() {
+        for spec in all_specs() {
+            let stores = stores(spec);
+            for down in [failing([]), failing([3]), failing((0..N as u32).filter(|i| *i != 6))] {
+                for (t, seed) in [(5, 1), (20, 2), (35, 3), (500, 4)] {
+                    let rng = &mut DetRng::seed_from(seed);
+                    let mut plan = LookupPlan::new(spec, t, &down, rng);
+                    let mut yielded = Vec::new();
+                    let mut answered = Vec::new();
+                    let mut gathered = HashSet::new();
+                    while let Some(s) = plan.next(rng) {
+                        assert!(!plan.is_satisfied(), "{spec}: yields after it is satisfied");
+                        assert!(!yielded.contains(&s), "{spec}: {s:?} yielded twice");
+                        yielded.push(s);
+                        if down.is_failed(s) {
+                            plan.unreachable(s);
+                        } else {
+                            let answer = rng.subset(&stores[s.index()], t);
+                            gathered.extend(answer.iter().copied());
+                            answered.push(s);
+                            plan.answered(s, answer);
+                        }
+                    }
+                    assert_eq!(plan.next(rng), None, "{spec}: a finished plan stays finished");
+                    // Servers believed down come after everyone else.
+                    let first_down = yielded.iter().position(|s| down.is_failed(*s));
+                    let last_up = yielded.iter().rposition(|s| !down.is_failed(*s));
+                    assert!(first_down.is_none_or(|d| last_up < Some(d)), "{spec}: {yielded:?}");
+                    assert!(last_up.is_some(), "{spec}: nobody operational was asked");
+                    assert_eq!(plan.contacted(), answered, "{spec}");
+                    let result = plan.finish(rng);
+                    assert_eq!(result.contacted(), answered, "{spec}");
+                    let distinct: HashSet<_> = result.entries().iter().collect();
+                    assert_eq!(distinct.len(), result.entries().len(), "{spec}");
+                    assert_eq!(result.entries().len(), t.min(gathered.len()), "{spec} t={t}");
+                    assert!(result.entries().iter().all(|v| gathered.contains(v)), "{spec}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_undisturbed_stride_walk_costs_ceil_tn_over_yh() {
+        let (spec, y) = (StrategySpec::round_robin(2), 2);
+        let (stores, down) = (stores(spec), failing([]));
+        let rng = &mut DetRng::seed_from(5);
+        for t in [1, 20, 21, 40, 41, 60, 100] {
+            let mut plan = LookupPlan::new(spec, t, &down, rng);
+            while let Some(s) = plan.next(rng) {
+                plan.answered(s, rng.subset(&stores[s.index()], t));
+            }
+            let walk = plan.contacted().to_vec();
+            assert_eq!(walk.len(), (t * N).div_ceil(y * H as usize), "t={t}");
+            for pair in walk.windows(2) {
+                assert_eq!(pair[1], pair[0].wrapping_add(y, N), "t={t}: not a stride walk");
+            }
+            assert!(plan.finish(rng).is_satisfied(t));
+        }
+    }
+
+    #[test]
+    fn an_unreachable_contact_turns_the_walk_into_random_probing_of_the_rest() {
+        let spec = StrategySpec::round_robin(2);
+        let (stores, down) = (stores(spec), failing([]));
+        let mut broke_stride = false;
+        for seed in 0..20 {
+            let rng = &mut DetRng::seed_from(seed);
+            let mut plan = LookupPlan::new(spec, H as usize, &down, rng);
+            let first = plan.next(rng).unwrap();
+            plan.answered(first, stores[first.index()].clone());
+            let second = plan.next(rng).unwrap();
+            assert_eq!(second, first.wrapping_add(2, N));
+            plan.unreachable(second);
+            let mut rest = Vec::new();
+            while let Some(s) = plan.next(rng) {
+                rest.push(s);
+                plan.answered(s, stores[s.index()].clone());
+            }
+            // Satisfied (every entry gathered) before or when the last
+            // unvisited server answered; never back to `first`/`second`.
+            assert!(!rest.contains(&first) && !rest.contains(&second), "seed {seed}: {rest:?}");
+            let unique: HashSet<_> = rest.iter().collect();
+            assert_eq!(unique.len(), rest.len());
+            assert!(plan.is_satisfied(), "seed {seed}: eight servers left hold everything");
+            broke_stride |= rest[0] != second.wrapping_add(2, N);
+        }
+        assert!(broke_stride, "the walk carried on as if nothing had happened");
+    }
+
+    #[test]
+    fn probes_may_be_in_flight_and_late_answers_still_merge() {
+        let spec = StrategySpec::random_server(20);
+        let (stores, down) = (stores(spec), failing([]));
+        for strategy_blind in [false, true] {
+            let rng = &mut DetRng::seed_from(6);
+            let mut plan = match strategy_blind {
+                false => LookupPlan::new(spec, 25, &down, rng),
+                true => LookupPlan::shuffled(25, &down, rng),
+            };
+            let in_flight: Vec<ServerId> = (0..4).map(|_| plan.next(rng).unwrap()).collect();
+            assert_eq!(in_flight.iter().collect::<HashSet<_>>().len(), 4);
+            // Answers come back in another order; two satisfy the lookup,
+            // the stragglers are merged all the same.
+            let mut union = HashSet::new();
+            for &s in in_flight.iter().rev() {
+                union.extend(stores[s.index()].iter().copied());
+                plan.answered(s, stores[s.index()].clone());
+            }
+            assert_eq!(plan.next(rng), None);
+            let back: Vec<ServerId> = in_flight.iter().rev().copied().collect();
+            assert_eq!(plan.contacted(), back);
+            assert!(union.len() > 40, "four servers of 20 overlap less than that");
+            // All of the union is eligible for the trimmed answer.
+            let mut seen = HashSet::new();
+            for _ in 0..200 {
+                let mut replay = LookupPlan::shuffled(25, &down, rng);
+                for &s in &back {
+                    replay.answered(s, stores[s.index()].clone());
+                }
+                let result = replay.finish(rng);
+                assert_eq!(result.entries().len(), 25);
+                seen.extend(result.into_entries());
+            }
+            assert_eq!(seen, union);
+        }
+    }
+
+    #[test]
+    fn a_single_answer_plan_moves_on_when_its_server_is_unreachable() {
+        for spec in [StrategySpec::full_replication(), StrategySpec::fixed(20)] {
+            let (stores, down) = (stores(spec), failing([4]));
+            let rng = &mut DetRng::seed_from(7);
+            let mut plan = LookupPlan::new(spec, 5, &down, rng);
+            let first = plan.next(rng).unwrap();
+            assert_ne!(first, ServerId::new(4), "starts at a server believed up");
+            plan.unreachable(first);
+            assert!(!plan.is_satisfied());
+            let second = plan.next(rng).unwrap();
+            assert_ne!(second, first);
+            let answer = rng.subset(&stores[second.index()], 5);
+            plan.answered(second, answer.clone());
+            assert_eq!(plan.next(rng), None);
+            let result = plan.finish(rng);
+            assert_eq!(result.contacted(), &[second]);
+            assert_eq!(result.entries(), answer);
+        }
+    }
+
+    #[test]
+    fn with_everyone_believed_down_every_procedure_still_asks_everyone() {
+        let down = failing(0..N as u32);
+        for spec in all_specs() {
+            let rng = &mut DetRng::seed_from(8);
+            let mut plan: LookupPlan<'_, u64> = LookupPlan::new(spec, 5, &down, rng);
+            let mut asked = HashSet::new();
+            while let Some(s) = plan.next(rng) {
+                assert!(asked.insert(s), "{spec}");
+                plan.unreachable(s);
+            }
+            assert_eq!(asked.len(), N, "{spec}");
+            assert!(plan.finish(rng).entries().is_empty());
+        }
+    }
+
+    #[test]
+    fn round_robin_updates_go_to_the_first_operational_counter_holder() {
+        let rng = &mut DetRng::seed_from(9);
+        let rr = StrategySpec::round_robin(2);
+        let coordinator = |mirrors, down: &FailureSet, rng: &mut DetRng| {
+            update_coordinator(rr, mirrors, down, rng).map(|s| s.index())
+        };
+        assert_eq!(coordinator(1, &failing([]), rng), Ok(0));
+        assert_eq!(coordinator(1, &failing([0]), rng), Err(ServiceError::CoordinatorUnavailable));
+        assert_eq!(coordinator(3, &failing([0, 1]), rng), Ok(2));
+        assert_eq!(
+            coordinator(2, &failing([0, 1]), rng),
+            Err(ServiceError::CoordinatorUnavailable)
+        );
+        assert_eq!(coordinator(N, &failing(0..N as u32), rng), Err(ServiceError::AllServersFailed));
+        // Everyone else: any operational server.
+        let down = failing([0, 1, 2]);
+        for spec in all_specs().into_iter().filter(|s| *s != rr) {
+            let s = update_coordinator(spec, 1, &down, rng).unwrap();
+            assert!(!down.is_failed(s), "{spec}");
+        }
     }
 }

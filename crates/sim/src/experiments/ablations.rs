@@ -17,7 +17,7 @@
 //!    messages (more copies = more fan-out) and lookup cost (fewer
 //!    copies = more probing).
 
-use pls_core::{Cluster, DetRng, Entry, Placement, StrategySpec};
+use pls_core::{Cluster, DetRng, Entry, FailureSet, LookupPlan, Placement, StrategySpec};
 use pls_metrics::stats::Accumulator;
 use pls_metrics::{lookup_cost, Summary};
 
@@ -31,22 +31,12 @@ use crate::Simulation;
 /// of servers contacted. Server behaviour is the standard "t random
 /// entries of what I store".
 pub fn random_probe_cost<V: Entry>(placement: &Placement<V>, t: usize, rng: &mut DetRng) -> usize {
-    let order = rng.shuffled_servers(placement.n());
-    let mut acc: Vec<V> = Vec::new();
-    let mut contacted = 0;
-    for s in order {
-        let answer = rng.subset(placement.server_entries(s), t);
-        contacted += 1;
-        for v in answer {
-            if !acc.contains(&v) {
-                acc.push(v);
-            }
-        }
-        if acc.len() >= t {
-            break;
-        }
+    let nobody_down = FailureSet::new(placement.n());
+    let mut plan = LookupPlan::shuffled(t, &nobody_down, rng);
+    while let Some(s) = plan.next(rng) {
+        plan.answered(s, rng.subset(placement.server_entries(s), t));
     }
-    contacted
+    plan.contacted().len()
 }
 
 /// Parameters for the stride-vs-random ablation.
