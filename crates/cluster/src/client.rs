@@ -381,18 +381,18 @@ impl Client {
         self.metrics.probe_latency_us.observe(rtt_us);
         self.metrics.probe_service_us.observe(service_us);
         self.metrics.probe_net_us.observe(net_us);
-        pls_telemetry::recorder::record(SpanRecord {
-            req_id: Some(id),
-            name: "probe".to_string(),
-            target: module_path!().to_string(),
-            start_us: pls_telemetry::recorder::unix_us().saturating_sub(rtt_us),
-            elapsed_us: rtt_us,
-            fields: vec![
-                ("server".to_string(), server.to_string()),
-                ("service_us".to_string(), service_us.to_string()),
-                ("net_us".to_string(), net_us.to_string()),
+        // Nothing is built for the record unless a recorder is installed.
+        pls_telemetry::recorder::record_timed(
+            Some(id),
+            "probe",
+            module_path!(),
+            rtt_us,
+            [
+                ("server", server.into()),
+                ("service_us", service_us.into()),
+                ("net_us", net_us.into()),
             ],
-        });
+        );
     }
 
     /// `partial_lookup(k, t)`: at least `t` distinct entries when the
@@ -493,7 +493,7 @@ impl Client {
         let mut span = Span::enter_with_id(Level::Debug, module_path!(), name, id);
         span.field("t", t);
         match spec {
-            Some(spec) => span.field("strategy", spec),
+            Some(spec) => span.field("strategy", spec.to_string()),
             None => span.field("fanout", fanout),
         }
         let deadline = Deadline::within(self.timeouts.op_budget);

@@ -294,8 +294,14 @@ impl ServerMetrics {
     /// every entry returned.
     pub fn record_probe_answer(&self, key: &[u8], entries: &[Vec<u8>]) {
         self.hot_keys.offer(key);
+        // One buffer per probe: the `key_entry` prefix is written once
+        // and each entry is appended after truncating back to it.
+        let mut composite = key_entry(key, &[]);
+        let prefix = composite.len();
         for v in entries {
-            self.entry_hits.inc(&key_entry(key, v));
+            composite.truncate(prefix);
+            composite.extend_from_slice(v);
+            self.entry_hits.inc(&composite);
         }
     }
 

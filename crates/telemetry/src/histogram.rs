@@ -12,18 +12,19 @@ pub const BUCKETS: usize = 32;
 
 /// A lock-free histogram with exponential (log₂) bucket boundaries.
 ///
-/// `observe` performs three relaxed `fetch_add`s and never allocates or
-/// blocks, so it is safe on the request hot path. Use [`snapshot`] for
-/// a consistent-enough copy (each field is read atomically; totals may
-/// be mid-update skewed by at most the concurrent in-flight observes,
-/// which is the standard trade for lock-freedom) and [`take`] to
-/// snapshot-and-reset in one sweep.
+/// `observe` performs two relaxed `fetch_add`s (the sum and one bucket)
+/// and never allocates or blocks, so it is safe on the request hot
+/// path. The observation count is not stored: a snapshot derives it as
+/// the sum of its buckets, so the two always agree. Use [`snapshot`]
+/// for a consistent-enough copy (each field is read atomically; `sum`
+/// may be skewed against the buckets by at most the concurrent
+/// in-flight observes, which is the standard trade for lock-freedom)
+/// and [`take`] to snapshot-and-reset in one sweep.
 ///
 /// [`snapshot`]: Histogram::snapshot
 /// [`take`]: Histogram::take
 #[derive(Debug)]
 pub struct Histogram {
-    count: AtomicU64,
     sum: AtomicU64,
     buckets: [AtomicU64; BUCKETS],
 }
@@ -37,11 +38,7 @@ impl Default for Histogram {
 impl Histogram {
     /// An empty histogram.
     pub fn new() -> Self {
-        Histogram {
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
+        Histogram { sum: AtomicU64::new(0), buckets: std::array::from_fn(|_| AtomicU64::new(0)) }
     }
 
     /// The bucket a value falls into: `floor(log2(v))`, clamped to the
@@ -68,28 +65,24 @@ impl Histogram {
     /// Records one value.
     #[inline]
     pub fn observe(&self, v: u64) {
-        self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
         self.buckets[Self::bucket_index(v)].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Copies the current state into plain data.
     pub fn snapshot(&self) -> HistogramSnapshot {
-        HistogramSnapshot {
-            count: self.count.load(Ordering::Relaxed),
-            sum: self.sum.load(Ordering::Relaxed),
-            buckets: std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed)),
-        }
+        let sum = self.sum.load(Ordering::Relaxed);
+        HistogramSnapshot::of(sum, std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed)))
     }
 
     /// Snapshots and resets in one sweep (each field is atomically
     /// swapped to zero, so no observation is counted twice or dropped).
     pub fn take(&self) -> HistogramSnapshot {
-        HistogramSnapshot {
-            count: self.count.swap(0, Ordering::Relaxed),
-            sum: self.sum.swap(0, Ordering::Relaxed),
-            buckets: std::array::from_fn(|i| self.buckets[i].swap(0, Ordering::Relaxed)),
-        }
+        let sum = self.sum.swap(0, Ordering::Relaxed);
+        HistogramSnapshot::of(
+            sum,
+            std::array::from_fn(|i| self.buckets[i].swap(0, Ordering::Relaxed)),
+        )
     }
 }
 
@@ -112,6 +105,10 @@ impl Default for HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
+    fn of(sum: u64, buckets: [u64; BUCKETS]) -> Self {
+        HistogramSnapshot { count: buckets.iter().sum(), sum, buckets }
+    }
+
     /// A snapshot with no observations.
     pub fn empty() -> Self {
         HistogramSnapshot { count: 0, sum: 0, buckets: [0; BUCKETS] }

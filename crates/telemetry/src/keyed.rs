@@ -3,20 +3,105 @@
 //! [`KeyedCounterMap`] is the dynamic-cardinality sibling of
 //! [`Counter`](crate::Counter): one `u64` per byte-string key, for
 //! populations discovered at runtime (per-entry retrieval counts,
-//! per-key traffic). Recording hashes the key to one of 16 mutex
-//! shards and does a single `HashMap` upsert inside the lock — writers
-//! for different keys almost never contend, and no lock is ever held
-//! across I/O or allocation beyond the upsert itself.
+//! per-key traffic). Recording hashes the key once, with the map's own
+//! seed: the hash's top bits pick one of 16 mutex shards and its low
+//! bits index that shard's open-addressing table. An increment of a
+//! known key holds its shard's lock for a short linear probe and one
+//! comparison of the key bytes, and allocates nothing; the first touch
+//! of a key copies the key and, when the table passes 7/8 full, doubles
+//! it, under the lock. Each shard sits on a cache line of its own, so
+//! threads on different shards do not write to the same line.
 
-use std::collections::HashMap;
 use std::sync::Mutex;
 
+use crate::hash::{hash_bytes, random_seed};
+
 const SHARDS: usize = 16;
+
+/// One cell of a shard's table; vacant while `key` is `None`.
+#[derive(Debug, Default)]
+struct Cell {
+    hash: u64,
+    count: u64,
+    key: Option<Box<[u8]>>,
+}
+
+/// One shard: linear probing over a power-of-two array of cells, the
+/// counters stored in the cells themselves.
+#[derive(Debug, Default)]
+struct Table {
+    cells: Vec<Cell>,
+    len: usize,
+}
+
+impl Table {
+    /// Where `key` is (`Ok`) or the vacant cell where its probe ends
+    /// (`Err`). The table must not be empty.
+    fn probe(&self, hash: u64, key: &[u8]) -> Result<usize, usize> {
+        let mask = self.cells.len() - 1;
+        let mut at = hash as usize & mask;
+        loop {
+            let cell = &self.cells[at];
+            match &cell.key {
+                None => return Err(at),
+                Some(held) if cell.hash == hash && **held == *key => return Ok(at),
+                Some(_) => at = (at + 1) & mask,
+            }
+        }
+    }
+
+    fn get(&self, hash: u64, key: &[u8]) -> Option<u64> {
+        if self.cells.is_empty() {
+            return None;
+        }
+        self.probe(hash, key).ok().map(|at| self.cells[at].count)
+    }
+
+    fn add(&mut self, hash: u64, key: &[u8], n: u64) {
+        if !self.cells.is_empty() {
+            if let Ok(at) = self.probe(hash, key) {
+                self.cells[at].count += n;
+                return;
+            }
+        }
+        // A vacancy always remains, so every probe ends.
+        if (self.len + 1) * 8 > self.cells.len() * 7 {
+            self.double();
+        }
+        let at = self.probe(hash, key).expect_err("the key was just found absent");
+        self.cells[at] = Cell { hash, count: n, key: Some(key.into()) };
+        self.len += 1;
+    }
+
+    fn double(&mut self) {
+        let doubled = (self.cells.len() * 2).max(4);
+        let old = std::mem::take(&mut self.cells);
+        self.cells.resize_with(doubled, Cell::default);
+        let mask = doubled - 1;
+        for cell in old.into_iter().filter(|c| c.key.is_some()) {
+            let mut at = cell.hash as usize & mask;
+            while self.cells[at].key.is_some() {
+                at = (at + 1) & mask;
+            }
+            self.cells[at] = cell;
+        }
+    }
+
+    /// The occupied cells as `(key, count)`.
+    fn entries(&self) -> impl Iterator<Item = (&[u8], u64)> {
+        self.cells.iter().filter_map(|c| c.key.as_deref().map(|k| (k, c.count)))
+    }
+}
+
+#[derive(Debug, Default)]
+#[repr(align(64))]
+struct Shard(Mutex<Table>);
 
 /// A map of independent `u64` counters, one per byte-string key.
 #[derive(Debug)]
 pub struct KeyedCounterMap {
-    shards: Vec<Mutex<HashMap<Vec<u8>, u64>>>,
+    seed: u64,
+    shards: Vec<Shard>,
 }
 
 impl Default for KeyedCounterMap {
@@ -25,20 +110,19 @@ impl Default for KeyedCounterMap {
     }
 }
 
-/// FNV-1a, the classic dependency-free byte-string hash.
-fn shard_of(key: &[u8]) -> usize {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in key {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    (h % SHARDS as u64) as usize
-}
-
 impl KeyedCounterMap {
     /// An empty map.
     pub fn new() -> Self {
-        KeyedCounterMap { shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect() }
+        KeyedCounterMap {
+            seed: random_seed(),
+            shards: (0..SHARDS).map(|_| Shard::default()).collect(),
+        }
+    }
+
+    /// The key's hash and the shard that hash selects.
+    fn shard_of(&self, key: &[u8]) -> (u64, &Mutex<Table>) {
+        let hash = hash_bytes(self.seed, key);
+        (hash, &self.shards[(hash >> 60) as usize].0)
     }
 
     /// Adds one to `key`'s counter (creating it at zero first).
@@ -48,23 +132,19 @@ impl KeyedCounterMap {
 
     /// Adds `n` to `key`'s counter (creating it at zero first).
     pub fn add(&self, key: &[u8], n: u64) {
-        let mut shard = self.shards[shard_of(key)].lock().expect("keyed lock poisoned");
-        match shard.get_mut(key) {
-            Some(v) => *v += n,
-            None => {
-                shard.insert(key.to_vec(), n);
-            }
-        }
+        let (hash, shard) = self.shard_of(key);
+        shard.lock().expect("keyed lock poisoned").add(hash, key, n);
     }
 
     /// The counter for `key`, or `None` if it was never touched.
     pub fn get(&self, key: &[u8]) -> Option<u64> {
-        self.shards[shard_of(key)].lock().expect("keyed lock poisoned").get(key).copied()
+        let (hash, shard) = self.shard_of(key);
+        shard.lock().expect("keyed lock poisoned").get(hash, key)
     }
 
     /// The number of distinct keys recorded.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().expect("keyed lock poisoned").len()).sum()
+        self.shards.iter().map(|s| s.0.lock().expect("keyed lock poisoned").len).sum()
     }
 
     /// Whether no key has been recorded.
@@ -76,8 +156,8 @@ impl KeyedCounterMap {
     pub fn snapshot(&self) -> KeyedSnapshot {
         let mut entries = Vec::new();
         for shard in &self.shards {
-            let shard = shard.lock().expect("keyed lock poisoned");
-            entries.extend(shard.iter().map(|(k, v)| (k.clone(), *v)));
+            let table = shard.0.lock().expect("keyed lock poisoned");
+            entries.extend(table.entries().map(|(key, count)| (key.to_vec(), count)));
         }
         entries.sort_by(|a, b| a.0.cmp(&b.0));
         KeyedSnapshot { entries }
@@ -89,8 +169,10 @@ impl KeyedCounterMap {
     pub fn take(&self) -> KeyedSnapshot {
         let mut entries = Vec::new();
         for shard in &self.shards {
-            let mut shard = shard.lock().expect("keyed lock poisoned");
-            entries.extend(shard.drain());
+            let taken = std::mem::take(&mut *shard.0.lock().expect("keyed lock poisoned"));
+            entries.extend(
+                taken.cells.into_iter().filter_map(|c| c.key.map(|key| (key.into_vec(), c.count))),
+            );
         }
         entries.sort_by(|a, b| a.0.cmp(&b.0));
         KeyedSnapshot { entries }
@@ -182,6 +264,25 @@ mod tests {
         let mut m = a.snapshot();
         m.merge(&b.snapshot());
         assert_eq!(m.entries, vec![(b"k1".to_vec(), 11), (b"k2".to_vec(), 2), (b"k3".to_vec(), 3)]);
+    }
+
+    #[test]
+    fn a_table_whose_keys_all_collide_still_counts_each_key() {
+        // One hash for every key: the probe degenerates to a walk over
+        // all the keys, and has to stay right through every doubling.
+        let mut table = Table::default();
+        let keys: Vec<Vec<u8>> = (0..300u32).map(|i| format!("k{i}").into_bytes()).collect();
+        for round in 1..=3u64 {
+            for key in &keys {
+                table.add(42, key, round);
+            }
+        }
+        assert_eq!(table.len, keys.len());
+        assert!(table.cells.len().is_power_of_two() && table.len * 8 <= table.cells.len() * 7);
+        assert!(keys.iter().all(|key| table.get(42, key) == Some(6)));
+        assert_eq!(table.get(42, b"absent"), None);
+        assert_eq!(table.get(43, b"k1"), None);
+        assert_eq!(table.entries().map(|(_, count)| count).sum::<u64>(), 6 * 300);
     }
 
     #[test]

@@ -8,17 +8,19 @@
 //! * [`Counter`] — a relaxed atomic `u64`; `inc`/`add` are single
 //!   `fetch_add` instructions, no locks anywhere.
 //! * [`Histogram`] — a fixed set of log₂ buckets backed entirely by
-//!   atomics. `observe` is two `fetch_add`s plus one for the bucket.
+//!   atomics. `observe` is two `fetch_add`s: the sum and one bucket.
 //!   Snapshots ([`HistogramSnapshot`]) are plain data: they merge across
 //!   servers and serialize over the wire.
 //! * [`Gauge`] — a point-in-time `f64` reading (a ratio, a level)
 //!   stored as bits in an atomic `u64`; `set`/`get` are single relaxed
 //!   operations.
 //! * [`TopK`] — a bounded Space-Saving sketch answering "which keys are
-//!   hottest?" in `O(k)` memory with per-slot error bounds.
+//!   hottest?" in `O(k)` memory with per-slot error bounds; an offer
+//!   scans `k` adjacent words under one short mutex hold.
 //! * [`KeyedCounterMap`] — one counter per byte-string key for
 //!   populations discovered at runtime (per-entry retrieval counts),
-//!   sharded across 16 mutexes so writers rarely contend.
+//!   hashed once per operation and sharded across 16 cache-line-aligned
+//!   mutexes so writers rarely contend.
 //! * [`MetricsSnapshot`] — a named bag of counter values, gauge
 //!   readings, and histogram snapshots; merging snapshots from every
 //!   server of a cluster yields cluster-wide totals, and
@@ -27,7 +29,11 @@
 //! * [`trace`] — a structured logging facade (levels, key/value fields,
 //!   timing spans with optional request-id correlation) with the shape
 //!   of the `tracing` crate but zero dependencies, so binaries and
-//!   tests can enable it unconditionally.
+//!   tests can enable it unconditionally. Span fields stay un-rendered
+//!   ([`trace::FieldValue`]) until a line is printed or a record read.
+//! * [`recorder`] — the flight recorder: a ring of the last few
+//!   thousand completed spans, moved in whole on span drop, with slow
+//!   requests pinned against wraparound.
 //! * [`TimedMutex`] — a `parking_lot::Mutex` that measures itself:
 //!   per-site wait/hold histograms plus acquisition and contention
 //!   counters, so "which lock is the ceiling?" is a scrape, not a
@@ -42,9 +48,12 @@
 //!   budgets with fast/slow-window burn rates fed from [`Timeline`]
 //!   deltas.
 //!
-//! Everything here is `std`-only and lock-free or shard-locked on the
-//! recording path; the only allocations happen at snapshot/exposition
-//! time (plus first-touch key insertion in the keyed structures). The
+//! Everything here is `std`-only. The recording path is atomics for
+//! counters, gauges and histograms, one per-slot, per-shard or
+//! per-sketch mutex held for tens of nanoseconds for spans, keyed
+//! counters and the sketch, and no process-wide lock; the only
+//! allocations happen at snapshot/exposition time (plus first-touch key
+//! insertion in the keyed structures). The
 //! crate denies `unsafe_code`; the single exception is the
 //! [`alloc`] module's `GlobalAlloc` impl, which forwards to the system
 //! allocator and does arithmetic.
@@ -56,6 +65,7 @@ pub mod alloc;
 pub mod contention;
 pub mod counter;
 pub mod gauge;
+mod hash;
 pub mod histogram;
 pub mod json;
 pub mod keyed;

@@ -2,11 +2,16 @@
 //!
 //! Aggregate metrics answer "how slow are lookups on average?"; the
 //! recorder answers "*where did this one request spend its time?*". It
-//! keeps the last `capacity` completed [`SpanRecord`]s — one per
+//! keeps the last `capacity` completed spans — one per
 //! [`Span`](crate::trace::Span) drop — in a fixed-size ring indexed by
-//! a single atomic write cursor, so recording costs one `fetch_add`
-//! plus an uncontended per-slot lock and never allocates on the hot
-//! path beyond the record itself.
+//! a single atomic write cursor. Recording is one `fetch_add` on the
+//! cursor, an uncontended per-slot lock, and a move of the span into
+//! the slot: a slot holds a span as it was dropped, with static names
+//! and un-rendered field values ([`FieldValue`]), or an owned
+//! [`SpanRecord`] as it was handed to [`Recorder::record`]. Neither is
+//! copied or rendered on the way in, so recording allocates nothing;
+//! the text form is produced when a record is read back out
+//! ([`Recorder::snapshot`], [`Recorder::spans_for`]).
 //!
 //! Slow requests get special treatment: when a span finishes over the
 //! configured threshold ([`Recorder::set_slow_threshold_us`]) and
@@ -16,14 +21,23 @@
 //!
 //! One recorder may be installed process-wide ([`install`]); the
 //! `trace::Span` drop path feeds it regardless of the logging level,
-//! so traces are retained even when nothing is printed.
+//! so traces are retained even when nothing is printed. Each thread
+//! caches the installed recorder and revalidates the cache against a
+//! generation counter, so a span drop reads one shared atomic and
+//! takes no process-wide lock. The rule for visibility: a span drop
+//! that begins after `install` returns goes to the recorder that call
+//! installed (or to none); a thread that drops no further span keeps
+//! its reference to the previous recorder, and so keeps it alive,
+//! until the thread exits.
 
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
-use std::time::{SystemTime, UNIX_EPOCH};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
+use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use crate::counter::Counter;
+use crate::trace::{FieldValue, Fields};
 
 /// Default ring capacity when none is given.
 pub const DEFAULT_CAPACITY: usize = 4096;
@@ -91,16 +105,67 @@ pub struct PinnedRequest {
     pub spans: Vec<SpanRecord>,
 }
 
-/// Fixed-capacity ring buffer of [`SpanRecord`]s with an atomic write
+/// What a ring slot holds: a completed span in the form it arrived in.
+#[derive(Debug)]
+pub(crate) enum Retained {
+    /// A dropped [`Span`](crate::trace::Span), or a span timed by the
+    /// caller ([`record_timed`]): nothing rendered, nothing on the heap
+    /// unless a field value owns a string or the fields spilled.
+    Span {
+        req_id: Option<u64>,
+        name: &'static str,
+        target: &'static str,
+        start_us: u64,
+        elapsed_us: u64,
+        fields: Fields,
+    },
+    /// A record the caller had already built.
+    Owned(SpanRecord),
+}
+
+impl Retained {
+    fn req_id(&self) -> Option<u64> {
+        match self {
+            Retained::Span { req_id, .. } | Retained::Owned(SpanRecord { req_id, .. }) => *req_id,
+        }
+    }
+
+    fn elapsed_us(&self) -> u64 {
+        match self {
+            Retained::Span { elapsed_us, .. } | Retained::Owned(SpanRecord { elapsed_us, .. }) => {
+                *elapsed_us
+            }
+        }
+    }
+
+    /// The public, rendered form.
+    fn to_record(&self) -> SpanRecord {
+        match self {
+            Retained::Owned(record) => record.clone(),
+            Retained::Span { req_id, name, target, start_us, elapsed_us, fields } => SpanRecord {
+                req_id: *req_id,
+                name: (*name).to_string(),
+                target: (*target).to_string(),
+                start_us: *start_us,
+                elapsed_us: *elapsed_us,
+                fields: fields.iter().map(|(k, v)| ((*k).to_string(), v.to_string())).collect(),
+            },
+        }
+    }
+}
+
+/// Fixed-capacity ring buffer of completed spans with an atomic write
 /// cursor, plus the slow-request pin list.
 ///
 /// Writers reserve a slot with one `fetch_add` on the cursor and then
 /// take that slot's own mutex — two writers only contend when the ring
 /// has wrapped all the way around between them, so the recording path
-/// stays effectively lock-free under any realistic load.
+/// stays effectively lock-free under any realistic load. The cursor
+/// and the two public counters are the only memory every writer
+/// writes; the layout is fixed so that they share one cache line.
 #[derive(Debug)]
+#[repr(C, align(64))]
 pub struct Recorder {
-    slots: Vec<Mutex<Option<SpanRecord>>>,
     /// Total records ever written; `cursor % capacity` is the next slot.
     cursor: AtomicU64,
     /// Records accepted by [`Recorder::record`].
@@ -110,6 +175,7 @@ pub struct Recorder {
     /// Spans at or above this duration (with a request id) are pinned;
     /// 0 disables pinning.
     slow_threshold_us: AtomicU64,
+    slots: Box<[Mutex<Option<Retained>>]>,
     pins: Mutex<VecDeque<PinnedRequest>>,
 }
 
@@ -119,16 +185,20 @@ impl Default for Recorder {
     }
 }
 
+fn by_start(a: &SpanRecord, b: &SpanRecord) -> std::cmp::Ordering {
+    a.start_us.cmp(&b.start_us).then(a.elapsed_us.cmp(&b.elapsed_us))
+}
+
 impl Recorder {
     /// A recorder holding the last `capacity` spans (minimum 1).
     pub fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
         Recorder {
-            slots: (0..capacity).map(|_| Mutex::new(None)).collect(),
             cursor: AtomicU64::new(0),
             recorded: Counter::default(),
             overwrites: Counter::default(),
             slow_threshold_us: AtomicU64::new(0),
+            slots: (0..capacity).map(|_| Mutex::new(None)).collect(),
             pins: Mutex::new(VecDeque::new()),
         }
     }
@@ -150,25 +220,57 @@ impl Recorder {
     }
 
     /// Appends one completed span to the ring; pins its request if the
-    /// span crossed the slow threshold.
+    /// span crossed the slow threshold. The record is moved into its
+    /// slot, not copied.
     pub fn record(&self, record: SpanRecord) {
-        let seq = self.cursor.fetch_add(1, Ordering::Relaxed);
-        let idx = usize::try_from(seq).unwrap_or(usize::MAX) % self.slots.len();
-        let evicted = {
-            let mut slot =
-                self.slots[idx].lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            slot.replace(record.clone())
+        self.retain(Retained::Owned(record));
+    }
+
+    /// The one way into the ring, for [`Recorder::record`], the span
+    /// drop path and [`record_timed`] alike.
+    pub(crate) fn retain(&self, span: Retained) {
+        // Only a span that must be pinned is copied, before it moves.
+        let threshold = self.slow_threshold_us.load(Ordering::Relaxed);
+        let slow = match span.req_id() {
+            Some(req_id) if threshold > 0 && span.elapsed_us() >= threshold => {
+                Some((req_id, span.to_record()))
+            }
+            _ => None,
         };
+        // The three shared writes, back to back: every write from the
+        // ring's second lap on lands on a slot that holds a record.
+        let seq = self.cursor.fetch_add(1, Ordering::Relaxed);
         self.recorded.inc();
-        if evicted.is_some() {
+        let cap = self.slots.len() as u64;
+        if seq >= cap {
             self.overwrites.inc();
         }
-        let threshold = self.slow_threshold_us.load(Ordering::Relaxed);
-        if threshold > 0 && record.elapsed_us >= threshold {
-            if let Some(req_id) = record.req_id {
-                self.pin(req_id, record);
+        let idx = (seq % cap) as usize;
+        // The evicted span is dropped after the slot lock is released.
+        let evicted = self.slots[idx].lock().unwrap_or_else(PoisonError::into_inner).replace(span);
+        drop(evicted);
+        if let Some((req_id, latest)) = slow {
+            self.pin(req_id, latest);
+        }
+    }
+
+    /// The ring's records that `keep` accepts, sorted by wall-clock
+    /// start. One walk, oldest slot first, one slot lock at a time;
+    /// only accepted records are rendered and copied out.
+    fn ring_records(&self, keep: impl Fn(&Retained) -> bool) -> Vec<SpanRecord> {
+        let seq = self.cursor.load(Ordering::Relaxed);
+        let cap = self.slots.len() as u64;
+        let first = seq.saturating_sub(cap);
+        let mut out = Vec::new();
+        for offset in 0..cap {
+            let idx = ((first + offset) % cap) as usize;
+            let slot = self.slots[idx].lock().unwrap_or_else(PoisonError::into_inner);
+            if let Some(span) = slot.as_ref().filter(|span| keep(span)) {
+                out.push(span.to_record());
             }
         }
+        out.sort_by(by_start);
+        out
     }
 
     /// Copies `latest` plus every ring record for `req_id` into the pin
@@ -176,12 +278,11 @@ impl Recorder {
     fn pin(&self, req_id: u64, latest: SpanRecord) {
         // Gather the request's surviving ring records *before* taking
         // the pin lock (slot locks and the pin lock never nest).
-        let mut spans: Vec<SpanRecord> =
-            self.snapshot().into_iter().filter(|r| r.req_id == Some(req_id)).collect();
+        let mut spans = self.ring_records(|span| span.req_id() == Some(req_id));
         if !spans.contains(&latest) {
             spans.push(latest);
         }
-        let mut pins = self.pins.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut pins = self.pins.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(pin) = pins.iter_mut().find(|p| p.req_id == req_id) {
             for s in spans {
                 if !pin.spans.contains(&s) {
@@ -200,38 +301,20 @@ impl Recorder {
     /// may land records while the walk is in progress; the result is a
     /// best-effort consistent view, sorted by wall-clock start.
     pub fn snapshot(&self) -> Vec<SpanRecord> {
-        let seq = self.cursor.load(Ordering::Relaxed);
-        let cap = self.slots.len() as u64;
-        let first = seq.saturating_sub(cap);
-        let mut out = Vec::new();
-        for offset in 0..cap {
-            let idx = usize::try_from((first + offset) % cap).unwrap_or(0);
-            let slot = self.slots[idx].lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            if let Some(r) = slot.as_ref() {
-                out.push(r.clone());
-            }
-        }
-        out.sort_by(|a, b| a.start_us.cmp(&b.start_us).then(a.elapsed_us.cmp(&b.elapsed_us)));
-        out
+        self.ring_records(|_| true)
     }
 
     /// The pinned slow requests, oldest pin first.
     pub fn pinned(&self) -> Vec<PinnedRequest> {
-        self.pins
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .iter()
-            .cloned()
-            .collect()
+        self.pins.lock().unwrap_or_else(PoisonError::into_inner).iter().cloned().collect()
     }
 
     /// Every retained record for one request id — ring and pin list
     /// combined, deduplicated, sorted by start time. This is what
     /// `/trace?req=<id>` serves per node.
     pub fn spans_for(&self, req_id: u64) -> Vec<SpanRecord> {
-        let mut out: Vec<SpanRecord> =
-            self.snapshot().into_iter().filter(|r| r.req_id == Some(req_id)).collect();
-        let pins = self.pins.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut out = self.ring_records(|span| span.req_id() == Some(req_id));
+        let pins = self.pins.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(pin) = pins.iter().find(|p| p.req_id == req_id) {
             for s in &pin.spans {
                 if !out.contains(s) {
@@ -240,7 +323,7 @@ impl Recorder {
             }
         }
         drop(pins);
-        out.sort_by(|a, b| a.start_us.cmp(&b.start_us).then(a.elapsed_us.cmp(&b.elapsed_us)));
+        out.sort_by(by_start);
         out
     }
 }
@@ -248,39 +331,97 @@ impl Recorder {
 /// The process-global recorder slot, mirroring the tracing sink:
 /// installed once by a binary, fed by every `Span` drop.
 static RECORDER: RwLock<Option<Arc<Recorder>>> = RwLock::new(None);
-/// Fast-path flag so span drops skip the lock when nothing is installed.
-static RECORDER_SET: AtomicBool = AtomicBool::new(false);
+/// Counts [`install`] calls; starts at 1 so that a thread's cache,
+/// which starts at generation 0, is filled on first use.
+static GENERATION: AtomicU64 = AtomicU64::new(1);
+
+/// A thread's view of [`RECORDER`]: the generation it last looked at
+/// and what it found there.
+struct Cache {
+    generation: Cell<u64>,
+    recorder: RefCell<Option<Arc<Recorder>>>,
+}
+
+thread_local! {
+    static CACHE: Cache = const { Cache { generation: Cell::new(0), recorder: RefCell::new(None) } };
+}
 
 /// Installs (or, with `None`, removes) the process-global recorder.
 pub fn install(recorder: Option<Arc<Recorder>>) {
-    let mut slot = RECORDER.write().unwrap_or_else(std::sync::PoisonError::into_inner);
-    RECORDER_SET.store(recorder.is_some(), Ordering::Release);
+    let mut slot = RECORDER.write().unwrap_or_else(PoisonError::into_inner);
     *slot = recorder;
+    // Release, inside the write lock: a thread whose Acquire load sees
+    // the new generation then reads the slot after this write.
+    GENERATION.fetch_add(1, Ordering::Release);
 }
 
-/// The currently installed recorder, if any.
+/// The currently installed recorder, if any. Takes the slot's read lock
+/// and clones the `Arc`; meant for readers (`/trace`, `/debug/recent`),
+/// not for the recording path.
 pub fn installed() -> Option<Arc<Recorder>> {
-    if !RECORDER_SET.load(Ordering::Acquire) {
-        return None;
-    }
-    RECORDER.read().unwrap_or_else(std::sync::PoisonError::into_inner).clone()
+    RECORDER.read().unwrap_or_else(PoisonError::into_inner).clone()
 }
 
-/// Records one completed span into the installed recorder, if any.
-/// Called from the `Span` drop path; also usable directly for
-/// synthesized records (e.g. client-side per-probe decompositions).
-pub fn record(record: SpanRecord) {
-    if let Some(r) = installed() {
-        r.record(record);
-    }
+/// Runs `f` on the installed recorder, if any, through this thread's
+/// cached reference: one shared atomic load when the cache is current,
+/// and no reference count touched. A span dropped while its thread's
+/// locals are being destroyed is not recorded.
+pub(crate) fn with_installed(f: impl FnOnce(&Recorder)) {
+    let generation = GENERATION.load(Ordering::Acquire);
+    let _ = CACHE.try_with(|cache| {
+        if cache.generation.get() != generation {
+            *cache.recorder.borrow_mut() = installed();
+            cache.generation.set(generation);
+        }
+        if let Some(recorder) = cache.recorder.borrow().as_deref() {
+            f(recorder);
+        }
+    });
+}
+
+/// Records a span that the caller timed itself, ending now after
+/// `elapsed_us` (e.g. a client-side probe round trip). The same entry
+/// the `Span` drop path uses: nothing is built or rendered unless a
+/// recorder is installed, and then nothing is allocated.
+pub fn record_timed<const N: usize>(
+    req_id: Option<u64>,
+    name: &'static str,
+    target: &'static str,
+    elapsed_us: u64,
+    fields: [(&'static str, FieldValue); N],
+) {
+    with_installed(|r| {
+        r.retain(Retained::Span {
+            req_id,
+            name,
+            target,
+            start_us: unix_us_at(Instant::now()).saturating_sub(elapsed_us),
+            elapsed_us,
+            fields: fields.into_iter().collect(),
+        });
+    });
+}
+
+fn micros(d: Duration) -> u64 {
+    u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
 }
 
 /// Microseconds since the Unix epoch, saturating.
 pub fn unix_us() -> u64 {
-    SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .map(|d| u64::try_from(d.as_micros()).unwrap_or(u64::MAX))
-        .unwrap_or(0)
+    SystemTime::now().duration_since(UNIX_EPOCH).map(micros).unwrap_or(0)
+}
+
+/// The wall-clock time of a monotonic instant, from one pairing of the
+/// two clocks captured on first use, so that placing a span on the
+/// wall clock costs no clock read. Later steps of the wall clock are
+/// not followed.
+pub(crate) fn unix_us_at(at: Instant) -> u64 {
+    static ANCHOR: OnceLock<(Instant, u64)> = OnceLock::new();
+    let (anchor, anchor_us) = *ANCHOR.get_or_init(|| (Instant::now(), unix_us()));
+    match at.checked_duration_since(anchor) {
+        Some(after) => anchor_us.saturating_add(micros(after)),
+        None => anchor_us.saturating_sub(micros(anchor.duration_since(at))),
+    }
 }
 
 #[cfg(test)]
@@ -296,6 +437,14 @@ mod tests {
             elapsed_us: elapsed,
             fields: Vec::new(),
         }
+    }
+
+    #[test]
+    fn a_ring_slot_is_no_larger_than_the_record_it_used_to_point_to() {
+        // Before slots held spans inline a slot was ~110 bytes plus
+        // ~160 bytes of heap per record; the ring must not grow.
+        let slot = std::mem::size_of::<Mutex<Option<Retained>>>();
+        assert!(slot <= 256, "{slot} bytes per slot");
     }
 
     #[test]

@@ -15,9 +15,13 @@
 //! let _us = span.elapsed_us(); // usable for histograms even when disabled
 //! ```
 
+use std::borrow::Cow;
+use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::RwLock;
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
+
+use crate::recorder::{self, Retained};
 
 /// Event severity, in decreasing order of urgency.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -164,6 +168,100 @@ pub fn emit(level: Level, target: &str, msg: &str, fields: &[(&str, String)]) {
     let _ = writeln!(handle, "{line}");
 }
 
+/// The value of a span field, kept as given until someone reads it: a
+/// span that is neither logged nor looked up never renders its fields
+/// to text. `Display` gives the text the value's own `to_string()`
+/// would have given.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum FieldValue {
+    /// Any unsigned integer.
+    U64(u64),
+    /// Any signed integer.
+    I64(i64),
+    /// A flag.
+    Bool(bool),
+    /// Text, borrowed for the life of the program or owned.
+    Str(Cow<'static, str>),
+}
+
+impl fmt::Display for FieldValue {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            FieldValue::U64(v) => v.fmt(f),
+            FieldValue::I64(v) => v.fmt(f),
+            FieldValue::Bool(v) => v.fmt(f),
+            FieldValue::Str(v) => v.fmt(f),
+        }
+    }
+}
+
+macro_rules! field_value_from {
+    ($variant:ident as $wide:ty: $($t:ty),*) => {$(
+        impl From<$t> for FieldValue {
+            fn from(v: $t) -> Self {
+                FieldValue::$variant(v as $wide)
+            }
+        }
+    )*};
+}
+field_value_from!(U64 as u64: u8, u16, u32, u64, usize);
+field_value_from!(I64 as i64: i8, i16, i32, i64, isize);
+
+impl From<bool> for FieldValue {
+    fn from(v: bool) -> Self {
+        FieldValue::Bool(v)
+    }
+}
+
+impl From<&'static str> for FieldValue {
+    fn from(v: &'static str) -> Self {
+        FieldValue::Str(Cow::Borrowed(v))
+    }
+}
+
+impl From<String> for FieldValue {
+    fn from(v: String) -> Self {
+        FieldValue::Str(Cow::Owned(v))
+    }
+}
+
+/// One span field: a static key and its un-rendered value.
+pub(crate) type Field = (&'static str, FieldValue);
+
+/// How many fields a span (and a flight-recorder slot) holds inline.
+/// Every span in this repository attaches at most this many.
+pub const INLINE_FIELDS: usize = 4;
+
+/// The fields of one span, in the order they were attached: the first
+/// [`INLINE_FIELDS`] inline, any further ones in a heap vector that
+/// stays unallocated until it is needed.
+#[derive(Debug, Default)]
+pub(crate) struct Fields {
+    inline: [Option<Field>; INLINE_FIELDS],
+    spill: Vec<Field>,
+}
+
+impl Fields {
+    fn push(&mut self, field: Field) {
+        match self.inline.iter_mut().find(|slot| slot.is_none()) {
+            Some(slot) => *slot = Some(field),
+            None => self.spill.push(field),
+        }
+    }
+
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &Field> {
+        self.inline.iter().flatten().chain(&self.spill)
+    }
+}
+
+impl FromIterator<Field> for Fields {
+    fn from_iter<I: IntoIterator<Item = Field>>(iter: I) -> Self {
+        let mut fields = Fields::default();
+        iter.into_iter().for_each(|f| fields.push(f));
+        fields
+    }
+}
+
 /// A timing span: captures an [`Instant`] on entry, emits a structured
 /// `<name> done elapsed_us=…` event on drop. Whether the span logs is
 /// decided *once*, at entry — a span that announced `start` always
@@ -174,6 +272,11 @@ pub fn emit(level: Level, target: &str, msg: &str, fields: &[(&str, String)]) {
 /// A span may carry a request id ([`enter_with_id`]); both its `start`
 /// and `done` events then include a `req=<id>` field, correlating every
 /// hop of one logical request across clients and servers.
+///
+/// With its level disabled a span costs two clock reads and, when a
+/// flight recorder is installed, one move of the span into the
+/// recorder's ring; it allocates nothing unless it carries more than
+/// [`INLINE_FIELDS`] fields or an owned string.
 ///
 /// [`elapsed_us`]: Span::elapsed_us
 /// [`enter_with_id`]: Span::enter_with_id
@@ -188,7 +291,7 @@ pub struct Span {
     start: Instant,
     /// Extra key/value fields attached while the span was open; carried
     /// on the `done` event and into the flight recorder.
-    fields: Vec<(&'static str, String)>,
+    fields: Fields,
 }
 
 impl Span {
@@ -205,28 +308,42 @@ impl Span {
 
     fn start(level: Level, target: &'static str, name: &'static str, id: Option<u64>) -> Span {
         let armed = enabled(level);
-        let span =
-            Span { level, target, name, id, armed, start: Instant::now(), fields: Vec::new() };
+        let span = Span {
+            level,
+            target,
+            name,
+            id,
+            armed,
+            start: Instant::now(),
+            fields: Fields::default(),
+        };
         if armed {
-            span.emit_event("start", &[]);
+            span.emit_event("start", None);
         }
         span
     }
 
     /// Attaches a key/value field to the span. Fields appear on the
-    /// `done` event and in the recorded [`SpanRecord`].
+    /// `done` event and in the recorded [`SpanRecord`]. The value is
+    /// stored as given and rendered only when the event is printed or
+    /// the record is read back.
     ///
     /// [`SpanRecord`]: crate::recorder::SpanRecord
-    pub fn field(&mut self, key: &'static str, value: impl ToString) {
-        self.fields.push((key, value.to_string()));
+    pub fn field(&mut self, key: &'static str, value: impl Into<FieldValue>) {
+        self.fields.push((key, value.into()));
     }
 
-    fn emit_event(&self, what: &str, extra: &[(&'static str, String)]) {
-        let mut fields: Vec<(&str, String)> = Vec::with_capacity(extra.len() + 1);
+    /// Emits `<name> <what>` with the request id; with `elapsed_us`,
+    /// also the span's fields and the elapsed time (the `done` event).
+    fn emit_event(&self, what: &str, elapsed_us: Option<u64>) {
+        let mut fields: Vec<(&str, String)> = Vec::new();
         if let Some(id) = self.id {
             fields.push(("req", id.to_string()));
         }
-        fields.extend(extra.iter().map(|(k, v)| (*k, v.clone())));
+        if let Some(elapsed_us) = elapsed_us {
+            fields.extend(self.fields.iter().map(|(k, v)| (*k, v.to_string())));
+            fields.push(("elapsed_us", elapsed_us.to_string()));
+        }
         emit(self.level, self.target, &format!("{} {}", self.name, what), &fields);
     }
 
@@ -247,22 +364,20 @@ impl Drop for Span {
         // Use the entry-time decision, not `enabled()` now: the pair of
         // start/done events must be all-or-nothing.
         if self.armed {
-            let mut extra: Vec<(&'static str, String)> = self.fields.clone();
-            extra.push(("elapsed_us", elapsed_us.to_string()));
-            self.emit_event("done", &extra);
+            self.emit_event("done", Some(elapsed_us));
         }
         // The flight recorder is independent of the logging level: a
         // span is retained even when nothing is printed for it.
-        if let Some(recorder) = crate::recorder::installed() {
-            recorder.record(crate::recorder::SpanRecord {
+        recorder::with_installed(|recorder| {
+            recorder.retain(Retained::Span {
                 req_id: self.id,
-                name: self.name.to_string(),
-                target: self.target.to_string(),
-                start_us: crate::recorder::unix_us().saturating_sub(elapsed_us),
+                name: self.name,
+                target: self.target,
+                start_us: recorder::unix_us_at(self.start),
                 elapsed_us,
-                fields: self.fields.iter().map(|(k, v)| ((*k).to_string(), v.clone())).collect(),
+                fields: std::mem::take(&mut self.fields),
             });
-        }
+        });
     }
 }
 
