@@ -161,16 +161,50 @@ impl<T: Eq + Hash> IndexedSet<T> {
 
     /// Inserts `value`; returns `false` if it was already present.
     pub fn insert(&mut self, value: T) -> bool {
+        self.insert_full(value).1
+    }
+
+    /// Inserts `value` and reports where it sits in [`as_slice`] order,
+    /// and whether it is new (a value already present is dropped, as
+    /// [`insert`] drops it). One probe either way.
+    ///
+    /// [`as_slice`]: IndexedSet::as_slice
+    /// [`insert`]: IndexedSet::insert
+    pub(crate) fn insert_full(&mut self, value: T) -> (usize, bool) {
         if self.items.len() >= capacity_of(self.slots.len()) {
             self.rebuild((self.slots.len() * 2).max(MIN_SLOTS));
         }
         let tag = self.tag_of(&value);
-        let Err(i) = Self::probe(&self.slots, tag, |pos| self.items[pos] == value) else {
-            return false;
-        };
-        Self::shift_in(&mut self.slots, i, Slot { tag, pos: self.items.len() as u32 });
-        self.items.push(value);
-        true
+        match Self::probe(&self.slots, tag, |pos| self.items[pos] == value) {
+            Ok(slot) => (self.slots[slot].pos as usize, false),
+            Err(i) => {
+                let index = self.items.len();
+                Self::shift_in(&mut self.slots, i, Slot { tag, pos: index as u32 });
+                self.items.push(value);
+                (index, true)
+            }
+        }
+    }
+
+    /// Where `value` sits in [`as_slice`](IndexedSet::as_slice) order.
+    pub(crate) fn index_of(&self, value: &T) -> Option<usize> {
+        self.find(self.tag_of(value), value).map(|slot| self.slots[slot].pos as usize)
+    }
+
+    /// Removes and returns the value at `index`, as [`remove`] would: the
+    /// last value moves into its place. The second field is the index
+    /// that value moved *from* (`None` when `index` was the last), so a
+    /// caller keeping data per index can move it along.
+    ///
+    /// [`remove`]: IndexedSet::remove
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is out of range.
+    pub(crate) fn swap_remove_index(&mut self, index: usize) -> (T, Option<usize>) {
+        let value = self.remove_slot(self.slot_of(index));
+        let last = self.items.len();
+        (value, (index < last).then_some(last))
     }
 
     /// Removes `value`; returns `false` if it was absent.
@@ -424,7 +458,7 @@ pub(crate) mod tests {
     /// every value has the same tag and home slot, with two there are two
     /// runs and tags that differ.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    struct Colliding<const BUCKETS: u8>(u8);
+    pub(crate) struct Colliding<const BUCKETS: u8>(pub u8);
 
     impl<const BUCKETS: u8> Hash for Colliding<BUCKETS> {
         fn hash<H: Hasher>(&self, state: &mut H) {

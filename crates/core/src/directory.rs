@@ -87,6 +87,11 @@ pub struct Directory<K: Key, V: Entry> {
     lookup_load: Vec<u64>,
     /// Update messages processed, per server.
     update_load: Vec<u64>,
+    /// `drive`'s work queue of (sender, destination, message), first in
+    /// first out. Empty between calls: kept for its allocation.
+    queue: VecDeque<(Endpoint, ServerId, Message<V>)>,
+    /// Where `drive` has an engine put what it sends. Empty between calls.
+    out: Vec<Outbound<V>>,
 }
 
 impl<K: Key, V: Entry> Directory<K, V> {
@@ -113,6 +118,8 @@ impl<K: Key, V: Entry> Directory<K, V> {
             rng: DetRng::seed_from(seed ^ 0xD12E_C704),
             lookup_load: vec![0; n],
             update_load: vec![0; n],
+            queue: VecDeque::new(),
+            out: Vec::new(),
         })
     }
 
@@ -198,23 +205,23 @@ impl<K: Key, V: Entry> Directory<K, V> {
                 self.engines.entry(key.clone()).or_insert(engines)
             }
         };
-        // (sender, destination, message) work queue, first in first out.
-        let mut queue = VecDeque::from([(Endpoint::client(0), coordinator, msg)]);
-        while let Some((from, dest, m)) = queue.pop_front() {
+        self.queue.push_back((Endpoint::client(0), coordinator, msg));
+        while let Some((from, dest, m)) = self.queue.pop_front() {
             if self.failures.is_failed(dest) {
                 continue;
             }
             self.update_load[dest.index()] += 1;
             let me = Endpoint::Server(dest);
-            for out in engines[dest.index()].handle(from, m) {
+            engines[dest.index()].handle_into(from, m, &mut self.out);
+            for out in self.out.drain(..) {
                 match out {
-                    Outbound::To(d, m2) => queue.push_back((me, d, m2)),
+                    Outbound::To(d, m2) => self.queue.push_back((me, d, m2)),
                     Outbound::Broadcast(m2) => {
                         // n - 1 copies, and the original to the last server.
                         for i in 0..n - 1 {
-                            queue.push_back((me, ServerId::new(i as u32), m2.clone()));
+                            self.queue.push_back((me, ServerId::new(i as u32), m2.clone()));
                         }
-                        queue.push_back((me, ServerId::new(n as u32 - 1), m2));
+                        self.queue.push_back((me, ServerId::new(n as u32 - 1), m2));
                     }
                 }
             }
@@ -389,6 +396,91 @@ mod tests {
                     r.contacted().iter().map(|s| dir.server_entries(&"k", *s).len().min(35)).sum();
                 assert_eq!(clones() - before, fetched, "{spec}");
             }
+        }
+    }
+
+    #[test]
+    fn updates_clone_only_the_copies_they_send() {
+        use crate::collections::tests::{clones, Counted};
+        let n = 10;
+        let holders = |dir: &Directory<&str, Counted>, id: u64| {
+            (0..n as u32)
+                .filter(|s| dir.server_entries(&"k", ServerId::new(*s)).contains(&Counted(id)))
+                .count()
+        };
+        // Full replication and RandomServer-x broadcast every update: the
+        // n - 1 copies `drive` makes, the original going to the last
+        // server; a delete first copies the caller's reference into its
+        // request. Fixed-x does the same when it broadcasts at all.
+        for spec in [
+            StrategySpec::full_replication(),
+            StrategySpec::random_server(20),
+            StrategySpec::fixed(20),
+        ] {
+            let mut dir: Directory<&str, Counted> = Directory::new(n, uniform(spec), 3).unwrap();
+            dir.place("k", (0..100).map(Counted).collect()).unwrap();
+            let fixed = matches!(spec, StrategySpec::Fixed { .. });
+            let before = clones();
+            dir.add(&"k", Counted(500)).unwrap();
+            // (Fixed-20 is full: the add stops at the coordinator.)
+            assert_eq!(clones() - before, if fixed { 0 } else { n - 1 }, "{spec} add");
+            let before = clones();
+            dir.delete(&"k", &Counted(0)).unwrap();
+            assert_eq!(clones() - before, n, "{spec} delete");
+            assert_eq!(holders(&dir, 0), 0);
+            let before = clones();
+            dir.delete(&"k", &Counted(50)).unwrap();
+            // (Fixed-20 never stored entry 50: the request's copy alone.)
+            assert_eq!(clones() - before, if fixed { 1 } else { n }, "{spec} second delete");
+            let before = clones();
+            dir.add(&"k", Counted(501)).unwrap();
+            assert_eq!(clones() - before, n - 1, "{spec} add (Fixed-20 refills)");
+        }
+
+        // Hash-2 sends an entry to its one or two servers and nowhere else.
+        let mut dir: Directory<&str, Counted> =
+            Directory::new(n, uniform(StrategySpec::hash(2)), 3).unwrap();
+        dir.place("k", (0..100).map(Counted).collect()).unwrap();
+        for id in 500..540 {
+            let before = clones();
+            dir.add(&"k", Counted(id)).unwrap();
+            let stored = holders(&dir, id);
+            assert!((1..=2).contains(&stored));
+            assert_eq!(clones() - before, stored - 1, "hash add");
+            let before = clones();
+            dir.delete(&"k", &Counted(id)).unwrap();
+            assert_eq!(clones() - before, 1 + (stored - 1), "hash delete");
+        }
+
+        // Round-Robin-2: an add makes the second stored copy. A delete
+        // broadcasts, and then copies the head entry into the hole, once
+        // per holder of the deleted entry; the head server makes one more
+        // copy of the deleted entry if it held it too (its migration
+        // context and its own migrate request both name it).
+        let y = 2;
+        let mut dir: Directory<&str, Counted> =
+            Directory::new(n, uniform(StrategySpec::round_robin(y)), 3).unwrap();
+        dir.place("k", (0..100).map(Counted).collect()).unwrap();
+        let mut rng = DetRng::seed_from(17);
+        let mut live: Vec<u64> = (0..100).collect();
+        for id in 500..560 {
+            let before = clones();
+            dir.add(&"k", Counted(id)).unwrap();
+            assert_eq!(clones() - before, y - 1, "round-robin add");
+            assert_eq!(holders(&dir, id), y);
+            live.push(id);
+
+            let victim = live.swap_remove(rng.below(live.len()));
+            let engines = &dir.engines[&"k"];
+            let (head, _) = engines[0].rr_counters().expect("server 0 coordinates");
+            let head_engine = &engines[(head % n as u64) as usize];
+            let head_entry = head_engine.rr_positions().find(|(p, _)| *p == head).expect("live");
+            let plugs = if *head_entry.1 == Counted(victim) { 0 } else { y };
+            let head_holds = usize::from(head_engine.entries().contains(&Counted(victim)));
+            let before = clones();
+            dir.delete(&"k", &Counted(victim)).unwrap();
+            assert_eq!(clones() - before, 1 + (n - 1) + plugs + head_holds, "delete {victim}");
+            assert_eq!(holders(&dir, victim), 0);
         }
     }
 

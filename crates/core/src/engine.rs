@@ -126,15 +126,17 @@ impl<V: Entry> NodeEngine<V> {
         self.rr_mirrors
     }
 
-    /// Outbounds that propagate this mirror's counters to its peers.
-    fn rr_sync_counters(&self) -> Vec<Outbound<V>> {
+    /// Queues the messages that propagate this mirror's counters to its
+    /// peers.
+    fn rr_sync_counters(&self, out: &mut Vec<Outbound<V>>) {
         let Some((head, tail)) = self.rr_counters() else {
-            return Vec::new();
+            return;
         };
-        (0..self.rr_mirrors)
-            .filter(|&i| i != self.me.index())
-            .map(|i| Outbound::To(ServerId::new(i as u32), Message::RrSetCounters { head, tail }))
-            .collect()
+        out.extend(
+            (0..self.rr_mirrors).filter(|&i| i != self.me.index()).map(|i| {
+                Outbound::To(ServerId::new(i as u32), Message::RrSetCounters { head, tail })
+            }),
+        );
     }
 
     /// This server's id.
@@ -169,11 +171,11 @@ impl<V: Entry> NodeEngine<V> {
         self.node.rr_coord.as_ref().map(|c| (c.head, c.tail))
     }
 
-    /// Round-robin position map (position → entry) of the local copies.
-    /// Empty for non-round-robin strategies. Exposed for diagnostics and
+    /// Round-robin position map (position → entry) of the local copies,
+    /// in ascending position order. Empty for non-round-robin strategies. Exposed for diagnostics and
     /// invariant checking.
     pub fn rr_positions(&self) -> impl Iterator<Item = (u64, &V)> + '_ {
-        self.node.rr_slots.iter().map(|(p, v)| (*p, v))
+        self.node.rr_positions()
     }
 
     /// Whether Hash-y's shared function family assigns entry `v` to
@@ -232,13 +234,25 @@ impl<V: Entry> NodeEngine<V> {
     }
 
     /// Processes one inbound message, returning the outbound messages
-    /// this server wants delivered (in order).
+    /// this server wants delivered (in order). Allocates the returned
+    /// `Vec`; a caller that handles many messages keeps one buffer and
+    /// calls [`NodeEngine::handle_into`], which allocates nothing of its
+    /// own.
     pub fn handle(&mut self, from: Endpoint, msg: Message<V>) -> Vec<Outbound<V>> {
+        let mut out = Vec::new();
+        self.handle_into(from, msg, &mut out);
+        out
+    }
+
+    /// Processes one inbound message, appending the outbound messages
+    /// this server wants delivered (in order) to `out`. Whatever `out`
+    /// already holds is left alone.
+    pub fn handle_into(&mut self, from: Endpoint, msg: Message<V>, out: &mut Vec<Outbound<V>>) {
         match msg {
             Message::Versioned { version, stamp_ms, msg } => {
-                self.on_versioned(from, version, stamp_ms, *msg)
+                self.on_versioned(from, version, stamp_ms, *msg, out)
             }
-            other => self.dispatch(from, other, None),
+            other => self.dispatch(from, other, None, out),
         }
     }
 
@@ -254,9 +268,10 @@ impl<V: Entry> NodeEngine<V> {
         version: u64,
         stamp_ms: u64,
         inner: Message<V>,
-    ) -> Vec<Outbound<V>> {
+        out: &mut Vec<Outbound<V>>,
+    ) {
         if matches!(inner, Message::Versioned { .. }) {
-            return Vec::new(); // nested envelopes are a protocol violation
+            return; // nested envelopes are a protocol violation
         }
         let is_update = matches!(
             inner,
@@ -266,27 +281,23 @@ impl<V: Entry> NodeEngine<V> {
         if !is_update {
             self.node.version = self.node.version.max(version);
         }
-        let out = self.dispatch(from, inner, Some((version, stamp_ms)));
+        let start = out.len();
+        self.dispatch(from, inner, Some((version, stamp_ms)), out);
         if is_update {
-            if out.is_empty() {
+            if out.len() == start {
                 // The update was a protocol-level no-op (e.g. Fixed-x
                 // suppressing a broadcast): nothing propagates, so the
                 // version must not advance either, or the cluster would
                 // look permanently stale.
-                return out;
+                return;
             }
             self.node.version = self.node.version.max(version);
         }
-        out.into_iter()
-            .map(|o| match o {
-                Outbound::To(dest, m) => {
-                    Outbound::To(dest, Message::Versioned { version, stamp_ms, msg: Box::new(m) })
-                }
-                Outbound::Broadcast(m) => {
-                    Outbound::Broadcast(Message::Versioned { version, stamp_ms, msg: Box::new(m) })
-                }
-            })
-            .collect()
+        for o in &mut out[start..] {
+            let (Outbound::To(_, m) | Outbound::Broadcast(m)) = o;
+            let msg = Box::new(std::mem::replace(m, Message::Reset));
+            *m = Message::Versioned { version, stamp_ms, msg };
+        }
     }
 
     /// Tombstone bookkeeping for one versioned message, applied before
@@ -327,15 +338,22 @@ impl<V: Entry> NodeEngine<V> {
         from: Endpoint,
         msg: Message<V>,
         version_ctx: Option<(u64, u64)>,
-    ) -> Vec<Outbound<V>> {
+        out: &mut Vec<Outbound<V>>,
+    ) {
         if let Some((version, stamp_ms)) = version_ctx {
             self.note_version_effects(&msg, version, stamp_ms);
         }
+        // A server's store is written either by position (Round-Robin-y)
+        // or directly (the other four), never both: a message of the
+        // other family is not part of this server's protocol and is
+        // ignored (as `on_rr_remove` and `on_migrate_req` ignore theirs),
+        // so the positions always describe the whole store.
+        let by_position = matches!(self.spec, StrategySpec::RoundRobin { .. });
         match msg {
-            Message::Versioned { .. } => Vec::new(), // unreachable: handled above
-            Message::PlaceReq { entries } => self.on_place_req(entries),
-            Message::AddReq { v } => self.on_add_req(v),
-            Message::DeleteReq { v } => self.on_delete_req(v),
+            Message::Versioned { .. } => {} // unreachable: handled above
+            Message::PlaceReq { entries } => self.on_place_req(entries, out),
+            Message::AddReq { v } => self.on_add_req(v, out),
+            Message::DeleteReq { v } => self.on_delete_req(v, out),
             Message::Reset => {
                 let keep_coord = self.node.rr_coord.is_some();
                 let version = self.node.version;
@@ -344,79 +362,77 @@ impl<V: Entry> NodeEngine<V> {
                 if keep_coord {
                     self.node.rr_coord = Some(RrCoord::default());
                 }
-                Vec::new()
             }
+            Message::RrInit { h } => self.node.rr_coord = Some(RrCoord { head: 0, tail: h }),
+            Message::RrSetCounters { head, tail } => {
+                self.node.rr_coord = Some(RrCoord { head, tail })
+            }
+            Message::StoreSet { .. }
+            | Message::ChooseSubset { .. }
+            | Message::Store { .. }
+            | Message::Remove { .. }
+            | Message::SampledStore { .. }
+            | Message::CountedRemove { .. }
+                if by_position => {}
             Message::StoreSet { entries } => {
                 self.node.store.clear();
                 self.node.store.extend(entries);
-                Vec::new()
             }
             Message::ChooseSubset { entries, x } => {
                 let subset = self.rng.subset(&entries, x);
                 self.node.store.clear();
                 self.node.store.extend(subset);
                 self.node.local_h = entries.len() as u64;
-                Vec::new()
             }
             Message::Store { v } => {
                 self.node.store.insert(v);
-                Vec::new()
             }
             Message::Remove { v } => {
                 self.node.store.remove(&v);
-                Vec::new()
             }
-            Message::SampledStore { v, x } => {
-                self.on_sampled_store(v, x);
-                Vec::new()
-            }
+            Message::SampledStore { v, x } => self.on_sampled_store(v, x),
             Message::CountedRemove { v } => {
                 self.node.local_h = self.node.local_h.saturating_sub(1);
                 self.node.store.remove(&v);
-                Vec::new()
             }
-            Message::RrInit { h } => {
-                self.node.rr_coord = Some(RrCoord { head: 0, tail: h });
-                Vec::new()
-            }
-            Message::RrSetCounters { head, tail } => {
-                self.node.rr_coord = Some(RrCoord { head, tail });
-                Vec::new()
-            }
-            Message::RrStore { v, pos } => {
-                self.node.rr_insert(pos, v);
-                Vec::new()
-            }
-            Message::RrRemove { v, head_pos } => self.on_rr_remove(v, head_pos),
-            Message::MigrateReq { v, dest_pos } => self.on_migrate_req(from, v, dest_pos),
+            Message::RrStore { .. } | Message::MigrateRep { .. } | Message::RrRemoveAt { .. }
+                if !by_position => {}
+            Message::RrStore { v, pos } => self.node.rr_insert(pos, v),
+            Message::RrRemove { v, head_pos } => self.on_rr_remove(v, head_pos, out),
+            Message::MigrateReq { v, dest_pos } => self.on_migrate_req(from, v, dest_pos, out),
             Message::MigrateRep { v: _, dest_pos, replacement } => {
                 if let Some(u) = replacement {
                     self.node.rr_insert(dest_pos, u);
                 }
-                Vec::new()
             }
             Message::RrRemoveAt { pos } => {
                 self.node.rr_remove_at(pos);
-                Vec::new()
             }
         }
     }
 
-    fn on_place_req(&mut self, entries: Vec<V>) -> Vec<Outbound<V>> {
+    /// The `y` consecutive servers that hold round-robin position `pos`.
+    fn rr_holders(&self, pos: u64, y: usize) -> impl Iterator<Item = ServerId> {
+        let n = self.n;
+        let first = ServerId::new((pos % n as u64) as u32);
+        (0..y).map(move |k| first.wrapping_add(k, n))
+    }
+
+    fn on_place_req(&mut self, entries: Vec<V>, out: &mut Vec<Outbound<V>>) {
         match self.spec {
             StrategySpec::FullReplication => {
-                vec![Outbound::Broadcast(Message::StoreSet { entries })]
+                out.push(Outbound::Broadcast(Message::StoreSet { entries }))
             }
             StrategySpec::Fixed { x } => {
-                let kept = entries[..x.min(entries.len())].to_vec();
-                vec![Outbound::Broadcast(Message::StoreSet { entries: kept })]
+                let mut entries = entries;
+                entries.truncate(x);
+                out.push(Outbound::Broadcast(Message::StoreSet { entries }))
             }
             StrategySpec::RandomServer { x } => {
-                vec![Outbound::Broadcast(Message::ChooseSubset { entries, x })]
+                out.push(Outbound::Broadcast(Message::ChooseSubset { entries, x }))
             }
             StrategySpec::RoundRobin { y } => {
-                let n = self.n;
-                let mut out = Vec::with_capacity(entries.len() * y + 2);
+                out.reserve(entries.len() * y + 1 + self.rr_mirrors);
                 out.push(Outbound::Broadcast(Message::Reset));
                 for mirror in 0..self.rr_mirrors {
                     out.push(Outbound::To(
@@ -425,106 +441,77 @@ impl<V: Entry> NodeEngine<V> {
                     ));
                 }
                 for (i, v) in entries.into_iter().enumerate() {
-                    for k in 0..y {
-                        let dest = ServerId::new((i % n) as u32).wrapping_add(k, n);
-                        out.push(Outbound::To(
-                            dest,
-                            Message::RrStore { v: v.clone(), pos: i as u64 },
-                        ));
-                    }
+                    let pos = i as u64;
+                    send_copies(out, self.rr_holders(pos, y), v, |v| Message::RrStore { v, pos });
                 }
-                out
             }
             StrategySpec::Hash { .. } => {
                 let family = self.hash_family.as_ref().expect("hash strategy has a family");
-                let mut out = Vec::with_capacity(entries.len() * 2 + 1);
+                out.reserve(entries.len() * family.y() + 1);
                 out.push(Outbound::Broadcast(Message::Reset));
                 for v in entries {
-                    for dest in family.assign(&v) {
-                        out.push(Outbound::To(dest, Message::Store { v: v.clone() }));
-                    }
+                    send_copies(out, family.assign(&v), v, |v| Message::Store { v });
                 }
-                out
             }
         }
     }
 
-    fn on_add_req(&mut self, v: V) -> Vec<Outbound<V>> {
+    fn on_add_req(&mut self, v: V, out: &mut Vec<Outbound<V>>) {
         match self.spec {
-            StrategySpec::FullReplication => vec![Outbound::Broadcast(Message::Store { v })],
+            StrategySpec::FullReplication => out.push(Outbound::Broadcast(Message::Store { v })),
             StrategySpec::Fixed { x } => {
                 // Selective broadcast (§5.2): only while the shared subset
                 // is below x; all servers are identical, so the local view
                 // decides.
                 if self.node.store.len() < x {
-                    vec![Outbound::Broadcast(Message::Store { v })]
-                } else {
-                    Vec::new()
+                    out.push(Outbound::Broadcast(Message::Store { v }));
                 }
             }
             StrategySpec::RandomServer { x } => {
-                vec![Outbound::Broadcast(Message::SampledStore { v, x })]
+                out.push(Outbound::Broadcast(Message::SampledStore { v, x }))
             }
             StrategySpec::RoundRobin { y } => {
-                let n = self.n;
                 let coord =
                     self.node.rr_coord.as_mut().expect("round-robin updates go to the coordinator");
                 let pos = coord.tail;
                 coord.tail += 1;
-                let mut out: Vec<Outbound<V>> = (0..y)
-                    .map(|k| {
-                        let dest = ServerId::new((pos % n as u64) as u32).wrapping_add(k, n);
-                        Outbound::To(dest, Message::RrStore { v: v.clone(), pos })
-                    })
-                    .collect();
-                out.extend(self.rr_sync_counters());
-                out
+                send_copies(out, self.rr_holders(pos, y), v, |v| Message::RrStore { v, pos });
+                self.rr_sync_counters(out);
             }
             StrategySpec::Hash { .. } => {
                 let family = self.hash_family.as_ref().expect("hash strategy has a family");
-                family
-                    .assign(&v)
-                    .into_iter()
-                    .map(|dest| Outbound::To(dest, Message::Store { v: v.clone() }))
-                    .collect()
+                send_copies(out, family.assign(&v), v, |v| Message::Store { v });
             }
         }
     }
 
-    fn on_delete_req(&mut self, v: V) -> Vec<Outbound<V>> {
+    fn on_delete_req(&mut self, v: V, out: &mut Vec<Outbound<V>>) {
         match self.spec {
-            StrategySpec::FullReplication => vec![Outbound::Broadcast(Message::Remove { v })],
+            StrategySpec::FullReplication => out.push(Outbound::Broadcast(Message::Remove { v })),
             StrategySpec::Fixed { .. } => {
                 // Selective broadcast: only if the entry is actually among
                 // the shared stored entries (§5.2).
                 if self.node.store.contains(&v) {
-                    vec![Outbound::Broadcast(Message::Remove { v })]
-                } else {
-                    Vec::new()
+                    out.push(Outbound::Broadcast(Message::Remove { v }));
                 }
             }
             StrategySpec::RandomServer { .. } => {
-                vec![Outbound::Broadcast(Message::CountedRemove { v })]
+                out.push(Outbound::Broadcast(Message::CountedRemove { v }))
             }
             StrategySpec::RoundRobin { .. } => {
                 let coord =
                     self.node.rr_coord.as_mut().expect("round-robin updates go to the coordinator");
                 if coord.head == coord.tail {
-                    return Vec::new(); // nothing live to delete
+                    return; // nothing live to delete
                 }
                 let head_pos = coord.head;
                 coord.head += 1;
-                let mut out = vec![Outbound::Broadcast(Message::RrRemove { v, head_pos })];
-                out.extend(self.rr_sync_counters());
-                out
+                out.push(Outbound::Broadcast(Message::RrRemove { v, head_pos }));
+                self.rr_sync_counters(out);
             }
             StrategySpec::Hash { .. } => {
                 let family = self.hash_family.as_ref().expect("hash strategy has a family");
-                family
-                    .assign(&v)
-                    .into_iter()
-                    .map(|dest| Outbound::To(dest, Message::Remove { v: v.clone() }))
-                    .collect()
+                send_copies(out, family.assign(&v), v, |v| Message::Remove { v });
             }
         }
     }
@@ -549,49 +536,41 @@ impl<V: Entry> NodeEngine<V> {
     /// Fig. 11 `remove(v, head)`: drop the local copy of `v`; if this is
     /// the head server, prepare the replacement context; droppers ask the
     /// head server to migrate the replacement into the hole.
-    fn on_rr_remove(&mut self, v: V, head_pos: u64) -> Vec<Outbound<V>> {
-        let y = match self.spec {
-            StrategySpec::RoundRobin { y } => y,
-            _ => return Vec::new(), // not a round-robin server: ignore
-        };
+    fn on_rr_remove(&mut self, v: V, head_pos: u64, out: &mut Vec<Outbound<V>>) {
+        let StrategySpec::RoundRobin { y } = self.spec else { return };
         let head_server = ServerId::new((head_pos % self.n as u64) as u32);
-
-        let mut out = Vec::new();
-        if self.me == head_server {
-            let at_head = self.node.rr_slots.get(&head_pos).cloned();
-            // When the deleted entry *is* the head entry there is no hole
-            // to plug: copies just vanish and head has already advanced.
-            let replacement = at_head.filter(|u| *u != v);
-            self.node
-                .rr_migrations
-                .insert(v.clone(), MigrationState { remaining: y, replacement, old_pos: head_pos });
-            // Replay migration requests that raced ahead of this
-            // broadcast (possible over unordered transports).
-            if let Some(pending) = self.node.rr_pending_migrations.remove(&v) {
-                for (requester, dest_pos) in pending {
-                    out.extend(self.on_migrate_req(
-                        Endpoint::Server(requester),
-                        v.clone(),
-                        dest_pos,
-                    ));
-                }
+        if self.me != head_server {
+            if let Some(dest_pos) = self.node.rr_remove_entry(&v) {
+                out.push(Outbound::To(head_server, Message::MigrateReq { v, dest_pos }));
             }
+            return;
         }
-
-        if let Some(dest_pos) = self.node.rr_remove_entry(&v) {
+        // When the deleted entry *is* the head entry there is no hole to
+        // plug: copies just vanish and head has already advanced.
+        let replacement = self.node.rr_entry_at(head_pos).filter(|u| **u != v).cloned();
+        let state = MigrationState { remaining: y, replacement, old_pos: head_pos };
+        let held_at = self.node.rr_remove_entry(&v);
+        // Migration requests that raced ahead of this broadcast (possible
+        // over unordered transports) are replayed now.
+        let pending = self.node.rr_pending_migrations.remove(&v);
+        if held_at.is_none() && pending.is_none() {
+            self.node.rr_migrations.insert(v, state); // nothing else names `v`
+            return;
+        }
+        self.node.rr_migrations.insert(v.clone(), state);
+        for (requester, dest_pos) in pending.into_iter().flatten() {
+            self.on_migrate_req(Endpoint::Server(requester), v.clone(), dest_pos, out);
+        }
+        if let Some(dest_pos) = held_at {
             out.push(Outbound::To(head_server, Message::MigrateReq { v, dest_pos }));
         }
-        out
     }
 
     /// Fig. 11 `migrate(v)` at the head server: hand out the replacement,
     /// and once all `y` holders have migrated, retire the replacement's
     /// old copies.
-    fn on_migrate_req(&mut self, from: Endpoint, v: V, dest_pos: u64) -> Vec<Outbound<V>> {
-        let y = match self.spec {
-            StrategySpec::RoundRobin { y } => y,
-            _ => return Vec::new(),
-        };
+    fn on_migrate_req(&mut self, from: Endpoint, v: V, dest_pos: u64, out: &mut Vec<Outbound<V>>) {
+        let StrategySpec::RoundRobin { y } = self.spec else { return };
         let requester = from.as_server().expect("migrations come from servers");
 
         let Some(state) = self.node.rr_migrations.get_mut(&v) else {
@@ -603,31 +582,49 @@ impl<V: Entry> NodeEngine<V> {
             if pending.len() < self.n {
                 pending.push((requester, dest_pos));
             }
-            return Vec::new();
+            return;
         };
         state.remaining = state.remaining.saturating_sub(1);
-        let done = state.remaining == 0;
-        let replacement = state.replacement.clone();
-        let old_pos = state.old_pos;
-
-        let mut out = vec![Outbound::To(
-            requester,
-            Message::MigrateRep { v: v.clone(), dest_pos, replacement: replacement.clone() },
-        )];
-        if done {
-            self.node.rr_migrations.remove(&v);
-            if replacement.is_some() {
-                // All migrations answered: remove the replacement's old
-                // copies by position, so the new copies survive on
-                // overlapping servers.
-                for k in 0..y {
-                    let dest =
-                        ServerId::new((old_pos % self.n as u64) as u32).wrapping_add(k, self.n);
-                    out.push(Outbound::To(dest, Message::RrRemoveAt { pos: old_pos }));
-                }
-            }
+        if state.remaining > 0 {
+            let replacement = state.replacement.clone();
+            out.push(Outbound::To(requester, Message::MigrateRep { v, dest_pos, replacement }));
+            return;
         }
-        out
+        // All migrations answered: the context's own copy of the
+        // replacement leaves with the last reply, and the replacement's
+        // old copies are removed by position, so the new copies survive on
+        // overlapping servers.
+        let state = self.node.rr_migrations.remove(&v).expect("context looked up above");
+        let retire = state.replacement.is_some();
+        out.push(Outbound::To(
+            requester,
+            Message::MigrateRep { v, dest_pos, replacement: state.replacement },
+        ));
+        if retire {
+            let old_pos = state.old_pos;
+            out.extend(
+                self.rr_holders(old_pos, y)
+                    .map(|dest| Outbound::To(dest, Message::RrRemoveAt { pos: old_pos })),
+            );
+        }
+    }
+}
+
+/// Queues `msg(v)` for each destination in order: a copy of `v` for all
+/// but the last, which gets the original.
+fn send_copies<V: Entry>(
+    out: &mut Vec<Outbound<V>>,
+    dests: impl IntoIterator<Item = ServerId>,
+    v: V,
+    msg: impl Fn(V) -> Message<V>,
+) {
+    let mut dests = dests.into_iter().peekable();
+    while let Some(dest) = dests.next() {
+        if dests.peek().is_none() {
+            out.push(Outbound::To(dest, msg(v)));
+            return;
+        }
+        out.push(Outbound::To(dest, msg(v.clone())));
     }
 }
 
@@ -741,6 +738,94 @@ mod tests {
         )));
         assert!(out.contains(&Outbound::To(ServerId::new(0), Message::RrRemoveAt { pos: 0 })));
         assert!(out.contains(&Outbound::To(ServerId::new(1), Message::RrRemoveAt { pos: 0 })));
+    }
+
+    #[test]
+    fn a_server_that_does_not_hold_the_entry_clones_nothing_to_learn_it() {
+        use crate::collections::tests::{clones, Counted};
+        // Server 2 of 4 holds positions 1 and 2 (y = 2); the head position
+        // 0 lives on servers 0 and 1.
+        let mut e: NodeEngine<Counted> =
+            NodeEngine::new(2.into(), 4, StrategySpec::round_robin(2), 3).unwrap();
+        let mut out = Vec::new();
+        for pos in [1, 2] {
+            e.handle_into(
+                Endpoint::Server(ServerId::new(0)),
+                Message::RrStore { v: Counted(pos), pos },
+                &mut out,
+            );
+        }
+        let before = clones();
+        e.handle_into(
+            Endpoint::Server(ServerId::new(0)),
+            Message::RrRemove { v: Counted(99), head_pos: 0 },
+            &mut out,
+        );
+        assert!(out.is_empty(), "nothing to migrate: {out:?}");
+        // A holder moves the entry it was sent into its migrate request.
+        e.handle_into(
+            Endpoint::Server(ServerId::new(0)),
+            Message::RrRemove { v: Counted(2), head_pos: 0 },
+            &mut out,
+        );
+        assert_eq!(
+            out,
+            [Outbound::To(ServerId::new(0), Message::MigrateReq { v: Counted(2), dest_pos: 2 })]
+        );
+        assert_eq!(clones(), before);
+        assert_eq!(e.entries(), [Counted(1)]);
+    }
+
+    #[test]
+    fn handle_into_appends_and_rewraps_only_its_own_messages() {
+        let mut e: NodeEngine<u64> =
+            NodeEngine::new(0.into(), 3, StrategySpec::round_robin(2), 4).unwrap();
+        let mut out = vec![Outbound::Broadcast(Message::Reset)];
+        e.handle_into(Endpoint::client(0), versioned(Message::AddReq { v: 7 }, 5), &mut out);
+        let wrapped = |msg| Message::Versioned { version: 1, stamp_ms: 5, msg: Box::new(msg) };
+        assert_eq!(
+            out,
+            [
+                Outbound::Broadcast(Message::Reset),
+                Outbound::To(ServerId::new(0), wrapped(Message::RrStore { v: 7, pos: 0 })),
+                Outbound::To(ServerId::new(1), wrapped(Message::RrStore { v: 7, pos: 0 })),
+            ]
+        );
+    }
+
+    #[test]
+    fn messages_of_the_other_store_family_are_ignored() {
+        // A round-robin server's store is written by position only...
+        let mut rr: NodeEngine<u64> =
+            NodeEngine::new(0.into(), 3, StrategySpec::round_robin(2), 4).unwrap();
+        rr.handle(Endpoint::client(0), Message::RrStore { v: 1, pos: 0 });
+        for foreign in [
+            Message::Store { v: 2 },
+            Message::Remove { v: 1 },
+            Message::StoreSet { entries: vec![3] },
+            Message::ChooseSubset { entries: vec![4], x: 1 },
+            Message::SampledStore { v: 5, x: 9 },
+            Message::CountedRemove { v: 1 },
+        ] {
+            assert!(rr.handle(Endpoint::Server(ServerId::new(1)), foreign).is_empty());
+        }
+        assert_eq!(rr.entries(), [1]);
+        assert_eq!(rr.rr_positions().collect::<Vec<_>>(), [(0, &1)]);
+        // ... and the other strategies keep no positions.
+        let mut full: NodeEngine<u64> =
+            NodeEngine::new(0.into(), 3, StrategySpec::full_replication(), 4).unwrap();
+        full.handle(Endpoint::client(0), Message::Store { v: 1 });
+        for foreign in [
+            Message::RrStore { v: 2, pos: 0 },
+            Message::MigrateRep { v: 9, dest_pos: 1, replacement: Some(3) },
+            Message::RrRemoveAt { pos: 0 },
+            Message::RrRemove { v: 1, head_pos: 0 },
+            Message::MigrateReq { v: 1, dest_pos: 0 },
+        ] {
+            assert!(full.handle(Endpoint::Server(ServerId::new(1)), foreign).is_empty());
+        }
+        assert_eq!(full.entries(), [1]);
+        assert_eq!(full.rr_positions().count(), 0);
     }
 
     #[test]

@@ -1,0 +1,167 @@
+//! Allocation gate for the update path: what one `Directory::add` and
+//! one `Directory::delete` allocate at steady state, per strategy, and
+//! that a server which does not hold an entry allocates nothing to learn
+//! so.
+//!
+//! The shape is the benchmark's (`benchmark/src/dirload.rs`): ten
+//! servers, one key of a hundred 27-byte `Vec<u8>` entries, adds and
+//! deletes alternating so the key stays that size. What an update must
+//! allocate is the copies it sends — a broadcast's nine, a delete's copy
+//! of the caller's reference, Round-Robin-2's second stored copy and the
+//! two copies of the head entry that plug a hole — plus the amortised
+//! growth of the stores it changes. The fan-out itself (`drive`'s queue,
+//! the engines' out buffer) is reused and allocates nothing.
+//!
+//! The counter is process-wide, so the binary runs without the test
+//! harness (`harness = false`), whose own threads allocate. CI runs it in
+//! release mode beside `alloc_budget` and `zero_alloc`.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use pls_core::directory::{Directory, StrategyAssignment};
+use pls_core::engine::NodeEngine;
+use pls_core::{Message, ServerId, StrategySpec};
+use pls_net::Endpoint;
+
+/// Counts calls to `alloc`. `realloc` and `alloc_zeroed` are left to the
+/// trait's defaults, which go through `alloc`, so a grown buffer counts
+/// as one allocation, as it does for `pls_telemetry::CountingAlloc`.
+struct CountingAlloc;
+
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every call is passed to `System` unchanged, which upholds the
+// `GlobalAlloc` contract; the counter is a statistic that publishes no
+// other data.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller's obligations for `alloc` are `System`'s.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+const N: usize = 10;
+const H: u64 = 100;
+const WARM_UP: u64 = 2_000;
+const MEASURED: u64 = 4_000;
+
+/// Allocations made while `work` runs.
+fn allocs_during<T>(work: impl FnOnce() -> T) -> (u64, T) {
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let result = work();
+    (ALLOCS.load(Ordering::Relaxed) - before, result)
+}
+
+/// A 27-byte entry, as the benchmark's `entry_bytes` makes them.
+fn entry(id: u64) -> Vec<u8> {
+    format!("key00007-entry{id:013}").into_bytes()
+}
+
+/// Mean allocations per `add` and per `delete` of one key under `spec`,
+/// adds and deletes of a random live entry alternating.
+fn per_update(spec: StrategySpec) -> (f64, f64) {
+    let mut dir: Directory<u32, Vec<u8>> =
+        Directory::new(N, StrategyAssignment::Uniform(spec), 42).expect("ten servers");
+    dir.place(7, (0..H).map(entry).collect()).expect("place");
+    let mut live: Vec<u64> = (0..H).collect();
+    let mut pick = 0x9e37_79b9_7f4a_7c15_u64;
+    let (mut adds, mut deletes) = (0, 0);
+    for step in 0..WARM_UP + MEASURED {
+        // Both entries are built before the counter is read: the caller's
+        // own copy is not the update's.
+        let added = entry(H + step);
+        pick = pick.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+        let victim = entry(live.swap_remove((pick >> 33) as usize % live.len()));
+        live.push(H + step);
+        let (a, result) = allocs_during(|| dir.add(&7, added));
+        result.expect("add");
+        let (d, result) = allocs_during(|| dir.delete(&7, &victim));
+        result.expect("delete");
+        if step >= WARM_UP {
+            adds += a;
+            deletes += d;
+        }
+    }
+    (adds as f64 / MEASURED as f64, deletes as f64 / MEASURED as f64)
+}
+
+/// Wraps an entry in the message under test.
+type Wrap = fn(Vec<u8>) -> Message<Vec<u8>>;
+
+/// Allocations of `handle_into` over two hundred `absent` messages, on
+/// server 5 of ten holding a hundred entries.
+fn absent_removes(spec: StrategySpec, absent: Wrap) -> u64 {
+    let me = ServerId::new(5);
+    let mut engine: NodeEngine<Vec<u8>> = NodeEngine::new(me, N, spec, 42).expect("valid spec");
+    let peer = Endpoint::Server(ServerId::new(0));
+    let mut out = Vec::new();
+    for id in 0..H {
+        let v = entry(id);
+        let stored = match spec {
+            StrategySpec::RoundRobin { .. } => Message::RrStore { v, pos: 5 + id * N as u64 },
+            _ => Message::Store { v },
+        };
+        engine.handle_into(peer, stored, &mut out);
+    }
+    assert_eq!(engine.entries().len(), H as usize);
+    let messages: Vec<Message<Vec<u8>>> = (0..200).map(|id| absent(entry(1_000 + id))).collect();
+    let (allocs, ()) = allocs_during(|| {
+        for msg in messages {
+            engine.handle_into(peer, msg, &mut out);
+        }
+    });
+    assert!(out.is_empty() && engine.entries().len() == H as usize);
+    allocs
+}
+
+fn main() {
+    // (strategy, ceiling per add, ceiling per delete): the measured mean
+    // plus one; the counts are the same in debug and release builds.
+    // Full and RandomServer-20 measure 9.00 / 10.00, the broadcast's nine
+    // copies and the delete request's own. Fixed-20 1.77 / 2.77: one
+    // delete in five hits a stored entry and broadcasts, and the next add
+    // refills the cushion with another broadcast. Round-Robin-2 1.29 /
+    // 12.33: the second stored copy; the broadcast, two copies of the
+    // head entry, one more of the deleted entry when the head server held
+    // it; the rest is position-map nodes. Hash-2 1.90 / 2.90: the
+    // assignment's `Vec` and, nine times in ten, a second server's copy.
+    let gates = [
+        (StrategySpec::full_replication(), 10.0, 11.0),
+        (StrategySpec::fixed(20), 2.77, 3.77),
+        (StrategySpec::random_server(20), 10.0, 11.0),
+        (StrategySpec::round_robin(2), 2.29, 13.33),
+        (StrategySpec::hash(2), 2.9, 3.9),
+    ];
+    for (spec, add_ceiling, delete_ceiling) in gates {
+        let (add, delete) = per_update(spec);
+        println!("update_allocs: {spec}: {add:.2} per add, {delete:.2} per delete");
+        assert!(add <= add_ceiling, "{spec}: {add:.2} allocations per add > {add_ceiling}");
+        assert!(
+            delete <= delete_ceiling,
+            "{spec}: {delete:.2} allocations per delete > {delete_ceiling}"
+        );
+    }
+
+    // A server that does not hold the entry answers with one probe of its
+    // store: no clone, no context, no out buffer growth.
+    let cases: [(&str, StrategySpec, Wrap); 3] = [
+        ("Remove", StrategySpec::full_replication(), |v| Message::Remove { v }),
+        ("CountedRemove", StrategySpec::random_server(200), |v| Message::CountedRemove { v }),
+        // (Head position 3 lives on server 3: this one keeps no context.)
+        ("RrRemove", StrategySpec::round_robin(2), |v| Message::RrRemove { v, head_pos: 3 }),
+    ];
+    for (name, spec, absent) in cases {
+        assert_eq!(absent_removes(spec, absent), 0, "{name} of an entry not held");
+    }
+    println!("update_allocs: absent Remove / CountedRemove / RrRemove allocate nothing");
+}
