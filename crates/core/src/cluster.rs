@@ -381,8 +381,9 @@ impl<V: Entry> Cluster<V> {
                 plan.unreachable(s);
             } else {
                 // One probe: `t` random entries of the server's store
-                // (all of them when it has fewer).
-                plan.answered(s, self.engines[s.index()].sample(t));
+                // (all of them when it has fewer), by reference — the
+                // plan copies the ones it returns.
+                plan.answered(s, self.engines[s.index()].sample_refs(t));
             }
         }
         let result = plan.finish(&mut self.rng);
@@ -1287,5 +1288,27 @@ mod tests {
             (c.placement(), trace)
         };
         assert_eq!(run(42), run(42));
+    }
+
+    #[test]
+    fn a_lookup_copies_only_the_entries_it_returns() {
+        use crate::collections::tests::{clones, Counted};
+        for (spec, t, probes) in [
+            (StrategySpec::full_replication(), 5, 1),
+            (StrategySpec::fixed(20), 5, 1),
+            (StrategySpec::random_server(20), 35, 2),
+            (StrategySpec::round_robin(2), 35, 2),
+            (StrategySpec::hash(2), 35, 2),
+        ] {
+            let mut c = Cluster::new(10, spec, 29).unwrap();
+            c.place((0..100).map(Counted).collect()).unwrap();
+            for _ in 0..20 {
+                let before = clones();
+                let r = c.partial_lookup(t).unwrap();
+                assert!(r.servers_contacted() >= probes, "{spec}");
+                assert_eq!(r.entries().len(), t, "{spec}");
+                assert_eq!(clones() - before, t, "{spec}");
+            }
+        }
     }
 }

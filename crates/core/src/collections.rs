@@ -30,14 +30,88 @@
 //! * At most 7/16 of the slots are occupied, so a probe always ends, and
 //!   soon.
 //!
-//! Hashing is keyed per set ([`RandomState`], as `HashMap`'s is): the TCP
-//! server stores bytes that clients supply.
+//! Hashing is keyed per set, because the TCP server stores bytes that
+//! clients supply: a seed drawn from [`RandomState`] when the set is made,
+//! shared only with its clones, starts a fold-multiply hash. (Not
+//! `HashMap`'s SipHash: a lookup's merge hashes entries it has not touched
+//! before, and a long chain of dependent rounds waits out each of those
+//! cache misses in turn.)
 
 use std::collections::hash_map::RandomState;
 use std::fmt;
-use std::hash::{BuildHasher, Hash};
+use std::hash::{BuildHasher, Hash, Hasher};
 
 use pls_net::DetRng;
+
+/// The set's hash function: one 128-bit multiply, folded to 64 bits, per
+/// 8-byte word written — the construction of `pls-telemetry`'s
+/// `hash_bytes`, behind [`Hasher`] so that any `T: Hash` can be a member.
+/// The state starts at the set's seed, so which values share a tag cannot
+/// be told from outside the process; the output is not a digest.
+struct FoldHasher {
+    state: u64,
+}
+
+impl FoldHasher {
+    const K0: u64 = 0x9e37_79b9_7f4a_7c15;
+    const K1: u64 = 0xd6e8_feb8_6659_fd93;
+
+    /// The 128-bit product of `a` and `b`, folded to 64 bits.
+    #[inline]
+    fn fold(a: u64, b: u64) -> u64 {
+        let wide = u128::from(a) * u128::from(b);
+        (wide as u64) ^ ((wide >> 64) as u64)
+    }
+
+    #[inline]
+    fn mix(&mut self, word: u64) {
+        self.state = Self::fold(self.state ^ word, Self::K0);
+    }
+}
+
+impl Hasher for FoldHasher {
+    /// Whole words, then one last word of the 0 to 7 bytes left over with
+    /// the length in its top byte: a zero-padded tail cannot pass for a
+    /// longer string, and no choice of bytes cancels the length.
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.mix(u64::from_le_bytes(word.try_into().expect("chunks_exact(8) yields 8 bytes")));
+        }
+        let tail = words.remainder();
+        let mut last = [0u8; 8];
+        last[..tail.len()].copy_from_slice(tail);
+        last[7] = bytes.len() as u8;
+        self.mix(u64::from_le_bytes(last));
+    }
+
+    // A 64-bit id, or the length prefix of a slice, is one word, not an
+    // 8-byte string with a length word after it. (Narrower integers, and
+    // the `0xff` that ends a `str`, already are one word through `write`.)
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.mix(n);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, n: usize) {
+        self.mix(n as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        Self::fold(self.state, Self::K1)
+    }
+}
+
+/// `value`'s hash under `seed`.
+#[inline]
+fn hash_with<T: Hash + ?Sized>(seed: u64, value: &T) -> u64 {
+    let mut hasher = FoldHasher { state: seed };
+    value.hash(&mut hasher);
+    hasher.finish()
+}
 
 /// One cell of the table: vacant, or a value's tag and position.
 #[derive(Clone, Copy)]
@@ -62,10 +136,10 @@ const MIN_SLOTS: usize = 8;
 /// `HashMap`'s capacities (3, 7, then 7/8 of its buckets) at two slots
 /// per bucket. So the set allocates exactly as often as the map it
 /// replaced, but never probes a table more than 7/16 full: linear probing
-/// at 7/8 walks and shifts runs several times as long, which on integer
-/// sets, where hashing is cheap, made remove + insert a third slower than
-/// the map was. Two 8-byte slots are still smaller than the map's bucket
-/// (value, position, control byte).
+/// at 7/8 walks and shifts runs several times as long, which made
+/// remove + insert on integer sets a third slower than the map was. Two
+/// 8-byte slots are still smaller than the map's bucket (value,
+/// position, control byte).
 fn capacity_of(slots: usize) -> usize {
     if slots < 16 {
         (slots / 2).saturating_sub(1)
@@ -104,13 +178,15 @@ fn slots_for(cap: usize) -> usize {
 pub struct IndexedSet<T> {
     items: Vec<T>,
     slots: Vec<Slot>,
-    hasher: RandomState,
+    /// Where this set's [`FoldHasher`] starts. Never leaves the set.
+    seed: u64,
 }
 
 // Manual impl: the derive would wrongly require `T: Default`.
 impl<T> Default for IndexedSet<T> {
     fn default() -> Self {
-        IndexedSet { items: Vec::new(), slots: Vec::new(), hasher: RandomState::new() }
+        // `RandomState::new()` is keyed per process and differs per call.
+        IndexedSet { items: Vec::new(), slots: Vec::new(), seed: RandomState::new().hash_one(0u64) }
     }
 }
 
@@ -275,8 +351,9 @@ impl<T: Eq + Hash> IndexedSet<T> {
         self.slots.fill(Slot::VACANT);
     }
 
+    #[inline]
     fn tag_of(&self, value: &T) -> u32 {
-        self.hasher.hash_one(value) as u32
+        hash_with(self.seed, value) as u32
     }
 
     /// How far the occupant of slot `i` sits from its home slot.
@@ -379,9 +456,11 @@ impl<T: Eq + Hash> IndexedSet<T> {
 
 impl<T: Clone + Eq + Hash> IndexedSet<T> {
     /// `k` distinct uniformly random elements (all elements when
-    /// `k >= len`). This is the "return t random entries from the stored
-    /// entries" server behaviour of every strategy's lookup; the clones
-    /// are the copy of the answer that leaves the server.
+    /// `k >= len`), copied out: the "return t random entries from the
+    /// stored entries" server behaviour of every strategy's lookup, for
+    /// an answer that outlives its borrow of the store. A caller that
+    /// can hold the borrow takes `rng.subset_refs(set.as_slice(), k)`
+    /// and copies only what it keeps.
     pub fn sample(&self, k: usize, rng: &mut DetRng) -> Vec<T> {
         rng.subset(&self.items, k)
     }
@@ -724,6 +803,75 @@ pub(crate) mod tests {
         assert_eq!(copy.into_sample(35, &mut rng).len(), 35);
         assert_eq!(s.into_vec().len(), 39);
         assert_eq!(clones(), 10 + 39, "into_sample and into_vec move");
+    }
+
+    #[test]
+    fn hash_depends_on_seed_length_and_every_byte() {
+        // `Vec<u8>` writes its length, then its bytes; `String` its bytes,
+        // then `0xff`; `u64` one word.
+        let key = b"192.168.001.042:06699/00042".to_vec();
+        let text = String::from_utf8(key.clone()).unwrap();
+        assert_eq!(hash_with(7, &key), hash_with(7, &key));
+        assert_ne!(hash_with(7, &key), hash_with(8, &key));
+        assert_ne!(hash_with(7, &text), hash_with(8, &text));
+        assert_ne!(hash_with(7, &key), hash_with(7, &text));
+        assert_ne!(hash_with(7, &42u64), hash_with(8, &42u64));
+        assert_ne!(hash_with(7, &42u64), hash_with(7, &43u64));
+        assert_ne!(hash_with(7, &42u64), hash_with(7, &(42u64 << 32)));
+        // A zero byte more is another string, at a word boundary or not.
+        for len in [0, 2, 7, 8, 9, 16] {
+            let (short, long) = (vec![0u8; len], vec![0u8; len + 1]);
+            assert_ne!(hash_with(7, &short), hash_with(7, &long), "{len} zero bytes");
+            let (short, long) = ("\0".repeat(len), "\0".repeat(len + 1));
+            assert_ne!(hash_with(7, &short), hash_with(7, &long), "{len} zero chars");
+        }
+        for i in 0..key.len() {
+            let mut other = key.clone();
+            other[i] ^= 1;
+            assert_ne!(hash_with(7, &key), hash_with(7, &other), "byte {i}");
+            let other = String::from_utf8(other).unwrap();
+            assert_ne!(hash_with(7, &text), hash_with(7, &other), "char {i}");
+        }
+    }
+
+    #[test]
+    fn every_set_has_its_own_seed_and_a_clone_its_originals() {
+        let (a, b) = (IndexedSet::<u64>::new(), IndexedSet::<u64>::new());
+        assert_ne!(a.seed, b.seed);
+        assert_eq!(a.clone().seed, a.seed);
+        let filled: IndexedSet<u64> = (0..50).collect();
+        let copy = filled.clone();
+        assert_eq!(copy.seed, filled.seed);
+        copy.assert_invariants(); // the copied tags are still the values' tags
+    }
+
+    /// The most slots any member's probe examines.
+    fn longest_probe<T: Eq + Hash>(set: &IndexedSet<T>) -> usize {
+        let mask = set.slots.len() - 1;
+        let occupied = set.slots.iter().enumerate().filter(|(_, slot)| !slot.is_vacant());
+        occupied.map(|(i, slot)| IndexedSet::<T>::displacement(*slot, i, mask) + 1).max().unwrap()
+    }
+
+    #[test]
+    fn near_identical_values_spread_over_the_table() {
+        // What stores hold: sequential ids, and the benchmark's peer
+        // addresses `AAA.BBB.CCC.DDD:PPPPP/KKKKK`, alike but for a few
+        // digits. Whatever the seed, no probe is long.
+        let address = |id: u32| {
+            let [a, b, c, d] = id.to_be_bytes();
+            format!("{a:03}.{b:03}.{c:03}.{d:03}:06699/00042").into_bytes()
+        };
+        for seed in (0..1000u64).map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15)) {
+            let mut ids = IndexedSet { items: Vec::new(), slots: Vec::new(), seed };
+            ids.extend(1000..1100u64);
+            let mut addresses = IndexedSet { items: Vec::new(), slots: Vec::new(), seed };
+            addresses.extend((0..100).map(address));
+            assert_eq!(addresses.as_slice()[0].len(), 27);
+            // 100 values: the fullest a 256-slot table gets is 112.
+            assert_eq!((ids.slots.len(), addresses.slots.len()), (256, 256));
+            assert!(longest_probe(&ids) <= 8, "seed {seed:#x}: {}", longest_probe(&ids));
+            assert!(longest_probe(&addresses) <= 8, "seed {seed:#x}");
+        }
     }
 
     proptest! {

@@ -286,7 +286,7 @@ impl<K: Key, V: Entry> Directory<K, V> {
         if self.failures.operational_count() == 0 {
             return Err(ServiceError::AllServersFailed);
         }
-        let Some(engines) = self.engines.get_mut(key) else {
+        let Some(engines) = self.engines.get(key) else {
             return Ok(LookupResult::new(Vec::new(), Vec::new()));
         };
         let spec = self.assignment.spec_for(key);
@@ -296,7 +296,7 @@ impl<K: Key, V: Entry> Directory<K, V> {
                 plan.unreachable(s);
             } else {
                 self.lookup_load[s.index()] += 1;
-                plan.answered(s, engines[s.index()].sample(t));
+                plan.answered(s, engines[s.index()].sample_refs(t));
             }
         }
         Ok(plan.finish(&mut self.rng))
@@ -379,23 +379,38 @@ mod tests {
     }
 
     #[test]
-    fn merged_lookup_copies_each_fetched_entry_once() {
+    fn a_lookup_copies_only_the_entries_it_returns() {
         use crate::collections::tests::{clones, Counted};
         for spec in
             [StrategySpec::random_server(20), StrategySpec::round_robin(2), StrategySpec::hash(2)]
         {
             let mut dir: Directory<&str, Counted> = Directory::new(10, uniform(spec), 11).unwrap();
             dir.place("k", (0..100).map(Counted).collect()).unwrap();
+            let mut fetched = 0;
             for _ in 0..50 {
                 let before = clones();
                 let r = dir.partial_lookup(&"k", 35).unwrap();
                 assert!(r.servers_contacted() >= 2, "{spec}: one probe cannot hold 35");
                 assert_eq!(r.entries().len(), 35);
-                // The copy that leaves each contacted server, and no other.
-                let fetched: usize =
-                    r.contacted().iter().map(|s| dir.server_entries(&"k", *s).len().min(35)).sum();
-                assert_eq!(clones() - before, fetched, "{spec}");
+                assert_eq!(clones() - before, 35, "{spec}");
+                fetched += r
+                    .contacted()
+                    .iter()
+                    .map(|s| dir.server_entries(&"k", *s).len().min(35))
+                    .sum::<usize>();
             }
+            // The servers offered more than that: duplicates and the trim
+            // were dropped as references.
+            assert!(fetched > 50 * 35, "{spec}: {fetched}");
+        }
+        // One probe, `t` of a larger store: the `t` that are the answer.
+        for spec in [StrategySpec::full_replication(), StrategySpec::fixed(20)] {
+            let mut dir: Directory<&str, Counted> = Directory::new(10, uniform(spec), 11).unwrap();
+            dir.place("k", (0..100).map(Counted).collect()).unwrap();
+            let before = clones();
+            let r = dir.partial_lookup(&"k", 5).unwrap();
+            assert_eq!((r.servers_contacted(), r.entries().len()), (1, 5), "{spec}");
+            assert_eq!(clones() - before, 5, "{spec}");
         }
     }
 

@@ -8,6 +8,8 @@
 //! `pls-net`'s mailboxes; the live TCP deployment (`pls-cluster`) runs
 //! one engine per process over sockets. Both execute identical logic.
 
+use std::cell::RefCell;
+
 use pls_net::{Endpoint, ServerId};
 
 use crate::node::{MigrationState, RrCoord, ServerNode};
@@ -47,7 +49,11 @@ pub struct NodeEngine<V: Entry> {
     spec: StrategySpec,
     hash_family: Option<HashFamily>,
     node: ServerNode<V>,
-    rng: DetRng,
+    /// This server's private stream. In a `RefCell` for `sample_refs`
+    /// alone (a lookup holds references into several engines' stores, so
+    /// a probe cannot take `&mut self`); everything else goes through
+    /// `get_mut`, which is free. The engine is `Send`, not `Sync`.
+    rng: RefCell<DetRng>,
     /// How many servers mirror the round-robin coordinator counters
     /// (paper footnote 1: "the centralized head and tail scheme can be
     /// generalized to one where several servers store copies to improve
@@ -88,9 +94,9 @@ impl<V: Entry> NodeEngine<V> {
         }
         // Each server gets its own stream; mixing `me` keeps streams
         // distinct even though the cluster seed is shared.
-        let rng = DetRng::seed_from(
+        let rng = RefCell::new(DetRng::seed_from(
             cluster_seed ^ (0x9e37_79b9_7f4a_7c15u64.wrapping_mul(me.index() as u64 + 1)),
-        );
+        ));
         Ok(NodeEngine { me, n, spec, hash_family, node, rng, rr_mirrors: 1 })
     }
 
@@ -160,9 +166,20 @@ impl<V: Entry> NodeEngine<V> {
     }
 
     /// Answers a lookup probe: `t` random local entries, or everything
-    /// when fewer are stored (§3's server-side lookup behaviour).
+    /// when fewer are stored (§3's server-side lookup behaviour), copied
+    /// out — for a caller whose answer outlives its hold on the engine
+    /// (the TCP server encodes after it has released the shard lock).
     pub fn sample(&mut self, t: usize) -> Vec<V> {
-        self.node.store.sample(t, &mut self.rng)
+        self.node.store.sample(t, self.rng.get_mut())
+    }
+
+    /// [`sample`](NodeEngine::sample) by reference: the same entries in
+    /// the same order from the same draws, not copied. What the
+    /// in-process drivers hand to their [`LookupPlan`](crate::LookupPlan),
+    /// which copies only the entries it returns. The draws are made
+    /// before this returns; the iterator borrows the store alone.
+    pub fn sample_refs(&self, t: usize) -> impl ExactSizeIterator<Item = &V> {
+        self.rng.borrow_mut().subset_refs(self.node.store.as_slice(), t)
     }
 
     /// Round-robin coordinator counters `(head, tail)`, if this engine
@@ -379,7 +396,7 @@ impl<V: Entry> NodeEngine<V> {
                 self.node.store.extend(entries);
             }
             Message::ChooseSubset { entries, x } => {
-                let subset = self.rng.subset(&entries, x);
+                let subset = self.rng.get_mut().subset(&entries, x);
                 self.node.store.clear();
                 self.node.store.extend(subset);
                 self.node.local_h = entries.len() as u64;
@@ -526,8 +543,8 @@ impl<V: Entry> NodeEngine<V> {
             self.node.store.insert(v);
         } else {
             let p = x as f64 / self.node.local_h as f64;
-            if self.rng.coin_flip(p) {
-                self.node.store.remove_random(&mut self.rng);
+            if self.rng.get_mut().coin_flip(p) {
+                self.node.store.remove_random(self.rng.get_mut());
                 self.node.store.insert(v);
             }
         }
@@ -1055,6 +1072,22 @@ mod tests {
         };
         assert!(e.handle(Endpoint::client(0), nested).is_empty());
         assert_eq!(e.entries().len(), 0);
+    }
+
+    #[test]
+    fn a_probe_by_reference_is_the_owned_probe_before_the_copies() {
+        let mut owned: NodeEngine<u64> =
+            NodeEngine::new(1.into(), 2, StrategySpec::full_replication(), 5).unwrap();
+        owned.handle(Endpoint::client(0), Message::StoreSet { entries: (0..20).collect() });
+        let mut by_ref = owned.clone();
+        // Fewer than stored (Floyd, then Fisher–Yates), all, more than all.
+        for t in [1, 5, 19, 20, 21, 500] {
+            let refs: Vec<u64> = by_ref.sample_refs(t).copied().collect();
+            assert_eq!(refs, owned.sample(t), "t={t}");
+            assert_eq!(refs.len(), t.min(20));
+            // Both engines drew the same: their next draws agree too.
+            assert_eq!(by_ref.sample(7), owned.sample(7), "after t={t}");
+        }
     }
 
     #[test]

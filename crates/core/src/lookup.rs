@@ -9,7 +9,7 @@
 //!
 //! * [`Cluster`](crate::Cluster) and
 //!   [`Directory`](crate::directory::Directory) probe an in-process
-//!   engine on the spot (`sample(t)`) and report servers in their
+//!   engine on the spot (`sample_refs(t)`) and report servers in their
 //!   [`FailureSet`] unreachable;
 //! * `pls-cluster`'s TCP client sends each probe as a task, keeps up to
 //!   `fanout` (plus a hedge) in flight, and reports answers and peer
@@ -17,9 +17,13 @@
 //!   answer, which is all that fan-out and hedging need from the plan.
 //!
 //! The plan owns the probe order, the `contacted` list, the
-//! [`IndexedSet`] merge and the uniform trim to `t`. Answers are moved in
-//! and the result is moved out, so the only copy of an entry made during
-//! a lookup is still the one that left its server.
+//! [`IndexedSet`] merge and the uniform trim to `t`. It holds answers in
+//! the form they arrive in ([`Answer`]): entries that came off a socket
+//! are moved in and moved out; references into in-process stores are
+//! merged and trimmed as references, and only the entries of the result
+//! are copied. Either way a lookup copies no entry it does not return.
+
+use std::hash::Hash;
 
 use pls_net::{FailureSet, ServerId};
 
@@ -42,11 +46,10 @@ pub struct LookupResult<V> {
 
 impl<V: Entry> LookupResult<V> {
     pub(crate) fn new(entries: Vec<V>, contacted: Vec<ServerId>) -> Self {
+        // Pairwise, not through a set: a debug build allocates what a
+        // release build does (`tests/alloc_gate.rs` counts both).
         debug_assert!(
-            {
-                let mut dedup = std::collections::HashSet::new();
-                entries.iter().all(|v| dedup.insert(v))
-            },
+            entries.iter().enumerate().all(|(i, v)| !entries[..i].contains(v)),
             "lookup answers are distinct"
         );
         LookupResult { entries, contacted }
@@ -95,13 +98,33 @@ enum Order {
     Shuffled(std::vec::IntoIter<ServerId>),
 }
 
+/// The form a probe's answer arrives in: the entry itself (`V`, moved
+/// into the result) or a reference into the store of a server in the
+/// same process (`&V`, copied if it is part of the result).
+pub trait Answer<V>: Eq + Hash {
+    /// The entry, owned.
+    fn into_entry(self) -> V;
+}
+
+impl<V: Entry> Answer<V> for V {
+    fn into_entry(self) -> V {
+        self
+    }
+}
+
+impl<V: Entry> Answer<V> for &V {
+    fn into_entry(self) -> V {
+        self.clone()
+    }
+}
+
 /// What the answers so far amount to.
 #[derive(Debug)]
-enum Gathered<V> {
+enum Gathered<V, A> {
     /// Any one server's answer is the result, as it came.
     First(Option<Vec<V>>),
     /// Answers merge until `t` distinct entries.
-    Merged(IndexedSet<V>),
+    Merged(IndexedSet<A>),
 }
 
 /// §3's client procedure for one `partial_lookup(t)`, as a state machine:
@@ -123,16 +146,21 @@ enum Gathered<V> {
 /// client's belief can be stale. A caller that knows — the simulator —
 /// reports them [`unreachable`](LookupPlan::unreachable) when they come
 /// up.
+///
+/// `A` is what [`answered`](LookupPlan::answered) is given — `V`, or `&V`
+/// when the servers' stores outlive the plan — and is inferred from that
+/// call; a `&V` plan needs `V` named too (`LookupPlan<V, &V>`, or by the
+/// type its result goes to).
 #[derive(Debug)]
-pub struct LookupPlan<'a, V> {
+pub struct LookupPlan<'a, V, A = V> {
     t: usize,
     down: &'a FailureSet,
     order: Order,
-    gathered: Gathered<V>,
+    gathered: Gathered<V, A>,
     contacted: Vec<ServerId>,
 }
 
-impl<'a, V: Entry> LookupPlan<'a, V> {
+impl<'a, V: Entry, A: Answer<V>> LookupPlan<'a, V, A> {
     /// The procedure `spec` prescribes for `t` entries from
     /// `down.len()` servers: one random server for full replication and
     /// Fixed-x; random probing with merging for RandomServer-x and
@@ -227,13 +255,19 @@ impl<'a, V: Entry> LookupPlan<'a, V> {
 
     /// Server `s` answered with up to `t` entries of its store.
     #[inline]
-    pub fn answered(&mut self, s: ServerId, answer: Vec<V>) {
+    pub fn answered<I>(&mut self, s: ServerId, answer: I)
+    where
+        I: IntoIterator<Item = A>,
+        I::IntoIter: ExactSizeIterator,
+    {
         self.contacted.push(s);
+        let answer = answer.into_iter();
         match &mut self.gathered {
             // A second answer can only be a probe that was already in
-            // flight; the first one stands.
+            // flight; the first one stands. It is the result: made owned
+            // here (a `Vec<V>` is reused as it is).
             Gathered::First(first) => {
-                first.get_or_insert(answer);
+                first.get_or_insert_with(|| answer.map(A::into_entry).collect());
             }
             Gathered::Merged(acc) => {
                 if acc.is_empty() {
@@ -283,7 +317,12 @@ impl<'a, V: Entry> LookupPlan<'a, V> {
             Gathered::First(first) => {
                 LookupResult { entries: first.unwrap_or_default(), contacted }
             }
-            Gathered::Merged(acc) => LookupResult::new(acc.into_sample(self.t, rng), contacted),
+            // Trimmed first, made owned after: what the trim drops was
+            // never copied.
+            Gathered::Merged(acc) => {
+                let kept = acc.into_sample(self.t, rng);
+                LookupResult::new(kept.into_iter().map(A::into_entry).collect(), contacted)
+            }
         }
     }
 }
@@ -382,7 +421,7 @@ mod tests {
             for down in [failing([]), failing([3]), failing((0..N as u32).filter(|i| *i != 6))] {
                 for (t, seed) in [(5, 1), (20, 2), (35, 3), (500, 4)] {
                     let rng = &mut DetRng::seed_from(seed);
-                    let mut plan = LookupPlan::new(spec, t, &down, rng);
+                    let mut plan: LookupPlan<u64> = LookupPlan::new(spec, t, &down, rng);
                     let mut yielded = Vec::new();
                     let mut answered = Vec::new();
                     let mut gathered = HashSet::new();
@@ -412,6 +451,19 @@ mod tests {
                     assert_eq!(distinct.len(), result.entries().len(), "{spec}");
                     assert_eq!(result.entries().len(), t.min(gathered.len()), "{spec} t={t}");
                     assert!(result.entries().iter().all(|v| gathered.contains(v)), "{spec}");
+
+                    // The same lookup over references into the stores:
+                    // same probes, same entries, in the same order.
+                    let rng = &mut DetRng::seed_from(seed);
+                    let mut by_ref: LookupPlan<u64, &u64> = LookupPlan::new(spec, t, &down, rng);
+                    while let Some(s) = by_ref.next(rng) {
+                        if down.is_failed(s) {
+                            by_ref.unreachable(s);
+                        } else {
+                            by_ref.answered(s, rng.subset_refs(&stores[s.index()], t));
+                        }
+                    }
+                    assert_eq!(by_ref.finish(rng), result, "{spec} t={t}");
                 }
             }
         }

@@ -1,7 +1,7 @@
-//! Allocation gate for the update path: what one `Directory::add` and
-//! one `Directory::delete` allocate at steady state, per strategy, and
-//! that a server which does not hold an entry allocates nothing to learn
-//! so.
+//! Allocation gate for the in-process paths: what one `Directory::add`,
+//! one `Directory::delete` and one `partial_lookup` allocate at steady
+//! state, per strategy, and that a server which does not hold an entry
+//! allocates nothing to learn so.
 //!
 //! The shape is the benchmark's (`benchmark/src/dirload.rs`): ten
 //! servers, one key of a hundred 27-byte `Vec<u8>` entries, adds and
@@ -10,7 +10,10 @@
 //! of the caller's reference, Round-Robin-2's second stored copy and the
 //! two copies of the head entry that plug a hole — plus the amortised
 //! growth of the stores it changes. The fan-out itself (`drive`'s queue,
-//! the engines' out buffer) is reused and allocates nothing.
+//! the engines' out buffer) is reused and allocates nothing. What a
+//! lookup must allocate is the `t` entries it returns and the vectors
+//! that hold them and its bookkeeping; what the probed servers offered
+//! beyond that is read where it is stored.
 //!
 //! The counter is process-wide, so the binary runs without the test
 //! harness (`harness = false`), whose own threads allocate. CI runs it in
@@ -21,7 +24,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use pls_core::directory::{Directory, StrategyAssignment};
 use pls_core::engine::NodeEngine;
-use pls_core::{Message, ServerId, StrategySpec};
+use pls_core::{Cluster, Message, ServerId, StrategySpec};
 use pls_net::Endpoint;
 
 /// Counts calls to `alloc`. `realloc` and `alloc_zeroed` are left to the
@@ -95,6 +98,19 @@ fn per_update(spec: StrategySpec) -> (f64, f64) {
     (adds as f64 / MEASURED as f64, deletes as f64 / MEASURED as f64)
 }
 
+/// Mean allocations per `partial_lookup(t)`, of what `lookup` returns.
+fn per_lookup<V>(t: usize, mut lookup: impl FnMut() -> Vec<V>) -> f64 {
+    let mut allocs = 0;
+    for step in 0..WARM_UP + MEASURED {
+        let (a, entries) = allocs_during(&mut lookup);
+        assert_eq!(entries.len(), t);
+        if step >= WARM_UP {
+            allocs += a;
+        }
+    }
+    allocs as f64 / MEASURED as f64
+}
+
 /// Wraps an entry in the message under test.
 type Wrap = fn(Vec<u8>) -> Message<Vec<u8>>;
 
@@ -144,7 +160,7 @@ fn main() {
     ];
     for (spec, add_ceiling, delete_ceiling) in gates {
         let (add, delete) = per_update(spec);
-        println!("update_allocs: {spec}: {add:.2} per add, {delete:.2} per delete");
+        println!("alloc_gate: {spec}: {add:.2} per add, {delete:.2} per delete");
         assert!(add <= add_ceiling, "{spec}: {add:.2} allocations per add > {add_ceiling}");
         assert!(
             delete <= delete_ceiling,
@@ -163,5 +179,52 @@ fn main() {
     for (name, spec, absent) in cases {
         assert_eq!(absent_removes(spec, absent), 0, "{name} of an entry not held");
     }
-    println!("update_allocs: absent Remove / CountedRemove / RrRemove allocate nothing");
+    println!("alloc_gate: absent Remove / CountedRemove / RrRemove allocate nothing");
+
+    // (strategy, t, ceiling): a lookup of one key of the same shape,
+    // measured plus one. One probe measures 8.00: the five copies, the
+    // result, the `contacted` list and the server's index vector for
+    // "5 of 100" (or of 20). A merged lookup measures 40.00 (Hash-2
+    // 40.04): the 35 copies, the result, `contacted`, the probe order
+    // (Round-Robin-2: the `visited` flags), the merge set's two tables,
+    // and for Hash-2 now and then the index vector of a server holding
+    // more than 35. Nothing per probe, nothing per entry fetched and not
+    // returned: with owned answers these read 50.37, 46.00 and 51.87.
+    let gates = [
+        (StrategySpec::full_replication(), 5, 9.0),
+        (StrategySpec::fixed(20), 5, 9.0),
+        (StrategySpec::random_server(20), 35, 41.0),
+        (StrategySpec::round_robin(2), 35, 41.0),
+        (StrategySpec::hash(2), 35, 41.04),
+    ];
+    for (spec, t, ceiling) in gates {
+        let mut dir: Directory<u32, Vec<u8>> =
+            Directory::new(N, StrategyAssignment::Uniform(spec), 42).expect("ten servers");
+        dir.place(7, (0..H).map(entry).collect()).expect("place");
+        let allocs = per_lookup(t, || dir.partial_lookup(&7, t).expect("lookup").into_entries());
+        println!("alloc_gate: {spec}: {allocs:.2} per partial_lookup({t})");
+        assert!(allocs <= ceiling, "{spec}: {allocs:.2} allocations per lookup > {ceiling}");
+    }
+
+    // The simulator's lookup, `Cluster<u64>` with t = 15, which one probe
+    // of a 20-entry store answers. Copying a `u64` allocates nothing, so
+    // these are vectors alone: 3.00 for the single-probe strategies
+    // (index vector, result, `contacted`), 5.00 for the merging ones
+    // (index vector, `contacted`, probe order or `visited`, the set's two
+    // tables, one of which becomes the result). The ceilings are what the
+    // owned-answer lookup measured (3.00, 6.00, Hash-2 6.11).
+    let gates = [
+        (StrategySpec::full_replication(), 3.0),
+        (StrategySpec::fixed(20), 3.0),
+        (StrategySpec::random_server(20), 6.0),
+        (StrategySpec::round_robin(2), 6.0),
+        (StrategySpec::hash(2), 6.0),
+    ];
+    for (spec, ceiling) in gates {
+        let mut cluster: Cluster<u64> = Cluster::new(N, spec, 42).expect("ten servers");
+        cluster.place((0..H).collect()).expect("place");
+        let allocs = per_lookup(15, || cluster.partial_lookup(15).expect("lookup").into_entries());
+        println!("alloc_gate: Cluster<u64> {spec}: {allocs:.2} per partial_lookup(15)");
+        assert!(allocs <= ceiling, "{spec}: {allocs:.2} allocations per lookup > {ceiling}");
+    }
 }

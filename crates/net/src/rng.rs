@@ -12,6 +12,33 @@ use rand::{Rng, RngCore, SeedableRng};
 
 use crate::{FailureSet, ServerId};
 
+/// What [`DetRng::subset_refs`] iterates: the whole slice, or the items
+/// `choose_multiple` picked (`I`: `rand` and its stand-ins name it apart).
+enum Picked<'a, T, I> {
+    All(std::slice::Iter<'a, T>),
+    Some(I),
+}
+
+impl<'a, T, I: Iterator<Item = &'a T>> Iterator for Picked<'a, T, I> {
+    type Item = &'a T;
+
+    fn next(&mut self) -> Option<&'a T> {
+        match self {
+            Picked::All(items) => items.next(),
+            Picked::Some(items) => items.next(),
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        match self {
+            Picked::All(items) => items.size_hint(),
+            Picked::Some(items) => items.size_hint(),
+        }
+    }
+}
+
+impl<'a, T, I: ExactSizeIterator<Item = &'a T>> ExactSizeIterator for Picked<'a, T, I> {}
+
 /// A seeded random number generator with strategy-oriented helpers.
 ///
 /// # Example
@@ -90,10 +117,23 @@ impl DetRng {
     /// A uniformly random subset of `k` items from `items`, without
     /// replacement (order unspecified). Returns all items when `k >= len`.
     pub fn subset<T: Clone>(&mut self, items: &[T], k: usize) -> Vec<T> {
+        self.subset_refs(items, k).cloned().collect()
+    }
+
+    /// [`subset`](DetRng::subset) before the copies: references to the
+    /// `k` items, in the order `subset` returns them. Draws nothing when
+    /// `k >= len`. The choice is made before this returns, so the
+    /// iterator borrows `items` only.
+    pub fn subset_refs<'a, T>(
+        &mut self,
+        items: &'a [T],
+        k: usize,
+    ) -> impl ExactSizeIterator<Item = &'a T> {
         if k >= items.len() {
-            return items.to_vec();
+            Picked::All(items.iter())
+        } else {
+            Picked::Some(items.choose_multiple(&mut self.inner, k))
         }
-        items.choose_multiple(&mut self.inner, k).cloned().collect()
     }
 
     /// All server ids `0..n` in a uniformly random order — the probe order

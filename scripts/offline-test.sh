@@ -7,7 +7,7 @@
 #
 #   scripts/offline-test.sh [CARGO ARGS...]   default: test --offline
 #   scripts/offline-test.sh test --offline -p pls-core node::
-#   scripts/offline-test.sh test --offline --release -p pls-core --test update_allocs
+#   scripts/offline-test.sh test --offline --release -p pls-core --test alloc_gate
 #   scripts/offline-test.sh clippy --offline --all-targets
 #
 # It copies the five crates and the shims to target/offline-ws (inside the
