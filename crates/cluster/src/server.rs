@@ -1887,10 +1887,9 @@ fn merge_donor_rows(spec: StrategySpec, donors: &[DonorRow]) -> MergedDonors {
     MergedDonors { max_version, union, positions, tombstones: tombs.into_iter().collect() }
 }
 
-/// Rebuilds one key's engine from collected placement state, through
-/// the engine's own message protocol (`Reset` then the strategy's feed)
-/// — the single code path shared by disk recovery, cold-start resync,
-/// and anti-entropy repair. Locks the key's shard core for the whole
+/// Rebuilds one key's engine from collected placement state with
+/// [`NodeEngine::rebuild`] — the single code path shared by disk
+/// recovery, cold-start resync, and anti-entropy repair. Locks the key's shard core for the whole
 /// rebuild, so concurrent writes serialize against it instead of
 /// interleaving with a half-fed engine.
 ///
@@ -1963,45 +1962,9 @@ fn rebuild_engine_in(
     }
     core.groups.insert(key.to_vec(), ctx);
     let engine = core.engines.get_mut(key).expect("just inserted");
-    // Local feed only: rebuilds repair this server's share, they never
-    // fan out, so cascade outbounds are intentionally dropped.
-    engine.handle(Endpoint::Server(me), Message::Reset);
-    match spec {
-        StrategySpec::FullReplication | StrategySpec::Fixed { .. } => {
-            if !entries.is_empty() {
-                engine.handle(Endpoint::Server(me), Message::StoreSet { entries });
-            }
-        }
-        StrategySpec::RandomServer { x } => {
-            engine.handle(Endpoint::Server(me), Message::ChooseSubset { entries, x });
-        }
-        StrategySpec::Hash { .. } => {
-            for v in entries {
-                if engine.assigns_to(&v, me) {
-                    engine.handle(Endpoint::Server(me), Message::Store { v });
-                }
-            }
-        }
-        StrategySpec::RoundRobin { y } => {
-            // Group-local coordinator: position 0 in the placement
-            // group plays the simulator's "server 0" role (§5.4).
-            if me.index() == 0 {
-                let (head, tail) = counters.unwrap_or_else(|| {
-                    match (positions.keys().next(), positions.keys().last()) {
-                        (Some(&lo), Some(&hi)) => (lo, hi + 1),
-                        _ => (0, 0),
-                    }
-                });
-                engine.handle(Endpoint::Server(me), Message::RrSetCounters { head, tail });
-            }
-            for (pos, v) in positions {
-                let base = ServerId::new((pos % glen as u64) as u32);
-                if (0..y).any(|k| base.wrapping_add(k, glen) == me) {
-                    engine.handle(Endpoint::Server(me), Message::RrStore { v, pos });
-                }
-            }
-        }
-    }
+    // Group-local coordinator: position 0 in the placement group plays
+    // the simulator's "server 0" role (§5.4) and holds the counters.
+    engine.rebuild(entries, positions, counters);
     engine.set_version_meta(version, tombstones);
     Ok(())
 }

@@ -1,22 +1,26 @@
 //! The simulated cluster: `n` servers, one key, one placement strategy.
 //!
-//! [`Cluster`] wires `n` [`NodeEngine`]s (the strategy protocols of §3
-//! and §5) onto the simulated network of `pls-net`. Every
-//! `place`/`add`/`delete` is injected as a client request to the
-//! operation's coordinator server and the network is then pumped to
-//! quiescence, so after each call the placement is stable and observable
-//! via [`Cluster::placement`].
+//! [`Cluster`] is one replica group of `n` [`NodeEngine`]s (the strategy
+//! protocols of §3 and §5) with a failure set, a message counter and a
+//! seeded RNG. Every `place`/`add`/`delete` goes to the operation's
+//! coordinator server and all it sets off is delivered, first in first
+//! out, before the call returns, so after each call the placement is
+//! stable and observable via [`Cluster::placement`]. Each message a server
+//! processes is charged to the update class (§6.4: a broadcast costs `n`).
 //!
 //! Lookups follow §3's client procedures: they are synchronous
 //! request/reply probes against server stores, charged to the message
 //! counter's lookup class (one processed message per contacted server).
 
-use pls_net::{Endpoint, Envelope, MessageCounter, MsgClass, ServerId, SimNet};
+use std::collections::BTreeMap;
 
-use crate::engine::{NodeEngine, Outbound};
+use pls_net::{MessageCounter, MsgClass, ServerId};
+
+use crate::engine::NodeEngine;
+use crate::group::{Group, Scratch};
 use crate::{
-    lookup, ConfigError, DetRng, Entry, FailureSet, IndexedSet, LookupPlan, LookupResult, Message,
-    Placement, ServiceError, StrategySpec,
+    ConfigError, DetRng, Entry, FailureSet, IndexedSet, LookupResult, Message, Placement,
+    ServiceError, StrategySpec,
 };
 
 /// A partial lookup service instance: `n` servers managing the entries of
@@ -37,15 +41,11 @@ use crate::{
 /// ```
 #[derive(Debug, Clone)]
 pub struct Cluster<V: Entry> {
-    net: SimNet<Message<V>>,
-    engines: Vec<NodeEngine<V>>,
-    spec: StrategySpec,
+    group: Group<V>,
+    scratch: Scratch<V>,
+    failures: FailureSet,
+    counter: MessageCounter,
     rng: DetRng,
-    client_seq: u64,
-    rr_mirrors: usize,
-    /// Where `dispatch` has an engine put what it sends. Empty between
-    /// calls: kept for its allocation.
-    out: Vec<Outbound<V>>,
 }
 
 impl<V: Entry> Cluster<V> {
@@ -58,18 +58,12 @@ impl<V: Entry> Cluster<V> {
     /// servers (see [`StrategySpec::validate`]).
     pub fn new(n: usize, spec: StrategySpec, seed: u64) -> Result<Self, ConfigError> {
         spec.validate(n)?;
-        let engines = (0..n)
-            .map(|i| NodeEngine::new(ServerId::new(i as u32), n, spec, seed))
-            .collect::<Result<Vec<_>, _>>()?;
-        let rng = DetRng::seed_from(seed ^ 0xC11E_27D5_EED5_EED5);
         Ok(Cluster {
-            net: SimNet::new(n),
-            engines,
-            spec,
-            rng,
-            client_seq: 0,
-            rr_mirrors: 1,
-            out: Vec::new(),
+            group: Group::new(n, spec, seed)?,
+            scratch: Scratch::default(),
+            failures: FailureSet::new(n),
+            counter: MessageCounter::new(),
+            rng: DetRng::seed_from(seed ^ 0xC11E_27D5_EED5_EED5),
         })
     }
 
@@ -93,40 +87,38 @@ impl<V: Entry> Cluster<V> {
     /// `1 <= mirrors <= n`.
     pub fn set_rr_mirrors(&mut self, mirrors: usize) {
         assert!(
-            matches!(self.spec, StrategySpec::RoundRobin { .. }),
+            matches!(self.group.spec, StrategySpec::RoundRobin { .. }),
             "coordinator mirroring applies to Round-Robin-y only"
         );
-        for engine in &mut self.engines {
-            engine.set_rr_mirrors(mirrors);
-        }
-        self.rr_mirrors = mirrors;
+        self.group.engines.iter_mut().for_each(|e| e.set_rr_mirrors(mirrors));
+        self.group.rr_mirrors = mirrors;
     }
 
     /// Number of servers.
     pub fn n(&self) -> usize {
-        self.engines.len()
+        self.group.engines.len()
     }
 
     /// The strategy this cluster runs.
     pub fn spec(&self) -> StrategySpec {
-        self.spec
+        self.group.spec
     }
 
     /// The current failure set.
     pub fn failures(&self) -> &FailureSet {
-        self.net.failures()
+        &self.failures
     }
 
     /// Message accounting (the paper's §6.4 cost model).
     pub fn counter(&self) -> &MessageCounter {
-        self.net.counter()
+        &self.counter
     }
 
     /// Resets the message accounting; the placement is untouched. Used to
     /// scope measurement windows (e.g. count update overhead only, after
     /// the initial `place`).
     pub fn reset_counter(&mut self) {
-        self.net.reset_counter();
+        self.counter.reset();
     }
 
     /// Crashes a server: its mail is dropped and lookups skip it. State is
@@ -136,7 +128,7 @@ impl<V: Entry> Cluster<V> {
     ///
     /// Panics if `s` is out of range.
     pub fn fail_server(&mut self, s: ServerId) {
-        self.net.fail(s);
+        self.failures.fail(s);
     }
 
     /// Brings a crashed server back with the state it had when it failed.
@@ -145,7 +137,7 @@ impl<V: Entry> Cluster<V> {
     ///
     /// Panics if `s` is out of range.
     pub fn recover_server(&mut self, s: ServerId) {
-        self.net.recover(s);
+        self.failures.recover(s);
     }
 
     /// Brings a crashed server back and rebuilds its state from the
@@ -153,13 +145,14 @@ impl<V: Entry> Cluster<V> {
     /// while it was down.
     ///
     /// The paper does not specify recovery; this is the natural
-    /// anti-entropy protocol per strategy: copy a donor's store for the
-    /// identical-server strategies (full replication, Fixed-x), redraw a
-    /// fresh random subset of the surviving coverage for RandomServer-x,
-    /// re-derive the hash assignment for Hash-y, and re-fetch this
-    /// server's round-robin positions from their other replica holders
-    /// for Round-Robin-y. Recovery traffic is charged to the control
-    /// message class, leaving the §6.4 update accounting untouched.
+    /// anti-entropy protocol per strategy, [`NodeEngine::rebuild`]: copy
+    /// a donor's store for the identical-server strategies (full
+    /// replication, Fixed-x), redraw a fresh random subset of the
+    /// surviving coverage for RandomServer-x, re-derive the hash
+    /// assignment for Hash-y, and re-fetch this server's round-robin
+    /// positions from their other replica holders for Round-Robin-y. Each
+    /// donor read is one message of the control class, leaving the §6.4
+    /// update accounting untouched.
     ///
     /// Limitations, by construction: entries whose every replica sat on
     /// simultaneously-failed servers are gone and cannot be resynced
@@ -180,102 +173,39 @@ impl<V: Entry> Cluster<V> {
     pub fn recover_and_resync(&mut self, s: ServerId) -> Result<(), ServiceError> {
         // Gather donor state *before* recovering `s`, so `s`'s own stale
         // store cannot leak into the rebuilt one.
-        let donors: Vec<ServerId> = self.net.failures().operational().collect();
-        self.net.recover(s);
+        let mut donors: Vec<ServerId> = self.failures.operational().collect();
+        self.failures.recover(s);
         if donors.is_empty() {
             return Err(ServiceError::AllServersFailed);
         }
-
-        let send = |net: &mut SimNet<Message<V>>, msg: Message<V>, from: ServerId| {
-            net.send(Endpoint::Server(from), s, msg, MsgClass::Control).expect("send");
-        };
-
-        match self.spec {
-            StrategySpec::FullReplication | StrategySpec::Fixed { .. } => {
-                // Any donor is identical; copy its store wholesale.
-                let donor = donors[0];
-                let entries = self.engines[donor.index()].entries().to_vec();
-                send(&mut self.net, Message::StoreSet { entries }, donor);
-                // One probe of the donor.
-                self.net.charge(MsgClass::Control, 1);
-            }
-            StrategySpec::RandomServer { x } => {
-                // The surviving coverage is the best available estimate of
-                // the entry set; redraw an x-subset from it.
-                let mut union: IndexedSet<V> = IndexedSet::new();
-                for &d in &donors {
-                    union.extend(self.engines[d.index()].entries().iter().cloned());
-                    self.net.charge(MsgClass::Control, 1);
-                }
-                let donor = donors[0];
-                send(&mut self.net, Message::ChooseSubset { entries: union.into_vec(), x }, donor);
-            }
-            StrategySpec::Hash { .. } => {
-                // Re-derive this server's share of the surviving coverage
-                // from the shared hash family (any donor's engine knows
-                // it).
-                let mut union: IndexedSet<V> = IndexedSet::new();
-                for &d in &donors {
-                    union.extend(self.engines[d.index()].entries().iter().cloned());
-                    self.net.charge(MsgClass::Control, 1);
-                }
-                send(&mut self.net, Message::Reset, donors[0]);
-                for v in union.into_vec() {
-                    if self.engines[donors[0].index()].assigns_to(&v, s) {
-                        send(&mut self.net, Message::Store { v }, donors[0]);
-                    }
-                }
-            }
-            StrategySpec::RoundRobin { y } => {
-                // While server 0 (the coordinator) is down no round-robin
-                // update can run at all, so the surviving position map and
-                // any surviving counters are mutually consistent.
-                let mut positions: std::collections::BTreeMap<u64, V> =
-                    std::collections::BTreeMap::new();
-                for &d in &donors {
-                    for (pos, v) in self.engines[d.index()].rr_positions() {
-                        positions.insert(pos, v.clone());
-                    }
-                    self.net.charge(MsgClass::Control, 1);
-                }
-                // Counter source preference: a surviving coordinator
-                // mirror (authoritative — updates may have run while this
-                // server was down), then this server's own pre-Reset
-                // counters, then the position map.
-                let donor_counters = donors
-                    .iter()
-                    .filter(|d| d.index() < self.rr_mirrors)
-                    .find_map(|d| self.engines[d.index()].rr_counters());
-                let own_counters = self.engines[s.index()].rr_counters();
-                send(&mut self.net, Message::Reset, donors[0]);
-                if s.index() < self.rr_mirrors {
-                    let (head, tail) = donor_counters.or(own_counters).unwrap_or_else(|| {
-                        match (positions.keys().next(), positions.keys().last()) {
-                            (Some(&lo), Some(&hi)) => (lo, hi + 1),
-                            _ => (0, 0),
-                        }
-                    });
-                    send(&mut self.net, Message::RrSetCounters { head, tail }, donors[0]);
-                }
-                // This server's own positions: those whose replica group
-                // contains s.
-                let n = self.n();
-                for (pos, v) in positions {
-                    let base = ServerId::new((pos % n as u64) as u32);
-                    let holds = (0..y).any(|k| base.wrapping_add(k, n) == s);
-                    if holds {
-                        send(&mut self.net, Message::RrStore { v, pos }, donors[0]);
-                    }
-                }
+        let Group { engines, spec, .. } = &mut self.group;
+        if matches!(spec, StrategySpec::FullReplication | StrategySpec::Fixed { .. }) {
+            donors.truncate(1); // any donor is identical
+        }
+        self.counter.add(MsgClass::Control, donors.len() as u64);
+        let by_position = matches!(spec, StrategySpec::RoundRobin { .. });
+        let (mut union, mut positions) = (IndexedSet::new(), BTreeMap::new());
+        for d in &donors {
+            let donor = &engines[d.index()];
+            if by_position {
+                positions.extend(donor.rr_positions().map(|(pos, v)| (pos, v.clone())));
+            } else {
+                union.extend(donor.entries().iter().cloned());
             }
         }
-        self.pump();
+        // Counter source preference: a surviving coordinator mirror
+        // (authoritative — updates may have run while this server was
+        // down), then this server's own (no update runs while every
+        // holder is down), then the position map.
+        let mirrored = donors.iter().find_map(|d| engines[d.index()].rr_counters());
+        let counters = mirrored.or(engines[s.index()].rr_counters());
+        engines[s.index()].rebuild(union.into_vec(), positions, counters);
         Ok(())
     }
 
     /// Snapshot of the current placement instance, for the metrics crate.
     pub fn placement(&self) -> Placement<V> {
-        Placement::from_rows(self.engines.iter().map(|e| e.entries().to_vec()).collect())
+        Placement::from_rows(self.group.engines.iter().map(|e| e.entries().to_vec()).collect())
     }
 
     /// Direct view of one server's stored entries (unspecified order).
@@ -284,7 +214,7 @@ impl<V: Entry> Cluster<V> {
     ///
     /// Panics if `s` is out of range.
     pub fn server_entries(&self, s: ServerId) -> &[V] {
-        self.engines[s.index()].entries()
+        self.group.engines[s.index()].entries()
     }
 
     /// Direct access to one server's engine, for diagnostics and
@@ -294,7 +224,7 @@ impl<V: Entry> Cluster<V> {
     ///
     /// Panics if `s` is out of range.
     pub fn engine(&self, s: ServerId) -> &NodeEngine<V> {
-        &self.engines[s.index()]
+        &self.group.engines[s.index()]
     }
 
     // ---------------------------------------------------------------
@@ -309,10 +239,7 @@ impl<V: Entry> Cluster<V> {
     /// [`ServiceError::AllServersFailed`] when there is no operational
     /// server to coordinate the request.
     pub fn place(&mut self, entries: Vec<V>) -> Result<(), ServiceError> {
-        let s = self.update_coordinator()?;
-        self.inject(s, Message::PlaceReq { entries });
-        self.pump();
-        Ok(())
+        self.update(Message::PlaceReq { entries })
     }
 
     /// `add(v)`: incrementally inserts one entry (§5).
@@ -323,10 +250,7 @@ impl<V: Entry> Cluster<V> {
     /// [`ServiceError::CoordinatorUnavailable`] for Round-Robin-y when the
     /// dedicated coordinator (server 0) is down.
     pub fn add(&mut self, v: V) -> Result<(), ServiceError> {
-        let s = self.update_coordinator()?;
-        self.inject(s, Message::AddReq { v });
-        self.pump();
-        Ok(())
+        self.update(Message::AddReq { v })
     }
 
     /// `delete(v)`: incrementally removes one entry (§5).
@@ -340,10 +264,7 @@ impl<V: Entry> Cluster<V> {
     ///
     /// Same as [`Cluster::add`].
     pub fn delete(&mut self, v: &V) -> Result<(), ServiceError> {
-        let s = self.update_coordinator()?;
-        self.inject(s, Message::DeleteReq { v: v.clone() });
-        self.pump();
-        Ok(())
+        self.update(Message::DeleteReq { v: v.clone() })
     }
 
     /// `partial_lookup(t)`: retrieves at least `t` distinct entries when
@@ -368,65 +289,21 @@ impl<V: Entry> Cluster<V> {
     /// Retrieving fewer than `t` entries is *not* an error — see
     /// [`LookupResult::is_satisfied`].
     pub fn partial_lookup(&mut self, t: usize) -> Result<LookupResult<V>, ServiceError> {
-        if t == 0 {
-            return Err(ServiceError::ZeroTarget);
-        }
-        if self.net.failures().operational_count() == 0 {
-            return Err(ServiceError::AllServersFailed);
-        }
-        let failures = self.net.failures();
-        let mut plan = LookupPlan::new(self.spec, t, failures, &mut self.rng);
-        while let Some(s) = plan.next(&mut self.rng) {
-            if failures.is_failed(s) {
-                plan.unreachable(s);
-            } else {
-                // One probe: `t` random entries of the server's store
-                // (all of them when it has fewer), by reference — the
-                // plan copies the ones it returns.
-                plan.answered(s, self.engines[s.index()].sample_refs(t));
-            }
-        }
-        let result = plan.finish(&mut self.rng);
         // One processed lookup message per contacted server.
-        self.net.charge(MsgClass::Lookup, result.servers_contacted() as u64);
-        Ok(result)
+        let charge = |_| self.counter.record(MsgClass::Lookup);
+        self.group.lookup(t, &self.failures, &mut self.rng, charge)
     }
 
-    // ---------------------------------------------------------------
-    // Protocol plumbing
-    // ---------------------------------------------------------------
-
-    fn update_coordinator(&mut self) -> Result<ServerId, ServiceError> {
-        lookup::update_coordinator(self.spec, self.rr_mirrors, self.net.failures(), &mut self.rng)
-    }
-
-    fn inject(&mut self, to: ServerId, msg: Message<V>) {
-        let client = Endpoint::client(self.client_seq);
-        self.client_seq += 1;
-        self.net.send(client, to, msg, MsgClass::Update).expect("destination in range");
-    }
-
-    /// Delivers messages until quiescent, running the server engines.
-    fn pump(&mut self) {
-        while let Some(env) = self.net.pop_next() {
-            self.dispatch(env);
-        }
-    }
-
-    fn dispatch(&mut self, env: Envelope<Message<V>>) {
-        let me = env.to;
-        self.engines[me.index()].handle_into(env.from, env.msg, &mut self.out);
-        let from = Endpoint::Server(me);
-        for out in self.out.drain(..) {
-            match out {
-                Outbound::To(dest, msg) => {
-                    self.net.send(from, dest, msg, MsgClass::Update).expect("destination in range");
-                }
-                Outbound::Broadcast(msg) => {
-                    self.net.broadcast(from, msg, MsgClass::Update).expect("broadcast");
-                }
+    /// Runs one client update to quiescence, charging every message a
+    /// server processes to the update class.
+    fn update(&mut self, msg: Message<V>) -> Result<(), ServiceError> {
+        self.group.update(&mut self.scratch, &self.failures, &mut self.rng, msg, |_, delivered| {
+            if delivered {
+                self.counter.record(MsgClass::Update);
+            } else {
+                self.counter.record_dropped();
             }
-        }
+        })
     }
 
     // ---------------------------------------------------------------
@@ -437,11 +314,9 @@ impl<V: Entry> Cluster<V> {
     /// runs Round-Robin-y — read from the first *operational* mirror.
     /// Exposed for tests and diagnostics.
     pub fn rr_counters(&self) -> Option<(u64, u64)> {
-        (0..self.rr_mirrors)
-            .map(|i| ServerId::new(i as u32))
-            .find(|s| !self.net.failures().is_failed(*s))
-            .and_then(|s| self.engines[s.index()].rr_counters())
-            .or_else(|| self.engines[0].rr_counters())
+        let up = |i: &usize| !self.failures.is_failed(ServerId::new(*i as u32));
+        let holder = (0..self.group.rr_mirrors).find(up).unwrap_or(0);
+        self.group.engines[holder].rr_counters()
     }
 }
 

@@ -3,9 +3,11 @@
 //! The paper defines the service over many keys but studies one key at a
 //! time, noting that "different strategies can be used to manage
 //! different types of keys" (§2). [`Directory`] is that multi-key
-//! service: `n` servers, each running one [`NodeEngine`] per key, with a
-//! pluggable per-key strategy assignment — uniform, custom, or driven by
-//! the [`advisor`](crate::advisor).
+//! service: `n` servers, each running one
+//! [`NodeEngine`](crate::engine::NodeEngine) per key, with a pluggable
+//! per-key strategy assignment — uniform, custom, or driven by the
+//! [`advisor`](crate::advisor). Each key is one replica group, driven
+//! through the same two loops as the single-key [`Cluster`](crate::Cluster).
 //!
 //! Beyond the single-key [`Cluster`](crate::Cluster), the directory
 //! tracks **per-server lookup load**, the quantity behind the paper's
@@ -13,15 +15,14 @@
 //! traffic over many servers, where key-partitioned services concentrate
 //! it on one.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
-use pls_net::{Endpoint, ServerId};
+use pls_net::ServerId;
 
-use crate::engine::{NodeEngine, Outbound};
+use crate::group::{self, Group, Scratch};
 use crate::{
-    lookup, ConfigError, DetRng, Entry, FailureSet, LookupPlan, LookupResult, Message,
-    ServiceError, StrategySpec,
+    ConfigError, DetRng, Entry, FailureSet, LookupResult, Message, ServiceError, StrategySpec,
 };
 
 /// Key types for the directory: anything hashable and cloneable.
@@ -79,19 +80,16 @@ pub struct Directory<K: Key, V: Entry> {
     n: usize,
     assignment: StrategyAssignment<K>,
     seed: u64,
-    /// engines[key][server].
-    engines: HashMap<K, Vec<NodeEngine<V>>>,
+    /// Each key's `n` engines.
+    groups: HashMap<K, Group<V>>,
     failures: FailureSet,
     rng: DetRng,
     /// Lookup probes served, per server — the hot-spot metric.
     lookup_load: Vec<u64>,
     /// Update messages processed, per server.
     update_load: Vec<u64>,
-    /// `drive`'s work queue of (sender, destination, message), first in
-    /// first out. Empty between calls: kept for its allocation.
-    queue: VecDeque<(Endpoint, ServerId, Message<V>)>,
-    /// Where `drive` has an engine put what it sends. Empty between calls.
-    out: Vec<Outbound<V>>,
+    /// Lent to whichever key is being updated.
+    scratch: Scratch<V>,
 }
 
 impl<K: Key, V: Entry> Directory<K, V> {
@@ -113,13 +111,12 @@ impl<K: Key, V: Entry> Directory<K, V> {
             n,
             assignment,
             seed,
-            engines: HashMap::new(),
+            groups: HashMap::new(),
             failures: FailureSet::new(n),
             rng: DetRng::seed_from(seed ^ 0xD12E_C704),
             lookup_load: vec![0; n],
             update_load: vec![0; n],
-            queue: VecDeque::new(),
-            out: Vec::new(),
+            scratch: Scratch::default(),
         })
     }
 
@@ -130,7 +127,7 @@ impl<K: Key, V: Entry> Directory<K, V> {
 
     /// Keys currently managed.
     pub fn key_count(&self) -> usize {
-        self.engines.len()
+        self.groups.len()
     }
 
     /// The strategy a key is (or would be) managed under.
@@ -183,55 +180,29 @@ impl<K: Key, V: Entry> Directory<K, V> {
         self.seed ^ hasher.finish()
     }
 
-    /// Delivers a client message to a coordinator and drains the
-    /// resulting fan-out, charging per-server update load. Messages to
-    /// failed servers are dropped.
-    fn drive(
-        &mut self,
-        key: &K,
-        coordinator: ServerId,
-        msg: Message<V>,
-    ) -> Result<(), ServiceError> {
-        let n = self.n;
-        let engines = match self.engines.get_mut(key) {
-            Some(engines) => engines,
+    /// Runs one client update of `key` to quiescence, charging per-server
+    /// update load. A `place` or `add` that goes through creates the key.
+    fn update(&mut self, key: &K, msg: Message<V>) -> Result<(), ServiceError> {
+        let mut created = None;
+        let group = match self.groups.get_mut(key) {
+            Some(group) => group,
             None => {
                 let spec = self.assignment.spec_for(key);
-                let seed = self.key_seed(key);
-                let engines = (0..n)
-                    .map(|i| NodeEngine::new(ServerId::new(i as u32), n, spec, seed))
-                    .collect::<Result<Vec<_>, _>>()
-                    .map_err(ServiceError::InvalidStrategy)?;
-                self.engines.entry(key.clone()).or_insert(engines)
+                // Nothing to delete, and no reason to create the key.
+                if matches!(msg, Message::DeleteReq { .. }) {
+                    return spec.validate(self.n).map_err(ServiceError::InvalidStrategy);
+                }
+                let group = Group::new(self.n, spec, self.key_seed(key));
+                created.insert(group.map_err(ServiceError::InvalidStrategy)?)
             }
         };
-        self.queue.push_back((Endpoint::client(0), coordinator, msg));
-        while let Some((from, dest, m)) = self.queue.pop_front() {
-            if self.failures.is_failed(dest) {
-                continue;
-            }
-            self.update_load[dest.index()] += 1;
-            let me = Endpoint::Server(dest);
-            engines[dest.index()].handle_into(from, m, &mut self.out);
-            for out in self.out.drain(..) {
-                match out {
-                    Outbound::To(d, m2) => self.queue.push_back((me, d, m2)),
-                    Outbound::Broadcast(m2) => {
-                        // n - 1 copies, and the original to the last server.
-                        for i in 0..n - 1 {
-                            self.queue.push_back((me, ServerId::new(i as u32), m2.clone()));
-                        }
-                        self.queue.push_back((me, ServerId::new(n as u32 - 1), m2));
-                    }
-                }
-            }
+        group.update(&mut self.scratch, &self.failures, &mut self.rng, msg, |s, delivered| {
+            self.update_load[s.index()] += u64::from(delivered);
+        })?;
+        if let Some(group) = created {
+            self.groups.insert(key.clone(), group);
         }
         Ok(())
-    }
-
-    fn update_coordinator(&mut self, key: &K) -> Result<ServerId, ServiceError> {
-        // Directory keys do not mirror the Round-Robin counters: server 0 alone.
-        lookup::update_coordinator(self.assignment.spec_for(key), 1, &self.failures, &mut self.rng)
     }
 
     /// `place` for one key (§2).
@@ -242,8 +213,7 @@ impl<K: Key, V: Entry> Directory<K, V> {
     /// [`ServiceError::InvalidStrategy`] when the key's assigned strategy
     /// does not fit this directory (only that key is affected).
     pub fn place(&mut self, key: K, entries: Vec<V>) -> Result<(), ServiceError> {
-        let coordinator = self.update_coordinator(&key)?;
-        self.drive(&key, coordinator, Message::PlaceReq { entries })
+        self.update(&key, Message::PlaceReq { entries })
     }
 
     /// `add` for one key (§5).
@@ -253,18 +223,19 @@ impl<K: Key, V: Entry> Directory<K, V> {
     /// As [`Directory::place`], plus
     /// [`ServiceError::CoordinatorUnavailable`] for Round-Robin keys.
     pub fn add(&mut self, key: &K, v: V) -> Result<(), ServiceError> {
-        let coordinator = self.update_coordinator(key)?;
-        self.drive(key, coordinator, Message::AddReq { v })
+        self.update(key, Message::AddReq { v })
     }
 
-    /// `delete` for one key (§5).
+    /// `delete` for one key (§5); of a key never placed, nothing. For a
+    /// Round-Robin-y key, deleting an entry that is not in the system
+    /// corrupts the sequence, as [`Cluster::delete`](crate::Cluster::delete)
+    /// does (DESIGN.md §14).
     ///
     /// # Errors
     ///
     /// As [`Directory::add`].
     pub fn delete(&mut self, key: &K, v: &V) -> Result<(), ServiceError> {
-        let coordinator = self.update_coordinator(key)?;
-        self.drive(key, coordinator, Message::DeleteReq { v: v.clone() })
+        self.update(key, Message::DeleteReq { v: v.clone() })
     }
 
     /// `partial_lookup(k, t)`: the strategy-specific client procedure of
@@ -280,26 +251,11 @@ impl<K: Key, V: Entry> Directory<K, V> {
     /// key returns an empty, unsatisfied result (the paper's `lookup`
     /// returns the empty set for unknown keys).
     pub fn partial_lookup(&mut self, key: &K, t: usize) -> Result<LookupResult<V>, ServiceError> {
-        if t == 0 {
-            return Err(ServiceError::ZeroTarget);
-        }
-        if self.failures.operational_count() == 0 {
-            return Err(ServiceError::AllServersFailed);
-        }
-        let Some(engines) = self.engines.get(key) else {
+        let Some(group) = self.groups.get(key) else {
+            group::check_lookup(t, &self.failures)?;
             return Ok(LookupResult::new(Vec::new(), Vec::new()));
         };
-        let spec = self.assignment.spec_for(key);
-        let mut plan = LookupPlan::new(spec, t, &self.failures, &mut self.rng);
-        while let Some(s) = plan.next(&mut self.rng) {
-            if self.failures.is_failed(s) {
-                plan.unreachable(s);
-            } else {
-                self.lookup_load[s.index()] += 1;
-                plan.answered(s, engines[s.index()].sample_refs(t));
-            }
-        }
-        Ok(plan.finish(&mut self.rng))
+        group.lookup(t, &self.failures, &mut self.rng, |s| self.lookup_load[s.index()] += 1)
     }
 
     /// The entries a server stores for one key (empty for unknown keys).
@@ -309,7 +265,7 @@ impl<K: Key, V: Entry> Directory<K, V> {
     /// Panics if `s` is out of range.
     pub fn server_entries(&self, key: &K, s: ServerId) -> &[V] {
         assert!(s.index() < self.n, "server out of range");
-        self.engines.get(key).map(|e| e[s.index()].entries()).unwrap_or(&[])
+        self.groups.get(key).map(|g| g.engines[s.index()].entries()).unwrap_or(&[])
     }
 }
 
@@ -341,6 +297,22 @@ mod tests {
         let r = dir.partial_lookup(&"ghost", 5).unwrap();
         assert!(r.entries().is_empty());
         assert!(!r.is_satisfied(1));
+    }
+
+    #[test]
+    fn a_delete_of_an_unknown_key_creates_nothing() {
+        let mut dir: Directory<&str, u64> =
+            Directory::new(3, uniform(StrategySpec::round_robin(2)), 2).unwrap();
+        dir.delete(&"ghost", &5).unwrap();
+        assert_eq!(dir.key_count(), 0);
+        assert!(dir.server_entries(&"ghost", ServerId::new(0)).is_empty());
+        assert_eq!(dir.update_load().iter().sum::<u64>(), 0);
+        // An add does create it, and then there is something to delete.
+        dir.add(&"ghost", 5).unwrap();
+        assert_eq!(dir.key_count(), 1);
+        dir.delete(&"ghost", &5).unwrap();
+        assert_eq!(dir.key_count(), 1);
+        assert!(dir.partial_lookup(&"ghost", 1).unwrap().entries().is_empty());
     }
 
     #[test]
@@ -486,7 +458,7 @@ mod tests {
             live.push(id);
 
             let victim = live.swap_remove(rng.below(live.len()));
-            let engines = &dir.engines[&"k"];
+            let engines = &dir.groups[&"k"].engines;
             let (head, _) = engines[0].rr_counters().expect("server 0 coordinates");
             let head_engine = &engines[(head % n as u64) as usize];
             let head_entry = head_engine.rr_positions().find(|(p, _)| *p == head).expect("live");

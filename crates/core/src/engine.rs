@@ -4,11 +4,14 @@
 //! placement, selective broadcast, reservoir sampling, the Fig. 11
 //! round-robin migration — as a pure state machine: feed it an inbound
 //! [`Message`], get back the outbound messages it wants delivered. The
-//! simulated [`Cluster`](crate::Cluster) runs `n` engines over
-//! `pls-net`'s mailboxes; the live TCP deployment (`pls-cluster`) runs
-//! one engine per process over sockets. Both execute identical logic.
+//! simulated [`Cluster`](crate::Cluster) and
+//! [`Directory`](crate::directory::Directory) run `n` engines through one
+//! first-in first-out loop in this process; the live TCP deployment
+//! (`pls-cluster`) runs one engine per process over sockets. All execute
+//! identical logic.
 
 use std::cell::RefCell;
+use std::collections::BTreeMap;
 
 use pls_net::{Endpoint, ServerId};
 
@@ -219,11 +222,61 @@ impl<V: Entry> NodeEngine<V> {
         self.node.tombstones.len()
     }
 
+    /// Rebuilds this server's share of the key from what its peers hold,
+    /// through its own message protocol and sending nothing: the one
+    /// recovery rule of the simulator's resync and of the TCP server's
+    /// disk recovery, cold-start resync and anti-entropy repair.
+    ///
+    /// After a [`Message::Reset`], full replication and Fixed-x store
+    /// `entries` (a donor's store); RandomServer-x draws a fresh
+    /// `x`-subset of them (the surviving coverage); Hash-y keeps those
+    /// its family assigns here. Round-Robin-y stores the `positions`
+    /// whose `y` holders include this server, and a counter holder
+    /// adopts `counters`, else the span of `positions`.
+    pub fn rebuild(
+        &mut self,
+        entries: Vec<V>,
+        positions: BTreeMap<u64, V>,
+        counters: Option<(u64, u64)>,
+    ) {
+        let from = Endpoint::Server(self.me);
+        self.handle(from, Message::Reset);
+        match self.spec {
+            StrategySpec::FullReplication | StrategySpec::Fixed { .. } => {
+                self.handle(from, Message::StoreSet { entries });
+            }
+            StrategySpec::RandomServer { x } => {
+                self.handle(from, Message::ChooseSubset { entries, x });
+            }
+            StrategySpec::Hash { .. } => {
+                for v in entries {
+                    if self.assigns_to(&v, self.me) {
+                        self.handle(from, Message::Store { v });
+                    }
+                }
+            }
+            StrategySpec::RoundRobin { y } => {
+                if self.node.rr_coord.is_some() {
+                    let span = positions.first_key_value().zip(positions.last_key_value());
+                    let (head, tail) = counters
+                        .or(span.map(|((lo, _), (hi, _))| (*lo, hi + 1)))
+                        .unwrap_or_default();
+                    self.handle(from, Message::RrSetCounters { head, tail });
+                }
+                for (pos, v) in positions {
+                    if self.rr_holders(pos, y).any(|s| s == self.me) {
+                        self.handle(from, Message::RrStore { v, pos });
+                    }
+                }
+            }
+        }
+    }
+
     /// Restores version/tombstone metadata after a recovery rebuild.
     ///
-    /// Rebuilds start from [`Message::Reset`] (which clears tombstones),
-    /// replay the donor entries, then call this with the merged donor
-    /// metadata. The version only moves forward; a tombstone for an
+    /// [`NodeEngine::rebuild`] starts from [`Message::Reset`] (which
+    /// clears tombstones) and replays the donor entries; call this after
+    /// it with the merged donor metadata. The version only moves forward; a tombstone for an
     /// entry the rebuilt store deliberately kept is dropped (the two
     /// must never coexist — the caller decided the entry is live).
     pub fn set_version_meta(
@@ -1055,6 +1108,91 @@ mod tests {
         // The version only moves forward.
         e.set_version_meta(2, Vec::new());
         assert_eq!(e.version(), 5);
+    }
+
+    /// Server `me` of five, holding something stale that a rebuild must
+    /// not keep.
+    fn stale(me: u32, spec: StrategySpec) -> NodeEngine<u64> {
+        let mut e: NodeEngine<u64> = NodeEngine::new(me.into(), 5, spec, 31).unwrap();
+        let from = Endpoint::Server(0.into());
+        e.handle(from, Message::Store { v: 900 });
+        e.handle(from, Message::RrStore { v: 901, pos: u64::from(me) });
+        assert_eq!(e.entries().len(), 1);
+        e
+    }
+
+    #[test]
+    fn rebuild_copies_a_donor_for_the_identical_server_strategies() {
+        for spec in [StrategySpec::full_replication(), StrategySpec::fixed(3)] {
+            let mut e = stale(2, spec);
+            e.set_version_meta(4, vec![(7, Tombstone { version: 3, born_ms: 1 })]);
+            e.rebuild(vec![5, 3, 8], BTreeMap::new(), None);
+            assert_eq!(e.entries(), &[5, 3, 8], "{spec}: the donor's store, in its order");
+            assert_eq!((e.version(), e.tombstone_count()), (4, 0), "{spec}");
+            e.rebuild(Vec::new(), BTreeMap::new(), None);
+            assert!(e.entries().is_empty(), "{spec}");
+        }
+    }
+
+    #[test]
+    fn rebuild_redraws_a_random_server_subset_of_the_coverage() {
+        let mut e = stale(2, StrategySpec::random_server(4));
+        let mut fed = e.clone();
+        e.rebuild((0..30).collect(), BTreeMap::new(), None);
+        assert_eq!(e.entries().len(), 4);
+        assert!(e.entries().iter().all(|v| *v < 30));
+        assert_eq!(e.node.local_h, 30, "the reservoir resumes from the coverage's size");
+        // The draw is the one the message would have made.
+        fed.handle(
+            Endpoint::Server(2.into()),
+            Message::ChooseSubset { entries: (0..30).collect(), x: 4 },
+        );
+        assert_eq!(e.entries(), fed.entries());
+        // Less coverage than x: all of it.
+        e.rebuild(vec![1, 2], BTreeMap::new(), None);
+        assert_eq!(e.entries(), &[1, 2]);
+    }
+
+    #[test]
+    fn rebuild_keeps_what_the_hash_family_assigns_here() {
+        let mut e = stale(3, StrategySpec::hash(2));
+        e.rebuild((0..200).collect(), BTreeMap::new(), None);
+        let assigned: Vec<u64> = (0..200).filter(|v| e.assigns_to(v, 3.into())).collect();
+        assert!(!assigned.is_empty() && assigned.len() < 200);
+        assert_eq!(e.entries(), assigned.as_slice());
+    }
+
+    #[test]
+    fn rebuild_refetches_round_robin_positions_and_counters() {
+        // Positions 3..=12 of five servers, y = 2: position p lives on
+        // servers p % 5 and (p + 1) % 5.
+        let positions: BTreeMap<u64, u64> = (3..=12).map(|p| (p, 100 + p)).collect();
+        let held = |e: &NodeEngine<u64>| e.rr_positions().map(|(p, v)| (p, *v)).collect::<Vec<_>>();
+        let spec = StrategySpec::round_robin(2);
+
+        let mut e = stale(3, spec);
+        e.rebuild(vec![1, 2, 3], positions.clone(), Some((3, 13)));
+        assert_eq!(held(&e), [(3, 103), (7, 107), (8, 108), (12, 112)], "entries are ignored");
+        assert_eq!(e.entries().len(), 4);
+        assert_eq!(e.rr_counters(), None, "server 3 holds no counters");
+
+        // A counter holder adopts the counters it is given, or else the
+        // span of the positions, lowest to one past the highest.
+        let mut e = stale(0, spec);
+        e.rebuild(Vec::new(), positions.clone(), Some((2, 20)));
+        assert_eq!(held(&e), [(4, 104), (5, 105), (9, 109), (10, 110)]);
+        assert_eq!(e.rr_counters(), Some((2, 20)));
+        e.rebuild(Vec::new(), positions.clone(), None);
+        assert_eq!(e.rr_counters(), Some((3, 13)));
+        e.rebuild(Vec::new(), BTreeMap::new(), None);
+        assert_eq!((e.rr_counters(), e.entries().len()), (Some((0, 0)), 0));
+
+        // So does a mirror (§5.4 footnote), and only a mirror.
+        let mut e = stale(1, spec);
+        e.set_rr_mirrors(2);
+        e.rebuild(Vec::new(), positions, Some((3, 13)));
+        assert_eq!(held(&e), [(5, 105), (6, 106), (10, 110), (11, 111)]);
+        assert_eq!(e.rr_counters(), Some((3, 13)));
     }
 
     #[test]

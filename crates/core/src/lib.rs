@@ -21,8 +21,8 @@
 //! * **Hash-y** — entry `v` on servers `f_1(v) .. f_y(v)` for a family of
 //!   `y` hash functions.
 //!
-//! The entry point is [`Cluster`]: it owns the simulated network
-//! (`pls-net`), the per-server state, and a deterministic RNG, and exposes
+//! The entry point is [`Cluster`]: it owns the per-server state, the
+//! failure set, the message counter and a deterministic RNG, and exposes
 //! the service interface of §2 — [`Cluster::place`], [`Cluster::add`],
 //! [`Cluster::delete`], [`Cluster::partial_lookup`] — plus failure
 //! injection and a [`Placement`] snapshot for the metrics crate.
@@ -53,6 +53,7 @@ mod collections;
 mod config;
 mod entry;
 mod error;
+mod group;
 mod hashing;
 mod lookup;
 mod messages;

@@ -1,7 +1,7 @@
-//! Allocation gate for the in-process paths: what one `Directory::add`,
-//! one `Directory::delete` and one `partial_lookup` allocate at steady
-//! state, per strategy, and that a server which does not hold an entry
-//! allocates nothing to learn so.
+//! Allocation gate for the in-process paths: what one `add`, one `delete`
+//! and one `partial_lookup` of a `Directory` and of a `Cluster<u64>`
+//! allocate at steady state, per strategy, and that a server which does
+//! not hold an entry allocates nothing to learn so.
 //!
 //! The shape is the benchmark's (`benchmark/src/dirload.rs`): ten
 //! servers, one key of a hundred 27-byte `Vec<u8>` entries, adds and
@@ -9,11 +9,11 @@
 //! allocate is the copies it sends — a broadcast's nine, a delete's copy
 //! of the caller's reference, Round-Robin-2's second stored copy and the
 //! two copies of the head entry that plug a hole — plus the amortised
-//! growth of the stores it changes. The fan-out itself (`drive`'s queue,
-//! the engines' out buffer) is reused and allocates nothing. What a
-//! lookup must allocate is the `t` entries it returns and the vectors
-//! that hold them and its bookkeeping; what the probed servers offered
-//! beyond that is read where it is stored.
+//! growth of the stores it changes. The fan-out itself (the queue and
+//! the engines' out buffer of `pls-core`'s one update loop) is reused and
+//! allocates nothing. What a lookup must allocate is the `t` entries it
+//! returns and the vectors that hold them and its bookkeeping; what the
+//! probed servers offered beyond that is read where it is stored.
 //!
 //! The counter is process-wide, so the binary runs without the test
 //! harness (`harness = false`), whose own threads allocate. CI runs it in
@@ -70,12 +70,15 @@ fn entry(id: u64) -> Vec<u8> {
     format!("key00007-entry{id:013}").into_bytes()
 }
 
-/// Mean allocations per `add` and per `delete` of one key under `spec`,
-/// adds and deletes of a random live entry alternating.
-fn per_update(spec: StrategySpec) -> (f64, f64) {
-    let mut dir: Directory<u32, Vec<u8>> =
-        Directory::new(N, StrategyAssignment::Uniform(spec), 42).expect("ten servers");
-    dir.place(7, (0..H).map(entry).collect()).expect("place");
+/// Mean allocations per `add` and per `delete` on `target`, which holds
+/// entries `0..H` made by `entry`: adds of a fresh entry and deletes of a
+/// random live one alternating.
+fn per_update<T, V>(
+    target: &mut T,
+    entry: fn(u64) -> V,
+    add: fn(&mut T, V),
+    delete: fn(&mut T, &V),
+) -> (f64, f64) {
     let mut live: Vec<u64> = (0..H).collect();
     let mut pick = 0x9e37_79b9_7f4a_7c15_u64;
     let (mut adds, mut deletes) = (0, 0);
@@ -86,10 +89,8 @@ fn per_update(spec: StrategySpec) -> (f64, f64) {
         pick = pick.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
         let victim = entry(live.swap_remove((pick >> 33) as usize % live.len()));
         live.push(H + step);
-        let (a, result) = allocs_during(|| dir.add(&7, added));
-        result.expect("add");
-        let (d, result) = allocs_during(|| dir.delete(&7, &victim));
-        result.expect("delete");
+        let (a, ()) = allocs_during(|| add(target, added));
+        let (d, ()) = allocs_during(|| delete(target, &victim));
         if step >= WARM_UP {
             adds += a;
             deletes += d;
@@ -159,7 +160,15 @@ fn main() {
         (StrategySpec::hash(2), 2.9, 3.9),
     ];
     for (spec, add_ceiling, delete_ceiling) in gates {
-        let (add, delete) = per_update(spec);
+        let mut dir: Directory<u32, Vec<u8>> =
+            Directory::new(N, StrategyAssignment::Uniform(spec), 42).expect("ten servers");
+        dir.place(7, (0..H).map(entry).collect()).expect("place");
+        let (add, delete) = per_update(
+            &mut dir,
+            entry,
+            |dir, v| dir.add(&7, v).expect("add"),
+            |dir, v| dir.delete(&7, v).expect("delete"),
+        );
         println!("alloc_gate: {spec}: {add:.2} per add, {delete:.2} per delete");
         assert!(add <= add_ceiling, "{spec}: {add:.2} allocations per add > {add_ceiling}");
         assert!(
@@ -226,5 +235,33 @@ fn main() {
         let allocs = per_lookup(15, || cluster.partial_lookup(15).expect("lookup").into_entries());
         println!("alloc_gate: Cluster<u64> {spec}: {allocs:.2} per partial_lookup(15)");
         assert!(allocs <= ceiling, "{spec}: {allocs:.2} allocations per lookup > {ceiling}");
+    }
+
+    // The simulator's updates, `Cluster<u64>` through the same loop. A
+    // `u64` is copied without allocating, so the broadcasting strategies
+    // measure 0.00 / 0.00; Round-Robin-2 0.29 / 0.15, its position-map
+    // nodes; Hash-2 1.00 / 1.00, the assignment's `Vec`. Measured plus one.
+    let gates = [
+        (StrategySpec::full_replication(), 1.0, 1.0),
+        (StrategySpec::fixed(20), 1.0, 1.0),
+        (StrategySpec::random_server(20), 1.0, 1.0),
+        (StrategySpec::round_robin(2), 1.29, 1.15),
+        (StrategySpec::hash(2), 2.0, 2.0),
+    ];
+    for (spec, add_ceiling, delete_ceiling) in gates {
+        let mut cluster: Cluster<u64> = Cluster::new(N, spec, 42).expect("ten servers");
+        cluster.place((0..H).collect()).expect("place");
+        let (add, delete) = per_update(
+            &mut cluster,
+            |id| id,
+            |cluster, v| cluster.add(v).expect("add"),
+            |cluster, v| cluster.delete(v).expect("delete"),
+        );
+        println!("alloc_gate: Cluster<u64> {spec}: {add:.2} per add, {delete:.2} per delete");
+        assert!(add <= add_ceiling, "{spec}: {add:.2} allocations per add > {add_ceiling}");
+        assert!(
+            delete <= delete_ceiling,
+            "{spec}: {delete:.2} allocations per delete > {delete_ceiling}"
+        );
     }
 }

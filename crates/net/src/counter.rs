@@ -57,10 +57,15 @@ impl MessageCounter {
 
     /// Records one processed message of the given class.
     pub fn record(&mut self, class: MsgClass) {
+        self.add(class, 1);
+    }
+
+    /// Records `count` processed messages of the given class.
+    pub fn add(&mut self, class: MsgClass, count: u64) {
         match class {
-            MsgClass::Update => self.update += 1,
-            MsgClass::Lookup => self.lookup += 1,
-            MsgClass::Control => self.control += 1,
+            MsgClass::Update => self.update += count,
+            MsgClass::Lookup => self.lookup += count,
+            MsgClass::Control => self.control += count,
         }
     }
 
@@ -126,9 +131,7 @@ mod tests {
         for _ in 0..5 {
             c.record(MsgClass::Update);
         }
-        for _ in 0..3 {
-            c.record(MsgClass::Lookup);
-        }
+        c.add(MsgClass::Lookup, 3);
         c.record(MsgClass::Control);
         c.record_dropped();
         assert_eq!(c.update_messages(), 5);

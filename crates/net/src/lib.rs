@@ -4,13 +4,9 @@
 //! 2003) measures update overhead by counting the messages **received and
 //! processed by servers**: a broadcast to `n` servers costs `n` processed
 //! messages and a point-to-point message costs `1` (paper §6.4). This crate
-//! provides the pieces every strategy implementation is built on:
+//! provides what the in-process service in `pls-core` is built on:
 //!
 //! * [`ServerId`] / [`Endpoint`] — typed addresses for servers and clients.
-//! * [`SimNet`] — an in-process mailbox network with point-to-point
-//!   [`SimNet::send`], [`SimNet::broadcast`], and synchronous
-//!   request/response [`SimNet::deliver_all`] draining. Messages addressed to
-//!   failed servers are dropped (and accounted).
 //! * [`MessageCounter`] — the paper's cost model, split by category so
 //!   lookup traffic and update traffic can be reported separately.
 //! * [`FailureSet`] — which servers are currently crashed, with an
@@ -20,6 +16,11 @@
 //!   shuffled probe orders).
 //! * [`Topology`] — hop-count graphs for the limited-reachability extension
 //!   (paper §7.2).
+//! * [`SimNet`] — a mailbox-per-server network with [`SimNet::send`],
+//!   [`SimNet::broadcast`] and [`SimNet::deliver_all`]. `pls-core` no longer
+//!   runs on it (it delivers first in first out from one queue); it is the
+//!   reference schedule of `pls-core`'s delivery-order test and of two
+//!   benchmark rows.
 //!
 //! # Example
 //!

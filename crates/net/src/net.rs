@@ -183,9 +183,7 @@ impl<M> SimNet<M> {
     /// the accounting faithful without paying queueing overhead on hot
     /// simulation paths.
     pub fn charge(&mut self, class: MsgClass, count: u64) {
-        for _ in 0..count {
-            self.counter.record(class);
-        }
+        self.counter.add(class, count);
     }
 
     /// Delivers queued messages until the network is quiescent.
