@@ -16,12 +16,9 @@
 //!                      numbers are noisy
 //! ```
 //!
-//! `pls-bench/v1`, `v2`, and `v3` artifacts are all accepted (each
-//! version only adds fields — `v2` the consistency block, `v3` the
-//! server-side `runtime` block), so a baseline committed before a
-//! schema bump stays comparable. Metrics present in only one artifact
-//! (e.g. `runtime.*` against a pre-v3 baseline) are listed as `n/a`
-//! and never counted as regressions.
+//! Both artifacts must carry the `pls-bench/v3` schema tag. Metrics
+//! present in only one artifact are listed as `n/a` and never counted
+//! as regressions.
 
 use std::process::ExitCode;
 

@@ -7,7 +7,7 @@
 //!   --paper  run at the paper's full Monte-Carlo scale (slow)
 //!   --out    directory for CSV output (default: results/)
 //!   --json   also write every table into one `BENCH_repro.json`
-//!            artifact in DIR (pls-bench/v1 schema, same shape the
+//!            artifact in DIR (the `pls-bench/v3` schema, same shape the
 //!            cluster loadgen emits)
 //! ```
 //!

@@ -3,14 +3,11 @@
 //! out of the binary so the gate's arithmetic is unit-testable — a CI
 //! gate nobody has ever seen fire is a gate that may not work.
 //!
-//! `pls-bench/v1`, `v2`, and `v3` artifacts are all accepted (each
-//! version only adds fields — `v2` the consistency block, `v3` the
-//! server-side `runtime` block), so a baseline committed before a
-//! schema bump stays comparable. Metrics present in only one artifact
-//! (e.g. `runtime.*` against a pre-v3 baseline) are reported as `n/a`
-//! and never counted as regressions.
+//! Both artifacts must carry the current schema tag
+//! ([`BENCH_SCHEMA`]). Metrics present in only one artifact are
+//! reported as `n/a` and never counted as regressions.
 
-use crate::output::BENCH_SCHEMAS_ACCEPTED;
+use crate::output::BENCH_SCHEMA;
 use pls_telemetry::json::{parse, Value};
 
 /// One compared metric: where it lives in `results`, whether bigger is
@@ -88,11 +85,8 @@ pub fn load_artifact(path: &str) -> Result<Value, String> {
         .get("schema")
         .and_then(Value::as_str)
         .ok_or(format!("{path}: missing `schema` field"))?;
-    if !BENCH_SCHEMAS_ACCEPTED.contains(&schema) {
-        return Err(format!(
-            "{path}: unsupported schema `{schema}` (accepted: {})",
-            BENCH_SCHEMAS_ACCEPTED.join(", ")
-        ));
+    if schema != BENCH_SCHEMA {
+        return Err(format!("{path}: unsupported schema `{schema}` (expected {BENCH_SCHEMA})"));
     }
     Ok(doc)
 }
@@ -267,7 +261,7 @@ mod tests {
     #[test]
     fn metrics_missing_from_one_side_are_na_not_regressions() {
         let baseline = parse(
-            r#"{"schema": "pls-bench/v1", "bench": "old", "git_rev": "abc",
+            r#"{"schema": "pls-bench/v3", "bench": "old", "git_rev": "abc",
                 "results": {"latency_us": {"p50": 100, "p99": 800},
                             "throughput_rps": 4000}}"#,
         )

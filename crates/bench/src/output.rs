@@ -15,13 +15,12 @@
 //! }
 //! ```
 //!
-//! Schema history: `v2` added the mixed-workload consistency block to
-//! `loadgen` results (`staleness` — live staleness gauges, tombstone
-//! counters, versions-behind quantiles); `v3` added the `runtime`
-//! block (server-side lock contention per site, allocation deltas from
-//! the counting allocator, queue-depth gauges). Readers (`pls-bench
-//! compare`, CI's bench-smoke) accept older artifacts too: every field
-//! kept its name and shape, each version only adds fields.
+//! `loadgen` results carry the mixed-workload consistency block
+//! (`staleness` — live staleness gauges, tombstone counters,
+//! versions-behind quantiles) and the `runtime` block (server-side lock
+//! contention per site, allocation deltas from the counting allocator,
+//! queue-depth gauges). Readers (`pls-bench compare`, CI's bench-smoke)
+//! accept this tag only; no artifact with an earlier one exists.
 
 use std::fmt::Write as _;
 use std::fs;
@@ -130,14 +129,9 @@ impl Table {
     }
 }
 
-/// The version tag stamped into every artifact. Readers accept this
-/// and every earlier tag in [`BENCH_SCHEMAS_ACCEPTED`].
+/// The version tag stamped into every artifact, and the only one a
+/// reader accepts.
 pub const BENCH_SCHEMA: &str = "pls-bench/v3";
-
-/// Schema tags a reader must accept: each version is a strict superset
-/// of the one before, so older artifacts (e.g. a baseline committed
-/// before the consistency or runtime blocks existed) stay comparable.
-pub const BENCH_SCHEMAS_ACCEPTED: [&str; 3] = ["pls-bench/v1", "pls-bench/v2", "pls-bench/v3"];
 
 /// One benchmark run's JSON artifact: name, producing git revision,
 /// run configuration, and measured results. [`BenchReport::write`]
@@ -276,7 +270,6 @@ mod tests {
             "{\"schema\":\"pls-bench/v3\",\"bench\":\"unit\",\"git_rev\":\"deadbeef\",\
              \"config\":{\"n\":3},\"results\":[1,2]}"
         );
-        assert!(BENCH_SCHEMAS_ACCEPTED.contains(&BENCH_SCHEMA));
         let dir = std::env::temp_dir().join("pls-bench-report-test");
         let path = report.write(&dir).unwrap();
         assert!(path.ends_with("BENCH_unit.json"));

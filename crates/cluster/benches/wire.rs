@@ -35,7 +35,7 @@ fn bench_request_decode(c: &mut Criterion) {
     for (name, req) in reqs {
         let payload = req.encode();
         group.bench_with_input(BenchmarkId::from_parameter(name), &payload, |b, payload| {
-            b.iter(|| black_box(Request::decode(payload.clone()).expect("valid")))
+            b.iter(|| black_box(Request::decode(payload).expect("valid")))
         });
     }
     group.finish();
@@ -47,7 +47,7 @@ fn bench_response_roundtrip(c: &mut Criterion) {
     c.bench_function("response_entries_50_roundtrip", |b| {
         b.iter(|| {
             let payload = resp.encode();
-            black_box(Response::decode(payload).expect("valid"))
+            black_box(Response::decode(&payload).expect("valid"))
         })
     });
 }

@@ -524,7 +524,7 @@ fn render_stats_table(merged: &MetricsSnapshot) -> String {
             Some((strategy, t, *value))
         })
         .collect();
-    staleness.sort();
+    staleness.sort_by(|a, b| (&a.0, &a.1).cmp(&(&b.0, &b.1)));
     let tombs_live = merged.gauge("pls_tombstones_live_total");
     let behind = merged.histogram("pls_staleness_versions_behind");
     if !staleness.is_empty() || tombs_live.is_some() || behind.is_some() {
@@ -656,7 +656,7 @@ fn render_stats_table(merged: &MetricsSnapshot) -> String {
     for (name, value) in &merged.gauges {
         let Some((family, labels)) = parse_labels(name) else { continue };
         let label = |key: &str| labels.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str());
-        let col = match family.as_str() {
+        let col = match family {
             "pls_shard_keys" => 0,
             "pls_shard_lock_acquisitions" => match label("site") {
                 Some("engines") => 1,

@@ -76,8 +76,8 @@
 //!                   `DIR/shard-<i>/` with independent group-commit
 //!                   fsync. An existing sharded data dir records its
 //!                   count in `shards.meta`; restarting with a
-//!                   different --shards is refused (a pre-sharding v1
-//!                   data dir is migrated automatically on first start)
+//!                   different --shards is refused, and so is a dir
+//!                   with a wal.log or checkpoint.bin at its root
 //!   --scrape-ms     observatory self-scrape interval: snapshot the
 //!                   full metrics into the in-memory timeline and
 //!                   refresh the SLO error budgets on a jittered ~MS

@@ -32,9 +32,9 @@ use tokio::io::AsyncWriteExt;
 use tokio::net::{TcpListener, TcpStream};
 
 use crate::error::ClusterError;
+use crate::frame::{read_frame, write_frame};
 use crate::proto::Response;
 use crate::retry::splitmix64;
-use crate::wire::{read_frame, read_frame_timed, write_frame, write_frame_timed};
 
 /// The fault (if any) drawn for one request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -259,7 +259,7 @@ async fn serve_chaos(
     // Lazily dialed on the first forwarded request, redialed after
     // upstream failures.
     let mut up: Option<TcpStream> = None;
-    while let Some((req_id, payload)) = read_frame(&mut downstream).await? {
+    while let Some((req_id, _, payload)) = read_frame(&mut downstream).await? {
         if cfg.refusing_now() {
             // A flap window closed (or refuse flipped on) under an
             // established connection: die like the process did.
@@ -279,7 +279,7 @@ async fn serve_chaos(
                 // the proxy adds network misery, not server work, so the
                 // caller's RTT-minus-service decomposition attributes
                 // the injected delay to the network side.
-                write_frame_timed(&mut downstream, req_id, service_us, &reply).await?;
+                write_frame(&mut downstream, req_id, service_us, &reply).await?;
             }
             Fault::BlackHole => {
                 // Silence the rest of the connection too: a caller that
@@ -290,7 +290,7 @@ async fn serve_chaos(
             }
             Fault::Garbage => {
                 // 0x77 is no opcode; decodes as a malformed frame.
-                write_frame(&mut downstream, req_id, &[0x77]).await?;
+                write_frame(&mut downstream, req_id, 0, &[0x77]).await?;
             }
             Fault::HalfClose => {
                 let _ = downstream.shutdown().await;
@@ -299,7 +299,7 @@ async fn serve_chaos(
             }
             Fault::Error => {
                 let reply = Response::Error("chaos: injected error".into()).encode();
-                write_frame(&mut downstream, req_id, &reply).await?;
+                write_frame(&mut downstream, req_id, 0, &reply).await?;
             }
         }
     }
@@ -315,14 +315,14 @@ async fn forward(
     addr: SocketAddr,
     req_id: u64,
     payload: &[u8],
-) -> (u64, bytes::Bytes) {
+) -> (u64, Vec<u8>) {
     let attempt = async {
         if up.is_none() {
             *up = Some(TcpStream::connect(addr).await?);
         }
         let stream = up.as_mut().expect("just dialed");
-        write_frame(stream, req_id, payload).await?;
-        match read_frame_timed(stream).await? {
+        write_frame(stream, req_id, 0, payload).await?;
+        match read_frame(stream).await? {
             Some((_, service_us, reply)) => Ok((service_us, reply)),
             None => Err(ClusterError::Io(std::io::ErrorKind::UnexpectedEof.into())),
         }

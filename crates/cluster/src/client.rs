@@ -95,13 +95,6 @@ impl ClientConfig {
         self
     }
 
-    /// Replaces the update retry policy.
-    #[must_use]
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
     /// Replaces the circuit-breaker tuning.
     #[must_use]
     pub fn with_breaker(mut self, breaker: BreakerConfig) -> Self {

@@ -9,7 +9,11 @@
 //!   same state machine the simulator executes, so the deployed protocol
 //!   is the validated one.
 //! * The wire format is a hand-rolled length-prefixed binary encoding
-//!   ([`wire`], [`proto`]); no serialization framework needed.
+//!   ([`wire`], [`proto`]) over byte slices; [`frame`] reads and writes
+//!   one frame on a socket. The codec, the write-ahead log
+//!   ([`storage`]), [`retry`] and [`metrics`] need no async runtime and
+//!   live in `pls-wire`; this crate re-exports them under their old
+//!   paths and adds everything that touches tokio.
 //! * Server-to-server traffic (store/remove/migrate fan-out) is carried
 //!   as [`proto::Request::Internal`] RPCs with acknowledged, in-order
 //!   delivery per sender — the ordering the engines rely on.
@@ -68,15 +72,13 @@
 
 pub mod chaos;
 mod client;
-mod error;
+pub mod frame;
 pub mod http;
-pub mod metrics;
-pub mod proto;
-pub mod retry;
 mod rpc;
 mod server;
-pub mod storage;
-pub mod wire;
+
+use pls_wire::error;
+pub use pls_wire::{metrics, proto, retry, storage, wire};
 
 pub use chaos::{ChaosConfig, ChaosPeer};
 pub use client::{Client, ClientConfig};

@@ -23,9 +23,9 @@ use pls_telemetry::{Counter, MetricsSnapshot};
 use tokio::net::TcpStream;
 
 use crate::error::ClusterError;
+use crate::frame::{read_frame, write_frame};
 use crate::proto::{Request, Response};
 use crate::retry::{Breaker, BreakerConfig, Deadline, RetryPolicy, Timeouts};
-use crate::wire::{read_frame_timed, write_frame};
 
 /// Connections kept per peer; extras beyond this are closed on return.
 const POOL_SIZE: usize = 4;
@@ -66,23 +66,14 @@ pub async fn exchange_timed(
     request_id: u64,
     req: &Request,
 ) -> Result<(Response, u64), ClusterError> {
-    write_frame(stream, request_id, &req.encode()).await?;
-    let (echoed_id, service_us, payload) = read_frame_timed(stream)
+    write_frame(stream, request_id, 0, &req.encode()).await?;
+    let (echoed_id, service_us, payload) = read_frame(stream)
         .await?
         .ok_or_else(|| ClusterError::Io(std::io::ErrorKind::UnexpectedEof.into()))?;
     if echoed_id != request_id {
         return Err(ClusterError::Decode("response id"));
     }
-    Ok((Response::decode(payload)?, service_us))
-}
-
-/// [`exchange_timed`], discarding the echoed service time.
-pub async fn exchange(
-    stream: &mut TcpStream,
-    request_id: u64,
-    req: &Request,
-) -> Result<Response, ClusterError> {
-    Ok(exchange_timed(stream, request_id, req).await?.0)
+    Ok((Response::decode(&payload)?, service_us))
 }
 
 /// A lazily-connected pool of RPC connections to one peer address.
@@ -409,8 +400,7 @@ pub(crate) fn push_peer_robustness<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::read_frame;
-    use tokio::io::{AsyncReadExt, AsyncWriteExt};
+    use tokio::io::AsyncReadExt;
     use tokio::net::TcpListener;
 
     /// A toy server answering every request with `Ok`, echoing ids.
@@ -424,9 +414,9 @@ mod tests {
                     Err(_) => return,
                 };
                 tokio::spawn(async move {
-                    while let Ok(Some((id, payload))) = read_frame(&mut sock).await {
-                        let _ = Request::decode(payload);
-                        if write_frame(&mut sock, id, &Response::Ok.encode()).await.is_err() {
+                    while let Ok(Some((id, _, payload))) = read_frame(&mut sock).await {
+                        let _ = Request::decode(&payload);
+                        if write_frame(&mut sock, id, 0, &Response::Ok.encode()).await.is_err() {
                             return;
                         }
                     }
@@ -475,10 +465,8 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         tokio::spawn(async move {
             let (mut sock, _) = listener.accept().await.unwrap();
-            let (id, _) = read_frame(&mut sock).await.unwrap().unwrap();
-            crate::wire::write_frame_timed(&mut sock, id, 4321, &Response::Ok.encode())
-                .await
-                .unwrap();
+            let (id, _, _) = read_frame(&mut sock).await.unwrap().unwrap();
+            write_frame(&mut sock, id, 4321, &Response::Ok.encode()).await.unwrap();
         });
         let client = PeerClient::new(addr);
         let (resp, service_us) = client.call_timed(1, &Request::Status).await.unwrap();
@@ -492,8 +480,8 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         tokio::spawn(async move {
             let (mut sock, _) = listener.accept().await.unwrap();
-            let (id, _) = read_frame(&mut sock).await.unwrap().unwrap();
-            write_frame(&mut sock, id, &Response::Error("nope".into()).encode()).await.unwrap();
+            let (id, _, _) = read_frame(&mut sock).await.unwrap().unwrap();
+            write_frame(&mut sock, id, 0, &Response::Error("nope".into()).encode()).await.unwrap();
         });
         let client = PeerClient::new(addr);
         let err = client.call(1, &Request::Status).await.unwrap_err();
@@ -510,13 +498,13 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         tokio::spawn(async move {
             let (mut sock, _) = listener.accept().await.unwrap();
-            while let Ok(Some((id, payload))) = read_frame(&mut sock).await {
+            while let Ok(Some((id, _, payload))) = read_frame(&mut sock).await {
                 let resp = if payload.first() == Some(&0x0D) {
                     Response::Error(format!("{UNSUPPORTED_PREFIX}{:#04x}", 0x0D))
                 } else {
                     Response::Ok
                 };
-                if write_frame(&mut sock, id, &resp.encode()).await.is_err() {
+                if write_frame(&mut sock, id, 0, &resp.encode()).await.is_err() {
                     return;
                 }
             }
@@ -575,8 +563,8 @@ mod tests {
                     Ok(x) => x,
                     Err(_) => return,
                 };
-                if let Ok(Some((id, _))) = read_frame(&mut sock).await {
-                    let _ = write_frame(&mut sock, id, &Response::Ok.encode()).await;
+                if let Ok(Some((id, _, _))) = read_frame(&mut sock).await {
+                    let _ = write_frame(&mut sock, id, 0, &Response::Ok.encode()).await;
                 }
                 // Drop the socket: next call must reconnect.
             }
@@ -605,7 +593,7 @@ mod tests {
             let mut buf = [0u8; 64];
             let _ = sock.read(&mut buf).await;
             // A valid frame echoing id 7, with an invalid opcode.
-            sock.write_all(&[0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 7, 0x33]).await.unwrap();
+            write_frame(&mut sock, 7, 0, &[0x33]).await.unwrap();
         });
         let client = PeerClient::new(addr);
         assert!(matches!(client.call(7, &Request::Status).await, Err(ClusterError::Decode(_))));
@@ -623,7 +611,7 @@ mod tests {
             let (mut sock, _) = listener.accept().await.unwrap();
             let _ = read_frame(&mut sock).await;
             // Answer with a valid `Ok` frame stamped with the wrong id.
-            write_frame(&mut sock, 999, &Response::Ok.encode()).await.unwrap();
+            write_frame(&mut sock, 999, 0, &Response::Ok.encode()).await.unwrap();
         });
         let client = PeerClient::new(addr);
         let err = client.call(5, &Request::Status).await.unwrap_err();
@@ -645,8 +633,8 @@ mod tests {
                     Ok(x) => x,
                     Err(_) => return,
                 };
-                if let Ok(Some((id, _))) = read_frame(&mut sock).await {
-                    let _ = write_frame(&mut sock, id, &Response::Ok.encode()).await;
+                if let Ok(Some((id, _, _))) = read_frame(&mut sock).await {
+                    let _ = write_frame(&mut sock, id, 0, &Response::Ok.encode()).await;
                 }
             }
         });
@@ -787,8 +775,8 @@ mod tests {
             drop(sock);
             // Second connection: answer properly.
             let (mut sock, _) = listener.accept().await.unwrap();
-            if let Ok(Some((id, _))) = read_frame(&mut sock).await {
-                let _ = write_frame(&mut sock, id, &Response::Ok.encode()).await;
+            if let Ok(Some((id, _, _))) = read_frame(&mut sock).await {
+                let _ = write_frame(&mut sock, id, 0, &Response::Ok.encode()).await;
             }
         });
         let client = PeerClient::with_policies(addr, tight_timeouts(), BreakerConfig::default());

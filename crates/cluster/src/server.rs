@@ -19,12 +19,13 @@ use pls_telemetry::{Level, MetricsSnapshot, SiteStats, SpanRecord, TimedMutex};
 use tokio::net::{TcpListener, TcpStream};
 
 use crate::error::ClusterError;
+use crate::frame::{read_frame, write_frame};
 use crate::metrics::{merged_site_snapshot, strategy_index, ServerMetrics, STRATEGY_LABELS};
 use crate::proto::{Entry, Request, Response};
 use crate::retry::{splitmix64, BreakerConfig, Deadline, RetryPolicy, Timeouts};
 use crate::rpc::{push_peer_robustness, PeerClient, UNSUPPORTED_PREFIX};
 use crate::storage::{self, KeySnapshot, Recovered, Storage, WalRecord};
-use crate::wire::{read_frame, write_frame_timed, FRAME_OVERHEAD};
+use crate::wire::FRAME_OVERHEAD;
 
 /// Static configuration of one server in the cluster.
 #[derive(Debug, Clone)]
@@ -146,12 +147,6 @@ impl ServerConfig {
     /// Overrides the time bounds on outbound RPCs.
     pub fn with_timeouts(mut self, timeouts: Timeouts) -> Self {
         self.timeouts = timeouts;
-        self
-    }
-
-    /// Overrides the internal fan-out retry policy.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
         self
     }
 
@@ -894,14 +889,13 @@ impl Server {
         // Open the data dir (if any) before serving: whatever the
         // per-shard checkpoints and WAL segments hold is replayed into
         // the engines below, so a restarted server answers from its own
-        // disk even when no live donor exists. A legacy single-segment
-        // (v1) dir is detected here and migrated during replay.
+        // disk even when no live donor exists.
         let (storages, recovered_state) = match &cfg.data_dir {
             Some(dir) => {
                 let (storages, rec) = storage::open_sharded(dir, nshards)?;
-                (storages.into_iter().map(|s| Some(Arc::new(s))).collect::<Vec<_>>(), Some(rec))
+                (storages.into_iter().map(|s| Some(Arc::new(s))).collect::<Vec<_>>(), rec)
             }
-            None => ((0..nshards).map(|_| None).collect(), None),
+            None => ((0..nshards).map(|_| None).collect(), Vec::new()),
         };
         let shards = storages
             .into_iter()
@@ -936,10 +930,7 @@ impl Server {
             started: Instant::now(),
         });
         state.metrics.membership_epoch.set(initial.epoch() as f64);
-        let recovered = match recovered_state {
-            Some(rec) => replay_recovered(&state, rec),
-            None => 0,
-        };
+        let recovered = replay_recovered(&state, recovered_state);
         Ok((Server { listener, state, recovered }, addr))
     }
 
@@ -1356,7 +1347,7 @@ fn collect_metrics(state: &State, reset: bool) -> MetricsSnapshot {
     let me_label = state.cfg.me.to_string();
     for (i, sh) in state.shards.iter().enumerate() {
         let shard_label = i.to_string();
-        let labels = |site: Option<&str>| {
+        let labels = |site: Option<&'static str>| {
             let mut pairs = vec![("server", me_label.as_str()), ("shard", shard_label.as_str())];
             if let Some(site) = site {
                 pairs.push(("site", site));
@@ -1365,7 +1356,7 @@ fn collect_metrics(state: &State, reset: bool) -> MetricsSnapshot {
         };
         let keys = sh.core.lock().engines.len() as f64;
         s.push_gauge(pls_telemetry::snapshot::labeled("pls_shard_keys", &labels(None)), keys);
-        let mut push_site = |snap: &pls_telemetry::SiteSnapshot, site: &str| {
+        let mut push_site = |snap: &pls_telemetry::SiteSnapshot, site: &'static str| {
             s.push_gauge(
                 pls_telemetry::snapshot::labeled(
                     "pls_shard_lock_acquisitions",
@@ -1971,21 +1962,16 @@ fn rebuild_engine_in(
 
 /// Replays what [`storage::open_sharded`] recovered — checkpoint
 /// snapshots first, then post-checkpoint WAL records, segment by
-/// segment, with the legacy single-segment v1 state (when a migration
-/// is pending) replayed last so it stays authoritative over any
-/// scratch shard content. Each key routes to its owning shard via
-/// [`shard_index`]; afterwards every shard re-checkpoints so the next
-/// crash replays from here, and a pending migration is completed
-/// (shard meta written, legacy files deleted). Per-item failures are
-/// logged and skipped: damaged durable state degrades recovery, it
-/// never refuses startup. Returns the number of keys standing
-/// afterwards.
-fn replay_recovered(state: &State, rec: storage::ShardedRecovered) -> usize {
+/// segment. Each key routes to its owning shard via [`shard_index`];
+/// afterwards every shard re-checkpoints so the next crash replays from
+/// here. Per-item failures are logged and skipped: damaged durable
+/// state degrades recovery, it never refuses startup. Returns the
+/// number of keys standing afterwards.
+fn replay_recovered(state: &State, segments: Vec<Recovered>) -> usize {
     let me_idx = state.cfg.me;
-    let migrating = rec.legacy.is_some();
     let mut torn_any = false;
     let mut replayed_any = false;
-    for seg in rec.shards.into_iter().chain(rec.legacy) {
+    for seg in segments {
         if seg.is_empty() {
             continue;
         }
@@ -2015,29 +2001,15 @@ fn replay_recovered(state: &State, rec: storage::ShardedRecovered) -> usize {
             }
         }
     }
-    if !replayed_any && !migrating {
+    if !replayed_any {
         return 0;
     }
     // The rebuilt state is not in the WAL (rebuilds bypass logging), so
     // checkpoint every shard immediately: a second crash replays from
     // this exact point, which also makes double recovery equal single
-    // recovery. With a migration pending this is also what moves the
-    // legacy state into the shard segments.
+    // recovery.
     if let Err(err) = checkpoint_now(state) {
         pls_telemetry::warn!("recovery_checkpoint_failed", server = me_idx, err = err);
-        // Keep the legacy files: next startup redoes the migration.
-    } else if migrating {
-        let dir = state.cfg.data_dir.as_ref().expect("migration implies data_dir");
-        match storage::complete_migration(dir, state.shards.len()) {
-            Ok(()) => pls_telemetry::info!(
-                "migrated_v1_data_dir",
-                server = me_idx,
-                shards = state.shards.len()
-            ),
-            Err(err) => {
-                pls_telemetry::warn!("migration_completion_failed", server = me_idx, err = err);
-            }
-        }
     }
     let keys = state.key_count();
     let replayed: u64 = state
@@ -2297,7 +2269,7 @@ async fn staleness_round(state: &Arc<State>, round: u64) {
         // (servers actually storing entries — the servers a partial
         // lookup can draw from).
         let mut versions: Vec<(u64, bool)> = Vec::new();
-        if let Some((count, _, _, v, _)) = state.read_engine(key, engine_digest) {
+        if let Some((count, _, _, v, _)) = state.read_engine(key, |e| engine_digest(e)) {
             versions.push((v, count > 0));
         }
         // Only the key's placement group can hold it: probing outside
@@ -2911,9 +2883,9 @@ fn recent_json() -> String {
 }
 
 async fn serve_connection(state: Arc<State>, mut socket: TcpStream) -> Result<(), ClusterError> {
-    while let Some((req_id, payload)) = read_frame(&mut socket).await? {
+    while let Some((req_id, _, payload)) = read_frame(&mut socket).await? {
         state.metrics.bytes_read.add(payload.len() as u64 + FRAME_OVERHEAD);
-        let (response, service_us) = match Request::decode(payload) {
+        let (response, service_us) = match Request::decode(&payload) {
             Ok(req) => {
                 let op = req.op();
                 state.metrics.requests[op as usize].inc();
@@ -2984,7 +2956,7 @@ async fn serve_connection(state: Arc<State>, mut socket: TcpStream) -> Result<()
         // Echo the request's id so the client can pair the response, and
         // stamp the reply frame with the server-side handling time so
         // the caller can split RTT into network versus service time.
-        write_frame_timed(&mut socket, req_id, service_us, &frame).await?;
+        write_frame(&mut socket, req_id, service_us, &frame).await?;
     }
     Ok(())
 }

@@ -67,9 +67,9 @@ fn entries(range: std::ops::Range<u32>) -> Vec<Vec<u8>> {
 async fn stored_at(addr: SocketAddr, key: &[u8]) -> Vec<Vec<u8>> {
     let mut stream = tokio::net::TcpStream::connect(addr).await.unwrap();
     let req = pls_cluster::proto::Request::Snapshot { key: key.to_vec() };
-    pls_cluster::wire::write_frame(&mut stream, 0xc0de, &req.encode()).await.unwrap();
-    let (_, payload) = pls_cluster::wire::read_frame(&mut stream).await.unwrap().unwrap();
-    match pls_cluster::proto::Response::decode(payload).unwrap() {
+    pls_cluster::frame::write_frame(&mut stream, 0xc0de, 0, &req.encode()).await.unwrap();
+    let (_, _, payload) = pls_cluster::frame::read_frame(&mut stream).await.unwrap().unwrap();
+    match pls_cluster::proto::Response::decode(&payload).unwrap() {
         pls_cluster::proto::Response::Snapshot { entries, .. } => entries,
         other => panic!("unexpected snapshot response {other:?}"),
     }

@@ -101,12 +101,12 @@ async fn entries_at(addr: SocketAddr, key: &[u8]) -> Vec<Vec<u8>> {
         let attempt = async {
             let mut stream = tokio::net::TcpStream::connect(addr).await?;
             let req = pls_cluster::proto::Request::Snapshot { key: key.to_vec() };
-            pls_cluster::wire::write_frame(&mut stream, 0xd1f5, &req.encode()).await?;
-            let (_, payload) =
-                pls_cluster::wire::read_frame(&mut stream).await?.ok_or_else(|| {
+            pls_cluster::frame::write_frame(&mut stream, 0xd1f5, 0, &req.encode()).await?;
+            let (_, _, payload) =
+                pls_cluster::frame::read_frame(&mut stream).await?.ok_or_else(|| {
                     pls_cluster::ClusterError::Io(std::io::ErrorKind::UnexpectedEof.into())
                 })?;
-            Ok::<_, pls_cluster::ClusterError>(pls_cluster::proto::Response::decode(payload))
+            Ok::<_, pls_cluster::ClusterError>(pls_cluster::proto::Response::decode(&payload))
         }
         .await;
         match attempt {

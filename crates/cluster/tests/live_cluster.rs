@@ -143,10 +143,10 @@ async fn round_robin_update_rejected_at_non_coordinator() {
     let client = {
         use tokio::net::TcpStream;
         let mut stream = TcpStream::connect(addrs[1]).await.unwrap();
-        pls_cluster::wire::write_frame(&mut stream, 0xfeed, &peer.encode()).await.unwrap();
-        let (id, payload) = pls_cluster::wire::read_frame(&mut stream).await.unwrap().unwrap();
+        pls_cluster::frame::write_frame(&mut stream, 0xfeed, 0, &peer.encode()).await.unwrap();
+        let (id, _, payload) = pls_cluster::frame::read_frame(&mut stream).await.unwrap().unwrap();
         assert_eq!(id, 0xfeed, "server must echo the request id");
-        pls_cluster::proto::Response::decode(payload).unwrap()
+        pls_cluster::proto::Response::decode(&payload).unwrap()
     };
     match client {
         pls_cluster::proto::Response::Error(msg) => {

@@ -61,10 +61,10 @@ async fn unknown_opcode_gets_clean_error_and_the_connection_survives() {
 
     // A future-protocol frame: opcode 0xF0 with arbitrary payload.
     let mut stream = tokio::net::TcpStream::connect(addrs[0]).await.unwrap();
-    pls_cluster::wire::write_frame(&mut stream, 7, &[0xF0, 1, 2, 3]).await.unwrap();
-    let (id, payload) = pls_cluster::wire::read_frame(&mut stream).await.unwrap().unwrap();
+    pls_cluster::frame::write_frame(&mut stream, 7, 0, &[0xF0, 1, 2, 3]).await.unwrap();
+    let (id, _, payload) = pls_cluster::frame::read_frame(&mut stream).await.unwrap().unwrap();
     assert_eq!(id, 7, "server must echo the request id");
-    match pls_cluster::proto::Response::decode(payload).unwrap() {
+    match pls_cluster::proto::Response::decode(&payload).unwrap() {
         pls_cluster::proto::Response::Error(msg) => {
             assert!(msg.contains("unsupported request opcode 0xf0"), "{msg}");
         }
@@ -73,11 +73,11 @@ async fn unknown_opcode_gets_clean_error_and_the_connection_survives() {
 
     // The same connection still serves real requests afterwards.
     let status = pls_cluster::proto::Request::Status;
-    pls_cluster::wire::write_frame(&mut stream, 8, &status.encode()).await.unwrap();
-    let (id, payload) = pls_cluster::wire::read_frame(&mut stream).await.unwrap().unwrap();
+    pls_cluster::frame::write_frame(&mut stream, 8, 0, &status.encode()).await.unwrap();
+    let (id, _, payload) = pls_cluster::frame::read_frame(&mut stream).await.unwrap().unwrap();
     assert_eq!(id, 8);
     assert!(matches!(
-        pls_cluster::proto::Response::decode(payload).unwrap(),
+        pls_cluster::proto::Response::decode(&payload).unwrap(),
         pls_cluster::proto::Response::Status { .. }
     ));
 
@@ -216,9 +216,9 @@ async fn stale_view_cannot_regress_the_cluster() {
     // must carry the (newer) installed view, unchanged.
     let push = pls_cluster::proto::Request::Membership { epoch: epoch1, members: members1 };
     let mut stream = tokio::net::TcpStream::connect(addrs[1]).await.unwrap();
-    pls_cluster::wire::write_frame(&mut stream, 99, &push.encode()).await.unwrap();
-    let (_, payload) = pls_cluster::wire::read_frame(&mut stream).await.unwrap().unwrap();
-    match pls_cluster::proto::Response::decode(payload).unwrap() {
+    pls_cluster::frame::write_frame(&mut stream, 99, 0, &push.encode()).await.unwrap();
+    let (_, _, payload) = pls_cluster::frame::read_frame(&mut stream).await.unwrap().unwrap();
+    match pls_cluster::proto::Response::decode(&payload).unwrap() {
         pls_cluster::proto::Response::Membership { epoch, members } => {
             assert_eq!(epoch, 2, "stale view must not regress the installed epoch");
             assert_eq!(members.len(), 4);

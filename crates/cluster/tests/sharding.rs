@@ -1,7 +1,7 @@
 //! Shared-nothing sharding tests: key→shard routing stability across
-//! restarts, per-shard WAL segment recovery, the one-time migration
-//! from a single-segment v1 data dir, and the clean refusal to open a
-//! data dir with a different `--shards` than it was laid out with.
+//! restarts, per-shard WAL segment recovery, and the clean refusal to
+//! open a data dir with a different `--shards` than it was laid out
+//! with.
 
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
@@ -9,8 +9,7 @@ use std::time::Duration;
 
 use pls_cluster::storage;
 use pls_cluster::{Client, ClientConfig, ClusterError, Server, ServerConfig};
-use pls_core::{Message, StrategySpec};
-use pls_net::Endpoint;
+use pls_core::StrategySpec;
 use tokio::task::JoinHandle;
 
 /// Per-test scratch directories under the system temp dir, wiped at
@@ -270,74 +269,6 @@ async fn changing_the_shard_count_of_an_existing_data_dir_is_refused() {
     // The recorded count still works.
     let (recovered, _run) = start_server(0, &addrs, &dirs, spec, 25, 2).await;
     assert_eq!(recovered, 1);
-
-    for dir in &dirs {
-        let _ = std::fs::remove_dir_all(dir);
-    }
-}
-
-#[tokio::test]
-async fn v1_single_segment_data_dir_is_migrated_on_first_sharded_start() {
-    let spec = StrategySpec::full_replication();
-    let shards = 2;
-    let dirs = data_dirs("v1-migration", 1);
-
-    // Fabricate a legacy v1 layout: a single WAL at the data-dir root,
-    // exactly what a pre-sharding server left behind.
-    {
-        let (legacy, rec) = storage::Storage::open(&dirs[0]).expect("legacy open");
-        assert!(rec.is_empty());
-        for i in 0..KEYS {
-            for v in entries(0..3) {
-                legacy
-                    .append(&key(i), Endpoint::client(0), None, &Message::AddReq { v })
-                    .expect("legacy append");
-            }
-        }
-        legacy.sync().expect("legacy sync");
-    }
-    assert!(dirs[0].join(storage::WAL_FILE).exists());
-
-    // First sharded start replays the legacy log, routes every key to
-    // its shard, checkpoints the segments, and deletes the v1 files.
-    let mut addrs: Vec<SocketAddr> = vec!["127.0.0.1:0".parse().unwrap()];
-    let listener = tokio::net::TcpListener::bind(addrs[0]).await.expect("bind");
-    addrs[0] = listener.local_addr().expect("local addr");
-    let cfg = ServerConfig::new(0, addrs.clone(), spec, 27)
-        .with_data_dir(dirs[0].clone())
-        .with_checkpoint_every(4)
-        .with_shards(shards);
-    let (server, _) = Server::with_listener(cfg, listener).expect("migrating server");
-    assert_eq!(server.recovered_keys(), KEYS, "the whole v1 log must survive the migration");
-    assert!(!dirs[0].join(storage::WAL_FILE).exists(), "migration must retire the legacy WAL");
-    assert!(!dirs[0].join(storage::CHECKPOINT_FILE).exists());
-    assert_eq!(
-        std::fs::read_to_string(dirs[0].join(storage::SHARD_META_FILE)).unwrap().trim(),
-        format!("shards {shards}"),
-        "migration must pin the shard count"
-    );
-    assert_eq!(
-        populated_shards(&dirs[0], shards).len(),
-        shards,
-        "16 keys must land durable state in every shard segment"
-    );
-    let run = tokio::spawn(server.run());
-
-    // The migrated state serves, and a crash after the migration
-    // recovers from the shard segments alone.
-    let mut client = Client::connect(ClientConfig::new(addrs.clone(), spec, 270));
-    for i in 0..KEYS {
-        let got = client.partial_lookup(&key(i), 3).await.unwrap();
-        assert_eq!(got.len(), 3, "key {i} lost in migration");
-    }
-    run.abort();
-    drop(client);
-    let (recovered, _run) = start_server(0, &addrs, &dirs, spec, 27, shards).await;
-    assert_eq!(recovered, KEYS, "post-migration restart must replay the shard segments");
-    let mut client = Client::connect(ClientConfig::new(addrs, spec, 271));
-    for i in 0..KEYS {
-        assert_eq!(client.partial_lookup(&key(i), 3).await.unwrap().len(), 3);
-    }
 
     for dir in &dirs {
         let _ = std::fs::remove_dir_all(dir);

@@ -267,7 +267,7 @@ impl GroupRouter {
                 }
             };
             let dist = ring[idx].0.wrapping_sub(h);
-            if best.map_or(true, |(d, _)| dist < d) {
+            if best.is_none_or(|(d, _)| dist < d) {
                 best = Some((dist, idx));
             }
         }

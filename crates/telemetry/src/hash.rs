@@ -24,13 +24,16 @@ fn fold(a: u64, b: u64) -> u64 {
 }
 
 /// Hashes `bytes` eight at a time: each word is mixed into the state
-/// with one folded multiply. The length is mixed in first, so a short
-/// tail padded with zeros cannot pass for a longer key.
+/// with one folded multiply. The length goes in after the words, so a
+/// short tail padded with zeros cannot pass for a longer key — and by
+/// then the state is a product of the seed, so no choice of bytes
+/// cancels the length under every seed (mixed in before the first word,
+/// the first word could).
 #[inline]
 pub(crate) fn hash_bytes(seed: u64, bytes: &[u8]) -> u64 {
     const K0: u64 = 0x9e37_79b9_7f4a_7c15;
     const K1: u64 = 0xd6e8_feb8_6659_fd93;
-    let mut state = seed ^ (bytes.len() as u64).wrapping_mul(K0);
+    let mut state = seed;
     let mut words = bytes.chunks_exact(8);
     for word in &mut words {
         let word = u64::from_le_bytes(word.try_into().expect("chunks_exact(8) yields 8 bytes"));
@@ -42,7 +45,7 @@ pub(crate) fn hash_bytes(seed: u64, bytes: &[u8]) -> u64 {
         word[..tail.len()].copy_from_slice(tail);
         state = fold(state ^ u64::from_le_bytes(word), K0);
     }
-    fold(state, K1)
+    fold(state ^ bytes.len() as u64, K1)
 }
 
 #[cfg(test)]
@@ -56,6 +59,11 @@ mod tests {
         assert_ne!(hash_bytes(7, key), hash_bytes(8, key));
         assert_ne!(hash_bytes(7, b"ab"), hash_bytes(7, b"ab\0"));
         assert_ne!(hash_bytes(7, b""), hash_bytes(7, b"\0"));
+        // A first word chosen to cancel the length must not collide.
+        let longer = [28, 235, 24, 230, 148, 182, 233, 145, 120, 0];
+        for seed in 0..1000 {
+            assert_ne!(hash_bytes(seed, b"song/000x"), hash_bytes(seed, &longer), "seed {seed}");
+        }
         for i in 0..key.len() {
             let mut other = key.to_vec();
             other[i] ^= 1;

@@ -1,0 +1,29 @@
+//! The half of the networked partial lookup service that needs no async
+//! runtime: plain data in, plain data out, the caller owns the sockets.
+//!
+//! * [`wire`] — the frame layout and the primitive encoding, a
+//!   [`wire::Reader`] over `&[u8]` and a [`wire::Writer`] into `Vec<u8>`;
+//! * [`proto`] — [`proto::Request`] / [`proto::Response`] and their
+//!   `encode` / `decode`;
+//! * [`storage`] — the write-ahead log and checkpoints of one data dir;
+//! * [`retry`] — deadlines, backoff and the per-peer circuit breaker;
+//! * [`metrics`] — the server's and the client's counters, histograms
+//!   and live-quality gauges;
+//! * [`error`] — [`ClusterError`].
+//!
+//! `pls-cluster` re-exports every module under its old path and adds the
+//! TCP servers, the client and the frame reader and writer. Nothing here
+//! depends on tokio, so all of it builds and tests where there is no
+//! crate registry (`scripts/offline-test.sh test --offline -p pls-wire`).
+
+#![forbid(unsafe_code)]
+#![warn(missing_docs)]
+
+pub mod error;
+pub mod metrics;
+pub mod proto;
+pub mod retry;
+pub mod storage;
+pub mod wire;
+
+pub use error::ClusterError;

@@ -7,8 +7,7 @@
 //!   per-`(key, entry)` retrieval counters, and the online unfairness
 //!   (§4.5) / coverage (§4.3) gauges computed from them at collection
 //!   time. Exposed over the wire via [`Request::Metrics`], scraped with
-//!   `pls-client stats`, and served over HTTP by
-//!   [`http::serve`](crate::http::serve).
+//!   `pls-client stats`, and served over HTTP by `pls_cluster::http::serve`.
 //! * [`ClientMetrics`] — client-library counters, most importantly the
 //!   probes-per-lookup histogram: the paper's *client lookup cost*
 //!   (§4.2) measured on the live deployment instead of in simulation.
@@ -143,18 +142,6 @@ pub fn key_entry(key: &[u8], entry: &[u8]) -> Vec<u8> {
     out.extend_from_slice(key);
     out.extend_from_slice(entry);
     out
-}
-
-/// Splits a composite key built by [`key_entry`] back into its
-/// `(key, entry)` halves. Returns `None` for malformed input.
-pub fn split_key_entry(composite: &[u8]) -> Option<(&[u8], &[u8])> {
-    let len_bytes: [u8; 4] = composite.get(..4)?.try_into().ok()?;
-    let klen = u32::from_be_bytes(len_bytes) as usize;
-    let rest = composite.get(4..)?;
-    if rest.len() < klen {
-        return None;
-    }
-    Some((&rest[..klen], &rest[klen..]))
 }
 
 /// One server's runtime counters and histograms.
@@ -769,15 +756,11 @@ mod tests {
     }
 
     #[test]
-    fn key_entry_roundtrip_and_malformed_split() {
-        let c = key_entry(b"song", b"server7");
-        assert_eq!(split_key_entry(&c), Some((&b"song"[..], &b"server7"[..])));
-        let c = key_entry(b"", b"");
-        assert_eq!(split_key_entry(&c), Some((&b""[..], &b""[..])));
+    fn key_entry_is_length_prefixed_and_unambiguous() {
+        assert_eq!(key_entry(b"song", b"server7"), b"\0\0\0\x04songserver7");
+        assert_eq!(key_entry(b"", b""), [0, 0, 0, 0]);
         // Ambiguity check: (key, entry) boundaries survive shifty bytes.
         assert_ne!(key_entry(b"ab", b"c"), key_entry(b"a", b"bc"));
-        assert_eq!(split_key_entry(b""), None);
-        assert_eq!(split_key_entry(&[0, 0, 0, 9, b'x']), None); // truncated
     }
 
     #[test]

@@ -4,7 +4,6 @@
 //! Every request/response is one frame (see [`crate::wire`]). The first
 //! payload byte is the opcode.
 
-use bytes::Bytes;
 use pls_core::{Message, StrategySpec, Tombstone};
 use pls_net::ServerId;
 use pls_telemetry::{HistogramSnapshot, MetricsSnapshot, SpanRecord, BUCKETS};
@@ -246,7 +245,7 @@ fn encode_members(w: &mut Writer, members: &[(u64, String)]) {
     }
 }
 
-fn decode_members(r: &mut Reader) -> Result<Vec<(u64, String)>, ClusterError> {
+fn decode_members(r: &mut Reader<'_>) -> Result<Vec<(u64, String)>, ClusterError> {
     let n = r.u32("member count")? as usize;
     if n > MAX_MEMBERS {
         return Err(ClusterError::Decode("member count"));
@@ -311,7 +310,7 @@ pub(crate) fn encode_spec(w: &mut Writer, spec: &Option<StrategySpec>) {
     }
 }
 
-pub(crate) fn decode_spec(r: &mut Reader) -> Result<Option<StrategySpec>, ClusterError> {
+pub(crate) fn decode_spec(r: &mut Reader<'_>) -> Result<Option<StrategySpec>, ClusterError> {
     let tag = r.u8("spec tag")?;
     Ok(match tag {
         SPEC_NONE => None,
@@ -392,7 +391,7 @@ pub(crate) fn encode_msg(w: &mut Writer, msg: &Message<Entry>) {
     }
 }
 
-pub(crate) fn decode_msg(r: &mut Reader) -> Result<Message<Entry>, ClusterError> {
+pub(crate) fn decode_msg(r: &mut Reader<'_>) -> Result<Message<Entry>, ClusterError> {
     let op = r.u8("msg opcode")?;
     let msg = match op {
         MSG_PLACE_REQ => Message::PlaceReq { entries: r.bytes_list("place entries")? },
@@ -456,7 +455,7 @@ pub(crate) fn decode_msg(r: &mut Reader) -> Result<Message<Entry>, ClusterError>
 
 impl Request {
     /// Encodes the request into a frame payload.
-    pub fn encode(&self) -> Bytes {
+    pub fn encode(&self) -> Vec<u8> {
         let mut w = Writer::new();
         match self {
             Request::Place { key, entries, spec } => {
@@ -532,7 +531,7 @@ impl Request {
     /// [`ClusterError::Decode`] on malformed input;
     /// [`ClusterError::Unsupported`] on a well-formed frame whose opcode
     /// this build does not implement.
-    pub fn decode(payload: Bytes) -> Result<Self, ClusterError> {
+    pub fn decode(payload: &[u8]) -> Result<Self, ClusterError> {
         let mut r = Reader::new(payload);
         let op = r.u8("request opcode")?;
         let req = match op {
@@ -621,7 +620,7 @@ impl Request {
 
 impl Response {
     /// Encodes the response into a frame payload.
-    pub fn encode(&self) -> Bytes {
+    pub fn encode(&self) -> Vec<u8> {
         let mut w = Writer::new();
         match self {
             Response::Ok => {
@@ -737,7 +736,7 @@ impl Response {
     /// # Errors
     ///
     /// [`ClusterError::Decode`] on malformed input.
-    pub fn decode(payload: Bytes) -> Result<Self, ClusterError> {
+    pub fn decode(payload: &[u8]) -> Result<Self, ClusterError> {
         let mut r = Reader::new(payload);
         let op = r.u8("response opcode")?;
         let resp = match op {
@@ -912,12 +911,12 @@ mod tests {
     use proptest::prelude::*;
 
     fn roundtrip_req(req: Request) {
-        let decoded = Request::decode(req.encode()).unwrap();
+        let decoded = Request::decode(&req.encode()).unwrap();
         assert_eq!(decoded, req);
     }
 
     fn roundtrip_resp(resp: Response) {
-        let decoded = Response::decode(resp.encode()).unwrap();
+        let decoded = Response::decode(&resp.encode()).unwrap();
         assert_eq!(decoded, resp);
     }
 
@@ -971,11 +970,11 @@ mod tests {
         // A member count beyond the cap is rejected outright.
         let mut w = Writer::new();
         w.u8(REQ_MEMBERSHIP).u64(1).u32(u32::MAX);
-        assert!(Request::decode(w.into_payload()).is_err());
+        assert!(Request::decode(&w.into_payload()).is_err());
         // Bogus join/leave flags are rejected.
         let mut w = Writer::new();
         w.u8(REQ_JOIN_LEAVE).u8(9);
-        assert!(Request::decode(w.into_payload()).is_err());
+        assert!(Request::decode(&w.into_payload()).is_err());
     }
 
     #[test]
@@ -984,16 +983,13 @@ mod tests {
         // this build has never heard of is a clean `Unsupported` refusal,
         // not a decode failure — the connection stays healthy.
         for op in [0x0Fu8, 0x42, 0x77] {
-            match Request::decode(Bytes::copy_from_slice(&[op, 1, 2, 3])) {
+            match Request::decode(&[op, 1, 2, 3]) {
                 Err(ClusterError::Unsupported(got)) => assert_eq!(got, op),
                 other => panic!("opcode {op:#04x}: expected Unsupported, got {other:?}"),
             }
         }
         // A *known* opcode with a malformed body is still a decode error.
-        assert!(matches!(
-            Request::decode(Bytes::copy_from_slice(&[REQ_PROBE])),
-            Err(ClusterError::Decode(_))
-        ));
+        assert!(matches!(Request::decode(&[REQ_PROBE]), Err(ClusterError::Decode(_))));
     }
 
     #[test]
@@ -1019,7 +1015,7 @@ mod tests {
         // A bogus known flag is rejected.
         let mut w = Writer::new();
         w.u8(RESP_DIGEST).u8(9);
-        assert!(Response::decode(w.into_payload()).is_err());
+        assert!(Response::decode(&w.into_payload()).is_err());
     }
 
     #[test]
@@ -1050,11 +1046,11 @@ mod tests {
         // A span count beyond the cap is rejected outright.
         let mut w = Writer::new();
         w.u8(RESP_SPANS).u32(u32::MAX);
-        assert!(Response::decode(w.into_payload()).is_err());
+        assert!(Response::decode(&w.into_payload()).is_err());
         // A bogus req-id flag is rejected.
         let mut w = Writer::new();
         w.u8(RESP_SPANS).u32(1).u8(9);
-        assert!(Response::decode(w.into_payload()).is_err());
+        assert!(Response::decode(&w.into_payload()).is_err());
     }
 
     #[test]
@@ -1122,7 +1118,7 @@ mod tests {
             }),
         };
         let req = Request::Internal { from: 0, key: b"k".to_vec(), spec: None, msg };
-        assert!(Request::decode(req.encode()).is_err());
+        assert!(Request::decode(&req.encode()).is_err());
     }
 
     #[test]
@@ -1183,7 +1179,7 @@ mod tests {
         snap.push_gauge("g_tiny", f64::MIN_POSITIVE / 2.0);
         snap.push_gauge("g_negzero", -0.0);
         snap.push_gauge("g_third", 1.0 / 3.0);
-        let decoded = match Response::decode(Response::Metrics(snap.clone()).encode()).unwrap() {
+        let decoded = match Response::decode(&Response::Metrics(snap.clone()).encode()).unwrap() {
             Response::Metrics(s) => s,
             other => panic!("unexpected response {other:?}"),
         };
@@ -1200,25 +1196,25 @@ mod tests {
     fn metrics_reset_flag_is_validated() {
         let mut w = Writer::new();
         w.u8(REQ_METRICS).u8(7);
-        assert!(Request::decode(w.into_payload()).is_err());
+        assert!(Request::decode(&w.into_payload()).is_err());
     }
 
     #[test]
     fn junk_is_rejected_not_panicking() {
-        assert!(Request::decode(Bytes::from_static(&[0x77])).is_err());
-        assert!(Response::decode(Bytes::from_static(&[])).is_err());
+        assert!(Request::decode(&[0x77]).is_err());
+        assert!(Response::decode(&[]).is_err());
         // Truncated internal message.
         let mut w = Writer::new();
         w.u8(REQ_INTERNAL).u32(1).bytes(b"k").u8(SPEC_NONE).u8(MSG_RR_STORE).u64(3);
-        assert!(Request::decode(w.into_payload()).is_err());
+        assert!(Request::decode(&w.into_payload()).is_err());
     }
 
     proptest! {
         /// Arbitrary byte payloads never panic the decoder.
         #[test]
         fn decoder_is_total(data in proptest::collection::vec(any::<u8>(), 0..256)) {
-            let _ = Request::decode(Bytes::from(data.clone()));
-            let _ = Response::decode(Bytes::from(data));
+            let _ = Request::decode(&data);
+            let _ = Response::decode(&data);
         }
 
         /// Arbitrary probe/add requests roundtrip.

@@ -27,7 +27,7 @@ use pls_telemetry::Counter;
 /// finalizer). Feeds backoff jitter here; request-id generators (rpc,
 /// client, server) start from it and step by the golden-ratio
 /// increment, giving each a full-period sequence of distinct ids.
-pub(crate) fn splitmix64(x: u64) -> u64 {
+pub fn splitmix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -101,11 +101,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// A policy that never retries.
-    pub fn no_retry() -> Self {
-        RetryPolicy { max_attempts: 1, ..Self::default() }
-    }
-
     /// The jittered delay before retry number `attempt` (1-based: the
     /// delay after the first failed attempt is `delay(1, ..)`). Full
     /// jitter: uniform in `[0, min(cap, base << (attempt - 1))]`, drawn

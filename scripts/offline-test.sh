@@ -1,23 +1,24 @@
 #!/usr/bin/env bash
-# Runs the tests of crates/{net,core,metrics,sim,telemetry} where there is
-# no crate registry. Those five crates reach crates.io only for `rand`,
-# `parking_lot` and (as a dev-dependency) `proptest`; the first two have
-# API-subset shims under benchmark/shims, the third has none, so the
+# Runs the tests of crates/{net,core,metrics,sim,telemetry,wire} where
+# there is no crate registry. Those six crates reach crates.io only for
+# `rand`, `parking_lot` and (as a dev-dependency) `proptest`; the first two
+# have API-subset shims under benchmark/shims, the third has none, so the
 # property tests are left out and everything else runs.
 #
 #   scripts/offline-test.sh [CARGO ARGS...]   default: test --offline
 #   scripts/offline-test.sh test --offline -p pls-core node::
+#   scripts/offline-test.sh test --offline -p pls-wire
 #   scripts/offline-test.sh test --offline --release -p pls-core --test alloc_gate
 #   scripts/offline-test.sh clippy --offline --all-targets
 #
-# It copies the five crates and the shims to target/offline-ws (inside the
+# It copies the six crates and the shims to target/offline-ws (inside the
 # gitignored /target), writes a workspace manifest with path-only
 # dependencies, removes what needs proptest — the `proptest` dev-dependency
 # lines, crates/core/tests/{properties,directory_properties}.rs and their
-# [[test]] entries, and in crates/core/src every `proptest! { }` block and
-# every function that names a proptest item — and runs cargo there.
-# The shim `rand` draws a different stream from the real `SmallRng`; no
-# test pins exact draws. `pls-cluster`, `pls-bench` and the root package
+# [[test]] entries, and in crates/{core,wire}/src every `proptest! { }`
+# block and every function that names a proptest item — and runs cargo
+# there. The shim `rand` draws a different stream from the real `SmallRng`;
+# no test pins exact draws. `pls-cluster`, `pls-bench` and the root package
 # need tokio and are not covered. Needs cargo and python3.
 set -euo pipefail
 
@@ -27,7 +28,7 @@ export CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-$root/target/offline}"
 
 rm -rf "$ws"
 mkdir -p "$ws/crates"
-for crate in net core metrics sim telemetry; do
+for crate in net core metrics sim telemetry wire; do
     cp -R "$root/crates/$crate" "$ws/crates/$crate"
 done
 cp -R "$root/benchmark/shims" "$ws/shims"
@@ -44,6 +45,7 @@ pls-core = { path = "crates/core" }
 pls-metrics = { path = "crates/metrics" }
 pls-telemetry = { path = "crates/telemetry" }
 pls-sim = { path = "crates/sim" }
+pls-wire = { path = "crates/wire" }
 rand = { path = "shims/rand" }
 parking_lot = { path = "shims/parking_lot" }
 TOML
@@ -93,7 +95,7 @@ def strip(source):
         i = end + 1
     return "\n".join(out)
 
-for path in ws.glob("crates/core/src/**/*.rs"):
+for path in [*ws.glob("crates/core/src/**/*.rs"), *ws.glob("crates/wire/src/**/*.rs")]:
     source = path.read_text()
     if "proptest" in source:
         path.write_text(strip(source))

@@ -69,13 +69,13 @@ async fn simulated_and_live_placements_agree() {
                 sim_cluster.server_entries(ServerId::new(i as u32)).iter().cloned().collect();
             // Probe with a huge t returns everything the server stores.
             let live_raw = {
+                use partial_lookup::cluster::frame::{read_frame, write_frame};
                 use partial_lookup::cluster::proto::{Request, Response};
-                use partial_lookup::cluster::wire::{read_frame, write_frame};
                 let mut stream = tokio::net::TcpStream::connect(server_addr).await.unwrap();
                 let req = Request::Probe { key: b"k".to_vec(), t: u32::MAX };
-                write_frame(&mut stream, &req.encode()).await.unwrap();
-                let payload = read_frame(&mut stream).await.unwrap().unwrap();
-                match Response::decode(payload).unwrap() {
+                write_frame(&mut stream, 1, 0, &req.encode()).await.unwrap();
+                let (_, _, payload) = read_frame(&mut stream).await.unwrap().unwrap();
+                match Response::decode(&payload).unwrap() {
                     Response::Entries(e) => e,
                     other => panic!("unexpected {other:?}"),
                 }
