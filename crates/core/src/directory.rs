@@ -390,15 +390,16 @@ mod tests {
     fn updates_clone_only_the_copies_they_send() {
         use crate::collections::tests::{clones, Counted};
         let n = 10;
-        let holders = |dir: &Directory<&str, Counted>, id: u64| {
-            (0..n as u32)
-                .filter(|s| dir.server_entries(&"k", ServerId::new(*s)).contains(&Counted(id)))
-                .count()
+        let holds = |dir: &Directory<&str, Counted>, s: usize, id: u64| {
+            dir.server_entries(&"k", ServerId::new(s as u32)).contains(&Counted(id))
         };
-        // Full replication and RandomServer-x broadcast every update: the
-        // n - 1 copies `drive` makes, the original going to the last
-        // server; a delete first copies the caller's reference into its
-        // request. Fixed-x does the same when it broadcasts at all.
+        let holders =
+            |dir: &Directory<&str, Counted>, id: u64| (0..n).filter(|s| holds(dir, *s, id)).count();
+        // A broadcast is one message: the servers before the last read it
+        // and copy what they keep, the last takes it. So a delete costs the
+        // copy of the caller's reference into its request and nothing per
+        // server, and an add one copy per server that keeps the entry, less
+        // the last server's.
         for spec in [
             StrategySpec::full_replication(),
             StrategySpec::random_server(20),
@@ -406,22 +407,40 @@ mod tests {
         ] {
             let mut dir: Directory<&str, Counted> = Directory::new(n, uniform(spec), 3).unwrap();
             dir.place("k", (0..100).map(Counted).collect()).unwrap();
-            let fixed = matches!(spec, StrategySpec::Fixed { .. });
-            let before = clones();
-            dir.add(&"k", Counted(500)).unwrap();
-            // (Fixed-20 is full: the add stops at the coordinator.)
-            assert_eq!(clones() - before, if fixed { 0 } else { n - 1 }, "{spec} add");
-            let before = clones();
-            dir.delete(&"k", &Counted(0)).unwrap();
-            assert_eq!(clones() - before, n, "{spec} delete");
-            assert_eq!(holders(&dir, 0), 0);
-            let before = clones();
-            dir.delete(&"k", &Counted(50)).unwrap();
-            // (Fixed-20 never stored entry 50: the request's copy alone.)
-            assert_eq!(clones() - before, if fixed { 1 } else { n }, "{spec} second delete");
-            let before = clones();
-            dir.add(&"k", Counted(501)).unwrap();
-            assert_eq!(clones() - before, n - 1, "{spec} add (Fixed-20 refills)");
+            let mut kept_by_some_not_all = 0;
+            for id in 500..540 {
+                let before = clones();
+                dir.add(&"k", Counted(id)).unwrap();
+                // Full: all ten keep it. RandomServer-20: the servers whose
+                // reservoir step admitted it. Fixed-20 is full: the add
+                // stops at the coordinator.
+                let kept = holders(&dir, id);
+                let last_kept = usize::from(holds(&dir, n - 1, id));
+                assert_eq!(clones() - before, kept - last_kept, "{spec} add {id}");
+                kept_by_some_not_all += usize::from(kept > 0 && kept < n);
+                match spec {
+                    StrategySpec::FullReplication => assert_eq!(kept, n),
+                    StrategySpec::Fixed { .. } => assert_eq!(kept, 0),
+                    _ => {}
+                }
+            }
+            if matches!(spec, StrategySpec::RandomServer { .. }) {
+                assert!(kept_by_some_not_all > 20, "{kept_by_some_not_all} of 40 adds");
+            }
+            // A stored entry, then one Fixed-20 never stored: the
+            // request's copy, whether or not a broadcast follows.
+            for id in [0, 50] {
+                let before = clones();
+                dir.delete(&"k", &Counted(id)).unwrap();
+                assert_eq!(clones() - before, 1, "{spec} delete {id}");
+                assert_eq!(holders(&dir, id), 0);
+            }
+            // Fixed-20 now has room: this add is broadcast and kept.
+            if matches!(spec, StrategySpec::Fixed { .. }) {
+                let before = clones();
+                dir.add(&"k", Counted(541)).unwrap();
+                assert_eq!((clones() - before, holders(&dir, 541)), (n - 1, n), "refill");
+            }
         }
 
         // Hash-2 sends an entry to its one or two servers and nowhere else.
@@ -440,16 +459,19 @@ mod tests {
         }
 
         // Round-Robin-2: an add makes the second stored copy. A delete
-        // broadcasts, and then copies the head entry into the hole, once
-        // per holder of the deleted entry; the head server makes one more
-        // copy of the deleted entry if it held it too (its migration
-        // context and its own migrate request both name it).
+        // copies the caller's reference into its request, which is
+        // broadcast; each of the y holders copies the entry into its
+        // migrate request and the head server into its migration context,
+        // except that the last server, if it is one of them, uses the
+        // message it took; then the head entry is copied into the hole,
+        // once per holder. The other servers copy nothing.
         let y = 2;
         let mut dir: Directory<&str, Counted> =
             Directory::new(n, uniform(StrategySpec::round_robin(y)), 3).unwrap();
         dir.place("k", (0..100).map(Counted).collect()).unwrap();
         let mut rng = DetRng::seed_from(17);
         let mut live: Vec<u64> = (0..100).collect();
+        let mut last_took_part = 0;
         for id in 500..560 {
             let before = clones();
             dir.add(&"k", Counted(id)).unwrap();
@@ -460,15 +482,18 @@ mod tests {
             let victim = live.swap_remove(rng.below(live.len()));
             let engines = &dir.groups[&"k"].engines;
             let (head, _) = engines[0].rr_counters().expect("server 0 coordinates");
-            let head_engine = &engines[(head % n as u64) as usize];
-            let head_entry = head_engine.rr_positions().find(|(p, _)| *p == head).expect("live");
+            let head_server = (head % n as u64) as usize;
+            let head_entry =
+                engines[head_server].rr_positions().find(|(p, _)| *p == head).expect("live");
             let plugs = if *head_entry.1 == Counted(victim) { 0 } else { y };
-            let head_holds = usize::from(head_engine.entries().contains(&Counted(victim)));
+            let last = usize::from(head_server == n - 1 || holds(&dir, n - 1, victim));
+            last_took_part += last;
             let before = clones();
             dir.delete(&"k", &Counted(victim)).unwrap();
-            assert_eq!(clones() - before, 1 + (n - 1) + plugs + head_holds, "delete {victim}");
+            assert_eq!(clones() - before, 1 + y + 1 - last + plugs, "delete {victim}");
             assert_eq!(holders(&dir, victim), 0);
         }
+        assert!((1..60).contains(&last_took_part), "both cases ran: {last_took_part}");
     }
 
     #[test]

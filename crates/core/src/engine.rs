@@ -9,7 +9,14 @@
 //! first-in first-out loop in this process; the live TCP deployment
 //! (`pls-cluster`) runs one engine per process over sockets. All execute
 //! identical logic.
+//!
+//! A message arrives as a [`Cow`]: given (a decoded frame, a point-to-point
+//! send) or lent (one in-process broadcast, read by every server). The
+//! engine reads it where it is and copies an entry out of a lent message
+//! only to keep it or send it on, so a server that a broadcast does not
+//! concern copies nothing.
 
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 
@@ -202,7 +209,7 @@ impl<V: Entry> NodeEngine<V> {
     /// server `s`. Always `false` for other strategies. Used by recovery
     /// to re-derive a rebuilt server's share of the coverage.
     pub fn assigns_to(&self, v: &V, s: ServerId) -> bool {
-        self.hash_family.as_ref().is_some_and(|f| f.assign(v).contains(&s))
+        self.hash_family.as_ref().is_some_and(|f| f.assigned(v).any(|to| to == s))
     }
 
     /// The key's current per-key version (Lamport clock) as seen by this
@@ -310,17 +317,27 @@ impl<V: Entry> NodeEngine<V> {
     /// own.
     pub fn handle(&mut self, from: Endpoint, msg: Message<V>) -> Vec<Outbound<V>> {
         let mut out = Vec::new();
-        self.handle_into(from, msg, &mut out);
+        self.handle_into(from, Cow::Owned(msg), &mut out);
         out
     }
 
     /// Processes one inbound message, appending the outbound messages
     /// this server wants delivered (in order) to `out`. Whatever `out`
-    /// already holds is left alone.
-    pub fn handle_into(&mut self, from: Endpoint, msg: Message<V>, out: &mut Vec<Outbound<V>>) {
+    /// already holds is left alone. A lent message and a given one do the
+    /// same to this server and draw the same from its stream; of a lent
+    /// one, only the entries this server keeps or sends on are copied.
+    pub fn handle_into(
+        &mut self,
+        from: Endpoint,
+        msg: Cow<'_, Message<V>>,
+        out: &mut Vec<Outbound<V>>,
+    ) {
         match msg {
-            Message::Versioned { version, stamp_ms, msg } => {
-                self.on_versioned(from, version, stamp_ms, *msg, out)
+            Cow::Owned(Message::Versioned { version, stamp_ms, msg }) => {
+                self.on_versioned(from, version, stamp_ms, Cow::Owned(*msg), out)
+            }
+            Cow::Borrowed(Message::Versioned { version, stamp_ms, msg }) => {
+                self.on_versioned(from, *version, *stamp_ms, Cow::Borrowed(&**msg), out)
             }
             other => self.dispatch(from, other, None, out),
         }
@@ -337,14 +354,14 @@ impl<V: Entry> NodeEngine<V> {
         from: Endpoint,
         version: u64,
         stamp_ms: u64,
-        inner: Message<V>,
+        inner: Cow<'_, Message<V>>,
         out: &mut Vec<Outbound<V>>,
     ) {
-        if matches!(inner, Message::Versioned { .. }) {
+        if matches!(*inner, Message::Versioned { .. }) {
             return; // nested envelopes are a protocol violation
         }
         let is_update = matches!(
-            inner,
+            *inner,
             Message::PlaceReq { .. } | Message::AddReq { .. } | Message::DeleteReq { .. }
         );
         let version = if is_update { self.node.version + 1 } else { version };
@@ -403,10 +420,13 @@ impl<V: Entry> NodeEngine<V> {
         }
     }
 
+    /// Every arm reads the message where it is; the arms that keep the
+    /// entry or send it on take it with [`entry_of`] / [`entries_of`],
+    /// which copy only out of a message that was lent.
     fn dispatch(
         &mut self,
         from: Endpoint,
-        msg: Message<V>,
+        msg: Cow<'_, Message<V>>,
         version_ctx: Option<(u64, u64)>,
         out: &mut Vec<Outbound<V>>,
     ) {
@@ -419,11 +439,11 @@ impl<V: Entry> NodeEngine<V> {
         // ignored (as `on_rr_remove` and `on_migrate_req` ignore theirs),
         // so the positions always describe the whole store.
         let by_position = matches!(self.spec, StrategySpec::RoundRobin { .. });
-        match msg {
+        match &*msg {
             Message::Versioned { .. } => {} // unreachable: handled above
-            Message::PlaceReq { entries } => self.on_place_req(entries, out),
-            Message::AddReq { v } => self.on_add_req(v, out),
-            Message::DeleteReq { v } => self.on_delete_req(v, out),
+            Message::PlaceReq { .. } => self.on_place_req(entries_of(msg), out),
+            Message::AddReq { .. } => self.on_add_req(entry_of(msg), out),
+            Message::DeleteReq { .. } => self.on_delete_req(entry_of(msg), out),
             Message::Reset => {
                 let keep_coord = self.node.rr_coord.is_some();
                 let version = self.node.version;
@@ -433,9 +453,9 @@ impl<V: Entry> NodeEngine<V> {
                     self.node.rr_coord = Some(RrCoord::default());
                 }
             }
-            Message::RrInit { h } => self.node.rr_coord = Some(RrCoord { head: 0, tail: h }),
+            Message::RrInit { h } => self.node.rr_coord = Some(RrCoord { head: 0, tail: *h }),
             Message::RrSetCounters { head, tail } => {
-                self.node.rr_coord = Some(RrCoord { head, tail })
+                self.node.rr_coord = Some(RrCoord { head: *head, tail: *tail })
             }
             Message::StoreSet { .. }
             | Message::ChooseSubset { .. }
@@ -444,39 +464,47 @@ impl<V: Entry> NodeEngine<V> {
             | Message::SampledStore { .. }
             | Message::CountedRemove { .. }
                 if by_position => {}
-            Message::StoreSet { entries } => {
+            Message::StoreSet { .. } => {
                 self.node.store.clear();
-                self.node.store.extend(entries);
+                self.node.store.extend(entries_of(msg));
             }
             Message::ChooseSubset { entries, x } => {
-                let subset = self.rng.get_mut().subset(&entries, x);
+                let subset = self.rng.get_mut().subset(entries, *x);
                 self.node.store.clear();
                 self.node.store.extend(subset);
                 self.node.local_h = entries.len() as u64;
             }
-            Message::Store { v } => {
-                self.node.store.insert(v);
+            Message::Store { .. } => {
+                self.node.store.insert(entry_of(msg));
             }
             Message::Remove { v } => {
-                self.node.store.remove(&v);
+                self.node.store.remove(v);
             }
-            Message::SampledStore { v, x } => self.on_sampled_store(v, x),
+            Message::SampledStore { x, .. } => {
+                if self.reservoir_admits(*x) {
+                    self.node.store.insert(entry_of(msg));
+                }
+            }
             Message::CountedRemove { v } => {
                 self.node.local_h = self.node.local_h.saturating_sub(1);
-                self.node.store.remove(&v);
+                self.node.store.remove(v);
             }
             Message::RrStore { .. } | Message::MigrateRep { .. } | Message::RrRemoveAt { .. }
                 if !by_position => {}
-            Message::RrStore { v, pos } => self.node.rr_insert(pos, v),
-            Message::RrRemove { v, head_pos } => self.on_rr_remove(v, head_pos, out),
-            Message::MigrateReq { v, dest_pos } => self.on_migrate_req(from, v, dest_pos, out),
-            Message::MigrateRep { v: _, dest_pos, replacement } => {
-                if let Some(u) = replacement {
+            Message::RrStore { pos, .. } => self.node.rr_insert(*pos, entry_of(msg)),
+            Message::RrRemove { .. } => self.on_rr_remove(msg, out),
+            Message::MigrateReq { dest_pos, .. } => {
+                let dest_pos = *dest_pos;
+                self.on_migrate_req(from, entry_of(msg), dest_pos, out)
+            }
+            Message::MigrateRep { .. } => {
+                if let Message::MigrateRep { dest_pos, replacement: Some(u), .. } = msg.into_owned()
+                {
                     self.node.rr_insert(dest_pos, u);
                 }
             }
             Message::RrRemoveAt { pos } => {
-                self.node.rr_remove_at(pos);
+                self.node.rr_remove_at(*pos);
             }
         }
     }
@@ -520,7 +548,7 @@ impl<V: Entry> NodeEngine<V> {
                 out.reserve(entries.len() * family.y() + 1);
                 out.push(Outbound::Broadcast(Message::Reset));
                 for v in entries {
-                    send_copies(out, family.assign(&v), v, |v| Message::Store { v });
+                    send_copies(out, family.assigned(&v), v, |v| Message::Store { v });
                 }
             }
         }
@@ -550,7 +578,7 @@ impl<V: Entry> NodeEngine<V> {
             }
             StrategySpec::Hash { .. } => {
                 let family = self.hash_family.as_ref().expect("hash strategy has a family");
-                send_copies(out, family.assign(&v), v, |v| Message::Store { v });
+                send_copies(out, family.assigned(&v), v, |v| Message::Store { v });
             }
         }
     }
@@ -581,7 +609,7 @@ impl<V: Entry> NodeEngine<V> {
             }
             StrategySpec::Hash { .. } => {
                 let family = self.hash_family.as_ref().expect("hash strategy has a family");
-                send_copies(out, family.assign(&v), v, |v| Message::Remove { v });
+                send_copies(out, family.assigned(&v), v, |v| Message::Remove { v });
             }
         }
     }
@@ -589,40 +617,51 @@ impl<V: Entry> NodeEngine<V> {
     /// Reservoir-sampling step (Vitter): after incrementing the local
     /// entry count `h`, keep the newcomer with probability `x/h`,
     /// evicting a random incumbent — maintaining a uniformly random
-    /// `x`-subset under adds (§5.3).
-    fn on_sampled_store(&mut self, v: V, x: usize) {
+    /// `x`-subset under adds (§5.3). Decided without the newcomer, so that
+    /// only a server that keeps it copies it; `true` makes room for it.
+    fn reservoir_admits(&mut self, x: usize) -> bool {
         self.node.local_h += 1;
         if self.node.store.len() < x {
-            self.node.store.insert(v);
-        } else {
-            let p = x as f64 / self.node.local_h as f64;
-            if self.rng.get_mut().coin_flip(p) {
-                self.node.store.remove_random(self.rng.get_mut());
-                self.node.store.insert(v);
-            }
+            return true;
         }
+        let p = x as f64 / self.node.local_h as f64;
+        let admits = self.rng.get_mut().coin_flip(p);
+        if admits {
+            self.node.store.remove_random(self.rng.get_mut());
+        }
+        admits
     }
 
     /// Fig. 11 `remove(v, head)`: drop the local copy of `v`; if this is
     /// the head server, prepare the replacement context; droppers ask the
     /// head server to migrate the replacement into the hole.
-    fn on_rr_remove(&mut self, v: V, head_pos: u64, out: &mut Vec<Outbound<V>>) {
-        let StrategySpec::RoundRobin { y } = self.spec else { return };
+    ///
+    /// A server that neither held `v` nor is the head server is done after
+    /// one probe of its store, with the broadcast it was lent untouched.
+    fn on_rr_remove(&mut self, msg: Cow<'_, Message<V>>, out: &mut Vec<Outbound<V>>) {
+        let (Message::RrRemove { v, head_pos }, StrategySpec::RoundRobin { y }) =
+            (&*msg, self.spec)
+        else {
+            return;
+        };
+        let head_pos = *head_pos;
         let head_server = ServerId::new((head_pos % self.n as u64) as u32);
         if self.me != head_server {
-            if let Some(dest_pos) = self.node.rr_remove_entry(&v) {
+            if let Some(dest_pos) = self.node.rr_remove_entry(v) {
+                let v = entry_of(msg);
                 out.push(Outbound::To(head_server, Message::MigrateReq { v, dest_pos }));
             }
             return;
         }
         // When the deleted entry *is* the head entry there is no hole to
         // plug: copies just vanish and head has already advanced.
-        let replacement = self.node.rr_entry_at(head_pos).filter(|u| **u != v).cloned();
+        let replacement = self.node.rr_entry_at(head_pos).filter(|u| *u != v).cloned();
         let state = MigrationState { remaining: y, replacement, old_pos: head_pos };
-        let held_at = self.node.rr_remove_entry(&v);
+        let held_at = self.node.rr_remove_entry(v);
         // Migration requests that raced ahead of this broadcast (possible
         // over unordered transports) are replayed now.
-        let pending = self.node.rr_pending_migrations.remove(&v);
+        let pending = self.node.rr_pending_migrations.remove(v);
+        let v = entry_of(msg);
         if held_at.is_none() && pending.is_none() {
             self.node.rr_migrations.insert(v, state); // nothing else names `v`
             return;
@@ -677,6 +716,33 @@ impl<V: Entry> NodeEngine<V> {
                     .map(|dest| Outbound::To(dest, Message::RrRemoveAt { pos: old_pos })),
             );
         }
+    }
+}
+
+/// The one entry `msg` carries: its own when the message was given, a copy
+/// when it was lent.
+///
+/// # Panics
+///
+/// Panics on a message that carries none, or a list.
+fn entry_of<V: Entry>(msg: Cow<'_, Message<V>>) -> V {
+    match msg.into_owned() {
+        Message::AddReq { v }
+        | Message::DeleteReq { v }
+        | Message::Store { v }
+        | Message::SampledStore { v, .. }
+        | Message::RrStore { v, .. }
+        | Message::RrRemove { v, .. }
+        | Message::MigrateReq { v, .. } => v,
+        other => unreachable!("not a one-entry message: {other:?}"),
+    }
+}
+
+/// The entry list `msg` carries, as [`entry_of`] its one entry.
+fn entries_of<V: Entry>(msg: Cow<'_, Message<V>>) -> Vec<V> {
+    match msg.into_owned() {
+        Message::PlaceReq { entries } | Message::StoreSet { entries } => entries,
+        other => unreachable!("not an entry-list message: {other:?}"),
     }
 }
 
@@ -821,21 +887,21 @@ mod tests {
         for pos in [1, 2] {
             e.handle_into(
                 Endpoint::Server(ServerId::new(0)),
-                Message::RrStore { v: Counted(pos), pos },
+                Cow::Owned(Message::RrStore { v: Counted(pos), pos }),
                 &mut out,
             );
         }
         let before = clones();
         e.handle_into(
             Endpoint::Server(ServerId::new(0)),
-            Message::RrRemove { v: Counted(99), head_pos: 0 },
+            Cow::Owned(Message::RrRemove { v: Counted(99), head_pos: 0 }),
             &mut out,
         );
         assert!(out.is_empty(), "nothing to migrate: {out:?}");
         // A holder moves the entry it was sent into its migrate request.
         e.handle_into(
             Endpoint::Server(ServerId::new(0)),
-            Message::RrRemove { v: Counted(2), head_pos: 0 },
+            Cow::Owned(Message::RrRemove { v: Counted(2), head_pos: 0 }),
             &mut out,
         );
         assert_eq!(
@@ -851,7 +917,8 @@ mod tests {
         let mut e: NodeEngine<u64> =
             NodeEngine::new(0.into(), 3, StrategySpec::round_robin(2), 4).unwrap();
         let mut out = vec![Outbound::Broadcast(Message::Reset)];
-        e.handle_into(Endpoint::client(0), versioned(Message::AddReq { v: 7 }, 5), &mut out);
+        let add = Cow::Owned(versioned(Message::AddReq { v: 7 }, 5));
+        e.handle_into(Endpoint::client(0), add, &mut out);
         let wrapped = |msg| Message::Versioned { version: 1, stamp_ms: 5, msg: Box::new(msg) };
         assert_eq!(
             out,
@@ -972,6 +1039,86 @@ mod tests {
                     (0..n).filter(|&i| e.assigns_to(&v, ServerId::new(i as u32))).collect();
                 assert_eq!(theirs, assigned, "entry {v}");
             }
+        }
+    }
+
+    /// A message of any kind, about a few entries and positions so that
+    /// most of them meet state an earlier one left.
+    fn any_message(rng: &mut DetRng) -> Message<u64> {
+        let v = rng.below(24) as u64;
+        let pos = rng.below(16) as u64;
+        let entries = |rng: &mut DetRng| (0..rng.below(14)).map(|_| rng.below(24) as u64).collect();
+        let msg = match rng.below(60) {
+            0 => Message::Reset,
+            1 => Message::PlaceReq { entries: entries(rng) },
+            2 => Message::StoreSet { entries: entries(rng) },
+            3 => Message::ChooseSubset { entries: entries(rng), x: 5 },
+            4 => Message::RrInit { h: pos },
+            5 => Message::RrSetCounters { head: pos.min(8), tail: 8 + pos },
+            6..=9 => Message::AddReq { v },
+            10..=13 => Message::DeleteReq { v },
+            14..=17 => Message::Store { v },
+            18..=21 => Message::Remove { v },
+            22..=29 => Message::SampledStore { v, x: 5 },
+            30..=33 => Message::CountedRemove { v },
+            34..=41 => Message::RrStore { v, pos },
+            42..=47 => Message::RrRemove { v, head_pos: pos },
+            48..=52 => Message::MigrateReq { v, dest_pos: pos },
+            53..=55 => {
+                let replacement = (pos >= 5).then_some(rng.below(24) as u64);
+                Message::MigrateRep { v, dest_pos: pos, replacement }
+            }
+            _ => Message::RrRemoveAt { pos },
+        };
+        match rng.below(4) {
+            0 => Message::Versioned {
+                version: rng.below(9) as u64,
+                stamp_ms: pos,
+                msg: Box::new(if rng.below(20) == 0 { versioned(msg, 3) } else { msg }),
+            },
+            _ => msg,
+        }
+    }
+
+    #[test]
+    fn a_lent_message_does_what_a_given_one_does() {
+        for spec in [
+            StrategySpec::full_replication(),
+            StrategySpec::fixed(5),
+            StrategySpec::random_server(5),
+            StrategySpec::round_robin(2),
+            StrategySpec::hash(2),
+        ] {
+            // Server 0 of four: Round-Robin's coordinator, and the head
+            // server of every fourth position.
+            let mut given: NodeEngine<u64> = NodeEngine::new(0.into(), 4, spec, 21).unwrap();
+            let mut lent = given.clone();
+            let mut rng = DetRng::seed_from(22);
+            let (mut out_given, mut out_lent) = (Vec::new(), Vec::new());
+            let mut sent = 0;
+            for step in 0..3_000 {
+                let from = Endpoint::Server(ServerId::new(rng.below(4) as u32));
+                let msg = any_message(&mut rng);
+                lent.handle_into(from, Cow::Borrowed(&msg), &mut out_lent);
+                given.handle_into(from, Cow::Owned(msg.clone()), &mut out_given);
+                assert_eq!(out_lent, out_given, "{spec} step {step}: {msg:?}");
+                sent += out_given.len();
+                out_given.clear();
+                out_lent.clear();
+                let (a, b) = (&given.node, &lent.node);
+                assert_eq!(a.store.as_slice(), b.store.as_slice(), "{spec} step {step}: {msg:?}");
+                assert!(given.rr_positions().eq(lent.rr_positions()), "{spec} step {step}");
+                assert_eq!(
+                    (a.local_h, &a.rr_coord, a.version, &a.tombstones),
+                    (b.local_h, &b.rr_coord, b.version, &b.tombstones),
+                    "{spec} step {step}: {msg:?}"
+                );
+                assert_eq!(a.rr_migrations, b.rr_migrations, "{spec} step {step}: {msg:?}");
+                assert_eq!(a.rr_pending_migrations, b.rr_pending_migrations, "{spec} step {step}");
+            }
+            let stored = given.entries().len();
+            assert!(sent > 100 && stored > 0, "{spec}: {sent} sent, {stored} stored at the end");
+            assert_eq!(given.rng.get_mut().next_u64(), lent.rng.get_mut().next_u64(), "{spec}");
         }
     }
 

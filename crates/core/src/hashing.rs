@@ -76,26 +76,37 @@ impl HashFamily {
     ///
     /// Panics if `i >= y`.
     pub fn server_for<V: Hash>(&self, i: usize, v: &V) -> ServerId {
-        let mut hasher = DefaultHasher::new();
-        v.hash(&mut hasher);
-        let hv = hasher.finish();
+        self.server_at(i, entry_hash(v))
+    }
+
+    /// `f_i` of an entry whose `H(v)` is `hv`.
+    fn server_at(&self, i: usize, hv: u64) -> ServerId {
         let mixed = splitmix64(self.seeds[i] ^ hv);
         ServerId::new((mixed % self.n as u64) as u32)
     }
 
     /// The *distinct* servers `{f_1(v), …, f_y(v)}`, in function order
     /// with duplicates removed — the paper stores a colliding entry only
-    /// once.
-    pub fn assign<V: Hash>(&self, v: &V) -> Vec<ServerId> {
-        let mut out: Vec<ServerId> = Vec::with_capacity(self.seeds.len());
-        for i in 0..self.seeds.len() {
-            let s = self.server_for(i, v);
-            if !out.contains(&s) {
-                out.push(s);
-            }
-        }
-        out
+    /// once. Hashes `v` once, before this returns, and allocates nothing.
+    pub fn assigned<V: Hash>(&self, v: &V) -> impl Iterator<Item = ServerId> + '_ {
+        let hv = entry_hash(v);
+        (0..self.seeds.len()).filter_map(move |i| {
+            let s = self.server_at(i, hv);
+            (0..i).all(|earlier| self.server_at(earlier, hv) != s).then_some(s)
+        })
     }
+
+    /// [`assigned`](HashFamily::assigned), collected.
+    pub fn assign<V: Hash>(&self, v: &V) -> Vec<ServerId> {
+        self.assigned(v).collect()
+    }
+}
+
+/// `H(v)`: `std`'s SipHash with its fixed default keys.
+fn entry_hash<V: Hash>(v: &V) -> u64 {
+    let mut hasher = DefaultHasher::new();
+    v.hash(&mut hasher);
+    hasher.finish()
 }
 
 #[cfg(test)]
@@ -109,6 +120,59 @@ mod tests {
         let b = HashFamily::new(4, 7, 99);
         for v in 0u64..100 {
             assert_eq!(a.assign(&v), b.assign(&v));
+        }
+    }
+
+    #[test]
+    fn assignments_are_the_ones_every_earlier_build_computed() {
+        // A client, and a server restarted on a newer build, must agree
+        // with the cluster about where an entry lives: these rows were
+        // computed before `assigned` replaced one SipHash per function.
+        type Row = ((usize, usize, u64), [&'static [u32]; 4], [&'static [u32]; 2], &'static [u32]);
+        let table: [Row; 4] = [
+            ((1, 10, 0), [&[7], &[7], &[0], &[2]], [&[6], &[1]], &[1]),
+            ((2, 10, 42), [&[4, 5], &[4, 9], &[1, 5], &[1, 0]], [&[3, 2], &[9, 3]], &[2, 8]),
+            (
+                (3, 7, 0xC0FFEE),
+                [&[5, 0], &[3, 5, 4], &[2, 4, 3], &[1, 3]],
+                [&[6, 3, 2], &[2, 5, 6]],
+                &[5],
+            ),
+            (
+                (8, 3, 5),
+                [&[1, 2, 0], &[1, 0, 2], &[0, 1], &[0, 2, 1]],
+                [&[0, 2, 1], &[1, 0, 2]],
+                &[1, 2, 0],
+            ),
+        ];
+        let ids = |servers: &[u32]| servers.iter().map(|s| ServerId::new(*s)).collect::<Vec<_>>();
+        for ((y, n, seed), ints, strs, bytes) in table {
+            let f = HashFamily::new(y, n, seed);
+            for (v, servers) in [0u64, 1, 7, 1 << 40].iter().zip(ints) {
+                assert_eq!(f.assign(v), ids(servers), "({y}, {n}, {seed}) {v}");
+            }
+            for (v, servers) in ["", "song.mp3"].iter().zip(strs) {
+                assert_eq!(f.assign(v), ids(servers), "({y}, {n}, {seed}) {v:?}");
+            }
+            let entry = b"key00007-entry0000000000042".to_vec();
+            assert_eq!(f.assign(&entry), ids(bytes), "({y}, {n}, {seed}) bytes");
+        }
+    }
+
+    #[test]
+    fn assigned_is_the_function_by_function_walk_without_the_vec() {
+        for (y, n) in [(1, 1), (1, 10), (2, 10), (3, 7), (5, 4), (8, 3)] {
+            let f = HashFamily::new(y, n, 77);
+            for v in 0u64..300 {
+                let mut walked: Vec<ServerId> = Vec::new();
+                for s in (0..y).map(|i| f.server_for(i, &v)) {
+                    if !walked.contains(&s) {
+                        walked.push(s);
+                    }
+                }
+                assert!(f.assigned(&v).eq(walked.iter().copied()), "y={y} n={n} v={v}");
+                assert_eq!(f.assign(&v), walked);
+            }
         }
     }
 

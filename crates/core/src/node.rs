@@ -61,7 +61,7 @@ pub(crate) struct RrCoord {
 }
 
 /// Context the head server keeps while a Fig. 11 migration is in flight.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct MigrationState<V> {
     /// `M[v]`: how many `migrate(v)` requests are still expected.
     pub remaining: usize,

@@ -104,13 +104,16 @@ impl DetRng {
     /// A uniformly random *operational* server, or `None` if every server
     /// has failed. This models the paper's "if the server has failed, keep
     /// on selecting another random server until an operational server is
-    /// found".
+    /// found". One draw, whoever has failed.
     pub fn random_operational_server(&mut self, failures: &FailureSet) -> Option<ServerId> {
         let up = failures.operational_count();
         if up == 0 {
             return None;
         }
         let pick = self.below(up);
+        if up == failures.len() {
+            return Some(ServerId::new(pick as u32)); // nobody to step over
+        }
         failures.operational().nth(pick)
     }
 
@@ -216,6 +219,24 @@ mod tests {
             failures.fail(ServerId::new(i));
         }
         assert_eq!(rng.random_operational_server(&failures), None);
+    }
+
+    #[test]
+    fn random_operational_server_is_the_walk_over_the_servers_that_are_up() {
+        // Nobody failed, some failed, all but one, all: the same draw and
+        // the same server as counting `pick` servers that are up.
+        for down in [&[][..], &[0, 3, 6], &[0, 1, 2, 3, 4, 5, 6], &[0, 1, 2, 3, 4, 5, 6, 7]] {
+            let mut failures = FailureSet::new(8);
+            down.iter().for_each(|s| failures.fail(ServerId::new(*s)));
+            let mut rng = DetRng::seed_from(9);
+            let mut walk = rng.clone();
+            for _ in 0..500 {
+                let up = failures.operational_count();
+                let walked = (up > 0).then(|| failures.operational().nth(walk.below(up))).flatten();
+                assert_eq!(rng.random_operational_server(&failures), walked, "down: {down:?}");
+            }
+            assert_eq!(rng.next_u64(), walk.next_u64(), "down: {down:?}");
+        }
     }
 
     #[test]
