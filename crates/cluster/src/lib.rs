@@ -11,9 +11,10 @@
 //! * The wire format is a hand-rolled length-prefixed binary encoding
 //!   ([`wire`], [`proto`]) over byte slices; [`frame`] reads and writes
 //!   one frame on a socket. The codec, the write-ahead log
-//!   ([`storage`]), [`retry`] and [`metrics`] need no async runtime and
-//!   live in `pls-wire`; this crate re-exports them under their old
-//!   paths and adds everything that touches tokio.
+//!   ([`storage`]), the server's per-key state machine ([`shard`]),
+//!   [`retry`] and [`metrics`] need no async runtime and live in
+//!   `pls-wire`; this crate re-exports them (the ones it had, under
+//!   their old paths) and adds everything that touches tokio.
 //! * Server-to-server traffic (store/remove/migrate fan-out) is carried
 //!   as [`proto::Request::Internal`] RPCs with acknowledged, in-order
 //!   delivery per sender — the ordering the engines rely on.
@@ -78,7 +79,7 @@ mod rpc;
 mod server;
 
 use pls_wire::error;
-pub use pls_wire::{metrics, proto, retry, storage, wire};
+pub use pls_wire::{metrics, proto, retry, shard, storage, wire};
 
 pub use chaos::{ChaosConfig, ChaosPeer};
 pub use client::{Client, ClientConfig};

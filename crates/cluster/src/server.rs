@@ -1,19 +1,16 @@
 //! The lookup server: one process, one `NodeEngine` per key.
 
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use pls_core::engine::{NodeEngine, Outbound};
-use pls_core::membership::DEFAULT_GROUP_SIZE;
-use pls_core::{
-    GroupRouter, Membership, Message, Placement, RoutingTable, StrategySpec, Tombstone,
-};
+use pls_core::membership::{group_index, DEFAULT_GROUP_SIZE};
+use pls_core::{GroupRouter, Membership, Message, Placement, RoutingTable, StrategySpec};
 use pls_metrics::fault_tolerance::greedy_tolerance;
-use pls_net::{Endpoint, ServerId};
+use pls_net::Endpoint;
 use pls_telemetry::trace::Span;
 use pls_telemetry::{Level, MetricsSnapshot, SiteStats, SpanRecord, TimedMutex};
 use tokio::net::{TcpListener, TcpStream};
@@ -24,7 +21,10 @@ use crate::metrics::{merged_site_snapshot, strategy_index, ServerMetrics, STRATE
 use crate::proto::{Entry, Request, Response};
 use crate::retry::{splitmix64, BreakerConfig, Deadline, RetryPolicy, Timeouts};
 use crate::rpc::{push_peer_robustness, PeerClient, UNSUPPORTED_PREFIX};
-use crate::storage::{self, KeySnapshot, Recovered, Storage, WalRecord};
+use crate::shard::{
+    digest_verdict, entries_for_rebuild, merge_donor_rows, Applied, Digest, Rebuilt, Shards,
+};
+use crate::storage::{self, KeySnapshot, Storage};
 use crate::wire::FRAME_OVERHEAD;
 
 /// Static configuration of one server in the cluster.
@@ -225,56 +225,6 @@ impl ServerConfig {
     }
 }
 
-/// Everything one shard exclusively owns, behind a single mutex: the
-/// shard's slice of the engines map *and* the per-key strategy
-/// overrides (§2: different strategies for different types of keys;
-/// keys absent from `key_specs` use `cfg.spec`).
-///
-/// Joint ownership is the point, not an optimization: a key's override
-/// and its engine can only ever be read or written together, under one
-/// lock acquisition. The old layout kept them in two separate mutexes,
-/// which bred check-then-act races — `set_spec` could validate against
-/// an engines map that changed before its `key_specs` insert landed,
-/// and `with_engine` could create an engine from a spec that a
-/// concurrent `set_spec` was replacing. Neither interleaving exists
-/// anymore, by construction.
-struct ShardCore {
-    engines: HashMap<Vec<u8>, NodeEngine<Entry>>,
-    key_specs: HashMap<Vec<u8>, StrategySpec>,
-    /// The placement group each resident engine was built for: the
-    /// member ids in group order (the engine's server indices are
-    /// positions in this list) and the membership epoch the group was
-    /// computed under. An engine whose recorded epoch trails the
-    /// installed one is *owed migration*: the next anti-entropy round
-    /// rebuilds it under the current group.
-    groups: HashMap<Vec<u8>, GroupCtx>,
-}
-
-impl ShardCore {
-    /// The strategy in effect for a key, under this shard's lock.
-    fn spec_of(&self, key: &[u8], default: StrategySpec) -> StrategySpec {
-        self.key_specs.get(key).copied().unwrap_or(default)
-    }
-}
-
-/// The placement group one engine was built under: membership epoch and
-/// the member ids in group order. The engine's `ServerId`s are
-/// *group-local* — index `i` means `members[i]` — so outbound messages
-/// translate local → global through this list and inbound `from` ids
-/// translate global → local.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct GroupCtx {
-    epoch: u64,
-    members: Vec<u64>,
-}
-
-impl GroupCtx {
-    /// The group-local index of member `id`, if it is in the group.
-    fn local(&self, id: u64) -> Option<usize> {
-        self.members.iter().position(|&m| m == id)
-    }
-}
-
 /// Dynamic per-peer RPC clients, keyed by *member id*: created on first
 /// use from the membership's dial address, dropped — breaker streaks,
 /// half-open trials and all — when the member leaves. The drop is the
@@ -323,43 +273,15 @@ impl PeerBook {
     }
 }
 
-/// One shared-nothing shard: its core state plus — with durability on —
-/// its own WAL segment (`shard-<i>/` under the data dir) with
-/// independent group commit.
-///
-/// Every shard's core mutex carries the same site name, `engines`, so
-/// the exposition keeps one stable `pls_lock_*{site="engines"}` family
-/// (per-shard stats are merged at collection time); the per-shard WAL
-/// locks merge into the `wal` site the same way.
-struct Shard {
-    core: TimedMutex<ShardCore>,
-    /// `Arc` so fsync and checkpoint I/O can run on blocking threads
-    /// (`spawn_blocking`) instead of stalling the async runtime.
-    storage: Option<Arc<Storage>>,
-}
-
-/// Shared server state.
-///
-/// Keys are partitioned across [`Shard`]s by a stable hash (see
-/// [`shard_index`]); each shard's mutex is a [`TimedMutex`] feeding the
-/// per-site contention histograms exported as `pls_lock_*{site=..}`,
-/// as are the two cluster-level gauges' mutexes below. The fast path
-/// adds a `try_lock` and a few relaxed atomics — cheap enough to keep
-/// on permanently.
+/// Shared server state: the I/O shell's half. Every key's engine, the
+/// per-key strategies, the WAL segments and the membership routing table
+/// are [`Shards`]; what is here dials, measures and schedules. Each mutex
+/// is a [`TimedMutex`] feeding the per-site contention histograms
+/// exported as `pls_lock_*{site=..}` — the fast path adds a `try_lock`
+/// and a few relaxed atomics, cheap enough to keep on permanently.
 struct State {
     cfg: ServerConfig,
-    /// The shared-nothing shards; index = [`shard_index`] of a key.
-    /// Never empty (the shard count is clamped to at least 1).
-    shards: Vec<Shard>,
-    /// This server's stable member id in the live membership. Fixed for
-    /// the process lifetime (a rejoin keeps the id, a fresh join learns
-    /// it before construction).
-    my_id: u64,
-    /// The live membership routing table: current epoch's view plus the
-    /// immediately previous one (the one-epoch grace overlap in-flight
-    /// operations and migration donors route through). A leaf lock —
-    /// nothing else is ever acquired while holding it.
-    membership: TimedMutex<RoutingTable>,
+    shards: Shards,
     /// Wakes the anti-entropy loop immediately when a new epoch is
     /// installed, so migration starts without waiting out the interval.
     membership_changed: tokio::sync::Notify,
@@ -498,34 +420,6 @@ impl AllocBaseline {
     }
 }
 
-/// The shard a key routes to: an explicit, seed-free hash (FNV-1a
-/// bit-mixed through splitmix64) reduced mod the shard count. Stable
-/// across restarts, processes, and builds — the per-shard WAL segment a
-/// key's records land in must be the segment recovery replays it from.
-fn shard_index(key: &[u8], shards: usize) -> usize {
-    (splitmix64(storage::fnv1a64(key)) % shards.max(1) as u64) as usize
-}
-
-/// Records a per-key strategy override into an already-locked shard
-/// core, rejecting conflicts with an existing engine. Shared by
-/// [`State::set_spec`] and the rebuild path, which both already hold
-/// the shard lock — making the check-and-insert a single atomic step.
-fn set_spec_in(
-    core: &mut ShardCore,
-    key: &[u8],
-    spec: StrategySpec,
-    default: StrategySpec,
-) -> Result<(), ClusterError> {
-    let current = core.spec_of(key, default);
-    if core.engines.contains_key(key) && current != spec {
-        return Err(ClusterError::Remote(format!(
-            "key already managed under {current}; cannot switch to {spec}"
-        )));
-    }
-    core.key_specs.insert(key.to_vec(), spec);
-    Ok(())
-}
-
 impl State {
     /// A fresh request id for work this server originates itself.
     fn next_id(&self) -> u64 {
@@ -533,271 +427,65 @@ impl State {
         self.next_id.fetch_add(0x9E37_79B9_7F4A_7C15, Ordering::Relaxed)
     }
 
-    /// A copy of the current membership view.
-    fn membership_view(&self) -> Membership {
-        self.membership.lock().current().clone()
-    }
-
-    /// Live member count under the current epoch.
-    fn n(&self) -> usize {
-        self.membership.lock().current().len()
-    }
-
-    /// The server count engines are sized for: the placement-group
-    /// size, capped by how many members exist. Strategy parameters
-    /// (Fixed-x, Hash-y, ...) validate against this, not the cluster
-    /// size — a key only ever lives on its group.
-    fn engine_n(&self) -> usize {
-        self.n().min(self.cfg.group_size.max(1)).max(1)
-    }
-
-    /// The current-epoch placement group of a key: `(epoch, member ids
-    /// in group order)`.
-    fn group_of(&self, key: &[u8]) -> (u64, Vec<u64>) {
-        let table = self.membership.lock();
-        (table.current().epoch(), table.group(key))
-    }
-
-    /// The previous-epoch group of a key, while it differs from the
-    /// current one (the one-epoch grace overlap).
-    fn prev_group_of(&self, key: &[u8]) -> Option<Vec<u64>> {
-        self.membership.lock().prev_group(key)
-    }
-
-    /// Every other live member as `(id, dial address)`, in id order.
-    fn other_members(&self) -> Vec<(u64, String)> {
-        self.membership
-            .lock()
-            .current()
-            .members()
-            .iter()
-            .filter(|m| m.id != self.my_id)
-            .map(|m| (m.id, m.addr.clone()))
-            .collect()
-    }
-
     /// The RPC client for member `id`, resolved through the current
     /// view first and the grace-overlap previous view second (migration
     /// donors can be members that just left).
     fn peer_for(&self, id: u64) -> Option<Arc<PeerClient>> {
-        let addr = {
-            let table = self.membership.lock();
-            table
-                .current()
-                .addr_of(id)
-                .map(str::to_string)
-                .or_else(|| table.previous().and_then(|p| p.addr_of(id)).map(str::to_string))
-        }?;
-        self.peers.client(id, &addr)
+        self.peers.client(id, &self.shards.addr_of(id)?)
     }
 
-    /// The group context a *new* engine for `key` must be built under:
-    /// the current group when this server is in it, else the
-    /// grace-overlap previous group. A server in neither group refuses
-    /// — it is not an owner, and materializing an engine would fabricate
-    /// placement state outside the key's group.
-    fn group_ctx_for(&self, key: &[u8]) -> Result<GroupCtx, ClusterError> {
-        let table = self.membership.lock();
-        let members = table.group(key);
-        if members.contains(&self.my_id) {
-            return Ok(GroupCtx { epoch: table.current().epoch(), members });
-        }
-        if let (Some(prev), Some(pm)) = (table.previous(), table.prev_group(key)) {
-            if pm.contains(&self.my_id) {
-                return Ok(GroupCtx { epoch: prev.epoch(), members: pm });
+    /// Adds to `keys` every key a reachable peer lists that is not there
+    /// yet (order-preserving, set-backed dedup): a wiped server learns
+    /// what it should hold from its peers. Returns how many peers
+    /// answered.
+    async fn pull_keys(&self, req: u64, deadline: &Deadline, keys: &mut Vec<Vec<u8>>) -> usize {
+        let mut seen: HashSet<Vec<u8>> = keys.iter().cloned().collect();
+        let mut answered = 0;
+        for (id, addr) in &self.shards.other_members() {
+            let Some(peer) = self.peers.client(*id, addr) else { continue };
+            let cap = deadline.cap(self.cfg.timeouts.rpc);
+            if let Ok(Response::Keys(ks)) = peer.call_bounded(req, &Request::Keys, cap).await {
+                answered += 1;
+                keys.extend(ks.into_iter().filter(|k| seen.insert(k.clone())));
             }
         }
-        Err(ClusterError::Remote(format!(
-            "server {} is not in the key's placement group",
-            self.my_id
-        )))
+        answered
     }
 
-    /// The shard that owns a key.
-    fn shard_of(&self, key: &[u8]) -> &Shard {
-        &self.shards[shard_index(key, self.shards.len())]
-    }
-
-    /// The strategy in effect for a key.
-    fn spec_of(&self, key: &[u8]) -> StrategySpec {
-        self.shard_of(key).core.lock().spec_of(key, self.cfg.spec)
-    }
-
-    /// Whether an engine exists for the key.
-    fn has_key(&self, key: &[u8]) -> bool {
-        self.shard_of(key).core.lock().engines.contains_key(key)
-    }
-
-    /// Every key with an engine, across all shards (unsorted).
-    fn all_keys(&self) -> Vec<Vec<u8>> {
-        let mut keys = Vec::new();
-        for shard in &self.shards {
-            keys.extend(shard.core.lock().engines.keys().cloned());
-        }
-        keys
-    }
-
-    /// Number of keys with an engine, across all shards.
-    fn key_count(&self) -> usize {
-        self.shards.iter().map(|s| s.core.lock().engines.len()).sum()
-    }
-
-    /// Records a per-key strategy override, rejecting conflicts with an
-    /// existing engine or a previously recorded override. The conflict
-    /// check and the insert happen under the owning shard's one lock,
-    /// so a racing engine creation either sees the override or fails
-    /// this call — the engine's strategy and the recorded override can
-    /// never disagree.
-    fn set_spec(&self, key: &[u8], spec: StrategySpec) -> Result<(), ClusterError> {
-        spec.validate(self.engine_n())?;
-        let mut core = self.shard_of(key).core.lock();
-        set_spec_in(&mut core, key, spec, self.cfg.spec)
-    }
-
-    /// Seed for a key's engine: shared across servers so the Hash-y
-    /// family agrees cluster-wide (each engine mixes in `me` itself for
-    /// its private randomness).
-    fn key_seed(&self, key: &[u8]) -> u64 {
-        use std::hash::{Hash, Hasher};
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut hasher);
-        self.cfg.seed ^ hasher.finish()
-    }
-
-    /// Creates the key's engine in an already-locked shard core if it
-    /// does not exist yet — reading the effective spec under the same
-    /// lock, so a concurrent `set_spec` can never slip between the spec
-    /// read and the engine creation.
-    fn ensure_engine_in(&self, core: &mut ShardCore, key: &[u8]) -> Result<(), ClusterError> {
-        if !core.engines.contains_key(key) {
-            let spec = core.spec_of(key, self.cfg.spec);
-            let ctx = self.group_ctx_for(key)?;
-            let me = ServerId::new(ctx.local(self.my_id).expect("ctx includes this server") as u32);
-            let engine = NodeEngine::new(me, ctx.members.len(), spec, self.key_seed(key))?;
-            core.engines.insert(key.to_vec(), engine);
-            core.groups.insert(key.to_vec(), ctx);
-            self.metrics.engines_created.inc();
-        }
-        Ok(())
-    }
-
-    /// Runs `f` against the key's engine (creating it on demand), without
-    /// holding the lock across awaits.
-    fn with_engine<R>(
+    /// Member `id`'s digest of `key`, if it is reachable within the
+    /// deadline and knows the key.
+    async fn pull_digest(
         &self,
+        id: u64,
+        req: u64,
         key: &[u8],
-        f: impl FnOnce(&mut NodeEngine<Entry>) -> R,
-    ) -> Result<R, ClusterError> {
-        let mut core = self.shard_of(key).core.lock();
-        self.ensure_engine_in(&mut core, key)?;
-        Ok(f(core.engines.get_mut(key).expect("just ensured")))
+        deadline: &Deadline,
+    ) -> Option<Digest> {
+        let pull = Request::Digest { key: key.to_vec() };
+        let cap = deadline.cap(self.cfg.timeouts.rpc);
+        let resp = self.peer_for(id)?.call_bounded(req, &pull, cap).await.ok()?;
+        Digest::from_response(resp)
     }
 
-    /// Read-only access to a key's engine; unknown keys yield `None`
-    /// without materializing an engine (lookup probes and snapshots must
-    /// not fabricate state).
-    fn read_engine<R>(&self, key: &[u8], f: impl FnOnce(&mut NodeEngine<Entry>) -> R) -> Option<R> {
-        self.shard_of(key).core.lock().engines.get_mut(key).map(f)
-    }
-
-    /// Applies an inbound message *and its entire local cascade* to the
-    /// key's engine in one shard-lock critical section, appending the
-    /// message to the owning shard's WAL segment first (when durability
-    /// is on). Returns the remote deliveries the cascade produced, for
-    /// the caller to send outside the lock.
-    ///
-    /// Holding the shard lock across the whole local cascade keeps two
-    /// invariants: the segment's record order is exactly the shard's
-    /// apply order (so replay reproduces it), and any checkpoint
-    /// capture — which takes the same lock — sees either none or all of
-    /// a record's local effects, never a half-applied cascade that a
-    /// later WAL truncation would silently drop. The spec read, the
-    /// engine creation, and the append all sit under that one lock too,
-    /// so the TOCTOU between `spec_of` and engine creation that the
-    /// two-mutex layout allowed is gone.
-    /// `from_global` carries *global member ids* (the wire encoding);
-    /// it is translated into the engine's group-local index here, and
-    /// the returned remote deliveries are translated back to global
-    /// member ids for the caller to dial. The WAL logs the group-local
-    /// endpoint — exactly what the engine saw — so replay feeds the
-    /// engine without consulting the (possibly since-changed)
-    /// membership.
-    fn with_engine_logged(
+    /// Member `id`'s full copy of `key`, on the same terms.
+    async fn pull_snapshot(
         &self,
+        id: u64,
+        req: u64,
         key: &[u8],
-        from_global: Endpoint,
-        spec_override: Option<StrategySpec>,
-        msg: Message<Entry>,
-    ) -> Result<Vec<(u64, Message<Entry>)>, ClusterError> {
-        let shard = self.shard_of(key);
-        let mut core = shard.core.lock();
-        self.ensure_engine_in(&mut core, key)?;
-        let ctx = core.groups.get(key).cloned().expect("just ensured");
-        let from = match from_global {
-            Endpoint::Server(gid) => {
-                // A sender outside the engine's group has a different
-                // epoch view; refuse and let anti-entropy reconverge.
-                let pos = ctx.local(gid.index() as u64).ok_or_else(|| {
-                    ClusterError::Remote(format!(
-                        "sender {} is not in the key's placement group",
-                        gid.index()
-                    ))
-                })?;
-                Endpoint::Server(ServerId::new(pos as u32))
-            }
-            client => client,
-        };
-        if let Some(storage) = &shard.storage {
-            storage.append(key, from, spec_override, &msg)?;
-        }
-        let me =
-            ServerId::new(ctx.local(self.my_id).expect("resident engine is group-local") as u32);
-        let engine = core.engines.get_mut(key).expect("just ensured");
-        let remote = deliver_local(engine, me, ctx.members.len(), from, msg);
-        Ok(remote.into_iter().map(|(d, m)| (ctx.members[d.index()], m)).collect())
+        deadline: &Deadline,
+    ) -> Option<KeySnapshot> {
+        let pull = Request::Snapshot { key: key.to_vec() };
+        let cap = deadline.cap(self.cfg.timeouts.rpc);
+        let resp = self.peer_for(id)?.call_bounded(req, &pull, cap).await.ok()?;
+        KeySnapshot::from_response(key, resp)
     }
 }
 
-/// Feeds one inbound message to an engine and drains its *local*
-/// cascade in place, breadth-first: `To(me)` deliveries and the
-/// broadcast self-copy are re-fed to the same engine immediately.
-/// Returns the remote deliveries in generation order for the caller to
-/// send (live handling) or drop (WAL replay — each peer replays its own
-/// log, so re-sending would double-apply on servers that already
-/// persisted the effect).
-fn deliver_local(
-    engine: &mut NodeEngine<Entry>,
-    me: ServerId,
-    n: usize,
-    from: Endpoint,
-    msg: Message<Entry>,
-) -> Vec<(ServerId, Message<Entry>)> {
-    let mut remote = Vec::new();
-    let mut queue: VecDeque<Outbound<Entry>> = engine.handle(from, msg).into();
-    while let Some(out) = queue.pop_front() {
-        let local = match out {
-            Outbound::To(dest, m) if dest == me => Some(m),
-            Outbound::To(dest, m) => {
-                remote.push((dest, m));
-                None
-            }
-            Outbound::Broadcast(m) => {
-                remote.extend(
-                    (0..n as u32).map(ServerId::new).filter(|d| *d != me).map(|d| (d, m.clone())),
-                );
-                Some(m)
-            }
-        };
-        if let Some(m) = local {
-            queue.extend(engine.handle(Endpoint::Server(me), m));
-        }
-    }
-    remote
-}
-
-/// Milliseconds since the Unix epoch — the coordinator wall clock
-/// stamped into versioned envelopes (tombstone ages derive from it; the
-/// sans-IO engine itself stays clock-free).
+/// Milliseconds since the Unix epoch (0 if the clock is before it) — the
+/// coordinator wall clock stamped into versioned envelopes and timeline
+/// windows, and what tombstone ages are measured against; the shards and
+/// their engines stay clock-free.
 fn now_ms() -> u64 {
     std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
@@ -882,7 +570,7 @@ impl Server {
         // Strategies validate against the engine size — the group, not
         // the cluster: a key only ever lives on its `g` group members.
         cfg.spec.validate(initial.len().min(group_size).max(1))?;
-        let table = RoutingTable::new(GroupRouter::new(group_size, cfg.seed), initial.clone());
+        let table = RoutingTable::new(GroupRouter::new(group_size, cfg.seed), initial);
         let peers = PeerBook::new(cfg.timeouts);
         let next_id = AtomicU64::new(splitmix64(cfg.seed ^ cfg.me as u64));
         let nshards = cfg.shards.max(1);
@@ -893,35 +581,22 @@ impl Server {
         let (storages, recovered_state) = match &cfg.data_dir {
             Some(dir) => {
                 let (storages, rec) = storage::open_sharded(dir, nshards)?;
-                (storages.into_iter().map(|s| Some(Arc::new(s))).collect::<Vec<_>>(), rec)
+                (storages.into_iter().map(|s| Some(Arc::new(s))).collect(), rec)
             }
-            None => ((0..nshards).map(|_| None).collect(), Vec::new()),
+            None => (vec![None; nshards], Vec::new()),
         };
-        let shards = storages
-            .into_iter()
-            .map(|storage| Shard {
-                // Every shard shares the site name: the exposition
-                // merges them into one stable `engines` family.
-                core: TimedMutex::new(
-                    "engines",
-                    ShardCore {
-                        engines: HashMap::new(),
-                        key_specs: HashMap::new(),
-                        groups: HashMap::new(),
-                    },
-                ),
-                storage,
-            })
-            .collect();
+        let metrics = ServerMetrics::new();
+        metrics.membership_epoch.set(table.current().epoch() as f64);
+        let shards = Shards::new(my_id, cfg.spec, cfg.seed, table, storages);
+        let recovered = shards.replay(recovered_state, cfg.me);
+        metrics.engines_created.add(recovered as u64);
         let observatory = TimedMutex::new("observatory", Observatory::new(&cfg));
         let state = Arc::new(State {
             cfg,
             shards,
-            my_id,
-            membership: TimedMutex::new("membership", table),
             membership_changed: tokio::sync::Notify::new(),
             peers,
-            metrics: ServerMetrics::new(),
+            metrics,
             next_id,
             live_ft: TimedMutex::new("live_ft", BTreeMap::new()),
             live_staleness: TimedMutex::new("live_staleness", BTreeMap::new()),
@@ -929,8 +604,6 @@ impl Server {
             observatory,
             started: Instant::now(),
         });
-        state.metrics.membership_epoch.set(initial.epoch() as f64);
-        let recovered = replay_recovered(&state, recovered_state);
         Ok((Server { listener, state, recovered }, addr))
     }
 
@@ -983,15 +656,11 @@ impl Server {
     /// outlives the `Server` handle.
     pub fn router(&self) -> crate::http::Router {
         use crate::http::{BoxedReply, RouteReply, Router};
-        let metrics_state = Arc::clone(&self.state);
         let trace_state = Arc::clone(&self.state);
         let contention_state = Arc::clone(&self.state);
         let timeline_state = Arc::clone(&self.state);
         Router::new()
-            .route_text(
-                "/metrics",
-                Arc::new(move || collect_metrics(&metrics_state, false).to_prometheus()),
-            )
+            .route_text("/metrics", self.metrics_renderer())
             .route(
                 "/trace",
                 Arc::new(move |query: Option<String>| -> BoxedReply {
@@ -1071,29 +740,11 @@ impl Server {
         // donor delays recovery by at most one capped RPC per pull, and
         // the loop below stops once the budget is gone.
         let deadline = Deadline::within(state.cfg.timeouts.op_budget);
-        let rpc = state.cfg.timeouts.rpc;
-        let others = state.other_members();
+        let others = state.shards.other_members();
 
-        // Discover the key universe from reachable peers
-        // (order-preserving, set-backed dedup).
+        // Discover the key universe from reachable peers.
         let mut keys: Vec<Vec<u8>> = Vec::new();
-        let mut seen: HashSet<Vec<u8>> = HashSet::new();
-        let mut any_peer = false;
-        for (id, addr) in &others {
-            let Some(peer) = state.peers.client(*id, addr) else { continue };
-            match peer.call_bounded(resync_id, &Request::Keys, deadline.cap(rpc)).await {
-                Ok(Response::Keys(ks)) => {
-                    any_peer = true;
-                    for k in ks {
-                        if seen.insert(k.clone()) {
-                            keys.push(k);
-                        }
-                    }
-                }
-                Ok(_) | Err(_) => continue,
-            }
-        }
-        if !any_peer {
+        if state.pull_keys(resync_id, &deadline, &mut keys).await == 0 {
             return Err(ClusterError::NoServerAvailable);
         }
 
@@ -1109,60 +760,15 @@ impl Server {
                 );
                 break;
             }
-            // Pull snapshots from every reachable peer.
-            let mut donors: Vec<DonorRow> = Vec::new();
-            let mut counters: Option<(u64, u64)> = None;
-            let mut key_spec: Option<StrategySpec> = None;
-            for (id, addr) in &others {
-                let Some(peer) = state.peers.client(*id, addr) else { continue };
-                if let Ok(Response::Snapshot {
-                    entries,
-                    positions: ps,
-                    counters: cs,
-                    version,
-                    tombstones,
-                    spec: donor_spec,
-                }) = peer
-                    .call_bounded(
-                        resync_id,
-                        &Request::Snapshot { key: key.clone() },
-                        deadline.cap(rpc),
-                    )
-                    .await
-                {
-                    // Donors can disagree (one kept serving while
-                    // another lagged): merge the round-robin counters
-                    // instead of trusting whichever answered first.
-                    counters = storage::merge_rr_counters(counters, cs);
-                    key_spec = key_spec.or(donor_spec);
-                    donors.push(DonorRow { version, entries, positions: ps, tombstones });
-                }
+            // Pull snapshots from every reachable peer that knows the key.
+            let mut rows: Vec<KeySnapshot> = Vec::new();
+            for (id, _) in &others {
+                rows.extend(state.pull_snapshot(*id, resync_id, key, &deadline).await);
             }
-
-            let effective_spec = key_spec.unwrap_or(state.cfg.spec);
-            let merged = merge_donor_rows(effective_spec, &donors);
-            let entries = match effective_spec {
-                // Replicas are identical everywhere; the freshest
-                // donor's set is the set.
-                StrategySpec::FullReplication | StrategySpec::Fixed { .. } => donors
-                    .iter()
-                    .find(|d| d.version == merged.max_version)
-                    .map(|d| d.entries.clone())
-                    .unwrap_or_default(),
-                // The share-splitting strategies rebuild from the
-                // surviving (version- and tombstone-screened) coverage.
-                _ => merged.union.clone(),
-            };
-            rebuild_engine(
-                state,
-                key,
-                effective_spec,
-                entries,
-                merged.positions,
-                counters,
-                merged.max_version,
-                merged.tombstones,
-            )?;
+            let Some(spec) = rows.first().map(|row| row.spec) else { continue };
+            let merged = merge_donor_rows(key, spec, &rows);
+            let did = state.shards.rebuild(entries_for_rebuild(&rows, merged), None)?;
+            state.metrics.engines_created.add(u64::from(did == Rebuilt::Created));
             synced += 1;
         }
         pls_telemetry::info!(
@@ -1182,41 +788,26 @@ impl Server {
     /// like a crashed process.
     pub async fn run(self) {
         let Server { listener, state, .. } = self;
-        // Disabled background loops park on a pending future instead
-        // of special-casing the select shape.
-        let repair = {
-            let state = Arc::clone(&state);
-            async move {
-                match state.cfg.anti_entropy {
-                    Some(every) => anti_entropy_loop(state, every).await,
-                    None => std::future::pending().await,
-                }
-            }
-        };
-        let staleness = {
-            let state = Arc::clone(&state);
-            async move {
-                match state.cfg.staleness_probe {
-                    Some(every) => staleness_loop(state, every).await,
-                    None => std::future::pending().await,
-                }
-            }
-        };
-        let scrape = {
-            let state = Arc::clone(&state);
-            async move {
-                match state.cfg.self_scrape {
-                    Some(every) => self_scrape_loop(state, every).await,
-                    None => std::future::pending().await,
-                }
-            }
-        };
+        let cfg = &state.cfg;
         tokio::select! {
-            () = accept_loop(listener, state) => {}
-            () = repair => {}
-            () = staleness => {}
-            () = scrape => {}
+            () = accept_loop(listener, Arc::clone(&state)) => {}
+            () = when(cfg.anti_entropy, |every| anti_entropy_loop(Arc::clone(&state), every)) => {}
+            () = when(cfg.staleness_probe, |every| staleness_loop(Arc::clone(&state), every)) => {}
+            () = when(cfg.self_scrape, |every| self_scrape_loop(Arc::clone(&state), every)) => {}
         }
+    }
+}
+
+/// Runs a background loop at its configured interval. A disabled one
+/// parks on a pending future, so [`Server::run`]'s select keeps one
+/// shape.
+async fn when<F: std::future::Future<Output = ()>>(
+    every: Option<Duration>,
+    run: impl FnOnce(Duration) -> F,
+) {
+    match every {
+        Some(every) => run(every).await,
+        None => std::future::pending().await,
     }
 }
 
@@ -1250,23 +841,11 @@ async fn accept_loop(listener: TcpListener, state: Arc<State>) {
     }
 }
 
-/// The server's current `(key, stored entries)` population, copied out
-/// shard by shard under each shard's lock — the denominator of the
-/// live quality gauges.
-fn stored_pairs(state: &State) -> Vec<(Vec<u8>, Vec<Entry>)> {
-    let mut pairs = Vec::new();
-    for shard in &state.shards {
-        let core = shard.core.lock();
-        pairs.extend(core.engines.iter().map(|(k, e)| (k.clone(), e.entries().to_vec())));
-    }
-    pairs
-}
-
 /// One full metrics snapshot: the server's own series, the live quality
 /// gauges, and the robustness totals of its outbound peer clients
 /// (timeouts, retries, breaker activity against other servers).
 fn collect_metrics(state: &State, reset: bool) -> MetricsSnapshot {
-    let stored = stored_pairs(state);
+    let stored = state.shards.stored_pairs();
     let mut s = state.metrics.collect_live(&stored, reset);
     // The peer book only ever holds clients for *other* members, so no
     // self-exclusion filter is needed here.
@@ -1275,8 +854,7 @@ fn collect_metrics(state: &State, reset: bool) -> MetricsSnapshot {
     // Per-shard WAL segments export as the same cluster-of-one family
     // the single-segment layout did: counters sum across shards (with
     // `reset`, each shard is drained exactly once, so deltas conserve).
-    let wal_storages: Vec<&Arc<Storage>> =
-        state.shards.iter().filter_map(|sh| sh.storage.as_ref()).collect();
+    let wal_storages: Vec<&Arc<Storage>> = state.shards.storages().collect();
     if !wal_storages.is_empty() {
         let take = |c: &pls_telemetry::Counter| if reset { c.take() } else { c.get() };
         let (mut appends, mut fsyncs, mut replayed, mut checkpoints) = (0u64, 0u64, 0u64, 0u64);
@@ -1326,12 +904,7 @@ fn collect_metrics(state: &State, reset: bool) -> MetricsSnapshot {
         );
     }
     drop(staleness);
-    let live_tombstones: u64 = state
-        .shards
-        .iter()
-        .map(|sh| sh.core.lock().engines.values().map(|e| e.tombstone_count() as u64).sum::<u64>())
-        .sum();
-    s.push_gauge("pls_tombstones_live_total", live_tombstones as f64);
+    s.push_gauge("pls_tombstones_live_total", state.shards.status().tombstones as f64);
     s.set_help(
         "pls_tombstones_live_total",
         "Delete tombstones currently held across this server's keys \
@@ -1345,7 +918,7 @@ fn collect_metrics(state: &State, reset: bool) -> MetricsSnapshot {
     // The lock readings are non-draining snapshots — cumulative since
     // this server's last resetting scrape.
     let me_label = state.cfg.me.to_string();
-    for (i, sh) in state.shards.iter().enumerate() {
+    for (i, sh) in state.shards.as_slice().iter().enumerate() {
         let shard_label = i.to_string();
         let labels = |site: Option<&'static str>| {
             let mut pairs = vec![("server", me_label.as_str()), ("shard", shard_label.as_str())];
@@ -1354,7 +927,7 @@ fn collect_metrics(state: &State, reset: bool) -> MetricsSnapshot {
             }
             pairs
         };
-        let keys = sh.core.lock().engines.len() as f64;
+        let keys = sh.key_count() as f64;
         s.push_gauge(pls_telemetry::snapshot::labeled("pls_shard_keys", &labels(None)), keys);
         let mut push_site = |snap: &pls_telemetry::SiteSnapshot, site: &'static str| {
             s.push_gauge(
@@ -1369,8 +942,8 @@ fn collect_metrics(state: &State, reset: bool) -> MetricsSnapshot {
                 snap.wait_us.quantile(0.99),
             );
         };
-        push_site(&sh.core.stats().snapshot(), "engines");
-        if let Some(st) = &sh.storage {
+        push_site(&sh.lock_stats().snapshot(), "engines");
+        if let Some(st) = sh.storage() {
             push_site(&st.wal_lock_stats().snapshot(), "wal");
         }
     }
@@ -1502,18 +1075,14 @@ fn collect_metrics(state: &State, reset: bool) -> MetricsSnapshot {
 /// inside its shard's core, under the `engines` lock.)
 fn lock_sites(state: &State) -> Vec<(&'static str, Vec<&SiteStats>)> {
     let mut sites = vec![
-        ("engines", state.shards.iter().map(|sh| sh.core.stats().as_ref()).collect()),
+        ("engines", state.shards.as_slice().iter().map(|sh| sh.lock_stats().as_ref()).collect()),
         ("live_ft", vec![state.live_ft.stats().as_ref()]),
         ("live_staleness", vec![state.live_staleness.stats().as_ref()]),
         ("observatory", vec![state.observatory.stats().as_ref()]),
-        ("membership", vec![state.membership.stats().as_ref()]),
+        ("membership", vec![state.shards.membership_lock_stats().as_ref()]),
     ];
-    let wals: Vec<&SiteStats> = state
-        .shards
-        .iter()
-        .filter_map(|sh| sh.storage.as_ref())
-        .map(|st| st.wal_lock_stats().as_ref())
-        .collect();
+    let wals: Vec<&SiteStats> =
+        state.shards.storages().map(|st| st.wal_lock_stats().as_ref()).collect();
     if !wals.is_empty() {
         sites.push(("wal", wals));
     }
@@ -1552,13 +1121,13 @@ fn contention_json(state: &State) -> String {
     }
     // Then the per-shard breakdown: where the merged view says the
     // engines family is hot, this says *which* shard is.
-    let shard_rows = state.shards.iter().enumerate().map(|(i, sh)| {
-        let keys = sh.core.lock().engines.len() as u64;
+    let shard_rows = state.shards.as_slice().iter().enumerate().map(|(i, sh)| {
+        let keys = sh.key_count();
         let mut row = Object::new()
             .u64("shard", i as u64)
             .u64("keys", keys)
-            .field("engines", &site_obj(&sh.core.stats().snapshot()));
-        if let Some(st) = &sh.storage {
+            .field("engines", &site_obj(&sh.lock_stats().snapshot()));
+        if let Some(st) = sh.storage() {
             row = row.field("wal", &site_obj(&st.wal_lock_stats().snapshot()));
         }
         row.build()
@@ -1578,12 +1147,8 @@ fn contention_json(state: &State) -> String {
         .f64("inflight", state.metrics.inflight.get())
         .f64("antientropy_round_us", state.metrics.antientropy_round_us.get())
         .f64("staleness_round_us", state.metrics.staleness_round_us.get());
-    let wal_batch = state
-        .shards
-        .iter()
-        .filter_map(|sh| sh.storage.as_ref())
-        .map(|st| st.metrics.fsync_batch.get())
-        .fold(f64::NAN, f64::max);
+    let wal_batch =
+        state.shards.storages().map(|st| st.metrics.fsync_batch.get()).fold(f64::NAN, f64::max);
     if wal_batch.is_finite() {
         queues = queues.f64("wal_fsync_batch", wal_batch);
     }
@@ -1595,13 +1160,13 @@ fn contention_json(state: &State) -> String {
         .build()
 }
 
-/// Wall-clock milliseconds since the Unix epoch (0 if the clock is
-/// before the epoch — informational stamps only, never arithmetic).
-fn unix_ms() -> u64 {
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_millis() as u64)
-        .unwrap_or(0)
+/// The multiple of its interval a background loop sleeps before round
+/// `tick`: deterministic per server in [0.5, 1.5), so servers drift apart
+/// instead of digesting each other in lock-step. Each loop draws from
+/// its own `stream`.
+fn jitter(seed: u64, stream: u64, me: usize, tick: u64) -> f64 {
+    let r = splitmix64(seed ^ stream ^ me as u64 ^ tick.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    0.5 + (r >> 11) as f64 / (1u64 << 53) as f64
 }
 
 /// One observatory scrape: snapshot the full metrics (non-resetting —
@@ -1612,7 +1177,7 @@ fn unix_ms() -> u64 {
 /// it before this function locks it to record — no nesting.
 fn scrape_once(state: &Arc<State>) {
     let totals = collect_metrics(state, false);
-    let at_unix_ms = unix_ms();
+    let at_unix_ms = now_ms();
     let uptime_us = state.started.elapsed().as_micros() as u64;
     state.observatory.lock().record(at_unix_ms, uptime_us, totals);
 }
@@ -1625,13 +1190,8 @@ async fn self_scrape_loop(state: Arc<State>, every: Duration) {
     let mut tick: u64 = 0;
     loop {
         tick = tick.wrapping_add(1);
-        let r = splitmix64(
-            state.cfg.seed
-                ^ 0x5343_5241_5045 // "SCRAPE" stream
-                ^ (state.cfg.me as u64)
-                ^ tick.wrapping_mul(0x9E37_79B9_7F4A_7C15),
-        );
-        let jitter = 0.5 + (r >> 11) as f64 / (1u64 << 53) as f64;
+        // "SCRAPE" stream.
+        let jitter = jitter(state.cfg.seed, 0x5343_5241_5045, state.cfg.me, tick);
         tokio::time::sleep(every.mul_f64(jitter)).await;
         scrape_once(&state);
     }
@@ -1663,17 +1223,18 @@ fn timeline_json(state: &Arc<State>) -> String {
     // lock below must never nest inside (or around) them.
     let shard_rows: Vec<String> = state
         .shards
+        .as_slice()
         .iter()
         .enumerate()
         .map(|(i, sh)| {
-            let keys = sh.core.lock().engines.len() as u64;
-            let core = sh.core.stats().snapshot();
+            let keys = sh.key_count();
+            let core = sh.lock_stats().snapshot();
             let mut row = Object::new()
                 .u64("shard", i as u64)
                 .u64("keys", keys)
                 .u64("engines_acquisitions", core.acquisitions)
                 .f64("engines_wait_p99_us", core.wait_us.quantile(0.99));
-            if let Some(st) = &sh.storage {
+            if let Some(st) = sh.storage() {
                 let wal = st.wal_lock_stats().snapshot();
                 row = row
                     .u64("wal_acquisitions", wal.acquisitions)
@@ -1766,371 +1327,20 @@ fn timeline_json(state: &Arc<State>) -> String {
         .build()
 }
 
-/// The per-key placement digest anti-entropy compares: entry count,
-/// order-independent entry/position set hashes, the per-key version
-/// clock, and round-robin counters. Served by `Request::Digest` and
-/// used locally both to detect divergence and to re-validate that a
-/// key did not change between sampling it and repairing it.
-fn engine_digest(e: &NodeEngine<Entry>) -> (u64, u64, u64, u64, Option<(u64, u64)>) {
-    (
-        e.entries().len() as u64,
-        storage::entry_set_hash(e.entries()),
-        storage::position_set_hash(e.rr_positions()),
-        e.version(),
-        e.rr_counters(),
-    )
-}
-
-/// One donor's snapshot of a key, as pulled during resync or
-/// anti-entropy repair: its per-key version clock, live entries,
-/// round-robin position map, and delete tombstones.
-struct DonorRow {
-    version: u64,
-    entries: Vec<Entry>,
-    positions: Vec<(u64, Entry)>,
-    tombstones: Vec<(Entry, Tombstone)>,
-}
-
-/// The version- and tombstone-screened merge of donor rows repair
-/// rebuilds from.
-struct MergedDonors {
-    /// Freshest per-key version any donor reported.
-    max_version: u64,
-    /// Surviving entry coverage (first-seen order preserved).
-    union: Vec<Entry>,
-    /// Surviving round-robin position map.
-    positions: BTreeMap<u64, Entry>,
-    /// Merged delete markers — per entry, the newest tombstone any
-    /// donor remembers. Installed on the rebuilt engine so this server
-    /// can veto future unions too.
-    tombstones: Vec<(Entry, Tombstone)>,
-}
-
-/// Merges donor snapshots into the state a repair may rebuild from,
-/// screening out what the cluster has provably deleted.
-///
-/// Two guards compose:
-///
-/// - **Version screening** (FullReplication / Fixed / RandomServer
-///   only): updates broadcast to every server under these strategies,
-///   so rows at different versions saw different update prefixes —
-///   only rows at the freshest version contribute. Hash / Round-Robin
-///   fan out to targeted subsets, so versions legitimately diverge
-///   across servers and every row participates.
-/// - **Tombstone filtering** (all strategies): an entry with a merged
-///   tombstone stays dead unless some contributing donor holds it live
-///   at a key version *newer* than the tombstone — the signature of a
-///   re-add after the delete. A stale live copy at or below the
-///   tombstone's version (a donor that missed the `Delete`) loses.
-fn merge_donor_rows(spec: StrategySpec, donors: &[DonorRow]) -> MergedDonors {
-    let max_version = donors.iter().map(|d| d.version).max().unwrap_or(0);
-    let screen = matches!(
-        spec,
-        StrategySpec::FullReplication
-            | StrategySpec::Fixed { .. }
-            | StrategySpec::RandomServer { .. }
-    );
-    let participates = |d: &DonorRow| !screen || d.version == max_version;
-
-    // Merged delete markers: per entry, the newest version any donor
-    // (fresh or stale — a stale donor's tombstone is still a real
-    // delete) remembers deleting it at.
-    let mut tombs: HashMap<Entry, Tombstone> = HashMap::new();
-    for d in donors {
-        for (v, t) in &d.tombstones {
-            let slot = tombs.entry(v.clone()).or_insert(*t);
-            if t.version > slot.version {
-                *slot = *t;
-            }
-        }
-    }
-
-    // The freshest key version each entry is held live at, across the
-    // participating rows.
-    let mut live_at: HashMap<&Entry, u64> = HashMap::new();
-    for d in donors.iter().filter(|d| participates(d)) {
-        for v in d.entries.iter().chain(d.positions.iter().map(|(_, v)| v)) {
-            let slot = live_at.entry(v).or_insert(d.version);
-            *slot = (*slot).max(d.version);
-        }
-    }
-    let keep = |v: &Entry| match (live_at.get(v), tombs.get(v)) {
-        (Some(_), None) => true,
-        (Some(&lv), Some(t)) => lv > t.version,
-        (None, _) => false,
-    };
-
-    let mut union: Vec<Entry> = Vec::new();
-    let mut in_union: HashSet<Entry> = HashSet::new();
-    let mut positions: BTreeMap<u64, Entry> = BTreeMap::new();
-    for d in donors.iter().filter(|d| participates(d)) {
-        for v in &d.entries {
-            if keep(v) && in_union.insert(v.clone()) {
-                union.push(v.clone());
-            }
-        }
-        for (p, v) in &d.positions {
-            if keep(v) {
-                positions.insert(*p, v.clone());
-            }
-        }
-    }
-    MergedDonors { max_version, union, positions, tombstones: tombs.into_iter().collect() }
-}
-
-/// Rebuilds one key's engine from collected placement state with
-/// [`NodeEngine::rebuild`] — the single code path shared by disk
-/// recovery, cold-start resync, and anti-entropy repair. Locks the key's shard core for the whole
-/// rebuild, so concurrent writes serialize against it instead of
-/// interleaving with a half-fed engine.
-///
-/// `entries` is the replica set for full replication / Fixed-x, the
-/// candidate coverage for RandomServer-x and Hash-y, and unused for
-/// Round-Robin-y (`positions`/`counters` drive that rebuild).
-/// `version`/`tombstones` restore the key's consistency metadata after
-/// the feed (the rebuilt engine must not look older than the state it
-/// was rebuilt from, and must keep the delete markers that stop a
-/// later union repair from resurrecting).
-#[allow(clippy::too_many_arguments)]
-fn rebuild_engine(
-    state: &State,
-    key: &[u8],
-    spec: StrategySpec,
-    entries: Vec<Entry>,
-    positions: BTreeMap<u64, Entry>,
-    counters: Option<(u64, u64)>,
-    version: u64,
-    tombstones: Vec<(Entry, Tombstone)>,
+/// Checkpoints the given shards off the async executor — the capture
+/// takes each shard's lock, the write and its fsyncs block. One shard when
+/// its append counter trips `checkpoint_every` (the others keep serving
+/// untouched), all of them after a repair round.
+async fn checkpoint(
+    state: &Arc<State>,
+    shards: std::ops::Range<usize>,
 ) -> Result<(), ClusterError> {
-    let mut core = state.shard_of(key).core.lock();
-    rebuild_engine_in(
-        state, &mut core, key, spec, entries, positions, counters, version, tombstones,
-    )
-}
-
-/// [`rebuild_engine`] against the key's already-locked shard core, for
-/// callers that must validate-and-rebuild atomically (anti-entropy's
-/// racing-write guard).
-#[allow(clippy::too_many_arguments)]
-fn rebuild_engine_in(
-    state: &State,
-    core: &mut ShardCore,
-    key: &[u8],
-    spec: StrategySpec,
-    entries: Vec<Entry>,
-    positions: BTreeMap<u64, Entry>,
-    counters: Option<(u64, u64)>,
-    version: u64,
-    tombstones: Vec<(Entry, Tombstone)>,
-) -> Result<(), ClusterError> {
-    // Rebuilds target the key's *current* placement group: a server
-    // outside the group (current and grace views both) must not
-    // resurrect an engine for a key it no longer hosts.
-    let ctx = state.group_ctx_for(key)?;
-    let glen = ctx.members.len();
-    let me =
-        ServerId::new(ctx.local(state.my_id).expect("group_ctx_for includes this server") as u32);
-    // Adopt a per-key strategy override before the engine exists. The
-    // shard core owns both the override map and the engine, so the
-    // conflict check and the insert happen under one lock.
-    if spec != state.cfg.spec {
-        spec.validate(glen)?;
-        set_spec_in(core, key, spec, state.cfg.spec)?;
-    }
-    // A stale group context (membership moved the key) invalidates the
-    // resident engine: its `me`/`n` no longer describe the placement,
-    // so it is replaced wholesale rather than patched.
-    let stale = core.groups.get(key).is_some_and(|old| *old != ctx);
-    if stale {
-        core.engines.remove(key);
-    }
-    if !core.engines.contains_key(key) {
-        let engine = NodeEngine::new(me, glen, spec, state.key_seed(key))?;
-        core.engines.insert(key.to_vec(), engine);
-        if !stale {
-            state.metrics.engines_created.inc();
-        }
-    }
-    core.groups.insert(key.to_vec(), ctx);
-    let engine = core.engines.get_mut(key).expect("just inserted");
-    // Group-local coordinator: position 0 in the placement group plays
-    // the simulator's "server 0" role (§5.4) and holds the counters.
-    engine.rebuild(entries, positions, counters);
-    engine.set_version_meta(version, tombstones);
-    Ok(())
-}
-
-/// Replays what [`storage::open_sharded`] recovered — checkpoint
-/// snapshots first, then post-checkpoint WAL records, segment by
-/// segment. Each key routes to its owning shard via [`shard_index`];
-/// afterwards every shard re-checkpoints so the next crash replays from
-/// here. Per-item failures are logged and skipped: damaged durable
-/// state degrades recovery, it never refuses startup. Returns the
-/// number of keys standing afterwards.
-fn replay_recovered(state: &State, segments: Vec<Recovered>) -> usize {
-    let me_idx = state.cfg.me;
-    let mut torn_any = false;
-    let mut replayed_any = false;
-    for seg in segments {
-        if seg.is_empty() {
-            continue;
-        }
-        replayed_any = true;
-        let Recovered { snapshots, records, torn, .. } = seg;
-        torn_any |= torn;
-        for snap in snapshots {
-            let KeySnapshot { key, spec, entries, positions, counters, version, tombstones } = snap;
-            let positions: BTreeMap<u64, Entry> = positions.into_iter().collect();
-            if let Err(err) =
-                rebuild_engine(state, &key, spec, entries, positions, counters, version, tombstones)
-            {
-                pls_telemetry::warn!("recovery_snapshot_skipped", server = me_idx, err = err);
-            }
-        }
-        for record in records {
-            let owner = state.shard_of(&record.key).storage.clone();
-            match replay_record(state, record) {
-                Ok(()) => {
-                    if let Some(storage) = owner {
-                        storage.metrics.replayed.inc();
-                    }
-                }
-                Err(err) => {
-                    pls_telemetry::warn!("recovery_record_skipped", server = me_idx, err = err);
-                }
-            }
-        }
-    }
-    if !replayed_any {
-        return 0;
-    }
-    // The rebuilt state is not in the WAL (rebuilds bypass logging), so
-    // checkpoint every shard immediately: a second crash replays from
-    // this exact point, which also makes double recovery equal single
-    // recovery.
-    if let Err(err) = checkpoint_now(state) {
-        pls_telemetry::warn!("recovery_checkpoint_failed", server = me_idx, err = err);
-    }
-    let keys = state.key_count();
-    let replayed: u64 = state
-        .shards
-        .iter()
-        .filter_map(|sh| sh.storage.as_ref())
-        .map(|st| st.metrics.replayed.get())
-        .sum();
-    pls_telemetry::info!(
-        "recovered_from_disk",
-        server = me_idx,
-        keys = keys,
-        replayed = replayed,
-        torn_tail = torn_any
-    );
-    keys
-}
-
-/// Replays one WAL record: the logged inbound message is fed to the
-/// key's engine and the resulting cascade is delivered *locally only*
-/// (`To(me)` and the broadcast's self-copy). Remote deliveries are
-/// dropped — each peer replays its own log, so re-sending would
-/// double-apply on servers that already persisted the effect.
-fn replay_record(state: &State, record: WalRecord) -> Result<(), ClusterError> {
-    let WalRecord { key, from, spec, msg, .. } = record;
-    if let Some(spec) = spec {
-        state.set_spec(&key, spec)?;
-    }
-    // The WAL logs *group-local* endpoints — exactly what the engine
-    // saw when the record was appended — so replay needs no membership
-    // translation; it only needs the engine rebuilt with its group
-    // shape, which ensure_engine_in provides.
-    let shard = state.shard_of(&key);
-    let mut core = shard.core.lock();
-    state.ensure_engine_in(&mut core, &key)?;
-    let ctx = core.groups.get(&key).cloned().expect("just ensured");
-    let me = ServerId::new(ctx.local(state.my_id).expect("resident engine is group-local") as u32);
-    let engine = core.engines.get_mut(&key).expect("just ensured");
-    deliver_local(engine, me, ctx.members.len(), from, msg);
-    Ok(())
-}
-
-/// Captures a checkpoint-consistent view of one shard under its core
-/// lock: every resident engine's snapshot plus the highest WAL
-/// sequence appended to that shard's segment so far. Appends (with
-/// their full local cascade) hold the same shard lock, so the
-/// snapshots contain the effect of exactly the records up to the
-/// returned sequence — the contract [`Storage::checkpoint`] requires.
-fn capture_checkpoint(state: &State, shard: &Shard, storage: &Storage) -> (Vec<KeySnapshot>, u64) {
-    let core = shard.core.lock();
-    let snaps: Vec<KeySnapshot> = core
-        .engines
-        .iter()
-        .map(|(k, e)| KeySnapshot {
-            key: k.clone(),
-            spec: core.spec_of(k, state.cfg.spec),
-            entries: e.entries().to_vec(),
-            positions: e.rr_positions().map(|(p, v)| (p, v.clone())).collect(),
-            counters: e.rr_counters(),
-            version: e.version(),
-            tombstones: e.tombstones().map(|(v, t)| (v.clone(), t)).collect(),
-        })
-        .collect();
-    let last_seq = storage.appended_seq();
-    (snaps, last_seq)
-}
-
-/// Synchronous checkpoint of every shard: each shard's view is
-/// captured under its core lock, then written with the lock released
-/// (request processing continues while the checkpoint file is written
-/// and fsynced; other shards are never blocked at all). A no-op for
-/// memory-only servers. Use [`checkpoint_async`] from async contexts.
-fn checkpoint_now(state: &State) -> Result<(), ClusterError> {
-    for shard in &state.shards {
-        let Some(storage) = &shard.storage else {
-            continue;
-        };
-        let (snaps, last_seq) = capture_checkpoint(state, shard, storage);
-        storage.checkpoint(last_seq, &snaps)?;
-    }
-    Ok(())
-}
-
-/// Like [`checkpoint_now`], but the blocking file writes + fsyncs run
-/// on a blocking thread so the async executor is never stalled by
-/// checkpoint I/O.
-async fn checkpoint_async(state: &Arc<State>) -> Result<(), ClusterError> {
-    let mut jobs = Vec::new();
-    for shard in &state.shards {
-        if let Some(storage) = &shard.storage {
-            let (snaps, last_seq) = capture_checkpoint(state, shard, storage);
-            jobs.push((Arc::clone(storage), snaps, last_seq));
-        }
-    }
-    if jobs.is_empty() {
-        return Ok(());
-    }
+    let state = Arc::clone(state);
     tokio::task::spawn_blocking(move || {
-        for (storage, snaps, last_seq) in jobs {
-            storage.checkpoint(last_seq, &snaps)?;
-        }
-        Ok(())
+        shards.into_iter().try_for_each(|i| state.shards.checkpoint(i))
     })
     .await
     .map_err(|e| ClusterError::Remote(format!("checkpoint task died: {e}")))?
-}
-
-/// Checkpoints a single shard's segment off the async executor — the
-/// hot-path variant [`apply`] uses when one shard's append counter
-/// trips `checkpoint_every`. Only that shard's core lock is taken;
-/// the other shards keep serving untouched.
-async fn checkpoint_shard_async(state: &Arc<State>, shard: usize) -> Result<(), ClusterError> {
-    let sh = &state.shards[shard];
-    let Some(storage) = &sh.storage else {
-        return Ok(());
-    };
-    let (snaps, last_seq) = capture_checkpoint(state, sh, storage);
-    let storage = Arc::clone(storage);
-    tokio::task::spawn_blocking(move || storage.checkpoint(last_seq, &snaps))
-        .await
-        .map_err(|e| ClusterError::Remote(format!("checkpoint task died: {e}")))?
 }
 
 /// Keys deep-checked per anti-entropy round: full snapshot pulls that
@@ -2148,12 +1358,7 @@ async fn anti_entropy_loop(state: Arc<State>, every: Duration) {
     let mut tick: u64 = 0;
     loop {
         tick = tick.wrapping_add(1);
-        // Deterministic per-server jitter in [0.5, 1.5): servers drift
-        // apart instead of digesting each other in lock-step.
-        let r = splitmix64(
-            state.cfg.seed ^ (state.cfg.me as u64) ^ tick.wrapping_mul(0x9E37_79B9_7F4A_7C15),
-        );
-        let jitter = 0.5 + (r >> 11) as f64 / (1u64 << 53) as f64;
+        let jitter = jitter(state.cfg.seed, 0, state.cfg.me, tick);
         // A membership install cuts the sleep short: migration starts
         // within one scheduling quantum of learning about the epoch
         // instead of waiting out the jittered interval.
@@ -2192,13 +1397,8 @@ async fn staleness_loop(state: Arc<State>, every: Duration) {
     let mut tick: u64 = 0;
     loop {
         tick = tick.wrapping_add(1);
-        let r = splitmix64(
-            state.cfg.seed
-                ^ 0x5354_414C_4500
-                ^ (state.cfg.me as u64)
-                ^ tick.wrapping_mul(0x9E37_79B9_7F4A_7C15),
-        );
-        let jitter = 0.5 + (r >> 11) as f64 / (1u64 << 53) as f64;
+        // "STALE" stream.
+        let jitter = jitter(state.cfg.seed, 0x5354_414C_4500, state.cfg.me, tick);
         tokio::time::sleep(every.mul_f64(jitter)).await;
         state.metrics.staleness_rounds.inc();
         let round_started = Instant::now();
@@ -2228,11 +1428,10 @@ async fn staleness_loop(state: Arc<State>, every: Duration) {
 async fn staleness_round(state: &Arc<State>, round: u64) {
     let round_id = state.next_id();
     let deadline = Deadline::within(state.cfg.timeouts.op_budget);
-    let rpc = state.cfg.timeouts.rpc;
 
     // Sample: hottest probed keys first, uniform rotating top-up after.
     let all_keys: Vec<Vec<u8>> = {
-        let mut ks = state.all_keys();
+        let mut ks = state.shards.keys();
         ks.sort();
         ks
     };
@@ -2243,7 +1442,7 @@ async fn staleness_round(state: &Arc<State>, round: u64) {
     let mut picked: HashSet<Vec<u8>> = HashSet::new();
     let hot = state.metrics.hot_keys.snapshot();
     for e in hot.top(STALENESS_HOT_KEYS) {
-        if state.has_key(&e.key) && picked.insert(e.key.clone()) {
+        if all_keys.binary_search(&e.key).is_ok() && picked.insert(e.key.clone()) {
             sample.push(e.key.clone());
         }
     }
@@ -2264,37 +1463,26 @@ async fn staleness_round(state: &Arc<State>, round: u64) {
         if deadline.expired() {
             break;
         }
-        let spec = state.spec_of(key);
-        // Everyone's version clock for the key; `true` marks holders
-        // (servers actually storing entries — the servers a partial
-        // lookup can draw from).
-        let mut versions: Vec<(u64, bool)> = Vec::new();
-        if let Some((count, _, _, v, _)) = state.read_engine(key, |e| engine_digest(e)) {
-            versions.push((v, count > 0));
-        }
-        // Only the key's placement group can hold it: probing outside
-        // the group would count non-holders as laggards.
-        let (_, group) = state.group_of(key);
-        for id in group {
-            if id == state.my_id {
-                continue;
-            }
-            let Some(peer) = state.peer_for(id) else { continue };
-            if let Ok(Response::Digest { known: true, count, version, .. }) = peer
-                .call_bounded(round_id, &Request::Digest { key: key.to_vec() }, deadline.cap(rpc))
-                .await
-            {
-                versions.push((version, count > 0));
+        // Everyone's digest of the key, this server's first. Only the
+        // key's placement group can hold it: probing outside the group
+        // would count non-holders as laggards.
+        let mut digests: Vec<Digest> = state.shards.digest(key).into_iter().collect();
+        for id in state.shards.group_of(key) {
+            if id != state.shards.my_id() {
+                digests.extend(state.pull_digest(id, round_id, key, &deadline).await);
             }
         }
         // The freshest version anyone knows counts even from a
         // holder-less server: a delete can leave the freshest server
         // empty while laggards still hold the entry.
-        let Some(max_ver) = versions.iter().map(|(v, _)| *v).max() else {
+        let (Some(spec), Some(max_ver)) =
+            (digests.first().map(|d| d.spec), digests.iter().map(|d| d.version).max())
+        else {
             continue;
         };
-        let holders: Vec<u64> =
-            versions.iter().filter(|(_, held)| *held).map(|(v, _)| *v).collect();
+        // Holders: servers actually storing entries — the servers a
+        // partial lookup can draw from.
+        let holders: Vec<u64> = digests.iter().filter(|d| d.count > 0).map(|d| d.version).collect();
         let h = holders.len();
         if h == 0 {
             continue;
@@ -2353,9 +1541,9 @@ async fn anti_entropy_round(state: &Arc<State>, round: u64) -> Result<(), Cluste
     // theirs, and whichever epoch is newer wins on install — so a
     // partitioned-away server catches up within one round of reaching
     // any up-to-date member.
-    let others = state.other_members();
+    let others = state.shards.other_members();
     if !others.is_empty() {
-        let view = state.membership_view();
+        let view = state.shards.view();
         let (gossip_id, gossip_addr) = others[round as usize % others.len()].clone();
         if let Some(peer) = state.peers.client(gossip_id, &gossip_addr) {
             if let Ok(Response::Membership { epoch, members }) = peer
@@ -2374,20 +1562,8 @@ async fn anti_entropy_round(state: &Arc<State>, round: u64) -> Result<(), Cluste
     // Key universe: a wiped server learns what it should hold from its
     // peers (order-preserving, set-backed dedup, then sorted so the
     // rotating deep window is stable across rounds).
-    let mut keys: Vec<Vec<u8>> = state.all_keys();
-    let mut seen: HashSet<Vec<u8>> = keys.iter().cloned().collect();
-    for (id, addr) in &state.other_members() {
-        let Some(peer) = state.peers.client(*id, addr) else { continue };
-        if let Ok(Response::Keys(ks)) =
-            peer.call_bounded(round_id, &Request::Keys, deadline.cap(rpc)).await
-        {
-            for k in ks {
-                if seen.insert(k.clone()) {
-                    keys.push(k);
-                }
-            }
-        }
-    }
+    let mut keys: Vec<Vec<u8>> = state.shards.keys();
+    state.pull_keys(round_id, &deadline, &mut keys).await;
     keys.sort();
     if keys.is_empty() {
         state.metrics.migration_pending.set(0.0);
@@ -2417,24 +1593,9 @@ async fn anti_entropy_round(state: &Arc<State>, round: u64) -> Result<(), Cluste
         }
     }
 
-    // Migration lag: keys this server should host under the installed
-    // epoch whose resident engine (if any) was built for an older view.
-    // Converges to zero once every owed key has been pulled — the churn
-    // gate greps for exactly that.
-    let current_epoch = state.membership_view().epoch();
-    let mut pending = 0u64;
-    for key in &keys {
-        let (_, group) = state.group_of(key);
-        if !group.contains(&state.my_id) {
-            continue;
-        }
-        let core = state.shard_of(key).core.lock();
-        match core.groups.get(key.as_slice()) {
-            Some(ctx) if ctx.epoch == current_epoch && ctx.members == group => {}
-            _ => pending += 1,
-        }
-    }
-    state.metrics.migration_pending.set(pending as f64);
+    // Migration lag converges to zero once every owed key has been
+    // pulled — the churn gate greps for exactly that.
+    state.metrics.migration_pending.set(state.shards.migration_pending(&keys) as f64);
 
     // TTL garbage collection of delete tombstones: markers older than
     // the TTL have done their job (every replica that will ever hear
@@ -2442,20 +1603,14 @@ async fn anti_entropy_round(state: &Arc<State>, round: u64) -> Result<(), Cluste
     // piggybacked on the repair round so GC cadence tracks repair
     // cadence — a tombstone always survives several repair intervals.
     let cutoff = now_ms().saturating_sub(state.cfg.tombstone_ttl.as_millis() as u64);
-    let dropped: usize = state
-        .shards
-        .iter()
-        .map(|sh| {
-            sh.core.lock().engines.values_mut().map(|e| e.gc_tombstones(cutoff)).sum::<usize>()
-        })
-        .sum();
+    let dropped = state.shards.gc_tombstones(cutoff);
     if dropped > 0 {
         state.metrics.tombstones_gc.add(dropped as u64);
     }
 
     if repaired > 0 {
         // Repairs bypass the WAL; persist them before the next crash.
-        if let Err(err) = checkpoint_async(state).await {
+        if let Err(err) = checkpoint(state, 0..state.shards.as_slice().len()).await {
             pls_telemetry::warn!("antientropy_checkpoint_failed", server = me_idx, err = err);
         }
     }
@@ -2475,12 +1630,10 @@ async fn anti_entropy_round(state: &Arc<State>, round: u64) -> Result<(), Cluste
 /// Reconciles one key against the peers: a cheap digest comparison for
 /// every key, a deep check (full snapshot pulls, which also feed the
 /// live fault-tolerance rows) for the rotating window or when the
-/// digests already look wrong, and a [`rebuild_engine_in`] repair when
-/// this server's share is provably divergent. The repair re-validates
-/// the key's digest under its shard lock first and aborts if a write
-/// landed since the deep capture — donor snapshots pulled across
-/// awaits are stale relative to such a write, and rebuilding from them
-/// would wipe acked state. Returns whether a repair was applied.
+/// digests already look wrong, and a [`Shards::rebuild`] repair when
+/// this server's share is provably divergent. What is compared and what
+/// is adopted are `pls_wire::shard`'s rules; this function does the
+/// pulls. Returns whether a repair was applied.
 async fn reconcile_key(
     state: &Arc<State>,
     round_id: u64,
@@ -2489,61 +1642,16 @@ async fn reconcile_key(
     deadline: &Deadline,
     ft_min: &mut BTreeMap<usize, usize>,
 ) -> bool {
-    let rpc = state.cfg.timeouts.rpc;
-
-    // Placement first: only members of the key's current group
-    // reconcile it. A server the group moved away from keeps its copy
-    // untouched — the one-epoch grace overlap still serves reads from
-    // it, and dropping data on a rumor would be unrecoverable if the
-    // rumor were wrong.
-    let (cur_epoch, cur_group) = state.group_of(key);
-    if !cur_group.contains(&state.my_id) {
+    let Some(plan) = state.shards.repair_plan(key) else {
         return false;
-    }
-    let glen = cur_group.len();
-    let me_pos = cur_group.iter().position(|&m| m == state.my_id).expect("checked above");
-    let me = ServerId::new(me_pos as u32);
-
-    // Migration detection: the resident engine's recorded group vs the
-    // installed one. Same members at an older epoch is a rename, not a
-    // move — bump the recorded epoch in place and keep the engine.
-    let local_ctx = {
-        let mut core = state.shard_of(key).core.lock();
-        match core.groups.get_mut(key) {
-            Some(ctx) if ctx.members == cur_group && ctx.epoch != cur_epoch => {
-                ctx.epoch = cur_epoch;
-                Some(ctx.clone())
-            }
-            other => other.cloned(),
-        }
     };
-    let migrating = local_ctx.as_ref().is_none_or(|ctx| ctx.members != cur_group);
+    let migrating = plan.migrating;
 
-    // Donor set: the current group, plus (while the grace overlap
-    // lasts) the previous group — the servers Fig. 11's hole-plugging
-    // would pull vacated positions from.
-    let mut donor_ids = cur_group.clone();
-    if let Some(prev) = state.prev_group_of(key) {
-        for id in prev {
-            if !donor_ids.contains(&id) {
-                donor_ids.push(id);
-            }
-        }
-    }
-    donor_ids.retain(|&id| id != state.my_id);
-
-    // Cheap phase: every donor's digest — `(member, count, entry hash,
-    // version, spec)` per reachable donor that knows the key.
-    let local = state.read_engine(key, |e| engine_digest(e));
-    let mut digests: Vec<(u64, u64, u64, u64, Option<StrategySpec>)> = Vec::new();
-    for &id in &donor_ids {
-        let Some(peer) = state.peer_for(id) else { continue };
-        if let Ok(Response::Digest { known: true, spec, count, entry_hash, version, .. }) = peer
-            .call_bounded(round_id, &Request::Digest { key: key.to_vec() }, deadline.cap(rpc))
-            .await
-        {
-            digests.push((id, count, entry_hash, version, spec));
-        }
+    // Cheap phase: the digest of every reachable donor that knows the key.
+    let local = state.shards.digest(key);
+    let mut digests: Vec<Digest> = Vec::new();
+    for &id in &plan.donors {
+        digests.extend(state.pull_digest(id, round_id, key, deadline).await);
     }
     if digests.is_empty() && !migrating {
         // No reachable donor knows the key: nothing to compare against,
@@ -2552,245 +1660,80 @@ async fn reconcile_key(
         // shape even when every donor is briefly unreachable.)
         return false;
     }
-
     // The strategy in effect: ours if the key exists here, otherwise
     // whatever the donors manage it under.
-    let spec = match local {
-        Some(_) => state.spec_of(key),
-        None => digests.iter().find_map(|(.., s)| *s).unwrap_or(state.cfg.spec),
-    };
-
-    // The freshest per-key version any reachable peer reports. Updates
-    // broadcast to every server under FullReplication / Fixed /
-    // RandomServer, so a version behind the maximum means missed
-    // updates there; under Hash / Round-Robin the fan-out is targeted
-    // and versions legitimately diverge across servers.
-    let max_peer_version = digests.iter().map(|(_, _, _, v, _)| *v).max().unwrap_or(0);
-
-    // Digest-level verdict. For identical-everywhere strategies the
-    // modal (count, entry-hash) digest among the FRESHEST rows is the
-    // consensus replica set (a lagging row matching by accident must
-    // not outvote rows that saw every update); ties break toward the
-    // larger count then hash, so every server resolves the same way
-    // and repair converges instead of ping-ponging.
-    let modal = match spec {
-        StrategySpec::FullReplication | StrategySpec::Fixed { .. } => {
-            let max_v = max_peer_version.max(local.map(|(_, _, _, v, _)| v).unwrap_or(0));
-            let mut votes: HashMap<(u64, u64), usize> = HashMap::new();
-            if let Some((count, ehash, _, v, _)) = local {
-                if v == max_v {
-                    *votes.entry((count, ehash)).or_insert(0) += 1;
-                }
-            }
-            for (_, c, h, v, _) in &digests {
-                if *v == max_v {
-                    *votes.entry((*c, *h)).or_insert(0) += 1;
-                }
-            }
-            votes.into_iter().max_by_key(|((c, h), n)| (*n, *c, *h)).map(|((c, h), _)| (c, h))
-        }
-        _ => None,
-    };
-    let mut suspect = local.is_none();
-    // A migrating key is always suspect and always deep-checked: the
-    // engine must be rebuilt in its new group shape no matter how the
-    // digests compare.
-    suspect |= migrating;
-    let deep = deep || migrating;
-    match spec {
-        StrategySpec::FullReplication | StrategySpec::Fixed { .. } => {
-            if let (Some((count, ehash, _, version, _)), Some(modal)) = (local, modal) {
-                suspect |= (count, ehash) != modal;
-                // A version behind a peer means this server missed
-                // broadcast updates, even if the digest happens to
-                // collide (e.g. delete-then-re-add of the same entry).
-                suspect |= version < max_peer_version;
-            }
-        }
-        StrategySpec::RandomServer { .. } => {
-            // Subsets legitimately differ; flag gross under-replication
-            // (less than half the best-filled peer, not reservoir
-            // jitter) or a stale version clock (missed broadcasts).
-            if let Some((count, _, _, version, _)) = local {
-                let max = digests.iter().map(|(_, c, ..)| *c).max().unwrap_or(0);
-                suspect |= count * 2 < max;
-                suspect |= version < max_peer_version;
-            }
-        }
-        // Shares are disjoint by design: digests across servers are
-        // incomparable, correctness is checked deeply below.
-        StrategySpec::Hash { .. } | StrategySpec::RoundRobin { .. } => {}
-    }
+    let spec = local.or(digests.first().copied()).map_or(state.cfg.spec, |d| d.spec);
+    let mut suspect = migrating || digest_verdict(spec, local.as_ref(), &digests);
     if !deep && !suspect {
         return false;
     }
 
     // Deep phase: full snapshots — the live placement rows for the
     // §4.4 gauge, ground truth for the Hash/Round-Robin checks, and
-    // the donor data a repair rebuilds from. This server's own
-    // contribution is captured in ONE lock acquisition together with
-    // its digest (`guard`); the digest is re-checked under the key's
-    // shard lock immediately before any repair, so a write acked after
-    // this capture aborts the repair instead of being wiped by a
+    // the donor data a repair rebuilds from. This server's own row and
+    // the digest that guards the repair are one capture: a write acked
+    // after it makes `rebuild` refuse instead of wiping it with a
     // rebuild from stale data.
-    let local_deep = state.read_engine(key, |e| {
-        (
-            e.entries().to_vec(),
-            e.rr_positions().map(|(p, v)| (p, v.clone())).collect::<Vec<(u64, Entry)>>(),
-            e.tombstones().map(|(v, t)| (v.clone(), t)).collect::<Vec<_>>(),
-            engine_digest(e),
-        )
-    });
-    let guard = local_deep.as_ref().map(|(.., d)| *d);
-    let mut rows: Vec<Vec<Entry>> = vec![Vec::new(); glen];
-    let mut donor_entries: HashMap<u64, Vec<Entry>> = HashMap::new();
-    let mut donors: Vec<DonorRow> = Vec::new();
-    if let Some((entries, ps, ts, d)) = &local_deep {
-        rows[me_pos] = entries.clone();
-        donors.push(DonorRow {
-            version: d.3,
-            entries: entries.clone(),
-            positions: ps.clone(),
-            tombstones: ts.clone(),
-        });
-    }
-    let mut counters = guard.and_then(|(.., cs)| cs);
+    let my_id = state.shards.my_id();
+    let mine = state.shards.snapshot(key);
+    let guard = mine.as_ref().map_or(Digest::absent(spec), KeySnapshot::digest);
+    // `rows` is what a repair merges, this server's own first;
+    // `placement` is what the *current* group holds right now, one row
+    // per member (an unreachable peer's stays empty — the pessimistic
+    // reading; a grace-overlap donor outside the group contributes data
+    // to the merge only).
+    let mut rows: Vec<KeySnapshot> = Vec::new();
+    let mut placement = vec![Vec::new(); plan.group.len()];
     let mut donor_count = 0usize;
-    for &id in &donor_ids {
-        let Some(peer) = state.peer_for(id) else { continue };
-        if let Ok(Response::Snapshot {
-            entries,
-            positions: ps,
-            counters: cs,
-            version,
-            tombstones,
-            ..
-        }) = peer
-            .call_bounded(round_id, &Request::Snapshot { key: key.to_vec() }, deadline.cap(rpc))
-            .await
-        {
-            donor_count += 1;
-            // The live-placement rows cover the *current* group only;
-            // a grace-overlap donor outside it still contributes data.
-            if let Some(pos) = cur_group.iter().position(|&m| m == id) {
-                rows[pos] = entries.clone();
-            }
-            donor_entries.insert(id, entries.clone());
-            counters = storage::merge_rr_counters(counters, cs);
-            donors.push(DonorRow { version, entries, positions: ps, tombstones });
+    for &id in std::iter::once(&my_id).chain(&plan.donors) {
+        let row = if id == my_id {
+            mine.clone()
+        } else {
+            state.pull_snapshot(id, round_id, key, deadline).await
+        };
+        let Some(row) = row else { continue };
+        donor_count += usize::from(id != my_id);
+        if let Some(pos) = group_index(&plan.group, id) {
+            placement[pos] = row.entries.clone();
         }
+        rows.push(row);
     }
     if donor_count == 0 && !migrating {
         return false;
     }
+    let merged = merge_donor_rows(key, spec, &rows);
 
-    // Version- and tombstone-screened merge of everything the cluster
-    // (including this server) holds for the key — the donor data a
-    // repair rebuilds from. Entries a fresher donor remembers deleting
-    // are filtered out here, which closes the old resurrection window:
-    // a donor that missed a `Delete` (unreachable during the fan-out)
-    // re-contributes the deleted entry, but the merged tombstone
-    // outranks its stale live copy and repair drops it.
-    let merged = merge_donor_rows(spec, &donors);
-
-    // Live §4.4 fault tolerance of what the cluster actually holds for
-    // this key right now (an unreachable peer's row is empty — the
-    // pessimistic reading): min across checked keys, per threshold.
-    let placement = Placement::from_rows(rows.clone());
+    // Min across checked keys, per threshold.
+    let placement = Placement::from_rows(placement);
     for t in LIVE_FT_THRESHOLDS {
         let tol = greedy_tolerance(&placement, t);
         ft_min.entry(t).and_modify(|m| *m = (*m).min(tol)).or_insert(tol);
     }
 
-    // Deep verdicts for the share-splitting strategies, judged against
-    // the consistent local capture (when the key is missing locally or
-    // migrating, `suspect` is already set above; a migrating engine's
-    // shape predates the current group, so these group-local checks
-    // would be judged against the wrong geometry).
-    if !migrating {
-        match (spec, &local_deep) {
-            (StrategySpec::Hash { .. }, Some((mine, ..))) => {
-                let expected: Vec<Entry> = state
-                    .read_engine(key, |e| {
-                        merged.union.iter().filter(|&v| e.assigns_to(v, me)).cloned().collect()
-                    })
-                    .unwrap_or_default();
-                suspect |= expected.len() != mine.len()
-                    || storage::entry_set_hash(&expected) != storage::entry_set_hash(mine);
-            }
-            (StrategySpec::RoundRobin { y }, Some((_, _, _, digest))) => {
-                let expected = merged.positions.iter().filter(|(pos, _)| {
-                    let base = ServerId::new((**pos % glen as u64) as u32);
-                    (0..y).any(|k| base.wrapping_add(k, glen) == me)
-                });
-                let expected_hash = storage::position_set_hash(expected.map(|(p, v)| (*p, v)));
-                let (_, _, mine_hash, _, mine_counters) = *digest;
-                suspect |= expected_hash != mine_hash;
-                if me_pos == 0 {
-                    suspect |= counters != mine_counters;
-                }
-            }
-            _ => {}
-        }
+    // A migrating engine's shape predates the current group, so its
+    // share would be judged against the wrong geometry (and `suspect`
+    // is already set, as it is for a key missing here).
+    if let (false, Some(mine)) = (migrating, &mine) {
+        suspect |= state.shards.deep_verdict(mine, &merged);
     }
     if !suspect {
         return false;
     }
 
-    // Repair: rebuild this server's share from the merged donor data,
-    // through the same message path resync uses. FullReplication/Fixed
-    // adopt the modal freshest donor's replica set wholesale; the
-    // union strategies rebuild from the screened merge above.
-    let donor_row = |id: u64| donor_entries.get(&id).cloned().unwrap_or_default();
-    let entries_for_rebuild = match spec {
-        StrategySpec::FullReplication | StrategySpec::Fixed { .. } => digests
-            .iter()
-            .filter(|(_, _, _, v, _)| *v == max_peer_version)
-            .find(|(id, c, h, ..)| Some((*c, *h)) == modal && !donor_row(*id).is_empty())
-            .map(|(id, ..)| donor_row(*id))
-            .unwrap_or_else(|| {
-                // No modal freshest donor answered the deep pull; fall
-                // back to the fullest row among the freshest donors
-                // (never a stale row — it may predate a delete).
-                digests
-                    .iter()
-                    .filter(|(_, _, _, v, _)| *v == max_peer_version)
-                    .map(|(id, ..)| donor_row(*id))
-                    .max_by_key(Vec::len)
-                    .unwrap_or_default()
-            }),
-        _ => merged.union.clone(),
-    };
-    // Validate-and-rebuild atomically: every write path (WAL append +
-    // local cascade) holds the key's shard lock, so if the key's digest
-    // still matches the deep capture, no write landed since — and none
-    // can land until the rebuild below releases the lock. A changed
-    // digest means a write was acked (and fsynced) after our samples;
-    // rebuilding from those now-stale donor snapshots would wipe it, so
-    // the repair is skipped and the next round re-checks from scratch.
-    let mut core = state.shard_of(key).core.lock();
-    if core.engines.get(key).map(engine_digest) != guard {
-        pls_telemetry::debug!(
-            "antientropy_repair_skipped_stale",
-            req = round_id,
-            server = state.cfg.me,
-            key_bytes = key.len()
-        );
-        return false;
-    }
-    let migrated_entries = (entries_for_rebuild.len() + merged.positions.len()) as u64;
-    match rebuild_engine_in(
-        state,
-        &mut core,
-        key,
-        spec,
-        entries_for_rebuild,
-        merged.positions,
-        counters,
-        merged.max_version,
-        merged.tombstones,
-    ) {
-        Ok(()) => {
+    let rebuilt = entries_for_rebuild(&rows, merged);
+    let migrated_entries = (rebuilt.entries.len() + rebuilt.positions.len()) as u64;
+    match state.shards.rebuild(rebuilt, Some(guard)) {
+        Ok(Rebuilt::Refused) => {
+            pls_telemetry::debug!(
+                "antientropy_repair_skipped_stale",
+                req = round_id,
+                server = state.cfg.me,
+                key_bytes = key.len()
+            );
+            false
+        }
+        Ok(did) => {
+            state.metrics.engines_created.add(u64::from(did == Rebuilt::Created));
             if migrating {
                 state.metrics.migration_keys.inc();
                 state.metrics.migration_entries.add(migrated_entries);
@@ -2798,7 +1741,7 @@ async fn reconcile_key(
                     "migration_key_rehomed",
                     req = round_id,
                     server = state.cfg.me,
-                    epoch = cur_epoch,
+                    epoch = plan.epoch,
                     key_bytes = key.len(),
                     entries = migrated_entries
                 );
@@ -2840,7 +1783,7 @@ async fn cluster_spans(state: &Arc<State>, req: u64) -> Vec<SpanRecord> {
     let mut spans =
         pls_telemetry::recorder::installed().map(|r| r.spans_for(req)).unwrap_or_default();
     let id = state.next_id();
-    for (pid, addr) in &state.other_members() {
+    for (pid, addr) in &state.shards.other_members() {
         let Some(peer) = state.peers.client(*pid, addr) else { continue };
         if let Ok(Response::Spans(remote)) = peer.call(id, &Request::Trace { req }).await {
             for s in remote {
@@ -2966,51 +1909,31 @@ async fn handle_request(
     req_id: u64,
     req: Request,
 ) -> Result<Response, ClusterError> {
+    let client = Endpoint::client(0);
     match req {
         Request::Place { key, entries, spec } => {
-            if let Some(spec) = spec {
-                state.set_spec(&key, spec)?;
-            }
-            apply(
-                state,
-                req_id,
-                &key,
-                Endpoint::client(0),
-                versioned_client(Message::PlaceReq { entries }),
-            )
-            .await?;
+            let msg = versioned_client(Message::PlaceReq { entries });
+            apply(state, req_id, &key, client, spec, msg).await?;
             Ok(Response::Ok)
         }
         Request::Add { key, entry } => {
-            guard_rr_coordinator(state, &key)?;
-            apply(
-                state,
-                req_id,
-                &key,
-                Endpoint::client(0),
-                versioned_client(Message::AddReq { v: entry }),
-            )
-            .await?;
+            state.shards.check_rr_coordinator(&key)?;
+            let msg = versioned_client(Message::AddReq { v: entry });
+            apply(state, req_id, &key, client, None, msg).await?;
             Ok(Response::Ok)
         }
         Request::Delete { key, entry } => {
-            guard_rr_coordinator(state, &key)?;
-            apply(
-                state,
-                req_id,
-                &key,
-                Endpoint::client(0),
-                versioned_client(Message::DeleteReq { v: entry }),
-            )
-            .await?;
+            state.shards.check_rr_coordinator(&key)?;
+            let msg = versioned_client(Message::DeleteReq { v: entry });
+            apply(state, req_id, &key, client, None, msg).await?;
             Ok(Response::Ok)
         }
         Request::Probe { key, t } => {
             let mut span =
                 Span::enter_with_id(Level::Trace, module_path!(), "probe_sample", req_id);
             span.field("server", state.cfg.me);
-            let entries = state.read_engine(&key, |e| e.sample(t as usize)).unwrap_or_default();
-            state.metrics.probes[strategy_index(state.spec_of(&key))].inc();
+            let (spec, entries) = state.shards.probe(&key, t as usize);
+            state.metrics.probes[strategy_index(spec)].inc();
             state.metrics.probe_entries_returned.add(entries.len() as u64);
             // Live quality accounting: who asked, and what they got.
             state.metrics.record_probe_answer(&key, &entries);
@@ -3018,84 +1941,19 @@ async fn handle_request(
             Ok(Response::Entries(entries))
         }
         Request::Internal { from, key, spec, msg } => {
-            if let Some(spec) = spec {
-                state.set_spec(&key, spec)?;
-            }
-            apply(state, req_id, &key, Request::internal_sender(from), msg).await?;
+            apply(state, req_id, &key, Request::internal_sender(from), spec, msg).await?;
             Ok(Response::Ok)
         }
         Request::Status => {
-            let mut keys = 0u64;
-            let mut entries = 0u64;
-            for shard in &state.shards {
-                let core = shard.core.lock();
-                keys += core.engines.len() as u64;
-                entries += core.engines.values().map(|e| e.entries().len() as u64).sum::<u64>();
-            }
-            Ok(Response::Status { keys, entries })
+            let status = state.shards.status();
+            Ok(Response::Status { keys: status.keys, entries: status.entries })
         }
-        Request::Keys => Ok(Response::Keys(state.all_keys())),
-        Request::Snapshot { key } => {
-            let snapshot = state.read_engine(&key, |e| {
-                (
-                    e.entries().to_vec(),
-                    e.rr_positions().map(|(p, v)| (p, v.clone())).collect::<Vec<_>>(),
-                    e.rr_counters(),
-                    e.version(),
-                    e.tombstones().map(|(v, t)| (v.clone(), t)).collect::<Vec<_>>(),
-                )
-            });
-            Ok(match snapshot {
-                Some((entries, positions, counters, version, tombstones)) => Response::Snapshot {
-                    entries,
-                    positions,
-                    counters,
-                    version,
-                    tombstones,
-                    spec: Some(state.spec_of(&key)),
-                },
-                None => Response::Snapshot {
-                    entries: Vec::new(),
-                    positions: Vec::new(),
-                    counters: None,
-                    version: 0,
-                    tombstones: Vec::new(),
-                    spec: None,
-                },
-            })
-        }
-        Request::Digest { key } => {
-            // Cheap placement digest for anti-entropy: set hashes and
-            // counts, no entry payloads on the wire.
-            let digest = state.read_engine(&key, |e| engine_digest(e));
-            Ok(match digest {
-                Some((count, entry_hash, positions_hash, version, counters)) => Response::Digest {
-                    known: true,
-                    spec: Some(state.spec_of(&key)),
-                    count,
-                    entry_hash,
-                    positions_hash,
-                    version,
-                    counters,
-                },
-                None => Response::Digest {
-                    known: false,
-                    spec: None,
-                    count: 0,
-                    entry_hash: 0,
-                    positions_hash: 0,
-                    version: 0,
-                    counters: None,
-                },
-            })
-        }
-        Request::SpecOf { key } => {
-            // One shard-lock acquisition answers both questions, so the
-            // reported spec is the one the engine actually runs under.
-            let core = state.shard_of(&key).core.lock();
-            let known = core.engines.contains_key(key.as_slice());
-            Ok(Response::SpecOf(known.then(|| core.spec_of(&key, state.cfg.spec))))
-        }
+        Request::Keys => Ok(Response::Keys(state.shards.keys())),
+        Request::Snapshot { key } => Ok(KeySnapshot::into_response(state.shards.snapshot(&key))),
+        // Cheap placement digest for anti-entropy: set hashes and
+        // counts, no entry payloads on the wire.
+        Request::Digest { key } => Ok(Digest::into_response(state.shards.digest(&key))),
+        Request::SpecOf { key } => Ok(Response::SpecOf(state.shards.spec_of(&key))),
         Request::Metrics { reset } => Ok(Response::Metrics(collect_metrics(state, reset))),
         Request::Trace { req } => {
             // Everything the flight recorder on this process retains for
@@ -3113,11 +1971,11 @@ async fn handle_request(
             if epoch > 0 {
                 install_membership(state, Membership::from_parts(epoch, members));
             }
-            let view = state.membership_view();
+            let view = state.shards.view();
             Ok(Response::Membership { epoch: view.epoch(), members: members_parts(&view) })
         }
         Request::JoinLeave { join, leave } => {
-            let view = state.membership_view();
+            let view = state.shards.view();
             let next = match (join, leave) {
                 (Some(addr), None) => view.with_join(&addr).0,
                 (None, Some(id)) => view.with_leave(id).ok_or_else(|| {
@@ -3143,7 +2001,7 @@ async fn handle_request(
             let mut targets: Vec<(u64, String)> = next
                 .members()
                 .iter()
-                .filter(|m| m.id != state.my_id)
+                .filter(|m| m.id != state.shards.my_id())
                 .map(|m| (m.id, m.addr.clone()))
                 .collect();
             if let Some(leaver) = leave {
@@ -3157,7 +2015,7 @@ async fn handle_request(
             }
             // Post-fan-out prune: the farewell announcement re-created
             // the leaver's client; drop it again now that it's sent.
-            state.peers.prune(&state.membership_view());
+            state.peers.prune(&state.shards.view());
             Ok(Response::Membership { epoch: next.epoch(), members: members_parts(&next) })
         }
     }
@@ -3176,8 +2034,7 @@ fn members_parts(m: &Membership) -> Vec<(u64, String)> {
 /// anti-entropy loop so migration starts immediately. Returns whether
 /// the view was adopted.
 fn install_membership(state: &Arc<State>, next: Membership) -> bool {
-    let installed = state.membership.lock().install(next.clone());
-    if !installed {
+    if !state.shards.install_membership(next.clone()) {
         return false;
     }
     state.metrics.membership_installs.inc();
@@ -3194,24 +2051,10 @@ fn install_membership(state: &Arc<State>, next: Membership) -> bool {
     true
 }
 
-/// Round-Robin-y updates must go to the dedicated coordinator — the
-/// first member of the key's placement group, which holds the head/tail
-/// counters (the group-local generalization of §5.4's "server 0");
-/// reject mis-routed ones.
-fn guard_rr_coordinator(state: &Arc<State>, key: &[u8]) -> Result<(), ClusterError> {
-    if matches!(state.spec_of(key), StrategySpec::RoundRobin { .. })
-        && state.group_of(key).1.first() != Some(&state.my_id)
-    {
-        return Err(ClusterError::Remote(
-            "round-robin updates must be sent to the key's group coordinator".into(),
-        ));
-    }
-    Ok(())
-}
-
-/// Feeds a message to the key's engine and delivers the resulting
-/// outbound messages: local ones are processed in place (breadth-first),
-/// remote ones become acknowledged `Internal` RPCs. Unreachable peers are
+/// Applies a message to the key's engine ([`Shards::apply`]: sender
+/// check, WAL append and the whole local cascade in one critical
+/// section) and carries out the remote deliveries it produced, outside
+/// the lock, as acknowledged `Internal` RPCs. Unreachable peers are
 /// skipped — a message to a crashed server is simply lost, matching the
 /// paper's failure model.
 async fn apply(
@@ -3219,29 +2062,22 @@ async fn apply(
     req_id: u64,
     key: &[u8],
     from: Endpoint,
+    spec: Option<StrategySpec>,
     msg: Message<Entry>,
 ) -> Result<(), ClusterError> {
     // One budget spans the whole fan-out: however many peers and retries
     // this update touches, the triggering request is answered in bounded
     // time.
     let deadline = Deadline::within(state.cfg.timeouts.op_budget);
-    // Propagate a per-key strategy override on every internal message, so
-    // peers that never saw the client's Place still build the right
-    // engine.
-    let effective = state.spec_of(key);
-    let spec_override = (effective != state.cfg.spec).then_some(effective);
-    // The WAL append, the inbound message, and its whole local cascade
-    // land in one shard-lock critical section (cascade self-deliveries
-    // stay unlogged: replay re-derives them from the one record). Only
-    // the remote deliveries are carried out here, outside the lock.
-    let remote = state.with_engine_logged(key, from, spec_override, msg)?;
-    let sidx = shard_index(key, state.shards.len());
+    let Applied { shard, created, spec_override, remote } =
+        state.shards.apply(key, from, spec, msg)?;
+    state.metrics.engines_created.add(u64::from(created));
     for (dest, m) in remote {
         // `from` carries this server's global member id: the receiver
         // translates it into the sender's position within the key's
         // placement group before the engine sees it.
         let req = Request::Internal {
-            from: state.my_id as u32,
+            from: state.shards.my_id() as u32,
             key: key.to_vec(),
             spec: spec_override,
             msg: m,
@@ -3293,7 +2129,7 @@ async fn apply(
             }
         }
     }
-    if let Some(storage) = &state.shards[sidx].storage {
+    if let Some(storage) = state.shards.as_slice()[shard].storage() {
         // Group-commit fsync of the owning shard's segment before the
         // ack: if the caller hears Ok, the record survives a crash.
         // Concurrent appends to the same shard coalesce into one fsync;
@@ -3306,7 +2142,7 @@ async fn apply(
             .await
             .map_err(|e| ClusterError::Remote(format!("wal sync task died: {e}")))??;
         if storage.should_checkpoint(state.cfg.checkpoint_every) {
-            if let Err(err) = checkpoint_shard_async(state, sidx).await {
+            if let Err(err) = checkpoint(state, shard..shard + 1).await {
                 pls_telemetry::warn!("checkpoint_failed", server = state.cfg.me, err = err);
             }
         }
@@ -3337,155 +2173,5 @@ mod tests {
             );
             assert!(matches!(Server::bind(cfg).await, Err(ClusterError::Config(_))));
         });
-    }
-
-    /// A bare `State` (no listener, no storage): enough to drive the
-    /// spec/engine paths from plain threads without a runtime.
-    fn bare_state(n: usize, spec: StrategySpec, shards: usize) -> Arc<State> {
-        let peers: Vec<SocketAddr> =
-            (0..n).map(|i| format!("127.0.0.1:{}", 9200 + i).parse().unwrap()).collect();
-        let mut cfg = ServerConfig::new(0, peers.clone(), spec, 42);
-        cfg.shards = shards;
-        let initial = Membership::bootstrap(peers.iter().map(|a| a.to_string()));
-        let table = RoutingTable::new(GroupRouter::new(cfg.group_size, cfg.seed), initial);
-        let peer_book = PeerBook::new(cfg.timeouts);
-        let shards = (0..shards.max(1))
-            .map(|_| Shard {
-                core: TimedMutex::new(
-                    "engines",
-                    ShardCore {
-                        engines: HashMap::new(),
-                        key_specs: HashMap::new(),
-                        groups: HashMap::new(),
-                    },
-                ),
-                storage: None,
-            })
-            .collect();
-        let observatory = TimedMutex::new("observatory", Observatory::new(&cfg));
-        Arc::new(State {
-            cfg,
-            shards,
-            my_id: 0,
-            membership: TimedMutex::new("membership", table),
-            membership_changed: tokio::sync::Notify::new(),
-            peers: peer_book,
-            metrics: ServerMetrics::new(),
-            next_id: AtomicU64::new(1),
-            live_ft: TimedMutex::new("live_ft", BTreeMap::new()),
-            live_staleness: TimedMutex::new("live_staleness", BTreeMap::new()),
-            alloc_base: AllocBaseline::default(),
-            observatory,
-            started: Instant::now(),
-        })
-    }
-
-    /// Regression for the `set_spec` vs engine-creation race: with the
-    /// override map and the engines map behind separate locks, a
-    /// concurrent `with_engine` could materialize the engine under the
-    /// default spec *between* `set_spec`'s conflict check and its
-    /// insert — override recorded, engine disagreeing, forever. With
-    /// both maps owned by one shard core, every interleaving ends in
-    /// agreement: either the override lands first (the engine adopts
-    /// it) or the engine wins (the conflicting override is rejected).
-    #[test]
-    fn concurrent_set_spec_and_engine_creation_agree() {
-        let state = bare_state(3, StrategySpec::FullReplication, 4);
-        let override_spec = StrategySpec::fixed(2);
-        for round in 0..2000u32 {
-            let key = format!("race/{round}").into_bytes();
-            let barrier = std::sync::Barrier::new(2);
-            std::thread::scope(|s| {
-                s.spawn(|| {
-                    barrier.wait();
-                    let _ = state.set_spec(&key, override_spec);
-                });
-                s.spawn(|| {
-                    barrier.wait();
-                    state.with_engine(&key, |_| ()).unwrap();
-                });
-            });
-            let core = state.shard_of(&key).core.lock();
-            let engine_spec = core.engines.get(&key).map(|e| e.spec());
-            let recorded = core.spec_of(&key, state.cfg.spec);
-            assert_eq!(
-                engine_spec.expect("with_engine always materializes the engine"),
-                recorded,
-                "round {round}: engine strategy diverged from the recorded override"
-            );
-        }
-    }
-
-    /// Hammers one key with concurrent spec overrides, logged updates,
-    /// and lookup samples while a fourth thread continuously checks —
-    /// under a single shard-lock acquisition — that the engine's
-    /// strategy and the recorded override never disagree (the TOCTOU
-    /// in `with_engine`/`with_engine_logged`: the spec used to be read
-    /// under one lock and the engine created under another, so a
-    /// `set_spec` landing in the gap produced an engine on a stale
-    /// spec that still returned Ok).
-    #[test]
-    fn spec_engine_agreement_under_concurrent_hammer() {
-        let state = bare_state(3, StrategySpec::FullReplication, 2);
-        let key: Vec<u8> = b"hammer/key".to_vec();
-        let stop = std::sync::atomic::AtomicBool::new(false);
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                for _ in 0..4000 {
-                    let _ = state.set_spec(&key, StrategySpec::fixed(2));
-                }
-                stop.store(true, Ordering::Relaxed);
-            });
-            s.spawn(|| {
-                let mut i = 0u64;
-                while !stop.load(Ordering::Relaxed) {
-                    let v = i.to_le_bytes().to_vec();
-                    state
-                        .with_engine_logged(
-                            &key,
-                            Endpoint::client(0),
-                            None,
-                            versioned_client(Message::AddReq { v }),
-                        )
-                        .unwrap();
-                    i += 1;
-                }
-            });
-            s.spawn(|| {
-                while !stop.load(Ordering::Relaxed) {
-                    let _ = state.read_engine(&key, |e| e.sample(2));
-                }
-            });
-            s.spawn(|| {
-                while !stop.load(Ordering::Relaxed) {
-                    let core = state.shard_of(&key).core.lock();
-                    if let Some(engine) = core.engines.get(&key) {
-                        assert_eq!(engine.spec(), core.spec_of(&key, state.cfg.spec));
-                    }
-                }
-            });
-        });
-        let core = state.shard_of(&key).core.lock();
-        let engine = core.engines.get(&key).expect("updates created the engine");
-        assert_eq!(engine.spec(), core.spec_of(&key, state.cfg.spec));
-    }
-
-    /// The key→shard map is pure arithmetic on a seed-free hash:
-    /// stable across processes, restarts, and builds. Pin a few
-    /// assignments so an accidental change to the routing function
-    /// (which would orphan every persisted shard segment) fails loudly.
-    #[test]
-    fn shard_routing_is_deterministic_and_covers_all_shards() {
-        for shards in [1usize, 2, 4, 7] {
-            let mut hit = vec![false; shards];
-            for i in 0..256u32 {
-                let key = format!("cover/{i}").into_bytes();
-                let s = shard_index(&key, shards);
-                assert!(s < shards);
-                assert_eq!(s, shard_index(&key, shards), "routing must be a pure function");
-                hit[s] = true;
-            }
-            assert!(hit.iter().all(|&h| h), "256 keys must touch every one of {shards} shards");
-        }
     }
 }

@@ -6,15 +6,20 @@
 //! * [`proto`] — [`proto::Request`] / [`proto::Response`] and their
 //!   `encode` / `decode`;
 //! * [`storage`] — the write-ahead log and checkpoints of one data dir;
+//! * [`shard`] — [`shard::Shards`]: one server's engines, per-key
+//!   strategies and membership table, with one apply path for live
+//!   messages and WAL replay, snapshot, digest, rebuild, checkpoint, and
+//!   the pure repair rules of anti-entropy beside it;
 //! * [`retry`] — deadlines, backoff and the per-peer circuit breaker;
 //! * [`metrics`] — the server's and the client's counters, histograms
 //!   and live-quality gauges;
 //! * [`error`] — [`ClusterError`].
 //!
 //! `pls-cluster` re-exports every module under its old path and adds the
-//! TCP servers, the client and the frame reader and writer. Nothing here
-//! depends on tokio, so all of it builds and tests where there is no
-//! crate registry (`scripts/offline-test.sh test --offline -p pls-wire`).
+//! TCP server (a shell around [`shard`]), the client and the frame reader
+//! and writer. Nothing here depends on tokio, so all of it builds and
+//! tests where there is no crate registry
+//! (`scripts/offline-test.sh test --offline -p pls-wire`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -23,6 +28,7 @@ pub mod error;
 pub mod metrics;
 pub mod proto;
 pub mod retry;
+pub mod shard;
 pub mod storage;
 pub mod wire;
 

@@ -1,0 +1,1712 @@
+//! One server's keys as a state machine that does no I/O of its own
+//! beyond the WAL it was handed: [`Shards`] owns the engines, the per-key
+//! strategy overrides, the membership routing table and the per-shard
+//! storage, and has **one** of each operation — apply (live and WAL
+//! replay), probe, snapshot, digest, rebuild, checkpoint. The TCP server
+//! is the shell around it: it decodes requests, calls in here, and carries
+//! the returned deliveries to the peers. The pure repair rules
+//! ([`merge_donor_rows`], [`digest_verdict`], [`entries_for_rebuild`])
+//! sit beside it. No method awaits, sleeps or reads a clock.
+//!
+//! # Locks
+//!
+//! Keys are partitioned across [`Shard`]s by [`shard_index`]. A shard's
+//! engines, their placement groups and the strategy overrides sit behind
+//! that shard's one mutex (site `engines`), so a key's override and its
+//! engine are only ever read or written together. The WAL append, the
+//! inbound message and its whole local cascade are one critical section:
+//! a segment's record order is the shard's apply order, and a checkpoint
+//! capture (same lock) sees all or none of a record's local effects. The
+//! membership table is a leaf lock, taken inside a shard lock or alone,
+//! never around one.
+//!
+//! # Group-local engines
+//!
+//! An engine's `ServerId`s are positions in the placement group it was
+//! built under (`GroupCtx`). Inbound senders arrive as *member ids* and
+//! are translated to positions in [`Shards::apply`]; outbound deliveries
+//! are translated back. The WAL logs the position — what the engine saw —
+//! so replay never consults the (possibly since-changed) membership.
+
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::sync::Arc;
+
+use pls_core::engine::{NodeEngine, Outbound};
+use pls_core::membership::group_index;
+use pls_core::{Membership, Message, RoutingTable, StrategySpec, Tombstone};
+use pls_net::{Endpoint, ServerId};
+use pls_telemetry::{SiteStats, TimedMutex};
+
+use crate::error::ClusterError;
+use crate::proto::{Entry, Response};
+use crate::retry::splitmix64;
+use crate::storage::{
+    entry_set_hash, fnv1a64, merge_rr_counters, position_set_hash, KeySnapshot, Recovered, Storage,
+    WalRecord,
+};
+
+/// The shard a key routes to: an explicit, seed-free hash (FNV-1a
+/// bit-mixed through splitmix64) reduced mod the shard count. Stable
+/// across restarts, processes, and builds — the per-shard WAL segment a
+/// key's records land in must be the segment recovery replays it from.
+pub fn shard_index(key: &[u8], shards: usize) -> usize {
+    (splitmix64(fnv1a64(key)) % shards.max(1) as u64) as usize
+}
+
+/// Seed for a key's engine: shared across servers so the Hash-y family
+/// agrees cluster-wide (each engine mixes in its own index for its
+/// private randomness), and a restarted server must re-derive the family
+/// its checkpoint was written under — hence the same explicit hash as
+/// [`shard_index`], not std's unspecified `DefaultHasher`.
+pub fn key_seed(seed: u64, key: &[u8]) -> u64 {
+    seed ^ splitmix64(fnv1a64(key))
+}
+
+/// The placement group one engine was built under: membership epoch and
+/// the member ids in group order. An engine whose recorded group differs
+/// from the installed one is *owed migration*: the next anti-entropy round
+/// rebuilds it under the current group.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct GroupCtx {
+    epoch: u64,
+    members: Vec<u64>,
+}
+
+impl GroupCtx {
+    /// Translates a sender's member id into its position in this group.
+    /// A sender outside the group has a different epoch view: refused,
+    /// for anti-entropy to reconverge.
+    fn local_sender(&self, from: Endpoint) -> Result<Endpoint, ClusterError> {
+        let Endpoint::Server(gid) = from else { return Ok(from) };
+        let pos = group_index(&self.members, gid.index() as u64).ok_or_else(|| {
+            ClusterError::Remote(format!(
+                "sender {} is not in the key's placement group",
+                gid.index()
+            ))
+        })?;
+        Ok(Endpoint::Server(ServerId::new(pos as u32)))
+    }
+}
+
+/// A key's engine and the group its server indices are positions in.
+struct Resident {
+    engine: NodeEngine<Entry>,
+    group: GroupCtx,
+}
+
+/// What one shard's mutex guards (§2: different strategies for different
+/// keys; a key absent from `key_specs` runs under the default).
+struct ShardCore {
+    engines: HashMap<Vec<u8>, Resident>,
+    key_specs: HashMap<Vec<u8>, StrategySpec>,
+}
+
+impl ShardCore {
+    fn spec_of(&self, key: &[u8], default: StrategySpec) -> StrategySpec {
+        self.key_specs.get(key).copied().unwrap_or(default)
+    }
+
+    /// Records a per-key override, rejecting a conflict with the key's
+    /// engine. Check and insert are one step under the shard lock, so an
+    /// engine's strategy and the recorded override can never disagree.
+    fn set_spec(
+        &mut self,
+        key: &[u8],
+        spec: StrategySpec,
+        default: StrategySpec,
+    ) -> Result<(), ClusterError> {
+        let current = self.spec_of(key, default);
+        if self.engines.contains_key(key) && current != spec {
+            return Err(ClusterError::Remote(format!(
+                "key already managed under {current}; cannot switch to {spec}"
+            )));
+        }
+        self.key_specs.insert(key.to_vec(), spec);
+        Ok(())
+    }
+}
+
+/// One shared-nothing shard: its core state plus — with durability on —
+/// its own WAL segment (`shard-<i>/` under the data dir) with independent
+/// group commit. Every shard's mutex carries the site name `engines`, so
+/// the exposition keeps one `pls_lock_*{site="engines"}` family.
+pub struct Shard {
+    core: TimedMutex<ShardCore>,
+    /// `Arc` so the caller can fsync on a blocking thread.
+    storage: Option<Arc<Storage>>,
+}
+
+/// Key, entry and tombstone counts over all shards.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ShardStatus {
+    /// Keys with an engine.
+    pub keys: u64,
+    /// Entries stored across those keys.
+    pub entries: u64,
+    /// Delete tombstones awaiting TTL garbage collection.
+    pub tombstones: u64,
+}
+
+impl Shard {
+    /// Keys with an engine on this shard.
+    pub fn key_count(&self) -> u64 {
+        self.core.lock().engines.len() as u64
+    }
+
+    /// Contention statistics of this shard's mutex.
+    pub fn lock_stats(&self) -> &Arc<SiteStats> {
+        self.core.stats()
+    }
+
+    /// This shard's WAL segment, when durability is on.
+    pub fn storage(&self) -> Option<&Arc<Storage>> {
+        self.storage.as_ref()
+    }
+}
+
+/// The per-key placement digest anti-entropy compares, and the guard a
+/// repair re-validates under the shard lock: strategy, entry count,
+/// order-independent entry/position set hashes, the per-key version clock
+/// and the round-robin counters.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Digest {
+    /// The strategy the key's engine runs.
+    pub spec: StrategySpec,
+    /// Entries stored.
+    pub count: u64,
+    /// [`entry_set_hash`] of them.
+    pub entry_hash: u64,
+    /// [`position_set_hash`] of the round-robin positions.
+    pub positions_hash: u64,
+    /// The key's version clock.
+    pub version: u64,
+    /// Round-robin `(head, tail)`, if held.
+    pub counters: Option<(u64, u64)>,
+}
+
+impl Digest {
+    fn new<'a>(
+        spec: StrategySpec,
+        entries: &[Entry],
+        positions: impl Iterator<Item = (u64, &'a Entry)>,
+        version: u64,
+        counters: Option<(u64, u64)>,
+    ) -> Digest {
+        Digest {
+            spec,
+            count: entries.len() as u64,
+            entry_hash: entry_set_hash(entries),
+            positions_hash: position_set_hash(positions),
+            version,
+            counters,
+        }
+    }
+
+    fn of(e: &NodeEngine<Entry>) -> Digest {
+        Digest::new(e.spec(), e.entries(), e.rr_positions(), e.version(), e.rr_counters())
+    }
+
+    /// The digest of a key no write ever reached here: what an absent
+    /// engine is compared as by [`Shards::rebuild`]'s guard (nothing acked
+    /// can be lost by rebuilding over it).
+    pub fn absent(spec: StrategySpec) -> Digest {
+        Digest::new(spec, &[], std::iter::empty(), 0, None)
+    }
+
+    /// The `Digest` answer for a key; `None` is the key this server does
+    /// not know.
+    pub fn into_response(digest: Option<Digest>) -> Response {
+        let (count, entry_hash, positions_hash, version, counters) = digest
+            .map(|d| (d.count, d.entry_hash, d.positions_hash, d.version, d.counters))
+            .unwrap_or_default();
+        Response::Digest {
+            known: digest.is_some(),
+            spec: digest.map(|d| d.spec),
+            count,
+            entry_hash,
+            positions_hash,
+            version,
+            counters,
+        }
+    }
+
+    /// A peer's `Digest` answer, if it knows the key.
+    pub fn from_response(resp: Response) -> Option<Digest> {
+        match resp {
+            Response::Digest {
+                known: true,
+                spec: Some(spec),
+                count,
+                entry_hash,
+                positions_hash,
+                version,
+                counters,
+            } => Some(Digest { spec, count, entry_hash, positions_hash, version, counters }),
+            _ => None,
+        }
+    }
+}
+
+impl KeySnapshot {
+    /// The digest of the state this snapshot holds — equal to the
+    /// [`Shards::digest`] of the engine it was copied out of.
+    pub fn digest(&self) -> Digest {
+        let positions = self.positions.iter().map(|(p, v)| (*p, v));
+        Digest::new(self.spec, &self.entries, positions, self.version, self.counters)
+    }
+
+    /// The only place an engine is copied out: what a `Snapshot` answer,
+    /// a checkpoint and a repair's own row all hold.
+    fn of(key: &[u8], e: &NodeEngine<Entry>) -> KeySnapshot {
+        KeySnapshot {
+            key: key.to_vec(),
+            spec: e.spec(),
+            entries: e.entries().to_vec(),
+            positions: e.rr_positions().map(|(p, v)| (p, v.clone())).collect(),
+            counters: e.rr_counters(),
+            version: e.version(),
+            tombstones: e.tombstones().map(|(v, t)| (v.clone(), t)).collect(),
+        }
+    }
+
+    /// The `Snapshot` answer for a key; `None` is the empty row of a key
+    /// this server does not know.
+    pub fn into_response(snap: Option<KeySnapshot>) -> Response {
+        let spec = snap.as_ref().map(|s| s.spec);
+        let (entries, positions, counters, version, tombstones) = snap
+            .map(|s| (s.entries, s.positions, s.counters, s.version, s.tombstones))
+            .unwrap_or_default();
+        Response::Snapshot { entries, positions, counters, version, tombstones, spec }
+    }
+
+    /// A peer's `Snapshot` answer for `key`, if it knows the key.
+    pub fn from_response(key: &[u8], resp: Response) -> Option<KeySnapshot> {
+        match resp {
+            Response::Snapshot {
+                entries,
+                positions,
+                counters,
+                version,
+                tombstones,
+                spec: Some(spec),
+            } => Some(KeySnapshot {
+                key: key.to_vec(),
+                spec,
+                entries,
+                positions,
+                counters,
+                version,
+                tombstones,
+            }),
+            _ => None,
+        }
+    }
+}
+
+/// What [`Shards::apply`] did with a message.
+#[derive(Debug)]
+pub struct Applied {
+    /// The shard that owns the key — whose segment to fsync before the ack.
+    pub shard: usize,
+    /// Whether the message materialized the key's engine.
+    pub created: bool,
+    /// The key's strategy when it differs from the default: rides on every
+    /// internal message, so a peer that never saw the client's `Place`
+    /// still builds the right engine.
+    pub spec_override: Option<StrategySpec>,
+    /// Deliveries for other servers, `(member id, message)` in generation
+    /// order.
+    pub remote: Vec<(u64, Message<Entry>)>,
+}
+
+/// What [`Shards::rebuild`] did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Rebuilt {
+    /// The guard no longer held — a write landed after the capture — and
+    /// nothing was changed.
+    Refused,
+    /// The key's engine was rebuilt in place (or replaced by one for the
+    /// key's current group).
+    Replaced,
+    /// The key had no engine here; one was created and rebuilt.
+    Created,
+}
+
+/// Where a key stands against the installed membership, for one
+/// reconciliation of it (see [`Shards::repair_plan`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RepairPlan {
+    /// The installed epoch.
+    pub epoch: u64,
+    /// The key's current placement group, in group order.
+    pub group: Vec<u64>,
+    /// Whether the resident engine (if any) was built for another group: a
+    /// migrating key is always deep-checked and always rebuilt.
+    pub migrating: bool,
+    /// Who to pull from: the current group plus, while the grace overlap
+    /// lasts, the previous group — the servers Fig. 11's hole-plugging
+    /// would pull vacated positions from. Never this server.
+    pub donors: Vec<u64>,
+}
+
+/// Every shard of one server, the membership routing table and what
+/// engines are derived from. See the module documentation.
+pub struct Shards {
+    /// Index = [`shard_index`] of a key; never empty.
+    shards: Vec<Shard>,
+    /// This server's member id, fixed for the process lifetime.
+    my_id: u64,
+    /// The strategy of keys without an override.
+    spec: StrategySpec,
+    /// Cluster-wide seed; identical on every server.
+    seed: u64,
+    /// Current view plus the previous one (the one-epoch grace overlap
+    /// in-flight operations and migration donors route through).
+    membership: TimedMutex<RoutingTable>,
+}
+
+impl Shards {
+    /// One shard per element of `storages` (`None` keeps a shard
+    /// memory-only).
+    ///
+    /// # Panics
+    ///
+    /// If `storages` is empty: every key needs a shard to route to.
+    pub fn new(
+        my_id: u64,
+        spec: StrategySpec,
+        seed: u64,
+        table: RoutingTable,
+        storages: Vec<Option<Arc<Storage>>>,
+    ) -> Shards {
+        assert!(!storages.is_empty(), "a server has at least one shard");
+        let shard = |storage| {
+            let core = ShardCore { engines: HashMap::new(), key_specs: HashMap::new() };
+            Shard { core: TimedMutex::new("engines", core), storage }
+        };
+        let shards = storages.into_iter().map(shard).collect();
+        let membership = TimedMutex::new("membership", table);
+        Shards { shards, my_id, spec, seed, membership }
+    }
+
+    /// This server's member id.
+    pub fn my_id(&self) -> u64 {
+        self.my_id
+    }
+
+    /// The shards, indexed by [`shard_index`].
+    pub fn as_slice(&self) -> &[Shard] {
+        &self.shards
+    }
+
+    /// The WAL segments of the durable shards.
+    pub fn storages(&self) -> impl Iterator<Item = &Arc<Storage>> {
+        self.shards.iter().filter_map(Shard::storage)
+    }
+
+    /// Contention statistics of the membership lock.
+    pub fn membership_lock_stats(&self) -> &Arc<SiteStats> {
+        self.membership.stats()
+    }
+
+    fn shard_of(&self, key: &[u8]) -> (usize, &Shard) {
+        let i = shard_index(key, self.shards.len());
+        (i, &self.shards[i])
+    }
+
+    // ---- membership ----
+
+    /// A copy of the current membership view.
+    pub fn view(&self) -> Membership {
+        self.membership.lock().current().clone()
+    }
+
+    /// The key's placement group under the current epoch, in group order.
+    pub fn group_of(&self, key: &[u8]) -> Vec<u64> {
+        self.membership.lock().group(key)
+    }
+
+    /// Every other live member as `(id, dial address)`, in id order.
+    pub fn other_members(&self) -> Vec<(u64, String)> {
+        let table = self.membership.lock();
+        let others = table.current().members().iter().filter(|m| m.id != self.my_id);
+        others.map(|m| (m.id, m.addr.clone())).collect()
+    }
+
+    /// Member `id`'s dial address: the current view first, the grace
+    /// overlap second (a migration donor can be a member that just left).
+    pub fn addr_of(&self, id: u64) -> Option<String> {
+        let table = self.membership.lock();
+        let prev = || table.previous().and_then(|p| p.addr_of(id));
+        table.current().addr_of(id).or_else(prev).map(str::to_string)
+    }
+
+    /// Installs `next` if it is strictly newer than the current view (the
+    /// old one becomes the grace overlap). Returns whether it was adopted.
+    pub fn install_membership(&self, next: Membership) -> bool {
+        self.membership.lock().install(next)
+    }
+
+    /// The group context a *new* engine for `key` must be built under:
+    /// the current group when this server is in it, else the grace-overlap
+    /// previous group. A server in neither refuses — it is not an owner,
+    /// and an engine here would fabricate placement state outside the
+    /// key's group.
+    fn group_ctx_for(&self, key: &[u8]) -> Result<GroupCtx, ClusterError> {
+        let table = self.membership.lock();
+        let members = table.group(key);
+        if members.contains(&self.my_id) {
+            return Ok(GroupCtx { epoch: table.current().epoch(), members });
+        }
+        if let (Some(prev), Some(pm)) = (table.previous(), table.prev_group(key)) {
+            if pm.contains(&self.my_id) {
+                return Ok(GroupCtx { epoch: prev.epoch(), members: pm });
+            }
+        }
+        Err(ClusterError::Remote(format!(
+            "server {} is not in the key's placement group",
+            self.my_id
+        )))
+    }
+
+    /// Round-Robin-y updates must go to the dedicated coordinator — the
+    /// first member of the key's placement group, which holds the
+    /// head/tail counters (the group-local generalization of §5.4's
+    /// "server 0"); a mis-routed one is refused.
+    pub fn check_rr_coordinator(&self, key: &[u8]) -> Result<(), ClusterError> {
+        let spec = self.shard_of(key).1.core.lock().spec_of(key, self.spec);
+        if matches!(spec, StrategySpec::RoundRobin { .. })
+            && self.group_of(key).first() != Some(&self.my_id)
+        {
+            return Err(ClusterError::Remote(
+                "round-robin updates must be sent to the key's group coordinator".into(),
+            ));
+        }
+        Ok(())
+    }
+
+    // ---- reads ----
+
+    fn read<R>(&self, key: &[u8], f: impl FnOnce(&mut NodeEngine<Entry>) -> R) -> Option<R> {
+        self.shard_of(key).1.core.lock().engines.get_mut(key).map(|r| f(&mut r.engine))
+    }
+
+    /// The strategy the key's engine runs; `None` for a key without one.
+    pub fn spec_of(&self, key: &[u8]) -> Option<StrategySpec> {
+        self.read(key, |e| e.spec())
+    }
+
+    /// Answers a lookup probe — `t` random local entries, or everything
+    /// when fewer are stored — with the strategy they are held under, in
+    /// one lock acquisition. An unknown key answers empty under the
+    /// strategy it would get; a probe never creates an engine.
+    pub fn probe(&self, key: &[u8], t: usize) -> (StrategySpec, Vec<Entry>) {
+        let mut core = self.shard_of(key).1.core.lock();
+        match core.engines.get_mut(key) {
+            Some(r) => (r.engine.spec(), r.engine.sample(t)),
+            None => (core.spec_of(key, self.spec), Vec::new()),
+        }
+    }
+
+    /// The key's full state, copied out under one lock acquisition.
+    pub fn snapshot(&self, key: &[u8]) -> Option<KeySnapshot> {
+        self.read(key, |e| KeySnapshot::of(key, e))
+    }
+
+    /// The key's digest: set hashes and counts, no entry payloads.
+    pub fn digest(&self, key: &[u8]) -> Option<Digest> {
+        self.read(key, |e| Digest::of(e))
+    }
+
+    /// Every key with an engine, across all shards (unsorted).
+    pub fn keys(&self) -> Vec<Vec<u8>> {
+        let mut keys = Vec::new();
+        for shard in &self.shards {
+            keys.extend(shard.core.lock().engines.keys().cloned());
+        }
+        keys
+    }
+
+    /// Counts summed over all shards, each under one acquisition of its
+    /// lock.
+    pub fn status(&self) -> ShardStatus {
+        let mut sum = ShardStatus::default();
+        for shard in &self.shards {
+            let core = shard.core.lock();
+            sum.keys += core.engines.len() as u64;
+            for r in core.engines.values() {
+                sum.entries += r.engine.entries().len() as u64;
+                sum.tombstones += r.engine.tombstone_count() as u64;
+            }
+        }
+        sum
+    }
+
+    /// The `(key, stored entries)` population, copied out shard by shard —
+    /// the denominator of the live quality gauges.
+    pub fn stored_pairs(&self) -> Vec<(Vec<u8>, Vec<Entry>)> {
+        let mut pairs = Vec::new();
+        for shard in &self.shards {
+            let core = shard.core.lock();
+            pairs
+                .extend(core.engines.iter().map(|(k, r)| (k.clone(), r.engine.entries().to_vec())));
+        }
+        pairs
+    }
+
+    // ---- writes ----
+
+    /// Creates the key's engine under `group` and the strategy recorded
+    /// for it — read under the lock the caller holds, so a concurrent
+    /// override cannot slip between the read and the creation.
+    fn create_engine<'c>(
+        &self,
+        core: &'c mut ShardCore,
+        key: &[u8],
+        group: GroupCtx,
+    ) -> Result<&'c mut Resident, ClusterError> {
+        let me = group_index(&group.members, self.my_id).expect("group includes this server");
+        let spec = core.spec_of(key, self.spec);
+        let engine = NodeEngine::new(
+            ServerId::new(me as u32),
+            group.members.len(),
+            spec,
+            key_seed(self.seed, key),
+        )?;
+        Ok(core.engines.entry(key.to_vec()).or_insert(Resident { engine, group }))
+    }
+
+    /// Applies an inbound message *and its entire local cascade* to the
+    /// key's engine in one shard-lock critical section, appending it to
+    /// the owning shard's WAL segment first (buffered: the caller fsyncs
+    /// [`Applied::shard`]'s segment before it acks). `from` carries a
+    /// *member id*; `spec` is the override the request carried, if any.
+    ///
+    /// The sender is checked against the key's group *before* anything is
+    /// recorded: a sender outside it has a different epoch view, and a
+    /// refused message must leave no override and no engine behind for
+    /// `Keys`, `Digest` and the next checkpoint to report.
+    pub fn apply(
+        &self,
+        key: &[u8],
+        from: Endpoint,
+        spec: Option<StrategySpec>,
+        msg: Message<Entry>,
+    ) -> Result<Applied, ClusterError> {
+        self.deliver(key, from, spec, msg, true)
+    }
+
+    /// [`Shards::apply`] when `live`; WAL replay otherwise — the same
+    /// steps with the sender translation and the append off.
+    fn deliver(
+        &self,
+        key: &[u8],
+        from: Endpoint,
+        spec: Option<StrategySpec>,
+        msg: Message<Entry>,
+        live: bool,
+    ) -> Result<Applied, ClusterError> {
+        let (index, shard) = self.shard_of(key);
+        let mut core = shard.core.lock();
+        // The group the engine runs under — or, for a key without one,
+        // would be created under once the sender has passed.
+        let fresh =
+            if core.engines.contains_key(key) { None } else { Some(self.group_ctx_for(key)?) };
+        let group = fresh.as_ref().unwrap_or_else(|| &core.engines[key].group);
+        let glen = group.members.len();
+        // Off the wire the sender is a member id; out of the log it is
+        // already the position the engine saw.
+        let from = if live { group.local_sender(from)? } else { from };
+        if let Some(spec) = spec {
+            spec.validate(glen)?;
+            core.set_spec(key, spec, self.spec)?;
+        }
+        let created = fresh.is_some();
+        if let Some(group) = fresh {
+            self.create_engine(&mut core, key, group)?;
+        }
+        let effective = core.spec_of(key, self.spec);
+        let spec_override = (effective != self.spec).then_some(effective);
+        if let (true, Some(storage)) = (live, &shard.storage) {
+            storage.append(key, from, spec_override, &msg)?;
+        }
+        let Resident { engine, group } = core.engines.get_mut(key).expect("just ensured");
+        let remote = deliver_local(engine, from, msg);
+        let remote = remote.into_iter().map(|(d, m)| (group.members[d.index()], m)).collect();
+        Ok(Applied { shard: index, created, spec_override, remote })
+    }
+
+    /// Rebuilds one key's engine from collected placement state with
+    /// [`NodeEngine::rebuild`] — the one path of disk recovery, cold-start
+    /// resync and anti-entropy repair — under the key's shard lock for the
+    /// whole rebuild, so concurrent writes serialize against it.
+    ///
+    /// `snap.entries` is the replica set for full replication / Fixed-x,
+    /// the candidate coverage for RandomServer-x and Hash-y, and unused
+    /// for Round-Robin-y (`positions`/`counters` drive that rebuild);
+    /// `version`/`tombstones` are restored after the feed (the rebuilt
+    /// engine must not look older than what it was rebuilt from, and must
+    /// keep the delete markers that stop a later union repair from
+    /// resurrecting).
+    ///
+    /// With a `guard` the rebuild is validate-and-rebuild: every write
+    /// path holds this lock, so if the key's digest still equals the one
+    /// captured with the caller's own row, no write landed since — and
+    /// none can until the rebuild is done. A changed digest means a write
+    /// was acked after the donor snapshots were pulled; rebuilding from
+    /// them would wipe it, so nothing is changed ([`Rebuilt::Refused`]).
+    pub fn rebuild(
+        &self,
+        snap: KeySnapshot,
+        guard: Option<Digest>,
+    ) -> Result<Rebuilt, ClusterError> {
+        let KeySnapshot { key, spec, entries, positions, counters, version, tombstones } = snap;
+        let mut core = self.shard_of(&key).1.core.lock();
+        if let Some(seen) = guard {
+            let now =
+                core.engines.get(&key).map_or(Digest::absent(spec), |r| Digest::of(&r.engine));
+            if now != seen {
+                return Ok(Rebuilt::Refused);
+            }
+        }
+        // Rebuilds target the key's *current* placement group: a server
+        // outside the group (current and grace views both) must not
+        // resurrect an engine for a key it no longer hosts.
+        let group = self.group_ctx_for(&key)?;
+        if spec != core.spec_of(&key, self.spec) {
+            spec.validate(group.members.len())?;
+            core.set_spec(&key, spec, self.spec)?;
+        }
+        // A stale group context (membership moved the key) invalidates the
+        // resident engine: its `me`/`n` no longer describe the placement,
+        // so it is replaced wholesale rather than patched.
+        let did =
+            if core.engines.contains_key(&key) { Rebuilt::Replaced } else { Rebuilt::Created };
+        if core.engines.get(&key).is_some_and(|r| r.group != group) {
+            core.engines.remove(&key);
+        }
+        if !core.engines.contains_key(&key) {
+            self.create_engine(&mut core, &key, group)?;
+        }
+        let resident = core.engines.get_mut(&key).expect("just ensured");
+        resident.engine.rebuild(entries, positions.into_iter().collect(), counters);
+        resident.engine.set_version_meta(version, tombstones);
+        Ok(did)
+    }
+
+    /// Replays what [`storage::open_sharded`](crate::storage::open_sharded)
+    /// recovered — checkpoint snapshots first, then post-checkpoint WAL
+    /// records through the same path live messages take (no append, and
+    /// the remote deliveries dropped: each peer replays its own log, so
+    /// re-sending would double-apply) — then checkpoints every shard.
+    /// Per-item failures are logged and skipped: damaged durable state
+    /// degrades recovery, it never refuses startup. Returns the number of
+    /// keys standing afterwards — each one an engine this call created.
+    /// `server` is the `server` field of the log lines (the caller's index
+    /// in its configured address list, as on its other events).
+    pub fn replay(&self, segments: Vec<Recovered>, server: usize) -> usize {
+        let (mut torn, mut replayed) = (false, 0u64);
+        let mut any = false;
+        for seg in segments.into_iter().filter(|seg| !seg.is_empty()) {
+            any = true;
+            torn |= seg.torn;
+            for snap in seg.snapshots {
+                if let Err(err) = self.rebuild(snap, None) {
+                    pls_telemetry::warn!("recovery_snapshot_skipped", server = server, err = err);
+                }
+            }
+            for WalRecord { key, from, spec, msg, .. } in seg.records {
+                match self.deliver(&key, from, spec, msg, false) {
+                    Ok(applied) => {
+                        replayed += 1;
+                        if let Some(storage) = &self.shards[applied.shard].storage {
+                            storage.metrics.replayed.inc();
+                        }
+                    }
+                    Err(err) => {
+                        pls_telemetry::warn!("recovery_record_skipped", server = server, err = err);
+                    }
+                }
+            }
+        }
+        if !any {
+            return 0;
+        }
+        // The rebuilt state is not in the WAL (rebuilds bypass logging), so
+        // checkpoint at once: a second crash replays from this exact
+        // point, which also makes double recovery equal single recovery.
+        if let Err(err) = (0..self.shards.len()).try_for_each(|i| self.checkpoint(i)) {
+            pls_telemetry::warn!("recovery_checkpoint_failed", server = server, err = err);
+        }
+        let keys = self.shards.iter().map(Shard::key_count).sum::<u64>() as usize;
+        pls_telemetry::info!(
+            "recovered_from_disk",
+            server = server,
+            keys = keys,
+            replayed = replayed,
+            torn_tail = torn
+        );
+        keys
+    }
+
+    /// Checkpoints one shard: every resident engine's snapshot and the
+    /// highest WAL sequence appended so far are captured under the shard
+    /// lock — appends (with their full local cascade) hold the same lock,
+    /// so the snapshots contain the effect of exactly the records up to
+    /// that sequence, the contract [`Storage::checkpoint`] requires — and
+    /// written with the lock released. Blocking file I/O: call it off the
+    /// async executor. A no-op for a memory-only shard.
+    pub fn checkpoint(&self, shard: usize) -> Result<(), ClusterError> {
+        let Shard { core, storage: Some(storage) } = &self.shards[shard] else {
+            return Ok(());
+        };
+        let (snaps, last_seq) = {
+            let core = core.lock();
+            let snaps: Vec<KeySnapshot> =
+                core.engines.iter().map(|(k, r)| KeySnapshot::of(k, &r.engine)).collect();
+            (snaps, storage.appended_seq())
+        };
+        storage.checkpoint(last_seq, &snaps)
+    }
+
+    /// Drops delete tombstones born at or before `cutoff_ms` from every
+    /// engine; returns how many went.
+    pub fn gc_tombstones(&self, cutoff_ms: u64) -> usize {
+        let gc = |sh: &Shard| -> usize {
+            sh.core.lock().engines.values_mut().map(|r| r.engine.gc_tombstones(cutoff_ms)).sum()
+        };
+        self.shards.iter().map(gc).sum()
+    }
+
+    // ---- repair and migration ----
+
+    /// Where `key` stands against the installed membership; `None` when
+    /// this server is not in its current group. Only members of the
+    /// current group reconcile a key: a server the group moved away from
+    /// keeps its copy untouched — the grace overlap still serves reads
+    /// from it, and dropping data on a rumor would be unrecoverable if the
+    /// rumor were wrong. The same members at an older epoch is a rename,
+    /// not a move: the recorded epoch is bumped in place.
+    pub fn repair_plan(&self, key: &[u8]) -> Option<RepairPlan> {
+        let (epoch, group, prev) = {
+            let table = self.membership.lock();
+            (table.current().epoch(), table.group(key), table.prev_group(key))
+        };
+        if !group.contains(&self.my_id) {
+            return None;
+        }
+        let migrating = match self.shard_of(key).1.core.lock().engines.get_mut(key) {
+            Some(r) if r.group.members == group => {
+                r.group.epoch = epoch;
+                false
+            }
+            _ => true,
+        };
+        let mut donors = group.clone();
+        for id in prev.into_iter().flatten() {
+            if !donors.contains(&id) {
+                donors.push(id);
+            }
+        }
+        donors.retain(|&id| id != self.my_id);
+        Some(RepairPlan { epoch, group, migrating, donors })
+    }
+
+    /// Migration lag: how many of `keys` this server should host under
+    /// the installed epoch whose resident engine (if any) was built for
+    /// another view. Converges to zero once every owed key was pulled.
+    pub fn migration_pending(&self, keys: &[Vec<u8>]) -> u64 {
+        let owed = |key: &&Vec<u8>| {
+            let (epoch, group) = {
+                let table = self.membership.lock();
+                (table.current().epoch(), table.group(key))
+            };
+            let core = self.shard_of(key).1.core.lock();
+            let at_home = |r: &Resident| r.group.epoch == epoch && r.group.members == group;
+            group.contains(&self.my_id) && !core.engines.get(key.as_slice()).is_some_and(at_home)
+        };
+        keys.iter().filter(owed).count() as u64
+    }
+
+    /// The deep verdict for the share-splitting strategies: whether this
+    /// server's captured row `mine` differs from the share of `merged`
+    /// (the key as [`merge_donor_rows`] says the cluster holds it) that the
+    /// key's engine assigns to it. Hash-y: the entries its family maps
+    /// here. Round-Robin-y: the positions whose `y` holders include this
+    /// server, and — at group position 0, the coordinator — the merged
+    /// counters. Digests across servers are incomparable for both; this is
+    /// their only check.
+    pub fn deep_verdict(&self, mine: &KeySnapshot, merged: &KeySnapshot) -> bool {
+        self.read(&mine.key, |e| share_differs(e, mine, merged)).unwrap_or(true)
+    }
+}
+
+/// [`Shards::deep_verdict`] against the key's engine.
+fn share_differs(e: &NodeEngine<Entry>, mine: &KeySnapshot, merged: &KeySnapshot) -> bool {
+    let (me, n) = (e.me(), e.n());
+    match mine.spec {
+        StrategySpec::Hash { .. } => {
+            let expected: Vec<Entry> =
+                merged.entries.iter().filter(|&v| e.assigns_to(v, me)).cloned().collect();
+            expected.len() != mine.entries.len()
+                || entry_set_hash(&expected) != entry_set_hash(&mine.entries)
+        }
+        StrategySpec::RoundRobin { y } => {
+            let here = |pos: u64| {
+                let base = ServerId::new((pos % n as u64) as u32);
+                (0..y).any(|k| base.wrapping_add(k, n) == me)
+            };
+            let expected = merged.positions.iter().filter(|(pos, _)| here(*pos));
+            let held = mine.positions.iter().map(|(p, v)| (*p, v));
+            position_set_hash(expected.map(|(p, v)| (*p, v))) != position_set_hash(held)
+                || (me.index() == 0 && merged.counters != mine.counters)
+        }
+        _ => false,
+    }
+}
+
+/// Feeds one inbound message to an engine and drains its *local* cascade
+/// in place, breadth-first: `To(me)` deliveries and the broadcast
+/// self-copy are re-fed to the same engine immediately (unlogged: replay
+/// re-derives them from the one record). Returns the remote deliveries in
+/// generation order.
+fn deliver_local(
+    engine: &mut NodeEngine<Entry>,
+    from: Endpoint,
+    msg: Message<Entry>,
+) -> Vec<(ServerId, Message<Entry>)> {
+    let (me, n) = (engine.me(), engine.n() as u32);
+    let mut remote = Vec::new();
+    let mut queue: VecDeque<Outbound<Entry>> = engine.handle(from, msg).into();
+    while let Some(out) = queue.pop_front() {
+        let local = match out {
+            Outbound::To(dest, m) if dest == me => m,
+            Outbound::To(dest, m) => {
+                remote.push((dest, m));
+                continue;
+            }
+            Outbound::Broadcast(m) => {
+                let others = (0..n).map(ServerId::new).filter(|d| *d != me);
+                remote.extend(others.map(|d| (d, m.clone())));
+                m
+            }
+        };
+        queue.extend(engine.handle(Endpoint::Server(me), local));
+    }
+    remote
+}
+
+/// Whether updates reach every server of the group, so that a version
+/// behind the maximum means missed updates. Hash / Round-Robin fan out to
+/// targeted subsets: versions legitimately diverge across servers.
+fn broadcasts(spec: StrategySpec) -> bool {
+    !matches!(spec, StrategySpec::Hash { .. } | StrategySpec::RoundRobin { .. })
+}
+
+/// Merges the rows of one key — every reachable holder's snapshot, this
+/// server's own included — into the key as the cluster holds it, the
+/// state a repair may rebuild from: the surviving entry coverage
+/// (first-seen order) and round-robin positions, the freshest version,
+/// per entry the newest tombstone any row remembers (installed on the
+/// rebuilt engine, so this server can veto future unions too), and the
+/// counters under [`merge_rr_counters`] — rows can disagree (one kept
+/// serving while another lagged), so none is trusted alone.
+///
+/// What the cluster has provably deleted is screened out.
+/// Two guards compose:
+///
+/// - **Version screening** (FullReplication / Fixed / RandomServer only):
+///   rows at different versions saw different update prefixes, so only
+///   rows at the freshest version contribute. Under Hash / Round-Robin
+///   every row participates.
+/// - **Tombstone filtering** (all strategies): an entry with a merged
+///   tombstone stays dead unless some contributing row holds it live at a
+///   key version *newer* than the tombstone — the signature of a re-add
+///   after the delete. A stale live copy at or below the tombstone's
+///   version (a donor that missed the `Delete`, unreachable during the
+///   fan-out) loses, which is what keeps repair from resurrecting it.
+pub fn merge_donor_rows(key: &[u8], spec: StrategySpec, rows: &[KeySnapshot]) -> KeySnapshot {
+    let max_version = rows.iter().map(|d| d.version).max().unwrap_or(0);
+    let participates = |d: &&KeySnapshot| !broadcasts(spec) || d.version == max_version;
+
+    // Per entry, the newest version any row (fresh or stale — a stale
+    // row's tombstone is still a real delete) remembers deleting it at.
+    let mut tombs: HashMap<&Entry, Tombstone> = HashMap::new();
+    for (v, t) in rows.iter().flat_map(|d| &d.tombstones) {
+        let slot = tombs.entry(v).or_insert(*t);
+        if t.version > slot.version {
+            *slot = *t;
+        }
+    }
+    // The freshest key version each entry is held live at, across the
+    // participating rows.
+    let mut live_at: HashMap<&Entry, u64> = HashMap::new();
+    for d in rows.iter().filter(participates) {
+        for v in d.entries.iter().chain(d.positions.iter().map(|(_, v)| v)) {
+            let slot = live_at.entry(v).or_insert(d.version);
+            *slot = (*slot).max(d.version);
+        }
+    }
+    let keep = |v: &Entry| match (live_at.get(v), tombs.get(v)) {
+        (Some(&lv), Some(t)) => lv > t.version,
+        (live, _) => live.is_some(),
+    };
+
+    let mut union: Vec<Entry> = Vec::new();
+    let mut in_union: HashSet<&Entry> = HashSet::new();
+    let mut positions: BTreeMap<u64, Entry> = BTreeMap::new();
+    for d in rows.iter().filter(participates) {
+        for v in d.entries.iter().filter(|v| keep(v)) {
+            if in_union.insert(v) {
+                union.push(v.clone());
+            }
+        }
+        positions.extend(d.positions.iter().filter(|(_, v)| keep(v)).cloned());
+    }
+    KeySnapshot {
+        key: key.to_vec(),
+        spec,
+        entries: union,
+        positions: positions.into_iter().collect(),
+        counters: rows.iter().fold(None, |acc, d| merge_rr_counters(acc, d.counters)),
+        version: max_version,
+        tombstones: tombs.into_iter().map(|(v, t)| (v.clone(), t)).collect(),
+    }
+}
+
+/// The consensus replica set among `(count, entry hash)` votes: the most
+/// common one; ties break toward the larger count, then the larger hash,
+/// so every server resolves the same way and repair converges instead of
+/// ping-ponging.
+fn modal_set(votes: impl Iterator<Item = (u64, u64)>) -> Option<(u64, u64)> {
+    let mut tally: HashMap<(u64, u64), usize> = HashMap::new();
+    for vote in votes {
+        *tally.entry(vote).or_insert(0) += 1;
+    }
+    tally.into_iter().max_by_key(|((c, h), n)| (*n, *c, *h)).map(|(set, _)| set)
+}
+
+/// The digest-level verdict: whether the digests alone already show that
+/// this server's copy (`local`; `None` = the key is missing here) has
+/// diverged from what its reachable `peers` hold.
+///
+/// - FullReplication / Fixed-x (identical everywhere): the modal
+///   `(count, entry hash)` among the **freshest** digests is the consensus
+///   set — a lagging row matching by accident must not outvote rows that
+///   saw every update. A local version behind a peer's also convicts, even
+///   if the sets happen to collide (delete-then-re-add of one entry).
+/// - RandomServer-x (subsets legitimately differ): gross
+///   under-replication — less than half the best-filled peer, not
+///   reservoir jitter — or a stale version clock.
+/// - Hash-y / Round-Robin-y: shares are disjoint by design; only
+///   [`Shards::deep_verdict`] can tell.
+pub fn digest_verdict(spec: StrategySpec, local: Option<&Digest>, peers: &[Digest]) -> bool {
+    let Some(local) = local else { return true };
+    let max_peer_version = peers.iter().map(|d| d.version).max().unwrap_or(0);
+    let behind = local.version < max_peer_version;
+    match spec {
+        StrategySpec::FullReplication | StrategySpec::Fixed { .. } => {
+            let max_v = max_peer_version.max(local.version);
+            let freshest = peers.iter().chain([local]).filter(|d| d.version == max_v);
+            let modal = modal_set(freshest.map(|d| (d.count, d.entry_hash)));
+            behind || modal != Some((local.count, local.entry_hash))
+        }
+        StrategySpec::RandomServer { .. } => {
+            behind || local.count * 2 < peers.iter().map(|d| d.count).max().unwrap_or(0)
+        }
+        StrategySpec::Hash { .. } | StrategySpec::RoundRobin { .. } => false,
+    }
+}
+
+/// What a rebuild adopts — the one rule of cold-start resync and
+/// anti-entropy repair: `merged` ([`merge_donor_rows`] of `rows`), with
+/// the replica set chosen per strategy. FullReplication / Fixed-x replicas
+/// are identical everywhere, so the modal set among the freshest `rows` is
+/// adopted wholesale (never a stale row — it may predate a delete); the
+/// share-splitting strategies rebuild from the screened union as merged.
+pub fn entries_for_rebuild(rows: &[KeySnapshot], mut merged: KeySnapshot) -> KeySnapshot {
+    if matches!(merged.spec, StrategySpec::FullReplication | StrategySpec::Fixed { .. }) {
+        let set_of = |d: &KeySnapshot| (d.entries.len() as u64, entry_set_hash(&d.entries));
+        let freshest = || rows.iter().filter(|d| d.version == merged.version);
+        let modal = modal_set(freshest().map(set_of));
+        let adopted = freshest().find(|d| Some(set_of(d)) == modal);
+        merged.entries = adopted.map(|d| d.entries.clone()).unwrap_or_default();
+    }
+    merged
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeSet;
+    use std::path::PathBuf;
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    use pls_core::membership::DEFAULT_GROUP_SIZE;
+    use pls_core::{DetRng, GroupRouter};
+
+    use super::*;
+    use crate::storage::open_sharded;
+
+    const SEED: u64 = 42;
+
+    /// Server `my_id` of an `n`-member static cluster.
+    fn shards(
+        n: usize,
+        my_id: u64,
+        spec: StrategySpec,
+        storages: Vec<Option<Arc<Storage>>>,
+    ) -> Shards {
+        let view = Membership::bootstrap((0..n).map(|i| format!("127.0.0.1:{}", 9200 + i)));
+        let table = RoutingTable::new(GroupRouter::new(DEFAULT_GROUP_SIZE, SEED), view);
+        Shards::new(my_id, spec, SEED, table, storages)
+    }
+
+    fn client() -> Endpoint {
+        Endpoint::client(0)
+    }
+
+    /// A client update in the envelope the server wraps it in.
+    fn versioned(stamp_ms: u64, msg: Message<Entry>) -> Message<Entry> {
+        Message::Versioned { version: 0, stamp_ms, msg: Box::new(msg) }
+    }
+
+    fn add(v: &[u8]) -> Message<Entry> {
+        versioned(1_700_000_000_000, Message::AddReq { v: v.to_vec() })
+    }
+
+    /// Delivers a client message at member `at` and carries every remote
+    /// delivery to its destination, first in first out — the cluster
+    /// without the sockets.
+    fn run(
+        cluster: &[Shards],
+        at: u64,
+        key: &[u8],
+        spec: Option<StrategySpec>,
+        msg: Message<Entry>,
+    ) {
+        let mut queue = VecDeque::from([(at, client(), spec, msg)]);
+        while let Some((dest, from, spec, msg)) = queue.pop_front() {
+            let applied = cluster[dest as usize].apply(key, from, spec, msg).unwrap();
+            let sender = Endpoint::Server(ServerId::new(dest as u32));
+            let spec = applied.spec_override;
+            queue.extend(applied.remote.into_iter().map(|(to, m)| (to, sender, spec, m)));
+        }
+    }
+
+    /// Regression for the override vs engine-creation race: with the
+    /// override map and the engines map behind separate locks, a
+    /// concurrent engine creation could materialize the engine under the
+    /// default spec *between* the override's conflict check and its
+    /// insert — override recorded, engine disagreeing, forever. With
+    /// both maps owned by one shard core, every interleaving ends in
+    /// agreement: either the message carrying the override lands first
+    /// (the engine adopts it) or the engine wins (the conflicting
+    /// override is refused, message and all).
+    #[test]
+    fn concurrent_set_spec_and_engine_creation_agree() {
+        let shards = shards(3, 0, StrategySpec::FullReplication, vec![None; 4]);
+        let override_spec = StrategySpec::fixed(2);
+        for round in 0..2000u32 {
+            let key = format!("race/{round}").into_bytes();
+            let barrier = std::sync::Barrier::new(2);
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    barrier.wait();
+                    let _ = shards.apply(&key, client(), Some(override_spec), add(b"w"));
+                });
+                s.spawn(|| {
+                    barrier.wait();
+                    shards.apply(&key, client(), None, add(b"v")).unwrap();
+                });
+            });
+            let core = shards.shard_of(&key).1.core.lock();
+            let engine_spec = core.engines.get(&key).map(|r| r.engine.spec());
+            assert_eq!(
+                engine_spec.expect("apply always materializes the engine"),
+                core.spec_of(&key, shards.spec),
+                "round {round}: engine strategy diverged from the recorded override"
+            );
+        }
+    }
+
+    /// Hammers one key with concurrent updates that carry a spec
+    /// override, updates that carry none, and lookup samples while a
+    /// fourth thread continuously checks — under a single shard-lock
+    /// acquisition — that the engine's strategy and the recorded override
+    /// never disagree (the spec used to be read under one lock and the
+    /// engine created under another, so an override landing in the gap
+    /// produced an engine on a stale spec that still returned Ok).
+    #[test]
+    fn spec_engine_agreement_under_concurrent_hammer() {
+        let shards = shards(3, 0, StrategySpec::FullReplication, vec![None; 2]);
+        let key: Vec<u8> = b"hammer/key".to_vec();
+        let stop = AtomicBool::new(false);
+        let agree = |core: &ShardCore| {
+            if let Some(r) = core.engines.get(&key) {
+                assert_eq!(r.engine.spec(), core.spec_of(&key, shards.spec));
+            }
+        };
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for _ in 0..4000 {
+                    let _ = shards.apply(&key, client(), Some(StrategySpec::fixed(2)), add(b"w"));
+                }
+                stop.store(true, Ordering::Relaxed);
+            });
+            s.spawn(|| {
+                // At least once: the setter may be done before this
+                // thread first runs.
+                let mut i = 0u64;
+                loop {
+                    shards.apply(&key, client(), None, add(&i.to_le_bytes())).unwrap();
+                    i += 1;
+                    if stop.load(Ordering::Relaxed) {
+                        break;
+                    }
+                }
+            });
+            s.spawn(|| {
+                while !stop.load(Ordering::Relaxed) {
+                    let _ = shards.probe(&key, 2);
+                }
+            });
+            s.spawn(|| {
+                while !stop.load(Ordering::Relaxed) {
+                    agree(&shards.shard_of(&key).1.core.lock());
+                }
+            });
+        });
+        let core = shards.shard_of(&key).1.core.lock();
+        assert!(core.engines.contains_key(&key), "updates created the engine");
+        agree(&core);
+    }
+
+    /// The key→shard map is pure arithmetic on a seed-free hash: stable
+    /// across processes, restarts, and builds.
+    #[test]
+    fn shard_routing_is_deterministic_and_covers_all_shards() {
+        for shards in [1usize, 2, 4, 7] {
+            let mut hit = vec![false; shards];
+            for i in 0..256u32 {
+                let key = format!("cover/{i}").into_bytes();
+                let s = shard_index(&key, shards);
+                assert!(s < shards);
+                assert_eq!(s, shard_index(&key, shards), "routing must be a pure function");
+                hit[s] = true;
+            }
+            assert!(hit.iter().all(|&h| h), "256 keys must touch every one of {shards} shards");
+        }
+    }
+
+    /// Both derive from FNV-1a → splitmix64 and nothing else. A change to
+    /// either orphans what is on disk: the shard segment a key's records
+    /// sit in, and the Hash-y family its checkpointed share was assigned
+    /// under (which every server must also derive alike).
+    #[test]
+    fn engine_seed_and_shard_routing_are_pinned() {
+        assert_eq!(key_seed(0, b"song/stairway"), 0x91C6_21A5_0B98_7D31);
+        assert_eq!(key_seed(42, b"song/stairway"), 0x91C6_21A5_0B98_7D1B);
+        assert_eq!(key_seed(0xDEAD_BEEF, b""), 0xC381_7C01_B509_41DF);
+        assert_eq!(shard_index(b"song/stairway", 4), 1);
+        assert_eq!(shard_index(b"cover/3", 7), 0);
+        assert_eq!(shard_index(b"key/0", 16), 9);
+    }
+
+    /// A peer on another epoch can name a sender outside the key's group.
+    /// Its message is refused — and must not leave an empty engine behind
+    /// that `Keys`, `Status`, `Digest{known: true}` and the next checkpoint
+    /// would all report.
+    #[test]
+    fn a_refused_message_leaves_no_engine_behind() {
+        let n = DEFAULT_GROUP_SIZE + 3;
+        let key = b"song/outsider".to_vec();
+        let group = shards(n, 0, StrategySpec::FullReplication, vec![None]).group_of(&key);
+        let me = group[0];
+        let outsider = (0..n as u64).find(|id| !group.contains(id)).expect("n exceeds the group");
+        let shards = shards(n, me, StrategySpec::FullReplication, vec![None]);
+        let msg = Message::Store { v: b"peer:1".to_vec() };
+        let from = Endpoint::Server(ServerId::new(outsider as u32));
+        let refused = shards.apply(&key, from, Some(StrategySpec::fixed(2)), msg.clone());
+        assert!(matches!(refused, Err(ClusterError::Remote(_))), "{refused:?}");
+        assert!(shards.keys().is_empty());
+        assert_eq!(shards.status(), ShardStatus::default());
+        assert_eq!(shards.digest(&key), None);
+        assert_eq!(shards.spec_of(&key), None);
+        assert_eq!(shards.probe(&key, 1).0, StrategySpec::FullReplication, "no override either");
+        // The same message from a group member is applied.
+        let from = Endpoint::Server(ServerId::new(group[1] as u32));
+        assert!(shards.apply(&key, from, None, msg.clone()).unwrap().created);
+        assert!(!shards.apply(&key, from, None, msg).unwrap().created, "once per engine");
+        assert_eq!(shards.keys(), vec![key]);
+    }
+
+    fn scratch(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("pls-shard-{}-{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// Entry and tombstone order is the store's and a `HashMap`'s: a
+    /// rebuilt Round-Robin store is in position order, the live one in
+    /// arrival order.
+    fn normalized(mut snap: KeySnapshot) -> KeySnapshot {
+        snap.entries.sort();
+        snap.tombstones.sort_by(|a, b| a.0.cmp(&b.0));
+        snap
+    }
+
+    fn state_of(shards: &Shards) -> Vec<(Digest, KeySnapshot)> {
+        let mut keys = shards.keys();
+        keys.sort();
+        let both =
+            |k: &Vec<u8>| (shards.digest(k).unwrap(), normalized(shards.snapshot(k).unwrap()));
+        keys.iter().map(both).collect()
+    }
+
+    /// Member 0 of a three-server cluster logs 2,000 seeded messages —
+    /// client places, adds and deletes, and the internal messages its
+    /// peers' cascades send it — with a checkpoint half-way. A server
+    /// reopened on that data dir and fed through `replay` must hold, key
+    /// for key, the digest and the snapshot of the live one; so must a
+    /// second one opened after it; and replay itself appends nothing.
+    ///
+    /// A key's entries are a set (§2): only an absent entry is added, only
+    /// a present one deleted, a place names each once.
+    fn assert_replay_is_apply(tag: &str, spec: StrategySpec) {
+        let dir = scratch(&format!("replay-{tag}"));
+        let open = || {
+            let (storages, recovered) = open_sharded(&dir, 2).unwrap();
+            let storages = storages.into_iter().map(|s| Some(Arc::new(s))).collect();
+            (shards(3, 0, spec, storages), recovered)
+        };
+        let appends = |s: &Shards| -> u64 {
+            s.as_slice().iter().map(|sh| sh.storage().unwrap().metrics.appends.get()).sum()
+        };
+        let (durable, recovered) = open();
+        assert_eq!(durable.replay(recovered, 0), 0, "{spec}: a fresh dir");
+        let cluster =
+            [durable, shards(3, 1, spec, vec![None; 2]), shards(3, 2, spec, vec![None; 2])];
+
+        // One key runs under an override, so records carry a spec.
+        let hash = matches!(spec, StrategySpec::Hash { .. });
+        let other = if hash { StrategySpec::fixed(3) } else { StrategySpec::hash(2) };
+        let keys: Vec<Vec<u8>> = (0..6).map(|i| format!("key/{i}").into_bytes()).collect();
+        let spec_of = |ki: usize| if ki == 0 { other } else { spec };
+        let mut rng = DetRng::seed_from(0x5EED + fnv1a64(tag.as_bytes()));
+        let universe: Vec<Entry> = (0..16).map(|i| format!("peer-{i}:6699").into_bytes()).collect();
+        let mut model: Vec<BTreeSet<Entry>> = vec![BTreeSet::new(); keys.len()];
+        for (ki, key) in keys.iter().enumerate() {
+            let entries = rng.subset(&universe, 4);
+            model[ki] = entries.iter().cloned().collect();
+            let at = cluster[0].group_of(key)[0];
+            let place = versioned(1, Message::PlaceReq { entries });
+            run(&cluster, at, key, Some(spec_of(ki)), place);
+        }
+        let mut checkpointed = false;
+        let mut step = 1u64;
+        while appends(&cluster[0]) < 2_000 {
+            step += 1;
+            let ki = rng.below(keys.len());
+            let held = &mut model[ki];
+            let absent: Vec<&Entry> = universe.iter().filter(|v| !held.contains(*v)).collect();
+            let add = !absent.is_empty() && (held.is_empty() || rng.below(19) < 11);
+            let msg = if rng.below(20) == 0 {
+                let n = rng.below(8);
+                let entries = rng.subset(&universe, n);
+                *held = entries.iter().cloned().collect();
+                Message::PlaceReq { entries }
+            } else if add {
+                let v = absent[rng.below(absent.len())].clone();
+                held.insert(v.clone());
+                Message::AddReq { v }
+            } else {
+                let v = held.iter().nth(rng.below(held.len())).expect("not empty").clone();
+                held.remove(&v);
+                Message::DeleteReq { v }
+            };
+            // Round-Robin updates go to the key's coordinator.
+            let at = match spec_of(ki) {
+                StrategySpec::RoundRobin { .. } => cluster[0].group_of(&keys[ki])[0],
+                _ => rng.below(3) as u64,
+            };
+            run(&cluster, at, &keys[ki], None, versioned(step, msg));
+            if !checkpointed && appends(&cluster[0]) >= 1_000 {
+                checkpointed = true;
+                cluster[0].checkpoint(0).unwrap();
+                cluster[0].checkpoint(1).unwrap();
+            }
+        }
+        let live = state_of(&cluster[0]);
+        assert_eq!(live.len(), keys.len(), "{spec}");
+        assert!(live.iter().any(|(d, _)| d.count > 0), "{spec}: the run left entries");
+        assert!(live.iter().any(|(_, s)| !s.tombstones.is_empty()), "{spec}: and tombstones");
+
+        // The first recovery is the checkpoint plus the log behind it;
+        // it checkpoints, so the second is a checkpoint alone.
+        for tail in [true, false] {
+            let (reopened, recovered) = open();
+            assert_eq!(recovered.iter().any(|seg| !seg.records.is_empty()), tail, "{spec}");
+            assert!(recovered.iter().any(|seg| !seg.snapshots.is_empty()), "{spec}");
+            assert_eq!(reopened.replay(recovered, 0), keys.len(), "{spec}: tail {tail}");
+            assert_eq!(appends(&reopened), 0, "{spec}: replay must not log what it replays");
+            assert_eq!(state_of(&reopened), live, "{spec}: tail {tail}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// *Replay is apply*, for each strategy where it holds today. The two
+    /// cases where it does not are the `#[ignore]`d tests below.
+    #[test]
+    fn replay_is_apply() {
+        assert_replay_is_apply("full", StrategySpec::FullReplication);
+        assert_replay_is_apply("fixed", StrategySpec::fixed(4));
+        assert_replay_is_apply("random", StrategySpec::random_server(20));
+        assert_replay_is_apply("round", StrategySpec::round_robin(2));
+        assert_replay_is_apply("hash", StrategySpec::hash(2));
+    }
+
+    /// Open defect (ROADMAP 1f): a checkpoint holds neither a
+    /// RandomServer-x reservoir's arrival count nor its RNG position, so
+    /// with more entries than `x` a recovered server admits the logged
+    /// tail against `h = x` and keeps another subset than the live one.
+    /// `replay_is_apply` runs RandomServer with `x` above the universe.
+    #[test]
+    #[ignore = "open defect: PLSCKPT2 does not carry the reservoir's arrival count"]
+    fn replay_is_apply_for_a_reservoir_past_x() {
+        assert_replay_is_apply("random-past-x", StrategySpec::random_server(4));
+    }
+
+    /// Open defect (ROADMAP 1f): when one entry sits at two Round-Robin
+    /// positions and is deleted once, a holder of both keeps the tombstone
+    /// beside the surviving copy; a rebuild from a checkpoint drops that
+    /// tombstone (`set_version_meta`: the two never coexist there), so the
+    /// second recovery differs from the live server. `replay_is_apply`
+    /// keeps a key's entries a set (§2).
+    #[test]
+    #[ignore = "open defect: a checkpoint rebuild drops the tombstone of an entry added twice"]
+    fn replay_is_apply_for_an_entry_added_twice() {
+        let spec = StrategySpec::round_robin(2);
+        let dir = scratch("replay-twice");
+        let open = || {
+            let (storages, recovered) = open_sharded(&dir, 1).unwrap();
+            let storages = storages.into_iter().map(|s| Some(Arc::new(s))).collect();
+            (shards(3, 1, spec, storages), recovered)
+        };
+        let (durable, recovered) = open();
+        assert_eq!(durable.replay(recovered, 0), 0);
+        let cluster = [shards(3, 0, spec, vec![None]), durable, shards(3, 2, spec, vec![None])];
+        // `a` at positions 0 and 4: member 1 holds both, and gives up the
+        // copy at 0.
+        let key = b"key/0".to_vec();
+        assert_eq!(cluster[0].group_of(&key), vec![0, 1, 2]);
+        let place = Message::PlaceReq { entries: entries(&["a", "b", "c", "d"]) };
+        run(&cluster, 0, &key, None, versioned(1, place));
+        run(&cluster, 0, &key, None, versioned(2, Message::AddReq { v: b"a".to_vec() }));
+        run(&cluster, 0, &key, None, versioned(3, Message::DeleteReq { v: b"a".to_vec() }));
+        let live = state_of(&cluster[1]);
+        assert_eq!(live[0].1.positions.last(), Some(&(4, b"a".to_vec())));
+        assert_eq!(live[0].1.tombstones.len(), 1);
+        for tail in [true, false] {
+            let (reopened, recovered) = open();
+            assert_eq!(reopened.replay(recovered, 0), 1);
+            assert_eq!(state_of(&reopened), live, "tail {tail}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn entries(names: &[&str]) -> Vec<Entry> {
+        names.iter().map(|n| n.as_bytes().to_vec()).collect()
+    }
+
+    /// A donor row: `held` live at key version `version`, `dead` as
+    /// `(entry, tombstone version)`.
+    fn row(spec: StrategySpec, version: u64, held: &[&str], dead: &[(&str, u64)]) -> KeySnapshot {
+        let tomb = |(v, version): &(&str, u64)| {
+            (v.as_bytes().to_vec(), Tombstone { version: *version, born_ms: 1_700 })
+        };
+        KeySnapshot {
+            key: b"k".to_vec(),
+            spec,
+            entries: entries(held),
+            positions: Vec::new(),
+            counters: None,
+            version,
+            tombstones: dead.iter().map(tomb).collect(),
+        }
+    }
+
+    fn set(entries: &[Entry]) -> BTreeSet<Entry> {
+        entries.iter().cloned().collect()
+    }
+
+    #[test]
+    fn a_donor_that_missed_a_delete_loses_to_the_merged_tombstone() {
+        for spec in [StrategySpec::hash(2), StrategySpec::FullReplication] {
+            // Same key version on both rows: version screening cannot be
+            // what drops `x`.
+            let rows = [row(spec, 5, &["a"], &[("x", 5)]), row(spec, 5, &["a", "x"], &[])];
+            let merged = merge_donor_rows(b"k", spec, &rows);
+            assert_eq!(set(&merged.entries), set(&entries(&["a"])), "{spec}");
+            assert_eq!(merged.tombstones.len(), 1, "{spec}");
+        }
+        // A row below the tombstone's version loses as well.
+        let spec = StrategySpec::hash(2);
+        let rows = [row(spec, 6, &[], &[("x", 6)]), row(spec, 4, &["x"], &[])];
+        assert!(merge_donor_rows(b"k", spec, &rows).entries.is_empty());
+    }
+
+    #[test]
+    fn a_re_add_above_the_tombstones_version_survives() {
+        let spec = StrategySpec::hash(2);
+        let rows = [row(spec, 5, &[], &[("x", 5)]), row(spec, 7, &["x"], &[])];
+        let merged = merge_donor_rows(b"k", spec, &rows);
+        assert_eq!(merged.entries, entries(&["x"]));
+        assert_eq!(merged.version, 7);
+        // Round-robin positions are screened by the same rule.
+        let spec = StrategySpec::round_robin(2);
+        let mut dead = row(spec, 5, &[], &[("x", 5)]);
+        dead.positions = vec![(1, b"y".to_vec())];
+        let mut readded = row(spec, 7, &[], &[]);
+        readded.positions = vec![(3, b"x".to_vec())];
+        let mut missed = row(spec, 4, &[], &[]);
+        missed.positions = vec![(0, b"z".to_vec())];
+        missed.tombstones = vec![(b"y".to_vec(), Tombstone { version: 9, born_ms: 1 })];
+        let merged = merge_donor_rows(b"k", spec, &[dead, readded, missed]);
+        let kept: Vec<u64> = merged.positions.iter().map(|(pos, _)| *pos).collect();
+        assert_eq!(kept, vec![0, 3], "y@1 is below its tombstone, x@3 above its own");
+    }
+
+    #[test]
+    fn a_stale_donors_tombstone_still_counts() {
+        let spec = StrategySpec::random_server(4);
+        // The stale row is screened out of the union, not out of the
+        // tombstones: it remembers deleting `x` at 6, the fresh rows were
+        // rebuilt since and do not.
+        let rows = [
+            row(spec, 6, &["a"], &[("x", 6)]),
+            row(spec, 7, &["a", "b"], &[]),
+            row(spec, 7, &["b"], &[("x", 3)]),
+        ];
+        let merged = merge_donor_rows(b"k", spec, &rows);
+        assert_eq!(set(&merged.entries), set(&entries(&["a", "b"])));
+        let x = merged.tombstones.iter().find(|(v, _)| v == b"x").expect("x stays dead");
+        assert_eq!(x.1.version, 6, "the newest marker wins");
+    }
+
+    #[test]
+    fn version_screening_is_for_the_broadcast_strategies_only() {
+        let rows = |spec| {
+            let mut fresh = row(spec, 5, &["a"], &[]);
+            fresh.positions = vec![(0, b"a".to_vec())];
+            fresh.counters = Some((0, 1));
+            let mut lagging = row(spec, 4, &["b"], &[]);
+            lagging.positions = vec![(1, b"b".to_vec())];
+            lagging.counters = Some((1, 2));
+            [fresh, lagging]
+        };
+        let broadcast =
+            [StrategySpec::FullReplication, StrategySpec::fixed(3), StrategySpec::random_server(3)];
+        for spec in broadcast {
+            assert_eq!(
+                merge_donor_rows(b"k", spec, &rows(spec)).entries,
+                entries(&["a"]),
+                "{spec}"
+            );
+        }
+        let hash = StrategySpec::hash(2);
+        assert_eq!(merge_donor_rows(b"k", hash, &rows(hash)).entries, entries(&["a", "b"]));
+        let round = StrategySpec::round_robin(2);
+        let merged = merge_donor_rows(b"k", round, &rows(round));
+        assert_eq!(merged.positions.len(), 2);
+        assert_eq!(merged.counters, Some((0, 2)), "smallest head, largest tail");
+    }
+
+    fn digest(spec: StrategySpec, version: u64, held: &[&str]) -> Digest {
+        row(spec, version, held, &[]).digest()
+    }
+
+    #[test]
+    fn a_lagging_row_cannot_outvote_the_freshest_rows() {
+        for spec in [StrategySpec::FullReplication, StrategySpec::fixed(5)] {
+            let fresh = digest(spec, 5, &["a", "b"]);
+            let lagging = digest(spec, 4, &["a", "b", "c"]);
+            // Two lagging peers agree with each other; the one fresh peer
+            // agrees with us.
+            assert!(!digest_verdict(spec, Some(&fresh), &[lagging, lagging, fresh]), "{spec}");
+            // Siding with the laggards is being behind.
+            assert!(digest_verdict(spec, Some(&lagging), &[lagging, lagging, fresh]), "{spec}");
+            // The same version and another set: a collision of clocks.
+            let other = digest(spec, 5, &["a", "z"]);
+            assert!(digest_verdict(spec, Some(&other), &[fresh, fresh]), "{spec}");
+            assert!(digest_verdict(spec, None, &[fresh]), "{spec}: a missing key is suspect");
+
+            let rows = [
+                row(spec, 4, &["a", "b", "c"], &[]),
+                row(spec, 4, &["a", "b", "c"], &[]),
+                row(spec, 5, &["a", "b"], &[]),
+            ];
+            let merged = merge_donor_rows(b"k", spec, &rows);
+            assert_eq!(entries_for_rebuild(&rows, merged).entries, entries(&["a", "b"]), "{spec}");
+        }
+    }
+
+    #[test]
+    fn ties_break_to_the_larger_count_then_the_larger_hash() {
+        let spec = StrategySpec::FullReplication;
+        let (small, large) = (digest(spec, 5, &["a"]), digest(spec, 5, &["a", "b"]));
+        assert!(digest_verdict(spec, Some(&small), &[large]), "one vote each: the larger wins");
+        assert!(!digest_verdict(spec, Some(&large), &[small]), "and its holder stays put");
+        let (x, y) = (digest(spec, 5, &["x"]), digest(spec, 5, &["y"]));
+        let (low, high) = if x.entry_hash < y.entry_hash { (x, y) } else { (y, x) };
+        assert!(digest_verdict(spec, Some(&low), &[high]));
+        assert!(!digest_verdict(spec, Some(&high), &[low]));
+
+        let rows = [row(spec, 5, &["a"], &[]), row(spec, 5, &["a", "b"], &[])];
+        let merged = merge_donor_rows(b"k", spec, &rows);
+        assert_eq!(entries_for_rebuild(&rows, merged).entries, entries(&["a", "b"]));
+    }
+
+    #[test]
+    fn random_server_flags_gross_under_replication_and_a_stale_clock_only() {
+        let spec = StrategySpec::random_server(20);
+        let names: Vec<String> = (0..9).map(|i| format!("e{i}")).collect();
+        let names: Vec<&str> = names.iter().map(String::as_str).collect();
+        let best = digest(spec, 5, &names);
+        assert!(digest_verdict(spec, Some(&digest(spec, 5, &names[..4])), &[best]), "8 < 9");
+        assert!(!digest_verdict(spec, Some(&digest(spec, 5, &names[..5])), &[best]), "10 >= 9");
+        let other = digest(spec, 5, &["p", "q", "r", "s", "t"]);
+        assert!(!digest_verdict(spec, Some(&other), &[best]), "subsets legitimately differ");
+        assert!(
+            digest_verdict(spec, Some(&digest(spec, 4, &names)), &[best]),
+            "missed a broadcast"
+        );
+        for spec in [StrategySpec::hash(2), StrategySpec::round_robin(2)] {
+            let mine = digest(spec, 1, &["a"]);
+            assert!(!digest_verdict(spec, Some(&mine), &[digest(spec, 9, &names)]), "{spec}");
+        }
+    }
+
+    /// A three-server cluster holding one key under `spec`, every row
+    /// and their merge.
+    fn placed(spec: StrategySpec) -> ([Shards; 3], Vec<u8>, Vec<KeySnapshot>, KeySnapshot) {
+        let cluster = [0, 1, 2].map(|id| shards(3, id, spec, vec![None]));
+        let key = b"song/deep".to_vec();
+        let entries = (0..12).map(|i| format!("peer-{i}:6699").into_bytes()).collect();
+        let at = cluster[0].group_of(&key)[0];
+        run(&cluster, at, &key, None, versioned(1, Message::PlaceReq { entries }));
+        let rows: Vec<KeySnapshot> = cluster.iter().map(|s| s.snapshot(&key).unwrap()).collect();
+        let merged = merge_donor_rows(&key, spec, &rows);
+        (cluster, key, rows, merged)
+    }
+
+    #[test]
+    fn hash_deep_verdict_is_the_share_the_family_assigns_here() {
+        let spec = StrategySpec::hash(2);
+        let (cluster, key, rows, merged) = placed(spec);
+        assert_eq!(merged.entries.len(), 12);
+        for (server, mine) in cluster.iter().zip(&rows) {
+            assert!(!server.deep_verdict(mine, &merged), "a consistent cluster");
+            let mut short = mine.clone();
+            short.entries.pop().expect("y = 2 of 3 servers: every server holds some");
+            assert!(server.deep_verdict(&short, &merged), "a lost entry");
+            // An entry the cluster holds and this server does not know of
+            // convicts it exactly when its family maps the entry here.
+            let me = group_index(&server.group_of(&key), server.my_id()).unwrap() as u32;
+            let family =
+                NodeEngine::<Entry>::new(ServerId::new(me), 3, spec, key_seed(SEED, &key)).unwrap();
+            let mut both = [false, false];
+            for i in 0..32 {
+                let extra = format!("extra-{i}").into_bytes();
+                let mut more = merged.clone();
+                more.entries.push(extra.clone());
+                let assigned = family.assigns_to(&extra, ServerId::new(me));
+                assert_eq!(server.deep_verdict(mine, &more), assigned, "extra-{i}");
+                both[usize::from(assigned)] = true;
+            }
+            assert_eq!(both, [true, true], "32 entries fall on both sides of a 2-of-3 family");
+        }
+        let absent = row(spec, 1, &[], &[]);
+        assert!(cluster[0].deep_verdict(&absent, &merged), "no engine: nothing to vouch for it");
+    }
+
+    #[test]
+    fn round_robin_deep_verdict_is_positions_and_at_position_zero_counters() {
+        let spec = StrategySpec::round_robin(2);
+        let (cluster, key, rows, merged) = placed(spec);
+        assert_eq!(merged.positions.len(), 12);
+        assert_eq!(merged.counters, Some((0, 12)));
+        let group = cluster[0].group_of(&key);
+        for (server, mine) in cluster.iter().zip(&rows) {
+            let me = group_index(&group, server.my_id()).unwrap();
+            assert!(!server.deep_verdict(mine, &merged), "a consistent cluster");
+            // Position 4 lives at group positions 1 and 2 (4 mod 3, +1).
+            let mut fewer = merged.clone();
+            fewer.positions.retain(|(pos, _)| *pos != 4);
+            assert_eq!(server.deep_verdict(mine, &fewer), me == 1 || me == 2, "position {me}");
+            // Only the coordinator answers for the counters.
+            let mut moved = merged.clone();
+            moved.counters = Some((0, 99));
+            assert_eq!(server.deep_verdict(mine, &moved), me == 0, "position {me}");
+        }
+    }
+
+    #[test]
+    fn rebuild_with_a_stale_guard_changes_nothing() {
+        let spec = StrategySpec::FullReplication;
+        let shards = shards(3, 0, spec, vec![None]);
+        let key = b"song/guarded".to_vec();
+        shards.apply(&key, client(), None, add(b"a")).unwrap();
+        let mine = shards.snapshot(&key).unwrap();
+        let guard = mine.digest();
+        assert_eq!(Some(guard), shards.digest(&key), "one capture, one digest");
+        // A write lands after the capture...
+        shards.apply(&key, client(), None, add(b"b")).unwrap();
+        let after = shards.snapshot(&key).unwrap();
+        // ...so a rebuild from rows pulled before it must not happen.
+        let rows = [mine, row(spec, 1, &["a"], &[])];
+        let rebuilt = entries_for_rebuild(&rows, merge_donor_rows(&key, spec, &rows));
+        assert_eq!(rebuilt.entries, entries(&["a"]));
+        assert_eq!(shards.rebuild(rebuilt.clone(), Some(guard)).unwrap(), Rebuilt::Refused);
+        assert_eq!(shards.snapshot(&key).unwrap(), after);
+        // With the capture it was made against, it does.
+        assert_eq!(
+            shards.rebuild(rebuilt.clone(), Some(after.digest())).unwrap(),
+            Rebuilt::Replaced
+        );
+        assert_eq!(shards.snapshot(&key).unwrap().entries, entries(&["a"]));
+
+        // A key absent at the capture is guarded as the key nobody wrote.
+        let fresh = b"song/fresh".to_vec();
+        let absent = Digest::absent(spec);
+        let wanted = KeySnapshot { key: fresh.clone(), ..rebuilt };
+        shards.apply(&fresh, client(), None, add(b"c")).unwrap();
+        let refused = shards.rebuild(wanted.clone(), Some(absent)).unwrap();
+        assert_eq!(refused, Rebuilt::Refused, "a write created it");
+        let gone = KeySnapshot { key: b"song/gone".to_vec(), ..wanted };
+        assert_eq!(shards.rebuild(gone, Some(absent)).unwrap(), Rebuilt::Created);
+        assert_eq!(shards.status().keys, 3);
+    }
+
+    #[test]
+    fn answers_round_trip_through_their_wire_shape() {
+        let spec = StrategySpec::round_robin(2);
+        let (cluster, key, rows, _) = placed(spec);
+        let snap = rows[0].clone();
+        let back = KeySnapshot::from_response(&key, KeySnapshot::into_response(Some(snap.clone())));
+        assert_eq!(back, Some(snap));
+        assert_eq!(KeySnapshot::from_response(&key, KeySnapshot::into_response(None)), None);
+        let digest = cluster[0].digest(&key);
+        assert_eq!(Digest::from_response(Digest::into_response(digest)), digest);
+        assert_eq!(Digest::from_response(Digest::into_response(None)), None);
+        let unknown = Response::Digest {
+            known: false,
+            spec: None,
+            count: 0,
+            entry_hash: 0,
+            positions_hash: 0,
+            version: 0,
+            counters: None,
+        };
+        assert_eq!(Digest::into_response(None), unknown);
+    }
+}

@@ -3,7 +3,11 @@
 # there is no crate registry. Those six crates reach crates.io only for
 # `rand`, `parking_lot` and (as a dev-dependency) `proptest`; the first two
 # have API-subset shims under benchmark/shims, the third has none, so the
-# property tests are left out and everything else runs.
+# property tests are left out and everything else runs — among it
+# pls-wire's shard tests (`shard::tests`: replay is apply per strategy on
+# a temp-dir WAL, the donor-merge table, the repair verdicts, the rebuild
+# guard, the spec/engine races), the only tests of the server's
+# durability and repair logic that run without tokio.
 #
 #   scripts/offline-test.sh [CARGO ARGS...]   default: test --offline
 #   scripts/offline-test.sh test --offline -p pls-core node::

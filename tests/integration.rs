@@ -15,17 +15,11 @@ use partial_lookup::{Cluster, DetRng, ServerId, StrategySpec};
 /// entry sets must come out identical.
 #[tokio::test(flavor = "multi_thread")]
 async fn simulated_and_live_placements_agree() {
-    use partial_lookup::cluster::{Client, ClientConfig, Server, ServerConfig};
-
     // The live server seeds each key's engine with `seed ^ hash(key)`
-    // (so different keys randomize independently); mirror that derivation
-    // for the simulated twin.
-    fn key_seed(seed: u64, key: &[u8]) -> u64 {
-        use std::hash::{Hash, Hasher};
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut hasher);
-        seed ^ hasher.finish()
-    }
+    // (so different keys randomize independently); the simulated twin is
+    // seeded by the same function.
+    use partial_lookup::cluster::shard::key_seed;
+    use partial_lookup::cluster::{Client, ClientConfig, Server, ServerConfig};
 
     let n = 5;
     let seed = 77;
