@@ -1,6 +1,6 @@
 //! Support library for the `repro` experiment harness: output formatting
-//! and CSV writing shared by the binary and the benches, plus the
-//! `pls-bench compare` regression gate's arithmetic.
+//! and CSV writing for the binary, plus the `pls-bench compare`
+//! regression gate's arithmetic.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -507,8 +507,6 @@ impl<T: Eq + Hash> Eq for IndexedSet<T> {}
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use proptest::prelude::*;
-    use proptest::test_runner::TestCaseError;
     use std::cell::Cell;
     use std::collections::HashSet;
     use std::hash::Hasher;
@@ -582,39 +580,43 @@ pub(crate) mod tests {
         Clear,
     }
 
-    fn op_strategy() -> impl Strategy<Value = Op> {
-        prop_oneof![
-            (0u8..48).prop_map(Op::Insert),
-            (0u8..48).prop_map(Op::Insert),
-            (0u8..48).prop_map(Op::Remove),
-            Just(Op::RemoveRandom),
-            (0u8..40).prop_map(|roll| if roll == 0 { Op::Clear } else { Op::RemoveRandom }),
-        ]
+    /// Two ops in five insert, one removes by value, two remove at random —
+    /// but for one op in two hundred, which clears.
+    fn random_op(rng: &mut DetRng) -> Op {
+        match rng.below(5) {
+            0 | 1 => Op::Insert(rng.below(48) as u8),
+            2 => Op::Remove(rng.below(48) as u8),
+            3 => Op::RemoveRandom,
+            _ if rng.below(40) == 0 => Op::Clear,
+            _ => Op::RemoveRandom,
+        }
     }
 
     /// Replays `ops` on the set, on a `HashSet`, and on the `Vec` +
     /// swap-remove the set's order is defined by.
     fn check_history<T: Copy + Eq + Hash + std::fmt::Debug>(
+        case: u64,
         ops: &[Op],
         seed: u64,
         make: fn(u8) -> T,
-    ) -> Result<(), TestCaseError> {
+    ) {
         let mut ours: IndexedSet<T> = IndexedSet::new();
         let mut reference: HashSet<T> = HashSet::new();
         let mut order: Vec<T> = Vec::new();
         let (mut rng, mut model_rng) = (DetRng::seed_from(seed), DetRng::seed_from(seed));
-        for op in ops {
+        for (step, op) in ops.iter().enumerate() {
+            let at = || format!("case {case}, step {step} of {ops:?}");
             match *op {
                 Op::Insert(v) => {
                     let fresh = reference.insert(make(v));
-                    prop_assert_eq!(ours.insert(make(v)), fresh);
+                    assert_eq!(ours.insert(make(v)), fresh, "{}", at());
                     if fresh {
                         order.push(make(v));
                     }
                 }
                 Op::Remove(v) => {
                     let present = reference.remove(&make(v));
-                    prop_assert_eq!(ours.remove(&make(v)), present);
+                    assert_eq!(ours.remove(&make(v)), present, "{}", at());
                     if let Some(pos) = order.iter().position(|x| *x == make(v)) {
                         order.swap_remove(pos);
                     }
@@ -622,7 +624,7 @@ pub(crate) mod tests {
                 Op::RemoveRandom => {
                     let victim = (!order.is_empty())
                         .then(|| order.swap_remove(model_rng.below(order.len())));
-                    prop_assert_eq!(ours.remove_random(&mut rng), victim);
+                    assert_eq!(ours.remove_random(&mut rng), victim, "{}", at());
                     if let Some(v) = victim {
                         reference.remove(&v);
                     }
@@ -633,13 +635,13 @@ pub(crate) mod tests {
                     order.clear();
                 }
             }
-            prop_assert_eq!(ours.as_slice(), order.as_slice());
+            assert_eq!(ours.as_slice(), order.as_slice(), "{}", at());
             ours.assert_invariants();
         }
         for v in 0u8..48 {
-            prop_assert_eq!(ours.contains(&make(v)), reference.contains(&make(v)));
+            let held = reference.contains(&make(v));
+            assert_eq!(ours.contains(&make(v)), held, "case {case}, value {v} after {ops:?}");
         }
-        Ok(())
     }
 
     #[test]
@@ -874,33 +876,37 @@ pub(crate) mod tests {
         }
     }
 
-    proptest! {
-        /// Under any history the set agrees with a reference `HashSet`,
-        /// keeps the order a `Vec` with swap-remove would, and keeps its
-        /// table's invariants — with a well-spread hash, with every value
-        /// in one run under one tag, and with two runs and two tags.
-        #[test]
-        fn matches_reference_set(
-            ops in proptest::collection::vec(op_strategy(), 0..300),
-            seed in any::<u64>(),
-        ) {
-            check_history(&ops, seed, |v| v)?;
-            check_history(&ops, seed, Colliding::<1>)?;
-            check_history(&ops, seed, Colliding::<2>)?;
+    /// Under any history the set agrees with a reference `HashSet`,
+    /// keeps the order a `Vec` with swap-remove would, and keeps its
+    /// table's invariants — with a well-spread hash, with every value
+    /// in one run under one tag, and with two runs and two tags.
+    #[test]
+    fn matches_reference_set() {
+        for case in 0..256u64 {
+            let mut rng = DetRng::seed_from(0x5E7_0000 ^ case);
+            let ops: Vec<Op> = (0..rng.below(300)).map(|_| random_op(&mut rng)).collect();
+            let seed = rng.next_u64();
+            check_history(case, &ops, seed, |v| v);
+            check_history(case, &ops, seed, Colliding::<1>);
+            check_history(case, &ops, seed, Colliding::<2>);
         }
+    }
 
-        /// `sample(k)` and `into_sample(k)` always return `min(k, len)`
-        /// distinct members.
-        #[test]
-        fn sample_size_invariant(len in 0usize..40, k in 0usize..60, seed in any::<u64>()) {
-            let mut rng = DetRng::seed_from(seed);
+    /// `sample(k)` and `into_sample(k)` always return `min(k, len)`
+    /// distinct members.
+    #[test]
+    fn sample_size_invariant() {
+        for case in 0..256u64 {
+            let mut rng = DetRng::seed_from(0x5A3_0000 ^ case);
+            let (len, k) = (rng.below(40), rng.below(60));
             let s: IndexedSet<usize> = (0..len).collect();
             for mut got in [s.sample(k, &mut rng), s.clone().into_sample(k, &mut rng)] {
-                prop_assert_eq!(got.len(), k.min(len));
-                prop_assert!(got.iter().all(|v| s.contains(v)));
+                let said = format!("case {case}: {k} of {len} gave {got:?}");
+                assert_eq!(got.len(), k.min(len), "{said}");
+                assert!(got.iter().all(|v| s.contains(v)), "{said}");
                 got.sort_unstable();
                 got.dedup();
-                prop_assert_eq!(got.len(), k.min(len));
+                assert_eq!(got.len(), k.min(len), "{said}: duplicates");
             }
         }
     }

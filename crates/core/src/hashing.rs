@@ -13,14 +13,18 @@
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
-use pls_net::ServerId;
+use pls_net::{splitmix64, ServerId};
 
-/// splitmix64 finalizer: a fast, well-mixed 64-bit permutation.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+/// FNV-1a 64-bit hash of a byte string: seed-free, stable across
+/// processes. Membership groups, shard routing and the anti-entropy
+/// digests all start from it.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
 }
 
 /// A family of `y` independent hash functions onto `n` servers.
@@ -112,7 +116,7 @@ fn entry_hash<V: Hash>(v: &V) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use pls_net::DetRng;
 
     #[test]
     fn deterministic_across_instances() {
@@ -227,18 +231,24 @@ mod tests {
         }
     }
 
-    proptest! {
-        /// Strings hash just as well as integers: assignments are stable
-        /// and within bounds for arbitrary entry payloads.
-        #[test]
-        fn arbitrary_entries_assign_in_range(v in ".*", y in 1usize..6, n in 1usize..20) {
-            let f = HashFamily::new(y, n, 42);
-            let servers = f.assign(&v);
-            prop_assert!(!servers.is_empty());
-            prop_assert!(servers.len() <= y.min(n));
-            for s in servers {
-                prop_assert!(s.index() < n);
-            }
+    /// Strings hash just as well as integers: assignments are stable
+    /// and within bounds for arbitrary entry payloads.
+    #[test]
+    fn arbitrary_entries_assign_in_range() {
+        for case in 0..256u64 {
+            let mut rng = DetRng::seed_from(0x4A54_0000 ^ case);
+            // Any scalar value; a surrogate becomes U+FFFD.
+            let v: String = (0..rng.below(33))
+                .map(|_| char::from_u32(rng.below(0x11_0000) as u32).unwrap_or('\u{fffd}'))
+                .collect();
+            let (y, n) = (1 + rng.below(5), 1 + rng.below(19));
+            let servers = HashFamily::new(y, n, 42).assign(&v);
+            let said =
+                format!("case {case}: {v:?} under Hash-{y} on {n} servers went to {servers:?}");
+            assert!(!servers.is_empty(), "{said}");
+            assert!(servers.len() <= y.min(n), "{said}");
+            assert!(servers.iter().all(|s| s.index() < n), "{said}");
+            assert_eq!(servers, HashFamily::new(y, n, 42).assign(&v), "{said}, then elsewhere");
         }
     }
 }

@@ -72,7 +72,7 @@ pub use collections::IndexedSet;
 pub use config::{ConfigError, StrategyKind, StrategySpec};
 pub use entry::Entry;
 pub use error::ServiceError;
-pub use hashing::HashFamily;
+pub use hashing::{fnv1a64, HashFamily};
 pub use lookup::{Answer, LookupPlan, LookupResult};
 pub use membership::{GroupRouter, Member, Membership, RoutingTable};
 pub use messages::Message;

@@ -31,23 +31,9 @@
 //! one-epoch *grace overlap*: in-flight operations addressed under the
 //! old epoch can still be translated while migration drains.
 
-/// splitmix64 finalizer: fast, well-mixed 64-bit permutation.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
+use pls_net::splitmix64;
 
-/// FNV-1a over the key bytes: seed-free, stable across processes.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+use crate::hashing::fnv1a64;
 
 /// One live server: a stable numeric id plus its dial address.
 ///

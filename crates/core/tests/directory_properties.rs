@@ -1,14 +1,13 @@
-//! Model-based property tests for the multi-key [`Directory`]: arbitrary
-//! interleavings of operations across keys with heterogeneous per-key
-//! strategies, checked against one reference model per key.
+//! Model-based property tests for the multi-key [`Directory`]: seeded
+//! random interleavings of operations across keys with heterogeneous
+//! per-key strategies, checked against one reference model per key.
 //!
 //! [`Directory`]: pls_core::directory::Directory
 
 use std::collections::{HashMap, HashSet};
 
 use pls_core::directory::{Directory, StrategyAssignment};
-use pls_core::StrategySpec;
-use proptest::prelude::*;
+use pls_core::{DetRng, StrategySpec};
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -20,14 +19,14 @@ enum Op {
 
 const KEYS: u8 = 4;
 
-fn op_strategy() -> impl Strategy<Value = Op> {
-    let key = 0u8..KEYS;
-    prop_oneof![
-        (key.clone(), 1u8..30).prop_map(|(key, count)| Op::Place { key, count }),
-        key.clone().prop_map(|key| Op::Add { key }),
-        (key.clone(), any::<u8>()).prop_map(|(key, idx)| Op::Delete { key, idx }),
-        (key, any::<u8>()).prop_map(|(key, t)| Op::Lookup { key, t }),
-    ]
+fn random_op(rng: &mut DetRng) -> Op {
+    let key = rng.below(KEYS as usize) as u8;
+    match rng.below(4) {
+        0 => Op::Place { key, count: 1 + rng.below(29) as u8 },
+        1 => Op::Add { key },
+        2 => Op::Delete { key, idx: rng.next_u64() as u8 },
+        _ => Op::Lookup { key, t: rng.next_u64() as u8 },
+    }
 }
 
 /// Hetero assignment: key 0 full replication, 1 fixed, 2 round-robin,
@@ -41,24 +40,26 @@ fn assignment() -> StrategyAssignment<u8> {
     }))
 }
 
-fn run_history(ops: Vec<Op>, seed: u64) {
+/// `ctx` opens every message: which history this is.
+fn run_history(ops: &[Op], seed: u64, ctx: &str) {
     let n = 5;
     let mut dir: Directory<u8, u64> = Directory::new(n, assignment(), seed).unwrap();
     let mut live: HashMap<u8, Vec<u64>> = HashMap::new();
     let mut next = 0u64;
 
-    for op in ops {
-        match op {
+    for (step, op) in ops.iter().enumerate() {
+        let ctx = &format!("{ctx}, step {step} of {ops:?}");
+        match *op {
             Op::Place { key, count } => {
                 let entries: Vec<u64> = (0..count as u64).map(|i| next + i).collect();
                 next += count as u64;
-                dir.place(key, entries.clone()).unwrap();
+                dir.place(key, entries.clone()).expect(ctx);
                 live.insert(key, entries);
             }
             Op::Add { key } => {
                 let v = next;
                 next += 1;
-                dir.add(&key, v).unwrap();
+                dir.add(&key, v).expect(ctx);
                 live.entry(key).or_default().push(v);
             }
             Op::Delete { key, idx } => {
@@ -69,22 +70,22 @@ fn run_history(ops: Vec<Op>, seed: u64) {
                     continue;
                 }
                 let v = entries.swap_remove(idx as usize % entries.len());
-                dir.delete(&key, &v).unwrap();
+                dir.delete(&key, &v).expect(ctx);
             }
             Op::Lookup { key, t } => {
                 let t = 1 + (t as usize % 20);
-                let result = dir.partial_lookup(&key, t).unwrap();
+                let result = dir.partial_lookup(&key, t).expect(ctx);
                 let key_live: HashSet<u64> =
                     live.get(&key).map(|v| v.iter().copied().collect()).unwrap_or_default();
                 let mut seen = HashSet::new();
                 for v in result.entries() {
-                    assert!(seen.insert(*v), "key {key}: duplicate answer");
+                    assert!(seen.insert(*v), "{ctx}: key {key}: duplicate answer");
                     assert!(
                         key_live.contains(v),
-                        "key {key}: answer {v} not live (cross-key leak?)"
+                        "{ctx}: key {key}: answer {v} not live (cross-key leak?)"
                     );
                 }
-                assert!(result.entries().len() <= t);
+                assert!(result.entries().len() <= t, "{ctx}: key {key}: over-delivered");
                 // Complete-coverage strategies satisfy t when possible.
                 let spec = dir.spec_for(&key);
                 let complete = matches!(
@@ -94,7 +95,7 @@ fn run_history(ops: Vec<Op>, seed: u64) {
                         | StrategySpec::Hash { .. }
                 );
                 if complete && key_live.len() >= t {
-                    assert!(result.is_satisfied(t), "key {key} ({spec}): unsatisfied t={t}");
+                    assert!(result.is_satisfied(t), "{ctx}: key {key} ({spec}): unsatisfied t={t}");
                 }
             }
         }
@@ -104,22 +105,19 @@ fn run_history(ops: Vec<Op>, seed: u64) {
                 live.get(&key).map(|v| v.iter().copied().collect()).unwrap_or_default();
             for i in 0..n {
                 for v in dir.server_entries(&key, pls_core::ServerId::new(i as u32)) {
-                    assert!(key_live.contains(v), "key {key}: stale or leaked entry {v}");
+                    assert!(key_live.contains(v), "{ctx}: key {key}: stale or leaked entry {v}");
                 }
             }
         }
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
-
-    #[test]
-    fn directory_histories_hold_invariants(
-        ops in proptest::collection::vec(op_strategy(), 1..50),
-        seed in any::<u64>(),
-    ) {
-        run_history(ops, seed);
+#[test]
+fn directory_histories_hold_invariants() {
+    for case in 0..256u64 {
+        let mut rng = DetRng::seed_from(0xD1_2000 ^ case);
+        let ops: Vec<Op> = (0..1 + rng.below(49)).map(|_| random_op(&mut rng)).collect();
+        run_history(&ops, rng.next_u64(), &format!("case {case}"));
     }
 }
 
@@ -135,5 +133,5 @@ fn dense_interleaving_smoke() {
             _ => Op::Lookup { key: (i % 4) as u8, t: 12 },
         })
         .collect();
-    run_history(ops, 99);
+    run_history(&ops, 99, "dense interleaving");
 }

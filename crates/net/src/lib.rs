@@ -53,5 +53,5 @@ pub use error::SendError;
 pub use fault::FailureSet;
 pub use id::{Endpoint, ServerId};
 pub use net::{Envelope, SimNet};
-pub use rng::DetRng;
+pub use rng::{splitmix64, DetRng};
 pub use topology::Topology;

@@ -4,40 +4,56 @@
 //! which `x`-subset a RandomServer-x server keeps, which `t` entries a
 //! server returns — is drawn through [`DetRng`], so a fixed seed replays an
 //! identical execution. That determinism is what makes the simulation
-//! results and the property-based tests reproducible.
-
-use rand::rngs::SmallRng;
-use rand::seq::SliceRandom;
-use rand::{Rng, RngCore, SeedableRng};
+//! results and the seeded property tests reproducible.
+//!
+//! The generator is xoshiro256++ (Blackman & Vigna), its four state words
+//! filled by four steps of [`splitmix64`]. Integer ranges are drawn by
+//! widening multiply with rejection, subsets by Floyd's algorithm (small
+//! `k`) or a partial Fisher–Yates shuffle. The stream a seed produces is
+//! pinned by `tests::stream_is_pinned`: changing any of these algorithms
+//! changes every seeded number in EXPERIMENTS.md, and that test says so.
 
 use crate::{FailureSet, ServerId};
 
-/// What [`DetRng::subset_refs`] iterates: the whole slice, or the items
-/// `choose_multiple` picked (`I`: `rand` and its stand-ins name it apart).
-enum Picked<'a, T, I> {
-    All(std::slice::Iter<'a, T>),
-    Some(I),
+/// The golden-ratio increment of the splitmix64 sequence.
+const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// One step of splitmix64 from state `x`: a fast, well-mixed 64-bit
+/// permutation. Seeds [`DetRng`]; the hash families, the membership
+/// router, shard routing and backoff jitter mix through it too.
+pub fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(GOLDEN);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
 }
 
-impl<'a, T, I: Iterator<Item = &'a T>> Iterator for Picked<'a, T, I> {
+/// What [`DetRng::subset_refs`] iterates: the whole slice, or the items
+/// at the indices drawn.
+enum Picked<'a, T> {
+    All(std::slice::Iter<'a, T>),
+    Some(&'a [T], std::vec::IntoIter<usize>),
+}
+
+impl<'a, T> Iterator for Picked<'a, T> {
     type Item = &'a T;
 
     fn next(&mut self) -> Option<&'a T> {
         match self {
             Picked::All(items) => items.next(),
-            Picked::Some(items) => items.next(),
+            Picked::Some(items, indices) => indices.next().map(|i| &items[i]),
         }
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
         match self {
             Picked::All(items) => items.size_hint(),
-            Picked::Some(items) => items.size_hint(),
+            Picked::Some(_, indices) => indices.size_hint(),
         }
     }
 }
 
-impl<'a, T, I: ExactSizeIterator<Item = &'a T>> ExactSizeIterator for Picked<'a, T, I> {}
+impl<T> ExactSizeIterator for Picked<'_, T> {}
 
 /// A seeded random number generator with strategy-oriented helpers.
 ///
@@ -51,29 +67,50 @@ impl<'a, T, I: ExactSizeIterator<Item = &'a T>> ExactSizeIterator for Picked<'a,
 /// ```
 #[derive(Debug, Clone)]
 pub struct DetRng {
-    inner: SmallRng,
+    s: [u64; 4],
 }
 
 impl DetRng {
     /// Creates a generator from a 64-bit seed.
     pub fn seed_from(seed: u64) -> Self {
-        DetRng { inner: SmallRng::seed_from_u64(seed) }
-    }
-
-    /// Derives an independent child generator; useful for giving each
-    /// simulation run its own stream while remaining reproducible.
-    pub fn fork(&mut self) -> DetRng {
-        DetRng::seed_from(self.inner.gen())
+        // Four consecutive outputs of the splitmix64 sequence from `seed`.
+        let word = |i: u64| splitmix64(seed.wrapping_add(GOLDEN.wrapping_mul(i)));
+        DetRng { s: [word(0), word(1), word(2), word(3)] }
     }
 
     /// Next raw 64-bit value.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
-        self.inner.next_u64()
+        let s = &mut self.s;
+        let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
+        let t = s[1] << 17;
+        s[2] ^= s[0];
+        s[3] ^= s[1];
+        s[1] ^= s[2];
+        s[0] ^= s[3];
+        s[2] ^= t;
+        s[3] = s[3].rotate_left(45);
+        result
     }
 
-    /// Uniform value in `[0, 1)`.
+    /// Uniform in `[0, range)`: widening multiply, redrawing the few
+    /// products whose low half falls outside the largest zone that is a
+    /// multiple of `range`.
+    #[inline]
+    fn below_u64(&mut self, range: u64) -> u64 {
+        debug_assert!(range > 0, "cannot draw below zero");
+        let zone = (range << range.leading_zeros()).wrapping_sub(1);
+        loop {
+            let wide = u128::from(self.next_u64()) * u128::from(range);
+            if (wide as u64) <= zone {
+                return (wide >> 64) as u64;
+            }
+        }
+    }
+
+    /// Uniform value in `[0, 1)`, with 53 bits of precision.
     pub fn uniform(&mut self) -> f64 {
-        self.inner.gen::<f64>()
+        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// Uniform integer in `[0, bound)`.
@@ -83,13 +120,13 @@ impl DetRng {
     /// Panics if `bound` is zero.
     pub fn below(&mut self, bound: usize) -> usize {
         assert!(bound > 0, "bound must be positive");
-        self.inner.gen_range(0..bound)
+        self.below_u64(bound as u64) as usize
     }
 
     /// Bernoulli trial with success probability `p` (clamped to `[0, 1]`).
     pub fn coin_flip(&mut self, p: f64) -> bool {
         let p = p.clamp(0.0, 1.0);
-        self.inner.gen::<f64>() < p
+        self.uniform() < p
     }
 
     /// A uniformly random server among all `n`, failed or not.
@@ -132,24 +169,44 @@ impl DetRng {
         items: &'a [T],
         k: usize,
     ) -> impl ExactSizeIterator<Item = &'a T> {
-        if k >= items.len() {
-            Picked::All(items.iter())
-        } else {
-            Picked::Some(items.choose_multiple(&mut self.inner, k))
+        let len = items.len();
+        if k >= len {
+            return Picked::All(items.iter());
         }
+        let indices = if k <= 11 {
+            // Floyd: k draws, each one a new index or the top of its range.
+            let mut picked = Vec::with_capacity(k);
+            for j in len - k..len {
+                let t = self.below_u64(j as u64 + 1) as usize;
+                picked.push(if picked.contains(&t) { j } else { t });
+            }
+            picked
+        } else {
+            // The first k steps of a Fisher–Yates shuffle of 0..len.
+            let mut indices: Vec<usize> = (0..len).collect();
+            for i in 0..k {
+                let j = i + self.below_u64((len - i) as u64) as usize;
+                indices.swap(i, j);
+            }
+            indices.truncate(k);
+            indices
+        };
+        Picked::Some(items, indices.into_iter())
     }
 
     /// All server ids `0..n` in a uniformly random order — the probe order
     /// used by RandomServer-x and Hash-y lookups.
     pub fn shuffled_servers(&mut self, n: usize) -> Vec<ServerId> {
         let mut ids: Vec<ServerId> = (0..n as u32).map(ServerId::new).collect();
-        ids.shuffle(&mut self.inner);
+        self.shuffle(&mut ids);
         ids
     }
 
     /// Shuffles a slice in place.
     pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        items.shuffle(&mut self.inner);
+        for i in (1..items.len()).rev() {
+            items.swap(i, self.below_u64(i as u64 + 1) as usize);
+        }
     }
 
     /// Sample from the exponential distribution with the given mean, via
@@ -161,7 +218,7 @@ impl DetRng {
     pub fn exponential(&mut self, mean: f64) -> f64 {
         assert!(mean > 0.0, "mean must be positive");
         // 1 - U is in (0, 1] so ln() is finite.
-        -mean * (1.0 - self.inner.gen::<f64>()).ln()
+        -mean * (1.0 - self.uniform()).ln()
     }
 }
 
@@ -178,12 +235,42 @@ mod tests {
         }
     }
 
+    /// The stream is a recorded fact, not an implementation detail: every
+    /// seeded result in EXPERIMENTS.md and every benchmark count depends on
+    /// it. The second half was recorded at the commit before the generator
+    /// moved in here, from the `DetRng` every test and benchmark run drew on.
     #[test]
-    fn fork_streams_differ_from_parent() {
-        let mut a = DetRng::seed_from(7);
-        let mut child = a.fork();
-        // Overwhelmingly likely to differ.
-        assert_ne!(a.next_u64(), child.next_u64());
+    fn stream_is_pinned() {
+        // The xoshiro256++ reference C code from state {1, 2, 3, 4}, and
+        // the well-known first splitmix64 output.
+        let mut rng = DetRng { s: [1, 2, 3, 4] };
+        let reference = [
+            41943041u64,
+            58720359,
+            3588806011781223,
+            3591011842654386,
+            9228616714210784205,
+            9973669472204895162,
+        ];
+        for want in reference {
+            assert_eq!(rng.next_u64(), want);
+        }
+        assert_eq!(splitmix64(0), 0xe220_a839_7b1d_cdaf);
+
+        let mut rng = DetRng::seed_from(42);
+        let below: Vec<usize> = (0..8).map(|_| rng.below(1000)).collect();
+        assert_eq!(below, [814, 318, 983, 701, 793, 588, 125, 605]);
+        assert_eq!(rng.uniform(), 0.2077171716233216);
+        let items: Vec<u32> = (0..40).collect();
+        assert_eq!(rng.subset(&items, 5), [20, 31, 15, 21, 8], "Floyd regime");
+        let fisher_yates = [
+            2, 23, 8, 27, 33, 38, 30, 16, 39, 31, 4, 22, 3, 34, 36, 19, 12, 6, 15, 32, 9, 35, 26,
+            20, 1, 37, 13, 29, 17, 14, 28, 7, 5, 11, 10,
+        ];
+        assert_eq!(rng.subset(&items, 35), fisher_yates, "Fisher–Yates regime");
+        let order: Vec<usize> = rng.shuffled_servers(10).iter().map(|s| s.index()).collect();
+        assert_eq!(order, [2, 5, 6, 4, 7, 0, 3, 9, 1, 8]);
+        assert_eq!(rng.next_u64(), 5020492609352454581, "and nothing drew more or less");
     }
 
     #[test]
@@ -191,6 +278,18 @@ mod tests {
         let mut rng = DetRng::seed_from(1);
         for _ in 0..1000 {
             assert!(rng.below(7) < 7);
+        }
+    }
+
+    #[test]
+    fn below_is_roughly_uniform() {
+        let mut rng = DetRng::seed_from(2);
+        let mut counts = [0u32; 10];
+        for _ in 0..100_000 {
+            counts[rng.below(10)] += 1;
+        }
+        for (i, &c) in counts.iter().enumerate() {
+            assert!((9_500..10_500).contains(&c), "bucket {i} holds {c}");
         }
     }
 
@@ -255,6 +354,19 @@ mod tests {
         assert_eq!(sorted.len(), 10);
         // k >= len returns everything.
         assert_eq!(rng.subset(&items, 100).len(), 50);
+    }
+
+    #[test]
+    fn subset_is_distinct_in_both_regimes() {
+        let mut rng = DetRng::seed_from(4);
+        let items: Vec<u32> = (0..100).collect();
+        for k in [0, 1, 5, 11, 12, 35, 100, 250] {
+            let mut got = rng.subset(&items, k);
+            assert_eq!(got.len(), k.min(100));
+            got.sort_unstable();
+            got.dedup();
+            assert_eq!(got.len(), k.min(100), "duplicates at k = {k}");
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Lock-contention instrumentation: a mutex wrapper that measures
 //! where threads wait.
 //!
-//! [`TimedMutex`] wraps `parking_lot::Mutex` and records, per named
+//! [`TimedMutex`] wraps `std::sync::Mutex` and records, per named
 //! lock *site*:
 //!
 //! * a **wait-time** log₂ histogram — how long `lock()` blocked before
@@ -18,8 +18,13 @@
 //! the lock's lifetime), not by a process-global registry: two servers
 //! in one test process never see each other's contention, and
 //! resetting one server's metrics cannot drain another's.
+//!
+//! A holder that panics does not poison the lock: the next `lock()` takes
+//! the value as the panic left it. A handler that dies under a shard lock
+//! must not wedge the shard for every later request, so what goes under a
+//! `TimedMutex` has to be valid after each single step of an update.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError};
 use std::time::Instant;
 
 use crate::counter::Counter;
@@ -69,14 +74,14 @@ pub struct SiteSnapshot {
     pub hold_us: HistogramSnapshot,
 }
 
-/// A `parking_lot::Mutex` that measures itself.
+/// A `std::sync::Mutex` that measures itself and does not poison.
 ///
 /// Construct with a `&'static` site name (shows up as the `site` label
 /// in exported metrics), lock exactly like a plain mutex, and read the
 /// accumulated numbers through [`stats`](TimedMutex::stats).
 #[derive(Debug)]
 pub struct TimedMutex<T> {
-    inner: parking_lot::Mutex<T>,
+    inner: Mutex<T>,
     site: &'static str,
     stats: Arc<SiteStats>,
 }
@@ -84,11 +89,7 @@ pub struct TimedMutex<T> {
 impl<T> TimedMutex<T> {
     /// Wraps `value` in an instrumented mutex named `site`.
     pub fn new(site: &'static str, value: T) -> Self {
-        TimedMutex {
-            inner: parking_lot::Mutex::new(value),
-            site,
-            stats: Arc::new(SiteStats::new()),
-        }
+        TimedMutex { inner: Mutex::new(value), site, stats: Arc::new(SiteStats::new()) }
     }
 
     /// The site name this lock reports under.
@@ -105,7 +106,12 @@ impl<T> TimedMutex<T> {
     /// Acquires the lock, recording wait time and contention; the
     /// returned guard records hold time when dropped.
     pub fn lock(&self) -> TimedMutexGuard<'_, T> {
-        let guard = match self.inner.try_lock() {
+        let uncontended = match self.inner.try_lock() {
+            Ok(guard) => Some(guard),
+            Err(TryLockError::Poisoned(poisoned)) => Some(poisoned.into_inner()),
+            Err(TryLockError::WouldBlock) => None,
+        };
+        let guard = match uncontended {
             Some(guard) => {
                 self.stats.wait_us.observe(0);
                 guard
@@ -113,7 +119,7 @@ impl<T> TimedMutex<T> {
             None => {
                 self.stats.contended.inc();
                 let start = Instant::now();
-                let guard = self.inner.lock();
+                let guard = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
                 self.stats.wait_us.observe(start.elapsed().as_micros() as u64);
                 guard
             }
@@ -125,14 +131,14 @@ impl<T> TimedMutex<T> {
     /// Uninstrumented escape hatch for contexts (e.g. `Drop` impls)
     /// that must not touch the stats.
     pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut()
+        self.inner.get_mut().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
 /// RAII guard for a [`TimedMutex`]; records the hold time on drop.
 #[derive(Debug)]
 pub struct TimedMutexGuard<'a, T> {
-    guard: parking_lot::MutexGuard<'a, T>,
+    guard: MutexGuard<'a, T>,
     stats: &'a SiteStats,
     acquired: Instant,
 }
@@ -209,6 +215,26 @@ mod tests {
         assert_eq!(s.contended, 1);
         assert!(s.wait_us.sum >= 10_000, "waited {}us", s.wait_us.sum);
         assert!(s.hold_us.sum >= 10_000, "held {}us", s.hold_us.sum);
+    }
+
+    /// A handler that panics under a shard lock must not wedge the shard.
+    #[test]
+    fn a_panicking_holder_does_not_poison() {
+        let mut m = TimedMutex::new("t", 0u64);
+        std::thread::scope(|scope| {
+            let holder = scope.spawn(|| {
+                let mut g = m.lock();
+                *g += 1;
+                panic!("holder dies");
+            });
+            assert!(holder.join().is_err(), "the holder panicked");
+        });
+        *m.lock() += 1;
+        assert_eq!(*m.get_mut(), 2, "both updates are there");
+        let s = m.stats().snapshot();
+        assert_eq!(s.acquisitions, 2, "the dead holder's and the next one's");
+        assert_eq!(s.contended, 0);
+        assert_eq!(s.hold_us.count, 2, "the guard dropped in the unwind was timed too");
     }
 
     /// The satellite-mandated hammer: under 8-thread contention the

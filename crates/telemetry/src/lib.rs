@@ -34,7 +34,7 @@
 //! * [`recorder`] — the flight recorder: a ring of the last few
 //!   thousand completed spans, moved in whole on span drop, with slow
 //!   requests pinned against wraparound.
-//! * [`TimedMutex`] — a `parking_lot::Mutex` that measures itself:
+//! * [`TimedMutex`] — a `std::sync::Mutex` that measures itself:
 //!   per-site wait/hold histograms plus acquisition and contention
 //!   counters, so "which lock is the ceiling?" is a scrape, not a
 //!   profiling session.

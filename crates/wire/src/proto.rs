@@ -908,7 +908,7 @@ impl Response {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use pls_net::DetRng;
 
     fn roundtrip_req(req: Request) {
         let decoded = Request::decode(&req.encode()).unwrap();
@@ -1209,21 +1209,36 @@ mod tests {
         assert!(Request::decode(&w.into_payload()).is_err());
     }
 
-    proptest! {
-        /// Arbitrary byte payloads never panic the decoder.
-        #[test]
-        fn decoder_is_total(data in proptest::collection::vec(any::<u8>(), 0..256)) {
-            let _ = Request::decode(&data);
-            let _ = Response::decode(&data);
-        }
+    /// Fewer than `below` random bytes.
+    fn random_bytes(rng: &mut DetRng, below: usize) -> Vec<u8> {
+        (0..rng.below(below)).map(|_| rng.next_u64() as u8).collect()
+    }
 
-        /// Arbitrary probe/add requests roundtrip.
-        #[test]
-        fn fuzz_roundtrip(key in proptest::collection::vec(any::<u8>(), 0..32),
-                          entry in proptest::collection::vec(any::<u8>(), 0..32),
-                          t in any::<u32>()) {
-            roundtrip_req(Request::Probe { key: key.clone(), t });
-            roundtrip_req(Request::Add { key, entry });
+    /// Arbitrary byte payloads never panic the decoder.
+    #[test]
+    fn decoder_is_total() {
+        for case in 0..256u64 {
+            let data = random_bytes(&mut DetRng::seed_from(0xDEC0_DE00 ^ case), 256);
+            let decoded = std::panic::catch_unwind(|| {
+                let _ = Request::decode(&data);
+                let _ = Response::decode(&data);
+            });
+            assert!(decoded.is_ok(), "case {case}: a decoder panicked on {data:?}");
+        }
+    }
+
+    /// Arbitrary probe/add requests roundtrip.
+    #[test]
+    fn fuzz_roundtrip() {
+        for case in 0..256u64 {
+            let mut rng = DetRng::seed_from(0x0F02_2000 ^ case);
+            let key = random_bytes(&mut rng, 32);
+            let entry = random_bytes(&mut rng, 32);
+            let t = rng.next_u64() as u32;
+            for req in [Request::Probe { key: key.clone(), t }, Request::Add { key, entry }] {
+                let decoded = Request::decode(&req.encode());
+                assert_eq!(decoded.as_ref().ok(), Some(&req), "case {case}: {decoded:?}");
+            }
         }
     }
 }

@@ -23,16 +23,10 @@ use std::time::{Duration, Instant};
 
 use pls_telemetry::Counter;
 
-/// Mixes a seed into a well-spread 64-bit value (splitmix64
-/// finalizer). Feeds backoff jitter here; request-id generators (rpc,
-/// client, server) start from it and step by the golden-ratio
-/// increment, giving each a full-period sequence of distinct ids.
-pub fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+/// Feeds backoff jitter here; request-id generators (rpc, client,
+/// server) start from it and step by the golden-ratio increment, giving
+/// each a full-period sequence of distinct ids.
+pub use pls_net::splitmix64;
 
 /// Time bounds for RPCs and whole operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -46,9 +46,9 @@
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read as _, Seek, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
-use parking_lot::Mutex;
+pub use pls_core::fnv1a64;
 use pls_core::{Message, StrategySpec, Tombstone};
 use pls_net::{Endpoint, ServerId};
 use pls_telemetry::{Counter, Gauge, SiteStats, TimedMutex};
@@ -107,16 +107,6 @@ pub fn crc32(data: &[u8]) -> u32 {
         crc = TABLE[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
     }
     !crc
-}
-
-/// FNV-1a 64-bit hash of a byte string.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 /// Order-independent hash of an entry set: per-entry FNV hashes are
@@ -485,7 +475,8 @@ impl Storage {
     ///
     /// I/O errors writing, renaming, or truncating.
     pub fn checkpoint(&self, last_seq: u64, snaps: &[KeySnapshot]) -> Result<(), ClusterError> {
-        let mut ckpt_seq = self.ckpt_seq.lock();
+        // Poison is survivable: the value moves only after a durable rename.
+        let mut ckpt_seq = self.ckpt_seq.lock().unwrap_or_else(PoisonError::into_inner);
         if last_seq < *ckpt_seq {
             // A newer capture already checkpointed past this one;
             // writing ours would regress `checkpoint.bin` below records
@@ -981,6 +972,29 @@ mod tests {
         let (_, rec) = Storage::open(&dir).unwrap();
         assert_eq!(rec.checkpoint_seq, 2);
         assert_eq!(rec.snapshots, fresh);
+        assert!(rec.records.is_empty());
+    }
+
+    #[test]
+    fn a_panic_under_the_checkpoint_lock_does_not_stop_checkpoints() {
+        let dir = tmpdir("ckpt-poison");
+        let (storage, _) = Storage::open(&dir).unwrap();
+        storage.append(b"k", Endpoint::client(0), None, &add(b"a")).unwrap();
+        storage.sync().unwrap();
+        std::thread::scope(|scope| {
+            let holder = scope.spawn(|| {
+                let _held = storage.ckpt_seq.lock().unwrap();
+                panic!("checkpointer dies");
+            });
+            assert!(holder.join().is_err(), "the holder panicked");
+        });
+        assert!(storage.ckpt_seq.is_poisoned());
+        storage.checkpoint(storage.appended_seq(), &[]).unwrap();
+        assert_eq!(storage.metrics.checkpoints.get(), 1);
+        drop(storage);
+
+        let (_, rec) = Storage::open(&dir).unwrap();
+        assert_eq!(rec.checkpoint_seq, 1);
         assert!(rec.records.is_empty());
     }
 
