@@ -72,10 +72,10 @@ use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use pls_bench::output::BenchReport;
-use pls_cluster::{parse_spec, Client, ClientConfig, Timeouts};
+use pls_cluster::{flag, flag_list, parse_spec, Client, ClientConfig, Timeouts};
 use pls_telemetry::json::{array, number, string, Object};
 use pls_telemetry::snapshot::{labeled, parse_labels};
 use pls_telemetry::trace;
@@ -126,67 +126,34 @@ fn parse_args() -> Result<Options, String> {
     let mut hedge_ms: Option<u64> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        let mut value = |flag: &str| args.next().ok_or(format!("{flag} needs a value"));
+        let args = &mut args;
         match arg.as_str() {
-            "--servers" => {
-                let raw = value("--servers")?;
-                let parsed: Result<Vec<SocketAddr>, _> =
-                    raw.split(',').map(|s| s.trim().parse()).collect();
-                servers = Some(parsed.map_err(|e| format!("--servers: {e}"))?);
-            }
-            "--strategy" => spec = Some(parse_spec(&value("--strategy")?)?),
-            "--seed" => seed = value("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--t" => t = value("--t")?.parse().map_err(|e| format!("--t: {e}"))?,
-            "--keys" => keys = value("--keys")?.parse().map_err(|e| format!("--keys: {e}"))?,
-            "--entries-per-key" => {
-                entries_per_key = value("--entries-per-key")?
-                    .parse()
-                    .map_err(|e| format!("--entries-per-key: {e}"))?;
-            }
-            "--zipf" => zipf_s = value("--zipf")?.parse().map_err(|e| format!("--zipf: {e}"))?,
-            "--duration-s" => {
-                duration_s =
-                    value("--duration-s")?.parse().map_err(|e| format!("--duration-s: {e}"))?;
-            }
-            "--concurrency" => {
-                concurrency =
-                    value("--concurrency")?.parse().map_err(|e| format!("--concurrency: {e}"))?;
-            }
+            "--servers" => servers = Some(flag_list(&arg, args)?),
+            "--strategy" => spec = Some(parse_spec(&flag::<String>(&arg, args)?)?),
+            "--seed" => seed = flag(&arg, args)?,
+            "--t" => t = flag(&arg, args)?,
+            "--keys" => keys = flag(&arg, args)?,
+            "--entries-per-key" => entries_per_key = flag(&arg, args)?,
+            "--zipf" => zipf_s = flag(&arg, args)?,
+            "--duration-s" => duration_s = flag(&arg, args)?,
+            "--concurrency" => concurrency = flag(&arg, args)?,
             "--mode" => {
-                mode = match value("--mode")?.as_str() {
+                mode = match flag::<String>(&arg, args)?.as_str() {
                     "closed" => Mode::Closed,
                     "open" => Mode::Open,
                     other => return Err(format!("--mode: `{other}` is not closed|open")),
                 };
             }
-            "--rate" => rate = value("--rate")?.parse().map_err(|e| format!("--rate: {e}"))?,
-            "--update-pct" => {
-                update_pct =
-                    value("--update-pct")?.parse().map_err(|e| format!("--update-pct: {e}"))?;
-            }
-            "--delete-pct" => {
-                delete_pct =
-                    value("--delete-pct")?.parse().map_err(|e| format!("--delete-pct: {e}"))?;
-            }
-            "--out" => out = PathBuf::from(value("--out")?),
-            "--name" => name = value("--name")?,
+            "--rate" => rate = flag(&arg, args)?,
+            "--update-pct" => update_pct = flag(&arg, args)?,
+            "--delete-pct" => delete_pct = flag(&arg, args)?,
+            "--out" => out = flag(&arg, args)?,
+            "--name" => name = flag(&arg, args)?,
             "--skip-setup" => skip_setup = true,
-            "--rpc-timeout-ms" => {
-                let ms = value("--rpc-timeout-ms")?
-                    .parse()
-                    .map_err(|e| format!("--rpc-timeout-ms: {e}"))?;
-                timeouts = timeouts.with_rpc_ms(ms);
-            }
-            "--op-budget-ms" => {
-                let ms =
-                    value("--op-budget-ms")?.parse().map_err(|e| format!("--op-budget-ms: {e}"))?;
-                timeouts = timeouts.with_op_budget_ms(ms);
-            }
-            "--hedge-ms" => {
-                hedge_ms =
-                    Some(value("--hedge-ms")?.parse().map_err(|e| format!("--hedge-ms: {e}"))?);
-            }
-            "--log" => trace::init_from_str(&value("--log")?)?,
+            "--rpc-timeout-ms" => timeouts = timeouts.with_rpc_ms(flag(&arg, args)?),
+            "--op-budget-ms" => timeouts = timeouts.with_op_budget_ms(flag(&arg, args)?),
+            "--hedge-ms" => hedge_ms = Some(flag(&arg, args)?),
+            "--log" => trace::init_from_str(&flag::<String>(&arg, args)?)?,
             "--help" | "-h" => {
                 return Err("usage: loadgen --servers A,B,... --strategy SPEC [--t T] \
                      [--keys N] [--entries-per-key M] [--zipf S] [--duration-s D] \
@@ -308,13 +275,13 @@ struct Tally {
     mutation_latency_us: Histogram,
 }
 
-async fn setup(opts: &Options) -> Result<(), String> {
+fn setup(opts: &Options) -> Result<(), String> {
     let mut client = Client::connect(opts.cfg.clone());
     for i in 0..opts.keys {
         let entries: Vec<Vec<u8>> = (0..opts.entries_per_key)
             .map(|j| format!("entry-{i:05}-{j:03}").into_bytes())
             .collect();
-        client.place(&key_name(i), entries).await.map_err(|e| format!("placing key {i}: {e}"))?;
+        client.place(&key_name(i), entries).map_err(|e| format!("placing key {i}: {e}"))?;
     }
     Ok(())
 }
@@ -328,20 +295,20 @@ enum Op {
 }
 
 #[allow(clippy::too_many_arguments)]
-async fn worker(
+fn worker(
     opts_cfg: ClientConfig,
     w: usize,
     t: usize,
     zipf: Arc<Zipf>,
     tally: Arc<Tally>,
-    deadline: tokio::time::Instant,
+    deadline: Instant,
     mut rng: Rng,
     open_interval: Option<Duration>,
     update_pct: f64,
     delete_pct: f64,
 ) -> MetricsSnapshot {
     let mut client = Client::connect(opts_cfg);
-    let start = tokio::time::Instant::now();
+    let start = Instant::now();
     let mut tick = 0u32;
     // Entries this worker added and has not yet deleted — the only
     // entries deletes target, so the originally placed data set stays
@@ -353,12 +320,12 @@ async fn worker(
             Some(interval) => {
                 let at = start + interval * tick;
                 tick += 1;
-                tokio::time::sleep_until(at).await;
+                std::thread::sleep(at.saturating_duration_since(Instant::now()));
                 at
             }
-            None => tokio::time::Instant::now(),
+            None => Instant::now(),
         };
-        if scheduled >= deadline || tokio::time::Instant::now() >= deadline {
+        if scheduled >= deadline || Instant::now() >= deadline {
             break;
         }
         let key = key_name(zipf.sample(&mut rng));
@@ -374,7 +341,7 @@ async fn worker(
         };
         match op {
             Op::Lookup => {
-                let result = client.partial_lookup(&key, t).await;
+                let result = client.partial_lookup(&key, t);
                 let elapsed = scheduled.elapsed();
                 match result {
                     Ok(entries) => {
@@ -394,7 +361,7 @@ async fn worker(
                 // (FIFO maximizes the entry's propagation time before
                 // the delete chases it).
                 let (key, entry) = pending.remove(0);
-                let result = client.delete(&key, entry).await;
+                let result = client.delete(&key, entry);
                 let elapsed = scheduled.elapsed();
                 match result {
                     Ok(()) => {
@@ -413,7 +380,7 @@ async fn worker(
             Op::Update | Op::Delete => {
                 added += 1;
                 let entry = format!("upd-{w:02}-{added:08}").into_bytes();
-                let result = client.add(&key, entry.clone()).await;
+                let result = client.add(&key, entry.clone());
                 let elapsed = scheduled.elapsed();
                 match result {
                     Ok(()) => {
@@ -516,25 +483,25 @@ fn runtime_json(before: &MetricsSnapshot, after: &MetricsSnapshot, lookups: u64)
         .build()
 }
 
-async fn run(opts: Options) -> Result<(), String> {
+fn run(opts: Options) -> Result<(), String> {
     if !opts.skip_setup {
         println!(
             "placing {} keys x {} entries under {} ...",
             opts.keys, opts.entries_per_key, opts.cfg.spec
         );
-        setup(&opts).await?;
+        setup(&opts)?;
     }
 
     // Server-side probe counters before the run: the artifact
     // cross-checks the client's probes-per-lookup against the growth
     // of the servers' own `pls_probes_total`.
     let observer = Client::connect(opts.cfg.clone());
-    let before = observer.cluster_metrics(false).await.map_err(|e| e.to_string())?;
+    let before = observer.cluster_metrics(false).map_err(|e| e.to_string())?;
     let probes_before = before.counter_sum("pls_probes_total");
 
     let zipf = Arc::new(Zipf::new(opts.keys, opts.zipf_s));
     let tally = Arc::new(Tally::default());
-    let deadline = tokio::time::Instant::now() + opts.duration;
+    let deadline = Instant::now() + opts.duration;
     let open_interval = match opts.mode {
         Mode::Open => Some(Duration::from_secs_f64(opts.concurrency as f64 / opts.rate)),
         Mode::Closed => None,
@@ -546,30 +513,25 @@ async fn run(opts: Options) -> Result<(), String> {
         opts.duration,
         if opts.mode == Mode::Open { "open" } else { "closed" },
     );
-    let started = std::time::Instant::now();
+    let started = Instant::now();
     let mut handles = Vec::new();
     for w in 0..opts.concurrency {
-        handles.push(tokio::spawn(worker(
-            opts.cfg.clone(),
-            w,
-            opts.t,
-            Arc::clone(&zipf),
-            Arc::clone(&tally),
-            deadline,
-            Rng(opts.seed ^ (w as u64).wrapping_mul(0xA24B_AED4_963E_E407)),
-            open_interval,
-            opts.update_pct,
-            opts.delete_pct,
-        )));
+        let (cfg, t, zipf, tally) =
+            (opts.cfg.clone(), opts.t, Arc::clone(&zipf), Arc::clone(&tally));
+        let rng = Rng(opts.seed ^ (w as u64).wrapping_mul(0xA24B_AED4_963E_E407));
+        let (update_pct, delete_pct) = (opts.update_pct, opts.delete_pct);
+        handles.push(std::thread::spawn(move || {
+            worker(cfg, w, t, zipf, tally, deadline, rng, open_interval, update_pct, delete_pct)
+        }));
     }
     let mut client_metrics = MetricsSnapshot::new();
     for handle in handles {
-        let snap = handle.await.map_err(|e| format!("worker panicked: {e}"))?;
+        let snap = handle.join().map_err(|_| "worker panicked".to_string())?;
         client_metrics.merge(&snap);
     }
     let elapsed = started.elapsed();
 
-    let after = observer.cluster_metrics(false).await.map_err(|e| e.to_string())?;
+    let after = observer.cluster_metrics(false).map_err(|e| e.to_string())?;
     let probes_after = after.counter_sum("pls_probes_total");
     let server_probe_delta = probes_after.saturating_sub(probes_before);
 
@@ -723,14 +685,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let runtime = match tokio::runtime::Builder::new_multi_thread().enable_all().build() {
-        Ok(rt) => rt,
-        Err(err) => {
-            eprintln!("runtime start failed: {err}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match runtime.block_on(run(opts)) {
+    match run(opts) {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("{msg}");

@@ -63,7 +63,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pls_bench::output::git_rev;
-use pls_cluster::{parse_spec, Client, ClientConfig, Timeouts};
+use pls_cluster::{flag, parse_spec, Client, ClientConfig, Deadline, Timeouts};
 use pls_telemetry::json::{array, parse, Object, Value};
 use pls_telemetry::snapshot::parse_labels;
 use pls_telemetry::MetricsSnapshot;
@@ -101,24 +101,16 @@ fn parse_args() -> Result<Opts, String> {
     let mut data_dir = PathBuf::from("/tmp/pls-soak");
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        let mut value = |flag: &str| args.next().ok_or(format!("{flag} needs a value"));
+        let args = &mut args;
         match arg.as_str() {
-            "--bin-dir" => bin_dir = Some(value("--bin-dir")?.into()),
-            "--out" => out_dir = value("--out")?.into(),
-            "--name" => name = value("--name")?,
-            "--phase-s" => {
-                phase_s = value("--phase-s")?.parse().map_err(|e| format!("--phase-s: {e}"))?;
-            }
-            "--base-port" => {
-                base_port =
-                    value("--base-port")?.parse().map_err(|e| format!("--base-port: {e}"))?;
-            }
-            "--concurrency" => {
-                concurrency =
-                    value("--concurrency")?.parse().map_err(|e| format!("--concurrency: {e}"))?;
-            }
-            "--seed" => seed = value("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--data-dir" => data_dir = value("--data-dir")?.into(),
+            "--bin-dir" => bin_dir = Some(flag(&arg, args)?),
+            "--out" => out_dir = flag(&arg, args)?,
+            "--name" => name = flag(&arg, args)?,
+            "--phase-s" => phase_s = flag(&arg, args)?,
+            "--base-port" => base_port = flag(&arg, args)?,
+            "--concurrency" => concurrency = flag(&arg, args)?,
+            "--seed" => seed = flag(&arg, args)?,
+            "--data-dir" => data_dir = flag(&arg, args)?,
             "--help" | "-h" => {
                 return Err("usage: soak --bin-dir DIR [--out DIR] [--name NAME] [--phase-s S] \
                      [--base-port P] [--concurrency N] [--seed S] [--data-dir DIR]"
@@ -232,14 +224,14 @@ fn spawn_joiner(o: &Opts, p: &Ports) -> Result<Child, String> {
 
 /// Spawns the chaos proxy in the given mode, retrying briefly: right
 /// after a kill the listen port can still be settling.
-async fn spawn_proxy(o: &Opts, p: &Ports, mode: &str) -> Result<Child, String> {
+fn spawn_proxy(o: &Opts, p: &Ports, mode: &str) -> Result<Child, String> {
     for _attempt in 0..10 {
         let mut child = Command::new(o.bin_dir.join("pls-chaos"))
             .args(["--listen", &p.proxy.to_string(), "--upstream", &p.server[1].to_string()])
             .args(["--mode", mode, "--log", "warn"])
             .spawn()
             .map_err(|e| format!("spawn pls-chaos: {e}"))?;
-        tokio::time::sleep(Duration::from_millis(300)).await;
+        std::thread::sleep(Duration::from_millis(300));
         match child.try_wait() {
             Ok(None) => return Ok(child),
             Ok(Some(_)) => continue,
@@ -299,12 +291,18 @@ impl Sampler {
         self.prev.remove(&member);
     }
 
-    async fn sample(&mut self, audit: &Client, members: &[u64], phase: &str) {
+    fn sample(&mut self, audit: &Client, members: &[u64], phase: &str) {
         for &member in members {
-            let Ok(snap) = audit.metrics_of(member as usize, false).await else { continue };
+            let Ok(snap) = audit.metrics_of(member as usize, false) else { continue };
             self.samples += 1;
-            let cur: BTreeMap<String, u64> =
-                snap.counters.iter().map(|(n, v)| (n.clone(), *v)).collect();
+            // Counters proper end in `_total`; the rest of the integer
+            // series (`pls_keys`, `pls_entries`) are levels.
+            let cur: BTreeMap<String, u64> = snap
+                .counters
+                .iter()
+                .filter(|(n, _)| parse_labels(n).is_some_and(|(f, _)| f.ends_with("_total")))
+                .map(|(n, v)| (n.clone(), *v))
+                .collect();
             if let Some(prev) = self.prev.get(&member) {
                 for (name, was) in prev {
                     if let Some(now) = cur.get(name) {
@@ -338,7 +336,7 @@ impl Sampler {
 
 /// Runs one load phase: samples on a fixed cadence until the planned
 /// duration elapses, then reports the phase's stats.
-async fn run_phase(
+fn run_phase(
     name: &'static str,
     planned_s: u64,
     sampler: &mut Sampler,
@@ -354,8 +352,8 @@ async fn run_phase(
     sampler.max_burn_fast.clear();
     let deadline = Instant::now() + Duration::from_secs(planned_s);
     while Instant::now() < deadline {
-        sampler.sample(audit, members, name).await;
-        tokio::time::sleep(Duration::from_millis(SCRAPE_MS)).await;
+        sampler.sample(audit, members, name);
+        std::thread::sleep(Duration::from_millis(SCRAPE_MS));
     }
     PhaseStat {
         name,
@@ -368,78 +366,61 @@ async fn run_phase(
 }
 
 /// Minimal HTTP/1.1 GET returning the response body.
-async fn http_get(addr: SocketAddr, path: &str) -> Result<String, String> {
-    use tokio::io::{AsyncReadExt, AsyncWriteExt};
-    let mut stream =
-        tokio::net::TcpStream::connect(addr).await.map_err(|e| format!("{addr}: {e}"))?;
+fn http_get(addr: SocketAddr, path: &str) -> Result<String, String> {
+    use std::io::{Read, Write};
+    let mut stream = std::net::TcpStream::connect(addr).map_err(|e| format!("{addr}: {e}"))?;
     let request = format!("GET {path} HTTP/1.1\r\nHost: soak\r\nConnection: close\r\n\r\n");
-    stream.write_all(request.as_bytes()).await.map_err(|e| format!("{addr}: {e}"))?;
+    stream.write_all(request.as_bytes()).map_err(|e| format!("{addr}: {e}"))?;
     let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).await.map_err(|e| format!("{addr}: {e}"))?;
+    stream.read_to_end(&mut raw).map_err(|e| format!("{addr}: {e}"))?;
     let text = String::from_utf8_lossy(&raw);
     text.split_once("\r\n\r\n")
         .map(|(_, body)| body.to_string())
         .ok_or(format!("{addr}: no body in response"))
 }
 
+/// Requests in flight at a server besides the Metrics RPC that is
+/// asking (which the gauge counts, being one).
 fn inflight(snap: &MetricsSnapshot) -> f64 {
-    snap.gauge("pls_queue_depth{queue=\"inflight\"}").unwrap_or(0.0)
+    snap.gauge("pls_queue_depth{queue=\"inflight\"}").unwrap_or(0.0) - 1.0
 }
 
 /// Polls until every live member reports zero inflight requests.
-async fn audit_inflight_drains(audit: &Client, members: &[u64], deadline_s: u64) -> Audit {
+fn audit_inflight_drains(audit: &Client, members: &[u64], deadline_s: u64) -> Audit {
     let started = Instant::now();
-    let deadline = started + Duration::from_secs(deadline_s);
     let mut last: BTreeMap<u64, f64> = BTreeMap::new();
-    loop {
-        let mut all_zero = true;
-        for &member in members {
-            match audit.metrics_of(member as usize, false).await {
+    let drained = Deadline::within(Duration::from_secs(deadline_s)).wait_until(|| {
+        members.iter().fold(true, |all_zero, &member| {
+            match audit.metrics_of(member as usize, false) {
                 Ok(snap) => {
-                    let depth = inflight(&snap);
-                    last.insert(member, depth);
-                    if depth != 0.0 {
-                        all_zero = false;
-                    }
+                    last.insert(member, inflight(&snap));
+                    all_zero && last[&member] == 0.0
                 }
-                Err(_) => all_zero = false,
+                Err(_) => false,
             }
-        }
-        if all_zero {
-            return Audit::new(
-                "inflight_drains_to_zero",
-                true,
-                format!(
-                    "all {} members at 0 inflight after {:.1}s",
-                    members.len(),
-                    started.elapsed().as_secs_f64()
-                ),
-            );
-        }
-        if Instant::now() >= deadline {
-            return Audit::new(
-                "inflight_drains_to_zero",
-                false,
-                format!("still nonzero after {deadline_s}s: {last:?}"),
-            );
-        }
-        tokio::time::sleep(Duration::from_millis(SCRAPE_MS)).await;
-    }
+        })
+    });
+    let detail = if drained {
+        let waited = started.elapsed().as_secs_f64();
+        format!("all {} members at 0 inflight after {waited:.1}s", members.len())
+    } else {
+        format!("still nonzero after {deadline_s}s: {last:?}")
+    };
+    Audit::new("inflight_drains_to_zero", drained, detail)
 }
 
 /// Polls until every `pls_live_staleness{strategy,t}` series on every
 /// live member reads ≥ 0.999 — the system has observably converged
 /// back to fresh after the fault schedule.
-async fn audit_staleness_converges(audit: &Client, members: &[u64], deadline_s: u64) -> Audit {
+fn audit_staleness_converges(audit: &Client, members: &[u64], deadline_s: u64) -> Audit {
     let started = Instant::now();
-    let deadline = started + Duration::from_secs(deadline_s);
-    let mut last_worst = f64::NAN;
-    loop {
+    let (mut last_worst, mut series) = (f64::NAN, 0usize);
+    let converged = Deadline::within(Duration::from_secs(deadline_s)).wait_until(|| {
         let mut worst = f64::INFINITY;
-        let mut series = 0usize;
         let mut reachable = 0usize;
+        series = 0;
         for &member in members {
-            let Ok(snap) = audit.metrics_of(member as usize, false).await else { continue };
+            let Ok(snap) = audit.metrics_of(member as usize, false) else { continue };
             reachable += 1;
             for (name, value) in &snap.gauges {
                 let Some((family, _)) = parse_labels(name) else { continue };
@@ -449,34 +430,23 @@ async fn audit_staleness_converges(audit: &Client, members: &[u64], deadline_s: 
                 }
             }
         }
-        if reachable == members.len() && series > 0 && worst >= 0.999 {
-            return Audit::new(
-                "staleness_converges_to_one",
-                true,
-                format!(
-                    "{series} series all >= 0.999 after {:.1}s",
-                    started.elapsed().as_secs_f64()
-                ),
-            );
-        }
         if worst.is_finite() {
             last_worst = worst;
         }
-        if Instant::now() >= deadline {
-            return Audit::new(
-                "staleness_converges_to_one",
-                false,
-                format!("worst staleness {last_worst} after {deadline_s}s ({series} series)"),
-            );
-        }
-        tokio::time::sleep(Duration::from_millis(SCRAPE_MS)).await;
-    }
+        reachable == members.len() && series > 0 && worst >= 0.999
+    });
+    let detail = if converged {
+        format!("{series} series all >= 0.999 after {:.1}s", started.elapsed().as_secs_f64())
+    } else {
+        format!("worst staleness {last_worst} after {deadline_s}s ({series} series)")
+    };
+    Audit::new("staleness_converges_to_one", converged, detail)
 }
 
 /// Brackets one `GET /debug/timeline` read between two Metrics-RPC
 /// reads: every monotone counter's timeline value must land inside
 /// the RPC interval, or the two observability paths have drifted.
-async fn audit_timeline_agrees(audit: &Client, p: &Ports, members: &[u64]) -> Audit {
+fn audit_timeline_agrees(audit: &Client, p: &Ports, members: &[u64]) -> Audit {
     // Family prefixes mirror the `series` block of `timeline_json`.
     const COUNTERS: [(&str, &str); 3] = [
         ("probes", "pls_probes_total"),
@@ -485,7 +455,7 @@ async fn audit_timeline_agrees(audit: &Client, p: &Ports, members: &[u64]) -> Au
     ];
     let mut violations = Vec::new();
     for &member in members {
-        let s1 = match audit.metrics_of(member as usize, false).await {
+        let s1 = match audit.metrics_of(member as usize, false) {
             Ok(snap) => snap,
             Err(e) => {
                 return Audit::new(
@@ -497,9 +467,8 @@ async fn audit_timeline_agrees(audit: &Client, p: &Ports, members: &[u64]) -> Au
         };
         // Wait out at least two scrape intervals so the timeline holds
         // a window newer than the first RPC read.
-        tokio::time::sleep(Duration::from_millis(SCRAPE_MS * 2 + 200)).await;
+        std::thread::sleep(Duration::from_millis(SCRAPE_MS * 2 + 200));
         let latest = match http_get(p.metrics[member as usize], "/debug/timeline")
-            .await
             .and_then(|body| parse(&body).map_err(|e| format!("timeline JSON: {e}")))
         {
             Ok(doc) => {
@@ -522,7 +491,7 @@ async fn audit_timeline_agrees(audit: &Client, p: &Ports, members: &[u64]) -> Au
                 )
             }
         };
-        let s2 = match audit.metrics_of(member as usize, false).await {
+        let s2 = match audit.metrics_of(member as usize, false) {
             Ok(snap) => snap,
             Err(e) => {
                 return Audit::new(
@@ -558,10 +527,10 @@ async fn audit_timeline_agrees(audit: &Client, p: &Ports, members: &[u64]) -> Au
 
 /// After recovery + drain, no objective should still be burning its
 /// fast window.
-async fn audit_burn_stopped(audit: &Client, members: &[u64]) -> Audit {
+fn audit_burn_stopped(audit: &Client, members: &[u64]) -> Audit {
     let mut worst: Option<(String, f64)> = None;
     for &member in members {
-        let Ok(snap) = audit.metrics_of(member as usize, false).await else {
+        let Ok(snap) = audit.metrics_of(member as usize, false) else {
             return Audit::new(
                 "burn_stops_post_recovery",
                 false,
@@ -601,89 +570,56 @@ async fn audit_burn_stopped(audit: &Client, members: &[u64]) -> Audit {
 /// reached the audited epoch — gossip has carried the churned view to
 /// everyone, including the crash-restarted server that booted from its
 /// stale bootstrap peer list.
-async fn audit_epoch_converged(
-    audit: &Client,
-    members: &[u64],
-    want: u64,
-    deadline_s: u64,
-) -> Audit {
+fn audit_epoch_converged(audit: &Client, members: &[u64], want: u64, deadline_s: u64) -> Audit {
     let started = Instant::now();
-    let deadline = started + Duration::from_secs(deadline_s);
     let mut lagging = String::new();
-    loop {
+    let converged = Deadline::within(Duration::from_secs(deadline_s)).wait_until(|| {
         lagging.clear();
-        let mut converged = 0usize;
         for &member in members {
-            let epoch = match audit.metrics_of(member as usize, false).await {
+            let epoch = match audit.metrics_of(member as usize, false) {
                 Ok(snap) => snap.gauge("pls_membership_epoch").unwrap_or(0.0),
                 Err(_) => f64::NAN,
             };
-            if epoch == want as f64 {
-                converged += 1;
-            } else {
+            if epoch != want as f64 {
                 lagging.push_str(&format!(" member {member} at {epoch}"));
             }
         }
-        if converged == members.len() {
-            return Audit::new(
-                "membership_epoch_converges",
-                true,
-                format!(
-                    "all {} members at epoch {want} after {:.1}s",
-                    members.len(),
-                    started.elapsed().as_secs_f64()
-                ),
-            );
-        }
-        if Instant::now() >= deadline {
-            return Audit::new(
-                "membership_epoch_converges",
-                false,
-                format!("after {deadline_s}s, want epoch {want}:{lagging}"),
-            );
-        }
-        tokio::time::sleep(Duration::from_millis(SCRAPE_MS)).await;
-    }
+        lagging.is_empty()
+    });
+    let detail = if converged {
+        let waited = started.elapsed().as_secs_f64();
+        format!("all {} members at epoch {want} after {waited:.1}s", members.len())
+    } else {
+        format!("after {deadline_s}s, want epoch {want}:{lagging}")
+    };
+    Audit::new("membership_epoch_converges", converged, detail)
 }
 
 /// Polls until migration is both *observed* (entries actually moved:
 /// `pls_migration_entries_total` summed over the cluster is nonzero)
 /// and *finished* (every member's `pls_migration_pending` backlog
 /// gauge reads zero).
-async fn audit_migration_completes(audit: &Client, members: &[u64], deadline_s: u64) -> Audit {
+fn audit_migration_completes(audit: &Client, members: &[u64], deadline_s: u64) -> Audit {
     let started = Instant::now();
-    let deadline = started + Duration::from_secs(deadline_s);
-    let mut last = (0u64, f64::NAN);
-    loop {
-        let mut moved = 0u64;
-        let mut backlog = 0.0f64;
+    let (mut moved, mut backlog) = (0u64, f64::NAN);
+    let done = Deadline::within(Duration::from_secs(deadline_s)).wait_until(|| {
+        (moved, backlog) = (0, 0.0);
         let mut reachable = 0usize;
         for &member in members {
-            let Ok(snap) = audit.metrics_of(member as usize, false).await else { continue };
+            let Ok(snap) = audit.metrics_of(member as usize, false) else { continue };
             reachable += 1;
             moved += snap.counter_sum("pls_migration_entries_total");
             backlog += snap.gauge("pls_migration_pending").unwrap_or(0.0);
         }
-        last = (moved, backlog);
-        if reachable == members.len() && moved > 0 && backlog == 0.0 {
-            return Audit::new(
-                "migration_moves_entries_and_drains",
-                true,
-                format!(
-                    "{moved} entries migrated, backlog 0 after {:.1}s",
-                    started.elapsed().as_secs_f64()
-                ),
-            );
-        }
-        if Instant::now() >= deadline {
-            return Audit::new(
-                "migration_moves_entries_and_drains",
-                false,
-                format!("after {deadline_s}s: {} entries migrated, backlog {}", last.0, last.1),
-            );
-        }
-        tokio::time::sleep(Duration::from_millis(SCRAPE_MS)).await;
-    }
+        reachable == members.len() && moved > 0 && backlog == 0.0
+    });
+    let detail = if done {
+        let waited = started.elapsed().as_secs_f64();
+        format!("{moved} entries migrated, backlog 0 after {waited:.1}s")
+    } else {
+        format!("after {deadline_s}s: {moved} entries migrated, backlog {backlog}")
+    };
+    Audit::new("migration_moves_entries_and_drains", done, detail)
 }
 
 /// Re-reads every seeded key through a fresh client and checks all
@@ -691,15 +627,15 @@ async fn audit_migration_completes(audit: &Client, members: &[u64], deadline_s: 
 /// Workers only ever delete entries they added themselves, so a
 /// missing seed entry can only mean churn lost (or a tombstone screen
 /// failure resurrected-then-retrimmed) state.
-async fn audit_no_seed_lost(p: &Ports, seed: u64) -> Audit {
+fn audit_no_seed_lost(p: &Ports, seed: u64) -> Audit {
     let mut reader = Client::connect(client_config(p, seed ^ 0xD00D));
-    let _ = reader.refresh_membership().await;
+    let _ = reader.refresh_membership();
     let mut missing = Vec::new();
     for k in 0..KEYS {
         let key = format!("soak/k{k}");
         // t = 64 far exceeds the population, so the lookup merges every
         // reachable member's holdings without trimming.
-        match reader.partial_lookup(key.as_bytes(), 64).await {
+        match reader.partial_lookup(key.as_bytes(), 64) {
             Ok(found) => {
                 for e in 0..4u32 {
                     let want = format!("seed-{e}").into_bytes();
@@ -730,44 +666,29 @@ async fn audit_no_seed_lost(p: &Ports, seed: u64) -> Audit {
 
 /// Polls the cluster's membership RPC through the audit client until
 /// the view reaches epoch `want`, returning that view's member ids.
-async fn await_epoch(audit: &mut Client, want: u64, deadline_s: u64) -> Result<Vec<u64>, String> {
-    let deadline = Instant::now() + Duration::from_secs(deadline_s);
-    loop {
-        let _ = audit.refresh_membership().await;
-        let (epoch, members) = audit.membership_view();
-        if epoch >= want {
-            return Ok(members.into_iter().map(|(id, _)| id).collect());
-        }
-        if Instant::now() >= deadline {
-            return Err(format!(
-                "membership stuck at epoch {epoch} (want {want}) after {deadline_s}s"
-            ));
-        }
-        tokio::time::sleep(Duration::from_millis(250)).await;
+fn await_epoch(audit: &mut Client, want: u64, deadline_s: u64) -> Result<Vec<u64>, String> {
+    let reached = Deadline::within(Duration::from_secs(deadline_s)).wait_until(|| {
+        let _ = audit.refresh_membership();
+        audit.membership_view().0 >= want
+    });
+    let (epoch, members) = audit.membership_view();
+    if !reached {
+        return Err(format!("membership stuck at epoch {epoch} (want {want}) after {deadline_s}s"));
     }
+    Ok(members.into_iter().map(|(id, _)| id).collect())
 }
 
 /// Waits until every named member answers its status RPC.
-async fn await_cluster_up(audit: &Client, members: &[u64], deadline_s: u64) -> Result<(), String> {
-    let deadline = Instant::now() + Duration::from_secs(deadline_s);
-    loop {
-        let mut up = 0;
-        for &member in members {
-            if audit.status_of(member as usize).await.is_ok() {
-                up += 1;
-            }
-        }
-        if up == members.len() {
-            return Ok(());
-        }
-        if Instant::now() >= deadline {
-            return Err(format!(
-                "cluster not up after {deadline_s}s ({up}/{} servers)",
-                members.len()
-            ));
-        }
-        tokio::time::sleep(Duration::from_millis(250)).await;
+fn await_cluster_up(audit: &Client, members: &[u64], deadline_s: u64) -> Result<(), String> {
+    let mut up = 0;
+    let all_up = Deadline::within(Duration::from_secs(deadline_s)).wait_until(|| {
+        up = members.iter().filter(|&&m| audit.status_of(m as usize).is_ok()).count();
+        up == members.len()
+    });
+    if !all_up {
+        return Err(format!("cluster not up after {deadline_s}s ({up}/{} servers)", members.len()));
     }
+    Ok(())
 }
 
 fn client_config(p: &Ports, seed: u64) -> ClientConfig {
@@ -779,7 +700,7 @@ fn client_config(p: &Ports, seed: u64) -> ClientConfig {
 /// One closed-loop load worker: mixed lookups, adds, and deletes over
 /// a shared key population. Errors are counted, never fatal — fault
 /// phases are *supposed* to hurt.
-async fn load_worker(
+fn load_worker(
     p: Ports,
     seed: u64,
     worker: u64,
@@ -791,18 +712,18 @@ async fn load_worker(
     let mut added: Option<(Vec<u8>, Vec<u8>)> = None;
     let mut i = 0u64;
     while !stop.load(Ordering::Relaxed) {
-        if i % 128 == 0 {
+        if i.is_multiple_of(128) {
             // Adopt whatever membership the cluster currently holds. A
             // stale view still works (dead members are probed and
             // skipped), but a fresh one stops burning probes on them
             // and starts routing to live joiners.
-            let _ = client.refresh_membership().await;
+            let _ = client.refresh_membership();
         }
         let key = format!("soak/k{}", (i.wrapping_mul(7).wrapping_add(worker)) % KEYS);
         let result = match i % 8 {
             0 => {
                 let entry = format!("w{worker}-{i}").into_bytes();
-                let r = client.add(key.as_bytes(), entry.clone()).await.map(|_| ());
+                let r = client.add(key.as_bytes(), entry.clone()).map(|_| ());
                 if r.is_ok() {
                     added = Some((key.clone().into_bytes(), entry));
                 }
@@ -811,16 +732,10 @@ async fn load_worker(
             4 => match added.take() {
                 // Delete something this worker added, so deletes
                 // exercise tombstones without not-found noise.
-                Some((k, entry)) => {
-                    client.delete(&k, entry).await.map(|_| ()).map_err(|e| e.to_string())
-                }
+                Some((k, entry)) => client.delete(&k, entry).map(|_| ()).map_err(|e| e.to_string()),
                 None => Ok(()),
             },
-            _ => client
-                .partial_lookup(key.as_bytes(), 1)
-                .await
-                .map(|_| ())
-                .map_err(|e| e.to_string()),
+            _ => client.partial_lookup(key.as_bytes(), 1).map(|_| ()).map_err(|e| e.to_string()),
         };
         ops.fetch_add(1, Ordering::Relaxed);
         if result.is_err() {
@@ -829,7 +744,7 @@ async fn load_worker(
         i += 1;
         // Closed-loop with a small breather: sustained load without
         // saturating two servers on one CI core.
-        tokio::time::sleep(Duration::from_millis(10)).await;
+        std::thread::sleep(Duration::from_millis(10));
     }
 }
 
@@ -845,24 +760,24 @@ fn phase_json(p: &PhaseStat) -> String {
         .build()
 }
 
-async fn run_soak(o: &Opts) -> Result<(Vec<PhaseStat>, Vec<Audit>, Vec<String>), String> {
+fn run_soak(o: &Opts) -> Result<(Vec<PhaseStat>, Vec<Audit>), String> {
     let p = ports(o.base_port);
     let _ = std::fs::remove_dir_all(&o.data_dir);
     let mut procs = Procs::new();
-    procs.proxy = Some(spawn_proxy(o, &p, "forward").await?);
+    procs.proxy = Some(spawn_proxy(o, &p, "forward")?);
     procs.server0 = Some(spawn_server(o, &p, 0)?);
     procs.server1 = Some(spawn_server(o, &p, 1)?);
 
     let mut audit = Client::connect(client_config(&p, o.seed));
     let members = vec![0u64, 1];
-    await_cluster_up(&audit, &members, 15).await?;
+    await_cluster_up(&audit, &members, 15)?;
 
     // Seed the key population so lookups have something to find.
     let mut seeder = Client::connect(client_config(&p, o.seed ^ 0x5EED));
     for k in 0..KEYS {
         let key = format!("soak/k{k}");
         let entries: Vec<Vec<u8>> = (0..4).map(|e| format!("seed-{e}").into_bytes()).collect();
-        seeder.place(key.as_bytes(), entries).await.map_err(|e| format!("seeding {key}: {e}"))?;
+        seeder.place(key.as_bytes(), entries).map_err(|e| format!("seeding {key}: {e}"))?;
     }
 
     let stop = Arc::new(AtomicBool::new(false));
@@ -870,30 +785,23 @@ async fn run_soak(o: &Opts) -> Result<(Vec<PhaseStat>, Vec<Audit>, Vec<String>),
     let errors = Arc::new(AtomicU64::new(0));
     let workers: Vec<_> = (0..o.concurrency as u64)
         .map(|w| {
-            tokio::spawn(load_worker(
-                ports(o.base_port),
-                o.seed,
-                w,
-                Arc::clone(&stop),
-                Arc::clone(&ops),
-                Arc::clone(&errors),
-            ))
+            let (p, seed) = (ports(o.base_port), o.seed);
+            let (stop, ops, errors) = (Arc::clone(&stop), Arc::clone(&ops), Arc::clone(&errors));
+            std::thread::spawn(move || load_worker(p, seed, w, stop, ops, errors))
         })
         .collect();
 
     let mut sampler = Sampler::new();
     let mut phases = Vec::new();
 
-    phases.push(
-        run_phase("baseline", o.phase_s, &mut sampler, &audit, &members, &ops, &errors).await,
-    );
+    phases.push(run_phase("baseline", o.phase_s, &mut sampler, &audit, &members, &ops, &errors));
 
     // Fault 1: black-hole server 0's route to server 1. Replication
     // fan-out and anti-entropy sends fail; budgets must burn.
     kill_slot(&mut procs.proxy);
-    procs.proxy = Some(spawn_proxy(o, &p, "black-hole").await?);
+    procs.proxy = Some(spawn_proxy(o, &p, "black-hole")?);
     let blackhole =
-        run_phase("blackhole", o.phase_s, &mut sampler, &audit, &members, &ops, &errors).await;
+        run_phase("blackhole", o.phase_s, &mut sampler, &audit, &members, &ops, &errors);
     let burned: Vec<String> = blackhole
         .max_burn_fast
         .iter()
@@ -906,37 +814,33 @@ async fn run_soak(o: &Opts) -> Result<(Vec<PhaseStat>, Vec<Audit>, Vec<String>),
     // restart it from its WAL. Its counters legitimately reset, so the
     // monotonicity tracker re-anchors.
     kill_slot(&mut procs.proxy);
-    procs.proxy = Some(spawn_proxy(o, &p, "forward").await?);
+    procs.proxy = Some(spawn_proxy(o, &p, "forward")?);
     kill_slot(&mut procs.server1);
     sampler.reanchor(1);
-    tokio::time::sleep(Duration::from_millis(500)).await;
+    std::thread::sleep(Duration::from_millis(500));
     procs.server1 = Some(spawn_server(o, &p, 1)?);
-    phases
-        .push(run_phase("restart", o.phase_s, &mut sampler, &audit, &members, &ops, &errors).await);
+    phases.push(run_phase("restart", o.phase_s, &mut sampler, &audit, &members, &ops, &errors));
 
-    phases.push(
-        run_phase("recovery", o.phase_s, &mut sampler, &audit, &members, &ops, &errors).await,
-    );
+    phases.push(run_phase("recovery", o.phase_s, &mut sampler, &audit, &members, &ops, &errors));
 
     // Churn 1: a third server joins the live cluster. The seed hands it
     // the current view; placement groups re-home onto it via migration.
     procs.server2 = Some(spawn_joiner(o, &p)?);
-    let members = await_epoch(&mut audit, 2, 30).await?;
+    let members = await_epoch(&mut audit, 2, 30)?;
     println!("join admitted: epoch 2, members {members:?}");
-    phases.push(run_phase("join", o.phase_s, &mut sampler, &audit, &members, &ops, &errors).await);
+    phases.push(run_phase("join", o.phase_s, &mut sampler, &audit, &members, &ops, &errors));
 
     // Churn 2: retire server 1 gracefully. Its process stays up for the
     // whole phase — migration treats the *previous* group as donors, so
     // survivors can still pull the partitions it owned — and only then
     // is it killed for good.
-    audit.drain(1).await.map_err(|e| format!("drain server 1: {e}"))?;
-    let members = await_epoch(&mut audit, 3, 30).await?;
+    audit.drain(1).map_err(|e| format!("drain server 1: {e}"))?;
+    let members = await_epoch(&mut audit, 3, 30)?;
     if members.contains(&1) {
         return Err(format!("drain left member 1 in the view: {members:?}"));
     }
     println!("drain accepted: epoch 3, members {members:?}");
-    phases
-        .push(run_phase("drain1", o.phase_s, &mut sampler, &audit, &members, &ops, &errors).await);
+    phases.push(run_phase("drain1", o.phase_s, &mut sampler, &audit, &members, &ops, &errors));
     kill_slot(&mut procs.server1);
     sampler.reanchor(1);
 
@@ -946,19 +850,17 @@ async fn run_soak(o: &Opts) -> Result<(Vec<PhaseStat>, Vec<Audit>, Vec<String>),
     // so its stale view cannot regress the cluster).
     kill_slot(&mut procs.server0);
     sampler.reanchor(0);
-    tokio::time::sleep(Duration::from_millis(500)).await;
+    std::thread::sleep(Duration::from_millis(500));
     procs.server0 = Some(spawn_server(o, &p, 0)?);
-    phases
-        .push(run_phase("crash0", o.phase_s, &mut sampler, &audit, &members, &ops, &errors).await);
+    phases.push(run_phase("crash0", o.phase_s, &mut sampler, &audit, &members, &ops, &errors));
 
-    phases
-        .push(run_phase("settle", o.phase_s, &mut sampler, &audit, &members, &ops, &errors).await);
+    phases.push(run_phase("settle", o.phase_s, &mut sampler, &audit, &members, &ops, &errors));
 
     // Drain: stop the load, then audit convergence.
     println!("phase drain: load stopped, auditing convergence");
     stop.store(true, Ordering::Relaxed);
     for w in workers {
-        let _ = w.await;
+        w.join().map_err(|_| "a load worker panicked".to_string())?;
     }
 
     let mut audits = Vec::new();
@@ -980,15 +882,15 @@ async fn run_soak(o: &Opts) -> Result<(Vec<PhaseStat>, Vec<Audit>, Vec<String>),
             format!("fast burn observed during black-hole: {}", burned.join(", "))
         },
     ));
-    audits.push(audit_inflight_drains(&audit, &members, o.phase_s).await);
-    audits.push(audit_staleness_converges(&audit, &members, o.phase_s * 2).await);
-    audits.push(audit_timeline_agrees(&audit, &p, &members).await);
-    audits.push(audit_burn_stopped(&audit, &members).await);
-    audits.push(audit_epoch_converged(&audit, &members, 3, o.phase_s).await);
-    audits.push(audit_migration_completes(&audit, &members, o.phase_s).await);
-    audits.push(audit_no_seed_lost(&p, o.seed).await);
+    audits.push(audit_inflight_drains(&audit, &members, o.phase_s));
+    audits.push(audit_staleness_converges(&audit, &members, o.phase_s * 2));
+    audits.push(audit_timeline_agrees(&audit, &p, &members));
+    audits.push(audit_burn_stopped(&audit, &members));
+    audits.push(audit_epoch_converged(&audit, &members, 3, o.phase_s));
+    audits.push(audit_migration_completes(&audit, &members, o.phase_s));
+    audits.push(audit_no_seed_lost(&p, o.seed));
 
-    Ok((phases, audits, sampler.regressions.clone()))
+    Ok((phases, audits))
 }
 
 fn write_artifact(o: &Opts, phases: &[PhaseStat], audits: &[Audit]) -> Result<PathBuf, String> {
@@ -1037,16 +939,8 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let runtime = match tokio::runtime::Builder::new_multi_thread().enable_all().build() {
-        Ok(rt) => rt,
-        Err(err) => {
-            eprintln!("runtime start failed: {err}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let outcome = runtime.block_on(run_soak(&o));
-    match outcome {
-        Ok((phases, audits, _regressions)) => {
+    match run_soak(&o) {
+        Ok((phases, audits)) => {
             match write_artifact(&o, &phases, &audits) {
                 Ok(path) => println!("wrote {}", path.display()),
                 Err(msg) => {

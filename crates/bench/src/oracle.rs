@@ -101,7 +101,7 @@ mod tests {
         // Merging ~20-entry answers to reach 35 distinct takes at least
         // 2 and at most all 10 servers.
         let mean = check.measured_mean();
-        assert!(mean >= 2.0 && mean <= 10.0, "cost {mean}");
+        assert!((2.0..=10.0).contains(&mean), "cost {mean}");
     }
 
     #[test]

@@ -30,12 +30,15 @@
 //! ```sh
 //! pls-chaos --listen 127.0.0.1:7503 --upstream 127.0.0.1:7403 --mode black-hole
 //! ```
+//!
+//! The proxy runs until the process is signalled (`std` has no signal
+//! API; the default action of SIGINT/SIGTERM ends it).
 
 use std::net::SocketAddr;
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use pls_cluster::{ChaosConfig, ChaosPeer};
+use pls_cluster::{flag, ChaosConfig, ChaosPeer};
 use pls_telemetry::trace;
 
 struct Options {
@@ -56,28 +59,17 @@ fn parse_args() -> Result<Options, String> {
     let mut seed = 0u64;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        let mut value = |name: &str| args.next().ok_or(format!("{name} needs a value"));
+        let args = &mut args;
         match arg.as_str() {
-            "--listen" => {
-                listen = Some(value("--listen")?.parse().map_err(|e| format!("--listen: {e}"))?);
-            }
-            "--upstream" => {
-                upstream =
-                    Some(value("--upstream")?.parse().map_err(|e| format!("--upstream: {e}"))?);
-            }
-            "--mode" => mode = value("--mode")?,
-            "--prob" => prob = value("--prob")?.parse().map_err(|e| format!("--prob: {e}"))?,
-            "--delay-ms" => {
-                delay_ms = value("--delay-ms")?.parse().map_err(|e| format!("--delay-ms: {e}"))?;
-            }
-            "--up-ms" => {
-                up_ms = value("--up-ms")?.parse().map_err(|e| format!("--up-ms: {e}"))?;
-            }
-            "--down-ms" => {
-                down_ms = value("--down-ms")?.parse().map_err(|e| format!("--down-ms: {e}"))?;
-            }
-            "--seed" => seed = value("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--log" => trace::init_from_str(&value("--log")?)?,
+            "--listen" => listen = Some(flag(&arg, args)?),
+            "--upstream" => upstream = Some(flag(&arg, args)?),
+            "--mode" => mode = flag(&arg, args)?,
+            "--prob" => prob = flag(&arg, args)?,
+            "--delay-ms" => delay_ms = flag(&arg, args)?,
+            "--up-ms" => up_ms = flag(&arg, args)?,
+            "--down-ms" => down_ms = flag(&arg, args)?,
+            "--seed" => seed = flag(&arg, args)?,
+            "--log" => trace::init_from_str(&flag::<String>(&arg, args)?)?,
             "--help" | "-h" => {
                 return Err("usage: pls-chaos --listen HOST:PORT [--upstream HOST:PORT] \
                      [--mode forward|black-hole|garbage|half-close|error|delay|refuse|flap] \
@@ -134,37 +126,25 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let runtime = match tokio::runtime::Builder::new_current_thread().enable_all().build() {
-        Ok(rt) => rt,
+    match ChaosPeer::bind_addr(opts.listen, opts.upstream, opts.cfg) {
+        Ok((_proxy, addr)) => {
+            match opts.upstream {
+                Some(up) => pls_telemetry::info!(
+                    "chaos_serving",
+                    addr = addr,
+                    upstream = up,
+                    mode = opts.mode
+                ),
+                None => pls_telemetry::info!("chaos_serving", addr = addr, mode = opts.mode),
+            }
+            // Until the process is signalled (see the module doc).
+            loop {
+                std::thread::park();
+            }
+        }
         Err(err) => {
-            pls_telemetry::error!("runtime_start_failed", err = err);
-            return ExitCode::FAILURE;
+            pls_telemetry::error!("bind_failed", addr = opts.listen, err = err);
+            ExitCode::FAILURE
         }
-    };
-    runtime.block_on(async move {
-        match ChaosPeer::bind_addr(opts.listen, opts.upstream, opts.cfg).await {
-            Ok((peer, addr)) => {
-                match opts.upstream {
-                    Some(up) => pls_telemetry::info!(
-                        "chaos_serving",
-                        addr = addr,
-                        upstream = up,
-                        mode = opts.mode
-                    ),
-                    None => pls_telemetry::info!("chaos_serving", addr = addr, mode = opts.mode),
-                }
-                tokio::select! {
-                    _ = peer.run() => ExitCode::SUCCESS,
-                    _ = tokio::signal::ctrl_c() => {
-                        pls_telemetry::info!("shutting_down");
-                        ExitCode::SUCCESS
-                    }
-                }
-            }
-            Err(err) => {
-                pls_telemetry::error!("bind_failed", addr = opts.listen, err = err);
-                ExitCode::FAILURE
-            }
-        }
-    })
+    }
 }

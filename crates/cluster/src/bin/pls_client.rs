@@ -59,7 +59,7 @@
 use std::net::SocketAddr;
 use std::process::ExitCode;
 
-use pls_cluster::{parse_spec, Client, ClientConfig, Timeouts};
+use pls_cluster::{flag, flag_list, parse_req_id, parse_spec, Client, ClientConfig, Timeouts};
 use pls_telemetry::snapshot::parse_labels;
 use pls_telemetry::trace;
 use pls_telemetry::{MetricsSnapshot, SpanRecord};
@@ -78,32 +78,15 @@ fn parse_args() -> Result<Options, String> {
     let mut command = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        let mut value = |name: &str| args.next().ok_or(format!("{name} needs a value"));
+        let args = &mut args;
         match arg.as_str() {
-            "--servers" => {
-                let raw = value("--servers")?;
-                let parsed: Result<Vec<SocketAddr>, _> =
-                    raw.split(',').map(|s| s.trim().parse()).collect();
-                servers = Some(parsed.map_err(|e| format!("--servers: {e}"))?);
-            }
-            "--strategy" => spec = Some(parse_spec(&value("--strategy")?)?),
-            "--seed" => seed = value("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--rpc-timeout-ms" => {
-                let ms = value("--rpc-timeout-ms")?
-                    .parse()
-                    .map_err(|e| format!("--rpc-timeout-ms: {e}"))?;
-                timeouts = timeouts.with_rpc_ms(ms);
-            }
-            "--op-budget-ms" => {
-                let ms =
-                    value("--op-budget-ms")?.parse().map_err(|e| format!("--op-budget-ms: {e}"))?;
-                timeouts = timeouts.with_op_budget_ms(ms);
-            }
-            "--hedge-ms" => {
-                hedge_ms =
-                    Some(value("--hedge-ms")?.parse().map_err(|e| format!("--hedge-ms: {e}"))?);
-            }
-            "--log" => trace::init_from_str(&value("--log")?)?,
+            "--servers" => servers = Some(flag_list(&arg, args)?),
+            "--strategy" => spec = Some(parse_spec(&flag::<String>(&arg, args)?)?),
+            "--seed" => seed = flag(&arg, args)?,
+            "--rpc-timeout-ms" => timeouts = timeouts.with_rpc_ms(flag(&arg, args)?),
+            "--op-budget-ms" => timeouts = timeouts.with_op_budget_ms(flag(&arg, args)?),
+            "--hedge-ms" => hedge_ms = Some(flag(&arg, args)?),
+            "--log" => trace::init_from_str(&flag::<String>(&arg, args)?)?,
             "--help" | "-h" => {
                 return Err("usage: pls-client --servers A,B,... --strategy SPEC [--log LEVEL] \
                      [--rpc-timeout-ms MS] [--op-budget-ms MS] [--hedge-ms MS] COMMAND ..."
@@ -111,7 +94,7 @@ fn parse_args() -> Result<Options, String> {
             }
             other => {
                 command.push(other.to_string());
-                command.extend(args.by_ref());
+                command.extend(args);
             }
         }
     }
@@ -129,7 +112,7 @@ fn parse_args() -> Result<Options, String> {
     Ok(Options { cfg, command })
 }
 
-async fn run(opts: Options) -> Result<(), String> {
+fn run(opts: Options) -> Result<(), String> {
     let mut client = Client::connect(opts.cfg);
     let cmd: Vec<&str> = opts.command.iter().map(String::as_str).collect();
     match cmd.as_slice() {
@@ -137,7 +120,7 @@ async fn run(opts: Options) -> Result<(), String> {
             let entries: Vec<Vec<u8>> =
                 entries.split(',').map(|e| e.trim().as_bytes().to_vec()).collect();
             let count = entries.len();
-            client.place(key.as_bytes(), entries).await.map_err(|e| e.to_string())?;
+            client.place(key.as_bytes(), entries).map_err(|e| e.to_string())?;
             println!("placed {count} entries under `{key}`");
         }
         ["place", key, entries, strategy] => {
@@ -145,30 +128,20 @@ async fn run(opts: Options) -> Result<(), String> {
             let entries: Vec<Vec<u8>> =
                 entries.split(',').map(|e| e.trim().as_bytes().to_vec()).collect();
             let count = entries.len();
-            client
-                .place_with_strategy(key.as_bytes(), entries, spec)
-                .await
-                .map_err(|e| e.to_string())?;
+            client.place_with_strategy(key.as_bytes(), entries, spec).map_err(|e| e.to_string())?;
             println!("placed {count} entries under `{key}` with {spec}");
         }
         ["add", key, entry] => {
-            client
-                .add(key.as_bytes(), entry.as_bytes().to_vec())
-                .await
-                .map_err(|e| e.to_string())?;
+            client.add(key.as_bytes(), entry.as_bytes().to_vec()).map_err(|e| e.to_string())?;
             println!("added `{entry}` to `{key}`");
         }
         ["delete", key, entry] => {
-            client
-                .delete(key.as_bytes(), entry.as_bytes().to_vec())
-                .await
-                .map_err(|e| e.to_string())?;
+            client.delete(key.as_bytes(), entry.as_bytes().to_vec()).map_err(|e| e.to_string())?;
             println!("deleted `{entry}` from `{key}`");
         }
         ["lookup", key, t] => {
             let t: usize = t.parse().map_err(|e| format!("T: {e}"))?;
-            let entries =
-                client.partial_lookup(key.as_bytes(), t).await.map_err(|e| e.to_string())?;
+            let entries = client.partial_lookup(key.as_bytes(), t).map_err(|e| e.to_string())?;
             println!(
                 "{} entr{} for `{key}`{}:",
                 entries.len(),
@@ -182,10 +155,10 @@ async fn run(opts: Options) -> Result<(), String> {
         ["status"] => {
             // Best-effort view refresh first, so a long-lived servers
             // list still reports joiners and skips drained members.
-            let _ = client.refresh_membership().await;
+            let _ = client.refresh_membership();
             let (_, members) = client.membership_view();
             for (id, addr) in members {
-                match client.status_of(id as usize).await {
+                match client.status_of(id as usize) {
                     Ok((keys, entries)) => {
                         println!("server {id} ({addr}): {keys} keys, {entries} entries")
                     }
@@ -197,14 +170,14 @@ async fn run(opts: Options) -> Result<(), String> {
             }
         }
         ["membership"] => {
-            let (epoch, members) = client.membership().await.map_err(|e| e.to_string())?;
+            let (epoch, members) = client.membership().map_err(|e| e.to_string())?;
             println!("epoch {epoch}, {} member{}:", members.len(), plural(members.len()));
             for (id, addr) in members {
                 println!("  {id:>4}  {addr}");
             }
         }
         ["join", addr] => {
-            let (epoch, members) = client.join(addr).await.map_err(|e| e.to_string())?;
+            let (epoch, members) = client.join(addr).map_err(|e| e.to_string())?;
             println!(
                 "admitted `{addr}`: epoch {epoch}, {} member{}",
                 members.len(),
@@ -213,7 +186,7 @@ async fn run(opts: Options) -> Result<(), String> {
         }
         ["drain", id] => {
             let id: u64 = id.parse().map_err(|e| format!("ID: {e}"))?;
-            let (epoch, members) = client.drain(id).await.map_err(|e| e.to_string())?;
+            let (epoch, members) = client.drain(id).map_err(|e| e.to_string())?;
             println!(
                 "draining server {id}: epoch {epoch}, {} member{} remain",
                 members.len(),
@@ -233,8 +206,8 @@ async fn run(opts: Options) -> Result<(), String> {
             // Cluster-wide means the *live* cluster: refresh the view
             // first so joiners' counters are merged in and drained
             // members are no longer polled.
-            let _ = client.refresh_membership().await;
-            let merged = client.cluster_metrics(reset).await.map_err(|e| e.to_string())?;
+            let _ = client.refresh_membership();
+            let merged = client.cluster_metrics(reset).map_err(|e| e.to_string())?;
             if raw {
                 print!("{}", merged.to_prometheus());
             } else {
@@ -244,19 +217,11 @@ async fn run(opts: Options) -> Result<(), String> {
         ["top", flags @ ..] => {
             let mut interval_ms: u64 = 2_000;
             let mut count: u64 = 0; // 0 = run until interrupted
-            let mut it = flags.iter();
-            while let Some(flag) = it.next() {
-                let mut value =
-                    |name: &str| it.next().map(|v| *v).ok_or(format!("{name} needs a value"));
-                match *flag {
-                    "--interval-ms" => {
-                        interval_ms = value("--interval-ms")?
-                            .parse()
-                            .map_err(|e| format!("--interval-ms: {e}"))?;
-                    }
-                    "--count" => {
-                        count = value("--count")?.parse().map_err(|e| format!("--count: {e}"))?;
-                    }
+            let mut it = flags.iter().map(|s| s.to_string());
+            while let Some(name) = it.next() {
+                match name.as_str() {
+                    "--interval-ms" => interval_ms = flag(&name, &mut it)?,
+                    "--count" => count = flag(&name, &mut it)?,
                     other => {
                         return Err(format!(
                             "unknown top flag `{other}` (try --interval-ms/--count)"
@@ -271,13 +236,13 @@ async fn run(opts: Options) -> Result<(), String> {
             let mut frames: u64 = 0;
             loop {
                 // Track churn live: joiners appear, drained members drop.
-                let _ = client.refresh_membership().await;
+                let _ = client.refresh_membership();
                 let (_, members) = client.membership_view();
                 let mut merged = MetricsSnapshot::new();
                 let mut per_server: Vec<(usize, Option<MetricsSnapshot>)> = Vec::new();
                 for (id, _) in members {
                     let i = id as usize;
-                    match client.metrics_of(i, false).await {
+                    match client.metrics_of(i, false) {
                         Ok(snap) => {
                             merged.merge(&snap);
                             per_server.push((i, Some(snap)));
@@ -299,7 +264,7 @@ async fn run(opts: Options) -> Result<(), String> {
                 if count > 0 && frames >= count {
                     break;
                 }
-                tokio::time::sleep(std::time::Duration::from_millis(interval_ms.max(100))).await;
+                std::thread::sleep(std::time::Duration::from_millis(interval_ms.max(100)));
             }
         }
         ["trace", rest @ ..] => {
@@ -309,7 +274,7 @@ async fn run(opts: Options) -> Result<(), String> {
                 _ => return Err("usage: trace REQ_ID [--chrome OUT.json]".to_string()),
             };
             let req = parse_req_id(req_str).ok_or(format!("malformed request id `{req_str}`"))?;
-            let spans = client.trace_request(req).await.map_err(|e| e.to_string())?;
+            let spans = client.trace_request(req).map_err(|e| e.to_string())?;
             if spans.is_empty() {
                 println!("no spans retained for request {req:#x} anywhere in the cluster");
                 println!("(recorders are rings: old requests age out unless pinned by --slow-ms)");
@@ -334,14 +299,6 @@ fn plural(count: usize) -> &'static str {
         ""
     } else {
         "s"
-    }
-}
-
-/// Request ids print both ways in logs, so accept decimal or `0x`-hex.
-fn parse_req_id(s: &str) -> Option<u64> {
-    match s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
-        Some(hex) => u64::from_str_radix(hex, 16).ok(),
-        None => s.parse().ok(),
     }
 }
 
@@ -892,6 +849,26 @@ fn render_top(
     out
 }
 
+fn main() -> ExitCode {
+    // Errors are reported as structured events; keep them visible by
+    // default (--log off silences everything).
+    trace::init(Some(pls_telemetry::Level::Info));
+    let opts = match parse_args() {
+        Ok(o) => o,
+        Err(msg) => {
+            pls_telemetry::error!(msg);
+            return ExitCode::FAILURE;
+        }
+    };
+    match run(opts) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(msg) => {
+            pls_telemetry::error!(msg);
+            ExitCode::FAILURE
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1085,32 +1062,5 @@ mod tests {
         assert!(!frame.contains("slo error budgets"), "{frame}");
         assert!(!frame.contains("queue depths"), "{frame}");
         assert!(!frame.contains("hottest keys"), "{frame}");
-    }
-}
-
-fn main() -> ExitCode {
-    // Errors are reported as structured events; keep them visible by
-    // default (--log off silences everything).
-    trace::init(Some(pls_telemetry::Level::Info));
-    let opts = match parse_args() {
-        Ok(o) => o,
-        Err(msg) => {
-            pls_telemetry::error!(msg);
-            return ExitCode::FAILURE;
-        }
-    };
-    let runtime = match tokio::runtime::Builder::new_current_thread().enable_all().build() {
-        Ok(rt) => rt,
-        Err(err) => {
-            pls_telemetry::error!("runtime_start_failed", err = err);
-            return ExitCode::FAILURE;
-        }
-    };
-    match runtime.block_on(run(opts)) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
-            pls_telemetry::error!(msg);
-            ExitCode::FAILURE
-        }
     }
 }

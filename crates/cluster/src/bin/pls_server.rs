@@ -98,11 +98,18 @@
 //! pls-server --index 1 --peers 127.0.0.1:7401,127.0.0.1:7402,127.0.0.1:7403 --strategy round:2 &
 //! pls-server --index 2 --peers 127.0.0.1:7401,127.0.0.1:7402,127.0.0.1:7403 --strategy round:2 &
 //! ```
+//!
+//! The server runs until the process is signalled, and there is no
+//! shutdown path to run: `std` has no signal API (and the workspace has
+//! no dependencies), and the default action of SIGINT/SIGTERM is the same
+//! crash-only stop the write-ahead log is built for — every acked update
+//! is already fsynced.
 
 use std::net::SocketAddr;
 use std::process::ExitCode;
 
-use pls_cluster::{parse_spec, Server, ServerConfig, Timeouts};
+use pls_cluster::{flag, flag_list, parse_spec, Server, ServerConfig};
+use pls_core::StrategySpec;
 use pls_telemetry::trace;
 
 /// Arm the counting allocator: every heap allocation in this process
@@ -116,120 +123,47 @@ static ALLOC: pls_telemetry::CountingAlloc = pls_telemetry::CountingAlloc;
 type JoinPlan = (SocketAddr, SocketAddr);
 
 fn parse_args() -> Result<(ServerConfig, Option<SocketAddr>, Option<JoinPlan>), String> {
+    use std::time::Duration;
+    let millis = |ms: u64| (ms > 0).then(|| Duration::from_millis(ms));
     let mut index: Option<usize> = None;
     let mut peers: Option<Vec<SocketAddr>> = None;
     let mut join: Option<SocketAddr> = None;
     let mut advertise: Option<SocketAddr> = None;
-    let mut group_size: Option<usize> = None;
     let mut spec = None;
-    let mut seed = 0u64;
     let mut metrics_addr: Option<SocketAddr> = None;
-    let mut slow_ms: Option<u64> = None;
-    let mut data_dir: Option<std::path::PathBuf> = None;
-    let mut checkpoint_every: Option<u64> = None;
-    let mut antientropy_ms: u64 = 5_000;
-    let mut staleness_ms: u64 = 2_000;
-    let mut tombstone_ttl_ms: Option<u64> = None;
-    let mut shards: Option<usize> = None;
-    let mut scrape_ms: u64 = 2_000;
-    let mut slo_fast_s: Option<u64> = None;
-    let mut slo_slow_s: Option<u64> = None;
-    let mut slo_latency_ms: Option<u64> = None;
-    let mut timeouts = Timeouts::default();
+    // Every other flag lands in the config as it is read; index, peers
+    // and strategy are filled in below.
+    let mut cfg = ServerConfig::new(0, Vec::new(), StrategySpec::full_replication(), 0);
+    cfg.anti_entropy = millis(5_000);
+    cfg.staleness_probe = millis(2_000);
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        let mut value = |name: &str| args.next().ok_or(format!("{name} needs a value"));
+        let args = &mut args;
         match arg.as_str() {
-            "--index" => {
-                index = Some(value("--index")?.parse().map_err(|e| format!("--index: {e}"))?);
-            }
-            "--peers" => {
-                let raw = value("--peers")?;
-                let parsed: Result<Vec<SocketAddr>, _> =
-                    raw.split(',').map(|s| s.trim().parse()).collect();
-                peers = Some(parsed.map_err(|e| format!("--peers: {e}"))?);
-            }
-            "--strategy" => spec = Some(parse_spec(&value("--strategy")?)?),
-            "--seed" => {
-                seed = value("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?;
-            }
-            "--group-size" => {
-                group_size =
-                    Some(value("--group-size")?.parse().map_err(|e| format!("--group-size: {e}"))?);
-            }
-            "--join" => {
-                join = Some(value("--join")?.parse().map_err(|e| format!("--join: {e}"))?);
-            }
-            "--advertise" => {
-                advertise =
-                    Some(value("--advertise")?.parse().map_err(|e| format!("--advertise: {e}"))?);
-            }
-            "--metrics-addr" => {
-                metrics_addr = Some(
-                    value("--metrics-addr")?.parse().map_err(|e| format!("--metrics-addr: {e}"))?,
-                );
-            }
-            "--slow-ms" => {
-                slow_ms = Some(value("--slow-ms")?.parse().map_err(|e| format!("--slow-ms: {e}"))?);
-            }
-            "--rpc-timeout-ms" => {
-                let ms = value("--rpc-timeout-ms")?
-                    .parse()
-                    .map_err(|e| format!("--rpc-timeout-ms: {e}"))?;
-                timeouts = timeouts.with_rpc_ms(ms);
-            }
-            "--op-budget-ms" => {
-                let ms =
-                    value("--op-budget-ms")?.parse().map_err(|e| format!("--op-budget-ms: {e}"))?;
-                timeouts = timeouts.with_op_budget_ms(ms);
-            }
-            "--data-dir" => data_dir = Some(value("--data-dir")?.into()),
-            "--checkpoint-every" => {
-                checkpoint_every = Some(
-                    value("--checkpoint-every")?
-                        .parse()
-                        .map_err(|e| format!("--checkpoint-every: {e}"))?,
-                );
-            }
-            "--antientropy-ms" => {
-                antientropy_ms = value("--antientropy-ms")?
-                    .parse()
-                    .map_err(|e| format!("--antientropy-ms: {e}"))?;
-            }
-            "--staleness-ms" => {
-                staleness_ms =
-                    value("--staleness-ms")?.parse().map_err(|e| format!("--staleness-ms: {e}"))?;
-            }
-            "--tombstone-ttl-ms" => {
-                tombstone_ttl_ms = Some(
-                    value("--tombstone-ttl-ms")?
-                        .parse()
-                        .map_err(|e| format!("--tombstone-ttl-ms: {e}"))?,
-                );
-            }
-            "--shards" => {
-                shards = Some(value("--shards")?.parse().map_err(|e| format!("--shards: {e}"))?);
-            }
-            "--scrape-ms" => {
-                scrape_ms =
-                    value("--scrape-ms")?.parse().map_err(|e| format!("--scrape-ms: {e}"))?;
-            }
-            "--slo-fast-s" => {
-                slo_fast_s =
-                    Some(value("--slo-fast-s")?.parse().map_err(|e| format!("--slo-fast-s: {e}"))?);
-            }
-            "--slo-slow-s" => {
-                slo_slow_s =
-                    Some(value("--slo-slow-s")?.parse().map_err(|e| format!("--slo-slow-s: {e}"))?);
-            }
+            "--index" => index = Some(flag(&arg, args)?),
+            "--peers" => peers = Some(flag_list(&arg, args)?),
+            "--strategy" => spec = Some(parse_spec(&flag::<String>(&arg, args)?)?),
+            "--seed" => cfg.seed = flag(&arg, args)?,
+            "--group-size" => cfg.group_size = flag(&arg, args)?,
+            "--join" => join = Some(flag(&arg, args)?),
+            "--advertise" => advertise = Some(flag(&arg, args)?),
+            "--metrics-addr" => metrics_addr = Some(flag(&arg, args)?),
+            "--slow-ms" => cfg.slow_ms = Some(flag(&arg, args)?),
+            "--rpc-timeout-ms" => cfg.timeouts.rpc = Duration::from_millis(flag(&arg, args)?),
+            "--op-budget-ms" => cfg.timeouts.op_budget = Duration::from_millis(flag(&arg, args)?),
+            "--data-dir" => cfg.data_dir = Some(flag(&arg, args)?),
+            "--checkpoint-every" => cfg.checkpoint_every = flag(&arg, args)?,
+            "--antientropy-ms" => cfg.anti_entropy = millis(flag(&arg, args)?),
+            "--staleness-ms" => cfg.staleness_probe = millis(flag(&arg, args)?),
+            "--tombstone-ttl-ms" => cfg.tombstone_ttl = Duration::from_millis(flag(&arg, args)?),
+            "--shards" => cfg.shards = flag(&arg, args)?,
+            "--scrape-ms" => cfg.self_scrape = millis(flag(&arg, args)?),
+            "--slo-fast-s" => cfg.slo_fast = Duration::from_secs(flag(&arg, args)?),
+            "--slo-slow-s" => cfg.slo_slow = Duration::from_secs(flag(&arg, args)?),
             "--slo-latency-ms" => {
-                slo_latency_ms = Some(
-                    value("--slo-latency-ms")?
-                        .parse()
-                        .map_err(|e| format!("--slo-latency-ms: {e}"))?,
-                );
+                cfg.slo_latency_target_us = flag::<u64>(&arg, args)?.saturating_mul(1_000);
             }
-            "--log" => trace::init_from_str(&value("--log")?)?,
+            "--log" => trace::init_from_str(&flag::<String>(&arg, args)?)?,
             "--help" | "-h" => {
                 return Err(
                     "usage: pls-server --index N --peers A,B,... --strategy SPEC [--seed S] \
@@ -245,23 +179,18 @@ fn parse_args() -> Result<(ServerConfig, Option<SocketAddr>, Option<JoinPlan>), 
             other => return Err(format!("unknown argument `{other}` (try --help)")),
         }
     }
-    let spec = spec.ok_or("--strategy is required")?;
-    let join_plan = match join {
-        Some(seed_addr) => {
-            if index.is_some() || peers.is_some() {
-                return Err("--join replaces --index/--peers".to_string());
-            }
-            let advertise = advertise.ok_or("--join requires --advertise")?;
-            Some((seed_addr, advertise))
+    cfg.spec = spec.ok_or("--strategy is required")?;
+    let join_plan = match (join, advertise) {
+        (Some(_), _) if index.is_some() || peers.is_some() => {
+            return Err("--join replaces --index/--peers".to_string());
         }
-        None => {
-            if advertise.is_some() {
-                return Err("--advertise only makes sense with --join".to_string());
-            }
-            None
+        (Some(seed_addr), advertise) => {
+            Some((seed_addr, advertise.ok_or("--join requires --advertise")?))
         }
+        (None, Some(_)) => return Err("--advertise only makes sense with --join".to_string()),
+        (None, None) => None,
     };
-    let (index, peers) = match join_plan {
+    (cfg.me, cfg.peers) = match join_plan {
         // A joiner boots from the view the seed hands back; the
         // placeholder peer list is just its own listen address.
         Some((_, advertise)) => (0, vec![advertise]),
@@ -274,48 +203,13 @@ fn parse_args() -> Result<(ServerConfig, Option<SocketAddr>, Option<JoinPlan>), 
             (index, peers)
         }
     };
-    let mut cfg = ServerConfig::new(index, peers, spec, seed).with_timeouts(timeouts);
-    if let Some(g) = group_size {
-        cfg = cfg.with_group_size(g);
-    }
-    if let Some(ms) = slow_ms {
-        cfg = cfg.with_slow_ms(ms);
-    }
-    if let Some(dir) = data_dir {
-        cfg = cfg.with_data_dir(dir);
-    }
-    if let Some(every) = checkpoint_every {
-        cfg = cfg.with_checkpoint_every(every);
-    }
-    if antientropy_ms > 0 {
-        cfg = cfg.with_anti_entropy(std::time::Duration::from_millis(antientropy_ms));
-    }
-    if staleness_ms > 0 {
-        cfg = cfg.with_staleness_probe(std::time::Duration::from_millis(staleness_ms));
-    }
-    if let Some(ms) = tombstone_ttl_ms {
-        cfg = cfg.with_tombstone_ttl(std::time::Duration::from_millis(ms));
-    }
-    if let Some(n) = shards {
-        cfg = cfg.with_shards(n);
-    }
-    cfg =
-        cfg.with_self_scrape((scrape_ms > 0).then(|| std::time::Duration::from_millis(scrape_ms)));
-    if slo_fast_s.is_some() || slo_slow_s.is_some() {
-        let fast = std::time::Duration::from_secs(slo_fast_s.unwrap_or(60));
-        let slow = std::time::Duration::from_secs(slo_slow_s.unwrap_or(300));
-        cfg = cfg.with_slo_windows(fast, slow);
-    }
-    if let Some(ms) = slo_latency_ms {
-        cfg = cfg.with_slo_latency_target_us(ms.saturating_mul(1_000));
-    }
     Ok((cfg, metrics_addr, join_plan))
 }
 
 /// Asks the seed member to admit this server and returns the config
 /// extended with the membership view (and this server's allocated id)
 /// that the cluster handed back.
-async fn join_cluster(
+fn join_cluster(
     cfg: ServerConfig,
     seed_addr: SocketAddr,
     advertise: SocketAddr,
@@ -325,13 +219,13 @@ async fn join_cluster(
         .with_timeouts(cfg.timeouts);
     let mut admin = pls_cluster::Client::connect(ccfg);
     let (epoch, members) =
-        admin.join(&advertise.to_string()).await.map_err(|e| format!("join refused: {e}"))?;
+        admin.join(&advertise.to_string()).map_err(|e| format!("join refused: {e}"))?;
     let view = pls_core::Membership::from_parts(epoch, members);
     let my_id = view
         .id_of_addr(&advertise.to_string())
         .ok_or_else(|| format!("cluster admitted the join but {advertise} is not in the view"))?;
     pls_telemetry::info!("joined_cluster", id = my_id, epoch = epoch, members = view.len());
-    Ok(cfg.with_membership(my_id, view))
+    Ok(ServerConfig { membership: Some((my_id, view)), ..cfg })
 }
 
 fn main() -> ExitCode {
@@ -345,13 +239,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let runtime = match tokio::runtime::Builder::new_multi_thread().enable_all().build() {
-        Ok(rt) => rt,
-        Err(err) => {
-            pls_telemetry::error!("runtime_start_failed", err = err);
-            return ExitCode::FAILURE;
-        }
-    };
     // Flight recorder: retain recent spans for `/trace` and
     // `/debug/recent`; --slow-ms doubles as the pin threshold.
     let recorder = std::sync::Arc::new(pls_telemetry::Recorder::default());
@@ -359,72 +246,65 @@ fn main() -> ExitCode {
         recorder.set_slow_threshold_us(ms.saturating_mul(1_000));
     }
     pls_telemetry::recorder::install(Some(recorder));
-    runtime.block_on(async move {
-        let cfg = match join_plan {
-            Some((seed_addr, advertise)) => match join_cluster(cfg, seed_addr, advertise).await {
-                Ok(cfg) => cfg,
-                Err(msg) => {
-                    pls_telemetry::error!("join_failed", seed = seed_addr, err = msg);
-                    return ExitCode::FAILURE;
-                }
-            },
-            None => cfg,
-        };
-        let me = cfg.me;
-        let spec = cfg.spec;
-        let durable = cfg.data_dir.is_some();
-        match Server::bind(cfg).await {
-            Ok((server, addr)) => {
-                pls_telemetry::info!("serving", server = me, strategy = spec, addr = addr);
-                if durable {
-                    let recovered = server.recovered_keys();
-                    pls_telemetry::info!("durable_state", server = me, recovered_keys = recovered);
-                    if recovered == 0 {
-                        // Empty or fresh data dir: fall back to pulling
-                        // state from live peers, best-effort (the very
-                        // first server of a new cluster has no donors).
-                        match server.resync_from_peers().await {
-                            Ok(keys) => {
-                                pls_telemetry::info!("resync_fallback", server = me, keys = keys);
-                            }
-                            Err(err) => {
-                                pls_telemetry::info!(
-                                    "resync_fallback_skipped",
-                                    server = me,
-                                    err = err
-                                );
-                            }
-                        }
-                    }
-                }
-                if let Some(maddr) = metrics_addr {
-                    match tokio::net::TcpListener::bind(maddr).await {
-                        Ok(listener) => {
-                            let bound = listener.local_addr().unwrap_or(maddr);
-                            pls_telemetry::info!("metrics_serving", server = me, addr = bound);
-                            tokio::spawn(pls_cluster::http::serve_router(
-                                listener,
-                                std::sync::Arc::new(server.router()),
-                            ));
-                        }
-                        Err(err) => {
-                            pls_telemetry::error!("metrics_bind_failed", addr = maddr, err = err);
-                            return ExitCode::FAILURE;
-                        }
-                    }
-                }
-                tokio::select! {
-                    _ = server.run() => ExitCode::SUCCESS,
-                    _ = tokio::signal::ctrl_c() => {
-                        pls_telemetry::info!("shutting_down", server = me);
-                        ExitCode::SUCCESS
-                    }
-                }
+    let cfg = match join_plan {
+        Some((seed_addr, advertise)) => match join_cluster(cfg, seed_addr, advertise) {
+            Ok(cfg) => cfg,
+            Err(msg) => {
+                pls_telemetry::error!("join_failed", seed = seed_addr, err = msg);
+                return ExitCode::FAILURE;
             }
-            Err(err) => {
-                pls_telemetry::error!("start_failed", server = me, err = err);
-                ExitCode::FAILURE
+        },
+        None => cfg,
+    };
+    let me = cfg.me;
+    let spec = cfg.spec;
+    let durable = cfg.data_dir.is_some();
+    let (server, addr) = match Server::bind(cfg) {
+        Ok(bound) => bound,
+        Err(err) => {
+            pls_telemetry::error!("start_failed", server = me, err = err);
+            return ExitCode::FAILURE;
+        }
+    };
+    pls_telemetry::info!("serving", server = me, strategy = spec, addr = addr);
+    if durable {
+        let recovered = server.recovered_keys();
+        pls_telemetry::info!("durable_state", server = me, recovered_keys = recovered);
+        if recovered == 0 {
+            // Empty or fresh data dir: fall back to pulling state from
+            // live peers, best-effort (the very first server of a new
+            // cluster has no donors).
+            match server.resync_from_peers() {
+                Ok(keys) => pls_telemetry::info!("resync_fallback", server = me, keys = keys),
+                Err(err) => {
+                    pls_telemetry::info!("resync_fallback_skipped", server = me, err = err);
+                }
             }
         }
-    })
+    }
+    let _exporter = match metrics_addr {
+        Some(maddr) => {
+            let router = std::sync::Arc::new(server.router());
+            let serving = std::net::TcpListener::bind(maddr).and_then(|listener| {
+                let bound = listener.local_addr()?;
+                Ok((pls_cluster::http::serve_router(listener, router)?, bound))
+            });
+            match serving {
+                Ok((exporter, bound)) => {
+                    pls_telemetry::info!("metrics_serving", server = me, addr = bound);
+                    Some(exporter)
+                }
+                Err(err) => {
+                    pls_telemetry::error!("metrics_bind_failed", addr = maddr, err = err);
+                    return ExitCode::FAILURE;
+                }
+            }
+        }
+        None => None,
+    };
+    let _server = server.spawn();
+    // Until the process is signalled (see the module doc).
+    loop {
+        std::thread::park();
+    }
 }

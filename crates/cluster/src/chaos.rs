@@ -23,18 +23,16 @@
 //!
 //! Used by `tests/chaos.rs` and the `pls-chaos` binary.
 
-use std::net::SocketAddr;
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-use tokio::io::AsyncWriteExt;
-use tokio::net::{TcpListener, TcpStream};
 
 use crate::error::ClusterError;
 use crate::frame::{read_frame, write_frame};
 use crate::proto::Response;
 use crate::retry::splitmix64;
+use crate::sock::Acceptor;
 
 /// The fault (if any) drawn for one request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -183,7 +181,10 @@ fn per_mille(p: f64) -> u32 {
     (p.clamp(0.0, 1.0) * 1000.0).round() as u32
 }
 
-/// A wire-protocol proxy that injects faults per [`ChaosConfig`].
+/// A running wire-protocol proxy that injects faults per
+/// [`ChaosConfig`]: an accept thread and, like the real server, one
+/// thread per connection. Dropping it stops the proxy and joins them (a
+/// black-holed connection's thread parks on its socket until then).
 ///
 /// With an upstream it impersonates that server: put the proxy's
 /// address in a peer list where the upstream's would go, and fault-free
@@ -192,114 +193,101 @@ fn per_mille(p: f64) -> u32 {
 /// enough to exercise timeout, retry, and breaker paths that only need
 /// *a* peer, not a correct one.
 pub struct ChaosPeer {
-    listener: TcpListener,
-    upstream: Option<SocketAddr>,
-    cfg: Arc<ChaosConfig>,
+    _acceptor: Acceptor,
 }
 
 impl ChaosPeer {
-    /// Binds `127.0.0.1:0` and returns the proxy plus its address.
+    /// Binds `127.0.0.1:0`, starts proxying and returns the proxy plus
+    /// its address.
     ///
     /// # Errors
     ///
     /// Socket bind errors.
-    pub async fn bind(
+    pub fn bind(
         upstream: Option<SocketAddr>,
         cfg: Arc<ChaosConfig>,
     ) -> std::io::Result<(ChaosPeer, SocketAddr)> {
-        Self::bind_addr("127.0.0.1:0".parse().expect("literal addr"), upstream, cfg).await
+        Self::bind_addr("127.0.0.1:0".parse().expect("literal addr"), upstream, cfg)
     }
 
-    /// Binds an explicit listen address (port 0 picks an ephemeral one).
+    /// [`ChaosPeer::bind`] on an explicit listen address (port 0 picks
+    /// an ephemeral one).
     ///
     /// # Errors
     ///
     /// Socket bind errors.
-    pub async fn bind_addr(
+    pub fn bind_addr(
         listen: SocketAddr,
         upstream: Option<SocketAddr>,
         cfg: Arc<ChaosConfig>,
     ) -> std::io::Result<(ChaosPeer, SocketAddr)> {
-        let listener = TcpListener::bind(listen).await?;
+        let listener = TcpListener::bind(listen)?;
         let addr = listener.local_addr()?;
-        Ok((ChaosPeer { listener, upstream, cfg }, addr))
-    }
-
-    /// Accept loop; runs until the task is dropped/aborted. Each
-    /// connection is handled concurrently, like the real server.
-    pub async fn run(self) {
-        let mut connections = tokio::task::JoinSet::new();
-        loop {
-            let Ok((socket, _)) = self.listener.accept().await else {
-                continue;
-            };
-            if self.cfg.refusing_now() {
+        let _acceptor = Acceptor::spawn(
+            listener,
+            addr,
+            usize::MAX,
+            move |socket| {
                 // Refuse/flap-down: close on sight; callers see a reset
-                // or EOF where a response should be.
-                drop(socket);
-                continue;
-            }
-            while connections.try_join_next().is_some() {}
-            let upstream = self.upstream;
-            let cfg = Arc::clone(&self.cfg);
-            connections.spawn(async move {
-                // Faulted connections end in torn frames and resets;
-                // that is the point, so errors are not reported.
-                let _ = serve_chaos(socket, upstream, cfg).await;
-            });
-        }
+                // or EOF where a response should be. Faulted connections
+                // end in torn frames and resets; that is the point, so
+                // errors are not reported.
+                if !cfg.refusing_now() {
+                    let _ = serve_chaos(socket, upstream, &cfg);
+                }
+            },
+            |_| {},
+        );
+        Ok((ChaosPeer { _acceptor }, addr))
     }
 }
 
-async fn serve_chaos(
-    mut downstream: TcpStream,
+fn serve_chaos(
+    mut downstream: &TcpStream,
     upstream: Option<SocketAddr>,
-    cfg: Arc<ChaosConfig>,
+    cfg: &ChaosConfig,
 ) -> Result<(), ClusterError> {
     // Lazily dialed on the first forwarded request, redialed after
     // upstream failures.
     let mut up: Option<TcpStream> = None;
-    while let Some((req_id, _, payload)) = read_frame(&mut downstream).await? {
+    while let Some((req_id, _, payload)) = read_frame(&mut downstream)? {
         if cfg.refusing_now() {
             // A flap window closed (or refuse flipped on) under an
             // established connection: die like the process did.
             return Ok(());
         }
-        let delay = cfg.delay();
-        if !delay.is_zero() {
-            tokio::time::sleep(delay).await;
-        }
+        std::thread::sleep(cfg.delay());
         match cfg.roll() {
             Fault::Pass => {
                 let (service_us, reply) = match upstream {
-                    Some(addr) => forward(&mut up, addr, req_id, &payload).await,
+                    Some(addr) => forward(&mut up, addr, req_id, &payload),
                     None => (0, Response::Ok.encode()),
                 };
                 // Relay the upstream's echoed service time untouched:
                 // the proxy adds network misery, not server work, so the
                 // caller's RTT-minus-service decomposition attributes
                 // the injected delay to the network side.
-                write_frame(&mut downstream, req_id, service_us, &reply).await?;
+                write_frame(&mut downstream, req_id, service_us, &reply)?;
             }
             Fault::BlackHole => {
                 // Silence the rest of the connection too: a caller that
                 // timed out on this request abandons the connection, so
                 // answering later frames would never be observed anyway.
-                drain(&mut downstream).await;
+                drain(&mut downstream);
                 return Ok(());
             }
             Fault::Garbage => {
                 // 0x77 is no opcode; decodes as a malformed frame.
-                write_frame(&mut downstream, req_id, 0, &[0x77]).await?;
+                write_frame(&mut downstream, req_id, 0, &[0x77])?;
             }
             Fault::HalfClose => {
-                let _ = downstream.shutdown().await;
-                drain(&mut downstream).await;
+                let _ = downstream.shutdown(Shutdown::Write);
+                drain(&mut downstream);
                 return Ok(());
             }
             Fault::Error => {
                 let reply = Response::Error("chaos: injected error".into()).encode();
-                write_frame(&mut downstream, req_id, 0, &reply).await?;
+                write_frame(&mut downstream, req_id, 0, &reply)?;
             }
         }
     }
@@ -310,37 +298,43 @@ async fn serve_chaos(
 /// reply's echoed service time and response payload, or a zero service
 /// time and an encoded [`Response::Error`] when the upstream is
 /// unreachable or answers garbage.
-async fn forward(
+fn forward(
     up: &mut Option<TcpStream>,
     addr: SocketAddr,
     req_id: u64,
     payload: &[u8],
 ) -> (u64, Vec<u8>) {
-    let attempt = async {
-        if up.is_none() {
-            *up = Some(TcpStream::connect(addr).await?);
+    forward_once(up, addr, req_id, payload).unwrap_or_else(|_| {
+        // Poison the upstream connection; the next request redials.
+        *up = None;
+        (0, Response::Error("chaos: upstream unreachable".into()).encode())
+    })
+}
+
+fn forward_once(
+    up: &mut Option<TcpStream>,
+    addr: SocketAddr,
+    req_id: u64,
+    payload: &[u8],
+) -> Result<(u64, Vec<u8>), ClusterError> {
+    let stream = match up {
+        Some(stream) => stream,
+        None => {
+            let stream = TcpStream::connect(addr)?;
+            stream.set_nodelay(true)?;
+            up.insert(stream)
         }
-        let stream = up.as_mut().expect("just dialed");
-        write_frame(stream, req_id, 0, payload).await?;
-        match read_frame(stream).await? {
-            Some((_, service_us, reply)) => Ok((service_us, reply)),
-            None => Err(ClusterError::Io(std::io::ErrorKind::UnexpectedEof.into())),
-        }
-    }
-    .await;
-    match attempt {
-        Ok(timed_reply) => timed_reply,
-        Err(_) => {
-            // Poison the upstream connection; the next request redials.
-            *up = None;
-            (0, Response::Error("chaos: upstream unreachable".into()).encode())
-        }
+    };
+    write_frame(stream, req_id, 0, payload)?;
+    match read_frame(stream)? {
+        Some((_, service_us, reply)) => Ok((service_us, reply)),
+        None => Err(ClusterError::Io(std::io::ErrorKind::UnexpectedEof.into())),
     }
 }
 
 /// Reads and discards frames until the peer gives up on the connection.
-async fn drain(stream: &mut TcpStream) {
-    while let Ok(Some(_)) = read_frame(stream).await {}
+fn drain(stream: &mut &TcpStream) {
+    while let Ok(Some(_)) = read_frame(stream) {}
 }
 
 #[cfg(test)]
@@ -377,41 +371,40 @@ mod tests {
         assert_eq!(draws, replay);
     }
 
-    #[tokio::test]
-    async fn faults_map_to_the_expected_client_errors() {
+    #[test]
+    fn faults_map_to_the_expected_client_errors() {
         let tight = Timeouts::default().with_connect_ms(500).with_rpc_ms(300);
         let lenient = BreakerConfig { failure_threshold: u32::MAX, ..BreakerConfig::default() };
 
         // Error fault → Remote.
         let cfg = Arc::new(ChaosConfig::new(1));
         cfg.set_error(1.0);
-        let (peer, addr) = ChaosPeer::bind(None, Arc::clone(&cfg)).await.unwrap();
-        tokio::spawn(peer.run());
+        let (_proxy, addr) = ChaosPeer::bind(None, Arc::clone(&cfg)).unwrap();
         let client = PeerClient::with_policies(addr, tight, lenient);
-        let err = client.call(7, &crate::proto::Request::Status).await.unwrap_err();
+        let err = client.call(7, &crate::proto::Request::Status).unwrap_err();
         assert!(matches!(err, ClusterError::Remote(msg) if msg.contains("chaos")));
 
         // Garbage fault → Decode.
         cfg.set_error(0.0);
         cfg.set_garbage(1.0);
-        let err = client.call(8, &crate::proto::Request::Status).await.unwrap_err();
+        let err = client.call(8, &crate::proto::Request::Status).unwrap_err();
         assert!(matches!(err, ClusterError::Decode(_)));
 
         // Black hole → rpc timeout.
         cfg.set_garbage(0.0);
         cfg.set_black_hole(1.0);
-        let err = client.call(9, &crate::proto::Request::Status).await.unwrap_err();
+        let err = client.call(9, &crate::proto::Request::Status).unwrap_err();
         assert_eq!(err, ClusterError::Timeout("rpc"));
 
         // Half close → I/O error (EOF instead of a response).
         cfg.set_black_hole(0.0);
         cfg.set_half_close(1.0);
-        let err = client.call(10, &crate::proto::Request::Status).await.unwrap_err();
+        let err = client.call(10, &crate::proto::Request::Status).unwrap_err();
         assert!(matches!(err, ClusterError::Io(_)));
 
         // All faults off, no upstream → Ok ack.
         cfg.set_half_close(0.0);
-        let resp = client.call(11, &crate::proto::Request::Status).await.unwrap();
+        let resp = client.call(11, &crate::proto::Request::Status).unwrap();
         assert_eq!(resp, Response::Ok);
     }
 
@@ -432,25 +425,24 @@ mod tests {
         assert!(!cfg.refusing_now());
     }
 
-    #[tokio::test]
-    async fn refuse_mode_kills_connections_and_recovers_when_lifted() {
+    #[test]
+    fn refuse_mode_kills_connections_and_recovers_when_lifted() {
         let tight = Timeouts::default().with_connect_ms(500).with_rpc_ms(300);
         let lenient = BreakerConfig { failure_threshold: u32::MAX, ..BreakerConfig::default() };
         let cfg = Arc::new(ChaosConfig::new(3));
         cfg.set_refuse(true);
-        let (peer, addr) = ChaosPeer::bind(None, Arc::clone(&cfg)).await.unwrap();
-        tokio::spawn(peer.run());
+        let (_proxy, addr) = ChaosPeer::bind(None, Arc::clone(&cfg)).unwrap();
         let client = PeerClient::with_policies(addr, tight, lenient);
         // Connections are accepted then dropped on sight: the call sees
         // a reset or EOF, never an answer.
-        let err = client.call(20, &crate::proto::Request::Status).await.unwrap_err();
+        let err = client.call(20, &crate::proto::Request::Status).unwrap_err();
         assert!(
             matches!(err, ClusterError::Io(_)) || err == ClusterError::Timeout("rpc"),
             "unexpected refusal error: {err:?}"
         );
         // Back up: the very next call succeeds (fresh dial).
         cfg.set_refuse(false);
-        let resp = client.call(21, &crate::proto::Request::Status).await.unwrap();
+        let resp = client.call(21, &crate::proto::Request::Status).unwrap();
         assert_eq!(resp, Response::Ok);
     }
 }

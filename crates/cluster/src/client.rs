@@ -1,8 +1,12 @@
 //! The client library: §3's lookup procedure — `pls_core`'s
 //! [`LookupPlan`] — and the update routing of §5, over real sockets.
 
+use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
+use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use pls_core::membership::DEFAULT_GROUP_SIZE;
@@ -17,7 +21,7 @@ use crate::error::ClusterError;
 use crate::metrics::ClientMetrics;
 use crate::proto::{Entry, Request, Response};
 use crate::retry::{splitmix64, BreakerConfig, Deadline, RetryPolicy, Timeouts};
-use crate::rpc::{push_peer_robustness, PeerClient};
+use crate::rpc::{PeerBook, PeerClient};
 
 /// Client-side configuration: where the servers are and which strategy
 /// they run (the client procedures are strategy-specific).
@@ -111,6 +115,65 @@ impl ClientConfig {
     }
 }
 
+/// One probe for a [`Prober`] to make: the lookup's request id, the
+/// group position asked, whether this is a hedge, and the request with
+/// its time limit.
+struct Probe {
+    id: u64,
+    pos: ServerId,
+    hedged: bool,
+    req: Request,
+    limit: Duration,
+}
+
+/// A [`Prober`]'s report: the lookup's request id, the position probed,
+/// whether it was a hedge, the round trip in µs, and the entries with
+/// the server's echoed service time.
+type Probed = (u64, ServerId, bool, u64, Result<(Vec<Entry>, u64), ClusterError>);
+
+/// The thread that makes a client's lookup probes to one member,
+/// started on the first probe to it. It takes [`Probe`]s from its
+/// channel one at a time and reports each into the client's one
+/// [`Probed`] channel; a lookup that is satisfied stops listening, and a
+/// straggler finishes here within its own RPC deadline. Dropping the
+/// prober closes the channel and joins the thread.
+#[derive(Debug)]
+struct Prober {
+    probes: Option<Sender<Probe>>,
+    thread: Option<JoinHandle<()>>,
+}
+
+impl Prober {
+    fn spawn(peer: Arc<PeerClient>, reports: Sender<Probed>) -> Prober {
+        let (probes, queue) = mpsc::channel::<Probe>();
+        let thread = std::thread::spawn(move || {
+            for Probe { id, pos, hedged, req, limit } in queue {
+                let started = Instant::now();
+                let outcome = match peer.call_bounded_timed(id, &req, limit) {
+                    Ok((Response::Entries(entries), service_us)) => Ok((entries, service_us)),
+                    // Byzantine answer: a fault of this server.
+                    Ok((other, _)) => {
+                        Err(ClusterError::Remote(format!("unexpected probe response {other:?}")))
+                    }
+                    Err(err) => Err(err),
+                };
+                // Nobody listening: the client is being dropped.
+                let _ = reports.send((id, pos, hedged, elapsed_us(started), outcome));
+            }
+        });
+        Prober { probes: Some(probes), thread: Some(thread) }
+    }
+}
+
+impl Drop for Prober {
+    fn drop(&mut self) {
+        self.probes = None;
+        if self.thread.take().is_some_and(|thread| thread.join().is_err()) {
+            pls_telemetry::warn!("probe_thread_panicked");
+        }
+    }
+}
+
 /// A partial-lookup client.
 ///
 /// Connections are lazy and cached per server; a dead server is skipped
@@ -119,7 +182,7 @@ impl ClientConfig {
 #[derive(Debug)]
 pub struct Client {
     spec: StrategySpec,
-    key_specs: std::collections::HashMap<Vec<u8>, StrategySpec>,
+    key_specs: HashMap<Vec<u8>, StrategySpec>,
     /// The client's membership view: epoch + id→address list. Seeded
     /// from the configured server list (epoch 1); refreshed from the
     /// cluster via [`Client::refresh_membership`] / the admin calls.
@@ -131,10 +194,13 @@ pub struct Client {
     /// Per-member connection pools, keyed by member id and created on
     /// demand from the view's addresses. Dropping an entry (when a
     /// member leaves) drops its breaker and health state with it.
-    peers: std::sync::Mutex<std::collections::HashMap<u64, std::sync::Arc<PeerClient>>>,
+    peers: PeerBook,
+    /// The lookup probers, by member id, and the one channel they all
+    /// report into (both ends: the sender is cloned into each prober).
+    probers: HashMap<u64, Prober>,
+    reports: (Sender<Probed>, Receiver<Probed>),
     rng: DetRng,
     timeouts: Timeouts,
-    breaker: BreakerConfig,
     retry: RetryPolicy,
     hedge: Option<Duration>,
     /// Lock-free runtime counters; most importantly the probes-per-lookup
@@ -161,13 +227,14 @@ impl Client {
         let view = Membership::bootstrap(cfg.servers.iter().map(|a| a.to_string()));
         Client {
             spec: cfg.spec,
-            key_specs: std::collections::HashMap::new(),
+            key_specs: HashMap::new(),
             view,
             router: GroupRouter::new(cfg.group_size.max(1), cfg.placement_seed),
-            peers: std::sync::Mutex::new(std::collections::HashMap::new()),
+            peers: PeerBook::new(cfg.timeouts, cfg.breaker),
+            probers: HashMap::new(),
+            reports: mpsc::channel(),
             rng: DetRng::seed_from(cfg.seed),
             timeouts: cfg.timeouts,
-            breaker: cfg.breaker,
             retry: cfg.retry,
             hedge: cfg.hedge,
             metrics: ClientMetrics::new(),
@@ -189,33 +256,21 @@ impl Client {
     /// The pooled client for a member, created from the view's address
     /// on first use. `None` when the member is unknown to the view or
     /// its address fails to parse.
-    fn peer_for(&self, id: u64) -> Option<std::sync::Arc<PeerClient>> {
-        let mut book = self.peers.lock().expect("client peer book poisoned");
-        if let Some(p) = book.get(&id) {
-            return Some(std::sync::Arc::clone(p));
-        }
-        let addr: SocketAddr = self.view.addr_of(id)?.parse().ok()?;
-        let p = std::sync::Arc::new(PeerClient::with_policies(addr, self.timeouts, self.breaker));
-        book.insert(id, std::sync::Arc::clone(&p));
-        Some(p)
-    }
-
-    /// Whether a member's pool looks healthy; an untried member (no
-    /// pool yet) counts as healthy.
-    fn member_healthy(&self, id: u64) -> bool {
-        self.peers.lock().expect("client peer book poisoned").get(&id).is_none_or(|p| p.healthy())
+    fn peer_for(&self, id: u64) -> Option<Arc<PeerClient>> {
+        self.peers.client(id, self.view.addr_of(id)?)
     }
 
     /// Adopts a membership view if it's strictly newer than the current
     /// one, dropping pooled clients (and with them breaker and health
-    /// state) for members that left. Returns whether the view changed.
+    /// state) and probers for members that left. Returns whether the
+    /// view changed.
     fn adopt_view(&mut self, epoch: u64, members: Vec<(u64, String)>) -> bool {
         if epoch <= self.view.epoch() {
             return false;
         }
         self.view = Membership::from_parts(epoch, members);
-        let mut book = self.peers.lock().expect("client peer book poisoned");
-        book.retain(|id, _| self.view.contains(*id));
+        self.peers.prune(&self.view);
+        self.probers.retain(|id, _| self.view.contains(*id));
         true
     }
 
@@ -248,7 +303,7 @@ impl Client {
     /// failed.
     fn probe_order(&mut self, group: &[u64]) -> Vec<ServerId> {
         let mut order = self.rng.shuffled_servers(group.len());
-        order.sort_by_key(|s| !self.member_healthy(group[s.index()]));
+        order.sort_by_key(|s| !self.peers.healthy(group[s.index()]));
         order
     }
 
@@ -257,7 +312,7 @@ impl Client {
     /// (tried in random order, sick members last). Each candidate is
     /// retried under the client's [`RetryPolicy`]; the whole operation
     /// is bounded by the per-operation budget.
-    async fn update(&mut self, key: &[u8], req: Request) -> Result<(), ClusterError> {
+    fn update(&mut self, key: &[u8], req: Request) -> Result<(), ClusterError> {
         self.metrics.updates.inc();
         let id = self.fresh_id();
         let deadline = Deadline::within(self.timeouts.op_budget);
@@ -268,7 +323,7 @@ impl Client {
                 self.metrics.update_failures.inc();
                 return Err(ClusterError::NoServerAvailable);
             };
-            if let Err(err) = peer.call_retry(id, &req, &self.retry, deadline).await {
+            if let Err(err) = peer.call_retry(id, &req, &self.retry, deadline) {
                 self.metrics.update_failures.inc();
                 pls_telemetry::debug!(
                     "update_failed",
@@ -290,7 +345,7 @@ impl Client {
             }
             let member = group[s.index()];
             let Some(peer) = self.peer_for(member) else { continue };
-            match peer.call_retry(id, &req, &self.retry, deadline).await {
+            match peer.call_retry(id, &req, &self.retry, deadline) {
                 Ok(_) => return Ok(()),
                 Err(err) if err.is_unavailable() => {
                     // Failed server: retry on the next one.
@@ -315,8 +370,8 @@ impl Client {
     ///
     /// [`ClusterError::NoServerAvailable`] when every server is
     /// unreachable; remote/protocol errors otherwise.
-    pub async fn place(&mut self, key: &[u8], entries: Vec<Entry>) -> Result<(), ClusterError> {
-        self.update(key, Request::Place { key: key.to_vec(), entries, spec: None }).await
+    pub fn place(&mut self, key: &[u8], entries: Vec<Entry>) -> Result<(), ClusterError> {
+        self.update(key, Request::Place { key: key.to_vec(), entries, spec: None })
     }
 
     /// `place` with a per-key strategy override (§2: "different
@@ -330,7 +385,7 @@ impl Client {
     /// [`ClusterError::Remote`] if the cluster already manages the key
     /// under a different strategy; connectivity errors as
     /// [`Client::place`].
-    pub async fn place_with_strategy(
+    pub fn place_with_strategy(
         &mut self,
         key: &[u8],
         entries: Vec<Entry>,
@@ -340,7 +395,7 @@ impl Client {
         // (the whole cluster only when it's no larger than the group).
         spec.validate(self.n().min(self.router.group_size()).max(1))?;
         self.key_specs.insert(key.to_vec(), spec);
-        self.update(key, Request::Place { key: key.to_vec(), entries, spec: Some(spec) }).await
+        self.update(key, Request::Place { key: key.to_vec(), entries, spec: Some(spec) })
     }
 
     /// `add(v)` (§5).
@@ -349,8 +404,8 @@ impl Client {
     ///
     /// As [`Client::place`]; for Round-Robin-y an unreachable server 0 is
     /// an error (the coordinator bottleneck of §5.4).
-    pub async fn add(&mut self, key: &[u8], entry: Entry) -> Result<(), ClusterError> {
-        self.update(key, Request::Add { key: key.to_vec(), entry }).await
+    pub fn add(&mut self, key: &[u8], entry: Entry) -> Result<(), ClusterError> {
+        self.update(key, Request::Add { key: key.to_vec(), entry })
     }
 
     /// `delete(v)` (§5).
@@ -358,8 +413,8 @@ impl Client {
     /// # Errors
     ///
     /// As [`Client::add`].
-    pub async fn delete(&mut self, key: &[u8], entry: Entry) -> Result<(), ClusterError> {
-        self.update(key, Request::Delete { key: key.to_vec(), entry }).await
+    pub fn delete(&mut self, key: &[u8], entry: Entry) -> Result<(), ClusterError> {
+        self.update(key, Request::Delete { key: key.to_vec(), entry })
     }
 
     /// Books one answered probe into the client's accounting: the RTT
@@ -408,13 +463,9 @@ impl Client {
     /// expired before any server answered. Fewer than `t` results (from
     /// a degraded placement) is **not** an error — callers check the
     /// length.
-    pub async fn partial_lookup(
-        &mut self,
-        key: &[u8],
-        t: usize,
-    ) -> Result<Vec<Entry>, ClusterError> {
+    pub fn partial_lookup(&mut self, key: &[u8], t: usize) -> Result<Vec<Entry>, ClusterError> {
         let spec = self.spec_of(key);
-        self.lookup("partial_lookup", key, t, 1, Some(spec)).await
+        self.lookup("partial_lookup", key, t, 1, Some(spec))
     }
 
     /// Like [`Client::partial_lookup`], but probes up to `fanout` servers
@@ -434,13 +485,13 @@ impl Client {
     /// As [`Client::partial_lookup`]; additionally
     /// [`ClusterError::Service`] with [`ServiceError::ZeroTarget`] when
     /// `fanout == 0`.
-    pub async fn partial_lookup_parallel(
+    pub fn partial_lookup_parallel(
         &mut self,
         key: &[u8],
         t: usize,
         fanout: usize,
     ) -> Result<Vec<Entry>, ClusterError> {
-        self.lookup("partial_lookup_parallel", key, t, fanout, None).await
+        self.lookup("partial_lookup_parallel", key, t, fanout, None)
     }
 
     /// The hedge delay in effect, `None` when hedging is disabled: the
@@ -461,16 +512,19 @@ impl Client {
     /// gathered, the merge and the trim are the [`LookupPlan`]'s (`spec`
     /// picks the key's §3 procedure, `None` strategy-blind random
     /// probing; breaker-suspect members are what the plan is told to
-    /// ask last). This loop owns the sockets and the clock: it keeps a
-    /// wave of up to `fanout` probes in flight as tasks, launches the
-    /// next wave when one drains unsatisfied, and — with hedging on —
-    /// one more probe whenever those in flight stay silent past the
-    /// hedge delay, *without cancelling them*: first answer wins, a late
-    /// one still merges. Probes launch strictly in the plan's order
-    /// (only the trigger differs: completion or timer), so with
-    /// `fanout` 1 and no hedge this is §3's sequential procedure and
-    /// costs exactly its probe count.
-    async fn lookup(
+    /// ask last). This loop owns the clock: it keeps a wave of up to
+    /// `fanout` probes in flight on the members' [`Prober`] threads,
+    /// launches the next wave when one drains unsatisfied, and — with
+    /// hedging on — one more probe whenever those in flight stay silent
+    /// past the hedge delay, *without cancelling them*: first answer
+    /// wins, a late one still merges. Probes launch strictly in the
+    /// plan's order (only the trigger differs: completion or timer), so
+    /// with `fanout` 1 and no hedge this is §3's sequential procedure
+    /// and costs exactly its probe count. The lookup returns as soon as
+    /// the plan is satisfied and never waits for a straggler: a
+    /// black-holed probe ends on its prober within its own RPC deadline
+    /// and its report is dropped.
+    fn lookup(
         &mut self,
         name: &'static str,
         key: &[u8],
@@ -499,7 +553,7 @@ impl Client {
         // are group-local, so the round-robin stride is over this space.
         let mut suspect = FailureSet::new(group.len());
         for (pos, member) in group.iter().enumerate() {
-            if !self.member_healthy(*member) {
+            if !self.peers.healthy(*member) {
                 suspect.fail(ServerId::new(pos as u32));
             }
         }
@@ -508,11 +562,10 @@ impl Client {
             None => LookupPlan::shuffled(t, &suspect, &mut self.rng),
         };
 
-        // One probe task's report: position probed, whether it was a
-        // hedge, round trip in µs, and the entries with the server's
-        // echoed service time.
-        type Probed = (ServerId, bool, u64, Result<(Vec<Entry>, u64), ClusterError>);
-        let mut in_flight: tokio::task::JoinSet<Probed> = tokio::task::JoinSet::new();
+        // Probes of this lookup still out. Reports of an earlier lookup's
+        // stragglers share the channel; they carry another id and are
+        // dropped.
+        let mut in_flight = 0usize;
         let mut to_launch = fanout;
         let mut hedging = false;
         let mut drained = false; // the plan has nobody left to offer
@@ -545,75 +598,88 @@ impl Client {
                         after_ms = hedge.unwrap_or_default().as_millis()
                     );
                 }
-                let req = Request::Probe { key: key.to_vec(), t: t as u32 };
-                let limit = deadline.cap(self.timeouts.rpc);
-                in_flight.spawn(async move {
-                    let started = Instant::now();
-                    let outcome = match peer.call_bounded_timed(id, &req, limit).await {
-                        Ok((Response::Entries(entries), service_us)) => Ok((entries, service_us)),
-                        // Byzantine answer: a fault of this server.
-                        Ok((other, _)) => Err(ClusterError::Remote(format!(
-                            "unexpected probe response {other:?}"
-                        ))),
-                        Err(err) => Err(err),
-                    };
-                    (pos, hedging, elapsed_us(started), outcome)
-                });
+                let probe = Probe {
+                    id,
+                    pos,
+                    hedged: hedging,
+                    req: Request::Probe { key: key.to_vec(), t: t as u32 },
+                    limit: deadline.cap(self.timeouts.rpc),
+                };
+                let reports = &self.reports.0;
+                let prober = self
+                    .probers
+                    .entry(member)
+                    .or_insert_with(|| Prober::spawn(peer, reports.clone()));
+                let sent = prober.probes.as_ref().is_some_and(|tx| tx.send(probe).is_ok());
+                if !sent {
+                    // The prober died (it panicked): a failed probe, and
+                    // the next one to this member starts a new thread.
+                    self.probers.remove(&member);
+                    self.metrics.probe_failures.inc();
+                    pls_telemetry::warn!("probe_thread_failed", req = id, server = member);
+                    plan.unreachable(pos);
+                    continue;
+                }
+                in_flight += 1;
                 last_launch = Instant::now();
                 to_launch -= 1;
             }
             (to_launch, hedging) = (0, false);
-            if in_flight.is_empty() {
+            if in_flight == 0 {
                 break; // nobody left to ask
             }
-            let hedge_wait = hedge.unwrap_or_default().saturating_sub(last_launch.elapsed());
-            tokio::select! {
-                joined = in_flight.join_next() => match joined {
-                    None => {}
-                    Some(Err(join_err)) => {
-                        // A panicked probe task is a failed probe, not a
-                        // client crash.
-                        self.metrics.probe_failures.inc();
-                        pls_telemetry::warn!("probe_task_failed", req = id, err = join_err);
+            // An answer, or — with hedging on and someone left to ask —
+            // the hedge timer; never longer than the budget.
+            let wait = match hedge {
+                Some(delay) if !drained => delay.saturating_sub(last_launch.elapsed()),
+                _ => Duration::MAX,
+            };
+            match self.reports.1.recv_timeout(deadline.cap(wait)) {
+                Ok((other, ..)) if other != id => continue,
+                Ok((_, pos, hedged, rtt_us, Ok((entries, service_us)))) => {
+                    in_flight -= 1;
+                    let member = group[pos.index()];
+                    self.record_probe_timing(id, member as usize, rtt_us, service_us);
+                    if hedged && in_flight > 0 {
+                        // The hedge answered while an earlier probe
+                        // was still silent: a win.
+                        self.metrics.hedge_wins.inc();
+                        self.metrics.hedge_win_latency_us.observe(rtt_us);
                     }
-                    Some(Ok((pos, hedged, rtt_us, Ok((entries, service_us))))) => {
-                        let member = group[pos.index()];
-                        self.record_probe_timing(id, member as usize, rtt_us, service_us);
-                        if hedged && !in_flight.is_empty() {
-                            // The hedge answered while an earlier probe
-                            // was still silent: a win.
-                            self.metrics.hedge_wins.inc();
-                            self.metrics.hedge_win_latency_us.observe(rtt_us);
-                        }
-                        pls_telemetry::event!(
-                            Level::Trace,
-                            "probe_answered",
-                            req = id,
-                            server = member,
-                            returned = entries.len(),
-                            service_us = service_us
-                        );
-                        plan.answered(pos, entries);
+                    pls_telemetry::event!(
+                        Level::Trace,
+                        "probe_answered",
+                        req = id,
+                        server = member,
+                        returned = entries.len(),
+                        service_us = service_us
+                    );
+                    plan.answered(pos, entries);
+                }
+                Ok((_, pos, _, _, Err(err))) => {
+                    in_flight -= 1;
+                    self.metrics.probe_failures.inc();
+                    if !err.is_peer_fault() {
+                        return Err(err);
                     }
-                    Some(Ok((pos, _, _, Err(err)))) => {
-                        self.metrics.probe_failures.inc();
-                        if !err.is_peer_fault() {
-                            return Err(err);
-                        }
-                        // Down, silent, breaker-open or byzantine: skip
-                        // it like a crashed server (§3.1).
-                        let member = group[pos.index()];
-                        pls_telemetry::debug!("probe_failed", req = id, server = member, err = err);
-                        plan.unreachable(pos);
-                    }
-                },
-                _ = tokio::time::sleep(deadline.cap(hedge_wait)), if hedge.is_some() && !drained => {
+                    // Down, silent, breaker-open or byzantine: skip
+                    // it like a crashed server (§3.1).
+                    let member = group[pos.index()];
+                    pls_telemetry::debug!("probe_failed", req = id, server = member, err = err);
+                    plan.unreachable(pos);
+                }
+                Err(RecvTimeoutError::Timeout) => {
                     // Those in flight are slow: hedge with the plan's
-                    // next server.
-                    (to_launch, hedging) = (1, true);
+                    // next server. (Out of budget, the loop ends above.)
+                    if hedge.is_some() && !drained {
+                        (to_launch, hedging) = (1, true);
+                    }
+                }
+                Err(RecvTimeoutError::Disconnected) => {
+                    unreachable!("the client holds a sender of its own report channel")
                 }
             }
-            if in_flight.is_empty() {
+            if in_flight == 0 {
                 to_launch = fanout; // the wave drained: launch the next
             }
         }
@@ -639,14 +705,14 @@ impl Client {
     ///
     /// [`ClusterError::NoServerAvailable`] when every server is
     /// unreachable.
-    pub async fn refresh_spec(&mut self, key: &[u8]) -> Result<Option<StrategySpec>, ClusterError> {
+    pub fn refresh_spec(&mut self, key: &[u8]) -> Result<Option<StrategySpec>, ClusterError> {
         let id = self.fresh_id();
         let group = self.group_of(key);
         let order = self.rng.shuffled_servers(group.len());
         let mut reached_any = false;
         for s in order {
             let Some(peer) = self.peer_for(group[s.index()]) else { continue };
-            match peer.call(id, &Request::SpecOf { key: key.to_vec() }).await {
+            match peer.call(id, &Request::SpecOf { key: key.to_vec() }) {
                 Ok(Response::SpecOf(Some(spec))) => {
                     self.key_specs.insert(key.to_vec(), spec);
                     return Ok(Some(spec));
@@ -668,11 +734,11 @@ impl Client {
     /// # Errors
     ///
     /// I/O errors when the server is unreachable.
-    pub async fn status_of(&self, server: usize) -> Result<(u64, u64), ClusterError> {
+    pub fn status_of(&self, server: usize) -> Result<(u64, u64), ClusterError> {
         let peer = self
             .peer_for(server as u64)
             .ok_or_else(|| ClusterError::Remote(format!("unknown member {server}")))?;
-        match peer.call(self.fresh_id(), &Request::Status).await? {
+        match peer.call(self.fresh_id(), &Request::Status)? {
             Response::Status { keys, entries } => Ok((keys, entries)),
             other => Err(ClusterError::Remote(format!("unexpected status response {other:?}"))),
         }
@@ -688,11 +754,11 @@ impl Client {
     ///
     /// I/O errors when the server is unreachable; protocol errors on an
     /// unexpected response.
-    pub async fn digest_of(&self, server: usize, key: &[u8]) -> Result<Response, ClusterError> {
+    pub fn digest_of(&self, server: usize, key: &[u8]) -> Result<Response, ClusterError> {
         let peer = self
             .peer_for(server as u64)
             .ok_or_else(|| ClusterError::Remote(format!("unknown member {server}")))?;
-        match peer.call(self.fresh_id(), &Request::Digest { key: key.to_vec() }).await? {
+        match peer.call(self.fresh_id(), &Request::Digest { key: key.to_vec() })? {
             resp @ Response::Digest { .. } => Ok(resp),
             other => Err(ClusterError::Remote(format!("unexpected digest response {other:?}"))),
         }
@@ -708,11 +774,9 @@ impl Client {
     /// pool statistics aggregated over every per-server pool.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let mut s = self.metrics.collect();
-        let peers: Vec<std::sync::Arc<PeerClient>> =
-            self.peers.lock().expect("client peer book poisoned").values().cloned().collect();
         let (mut dials, mut dial_failures, mut reuses, mut discarded, mut evicted) =
             (0u64, 0u64, 0u64, 0u64, 0u64);
-        for peer in &peers {
+        for peer in self.peers.all() {
             let st = peer.stats();
             dials += st.dials.get();
             dial_failures += st.dial_failures.get();
@@ -725,7 +789,7 @@ impl Client {
         s.push_counter("pls_client_pool_reuses_total", reuses);
         s.push_counter("pls_client_pool_discarded_total", discarded);
         s.push_counter("pls_client_pool_evicted_total", evicted);
-        push_peer_robustness(&mut s, peers.iter().map(|p| p.as_ref()));
+        self.peers.push_robustness(&mut s);
         s
     }
 
@@ -737,15 +801,11 @@ impl Client {
     ///
     /// I/O errors when the server is unreachable; protocol errors on an
     /// unexpected response.
-    pub async fn metrics_of(
-        &self,
-        server: usize,
-        reset: bool,
-    ) -> Result<MetricsSnapshot, ClusterError> {
+    pub fn metrics_of(&self, server: usize, reset: bool) -> Result<MetricsSnapshot, ClusterError> {
         let peer = self
             .peer_for(server as u64)
             .ok_or_else(|| ClusterError::Remote(format!("unknown member {server}")))?;
-        match peer.call(self.fresh_id(), &Request::Metrics { reset }).await? {
+        match peer.call(self.fresh_id(), &Request::Metrics { reset })? {
             Response::Metrics(snap) => Ok(snap),
             other => Err(ClusterError::Remote(format!("unexpected metrics response {other:?}"))),
         }
@@ -765,11 +825,11 @@ impl Client {
     ///
     /// [`ClusterError::NoServerAvailable`] when no server responds at
     /// all; protocol errors from a malformed response.
-    pub async fn cluster_metrics(&self, reset: bool) -> Result<MetricsSnapshot, ClusterError> {
+    pub fn cluster_metrics(&self, reset: bool) -> Result<MetricsSnapshot, ClusterError> {
         let mut merged = MetricsSnapshot::new();
         let mut reached = 0usize;
         for server in self.view.ids() {
-            match self.metrics_of(server as usize, reset).await {
+            match self.metrics_of(server as usize, reset) {
                 Ok(snap) => {
                     reached += 1;
                     merged.merge(&snap);
@@ -800,14 +860,14 @@ impl Client {
     ///
     /// [`ClusterError::NoServerAvailable`] when no server responds at
     /// all; protocol errors from a malformed response.
-    pub async fn trace_request(&self, req: u64) -> Result<Vec<SpanRecord>, ClusterError> {
+    pub fn trace_request(&self, req: u64) -> Result<Vec<SpanRecord>, ClusterError> {
         let id = self.fresh_id();
         let mut spans: Vec<SpanRecord> =
             pls_telemetry::recorder::installed().map(|r| r.spans_for(req)).unwrap_or_default();
         let mut reached = 0usize;
         for server in self.view.ids() {
             let Some(peer) = self.peer_for(server) else { continue };
-            match peer.call(id, &Request::Trace { req }).await {
+            match peer.call(id, &Request::Trace { req }) {
                 Ok(Response::Spans(remote)) => {
                     reached += 1;
                     for span in remote {
@@ -828,7 +888,7 @@ impl Client {
         if reached == 0 {
             return Err(ClusterError::NoServerAvailable);
         }
-        spans.sort_by(|a, b| (a.start_us, a.elapsed_us).cmp(&(b.start_us, b.elapsed_us)));
+        spans.sort_by_key(|s| (s.start_us, s.elapsed_us));
         Ok(spans)
     }
 
@@ -848,8 +908,8 @@ impl Client {
     ///
     /// [`ClusterError::NoServerAvailable`] when every known member is
     /// unreachable.
-    pub async fn membership(&mut self) -> Result<(u64, Vec<(u64, String)>), ClusterError> {
-        self.membership_rpc(Request::Membership { epoch: 0, members: Vec::new() }).await
+    pub fn membership(&mut self) -> Result<(u64, Vec<(u64, String)>), ClusterError> {
+        self.membership_rpc(Request::Membership { epoch: 0, members: Vec::new() })
     }
 
     /// Refreshes the membership view ([`Client::membership`]) and reports
@@ -858,9 +918,9 @@ impl Client {
     /// # Errors
     ///
     /// As [`Client::membership`].
-    pub async fn refresh_membership(&mut self) -> Result<bool, ClusterError> {
+    pub fn refresh_membership(&mut self) -> Result<bool, ClusterError> {
         let before = self.view.epoch();
-        let (after, _) = self.membership().await?;
+        let (after, _) = self.membership()?;
         Ok(after != before)
     }
 
@@ -875,8 +935,8 @@ impl Client {
     /// [`ClusterError::NoServerAvailable`] when every known member is
     /// unreachable; [`ClusterError::Remote`] when the cluster refuses
     /// the join.
-    pub async fn join(&mut self, addr: &str) -> Result<(u64, Vec<(u64, String)>), ClusterError> {
-        self.membership_rpc(Request::JoinLeave { join: Some(addr.to_string()), leave: None }).await
+    pub fn join(&mut self, addr: &str) -> Result<(u64, Vec<(u64, String)>), ClusterError> {
+        self.membership_rpc(Request::JoinLeave { join: Some(addr.to_string()), leave: None })
     }
 
     /// Admin: asks the cluster to retire member `id` gracefully (a
@@ -890,20 +950,17 @@ impl Client {
     /// [`ClusterError::NoServerAvailable`] when every known member is
     /// unreachable; [`ClusterError::Remote`] when `id` is unknown or the
     /// last member standing.
-    pub async fn drain(&mut self, id: u64) -> Result<(u64, Vec<(u64, String)>), ClusterError> {
-        self.membership_rpc(Request::JoinLeave { join: None, leave: Some(id) }).await
+    pub fn drain(&mut self, id: u64) -> Result<(u64, Vec<(u64, String)>), ClusterError> {
+        self.membership_rpc(Request::JoinLeave { join: None, leave: Some(id) })
     }
 
     /// Sends a membership RPC to the first member that answers, adopts
     /// the returned view when newer, and hands it back.
-    async fn membership_rpc(
-        &mut self,
-        req: Request,
-    ) -> Result<(u64, Vec<(u64, String)>), ClusterError> {
+    fn membership_rpc(&mut self, req: Request) -> Result<(u64, Vec<(u64, String)>), ClusterError> {
         let id = self.fresh_id();
         for member in self.view.ids() {
             let Some(peer) = self.peer_for(member) else { continue };
-            match peer.call(id, &req).await {
+            match peer.call(id, &req) {
                 Ok(Response::Membership { epoch, members }) => {
                     self.adopt_view(epoch, members.clone());
                     return Ok((epoch, members));

@@ -2,22 +2,25 @@
 //!
 //! The layout — `u32` payload length, `u64` request id, `u64` service
 //! time, payload — and its limits are [`crate::wire`]'s; this module is
-//! the only code that moves a frame through tokio.
+//! the only code that moves a frame through a [`Read`] or a [`Write`].
 
-use tokio::io::{AsyncReadExt, AsyncWriteExt};
+use std::io::{ErrorKind, Read, Write};
 
 use crate::error::ClusterError;
-use crate::wire::MAX_FRAME;
+use crate::wire::{FRAME_OVERHEAD, MAX_FRAME};
+
+const HEADER: usize = FRAME_OVERHEAD as usize;
 
 /// Writes one frame (length prefix + request id + service time +
-/// payload) to a stream. `service_us` is zero on requests; replies
-/// carry the server's handling time in microseconds.
+/// payload) to a stream as two writes: the 20-byte header, then the
+/// payload. `service_us` is zero on requests; replies carry the
+/// server's handling time in microseconds.
 ///
 /// # Errors
 ///
 /// [`ClusterError::FrameTooLarge`] when the payload exceeds
 /// [`MAX_FRAME`]; I/O errors otherwise.
-pub async fn write_frame<W: AsyncWriteExt + Unpin>(
+pub fn write_frame<W: Write>(
     stream: &mut W,
     request_id: u64,
     service_us: u64,
@@ -26,11 +29,12 @@ pub async fn write_frame<W: AsyncWriteExt + Unpin>(
     if payload.len() > MAX_FRAME {
         return Err(ClusterError::FrameTooLarge(payload.len()));
     }
-    stream.write_u32(payload.len() as u32).await?;
-    stream.write_u64(request_id).await?;
-    stream.write_u64(service_us).await?;
-    stream.write_all(payload).await?;
-    stream.flush().await?;
+    let mut header = [0u8; HEADER];
+    header[..4].copy_from_slice(&(payload.len() as u32).to_be_bytes());
+    header[4..12].copy_from_slice(&request_id.to_be_bytes());
+    header[12..].copy_from_slice(&service_us.to_be_bytes());
+    stream.write_all(&header)?;
+    stream.write_all(payload)?;
     Ok(())
 }
 
@@ -42,21 +46,26 @@ pub async fn write_frame<W: AsyncWriteExt + Unpin>(
 ///
 /// [`ClusterError::FrameTooLarge`] for oversized length prefixes; I/O
 /// errors otherwise (including EOF mid-frame).
-pub async fn read_frame<R: AsyncReadExt + Unpin>(
-    stream: &mut R,
-) -> Result<Option<(u64, u64, Vec<u8>)>, ClusterError> {
-    let len = match stream.read_u32().await {
-        Ok(len) => len as usize,
-        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e.into()),
-    };
+pub fn read_frame<R: Read>(stream: &mut R) -> Result<Option<(u64, u64, Vec<u8>)>, ClusterError> {
+    let mut header = [0u8; HEADER];
+    let mut filled = 0;
+    while filled < HEADER {
+        match stream.read(&mut header[filled..]) {
+            Ok(0) if filled == 0 => return Ok(None),
+            Ok(0) => return Err(ClusterError::Io(ErrorKind::UnexpectedEof.into())),
+            Ok(n) => filled += n,
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e.into()),
+        }
+    }
+    let len = u32::from_be_bytes(header[..4].try_into().expect("4 bytes")) as usize;
     if len > MAX_FRAME {
         return Err(ClusterError::FrameTooLarge(len));
     }
-    let request_id = stream.read_u64().await?;
-    let service_us = stream.read_u64().await?;
+    let request_id = u64::from_be_bytes(header[4..12].try_into().expect("8 bytes"));
+    let service_us = u64::from_be_bytes(header[12..].try_into().expect("8 bytes"));
     let mut payload = vec![0u8; len];
-    stream.read_exact(&mut payload).await?;
+    stream.read_exact(&mut payload)?;
     Ok(Some((request_id, service_us, payload)))
 }
 
@@ -64,51 +73,83 @@ pub async fn read_frame<R: AsyncReadExt + Unpin>(
 mod tests {
     use super::*;
 
-    #[tokio::test]
-    async fn frame_roundtrip_over_duplex() {
-        let (mut a, mut b) = tokio::io::duplex(1024);
-        write_frame(&mut a, 42, 0, b"abc").await.unwrap();
-        write_frame(&mut a, u64::MAX, 0, b"").await.unwrap();
-        let (id1, _, f1) = read_frame(&mut b).await.unwrap().unwrap();
+    /// An in-memory pipe: what was written is what is read, then EOF.
+    /// Counts the `write` calls it saw.
+    #[derive(Default)]
+    struct Pipe {
+        buf: std::collections::VecDeque<u8>,
+        writes: usize,
+    }
+
+    impl Write for Pipe {
+        fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.buf.extend(data);
+            Ok(data.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl Read for Pipe {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            self.buf.read(out)
+        }
+    }
+
+    #[test]
+    fn frame_roundtrip_over_duplex() {
+        let mut pipe = Pipe::default();
+        write_frame(&mut pipe, 42, 0, b"abc").unwrap();
+        write_frame(&mut pipe, u64::MAX, 0, b"").unwrap();
+        let (id1, _, f1) = read_frame(&mut pipe).unwrap().unwrap();
         assert_eq!(id1, 42);
         assert_eq!(f1, b"abc");
-        let (id2, _, f2) = read_frame(&mut b).await.unwrap().unwrap();
+        let (id2, _, f2) = read_frame(&mut pipe).unwrap().unwrap();
         assert_eq!(id2, u64::MAX);
         assert!(f2.is_empty());
-        drop(a);
-        assert!(read_frame(&mut b).await.unwrap().is_none());
+        assert!(read_frame(&mut pipe).unwrap().is_none());
     }
 
-    #[tokio::test]
-    async fn service_time_roundtrips() {
-        let (mut a, mut b) = tokio::io::duplex(1024);
-        write_frame(&mut a, 7, 1234, b"reply").await.unwrap();
-        write_frame(&mut a, 8, 0, b"req").await.unwrap();
-        let (id, service_us, payload) = read_frame(&mut b).await.unwrap().unwrap();
+    #[test]
+    fn service_time_roundtrips() {
+        let mut pipe = Pipe::default();
+        write_frame(&mut pipe, 7, 1234, b"reply").unwrap();
+        write_frame(&mut pipe, 8, 0, b"req").unwrap();
+        let (id, service_us, payload) = read_frame(&mut pipe).unwrap().unwrap();
         assert_eq!((id, service_us, &payload[..]), (7, 1234, &b"reply"[..]));
-        let (id, service_us, payload) = read_frame(&mut b).await.unwrap().unwrap();
+        let (id, service_us, payload) = read_frame(&mut pipe).unwrap().unwrap();
         assert_eq!((id, service_us, &payload[..]), (8, 0, &b"req"[..]));
-        drop(a);
-        assert!(read_frame(&mut b).await.unwrap().is_none());
+        assert!(read_frame(&mut pipe).unwrap().is_none());
     }
 
-    #[tokio::test]
-    async fn oversized_frame_rejected_on_write() {
-        let (mut a, _b) = tokio::io::duplex(64);
+    #[test]
+    fn oversized_frame_rejected_on_write() {
+        let mut pipe = Pipe::default();
         let big = vec![0u8; MAX_FRAME + 1];
-        assert!(matches!(
-            write_frame(&mut a, 1, 0, &big).await,
-            Err(ClusterError::FrameTooLarge(_))
-        ));
+        assert!(matches!(write_frame(&mut pipe, 1, 0, &big), Err(ClusterError::FrameTooLarge(_))));
+        assert_eq!(pipe.writes, 0);
     }
 
-    #[tokio::test]
-    async fn eof_inside_frame_header_is_an_error() {
+    #[test]
+    fn eof_inside_frame_header_is_an_error() {
         // Length says 3 bytes follow the id, but the writer dies after
         // the length prefix: the reader must not report a clean EOF.
-        let (mut a, mut b) = tokio::io::duplex(64);
-        a.write_u32(3).await.unwrap();
-        drop(a);
-        assert!(read_frame(&mut b).await.is_err());
+        let mut pipe = Pipe::default();
+        pipe.write_all(&3u32.to_be_bytes()).unwrap();
+        assert!(read_frame(&mut pipe).is_err());
+    }
+
+    #[test]
+    fn a_frame_is_two_writes() {
+        // One request/response exchange costs four `write` calls (two a
+        // side); the integer-at-a-time writer it replaces issued eight
+        // and two flushes.
+        let mut pipe = Pipe::default();
+        write_frame(&mut pipe, 1, 0, &[0u8; 300]).unwrap();
+        assert_eq!(pipe.writes, 2);
+        write_frame(&mut pipe, 1, 9, &[0u8; 300]).unwrap();
+        assert_eq!(pipe.writes, 4);
     }
 }

@@ -12,9 +12,10 @@
 //!   ([`wire`], [`proto`]) over byte slices; [`frame`] reads and writes
 //!   one frame on a socket. The codec, the write-ahead log
 //!   ([`storage`]), the server's per-key state machine ([`shard`]),
-//!   [`retry`] and [`metrics`] need no async runtime and live in
-//!   `pls-wire`; this crate re-exports them (the ones it had, under
-//!   their old paths) and adds everything that touches tokio.
+//!   [`retry`] and [`metrics`] touch no socket and live in `pls-wire`;
+//!   this crate re-exports them (the ones it had, under their old
+//!   paths) and adds everything that does: `std::net` sockets, one
+//!   thread per connection, no runtime.
 //! * Server-to-server traffic (store/remove/migrate fan-out) is carried
 //!   as [`proto::Request::Internal`] RPCs with acknowledged, in-order
 //!   delivery per sender — the ordering the engines rely on.
@@ -51,19 +52,20 @@
 //! use pls_cluster::{Client, ClientConfig, Server, ServerConfig};
 //! use pls_core::StrategySpec;
 //!
-//! # async fn demo() -> Result<(), Box<dyn std::error::Error>> {
+//! # fn demo() -> Result<(), Box<dyn std::error::Error>> {
 //! // Normally each server runs in its own process (see the pls-server
 //! // binary); here, in one process for brevity.
 //! let addrs: Vec<std::net::SocketAddr> =
 //!     (0..3).map(|i| format!("127.0.0.1:{}", 7400 + i).parse().unwrap()).collect();
+//! let mut running = Vec::new();
 //! for i in 0..3 {
 //!     let cfg = ServerConfig::new(i, addrs.clone(), StrategySpec::hash(2), 42);
-//!     let (server, _addr) = Server::bind(cfg).await?;
-//!     tokio::spawn(server.run());
+//!     let (server, _addr) = Server::bind(cfg)?;
+//!     running.push(server.spawn()); // dropping a handle kills its server
 //! }
 //! let mut client = Client::connect(ClientConfig::new(addrs, StrategySpec::hash(2), 1));
-//! client.place(b"song/stairway", vec![b"peer1:6699".to_vec(), b"peer2:6699".to_vec()]).await?;
-//! let hits = client.partial_lookup(b"song/stairway", 1).await?;
+//! client.place(b"song/stairway", vec![b"peer1:6699".to_vec(), b"peer2:6699".to_vec()])?;
+//! let hits = client.partial_lookup(b"song/stairway", 1)?;
 //! assert!(!hits.is_empty());
 //! # Ok(()) }
 //! ```
@@ -77,6 +79,7 @@ pub mod frame;
 pub mod http;
 mod rpc;
 mod server;
+mod sock;
 
 use pls_wire::error;
 pub use pls_wire::{metrics, proto, retry, shard, storage, wire};
@@ -87,7 +90,7 @@ pub use error::ClusterError;
 pub use metrics::{ClientMetrics, ReqOp, ServerMetrics};
 pub use retry::{Breaker, BreakerConfig, Deadline, RetryPolicy, Timeouts};
 pub use rpc::PoolStats;
-pub use server::{Server, ServerConfig};
+pub use server::{Server, ServerConfig, ServerHandle};
 
 // Re-exported so downstream users of the cluster get the snapshot and
 // tracing types without naming the telemetry crate themselves.
@@ -123,6 +126,49 @@ pub fn parse_spec(s: &str) -> Result<pls_core::StrategySpec, String> {
     }
 }
 
+/// Parses a request id as it is written in logs, scripts and the
+/// `/trace?req=` query: decimal, or hex with a `0x` prefix.
+pub fn parse_req_id(s: &str) -> Option<u64> {
+    match s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
+        Some(hex) => u64::from_str_radix(hex, 16).ok(),
+        None => s.parse().ok(),
+    }
+}
+
+/// Takes the value of command-line flag `name` from `args` and parses
+/// it: the step every binary's flag loop repeats.
+///
+/// # Errors
+///
+/// `"<name> needs a value"` at the end of the arguments; `"<name>:
+/// <parse error>"` for a value that does not parse.
+pub fn flag<T: std::str::FromStr>(
+    name: &str,
+    args: &mut impl Iterator<Item = String>,
+) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    let raw = args.next().ok_or(format!("{name} needs a value"))?;
+    raw.parse().map_err(|e| format!("{name}: {e}"))
+}
+
+/// [`flag`] for a comma-separated list (`--peers A,B,C`).
+///
+/// # Errors
+///
+/// As [`flag`], for the first element that does not parse.
+pub fn flag_list<T: std::str::FromStr>(
+    name: &str,
+    args: &mut impl Iterator<Item = String>,
+) -> Result<Vec<T>, String>
+where
+    T::Err: std::fmt::Display,
+{
+    let raw: String = flag(name, args)?;
+    raw.split(',').map(|s| s.trim().parse().map_err(|e| format!("{name}: {e}"))).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -136,6 +182,15 @@ mod tests {
         assert_eq!(parse_spec("random-server:5"), Ok(StrategySpec::random_server(5)));
         assert_eq!(parse_spec("round:2"), Ok(StrategySpec::round_robin(2)));
         assert_eq!(parse_spec("hash:3"), Ok(StrategySpec::hash(3)));
+    }
+
+    #[test]
+    fn flags_take_and_parse_the_next_argument() {
+        let mut args = ["7", "a:1, b:2", "x"].map(String::from).into_iter();
+        assert_eq!(flag::<u64>("--n", &mut args), Ok(7));
+        assert_eq!(flag_list::<String>("--l", &mut args), Ok(vec!["a:1".into(), "b:2".into()]));
+        assert_eq!(flag::<u64>("--n", &mut args), Err("--n: invalid digit found in string".into()));
+        assert_eq!(flag::<u64>("--n", &mut args), Err("--n needs a value".into()));
     }
 
     #[test]

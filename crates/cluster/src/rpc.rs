@@ -4,33 +4,38 @@
 //! A call takes a connection out of the pool (or dials a new one),
 //! performs a single request/response exchange, and returns the
 //! connection. Crucially, **no lock is held while a response is
-//! awaited**: concurrent calls to the same peer simply use different
+//! waited for**: concurrent calls to the same peer simply use different
 //! connections. A single mutually-exclusive connection would deadlock
 //! the round-robin migration protocol, whose RPC graph contains cycles
-//! (coordinator → holder → head server → holder).
+//! (coordinator → holder → head server → holder). For the same reason
+//! no caller may hold a lock of its own (shard core, membership, a live
+//! gauge) across a call: a handler thread that blocks on a peer while
+//! holding a shard lock is a distributed deadlock.
 //!
 //! Ordering: messages whose relative order matters (a coordinator's
 //! `Reset` before its `RrStore`s, a head server's `MigrateRep` before its
-//! `RrRemoveAt`) are sent *sequentially from one task*, each awaited
+//! `RrRemoveAt`) are sent *sequentially from one thread*, each answered
 //! before the next is issued — so they are ordered by causality, not by
 //! connection.
 
-use std::net::SocketAddr;
-use std::sync::Mutex;
+use std::collections::HashMap;
+use std::net::{SocketAddr, TcpStream};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+use pls_core::Membership;
 use pls_telemetry::{Counter, MetricsSnapshot};
-use tokio::net::TcpStream;
 
 use crate::error::ClusterError;
 use crate::frame::{read_frame, write_frame};
 use crate::proto::{Request, Response};
 use crate::retry::{Breaker, BreakerConfig, Deadline, RetryPolicy, Timeouts};
+use crate::sock::{timed_out, Bounded};
 
 /// Connections kept per peer; extras beyond this are closed on return.
 const POOL_SIZE: usize = 4;
 
-/// Pool accounting for one [`PeerClient`]: how connections are
+/// Pool accounting for one peer's connection pool: how connections are
 /// obtained (fresh dial vs. pool reuse) and how they leave the pool
 /// (discarded after an error, evicted over capacity). All counters are
 /// relaxed atomics — no lock beyond the pool's own.
@@ -49,26 +54,28 @@ pub struct PoolStats {
     /// Calls that ran out of time: a dial past the connect timeout or
     /// an exchange past its per-RPC deadline.
     pub timeouts: Counter,
-    /// Attempts re-issued by [`PeerClient::call_retry`] after a
+    /// Attempts re-issued by a retrying call after a
     /// retryable failure.
     pub retries: Counter,
 }
 
 /// Performs one request/response exchange on an established stream,
+/// every blocking call capped by `deadline`,
 /// stamping the outgoing frame with `request_id`, and returns the
 /// response together with the **service time** the server echoed in
 /// the reply frame (microseconds the server spent handling the
 /// request; zero from servers that don't stamp it). The response frame
 /// must echo the same id — a mismatch means the stream is answering
 /// some other request (desynchronized) and is a protocol error.
-pub async fn exchange_timed(
-    stream: &mut TcpStream,
+fn exchange_timed(
+    stream: &TcpStream,
+    deadline: Deadline,
     request_id: u64,
     req: &Request,
 ) -> Result<(Response, u64), ClusterError> {
-    write_frame(stream, request_id, 0, &req.encode()).await?;
-    let (echoed_id, service_us, payload) = read_frame(stream)
-        .await?
+    let mut stream = Bounded { stream, deadline };
+    write_frame(&mut stream, request_id, 0, &req.encode())?;
+    let (echoed_id, service_us, payload) = read_frame(&mut stream)?
         .ok_or_else(|| ClusterError::Io(std::io::ErrorKind::UnexpectedEof.into()))?;
     if echoed_id != request_id {
         return Err(ClusterError::Decode("response id"));
@@ -96,6 +103,7 @@ pub struct PeerClient {
 impl PeerClient {
     /// Creates a client for `addr` with default time bounds and breaker
     /// tuning; no connection is made until the first call.
+    #[cfg(test)]
     pub fn new(addr: SocketAddr) -> Self {
         Self::with_policies(addr, Timeouts::default(), BreakerConfig::default())
     }
@@ -112,7 +120,6 @@ impl PeerClient {
     }
 
     /// The peer's address.
-    #[allow(dead_code)] // kept for diagnostics
     pub fn addr(&self) -> SocketAddr {
         self.addr
     }
@@ -127,29 +134,14 @@ impl PeerClient {
         &self.breaker
     }
 
-    /// This client's time bounds.
-    pub fn timeouts(&self) -> &Timeouts {
-        &self.timeouts
-    }
-
     /// Whether the peer currently looks healthy (no failure streak, no
     /// open circuit). Probe orders sort unhealthy peers to the tail.
     pub fn healthy(&self) -> bool {
         self.breaker.healthy()
     }
 
-    /// Forgets this peer's accumulated health state: the breaker closes
-    /// and the failure streak clears, so probe orders stop demoting it.
-    /// Called when membership changes re-scope the peer — a departed
-    /// server must stop consuming half-open trials and retry budget,
-    /// and a rejoining one starts with a clean slate. (Pooled
-    /// connections are left alone; a stale one is discarded and
-    /// redialed on its next use anyway.)
-    pub fn reset_health(&self) {
-        self.breaker.reset();
-    }
-
     /// Connections currently idle in the pool.
+    #[cfg(test)]
     pub fn pooled(&self) -> usize {
         self.pool.lock().expect("pool lock").len()
     }
@@ -171,7 +163,7 @@ impl PeerClient {
         }
     }
 
-    /// Sends `req` stamped with `request_id` and awaits the response,
+    /// Sends `req` stamped with `request_id` and waits for the response,
     /// bounded by the configured per-RPC deadline and guarded by the
     /// peer's circuit breaker.
     ///
@@ -183,35 +175,25 @@ impl PeerClient {
     /// open; decode errors (including a response whose frame id does
     /// not echo `request_id`); any [`Response::Error`] is surfaced as
     /// [`ClusterError::Remote`].
-    pub async fn call(&self, request_id: u64, req: &Request) -> Result<Response, ClusterError> {
-        self.call_bounded(request_id, req, self.timeouts.rpc).await
-    }
-
-    /// [`PeerClient::call`], also returning the service time the peer
-    /// echoed in its reply frame (microseconds of server-side work).
-    pub async fn call_timed(
-        &self,
-        request_id: u64,
-        req: &Request,
-    ) -> Result<(Response, u64), ClusterError> {
-        self.call_bounded_timed(request_id, req, self.timeouts.rpc).await
+    pub fn call(&self, request_id: u64, req: &Request) -> Result<Response, ClusterError> {
+        self.call_bounded(request_id, req, self.timeouts.rpc)
     }
 
     /// [`PeerClient::call`] with an explicit attempt deadline — the
     /// per-RPC deadline already capped to an operation's remaining
     /// budget by the caller.
-    pub async fn call_bounded(
+    pub fn call_bounded(
         &self,
         request_id: u64,
         req: &Request,
         limit: Duration,
     ) -> Result<Response, ClusterError> {
-        Ok(self.call_bounded_timed(request_id, req, limit).await?.0)
+        Ok(self.call_bounded_timed(request_id, req, limit)?.0)
     }
 
     /// [`PeerClient::call_bounded`], also returning the echoed service
     /// time from the reply frame.
-    pub async fn call_bounded_timed(
+    pub fn call_bounded_timed(
         &self,
         request_id: u64,
         req: &Request,
@@ -224,21 +206,7 @@ impl PeerClient {
         if !self.breaker.admit() {
             return Err(ClusterError::PeerUnhealthy);
         }
-        let result = match tokio::time::timeout(limit, self.call_once(request_id, req)).await {
-            Ok(res) => res,
-            Err(_elapsed) => {
-                // The in-flight connection was dropped with the future:
-                // it may still answer later and must never be re-pooled.
-                self.stats.timeouts.inc();
-                pls_telemetry::debug!(
-                    "rpc_timeout",
-                    req = request_id,
-                    addr = self.addr,
-                    limit_ms = limit.as_millis()
-                );
-                Err(ClusterError::Timeout("rpc"))
-            }
-        };
+        let result = self.call_once(request_id, req, Deadline::within(limit));
         match &result {
             // A well-formed reply — even an application-level error or
             // an "I don't implement that opcode" refusal — proves the
@@ -256,7 +224,7 @@ impl PeerClient {
     /// until `policy.max_attempts` or `deadline` runs out, sleeping a
     /// full-jitter backoff between attempts. A breaker fast-fail is
     /// *not* retried — the breaker exists to stop exactly that traffic.
-    pub async fn call_retry(
+    pub fn call_retry(
         &self,
         request_id: u64,
         req: &Request,
@@ -267,7 +235,7 @@ impl PeerClient {
         loop {
             attempt += 1;
             let limit = deadline.cap(self.timeouts.rpc);
-            match self.call_bounded(request_id, req, limit).await {
+            match self.call_bounded(request_id, req, limit) {
                 Ok(resp) => return Ok(resp),
                 Err(err)
                     if err.is_unavailable()
@@ -285,41 +253,57 @@ impl PeerClient {
                     );
                     let pause =
                         deadline.cap(policy.delay(attempt, request_id ^ u64::from(attempt)));
-                    tokio::time::sleep(pause).await;
+                    std::thread::sleep(pause);
                 }
                 Err(err) => return Err(err),
             }
         }
     }
 
-    /// One attempt on a pooled or fresh connection. A stale pooled
-    /// connection is retried once with a fresh dial; a connection that
-    /// errors in any way is discarded, never returned to the pool.
-    async fn call_once(
+    /// One attempt on a pooled or fresh connection, every blocking call
+    /// of it capped by `deadline`. A stale pooled connection is retried
+    /// once with a fresh dial; a connection that errors in any way is
+    /// discarded, never returned to the pool.
+    fn call_once(
         &self,
         request_id: u64,
         req: &Request,
+        deadline: Deadline,
     ) -> Result<(Response, u64), ClusterError> {
-        if let Some(mut stream) = self.take() {
-            self.stats.reuses.inc();
-            match exchange_timed(&mut stream, request_id, req).await {
+        let mut pooled = self.take();
+        loop {
+            let reused = pooled.is_some();
+            let stream = match pooled.take() {
+                Some(stream) => {
+                    self.stats.reuses.inc();
+                    stream
+                }
+                None => self.dial(request_id, deadline)?,
+            };
+            match exchange_timed(&stream, deadline, request_id, req) {
                 Ok(resp) => {
                     self.put_back(stream);
                     return ok_or_remote(resp);
                 }
-                Err(ClusterError::Io(_)) => {
-                    // Stale pooled connection: drop it and retry once on
-                    // a fresh dial.
-                    self.stats.discarded.inc();
+                Err(ClusterError::Io(e)) if timed_out(&e) => {
+                    return Err(self.ran_out("rpc", request_id));
                 }
-                Err(other) => {
-                    // Protocol violation mid-exchange: the stream may be
-                    // desynchronized — poison it (drop, don't re-pool).
+                // A stale pooled connection: drop it and go round once
+                // more, on a fresh dial. Anything else ends the attempt
+                // (after a protocol violation the stream may be
+                // desynchronized: dropped, not re-pooled).
+                Err(err) => {
                     self.stats.discarded.inc();
-                    return Err(other);
+                    if !(reused && matches!(err, ClusterError::Io(_))) {
+                        return Err(err);
+                    }
                 }
             }
         }
+    }
+
+    /// Dials the peer within the connect timeout and `deadline`.
+    fn dial(&self, request_id: u64, deadline: Deadline) -> Result<TcpStream, ClusterError> {
         self.stats.dials.inc();
         pls_telemetry::event!(
             pls_telemetry::Level::Trace,
@@ -327,29 +311,29 @@ impl PeerClient {
             req = request_id,
             addr = self.addr
         );
-        let dialed = tokio::time::timeout(self.timeouts.connect, TcpStream::connect(self.addr));
-        let mut stream = match dialed.await {
-            Ok(Ok(s)) => s,
-            Ok(Err(e)) => {
-                self.stats.dial_failures.inc();
-                return Err(e.into());
-            }
-            Err(_elapsed) => {
-                self.stats.dial_failures.inc();
-                self.stats.timeouts.inc();
-                return Err(ClusterError::Timeout("connect"));
-            }
-        };
-        match exchange_timed(&mut stream, request_id, req).await {
-            Ok(resp) => {
-                self.put_back(stream);
-                ok_or_remote(resp)
-            }
-            Err(err) => {
-                self.stats.discarded.inc();
-                Err(err)
-            }
+        let limit = deadline.cap(self.timeouts.connect);
+        if limit.is_zero() {
+            return Err(self.ran_out("rpc", request_id));
         }
+        let stream = TcpStream::connect_timeout(&self.addr, limit).map_err(|e| {
+            self.stats.dial_failures.inc();
+            if !timed_out(&e) {
+                return e.into();
+            }
+            // Whichever bound was the tighter one ran out.
+            self.ran_out(if limit == self.timeouts.connect { "connect" } else { "rpc" }, request_id)
+        })?;
+        // Request/response over Nagle + delayed ACK stalls for 40 ms.
+        let _ = stream.set_nodelay(true);
+        Ok(stream)
+    }
+
+    /// Books a call that ran out of time in `phase`. Its connection may
+    /// still answer later: the caller drops it, never re-pools it.
+    fn ran_out(&self, phase: &'static str, request_id: u64) -> ClusterError {
+        self.stats.timeouts.inc();
+        pls_telemetry::debug!("rpc_timeout", req = request_id, addr = self.addr, phase = phase);
+        ClusterError::Timeout(phase)
     }
 }
 
@@ -375,63 +359,170 @@ fn ok_or_remote((resp, service_us): (Response, u64)) -> Result<(Response, u64), 
     }
 }
 
-/// Appends the robustness totals of a set of peer clients to a metrics
-/// snapshot: RPC timeouts and retries (from [`PoolStats`]) and circuit
-/// breaker opens / fast-fails, summed over every peer. Used by both the
-/// server's metrics collection and the client's snapshot, so
-/// `pls_rpc_timeouts_total` means the same thing everywhere.
-pub(crate) fn push_peer_robustness<'a>(
-    s: &mut MetricsSnapshot,
-    peers: impl IntoIterator<Item = &'a PeerClient>,
-) {
-    let (mut timeouts, mut retries, mut opens, mut fast_fails) = (0u64, 0u64, 0u64, 0u64);
-    for peer in peers {
-        timeouts += peer.stats().timeouts.get();
-        retries += peer.stats().retries.get();
-        opens += peer.breaker().opens.get();
-        fast_fails += peer.breaker().fast_fails.get();
+/// The robustness totals of a set of peer clients: RPC timeouts and
+/// retries (from [`PoolStats`]) and circuit breaker opens / fast-fails.
+/// A book that drops a client because its member left
+/// [`absorb`](Robustness::absorb)s it first, so the exported `_total`s
+/// never go backwards. Used by both the server's metrics collection and
+/// the client's snapshot, so `pls_rpc_timeouts_total` means the same
+/// thing everywhere.
+#[derive(Debug, Default, Clone, Copy)]
+struct Robustness {
+    timeouts: u64,
+    retries: u64,
+    opens: u64,
+    fast_fails: u64,
+}
+
+impl Robustness {
+    /// Adds one client's totals.
+    fn absorb(&mut self, peer: &PeerClient) {
+        self.timeouts += peer.stats().timeouts.get();
+        self.retries += peer.stats().retries.get();
+        self.opens += peer.breaker().opens.get();
+        self.fast_fails += peer.breaker().fast_fails.get();
     }
-    s.push_counter("pls_rpc_timeouts_total", timeouts);
-    s.push_counter("pls_rpc_retries_total", retries);
-    s.push_counter("pls_breaker_opens_total", opens);
-    s.push_counter("pls_breaker_fast_fails_total", fast_fails);
+
+    /// Appends these totals plus those of the live `peers` to a
+    /// snapshot.
+    fn push<'a>(
+        mut self,
+        s: &mut MetricsSnapshot,
+        peers: impl IntoIterator<Item = &'a PeerClient>,
+    ) {
+        peers.into_iter().for_each(|peer| self.absorb(peer));
+        s.push_counter("pls_rpc_timeouts_total", self.timeouts);
+        s.push_counter("pls_rpc_retries_total", self.retries);
+        s.push_counter("pls_breaker_opens_total", self.opens);
+        s.push_counter("pls_breaker_fast_fails_total", self.fast_fails);
+    }
+}
+
+/// Per-member RPC clients, keyed by *member id*: created on first use
+/// from the membership's dial address, dropped — breaker streaks,
+/// half-open trials and all — when the member leaves. The drop is the
+/// point: a departed server must stop consuming retry budget and
+/// half-open trials forever (and a later rejoin under the same id
+/// starts with a clean slate). The servers and the client library keep
+/// one each.
+#[derive(Debug)]
+pub(crate) struct PeerBook {
+    timeouts: Timeouts,
+    breaker: BreakerConfig,
+    inner: Mutex<Book>,
+}
+
+#[derive(Debug, Default)]
+struct Book {
+    clients: HashMap<u64, Arc<PeerClient>>,
+    /// What the dropped clients had counted.
+    retired: Robustness,
+}
+
+impl PeerBook {
+    pub fn new(timeouts: Timeouts, breaker: BreakerConfig) -> Self {
+        PeerBook { timeouts, breaker, inner: Mutex::default() }
+    }
+
+    /// The client for member `id` dialing `addr`, created on demand. A
+    /// client whose recorded address no longer matches (the id was
+    /// reallocated to a different server) is replaced wholesale.
+    pub fn client(&self, id: u64, addr: &str) -> Option<Arc<PeerClient>> {
+        let sockaddr: SocketAddr = addr.parse().ok()?;
+        let mut book = self.inner.lock().expect("peer book lock");
+        if let Some(existing) = book.clients.get(&id) {
+            if existing.addr() == sockaddr {
+                return Some(Arc::clone(existing));
+            }
+        }
+        let fresh = Arc::new(PeerClient::with_policies(sockaddr, self.timeouts, self.breaker));
+        if let Some(replaced) = book.clients.insert(id, Arc::clone(&fresh)) {
+            book.retired.absorb(&replaced);
+        }
+        Some(fresh)
+    }
+
+    /// Whether member `id` looks healthy; one never dialed does.
+    pub fn healthy(&self, id: u64) -> bool {
+        self.inner.lock().expect("peer book lock").clients.get(&id).is_none_or(|p| p.healthy())
+    }
+
+    /// Drops every client whose member left `view`, purging its breaker
+    /// and failure-streak state with it. Returns how many were purged.
+    pub fn prune(&self, view: &Membership) -> usize {
+        let mut book = self.inner.lock().expect("peer book lock");
+        let Book { clients, retired } = &mut *book;
+        let before = clients.len();
+        clients.retain(|id, client| {
+            let stays = view.contains(*id);
+            if !stays {
+                retired.absorb(client);
+            }
+            stays
+        });
+        before - clients.len()
+    }
+
+    /// Every client held now.
+    pub fn all(&self) -> Vec<Arc<PeerClient>> {
+        self.inner.lock().expect("peer book lock").clients.values().cloned().collect()
+    }
+
+    /// Appends the robustness totals of every client this book ever
+    /// held to a metrics snapshot.
+    pub fn push_robustness(&self, s: &mut MetricsSnapshot) {
+        let book = self.inner.lock().expect("peer book lock");
+        book.retired.push(s, book.clients.values().map(|p| p.as_ref()));
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tokio::io::AsyncReadExt;
-    use tokio::net::TcpListener;
+    use crate::sock::Acceptor;
+    use std::io::{Read, Write};
+    use std::net::TcpListener;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::Instant;
 
-    /// A toy server answering every request with `Ok`, echoing ids.
-    async fn spawn_ok_server() -> SocketAddr {
-        let listener = TcpListener::bind("127.0.0.1:0").await.unwrap();
+    /// A toy server on an ephemeral port running `serve` on a thread per
+    /// connection; dropping the handle shuts its sockets down and joins.
+    fn spawn_server(serve: impl Fn(&TcpStream) + Send + Sync + 'static) -> (SocketAddr, Acceptor) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        tokio::spawn(async move {
-            loop {
-                let (mut sock, _) = match listener.accept().await {
-                    Ok(x) => x,
-                    Err(_) => return,
-                };
-                tokio::spawn(async move {
-                    while let Ok(Some((id, _, payload))) = read_frame(&mut sock).await {
-                        let _ = Request::decode(&payload);
-                        if write_frame(&mut sock, id, 0, &Response::Ok.encode()).await.is_err() {
-                            return;
-                        }
-                    }
-                });
-            }
-        });
-        addr
+        (addr, Acceptor::spawn(listener, addr, usize::MAX, serve, |_| {}))
     }
 
-    #[tokio::test]
-    async fn call_roundtrip_and_reuse() {
-        let addr = spawn_ok_server().await;
+    /// Answers one request on `sock` with `resp` and `service_us`,
+    /// echoing the id; `false` once the connection is gone.
+    fn answer_one(sock: &mut &TcpStream, resp: &Response, service_us: u64) -> bool {
+        let Ok(Some((id, _, _))) = read_frame(sock) else { return false };
+        write_frame(sock, id, service_us, &resp.encode()).is_ok()
+    }
+
+    /// A toy server answering every request with `Ok`, echoing ids.
+    fn spawn_ok_server() -> (SocketAddr, Acceptor) {
+        spawn_server(|mut sock| while answer_one(&mut sock, &Response::Ok, 0) {})
+    }
+
+    /// A server that closes each connection after one exchange.
+    fn spawn_one_shot_server() -> (SocketAddr, Acceptor) {
+        spawn_server(|mut sock| {
+            answer_one(&mut sock, &Response::Ok, 0);
+        })
+    }
+
+    /// A (very likely) dead port: bound, then dropped.
+    fn dead_port() -> SocketAddr {
+        TcpListener::bind("127.0.0.1:0").unwrap().local_addr().unwrap()
+    }
+
+    #[test]
+    fn call_roundtrip_and_reuse() {
+        let (addr, _server) = spawn_ok_server();
         let client = PeerClient::new(addr);
         for id in 0..5 {
-            let resp = client.call(id, &Request::Status).await.unwrap();
+            let resp = client.call(id, &Request::Status).unwrap();
             assert_eq!(resp, Response::Ok);
         }
         // The pool holds the reused connection.
@@ -443,68 +534,58 @@ mod tests {
         assert_eq!(client.stats().dial_failures.get(), 0);
     }
 
-    #[tokio::test]
-    async fn concurrent_calls_use_separate_connections() {
-        let addr = spawn_ok_server().await;
-        let client = std::sync::Arc::new(PeerClient::new(addr));
-        let mut tasks = Vec::new();
-        for id in 0..8 {
-            let c = std::sync::Arc::clone(&client);
-            tasks.push(tokio::spawn(async move { c.call(id, &Request::Status).await }));
-        }
-        for t in tasks {
-            assert_eq!(t.await.unwrap().unwrap(), Response::Ok);
-        }
+    #[test]
+    fn concurrent_calls_use_separate_connections() {
+        let (addr, _server) = spawn_ok_server();
+        let client = PeerClient::new(addr);
+        std::thread::scope(|s| {
+            let client = &client;
+            let calls: Vec<_> =
+                (0..8).map(|id| s.spawn(move || client.call(id, &Request::Status))).collect();
+            for c in calls {
+                assert_eq!(c.join().unwrap().unwrap(), Response::Ok);
+            }
+        });
         // Pool is capped.
         assert!(client.pool.lock().unwrap().len() <= POOL_SIZE);
     }
 
-    #[tokio::test]
-    async fn call_timed_surfaces_echoed_service_time() {
-        let listener = TcpListener::bind("127.0.0.1:0").await.unwrap();
-        let addr = listener.local_addr().unwrap();
-        tokio::spawn(async move {
-            let (mut sock, _) = listener.accept().await.unwrap();
-            let (id, _, _) = read_frame(&mut sock).await.unwrap().unwrap();
-            write_frame(&mut sock, id, 4321, &Response::Ok.encode()).await.unwrap();
+    #[test]
+    fn call_timed_surfaces_echoed_service_time() {
+        let (addr, _server) = spawn_server(|mut sock| {
+            answer_one(&mut sock, &Response::Ok, 4321);
         });
         let client = PeerClient::new(addr);
-        let (resp, service_us) = client.call_timed(1, &Request::Status).await.unwrap();
+        let (resp, service_us) =
+            client.call_bounded_timed(1, &Request::Status, Duration::from_secs(2)).unwrap();
         assert_eq!(resp, Response::Ok);
         assert_eq!(service_us, 4321);
     }
 
-    #[tokio::test]
-    async fn remote_error_is_surfaced() {
-        let listener = TcpListener::bind("127.0.0.1:0").await.unwrap();
-        let addr = listener.local_addr().unwrap();
-        tokio::spawn(async move {
-            let (mut sock, _) = listener.accept().await.unwrap();
-            let (id, _, _) = read_frame(&mut sock).await.unwrap().unwrap();
-            write_frame(&mut sock, id, 0, &Response::Error("nope".into()).encode()).await.unwrap();
+    #[test]
+    fn remote_error_is_surfaced() {
+        let (addr, _server) = spawn_server(|mut sock| {
+            answer_one(&mut sock, &Response::Error("nope".into()), 0);
         });
         let client = PeerClient::new(addr);
-        let err = client.call(1, &Request::Status).await.unwrap_err();
+        let err = client.call(1, &Request::Status).unwrap_err();
         assert_eq!(err, ClusterError::Remote("nope".into()));
     }
 
-    #[tokio::test]
-    async fn unsupported_refusal_keeps_connection_and_breaker_healthy() {
+    #[test]
+    fn unsupported_refusal_keeps_connection_and_breaker_healthy() {
         // An "old server" that predates the membership RPCs: any frame
         // carrying opcode 0x0D gets the clean refusal frame, everything
         // else is answered normally — all on the same connection, the
         // mixed-version rollout contract.
-        let listener = TcpListener::bind("127.0.0.1:0").await.unwrap();
-        let addr = listener.local_addr().unwrap();
-        tokio::spawn(async move {
-            let (mut sock, _) = listener.accept().await.unwrap();
-            while let Ok(Some((id, _, payload))) = read_frame(&mut sock).await {
+        let (addr, _server) = spawn_server(|mut sock| {
+            while let Ok(Some((id, _, payload))) = read_frame(&mut sock) {
                 let resp = if payload.first() == Some(&0x0D) {
                     Response::Error(format!("{UNSUPPORTED_PREFIX}{:#04x}", 0x0D))
                 } else {
                     Response::Ok
                 };
-                if write_frame(&mut sock, id, 0, &resp.encode()).await.is_err() {
+                if write_frame(&mut sock, id, 0, &resp.encode()).is_err() {
                     return;
                 }
             }
@@ -512,10 +593,8 @@ mod tests {
         let client = PeerClient::new(addr);
         // A membership fetch against the old server: the refusal comes
         // back as a *typed* Unsupported, not a generic remote error.
-        let err = client
-            .call(9, &Request::Membership { epoch: 0, members: Vec::new() })
-            .await
-            .unwrap_err();
+        let err =
+            client.call(9, &Request::Membership { epoch: 0, members: Vec::new() }).unwrap_err();
         assert_eq!(err, ClusterError::Unsupported(0x0D));
         // The exchange completed cleanly, so the connection went back to
         // the pool (not poisoned) and the breaker saw proof of life.
@@ -523,7 +602,7 @@ mod tests {
         assert_eq!(client.stats().discarded.get(), 0);
         assert!(client.healthy());
         // The very same connection keeps serving ordinary requests.
-        assert_eq!(client.call(10, &Request::Status).await.unwrap(), Response::Ok);
+        assert_eq!(client.call(10, &Request::Status).unwrap(), Response::Ok);
         assert_eq!(client.stats().dials.get(), 1);
         assert_eq!(client.stats().reuses.get(), 1);
         // A remote error that is not the refusal shape stays Remote.
@@ -531,153 +610,109 @@ mod tests {
         assert_eq!(generic.unwrap_err(), ClusterError::Remote("kaput".into()));
     }
 
-    #[tokio::test]
-    async fn reset_health_closes_an_open_breaker() {
-        let addr = spawn_black_hole().await;
+    #[test]
+    fn reset_health_closes_an_open_breaker() {
+        let (addr, _server) = spawn_black_hole();
         let cfg = BreakerConfig { failure_threshold: 1, cooldown: Duration::from_secs(3600) };
         let client = PeerClient::with_policies(addr, tight_timeouts(), cfg);
-        let _ = client.call(1, &Request::Status).await;
+        let _ = client.call(1, &Request::Status);
         assert!(!client.healthy());
-        assert_eq!(
-            client.call(2, &Request::Status).await.unwrap_err(),
-            ClusterError::PeerUnhealthy
-        );
-        client.reset_health();
-        assert!(client.healthy(), "membership change must clear the breaker");
+        assert_eq!(client.call(2, &Request::Status).unwrap_err(), ClusterError::PeerUnhealthy);
+        client.breaker().reset();
+        assert!(client.healthy(), "a reset breaker is closed");
         // The next call reaches the network again (and times out there,
         // not in the breaker).
-        assert_eq!(
-            client.call(3, &Request::Status).await.unwrap_err(),
-            ClusterError::Timeout("rpc")
-        );
+        assert_eq!(client.call(3, &Request::Status).unwrap_err(), ClusterError::Timeout("rpc"));
     }
 
-    #[tokio::test]
-    async fn reconnects_after_peer_drops_connection() {
-        // A server that closes each connection after one exchange.
-        let listener = TcpListener::bind("127.0.0.1:0").await.unwrap();
-        let addr = listener.local_addr().unwrap();
-        tokio::spawn(async move {
-            loop {
-                let (mut sock, _) = match listener.accept().await {
-                    Ok(x) => x,
-                    Err(_) => return,
-                };
-                if let Ok(Some((id, _, _))) = read_frame(&mut sock).await {
-                    let _ = write_frame(&mut sock, id, 0, &Response::Ok.encode()).await;
-                }
-                // Drop the socket: next call must reconnect.
-            }
-        });
+    #[test]
+    fn reconnects_after_peer_drops_connection() {
+        let (addr, _server) = spawn_one_shot_server();
         let client = PeerClient::new(addr);
-        assert_eq!(client.call(1, &Request::Status).await.unwrap(), Response::Ok);
-        assert_eq!(client.call(2, &Request::Status).await.unwrap(), Response::Ok);
+        assert_eq!(client.call(1, &Request::Status).unwrap(), Response::Ok);
+        assert_eq!(client.call(2, &Request::Status).unwrap(), Response::Ok);
     }
 
-    #[tokio::test]
-    async fn unreachable_peer_errors() {
-        // Bind-then-drop to get a (very likely) dead port.
-        let listener = TcpListener::bind("127.0.0.1:0").await.unwrap();
-        let addr = listener.local_addr().unwrap();
-        drop(listener);
-        let client = PeerClient::new(addr);
-        assert!(matches!(client.call(1, &Request::Status).await, Err(ClusterError::Io(_))));
+    #[test]
+    fn unreachable_peer_errors() {
+        let client = PeerClient::new(dead_port());
+        assert!(matches!(client.call(1, &Request::Status), Err(ClusterError::Io(_))));
     }
 
-    #[tokio::test]
-    async fn garbage_response_is_decode_error() {
-        let listener = TcpListener::bind("127.0.0.1:0").await.unwrap();
-        let addr = listener.local_addr().unwrap();
-        tokio::spawn(async move {
-            let (mut sock, _) = listener.accept().await.unwrap();
+    #[test]
+    fn garbage_response_is_decode_error() {
+        let (addr, _server) = spawn_server(|mut sock| {
             let mut buf = [0u8; 64];
-            let _ = sock.read(&mut buf).await;
+            let _ = sock.read(&mut buf);
             // A valid frame echoing id 7, with an invalid opcode.
-            write_frame(&mut sock, 7, 0, &[0x33]).await.unwrap();
+            write_frame(&mut sock, 7, 0, &[0x33]).unwrap();
         });
         let client = PeerClient::new(addr);
-        assert!(matches!(client.call(7, &Request::Status).await, Err(ClusterError::Decode(_))));
+        assert!(matches!(client.call(7, &Request::Status), Err(ClusterError::Decode(_))));
         // The desynchronized connection is poisoned: dropped, not
         // returned to the pool.
         assert_eq!(client.pooled(), 0);
         assert_eq!(client.stats().discarded.get(), 1);
     }
 
-    #[tokio::test]
-    async fn mismatched_response_id_is_rejected_and_poisons_connection() {
-        let listener = TcpListener::bind("127.0.0.1:0").await.unwrap();
-        let addr = listener.local_addr().unwrap();
-        tokio::spawn(async move {
-            let (mut sock, _) = listener.accept().await.unwrap();
-            let _ = read_frame(&mut sock).await;
+    #[test]
+    fn mismatched_response_id_is_rejected_and_poisons_connection() {
+        let (addr, _server) = spawn_server(|mut sock| {
+            let _ = read_frame(&mut sock);
             // Answer with a valid `Ok` frame stamped with the wrong id.
-            write_frame(&mut sock, 999, 0, &Response::Ok.encode()).await.unwrap();
+            write_frame(&mut sock, 999, 0, &Response::Ok.encode()).unwrap();
         });
         let client = PeerClient::new(addr);
-        let err = client.call(5, &Request::Status).await.unwrap_err();
+        let err = client.call(5, &Request::Status).unwrap_err();
         assert_eq!(err, ClusterError::Decode("response id"));
         assert_eq!(client.pooled(), 0);
         assert_eq!(client.stats().discarded.get(), 1);
     }
 
-    #[tokio::test]
-    async fn stale_pooled_connection_is_discarded_and_redialed() {
-        // A server that closes each connection after one exchange: the
-        // second call finds a dead pooled connection, discards it, and
-        // succeeds on a fresh dial.
-        let listener = TcpListener::bind("127.0.0.1:0").await.unwrap();
-        let addr = listener.local_addr().unwrap();
-        tokio::spawn(async move {
-            loop {
-                let (mut sock, _) = match listener.accept().await {
-                    Ok(x) => x,
-                    Err(_) => return,
-                };
-                if let Ok(Some((id, _, _))) = read_frame(&mut sock).await {
-                    let _ = write_frame(&mut sock, id, 0, &Response::Ok.encode()).await;
-                }
-            }
-        });
+    #[test]
+    fn stale_pooled_connection_is_discarded_and_redialed() {
+        // The second call finds a dead pooled connection, discards it,
+        // and succeeds on a fresh dial.
+        let (addr, _server) = spawn_one_shot_server();
         let client = PeerClient::new(addr);
-        assert_eq!(client.call(1, &Request::Status).await.unwrap(), Response::Ok);
-        assert_eq!(client.call(2, &Request::Status).await.unwrap(), Response::Ok);
+        assert_eq!(client.call(1, &Request::Status).unwrap(), Response::Ok);
+        assert_eq!(client.call(2, &Request::Status).unwrap(), Response::Ok);
         assert_eq!(client.stats().dials.get(), 2);
         assert_eq!(client.stats().reuses.get(), 1);
         assert_eq!(client.stats().discarded.get(), 1);
     }
 
-    #[tokio::test]
-    async fn failed_dial_is_counted() {
-        let listener = TcpListener::bind("127.0.0.1:0").await.unwrap();
-        let addr = listener.local_addr().unwrap();
-        drop(listener);
-        let client = PeerClient::new(addr);
-        assert!(client.call(1, &Request::Status).await.is_err());
+    #[test]
+    fn failed_dial_is_counted() {
+        let client = PeerClient::new(dead_port());
+        assert!(client.call(1, &Request::Status).is_err());
         assert_eq!(client.stats().dials.get(), 1);
         assert_eq!(client.stats().dial_failures.get(), 1);
         assert_eq!(client.pooled(), 0);
     }
 
-    #[tokio::test]
-    async fn pool_eviction_over_capacity_is_counted() {
-        let addr = spawn_ok_server().await;
-        let client = std::sync::Arc::new(PeerClient::new(addr));
+    #[test]
+    fn pool_eviction_over_capacity_is_counted() {
+        let (addr, _server) = spawn_ok_server();
+        let client = PeerClient::new(addr);
         // Far more concurrent calls than POOL_SIZE: every call dials (the
         // pool starts empty and all calls are in flight together), and
         // only POOL_SIZE connections fit back.
-        let mut tasks = Vec::new();
-        let barrier = std::sync::Arc::new(tokio::sync::Barrier::new(POOL_SIZE * 3));
-        for id in 0..(POOL_SIZE * 3) as u64 {
-            let c = std::sync::Arc::clone(&client);
-            let b = std::sync::Arc::clone(&barrier);
-            tasks.push(tokio::spawn(async move {
-                b.wait().await;
-                c.call(id, &Request::Status).await
-            }));
-        }
-        for t in tasks {
-            assert_eq!(t.await.unwrap().unwrap(), Response::Ok);
-        }
+        let barrier = std::sync::Barrier::new(POOL_SIZE * 3);
+        std::thread::scope(|s| {
+            let (client, barrier) = (&client, &barrier);
+            let calls: Vec<_> = (0..(POOL_SIZE * 3) as u64)
+                .map(|id| {
+                    s.spawn(move || {
+                        barrier.wait();
+                        client.call(id, &Request::Status)
+                    })
+                })
+                .collect();
+            for c in calls {
+                assert_eq!(c.join().unwrap().unwrap(), Response::Ok);
+            }
+        });
         assert!(client.pooled() <= POOL_SIZE);
         let s = client.stats();
         assert_eq!(s.dials.get() + s.reuses.get(), (POOL_SIZE * 3) as u64);
@@ -687,34 +722,23 @@ mod tests {
     }
 
     /// A black hole: accepts TCP, reads forever, never replies.
-    async fn spawn_black_hole() -> SocketAddr {
-        let listener = TcpListener::bind("127.0.0.1:0").await.unwrap();
-        let addr = listener.local_addr().unwrap();
-        tokio::spawn(async move {
-            loop {
-                let (mut sock, _) = match listener.accept().await {
-                    Ok(x) => x,
-                    Err(_) => return,
-                };
-                tokio::spawn(async move {
-                    let mut buf = [0u8; 1024];
-                    while matches!(sock.read(&mut buf).await, Ok(n) if n > 0) {}
-                });
-            }
-        });
-        addr
+    fn spawn_black_hole() -> (SocketAddr, Acceptor) {
+        spawn_server(|mut sock| {
+            let mut buf = [0u8; 1024];
+            while matches!(sock.read(&mut buf), Ok(n) if n > 0) {}
+        })
     }
 
     fn tight_timeouts() -> Timeouts {
         Timeouts::default().with_connect_ms(200).with_rpc_ms(50).with_op_budget_ms(500)
     }
 
-    #[tokio::test]
-    async fn black_holed_peer_times_out_within_deadline() {
-        let addr = spawn_black_hole().await;
+    #[test]
+    fn black_holed_peer_times_out_within_deadline() {
+        let (addr, _server) = spawn_black_hole();
         let client = PeerClient::with_policies(addr, tight_timeouts(), BreakerConfig::default());
-        let started = std::time::Instant::now();
-        let err = client.call(1, &Request::Status).await.unwrap_err();
+        let started = Instant::now();
+        let err = client.call(1, &Request::Status).unwrap_err();
         assert_eq!(err, ClusterError::Timeout("rpc"));
         assert!(started.elapsed() < Duration::from_secs(2));
         assert_eq!(client.stats().timeouts.get(), 1);
@@ -722,80 +746,100 @@ mod tests {
         assert_eq!(client.pooled(), 0);
     }
 
-    #[tokio::test]
-    async fn breaker_fast_fails_after_consecutive_timeouts() {
-        let addr = spawn_black_hole().await;
+    #[test]
+    fn a_trickling_peer_cannot_stretch_a_call_past_its_limit() {
+        // One byte of a valid reply every tick: each read succeeds long
+        // before any per-read timeout, so only a deadline re-armed
+        // before every read ends the call on time (the whole reply
+        // would take 20+ ticks).
+        const TICK: Duration = Duration::from_millis(50);
+        let (addr, _server) = spawn_server(|mut sock| {
+            let Ok(Some((id, _, _))) = read_frame(&mut sock) else { return };
+            let mut reply = Vec::new();
+            write_frame(&mut reply, id, 0, &Response::Ok.encode()).unwrap();
+            for byte in reply {
+                if sock.write_all(&[byte]).is_err() {
+                    return;
+                }
+                std::thread::sleep(TICK);
+            }
+        });
+        let client = PeerClient::new(addr);
+        let limit = Duration::from_millis(200);
+        let started = Instant::now();
+        let err = client.call_bounded(1, &Request::Status, limit).unwrap_err();
+        let elapsed = started.elapsed();
+        assert_eq!(err, ClusterError::Timeout("rpc"));
+        assert!(elapsed >= limit, "gave up early: {elapsed:?}");
+        assert!(elapsed < limit + TICK, "held for {elapsed:?}, limit {limit:?}");
+        assert_eq!(client.stats().timeouts.get(), 1);
+        assert_eq!(client.pooled(), 0);
+    }
+
+    #[test]
+    fn breaker_fast_fails_after_consecutive_timeouts() {
+        let (addr, _server) = spawn_black_hole();
         let cfg = BreakerConfig { failure_threshold: 3, cooldown: Duration::from_secs(30) };
         let client = PeerClient::with_policies(addr, tight_timeouts(), cfg);
         for id in 0..3 {
             assert_eq!(
-                client.call(id, &Request::Status).await.unwrap_err(),
+                client.call(id, &Request::Status).unwrap_err(),
                 ClusterError::Timeout("rpc")
             );
         }
         assert_eq!(client.breaker().opens.get(), 1);
         assert!(!client.healthy());
         // The fourth call never touches the network.
-        let started = std::time::Instant::now();
-        let err = client.call(99, &Request::Status).await.unwrap_err();
+        let started = Instant::now();
+        let err = client.call(99, &Request::Status).unwrap_err();
         assert_eq!(err, ClusterError::PeerUnhealthy);
         assert!(started.elapsed() < Duration::from_millis(40));
         assert_eq!(client.stats().timeouts.get(), 3);
         assert!(client.breaker().fast_fails.get() >= 1);
     }
 
-    #[tokio::test]
-    async fn call_retry_retries_with_backoff_then_gives_up() {
-        // Unreachable port: every attempt fails fast with ECONNREFUSED.
-        let listener = TcpListener::bind("127.0.0.1:0").await.unwrap();
-        let addr = listener.local_addr().unwrap();
-        drop(listener);
-        let client = PeerClient::with_policies(addr, tight_timeouts(), BreakerConfig::default());
-        let policy = RetryPolicy {
+    fn quick_retries() -> RetryPolicy {
+        RetryPolicy {
             max_attempts: 3,
             backoff_base: Duration::from_millis(1),
             backoff_cap: Duration::from_millis(2),
-        };
+        }
+    }
+
+    #[test]
+    fn call_retry_retries_with_backoff_then_gives_up() {
+        // Unreachable port: every attempt fails fast with ECONNREFUSED.
+        let client =
+            PeerClient::with_policies(dead_port(), tight_timeouts(), BreakerConfig::default());
         let deadline = Deadline::within(Duration::from_secs(5));
-        let err = client.call_retry(7, &Request::Status, &policy, deadline).await.unwrap_err();
+        let err = client.call_retry(7, &Request::Status, &quick_retries(), deadline).unwrap_err();
         assert!(matches!(err, ClusterError::Io(_)), "{err}");
         assert_eq!(client.stats().dials.get(), 3);
         assert_eq!(client.stats().retries.get(), 2);
     }
 
-    #[tokio::test]
-    async fn call_retry_succeeds_after_transient_failure() {
-        // First exchange is cut mid-frame; the retry lands on a healthy
-        // accept.
-        let listener = TcpListener::bind("127.0.0.1:0").await.unwrap();
-        let addr = listener.local_addr().unwrap();
-        tokio::spawn(async move {
-            // First connection: drop immediately (client sees EOF).
-            let (sock, _) = listener.accept().await.unwrap();
-            drop(sock);
-            // Second connection: answer properly.
-            let (mut sock, _) = listener.accept().await.unwrap();
-            if let Ok(Some((id, _, _))) = read_frame(&mut sock).await {
-                let _ = write_frame(&mut sock, id, 0, &Response::Ok.encode()).await;
+    #[test]
+    fn call_retry_succeeds_after_transient_failure() {
+        // The first connection is dropped on sight (the client sees
+        // EOF); the retry lands on a healthy accept.
+        let accepted = Arc::new(AtomicUsize::new(0));
+        let (addr, _server) = spawn_server(move |mut sock| {
+            if accepted.fetch_add(1, Ordering::SeqCst) > 0 {
+                answer_one(&mut sock, &Response::Ok, 0);
             }
         });
         let client = PeerClient::with_policies(addr, tight_timeouts(), BreakerConfig::default());
-        let policy = RetryPolicy {
-            max_attempts: 3,
-            backoff_base: Duration::from_millis(1),
-            backoff_cap: Duration::from_millis(2),
-        };
         let deadline = Deadline::within(Duration::from_secs(5));
-        let resp = client.call_retry(7, &Request::Status, &policy, deadline).await.unwrap();
+        let resp = client.call_retry(7, &Request::Status, &quick_retries(), deadline).unwrap();
         assert_eq!(resp, Response::Ok);
         assert_eq!(client.stats().retries.get(), 1);
     }
 
-    #[tokio::test]
-    async fn exhausted_deadline_fails_without_touching_network() {
-        let addr = spawn_black_hole().await;
+    #[test]
+    fn exhausted_deadline_fails_without_touching_network() {
+        let (addr, _server) = spawn_black_hole();
         let client = PeerClient::with_policies(addr, tight_timeouts(), BreakerConfig::default());
-        let err = client.call_bounded(1, &Request::Status, Duration::ZERO).await.unwrap_err();
+        let err = client.call_bounded(1, &Request::Status, Duration::ZERO).unwrap_err();
         assert_eq!(err, ClusterError::Timeout("op-budget"));
         assert_eq!(client.stats().dials.get(), 0);
     }
@@ -809,8 +853,11 @@ mod tests {
         b.stats().retries.inc();
         a.breaker().opens.inc();
         b.breaker().fast_fails.add(4);
+        // A client dropped from its book keeps counting.
+        let mut retired = Robustness::default();
+        retired.absorb(&a);
         let mut s = MetricsSnapshot::new();
-        push_peer_robustness(&mut s, [&a, &b]);
+        retired.push(&mut s, [&b]);
         assert_eq!(s.counter("pls_rpc_timeouts_total"), Some(5));
         assert_eq!(s.counter("pls_rpc_retries_total"), Some(1));
         assert_eq!(s.counter("pls_breaker_opens_total"), Some(1));

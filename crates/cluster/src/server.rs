@@ -1,10 +1,11 @@
 //! The lookup server: one process, one `NodeEngine` per key.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
-use std::net::SocketAddr;
+use std::collections::{BTreeMap, HashSet};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use pls_core::membership::{group_index, DEFAULT_GROUP_SIZE};
@@ -13,17 +14,17 @@ use pls_metrics::fault_tolerance::greedy_tolerance;
 use pls_net::Endpoint;
 use pls_telemetry::trace::Span;
 use pls_telemetry::{Level, MetricsSnapshot, SiteStats, SpanRecord, TimedMutex};
-use tokio::net::{TcpListener, TcpStream};
 
 use crate::error::ClusterError;
 use crate::frame::{read_frame, write_frame};
 use crate::metrics::{merged_site_snapshot, strategy_index, ServerMetrics, STRATEGY_LABELS};
 use crate::proto::{Entry, Request, Response};
 use crate::retry::{splitmix64, BreakerConfig, Deadline, RetryPolicy, Timeouts};
-use crate::rpc::{push_peer_robustness, PeerClient, UNSUPPORTED_PREFIX};
+use crate::rpc::{PeerBook, PeerClient, UNSUPPORTED_PREFIX};
 use crate::shard::{
     digest_verdict, entries_for_rebuild, merge_donor_rows, Applied, Digest, Rebuilt, Shards,
 };
+use crate::sock::Acceptor;
 use crate::storage::{self, KeySnapshot, Storage};
 use crate::wire::FRAME_OVERHEAD;
 
@@ -87,8 +88,9 @@ pub struct ServerConfig {
     pub self_scrape: Option<Duration>,
     /// Fast SLO burn-rate window (`pls_slo_burn_rate{window="fast"}`).
     pub slo_fast: Duration,
-    /// Slow SLO burn-rate window (`pls_slo_burn_rate{window="slow"}`);
-    /// also bounds how far back the timeline must reach.
+    /// Slow SLO burn-rate window (`pls_slo_burn_rate{window="slow"}`,
+    /// floored at the fast one); also bounds how far back the timeline
+    /// must reach.
     pub slo_slow: Duration,
     /// Latency SLO target in microseconds: requests slower than this
     /// burn the `latency` objective's error budget.
@@ -137,140 +139,6 @@ impl ServerConfig {
             membership: None,
         }
     }
-
-    /// Enables slow-request logging above `ms` milliseconds.
-    pub fn with_slow_ms(mut self, ms: u64) -> Self {
-        self.slow_ms = Some(ms);
-        self
-    }
-
-    /// Overrides the time bounds on outbound RPCs.
-    pub fn with_timeouts(mut self, timeouts: Timeouts) -> Self {
-        self.timeouts = timeouts;
-        self
-    }
-
-    /// Enables durability: engine messages are write-ahead logged under
-    /// `dir`, checkpointed periodically, and replayed at startup.
-    pub fn with_data_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.data_dir = Some(dir.into());
-        self
-    }
-
-    /// Overrides how many WAL appends trigger a checkpoint.
-    pub fn with_checkpoint_every(mut self, every: u64) -> Self {
-        self.checkpoint_every = every;
-        self
-    }
-
-    /// Enables the background anti-entropy loop at roughly this
-    /// interval.
-    pub fn with_anti_entropy(mut self, every: Duration) -> Self {
-        self.anti_entropy = Some(every);
-        self
-    }
-
-    /// Enables the background staleness-probe loop at roughly this
-    /// interval.
-    pub fn with_staleness_probe(mut self, every: Duration) -> Self {
-        self.staleness_probe = Some(every);
-        self
-    }
-
-    /// Overrides how long delete tombstones are kept before TTL GC.
-    pub fn with_tombstone_ttl(mut self, ttl: Duration) -> Self {
-        self.tombstone_ttl = ttl;
-        self
-    }
-
-    /// Overrides the shared-nothing shard count (clamped to at least 1).
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
-        self
-    }
-
-    /// Overrides the observatory self-scrape interval; `None` disables
-    /// the loop.
-    pub fn with_self_scrape(mut self, every: Option<Duration>) -> Self {
-        self.self_scrape = every;
-        self
-    }
-
-    /// Overrides the fast/slow SLO burn-rate windows (slow is floored
-    /// at fast).
-    pub fn with_slo_windows(mut self, fast: Duration, slow: Duration) -> Self {
-        self.slo_fast = fast;
-        self.slo_slow = slow.max(fast);
-        self
-    }
-
-    /// Overrides the latency SLO target, microseconds.
-    pub fn with_slo_latency_target_us(mut self, target_us: u64) -> Self {
-        self.slo_latency_target_us = target_us;
-        self
-    }
-
-    /// Overrides the placement-group size (clamped to at least 1).
-    pub fn with_group_size(mut self, g: usize) -> Self {
-        self.group_size = g.max(1);
-        self
-    }
-
-    /// Boots with an explicit membership view instead of bootstrapping
-    /// from the static peer list — the join flow, where the seed's
-    /// `JoinLeave` response carries both the joiner's id and the view.
-    pub fn with_membership(mut self, my_id: u64, view: Membership) -> Self {
-        self.membership = Some((my_id, view));
-        self
-    }
-}
-
-/// Dynamic per-peer RPC clients, keyed by *member id*: created on first
-/// use from the membership's dial address, dropped — breaker streaks,
-/// half-open trials and all — when the member leaves. The drop is the
-/// point: a departed server must stop consuming retry budget and
-/// half-open trials forever (and a later rejoin under the same id
-/// starts with a clean slate).
-struct PeerBook {
-    timeouts: Timeouts,
-    inner: Mutex<HashMap<u64, Arc<PeerClient>>>,
-}
-
-impl PeerBook {
-    fn new(timeouts: Timeouts) -> Self {
-        PeerBook { timeouts, inner: Mutex::new(HashMap::new()) }
-    }
-
-    /// The client for member `id` dialing `addr`, created on demand. A
-    /// client whose recorded address no longer matches (the id was
-    /// reallocated to a different server) is replaced wholesale.
-    fn client(&self, id: u64, addr: &str) -> Option<Arc<PeerClient>> {
-        let sockaddr: SocketAddr = addr.parse().ok()?;
-        let mut inner = self.inner.lock().expect("peer book lock");
-        if let Some(existing) = inner.get(&id) {
-            if existing.addr() == sockaddr {
-                return Some(Arc::clone(existing));
-            }
-        }
-        let fresh =
-            Arc::new(PeerClient::with_policies(sockaddr, self.timeouts, BreakerConfig::default()));
-        inner.insert(id, Arc::clone(&fresh));
-        Some(fresh)
-    }
-
-    /// Drops every client whose member left `view`, purging its breaker
-    /// and failure-streak state with it. Returns how many were purged.
-    fn prune(&self, view: &Membership) -> usize {
-        let mut inner = self.inner.lock().expect("peer book lock");
-        let before = inner.len();
-        inner.retain(|id, _| view.contains(*id));
-        before - inner.len()
-    }
-
-    /// Every live client, for robustness metric totals.
-    fn all(&self) -> Vec<Arc<PeerClient>> {
-        self.inner.lock().expect("peer book lock").values().cloned().collect()
-    }
 }
 
 /// Shared server state: the I/O shell's half. Every key's engine, the
@@ -282,9 +150,11 @@ impl PeerBook {
 struct State {
     cfg: ServerConfig,
     shards: Shards,
-    /// Wakes the anti-entropy loop immediately when a new epoch is
-    /// installed, so migration starts without waiting out the interval.
-    membership_changed: tokio::sync::Notify,
+    /// What the maintenance thread waits on besides its due times:
+    /// a new epoch (anti-entropy runs at once, so migration starts
+    /// without waiting out the interval) and [`ServerHandle::kill`].
+    signals: Mutex<Signals>,
+    wake: Condvar,
     peers: PeerBook,
     /// Runtime counters/histograms; atomics only, shared by every
     /// connection handler without further locking.
@@ -306,7 +176,7 @@ struct State {
     /// every server in the process, so each server exports deltas
     /// against its own baseline instead of draining the globals out
     /// from under its siblings.
-    alloc_base: AllocBaseline,
+    alloc_base: Mutex<pls_telemetry::AllocStats>,
     /// The SLO & timeline observatory: the self-scrape loop records
     /// cumulative snapshots here and refreshes the error-budget
     /// accounting; the Metrics exposition and `GET /debug/timeline`
@@ -315,6 +185,12 @@ struct State {
     /// Process-start instant: the monotonic clock timeline windows and
     /// SLO burn windows are stamped with.
     started: Instant,
+}
+
+#[derive(Default)]
+struct Signals {
+    membership_changed: bool,
+    stop: bool,
 }
 
 /// The time dimension of the observatory, behind one [`TimedMutex`]:
@@ -333,10 +209,11 @@ impl Observatory {
         // window at the configured scrape cadence (jitter averages
         // 1.0x), bounded so a pathological config cannot balloon it.
         let scrape_us = cfg.self_scrape.unwrap_or(Duration::from_secs(2)).as_micros().max(1);
-        let capacity = (2 * cfg.slo_slow.as_micros() / scrape_us + 2).clamp(32, 360) as usize;
+        let slow = cfg.slo_slow.max(cfg.slo_fast);
+        let capacity = (2 * slow.as_micros() / scrape_us + 2).clamp(32, 360) as usize;
         Observatory {
             timeline: pls_telemetry::Timeline::new(capacity),
-            slo: pls_telemetry::SloTracker::new(slo_specs(cfg), cfg.slo_fast, cfg.slo_slow),
+            slo: pls_telemetry::SloTracker::new(slo_specs(cfg), cfg.slo_fast, slow),
             last_status: Vec::new(),
         }
     }
@@ -390,37 +267,14 @@ fn slo_specs(cfg: &ServerConfig) -> Vec<pls_telemetry::SloSpec> {
     ]
 }
 
-/// Stored copy of [`pls_telemetry::alloc::AllocStats`]' monotone
-/// counters, used as the subtraction point for `pls_alloc_*` exports.
-#[derive(Debug, Default)]
-struct AllocBaseline {
-    allocs: AtomicU64,
-    frees: AtomicU64,
-    allocated_bytes: AtomicU64,
-    freed_bytes: AtomicU64,
-}
-
-impl AllocBaseline {
-    fn load(&self) -> pls_telemetry::AllocStats {
-        pls_telemetry::AllocStats {
-            allocs: self.allocs.load(Ordering::Relaxed),
-            frees: self.frees.load(Ordering::Relaxed),
-            allocated_bytes: self.allocated_bytes.load(Ordering::Relaxed),
-            freed_bytes: self.freed_bytes.load(Ordering::Relaxed),
-            current_bytes: 0,
-            peak_bytes: 0,
-        }
-    }
-
-    fn store(&self, s: &pls_telemetry::AllocStats) {
-        self.allocs.store(s.allocs, Ordering::Relaxed);
-        self.frees.store(s.frees, Ordering::Relaxed);
-        self.allocated_bytes.store(s.allocated_bytes, Ordering::Relaxed);
-        self.freed_bytes.store(s.freed_bytes, Ordering::Relaxed);
-    }
-}
-
 impl State {
+    /// Whether [`ServerHandle::kill`] was called: fan-outs and repair
+    /// rounds stop at their next step instead of running out their
+    /// budget on a server that is already dead to its clients.
+    fn stopping(&self) -> bool {
+        self.signals.lock().expect("signals lock").stop
+    }
+
     /// A fresh request id for work this server originates itself.
     fn next_id(&self) -> u64 {
         // Weyl sequence: full-period, cheap, and visually distinct ids.
@@ -438,13 +292,13 @@ impl State {
     /// yet (order-preserving, set-backed dedup): a wiped server learns
     /// what it should hold from its peers. Returns how many peers
     /// answered.
-    async fn pull_keys(&self, req: u64, deadline: &Deadline, keys: &mut Vec<Vec<u8>>) -> usize {
+    fn pull_keys(&self, req: u64, deadline: &Deadline, keys: &mut Vec<Vec<u8>>) -> usize {
         let mut seen: HashSet<Vec<u8>> = keys.iter().cloned().collect();
         let mut answered = 0;
         for (id, addr) in &self.shards.other_members() {
             let Some(peer) = self.peers.client(*id, addr) else { continue };
             let cap = deadline.cap(self.cfg.timeouts.rpc);
-            if let Ok(Response::Keys(ks)) = peer.call_bounded(req, &Request::Keys, cap).await {
+            if let Ok(Response::Keys(ks)) = peer.call_bounded(req, &Request::Keys, cap) {
                 answered += 1;
                 keys.extend(ks.into_iter().filter(|k| seen.insert(k.clone())));
             }
@@ -454,21 +308,15 @@ impl State {
 
     /// Member `id`'s digest of `key`, if it is reachable within the
     /// deadline and knows the key.
-    async fn pull_digest(
-        &self,
-        id: u64,
-        req: u64,
-        key: &[u8],
-        deadline: &Deadline,
-    ) -> Option<Digest> {
+    fn pull_digest(&self, id: u64, req: u64, key: &[u8], deadline: &Deadline) -> Option<Digest> {
         let pull = Request::Digest { key: key.to_vec() };
         let cap = deadline.cap(self.cfg.timeouts.rpc);
-        let resp = self.peer_for(id)?.call_bounded(req, &pull, cap).await.ok()?;
+        let resp = self.peer_for(id)?.call_bounded(req, &pull, cap).ok()?;
         Digest::from_response(resp)
     }
 
     /// Member `id`'s full copy of `key`, on the same terms.
-    async fn pull_snapshot(
+    fn pull_snapshot(
         &self,
         id: u64,
         req: u64,
@@ -477,7 +325,7 @@ impl State {
     ) -> Option<KeySnapshot> {
         let pull = Request::Snapshot { key: key.to_vec() };
         let cap = deadline.cap(self.cfg.timeouts.rpc);
-        let resp = self.peer_for(id)?.call_bounded(req, &pull, cap).await.ok()?;
+        let resp = self.peer_for(id)?.call_bounded(req, &pull, cap).ok()?;
         KeySnapshot::from_response(key, resp)
     }
 }
@@ -503,12 +351,15 @@ fn versioned_client(msg: Message<Entry>) -> Message<Entry> {
     Message::Versioned { version: 0, stamp_ms: now_ms(), msg: Box::new(msg) }
 }
 
-/// A running lookup server.
+fn bad_index() -> ClusterError {
+    ClusterError::Config(pls_core::ConfigError::InvalidParameter("server index out of range"))
+}
+
+/// A lookup server, bound but not yet serving.
 ///
-/// Create with [`Server::bind`], then drive with [`Server::run`]
-/// (typically inside `tokio::spawn`). Aborting the task is a crash —
-/// peers simply fail to reach this server, exactly the failure model of
-/// the paper.
+/// Create with [`Server::bind`], then start with [`Server::spawn`].
+/// Killing the handle it returns is a crash — peers simply fail to
+/// reach this server, exactly the failure model of the paper.
 pub struct Server {
     listener: TcpListener,
     state: Arc<State>,
@@ -524,14 +375,9 @@ impl Server {
     ///
     /// Bind errors; [`ClusterError::Config`] for an invalid strategy or
     /// out-of-range `me`.
-    pub async fn bind(cfg: ServerConfig) -> Result<(Server, SocketAddr), ClusterError> {
-        if cfg.me >= cfg.peers.len() {
-            return Err(ClusterError::Config(pls_core::ConfigError::InvalidParameter(
-                "server index out of range",
-            )));
-        }
-        let listener = TcpListener::bind(cfg.peers[cfg.me]).await?;
-        Self::with_listener(cfg, listener)
+    pub fn bind(cfg: ServerConfig) -> Result<(Server, SocketAddr), ClusterError> {
+        let addr = *cfg.peers.get(cfg.me).ok_or_else(bad_index)?;
+        Self::with_listener(cfg, TcpListener::bind(addr)?)
     }
 
     /// Builds a server on an already-bound listener. Useful when the full
@@ -546,14 +392,9 @@ impl Server {
         cfg: ServerConfig,
         listener: TcpListener,
     ) -> Result<(Server, SocketAddr), ClusterError> {
-        if cfg.me >= cfg.peers.len() {
-            return Err(ClusterError::Config(pls_core::ConfigError::InvalidParameter(
-                "server index out of range",
-            )));
-        }
         let addr = listener.local_addr()?;
         let mut cfg = cfg;
-        cfg.peers[cfg.me] = addr;
+        *cfg.peers.get_mut(cfg.me).ok_or_else(bad_index)? = addr;
         // The live membership this server starts from: the explicit
         // view a joiner carries, or epoch-1 bootstrap over the static
         // peer list (ids = list positions, the pre-membership world).
@@ -571,7 +412,7 @@ impl Server {
         // the cluster: a key only ever lives on its `g` group members.
         cfg.spec.validate(initial.len().min(group_size).max(1))?;
         let table = RoutingTable::new(GroupRouter::new(group_size, cfg.seed), initial);
-        let peers = PeerBook::new(cfg.timeouts);
+        let peers = PeerBook::new(cfg.timeouts, BreakerConfig::default());
         let next_id = AtomicU64::new(splitmix64(cfg.seed ^ cfg.me as u64));
         let nshards = cfg.shards.max(1);
         // Open the data dir (if any) before serving: whatever the
@@ -594,13 +435,14 @@ impl Server {
         let state = Arc::new(State {
             cfg,
             shards,
-            membership_changed: tokio::sync::Notify::new(),
+            signals: Mutex::new(Signals::default()),
+            wake: Condvar::new(),
             peers,
             metrics,
             next_id,
             live_ft: TimedMutex::new("live_ft", BTreeMap::new()),
             live_staleness: TimedMutex::new("live_staleness", BTreeMap::new()),
-            alloc_base: AllocBaseline::default(),
+            alloc_base: Mutex::default(),
             observatory,
             started: Instant::now(),
         });
@@ -622,21 +464,11 @@ impl Server {
         collect_metrics(&self.state, false)
     }
 
-    /// A render closure for [`http::serve`](crate::http::serve): each
-    /// call produces a fresh Prometheus text exposition of this
-    /// server's metrics. Holds only an [`Arc`] on the shared state, so
-    /// the exporter outlives the `Server` handle (scrapes of a dead
-    /// server then show frozen counters until the task is dropped).
-    pub fn metrics_renderer(&self) -> Arc<dyn Fn() -> String + Send + Sync> {
-        let state = Arc::clone(&self.state);
-        Arc::new(move || collect_metrics(&state, false).to_prometheus())
-    }
-
     /// The debug endpoint's routes, for
     /// [`http::serve_router`](crate::http::serve_router):
     ///
-    /// * `GET /metrics` — Prometheus text exposition (as
-    ///   [`Server::metrics_renderer`]);
+    /// * `GET /metrics` — Prometheus text exposition of
+    ///   [`Server::metrics_snapshot`], rendered fresh per request;
     /// * `GET /trace?req=<id>` — JSON span timeline of one request,
     ///   **cluster-wide**: this process's flight recorder merged with
     ///   every reachable peer's via [`Request::Trace`] fan-out;
@@ -653,51 +485,35 @@ impl Server {
     ///   per-shard drill-down.
     ///
     /// Routes hold only an [`Arc`] on the shared state, so the endpoint
-    /// outlives the `Server` handle.
+    /// outlives the server.
     pub fn router(&self) -> crate::http::Router {
-        use crate::http::{BoxedReply, RouteReply, Router};
-        let trace_state = Arc::clone(&self.state);
-        let contention_state = Arc::clone(&self.state);
-        let timeline_state = Arc::clone(&self.state);
+        use crate::http::{Handler, RouteReply, Router};
+        let on = |render: fn(&Arc<State>, Option<&str>) -> RouteReply| -> Handler {
+            let state = Arc::clone(&self.state);
+            Arc::new(move |query| render(&state, query))
+        };
         Router::new()
-            .route_text("/metrics", self.metrics_renderer())
+            .route(
+                "/metrics",
+                on(|state, _| RouteReply::text(collect_metrics(state, false).to_prometheus())),
+            )
             .route(
                 "/trace",
-                Arc::new(move |query: Option<String>| -> BoxedReply {
-                    let state = Arc::clone(&trace_state);
-                    Box::pin(async move {
-                        let req = query
-                            .as_deref()
-                            .and_then(|q| crate::http::query_param(q, "req"))
-                            .and_then(parse_req_id);
-                        let Some(req) = req else {
-                            return RouteReply::bad_request("missing or malformed req=<id>");
-                        };
-                        let spans = cluster_spans(&state, req).await;
-                        RouteReply::json(pls_telemetry::recorder::spans_to_json(&spans))
-                    })
+                on(|state, query| {
+                    let req = query
+                        .and_then(|q| crate::http::query_param(q, "req"))
+                        .and_then(crate::parse_req_id);
+                    let Some(req) = req else {
+                        return RouteReply::bad_request("missing or malformed req=<id>");
+                    };
+                    RouteReply::json(pls_telemetry::recorder::spans_to_json(&cluster_spans(
+                        state, req,
+                    )))
                 }),
             )
-            .route(
-                "/debug/recent",
-                Arc::new(move |_query: Option<String>| -> BoxedReply {
-                    Box::pin(async move { RouteReply::json(recent_json()) })
-                }),
-            )
-            .route(
-                "/debug/contention",
-                Arc::new(move |_query: Option<String>| -> BoxedReply {
-                    let state = Arc::clone(&contention_state);
-                    Box::pin(async move { RouteReply::json(contention_json(&state)) })
-                }),
-            )
-            .route(
-                "/debug/timeline",
-                Arc::new(move |_query: Option<String>| -> BoxedReply {
-                    let state = Arc::clone(&timeline_state);
-                    Box::pin(async move { RouteReply::json(timeline_json(&state)) })
-                }),
-            )
+            .route("/debug/recent", on(|_, _| RouteReply::json(recent_json())))
+            .route("/debug/contention", on(|state, _| RouteReply::json(contention_json(state))))
+            .route("/debug/timeline", on(|state, _| RouteReply::json(timeline_json(state))))
     }
 
     /// Takes one observatory scrape immediately — exactly what the
@@ -729,7 +545,7 @@ impl Server {
     ///
     /// [`ClusterError::NoServerAvailable`] when no peer responds at all;
     /// engine configuration errors.
-    pub async fn resync_from_peers(&self) -> Result<usize, ClusterError> {
+    pub fn resync_from_peers(&self) -> Result<usize, ClusterError> {
         let state = &self.state;
         let me_idx = state.cfg.me;
         // One server-originated id stamps the whole recovery — every
@@ -744,7 +560,7 @@ impl Server {
 
         // Discover the key universe from reachable peers.
         let mut keys: Vec<Vec<u8>> = Vec::new();
-        if state.pull_keys(resync_id, &deadline, &mut keys).await == 0 {
+        if state.pull_keys(resync_id, &deadline, &mut keys) == 0 {
             return Err(ClusterError::NoServerAvailable);
         }
 
@@ -763,7 +579,7 @@ impl Server {
             // Pull snapshots from every reachable peer that knows the key.
             let mut rows: Vec<KeySnapshot> = Vec::new();
             for (id, _) in &others {
-                rows.extend(state.pull_snapshot(*id, resync_id, key, &deadline).await);
+                rows.extend(state.pull_snapshot(*id, resync_id, key, &deadline));
             }
             let Some(spec) = rows.first().map(|row| row.spec) else { continue };
             let merged = merge_donor_rows(key, spec, &rows);
@@ -781,63 +597,88 @@ impl Server {
         Ok(synced)
     }
 
-    /// Accept loop (plus the background anti-entropy loop when
-    /// configured); runs until the task is dropped/aborted. Connection
-    /// handlers and the repair loop are owned by this future, so
-    /// aborting it aborts them too — the whole server dies at once,
-    /// like a crashed process.
-    pub async fn run(self) {
+    /// Starts serving: an accept thread with one thread per connection,
+    /// and — when any of anti-entropy, the staleness probe or the
+    /// self-scrape is configured — one maintenance thread running them
+    /// on their jittered cadences.
+    ///
+    /// Two rules the blocking shape makes load-bearing. **No
+    /// [`TimedMutex`] guard (shard core, membership, `live_ft`,
+    /// `live_staleness`) is alive across a peer call**: Round-Robin
+    /// migration's RPC graph has cycles, and a handler thread that
+    /// blocks on a peer while holding a shard lock is a distributed
+    /// deadlock. **The lookup port never queues a connection it cannot
+    /// serve**: every accepted connection gets its own thread at once
+    /// (there is no cap) — a peer connection parked behind a full pool
+    /// inside a migration cycle is the same deadlock.
+    pub fn spawn(self) -> ServerHandle {
         let Server { listener, state, .. } = self;
+        let (serving, failing) = (Arc::clone(&state), Arc::clone(&state));
+        let acceptor = Acceptor::spawn(
+            listener,
+            state.cfg.peers[state.cfg.me],
+            usize::MAX,
+            move |socket| {
+                serving.metrics.connections_accepted.inc();
+                if let Err(err) = serve_connection(&serving, socket) {
+                    // Connection teardown is normal; only report protocol
+                    // violations.
+                    if !matches!(err, ClusterError::Io(_)) {
+                        serving.metrics.connection_errors.inc();
+                        pls_telemetry::warn!(
+                            "connection_error",
+                            server = serving.cfg.me,
+                            err = err
+                        );
+                    }
+                }
+            },
+            move |err| {
+                failing.metrics.accept_errors.inc();
+                pls_telemetry::warn!("accept_error", server = failing.cfg.me, err = err);
+            },
+        );
         let cfg = &state.cfg;
-        tokio::select! {
-            () = accept_loop(listener, Arc::clone(&state)) => {}
-            () = when(cfg.anti_entropy, |every| anti_entropy_loop(Arc::clone(&state), every)) => {}
-            () = when(cfg.staleness_probe, |every| staleness_loop(Arc::clone(&state), every)) => {}
-            () = when(cfg.self_scrape, |every| self_scrape_loop(Arc::clone(&state), every)) => {}
+        let maintenance = [cfg.anti_entropy, cfg.staleness_probe, cfg.self_scrape]
+            .iter()
+            .any(Option::is_some)
+            .then(|| {
+                let state = Arc::clone(&state);
+                std::thread::spawn(move || maintenance_loop(&state))
+            });
+        ServerHandle { state, acceptor, maintenance }
+    }
+}
+
+/// A serving [`Server`]: its accept thread, its connection threads and
+/// its maintenance thread. Dropping the handle kills the server.
+pub struct ServerHandle {
+    state: Arc<State>,
+    acceptor: Acceptor,
+    maintenance: Option<JoinHandle<()>>,
+}
+
+impl ServerHandle {
+    /// Crashes the server: stops accepting, shuts every live connection's
+    /// socket down and joins every thread. No shutdown path runs — no
+    /// final checkpoint, no flush — and once this returns no WAL append
+    /// or checkpoint can happen any more, so the data dir is what a
+    /// killed process would have left. Idempotent.
+    pub fn kill(&mut self) {
+        self.state.signals.lock().expect("signals lock").stop = true;
+        self.state.wake.notify_all();
+        self.acceptor.stop();
+        if let Some(thread) = self.maintenance.take() {
+            if thread.join().is_err() {
+                pls_telemetry::warn!("maintenance_thread_panicked", server = self.state.cfg.me);
+            }
         }
     }
 }
 
-/// Runs a background loop at its configured interval. A disabled one
-/// parks on a pending future, so [`Server::run`]'s select keeps one
-/// shape.
-async fn when<F: std::future::Future<Output = ()>>(
-    every: Option<Duration>,
-    run: impl FnOnce(Duration) -> F,
-) {
-    match every {
-        Some(every) => run(every).await,
-        None => std::future::pending().await,
-    }
-}
-
-/// Accepts connections forever, spawning one handler task per socket.
-async fn accept_loop(listener: TcpListener, state: Arc<State>) {
-    let mut connections = tokio::task::JoinSet::new();
-    loop {
-        let (socket, peer_addr) = match listener.accept().await {
-            Ok(pair) => pair,
-            Err(err) => {
-                state.metrics.accept_errors.inc();
-                pls_telemetry::warn!("accept_error", server = state.cfg.me, err = err);
-                continue;
-            }
-        };
-        state.metrics.connections_accepted.inc();
-        pls_telemetry::event!(Level::Trace, "connection_accepted", peer = peer_addr);
-        // Reap finished handlers so the set does not grow unbounded.
-        while connections.try_join_next().is_some() {}
-        let state = Arc::clone(&state);
-        connections.spawn(async move {
-            if let Err(err) = serve_connection(Arc::clone(&state), socket).await {
-                // Connection teardown is normal; only report protocol
-                // violations.
-                if !matches!(err, ClusterError::Io(_)) {
-                    state.metrics.connection_errors.inc();
-                    pls_telemetry::warn!("connection_error", server = state.cfg.me, err = err);
-                }
-            }
-        });
+impl Drop for ServerHandle {
+    fn drop(&mut self) {
+        self.kill();
     }
 }
 
@@ -849,8 +690,7 @@ fn collect_metrics(state: &State, reset: bool) -> MetricsSnapshot {
     let mut s = state.metrics.collect_live(&stored, reset);
     // The peer book only ever holds clients for *other* members, so no
     // self-exclusion filter is needed here.
-    let peer_list = state.peers.all();
-    push_peer_robustness(&mut s, peer_list.iter().map(|p| p.as_ref()));
+    state.peers.push_robustness(&mut s);
     // Per-shard WAL segments export as the same cluster-of-one family
     // the single-segment layout did: counters sum across shards (with
     // `reset`, each shard is drained exactly once, so deltas conserve).
@@ -1025,16 +865,20 @@ fn collect_metrics(state: &State, reset: bool) -> MetricsSnapshot {
     // baseline; `reset` moves the baseline instead of draining the
     // globals, which other in-process servers still export from.
     let alloc_now = pls_telemetry::alloc::stats();
-    let d = alloc_now.delta_since(&state.alloc_base.load());
+    let d = {
+        let mut base = state.alloc_base.lock().expect("alloc baseline lock");
+        let d = alloc_now.delta_since(&base);
+        if reset {
+            *base = alloc_now;
+        }
+        d
+    };
     s.push_counter("pls_alloc_allocs_total", d.allocs);
     s.push_counter("pls_alloc_frees_total", d.frees);
     s.push_counter("pls_alloc_bytes_total", d.allocated_bytes);
     s.push_counter("pls_alloc_freed_bytes_total", d.freed_bytes);
     s.push_gauge("pls_alloc_current_bytes", alloc_now.current_bytes as f64);
     s.push_gauge("pls_alloc_peak_bytes", alloc_now.peak_bytes as f64);
-    if reset {
-        state.alloc_base.store(&alloc_now);
-    }
     s.set_help(
         "pls_alloc_allocs_total",
         "Heap allocations since the last reset (0 unless the binary installs the \
@@ -1134,7 +978,7 @@ fn contention_json(state: &State) -> String {
     });
     let shards = pls_telemetry::json::array(shard_rows);
     let alloc_now = pls_telemetry::alloc::stats();
-    let d = alloc_now.delta_since(&state.alloc_base.load());
+    let d = alloc_now.delta_since(&state.alloc_base.lock().expect("alloc baseline lock"));
     let alloc = Object::new()
         .u64("allocs", d.allocs)
         .u64("frees", d.frees)
@@ -1160,16 +1004,17 @@ fn contention_json(state: &State) -> String {
         .build()
 }
 
-/// The multiple of its interval a background loop sleeps before round
+/// The multiple of its interval a maintenance job waits before round
 /// `tick`: deterministic per server in [0.5, 1.5), so servers drift apart
-/// instead of digesting each other in lock-step. Each loop draws from
+/// instead of digesting each other in lock-step. Each job draws from
 /// its own `stream`.
 fn jitter(seed: u64, stream: u64, me: usize, tick: u64) -> f64 {
     let r = splitmix64(seed ^ stream ^ me as u64 ^ tick.wrapping_mul(0x9E37_79B9_7F4A_7C15));
     0.5 + (r >> 11) as f64 / (1u64 << 53) as f64
 }
 
-/// One observatory scrape: snapshot the full metrics (non-resetting —
+/// One observatory scrape, on the maintenance thread's jittered cadence
+/// or from [`Server::scrape_now`]: snapshot the full metrics (non-resetting —
 /// the timeline stores cumulative totals and diffs them itself, so it
 /// never steals deltas from external scrapers), then record it and
 /// refresh the SLO accounting. `collect_metrics` briefly takes the
@@ -1180,21 +1025,6 @@ fn scrape_once(state: &Arc<State>) {
     let at_unix_ms = now_ms();
     let uptime_us = state.started.elapsed().as_micros() as u64;
     state.observatory.lock().record(at_unix_ms, uptime_us, totals);
-}
-
-/// The background self-scrape loop feeding the observatory timeline:
-/// sleep a jittered interval (same 0.5x–1.5x scheme as anti-entropy,
-/// its own stream), take one scrape, repeat forever (the caller owns
-/// and aborts it).
-async fn self_scrape_loop(state: Arc<State>, every: Duration) {
-    let mut tick: u64 = 0;
-    loop {
-        tick = tick.wrapping_add(1);
-        // "SCRAPE" stream.
-        let jitter = jitter(state.cfg.seed, 0x5343_5241_5045, state.cfg.me, tick);
-        tokio::time::sleep(every.mul_f64(jitter)).await;
-        scrape_once(&state);
-    }
 }
 
 /// The minimum reading across a labeled gauge family's series, `NaN`
@@ -1323,24 +1153,15 @@ fn timeline_json(state: &Arc<State>) -> String {
         .field("rates", &rates.build())
         .field("slo", &slo)
         .field("series", &series)
-        .field("shards", &array(shard_rows.into_iter()))
+        .field("shards", &array(shard_rows))
         .build()
 }
 
-/// Checkpoints the given shards off the async executor — the capture
-/// takes each shard's lock, the write and its fsyncs block. One shard when
-/// its append counter trips `checkpoint_every` (the others keep serving
-/// untouched), all of them after a repair round.
-async fn checkpoint(
-    state: &Arc<State>,
-    shards: std::ops::Range<usize>,
-) -> Result<(), ClusterError> {
-    let state = Arc::clone(state);
-    tokio::task::spawn_blocking(move || {
-        shards.into_iter().try_for_each(|i| state.shards.checkpoint(i))
-    })
-    .await
-    .map_err(|e| ClusterError::Remote(format!("checkpoint task died: {e}")))?
+/// Checkpoints the given shards: one when its append counter trips
+/// `checkpoint_every` (the others keep serving untouched), all of them
+/// after a repair round.
+fn checkpoint(state: &State, mut shards: std::ops::Range<usize>) -> Result<(), ClusterError> {
+    shards.try_for_each(|i| state.shards.checkpoint(i))
 }
 
 /// Keys deep-checked per anti-entropy round: full snapshot pulls that
@@ -1352,28 +1173,85 @@ const ANTIENTROPY_DEEP_KEYS: usize = 16;
 /// Adversary thresholds the live §4.4 fault-tolerance gauge reports.
 const LIVE_FT_THRESHOLDS: [usize; 3] = [1, 2, 4];
 
-/// The background repair loop: sleep a jittered interval, reconcile
-/// against the peers, repeat forever (the caller owns and aborts it).
-async fn anti_entropy_loop(state: Arc<State>, every: Duration) {
-    let mut tick: u64 = 0;
+/// One periodic job of the maintenance thread: its interval, the
+/// [`jitter`] stream it draws from, its round counter and when that
+/// round is due.
+struct Job {
+    every: Duration,
+    stream: u64,
+    tick: u64,
+    due: Instant,
+}
+
+impl Job {
+    fn new(state: &State, every: Option<Duration>, stream: u64) -> Option<Job> {
+        let mut job = Job { every: every?, stream, tick: 0, due: Instant::now() };
+        job.schedule(state);
+        Some(job)
+    }
+
+    /// Moves to the next round, a jittered interval from now.
+    fn schedule(&mut self, state: &State) {
+        self.tick = self.tick.wrapping_add(1);
+        let jitter = jitter(state.cfg.seed, self.stream, state.cfg.me, self.tick);
+        self.due = Instant::now() + self.every.mul_f64(jitter);
+    }
+}
+
+/// The maintenance thread: anti-entropy repair (stream 0), the
+/// staleness probe (`"STALE"`) and the observatory self-scrape
+/// (`"SCRAPE"`), each on its own jittered cadence, one at a time. It
+/// sleeps on the state's condvar until the earliest due time; a
+/// membership install cuts the sleep short — migration starts at once
+/// instead of waiting out the interval — and so does a kill.
+fn maintenance_loop(state: &Arc<State>) {
+    let cfg = &state.cfg;
+    let mut repair = Job::new(state, cfg.anti_entropy, 0);
+    let mut staleness = Job::new(state, cfg.staleness_probe, 0x5354_414C_4500);
+    let mut scrape = Job::new(state, cfg.self_scrape, 0x5343_5241_5045);
     loop {
-        tick = tick.wrapping_add(1);
-        let jitter = jitter(state.cfg.seed, 0, state.cfg.me, tick);
-        // A membership install cuts the sleep short: migration starts
-        // within one scheduling quantum of learning about the epoch
-        // instead of waiting out the jittered interval.
-        tokio::select! {
-            () = tokio::time::sleep(every.mul_f64(jitter)) => {}
-            () = state.membership_changed.notified() => {
-                pls_telemetry::debug!("antientropy_woken_by_membership", server = state.cfg.me);
+        let next = [&repair, &staleness, &scrape].into_iter().flatten().map(|job| job.due).min();
+        let Some(next) = next else { return };
+        let woken = {
+            let mut signals = state.signals.lock().expect("signals lock");
+            loop {
+                if signals.stop {
+                    return;
+                }
+                if repair.is_some() && std::mem::take(&mut signals.membership_changed) {
+                    break true;
+                }
+                let wait = next.saturating_duration_since(Instant::now());
+                if wait.is_zero() {
+                    break false;
+                }
+                signals = state.wake.wait_timeout(signals, wait).expect("signals lock").0;
             }
+        };
+        if woken {
+            pls_telemetry::debug!("antientropy_woken_by_membership", server = cfg.me);
         }
-        state.metrics.antientropy_rounds.inc();
-        let round_started = Instant::now();
-        if let Err(err) = anti_entropy_round(&state, tick).await {
-            pls_telemetry::debug!("antientropy_round_error", server = state.cfg.me, err = err);
+        let now = Instant::now();
+        if let Some(job) = repair.as_mut().filter(|job| woken || job.due <= now) {
+            state.metrics.antientropy_rounds.inc();
+            let round_started = Instant::now();
+            if let Err(err) = anti_entropy_round(state, job.tick) {
+                pls_telemetry::debug!("antientropy_round_error", server = cfg.me, err = err);
+            }
+            state.metrics.antientropy_round_us.set(round_started.elapsed().as_micros() as f64);
+            job.schedule(state);
         }
-        state.metrics.antientropy_round_us.set(round_started.elapsed().as_micros() as f64);
+        if let Some(job) = staleness.as_mut().filter(|job| job.due <= now) {
+            state.metrics.staleness_rounds.inc();
+            let round_started = Instant::now();
+            staleness_round(state, job.tick);
+            state.metrics.staleness_round_us.set(round_started.elapsed().as_micros() as f64);
+            job.schedule(state);
+        }
+        if let Some(job) = scrape.as_mut().filter(|job| job.due <= now) {
+            scrape_once(state);
+            job.schedule(state);
+        }
     }
 }
 
@@ -1389,23 +1267,6 @@ const STALENESS_HOT_KEYS: usize = 8;
 /// Partial-lookup probe counts `t` the live staleness gauge reports,
 /// mirroring [`LIVE_FT_THRESHOLDS`].
 const STALENESS_THRESHOLDS: [usize; 3] = [1, 2, 4];
-
-/// The background staleness-probe loop: sleep a jittered interval
-/// (same [0.5, 1.5) scheme as anti-entropy, different stream), run one
-/// measurement round, repeat forever (the caller owns and aborts it).
-async fn staleness_loop(state: Arc<State>, every: Duration) {
-    let mut tick: u64 = 0;
-    loop {
-        tick = tick.wrapping_add(1);
-        // "STALE" stream.
-        let jitter = jitter(state.cfg.seed, 0x5354_414C_4500, state.cfg.me, tick);
-        tokio::time::sleep(every.mul_f64(jitter)).await;
-        state.metrics.staleness_rounds.inc();
-        let round_started = Instant::now();
-        staleness_round(&state, tick).await;
-        state.metrics.staleness_round_us.set(round_started.elapsed().as_micros() as f64);
-    }
-}
 
 /// One staleness measurement round: sample live keys, collect every
 /// server's per-key version via the Digest RPC, and turn the observed
@@ -1425,7 +1286,7 @@ async fn staleness_loop(state: Arc<State>, every: Duration) {
 /// cluster-comparable under the broadcast strategies (FullReplication
 /// / Fixed / RandomServer); under Hash / Round-Robin the gauge is an
 /// upper bound on divergence, not an exact freshness probability.
-async fn staleness_round(state: &Arc<State>, round: u64) {
+fn staleness_round(state: &Arc<State>, round: u64) {
     let round_id = state.next_id();
     let deadline = Deadline::within(state.cfg.timeouts.op_budget);
 
@@ -1460,7 +1321,7 @@ async fn staleness_round(state: &Arc<State>, round: u64) {
     // Per (strategy, t): running (sum of per-key P(fresh), key count).
     let mut acc: BTreeMap<(usize, usize), (f64, u64)> = BTreeMap::new();
     for key in &sample {
-        if deadline.expired() {
+        if deadline.expired() || state.stopping() {
             break;
         }
         // Everyone's digest of the key, this server's first. Only the
@@ -1469,7 +1330,7 @@ async fn staleness_round(state: &Arc<State>, round: u64) {
         let mut digests: Vec<Digest> = state.shards.digest(key).into_iter().collect();
         for id in state.shards.group_of(key) {
             if id != state.shards.my_id() {
-                digests.extend(state.pull_digest(id, round_id, key, &deadline).await);
+                digests.extend(state.pull_digest(id, round_id, key, &deadline));
             }
         }
         // The freshest version anyone knows counts even from a
@@ -1529,7 +1390,7 @@ fn choose(n: usize, k: usize) -> f64 {
 /// round runs under one operation budget; every peer call is
 /// deadline-capped and breaker-gated, so a sick peer fast-fails
 /// instead of wedging repair.
-async fn anti_entropy_round(state: &Arc<State>, round: u64) -> Result<(), ClusterError> {
+fn anti_entropy_round(state: &Arc<State>, round: u64) -> Result<(), ClusterError> {
     let me_idx = state.cfg.me;
     let round_id = state.next_id();
     let deadline = Deadline::within(state.cfg.timeouts.op_budget);
@@ -1546,14 +1407,11 @@ async fn anti_entropy_round(state: &Arc<State>, round: u64) -> Result<(), Cluste
         let view = state.shards.view();
         let (gossip_id, gossip_addr) = others[round as usize % others.len()].clone();
         if let Some(peer) = state.peers.client(gossip_id, &gossip_addr) {
-            if let Ok(Response::Membership { epoch, members }) = peer
-                .call_bounded(
-                    round_id,
-                    &Request::Membership { epoch: view.epoch(), members: members_parts(&view) },
-                    deadline.cap(rpc),
-                )
-                .await
-            {
+            if let Ok(Response::Membership { epoch, members }) = peer.call_bounded(
+                round_id,
+                &Request::Membership { epoch: view.epoch(), members: members_parts(&view) },
+                deadline.cap(rpc),
+            ) {
                 install_membership(state, Membership::from_parts(epoch, members));
             }
         }
@@ -1563,7 +1421,7 @@ async fn anti_entropy_round(state: &Arc<State>, round: u64) -> Result<(), Cluste
     // peers (order-preserving, set-backed dedup, then sorted so the
     // rotating deep window is stable across rounds).
     let mut keys: Vec<Vec<u8>> = state.shards.keys();
-    state.pull_keys(round_id, &deadline, &mut keys).await;
+    state.pull_keys(round_id, &deadline, &mut keys);
     keys.sort();
     if keys.is_empty() {
         state.metrics.migration_pending.set(0.0);
@@ -1577,6 +1435,9 @@ async fn anti_entropy_round(state: &Arc<State>, round: u64) -> Result<(), Cluste
     let mut ft_min: BTreeMap<usize, usize> = BTreeMap::new();
     let mut repaired = 0u64;
     for (ki, key) in keys.iter().enumerate() {
+        if state.stopping() {
+            return Ok(());
+        }
         if deadline.expired() {
             pls_telemetry::debug!(
                 "antientropy_budget_exhausted",
@@ -1587,7 +1448,7 @@ async fn anti_entropy_round(state: &Arc<State>, round: u64) -> Result<(), Cluste
             );
             break;
         }
-        if reconcile_key(state, round_id, key, deep.contains(&ki), &deadline, &mut ft_min).await {
+        if reconcile_key(state, round_id, key, deep.contains(&ki), &deadline, &mut ft_min) {
             repaired += 1;
             state.metrics.antientropy_repairs.inc();
         }
@@ -1610,7 +1471,7 @@ async fn anti_entropy_round(state: &Arc<State>, round: u64) -> Result<(), Cluste
 
     if repaired > 0 {
         // Repairs bypass the WAL; persist them before the next crash.
-        if let Err(err) = checkpoint(state, 0..state.shards.as_slice().len()).await {
+        if let Err(err) = checkpoint(state, 0..state.shards.as_slice().len()) {
             pls_telemetry::warn!("antientropy_checkpoint_failed", server = me_idx, err = err);
         }
     }
@@ -1634,7 +1495,7 @@ async fn anti_entropy_round(state: &Arc<State>, round: u64) -> Result<(), Cluste
 /// this server's share is provably divergent. What is compared and what
 /// is adopted are `pls_wire::shard`'s rules; this function does the
 /// pulls. Returns whether a repair was applied.
-async fn reconcile_key(
+fn reconcile_key(
     state: &Arc<State>,
     round_id: u64,
     key: &[u8],
@@ -1651,7 +1512,7 @@ async fn reconcile_key(
     let local = state.shards.digest(key);
     let mut digests: Vec<Digest> = Vec::new();
     for &id in &plan.donors {
-        digests.extend(state.pull_digest(id, round_id, key, deadline).await);
+        digests.extend(state.pull_digest(id, round_id, key, deadline));
     }
     if digests.is_empty() && !migrating {
         // No reachable donor knows the key: nothing to compare against,
@@ -1689,7 +1550,7 @@ async fn reconcile_key(
         let row = if id == my_id {
             mine.clone()
         } else {
-            state.pull_snapshot(id, round_id, key, deadline).await
+            state.pull_snapshot(id, round_id, key, deadline)
         };
         let Some(row) = row else { continue };
         donor_count += usize::from(id != my_id);
@@ -1766,26 +1627,17 @@ async fn reconcile_key(
     }
 }
 
-/// Parses a request id from a query parameter: decimal, or hex with a
-/// `0x` prefix (ids print large, so both appear in logs and scripts).
-fn parse_req_id(s: &str) -> Option<u64> {
-    match s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
-        Some(hex) => u64::from_str_radix(hex, 16).ok(),
-        None => s.parse().ok(),
-    }
-}
-
 /// Every span retained for `req` across the cluster: this process's
 /// flight recorder plus every reachable peer's (via [`Request::Trace`]),
 /// deduplicated and sorted by start time. Unreachable peers are
 /// skipped — a partial timeline beats none.
-async fn cluster_spans(state: &Arc<State>, req: u64) -> Vec<SpanRecord> {
+fn cluster_spans(state: &Arc<State>, req: u64) -> Vec<SpanRecord> {
     let mut spans =
         pls_telemetry::recorder::installed().map(|r| r.spans_for(req)).unwrap_or_default();
     let id = state.next_id();
     for (pid, addr) in &state.shards.other_members() {
         let Some(peer) = state.peers.client(*pid, addr) else { continue };
-        if let Ok(Response::Spans(remote)) = peer.call(id, &Request::Trace { req }).await {
+        if let Ok(Response::Spans(remote)) = peer.call(id, &Request::Trace { req }) {
             for s in remote {
                 if !spans.contains(&s) {
                     spans.push(s);
@@ -1793,7 +1645,7 @@ async fn cluster_spans(state: &Arc<State>, req: u64) -> Vec<SpanRecord> {
             }
         }
     }
-    spans.sort_by(|a, b| (a.start_us, a.elapsed_us).cmp(&(b.start_us, b.elapsed_us)));
+    spans.sort_by_key(|s| (s.start_us, s.elapsed_us));
     spans
 }
 
@@ -1825,8 +1677,8 @@ fn recent_json() -> String {
         .build()
 }
 
-async fn serve_connection(state: Arc<State>, mut socket: TcpStream) -> Result<(), ClusterError> {
-    while let Some((req_id, _, payload)) = read_frame(&mut socket).await? {
+fn serve_connection(state: &Arc<State>, mut socket: &TcpStream) -> Result<(), ClusterError> {
+    while let Some((req_id, _, payload)) = read_frame(&mut socket)? {
         state.metrics.bytes_read.add(payload.len() as u64 + FRAME_OVERHEAD);
         let (response, service_us) = match Request::decode(&payload) {
             Ok(req) => {
@@ -1836,7 +1688,7 @@ async fn serve_connection(state: Arc<State>, mut socket: TcpStream) -> Result<()
                     Span::enter_with_id(Level::Debug, module_path!(), op.as_str(), req_id);
                 span.field("server", state.cfg.me);
                 state.metrics.inflight.add(1.0);
-                let handled = handle_request(&state, req_id, req).await;
+                let handled = handle_request(state, req_id, req);
                 state.metrics.inflight.add(-1.0);
                 let resp = match handled {
                     Ok(resp) => resp,
@@ -1899,33 +1751,29 @@ async fn serve_connection(state: Arc<State>, mut socket: TcpStream) -> Result<()
         // Echo the request's id so the client can pair the response, and
         // stamp the reply frame with the server-side handling time so
         // the caller can split RTT into network versus service time.
-        write_frame(&mut socket, req_id, service_us, &frame).await?;
+        write_frame(&mut socket, req_id, service_us, &frame)?;
     }
     Ok(())
 }
 
-async fn handle_request(
-    state: &Arc<State>,
-    req_id: u64,
-    req: Request,
-) -> Result<Response, ClusterError> {
+fn handle_request(state: &Arc<State>, req_id: u64, req: Request) -> Result<Response, ClusterError> {
     let client = Endpoint::client(0);
     match req {
         Request::Place { key, entries, spec } => {
             let msg = versioned_client(Message::PlaceReq { entries });
-            apply(state, req_id, &key, client, spec, msg).await?;
+            apply(state, req_id, &key, client, spec, msg)?;
             Ok(Response::Ok)
         }
         Request::Add { key, entry } => {
             state.shards.check_rr_coordinator(&key)?;
             let msg = versioned_client(Message::AddReq { v: entry });
-            apply(state, req_id, &key, client, None, msg).await?;
+            apply(state, req_id, &key, client, None, msg)?;
             Ok(Response::Ok)
         }
         Request::Delete { key, entry } => {
             state.shards.check_rr_coordinator(&key)?;
             let msg = versioned_client(Message::DeleteReq { v: entry });
-            apply(state, req_id, &key, client, None, msg).await?;
+            apply(state, req_id, &key, client, None, msg)?;
             Ok(Response::Ok)
         }
         Request::Probe { key, t } => {
@@ -1941,7 +1789,7 @@ async fn handle_request(
             Ok(Response::Entries(entries))
         }
         Request::Internal { from, key, spec, msg } => {
-            apply(state, req_id, &key, Request::internal_sender(from), spec, msg).await?;
+            apply(state, req_id, &key, Request::internal_sender(from), spec, msg)?;
             Ok(Response::Ok)
         }
         Request::Status => {
@@ -1976,8 +1824,13 @@ async fn handle_request(
         }
         Request::JoinLeave { join, leave } => {
             let view = state.shards.view();
+            let mut joiner = None;
             let next = match (join, leave) {
-                (Some(addr), None) => view.with_join(&addr).0,
+                (Some(addr), None) => {
+                    let (next, id) = view.with_join(&addr);
+                    joiner = Some(id);
+                    next
+                }
                 (None, Some(id)) => view.with_leave(id).ok_or_else(|| {
                     ClusterError::Remote(format!(
                         "cannot remove server {id}: unknown member or last member standing"
@@ -1992,8 +1845,12 @@ async fn handle_request(
             install_membership(state, next.clone());
             // Eager fan-out: push the bumped view to every other member
             // of the NEW view, plus the leaver (so its epoch gauge and
-            // grace logic converge before its shutdown). Best-effort and
-            // deadline-capped — gossip repairs whoever was unreachable.
+            // grace logic converge before its shutdown). Not to the
+            // joiner: it boots from this reply and is not serving yet —
+            // a call to its bound-but-idle port would hold this reply
+            // for a whole RPC deadline, which is the caller's too.
+            // Best-effort and deadline-capped — gossip repairs whoever
+            // was unreachable.
             let deadline = Deadline::within(state.cfg.timeouts.op_budget);
             let rpc = state.cfg.timeouts.rpc;
             let announce =
@@ -2001,7 +1858,7 @@ async fn handle_request(
             let mut targets: Vec<(u64, String)> = next
                 .members()
                 .iter()
-                .filter(|m| m.id != state.shards.my_id())
+                .filter(|m| m.id != state.shards.my_id() && Some(m.id) != joiner)
                 .map(|m| (m.id, m.addr.clone()))
                 .collect();
             if let Some(leaver) = leave {
@@ -2011,7 +1868,7 @@ async fn handle_request(
             }
             for (id, addr) in targets {
                 let Some(peer) = state.peers.client(id, &addr) else { continue };
-                let _ = peer.call_bounded(req_id, &announce, deadline.cap(rpc)).await;
+                let _ = peer.call_bounded(req_id, &announce, deadline.cap(rpc));
             }
             // Post-fan-out prune: the farewell announcement re-created
             // the leaver's client; drop it again now that it's sent.
@@ -2031,7 +1888,7 @@ fn members_parts(m: &Membership) -> Vec<(u64, String)> {
 /// one: bumps the epoch gauge, prunes peer clients for departed members
 /// (dropping a client drops its breaker and probe-demotion state — a
 /// rejoining server starts with a clean slate), and wakes the
-/// anti-entropy loop so migration starts immediately. Returns whether
+/// maintenance thread so migration starts immediately. Returns whether
 /// the view was adopted.
 fn install_membership(state: &Arc<State>, next: Membership) -> bool {
     if !state.shards.install_membership(next.clone()) {
@@ -2047,7 +1904,8 @@ fn install_membership(state: &Arc<State>, next: Membership) -> bool {
         members = next.len(),
         peers_purged = purged
     );
-    state.membership_changed.notify_one();
+    state.signals.lock().expect("signals lock").membership_changed = true;
+    state.wake.notify_all();
     true
 }
 
@@ -2057,7 +1915,7 @@ fn install_membership(state: &Arc<State>, next: Membership) -> bool {
 /// the lock, as acknowledged `Internal` RPCs. Unreachable peers are
 /// skipped — a message to a crashed server is simply lost, matching the
 /// paper's failure model.
-async fn apply(
+fn apply(
     state: &Arc<State>,
     req_id: u64,
     key: &[u8],
@@ -2073,6 +1931,11 @@ async fn apply(
         state.shards.apply(key, from, spec, msg)?;
     state.metrics.engines_created.add(u64::from(created));
     for (dest, m) in remote {
+        if state.stopping() {
+            // Killed mid-fan-out: the rest is lost with the process, and
+            // nothing is fsynced or acked.
+            return Err(ClusterError::NoServerAvailable);
+        }
         // `from` carries this server's global member id: the receiver
         // translates it into the sender's position within the key's
         // placement group before the engine sees it.
@@ -2104,7 +1967,7 @@ async fn apply(
             );
             continue;
         };
-        let call = peer.call_retry(req_id, &req, &state.cfg.retry, deadline).await;
+        let call = peer.call_retry(req_id, &req, &state.cfg.retry, deadline);
         drop(send_span);
         if let Err(err) = call {
             state.metrics.internal_send_failures.inc();
@@ -2135,14 +1998,10 @@ async fn apply(
         // Concurrent appends to the same shard coalesce into one fsync;
         // appends to other shards fsync independently in parallel. A
         // sync failure fails the request — never ack state the disk may
-        // not hold. The fsync is a blocking syscall, so it runs on a
-        // blocking thread instead of stalling the executor.
-        let wal = Arc::clone(storage);
-        tokio::task::spawn_blocking(move || wal.sync())
-            .await
-            .map_err(|e| ClusterError::Remote(format!("wal sync task died: {e}")))??;
+        // not hold.
+        storage.sync()?;
         if storage.should_checkpoint(state.cfg.checkpoint_every) {
-            if let Err(err) = checkpoint(state, shard..shard + 1).await {
+            if let Err(err) = checkpoint(state, shard..shard + 1) {
                 pls_telemetry::warn!("checkpoint_failed", server = state.cfg.me, err = err);
             }
         }
@@ -2156,22 +2015,15 @@ mod tests {
 
     #[test]
     fn invalid_config_is_rejected_at_bind() {
-        let rt = tokio::runtime::Builder::new_current_thread().enable_all().build().unwrap();
-        rt.block_on(async {
-            let cfg = ServerConfig::new(
-                7,
-                vec!["127.0.0.1:0".parse().unwrap()],
-                StrategySpec::fixed(1),
-                0,
-            );
-            assert!(matches!(Server::bind(cfg).await, Err(ClusterError::Config(_))));
-            let cfg = ServerConfig::new(
-                0,
-                vec!["127.0.0.1:0".parse().unwrap(); 2],
-                StrategySpec::fixed(0),
-                0,
-            );
-            assert!(matches!(Server::bind(cfg).await, Err(ClusterError::Config(_))));
-        });
+        let cfg =
+            ServerConfig::new(7, vec!["127.0.0.1:0".parse().unwrap()], StrategySpec::fixed(1), 0);
+        assert!(matches!(Server::bind(cfg), Err(ClusterError::Config(_))));
+        let cfg = ServerConfig::new(
+            0,
+            vec!["127.0.0.1:0".parse().unwrap(); 2],
+            StrategySpec::fixed(0),
+            0,
+        );
+        assert!(matches!(Server::bind(cfg), Err(ClusterError::Config(_))));
     }
 }

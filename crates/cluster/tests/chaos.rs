@@ -4,72 +4,77 @@
 //! the surviving servers must keep every operation time-bounded and
 //! every answerable lookup answered.
 
+mod common;
+
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use common::{bind_all, call_raw, entries, rebind};
 use pls_cluster::{
-    BreakerConfig, ChaosConfig, ChaosPeer, Client, ClientConfig, ClusterError, Server,
-    ServerConfig, Timeouts,
+    BreakerConfig, ChaosConfig, ChaosPeer, Client, ClientConfig, ClusterError, Deadline, Server,
+    ServerConfig, ServerHandle, Timeouts,
 };
 use pls_core::StrategySpec;
-use tokio::task::JoinHandle;
 
 /// Tight time bounds so fault detection (and hence the tests) is fast.
 fn tight() -> Timeouts {
     Timeouts::default().with_connect_ms(500).with_rpc_ms(300).with_op_budget_ms(3_000)
 }
 
+/// A cluster in which some servers are fronted by chaos proxies. The
+/// proxies and the servers run until it is dropped.
+struct ChaosCluster {
+    /// The public address list: proxies standing in at the chaos indices.
+    addrs: Vec<SocketAddr>,
+    /// The servers' own addresses.
+    real_addrs: Vec<SocketAddr>,
+    servers: Vec<ServerHandle>,
+    _proxies: Vec<ChaosPeer>,
+}
+
 /// Spawns an `n`-server cluster in which the servers listed in
 /// `chaos_at` are fronted by chaos proxies sharing `chaos`: everyone
 /// (client and peer servers alike) reaches those servers through their
-/// proxy. Returns the public address list (proxies standing in at the
-/// chaos indices), the servers' real addresses, and the task handles.
-async fn spawn_chaos_cluster(
+/// proxy.
+fn spawn_chaos_cluster(
     n: usize,
     spec: StrategySpec,
     seed: u64,
     chaos_at: &[usize],
     chaos: &Arc<ChaosConfig>,
-) -> (Vec<SocketAddr>, Vec<SocketAddr>, Vec<JoinHandle<()>>) {
-    let mut listeners = Vec::with_capacity(n);
-    let mut real_addrs: Vec<SocketAddr> = Vec::with_capacity(n);
-    for _ in 0..n {
-        let listener = tokio::net::TcpListener::bind("127.0.0.1:0").await.expect("bind");
-        real_addrs.push(listener.local_addr().expect("local addr"));
-        listeners.push(listener);
-    }
-    let mut handles = Vec::new();
-    let mut public_addrs = real_addrs.clone();
+) -> ChaosCluster {
+    let (listeners, real_addrs) = bind_all(n);
+    let mut addrs = real_addrs.clone();
+    let mut proxies = Vec::new();
     for &i in chaos_at {
         let (proxy, addr) =
-            ChaosPeer::bind(Some(real_addrs[i]), Arc::clone(chaos)).await.expect("proxy bind");
-        public_addrs[i] = addr;
-        handles.push(tokio::spawn(proxy.run()));
+            ChaosPeer::bind(Some(real_addrs[i]), Arc::clone(chaos)).expect("proxy bind");
+        addrs[i] = addr;
+        proxies.push(proxy);
     }
-    for (i, listener) in listeners.into_iter().enumerate() {
-        // `with_listener` rewrites peers[i] to the server's own (real)
-        // bound address, so each server serves on its real socket while
-        // reaching chaos-fronted peers through their proxies.
-        let cfg = ServerConfig::new(i, public_addrs.clone(), spec, seed).with_timeouts(tight());
-        let (server, _) = Server::with_listener(cfg, listener).expect("server");
-        handles.push(tokio::spawn(server.run()));
-    }
-    (public_addrs, real_addrs, handles)
-}
-
-fn entries(range: std::ops::Range<u32>) -> Vec<Vec<u8>> {
-    range.map(|i| format!("peer{i}:6699").into_bytes()).collect()
+    let servers = listeners
+        .into_iter()
+        .enumerate()
+        .map(|(i, listener)| {
+            // `with_listener` rewrites peers[i] to the server's own (real)
+            // bound address, so each server serves on its real socket while
+            // reaching chaos-fronted peers through their proxies.
+            let cfg = ServerConfig {
+                timeouts: tight(),
+                ..ServerConfig::new(i, addrs.clone(), spec, seed)
+            };
+            Server::with_listener(cfg, listener).expect("server").0.spawn()
+        })
+        .collect();
+    ChaosCluster { addrs, real_addrs, servers, _proxies: proxies }
 }
 
 /// One key's locally stored entries at a server, pulled over the raw
 /// wire protocol (bypassing any proxy).
-async fn stored_at(addr: SocketAddr, key: &[u8]) -> Vec<Vec<u8>> {
-    let mut stream = tokio::net::TcpStream::connect(addr).await.unwrap();
+fn stored_at(addr: SocketAddr, key: &[u8]) -> Vec<Vec<u8>> {
     let req = pls_cluster::proto::Request::Snapshot { key: key.to_vec() };
-    pls_cluster::frame::write_frame(&mut stream, 0xc0de, 0, &req.encode()).await.unwrap();
-    let (_, _, payload) = pls_cluster::frame::read_frame(&mut stream).await.unwrap().unwrap();
-    match pls_cluster::proto::Response::decode(&payload).unwrap() {
+    match call_raw(addr, 0xc0de, &req).unwrap().1 {
         pls_cluster::proto::Response::Snapshot { entries, .. } => entries,
         other => panic!("unexpected snapshot response {other:?}"),
     }
@@ -79,34 +84,31 @@ async fn stored_at(addr: SocketAddr, key: &[u8]) -> Vec<Vec<u8>> {
 /// `partial_lookup` under every strategy must complete within the
 /// operation budget and return `t` entries whenever the surviving
 /// placement still covers them.
-#[tokio::test]
-async fn black_holed_server_lookups_complete_within_budget_for_every_strategy() {
+#[test]
+fn black_holed_server_lookups_complete_within_budget_for_every_strategy() {
     let chaos = Arc::new(ChaosConfig::new(7));
     let default = StrategySpec::full_replication();
-    let (addrs, real_addrs, _handles) = spawn_chaos_cluster(3, default, 200, &[2], &chaos).await;
+    let cluster = spawn_chaos_cluster(3, default, 200, &[2], &chaos);
+    let real_addrs = &cluster.real_addrs;
 
-    let mut client = Client::connect(ClientConfig::new(addrs, default, 201).with_timeouts(tight()));
+    let mut client = Client::connect(
+        ClientConfig::new(cluster.addrs.clone(), default, 201).with_timeouts(tight()),
+    );
 
     // Place five keys, one per strategy, while the proxy forwards
     // cleanly — every server (including the soon-to-be-silenced one)
     // gets its full share.
-    client.place(b"k-full", entries(0..6)).await.unwrap();
-    client.place_with_strategy(b"k-fixed", entries(0..6), StrategySpec::fixed(2)).await.unwrap();
-    client
-        .place_with_strategy(b"k-rand", entries(0..6), StrategySpec::random_server(4))
-        .await
-        .unwrap();
-    client.place_with_strategy(b"k-hash", entries(0..6), StrategySpec::hash(2)).await.unwrap();
-    client
-        .place_with_strategy(b"k-round", entries(0..6), StrategySpec::round_robin(2))
-        .await
-        .unwrap();
+    client.place(b"k-full", entries(0..6)).unwrap();
+    client.place_with_strategy(b"k-fixed", entries(0..6), StrategySpec::fixed(2)).unwrap();
+    client.place_with_strategy(b"k-rand", entries(0..6), StrategySpec::random_server(4)).unwrap();
+    client.place_with_strategy(b"k-hash", entries(0..6), StrategySpec::hash(2)).unwrap();
+    client.place_with_strategy(b"k-round", entries(0..6), StrategySpec::round_robin(2)).unwrap();
 
     // Hash collisions can assign both of an entry's copies to the
     // doomed server; the achievable target is whatever the survivors
     // actually hold.
-    let mut hash_union = stored_at(real_addrs[0], b"k-hash").await;
-    for v in stored_at(real_addrs[1], b"k-hash").await {
+    let mut hash_union = stored_at(real_addrs[0], b"k-hash");
+    for v in stored_at(real_addrs[1], b"k-hash") {
         if !hash_union.contains(&v) {
             hash_union.push(v);
         }
@@ -132,7 +134,6 @@ async fn black_holed_server_lookups_complete_within_budget_for_every_strategy() 
             let started = Instant::now();
             let got = client
                 .partial_lookup(key, t)
-                .await
                 .unwrap_or_else(|e| panic!("{} round {round}: {e}", String::from_utf8_lossy(key)));
             let elapsed = started.elapsed();
             assert!(
@@ -155,12 +156,11 @@ async fn black_holed_server_lookups_complete_within_budget_for_every_strategy() 
 /// Client-side circuit breaker: consecutive timeouts open it, open
 /// circuits fast-fail without touching the network, and after the
 /// cooldown a half-open trial against a recovered peer closes it.
-#[tokio::test]
-async fn breaker_opens_fast_fails_and_half_opens_after_cooldown() {
+#[test]
+fn breaker_opens_fast_fails_and_half_opens_after_cooldown() {
     let chaos = Arc::new(ChaosConfig::new(8));
     chaos.set_black_hole(1.0);
-    let (proxy, addr) = ChaosPeer::bind(None, Arc::clone(&chaos)).await.unwrap();
-    tokio::spawn(proxy.run());
+    let (_proxy, addr) = ChaosPeer::bind(None, Arc::clone(&chaos)).unwrap();
 
     let timeouts = Timeouts::default().with_connect_ms(500).with_rpc_ms(100);
     let breaker = BreakerConfig { failure_threshold: 3, cooldown: Duration::from_millis(300) };
@@ -172,12 +172,12 @@ async fn breaker_opens_fast_fails_and_half_opens_after_cooldown() {
 
     // Three timed-out calls open the circuit...
     for i in 0..3 {
-        let err = client.status_of(0).await.unwrap_err();
+        let err = client.status_of(0).unwrap_err();
         assert!(matches!(err, ClusterError::Timeout("rpc")), "call {i}: {err:?}");
     }
     // ...after which calls fast-fail without waiting out any deadline.
     let started = Instant::now();
-    let err = client.status_of(0).await.unwrap_err();
+    let err = client.status_of(0).unwrap_err();
     assert!(matches!(err, ClusterError::PeerUnhealthy), "{err:?}");
     assert!(started.elapsed() < Duration::from_millis(50), "fast-fail was not fast");
 
@@ -190,11 +190,14 @@ async fn breaker_opens_fast_fails_and_half_opens_after_cooldown() {
     // through (the bare proxy acks with `Ok`, which `status_of` calls
     // an unexpected — but *answered* — response)...
     chaos.set_black_hole(0.0);
-    tokio::time::sleep(Duration::from_millis(350)).await;
-    let err = client.status_of(0).await.unwrap_err();
+    let mut err = ClusterError::PeerUnhealthy;
+    Deadline::within(Duration::from_secs(5)).wait_until(|| {
+        err = client.status_of(0).unwrap_err();
+        err != ClusterError::PeerUnhealthy
+    });
     assert!(matches!(err, ClusterError::Remote(_)), "trial call was not admitted: {err:?}");
     // ...and its success closes the circuit for subsequent calls too.
-    let err = client.status_of(0).await.unwrap_err();
+    let err = client.status_of(0).unwrap_err();
     assert!(matches!(err, ClusterError::Remote(_)), "circuit did not close: {err:?}");
 }
 
@@ -202,18 +205,18 @@ async fn breaker_opens_fast_fails_and_half_opens_after_cooldown() {
 /// that happen to probe it first hedge onto the next server after the
 /// hedge delay and take the fast answer — without cancelling the slow
 /// probe, and without ever failing the lookup.
-#[tokio::test]
-async fn hedged_probes_fire_and_win_against_a_slow_server() {
+#[test]
+fn hedged_probes_fire_and_win_against_a_slow_server() {
     let chaos = Arc::new(ChaosConfig::new(9));
     let spec = StrategySpec::random_server(4);
-    let (addrs, _real, _handles) = spawn_chaos_cluster(3, spec, 210, &[2], &chaos).await;
+    let cluster = spawn_chaos_cluster(3, spec, 210, &[2], &chaos);
 
     let mut client = Client::connect(
-        ClientConfig::new(addrs, spec, 211)
+        ClientConfig::new(cluster.addrs.clone(), spec, 211)
             .with_timeouts(tight())
             .with_hedging(Duration::from_millis(30)),
     );
-    client.place(b"k", entries(0..6)).await.unwrap();
+    client.place(b"k", entries(0..6)).unwrap();
 
     // From now on server 2 answers correctly but 200ms late — well past
     // the 30ms hedge delay, yet inside the 300ms rpc deadline, so a
@@ -227,7 +230,7 @@ async fn hedged_probes_fire_and_win_against_a_slow_server() {
     // and the hedged fast probe must win while the slow one hangs.
     for _ in 0..25 {
         let started = Instant::now();
-        let got = client.partial_lookup(b"k", 4).await.unwrap();
+        let got = client.partial_lookup(b"k", 4).unwrap();
         assert_eq!(got.len(), 4);
         assert!(started.elapsed() < Duration::from_secs(2));
     }
@@ -240,23 +243,65 @@ async fn hedged_probes_fire_and_win_against_a_slow_server() {
     assert!(snap.histogram("pls_client_hedge_win_latency_us").unwrap().count > 0);
 }
 
+/// A hedged lookup never waits for its straggler: with one server
+/// black-holed, a lookup that probes it first returns from the hedge
+/// long before that probe's RPC deadline — and the probe, still out on
+/// its prober thread, is joined when the client is dropped, so the drop
+/// returns only once the deadline has run out (and not much later).
+#[test]
+fn a_hedged_lookup_leaves_its_black_holed_probe_behind_and_drop_joins_it() {
+    let chaos = Arc::new(ChaosConfig::new(13));
+    let spec = StrategySpec::full_replication();
+    let cluster = spawn_chaos_cluster(3, spec, 250, &[2], &chaos);
+    let rpc = Duration::from_millis(800);
+    let timeouts = tight().with_rpc_ms(800);
+    let mut client = Client::connect(
+        ClientConfig::new(cluster.addrs.clone(), spec, 251)
+            .with_timeouts(timeouts)
+            .with_hedging(Duration::from_millis(20)),
+    );
+    client.place(b"k", entries(0..6)).unwrap();
+    chaos.set_black_hole(1.0);
+
+    // Full replication probes one random server; a third of the lookups
+    // start at the silent one and must hedge to get their answer.
+    let mut hedged_at = None;
+    for _ in 0..200 {
+        let started = Instant::now();
+        let got = client.partial_lookup(b"k", 6).unwrap();
+        assert_eq!(got.len(), 6);
+        if client.metrics().hedges.get() > 0 {
+            hedged_at = Some((started, started.elapsed()));
+            break;
+        }
+    }
+    let (started, took) = hedged_at.expect("no lookup ever started at the black-holed server");
+    assert!(took < rpc / 2, "the hedged lookup waited for its straggler: {took:?}");
+    assert_eq!(client.metrics().hedge_wins.get(), 1);
+
+    drop(client);
+    let gone = started.elapsed();
+    assert!(gone >= rpc, "drop returned with a probe still in flight ({gone:?})");
+    assert!(gone < rpc + Duration::from_millis(500), "drop outlasted the RPC deadline: {gone:?}");
+}
+
 /// Garbage frames, injected errors, and half-closes are all *peer
 /// faults*: the lookup skips the misbehaving server and completes from
 /// the healthy ones, every time.
-#[tokio::test]
-async fn byzantine_faults_are_skipped_like_crashes() {
+#[test]
+fn byzantine_faults_are_skipped_like_crashes() {
     let chaos = Arc::new(ChaosConfig::new(10));
     let spec = StrategySpec::full_replication();
-    let (addrs, _real, _handles) = spawn_chaos_cluster(3, spec, 220, &[1], &chaos).await;
+    let cluster = spawn_chaos_cluster(3, spec, 220, &[1], &chaos);
 
     let mut client = Client::connect(
-        ClientConfig::new(addrs, spec, 221)
+        ClientConfig::new(cluster.addrs.clone(), spec, 221)
             .with_timeouts(tight())
             // Keep the breaker out of the picture: this test pins the
             // skip-and-move-on path, not demotion.
             .with_breaker(BreakerConfig { failure_threshold: u32::MAX, ..Default::default() }),
     );
-    client.place(b"k", entries(0..6)).await.unwrap();
+    client.place(b"k", entries(0..6)).unwrap();
 
     let arm: [(&str, &dyn Fn()); 3] = [
         ("garbage", &|| chaos.set_garbage(1.0)),
@@ -271,7 +316,6 @@ async fn byzantine_faults_are_skipped_like_crashes() {
         for round in 0..4 {
             let got = client
                 .partial_lookup(b"k", 6)
-                .await
                 .unwrap_or_else(|e| panic!("{name} round {round}: {e}"));
             assert_eq!(got.len(), 6, "{name} round {round}");
         }
@@ -283,22 +327,23 @@ async fn byzantine_faults_are_skipped_like_crashes() {
 /// dropped, as for a crashed peer), the coordinators' rpc timeouts and
 /// breaker trips show up in the cluster-merged metrics, and the data
 /// stays retrievable.
-#[tokio::test]
-async fn black_holed_fan_out_is_bounded_and_counted() {
+#[test]
+fn black_holed_fan_out_is_bounded_and_counted() {
     let chaos = Arc::new(ChaosConfig::new(11));
     chaos.set_black_hole(1.0);
     let spec = StrategySpec::full_replication();
-    let (addrs, _real, _handles) = spawn_chaos_cluster(3, spec, 230, &[2], &chaos).await;
+    let cluster = spawn_chaos_cluster(3, spec, 230, &[2], &chaos);
 
-    let mut client = Client::connect(ClientConfig::new(addrs, spec, 231).with_timeouts(tight()));
+    let mut client =
+        Client::connect(ClientConfig::new(cluster.addrs.clone(), spec, 231).with_timeouts(tight()));
 
     // Every update's fan-out to server 2 dies in the proxy; the
     // coordinating server must give up on it within its own budget and
     // still ack the client.
     let started = Instant::now();
-    client.place(b"k", entries(0..4)).await.unwrap();
+    client.place(b"k", entries(0..4)).unwrap();
     for i in 0..5u32 {
-        client.add(b"k", format!("late{i}").into_bytes()).await.unwrap();
+        client.add(b"k", format!("late{i}").into_bytes()).unwrap();
     }
     assert!(
         started.elapsed() < Duration::from_secs(15),
@@ -307,13 +352,13 @@ async fn black_holed_fan_out_is_bounded_and_counted() {
     );
 
     // The survivors replicated everything they coordinated.
-    let got = client.partial_lookup(b"k", 9).await.unwrap();
+    let got = client.partial_lookup(b"k", 9).unwrap();
     assert_eq!(got.len(), 9);
 
     // Merged server metrics (the black-holed server is skipped) expose
     // the cost: rpc deadlines burned on fan-out, and at least one
     // coordinator's breaker gave up on the silent peer.
-    let merged = client.cluster_metrics(false).await.unwrap();
+    let merged = client.cluster_metrics(false).unwrap();
     assert!(
         merged.counter_sum("pls_rpc_timeouts_total") > 0,
         "server-side fan-out recorded no rpc timeouts"
@@ -330,42 +375,37 @@ async fn black_holed_fan_out_is_bounded_and_counted() {
 /// operation budget, so a silent donor *delays* resync by at most a few
 /// capped RPCs — it never hangs it — and the state still comes back
 /// complete from the healthy donors.
-#[tokio::test]
-async fn black_holed_donor_delays_but_never_hangs_resync() {
+#[test]
+fn black_holed_donor_delays_but_never_hangs_resync() {
     let chaos = Arc::new(ChaosConfig::new(12));
     let spec = StrategySpec::full_replication();
-    let (addrs, _real, handles) = spawn_chaos_cluster(4, spec, 240, &[1], &chaos).await;
+    let mut cluster = spawn_chaos_cluster(4, spec, 240, &[1], &chaos);
+    let addrs = cluster.addrs.clone();
 
     let mut client =
         Client::connect(ClientConfig::new(addrs.clone(), spec, 241).with_timeouts(tight()));
-    client.place(b"k1", entries(0..10)).await.unwrap();
-    client.place(b"k2", entries(50..55)).await.unwrap();
+    client.place(b"k1", entries(0..10)).unwrap();
+    client.place(b"k2", entries(50..55)).unwrap();
 
     // Silence the donor at index 1, crash server 3, and cold-start a
     // replacement that must resync through the remaining donors.
     chaos.set_black_hole(1.0);
-    handles.last().unwrap().abort();
-    // `handles` interleaves proxy and server tasks; the last pushed for
-    // index 3 is the server task. Abort it and take over its address.
-    tokio::time::sleep(Duration::from_millis(30)).await;
-    let socket = tokio::net::TcpSocket::new_v4().unwrap();
-    socket.set_reuseaddr(true).unwrap();
-    socket.bind(addrs[3]).unwrap();
-    let listener = socket.listen(64).unwrap();
-    let cfg = ServerConfig::new(3, addrs.clone(), spec, 240).with_timeouts(tight());
+    cluster.servers[3].kill();
+    let listener = rebind(addrs[3]);
+    let cfg = ServerConfig { timeouts: tight(), ..ServerConfig::new(3, addrs.clone(), spec, 240) };
     let (replacement, _) = Server::with_listener(cfg, listener).unwrap();
 
     let started = Instant::now();
-    let recovered = replacement.resync_from_peers().await.unwrap();
+    let recovered = replacement.resync_from_peers().unwrap();
     let elapsed = started.elapsed();
     // The op budget bounds the whole resync; the black-holed donor may
     // burn one capped RPC per pull but cannot push past the budget.
     let budget = tight().op_budget + Duration::from_secs(2);
     assert!(elapsed < budget, "resync took {elapsed:?} against a silent donor");
     assert_eq!(recovered, 2, "both keys must come back from the healthy donors");
-    tokio::spawn(replacement.run());
+    let _replacement = replacement.spawn();
 
-    let (keys, stored) = client.status_of(3).await.unwrap();
+    let (keys, stored) = client.status_of(3).unwrap();
     assert_eq!(keys, 2);
     assert_eq!(stored, 15);
 }

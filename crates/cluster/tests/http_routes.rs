@@ -10,25 +10,15 @@
 //! deterministic form of the self-scrape loop — so the assertions
 //! never race a background cadence.
 
+mod common;
+
 use std::net::SocketAddr;
 use std::sync::Arc;
 
+use common::{bind_all, http_get};
 use pls_cluster::{Client, ClientConfig, Server, ServerConfig};
 use pls_core::StrategySpec;
 use pls_telemetry::json::{parse, Value};
-
-async fn http_get(addr: SocketAddr, target: &str) -> (String, String, String) {
-    use tokio::io::{AsyncReadExt, AsyncWriteExt};
-    let mut stream = tokio::net::TcpStream::connect(addr).await.expect("connect");
-    let req = format!("GET {target} HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n");
-    stream.write_all(req.as_bytes()).await.expect("write");
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).await.expect("read");
-    let text = String::from_utf8(raw).expect("utf8 response");
-    let (head, body) = text.split_once("\r\n\r\n").expect("header/body split");
-    let (status, headers) = head.split_once("\r\n").unwrap_or((head, ""));
-    (status.to_string(), headers.to_string(), body.to_string())
-}
 
 fn content_type(headers: &str) -> String {
     headers
@@ -40,44 +30,44 @@ fn content_type(headers: &str) -> String {
 
 /// Fetches a debug route and returns its parsed JSON body, asserting
 /// the HTTP-level contract on the way.
-async fn get_json(addr: SocketAddr, target: &str) -> Value {
-    let (status, headers, body) = http_get(addr, target).await;
+fn get_json(addr: SocketAddr, target: &str) -> Value {
+    let (status, headers, body) = http_get(addr, target);
     assert!(status.contains("200"), "{target}: {status}");
     let ct = content_type(&headers);
     assert!(ct.starts_with("application/json"), "{target}: content type {ct}");
     parse(&body).unwrap_or_else(|e| panic!("{target}: body is not JSON: {e}\n{body}"))
 }
 
-#[tokio::test]
-async fn debug_routes_serve_parseable_json() {
-    let listener = tokio::net::TcpListener::bind("127.0.0.1:0").await.expect("bind");
-    let addr = listener.local_addr().expect("addr");
+#[test]
+fn debug_routes_serve_parseable_json() {
+    let (mut listeners, addrs) = bind_all(2);
+    let (addr, http_addr) = (addrs[0], addrs[1]);
+    let (listener, http_listener) = (listeners.remove(0), listeners.remove(0));
     let spec = StrategySpec::full_replication();
     // Background self-scrape off: the test drives the observatory
     // through `scrape_now` so window counts are exact.
-    let cfg = ServerConfig::new(0, vec![addr], spec, 91).with_self_scrape(None);
+    let cfg = ServerConfig { self_scrape: None, ..ServerConfig::new(0, vec![addr], spec, 91) };
     let (server, _) = Server::with_listener(cfg, listener).expect("server");
 
-    let http_listener = tokio::net::TcpListener::bind("127.0.0.1:0").await.expect("bind http");
-    let http_addr = http_listener.local_addr().expect("http addr");
-    tokio::spawn(pls_cluster::http::serve_router(http_listener, Arc::new(server.router())));
+    let _exporter = pls_cluster::http::serve_router(http_listener, Arc::new(server.router()))
+        .expect("exporter");
 
     // Two scrapes: the second yields a delta, so the timeline has
     // windowed rates and the SLO tracker has statuses.
     server.scrape_now();
     server.scrape_now();
-    tokio::spawn(server.run());
+    let _server = server.spawn();
 
     // Real traffic so the contention observatory has nonzero rows.
     let mut client = Client::connect(ClientConfig::new(vec![addr], spec, 92));
     let entries: Vec<Vec<u8>> = (0..4).map(|i| format!("e{i}").into_bytes()).collect();
-    client.place(b"routes-key", entries).await.expect("place");
+    client.place(b"routes-key", entries).expect("place");
     for _ in 0..3 {
-        let got = client.partial_lookup(b"routes-key", 2).await.expect("lookup");
+        let got = client.partial_lookup(b"routes-key", 2).expect("lookup");
         assert_eq!(got.len(), 2);
     }
 
-    let contention = get_json(http_addr, "/debug/contention").await;
+    let contention = get_json(http_addr, "/debug/contention");
     for field in ["sites", "shards", "alloc", "queues"] {
         assert!(contention.get(field).is_some(), "/debug/contention lacks `{field}`");
     }
@@ -86,7 +76,7 @@ async fn debug_routes_serve_parseable_json() {
         "no engines site in /debug/contention"
     );
 
-    let timeline = get_json(http_addr, "/debug/timeline").await;
+    let timeline = get_json(http_addr, "/debug/timeline");
     assert_eq!(timeline.get("server").and_then(Value::as_u64), Some(0));
     let windows = timeline.get("windows").expect("windows meta");
     assert_eq!(windows.get("len").and_then(Value::as_u64), Some(2));

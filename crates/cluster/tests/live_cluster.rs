@@ -1,89 +1,80 @@
 //! End-to-end tests of the TCP deployment: real listeners on ephemeral
-//! ports, real server-to-server fan-out, real crashes (aborted tasks).
+//! ports, real server-to-server fan-out, real crashes (killed servers).
+
+mod common;
 
 use std::net::SocketAddr;
 
-use pls_cluster::{Client, ClientConfig, Server, ServerConfig};
+use common::{bind_all, call_raw, entries, rebind};
+use pls_cluster::{Client, ClientConfig, Server, ServerConfig, ServerHandle};
 use pls_core::StrategySpec;
-use tokio::task::JoinHandle;
 
 /// Spawns an `n`-server cluster on ephemeral ports; returns the resolved
-/// addresses and the server task handles (abort one to crash a server).
-async fn spawn_cluster(
-    n: usize,
-    spec: StrategySpec,
-    seed: u64,
-) -> (Vec<SocketAddr>, Vec<JoinHandle<()>>) {
+/// addresses and the running servers (kill one to crash it; dropping the
+/// handles kills them all).
+fn spawn_cluster(n: usize, spec: StrategySpec, seed: u64) -> (Vec<SocketAddr>, Vec<ServerHandle>) {
     // Bind all listeners first so every server knows the final address
-    // list, then construct and run the servers on those listeners.
-    let mut listeners = Vec::with_capacity(n);
-    let mut addrs: Vec<SocketAddr> = Vec::with_capacity(n);
-    for _ in 0..n {
-        let listener = tokio::net::TcpListener::bind("127.0.0.1:0").await.expect("bind");
-        addrs.push(listener.local_addr().expect("local addr"));
-        listeners.push(listener);
-    }
-    let mut handles = Vec::with_capacity(n);
-    for (i, listener) in listeners.into_iter().enumerate() {
-        let cfg = ServerConfig::new(i, addrs.clone(), spec, seed);
-        let (server, _) = Server::with_listener(cfg, listener).expect("server");
-        handles.push(tokio::spawn(server.run()));
-    }
+    // list, then construct and start the servers on those listeners.
+    let (listeners, addrs) = bind_all(n);
+    let handles = listeners
+        .into_iter()
+        .enumerate()
+        .map(|(i, listener)| {
+            let cfg = ServerConfig::new(i, addrs.clone(), spec, seed);
+            Server::with_listener(cfg, listener).expect("server").0.spawn()
+        })
+        .collect();
     (addrs, handles)
 }
 
-fn entries(range: std::ops::Range<u32>) -> Vec<Vec<u8>> {
-    range.map(|i| format!("peer{i}:6699").into_bytes()).collect()
-}
-
-#[tokio::test]
-async fn full_replication_roundtrip() {
+#[test]
+fn full_replication_roundtrip() {
     let spec = StrategySpec::full_replication();
-    let (addrs, _handles) = spawn_cluster(3, spec, 1).await;
+    let (addrs, _handles) = spawn_cluster(3, spec, 1);
     let mut client = Client::connect(ClientConfig::new(addrs, spec, 10));
-    client.place(b"song", entries(0..10)).await.unwrap();
-    let got = client.partial_lookup(b"song", 4).await.unwrap();
+    client.place(b"song", entries(0..10)).unwrap();
+    let got = client.partial_lookup(b"song", 4).unwrap();
     assert_eq!(got.len(), 4);
     // Every server has all 10 entries.
     for i in 0..3 {
-        let (keys, stored) = client.status_of(i).await.unwrap();
+        let (keys, stored) = client.status_of(i).unwrap();
         assert_eq!(keys, 1);
         assert_eq!(stored, 10);
     }
 }
 
-#[tokio::test]
-async fn fixed_strategy_selective_updates() {
+#[test]
+fn fixed_strategy_selective_updates() {
     let spec = StrategySpec::fixed(5);
-    let (addrs, _handles) = spawn_cluster(4, spec, 2).await;
+    let (addrs, _handles) = spawn_cluster(4, spec, 2);
     let mut client = Client::connect(ClientConfig::new(addrs, spec, 11));
-    client.place(b"k", entries(0..20)).await.unwrap();
+    client.place(b"k", entries(0..20)).unwrap();
     for i in 0..4 {
-        let (_, stored) = client.status_of(i).await.unwrap();
+        let (_, stored) = client.status_of(i).unwrap();
         assert_eq!(stored, 5, "server {i}");
     }
     // Delete one of the stored prefix entries; all servers drop to 4.
-    client.delete(b"k", b"peer0:6699".to_vec()).await.unwrap();
+    client.delete(b"k", b"peer0:6699".to_vec()).unwrap();
     for i in 0..4 {
-        let (_, stored) = client.status_of(i).await.unwrap();
+        let (_, stored) = client.status_of(i).unwrap();
         assert_eq!(stored, 4, "server {i}");
     }
     // Add refills everywhere.
-    client.add(b"k", b"newpeer:1".to_vec()).await.unwrap();
+    client.add(b"k", b"newpeer:1".to_vec()).unwrap();
     for i in 0..4 {
-        let (_, stored) = client.status_of(i).await.unwrap();
+        let (_, stored) = client.status_of(i).unwrap();
         assert_eq!(stored, 5, "server {i}");
     }
 }
 
-#[tokio::test]
-async fn random_server_lookup_merges() {
+#[test]
+fn random_server_lookup_merges() {
     let spec = StrategySpec::random_server(4);
-    let (addrs, _handles) = spawn_cluster(5, spec, 3).await;
+    let (addrs, _handles) = spawn_cluster(5, spec, 3);
     let mut client = Client::connect(ClientConfig::new(addrs, spec, 12));
-    client.place(b"k", entries(0..20)).await.unwrap();
+    client.place(b"k", entries(0..20)).unwrap();
     // x=4 per server; asking for 10 requires merging several probes.
-    let got = client.partial_lookup(b"k", 10).await.unwrap();
+    let got = client.partial_lookup(b"k", 10).unwrap();
     assert!(got.len() >= 10, "got {}", got.len());
     // Distinct answers.
     let mut sorted = got.clone();
@@ -92,63 +83,102 @@ async fn random_server_lookup_merges() {
     assert_eq!(sorted.len(), got.len());
 }
 
-#[tokio::test]
-async fn hash_strategy_distributes_and_updates() {
+#[test]
+fn hash_strategy_distributes_and_updates() {
     let spec = StrategySpec::hash(2);
-    let (addrs, _handles) = spawn_cluster(4, spec, 4).await;
+    let (addrs, _handles) = spawn_cluster(4, spec, 4);
     let mut client = Client::connect(ClientConfig::new(addrs.clone(), spec, 13));
-    client.place(b"k", entries(0..30)).await.unwrap();
+    client.place(b"k", entries(0..30)).unwrap();
     let total: u64 = {
         let mut sum = 0;
         for i in 0..4 {
-            sum += client.status_of(i).await.unwrap().1;
+            sum += client.status_of(i).unwrap().1;
         }
         sum
     };
     // 30 entries × up to 2 copies, minus collisions.
     assert!(total > 30 && total <= 60, "total stored {total}");
-    client.add(b"k", b"extra".to_vec()).await.unwrap();
-    let got = client.partial_lookup(b"k", 25).await.unwrap();
+    client.add(b"k", b"extra".to_vec()).unwrap();
+    let got = client.partial_lookup(b"k", 25).unwrap();
     assert!(got.len() >= 25);
-    client.delete(b"k", b"extra".to_vec()).await.unwrap();
+    client.delete(b"k", b"extra".to_vec()).unwrap();
 }
 
-#[tokio::test]
-async fn round_robin_migration_over_tcp() {
+#[test]
+fn round_robin_migration_over_tcp() {
     let spec = StrategySpec::round_robin(2);
-    let (addrs, _handles) = spawn_cluster(4, spec, 5).await;
+    let (addrs, _handles) = spawn_cluster(4, spec, 5);
     let mut client = Client::connect(ClientConfig::new(addrs, spec, 14));
     // The Figure 10 scenario, over real sockets.
     let es: Vec<Vec<u8>> = (1..=5u32).map(|i| format!("e{i}").into_bytes()).collect();
-    client.place(b"k", es.clone()).await.unwrap();
-    client.delete(b"k", b"e3".to_vec()).await.unwrap();
+    client.place(b"k", es.clone()).unwrap();
+    client.delete(b"k", b"e3".to_vec()).unwrap();
     // 4 live entries × 2 copies = 8 stored across servers.
     let mut total = 0;
     for i in 0..4 {
-        total += client.status_of(i).await.unwrap().1;
+        total += client.status_of(i).unwrap().1;
     }
     assert_eq!(total, 8);
     // All four survivors retrievable.
-    let got = client.partial_lookup(b"k", 4).await.unwrap();
+    let got = client.partial_lookup(b"k", 4).unwrap();
     assert_eq!(got.len(), 4);
     assert!(!got.contains(&b"e3".to_vec()));
 }
 
-#[tokio::test]
-async fn round_robin_update_rejected_at_non_coordinator() {
+#[test]
+fn round_robin_delete_completes_through_a_cycle_of_blocked_handlers() {
+    // Round-Robin-2 on three servers, entry `e2` at position 1 (held by
+    // servers 1 and 2), head position 0 (head server 0). Deleting it runs
+    // the whole Fig. 11 graph: the coordinator's handler (server 0) blocks
+    // on its RrRemove to servers 1 and 2; each of them, inside that
+    // handler, blocks on a migrate request back to server 0 — whose
+    // handler for the client is still blocked — and server 0 serves those
+    // on further threads, sending the replacement to the holes. With one
+    // connection per peer, or a bounded pool of handlers, that cycle is a
+    // deadlock; here it completes.
     let spec = StrategySpec::round_robin(2);
-    let (addrs, _handles) = spawn_cluster(3, spec, 6).await;
-    // Talk to server 1 directly with a raw add: must be refused.
-    let peer = pls_cluster::proto::Request::Add { key: b"k".to_vec(), entry: b"e".to_vec() };
-    let client = {
-        use tokio::net::TcpStream;
-        let mut stream = TcpStream::connect(addrs[1]).await.unwrap();
-        pls_cluster::frame::write_frame(&mut stream, 0xfeed, 0, &peer.encode()).await.unwrap();
-        let (id, _, payload) = pls_cluster::frame::read_frame(&mut stream).await.unwrap().unwrap();
-        assert_eq!(id, 0xfeed, "server must echo the request id");
-        pls_cluster::proto::Response::decode(&payload).unwrap()
+    let (addrs, _handles) = spawn_cluster(3, spec, 130);
+    let mut client = Client::connect(ClientConfig::new(addrs, spec, 131));
+    let es: Vec<Vec<u8>> = (1..=6u32).map(|i| format!("e{i}").into_bytes()).collect();
+    client.place(b"k", es).unwrap();
+    let sent = |client: &Client| -> Vec<u64> {
+        (0..3)
+            .map(|i| {
+                let m = client.metrics_of(i, false).unwrap();
+                m.counter("pls_internal_sent_total").unwrap()
+            })
+            .collect()
     };
-    match client {
+    let before = sent(&client);
+    let started = std::time::Instant::now();
+    client.delete(b"k", b"e2".to_vec()).unwrap();
+    assert!(started.elapsed() < std::time::Duration::from_secs(2), "{:?}", started.elapsed());
+    // Every server's handler made (and was blocked in) at least one peer
+    // call of its own during this one delete.
+    let after = sent(&client);
+    for i in 0..3 {
+        assert!(after[i] > before[i], "server {i} never called a peer: {before:?} -> {after:?}");
+    }
+    // Five live entries, two copies each, none of them `e2`.
+    let mut total = 0;
+    for i in 0..3 {
+        total += client.status_of(i).unwrap().1;
+    }
+    assert_eq!(total, 10);
+    let got = client.partial_lookup(b"k", 6).unwrap();
+    assert_eq!(got.len(), 5);
+    assert!(!got.contains(&b"e2".to_vec()));
+}
+
+#[test]
+fn round_robin_update_rejected_at_non_coordinator() {
+    let spec = StrategySpec::round_robin(2);
+    let (addrs, _handles) = spawn_cluster(3, spec, 6);
+    // Talk to server 1 directly with a raw add: must be refused.
+    let add = pls_cluster::proto::Request::Add { key: b"k".to_vec(), entry: b"e".to_vec() };
+    let (id, response) = call_raw(addrs[1], 0xfeed, &add).unwrap();
+    assert_eq!(id, 0xfeed, "server must echo the request id");
+    match response {
         pls_cluster::proto::Response::Error(msg) => {
             assert!(msg.contains("coordinator"), "{msg}");
         }
@@ -156,85 +186,83 @@ async fn round_robin_update_rejected_at_non_coordinator() {
     }
 }
 
-#[tokio::test]
-async fn lookup_survives_server_crash() {
+#[test]
+fn lookup_survives_server_crash() {
     let spec = StrategySpec::random_server(10);
-    let (addrs, handles) = spawn_cluster(4, spec, 7).await;
+    let (addrs, mut handles) = spawn_cluster(4, spec, 7);
     let mut client = Client::connect(ClientConfig::new(addrs, spec, 15));
-    client.place(b"k", entries(0..20)).await.unwrap();
+    client.place(b"k", entries(0..20)).unwrap();
     // Crash two servers.
-    handles[0].abort();
-    handles[3].abort();
+    handles[0].kill();
+    handles[3].kill();
     // x=10 per surviving server; t=12 still satisfiable by merging the
     // two survivors (whp), and the client must skip the dead ones.
-    let got = client.partial_lookup(b"k", 12).await.unwrap();
+    let got = client.partial_lookup(b"k", 12).unwrap();
     assert!(got.len() >= 12, "got {}", got.len());
 }
 
-#[tokio::test]
-async fn updates_fail_over_to_live_servers() {
+#[test]
+fn updates_fail_over_to_live_servers() {
     let spec = StrategySpec::full_replication();
-    let (addrs, handles) = spawn_cluster(3, spec, 8).await;
+    let (addrs, mut handles) = spawn_cluster(3, spec, 8);
     let mut client = Client::connect(ClientConfig::new(addrs, spec, 16));
-    client.place(b"k", entries(0..5)).await.unwrap();
-    handles[1].abort();
+    client.place(b"k", entries(0..5)).unwrap();
+    handles[1].kill();
     // The client retries other coordinators transparently.
     for i in 0..10 {
-        client.add(b"k", format!("late{i}").into_bytes()).await.unwrap();
+        client.add(b"k", format!("late{i}").into_bytes()).unwrap();
     }
-    let (_, stored0) = client.status_of(0).await.unwrap();
-    let (_, stored2) = client.status_of(2).await.unwrap();
+    let (_, stored0) = client.status_of(0).unwrap();
+    let (_, stored2) = client.status_of(2).unwrap();
     assert_eq!(stored0, 15);
     assert_eq!(stored2, 15);
 }
 
-#[tokio::test]
-async fn all_servers_down_is_reported() {
+#[test]
+fn all_servers_down_is_reported() {
     let spec = StrategySpec::full_replication();
-    let (addrs, handles) = spawn_cluster(2, spec, 9).await;
+    let (addrs, mut handles) = spawn_cluster(2, spec, 9);
     let mut client = Client::connect(ClientConfig::new(addrs, spec, 17));
-    client.place(b"k", entries(0..3)).await.unwrap();
-    for h in &handles {
-        h.abort();
+    client.place(b"k", entries(0..3)).unwrap();
+    for h in &mut handles {
+        h.kill();
     }
-    // Give the listeners a moment to die.
-    tokio::time::sleep(std::time::Duration::from_millis(50)).await;
-    let err = client.partial_lookup(b"k", 1).await.unwrap_err();
+    let err = client.partial_lookup(b"k", 1).unwrap_err();
     assert!(matches!(
         err,
         pls_cluster::ClusterError::NoServerAvailable | pls_cluster::ClusterError::Io(_)
     ));
 }
 
-#[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-async fn concurrent_clients_do_not_corrupt_state() {
+#[test]
+fn concurrent_clients_do_not_corrupt_state() {
     // Eight clients hammer adds on their own keys while others look up;
     // afterwards every key holds exactly what its client wrote.
     let spec = StrategySpec::full_replication();
-    let (addrs, _handles) = spawn_cluster(3, spec, 30).await;
+    let (addrs, _handles) = spawn_cluster(3, spec, 30);
     let mut tasks = Vec::new();
     for c in 0..8u32 {
         let addrs = addrs.clone();
-        tasks.push(tokio::spawn(async move {
+        tasks.push(std::thread::spawn(move || {
             let mut client = Client::connect(ClientConfig::new(addrs, spec, 100 + c as u64));
             let key = format!("stream{c}").into_bytes();
-            client.place(&key, vec![]).await.unwrap();
+            client.place(&key, vec![]).unwrap();
             for i in 0..25u32 {
-                client.add(&key, format!("{c}/{i}").into_bytes()).await.unwrap();
+                client.add(&key, format!("{c}/{i}").into_bytes()).unwrap();
                 if i % 5 == 0 {
                     // Interleave lookups from the same client.
-                    let _ = client.partial_lookup(&key, 1).await.unwrap();
+                    let _ = client.partial_lookup(&key, 1).unwrap();
                 }
             }
         }));
     }
     for t in tasks {
-        t.await.unwrap();
+        t.join().unwrap();
     }
     let mut client = Client::connect(ClientConfig::new(addrs, spec, 999));
     for c in 0..8u32 {
         let key = format!("stream{c}").into_bytes();
-        let got = client.partial_lookup(&key, 25).await.unwrap();
+        let got = client.partial_lookup(&key, 25).unwrap();
         assert_eq!(got.len(), 25, "key stream{c}");
         for e in &got {
             assert!(e.starts_with(format!("{c}/").as_bytes()), "cross-key leak into stream{c}");
@@ -242,224 +270,206 @@ async fn concurrent_clients_do_not_corrupt_state() {
     }
 }
 
-#[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-async fn concurrent_round_robin_updates_remain_consistent() {
+#[test]
+fn concurrent_round_robin_updates_remain_consistent() {
     // All round-robin updates funnel through server 0; concurrent clients
     // must still leave every entry on exactly y servers.
     let spec = StrategySpec::round_robin(2);
-    let (addrs, _handles) = spawn_cluster(4, spec, 31).await;
+    let (addrs, _handles) = spawn_cluster(4, spec, 31);
     let mut tasks = Vec::new();
     for c in 0..4u32 {
         let addrs = addrs.clone();
-        tasks.push(tokio::spawn(async move {
+        tasks.push(std::thread::spawn(move || {
             let mut client = Client::connect(ClientConfig::new(addrs, spec, 200 + c as u64));
             for i in 0..20u32 {
-                client.add(b"shared", format!("{c}/{i}").into_bytes()).await.unwrap();
+                client.add(b"shared", format!("{c}/{i}").into_bytes()).unwrap();
             }
         }));
     }
     for t in tasks {
-        t.await.unwrap();
+        t.join().unwrap();
     }
     let mut client = Client::connect(ClientConfig::new(addrs, spec, 998));
     // 80 entries, 2 copies each.
     let mut total = 0;
     for i in 0..4 {
-        total += client.status_of(i).await.unwrap().1;
+        total += client.status_of(i).unwrap().1;
     }
     assert_eq!(total, 160);
-    let got = client.partial_lookup(b"shared", 80).await.unwrap();
+    let got = client.partial_lookup(b"shared", 80).unwrap();
     assert_eq!(got.len(), 80);
 }
 
-/// Binds a listener on a specific address with SO_REUSEADDR, so a
-/// replacement server can take over a just-crashed server's address.
-async fn rebind(addr: SocketAddr) -> tokio::net::TcpListener {
-    let socket = tokio::net::TcpSocket::new_v4().unwrap();
-    socket.set_reuseaddr(true).unwrap();
-    socket.bind(addr).unwrap();
-    socket.listen(64).unwrap()
-}
-
-#[tokio::test]
-async fn cold_restarted_server_resyncs_full_replication() {
+#[test]
+fn cold_restarted_server_resyncs_full_replication() {
     let spec = StrategySpec::full_replication();
-    let (addrs, handles) = spawn_cluster(3, spec, 40).await;
+    let (addrs, mut handles) = spawn_cluster(3, spec, 40);
     let mut client = Client::connect(ClientConfig::new(addrs.clone(), spec, 41));
-    client.place(b"k1", entries(0..10)).await.unwrap();
-    client.place(b"k2", entries(50..55)).await.unwrap();
+    client.place(b"k1", entries(0..10)).unwrap();
+    client.place(b"k2", entries(50..55)).unwrap();
 
     // Crash server 1 and replace it with a cold instance on the same
     // address.
-    handles[1].abort();
-    tokio::time::sleep(std::time::Duration::from_millis(30)).await;
-    let listener = rebind(addrs[1]).await;
+    handles[1].kill();
+    let listener = rebind(addrs[1]);
     let cfg = ServerConfig::new(1, addrs.clone(), spec, 40);
     let (replacement, _) = Server::with_listener(cfg, listener).unwrap();
-    let recovered = replacement.resync_from_peers().await.unwrap();
+    let recovered = replacement.resync_from_peers().unwrap();
     assert_eq!(recovered, 2);
-    tokio::spawn(replacement.run());
+    let _replacement = replacement.spawn();
 
     // The replacement holds everything again.
-    let (keys, stored) = client.status_of(1).await.unwrap();
+    let (keys, stored) = client.status_of(1).unwrap();
     assert_eq!(keys, 2);
     assert_eq!(stored, 15);
 }
 
-#[tokio::test]
-async fn cold_restarted_round_robin_server_resyncs_positions() {
+#[test]
+fn cold_restarted_round_robin_server_resyncs_positions() {
     let spec = StrategySpec::round_robin(2);
-    let (addrs, handles) = spawn_cluster(4, spec, 42).await;
+    let (addrs, mut handles) = spawn_cluster(4, spec, 42);
     let mut client = Client::connect(ClientConfig::new(addrs.clone(), spec, 43));
-    client.place(b"k", entries(0..12)).await.unwrap();
+    client.place(b"k", entries(0..12)).unwrap();
 
-    handles[2].abort();
-    tokio::time::sleep(std::time::Duration::from_millis(30)).await;
+    handles[2].kill();
     // Updates continue while server 2 is down (the coordinator is up).
-    client.add(b"k", b"late:1".to_vec()).await.unwrap();
-    client.delete(b"k", b"peer0:6699".to_vec()).await.unwrap();
+    client.add(b"k", b"late:1".to_vec()).unwrap();
+    client.delete(b"k", b"peer0:6699".to_vec()).unwrap();
 
-    let listener = rebind(addrs[2]).await;
+    let listener = rebind(addrs[2]);
     let cfg = ServerConfig::new(2, addrs.clone(), spec, 42);
     let (replacement, _) = Server::with_listener(cfg, listener).unwrap();
-    assert_eq!(replacement.resync_from_peers().await.unwrap(), 1);
-    tokio::spawn(replacement.run());
+    assert_eq!(replacement.resync_from_peers().unwrap(), 1);
+    let _replacement = replacement.spawn();
 
     // 12 live entries × 2 copies = 24 stored across the cluster.
     let mut total = 0;
     for i in 0..4 {
-        total += client.status_of(i).await.unwrap().1;
+        total += client.status_of(i).unwrap().1;
     }
     assert_eq!(total, 24);
     // Full coverage retrievable, including through the replacement.
-    let got = client.partial_lookup(b"k", 12).await.unwrap();
+    let got = client.partial_lookup(b"k", 12).unwrap();
     assert_eq!(got.len(), 12);
     assert!(!got.contains(&b"peer0:6699".to_vec()));
     assert!(got.contains(&b"late:1".to_vec()));
 }
 
-#[tokio::test]
-async fn resync_with_no_peers_reports_unavailable() {
+#[test]
+fn resync_with_no_peers_reports_unavailable() {
     let spec = StrategySpec::fixed(3);
-    let (addrs, handles) = spawn_cluster(2, spec, 44).await;
-    for h in &handles {
-        h.abort();
+    let (addrs, mut handles) = spawn_cluster(2, spec, 44);
+    for h in &mut handles {
+        h.kill();
     }
-    tokio::time::sleep(std::time::Duration::from_millis(30)).await;
-    let listener = rebind(addrs[0]).await;
+    let listener = rebind(addrs[0]);
     let cfg = ServerConfig::new(0, addrs.clone(), spec, 44);
     let (replacement, _) = Server::with_listener(cfg, listener).unwrap();
     assert!(matches!(
-        replacement.resync_from_peers().await,
+        replacement.resync_from_peers(),
         Err(pls_cluster::ClusterError::NoServerAvailable)
     ));
 }
 
-#[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-async fn parallel_lookup_merges_and_skips_dead_servers() {
+#[test]
+fn parallel_lookup_merges_and_skips_dead_servers() {
     let spec = StrategySpec::random_server(4);
-    let (addrs, handles) = spawn_cluster(6, spec, 70).await;
+    let (addrs, mut handles) = spawn_cluster(6, spec, 70);
     let mut client = Client::connect(ClientConfig::new(addrs, spec, 71));
-    client.place(b"k", entries(0..20)).await.unwrap();
+    client.place(b"k", entries(0..20)).unwrap();
     // Full fan-out: all 6 probes fly at once.
-    let got = client.partial_lookup_parallel(b"k", 12, 6).await.unwrap();
+    let got = client.partial_lookup_parallel(b"k", 12, 6).unwrap();
     assert_eq!(got.len(), 12);
     let mut sorted = got.clone();
     sorted.sort();
     sorted.dedup();
     assert_eq!(sorted.len(), 12, "duplicates in parallel merge");
     // Kill two servers; waves skip them.
-    handles[0].abort();
-    handles[5].abort();
-    let got = client.partial_lookup_parallel(b"k", 10, 3).await.unwrap();
+    handles[0].kill();
+    handles[5].kill();
+    let got = client.partial_lookup_parallel(b"k", 10, 3).unwrap();
     assert!(got.len() >= 10);
     // Everyone dead → reported.
-    for h in &handles {
-        h.abort();
+    for h in &mut handles {
+        h.kill();
     }
-    tokio::time::sleep(std::time::Duration::from_millis(40)).await;
     assert!(matches!(
-        client.partial_lookup_parallel(b"k", 1, 4).await,
+        client.partial_lookup_parallel(b"k", 1, 4),
         Err(pls_cluster::ClusterError::NoServerAvailable | pls_cluster::ClusterError::Io(_))
     ));
 }
 
-#[tokio::test]
-async fn per_key_strategies_coexist() {
+#[test]
+fn per_key_strategies_coexist() {
     // Cluster default is Hash-2; one hot key is placed under Round-2.
     let default = StrategySpec::hash(2);
-    let (addrs, _handles) = spawn_cluster(4, default, 60).await;
+    let (addrs, _handles) = spawn_cluster(4, default, 60);
     let mut client = Client::connect(ClientConfig::new(addrs.clone(), default, 61));
-    client.place(b"cold", entries(0..12)).await.unwrap();
-    client
-        .place_with_strategy(b"hot", entries(100..112), StrategySpec::round_robin(2))
-        .await
-        .unwrap();
+    client.place(b"cold", entries(0..12)).unwrap();
+    client.place_with_strategy(b"hot", entries(100..112), StrategySpec::round_robin(2)).unwrap();
     assert_eq!(client.spec_of(b"hot"), StrategySpec::round_robin(2));
     assert_eq!(client.spec_of(b"cold"), default);
 
     // Round-robin placement: exactly 2 copies of each of 12 entries,
     // spread 6 per server.
     let mut client2 = Client::connect(ClientConfig::new(addrs, default, 62));
-    client2.place_with_strategy(b"probe-only", vec![], StrategySpec::round_robin(2)).await.unwrap();
+    client2.place_with_strategy(b"probe-only", vec![], StrategySpec::round_robin(2)).unwrap();
     // A fresh client discovers the per-key strategy from the cluster.
-    let discovered = client2.refresh_spec(b"hot").await.unwrap();
+    let discovered = client2.refresh_spec(b"hot").unwrap();
     assert_eq!(discovered, Some(StrategySpec::round_robin(2)));
     assert_eq!(client2.spec_of(b"hot"), StrategySpec::round_robin(2));
-    assert_eq!(client2.refresh_spec(b"nonexistent").await.unwrap(), None);
+    assert_eq!(client2.refresh_spec(b"nonexistent").unwrap(), None);
 
     // Status counts mix both keys; check via lookups instead.
-    let hot = client.partial_lookup(b"hot", 12).await.unwrap();
+    let hot = client.partial_lookup(b"hot", 12).unwrap();
     assert_eq!(hot.len(), 12);
-    let cold = client.partial_lookup(b"cold", 10).await.unwrap();
+    let cold = client.partial_lookup(b"cold", 10).unwrap();
     assert!(cold.len() >= 10);
 
     // Round-robin updates on the hot key must go through server 0 — the
     // client routes there automatically.
-    client.add(b"hot", b"late".to_vec()).await.unwrap();
-    client.delete(b"hot", b"peer100:6699".to_vec()).await.unwrap();
-    let hot = client.partial_lookup(b"hot", 12).await.unwrap();
+    client.add(b"hot", b"late".to_vec()).unwrap();
+    client.delete(b"hot", b"peer100:6699".to_vec()).unwrap();
+    let hot = client.partial_lookup(b"hot", 12).unwrap();
     assert_eq!(hot.len(), 12);
     assert!(hot.contains(&b"late".to_vec()));
     // The delete propagated to every server (this once silently failed
     // when non-coordinator servers built the key's engine under the
     // default strategy).
     assert!(!hot.contains(&b"peer100:6699".to_vec()));
-    let everything = client.partial_lookup(b"hot", 13).await.unwrap();
+    let everything = client.partial_lookup(b"hot", 13).unwrap();
     assert_eq!(everything.len(), 12, "deleted entry still retrievable");
 }
 
-#[tokio::test]
-async fn conflicting_per_key_strategy_is_rejected() {
+#[test]
+fn conflicting_per_key_strategy_is_rejected() {
     let default = StrategySpec::hash(2);
-    let (addrs, _handles) = spawn_cluster(3, default, 63).await;
+    let (addrs, _handles) = spawn_cluster(3, default, 63);
     let mut client = Client::connect(ClientConfig::new(addrs, default, 64));
-    client.place_with_strategy(b"k", entries(0..5), StrategySpec::fixed(3)).await.unwrap();
-    let err = client
-        .place_with_strategy(b"k", entries(0..5), StrategySpec::round_robin(1))
-        .await
-        .unwrap_err();
+    client.place_with_strategy(b"k", entries(0..5), StrategySpec::fixed(3)).unwrap();
+    let err =
+        client.place_with_strategy(b"k", entries(0..5), StrategySpec::round_robin(1)).unwrap_err();
     match err {
         pls_cluster::ClusterError::Remote(msg) => assert!(msg.contains("already managed"), "{msg}"),
         other => panic!("expected remote error, got {other:?}"),
     }
 }
 
-#[tokio::test]
-async fn metrics_rpc_reports_per_variant_counts() {
+#[test]
+fn metrics_rpc_reports_per_variant_counts() {
     let spec = StrategySpec::full_replication();
-    let (addrs, _handles) = spawn_cluster(3, spec, 80).await;
+    let (addrs, _handles) = spawn_cluster(3, spec, 80);
     let mut client = Client::connect(ClientConfig::new(addrs, spec, 81));
-    client.place(b"k", entries(0..10)).await.unwrap();
-    client.add(b"k", b"extra1".to_vec()).await.unwrap();
-    client.add(b"k", b"extra2".to_vec()).await.unwrap();
+    client.place(b"k", entries(0..10)).unwrap();
+    client.add(b"k", b"extra1".to_vec()).unwrap();
+    client.add(b"k", b"extra2".to_vec()).unwrap();
     for _ in 0..5 {
-        let got = client.partial_lookup(b"k", 3).await.unwrap();
+        let got = client.partial_lookup(b"k", 3).unwrap();
         assert_eq!(got.len(), 3);
     }
 
     // Cluster-wide view: the client's requests, summed over servers.
-    let merged = client.cluster_metrics(false).await.unwrap();
+    let merged = client.cluster_metrics(false).unwrap();
     assert_eq!(merged.counter("pls_requests_total{op=\"place\"}"), Some(1));
     assert_eq!(merged.counter("pls_requests_total{op=\"add\"}"), Some(2));
     // Full replication: one probe per lookup.
@@ -487,18 +497,18 @@ async fn metrics_rpc_reports_per_variant_counts() {
     );
 }
 
-#[tokio::test]
-async fn metrics_reset_drains_counters_between_scrapes() {
+#[test]
+fn metrics_reset_drains_counters_between_scrapes() {
     let spec = StrategySpec::fixed(4);
-    let (addrs, _handles) = spawn_cluster(2, spec, 82).await;
+    let (addrs, _handles) = spawn_cluster(2, spec, 82);
     let mut client = Client::connect(ClientConfig::new(addrs, spec, 83));
-    client.place(b"k", entries(0..6)).await.unwrap();
-    client.partial_lookup(b"k", 2).await.unwrap();
+    client.place(b"k", entries(0..6)).unwrap();
+    client.partial_lookup(b"k", 2).unwrap();
 
-    let first = client.cluster_metrics(true).await.unwrap();
+    let first = client.cluster_metrics(true).unwrap();
     assert_eq!(first.counter("pls_requests_total{op=\"place\"}"), Some(1));
     // The scrape drained every counter; only the scrape itself remains.
-    let second = client.cluster_metrics(false).await.unwrap();
+    let second = client.cluster_metrics(false).unwrap();
     assert_eq!(second.counter("pls_requests_total{op=\"place\"}"), Some(0));
     assert_eq!(second.counter("pls_requests_total{op=\"probe\"}"), Some(0));
     assert_eq!(second.counter("pls_requests_total{op=\"metrics\"}"), Some(2));
@@ -506,21 +516,21 @@ async fn metrics_reset_drains_counters_between_scrapes() {
     assert_eq!(second.counter("pls_keys"), Some(2));
 }
 
-#[tokio::test]
-async fn round_robin_probe_count_matches_analytic_lookup_cost() {
+#[test]
+fn round_robin_probe_count_matches_analytic_lookup_cost() {
     // Round-Robin-2, n=4, h=12: each server holds 6 entries and
     // consecutive stride contacts are disjoint, so the §4.2 analytic
     // cost ceil(t·n/(y·h)) is exact — the live client must match it.
     let spec = StrategySpec::round_robin(2);
-    let (addrs, _handles) = spawn_cluster(4, spec, 84).await;
+    let (addrs, _handles) = spawn_cluster(4, spec, 84);
     let mut client = Client::connect(ClientConfig::new(addrs, spec, 85));
-    client.place(b"k", entries(0..12)).await.unwrap();
+    client.place(b"k", entries(0..12)).unwrap();
 
     let lookups = 20usize;
     for (t, want) in [(6usize, 1.0f64), (12, 2.0)] {
         let before = client.metrics().probes_per_lookup.snapshot();
         for _ in 0..lookups {
-            let got = client.partial_lookup(b"k", t).await.unwrap();
+            let got = client.partial_lookup(b"k", t).unwrap();
             assert_eq!(got.len(), t);
         }
         let mut after = client.metrics().probes_per_lookup.snapshot();
@@ -539,8 +549,8 @@ async fn round_robin_probe_count_matches_analytic_lookup_cost() {
     }
 }
 
-#[tokio::test]
-async fn random_server_probe_count_matches_simulated_expectation() {
+#[test]
+fn random_server_probe_count_matches_simulated_expectation() {
     // RandomServer-x has no closed form (analytic() returns None), so the
     // oracle is pls-metrics' simulation-measured cost on an identically
     // shaped pls-core cluster: n=5, x=10, h=20, t=12. (x ≥ t would make a
@@ -560,12 +570,12 @@ async fn random_server_probe_count_matches_simulated_expectation() {
         acc / seeds as f64
     };
 
-    let (addrs, _handles) = spawn_cluster(5, spec, 86).await;
+    let (addrs, _handles) = spawn_cluster(5, spec, 86);
     let mut client = Client::connect(ClientConfig::new(addrs, spec, 87));
-    client.place(b"k", entries(0..20)).await.unwrap();
+    client.place(b"k", entries(0..20)).unwrap();
     let lookups = 200usize;
     for _ in 0..lookups {
-        let got = client.partial_lookup(b"k", 12).await.unwrap();
+        let got = client.partial_lookup(b"k", 12).unwrap();
         assert!(got.len() >= 12);
     }
 
@@ -579,7 +589,7 @@ async fn random_server_probe_count_matches_simulated_expectation() {
     );
 
     // And the servers' own probe counters corroborate the client's view.
-    let merged = client.cluster_metrics(false).await.unwrap();
+    let merged = client.cluster_metrics(false).unwrap();
     assert_eq!(
         merged.counter("pls_requests_total{op=\"probe\"}"),
         Some(client.metrics().probes.get())
@@ -587,40 +597,31 @@ async fn random_server_probe_count_matches_simulated_expectation() {
     assert_eq!(merged.counter_sum("pls_probes_total"), client.metrics().probes.get());
 }
 
-#[tokio::test]
-async fn http_metrics_endpoint_serves_live_quality_series() {
-    use tokio::io::{AsyncReadExt, AsyncWriteExt};
-
+#[test]
+fn http_metrics_endpoint_serves_live_quality_series() {
     // Single-server cluster so every probe deterministically lands on
     // the server whose exporter we scrape.
     let spec = StrategySpec::full_replication();
-    let listener = tokio::net::TcpListener::bind("127.0.0.1:0").await.unwrap();
-    let addr = listener.local_addr().unwrap();
+    let (mut listeners, addrs) = bind_all(2);
+    let (addr, maddr) = (addrs[0], addrs[1]);
+    let mlistener = listeners.pop().unwrap();
     let cfg = ServerConfig::new(0, vec![addr], spec, 90);
-    let (server, _) = Server::with_listener(cfg, listener).unwrap();
-    let renderer = server.metrics_renderer();
-    tokio::spawn(server.run());
-
-    let mlistener = tokio::net::TcpListener::bind("127.0.0.1:0").await.unwrap();
-    let maddr = mlistener.local_addr().unwrap();
-    tokio::spawn(pls_cluster::http::serve(mlistener, renderer));
+    let (server, _) = Server::with_listener(cfg, listeners.pop().unwrap()).unwrap();
+    let router = std::sync::Arc::new(server.router());
+    let _server = server.spawn();
+    let _exporter = pls_cluster::http::serve_router(mlistener, router).unwrap();
 
     let mut client = Client::connect(ClientConfig::new(vec![addr], spec, 91));
-    client.place(b"song", entries(0..4)).await.unwrap();
+    client.place(b"song", entries(0..4)).unwrap();
     for _ in 0..6 {
-        let got = client.partial_lookup(b"song", 2).await.unwrap();
+        let got = client.partial_lookup(b"song", 2).unwrap();
         assert_eq!(got.len(), 2);
     }
 
     // Scrape like curl would: one GET, read to EOF.
-    let mut sock = tokio::net::TcpStream::connect(maddr).await.unwrap();
-    sock.write_all(b"GET /metrics HTTP/1.1\r\nHost: test\r\n\r\n").await.unwrap();
-    let mut response = String::new();
-    sock.read_to_string(&mut response).await.unwrap();
-
-    assert!(response.starts_with("HTTP/1.1 200 OK\r\n"), "{response}");
-    assert!(response.contains("text/plain; version=0.0.4"), "{response}");
-    let body = response.split("\r\n\r\n").nth(1).expect("response has a body");
+    let (status, headers, body) = common::http_get(maddr, "/metrics");
+    assert_eq!(status, "HTTP/1.1 200 OK");
+    assert!(headers.contains("text/plain; version=0.0.4"), "{headers}");
     // The live quality gauges, the per-entry counters behind them, the
     // hot-key sketch, and the point-in-time stored-size gauges are all
     // in the exposition.
@@ -633,8 +634,8 @@ async fn http_metrics_endpoint_serves_live_quality_series() {
     assert!(body.contains("pls_requests_total{op=\"probe\"} 6"), "{body}");
 }
 
-#[tokio::test]
-async fn live_unfairness_matches_analytic_for_fixed_x() {
+#[test]
+fn live_unfairness_matches_analytic_for_fixed_x() {
     use pls_telemetry::snapshot::labeled;
 
     // Fixed-5 over h=15, t=3: the closed-form §4.5 unfairness is
@@ -643,18 +644,18 @@ async fn live_unfairness_matches_analytic_for_fixed_x() {
     // servers never stored have no series — probability 0) and check
     // eq. (1) lands on the analytic value.
     let spec = StrategySpec::fixed(5);
-    let (addrs, _handles) = spawn_cluster(3, spec, 92).await;
+    let (addrs, _handles) = spawn_cluster(3, spec, 92);
     let mut client = Client::connect(ClientConfig::new(addrs, spec, 93));
     let universe = entries(0..15);
-    client.place(b"k", universe.clone()).await.unwrap();
+    client.place(b"k", universe.clone()).unwrap();
 
     let lookups = 600usize;
     for _ in 0..lookups {
-        let got = client.partial_lookup(b"k", 3).await.unwrap();
+        let got = client.partial_lookup(b"k", 3).unwrap();
         assert_eq!(got.len(), 3);
     }
 
-    let merged = client.cluster_metrics(false).await.unwrap();
+    let merged = client.cluster_metrics(false).unwrap();
     let counts: Vec<u64> = universe
         .iter()
         .map(|v| {
@@ -674,8 +675,8 @@ async fn live_unfairness_matches_analytic_for_fixed_x() {
     assert!((live - analytic).abs() < 0.12, "live unfairness {live} vs analytic {analytic}");
 }
 
-#[tokio::test]
-async fn round_robin_uniform_traffic_is_live_fair_with_full_coverage() {
+#[test]
+fn round_robin_uniform_traffic_is_live_fair_with_full_coverage() {
     // The acceptance cross-check: Round-Robin-2 placement (n=4, h=12)
     // under uniform lookups is the paper's perfectly fair strategy —
     // every entry sits on 2 of 4 servers and a t=6 lookup returns one
@@ -683,18 +684,18 @@ async fn round_robin_uniform_traffic_is_live_fair_with_full_coverage() {
     // cluster's live gauge must read ≈ 0 with full coverage, and must
     // agree exactly with eq. (1) computed from the same counters.
     let spec = StrategySpec::round_robin(2);
-    let (addrs, _handles) = spawn_cluster(4, spec, 94).await;
+    let (addrs, _handles) = spawn_cluster(4, spec, 94);
     let mut client = Client::connect(ClientConfig::new(addrs, spec, 95));
     let universe = entries(0..12);
-    client.place(b"k", universe.clone()).await.unwrap();
+    client.place(b"k", universe.clone()).unwrap();
 
     let lookups = 200usize;
     for _ in 0..lookups {
-        let got = client.partial_lookup(b"k", 6).await.unwrap();
+        let got = client.partial_lookup(b"k", 6).unwrap();
         assert_eq!(got.len(), 6);
     }
 
-    let merged = client.cluster_metrics(false).await.unwrap();
+    let merged = client.cluster_metrics(false).unwrap();
     let unfairness = merged.gauge("pls_live_unfairness").expect("live unfairness gauge");
     let coverage = merged.gauge("pls_live_coverage").expect("live coverage gauge");
     assert!(unfairness < 0.15, "round-robin live unfairness {unfairness}");
@@ -720,8 +721,8 @@ async fn round_robin_uniform_traffic_is_live_fair_with_full_coverage() {
     assert!((unfairness - eq1).abs() < 1e-9, "gauge {unfairness} vs eq. (1) {eq1}");
 }
 
-#[tokio::test]
-async fn request_id_propagates_from_client_through_servers() {
+#[test]
+fn request_id_propagates_from_client_through_servers() {
     use std::sync::{Arc, Mutex};
 
     // Capture every tracing event emitted while one place and one
@@ -736,19 +737,19 @@ async fn request_id_propagates_from_client_through_servers() {
     pls_telemetry::trace::init(Some(pls_telemetry::Level::Trace));
 
     let spec = StrategySpec::full_replication();
-    let (addrs, _handles) = spawn_cluster(3, spec, 96).await;
+    let (addrs, handles) = spawn_cluster(3, spec, 96);
     let mut client = Client::connect(ClientConfig::new(addrs, spec, 97));
 
-    client.place(b"k", entries(0..6)).await.unwrap();
+    client.place(b"k", entries(0..6)).unwrap();
     let place_id = client.last_request_id();
-    let got = client.partial_lookup(b"k", 2).await.unwrap();
+    let got = client.partial_lookup(b"k", 2).unwrap();
     assert_eq!(got.len(), 2);
     let lookup_id = client.last_request_id();
     assert_ne!(place_id, lookup_id, "each operation draws a fresh id");
 
     // Server-side spans drop (emitting `done`) right after the response
-    // is written; give those final events a moment to land.
-    tokio::time::sleep(std::time::Duration::from_millis(100)).await;
+    // is written; joining the servers' threads lands those final events.
+    drop(handles);
     pls_telemetry::trace::init(None);
     pls_telemetry::trace::set_sink(None);
     let lines = lines.lock().unwrap_or_else(std::sync::PoisonError::into_inner).clone();
@@ -786,8 +787,8 @@ async fn request_id_propagates_from_client_through_servers() {
     assert_eq!(internal_starts, 2, "{with_place_id:?}");
 }
 
-#[tokio::test]
-async fn round_robin_gcd_stride_falls_through_to_random_probing() {
+#[test]
+fn round_robin_gcd_stride_falls_through_to_random_probing() {
     // Round-Robin-2 on n=4: gcd(y, n) = 2, so the stride walk s, s+2
     // revisits its start after n/gcd = 2 hops having covered only half
     // the ring. With server 2 empty (crashed during placement, replaced
@@ -795,44 +796,43 @@ async fn round_robin_gcd_stride_falls_through_to_random_probing() {
     // entries in phase 1 and must fall through to probing the servers
     // the stride skipped instead of giving up.
     let spec = StrategySpec::round_robin(2);
-    let (addrs, handles) = spawn_cluster(4, spec, 120).await;
-    handles[2].abort();
-    tokio::time::sleep(std::time::Duration::from_millis(30)).await;
+    let (addrs, mut handles) = spawn_cluster(4, spec, 120);
+    handles[2].kill();
 
     let mut client = Client::connect(ClientConfig::new(addrs.clone(), spec, 121));
     // Fan-out to the dead server is dropped (the paper's failure
     // model): its round-robin positions survive only on their other
     // replica.
-    client.place(b"k", entries(0..12)).await.unwrap();
+    client.place(b"k", entries(0..12)).unwrap();
 
     // Replace server 2 with a cold, empty instance on the same address
     // — reachable and answering, but holding nothing.
-    let listener = rebind(addrs[2]).await;
+    let listener = rebind(addrs[2]);
     let cfg = ServerConfig::new(2, addrs.clone(), spec, 120);
     let (replacement, _) = Server::with_listener(cfg, listener).unwrap();
-    tokio::spawn(replacement.run());
+    let _replacement = replacement.spawn();
 
     // Whatever start the stride draws (even starts see only servers
     // {0, 2} in phase 1), every lookup must still recover all 12
     // entries via the phase-2 fallthrough.
     for i in 0..12 {
-        let got = client.partial_lookup(b"k", 12).await.unwrap();
+        let got = client.partial_lookup(b"k", 12).unwrap();
         assert_eq!(got.len(), 12, "lookup {i}");
     }
 }
 
-#[tokio::test]
-async fn many_keys_are_independent() {
+#[test]
+fn many_keys_are_independent() {
     let spec = StrategySpec::hash(2);
-    let (addrs, _handles) = spawn_cluster(3, spec, 10).await;
+    let (addrs, _handles) = spawn_cluster(3, spec, 10);
     let mut client = Client::connect(ClientConfig::new(addrs, spec, 18));
     for k in 0..20u32 {
         let key = format!("key{k}").into_bytes();
-        client.place(&key, entries(k * 10..k * 10 + 5)).await.unwrap();
+        client.place(&key, entries(k * 10..k * 10 + 5)).unwrap();
     }
     for k in 0..20u32 {
         let key = format!("key{k}").into_bytes();
-        let got = client.partial_lookup(&key, 3).await.unwrap();
+        let got = client.partial_lookup(&key, 3).unwrap();
         assert!(got.len() >= 3, "key{k}");
         for e in &got {
             let s = String::from_utf8_lossy(e);

@@ -7,10 +7,12 @@
 //! every sample belongs to a declared family, and the response carries
 //! the standard `text/plain; version=0.0.4` content type.
 
+mod common;
+
 use std::collections::{HashMap, HashSet};
-use std::net::SocketAddr;
 use std::sync::Arc;
 
+use common::{bind_all, http_get};
 use pls_cluster::{Client, ClientConfig, Server, ServerConfig};
 use pls_core::StrategySpec;
 use pls_telemetry::snapshot::labeled;
@@ -20,19 +22,6 @@ use pls_telemetry::snapshot::labeled;
 /// both for the exposition lint and for the reset-conservation hammer.
 #[global_allocator]
 static ALLOC: pls_telemetry::CountingAlloc = pls_telemetry::CountingAlloc;
-
-async fn http_get(addr: SocketAddr, target: &str) -> (String, String, String) {
-    use tokio::io::{AsyncReadExt, AsyncWriteExt};
-    let mut stream = tokio::net::TcpStream::connect(addr).await.expect("connect");
-    let req = format!("GET {target} HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n");
-    stream.write_all(req.as_bytes()).await.expect("write");
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).await.expect("read");
-    let text = String::from_utf8(raw).expect("utf8 response");
-    let (head, body) = text.split_once("\r\n\r\n").expect("header/body split");
-    let (status, headers) = head.split_once("\r\n").unwrap_or((head, ""));
-    (status.to_string(), headers.to_string(), body.to_string())
-}
 
 /// The family a sample line belongs to: its name up to any label
 /// block, with histogram `_bucket`/`_sum`/`_count` suffixes folded
@@ -49,30 +38,30 @@ fn family_of<'a>(sample_name: &'a str, histograms: &HashSet<&str>) -> &'a str {
     base
 }
 
-#[tokio::test]
-async fn metrics_exposition_passes_the_format_lint() {
+#[test]
+fn metrics_exposition_passes_the_format_lint() {
     // One real server with real traffic, so counters, gauges, *and*
     // histograms all have samples in the scrape.
-    let listener = tokio::net::TcpListener::bind("127.0.0.1:0").await.expect("bind");
-    let addr = listener.local_addr().expect("addr");
+    let (mut listeners, addrs) = bind_all(2);
+    let (addr, http_addr) = (addrs[0], addrs[1]);
+    let (listener, http_listener) = (listeners.remove(0), listeners.remove(0));
     let spec = StrategySpec::full_replication();
     let cfg = ServerConfig::new(0, vec![addr], spec, 77);
     let (server, _) = Server::with_listener(cfg, listener).expect("server");
 
-    let http_listener = tokio::net::TcpListener::bind("127.0.0.1:0").await.expect("bind http");
-    let http_addr = http_listener.local_addr().expect("http addr");
-    tokio::spawn(pls_cluster::http::serve_router(http_listener, Arc::new(server.router())));
-    tokio::spawn(server.run());
+    let _exporter = pls_cluster::http::serve_router(http_listener, Arc::new(server.router()))
+        .expect("exporter");
+    let _server = server.spawn();
 
     let mut client = Client::connect(ClientConfig::new(vec![addr], spec, 78));
     let entries: Vec<Vec<u8>> = (0..4).map(|i| format!("e{i}").into_bytes()).collect();
-    client.place(b"lint-key", entries).await.expect("place");
+    client.place(b"lint-key", entries).expect("place");
     for _ in 0..5 {
-        let got = client.partial_lookup(b"lint-key", 4).await.expect("lookup");
+        let got = client.partial_lookup(b"lint-key", 4).expect("lookup");
         assert_eq!(got.len(), 4);
     }
 
-    let (status, headers, body) = http_get(http_addr, "/metrics").await;
+    let (status, headers, body) = http_get(http_addr, "/metrics");
     assert!(status.contains("200"), "{status}");
     let content_type = headers
         .lines()
@@ -131,7 +120,7 @@ async fn metrics_exposition_passes_the_format_lint() {
         } else if let Some(comment) = line.strip_prefix('#') {
             panic!("line {ln}: unknown comment `#{comment}`");
         } else {
-            let name = line.split(|c| c == ' ' || c == '{').next().expect("sample name");
+            let name = line.split([' ', '{']).next().expect("sample name");
             let family = family_of(name, &histograms);
             assert_eq!(
                 current.as_deref(),
@@ -184,30 +173,30 @@ async fn metrics_exposition_passes_the_format_lint() {
 /// drain after traffic stops), the probe counter must equal the exact
 /// number of lookups issued, and the request-latency histogram must
 /// have observed exactly as many requests as the request counter saw.
-#[tokio::test]
-async fn resetting_scrapes_conserve_counts_under_load() {
+#[test]
+fn resetting_scrapes_conserve_counts_under_load() {
     const LOOKUPS: u64 = 400;
 
-    let listener = tokio::net::TcpListener::bind("127.0.0.1:0").await.expect("bind");
-    let addr = listener.local_addr().expect("addr");
+    let (mut listeners, addrs) = bind_all(1);
+    let (listener, addr) = (listeners.remove(0), addrs[0]);
     let spec = StrategySpec::full_replication();
     // Pin a multi-shard core: the "engines" site is now an aggregate
     // over one mutex per shard, and a resetting scrape must drain each
     // shard's counters exactly once for the conservation checks below
     // to hold. A machine-dependent default could quietly degrade to a
     // single shard and stop exercising the merge.
-    let cfg = ServerConfig::new(0, vec![addr], spec, 79).with_shards(4);
+    let cfg = ServerConfig { shards: 4, ..ServerConfig::new(0, vec![addr], spec, 79) };
     let (server, _) = Server::with_listener(cfg, listener).expect("server");
-    tokio::spawn(server.run());
+    let _server = server.spawn();
 
     let mut setup = Client::connect(ClientConfig::new(vec![addr], spec, 80));
-    setup.place(b"hammer-key", vec![b"e0".to_vec(), b"e1".to_vec()]).await.expect("place");
+    setup.place(b"hammer-key", vec![b"e0".to_vec(), b"e1".to_vec()]).expect("place");
 
     // Writer: LOOKUPS sequential lookups, one probe request each
     // (full replication satisfies t from the single server).
-    let mut writer = tokio::spawn(async move {
+    let writer = std::thread::spawn(move || {
         for _ in 0..LOOKUPS {
-            let got = setup.partial_lookup(b"hammer-key", 2).await.expect("lookup");
+            let got = setup.partial_lookup(b"hammer-key", 2).expect("lookup");
             assert_eq!(got.len(), 2);
         }
     });
@@ -243,20 +232,15 @@ async fn resetting_scrapes_conserve_counts_under_load() {
         let coverage = snap.gauge("pls_live_coverage").expect("coverage gauge");
         assert!(coverage.is_finite(), "coverage went non-finite mid-reset: {coverage}");
     };
-    loop {
-        let snap = scraper.metrics_of(0, true).await.expect("scrape");
+    while !writer.is_finished() {
+        let snap = scraper.metrics_of(0, true).expect("scrape");
         accumulate(&snap);
         drains += 1;
-        tokio::select! {
-            res = &mut writer => {
-                res.expect("writer");
-                break;
-            }
-            _ = tokio::time::sleep(std::time::Duration::from_micros(500)) => {}
-        }
+        std::thread::sleep(std::time::Duration::from_micros(500));
     }
+    writer.join().expect("writer");
     // Everything has landed; one final drain picks up the remainder.
-    let last = scraper.metrics_of(0, true).await.expect("final scrape");
+    let last = scraper.metrics_of(0, true).expect("final scrape");
     accumulate(&last);
     drains += 1;
 
@@ -307,7 +291,7 @@ async fn resetting_scrapes_conserve_counts_under_load() {
     // after the final drain a fresh non-resetting scrape reports only
     // the allocations since that drain — far less than the total.
     assert!(allocs_drained > 0, "resetting scrapes never drained an allocation delta");
-    let fresh = scraper.metrics_of(0, false).await.expect("fresh scrape");
+    let fresh = scraper.metrics_of(0, false).expect("fresh scrape");
     let fresh_allocs = fresh.counter("pls_alloc_allocs_total").expect("alloc counter");
     assert!(
         fresh_allocs < allocs_drained,

@@ -6,15 +6,18 @@
 //! RPC fan-out and the HTTP `/trace` endpoint, and pinned past ring
 //! wraparound because the request was slow.
 
+mod common;
+
 use std::net::SocketAddr;
 use std::sync::Arc;
-use std::time::Duration;
 
-use pls_cluster::{ChaosConfig, ChaosPeer, Client, ClientConfig, Server, ServerConfig, Timeouts};
+use common::{bind_all, http_get};
+use pls_cluster::{
+    ChaosConfig, ChaosPeer, Client, ClientConfig, Server, ServerConfig, ServerHandle, Timeouts,
+};
 use pls_core::StrategySpec;
 use pls_telemetry::recorder::{self, Recorder};
 use pls_telemetry::SpanRecord;
-use tokio::task::JoinHandle;
 
 /// Injected extra latency in front of the slow server.
 const DELAY_MS: u64 = 100;
@@ -29,32 +32,29 @@ fn timeouts() -> Timeouts {
 
 /// Three servers; the one at `slow` is fronted by a chaos proxy whose
 /// delay the test turns on after setup.
-async fn spawn_cluster_with_slow_server(
+fn spawn_cluster_with_slow_server(
     spec: StrategySpec,
     seed: u64,
     slow: usize,
     chaos: &Arc<ChaosConfig>,
-) -> (Vec<SocketAddr>, Vec<Server>, Vec<JoinHandle<()>>) {
-    let mut listeners = Vec::new();
-    let mut real_addrs: Vec<SocketAddr> = Vec::new();
-    for _ in 0..3 {
-        let listener = tokio::net::TcpListener::bind("127.0.0.1:0").await.expect("bind");
-        real_addrs.push(listener.local_addr().expect("local addr"));
-        listeners.push(listener);
-    }
-    let mut handles = Vec::new();
+) -> (Vec<SocketAddr>, Vec<Server>, ChaosPeer) {
+    let (listeners, real_addrs) = bind_all(3);
     let mut public_addrs = real_addrs.clone();
     let (proxy, proxy_addr) =
-        ChaosPeer::bind(Some(real_addrs[slow]), Arc::clone(chaos)).await.expect("proxy bind");
+        ChaosPeer::bind(Some(real_addrs[slow]), Arc::clone(chaos)).expect("proxy bind");
     public_addrs[slow] = proxy_addr;
-    handles.push(tokio::spawn(proxy.run()));
-    let mut servers = Vec::new();
-    for (i, listener) in listeners.into_iter().enumerate() {
-        let cfg = ServerConfig::new(i, public_addrs.clone(), spec, seed).with_timeouts(timeouts());
-        let (server, _) = Server::with_listener(cfg, listener).expect("server");
-        servers.push(server);
-    }
-    (public_addrs, servers, handles)
+    let servers = listeners
+        .into_iter()
+        .enumerate()
+        .map(|(i, listener)| {
+            let cfg = ServerConfig {
+                timeouts: timeouts(),
+                ..ServerConfig::new(i, public_addrs.clone(), spec, seed)
+            };
+            Server::with_listener(cfg, listener).expect("server").0
+        })
+        .collect();
+    (public_addrs, servers, proxy)
 }
 
 fn field_u64(span: &SpanRecord, key: &str) -> u64 {
@@ -64,27 +64,12 @@ fn field_u64(span: &SpanRecord, key: &str) -> u64 {
         .unwrap_or_else(|e| panic!("span `{}` field `{key}`: {e}", span.name))
 }
 
-/// One raw `GET` against the debug endpoint; returns (status line,
-/// headers, body).
-async fn http_get(addr: SocketAddr, target: &str) -> (String, String, String) {
-    use tokio::io::{AsyncReadExt, AsyncWriteExt};
-    let mut stream = tokio::net::TcpStream::connect(addr).await.expect("connect");
-    let req = format!("GET {target} HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n");
-    stream.write_all(req.as_bytes()).await.expect("write");
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).await.expect("read");
-    let text = String::from_utf8(raw).expect("utf8 response");
-    let (head, body) = text.split_once("\r\n\r\n").expect("header/body split");
-    let (status, headers) = head.split_once("\r\n").unwrap_or((head, ""));
-    (status.to_string(), headers.to_string(), body.to_string())
-}
-
 /// The tentpole acceptance scenario: a parallel lookup that must wait
 /// on a chaos-delayed server leaves a span tree showing exactly where
 /// the time went, and the tree survives ring wraparound via the pin
 /// list.
-#[tokio::test]
-async fn delayed_probe_shows_up_in_the_request_timeline() {
+#[test]
+fn delayed_probe_shows_up_in_the_request_timeline() {
     // Fresh recorder for this test binary; servers, client, and the
     // HTTP endpoint all share it (single process), which mirrors one
     // node's view and exercises the fan-out's deduplication.
@@ -98,34 +83,30 @@ async fn delayed_probe_shows_up_in_the_request_timeline() {
     // one; the parallel fan-out probes all three concurrently.
     let spec = StrategySpec::round_robin(1);
     let slow_server = 2usize;
-    let (addrs, servers, mut handles) =
-        spawn_cluster_with_slow_server(spec, 400, slow_server, &chaos).await;
+    let (addrs, servers, _proxy) = spawn_cluster_with_slow_server(spec, 400, slow_server, &chaos);
 
     // The HTTP debug endpoint fronts server 0.
-    let http_listener = tokio::net::TcpListener::bind("127.0.0.1:0").await.expect("bind http");
-    let http_addr = http_listener.local_addr().expect("http addr");
+    let (mut http_listeners, http_addrs) = bind_all(1);
+    let http_addr = http_addrs[0];
     let router = Arc::new(servers[0].router());
-    handles.push(tokio::spawn(pls_cluster::http::serve_router(http_listener, router)));
-    for server in servers {
-        handles.push(tokio::spawn(async move {
-            server.run().await;
-        }));
-    }
+    let _exporter =
+        pls_cluster::http::serve_router(http_listeners.remove(0), router).expect("exporter");
+    let _servers: Vec<ServerHandle> = servers.into_iter().map(Server::spawn).collect();
 
     let mut client =
         Client::connect(ClientConfig::new(addrs.clone(), spec, 401).with_timeouts(timeouts()));
     let entries: Vec<Vec<u8>> = (0..6).map(|i| format!("entry-{i}").into_bytes()).collect();
-    client.place(b"slow-key", entries).await.expect("place");
+    client.place(b"slow-key", entries).expect("place");
 
     // From now on server 2 answers correctly but DELAY_MS late.
     chaos.set_delay_ms(DELAY_MS);
 
-    let got = client.partial_lookup_parallel(b"slow-key", 6, 3).await.expect("lookup");
+    let got = client.partial_lookup_parallel(b"slow-key", 6, 3).expect("lookup");
     assert_eq!(got.len(), 6);
     let req_id = client.last_request_id();
 
     // --- the cluster-wide span tree, via the client RPC fan-out ---
-    let spans = client.trace_request(req_id).await.expect("trace");
+    let spans = client.trace_request(req_id).expect("trace");
     let root: Vec<&SpanRecord> =
         spans.iter().filter(|s| s.name == "partial_lookup_parallel").collect();
     assert_eq!(root.len(), 1, "expected exactly one root span, got {spans:#?}");
@@ -169,7 +150,7 @@ async fn delayed_probe_shows_up_in_the_request_timeline() {
     );
 
     // --- same tree over HTTP, from a *different* node's endpoint ---
-    let (status, headers, body) = http_get(http_addr, &format!("/trace?req={req_id}")).await;
+    let (status, headers, body) = http_get(http_addr, &format!("/trace?req={req_id}"));
     assert!(status.contains("200"), "{status}");
     assert!(headers.to_ascii_lowercase().contains("application/json"), "{headers}");
     assert!(body.starts_with('['), "not a JSON array: {body}");
@@ -177,13 +158,13 @@ async fn delayed_probe_shows_up_in_the_request_timeline() {
     assert!(body.contains(&format!("\"req_id\":{req_id}")), "req id missing from {body}");
 
     // Malformed and absent req parameters are client errors.
-    let (status, _, _) = http_get(http_addr, "/trace").await;
+    let (status, _, _) = http_get(http_addr, "/trace");
     assert!(status.contains("400"), "{status}");
-    let (status, _, _) = http_get(http_addr, "/trace?req=banana").await;
+    let (status, _, _) = http_get(http_addr, "/trace?req=banana");
     assert!(status.contains("400"), "{status}");
 
     // --- /debug/recent exposes ring, pins, and counters ---
-    let (status, _, recent) = http_get(http_addr, "/debug/recent").await;
+    let (status, _, recent) = http_get(http_addr, "/debug/recent");
     assert!(status.contains("200"), "{status}");
     assert!(recent.contains("\"capacity\":256"), "{recent}");
     assert!(recent.contains("\"pinned\""), "{recent}");
@@ -197,7 +178,7 @@ async fn delayed_probe_shows_up_in_the_request_timeline() {
     for i in 0..300u32 {
         // Flood the ring far past its 256-record capacity.
         let key = format!("noise-{i}").into_bytes();
-        let _ = client.partial_lookup(&key, 1).await;
+        let _ = client.partial_lookup(&key, 1);
     }
     let after = rec.spans_for(req_id);
     assert!(
@@ -210,8 +191,8 @@ async fn delayed_probe_shows_up_in_the_request_timeline() {
 
 /// `trace_request` against an all-dead cluster reports no server
 /// available rather than an empty success.
-#[tokio::test]
-async fn trace_fan_out_fails_cleanly_with_no_servers() {
+#[test]
+fn trace_fan_out_fails_cleanly_with_no_servers() {
     let dead: SocketAddr = "127.0.0.1:1".parse().unwrap();
     let client = Client::connect(
         ClientConfig::new(vec![dead], StrategySpec::full_replication(), 402)
@@ -219,8 +200,6 @@ async fn trace_fan_out_fails_cleanly_with_no_servers() {
     );
     // No recorder installed here: local spans contribute nothing, and
     // the only server is unreachable.
-    let err = client.trace_request(7).await;
+    let err = client.trace_request(7);
     assert!(err.is_err(), "expected failure, got {err:?}");
-    // Give the failed dial time to settle so the test exits cleanly.
-    tokio::time::sleep(Duration::from_millis(10)).await;
 }

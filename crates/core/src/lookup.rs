@@ -29,6 +29,67 @@ use pls_net::{FailureSet, ServerId};
 
 use crate::{DetRng, Entry, IndexedSet, ServiceError, StrategySpec};
 
+/// The servers a lookup contacted, in contact order: up to six ids
+/// inline — few lookups ask more servers than that — and the whole list
+/// in a `Vec` past that, so the common lookup's bookkeeping never
+/// reaches the allocator.
+#[derive(Clone)]
+pub(crate) enum Contacted {
+    Inline([ServerId; Contacted::INLINE], usize),
+    Spilled(Vec<ServerId>),
+}
+
+impl Contacted {
+    const INLINE: usize = 6;
+
+    fn new() -> Self {
+        Contacted::Inline([ServerId::new(0); Contacted::INLINE], 0)
+    }
+
+    fn push(&mut self, s: ServerId) {
+        match self {
+            Contacted::Inline(ids, len) if *len < Contacted::INLINE => {
+                ids[*len] = s;
+                *len += 1;
+            }
+            Contacted::Inline(ids, _) => {
+                let mut all = Vec::with_capacity(2 * Contacted::INLINE);
+                all.extend_from_slice(ids);
+                all.push(s);
+                *self = Contacted::Spilled(all);
+            }
+            Contacted::Spilled(all) => all.push(s),
+        }
+    }
+
+    fn as_slice(&self) -> &[ServerId] {
+        match self {
+            Contacted::Inline(ids, len) => &ids[..*len],
+            Contacted::Spilled(all) => all,
+        }
+    }
+}
+
+impl From<Vec<ServerId>> for Contacted {
+    fn from(all: Vec<ServerId>) -> Self {
+        Contacted::Spilled(all)
+    }
+}
+
+impl PartialEq for Contacted {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for Contacted {}
+
+impl std::fmt::Debug for Contacted {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.as_slice().fmt(f)
+    }
+}
+
 /// What a `partial_lookup(t)` returned: the merged distinct entries and
 /// which servers the client contacted, in contact order.
 ///
@@ -41,18 +102,18 @@ use crate::{DetRng, Entry, IndexedSet, ServiceError, StrategySpec};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LookupResult<V> {
     entries: Vec<V>,
-    contacted: Vec<ServerId>,
+    contacted: Contacted,
 }
 
 impl<V: Entry> LookupResult<V> {
-    pub(crate) fn new(entries: Vec<V>, contacted: Vec<ServerId>) -> Self {
+    pub(crate) fn new(entries: Vec<V>, contacted: impl Into<Contacted>) -> Self {
         // Pairwise, not through a set: a debug build allocates what a
         // release build does (`tests/alloc_gate.rs` counts both).
         debug_assert!(
             entries.iter().enumerate().all(|(i, v)| !entries[..i].contains(v)),
             "lookup answers are distinct"
         );
-        LookupResult { entries, contacted }
+        LookupResult { entries, contacted: contacted.into() }
     }
 
     /// The distinct entries retrieved, in retrieval order.
@@ -62,13 +123,13 @@ impl<V: Entry> LookupResult<V> {
 
     /// The servers contacted, in order.
     pub fn contacted(&self) -> &[ServerId] {
-        &self.contacted
+        self.contacted.as_slice()
     }
 
     /// Number of servers contacted — the paper's *client lookup cost*
     /// (§4.2) for this single lookup.
     pub fn servers_contacted(&self) -> usize {
-        self.contacted.len()
+        self.contacted().len()
     }
 
     /// Whether the lookup met its target answer size.
@@ -157,7 +218,7 @@ pub struct LookupPlan<'a, V, A = V> {
     down: &'a FailureSet,
     order: Order,
     gathered: Gathered<V, A>,
-    contacted: Vec<ServerId>,
+    contacted: Contacted,
 }
 
 impl<'a, V: Entry, A: Answer<V>> LookupPlan<'a, V, A> {
@@ -180,7 +241,7 @@ impl<'a, V: Entry, A: Answer<V>> LookupPlan<'a, V, A> {
                 down,
                 order: Order::One { first: start(), yielded: false },
                 gathered: Gathered::First(None),
-                contacted: Vec::with_capacity(1),
+                contacted: Contacted::new(),
             },
             StrategySpec::RoundRobin { y } => {
                 let visited = vec![false; down.len()];
@@ -206,7 +267,7 @@ impl<'a, V: Entry, A: Answer<V>> LookupPlan<'a, V, A> {
             down,
             order,
             gathered: Gathered::Merged(IndexedSet::new()),
-            contacted: Vec::new(),
+            contacted: Contacted::new(),
         }
     }
 
@@ -303,7 +364,7 @@ impl<'a, V: Entry, A: Answer<V>> LookupPlan<'a, V, A> {
 
     /// The servers that have answered so far, in answer order.
     pub fn contacted(&self) -> &[ServerId] {
-        &self.contacted
+        self.contacted.as_slice()
     }
 
     /// The result: everything gathered, trimmed to a uniformly random

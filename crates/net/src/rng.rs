@@ -28,10 +28,16 @@ pub fn splitmix64(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The largest `k` [`DetRng::subset_refs`] draws with Floyd's algorithm,
+/// and so the most indices it keeps without allocating.
+const FLOYD_MAX: usize = 11;
+
 /// What [`DetRng::subset_refs`] iterates: the whole slice, or the items
-/// at the indices drawn.
+/// at the indices drawn — the first `len` of an inline array (Floyd), or
+/// a `Vec` (partial Fisher–Yates).
 enum Picked<'a, T> {
     All(std::slice::Iter<'a, T>),
+    Few(&'a [T], [usize; FLOYD_MAX], std::ops::Range<usize>),
     Some(&'a [T], std::vec::IntoIter<usize>),
 }
 
@@ -41,6 +47,7 @@ impl<'a, T> Iterator for Picked<'a, T> {
     fn next(&mut self) -> Option<&'a T> {
         match self {
             Picked::All(items) => items.next(),
+            Picked::Few(items, indices, at) => at.next().map(|i| &items[indices[i]]),
             Picked::Some(items, indices) => indices.next().map(|i| &items[i]),
         }
     }
@@ -48,6 +55,7 @@ impl<'a, T> Iterator for Picked<'a, T> {
     fn size_hint(&self) -> (usize, Option<usize>) {
         match self {
             Picked::All(items) => items.size_hint(),
+            Picked::Few(_, _, at) => at.size_hint(),
             Picked::Some(_, indices) => indices.size_hint(),
         }
     }
@@ -173,24 +181,22 @@ impl DetRng {
         if k >= len {
             return Picked::All(items.iter());
         }
-        let indices = if k <= 11 {
+        if k <= FLOYD_MAX {
             // Floyd: k draws, each one a new index or the top of its range.
-            let mut picked = Vec::with_capacity(k);
-            for j in len - k..len {
+            let mut picked = [0usize; FLOYD_MAX];
+            for (n, j) in (len - k..len).enumerate() {
                 let t = self.below_u64(j as u64 + 1) as usize;
-                picked.push(if picked.contains(&t) { j } else { t });
+                picked[n] = if picked[..n].contains(&t) { j } else { t };
             }
-            picked
-        } else {
-            // The first k steps of a Fisher–Yates shuffle of 0..len.
-            let mut indices: Vec<usize> = (0..len).collect();
-            for i in 0..k {
-                let j = i + self.below_u64((len - i) as u64) as usize;
-                indices.swap(i, j);
-            }
-            indices.truncate(k);
-            indices
-        };
+            return Picked::Few(items, picked, 0..k);
+        }
+        // The first k steps of a Fisher–Yates shuffle of 0..len.
+        let mut indices: Vec<usize> = (0..len).collect();
+        for i in 0..k {
+            let j = i + self.below_u64((len - i) as u64) as usize;
+            indices.swap(i, j);
+        }
+        indices.truncate(k);
         Picked::Some(items, indices.into_iter())
     }
 

@@ -143,7 +143,7 @@ impl MetricsSnapshot {
         // Group counter samples by family (the name up to any '{').
         let mut families: BTreeMap<&str, Vec<(&str, u64)>> = BTreeMap::new();
         for (name, value) in &self.counters {
-            let family = name.split('{').next().unwrap_or(name);
+            let family = family_of(name);
             families.entry(family).or_default().push((name, *value));
         }
         for (family, samples) in families {
@@ -160,7 +160,7 @@ impl MetricsSnapshot {
         // Float gauges, grouped by family like the counters.
         let mut gauge_families: BTreeMap<&str, Vec<(&str, f64)>> = BTreeMap::new();
         for (name, value) in &self.gauges {
-            let family = name.split('{').next().unwrap_or(name);
+            let family = family_of(name);
             gauge_families.entry(family).or_default().push((name, *value));
         }
         for (family, mut samples) in gauge_families {
@@ -172,12 +172,28 @@ impl MetricsSnapshot {
             }
         }
 
+        // Histograms, grouped by family too: one HELP/TYPE per family,
+        // and a series' own labels go inside the braces of every
+        // `_bucket`/`_sum`/`_count` sample, before `le`.
         let mut hists: Vec<(&str, &HistogramSnapshot)> =
             self.histograms.iter().map(|(n, h)| (n.as_str(), h)).collect();
-        hists.sort_by(|a, b| a.0.cmp(b.0));
+        hists.sort_by_key(|(name, _)| (family_of(name), *name));
+        let mut declared = "";
         for (name, snap) in hists {
-            let _ = writeln!(out, "# HELP {name} {}", self.help_text(name, "histogram"));
-            let _ = writeln!(out, "# TYPE {name} histogram");
+            let (family, labels) = match name.split_once('{') {
+                Some((family, rest)) => (family, rest.strip_suffix('}').unwrap_or(rest)),
+                None => (name, ""),
+            };
+            if family != declared {
+                let _ = writeln!(out, "# HELP {family} {}", self.help_text(family, "histogram"));
+                let _ = writeln!(out, "# TYPE {family} histogram");
+                declared = family;
+            }
+            let (sep, braced) = if labels.is_empty() {
+                ("", String::new())
+            } else {
+                (",", format!("{{{labels}}}"))
+            };
             let mut cumulative = 0u64;
             for (i, b) in snap.buckets.iter().enumerate() {
                 cumulative += b;
@@ -188,16 +204,23 @@ impl MetricsSnapshot {
                 }
                 let le = Histogram::bucket_upper_bound(i);
                 if le.is_infinite() {
-                    let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {cumulative}");
+                    let _ =
+                        writeln!(out, "{family}_bucket{{{labels}{sep}le=\"+Inf\"}} {cumulative}");
                 } else {
-                    let _ = writeln!(out, "{name}_bucket{{le=\"{le}\"}} {cumulative}");
+                    let _ =
+                        writeln!(out, "{family}_bucket{{{labels}{sep}le=\"{le}\"}} {cumulative}");
                 }
             }
-            let _ = writeln!(out, "{name}_sum {}", snap.sum);
-            let _ = writeln!(out, "{name}_count {}", snap.count);
+            let _ = writeln!(out, "{family}_sum{braced} {}", snap.sum);
+            let _ = writeln!(out, "{family}_count{braced} {}", snap.count);
         }
         out
     }
+}
+
+/// A series name's family: the name up to any label block.
+fn family_of(name: &str) -> &str {
+    name.split('{').next().unwrap_or(name)
 }
 
 /// Escapes `# HELP` text for the exposition format: backslash and
@@ -527,6 +550,23 @@ mod tests {
         a.merge(&b);
         assert!(a.to_prometheus().contains("# HELP c_total line one"), "first help wins");
         assert_eq!(a.helps.iter().find(|(f, _)| f == "d_total").unwrap().1, "new family");
+    }
+
+    #[test]
+    fn labeled_histograms_share_one_family_block() {
+        let mut s = MetricsSnapshot::new();
+        s.push_histogram("wait_us{site=\"wal\"}", hist(&[3]));
+        s.push_histogram("wait_us{site=\"engines\"}", hist(&[1, 1]));
+        s.set_help("wait_us", "Lock wait.");
+        let text = s.to_prometheus();
+        assert_eq!(
+            text.matches("# HELP wait_us Lock wait.\n# TYPE wait_us histogram\n").count(),
+            1
+        );
+        assert!(!text.contains("}_"), "labels must sit inside the sample's braces: {text}");
+        assert!(text.contains("wait_us_bucket{site=\"wal\",le=\"+Inf\"} 1\n"), "{text}");
+        assert!(text.contains("wait_us_sum{site=\"wal\"} 3\n"), "{text}");
+        assert!(text.contains("wait_us_count{site=\"engines\"} 2\n"), "{text}");
     }
 
     #[test]

@@ -17,9 +17,8 @@
 //!
 //! `pls-cluster` re-exports every module under its old path and adds the
 //! TCP server (a shell around [`shard`]), the client and the frame reader
-//! and writer. Nothing here depends on tokio, so all of it builds and
-//! tests where there is no crate registry
-//! (`scripts/offline-test.sh test --offline -p pls-wire`).
+//! and writer. Nothing here touches a socket: the server's logic is
+//! tested through this crate without one (`cargo test -p pls-wire`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -7,7 +7,7 @@
 //!   per-`(key, entry)` retrieval counters, and the online unfairness
 //!   (§4.5) / coverage (§4.3) gauges computed from them at collection
 //!   time. Exposed over the wire via [`Request::Metrics`], scraped with
-//!   `pls-client stats`, and served over HTTP by `pls_cluster::http::serve`.
+//!   `pls-client stats`, and served over HTTP by `pls_cluster::http::serve_router`.
 //! * [`ClientMetrics`] — client-library counters, most importantly the
 //!   probes-per-lookup histogram: the paper's *client lookup cost*
 //!   (§4.2) measured on the live deployment instead of in simulation.

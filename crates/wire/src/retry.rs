@@ -140,6 +140,21 @@ impl Deadline {
     pub fn cap(&self, d: Duration) -> Duration {
         d.min(self.remaining())
     }
+
+    /// Polls `cond` every 20 ms until it holds or the deadline passes,
+    /// and returns whether it held — for a caller (a test, the soak
+    /// harness) waiting on what another thread or process brings about.
+    pub fn wait_until(&self, mut cond: impl FnMut() -> bool) -> bool {
+        loop {
+            if cond() {
+                return true;
+            }
+            if self.expired() {
+                return false;
+            }
+            std::thread::sleep(self.cap(Duration::from_millis(20)));
+        }
+    }
 }
 
 /// Circuit-breaker tuning.

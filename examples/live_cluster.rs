@@ -11,8 +11,7 @@
 use partial_lookup::cluster::{Client, ClientConfig, Server, ServerConfig};
 use partial_lookup::StrategySpec;
 
-#[tokio::main(flavor = "multi_thread")]
-async fn main() -> Result<(), Box<dyn std::error::Error>> {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n = 4;
     let spec = StrategySpec::round_robin(2);
 
@@ -20,7 +19,7 @@ async fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut listeners = Vec::new();
     let mut addrs = Vec::new();
     for _ in 0..n {
-        let listener = tokio::net::TcpListener::bind("127.0.0.1:0").await?;
+        let listener = std::net::TcpListener::bind("127.0.0.1:0")?;
         addrs.push(listener.local_addr()?);
         listeners.push(listener);
     }
@@ -29,43 +28,41 @@ async fn main() -> Result<(), Box<dyn std::error::Error>> {
         let cfg = ServerConfig::new(i, addrs.clone(), spec, 2003);
         let (server, addr) = Server::with_listener(cfg, listener)?;
         println!("server {i} on {addr}");
-        handles.push(tokio::spawn(server.run()));
+        handles.push(server.spawn());
     }
 
     let mut client = Client::connect(ClientConfig::new(addrs, spec, 7));
 
     // A song with eight serving peers, two directory copies each.
     let peers: Vec<Vec<u8>> = (0..8).map(|i| format!("peer{i}:6699").into_bytes()).collect();
-    client.place(b"song/stairway", peers).await?;
+    client.place(b"song/stairway", peers)?;
     println!("\nplaced 8 peers under song/stairway");
 
-    let hits = client.partial_lookup(b"song/stairway", 3).await?;
+    let hits = client.partial_lookup(b"song/stairway", 3)?;
     println!(
         "lookup t=3 -> {:?}",
         hits.iter().map(|e| String::from_utf8_lossy(e)).collect::<Vec<_>>()
     );
 
     // Live updates.
-    client.add(b"song/stairway", b"peer8:6699".to_vec()).await?;
-    client.delete(b"song/stairway", b"peer0:6699".to_vec()).await?;
+    client.add(b"song/stairway", b"peer8:6699".to_vec())?;
+    client.delete(b"song/stairway", b"peer0:6699".to_vec())?;
     println!("added peer8, deleted peer0 (round-robin migration ran over TCP)");
 
     for i in 0..n {
-        let (keys, entries) = client.status_of(i).await?;
+        let (keys, entries) = client.status_of(i)?;
         println!("  server {i}: {keys} key(s), {entries} entries");
     }
 
     // Crash a server; lookups keep working.
-    handles[2].abort();
+    handles[2].kill();
     println!("\ncrashed server 2");
-    let hits = client.partial_lookup(b"song/stairway", 3).await?;
+    let hits = client.partial_lookup(b"song/stairway", 3)?;
     println!(
         "lookup t=3 still answers -> {:?}",
         hits.iter().map(|e| String::from_utf8_lossy(e)).collect::<Vec<_>>()
     );
 
-    for h in handles {
-        h.abort();
-    }
+    drop(handles); // kills the remaining servers
     Ok(())
 }

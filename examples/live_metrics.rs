@@ -18,8 +18,7 @@ use partial_lookup::sim::DiscreteZipf;
 use partial_lookup::telemetry::snapshot::parse_labels;
 use partial_lookup::{DetRng, StrategySpec};
 
-#[tokio::main(flavor = "multi_thread")]
-async fn main() -> Result<(), Box<dyn std::error::Error>> {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Structured tracing to stderr; the metrics below work even at `off`.
     let level = std::env::args().nth(1).unwrap_or_else(|| "warn".to_string());
     partial_lookup::telemetry::trace::init_from_str(&level).map_err(std::io::Error::other)?;
@@ -31,7 +30,7 @@ async fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut listeners = Vec::new();
     let mut addrs = Vec::new();
     for _ in 0..n {
-        let listener = tokio::net::TcpListener::bind("127.0.0.1:0").await?;
+        let listener = std::net::TcpListener::bind("127.0.0.1:0")?;
         addrs.push(listener.local_addr()?);
         listeners.push(listener);
     }
@@ -39,7 +38,7 @@ async fn main() -> Result<(), Box<dyn std::error::Error>> {
     for (i, listener) in listeners.into_iter().enumerate() {
         let cfg = ServerConfig::new(i, addrs.clone(), spec, 2003);
         let (server, _) = Server::with_listener(cfg, listener)?;
-        handles.push(tokio::spawn(server.run()));
+        handles.push(server.spawn());
     }
 
     let mut client = Client::connect(ClientConfig::new(addrs, spec, 7));
@@ -47,20 +46,20 @@ async fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Mixed traffic: two keys (one under a per-key strategy), a stream of
     // adds/deletes, and both sequential and parallel lookups.
     let songs: Vec<Vec<u8>> = (0..12).map(|i| format!("peer{i}:6699").into_bytes()).collect();
-    client.place(b"song/stairway", songs).await?;
+    client.place(b"song/stairway", songs)?;
     let urls: Vec<Vec<u8>> = (0..8).map(|i| format!("http://host{i}/").into_bytes()).collect();
-    client.place_with_strategy(b"category/guitar", urls, StrategySpec::round_robin(2)).await?;
+    client.place_with_strategy(b"category/guitar", urls, StrategySpec::round_robin(2))?;
     for i in 0..6u32 {
-        client.add(b"song/stairway", format!("late{i}:6699").into_bytes()).await?;
+        client.add(b"song/stairway", format!("late{i}:6699").into_bytes())?;
         if i % 2 == 0 {
-            client.delete(b"song/stairway", format!("peer{i}:6699").into_bytes()).await?;
+            client.delete(b"song/stairway", format!("peer{i}:6699").into_bytes())?;
         }
     }
     for t in [3usize, 6, 9] {
-        client.partial_lookup(b"song/stairway", t).await?;
-        client.partial_lookup(b"category/guitar", t).await?;
+        client.partial_lookup(b"song/stairway", t)?;
+        client.partial_lookup(b"category/guitar", t)?;
     }
-    client.partial_lookup_parallel(b"song/stairway", 10, 4).await?;
+    client.partial_lookup_parallel(b"song/stairway", 10, 4)?;
 
     // Zipf-skewed phase: 12 more keys whose lookup traffic follows a
     // discrete Zipf law (rank 0 hottest) — the workload the hot-key
@@ -72,17 +71,17 @@ async fn main() -> Result<(), Box<dyn std::error::Error>> {
     for i in 0..m {
         let key = format!("song/top{i}").into_bytes();
         let peers: Vec<Vec<u8>> = (0..8).map(|p| format!("seed{p}:6699").into_bytes()).collect();
-        client.place(&key, peers).await?;
+        client.place(&key, peers)?;
     }
     for _ in 0..200 {
         let rank = zipf.sample(&mut rng);
         let key = format!("song/top{rank}").into_bytes();
-        client.partial_lookup(&key, 3).await?;
+        client.partial_lookup(&key, 3)?;
     }
 
     // Cluster-wide view: each server's Metrics RPC answer, merged by
     // name (counters summed, histograms merged).
-    let cluster = client.cluster_metrics(false).await?;
+    let cluster = client.cluster_metrics(false)?;
     println!("# ==== cluster-wide ({n} servers, merged) ====");
     print!("{}", cluster.to_prometheus());
 
@@ -129,8 +128,6 @@ async fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("#   {key:<20} {count}");
     }
 
-    for h in handles {
-        h.abort();
-    }
+    drop(handles); // kills the servers
     Ok(())
 }

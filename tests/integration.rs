@@ -13,8 +13,8 @@ use partial_lookup::{Cluster, DetRng, ServerId, StrategySpec};
 /// The simulated cluster and the live TCP cluster run the *same*
 /// `NodeEngine` state machine. For deterministic strategies the per-server
 /// entry sets must come out identical.
-#[tokio::test(flavor = "multi_thread")]
-async fn simulated_and_live_placements_agree() {
+#[test]
+fn simulated_and_live_placements_agree() {
     // The live server seeds each key's engine with `seed ^ hash(key)`
     // (so different keys randomize independently); the simulated twin is
     // seeded by the same function.
@@ -39,7 +39,7 @@ async fn simulated_and_live_placements_agree() {
         let mut listeners = Vec::new();
         let mut addrs = Vec::new();
         for _ in 0..n {
-            let l = tokio::net::TcpListener::bind("127.0.0.1:0").await.unwrap();
+            let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
             addrs.push(l.local_addr().unwrap());
             listeners.push(l);
         }
@@ -47,11 +47,11 @@ async fn simulated_and_live_placements_agree() {
         for (i, l) in listeners.into_iter().enumerate() {
             let cfg = ServerConfig::new(i, addrs.clone(), spec, seed);
             let (server, _) = Server::with_listener(cfg, l).unwrap();
-            handles.push(tokio::spawn(server.run()));
+            handles.push(server.spawn());
         }
         let server_addrs = addrs.clone();
         let mut client = Client::connect(ClientConfig::new(addrs, spec, 1));
-        client.place(b"k", entries).await.unwrap();
+        client.place(b"k", entries).unwrap();
 
         // Hash-y assignments depend only on the shared family, so the
         // per-server sets must match exactly. For the other deterministic
@@ -65,10 +65,10 @@ async fn simulated_and_live_placements_agree() {
             let live_raw = {
                 use partial_lookup::cluster::frame::{read_frame, write_frame};
                 use partial_lookup::cluster::proto::{Request, Response};
-                let mut stream = tokio::net::TcpStream::connect(server_addr).await.unwrap();
+                let mut stream = std::net::TcpStream::connect(server_addr).unwrap();
                 let req = Request::Probe { key: b"k".to_vec(), t: u32::MAX };
-                write_frame(&mut stream, 1, 0, &req.encode()).await.unwrap();
-                let (_, _, payload) = read_frame(&mut stream).await.unwrap().unwrap();
+                write_frame(&mut stream, 1, 0, &req.encode()).unwrap();
+                let (_, _, payload) = read_frame(&mut stream).unwrap().unwrap();
                 match Response::decode(&payload).unwrap() {
                     Response::Entries(e) => e,
                     other => panic!("unexpected {other:?}"),
@@ -85,9 +85,7 @@ async fn simulated_and_live_placements_agree() {
                 StrategySpec::RandomServer { .. } => unreachable!(),
             }
         }
-        for h in handles {
-            h.abort();
-        }
+        drop(handles); // kills the servers
     }
 }
 
