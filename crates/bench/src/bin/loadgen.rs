@@ -54,19 +54,10 @@
 //! the `pls_live_staleness{strategy,t}` gauges, tombstone totals, and
 //! the `pls_staleness_versions_behind` quantiles.
 //!
-//! The `results.runtime` block captures the cluster's performance
-//! observatory as the *growth over the measured run*: a Metrics
-//! snapshot is taken from every server before and after the workload,
-//! and the block holds the difference — per-site lock wait/hold
-//! quantiles and acquisition/contention counts (`runtime.locks`,
-//! keyed by site so `pls-bench compare` can address e.g.
-//! `runtime.locks.engines.wait_us.p99`; on a sharded server each
-//! site merges every shard's lock of that family, so the paths are
-//! shard-count-independent), allocation deltas from the
-//! servers' counting allocator with the derived `allocs_per_lookup`
-//! (`runtime.alloc`), and the post-run queue-depth gauges
-//! (`runtime.queues` — gauges merge by replacement, so each value is
-//! the last-merged server's sample, not a cluster sum).
+//! The `results.runtime` block is what the servers' own snapshot grew by
+//! over the measured run (`runtime_json` below): `runtime.locks.<site>`,
+//! `runtime.alloc` with the derived `allocs_per_lookup`, and the post-run
+//! `runtime.queues`.
 
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -75,11 +66,11 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pls_bench::output::BenchReport;
+use pls_cluster::metrics::views::{self, hist_json};
 use pls_cluster::{flag, flag_list, parse_spec, Client, ClientConfig, Timeouts};
 use pls_telemetry::json::{array, number, string, Object};
-use pls_telemetry::snapshot::{labeled, parse_labels};
 use pls_telemetry::trace;
-use pls_telemetry::{Counter, Histogram, HistogramSnapshot, MetricsSnapshot};
+use pls_telemetry::{Counter, Histogram, HistogramSnapshot, MetricsSnapshot, Timeline};
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Mode {
@@ -400,86 +391,20 @@ fn worker(
     client.metrics_snapshot()
 }
 
-fn quantiles_json(h: &HistogramSnapshot) -> String {
-    Object::new()
-        .u64("count", h.count)
-        .f64("mean", h.mean())
-        .f64("p50", h.quantile(0.50))
-        .f64("p90", h.quantile(0.90))
-        .f64("p99", h.quantile(0.99))
-        .f64("p999", h.quantile(0.999))
-        .build()
-}
-
 /// The artifact's `runtime` block: the cluster's performance
-/// observatory as after-minus-before deltas across the measured run.
-/// Lock sites the servers do not export (e.g. `wal` on a memory-only
-/// cluster) are skipped rather than emitted as zeros, and old servers
-/// that predate the families yield an empty `locks`/zeroed `alloc`
-/// block rather than an error.
-fn runtime_json(before: &MetricsSnapshot, after: &MetricsSnapshot, lookups: u64) -> String {
-    let empty = HistogramSnapshot::empty();
-    let mut locks = Object::new();
-    // `engines` and `wal` merge every shard's lock under the sharded
-    // server core. (The pre-sharding `key_specs` site no longer
-    // exists: spec overrides live under the shard's `engines` lock.)
-    for site in ["engines", "live_ft", "live_staleness", "wal"] {
-        let labels = [("site", site)];
-        let wait_name = labeled("pls_lock_wait_us", &labels);
-        let Some(wait_after) = after.histogram(&wait_name) else { continue };
-        let wait = wait_after.minus(before.histogram(&wait_name).unwrap_or(&empty));
-        let hold_name = labeled("pls_lock_hold_us", &labels);
-        let hold = after
-            .histogram(&hold_name)
-            .unwrap_or(&empty)
-            .minus(before.histogram(&hold_name).unwrap_or(&empty));
-        let delta = |family: &str| {
-            let name = labeled(family, &labels);
-            after.counter(&name).unwrap_or(0).saturating_sub(before.counter(&name).unwrap_or(0))
-        };
-        locks = locks.field(
-            site,
-            &Object::new()
-                .u64("acquisitions", delta("pls_lock_acquisitions_total"))
-                .u64("contended", delta("pls_lock_contended_total"))
-                .field("wait_us", &quantiles_json(&wait))
-                .field("hold_us", &quantiles_json(&hold))
-                .build(),
-        );
-    }
-    let counter_delta =
-        |name: &str| after.counter_sum(name).saturating_sub(before.counter_sum(name));
-    let allocs = counter_delta("pls_alloc_allocs_total");
-    let alloc = Object::new()
-        .u64("allocs", allocs)
-        .u64("frees", counter_delta("pls_alloc_frees_total"))
-        .u64("bytes", counter_delta("pls_alloc_bytes_total"))
-        .u64("freed_bytes", counter_delta("pls_alloc_freed_bytes_total"))
-        .f64("allocs_per_lookup", allocs as f64 / lookups.max(1) as f64)
-        .build();
-    // Post-run point-in-time samples; merged gauges keep the
-    // last-merged server's value, so these are one server's reading.
-    let mut depths: Vec<(String, f64)> = after
-        .gauges
-        .iter()
-        .filter_map(|(name, value)| {
-            let (family, labels) = parse_labels(name)?;
-            if family != "pls_queue_depth" {
-                return None;
-            }
-            let queue = labels.iter().find(|(k, _)| k == "queue")?.1.clone();
-            Some((queue, *value))
-        })
-        .collect();
-    depths.sort_by(|a, b| a.0.cmp(&b.0));
-    let mut queues = Object::new();
-    for (queue, value) in depths {
-        queues = queues.f64(&queue, value);
-    }
+/// observatory over the measured run — `grown` is the delta between the
+/// Metrics snapshots taken before and after it. Lock sites the servers do
+/// not export (e.g. `wal` on a memory-only cluster) are absent rather
+/// than zeros. `queues` are the post-run gauges; merged gauges keep the
+/// last-merged server's value, so these are one server's reading.
+fn runtime_json(grown: &MetricsSnapshot, lookups: u64) -> String {
+    let allocs = grown.counter_sum("pls_alloc_allocs_total");
+    let alloc =
+        views::alloc_json(grown).f64("allocs_per_lookup", allocs as f64 / lookups.max(1) as f64);
     Object::new()
-        .field("locks", &locks.build())
-        .field("alloc", &alloc)
-        .field("queues", &queues.build())
+        .field("locks", &views::lock_sites_json(grown))
+        .field("alloc", &alloc.build())
+        .field("queues", &views::queues_json(grown))
         .build()
 }
 
@@ -496,8 +421,8 @@ fn run(opts: Options) -> Result<(), String> {
     // cross-checks the client's probes-per-lookup against the growth
     // of the servers' own `pls_probes_total`.
     let observer = Client::connect(opts.cfg.clone());
-    let before = observer.cluster_metrics(false).map_err(|e| e.to_string())?;
-    let probes_before = before.counter_sum("pls_probes_total");
+    let mut run = Timeline::new(2);
+    run.record(0, 0, observer.cluster_metrics(false).map_err(|e| e.to_string())?);
 
     let zipf = Arc::new(Zipf::new(opts.keys, opts.zipf_s));
     let tally = Arc::new(Tally::default());
@@ -532,8 +457,10 @@ fn run(opts: Options) -> Result<(), String> {
     let elapsed = started.elapsed();
 
     let after = observer.cluster_metrics(false).map_err(|e| e.to_string())?;
-    let probes_after = after.counter_sum("pls_probes_total");
-    let server_probe_delta = probes_after.saturating_sub(probes_before);
+    run.record(0, elapsed.as_micros() as u64, after);
+    let grown = run.last_delta().expect("two windows recorded").changed;
+    let after = &run.latest().expect("just recorded").totals;
+    let server_probe_delta = grown.counter_sum("pls_probes_total");
 
     let lookups = tally.lookups.get();
     let failures = tally.failures.get();
@@ -590,20 +517,14 @@ fn run(opts: Options) -> Result<(), String> {
     // the observed version-lag distribution. All zeros/empty when the
     // servers run without --staleness-ms or the workload is read-only.
     let mut live_staleness: Vec<String> = after
-        .gauges
-        .iter()
-        .filter_map(|(name, value)| {
-            let (family, labels) = parse_labels(name)?;
-            if family != "pls_live_staleness" {
-                return None;
-            }
-            let strategy = labels.iter().find(|(k, _)| k == "strategy")?.1.clone();
-            let t: u64 = labels.iter().find(|(k, _)| k == "t")?.1.parse().ok()?;
+        .gauges_of("pls_live_staleness")
+        .filter_map(|(labels, p_fresh)| {
+            let t: u64 = labels.get("t")?.parse().ok()?;
             Some(
                 Object::new()
-                    .string("strategy", &strategy)
+                    .string("strategy", labels.get("strategy")?)
                     .u64("t", t)
-                    .f64("p_fresh", *value)
+                    .f64("p_fresh", p_fresh)
                     .build(),
             )
         })
@@ -612,14 +533,15 @@ fn run(opts: Options) -> Result<(), String> {
     let staleness = Object::new()
         .field("live", &array(live_staleness))
         .u64("probe_rounds", after.counter_sum("pls_staleness_rounds_total"))
-        .f64("tombstones_live", after.gauge("pls_tombstones_live_total").unwrap_or(0.0))
+        .f64("tombstones_live", after.gauge("pls_tombstones_live").unwrap_or(0.0))
         .u64("tombstones_gc", after.counter_sum("pls_tombstones_gc_total"))
         .field(
             "versions_behind",
-            &quantiles_json(after.histogram("pls_staleness_versions_behind").unwrap_or(&empty)),
+            &hist_json(after.histogram("pls_staleness_versions_behind").unwrap_or(&empty)),
         )
         .build();
 
+    let client_hist = |name: &str| hist_json(client_metrics.histogram(name).unwrap_or(&empty));
     let results = Object::new()
         .f64("elapsed_s", elapsed.as_secs_f64())
         .u64("lookups", lookups)
@@ -629,27 +551,14 @@ fn run(opts: Options) -> Result<(), String> {
         .u64("deletes", deletes)
         .u64("mutation_failures", tally.mutation_failures.get())
         .f64("throughput_rps", throughput)
-        .field("latency_us", &quantiles_json(&latency))
-        .field("mutation_latency_us", &quantiles_json(&tally.mutation_latency_us.snapshot()))
-        .field(
-            "probe_latency_us",
-            &quantiles_json(
-                client_metrics.histogram("pls_client_probe_latency_us").unwrap_or(&empty),
-            ),
-        )
-        .field(
-            "probe_service_us",
-            &quantiles_json(
-                client_metrics.histogram("pls_client_probe_service_us").unwrap_or(&empty),
-            ),
-        )
-        .field(
-            "probe_net_us",
-            &quantiles_json(client_metrics.histogram("pls_client_probe_net_us").unwrap_or(&empty)),
-        )
+        .field("latency_us", &hist_json(&latency))
+        .field("mutation_latency_us", &hist_json(&tally.mutation_latency_us.snapshot()))
+        .field("probe_latency_us", &client_hist("pls_client_probe_latency_us"))
+        .field("probe_service_us", &client_hist("pls_client_probe_service_us"))
+        .field("probe_net_us", &client_hist("pls_client_probe_net_us"))
         .field("probes", &probes)
         .field("robustness", &robustness)
-        .field("runtime", &runtime_json(&before, &after, lookups))
+        .field("runtime", &runtime_json(&grown, lookups))
         .field("staleness", &staleness)
         .build();
 

@@ -63,9 +63,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pls_bench::output::git_rev;
+use pls_cluster::metrics::views::TIMELINE_SERIES;
 use pls_cluster::{flag, parse_spec, Client, ClientConfig, Deadline, Timeouts};
 use pls_telemetry::json::{array, parse, Object, Value};
-use pls_telemetry::snapshot::parse_labels;
+use pls_telemetry::snapshot::family_of;
 use pls_telemetry::MetricsSnapshot;
 
 /// Keys the workload cycles over.
@@ -300,7 +301,7 @@ impl Sampler {
             let cur: BTreeMap<String, u64> = snap
                 .counters
                 .iter()
-                .filter(|(n, _)| parse_labels(n).is_some_and(|(f, _)| f.ends_with("_total")))
+                .filter(|(n, _)| family_of(n).ends_with("_total"))
                 .map(|(n, v)| (n.clone(), *v))
                 .collect();
             if let Some(prev) = self.prev.get(&member) {
@@ -315,23 +316,19 @@ impl Sampler {
                 }
             }
             self.prev.insert(member, cur);
-            for (name, value) in &snap.gauges {
-                let Some((family, labels)) = parse_labels(name) else { continue };
-                if family != "pls_slo_burn_rate" {
-                    continue;
-                }
-                let window = labels.iter().find(|(k, _)| k == "window").map(|(_, v)| v.as_str());
-                if window != Some("fast") {
-                    continue;
-                }
-                let Some((_, slo)) = labels.iter().find(|(k, _)| k == "slo") else { continue };
-                let entry = self.max_burn_fast.entry(slo.clone()).or_insert(0.0);
-                if *value > *entry {
-                    *entry = *value;
-                }
+            for (slo, burn) in fast_burns(&snap) {
+                let entry = self.max_burn_fast.entry(slo).or_insert(0.0);
+                *entry = entry.max(burn);
             }
         }
     }
+}
+
+/// `(objective, burn)` of every fast-window `pls_slo_burn_rate` series.
+fn fast_burns(snap: &MetricsSnapshot) -> impl Iterator<Item = (String, f64)> + '_ {
+    snap.gauges_of("pls_slo_burn_rate")
+        .filter(|(labels, _)| labels.get("window") == Some("fast"))
+        .filter_map(|(labels, burn)| Some((labels.get("slo")?.to_string(), burn)))
 }
 
 /// Runs one load phase: samples on a fixed cadence until the planned
@@ -422,12 +419,9 @@ fn audit_staleness_converges(audit: &Client, members: &[u64], deadline_s: u64) -
         for &member in members {
             let Ok(snap) = audit.metrics_of(member as usize, false) else { continue };
             reachable += 1;
-            for (name, value) in &snap.gauges {
-                let Some((family, _)) = parse_labels(name) else { continue };
-                if family == "pls_live_staleness" {
-                    series += 1;
-                    worst = worst.min(*value);
-                }
+            for (_, value) in snap.gauges_of("pls_live_staleness") {
+                series += 1;
+                worst = worst.min(value);
             }
         }
         if worst.is_finite() {
@@ -447,81 +441,45 @@ fn audit_staleness_converges(audit: &Client, members: &[u64], deadline_s: u64) -
 /// reads: every monotone counter's timeline value must land inside
 /// the RPC interval, or the two observability paths have drifted.
 fn audit_timeline_agrees(audit: &Client, p: &Ports, members: &[u64]) -> Audit {
-    // Family prefixes mirror the `series` block of `timeline_json`.
-    const COUNTERS: [(&str, &str); 3] = [
-        ("probes", "pls_probes_total"),
-        ("wal_appends", "pls_wal_appends_total"),
-        ("internal_sent", "pls_internal_sent_total"),
-    ];
-    let mut violations = Vec::new();
-    for &member in members {
-        let s1 = match audit.metrics_of(member as usize, false) {
-            Ok(snap) => snap,
-            Err(e) => {
-                return Audit::new(
-                    "timeline_agrees_with_rpc",
-                    false,
-                    format!("member {member} unreachable: {e}"),
-                )
-            }
+    // One member's violations; `Err` when it cannot be read at all.
+    let check = |member: u64| -> Result<Vec<String>, String> {
+        let rpc = || {
+            audit
+                .metrics_of(member as usize, false)
+                .map_err(|e| format!("member {member} unreachable: {e}"))
         };
+        let s1 = rpc()?;
         // Wait out at least two scrape intervals so the timeline holds
         // a window newer than the first RPC read.
         std::thread::sleep(Duration::from_millis(SCRAPE_MS * 2 + 200));
-        let latest = match http_get(p.metrics[member as usize], "/debug/timeline")
+        let doc = http_get(p.metrics[member as usize], "/debug/timeline")
             .and_then(|body| parse(&body).map_err(|e| format!("timeline JSON: {e}")))
-        {
-            Ok(doc) => {
-                match doc.get("series").and_then(Value::as_array).and_then(|s| s.last().cloned()) {
-                    Some(latest) => latest,
-                    None => {
-                        return Audit::new(
-                            "timeline_agrees_with_rpc",
-                            false,
-                            format!("member {member}: timeline has no series"),
-                        )
-                    }
+            .map_err(|e| format!("member {member}: {e}"))?;
+        let latest = doc
+            .get("series")
+            .and_then(Value::as_array)
+            .and_then(|s| s.last())
+            .ok_or(format!("member {member}: timeline has no series"))?;
+        let s2 = rpc()?;
+        let outside = |(key, family): &(&str, &str)| {
+            let (lo, hi) = (s1.counter_sum(family), s2.counter_sum(family));
+            match latest.get(key).and_then(Value::as_u64) {
+                None => Some(format!("member {member}: series lacks `{key}`")),
+                Some(w) if !(lo..=hi).contains(&w) => {
+                    Some(format!("member {member}: {key} timeline={w} outside rpc [{lo}, {hi}]"))
                 }
-            }
-            Err(e) => {
-                return Audit::new(
-                    "timeline_agrees_with_rpc",
-                    false,
-                    format!("member {member}: {e}"),
-                )
+                Some(_) => None,
             }
         };
-        let s2 = match audit.metrics_of(member as usize, false) {
-            Ok(snap) => snap,
-            Err(e) => {
-                return Audit::new(
-                    "timeline_agrees_with_rpc",
-                    false,
-                    format!("member {member} unreachable: {e}"),
-                )
-            }
-        };
-        for (key, family) in COUNTERS {
-            let lo = s1.counter_sum(family);
-            let hi = s2.counter_sum(family);
-            let Some(w) = latest.get(key).and_then(Value::as_u64) else {
-                violations.push(format!("member {member}: series lacks `{key}`"));
-                continue;
-            };
-            if !(lo..=hi).contains(&w) {
-                violations
-                    .push(format!("member {member}: {key} timeline={w} outside rpc [{lo}, {hi}]"));
-            }
+        Ok(TIMELINE_SERIES.iter().filter_map(outside).collect())
+    };
+    let name = "timeline_agrees_with_rpc";
+    match members.iter().map(|&m| check(m)).collect::<Result<Vec<_>, _>>().map(|v| v.concat()) {
+        Ok(violations) if violations.is_empty() => {
+            Audit::new(name, true, "all timeline counters inside their RPC brackets".to_string())
         }
-    }
-    if violations.is_empty() {
-        Audit::new(
-            "timeline_agrees_with_rpc",
-            true,
-            "all timeline counters inside their RPC brackets".to_string(),
-        )
-    } else {
-        Audit::new("timeline_agrees_with_rpc", false, violations.join("; "))
+        Ok(violations) => Audit::new(name, false, violations.join("; ")),
+        Err(unreadable) => Audit::new(name, false, unreadable),
     }
 }
 
@@ -537,15 +495,9 @@ fn audit_burn_stopped(audit: &Client, members: &[u64]) -> Audit {
                 format!("member {member} unreachable"),
             );
         };
-        for (name, value) in &snap.gauges {
-            let Some((family, labels)) = parse_labels(name) else { continue };
-            if family != "pls_slo_burn_rate" {
-                continue;
-            }
-            if labels.iter().any(|(k, v)| k == "window" && v == "fast")
-                && worst.as_ref().is_none_or(|(_, w)| value > w)
-            {
-                worst = Some((format!("member {member} {name}"), *value));
+        for (slo, burn) in fast_burns(&snap) {
+            if worst.as_ref().is_none_or(|(_, w)| burn > *w) {
+                worst = Some((format!("member {member} slo {slo}"), burn));
             }
         }
     }

@@ -59,8 +59,8 @@
 use std::net::SocketAddr;
 use std::process::ExitCode;
 
+use pls_cluster::metrics::views::{self, Rates};
 use pls_cluster::{flag, flag_list, parse_req_id, parse_spec, Client, ClientConfig, Timeouts};
-use pls_telemetry::snapshot::parse_labels;
 use pls_telemetry::trace;
 use pls_telemetry::{MetricsSnapshot, SpanRecord};
 
@@ -238,23 +238,15 @@ fn run(opts: Options) -> Result<(), String> {
                 // Track churn live: joiners appear, drained members drop.
                 let _ = client.refresh_membership();
                 let (_, members) = client.membership_view();
+                let per_server: Vec<(usize, Option<MetricsSnapshot>)> = members
+                    .iter()
+                    .map(|(id, _)| (*id as usize, client.metrics_of(*id as usize, false).ok()))
+                    .collect();
                 let mut merged = MetricsSnapshot::new();
-                let mut per_server: Vec<(usize, Option<MetricsSnapshot>)> = Vec::new();
-                for (id, _) in members {
-                    let i = id as usize;
-                    match client.metrics_of(i, false) {
-                        Ok(snap) => {
-                            merged.merge(&snap);
-                            per_server.push((i, Some(snap)));
-                        }
-                        Err(_) => per_server.push((i, None)),
-                    }
-                }
-                let at_unix_ms = std::time::SystemTime::now()
-                    .duration_since(std::time::UNIX_EPOCH)
-                    .map(|d| d.as_millis() as u64)
-                    .unwrap_or(0);
-                timeline.record(at_unix_ms, started.elapsed().as_micros() as u64, merged.clone());
+                per_server.iter().filter_map(|(_, s)| s.as_ref()).for_each(|s| merged.merge(s));
+                // (Deltas run on the monotonic stamp; the wall-clock one is
+                // informational and nothing here shows it.)
+                timeline.record(0, started.elapsed().as_micros() as u64, merged.clone());
                 let delta = timeline.last_delta();
                 // Clear screen + cursor home, then one full frame.
                 print!("\x1b[2J\x1b[H{}", render_top(&merged, &per_server, delta.as_ref()));
@@ -315,7 +307,7 @@ fn print_waterfall(req: u64, spans: &[SpanRecord]) {
     println!(
         "request {req:#x} — {} span{} over {total} us (wall clock, cluster-merged)",
         spans.len(),
-        if spans.len() == 1 { "" } else { "s" },
+        plural(spans.len()),
     );
     for span in spans {
         let offset = span.start_us.saturating_sub(first);
@@ -367,101 +359,65 @@ fn chrome_trace_json(spans: &[SpanRecord]) -> String {
     Object::new().field("traceEvents", &events).string("displayTimeUnit", "ms").build()
 }
 
+/// A `stats` section whose rows are each one family's sum: `(label,
+/// family)`.
+type Rows = &'static [(&'static str, &'static str)];
+
+const TOTALS: Rows = &[
+    ("keys", "pls_keys"),
+    ("entries", "pls_entries"),
+    ("requests served", "pls_requests_total"),
+    ("probes served", "pls_probes_total"),
+    ("request errors", "pls_request_errors_total"),
+];
+const ROBUSTNESS: Rows = &[
+    ("rpc timeouts", "pls_rpc_timeouts_total"),
+    ("rpc retries", "pls_rpc_retries_total"),
+    ("breaker opens", "pls_breaker_opens_total"),
+    ("breaker fast fails", "pls_breaker_fast_fails_total"),
+    ("hedged probes", "pls_client_hedges_total"),
+    ("hedge wins", "pls_client_hedge_wins_total"),
+    ("op budgets exhausted", "pls_client_op_budget_exhausted_total"),
+    ("accept errors", "pls_accept_errors_total"),
+    ("connection errors", "pls_connection_errors_total"),
+    ("update failures", "pls_client_update_failures_total"),
+    ("pool dial failures", "pls_client_pool_dial_failures_total"),
+];
+// Zero everywhere means the cluster runs memory-only (no --data-dir);
+// replays appear after crash restarts, repairs after anti-entropy heals a
+// divergent server.
+const DURABILITY: Rows = &[
+    ("wal appends", "pls_wal_appends_total"),
+    ("wal fsyncs", "pls_wal_fsyncs_total"),
+    ("wal records replayed", "pls_wal_replayed_total"),
+    ("checkpoints written", "pls_wal_checkpoints_total"),
+    ("antientropy rounds", "pls_antientropy_rounds_total"),
+    ("antientropy repairs", "pls_antientropy_repairs_total"),
+];
+const ALLOCATIONS: Rows = &[
+    ("allocs", "pls_alloc_allocs_total"),
+    ("frees", "pls_alloc_frees_total"),
+    ("bytes allocated", "pls_alloc_bytes_total"),
+];
+
+fn section(out: &mut String, title: &str, rows: Rows, merged: &MetricsSnapshot) {
+    use std::fmt::Write as _;
+    let _ = writeln!(out, "{title}");
+    for (label, family) in rows {
+        let _ = writeln!(out, "  {label:<21}{:>10}", merged.counter_sum(family));
+    }
+}
+
 /// Renders the merged cluster metrics as a human-readable summary: raw
 /// totals, latency quantiles from the histogram snapshots, the
 /// recomputed cluster-level live quality gauges, and the hottest keys.
 fn render_stats_table(merged: &MetricsSnapshot) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
-    let _ = writeln!(out, "cluster totals");
-    let _ = writeln!(out, "  keys                 {:>10}", merged.counter("pls_keys").unwrap_or(0));
-    let _ =
-        writeln!(out, "  entries              {:>10}", merged.counter("pls_entries").unwrap_or(0));
-    let _ =
-        writeln!(out, "  requests served      {:>10}", merged.counter_sum("pls_requests_total"));
-    let _ = writeln!(out, "  probes served        {:>10}", merged.counter_sum("pls_probes_total"));
-    let _ = writeln!(
-        out,
-        "  request errors       {:>10}",
-        merged.counter("pls_request_errors_total").unwrap_or(0)
-    );
-
-    let _ = writeln!(out, "robustness (client + servers)");
-    let _ = writeln!(
-        out,
-        "  rpc timeouts         {:>10}",
-        merged.counter_sum("pls_rpc_timeouts_total")
-    );
-    let _ =
-        writeln!(out, "  rpc retries          {:>10}", merged.counter_sum("pls_rpc_retries_total"));
-    let _ = writeln!(
-        out,
-        "  breaker opens        {:>10}",
-        merged.counter_sum("pls_breaker_opens_total")
-    );
-    let _ = writeln!(
-        out,
-        "  breaker fast fails   {:>10}",
-        merged.counter_sum("pls_breaker_fast_fails_total")
-    );
-    let _ = writeln!(
-        out,
-        "  hedged probes        {:>10}",
-        merged.counter_sum("pls_client_hedges_total")
-    );
-    let _ = writeln!(
-        out,
-        "  hedge wins           {:>10}",
-        merged.counter_sum("pls_client_hedge_wins_total")
-    );
-    let _ = writeln!(
-        out,
-        "  op budgets exhausted {:>10}",
-        merged.counter_sum("pls_client_op_budget_exhausted_total")
-    );
-
-    // Durability / self-healing: zero everywhere means the cluster runs
-    // memory-only (no --data-dir); replays appear after crash restarts,
-    // repairs after anti-entropy heals a divergent server.
-    let _ = writeln!(out, "durability & self-healing");
-    let _ =
-        writeln!(out, "  wal appends          {:>10}", merged.counter_sum("pls_wal_appends_total"));
-    let _ =
-        writeln!(out, "  wal fsyncs           {:>10}", merged.counter_sum("pls_wal_fsyncs_total"));
-    let _ = writeln!(
-        out,
-        "  wal records replayed {:>10}",
-        merged.counter_sum("pls_wal_replayed_total")
-    );
-    let _ = writeln!(
-        out,
-        "  checkpoints written  {:>10}",
-        merged.counter_sum("pls_wal_checkpoints_total")
-    );
-    let _ = writeln!(
-        out,
-        "  antientropy rounds   {:>10}",
-        merged.counter_sum("pls_antientropy_rounds_total")
-    );
-    let _ = writeln!(
-        out,
-        "  antientropy repairs  {:>10}",
-        merged.counter_sum("pls_antientropy_repairs_total")
-    );
-    let mut ft: Vec<(String, f64)> = merged
-        .gauges
-        .iter()
-        .filter_map(|(name, value)| {
-            let (family, labels) = parse_labels(name)?;
-            if family != "pls_live_fault_tolerance" {
-                return None;
-            }
-            let (_, t) = labels.into_iter().find(|(k, _)| k == "t")?;
-            Some((t, *value))
-        })
-        .collect();
-    ft.sort_by(|a, b| a.0.cmp(&b.0));
-    for (t, tol) in ft {
+    section(&mut out, "cluster totals", TOTALS, merged);
+    section(&mut out, "robustness (client + servers)", ROBUSTNESS, merged);
+    section(&mut out, "durability & self-healing", DURABILITY, merged);
+    for (t, tol) in views::gauges_by(merged, "pls_live_fault_tolerance", "t") {
         let _ = writeln!(out, "  live fault tol (t={t}) {:>8.0}", tol);
     }
 
@@ -469,27 +425,18 @@ fn render_stats_table(merged: &MetricsSnapshot) -> String {
     // (probability a t-probe partial lookup returns the freshest
     // version), tombstone accounting, and the observed version lag.
     let mut staleness: Vec<(String, String, f64)> = merged
-        .gauges
-        .iter()
-        .filter_map(|(name, value)| {
-            let (family, labels) = parse_labels(name)?;
-            if family != "pls_live_staleness" {
-                return None;
-            }
-            let strategy = labels.iter().find(|(k, _)| k == "strategy")?.1.clone();
-            let t = labels.iter().find(|(k, _)| k == "t")?.1.clone();
-            Some((strategy, t, *value))
-        })
+        .gauges_of("pls_live_staleness")
+        .filter_map(|(l, p)| Some((l.get("strategy")?.to_string(), l.get("t")?.to_string(), p)))
         .collect();
     staleness.sort_by(|a, b| (&a.0, &a.1).cmp(&(&b.0, &b.1)));
-    let tombs_live = merged.gauge("pls_tombstones_live_total");
+    let tombs_live = merged.gauge("pls_tombstones_live");
     let behind = merged.histogram("pls_staleness_versions_behind");
     if !staleness.is_empty() || tombs_live.is_some() || behind.is_some() {
-        let _ = writeln!(out, "consistency (versions, tombstones, measured staleness)");
-        let _ = writeln!(
-            out,
-            "  staleness rounds     {:>10}",
-            merged.counter_sum("pls_staleness_rounds_total")
+        section(
+            &mut out,
+            "consistency (versions, tombstones, measured staleness)",
+            &[("staleness rounds", "pls_staleness_rounds_total")],
+            merged,
         );
         for (strategy, t, p) in staleness {
             // Targeted strategies probe deterministically chosen holders,
@@ -502,41 +449,28 @@ fn render_stats_table(merged: &MetricsSnapshot) -> String {
         if let Some(live) = tombs_live {
             let _ = writeln!(out, "  tombstones live      {live:>10.0}");
         }
-        let _ = writeln!(
-            out,
-            "  tombstones gc'd      {:>10}",
-            merged.counter_sum("pls_tombstones_gc_total")
-        );
-        if let Some(h) = behind {
-            if !h.is_empty() {
-                let _ = writeln!(
-                    out,
-                    "  versions behind      {:>10} sampled (p50 {:.0}, p99 {:.0}, max-lag mean {:.2})",
-                    h.count,
-                    h.quantile(0.50),
-                    h.quantile(0.99),
-                    h.mean()
-                );
-            }
+        let gcd = merged.counter_sum("pls_tombstones_gc_total");
+        let _ = writeln!(out, "  tombstones gc'd      {gcd:>10}");
+        if let Some(h) = behind.filter(|h| !h.is_empty()) {
+            let _ = writeln!(
+                out,
+                "  versions behind      {:>10} sampled (p50 {:.0}, p99 {:.0}, max-lag mean {:.2})",
+                h.count,
+                h.quantile(0.50),
+                h.quantile(0.99),
+                h.mean()
+            );
         }
     }
 
     let _ = writeln!(out, "live quality (cluster-level, recomputed from per-entry hits)");
-    match merged.gauge("pls_live_unfairness") {
-        Some(u) => {
-            let _ = writeln!(out, "  unfairness (CoV)     {u:>10.4}");
-        }
-        None => {
-            let _ = writeln!(out, "  unfairness (CoV)     {:>10}", "n/a");
-        }
-    }
-    match merged.gauge("pls_live_coverage") {
-        Some(c) => {
-            let _ = writeln!(out, "  coverage             {c:>10.4}");
-        }
-        None => {
-            let _ = writeln!(out, "  coverage             {:>10}", "n/a");
-        }
+    for (label, name) in
+        [("unfairness (CoV)", "pls_live_unfairness"), ("coverage", "pls_live_coverage")]
+    {
+        let _ = match merged.gauge(name) {
+            Some(v) => writeln!(out, "  {label:<21}{v:>10.4}"),
+            None => writeln!(out, "  {label:<21}{:>10}", "n/a"),
+        };
     }
 
     let _ = writeln!(
@@ -546,102 +480,50 @@ fn render_stats_table(merged: &MetricsSnapshot) -> String {
     );
     for (label, name) in [("request", "pls_request_latency_us"), ("probe", "pls_probe_latency_us")]
     {
-        if let Some(h) = merged.histogram(name) {
-            if !h.is_empty() {
-                let _ = writeln!(
-                    out,
-                    "  {label:<21}{:>8.0} {:>8.0} {:>8.0} {:>8.0}",
-                    h.quantile(0.50),
-                    h.quantile(0.90),
-                    h.quantile(0.99),
-                    h.mean()
-                );
-            }
+        if let Some(h) = merged.histogram(name).filter(|h| !h.is_empty()) {
+            let _ = writeln!(
+                out,
+                "  {label:<21}{:>8.0} {:>8.0} {:>8.0} {:>8.0}",
+                h.quantile(0.50),
+                h.quantile(0.90),
+                h.quantile(0.99),
+                h.mean()
+            );
         }
     }
 
     // Runtime internals: per-site lock contention (cluster-merged
-    // distributions), the counting allocator's totals, and queue
-    // depths. Sections appear only when the servers export them.
-    let mut sites: Vec<String> = merged
-        .histograms
-        .iter()
-        .filter_map(|(name, _)| {
-            let (family, labels) = parse_labels(name)?;
-            if family != "pls_lock_wait_us" {
-                return None;
-            }
-            labels.into_iter().find(|(k, _)| k == "site").map(|(_, site)| site)
-        })
-        .collect();
-    sites.sort();
-    sites.dedup();
+    // distributions), the per-shard drill-down `GET /debug/contention`
+    // also serves, the counting allocator's totals, and queue depths.
+    // Sections appear only when the servers export them.
+    let sites = views::lock_sites(merged);
     if !sites.is_empty() {
         let _ = writeln!(
             out,
             "runtime: lock sites    {:>10} {:>10} {:>9} {:>9}",
             "acquired", "contended", "wait p99", "hold p99"
         );
-        for site in sites {
-            let acquired = merged
-                .counter(&format!("pls_lock_acquisitions_total{{site=\"{site}\"}}"))
-                .unwrap_or(0);
-            let contended = merged
-                .counter(&format!("pls_lock_contended_total{{site=\"{site}\"}}"))
-                .unwrap_or(0);
-            let p99 = |family: &str| {
-                merged
-                    .histogram(&format!("{family}{{site=\"{site}\"}}"))
-                    .map(|h| h.quantile(0.99))
-                    .unwrap_or(0.0)
-            };
+        for s in sites {
             let _ = writeln!(
                 out,
-                "  {site:<21}{acquired:>10} {contended:>10} {:>9.0} {:>9.0}",
-                p99("pls_lock_wait_us"),
-                p99("pls_lock_hold_us"),
+                "  {:<21}{:>10} {:>10} {:>9.0} {:>9.0}",
+                s.site,
+                s.acquisitions,
+                s.contended,
+                s.wait_us.quantile(0.99),
+                s.hold_us.quantile(0.99),
             );
         }
     }
-    // Per-shard drill-down: the same breakdown `GET /debug/contention`
-    // serves, carried over the Metrics RPC as per-shard labeled gauges
-    // (`pls_shard_*{server,shard,..}`), so it needs no HTTP endpoint.
-    // Columns: keys owned, engines-lock acquisitions and wait p99, WAL
-    // acquisitions and wait p99 (WAL columns are n/a without --data-dir).
-    let mut shard_rows: std::collections::BTreeMap<(u64, u64), [Option<f64>; 5]> =
-        std::collections::BTreeMap::new();
-    for (name, value) in &merged.gauges {
-        let Some((family, labels)) = parse_labels(name) else { continue };
-        let label = |key: &str| labels.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str());
-        let col = match family {
-            "pls_shard_keys" => 0,
-            "pls_shard_lock_acquisitions" => match label("site") {
-                Some("engines") => 1,
-                Some("wal") => 3,
-                _ => continue,
-            },
-            "pls_shard_lock_wait_p99_us" => match label("site") {
-                Some("engines") => 2,
-                Some("wal") => 4,
-                _ => continue,
-            },
-            _ => continue,
-        };
-        let (Some(server), Some(shard)) = (
-            label("server").and_then(|v| v.parse::<u64>().ok()),
-            label("shard").and_then(|v| v.parse::<u64>().ok()),
-        ) else {
-            continue;
-        };
-        shard_rows.entry((server, shard)).or_default()[col] = Some(*value);
-    }
-    if !shard_rows.is_empty() {
+    let shards = views::shard_rows(merged);
+    if !shards.is_empty() {
+        // WAL columns are n/a without --data-dir.
         let _ = writeln!(
             out,
             "runtime: shards        {:>8} {:>9} {:>9} {:>9} {:>9}",
             "keys", "eng acq", "eng p99", "wal acq", "wal p99"
         );
-        for ((server, shard), cols) in shard_rows {
+        for ((server, shard), cols) in shards {
             let cell = |v: Option<f64>| match v {
                 Some(v) if v.is_finite() => format!("{v:>9.0}"),
                 _ => format!("{:>9}", "n/a"),
@@ -659,40 +541,12 @@ fn render_stats_table(merged: &MetricsSnapshot) -> String {
         }
     }
     if merged.counter("pls_alloc_allocs_total").is_some() {
-        let _ = writeln!(out, "runtime: allocations (0 unless servers arm the counting allocator)");
-        let _ = writeln!(
-            out,
-            "  allocs               {:>10}",
-            merged.counter_sum("pls_alloc_allocs_total")
-        );
-        let _ = writeln!(
-            out,
-            "  frees                {:>10}",
-            merged.counter_sum("pls_alloc_frees_total")
-        );
-        let _ = writeln!(
-            out,
-            "  bytes allocated      {:>10}",
-            merged.counter_sum("pls_alloc_bytes_total")
-        );
-        let _ = writeln!(
-            out,
-            "  peak live bytes      {:>10.0}",
-            merged.gauge("pls_alloc_peak_bytes").unwrap_or(0.0)
-        );
+        let title = "runtime: allocations (0 unless servers arm the counting allocator)";
+        section(&mut out, title, ALLOCATIONS, merged);
+        let peak = merged.gauge("pls_alloc_peak_bytes").unwrap_or(0.0);
+        let _ = writeln!(out, "  peak live bytes      {peak:>10.0}");
     }
-    let mut queues: Vec<(String, f64)> = merged
-        .gauges
-        .iter()
-        .filter_map(|(name, value)| {
-            let (family, labels) = parse_labels(name)?;
-            if family != "pls_queue_depth" {
-                return None;
-            }
-            labels.into_iter().find(|(k, _)| k == "queue").map(|(_, q)| (q, *value))
-        })
-        .collect();
-    queues.sort_by(|a, b| a.0.cmp(&b.0));
+    let queues = views::gauges_by(merged, "pls_queue_depth", "queue");
     if !queues.is_empty() {
         let _ = writeln!(out, "runtime: queue depths (merge keeps one server's sample)");
         for (queue, depth) in queues {
@@ -702,19 +556,7 @@ fn render_stats_table(merged: &MetricsSnapshot) -> String {
 
     // Hottest keys across the cluster: every server's sketch exports
     // `pls_hot_key_probes{key=..}` series, summed by the merge.
-    let mut hot: Vec<(String, u64)> = merged
-        .counters
-        .iter()
-        .filter_map(|(name, value)| {
-            let (family, labels) = parse_labels(name)?;
-            if family != "pls_hot_key_probes" {
-                return None;
-            }
-            let (_, key) = labels.into_iter().find(|(k, _)| k == "key")?;
-            Some((key, *value))
-        })
-        .collect();
-    hot.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+    let hot = views::hot_keys(merged);
     if !hot.is_empty() {
         let _ = writeln!(out, "hottest keys               probes");
         for (key, count) in hot.iter().take(10) {
@@ -746,49 +588,31 @@ fn render_top(
     }
     match delta {
         Some(d) => {
-            let mutations = d.rate("pls_requests_total{op=\"place\"}")
-                + d.rate("pls_requests_total{op=\"add\"}")
-                + d.rate("pls_requests_total{op=\"delete\"}");
-            let errors = d.rate_sum("pls_request_errors_total")
-                + d.rate_sum("pls_internal_send_failures_total");
-            let p99 = |name: &str| d.histogram(name).map(|h| h.quantile(0.99)).unwrap_or(0.0);
+            let r = Rates::of(d);
             let _ = writeln!(out, "rates over the last {:.1}s", d.span_seconds());
             let _ = writeln!(
                 out,
                 "  requests/s  {:>10.1}   mutations/s {:>10.1}",
-                d.rate_sum("pls_requests_total"),
-                mutations
+                r.requests_per_s, r.mutations_per_s
             );
             let _ = writeln!(
                 out,
                 "  probes/s    {:>10.1}   errors/s    {:>10.1}",
-                d.rate_sum("pls_probes_total"),
-                errors
+                r.probes_per_s, r.errors_per_s
             );
             let _ = writeln!(
                 out,
                 "  request p99 {:>8.0}us   probe p99   {:>8.0}us   engines lock wait p99 {:>6.0}us",
-                p99("pls_request_latency_us"),
-                p99("pls_probe_latency_us"),
-                p99("pls_lock_wait_us{site=\"engines\"}"),
+                r.request_p99_us.unwrap_or(0.0),
+                r.probe_p99_us.unwrap_or(0.0),
+                r.engines_lock_wait_p99_us.unwrap_or(0.0),
             );
         }
         None => {
             let _ = writeln!(out, "rates: warming up (one more sample needed)");
         }
     }
-    let mut queues: Vec<(String, f64)> = merged
-        .gauges
-        .iter()
-        .filter_map(|(name, value)| {
-            let (family, labels) = parse_labels(name)?;
-            if family != "pls_queue_depth" {
-                return None;
-            }
-            labels.into_iter().find(|(k, _)| k == "queue").map(|(_, q)| (q, *value))
-        })
-        .collect();
-    queues.sort_by(|a, b| a.0.cmp(&b.0));
+    let queues = views::gauges_by(merged, "pls_queue_depth", "queue");
     if !queues.is_empty() {
         let depths: Vec<String> = queues.iter().map(|(q, v)| format!("{q}={v:.0}")).collect();
         let _ = writeln!(out, "queue depths  {}", depths.join("  "));
@@ -796,52 +620,28 @@ fn render_top(
     let mut wrote_header = false;
     for (i, snap) in per_server {
         let Some(snap) = snap else { continue };
-        let mut rows: Vec<(String, f64, f64, f64)> = Vec::new();
-        for (name, remaining) in &snap.gauges {
-            let Some((family, labels)) = parse_labels(name) else { continue };
-            if family != "pls_slo_error_budget_remaining" {
-                continue;
+        let burns = |slo: &str, window: &str| {
+            snap.gauges_of("pls_slo_burn_rate")
+                .find(|(l, _)| l.get("slo") == Some(slo) && l.get("window") == Some(window))
+                .map_or(0.0, |(_, v)| v)
+        };
+        for (slo, remaining) in views::gauges_by(snap, "pls_slo_error_budget_remaining", "slo") {
+            if !std::mem::replace(&mut wrote_header, true) {
+                let _ = writeln!(
+                    out,
+                    "slo error budgets        {:>10} {:>10} {:>10}",
+                    "remaining", "burn fast", "burn slow"
+                );
             }
-            let Some((_, slo)) = labels.into_iter().find(|(k, _)| k == "slo") else { continue };
-            let burn = |window: &str| {
-                snap.gauge(&format!("pls_slo_burn_rate{{slo=\"{slo}\",window=\"{window}\"}}"))
-                    .unwrap_or(0.0)
-            };
-            rows.push((slo.clone(), *remaining, burn("fast"), burn("slow")));
-        }
-        rows.sort_by(|a, b| a.0.cmp(&b.0));
-        if rows.is_empty() {
-            continue;
-        }
-        if !wrote_header {
-            let _ = writeln!(
-                out,
-                "slo error budgets        {:>10} {:>10} {:>10}",
-                "remaining", "burn fast", "burn slow"
-            );
-            wrote_header = true;
-        }
-        for (slo, remaining, fast, slow) in rows {
             // Burn > 1 means the budget is being spent faster than it
             // accrues — the page-worthy state.
+            let (fast, slow) = (burns(&slo, "fast"), burns(&slo, "slow"));
             let flag = if fast > 1.0 { "  BURNING" } else { "" };
             let tag = format!("s{i} {slo}");
             let _ = writeln!(out, "  {tag:<22} {remaining:>10.4} {fast:>10.2} {slow:>10.2}{flag}");
         }
     }
-    let mut hot: Vec<(String, u64)> = merged
-        .counters
-        .iter()
-        .filter_map(|(name, value)| {
-            let (family, labels) = parse_labels(name)?;
-            if family != "pls_hot_key_probes" {
-                return None;
-            }
-            let (_, key) = labels.into_iter().find(|(k, _)| k == "key")?;
-            Some((key, *value))
-        })
-        .collect();
-    hot.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+    let hot = views::hot_keys(merged);
     if !hot.is_empty() {
         let keys: Vec<String> = hot.iter().take(5).map(|(k, c)| format!("{k}({c})")).collect();
         let _ = writeln!(out, "hottest keys  {}", keys.join("  "));
@@ -873,13 +673,163 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
+    /// One snapshot with a series in every section `stats` prints.
+    fn golden_snapshot() -> MetricsSnapshot {
+        use pls_telemetry::snapshot::labeled;
+        let hist = |values: &[u64]| {
+            let h = pls_telemetry::Histogram::new();
+            values.iter().for_each(|v| h.observe(*v));
+            h.snapshot()
+        };
+        let mut s = MetricsSnapshot::new();
+        for (name, value) in [
+            ("pls_keys", 7),
+            ("pls_entries", 41),
+            ("pls_requests_total{op=\"probe\"}", 300),
+            ("pls_requests_total{op=\"add\"}", 20),
+            ("pls_probes_total{strategy=\"round\"}", 290),
+            ("pls_probes_total{strategy=\"full\"}", 10),
+            ("pls_request_errors_total", 2),
+            ("pls_rpc_timeouts_total", 3),
+            ("pls_rpc_retries_total", 4),
+            ("pls_breaker_opens_total", 1),
+            ("pls_breaker_fast_fails_total", 5),
+            ("pls_client_hedges_total", 6),
+            ("pls_client_hedge_wins_total", 2),
+            ("pls_client_op_budget_exhausted_total", 1),
+            ("pls_accept_errors_total", 8),
+            ("pls_connection_errors_total", 9),
+            ("pls_client_update_failures_total", 10),
+            ("pls_client_pool_dial_failures_total", 11),
+            ("pls_wal_appends_total", 120),
+            ("pls_wal_fsyncs_total", 60),
+            ("pls_wal_replayed_total", 12),
+            ("pls_wal_checkpoints_total", 3),
+            ("pls_antientropy_rounds_total", 14),
+            ("pls_antientropy_repairs_total", 1),
+            ("pls_staleness_rounds_total", 12),
+            ("pls_tombstones_gc_total", 4),
+            ("pls_alloc_allocs_total", 1000),
+            ("pls_alloc_frees_total", 990),
+            ("pls_alloc_bytes_total", 65536),
+            ("pls_hot_key_probes{key=\"beta\"}", 9),
+            ("pls_hot_key_probes{key=\"alpha\"}", 9),
+            ("pls_hot_key_probes{key=\"gamma\"}", 30),
+        ] {
+            s.push_counter(name, value);
+        }
+        for (name, value) in [
+            ("pls_live_fault_tolerance{t=\"2\"}", 1.0),
+            ("pls_live_fault_tolerance{t=\"1\"}", 2.0),
+            ("pls_live_staleness{strategy=\"round\",t=\"1\"}", 0.9),
+            ("pls_live_staleness{strategy=\"full\",t=\"2\"}", 1.0),
+            ("pls_live_staleness{strategy=\"full\",t=\"1\"}", 0.6667),
+            ("pls_tombstones_live", 3.0),
+            ("pls_live_unfairness", 0.25),
+            ("pls_live_coverage", 0.875),
+            ("pls_shard_keys{server=\"0\",shard=\"1\"}", 3.0),
+            ("pls_shard_keys{server=\"0\",shard=\"0\"}", 4.0),
+            ("pls_shard_lock_acquisitions{server=\"0\",shard=\"0\",site=\"engines\"}", 100.0),
+            ("pls_shard_lock_wait_p99_us{server=\"0\",shard=\"0\",site=\"engines\"}", 31.0),
+            ("pls_shard_lock_acquisitions{server=\"0\",shard=\"0\",site=\"wal\"}", 40.0),
+            ("pls_shard_lock_wait_p99_us{server=\"0\",shard=\"0\",site=\"wal\"}", f64::INFINITY),
+            ("pls_alloc_peak_bytes", 4096.0),
+            ("pls_queue_depth{queue=\"wal_fsync_batch\"}", 2.0),
+            ("pls_queue_depth{queue=\"inflight\"}", 3.0),
+        ] {
+            s.push_gauge(name, value);
+        }
+        s.push_histogram("pls_staleness_versions_behind", hist(&[0, 0, 2]));
+        s.push_histogram("pls_request_latency_us", hist(&[100, 200, 900]));
+        s.push_histogram("pls_probe_latency_us", hist(&[10, 20]));
+        for (site, acquisitions) in [("wal", 40), ("engines", 200)] {
+            let l = [("site", site)];
+            s.push_histogram(labeled("pls_lock_wait_us", &l), hist(&[0, 120]));
+            s.push_histogram(labeled("pls_lock_hold_us", &l), hist(&[40]));
+            s.push_counter(labeled("pls_lock_acquisitions_total", &l), acquisitions);
+            s.push_counter(labeled("pls_lock_contended_total", &l), 1);
+        }
+        s
+    }
+
+    /// The text `stats` printed for [`golden_snapshot`] before its rows
+    /// became tables (captured at 60b5c12, with `pls_tombstones_live`
+    /// under its old `_total` name), plus the four fault-counter rows.
+    const GOLDEN: &str = "\
+cluster totals
+  keys                          7
+  entries                      41
+  requests served             320
+  probes served               300
+  request errors                2
+robustness (client + servers)
+  rpc timeouts                  3
+  rpc retries                   4
+  breaker opens                 1
+  breaker fast fails            5
+  hedged probes                 6
+  hedge wins                    2
+  op budgets exhausted          1
+  accept errors                 8
+  connection errors             9
+  update failures              10
+  pool dial failures           11
+durability & self-healing
+  wal appends                 120
+  wal fsyncs                   60
+  wal records replayed         12
+  checkpoints written           3
+  antientropy rounds           14
+  antientropy repairs           1
+  live fault tol (t=1)        2
+  live fault tol (t=2)        1
+consistency (versions, tombstones, measured staleness)
+  staleness rounds             12
+  P(fresh | full   t=1)   0.6667
+  P(fresh | full   t=2)   1.0000
+  P(fresh | round  t=1)   0.9000 (upper bound)
+  tombstones live               3
+  tombstones gc'd               4
+  versions behind               3 sampled (p50 1, p99 3, max-lag mean 0.67)
+live quality (cluster-level, recomputed from per-entry hits)
+  unfairness (CoV)         0.2500
+  coverage                 0.8750
+latency (us)                p50      p90      p99     mean
+  request                   255     1023     1023      400
+  probe                      15       31       31       15
+runtime: lock sites      acquired  contended  wait p99  hold p99
+  engines                     200          1       127        63
+  wal                          40          1       127        63
+runtime: shards            keys   eng acq   eng p99   wal acq   wal p99
+  s0 shard 0                  4       100        31        40       n/a
+  s0 shard 1                  3       n/a       n/a       n/a       n/a
+runtime: allocations (0 unless servers arm the counting allocator)
+  allocs                     1000
+  frees                       990
+  bytes allocated           65536
+  peak live bytes            4096
+runtime: queue depths (merge keeps one server's sample)
+  inflight                      3
+  wal_fsync_batch               2
+hottest keys               probes
+  gamma                          30
+  alpha                           9
+  beta                            9
+";
+
+    #[test]
+    fn stats_table_matches_the_golden_text() {
+        let table = render_stats_table(&golden_snapshot());
+        assert!(table == GOLDEN, "stats table drifted from the golden text:\n{table}");
+    }
+
     #[test]
     fn stats_table_shows_the_consistency_section_when_staleness_is_measured() {
         let mut snap = MetricsSnapshot::new();
         snap.counters.push(("pls_staleness_rounds_total".to_string(), 12));
         snap.gauges.push(("pls_live_staleness{strategy=\"full\",t=\"1\"}".to_string(), 0.6667));
         snap.gauges.push(("pls_live_staleness{strategy=\"full\",t=\"2\"}".to_string(), 1.0));
-        snap.gauges.push(("pls_tombstones_live_total".to_string(), 3.0));
+        snap.gauges.push(("pls_tombstones_live".to_string(), 3.0));
         let behind = pls_telemetry::Histogram::new();
         behind.observe(0);
         behind.observe(2);

@@ -237,7 +237,7 @@ impl Client {
             timeouts: cfg.timeouts,
             retry: cfg.retry,
             hedge: cfg.hedge,
-            metrics: ClientMetrics::new(),
+            metrics: ClientMetrics::default(),
             ids: AtomicU64::new(first_id),
             last_id: AtomicU64::new(first_id),
         }
@@ -313,7 +313,6 @@ impl Client {
     /// retried under the client's [`RetryPolicy`]; the whole operation
     /// is bounded by the per-operation budget.
     fn update(&mut self, key: &[u8], req: Request) -> Result<(), ClusterError> {
-        self.metrics.updates.inc();
         let id = self.fresh_id();
         let deadline = Deadline::within(self.timeouts.op_budget);
         let group = self.group_of(key);
@@ -349,7 +348,6 @@ impl Client {
                 Ok(_) => return Ok(()),
                 Err(err) if err.is_unavailable() => {
                     // Failed server: retry on the next one.
-                    self.metrics.update_retries.inc();
                     pls_telemetry::debug!("update_retry", req = id, server = member, err = err);
                     last_err = err;
                 }
@@ -535,7 +533,6 @@ impl Client {
         if t == 0 || fanout == 0 {
             return Err(ClusterError::Service(ServiceError::ZeroTarget));
         }
-        self.metrics.lookups.inc();
         let id = self.fresh_id();
         let mut span = Span::enter_with_id(Level::Debug, module_path!(), name, id);
         span.field("t", t);
@@ -692,7 +689,6 @@ impl Client {
         }
         // Servers contacted for this lookup: the client lookup cost.
         self.metrics.probes_per_lookup.observe(plan.contacted().len() as u64);
-        self.metrics.lookup_latency_us.observe(span.elapsed_us());
         Ok(plan.finish(&mut self.rng).into_entries())
     }
 
@@ -770,26 +766,14 @@ impl Client {
         &self.metrics
     }
 
-    /// Named snapshot of the client-side metrics, including connection
-    /// pool statistics aggregated over every per-server pool.
+    /// Named snapshot of the client-side metrics (with the catalogue's
+    /// HELP texts), including the dial failures of every per-server pool.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let mut s = self.metrics.collect();
-        let (mut dials, mut dial_failures, mut reuses, mut discarded, mut evicted) =
-            (0u64, 0u64, 0u64, 0u64, 0u64);
-        for peer in self.peers.all() {
-            let st = peer.stats();
-            dials += st.dials.get();
-            dial_failures += st.dial_failures.get();
-            reuses += st.reuses.get();
-            discarded += st.discarded.get();
-            evicted += st.evicted.get();
-        }
-        s.push_counter("pls_client_pool_dials_total", dials);
+        let dial_failures = self.peers.all().iter().map(|p| p.stats().dial_failures.get()).sum();
         s.push_counter("pls_client_pool_dial_failures_total", dial_failures);
-        s.push_counter("pls_client_pool_reuses_total", reuses);
-        s.push_counter("pls_client_pool_discarded_total", discarded);
-        s.push_counter("pls_client_pool_evicted_total", evicted);
         self.peers.push_robustness(&mut s);
+        crate::metrics::stamp(&mut s);
         s
     }
 
@@ -812,8 +796,9 @@ impl Client {
     }
 
     /// Cluster-wide metrics: every reachable server's snapshot, merged
-    /// (same-named counters summed, same-named histograms merged).
-    /// Unreachable servers are skipped.
+    /// (same-named counters summed, same-named histograms merged) and
+    /// stamped with the catalogue's HELP texts, which do not travel in
+    /// the Metrics RPC. Unreachable servers are skipped.
     ///
     /// The `pls_live_unfairness` / `pls_live_coverage` gauges are
     /// **recomputed** from the merged `pls_entry_hits_total` counters
@@ -845,6 +830,7 @@ impl Client {
             merged.push_gauge("pls_live_unfairness", u);
             merged.push_gauge("pls_live_coverage", c);
         }
+        crate::metrics::stamp(&mut merged);
         Ok(merged)
     }
 
@@ -862,20 +848,11 @@ impl Client {
     /// all; protocol errors from a malformed response.
     pub fn trace_request(&self, req: u64) -> Result<Vec<SpanRecord>, ClusterError> {
         let id = self.fresh_id();
-        let mut spans: Vec<SpanRecord> =
-            pls_telemetry::recorder::installed().map(|r| r.spans_for(req)).unwrap_or_default();
-        let mut reached = 0usize;
+        let mut remote = Vec::new();
         for server in self.view.ids() {
             let Some(peer) = self.peer_for(server) else { continue };
             match peer.call(id, &Request::Trace { req }) {
-                Ok(Response::Spans(remote)) => {
-                    reached += 1;
-                    for span in remote {
-                        if !spans.contains(&span) {
-                            spans.push(span);
-                        }
-                    }
-                }
+                Ok(Response::Spans(spans)) => remote.push(spans),
                 Ok(other) => {
                     return Err(ClusterError::Remote(format!(
                         "unexpected trace response {other:?}"
@@ -885,11 +862,10 @@ impl Client {
                 Err(other) => return Err(other),
             }
         }
-        if reached == 0 {
+        if remote.is_empty() {
             return Err(ClusterError::NoServerAvailable);
         }
-        spans.sort_by_key(|s| (s.start_us, s.elapsed_us));
-        Ok(spans)
+        Ok(merge_spans(req, remote))
     }
 
     /// The membership view this client routes with: `(epoch, members)`.
@@ -976,6 +952,22 @@ impl Client {
         }
         Err(ClusterError::NoServerAvailable)
     }
+}
+
+/// One request's cluster-wide timeline: what this process's flight
+/// recorder retains for `req` plus every reachable peer's answer to
+/// [`Request::Trace`], duplicates dropped (in-process clusters share one
+/// recorder), sorted by `(start, duration)` so it reads as a waterfall.
+pub(crate) fn merge_spans(req: u64, remote: Vec<Vec<SpanRecord>>) -> Vec<SpanRecord> {
+    let mut spans =
+        pls_telemetry::recorder::installed().map(|r| r.spans_for(req)).unwrap_or_default();
+    for span in remote.into_iter().flatten() {
+        if !spans.contains(&span) {
+            spans.push(span);
+        }
+    }
+    spans.sort_by_key(|s| (s.start_us, s.elapsed_us));
+    spans
 }
 
 /// Microseconds since `start`, saturating.

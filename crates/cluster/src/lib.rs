@@ -25,15 +25,12 @@
 //!   for Round-Robin-y; failed servers are skipped exactly as in the
 //!   paper.
 //! * Every server and client is instrumented with lock-free metrics
-//!   ([`metrics`], built on [`pls_telemetry`]): per-request-variant
-//!   counters, per-strategy probe counts, wire byte totals, and the
-//!   probes-per-lookup histogram that measures the paper's §4.2 client
-//!   lookup cost on the live deployment. On top sit the *live quality*
-//!   series — online unfairness and coverage gauges, per-entry
-//!   retrieval counters, and a Space-Saving hot-key sketch. Scrape one
-//!   server with [`proto::Request::Metrics`], over HTTP via the
-//!   [`http`] exporter (`pls-server --metrics-addr`), or the whole
-//!   cluster with [`Client::cluster_metrics`] / `pls-client stats`.
+//!   ([`metrics`], built on [`pls_telemetry`]); every exported family —
+//!   the paper's §4 quality metrics measured live among them — is a row
+//!   of [`metrics::CATALOGUE`]. Scrape one server with
+//!   [`proto::Request::Metrics`], over HTTP via the [`http`] exporter
+//!   (`pls-server --metrics-addr`), or the whole cluster with
+//!   [`Client::cluster_metrics`] / `pls-client stats`.
 //! * Every network interaction is **time-bounded** ([`retry`]): dials
 //!   and RPCs carry deadlines, operations carry a total budget, flaky
 //!   peers are retried with jittered backoff, and a per-peer circuit

@@ -12,12 +12,15 @@ use pls_core::membership::{group_index, DEFAULT_GROUP_SIZE};
 use pls_core::{GroupRouter, Membership, Message, Placement, RoutingTable, StrategySpec};
 use pls_metrics::fault_tolerance::greedy_tolerance;
 use pls_net::Endpoint;
+use pls_telemetry::snapshot::labeled;
 use pls_telemetry::trace::Span;
-use pls_telemetry::{Level, MetricsSnapshot, SiteStats, SpanRecord, TimedMutex};
+use pls_telemetry::{Counter, Gauge, Level, MetricsSnapshot, SiteStats, SpanRecord, TimedMutex};
 
 use crate::error::ClusterError;
 use crate::frame::{read_frame, write_frame};
-use crate::metrics::{merged_site_snapshot, strategy_index, ServerMetrics, STRATEGY_LABELS};
+use crate::metrics::{
+    self, merged_site_snapshot, strategy_index, views, ServerMetrics, STRATEGY_LABELS,
+};
 use crate::proto::{Entry, Request, Response};
 use crate::retry::{splitmix64, BreakerConfig, Deadline, RetryPolicy, Timeouts};
 use crate::rpc::{PeerBook, PeerClient, UNSUPPORTED_PREFIX};
@@ -457,32 +460,22 @@ impl Server {
         self.recovered
     }
 
-    /// A snapshot of this server's metrics, including the live quality
-    /// series (`pls_live_unfairness`, `pls_live_coverage`, per-entry hit
-    /// counters, hottest keys). Never resets anything.
-    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        collect_metrics(&self.state, false)
-    }
-
     /// The debug endpoint's routes, for
     /// [`http::serve_router`](crate::http::serve_router):
     ///
-    /// * `GET /metrics` — Prometheus text exposition of
-    ///   [`Server::metrics_snapshot`], rendered fresh per request;
+    /// * `GET /metrics` — Prometheus text exposition of every
+    ///   server-side family of [`metrics::CATALOGUE`], HELP included,
+    ///   rendered fresh per request;
     /// * `GET /trace?req=<id>` — JSON span timeline of one request,
     ///   **cluster-wide**: this process's flight recorder merged with
     ///   every reachable peer's via [`Request::Trace`] fan-out;
     /// * `GET /debug/recent` — this process's recorder contents: the
     ///   ring (most recent last), the pinned slow requests, and the
     ///   recorder's own counters;
-    /// * `GET /debug/contention` — the performance observatory as JSON:
-    ///   per-site lock wait/hold distributions, allocation counters,
-    ///   and queue-depth gauges, ready for `jq`;
-    /// * `GET /debug/timeline` — the SLO & timeline observatory as
-    ///   JSON: ring metadata, windowed rates over the fast and slow
-    ///   SLO windows, per-objective error budgets and burn rates, the
-    ///   per-window cumulative series (for drift auditing), and the
-    ///   per-shard drill-down.
+    /// * `GET /debug/contention` — [`views::contention_json`] of the same
+    ///   snapshot: lock sites, per-shard rows, allocator, queue depths;
+    /// * `GET /debug/timeline` — [`views::timeline_json`] of the
+    ///   self-scrape ring and the SLO accounting.
     ///
     /// Routes hold only an [`Arc`] on the shared state, so the endpoint
     /// outlives the server.
@@ -495,7 +488,11 @@ impl Server {
         Router::new()
             .route(
                 "/metrics",
-                on(|state, _| RouteReply::text(collect_metrics(state, false).to_prometheus())),
+                on(|state, _| {
+                    let mut s = collect_metrics(state, false);
+                    metrics::stamp(&mut s);
+                    RouteReply::text(s.to_prometheus())
+                }),
             )
             .route(
                 "/trace",
@@ -512,8 +509,25 @@ impl Server {
                 }),
             )
             .route("/debug/recent", on(|_, _| RouteReply::json(recent_json())))
-            .route("/debug/contention", on(|state, _| RouteReply::json(contention_json(state))))
-            .route("/debug/timeline", on(|state, _| RouteReply::json(timeline_json(state))))
+            .route(
+                "/debug/contention",
+                on(|state, _| {
+                    RouteReply::json(views::contention_json(&collect_metrics(state, false)))
+                }),
+            )
+            .route(
+                "/debug/timeline",
+                on(|state, _| {
+                    let (cfg, obs) = (&state.cfg, state.observatory.lock());
+                    RouteReply::json(views::timeline_json(
+                        cfg.me as u64,
+                        &obs.timeline,
+                        &obs.last_status,
+                        cfg.slo_fast,
+                        cfg.slo_slow,
+                    ))
+                }),
+            )
     }
 
     /// Takes one observatory scrape immediately — exactly what the
@@ -521,11 +535,6 @@ impl Server {
     /// harnesses use it to populate the timeline deterministically.
     pub fn scrape_now(&self) {
         scrape_once(&self.state);
-    }
-
-    /// The full peer list with this server's resolved address.
-    pub fn peers(&self) -> &[SocketAddr] {
-        &self.state.cfg.peers
     }
 
     /// Cold-start recovery: pulls every key's state from the reachable
@@ -619,7 +628,6 @@ impl Server {
             state.cfg.peers[state.cfg.me],
             usize::MAX,
             move |socket| {
-                serving.metrics.connections_accepted.inc();
                 if let Err(err) = serve_connection(&serving, socket) {
                     // Connection teardown is normal; only report protocol
                     // violations.
@@ -682,12 +690,13 @@ impl Drop for ServerHandle {
     }
 }
 
-/// One full metrics snapshot: the server's own series, the live quality
-/// gauges, and the robustness totals of its outbound peer clients
-/// (timeouts, retries, breaker activity against other servers).
+/// One full metrics snapshot — the only function that reads server state
+/// for observability; `/metrics`, the Metrics RPC, the self-scrape and
+/// both `/debug` views read what it returns: the server's own series and
+/// the robustness totals of its outbound peer clients.
 fn collect_metrics(state: &State, reset: bool) -> MetricsSnapshot {
     let stored = state.shards.stored_pairs();
-    let mut s = state.metrics.collect_live(&stored, reset);
+    let mut s = state.metrics.collect(&stored, reset);
     // The peer book only ever holds clients for *other* members, so no
     // self-exclusion filter is needed here.
     state.peers.push_robustness(&mut s);
@@ -696,62 +705,27 @@ fn collect_metrics(state: &State, reset: bool) -> MetricsSnapshot {
     // `reset`, each shard is drained exactly once, so deltas conserve).
     let wal_storages: Vec<&Arc<Storage>> = state.shards.storages().collect();
     if !wal_storages.is_empty() {
-        let take = |c: &pls_telemetry::Counter| if reset { c.take() } else { c.get() };
-        let (mut appends, mut fsyncs, mut replayed, mut checkpoints) = (0u64, 0u64, 0u64, 0u64);
-        for st in &wal_storages {
-            appends += take(&st.metrics.appends);
-            fsyncs += take(&st.metrics.fsyncs);
-            replayed += take(&st.metrics.replayed);
-            checkpoints += take(&st.metrics.checkpoints);
-        }
-        s.push_counter("pls_wal_appends_total", appends);
-        s.push_counter("pls_wal_fsyncs_total", fsyncs);
-        s.push_counter("pls_wal_replayed_total", replayed);
-        s.push_counter("pls_wal_checkpoints_total", checkpoints);
-        s.set_help("pls_wal_appends_total", "Engine messages appended to the write-ahead log.");
-        s.set_help("pls_wal_fsyncs_total", "WAL fsyncs issued (group commit coalesces appends).");
-        s.set_help("pls_wal_replayed_total", "WAL records replayed into engines at startup.");
-        s.set_help("pls_wal_checkpoints_total", "Checkpoint snapshots written.");
+        let sum = |of: fn(&storage::StorageMetrics) -> &Counter| -> u64 {
+            wal_storages
+                .iter()
+                .map(|st| metrics::read(of(&st.metrics), reset, Counter::take, Counter::get))
+                .sum()
+        };
+        s.push_counter("pls_wal_appends_total", sum(|m| &m.appends));
+        s.push_counter("pls_wal_fsyncs_total", sum(|m| &m.fsyncs));
+        s.push_counter("pls_wal_replayed_total", sum(|m| &m.replayed));
+        s.push_counter("pls_wal_checkpoints_total", sum(|m| &m.checkpoints));
     }
-    let ft = state.live_ft.lock();
-    for (t, tol) in ft.iter() {
-        s.push_gauge(format!("pls_live_fault_tolerance{{t=\"{t}\"}}"), *tol as f64);
+    for (t, tol) in state.live_ft.lock().iter() {
+        s.push_gauge(labeled("pls_live_fault_tolerance", &[("t", &t.to_string())]), *tol as f64);
     }
-    if !ft.is_empty() {
-        s.set_help(
-            "pls_live_fault_tolerance",
-            "Greedy-adversary fault tolerance of the live placement \
-             (min across anti-entropy-checked keys, per coverage threshold t).",
-        );
+    for ((sidx, t), p) in state.live_staleness.lock().iter() {
+        let labels = [("strategy", STRATEGY_LABELS[*sidx]), ("t", &t.to_string())];
+        s.push_gauge(labeled("pls_live_staleness", &labels), *p);
     }
-    drop(ft);
-    let staleness = state.live_staleness.lock();
-    for ((sidx, t), p) in staleness.iter() {
-        s.push_gauge(
-            format!("pls_live_staleness{{strategy=\"{}\",t=\"{t}\"}}", STRATEGY_LABELS[*sidx]),
-            *p,
-        );
-    }
-    if !staleness.is_empty() {
-        s.set_help(
-            "pls_live_staleness",
-            "Estimated probability that a partial lookup probing t holders \
-             returns the freshest version (PBS-style, averaged over sampled \
-             keys, per strategy). Upper bound for the targeted strategies \
-             (hash, round): the estimator assumes probes sample holders \
-             uniformly, but those clients probe deterministically chosen \
-             holders.",
-        );
-    }
-    drop(staleness);
-    s.push_gauge("pls_tombstones_live_total", state.shards.status().tombstones as f64);
-    s.set_help(
-        "pls_tombstones_live_total",
-        "Delete tombstones currently held across this server's keys \
-         (awaiting TTL garbage collection).",
-    );
+    s.push_gauge("pls_tombstones_live", state.shards.status().tombstones as f64);
     // Per-shard drill-down, as gauges so the breakdown travels over the
-    // Metrics RPC (the merged `engines`/`wal` families above stay the
+    // Metrics RPC (the merged `engines`/`wal` families below stay the
     // stable compare keys). Labeled with the *server* as well as the
     // shard: cluster merges replace same-named gauges, so without the
     // server label every server's shard 0 would collapse into one row.
@@ -760,104 +734,32 @@ fn collect_metrics(state: &State, reset: bool) -> MetricsSnapshot {
     let me_label = state.cfg.me.to_string();
     for (i, sh) in state.shards.as_slice().iter().enumerate() {
         let shard_label = i.to_string();
-        let labels = |site: Option<&'static str>| {
-            let mut pairs = vec![("server", me_label.as_str()), ("shard", shard_label.as_str())];
-            if let Some(site) = site {
-                pairs.push(("site", site));
-            }
-            pairs
-        };
-        let keys = sh.key_count() as f64;
-        s.push_gauge(pls_telemetry::snapshot::labeled("pls_shard_keys", &labels(None)), keys);
-        let mut push_site = |snap: &pls_telemetry::SiteSnapshot, site: &'static str| {
+        let shard = [("server", me_label.as_str()), ("shard", shard_label.as_str())];
+        s.push_gauge(labeled("pls_shard_keys", &shard), sh.key_count() as f64);
+        let wal = sh.storage().map(|st| ("wal", st.wal_lock_stats().snapshot()));
+        for (site, snap) in std::iter::once(("engines", sh.lock_stats().snapshot())).chain(wal) {
+            let labels = [shard[0], shard[1], ("site", site)];
+            s.push_gauge(labeled("pls_shard_lock_acquisitions", &labels), snap.acquisitions as f64);
             s.push_gauge(
-                pls_telemetry::snapshot::labeled(
-                    "pls_shard_lock_acquisitions",
-                    &labels(Some(site)),
-                ),
-                snap.acquisitions as f64,
-            );
-            s.push_gauge(
-                pls_telemetry::snapshot::labeled("pls_shard_lock_wait_p99_us", &labels(Some(site))),
+                labeled("pls_shard_lock_wait_p99_us", &labels),
                 snap.wait_us.quantile(0.99),
             );
-        };
-        push_site(&sh.lock_stats().snapshot(), "engines");
-        if let Some(st) = sh.storage() {
-            push_site(&st.wal_lock_stats().snapshot(), "wal");
         }
     }
-    s.set_help("pls_shard_keys", "Keys owned by each shared-nothing shard of each server.");
-    s.set_help(
-        "pls_shard_lock_acquisitions",
-        "Lock acquisitions per shard and site since the last resetting scrape \
-         (non-draining snapshot of the per-shard mutex).",
-    );
-    s.set_help(
-        "pls_shard_lock_wait_p99_us",
-        "p99 lock wait per shard and site since the last resetting scrape (us).",
-    );
     // SLO accounting, refreshed by the self-scrape loop (absent until
     // the loop has taken at least two scrapes). Must also stay before
     // the lock-sites block below: reading it acquires the observatory
     // mutex, and that acquisition has to land in this scrape's drain.
-    {
-        let obs = state.observatory.lock();
-        for slo in &obs.last_status {
-            s.push_gauge(
-                format!("pls_slo_error_budget_remaining{{slo=\"{}\"}}", slo.name),
-                slo.budget_remaining,
-            );
-            s.push_gauge(
-                format!("pls_slo_burn_rate{{slo=\"{}\",window=\"fast\"}}", slo.name),
-                slo.burn_fast,
-            );
-            s.push_gauge(
-                format!("pls_slo_burn_rate{{slo=\"{}\",window=\"slow\"}}", slo.name),
-                slo.burn_slow,
-            );
-        }
-        if !obs.last_status.is_empty() {
-            s.set_help(
-                "pls_slo_error_budget_remaining",
-                "Fraction of each objective's error budget left (1 = untouched, \
-                 0 = spent, negative = overspent).",
-            );
-            s.set_help(
-                "pls_slo_burn_rate",
-                "Error-budget burn rate per objective over the fast/slow window \
-                 (1 = burning exactly at budget; 0 = not burning).",
-            );
-        }
-    }
-    // Lock-contention observatory. This block must stay *after* every
-    // shard/live_ft/live_staleness lock above: with `reset`, the drain
-    // then covers this collection's own acquisitions, keeping the
-    // conservation invariant (drained acquisitions == drained wait
-    // observations) exact for delta-scrapers. Same-named sites — the
-    // per-shard core mutexes (`engines`) and WAL locks (`wal`) — merge
-    // into one family each, so exposition names are independent of the
-    // shard count and `pls-bench compare` paths stay stable.
-    for (site, stats) in lock_sites(state) {
-        let merged = merged_site_snapshot(stats, reset);
-        s.push_histogram(format!("pls_lock_wait_us{{site=\"{site}\"}}"), merged.wait_us);
-        s.push_histogram(format!("pls_lock_hold_us{{site=\"{site}\"}}"), merged.hold_us);
-        s.push_counter(
-            format!("pls_lock_acquisitions_total{{site=\"{site}\"}}"),
-            merged.acquisitions,
+    for slo in &state.observatory.lock().last_status {
+        let name = slo.name.as_str();
+        s.push_gauge(
+            labeled("pls_slo_error_budget_remaining", &[("slo", name)]),
+            slo.budget_remaining,
         );
-        s.push_counter(format!("pls_lock_contended_total{{site=\"{site}\"}}"), merged.contended);
+        for (window, burn) in [("fast", slo.burn_fast), ("slow", slo.burn_slow)] {
+            s.push_gauge(labeled("pls_slo_burn_rate", &[("slo", name), ("window", window)]), burn);
+        }
     }
-    s.set_help(
-        "pls_lock_wait_us",
-        "Time lock() blocked before acquiring, per lock site (us; 0 = uncontended fast path).",
-    );
-    s.set_help("pls_lock_hold_us", "Time the lock was held, per lock site (us).");
-    s.set_help("pls_lock_acquisitions_total", "Successful lock acquisitions, per lock site.");
-    s.set_help(
-        "pls_lock_contended_total",
-        "Acquisitions that found the lock held and had to wait, per lock site.",
-    );
     // Allocation observatory: deltas of the process-wide counting
     // allocator (all zeros unless the binary installs
     // `pls_telemetry::alloc::CountingAlloc`; pls-server does). The
@@ -879,34 +781,30 @@ fn collect_metrics(state: &State, reset: bool) -> MetricsSnapshot {
     s.push_counter("pls_alloc_freed_bytes_total", d.freed_bytes);
     s.push_gauge("pls_alloc_current_bytes", alloc_now.current_bytes as f64);
     s.push_gauge("pls_alloc_peak_bytes", alloc_now.peak_bytes as f64);
-    s.set_help(
-        "pls_alloc_allocs_total",
-        "Heap allocations since the last reset (0 unless the binary installs the \
-         counting allocator).",
-    );
-    s.set_help("pls_alloc_frees_total", "Heap frees since the last reset.");
-    s.set_help("pls_alloc_bytes_total", "Bytes allocated since the last reset.");
-    s.set_help("pls_alloc_freed_bytes_total", "Bytes freed since the last reset.");
-    s.set_help("pls_alloc_current_bytes", "Bytes currently live on the process heap.");
-    s.set_help("pls_alloc_peak_bytes", "High-water mark of live heap bytes (process-wide).");
     if !wal_storages.is_empty() {
         // Group-commit batch depth: the deepest batch any shard's last
         // fsync made durable at once.
-        let batch =
-            wal_storages
-                .iter()
-                .map(|st| {
-                    if reset {
-                        st.metrics.fsync_batch.take()
-                    } else {
-                        st.metrics.fsync_batch.get()
-                    }
-                })
-                .fold(0.0f64, f64::max);
-        s.push_gauge(
-            pls_telemetry::snapshot::labeled("pls_queue_depth", &[("queue", "wal_fsync_batch")]),
-            batch,
-        );
+        let batch = wal_storages
+            .iter()
+            .map(|st| metrics::read(&st.metrics.fsync_batch, reset, Gauge::take, Gauge::get))
+            .fold(0.0f64, f64::max);
+        s.push_gauge(labeled("pls_queue_depth", &[("queue", "wal_fsync_batch")]), batch);
+    }
+    // Lock-contention observatory. This block must stay *last*, after
+    // every shard/live_ft/live_staleness/observatory lock above: with
+    // `reset`, the drain then covers this collection's own acquisitions,
+    // keeping the conservation invariant (drained acquisitions == drained
+    // wait observations) exact for delta-scrapers. Same-named sites — the
+    // per-shard core mutexes (`engines`) and WAL locks (`wal`) — merge
+    // into one family each, so exposition names are independent of the
+    // shard count and `pls-bench compare` paths stay stable.
+    for (site, stats) in lock_sites(state) {
+        let merged = merged_site_snapshot(stats, reset);
+        let site = [("site", site)];
+        s.push_histogram(labeled("pls_lock_wait_us", &site), merged.wait_us);
+        s.push_histogram(labeled("pls_lock_hold_us", &site), merged.hold_us);
+        s.push_counter(labeled("pls_lock_acquisitions_total", &site), merged.acquisitions);
+        s.push_counter(labeled("pls_lock_contended_total", &site), merged.contended);
     }
     s
 }
@@ -914,9 +812,7 @@ fn collect_metrics(state: &State, reset: bool) -> MetricsSnapshot {
 /// Every instrumented lock site this server exports, with the stats
 /// collections backing each: all per-shard core mutexes merge into the
 /// single stable `engines` site, all per-shard WAL locks into `wal`,
-/// and the two cluster-level gauges' mutexes stand alone. (The old
-/// separate `key_specs` site is gone — a key's spec override now lives
-/// inside its shard's core, under the `engines` lock.)
+/// and the cluster-level mutexes stand alone.
 fn lock_sites(state: &State) -> Vec<(&'static str, Vec<&SiteStats>)> {
     let mut sites = vec![
         ("engines", state.shards.as_slice().iter().map(|sh| sh.lock_stats().as_ref()).collect()),
@@ -931,77 +827,6 @@ fn lock_sites(state: &State) -> Vec<(&'static str, Vec<&SiteStats>)> {
         sites.push(("wal", wals));
     }
     sites
-}
-
-/// `GET /debug/contention`: the performance observatory as one JSON
-/// object — per-site lock contention, allocation counters, and
-/// queue-depth gauges — without the noise of a full metrics exposition.
-fn contention_json(state: &State) -> String {
-    use pls_telemetry::json::Object;
-    let hist = |h: &pls_telemetry::HistogramSnapshot| {
-        Object::new()
-            .u64("count", h.count)
-            .u64("sum", h.sum)
-            .f64("mean", h.mean())
-            .f64("p50", h.quantile(0.5))
-            .f64("p99", h.quantile(0.99))
-            .build()
-    };
-    let site_obj = |snap: &pls_telemetry::SiteSnapshot| {
-        Object::new()
-            .u64("acquisitions", snap.acquisitions)
-            .u64("contended", snap.contended)
-            .field("wait_us", &hist(&snap.wait_us))
-            .field("hold_us", &hist(&snap.hold_us))
-            .build()
-    };
-    // Merged view first: stable site names (`engines`, `wal`, ...) sum
-    // over every shard, so dashboards keyed on the pre-sharding names
-    // keep working.
-    let mut sites = Object::new();
-    for (site, stats) in lock_sites(state) {
-        let merged = merged_site_snapshot(stats, false);
-        sites = sites.field(site, &site_obj(&merged));
-    }
-    // Then the per-shard breakdown: where the merged view says the
-    // engines family is hot, this says *which* shard is.
-    let shard_rows = state.shards.as_slice().iter().enumerate().map(|(i, sh)| {
-        let keys = sh.key_count();
-        let mut row = Object::new()
-            .u64("shard", i as u64)
-            .u64("keys", keys)
-            .field("engines", &site_obj(&sh.lock_stats().snapshot()));
-        if let Some(st) = sh.storage() {
-            row = row.field("wal", &site_obj(&st.wal_lock_stats().snapshot()));
-        }
-        row.build()
-    });
-    let shards = pls_telemetry::json::array(shard_rows);
-    let alloc_now = pls_telemetry::alloc::stats();
-    let d = alloc_now.delta_since(&state.alloc_base.lock().expect("alloc baseline lock"));
-    let alloc = Object::new()
-        .u64("allocs", d.allocs)
-        .u64("frees", d.frees)
-        .u64("allocated_bytes", d.allocated_bytes)
-        .u64("freed_bytes", d.freed_bytes)
-        .u64("current_bytes", alloc_now.current_bytes)
-        .u64("peak_bytes", alloc_now.peak_bytes)
-        .build();
-    let mut queues = Object::new()
-        .f64("inflight", state.metrics.inflight.get())
-        .f64("antientropy_round_us", state.metrics.antientropy_round_us.get())
-        .f64("staleness_round_us", state.metrics.staleness_round_us.get());
-    let wal_batch =
-        state.shards.storages().map(|st| st.metrics.fsync_batch.get()).fold(f64::NAN, f64::max);
-    if wal_batch.is_finite() {
-        queues = queues.f64("wal_fsync_batch", wal_batch);
-    }
-    Object::new()
-        .field("sites", &sites.build())
-        .field("shards", &shards)
-        .field("alloc", &alloc)
-        .field("queues", &queues.build())
-        .build()
 }
 
 /// The multiple of its interval a maintenance job waits before round
@@ -1025,136 +850,6 @@ fn scrape_once(state: &Arc<State>) {
     let at_unix_ms = now_ms();
     let uptime_us = state.started.elapsed().as_micros() as u64;
     state.observatory.lock().record(at_unix_ms, uptime_us, totals);
-}
-
-/// The minimum reading across a labeled gauge family's series, `NaN`
-/// when the family is absent (renders as JSON null).
-fn min_gauge(snap: &MetricsSnapshot, family: &str) -> f64 {
-    snap.gauges
-        .iter()
-        .filter(|(name, _)| {
-            name == family
-                || (name.starts_with(family) && name.as_bytes().get(family.len()) == Some(&b'{'))
-        })
-        .map(|(_, v)| *v)
-        .fold(f64::NAN, f64::min)
-}
-
-/// `GET /debug/timeline`: the SLO & timeline observatory as one JSON
-/// object — ring metadata, windowed rates over the fast and slow SLO
-/// windows, the per-objective error budgets and burn rates, the
-/// per-window cumulative series (what the soak auditor checks for
-/// drift against Metrics-RPC totals), and the same per-shard
-/// drill-down `GET /debug/contention` serves.
-fn timeline_json(state: &Arc<State>) -> String {
-    use pls_telemetry::json::{array, number, Object};
-    use pls_telemetry::timeline::Delta;
-    // Shard rows first: they take shard locks, and the observatory
-    // lock below must never nest inside (or around) them.
-    let shard_rows: Vec<String> = state
-        .shards
-        .as_slice()
-        .iter()
-        .enumerate()
-        .map(|(i, sh)| {
-            let keys = sh.key_count();
-            let core = sh.lock_stats().snapshot();
-            let mut row = Object::new()
-                .u64("shard", i as u64)
-                .u64("keys", keys)
-                .u64("engines_acquisitions", core.acquisitions)
-                .f64("engines_wait_p99_us", core.wait_us.quantile(0.99));
-            if let Some(st) = sh.storage() {
-                let wal = st.wal_lock_stats().snapshot();
-                row = row
-                    .u64("wal_acquisitions", wal.acquisitions)
-                    .f64("wal_wait_p99_us", wal.wait_us.quantile(0.99));
-            }
-            row.build()
-        })
-        .collect();
-
-    let rates_obj = |d: &Delta| {
-        let mutations = d.rate("pls_requests_total{op=\"place\"}")
-            + d.rate("pls_requests_total{op=\"add\"}")
-            + d.rate("pls_requests_total{op=\"delete\"}");
-        let errors =
-            d.rate_sum("pls_request_errors_total") + d.rate_sum("pls_internal_send_failures_total");
-        let p99 = |name: &str| d.histogram(name).map(|h| h.quantile(0.99)).unwrap_or(f64::NAN);
-        Object::new()
-            .u64("from_seq", d.from_seq)
-            .u64("to_seq", d.to_seq)
-            .u64("span_us", d.span_us)
-            .f64("requests_per_s", d.rate_sum("pls_requests_total"))
-            .f64("mutations_per_s", mutations)
-            .f64("probes_per_s", d.rate_sum("pls_probes_total"))
-            .f64("internal_sends_per_s", d.rate_sum("pls_internal_sent_total"))
-            .f64("errors_per_s", errors)
-            .field("request_p99_us", &number(p99("pls_request_latency_us")))
-            .field("probe_p99_us", &number(p99("pls_probe_latency_us")))
-            .field("engines_lock_wait_p99_us", &number(p99("pls_lock_wait_us{site=\"engines\"}")))
-            .build()
-    };
-
-    let obs = state.observatory.lock();
-    let tl = &obs.timeline;
-    let meta = Object::new()
-        .u64("len", tl.len() as u64)
-        .u64("capacity", tl.capacity() as u64)
-        .u64("evicted", tl.evicted())
-        .field("from_seq", &tl.oldest().map(|w| w.seq.to_string()).unwrap_or("null".into()))
-        .field("to_seq", &tl.latest().map(|w| w.seq.to_string()).unwrap_or("null".into()))
-        .build();
-    let mut rates = Object::new();
-    if let Some(d) = tl.last_delta() {
-        rates = rates.field("last", &rates_obj(&d));
-    }
-    if let Some(d) = tl.delta_over(state.cfg.slo_fast.as_micros() as u64) {
-        rates = rates.field("fast", &rates_obj(&d));
-    }
-    if let Some(d) = tl.delta_over(state.cfg.slo_slow.as_micros() as u64) {
-        rates = rates.field("slow", &rates_obj(&d));
-    }
-    let slo = array(obs.last_status.iter().map(|st| {
-        Object::new()
-            .string("slo", &st.name)
-            .f64("budget", st.budget)
-            .u64("total", st.total)
-            .u64("bad", st.bad)
-            .f64("budget_remaining", st.budget_remaining)
-            .f64("burn_fast", st.burn_fast)
-            .f64("burn_slow", st.burn_slow)
-            .build()
-    }));
-    // Cumulative totals per retained window: the monotone counters the
-    // soak auditor compares against Metrics-RPC readings (drift = 0),
-    // plus the levels whose convergence it asserts.
-    let series = array(tl.windows().map(|w| {
-        Object::new()
-            .u64("seq", w.seq)
-            .u64("at_unix_ms", w.at_unix_ms)
-            .u64("uptime_us", w.uptime_us)
-            .u64("requests", w.totals.counter_sum("pls_requests_total"))
-            .u64("request_errors", w.totals.counter_sum("pls_request_errors_total"))
-            .u64("probes", w.totals.counter_sum("pls_probes_total"))
-            .u64("internal_sent", w.totals.counter_sum("pls_internal_sent_total"))
-            .u64("internal_send_failures", w.totals.counter_sum("pls_internal_send_failures_total"))
-            .u64("wal_appends", w.totals.counter_sum("pls_wal_appends_total"))
-            .field(
-                "inflight",
-                &number(w.totals.gauge("pls_queue_depth{queue=\"inflight\"}").unwrap_or(f64::NAN)),
-            )
-            .field("staleness_min", &number(min_gauge(&w.totals, "pls_live_staleness")))
-            .build()
-    }));
-    Object::new()
-        .u64("server", state.cfg.me as u64)
-        .field("windows", &meta)
-        .field("rates", &rates.build())
-        .field("slo", &slo)
-        .field("series", &series)
-        .field("shards", &array(shard_rows))
-        .build()
 }
 
 /// Checkpoints the given shards: one when its append counter trips
@@ -1596,7 +1291,6 @@ fn reconcile_key(
         Ok(did) => {
             state.metrics.engines_created.add(u64::from(did == Rebuilt::Created));
             if migrating {
-                state.metrics.migration_keys.inc();
                 state.metrics.migration_entries.add(migrated_entries);
                 pls_telemetry::info!(
                     "migration_key_rehomed",
@@ -1627,26 +1321,19 @@ fn reconcile_key(
     }
 }
 
-/// Every span retained for `req` across the cluster: this process's
-/// flight recorder plus every reachable peer's (via [`Request::Trace`]),
-/// deduplicated and sorted by start time. Unreachable peers are
-/// skipped — a partial timeline beats none.
+/// Every span retained for `req` across the cluster
+/// ([`merge_spans`](crate::client::merge_spans) of every reachable
+/// peer's [`Request::Trace`] answer). Unreachable peers are skipped — a
+/// partial timeline beats none.
 fn cluster_spans(state: &Arc<State>, req: u64) -> Vec<SpanRecord> {
-    let mut spans =
-        pls_telemetry::recorder::installed().map(|r| r.spans_for(req)).unwrap_or_default();
     let id = state.next_id();
-    for (pid, addr) in &state.shards.other_members() {
-        let Some(peer) = state.peers.client(*pid, addr) else { continue };
-        if let Ok(Response::Spans(remote)) = peer.call(id, &Request::Trace { req }) {
-            for s in remote {
-                if !spans.contains(&s) {
-                    spans.push(s);
-                }
-            }
+    let remote = state.shards.other_members().into_iter().filter_map(|(pid, addr)| {
+        match state.peers.client(pid, &addr)?.call(id, &Request::Trace { req }) {
+            Ok(Response::Spans(spans)) => Some(spans),
+            _ => None,
         }
-    }
-    spans.sort_by_key(|s| (s.start_us, s.elapsed_us));
-    spans
+    });
+    crate::client::merge_spans(req, remote.collect())
 }
 
 /// Ring spans served by `/debug/recent`, at most this many (the most
@@ -1782,7 +1469,6 @@ fn handle_request(state: &Arc<State>, req_id: u64, req: Request) -> Result<Respo
             span.field("server", state.cfg.me);
             let (spec, entries) = state.shards.probe(&key, t as usize);
             state.metrics.probes[strategy_index(spec)].inc();
-            state.metrics.probe_entries_returned.add(entries.len() as u64);
             // Live quality accounting: who asked, and what they got.
             state.metrics.record_probe_answer(&key, &entries);
             state.metrics.probe_latency_us.observe(span.elapsed_us());
@@ -1823,26 +1509,40 @@ fn handle_request(state: &Arc<State>, req_id: u64, req: Request) -> Result<Respo
             Ok(Response::Membership { epoch: view.epoch(), members: members_parts(&view) })
         }
         Request::JoinLeave { join, leave } => {
-            let view = state.shards.view();
-            let mut joiner = None;
-            let next = match (join, leave) {
-                (Some(addr), None) => {
-                    let (next, id) = view.with_join(&addr);
-                    joiner = Some(id);
-                    next
+            // A racing admin call (or gossip) that installs first makes
+            // `install_membership` refuse; this call then starts over from
+            // the fresh view, so the joiner's id is allocated against the
+            // view that precedes it and the reply is a view this server
+            // installed.
+            let deadline = Deadline::within(state.cfg.timeouts.op_budget);
+            let (view, next, joiner) = loop {
+                let view = state.shards.view();
+                let (next, joiner) = match (&join, leave) {
+                    (Some(addr), None) => {
+                        let (next, id) = view.with_join(addr);
+                        (next, Some(id))
+                    }
+                    (None, Some(id)) => {
+                        let next = view.with_leave(id).ok_or_else(|| {
+                            ClusterError::Remote(format!(
+                                "cannot remove server {id}: unknown member or last member standing"
+                            ))
+                        })?;
+                        (next, None)
+                    }
+                    _ => {
+                        return Err(ClusterError::Remote(
+                            "exactly one of join or leave is required".into(),
+                        ))
+                    }
+                };
+                if install_membership(state, next.clone()) {
+                    break (view, next, joiner);
                 }
-                (None, Some(id)) => view.with_leave(id).ok_or_else(|| {
-                    ClusterError::Remote(format!(
-                        "cannot remove server {id}: unknown member or last member standing"
-                    ))
-                })?,
-                _ => {
-                    return Err(ClusterError::Remote(
-                        "exactly one of join or leave is required".into(),
-                    ))
+                if deadline.expired() {
+                    return Err(ClusterError::Timeout("op-budget"));
                 }
             };
-            install_membership(state, next.clone());
             // Eager fan-out: push the bumped view to every other member
             // of the NEW view, plus the leaver (so its epoch gauge and
             // grace logic converge before its shutdown). Not to the
@@ -1851,7 +1551,6 @@ fn handle_request(state: &Arc<State>, req_id: u64, req: Request) -> Result<Respo
             // for a whole RPC deadline, which is the caller's too.
             // Best-effort and deadline-capped — gossip repairs whoever
             // was unreachable.
-            let deadline = Deadline::within(state.cfg.timeouts.op_budget);
             let rpc = state.cfg.timeouts.rpc;
             let announce =
                 Request::Membership { epoch: next.epoch(), members: members_parts(&next) };
@@ -1894,7 +1593,6 @@ fn install_membership(state: &Arc<State>, next: Membership) -> bool {
     if !state.shards.install_membership(next.clone()) {
         return false;
     }
-    state.metrics.membership_installs.inc();
     state.metrics.membership_epoch.set(next.epoch() as f64);
     let purged = state.peers.prune(&next);
     pls_telemetry::info!(

@@ -75,6 +75,9 @@ fn debug_routes_serve_parseable_json() {
         contention.get("sites").and_then(|s| s.get("engines")).is_some(),
         "no engines site in /debug/contention"
     );
+    let shards = contention.get("shards").and_then(Value::as_array).expect("shards array");
+    assert!(!shards.is_empty(), "no per-shard drill-down rows");
+    assert!(shards[0].get("engines_acquisitions").is_some());
 
     let timeline = get_json(http_addr, "/debug/timeline");
     assert_eq!(timeline.get("server").and_then(Value::as_u64), Some(0));
@@ -98,7 +101,4 @@ fn debug_routes_serve_parseable_json() {
     for expected in ["availability", "latency", "staleness"] {
         assert!(names.contains(&expected), "objective `{expected}` missing from {names:?}");
     }
-    let shards = timeline.get("shards").and_then(Value::as_array).expect("shards array");
-    assert!(!shards.is_empty(), "no per-shard drill-down rows");
-    assert!(shards[0].get("engines_acquisitions").is_some());
 }

@@ -219,3 +219,75 @@ fn stale_view_cannot_regress_the_cluster() {
         other => panic!("expected membership response, got {other:?}"),
     }
 }
+
+/// Two admin calls racing on one member each bump the view the other
+/// has not installed yet. The loser of the install must start over from
+/// the winner's view — not announce an epoch-N+1 view of its own that
+/// nobody holds.
+#[test]
+fn racing_joins_through_one_member_both_land() {
+    const ROUNDS: u64 = 40;
+    let spec = StrategySpec::full_replication();
+    let (listeners, addrs) = bind_all(3);
+    let _handles: Vec<ServerHandle> = listeners
+        .into_iter()
+        .enumerate()
+        .map(|(i, l)| {
+            let cfg = ServerConfig::new(i, addrs.clone(), spec, 250);
+            Server::with_listener(cfg, l).expect("server").0.spawn()
+        })
+        .collect();
+    let view_of = |addr: SocketAddr| match call_raw(
+        addr,
+        1,
+        &Request::Membership { epoch: 0, members: Vec::new() },
+    ) {
+        Ok((_, Response::Membership { epoch, members })) => (epoch, members),
+        other => panic!("membership fetch from {addr}: {other:?}"),
+    };
+
+    for round in 0..ROUNDS {
+        // Joiners that never boot, each at a loopback address of its own:
+        // a closed port refuses the later rounds' announcements at once.
+        let joiners = [format!("127.7.{round}.1:9"), format!("127.7.{round}.2:9")];
+        let barrier = std::sync::Barrier::new(2);
+        let replies: Vec<(u64, Vec<(u64, String)>)> = std::thread::scope(|scope| {
+            let racers: Vec<_> = joiners
+                .iter()
+                .map(|joiner| {
+                    let barrier = &barrier;
+                    let member = addrs[0];
+                    scope.spawn(move || {
+                        let mut stream = std::net::TcpStream::connect(member).expect("connect");
+                        let req = Request::JoinLeave { join: Some(joiner.clone()), leave: None };
+                        let payload = req.encode();
+                        barrier.wait();
+                        match exchange_raw(&mut stream, 2, &payload).expect("join").1 {
+                            Response::Membership { epoch, members } => (epoch, members),
+                            other => panic!("join answered {other:?}"),
+                        }
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|r| r.join().expect("racer")).collect()
+        });
+
+        let want_epoch = 1 + 2 * (round + 1);
+        let last = view_of(addrs[0]);
+        assert_eq!(last.0, want_epoch, "round {round}: a join was announced but never installed");
+        for joiner in &joiners {
+            assert!(last.1.iter().any(|(_, a)| a == joiner), "round {round}: {joiner} is missing");
+        }
+        for addr in &addrs[1..] {
+            assert_eq!(view_of(*addr), last, "round {round}: {addr} holds another view");
+        }
+        // Both replies are views member 0 installed: the last one, and
+        // the one before it (the last one minus the second joiner).
+        let (first, second) = if replies[0].0 < replies[1].0 { (0, 1) } else { (1, 0) };
+        assert_eq!(replies[second], last, "round {round}");
+        assert_eq!(replies[first].0, want_epoch - 1, "round {round}");
+        let before: Vec<_> =
+            last.1.iter().filter(|(_, a)| *a != joiners[second]).cloned().collect();
+        assert_eq!(replies[first].1, before, "round {round}");
+    }
+}

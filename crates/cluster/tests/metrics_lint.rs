@@ -1,21 +1,27 @@
 //! Exposition-compliance lint for `GET /metrics`: the Prometheus text
 //! format is a protocol, and scrapers reject or misparse output that
-//! violates it. This test drives real traffic through a live server,
-//! scrapes the debug endpoint, and checks the body line by line:
-//! every family declares exactly one `# HELP` and one `# TYPE` (in
-//! that order, before its samples), no family is split across blocks,
-//! every sample belongs to a declared family, and the response carries
-//! the standard `text/plain; version=0.0.4` content type.
+//! violates it. This test drives real traffic through live servers with
+//! every subsystem on, scrapes the debug endpoint, and checks the body
+//! line by line — every family declares exactly one `# HELP` and one
+//! `# TYPE` (in that order, before its samples), no family is split
+//! across blocks, every sample belongs to a declared family, the response
+//! carries the standard `text/plain; version=0.0.4` content type — and
+//! against `pls_wire::metrics::CATALOGUE`, both ways: what is exported is
+//! a row (type, HELP, label keys), and every row is exported. A second
+//! test holds the docs and CI to the same table.
 
 mod common;
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
+use std::time::Duration;
 
 use common::{bind_all, http_get};
-use pls_cluster::{Client, ClientConfig, Server, ServerConfig};
+use pls_cluster::metrics::{Kind, Side, CATALOGUE};
+use pls_cluster::{Client, ClientConfig, Deadline, Server, ServerConfig};
 use pls_core::StrategySpec;
 use pls_telemetry::snapshot::labeled;
+use pls_telemetry::MetricsSnapshot;
 
 /// Install the counting allocator exactly as the `pls-server` binary
 /// does, so the `pls_alloc_*` families carry real readings here too —
@@ -38,28 +44,63 @@ fn family_of<'a>(sample_name: &'a str, histograms: &HashSet<&str>) -> &'a str {
     base
 }
 
+/// The label keys of every series of `family` in `snap`, whichever of
+/// the three lists carries it; empty when the family is absent.
+fn label_keys(snap: &MetricsSnapshot, family: &str) -> Vec<Vec<String>> {
+    let keys = |l: pls_telemetry::snapshot::Labels| l.keys().map(String::from).collect();
+    snap.counters_of(family)
+        .map(|(l, _)| keys(l))
+        .chain(snap.gauges_of(family).map(|(l, _)| keys(l)))
+        .chain(snap.histograms_of(family).map(|(l, _)| keys(l)))
+        .collect()
+}
+
 #[test]
 fn metrics_exposition_passes_the_format_lint() {
-    // One real server with real traffic, so counters, gauges, *and*
-    // histograms all have samples in the scrape.
-    let (mut listeners, addrs) = bind_all(2);
-    let (addr, http_addr) = (addrs[0], addrs[1]);
-    let (listener, http_listener) = (listeners.remove(0), listeners.remove(0));
+    // Two durable servers with every background job on and real traffic
+    // (a delete included), so every server-side family has samples.
+    let (mut listeners, addrs) = bind_all(3);
+    let http_listener = listeners.pop().expect("exporter listener");
+    let (http_addr, addrs) = (addrs[2], addrs[..2].to_vec());
     let spec = StrategySpec::full_replication();
-    let cfg = ServerConfig::new(0, vec![addr], spec, 77);
-    let (server, _) = Server::with_listener(cfg, listener).expect("server");
+    let mut handles = Vec::new();
+    let mut exporter = None;
+    for (i, listener) in listeners.into_iter().enumerate() {
+        let dir = std::env::temp_dir().join(format!("pls-lint-{}-{i}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = ServerConfig {
+            data_dir: Some(dir),
+            anti_entropy: Some(Duration::from_millis(100)),
+            staleness_probe: Some(Duration::from_millis(100)),
+            ..ServerConfig::new(i, addrs.clone(), spec, 77)
+        };
+        let (server, _) = Server::with_listener(cfg, listener).expect("server");
+        if i == 0 {
+            // Two scrapes make one delta: the SLO gauges exist.
+            server.scrape_now();
+            server.scrape_now();
+            let router = Arc::new(server.router());
+            let listener = http_listener.try_clone().expect("clone listener");
+            exporter = Some(pls_cluster::http::serve_router(listener, router).expect("exporter"));
+        }
+        handles.push(server.spawn());
+    }
+    let _exporter = exporter;
 
-    let _exporter = pls_cluster::http::serve_router(http_listener, Arc::new(server.router()))
-        .expect("exporter");
-    let _server = server.spawn();
-
-    let mut client = Client::connect(ClientConfig::new(vec![addr], spec, 78));
+    let mut client = Client::connect(ClientConfig::new(addrs, spec, 78));
     let entries: Vec<Vec<u8>> = (0..4).map(|i| format!("e{i}").into_bytes()).collect();
     client.place(b"lint-key", entries).expect("place");
+    client.delete(b"lint-key", b"e3".to_vec()).expect("delete");
     for _ in 0..5 {
-        let got = client.partial_lookup(b"lint-key", 4).expect("lookup");
-        assert_eq!(got.len(), 4);
+        let got = client.partial_lookup(b"lint-key", 3).expect("lookup");
+        assert_eq!(got.len(), 3);
     }
+    // The two families that wait for a background round.
+    let rounds_ran = Deadline::within(Duration::from_secs(15)).wait_until(|| {
+        let body = http_get(http_addr, "/metrics").2;
+        body.contains("pls_live_fault_tolerance{") && body.contains("pls_live_staleness{")
+    });
+    assert!(rounds_ran, "no anti-entropy or staleness round finished");
 
     let (status, headers, body) = http_get(http_addr, "/metrics");
     assert!(status.contains("200"), "{status}");
@@ -74,7 +115,7 @@ fn metrics_exposition_passes_the_format_lint() {
     );
 
     // Walk the body: HELP -> TYPE -> samples per family, no repeats.
-    let mut helps: HashMap<String, usize> = HashMap::new();
+    let mut helps: HashMap<String, &str> = HashMap::new();
     let mut types: HashMap<String, String> = HashMap::new();
     let mut histograms: HashSet<&str> = HashSet::new();
     let mut closed_families: HashSet<String> = HashSet::new();
@@ -85,15 +126,18 @@ fn metrics_exposition_passes_the_format_lint() {
             continue;
         }
         if let Some(rest) = line.strip_prefix("# HELP ") {
-            let family = rest.split(' ').next().expect("HELP family").to_string();
-            assert!(rest.len() > family.len() + 1, "line {ln}: HELP for {family} has no text");
-            *helps.entry(family.clone()).or_insert(0) += 1;
-            assert_eq!(helps[&family], 1, "line {ln}: duplicate HELP for {family}");
+            let (family, text) = rest.split_once(' ').expect("HELP family and text");
+            assert!(!text.is_empty(), "line {ln}: HELP for {family} has no text");
+            assert_eq!(
+                helps.insert(family.to_string(), text),
+                None,
+                "line {ln}: duplicate HELP for {family}"
+            );
             assert!(
-                !closed_families.contains(&family),
+                !closed_families.contains(family),
                 "line {ln}: family {family} split across blocks"
             );
-            if let Some(prev) = current.replace(family) {
+            if let Some(prev) = current.replace(family.to_string()) {
                 closed_families.insert(prev);
             }
         } else if let Some(rest) = line.strip_prefix("# TYPE ") {
@@ -146,24 +190,97 @@ fn metrics_exposition_passes_the_format_lint() {
     for family in helps.keys() {
         assert!(types.contains_key(family), "family {family} has HELP but no TYPE");
     }
-    // Families the tentpole depends on must be present with samples,
-    // including the performance-observatory families (lock contention,
-    // allocation accounting, queue depths).
-    for must in [
-        "pls_requests_total",
-        "pls_request_latency_us",
-        "pls_live_coverage",
-        "pls_lock_wait_us",
-        "pls_lock_hold_us",
-        "pls_lock_acquisitions_total",
-        "pls_lock_contended_total",
-        "pls_alloc_allocs_total",
-        "pls_alloc_bytes_total",
-        "pls_alloc_current_bytes",
-        "pls_queue_depth",
-    ] {
-        assert!(types.contains_key(must), "core family {must} missing from scrape");
+
+    // The catalogue, both ways. What is exported is a row: that TYPE,
+    // that HELP, exactly those label keys on every series.
+    let server_snap = client.metrics_of(0, false).expect("metrics rpc");
+    for (family, kind) in &types {
+        let row = CATALOGUE
+            .iter()
+            .find(|f| f.name == family)
+            .unwrap_or_else(|| panic!("{family} is exported but has no catalogue row"));
+        assert_ne!(row.side, Side::Client, "{family} is a client row, exported by a server");
+        assert_eq!(kind, row.kind.as_str(), "{family}: TYPE differs from its row");
+        assert_eq!(helps[family], row.help, "{family}: HELP differs from its row");
+        for keys in label_keys(&server_snap, family) {
+            assert_eq!(keys, row.labels, "{family}: label keys differ from its row");
+        }
     }
+    // And every row is exported, by the side its row names.
+    let client_snap = client.metrics_snapshot();
+    for row in CATALOGUE {
+        if row.side != Side::Client {
+            assert!(types.contains_key(row.name), "server row {} is not in the scrape", row.name);
+        }
+        if row.side != Side::Server {
+            let keys = label_keys(&client_snap, row.name);
+            assert!(!keys.is_empty(), "client row {} is not in the client snapshot", row.name);
+            assert!(keys.iter().all(|k| k == row.labels), "{}: client label keys", row.name);
+            let carried = match row.kind {
+                Kind::Histogram => client_snap.histograms_of(row.name).count(),
+                _ => client_snap.counters_of(row.name).count(),
+            };
+            assert_eq!(carried, 1, "{}: carried as the wrong kind", row.name);
+        }
+    }
+    let client_series = client_snap.counters.iter().map(|(n, _)| n);
+    for name in client_series.chain(client_snap.histograms.iter().map(|(n, _)| n)) {
+        let family = pls_telemetry::snapshot::family_of(name);
+        assert!(CATALOGUE.iter().any(|f| f.name == family), "client exports unlisted {family}");
+    }
+    assert!(client_snap.gauges.is_empty(), "client gauges have no rows: {:?}", client_snap.gauges);
+}
+
+/// README, DESIGN, EXPERIMENTS and CI's grep gates may name only what
+/// exists: every `pls_…` token in them is a catalogue family (or one of
+/// its `_bucket`/`_sum`/`_count` series, or a `pls_lock_*`-style prefix
+/// of one), or a crate or binary of this workspace. A renamed or deleted
+/// family fails here instead of leaving a CI `grep` that can never match.
+#[test]
+fn docs_and_ci_name_only_catalogue_families() {
+    const CRATES_AND_BINS: [&str; 11] = [
+        "pls_net",
+        "pls_core",
+        "pls_metrics",
+        "pls_sim",
+        "pls_telemetry",
+        "pls_wire",
+        "pls_cluster",
+        "pls_bench",
+        "pls_client",
+        "pls_server",
+        "pls_chaos",
+    ];
+    let known = |token: &str| {
+        CRATES_AND_BINS.contains(&token)
+            || CATALOGUE.iter().any(|f| {
+                token == f.name
+                    || (token.ends_with('_') && f.name.starts_with(token))
+                    || (f.kind == Kind::Histogram
+                        && ["_bucket", "_sum", "_count"]
+                            .iter()
+                            .any(|s| token.strip_suffix(s) == Some(f.name)))
+            })
+    };
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../../");
+    let mut unknown = Vec::new();
+    for file in ["README.md", "DESIGN.md", "EXPERIMENTS.md", ".github/workflows/ci.yml"] {
+        let text = std::fs::read_to_string(format!("{root}{file}")).expect(file);
+        for (ln, line) in text.lines().enumerate() {
+            let mut rest = line;
+            while let Some(at) = rest.find("pls_") {
+                let word = |c: char| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_';
+                let starts_word = !rest[..at].ends_with(word);
+                let len = rest[at..].find(|c| !word(c)).unwrap_or(rest.len() - at);
+                let token = &rest[at..at + len];
+                if starts_word && !known(token) {
+                    unknown.push(format!("{file}:{}: {token}", ln + 1));
+                }
+                rest = &rest[at + len..];
+            }
+        }
+    }
+    assert!(unknown.is_empty(), "names that are no catalogue family:\n{}", unknown.join("\n"));
 }
 
 /// Delta-scraping race hammer: `Request::Metrics { reset: true }`

@@ -62,7 +62,7 @@ impl SiteStats {
 }
 
 /// Plain-data copy of one site's [`SiteStats`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SiteSnapshot {
     /// Successful acquisitions.
     pub acquisitions: u64,
@@ -160,13 +160,6 @@ impl<T> Drop for TimedMutexGuard<'_, T> {
     fn drop(&mut self) {
         self.stats.hold_us.observe(self.acquired.elapsed().as_micros() as u64);
     }
-}
-
-/// A second pre-registered stats handle for sites whose lock lives
-/// behind an `Option` (e.g. optional storage): exporters want the
-/// family present — at zero — even when the lock was never built.
-pub fn empty_stats() -> Arc<SiteStats> {
-    Arc::new(SiteStats::new())
 }
 
 #[cfg(test)]

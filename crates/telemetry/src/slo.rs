@@ -37,7 +37,7 @@ const MAX_ROWS: usize = 4096;
 #[derive(Debug, Clone)]
 pub enum SloSource {
     /// Bad fraction of a counter ratio: `total` and `bad` are counter
-    /// family prefixes summed over the delta (label variants included).
+    /// families summed over the delta (label variants included).
     Ratio {
         /// Families counting all events (e.g. requests served).
         total: Vec<String>,
@@ -56,7 +56,7 @@ pub enum SloSource {
     /// time-slice event, bad when the minimum reading across the
     /// family's label variants is below `floor`.
     GaugeFloor {
-        /// Gauge family prefix (exact name or labeled variants).
+        /// Gauge family (the bare name and its labeled variants).
         gauge: String,
         /// The reading the gauge must not drop below.
         floor: f64,
@@ -139,16 +139,6 @@ impl SloTracker {
         SloTracker { specs, states, fast_us, slow_us, now_us: 0 }
     }
 
-    /// The declared objectives.
-    pub fn specs(&self) -> &[SloSpec] {
-        &self.specs
-    }
-
-    /// The fast and slow burn windows.
-    pub fn windows(&self) -> (Duration, Duration) {
-        (Duration::from_micros(self.fast_us), Duration::from_micros(self.slow_us))
-    }
-
     /// Accounts one scrape interval: `delta` is the increment since the
     /// previous scrape, `latest` the cumulative snapshot it ended on
     /// (gauge floors read levels from here), `now_us` a monotonic
@@ -219,34 +209,25 @@ fn burn(state: &SloState, budget: f64, now_us: u64, window_us: u64) -> f64 {
 fn sample(source: &SloSource, delta: &Delta, latest: &MetricsSnapshot) -> (u64, u64) {
     match source {
         SloSource::Ratio { total, bad } => {
-            let bad: u64 = bad.iter().map(|f| delta.counter_sum(f)).sum();
-            let total: u64 = total.iter().map(|f| delta.counter_sum(f)).sum();
+            let bad: u64 = bad.iter().map(|f| delta.changed.counter_sum(f)).sum();
+            let total: u64 = total.iter().map(|f| delta.changed.counter_sum(f)).sum();
             // Failure counters can outpace the "total" families (e.g. a
             // retry loop counting several failures per request); clamp
             // so the bad fraction stays ≤ 1.
             (total.max(bad), bad)
         }
-        SloSource::LatencyAbove { histogram, target_us } => match delta.histogram(histogram) {
-            Some(h) => {
-                let ok_through = Histogram::bucket_index(*target_us);
-                let bad: u64 = h.buckets.iter().skip(ok_through + 1).sum();
-                (h.count, bad)
-            }
-            None => (0, 0),
-        },
-        SloSource::GaugeFloor { gauge, floor } => {
-            let mut min: Option<f64> = None;
-            for (name, value) in &latest.gauges {
-                let matches = name == gauge
-                    || (name.starts_with(gauge) && name.as_bytes().get(gauge.len()) == Some(&b'{'));
-                if matches {
-                    min = Some(match min {
-                        Some(m) => m.min(*value),
-                        None => *value,
-                    });
+        SloSource::LatencyAbove { histogram, target_us } => {
+            match delta.changed.histogram(histogram) {
+                Some(h) => {
+                    let ok_through = Histogram::bucket_index(*target_us);
+                    let bad: u64 = h.buckets.iter().skip(ok_through + 1).sum();
+                    (h.count, bad)
                 }
+                None => (0, 0),
             }
-            match min {
+        }
+        SloSource::GaugeFloor { gauge, floor } => {
+            match latest.gauges_of(gauge).map(|(_, v)| v).reduce(f64::min) {
                 Some(v) if v < *floor => (1, 1),
                 Some(_) => (1, 0),
                 None => (0, 0),

@@ -107,10 +107,31 @@ impl MetricsSnapshot {
         self.histograms.iter().find(|(n, _)| n == name).map(|(_, h)| h)
     }
 
-    /// Sums all counters whose name starts with `prefix` (e.g. every
-    /// `pls_requests_total{...}` label variant).
-    pub fn counter_sum(&self, prefix: &str) -> u64 {
-        self.counters.iter().filter(|(n, _)| n.starts_with(prefix)).map(|(_, v)| *v).sum()
+    /// Every counter series of `family` (the bare name and each
+    /// `family{...}` label variant, nothing that merely starts with it),
+    /// with its decoded labels.
+    pub fn counters_of<'a>(&'a self, family: &'a str) -> impl Iterator<Item = (Labels, u64)> + 'a {
+        self.counters.iter().filter_map(move |(n, v)| Some((series_of(n, family)?, *v)))
+    }
+
+    /// Every gauge series of `family`, as [`counters_of`](Self::counters_of).
+    pub fn gauges_of<'a>(&'a self, family: &'a str) -> impl Iterator<Item = (Labels, f64)> + 'a {
+        self.gauges.iter().filter_map(move |(n, v)| Some((series_of(n, family)?, *v)))
+    }
+
+    /// Every histogram series of `family`, as
+    /// [`counters_of`](Self::counters_of).
+    pub fn histograms_of<'a>(
+        &'a self,
+        family: &'a str,
+    ) -> impl Iterator<Item = (Labels, &'a HistogramSnapshot)> + 'a {
+        self.histograms.iter().filter_map(move |(n, h)| Some((series_of(n, family)?, h)))
+    }
+
+    /// The sum over [`counters_of`](Self::counters_of): every label
+    /// variant of one family, e.g. `pls_requests_total{op=...}`.
+    pub fn counter_sum(&self, family: &str) -> u64 {
+        self.counters.iter().filter(|(n, _)| in_family(n, family)).map(|(_, v)| *v).sum()
     }
 
     /// Accumulates another snapshot into this one: counters with equal
@@ -219,8 +240,39 @@ impl MetricsSnapshot {
 }
 
 /// A series name's family: the name up to any label block.
-fn family_of(name: &str) -> &str {
+pub fn family_of(name: &str) -> &str {
     name.split('{').next().unwrap_or(name)
+}
+
+/// Whether series `name` belongs to `family` exactly: `pls_x_total`
+/// owns `pls_x_total{..}` but not `pls_x_total_y`.
+fn in_family(name: &str, family: &str) -> bool {
+    name.strip_prefix(family).is_some_and(|rest| rest.is_empty() || rest.starts_with('{'))
+}
+
+/// The labels of series `name` if it belongs to `family` (and its label
+/// block is well formed).
+fn series_of(name: &str, family: &str) -> Option<Labels> {
+    if !in_family(name, family) {
+        return None;
+    }
+    parse_labels(name).map(|(_, labels)| Labels(labels))
+}
+
+/// The decoded `(label, value)` pairs of one series, in exposition order.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Labels(Vec<(String, String)>);
+
+impl Labels {
+    /// The value of label `key`, if the series carries it.
+    pub fn get(&self, key: &str) -> Option<&str> {
+        self.0.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
+    }
+
+    /// The label keys, in exposition order.
+    pub fn keys(&self) -> impl Iterator<Item = &str> {
+        self.0.iter().map(|(k, _)| k.as_str())
+    }
 }
 
 /// Escapes `# HELP` text for the exposition format: backslash and
@@ -290,8 +342,9 @@ pub fn labeled(family: &str, labels: &[(&str, &str)]) -> String {
 
 /// Splits a series name into its family and decoded `(label, value)`
 /// pairs — the inverse of [`labeled`]. Returns `None` if the label
-/// block is malformed (unbalanced quotes, missing `=`).
-pub fn parse_labels(name: &str) -> Option<(&str, Vec<(String, String)>)> {
+/// block is malformed (unbalanced quotes, missing `=`). Callers outside
+/// this file ask [`MetricsSnapshot::counters_of`] and its siblings.
+fn parse_labels(name: &str) -> Option<(&str, Vec<(String, String)>)> {
     let Some(brace) = name.find('{') else {
         return Some((name, Vec::new()));
     };

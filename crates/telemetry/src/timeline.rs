@@ -3,12 +3,10 @@
 //!
 //! A [`Timeline`] holds the last N [`Window`]s, each a cumulative
 //! [`MetricsSnapshot`] stamped with a sequence number, wall-clock time,
-//! and process uptime. Subtracting two windows yields a [`Delta`]:
-//! counter increments, histogram observations recorded between the two
-//! scrapes (via [`HistogramSnapshot::minus`]), and the later window's
-//! gauge readings — everything needed for windowed rates ("requests per
-//! second over the last minute") and for the SLO burn-rate math in
-//! [`crate::slo`].
+//! and process uptime. Subtracting two windows yields a [`Delta`]: a
+//! snapshot of what changed between the two scrapes — everything
+//! needed for windowed rates ("requests per second over the last
+//! minute") and for the SLO burn-rate math in [`crate::slo`].
 //!
 //! The ring is plain data behind whatever lock the caller prefers; the
 //! recording path allocates only when cloning the snapshot in.
@@ -36,8 +34,7 @@ pub struct Window {
     pub totals: MetricsSnapshot,
 }
 
-/// What happened between two [`Window`]s: counter increments,
-/// histogram observations, and the later window's gauges.
+/// What happened between two [`Window`]s.
 #[derive(Debug, Clone)]
 pub struct Delta {
     /// Sequence number of the earlier window.
@@ -47,15 +44,13 @@ pub struct Delta {
     /// Monotonic span between the windows, microseconds (at least 1,
     /// so rates stay finite).
     pub span_us: u64,
-    /// Per-counter increments (`later − earlier`, saturating — a
-    /// counter that went backwards, e.g. across a reset, reads 0).
-    pub counters: Vec<(String, u64)>,
-    /// The later window's gauge readings, verbatim (gauges are levels,
-    /// not totals; a delta of levels has no meaning).
-    pub gauges: Vec<(String, f64)>,
-    /// Per-histogram observations recorded in the span
-    /// ([`HistogramSnapshot::minus`]).
-    pub histograms: Vec<(String, HistogramSnapshot)>,
+    /// What changed, as a snapshot read like any other: per-counter
+    /// increments (`later − earlier`, saturating — a counter that went
+    /// backwards, e.g. across a reset, reads 0), the observations each
+    /// histogram recorded in the span ([`HistogramSnapshot::minus`]), and
+    /// the later window's gauge readings verbatim (gauges are levels; a
+    /// delta of levels has no meaning).
+    pub changed: MetricsSnapshot,
 }
 
 impl Delta {
@@ -64,67 +59,49 @@ impl Delta {
         self.span_us.max(1) as f64 / 1e6
     }
 
-    /// Looks up a counter increment by exact name.
-    pub fn counter(&self, name: &str) -> Option<u64> {
-        self.counters.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
-    }
-
-    /// Sums counter increments across every series whose name starts
-    /// with `prefix` (mirrors [`MetricsSnapshot::counter_sum`]).
-    pub fn counter_sum(&self, prefix: &str) -> u64 {
-        self.counters.iter().filter(|(n, _)| n.starts_with(prefix)).map(|(_, v)| *v).sum()
-    }
-
-    /// Looks up a gauge reading (the later window's) by exact name.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
-    }
-
-    /// Looks up the observations recorded in the span by exact name.
-    pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
-        self.histograms.iter().find(|(n, _)| n == name).map(|(_, h)| h)
-    }
-
     /// Events per second for one counter series over the span.
     pub fn rate(&self, name: &str) -> f64 {
-        self.counter(name).unwrap_or(0) as f64 / self.span_seconds()
+        self.changed.counter(name).unwrap_or(0) as f64 / self.span_seconds()
     }
 
     /// Events per second summed across a counter family's label
     /// variants.
-    pub fn rate_sum(&self, prefix: &str) -> f64 {
-        self.counter_sum(prefix) as f64 / self.span_seconds()
+    pub fn rate_sum(&self, family: &str) -> f64 {
+        self.changed.counter_sum(family) as f64 / self.span_seconds()
     }
 }
 
 /// The observations recorded between an `earlier` and a `later`
-/// window. Counters and histograms subtract (saturating); gauges carry
-/// the later reading. Series absent from the earlier window are taken
-/// as starting from zero, so a family that first appears mid-timeline
-/// (a new label value, say) still deltas correctly.
+/// window — the one snapshot subtraction. Series absent from the earlier
+/// window are taken as starting from zero, so a family that first
+/// appears mid-timeline (a new label value, say) still deltas correctly.
 pub fn delta(earlier: &Window, later: &Window) -> Delta {
-    let counters = later
-        .totals
-        .counters
-        .iter()
-        .map(|(name, v)| {
-            (name.clone(), v.saturating_sub(earlier.totals.counter(name).unwrap_or(0)))
-        })
-        .collect();
     let zero = HistogramSnapshot::default();
-    let histograms = later
-        .totals
-        .histograms
-        .iter()
-        .map(|(name, h)| (name.clone(), h.minus(earlier.totals.histogram(name).unwrap_or(&zero))))
-        .collect();
+    let changed = MetricsSnapshot {
+        counters: later
+            .totals
+            .counters
+            .iter()
+            .map(|(name, v)| {
+                (name.clone(), v.saturating_sub(earlier.totals.counter(name).unwrap_or(0)))
+            })
+            .collect(),
+        gauges: later.totals.gauges.clone(),
+        histograms: later
+            .totals
+            .histograms
+            .iter()
+            .map(|(name, h)| {
+                (name.clone(), h.minus(earlier.totals.histogram(name).unwrap_or(&zero)))
+            })
+            .collect(),
+        helps: Vec::new(),
+    };
     Delta {
         from_seq: earlier.seq,
         to_seq: later.seq,
         span_us: later.uptime_us.saturating_sub(earlier.uptime_us).max(1),
-        counters,
-        gauges: later.totals.gauges.clone(),
-        histograms,
+        changed,
     }
 }
 
@@ -248,10 +225,10 @@ mod tests {
         tl.record(1_000, 0, snap(10, &[100]));
         tl.record(2_000, 1_000_000, snap(25, &[100, 200, 300]));
         let d = tl.last_delta().expect("two windows");
-        assert_eq!(d.counter("pls_requests_total{op=\"probe\"}"), Some(15));
-        assert_eq!(d.counter_sum("pls_requests_total"), 15);
-        assert_eq!(d.gauge("pls_queue_depth{queue=\"inflight\"}"), Some(25.0));
-        let h = d.histogram("pls_request_latency_us").expect("histogram");
+        assert_eq!(d.changed.counter("pls_requests_total{op=\"probe\"}"), Some(15));
+        assert_eq!(d.changed.counter_sum("pls_requests_total"), 15);
+        assert_eq!(d.changed.gauge("pls_queue_depth{queue=\"inflight\"}"), Some(25.0));
+        let h = d.changed.histogram("pls_request_latency_us").expect("histogram");
         assert_eq!(h.count, 2);
         assert_eq!(h.sum, 500);
         assert!((d.rate_sum("pls_requests_total") - 15.0).abs() < 1e-9);
@@ -263,8 +240,8 @@ mod tests {
         tl.record(0, 0, MetricsSnapshot::new());
         tl.record(0, 1_000_000, snap(7, &[50]));
         let d = tl.last_delta().unwrap();
-        assert_eq!(d.counter_sum("pls_requests_total"), 7);
-        assert_eq!(d.histogram("pls_request_latency_us").unwrap().count, 1);
+        assert_eq!(d.changed.counter_sum("pls_requests_total"), 7);
+        assert_eq!(d.changed.histogram("pls_request_latency_us").unwrap().count, 1);
     }
 
     #[test]
@@ -275,8 +252,8 @@ mod tests {
         tl.record(0, 0, snap(100, &[1, 2, 3]));
         tl.record(0, 1_000_000, snap(40, &[1]));
         let d = tl.last_delta().unwrap();
-        assert_eq!(d.counter_sum("pls_requests_total"), 0);
-        assert_eq!(d.histogram("pls_request_latency_us").unwrap().count, 0);
+        assert_eq!(d.changed.counter_sum("pls_requests_total"), 0);
+        assert_eq!(d.changed.histogram("pls_request_latency_us").unwrap().count, 0);
     }
 
     #[test]
@@ -293,7 +270,7 @@ mod tests {
         let d = tl.delta_over(60_000_000).expect("fallback to oldest");
         assert_eq!(d.from_seq, 7);
         assert_eq!(d.to_seq, 9);
-        assert_eq!(d.counter_sum("pls_requests_total"), 20);
+        assert_eq!(d.changed.counter_sum("pls_requests_total"), 20);
         let rate = d.rate_sum("pls_requests_total");
         assert!(rate.is_finite() && rate > 0.0, "{rate}");
     }
@@ -320,7 +297,7 @@ mod tests {
         let d = tl.delta_over(3_000_000).unwrap();
         assert_eq!(d.from_seq, 6);
         assert_eq!(d.to_seq, 9);
-        assert_eq!(d.counter_sum("pls_requests_total"), 3);
+        assert_eq!(d.changed.counter_sum("pls_requests_total"), 3);
     }
 
     #[test]

@@ -12,23 +12,27 @@
 //!   probes-per-lookup histogram: the paper's *client lookup cost*
 //!   (§4.2) measured on the live deployment instead of in simulation.
 //!
-//! Metric names follow Prometheus conventions; see the "Observability"
-//! section of the repository README for the full catalogue. Per-entry
-//! retrieval counts export as `pls_entry_hits_total{key=..,entry=..}`
-//! series, which sum under [`MetricsSnapshot::merge`] — so a client can
-//! recompute *cluster-level* unfairness and coverage from a merged
-//! snapshot with [`live_quality_from_merged`] instead of trusting any
-//! single server's gauge.
+//! Every exported family is one row of [`CATALOGUE`] — name, kind,
+//! labels, HELP text and who reads it — which is also what stamps HELP
+//! onto an exposition ([`stamp`]) and what README §Observability's table
+//! is generated from. The debug endpoints and dashboards are pure
+//! [`views`] of a snapshot; cluster-level unfairness and coverage are
+//! recomputed from a merged one ([`live_quality_from_merged`]).
 //!
 //! [`Request::Metrics`]: crate::proto::Request::Metrics
 
 use pls_core::StrategySpec;
 use pls_metrics::unfairness::cov_from_counts;
-use pls_telemetry::snapshot::{labeled, parse_labels};
+use pls_telemetry::snapshot::labeled;
 use pls_telemetry::{
     Counter, Gauge, Histogram, HistogramSnapshot, KeyedCounterMap, MetricsSnapshot, SiteSnapshot,
     SiteStats, TopK,
 };
+
+mod catalogue;
+pub mod views;
+
+pub use catalogue::{catalogue_markdown, stamp, Family, Kind, Side, CATALOGUE};
 
 /// Strategy labels, indexed by [`strategy_index`].
 pub const STRATEGY_LABELS: [&str; 5] = ["full", "fixed", "random", "round", "hash"];
@@ -78,52 +82,47 @@ pub enum ReqOp {
     JoinLeave,
 }
 
-impl ReqOp {
-    /// Every variant, in counter-index order.
-    pub const ALL: [ReqOp; 14] = [
-        ReqOp::Place,
-        ReqOp::Add,
-        ReqOp::Delete,
-        ReqOp::Probe,
-        ReqOp::Internal,
-        ReqOp::Status,
-        ReqOp::Keys,
-        ReqOp::Snapshot,
-        ReqOp::SpecOf,
-        ReqOp::Metrics,
-        ReqOp::Trace,
-        ReqOp::Digest,
-        ReqOp::Membership,
-        ReqOp::JoinLeave,
-    ];
+/// The `op` label values, indexed by [`ReqOp`].
+pub const OP_LABELS: [&str; 14] = [
+    "place",
+    "add",
+    "delete",
+    "probe",
+    "internal",
+    "status",
+    "keys",
+    "snapshot",
+    "spec_of",
+    "metrics",
+    "trace",
+    "digest",
+    "membership",
+    "join_leave",
+];
 
+impl ReqOp {
     /// The `op` label value.
     pub fn as_str(self) -> &'static str {
-        match self {
-            ReqOp::Place => "place",
-            ReqOp::Add => "add",
-            ReqOp::Delete => "delete",
-            ReqOp::Probe => "probe",
-            ReqOp::Internal => "internal",
-            ReqOp::Status => "status",
-            ReqOp::Keys => "keys",
-            ReqOp::Snapshot => "snapshot",
-            ReqOp::SpecOf => "spec_of",
-            ReqOp::Metrics => "metrics",
-            ReqOp::Trace => "trace",
-            ReqOp::Digest => "digest",
-            ReqOp::Membership => "membership",
-            ReqOp::JoinLeave => "join_leave",
-        }
+        OP_LABELS[self as usize]
+    }
+}
+
+/// Reads an instrument for a scrape: drained with `reset` (the
+/// delta-scraping contract), left alone without.
+pub fn read<T, R>(x: &T, reset: bool, take: impl Fn(&T) -> R, get: impl Fn(&T) -> R) -> R {
+    if reset {
+        take(x)
+    } else {
+        get(x)
     }
 }
 
 fn val(c: &Counter, reset: bool) -> u64 {
-    if reset {
-        c.take()
-    } else {
-        c.get()
-    }
+    read(c, reset, Counter::take, Counter::get)
+}
+
+fn hist(h: &Histogram, reset: bool) -> HistogramSnapshot {
+    read(h, reset, Histogram::take, Histogram::snapshot)
 }
 
 /// Slots in each server's Space-Saving hot-key sketch: any key drawing
@@ -153,8 +152,6 @@ pub struct ServerMetrics {
     pub request_errors: Counter,
     /// Frames that failed to decode into a request.
     pub decode_errors: Counter,
-    /// Connections accepted.
-    pub connections_accepted: Counter,
     /// `accept(2)` failures.
     pub accept_errors: Counter,
     /// Connections torn down by a protocol violation.
@@ -166,8 +163,6 @@ pub struct ServerMetrics {
     /// Probe requests served, by the probed key's strategy
     /// (indexed by [`strategy_index`]).
     pub probes: [Counter; 5],
-    /// Entries returned across all probe answers.
-    pub probe_entries_returned: Counter,
     /// Key engines materialized.
     pub engines_created: Counter,
     /// Server-to-server `Internal` messages sent.
@@ -183,15 +178,9 @@ pub struct ServerMetrics {
     pub staleness_rounds: Counter,
     /// Delete tombstones dropped by TTL garbage collection.
     pub tombstones_gc: Counter,
-    /// Membership views installed (each strictly newer epoch accepted,
-    /// whether from gossip, a join/leave command, or boot).
-    pub membership_installs: Counter,
     /// The epoch of this server's current membership view. A live value
     /// like `inflight`: `Metrics{reset}` never zeroes it.
     pub membership_epoch: Gauge,
-    /// Keys whose local placement was rebuilt by migration — pulled or
-    /// re-homed because an epoch change moved their placement group.
-    pub migration_keys: Counter,
     /// Entries received and applied through migration pulls.
     pub migration_entries: Counter,
     /// Migration lag: keys this server should host under the current
@@ -213,12 +202,6 @@ pub struct ServerMetrics {
     /// keyed by [`key_entry`] composites — the raw counts behind the
     /// live unfairness and coverage gauges.
     pub entry_hits: KeyedCounterMap,
-    /// Live §4.5 unfairness (mean per-key CoV of entry hit counts),
-    /// refreshed by [`ServerMetrics::collect_live`].
-    pub live_unfairness: Gauge,
-    /// Live §4.3 coverage (distinct entries retrieved at least once /
-    /// entries stored), refreshed by [`ServerMetrics::collect_live`].
-    pub live_coverage: Gauge,
     /// Requests currently being handled (incremented when a decoded
     /// frame enters the handler, decremented when its response is
     /// ready). A live depth, so `Metrics{reset}` never zeroes it.
@@ -244,13 +227,11 @@ impl ServerMetrics {
             requests: Default::default(),
             request_errors: Counter::new(),
             decode_errors: Counter::new(),
-            connections_accepted: Counter::new(),
             accept_errors: Counter::new(),
             connection_errors: Counter::new(),
             bytes_read: Counter::new(),
             bytes_written: Counter::new(),
             probes: Default::default(),
-            probe_entries_returned: Counter::new(),
             engines_created: Counter::new(),
             internal_sent: Counter::new(),
             internal_send_failures: Counter::new(),
@@ -258,9 +239,7 @@ impl ServerMetrics {
             antientropy_repairs: Counter::new(),
             staleness_rounds: Counter::new(),
             tombstones_gc: Counter::new(),
-            membership_installs: Counter::new(),
             membership_epoch: Gauge::new(),
-            migration_keys: Counter::new(),
             migration_entries: Counter::new(),
             migration_pending: Gauge::new(),
             staleness_versions_behind: Histogram::new(),
@@ -268,8 +247,6 @@ impl ServerMetrics {
             probe_latency_us: Histogram::new(),
             hot_keys: TopK::new(HOT_KEYS_TRACKED),
             entry_hits: KeyedCounterMap::new(),
-            live_unfairness: Gauge::new(),
-            live_coverage: Gauge::new(),
             inflight: Gauge::new(),
             antientropy_round_us: Gauge::new(),
             staleness_round_us: Gauge::new(),
@@ -292,36 +269,34 @@ impl ServerMetrics {
         }
     }
 
-    /// Builds a named snapshot. `keys`/`entries` are point-in-time
-    /// gauges supplied by the caller (they live in the engine map, not
-    /// here). With `reset`, every counter and histogram is atomically
-    /// drained as it is read — the snapshot/reset semantics used by
-    /// delta-scraping.
-    pub fn collect(&self, keys: u64, entries: u64, reset: bool) -> MetricsSnapshot {
+    /// Builds a named snapshot: this server's counters and histograms
+    /// plus the live quality series (the `pls_entry_hits_total`,
+    /// `pls_live_*` and `pls_hot_key_probes` rows of [`CATALOGUE`]).
+    /// `stored` is the server's current `(key, stored entries)` population
+    /// (it lives in the engine map, not here); entries a probe never
+    /// returned export as explicit zeros, which is exactly what the
+    /// unfairness computation needs, and hits for since-deleted entries
+    /// are dropped. Key and entry bytes become label values via lossy
+    /// UTF-8. With `reset`, every counter, histogram, the sketch and the
+    /// per-entry counters are atomically drained as they are read — the
+    /// snapshot/reset semantics used by delta-scraping.
+    pub fn collect(&self, stored: &[(Vec<u8>, Vec<Vec<u8>>)], reset: bool) -> MetricsSnapshot {
         let mut s = MetricsSnapshot::new();
-        for op in ReqOp::ALL {
-            s.push_counter(
-                format!("pls_requests_total{{op=\"{}\"}}", op.as_str()),
-                val(&self.requests[op as usize], reset),
-            );
+        for (op, count) in OP_LABELS.iter().zip(&self.requests) {
+            s.push_counter(labeled("pls_requests_total", &[("op", op)]), val(count, reset));
         }
         s.push_counter("pls_request_errors_total", val(&self.request_errors, reset));
         s.push_counter("pls_decode_errors_total", val(&self.decode_errors, reset));
-        s.push_counter("pls_connections_accepted_total", val(&self.connections_accepted, reset));
         s.push_counter("pls_accept_errors_total", val(&self.accept_errors, reset));
         s.push_counter("pls_connection_errors_total", val(&self.connection_errors, reset));
         s.push_counter("pls_bytes_read_total", val(&self.bytes_read, reset));
         s.push_counter("pls_bytes_written_total", val(&self.bytes_written, reset));
-        for (i, label) in STRATEGY_LABELS.iter().enumerate() {
+        for (strategy, count) in STRATEGY_LABELS.iter().zip(&self.probes) {
             s.push_counter(
-                format!("pls_probes_total{{strategy=\"{label}\"}}"),
-                val(&self.probes[i], reset),
+                labeled("pls_probes_total", &[("strategy", strategy)]),
+                val(count, reset),
             );
         }
-        s.push_counter(
-            "pls_probe_entries_returned_total",
-            val(&self.probe_entries_returned, reset),
-        );
         s.push_counter("pls_engines_created_total", val(&self.engines_created, reset));
         s.push_counter("pls_internal_sent_total", val(&self.internal_sent, reset));
         s.push_counter(
@@ -332,8 +307,6 @@ impl ServerMetrics {
         s.push_counter("pls_antientropy_repairs_total", val(&self.antientropy_repairs, reset));
         s.push_counter("pls_staleness_rounds_total", val(&self.staleness_rounds, reset));
         s.push_counter("pls_tombstones_gc_total", val(&self.tombstones_gc, reset));
-        s.push_counter("pls_membership_installs_total", val(&self.membership_installs, reset));
-        s.push_counter("pls_migration_keys_total", val(&self.migration_keys, reset));
         s.push_counter("pls_migration_entries_total", val(&self.migration_entries, reset));
         // Live membership state: the epoch and the migration backlog are
         // point-in-time readings, exempt from `reset` like `inflight`.
@@ -341,111 +314,31 @@ impl ServerMetrics {
         s.push_gauge("pls_migration_pending", self.migration_pending.get());
         s.push_histogram(
             "pls_staleness_versions_behind",
-            if reset {
-                self.staleness_versions_behind.take()
-            } else {
-                self.staleness_versions_behind.snapshot()
-            },
+            hist(&self.staleness_versions_behind, reset),
         );
-        s.push_counter("pls_keys", keys);
-        s.push_counter("pls_entries", entries);
-        s.push_histogram(
-            "pls_request_latency_us",
-            if reset { self.request_latency_us.take() } else { self.request_latency_us.snapshot() },
-        );
-        s.push_histogram(
-            "pls_probe_latency_us",
-            if reset { self.probe_latency_us.take() } else { self.probe_latency_us.snapshot() },
-        );
+        s.push_counter("pls_keys", stored.len() as u64);
+        s.push_counter("pls_entries", stored.iter().map(|(_, es)| es.len() as u64).sum());
+        s.push_histogram("pls_request_latency_us", hist(&self.request_latency_us, reset));
+        s.push_histogram("pls_probe_latency_us", hist(&self.probe_latency_us, reset));
         // Queue-depth gauges. In-flight is a live depth: resetting it
         // would make the pending decrements drive it negative, so it is
         // exempt from `reset`. The round-duration gauges are
         // last-observation samples and do drain.
         s.push_gauge(labeled("pls_queue_depth", &[("queue", "inflight")]), self.inflight.get());
-        s.push_gauge(
-            labeled("pls_queue_depth", &[("queue", "antientropy_round_us")]),
-            if reset { self.antientropy_round_us.take() } else { self.antientropy_round_us.get() },
-        );
-        s.push_gauge(
-            labeled("pls_queue_depth", &[("queue", "staleness_round_us")]),
-            if reset { self.staleness_round_us.take() } else { self.staleness_round_us.get() },
-        );
-        s.set_help("pls_requests_total", "Requests handled, by operation.");
-        s.set_help("pls_request_errors_total", "Requests whose handler returned an error.");
-        s.set_help("pls_decode_errors_total", "Frames that failed to decode into a request.");
-        s.set_help("pls_connections_accepted_total", "Client connections accepted.");
-        s.set_help("pls_accept_errors_total", "accept(2) failures.");
-        s.set_help("pls_connection_errors_total", "Connections torn down by protocol violations.");
-        s.set_help("pls_bytes_read_total", "Frame bytes read, including headers.");
-        s.set_help("pls_bytes_written_total", "Frame bytes written, including headers.");
-        s.set_help("pls_probes_total", "Probe requests served, by the key's strategy.");
-        s.set_help("pls_probe_entries_returned_total", "Entries returned across probe answers.");
-        s.set_help("pls_engines_created_total", "Per-key strategy engines materialized.");
-        s.set_help("pls_internal_sent_total", "Server-to-server messages sent.");
-        s.set_help("pls_internal_send_failures_total", "Server-to-server sends that failed.");
-        s.set_help("pls_antientropy_rounds_total", "Background anti-entropy rounds started.");
-        s.set_help("pls_antientropy_repairs_total", "Keys repaired by anti-entropy.");
-        s.set_help("pls_staleness_rounds_total", "Background staleness-probe rounds started.");
-        s.set_help("pls_tombstones_gc_total", "Delete tombstones dropped by TTL GC.");
-        s.set_help("pls_membership_installs_total", "Membership views installed (newer epochs).");
-        s.set_help("pls_migration_keys_total", "Keys rebuilt by group migration.");
-        s.set_help("pls_migration_entries_total", "Entries applied through migration pulls.");
-        s.set_help("pls_membership_epoch", "Epoch of the current membership view.");
-        s.set_help(
-            "pls_migration_pending",
-            "Keys owed to this server under the current epoch but not yet migrated.",
-        );
-        s.set_help(
-            "pls_staleness_versions_behind",
-            "Per-holder version lag behind the freshest known version (staleness probes).",
-        );
-        s.set_help("pls_keys", "Keys this server manages.");
-        s.set_help("pls_entries", "Entries stored across keys.");
-        s.set_help("pls_request_latency_us", "End-to-end request handling latency (us).");
-        s.set_help("pls_probe_latency_us", "Probe handling latency, engine sampling only (us).");
-        s.set_help(
-            "pls_queue_depth",
-            "Queue depths and backlog proxies: in-flight requests, WAL group-commit batch \
-             size, last background round durations (us).",
-        );
-        s
-    }
+        for (queue, round_us) in [
+            ("antientropy_round_us", &self.antientropy_round_us),
+            ("staleness_round_us", &self.staleness_round_us),
+        ] {
+            s.push_gauge(
+                labeled("pls_queue_depth", &[("queue", queue)]),
+                read(round_us, reset, Gauge::take, Gauge::get),
+            );
+        }
 
-    /// [`ServerMetrics::collect`] plus the live quality series. `stored`
-    /// is the server's current `(key, stored entries)` population (it
-    /// lives in the engine map, not here); entries a probe never
-    /// returned export as explicit zeros, which is exactly what the
-    /// unfairness computation needs.
-    ///
-    /// Beyond the base counters, the snapshot carries:
-    ///
-    /// * `pls_entry_hits_total{key=..,entry=..}` — retrievals per stored
-    ///   `(key, entry)` pair (hits for since-deleted entries are
-    ///   dropped). Summing these across servers recovers cluster totals.
-    /// * `pls_live_unfairness` — mean, over keys with any traffic, of
-    ///   the CoV of that key's per-entry hit counts (the §4.5 eq. (1)
-    ///   unfairness measured on live traffic).
-    /// * `pls_live_coverage` — distinct stored entries retrieved at
-    ///   least once / entries stored (0 when nothing is stored).
-    /// * `pls_hot_key_probes{key=..}` — the sketch's
-    ///   [`HOT_KEYS_EXPORTED`] heaviest keys (counts are Space-Saving
-    ///   overestimates; exposed as a gauge family, since evictions and
-    ///   resets make them non-monotonic).
-    ///
-    /// Key and entry bytes become label values via lossy UTF-8.
-    /// With `reset`, the sketch and the per-entry counters are drained
-    /// along with everything else.
-    pub fn collect_live(&self, stored: &[(Vec<u8>, Vec<Vec<u8>>)], reset: bool) -> MetricsSnapshot {
-        let keys = stored.len() as u64;
-        let entries: u64 = stored.iter().map(|(_, es)| es.len() as u64).sum();
-        let mut s = self.collect(keys, entries, reset);
+        let hits = read(&self.entry_hits, reset, KeyedCounterMap::take, KeyedCounterMap::snapshot);
+        let hot = read(&self.hot_keys, reset, TopK::take, TopK::snapshot);
 
-        let hits = if reset { self.entry_hits.take() } else { self.entry_hits.snapshot() };
-        let hot = if reset { self.hot_keys.take() } else { self.hot_keys.snapshot() };
-
-        let mut observed = 0u64;
-        let mut cov_sum = 0.0;
-        let mut keys_with_traffic = 0usize;
+        let mut per_key = Vec::with_capacity(stored.len());
         for (key, stored_entries) in stored {
             let counts: Vec<u64> =
                 stored_entries.iter().map(|v| hits.get(&key_entry(key, v)).unwrap_or(0)).collect();
@@ -460,29 +353,32 @@ impl ServerMetrics {
                     c,
                 );
             }
-            observed += counts.iter().filter(|&&c| c > 0).count() as u64;
-            if counts.iter().any(|&c| c > 0) {
-                cov_sum += cov_from_counts(&counts);
-                keys_with_traffic += 1;
-            }
+            per_key.push(counts);
         }
-        let unfairness =
-            if keys_with_traffic == 0 { 0.0 } else { cov_sum / keys_with_traffic as f64 };
-        let coverage = if entries == 0 { 0.0 } else { observed as f64 / entries as f64 };
-        self.live_unfairness.set(unfairness);
-        self.live_coverage.set(coverage);
+        let (unfairness, coverage) = live_quality(&per_key);
         s.push_gauge("pls_live_unfairness", unfairness);
         s.push_gauge("pls_live_coverage", coverage);
         for e in hot.top(HOT_KEYS_EXPORTED) {
             let key_label = String::from_utf8_lossy(&e.key);
             s.push_counter(labeled("pls_hot_key_probes", &[("key", &key_label)]), e.count);
         }
-        s.set_help("pls_entry_hits_total", "Retrievals per stored (key, entry) pair.");
-        s.set_help("pls_live_unfairness", "Mean per-key CoV of entry hit counts (paper 4.5).");
-        s.set_help("pls_live_coverage", "Fraction of stored entries retrieved at least once.");
-        s.set_help("pls_hot_key_probes", "Space-Saving estimate of the hottest probed keys.");
         s
     }
+}
+
+/// `(unfairness, coverage)` of per-key entry hit counts: the mean, over
+/// keys with any traffic, of the CoV of that key's counts (§4.5 eq. (1)
+/// on live traffic), and the fraction of entries retrieved at least once
+/// (§4.3). Both 0 with nothing to measure.
+fn live_quality(per_key: &[Vec<u64>]) -> (f64, f64) {
+    let hit = |counts: &&Vec<u64>| counts.iter().any(|&c| c > 0);
+    let entries: usize = per_key.iter().map(Vec::len).sum();
+    let observed = per_key.iter().flatten().filter(|&&c| c > 0).count();
+    let with_traffic = per_key.iter().filter(hit).count();
+    let cov_sum: f64 = per_key.iter().filter(hit).map(|counts| cov_from_counts(counts)).sum();
+    let unfairness = if with_traffic == 0 { 0.0 } else { cov_sum / with_traffic as f64 };
+    let coverage = if entries == 0 { 0.0 } else { observed as f64 / entries as f64 };
+    (unfairness, coverage)
 }
 
 /// Recomputes **cluster-level** live quality from a merged snapshot's
@@ -492,42 +388,17 @@ impl ServerMetrics {
 /// anywhere — per-server gauges cannot be combined (each server only
 /// sees its own share), but the counters can.
 ///
-/// Returns `(unfairness, coverage)` — the mean per-key CoV of entry hit
-/// counts and the fraction of known entries retrieved at least once —
-/// or `None` when the snapshot carries no per-entry series.
+/// Returns `(unfairness, coverage)`, or `None` when the snapshot carries
+/// no per-entry series.
 pub fn live_quality_from_merged(snap: &MetricsSnapshot) -> Option<(f64, f64)> {
-    let mut per_key: std::collections::BTreeMap<String, Vec<u64>> =
-        std::collections::BTreeMap::new();
-    for (name, value) in &snap.counters {
-        let Some((family, labels)) = parse_labels(name) else {
-            continue;
-        };
-        if family != "pls_entry_hits_total" {
-            continue;
-        }
-        let Some((_, key)) = labels.iter().find(|(k, _)| k == "key") else {
-            continue;
-        };
-        per_key.entry(key.clone()).or_default().push(*value);
-    }
-    if per_key.is_empty() {
-        return None;
-    }
-    let mut observed = 0u64;
-    let mut total = 0u64;
-    let mut cov_sum = 0.0;
-    let mut keys_with_traffic = 0usize;
-    for counts in per_key.values() {
-        total += counts.len() as u64;
-        observed += counts.iter().filter(|&&c| c > 0).count() as u64;
-        if counts.iter().any(|&c| c > 0) {
-            cov_sum += cov_from_counts(counts);
-            keys_with_traffic += 1;
+    let mut per_key = std::collections::BTreeMap::<String, Vec<u64>>::new();
+    for (labels, value) in snap.counters_of("pls_entry_hits_total") {
+        if let Some(key) = labels.get("key") {
+            per_key.entry(key.to_string()).or_default().push(value);
         }
     }
-    let unfairness = if keys_with_traffic == 0 { 0.0 } else { cov_sum / keys_with_traffic as f64 };
-    let coverage = if total == 0 { 0.0 } else { observed as f64 / total as f64 };
-    Some((unfairness, coverage))
+    let per_key: Vec<Vec<u64>> = per_key.into_values().collect();
+    (!per_key.is_empty()).then(|| live_quality(&per_key))
 }
 
 /// Merges the [`SiteStats`] of several same-named lock sites (e.g. the
@@ -545,25 +416,12 @@ pub fn merged_site_snapshot<'a>(
     sites: impl IntoIterator<Item = &'a SiteStats>,
     reset: bool,
 ) -> SiteSnapshot {
-    let mut merged = SiteSnapshot {
-        acquisitions: 0,
-        contended: 0,
-        wait_us: HistogramSnapshot::empty(),
-        hold_us: HistogramSnapshot::empty(),
-    };
+    let mut merged = SiteSnapshot::default();
     for stats in sites {
-        if reset {
-            merged.wait_us.merge(&stats.wait_us.take());
-            merged.hold_us.merge(&stats.hold_us.take());
-            merged.acquisitions += stats.acquisitions.take();
-            merged.contended += stats.contended.take();
-        } else {
-            let snap = stats.snapshot();
-            merged.wait_us.merge(&snap.wait_us);
-            merged.hold_us.merge(&snap.hold_us);
-            merged.acquisitions += snap.acquisitions;
-            merged.contended += snap.contended;
-        }
+        merged.wait_us.merge(&hist(&stats.wait_us, reset));
+        merged.hold_us.merge(&hist(&stats.hold_us, reset));
+        merged.acquisitions += val(&stats.acquisitions, reset);
+        merged.contended += val(&stats.contended, reset);
     }
     merged
 }
@@ -571,23 +429,15 @@ pub fn merged_site_snapshot<'a>(
 /// Client-library runtime counters and histograms.
 #[derive(Debug, Default)]
 pub struct ClientMetrics {
-    /// Partial lookups started (sequential and parallel).
-    pub lookups: Counter,
     /// Probe RPCs that reached a server and answered.
     pub probes: Counter,
     /// Probe attempts skipped because the server was unreachable.
     pub probe_failures: Counter,
-    /// Update operations (place/add/delete) issued.
-    pub updates: Counter,
-    /// Update attempts retried on another server after an I/O failure.
-    pub update_retries: Counter,
     /// Updates that failed on every server.
     pub update_failures: Counter,
     /// Servers contacted per completed lookup — the live-measured §4.2
-    /// client lookup cost.
+    /// client lookup cost; its count is the lookups completed.
     pub probes_per_lookup: Histogram,
-    /// Wall-clock latency per completed lookup, microseconds.
-    pub lookup_latency_us: Histogram,
     /// Wall-clock latency per answered probe, microseconds. Its p99
     /// derives the hedge delay.
     pub probe_latency_us: Histogram,
@@ -612,22 +462,13 @@ pub struct ClientMetrics {
 }
 
 impl ClientMetrics {
-    /// Fresh, all-zero metrics.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Builds a named snapshot of the client-side metrics.
     pub fn collect(&self) -> MetricsSnapshot {
         let mut s = MetricsSnapshot::new();
-        s.push_counter("pls_client_lookups_total", self.lookups.get());
         s.push_counter("pls_client_probes_total", self.probes.get());
         s.push_counter("pls_client_probe_failures_total", self.probe_failures.get());
-        s.push_counter("pls_client_updates_total", self.updates.get());
-        s.push_counter("pls_client_update_retries_total", self.update_retries.get());
         s.push_counter("pls_client_update_failures_total", self.update_failures.get());
         s.push_histogram("pls_client_probes_per_lookup", self.probes_per_lookup.snapshot());
-        s.push_histogram("pls_client_lookup_latency_us", self.lookup_latency_us.snapshot());
         s.push_histogram("pls_client_probe_latency_us", self.probe_latency_us.snapshot());
         s.push_histogram("pls_client_probe_service_us", self.probe_service_us.snapshot());
         s.push_histogram("pls_client_probe_net_us", self.probe_net_us.snapshot());
@@ -635,11 +476,6 @@ impl ClientMetrics {
         s.push_counter("pls_client_hedge_wins_total", self.hedge_wins.get());
         s.push_histogram("pls_client_hedge_win_latency_us", self.hedge_win_latency_us.snapshot());
         s.push_counter("pls_client_op_budget_exhausted_total", self.op_budget_exhausted.get());
-        s.set_help("pls_client_probes_per_lookup", "Servers contacted per lookup (paper 4.2).");
-        s.set_help("pls_client_lookup_latency_us", "Wall-clock latency per lookup (us).");
-        s.set_help("pls_client_probe_latency_us", "Wall-clock latency per answered probe (us).");
-        s.set_help("pls_client_probe_service_us", "Server-echoed handling time per probe (us).");
-        s.set_help("pls_client_probe_net_us", "Network share of probe latency: RTT - service.");
         s
     }
 }
@@ -689,9 +525,14 @@ mod tests {
         m.probes[strategy_index(StrategySpec::random_server(4))].add(2);
         m.bytes_read.add(100);
         m.request_latency_us.observe(250);
-        let s = m.collect(3, 40, false);
+        let stored: Vec<(Vec<u8>, Vec<Vec<u8>>)> =
+            [14u8, 13, 13].iter().map(|&n| (vec![n], (0..n).map(|e| vec![e]).collect())).collect();
+        let s = m.collect(&stored[..2], false);
+        assert_eq!((s.counter("pls_keys"), s.counter("pls_entries")), (Some(2), Some(27)));
+        let s = m.collect(&stored, false);
         assert_eq!(s.counter("pls_requests_total{op=\"probe\"}"), Some(2));
         assert_eq!(s.counter("pls_requests_total{op=\"place\"}"), Some(0));
+        assert_eq!((ReqOp::Place.as_str(), ReqOp::JoinLeave.as_str()), ("place", "join_leave"));
         assert_eq!(s.counter("pls_probes_total{strategy=\"random\"}"), Some(2));
         assert_eq!(s.counter("pls_bytes_read_total"), Some(100));
         assert_eq!(s.counter("pls_keys"), Some(3));
@@ -704,10 +545,10 @@ mod tests {
         let m = ServerMetrics::new();
         m.requests[ReqOp::Add as usize].add(5);
         m.probe_latency_us.observe(9);
-        let first = m.collect(0, 0, true);
+        let first = m.collect(&[], true);
         assert_eq!(first.counter("pls_requests_total{op=\"add\"}"), Some(5));
         assert_eq!(first.histogram("pls_probe_latency_us").unwrap().count, 1);
-        let second = m.collect(0, 0, false);
+        let second = m.collect(&[], false);
         assert_eq!(second.counter("pls_requests_total{op=\"add\"}"), Some(0));
         assert!(second.histogram("pls_probe_latency_us").unwrap().is_empty());
     }
@@ -716,20 +557,16 @@ mod tests {
     fn membership_families_export_and_epoch_survives_reset() {
         let m = ServerMetrics::new();
         m.membership_epoch.set(3.0);
-        m.membership_installs.add(2);
-        m.migration_keys.add(5);
         m.migration_entries.add(40);
         m.migration_pending.set(7.0);
-        let first = m.collect(0, 0, true);
-        assert_eq!(first.counter("pls_membership_installs_total"), Some(2));
-        assert_eq!(first.counter("pls_migration_keys_total"), Some(5));
+        let first = m.collect(&[], true);
         assert_eq!(first.counter("pls_migration_entries_total"), Some(40));
         assert_eq!(first.gauge("pls_membership_epoch"), Some(3.0));
         assert_eq!(first.gauge("pls_migration_pending"), Some(7.0));
         // Counters drain on reset; the live epoch and backlog readings
         // do not — a delta scrape must never report epoch 0.
-        let second = m.collect(0, 0, false);
-        assert_eq!(second.counter("pls_membership_installs_total"), Some(0));
+        let second = m.collect(&[], false);
+        assert_eq!(second.counter("pls_migration_entries_total"), Some(0));
         assert_eq!(second.gauge("pls_membership_epoch"), Some(3.0));
         assert_eq!(second.gauge("pls_migration_pending"), Some(7.0));
         assert_eq!(second.counter("pls_requests_total{op=\"membership\"}"), Some(0));
@@ -742,13 +579,13 @@ mod tests {
         m.inflight.add(3.0);
         m.antientropy_round_us.set(1500.0);
         m.staleness_round_us.set(800.0);
-        let first = m.collect(0, 0, true);
+        let first = m.collect(&[], true);
         assert_eq!(first.gauge("pls_queue_depth{queue=\"inflight\"}"), Some(3.0));
         assert_eq!(first.gauge("pls_queue_depth{queue=\"antientropy_round_us\"}"), Some(1500.0));
         assert_eq!(first.gauge("pls_queue_depth{queue=\"staleness_round_us\"}"), Some(800.0));
         // Reset drained the round durations but left the live depth, so
         // the pending decrements still land at zero, not below it.
-        let second = m.collect(0, 0, false);
+        let second = m.collect(&[], false);
         assert_eq!(second.gauge("pls_queue_depth{queue=\"inflight\"}"), Some(3.0));
         assert_eq!(second.gauge("pls_queue_depth{queue=\"antientropy_round_us\"}"), Some(0.0));
         m.inflight.add(-3.0);
@@ -775,7 +612,7 @@ mod tests {
             (b"a".to_vec(), vec![b"e1".to_vec(), b"e2".to_vec()]),
             (b"b".to_vec(), vec![b"e3".to_vec()]),
         ];
-        let s = m.collect_live(&stored, false);
+        let s = m.collect(&stored, false);
 
         assert_eq!(s.counter("pls_entry_hits_total{key=\"a\",entry=\"e1\"}"), Some(3));
         assert_eq!(s.counter("pls_entry_hits_total{key=\"a\",entry=\"e2\"}"), Some(1));
@@ -787,11 +624,9 @@ mod tests {
         // Only key "a" has traffic: counts [3, 1] => mean 2, std 1.
         let u = s.gauge("pls_live_unfairness").unwrap();
         assert!((u - 0.5).abs() < 1e-12, "{u}");
-        assert_eq!(m.live_unfairness.get(), u);
         // 2 of 3 stored entries were ever retrieved.
         let c = s.gauge("pls_live_coverage").unwrap();
         assert!((c - 2.0 / 3.0).abs() < 1e-12, "{c}");
-        assert_eq!(m.live_coverage.get(), c);
     }
 
     #[test]
@@ -799,10 +634,10 @@ mod tests {
         let m = ServerMetrics::new();
         m.record_probe_answer(b"k", &[b"v".to_vec()]);
         let stored = vec![(b"k".to_vec(), vec![b"v".to_vec()])];
-        let first = m.collect_live(&stored, true);
+        let first = m.collect(&stored, true);
         assert_eq!(first.counter("pls_entry_hits_total{key=\"k\",entry=\"v\"}"), Some(1));
         assert_eq!(first.gauge("pls_live_coverage"), Some(1.0));
-        let second = m.collect_live(&stored, false);
+        let second = m.collect(&stored, false);
         assert_eq!(second.counter("pls_entry_hits_total{key=\"k\",entry=\"v\"}"), Some(0));
         assert_eq!(second.gauge("pls_live_coverage"), Some(0.0));
         assert_eq!(second.counter("pls_hot_key_probes{key=\"k\"}"), None);
@@ -811,7 +646,7 @@ mod tests {
     #[test]
     fn collect_live_on_empty_server_is_all_zeros() {
         let m = ServerMetrics::new();
-        let s = m.collect_live(&[], false);
+        let s = m.collect(&[], false);
         assert_eq!(s.gauge("pls_live_unfairness"), Some(0.0));
         assert_eq!(s.gauge("pls_live_coverage"), Some(0.0));
     }
@@ -831,8 +666,8 @@ mod tests {
         }
         let stored_a = vec![(b"k".to_vec(), vec![b"e1".to_vec(), b"e3".to_vec()])];
         let stored_b = vec![(b"k".to_vec(), vec![b"e2".to_vec(), b"e4".to_vec()])];
-        let mut merged = a.collect_live(&stored_a, false);
-        merged.merge(&b.collect_live(&stored_b, false));
+        let mut merged = a.collect(&stored_a, false);
+        merged.merge(&b.collect(&stored_b, false));
 
         let (u, c) = live_quality_from_merged(&merged).unwrap();
         assert!((u - 1.0).abs() < 1e-12, "{u}");
@@ -842,12 +677,11 @@ mod tests {
 
     #[test]
     fn client_collect_includes_lookup_cost_histogram() {
-        let m = ClientMetrics::new();
-        m.lookups.inc();
+        let m = ClientMetrics::default();
         m.probes.add(3);
         m.probes_per_lookup.observe(3);
         let s = m.collect();
-        assert_eq!(s.counter("pls_client_lookups_total"), Some(1));
+        assert_eq!(s.counter("pls_client_probes_total"), Some(3));
         let h = s.histogram("pls_client_probes_per_lookup").unwrap();
         assert_eq!(h.count, 1);
         assert_eq!(h.sum, 3);

@@ -15,7 +15,6 @@
 
 use partial_lookup::cluster::{Client, ClientConfig, Server, ServerConfig};
 use partial_lookup::sim::DiscreteZipf;
-use partial_lookup::telemetry::snapshot::parse_labels;
 use partial_lookup::{DetRng, StrategySpec};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -110,19 +109,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "# coverage (entries retrieved at least once): {:.4}",
         cluster.gauge("pls_live_coverage").unwrap_or(f64::NAN)
     );
-    let mut hot: Vec<(String, u64)> = cluster
-        .counters
-        .iter()
-        .filter_map(|(name, value)| {
-            let (family, labels) = parse_labels(name)?;
-            if family != "pls_hot_key_probes" {
-                return None;
-            }
-            let (_, key) = labels.into_iter().find(|(k, _)| k == "key")?;
-            Some((key, *value))
-        })
-        .collect();
-    hot.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+    let hot = partial_lookup::cluster::metrics::views::hot_keys(&cluster);
     println!("# hottest keys (Space-Saving estimates):");
     for (key, count) in hot.iter().take(5) {
         println!("#   {key:<20} {count}");
