@@ -1,24 +1,43 @@
-//! Shard-locked counters keyed by byte strings.
+//! Counters keyed by byte strings, recorded through per-thread logs.
 //!
 //! [`KeyedCounterMap`] is the dynamic-cardinality sibling of
 //! [`Counter`](crate::Counter): one `u64` per byte-string key, for
 //! populations discovered at runtime (per-entry retrieval counts,
-//! per-key traffic). Recording hashes the key once, with the map's own
-//! seed: the hash's top bits pick one of 16 mutex shards and its low
-//! bits index that shard's open-addressing table. An increment of a
-//! known key holds its shard's lock for a short linear probe and one
-//! comparison of the key bytes, and allocates nothing; the first touch
-//! of a key copies the key and, when the table passes 7/8 full, doubles
-//! it, under the lock. Each shard sits on a cache line of its own, so
-//! threads on different shards do not write to the same line.
+//! per-key traffic). The counts live in one open-addressing table
+//! behind one mutex. A write does not go there directly: it hashes the
+//! key with the map's own seed, locks the calling thread's stripe — one
+//! of 16 cache-line-aligned logs, picked once per thread, round-robin —
+//! and appends `(hash, n)` and the key bytes. When a log holds 64
+//! increments, or more than 16 KiB of keys, the writer folds it into the
+//! table under one table lock: 64 probes for one lock round trip, where
+//! a lock per increment paid the round trip and a dependent miss chain
+//! 64 times. A fold copies each key the table has not seen and may
+//! double the table; a log keeps its buffers (at most 16 KiB of key
+//! capacity), so recording known keys allocates nothing.
+//!
+//! Every reader folds all 16 logs before it reads the table, so an
+//! increment that finished before a read started is in that read. Locks
+//! are always taken stripe first, then table. A pending increment is in
+//! exactly one log or in the table, never in thread-local storage: a
+//! thread that exits loses nothing, and [`KeyedCounterMap::take`] puts
+//! each increment in the returned snapshot or in the fresh map.
 
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use crate::hash::{hash_bytes, random_seed};
 
-const SHARDS: usize = 16;
+/// Logs per map; threads beyond this many share a log.
+const STRIPES: usize = 16;
+/// Increments a log holds before its writer folds it.
+const FLUSH_AT: usize = 64;
+/// Key bytes past which a log is folded early, and the most key capacity
+/// a log keeps after a fold.
+const LOG_BYTES: usize = 16 * 1024;
 
-/// One cell of a shard's table; vacant while `key` is `None`.
+const POISONED: &str = "keyed lock poisoned";
+
+/// One cell of the table; vacant while `key` is `None`.
 #[derive(Debug, Default)]
 struct Cell {
     hash: u64,
@@ -26,8 +45,8 @@ struct Cell {
     key: Option<Box<[u8]>>,
 }
 
-/// One shard: linear probing over a power-of-two array of cells, the
-/// counters stored in the cells themselves.
+/// Linear probing over a power-of-two array of cells, the counters
+/// stored in the cells themselves.
 #[derive(Debug, Default)]
 struct Table {
     cells: Vec<Cell>,
@@ -93,15 +112,32 @@ impl Table {
     }
 }
 
+/// Increments not yet in the table: `(hash, n, end)` each, the key being
+/// `keys[previous end..end]`.
+#[derive(Debug, Default)]
+struct Pending {
+    incs: Vec<(u64, u64, usize)>,
+    keys: Vec<u8>,
+}
+
 #[derive(Debug, Default)]
 #[repr(align(64))]
-struct Shard(Mutex<Table>);
+struct Stripe(Mutex<Pending>);
+
+/// The calling thread's stripe, assigned round-robin on its first
+/// increment (to any map) and kept for the thread's life.
+fn stripe_of_thread() -> usize {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    thread_local!(static STRIPE: usize = NEXT.fetch_add(1, Ordering::Relaxed) % STRIPES);
+    STRIPE.with(|s| *s)
+}
 
 /// A map of independent `u64` counters, one per byte-string key.
 #[derive(Debug)]
 pub struct KeyedCounterMap {
     seed: u64,
-    shards: Vec<Shard>,
+    stripes: [Stripe; STRIPES],
+    table: Mutex<Table>,
 }
 
 impl Default for KeyedCounterMap {
@@ -115,14 +151,9 @@ impl KeyedCounterMap {
     pub fn new() -> Self {
         KeyedCounterMap {
             seed: random_seed(),
-            shards: (0..SHARDS).map(|_| Shard::default()).collect(),
+            stripes: Default::default(),
+            table: Mutex::default(),
         }
-    }
-
-    /// The key's hash and the shard that hash selects.
-    fn shard_of(&self, key: &[u8]) -> (u64, &Mutex<Table>) {
-        let hash = hash_bytes(self.seed, key);
-        (hash, &self.shards[(hash >> 60) as usize].0)
     }
 
     /// Adds one to `key`'s counter (creating it at zero first).
@@ -132,19 +163,50 @@ impl KeyedCounterMap {
 
     /// Adds `n` to `key`'s counter (creating it at zero first).
     pub fn add(&self, key: &[u8], n: u64) {
-        let (hash, shard) = self.shard_of(key);
-        shard.lock().expect("keyed lock poisoned").add(hash, key, n);
+        let hash = hash_bytes(self.seed, key);
+        let mut log = self.stripes[stripe_of_thread()].0.lock().expect(POISONED);
+        log.keys.extend_from_slice(key);
+        let end = log.keys.len();
+        log.incs.push((hash, n, end));
+        if log.incs.len() == FLUSH_AT || end > LOG_BYTES {
+            self.fold(&mut log);
+        }
+    }
+
+    /// Moves `log` into the table under one table lock and empties it.
+    /// The caller holds the log's stripe lock.
+    fn fold(&self, log: &mut Pending) {
+        if log.incs.is_empty() {
+            return;
+        }
+        let mut table = self.table.lock().expect(POISONED);
+        let mut start = 0;
+        for &(hash, n, end) in &log.incs {
+            table.add(hash, &log.keys[start..end], n);
+            start = end;
+        }
+        drop(table);
+        log.incs.clear();
+        log.keys.clear();
+        log.keys.shrink_to(LOG_BYTES);
+    }
+
+    /// Folds every stripe's log, then locks the table for the caller.
+    fn folded(&self) -> MutexGuard<'_, Table> {
+        for stripe in &self.stripes {
+            self.fold(&mut stripe.0.lock().expect(POISONED));
+        }
+        self.table.lock().expect(POISONED)
     }
 
     /// The counter for `key`, or `None` if it was never touched.
     pub fn get(&self, key: &[u8]) -> Option<u64> {
-        let (hash, shard) = self.shard_of(key);
-        shard.lock().expect("keyed lock poisoned").get(hash, key)
+        self.folded().get(hash_bytes(self.seed, key), key)
     }
 
     /// The number of distinct keys recorded.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.0.lock().expect("keyed lock poisoned").len).sum()
+        self.folded().len
     }
 
     /// Whether no key has been recorded.
@@ -154,26 +216,24 @@ impl KeyedCounterMap {
 
     /// A point-in-time copy of every `(key, count)` pair, sorted by key.
     pub fn snapshot(&self) -> KeyedSnapshot {
-        let mut entries = Vec::new();
-        for shard in &self.shards {
-            let table = shard.0.lock().expect("keyed lock poisoned");
-            entries.extend(table.entries().map(|(key, count)| (key.to_vec(), count)));
-        }
+        let table = self.folded();
+        let mut entries: Vec<_> =
+            table.entries().map(|(key, count)| (key.to_vec(), count)).collect();
+        drop(table);
         entries.sort_by(|a, b| a.0.cmp(&b.0));
         KeyedSnapshot { entries }
     }
 
-    /// Returns the current snapshot and clears the map. Each shard is
-    /// drained atomically; a concurrent writer lands either in the
-    /// returned snapshot or in the fresh map, never both or neither.
+    /// Returns the current snapshot and clears the map. A concurrent
+    /// writer lands either in the returned snapshot or in the fresh map,
+    /// never both or neither.
     pub fn take(&self) -> KeyedSnapshot {
-        let mut entries = Vec::new();
-        for shard in &self.shards {
-            let taken = std::mem::take(&mut *shard.0.lock().expect("keyed lock poisoned"));
-            entries.extend(
-                taken.cells.into_iter().filter_map(|c| c.key.map(|key| (key.into_vec(), c.count))),
-            );
-        }
+        let taken = std::mem::take(&mut *self.folded());
+        let mut entries: Vec<_> = taken
+            .cells
+            .into_iter()
+            .filter_map(|c| c.key.map(|key| (key.into_vec(), c.count)))
+            .collect();
         entries.sort_by(|a, b| a.0.cmp(&b.0));
         KeyedSnapshot { entries }
     }
@@ -283,6 +343,24 @@ mod tests {
         assert_eq!(table.get(42, b"absent"), None);
         assert_eq!(table.get(43, b"k1"), None);
         assert_eq!(table.entries().map(|(_, count)| count).sum::<u64>(), 6 * 300);
+    }
+
+    #[test]
+    fn a_key_longer_than_the_log_bound_is_counted_and_not_kept_in_the_log() {
+        let m = KeyedCounterMap::new();
+        let long = vec![7u8; 3 * LOG_BYTES + 5];
+        m.inc(b"short");
+        m.add(&long, 2);
+        m.inc(&long);
+        {
+            // Each long add passed the bound and folded at once.
+            let log = m.stripes[stripe_of_thread()].0.lock().unwrap();
+            assert!(log.incs.is_empty());
+            assert!(log.keys.capacity() <= LOG_BYTES, "{}", log.keys.capacity());
+        }
+        assert_eq!(m.get(&long), Some(3));
+        assert_eq!(m.get(b"short"), Some(1));
+        assert_eq!(m.len(), 2);
     }
 
     #[test]

@@ -19,8 +19,8 @@
 //!   scans `k` adjacent words under one short mutex hold.
 //! * [`KeyedCounterMap`] — one counter per byte-string key for
 //!   populations discovered at runtime (per-entry retrieval counts),
-//!   hashed once per operation and sharded across 16 cache-line-aligned
-//!   mutexes so writers rarely contend.
+//!   hashed once per operation and appended to the calling thread's
+//!   log, which is folded into the one table 64 increments at a time.
 //! * [`MetricsSnapshot`] — a named bag of counter values, gauge
 //!   readings, and histogram snapshots; merging snapshots from every
 //!   server of a cluster yields cluster-wide totals, and
@@ -49,11 +49,12 @@
 //!   deltas.
 //!
 //! Everything here is `std`-only. The recording path is atomics for
-//! counters, gauges and histograms, one per-slot, per-shard or
+//! counters, gauges and histograms, one per-slot, per-thread-log or
 //! per-sketch mutex held for tens of nanoseconds for spans, keyed
-//! counters and the sketch, and no process-wide lock; the only
-//! allocations happen at snapshot/exposition time (plus first-touch key
-//! insertion in the keyed structures). The
+//! counters and the sketch (plus, every 64th keyed increment, the
+//! keyed map's table lock for one fold); the only allocations happen at
+//! snapshot/exposition time (plus first-touch key insertion in the keyed
+//! structures). The
 //! crate denies `unsafe_code`; the single exception is the
 //! [`alloc`] module's `GlobalAlloc` impl, which forwards to the system
 //! allocator and does arithmetic.

@@ -14,7 +14,7 @@
 use std::collections::VecDeque;
 
 use crate::histogram::HistogramSnapshot;
-use crate::snapshot::MetricsSnapshot;
+use crate::snapshot::{positions, MetricsSnapshot};
 
 /// One periodic scrape: the cumulative metrics totals at a point in
 /// time.
@@ -75,15 +75,18 @@ impl Delta {
 /// window — the one snapshot subtraction. Series absent from the earlier
 /// window are taken as starting from zero, so a family that first
 /// appears mid-timeline (a new label value, say) still deltas correctly.
+/// Each earlier series is found through one name index built per call.
 pub fn delta(earlier: &Window, later: &Window) -> Delta {
-    let zero = HistogramSnapshot::default();
+    let (before, zero) = (&earlier.totals, HistogramSnapshot::default());
+    let (counters, histograms) = (positions(&before.counters), positions(&before.histograms));
     let changed = MetricsSnapshot {
         counters: later
             .totals
             .counters
             .iter()
             .map(|(name, v)| {
-                (name.clone(), v.saturating_sub(earlier.totals.counter(name).unwrap_or(0)))
+                let was = counters.get(name.as_str()).map_or(0, |&i| before.counters[i].1);
+                (name.clone(), v.saturating_sub(was))
             })
             .collect(),
         gauges: later.totals.gauges.clone(),
@@ -92,7 +95,8 @@ pub fn delta(earlier: &Window, later: &Window) -> Delta {
             .histograms
             .iter()
             .map(|(name, h)| {
-                (name.clone(), h.minus(earlier.totals.histogram(name).unwrap_or(&zero)))
+                let was = histograms.get(name.as_str()).map_or(&zero, |&i| &before.histograms[i].1);
+                (name.clone(), h.minus(was))
             })
             .collect(),
         helps: Vec::new(),
@@ -232,6 +236,41 @@ mod tests {
         assert_eq!(h.count, 2);
         assert_eq!(h.sum, 500);
         assert!((d.rate_sum("pls_requests_total") - 15.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn delta_equals_a_lookup_per_series_on_two_thousand_series() {
+        let window = |seq: u64, step: u64| {
+            let mut totals = MetricsSnapshot::new();
+            // Half the names appear in both windows, the rest in one.
+            for i in 0..1_500u64 {
+                let id = if i % 2 == 0 { i } else { i * 100 + seq };
+                totals.counters.push((format!("hits_total{{entry=\"{id}\"}}"), i * step));
+            }
+            totals.counters.push(("hits_total{entry=\"0\"}".to_string(), 9)); // a duplicate name
+            for i in 0..500u64 {
+                let h = Histogram::new();
+                (0..step).for_each(|v| h.observe(v * i));
+                let id = if i % 2 == 0 { i } else { i * 100 + seq };
+                totals.histograms.push((format!("lat_us{{site=\"{id}\"}}"), h.snapshot()));
+            }
+            totals.gauges.push(("level".to_string(), step as f64));
+            Window { seq, at_unix_ms: 0, uptime_us: seq * 1_000_000, totals }
+        };
+        let (earlier, later) = (window(1, 2), window(2, 5));
+        let d = delta(&earlier, &later);
+        let zero = HistogramSnapshot::default();
+        for ((name, v), (dn, dv)) in later.totals.counters.iter().zip(&d.changed.counters) {
+            assert_eq!(dn, name);
+            assert_eq!(*dv, v.saturating_sub(earlier.totals.counter(name).unwrap_or(0)), "{name}");
+        }
+        for ((name, h), (dn, dh)) in later.totals.histograms.iter().zip(&d.changed.histograms) {
+            assert_eq!(dn, name);
+            assert_eq!(*dh, h.minus(earlier.totals.histogram(name).unwrap_or(&zero)), "{name}");
+        }
+        assert_eq!(d.changed.counters.len(), later.totals.counters.len());
+        assert_eq!(d.changed.histograms.len(), later.totals.histograms.len());
+        assert_eq!(d.changed.gauges, later.totals.gauges);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The recording structures against plain models: the Space-Saving
 //! sketch against exact counts, the keyed counters against a `HashMap`
-//! (with `take()` racing writers), the flight recorder under two
+//! (with `take()` racing writers, more writers than the map has logs,
+//! and writers that exit before a read), the flight recorder under two
 //! threads, and un-rendered span fields read back as text.
 
 use std::collections::HashMap;
@@ -182,6 +183,76 @@ fn keyed_take_racing_writers_neither_loses_nor_doubles_a_count() {
             .sum();
         assert_eq!(*count, expected, "key/{id}");
     }
+}
+
+#[test]
+fn keyed_takes_by_one_thread_and_writes_by_more_threads_than_stripes_add_up() {
+    // More writers than the map has logs, so some share one, on keys
+    // that overlap between writers, while the main thread drains.
+    const WRITERS: u64 = 48;
+    const INCS: u64 = 3_000;
+    let key = |w: u64, i: u64| format!("key/{}", (i * 7 + w * 13) % 101).into_bytes();
+    let map = KeyedCounterMap::new();
+    let start = Barrier::new(WRITERS as usize + 1);
+    let mut drained: HashMap<Vec<u8>, u64> = HashMap::new();
+    std::thread::scope(|scope| {
+        let writers: Vec<_> = (0..WRITERS)
+            .map(|w| {
+                let (map, start) = (&map, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for i in 0..INCS {
+                        map.add(&key(w, i), 1 + i % 3);
+                    }
+                })
+            })
+            .collect();
+        start.wait();
+        while !writers.iter().all(|w| w.is_finished()) {
+            for (key, count) in map.take().entries {
+                *drained.entry(key).or_default() += count;
+            }
+        }
+    });
+    for (key, count) in map.snapshot().entries {
+        *drained.entry(key).or_default() += count;
+    }
+    let mut model: HashMap<Vec<u8>, u64> = HashMap::new();
+    for w in 0..WRITERS {
+        for i in 0..INCS {
+            *model.entry(key(w, i)).or_default() += 1 + i % 3;
+        }
+    }
+    assert_eq!(drained.len(), model.len());
+    for (key, count) in &model {
+        assert_eq!(drained.get(key), Some(count), "{}", String::from_utf8_lossy(key));
+    }
+}
+
+#[test]
+fn keyed_increments_of_an_exited_thread_are_seen_by_every_reader() {
+    // Ten increments stay in the writer's log (a log folds at 64), and
+    // the writer is gone before the reader under test is the first to
+    // look: k0 and k1 gain 3 a round, k2 and k3 gain 2.
+    let map = KeyedCounterMap::new();
+    let write_ten_and_exit = || {
+        std::thread::scope(|scope| {
+            scope.spawn(|| (0..10u8).for_each(|i| map.inc(&[b'k', i % 4])));
+        })
+    };
+    let counts = |rounds: u64| -> Vec<(Vec<u8>, u64)> {
+        (0..4u8).map(|k| (vec![b'k', k], rounds * if k < 2 { 3 } else { 2 })).collect()
+    };
+    write_ten_and_exit();
+    assert_eq!(map.len(), 4);
+    write_ten_and_exit();
+    assert_eq!(map.get(b"k\x00"), Some(6));
+    write_ten_and_exit();
+    assert_eq!(map.snapshot().entries, counts(3));
+    assert_eq!(map.take().entries, counts(3));
+    write_ten_and_exit();
+    assert_eq!(map.take().entries, counts(1));
+    assert!(map.is_empty());
 }
 
 /// A record whose every part is a function of `(writer, seq)`, so a

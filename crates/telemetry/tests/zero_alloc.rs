@@ -103,6 +103,9 @@ fn main() {
         (0..BATCH).map(|i| format!("{}|entry/{i:04}", keys[i as usize % 1_000]).into()).collect();
     let hits = KeyedCounterMap::new();
     composites.iter().for_each(|c| hits.inc(c));
+    // A read folds the increments still pending in this thread's log, so
+    // their first-touch key copies are made here, not in the batch.
+    assert_eq!(hits.len(), composites.len());
     let incs = allocs_during(|| composites.iter().for_each(|c| hits.inc(c)));
     assert_eq!(incs, 0, "KeyedCounterMap::inc on known keys");
     assert_eq!(hits.len(), composites.len());

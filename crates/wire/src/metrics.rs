@@ -1,6 +1,6 @@
 //! Runtime metrics of the networked deployment.
 //!
-//! Two metric sets, lock-free or shard-locked on every request path:
+//! Two metric sets, lock-free or briefly locked on every request path:
 //!
 //! * [`ServerMetrics`] — per-server counters and latency histograms,
 //!   plus the *live quality* machinery: a Space-Saving hot-key sketch,
@@ -137,10 +137,16 @@ pub const HOT_KEYS_EXPORTED: usize = 10;
 /// scheme of [`ServerMetrics::entry_hits`].
 pub fn key_entry(key: &[u8], entry: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(4 + key.len() + entry.len());
+    write_key_entry(&mut out, key, entry);
+    out
+}
+
+/// [`key_entry`] into `out`, replacing what it held.
+fn write_key_entry(out: &mut Vec<u8>, key: &[u8], entry: &[u8]) {
+    out.clear();
     out.extend_from_slice(&(key.len() as u32).to_be_bytes());
     out.extend_from_slice(key);
     out.extend_from_slice(entry);
-    out
 }
 
 /// One server's runtime counters and histograms.
@@ -338,30 +344,33 @@ impl ServerMetrics {
         let hits = read(&self.entry_hits, reset, KeyedCounterMap::take, KeyedCounterMap::snapshot);
         let hot = read(&self.hot_keys, reset, TopK::take, TopK::snapshot);
 
+        // One series per stored entry: pushed in one pass (a push per
+        // series scans every series before it), one composite buffer for
+        // every lookup, each key's label rendered once.
         let mut per_key = Vec::with_capacity(stored.len());
+        let mut series = Vec::with_capacity(stored.iter().map(|(_, es)| es.len()).sum());
+        let mut composite = Vec::new();
         for (key, stored_entries) in stored {
-            let counts: Vec<u64> =
-                stored_entries.iter().map(|v| hits.get(&key_entry(key, v)).unwrap_or(0)).collect();
-            for (v, &c) in stored_entries.iter().zip(&counts) {
-                let key_label = String::from_utf8_lossy(key);
+            let key_label = String::from_utf8_lossy(key);
+            let mut counts = Vec::with_capacity(stored_entries.len());
+            for v in stored_entries {
+                write_key_entry(&mut composite, key, v);
+                let c = hits.get(&composite).unwrap_or(0);
                 let entry_label = String::from_utf8_lossy(v);
-                s.push_counter(
-                    labeled(
-                        "pls_entry_hits_total",
-                        &[("key", &key_label), ("entry", &entry_label)],
-                    ),
-                    c,
-                );
+                let labels = [("key", key_label.as_ref()), ("entry", entry_label.as_ref())];
+                series.push((labeled("pls_entry_hits_total", &labels), c));
+                counts.push(c);
             }
             per_key.push(counts);
         }
         let (unfairness, coverage) = live_quality(&per_key);
         s.push_gauge("pls_live_unfairness", unfairness);
         s.push_gauge("pls_live_coverage", coverage);
-        for e in hot.top(HOT_KEYS_EXPORTED) {
+        let hot_series = hot.top(HOT_KEYS_EXPORTED).iter().map(|e| {
             let key_label = String::from_utf8_lossy(&e.key);
-            s.push_counter(labeled("pls_hot_key_probes", &[("key", &key_label)]), e.count);
-        }
+            (labeled("pls_hot_key_probes", &[("key", &key_label)]), e.count)
+        });
+        s.push_counters(series.into_iter().chain(hot_series));
         s
     }
 }
@@ -673,6 +682,46 @@ mod tests {
         assert!((u - 1.0).abs() < 1e-12, "{u}");
         assert!((c - 0.5).abs() < 1e-12, "{c}");
         assert_eq!(live_quality_from_merged(&MetricsSnapshot::new()), None);
+    }
+
+    #[test]
+    fn a_scrape_of_a_hundred_thousand_stored_entries_is_linear() {
+        // What the self-scrape does (collect, then the delta against the
+        // last window) and what `cluster_metrics` does (merge), at 100,000
+        // per-entry series. One push or lookup per series scanning every
+        // series before it takes minutes here; one pass takes seconds.
+        use pls_telemetry::timeline::{delta, Window};
+        let started = std::time::Instant::now();
+        let m = ServerMetrics::new();
+        let stored: Vec<(Vec<u8>, Vec<Vec<u8>>)> = (0..5_000u32)
+            .map(|k| {
+                let entries = (0..20u32).map(|e| format!("peer{e}:{k}").into_bytes()).collect();
+                (format!("song/{k}").into_bytes(), entries)
+            })
+            .collect();
+        for (key, entries) in stored.iter().step_by(7) {
+            m.record_probe_answer(key, &entries[..5]);
+        }
+        let window = |seq: u64, totals| Window { seq, at_unix_ms: 0, uptime_us: seq, totals };
+        let first = window(0, m.collect(&stored, false));
+        m.record_probe_answer(&stored[0].0, &stored[0].1);
+        let second = window(1, m.collect(&stored, false));
+        let d = delta(&first, &second);
+        let mut merged = first.totals.clone();
+        merged.merge(&second.totals);
+        let elapsed = started.elapsed();
+
+        let series = |s: &MetricsSnapshot| s.counters_of("pls_entry_hits_total").count();
+        assert_eq!([series(&second.totals), series(&d.changed), series(&merged)], [100_000; 3]);
+        let hit = |s: &MetricsSnapshot| {
+            s.counter("pls_entry_hits_total{key=\"song/0\",entry=\"peer0:0\"}")
+        };
+        assert_eq!(
+            (hit(&first.totals), hit(&d.changed), hit(&merged)),
+            (Some(1), Some(1), Some(3))
+        );
+        assert_eq!(d.changed.counter_sum("pls_entry_hits_total"), 20);
+        assert!(elapsed < std::time::Duration::from_secs(30), "{elapsed:?}");
     }
 
     #[test]

@@ -785,12 +785,14 @@ impl Response {
                 if n_counters > crate::wire::MAX_FRAME / 12 {
                     return Err(ClusterError::Decode("counter count"));
                 }
-                let mut snap = MetricsSnapshot::new();
+                let mut counters = Vec::with_capacity(n_counters.min(1024));
                 for _ in 0..n_counters {
                     let name = r.bytes("counter name")?;
                     let value = r.u64("counter value")?;
-                    snap.push_counter(String::from_utf8_lossy(&name).into_owned(), value);
+                    counters.push((String::from_utf8_lossy(&name).into_owned(), value));
                 }
+                let mut snap = MetricsSnapshot::new();
+                snap.push_counters(counters);
                 let n_gauges = r.u32("gauge count")? as usize;
                 if n_gauges > crate::wire::MAX_FRAME / 12 {
                     return Err(ClusterError::Decode("gauge count"));
