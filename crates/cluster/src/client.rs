@@ -740,26 +740,6 @@ impl Client {
         }
     }
 
-    /// Diagnostic: one server's cheap placement digest for a key — the
-    /// same `(known, spec, count, entry_hash, positions_hash, counters)`
-    /// summary the servers' background anti-entropy exchanges. Useful
-    /// for asserting cluster convergence from tests and tooling without
-    /// pulling full snapshots.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors when the server is unreachable; protocol errors on an
-    /// unexpected response.
-    pub fn digest_of(&self, server: usize, key: &[u8]) -> Result<Response, ClusterError> {
-        let peer = self
-            .peer_for(server as u64)
-            .ok_or_else(|| ClusterError::Remote(format!("unknown member {server}")))?;
-        match peer.call(self.fresh_id(), &Request::Digest { key: key.to_vec() })? {
-            resp @ Response::Digest { .. } => Ok(resp),
-            other => Err(ClusterError::Remote(format!("unexpected digest response {other:?}"))),
-        }
-    }
-
     /// This client's own runtime metrics (probe/lookup counters and the
     /// probes-per-lookup histogram).
     pub fn metrics(&self) -> &ClientMetrics {

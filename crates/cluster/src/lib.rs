@@ -11,11 +11,13 @@
 //! * The wire format is a hand-rolled length-prefixed binary encoding
 //!   ([`wire`], [`proto`]) over byte slices; [`frame`] reads and writes
 //!   one frame on a socket. The codec, the write-ahead log
-//!   ([`storage`]), the server's per-key state machine ([`shard`]),
-//!   [`retry`] and [`metrics`] touch no socket and live in `pls-wire`;
-//!   this crate re-exports them (the ones it had, under their old
-//!   paths) and adds everything that does: `std::net` sockets, one
-//!   thread per connection, no runtime.
+//!   ([`storage`]), the server's per-key state machine ([`shard`]), its
+//!   request path (`pls_wire::server::Node`) and its background work
+//!   (`pls_wire::maintenance::Maintenance`), [`retry`] and [`metrics`]
+//!   touch no socket and live in `pls-wire`; this crate re-exports the
+//!   modules it had under their old paths and adds everything that does:
+//!   the [`Server`] shell (`std::net` sockets, one thread per connection,
+//!   one maintenance thread, no runtime), the client and the chaos proxy.
 //! * Server-to-server traffic (store/remove/migrate fan-out) is carried
 //!   as [`proto::Request::Internal`] RPCs with acknowledged, in-order
 //!   delivery per sender — the ordering the engines rely on.
@@ -85,9 +87,10 @@ pub use chaos::{ChaosConfig, ChaosPeer};
 pub use client::{Client, ClientConfig};
 pub use error::ClusterError;
 pub use metrics::{ClientMetrics, ReqOp, ServerMetrics};
+pub use pls_wire::server::ServerConfig;
 pub use retry::{Breaker, BreakerConfig, Deadline, RetryPolicy, Timeouts};
 pub use rpc::PoolStats;
-pub use server::{Server, ServerConfig, ServerHandle};
+pub use server::{Server, ServerHandle};
 
 // Re-exported so downstream users of the cluster get the snapshot and
 // tracing types without naming the telemetry crate themselves.
@@ -168,8 +171,68 @@ where
 
 #[cfg(test)]
 mod tests {
+    use std::net::{SocketAddr, TcpListener};
+    use std::sync::Arc;
+
     use super::*;
+    use crate::proto::{Request, Response};
+    use crate::rpc::PeerClient;
     use pls_core::StrategySpec;
+    use pls_wire::server::Node;
+
+    /// The reads a client or a peer makes come back over TCP exactly as
+    /// the node serves them in process, for the same state.
+    #[test]
+    fn reads_served_in_process_match_the_tcp_answers() {
+        let spec = StrategySpec::round_robin(2);
+        let listeners: Vec<TcpListener> =
+            (0..3).map(|_| TcpListener::bind("127.0.0.1:0").unwrap()).collect();
+        let addrs: Vec<SocketAddr> = listeners.iter().map(|l| l.local_addr().unwrap()).collect();
+        let servers: Vec<Server> = listeners
+            .into_iter()
+            .enumerate()
+            .map(|(i, listener)| {
+                let cfg = ServerConfig {
+                    self_scrape: None,
+                    ..ServerConfig::new(i, addrs.clone(), spec, 7)
+                };
+                Server::with_listener(cfg, listener).unwrap().0
+            })
+            .collect();
+        let nodes: Vec<Arc<Node>> = servers.iter().map(|s| Arc::clone(s.node())).collect();
+        let _running: Vec<ServerHandle> = servers.into_iter().map(Server::spawn).collect();
+        let mut client = Client::connect(ClientConfig::new(addrs.clone(), spec, 8));
+        let entries: Vec<Vec<u8>> = (0..12).map(|i| format!("peer{i}:6699").into_bytes()).collect();
+        client.place(b"k", entries).unwrap();
+        client.delete(b"k", b"peer3:6699".to_vec()).unwrap();
+        let (k, unknown) = (b"k".to_vec(), b"unknown".to_vec());
+        let reads = [
+            Request::Probe { key: k.clone(), t: 100 },
+            Request::Status,
+            Request::Keys,
+            Request::Snapshot { key: k.clone() },
+            Request::Snapshot { key: unknown.clone() },
+            Request::Digest { key: k.clone() },
+            Request::Digest { key: unknown },
+            Request::SpecOf { key: k },
+        ];
+        // A probe answers everything it holds, in a random order.
+        let sorted = |resp| match resp {
+            Response::Entries(mut entries) => {
+                entries.sort();
+                Response::Entries(entries)
+            }
+            other => other,
+        };
+        for (addr, node) in addrs.iter().zip(&nodes) {
+            let peer = PeerClient::new(*addr);
+            for req in &reads {
+                let tcp = peer.call(9, req).unwrap();
+                let (local, _) = node.answer(node.serve(9, Ok(req.clone()), 0), Ok(()));
+                assert_eq!(sorted(tcp), sorted(local), "{addr}: {req:?}");
+            }
+        }
+    }
 
     #[test]
     fn parse_spec_accepts_all_forms() {

@@ -28,7 +28,7 @@ use pls_telemetry::{Counter, MetricsSnapshot};
 
 use crate::error::ClusterError;
 use crate::frame::{read_frame, write_frame};
-use crate::proto::{Request, Response};
+use crate::proto::{Request, Response, UNSUPPORTED_PREFIX};
 use crate::retry::{Breaker, BreakerConfig, Deadline, RetryPolicy, Timeouts};
 use crate::sock::{timed_out, Bounded};
 
@@ -336,12 +336,6 @@ impl PeerClient {
         ClusterError::Timeout(phase)
     }
 }
-
-/// The error-frame prefix an older server uses to refuse an opcode it
-/// does not implement (see `serve_connection`); recognized here so the
-/// caller gets a typed [`ClusterError::Unsupported`] back instead of a
-/// generic remote error.
-pub(crate) const UNSUPPORTED_PREFIX: &str = "unsupported request opcode ";
 
 fn ok_or_remote((resp, service_us): (Response, u64)) -> Result<(Response, u64), ClusterError> {
     match resp {

@@ -355,6 +355,43 @@ fn cold_restarted_round_robin_server_resyncs_positions() {
     assert!(got.contains(&b"late:1".to_vec()));
 }
 
+/// Seven servers, placement groups of five: a cold-start resync rebuilds
+/// the keys whose group holds the restarted server and skips the others,
+/// instead of failing on the first key that is not its own.
+#[test]
+fn cold_start_resync_in_a_cluster_wider_than_the_group() {
+    use pls_cluster::proto::{Request, Response};
+    use pls_core::{GroupRouter, Membership};
+
+    let (spec, seed) = (StrategySpec::full_replication(), 46);
+    let (addrs, mut handles) = spawn_cluster(7, spec, seed);
+    let mut client =
+        Client::connect(ClientConfig::new(addrs.clone(), spec, 47).with_placement(5, seed));
+    let keys: Vec<Vec<u8>> = (0..24).map(|i| format!("key/{i}").into_bytes()).collect();
+    for key in &keys {
+        client.place(key, entries(0..6)).unwrap();
+    }
+    let view = Membership::bootstrap(addrs.iter().map(|a| a.to_string()));
+    let router = GroupRouter::new(5, seed);
+    let owned: Vec<&Vec<u8>> =
+        keys.iter().filter(|k| router.group(&view, k).contains(&6)).collect();
+    assert!(!owned.is_empty() && owned.len() < keys.len(), "{} of 24", owned.len());
+
+    handles[6].kill();
+    let cfg = ServerConfig::new(6, addrs.clone(), spec, seed);
+    let (replacement, _) = Server::with_listener(cfg, rebind(addrs[6])).unwrap();
+    assert_eq!(replacement.resync_from_peers(), Ok(owned.len()));
+    let _replacement = replacement.spawn();
+    for key in owned {
+        let req = Request::Snapshot { key: key.clone() };
+        let Ok((_, Response::Snapshot { mut entries, .. })) = call_raw(addrs[6], 6, &req) else {
+            panic!("no snapshot of {key:?}");
+        };
+        entries.sort();
+        assert_eq!(entries, common::entries(0..6), "{key:?}");
+    }
+}
+
 #[test]
 fn resync_with_no_peers_reports_unavailable() {
     let spec = StrategySpec::fixed(3);

@@ -10,23 +10,34 @@
 //!   strategies and membership table, with one apply path for live
 //!   messages and WAL replay, snapshot, digest, rebuild, checkpoint, and
 //!   the pure repair rules of anti-entropy beside it;
+//! * [`server`] — [`server::Node`]: every request a server answers, with
+//!   its accounting, returning the reply or the peer calls to make first;
+//!   and [`server::ServerConfig`];
+//! * [`maintenance`] — [`maintenance::Maintenance`]: anti-entropy, the
+//!   staleness probe and the self-scrape as a scheduler that names the
+//!   pulls it needs and reads their answers; cold-start resync is one of
+//!   its repair rounds;
 //! * [`retry`] — deadlines, backoff and the per-peer circuit breaker;
 //! * [`metrics`] — the server's and the client's counters, histograms
 //!   and live-quality gauges;
 //! * [`error`] — [`ClusterError`].
 //!
-//! `pls-cluster` re-exports every module under its old path and adds the
-//! TCP server (a shell around [`shard`]), the client and the frame reader
-//! and writer. Nothing here touches a socket: the server's logic is
-//! tested through this crate without one (`cargo test -p pls-wire`).
+//! `pls-cluster` re-exports the modules it had under their old paths and
+//! adds the TCP server (a shell around [`server`] and [`maintenance`]), the
+//! client and the frame reader and writer. Nothing here touches a socket,
+//! and [`server`], [`maintenance`] and [`shard`] take the time as an
+//! argument: the server's logic is tested through this crate without
+//! sockets or sleeps (`cargo test -p pls-wire`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod error;
+pub mod maintenance;
 pub mod metrics;
 pub mod proto;
 pub mod retry;
+pub mod server;
 pub mod shard;
 pub mod storage;
 pub mod wire;

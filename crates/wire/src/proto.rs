@@ -15,6 +15,10 @@ use crate::wire::{Reader, Writer};
 /// A live-cluster entry: an opaque byte string (peer address, URL, …).
 pub type Entry = Vec<u8>;
 
+/// How a server's error reply refuses an opcode it does not implement;
+/// a client reads it back as [`ClusterError::Unsupported`].
+pub const UNSUPPORTED_PREFIX: &str = "unsupported request opcode ";
+
 /// A request frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Request {

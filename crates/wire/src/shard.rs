@@ -2,11 +2,13 @@
 //! beyond the WAL it was handed: [`Shards`] owns the engines, the per-key
 //! strategy overrides, the membership routing table and the per-shard
 //! storage, and has **one** of each operation — apply (live and WAL
-//! replay), probe, snapshot, digest, rebuild, checkpoint. The TCP server
-//! is the shell around it: it decodes requests, calls in here, and carries
-//! the returned deliveries to the peers. The pure repair rules
-//! ([`merge_donor_rows`], [`digest_verdict`], [`entries_for_rebuild`])
-//! sit beside it. No method awaits, sleeps or reads a clock.
+//! replay), probe, snapshot, digest, rebuild, checkpoint. A
+//! [`Node`](crate::server::Node) answers requests through it, a
+//! [`Maintenance`](crate::maintenance::Maintenance) repairs it, and the
+//! TCP server carries their deliveries and pulls to the peers. The pure
+//! repair rules ([`merge_donor_rows`], [`digest_verdict`],
+//! [`entries_for_rebuild`]) sit beside it. No method awaits, sleeps or
+//! reads a clock.
 //!
 //! # Locks
 //!
@@ -1045,9 +1047,10 @@ mod tests {
     use pls_core::{DetRng, GroupRouter};
 
     use super::*;
+    use crate::proto::Request;
+    use crate::server::harness::{config, node, Cluster, SEED};
+    use crate::server::{Node, ServerConfig};
     use crate::storage::open_sharded;
-
-    const SEED: u64 = 42;
 
     /// Server `my_id` of an `n`-member static cluster.
     fn shards(
@@ -1072,25 +1075,6 @@ mod tests {
 
     fn add(v: &[u8]) -> Message<Entry> {
         versioned(1_700_000_000_000, Message::AddReq { v: v.to_vec() })
-    }
-
-    /// Delivers a client message at member `at` and carries every remote
-    /// delivery to its destination, first in first out — the cluster
-    /// without the sockets.
-    fn run(
-        cluster: &[Shards],
-        at: u64,
-        key: &[u8],
-        spec: Option<StrategySpec>,
-        msg: Message<Entry>,
-    ) {
-        let mut queue = VecDeque::from([(at, client(), spec, msg)]);
-        while let Some((dest, from, spec, msg)) = queue.pop_front() {
-            let applied = cluster[dest as usize].apply(key, from, spec, msg).unwrap();
-            let sender = Endpoint::Server(ServerId::new(dest as u32));
-            let spec = applied.spec_override;
-            queue.extend(applied.remote.into_iter().map(|(to, m)| (to, sender, spec, m)));
-        }
     }
 
     /// Regression for the override vs engine-creation race: with the
@@ -1276,16 +1260,21 @@ mod tests {
         let dir = scratch(&format!("replay-{tag}"));
         let open = || {
             let (storages, recovered) = open_sharded(&dir, 2).unwrap();
-            let storages = storages.into_iter().map(|s| Some(Arc::new(s))).collect();
-            (shards(3, 0, spec, storages), recovered)
+            (storages.into_iter().map(|s| Some(Arc::new(s))).collect(), recovered)
         };
-        let appends = |s: &Shards| -> u64 {
-            s.as_slice().iter().map(|sh| sh.storage().unwrap().metrics.appends.get()).sum()
+        // Only the checkpoint the test takes: one mid-way.
+        let durable = |(storages, recovered): (Vec<_>, Vec<Recovered>)| {
+            let cfg = ServerConfig { checkpoint_every: u64::MAX, ..config(0, 3, spec) };
+            node(cfg, storages, recovered)
         };
-        let (durable, recovered) = open();
-        assert_eq!(durable.replay(recovered, 0), 0, "{spec}: a fresh dir");
-        let cluster =
-            [durable, shards(3, 1, spec, vec![None; 2]), shards(3, 2, spec, vec![None; 2])];
+        let appends = |node: &Node| -> u64 {
+            let shards = node.shards().as_slice();
+            shards.iter().map(|sh| sh.storage().unwrap().metrics.appends.get()).sum()
+        };
+        let (live, fresh) = durable(open());
+        assert_eq!(fresh, 0, "{spec}: a fresh dir");
+        let mut cluster = Cluster::new(3, spec, |cfg| cfg);
+        cluster.nodes[0] = live;
 
         // One key runs under an override, so records carry a spec.
         let hash = matches!(spec, StrategySpec::Hash { .. });
@@ -1298,45 +1287,45 @@ mod tests {
         for (ki, key) in keys.iter().enumerate() {
             let entries = rng.subset(&universe, 4);
             model[ki] = entries.iter().cloned().collect();
-            let at = cluster[0].group_of(key)[0];
-            let place = versioned(1, Message::PlaceReq { entries });
-            run(&cluster, at, key, Some(spec_of(ki)), place);
+            let at = cluster.nodes[0].shards().group_of(key)[0];
+            let place = Request::Place { key: key.clone(), entries, spec: Some(spec_of(ki)) };
+            assert_eq!(cluster.call(at, place), Response::Ok);
         }
         let mut checkpointed = false;
-        let mut step = 1u64;
-        while appends(&cluster[0]) < 2_000 {
-            step += 1;
+        while appends(&cluster.nodes[0]) < 2_000 {
+            // Every client update is stamped with the time it is served at.
+            cluster.now_ms += 1;
             let ki = rng.below(keys.len());
-            let held = &mut model[ki];
+            let (key, held) = (keys[ki].clone(), &mut model[ki]);
             let absent: Vec<&Entry> = universe.iter().filter(|v| !held.contains(*v)).collect();
             let add = !absent.is_empty() && (held.is_empty() || rng.below(19) < 11);
-            let msg = if rng.below(20) == 0 {
+            let req = if rng.below(20) == 0 {
                 let n = rng.below(8);
                 let entries = rng.subset(&universe, n);
                 *held = entries.iter().cloned().collect();
-                Message::PlaceReq { entries }
+                Request::Place { key, entries, spec: None }
             } else if add {
-                let v = absent[rng.below(absent.len())].clone();
-                held.insert(v.clone());
-                Message::AddReq { v }
+                let entry = absent[rng.below(absent.len())].clone();
+                held.insert(entry.clone());
+                Request::Add { key, entry }
             } else {
-                let v = held.iter().nth(rng.below(held.len())).expect("not empty").clone();
-                held.remove(&v);
-                Message::DeleteReq { v }
+                let entry = held.iter().nth(rng.below(held.len())).expect("not empty").clone();
+                held.remove(&entry);
+                Request::Delete { key, entry }
             };
             // Round-Robin updates go to the key's coordinator.
             let at = match spec_of(ki) {
-                StrategySpec::RoundRobin { .. } => cluster[0].group_of(&keys[ki])[0],
+                StrategySpec::RoundRobin { .. } => cluster.nodes[0].shards().group_of(&keys[ki])[0],
                 _ => rng.below(3) as u64,
             };
-            run(&cluster, at, &keys[ki], None, versioned(step, msg));
-            if !checkpointed && appends(&cluster[0]) >= 1_000 {
+            assert_eq!(cluster.call(at, req), Response::Ok);
+            if !checkpointed && appends(&cluster.nodes[0]) >= 1_000 {
                 checkpointed = true;
-                cluster[0].checkpoint(0).unwrap();
-                cluster[0].checkpoint(1).unwrap();
+                cluster.nodes[0].shards().checkpoint(0).unwrap();
+                cluster.nodes[0].shards().checkpoint(1).unwrap();
             }
         }
-        let live = state_of(&cluster[0]);
+        let live = state_of(cluster.nodes[0].shards());
         assert_eq!(live.len(), keys.len(), "{spec}");
         assert!(live.iter().any(|(d, _)| d.count > 0), "{spec}: the run left entries");
         assert!(live.iter().any(|(_, s)| !s.tombstones.is_empty()), "{spec}: and tombstones");
@@ -1344,12 +1333,13 @@ mod tests {
         // The first recovery is the checkpoint plus the log behind it;
         // it checkpoints, so the second is a checkpoint alone.
         for tail in [true, false] {
-            let (reopened, recovered) = open();
+            let (storages, recovered) = open();
             assert_eq!(recovered.iter().any(|seg| !seg.records.is_empty()), tail, "{spec}");
             assert!(recovered.iter().any(|seg| !seg.snapshots.is_empty()), "{spec}");
-            assert_eq!(reopened.replay(recovered, 0), keys.len(), "{spec}: tail {tail}");
+            let (reopened, keys_recovered) = durable((storages, recovered));
+            assert_eq!(keys_recovered, keys.len(), "{spec}: tail {tail}");
             assert_eq!(appends(&reopened), 0, "{spec}: replay must not log what it replays");
-            assert_eq!(state_of(&reopened), live, "{spec}: tail {tail}");
+            assert_eq!(state_of(reopened.shards()), live, "{spec}: tail {tail}");
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1387,29 +1377,32 @@ mod tests {
     fn replay_is_apply_for_an_entry_added_twice() {
         let spec = StrategySpec::round_robin(2);
         let dir = scratch("replay-twice");
-        let open = || {
+        let durable = || {
             let (storages, recovered) = open_sharded(&dir, 1).unwrap();
             let storages = storages.into_iter().map(|s| Some(Arc::new(s))).collect();
-            (shards(3, 1, spec, storages), recovered)
+            node(config(1, 3, spec), storages, recovered)
         };
-        let (durable, recovered) = open();
-        assert_eq!(durable.replay(recovered, 0), 0);
-        let cluster = [shards(3, 0, spec, vec![None]), durable, shards(3, 2, spec, vec![None])];
+        let mut cluster = Cluster::new(3, spec, |cfg| cfg);
+        let (live, fresh) = durable();
+        assert_eq!(fresh, 0);
+        cluster.nodes[1] = live;
         // `a` at positions 0 and 4: member 1 holds both, and gives up the
         // copy at 0.
         let key = b"key/0".to_vec();
-        assert_eq!(cluster[0].group_of(&key), vec![0, 1, 2]);
-        let place = Message::PlaceReq { entries: entries(&["a", "b", "c", "d"]) };
-        run(&cluster, 0, &key, None, versioned(1, place));
-        run(&cluster, 0, &key, None, versioned(2, Message::AddReq { v: b"a".to_vec() }));
-        run(&cluster, 0, &key, None, versioned(3, Message::DeleteReq { v: b"a".to_vec() }));
-        let live = state_of(&cluster[1]);
+        assert_eq!(cluster.nodes[0].shards().group_of(&key), vec![0, 1, 2]);
+        let entries = entries(&["a", "b", "c", "d"]);
+        cluster.call(0, Request::Place { key: key.clone(), entries, spec: None });
+        cluster.now_ms = 2;
+        cluster.call(0, Request::Add { key: key.clone(), entry: b"a".to_vec() });
+        cluster.now_ms = 3;
+        cluster.call(0, Request::Delete { key, entry: b"a".to_vec() });
+        let live = state_of(cluster.nodes[1].shards());
         assert_eq!(live[0].1.positions.last(), Some(&(4, b"a".to_vec())));
         assert_eq!(live[0].1.tombstones.len(), 1);
         for tail in [true, false] {
-            let (reopened, recovered) = open();
-            assert_eq!(reopened.replay(recovered, 0), 1);
-            assert_eq!(state_of(&reopened), live, "tail {tail}");
+            let (reopened, keys) = durable();
+            assert_eq!(keys, 1);
+            assert_eq!(state_of(reopened.shards()), live, "tail {tail}");
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1588,13 +1581,14 @@ mod tests {
 
     /// A three-server cluster holding one key under `spec`, every row
     /// and their merge.
-    fn placed(spec: StrategySpec) -> ([Shards; 3], Vec<u8>, Vec<KeySnapshot>, KeySnapshot) {
-        let cluster = [0, 1, 2].map(|id| shards(3, id, spec, vec![None]));
+    fn placed(spec: StrategySpec) -> (Cluster, Vec<u8>, Vec<KeySnapshot>, KeySnapshot) {
+        let cluster = Cluster::new(3, spec, |cfg| cfg);
         let key = b"song/deep".to_vec();
         let entries = (0..12).map(|i| format!("peer-{i}:6699").into_bytes()).collect();
-        let at = cluster[0].group_of(&key)[0];
-        run(&cluster, at, &key, None, versioned(1, Message::PlaceReq { entries }));
-        let rows: Vec<KeySnapshot> = cluster.iter().map(|s| s.snapshot(&key).unwrap()).collect();
+        let at = cluster.nodes[0].shards().group_of(&key)[0];
+        cluster.call(at, Request::Place { key: key.clone(), entries, spec: None });
+        let rows: Vec<KeySnapshot> =
+            cluster.nodes.iter().map(|n| n.shards().snapshot(&key).unwrap()).collect();
         let merged = merge_donor_rows(&key, spec, &rows);
         (cluster, key, rows, merged)
     }
@@ -1604,7 +1598,7 @@ mod tests {
         let spec = StrategySpec::hash(2);
         let (cluster, key, rows, merged) = placed(spec);
         assert_eq!(merged.entries.len(), 12);
-        for (server, mine) in cluster.iter().zip(&rows) {
+        for (server, mine) in cluster.nodes.iter().map(|n| n.shards()).zip(&rows) {
             assert!(!server.deep_verdict(mine, &merged), "a consistent cluster");
             let mut short = mine.clone();
             short.entries.pop().expect("y = 2 of 3 servers: every server holds some");
@@ -1626,7 +1620,8 @@ mod tests {
             assert_eq!(both, [true, true], "32 entries fall on both sides of a 2-of-3 family");
         }
         let absent = row(spec, 1, &[], &[]);
-        assert!(cluster[0].deep_verdict(&absent, &merged), "no engine: nothing to vouch for it");
+        let no_engine = cluster.nodes[0].shards().deep_verdict(&absent, &merged);
+        assert!(no_engine, "no engine: nothing to vouch for it");
     }
 
     #[test]
@@ -1635,8 +1630,8 @@ mod tests {
         let (cluster, key, rows, merged) = placed(spec);
         assert_eq!(merged.positions.len(), 12);
         assert_eq!(merged.counters, Some((0, 12)));
-        let group = cluster[0].group_of(&key);
-        for (server, mine) in cluster.iter().zip(&rows) {
+        let group = cluster.nodes[0].shards().group_of(&key);
+        for (server, mine) in cluster.nodes.iter().map(|n| n.shards()).zip(&rows) {
             let me = group_index(&group, server.my_id()).unwrap();
             assert!(!server.deep_verdict(mine, &merged), "a consistent cluster");
             // Position 4 lives at group positions 1 and 2 (4 mod 3, +1).
@@ -1695,7 +1690,7 @@ mod tests {
         let back = KeySnapshot::from_response(&key, KeySnapshot::into_response(Some(snap.clone())));
         assert_eq!(back, Some(snap));
         assert_eq!(KeySnapshot::from_response(&key, KeySnapshot::into_response(None)), None);
-        let digest = cluster[0].digest(&key);
+        let digest = cluster.nodes[0].shards().digest(&key);
         assert_eq!(Digest::from_response(Digest::into_response(digest)), digest);
         assert_eq!(Digest::from_response(Digest::into_response(None)), None);
         let unknown = Response::Digest {
