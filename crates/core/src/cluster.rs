@@ -18,6 +18,7 @@ use pls_net::{MessageCounter, MsgClass, ServerId};
 
 use crate::engine::NodeEngine;
 use crate::group::{Group, Scratch};
+use crate::lookup::SparePool;
 use crate::{
     ConfigError, DetRng, Entry, FailureSet, IndexedSet, LookupResult, Message, Placement,
     ServiceError, StrategySpec,
@@ -46,6 +47,8 @@ pub struct Cluster<V: Entry> {
     failures: FailureSet,
     counter: MessageCounter,
     rng: DetRng,
+    /// What dropped lookup results gave back, for the next lookup.
+    spares: SparePool<V>,
 }
 
 impl<V: Entry> Cluster<V> {
@@ -64,6 +67,7 @@ impl<V: Entry> Cluster<V> {
             failures: FailureSet::new(n),
             counter: MessageCounter::new(),
             rng: DetRng::seed_from(seed ^ 0xC11E_27D5_EED5_EED5),
+            spares: SparePool::default(),
         })
     }
 
@@ -291,7 +295,7 @@ impl<V: Entry> Cluster<V> {
     pub fn partial_lookup(&mut self, t: usize) -> Result<LookupResult<V>, ServiceError> {
         // One processed lookup message per contacted server.
         let charge = |_| self.counter.record(MsgClass::Lookup);
-        self.group.lookup(t, &self.failures, &mut self.rng, charge)
+        self.group.lookup(t, &self.failures, &mut self.rng, &self.spares, charge)
     }
 
     /// Runs one client update to quiescence, charging every message a

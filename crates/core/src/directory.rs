@@ -21,6 +21,7 @@ use std::hash::{Hash, Hasher};
 use pls_net::ServerId;
 
 use crate::group::{self, Group, Scratch};
+use crate::lookup::SparePool;
 use crate::{
     ConfigError, DetRng, Entry, FailureSet, LookupResult, Message, ServiceError, StrategySpec,
 };
@@ -90,6 +91,8 @@ pub struct Directory<K: Key, V: Entry> {
     update_load: Vec<u64>,
     /// Lent to whichever key is being updated.
     scratch: Scratch<V>,
+    /// What dropped lookup results gave back, for any key's next lookup.
+    spares: SparePool<V>,
 }
 
 impl<K: Key, V: Entry> Directory<K, V> {
@@ -117,6 +120,7 @@ impl<K: Key, V: Entry> Directory<K, V> {
             lookup_load: vec![0; n],
             update_load: vec![0; n],
             scratch: Scratch::default(),
+            spares: SparePool::default(),
         })
     }
 
@@ -255,7 +259,8 @@ impl<K: Key, V: Entry> Directory<K, V> {
             group::check_lookup(t, &self.failures)?;
             return Ok(LookupResult::new(Vec::new(), Vec::new()));
         };
-        group.lookup(t, &self.failures, &mut self.rng, |s| self.lookup_load[s.index()] += 1)
+        let load = &mut self.lookup_load;
+        group.lookup(t, &self.failures, &mut self.rng, &self.spares, |s| load[s.index()] += 1)
     }
 
     /// The entries a server stores for one key (empty for unknown keys).
@@ -272,6 +277,7 @@ impl<K: Key, V: Entry> Directory<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lookup::tests::{held, BOUND};
 
     fn uniform(spec: StrategySpec) -> StrategyAssignment<&'static str> {
         StrategyAssignment::Uniform(spec)
@@ -384,6 +390,102 @@ mod tests {
             assert_eq!((r.servers_contacted(), r.entries().len()), (1, 5), "{spec}");
             assert_eq!(clones() - before, 5, "{spec}");
         }
+    }
+
+    /// Entry `id` in bytes: 200 of them below id 400, a few above.
+    fn sized(id: u64) -> Vec<u8> {
+        if id < 400 {
+            format!("{id:0200}").into_bytes()
+        } else {
+            id.to_string().into_bytes()
+        }
+    }
+
+    fn sized_key(spec: StrategySpec, seed: u64) -> Directory<&'static str, Vec<u8>> {
+        let mut dir = Directory::new(10, uniform(spec), seed).unwrap();
+        dir.place("k", (0..100).map(sized).collect()).unwrap();
+        dir
+    }
+
+    #[test]
+    fn recycling_never_changes_an_answer() {
+        for spec in [
+            StrategySpec::full_replication(),
+            StrategySpec::fixed(20),
+            StrategySpec::random_server(20),
+            StrategySpec::round_robin(2),
+            StrategySpec::hash(2),
+        ] {
+            let (mut dropping, mut keeping) = (sized_key(spec, 13), sized_key(spec, 13));
+            let mut live: Vec<u64> = (0..100).collect();
+            let mut kept = Vec::new();
+            // Long entries come in, then short ones: spares of one length
+            // are written over with the other.
+            for step in 0..600 {
+                let (added, victim) = (sized(100 + step), sized(live[step as usize * 7 % 100]));
+                live[step as usize * 7 % 100] = 100 + step;
+                for dir in [&mut dropping, &mut keeping] {
+                    dir.add(&"k", added.clone()).unwrap();
+                    dir.delete(&"k", &victim).unwrap();
+                }
+                let t = [35, 5, 15][step as usize % 3];
+                let seen = dropping.partial_lookup(&"k", t).unwrap().entries().to_vec();
+                kept.push(keeping.partial_lookup(&"k", t).unwrap().into_entries());
+                assert_eq!(&seen, kept.last().unwrap(), "{spec}, step {step}");
+            }
+            assert_eq!(dropping.lookup_load(), keeping.lookup_load(), "{spec}");
+            assert_eq!(held(&dropping.spares).0, 1, "{spec}: one result at a time");
+            assert_eq!(held(&keeping.spares), (0, 0), "{spec}: kept entries are not given back");
+        }
+    }
+
+    #[test]
+    fn dropping_many_held_results_leaves_the_pool_at_its_bound() {
+        let mut dir = sized_key(StrategySpec::hash(2), 14);
+        let results: Vec<_> = (0..10_000).map(|_| dir.partial_lookup(&"k", 35).unwrap()).collect();
+        assert_eq!(held(&dir.spares), (0, 0));
+        drop(results);
+        let (answers, entries) = BOUND;
+        assert_eq!(held(&dir.spares), (answers, entries));
+        // The next result is written over one vector and 35 entries.
+        let r = dir.partial_lookup(&"k", 35).unwrap();
+        assert_eq!(held(&dir.spares), (answers - 1, entries - 35));
+        drop(r);
+        assert_eq!(held(&dir.spares), (answers, entries));
+    }
+
+    #[test]
+    fn a_cloned_result_and_one_dropped_on_another_thread_are_safe() {
+        let (mut dir, mut twin) =
+            (sized_key(StrategySpec::hash(2), 15), sized_key(StrategySpec::hash(2), 15));
+        let original = dir.partial_lookup(&"k", 35).unwrap();
+        let (copy, expected) = (original.clone(), original.entries().to_vec());
+        assert_eq!(twin.partial_lookup(&"k", 35).unwrap().into_entries(), expected);
+        drop(original);
+        // The original's storage serves the next lookups; the copy's is
+        // its own, and goes to the same pool.
+        for _ in 0..10 {
+            let (ours, theirs) = (dir.partial_lookup(&"k", 35), twin.partial_lookup(&"k", 35));
+            assert_eq!(ours.unwrap().entries(), theirs.unwrap().into_entries());
+        }
+        assert_eq!(copy.entries(), expected);
+        drop(copy);
+        assert_eq!(held(&dir.spares), (2, 70));
+
+        // Results dropped by another thread while this one looks up.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            scope.spawn(move || rx.into_iter().for_each(drop));
+            for _ in 0..2_000 {
+                let (ours, theirs) =
+                    (dir.partial_lookup(&"k", 35).unwrap(), twin.partial_lookup(&"k", 35));
+                assert_eq!(ours.entries(), theirs.unwrap().into_entries());
+                tx.send(ours).unwrap();
+            }
+            drop(tx);
+        });
+        let ((answers, entries), bound) = (held(&dir.spares), BOUND);
+        assert!((1..=bound.0).contains(&answers) && entries <= bound.1, "{answers}, {entries}");
     }
 
     #[test]

@@ -96,17 +96,19 @@ impl<V: Entry> Group<V> {
 
     /// `partial_lookup(t)` by §3's client procedure for this strategy. Each
     /// server the plan names is probed on the spot for `t` random entries of
-    /// its store, by reference (the plan copies the ones it returns), and
-    /// reported as `probed(server)`; a failed one is unreachable.
+    /// its store, by reference (the plan copies the ones it returns, over
+    /// `spares`), and reported as `probed(server)`; a failed one is
+    /// unreachable.
     pub(crate) fn lookup(
         &self,
         t: usize,
         failures: &FailureSet,
         rng: &mut DetRng,
+        spares: &lookup::SparePool<V>,
         mut probed: impl FnMut(ServerId),
     ) -> Result<LookupResult<V>, ServiceError> {
         check_lookup(t, failures)?;
-        let mut plan = LookupPlan::new(self.spec, t, failures, rng);
+        let mut plan = LookupPlan::new(self.spec, t, failures, rng).recycling(spares);
         while let Some(s) = plan.next(rng) {
             if failures.is_failed(s) {
                 plan.unreachable(s);

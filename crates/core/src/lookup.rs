@@ -22,8 +22,19 @@
 //! are moved in and moved out; references into in-process stores are
 //! merged and trimmed as references, and only the entries of the result
 //! are copied. Either way a lookup copies no entry it does not return.
+//!
+//! In process, a dropped answer's storage serves the next lookup. `Cluster`
+//! and `Directory` each keep a small spare pool: a [`LookupResult`] they
+//! handed out gives its vector and its entries back to it when dropped —
+//! at most four vectors and 128 entries, past which a drop frees as it
+//! always did — and the next result is written over them, a `&V` answer
+//! with `clone_from`, so a `Vec<u8>` entry reuses its buffer. The entries
+//! and their order are the same either way. A caller that keeps its
+//! entries ([`into_entries`](LookupResult::into_entries)) gives nothing
+//! back, and the TCP client's plan has no pool.
 
 use std::hash::Hash;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use pls_net::{FailureSet, ServerId};
 
@@ -99,10 +110,15 @@ impl std::fmt::Debug for Contacted {
 /// Fixed-x with `x < t`, or after deletes ate the cushion) the result
 /// holds everything that was found and [`LookupResult::is_satisfied`]
 /// reports `false` — the paper's "lookup failure" (§6.2).
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Dropped, a result of `Cluster` or `Directory` gives its storage to
+/// their next lookup (module doc), and so does a clone of it.
+#[derive(Clone)]
 pub struct LookupResult<V> {
     entries: Vec<V>,
     contacted: Contacted,
+    /// Where the storage goes when the result is dropped, if anywhere.
+    spares: Option<SparePool<V>>,
 }
 
 impl<V: Entry> LookupResult<V> {
@@ -113,7 +129,7 @@ impl<V: Entry> LookupResult<V> {
             entries.iter().enumerate().all(|(i, v)| !entries[..i].contains(v)),
             "lookup answers are distinct"
         );
-        LookupResult { entries, contacted: contacted.into() }
+        LookupResult { entries, contacted: contacted.into(), spares: None }
     }
 
     /// The distinct entries retrieved, in retrieval order.
@@ -137,9 +153,74 @@ impl<V: Entry> LookupResult<V> {
         self.entries.len() >= t
     }
 
-    /// Consumes the result, returning the entries.
-    pub fn into_entries(self) -> Vec<V> {
-        self.entries
+    /// Consumes the result, returning the entries. Nothing is given back
+    /// for the next lookup.
+    pub fn into_entries(mut self) -> Vec<V> {
+        self.spares = None;
+        std::mem::take(&mut self.entries)
+    }
+}
+
+impl<V> Drop for LookupResult<V> {
+    fn drop(&mut self) {
+        if let Some(spares) = self.spares.take() {
+            lock(&spares).give_back(std::mem::take(&mut self.entries));
+        }
+    }
+}
+
+impl<V: PartialEq> PartialEq for LookupResult<V> {
+    fn eq(&self, other: &Self) -> bool {
+        self.entries == other.entries && self.contacted == other.contacted
+    }
+}
+
+impl<V: Eq> Eq for LookupResult<V> {}
+
+impl<V: std::fmt::Debug> std::fmt::Debug for LookupResult<V> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let mut result = f.debug_struct("LookupResult");
+        result.field("entries", &self.entries).field("contacted", &self.contacted).finish()
+    }
+}
+
+/// What dropped results gave back, for the next lookup to write over:
+/// their emptied vectors and the entries they held.
+#[derive(Debug)]
+pub(crate) struct Spares<V> {
+    answers: Vec<Vec<V>>,
+    entries: Vec<V>,
+}
+
+/// The spares of one lookup owner, shared with the results it hands out
+/// (and with its clones: it is only storage).
+pub(crate) type SparePool<V> = Arc<Mutex<Spares<V>>>;
+
+/// Past a panic too (an entry's `clone_from` is the caller's code): spares
+/// are valid after every single push and pop, and a drop must not panic.
+fn lock<V>(spares: &Mutex<Spares<V>>) -> MutexGuard<'_, Spares<V>> {
+    spares.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+impl<V> Default for Spares<V> {
+    fn default() -> Self {
+        Spares { answers: Vec::new(), entries: Vec::new() }
+    }
+}
+
+impl<V> Spares<V> {
+    /// The bound: enough for a few results held at once, however many are
+    /// dropped together. An entry is kept with its storage, so it is a
+    /// count of entries, not of bytes.
+    const ANSWERS: usize = 4;
+    const ENTRIES: usize = 128;
+
+    fn give_back(&mut self, mut answer: Vec<V>) {
+        if self.answers.len() < Self::ANSWERS && answer.capacity() > 0 {
+            let room = Self::ENTRIES - self.entries.len();
+            self.entries.extend(answer.drain(..).take(room));
+            self.answers.push(answer);
+        }
     }
 }
 
@@ -165,6 +246,16 @@ enum Order {
 pub trait Answer<V>: Eq + Hash {
     /// The entry, owned.
     fn into_entry(self) -> V;
+
+    /// The entry, written over `spare`, an entry a dropped result gave
+    /// back. A reference copies with `clone_from`, so that the spare's
+    /// storage serves the copy.
+    fn write_over(self, spare: &mut V)
+    where
+        Self: Sized,
+    {
+        *spare = self.into_entry();
+    }
 }
 
 impl<V: Entry> Answer<V> for V {
@@ -176,6 +267,10 @@ impl<V: Entry> Answer<V> for V {
 impl<V: Entry> Answer<V> for &V {
     fn into_entry(self) -> V {
         self.clone()
+    }
+
+    fn write_over(self, spare: &mut V) {
+        spare.clone_from(self);
     }
 }
 
@@ -219,6 +314,8 @@ pub struct LookupPlan<'a, V, A = V> {
     order: Order,
     gathered: Gathered<V, A>,
     contacted: Contacted,
+    /// What the result is written over and gives back to.
+    spares: Option<SparePool<V>>,
 }
 
 impl<'a, V: Entry, A: Answer<V>> LookupPlan<'a, V, A> {
@@ -242,6 +339,7 @@ impl<'a, V: Entry, A: Answer<V>> LookupPlan<'a, V, A> {
                 order: Order::One { first: start(), yielded: false },
                 gathered: Gathered::First(None),
                 contacted: Contacted::new(),
+                spares: None,
             },
             StrategySpec::RoundRobin { y } => {
                 let visited = vec![false; down.len()];
@@ -268,7 +366,36 @@ impl<'a, V: Entry, A: Answer<V>> LookupPlan<'a, V, A> {
             order,
             gathered: Gathered::Merged(IndexedSet::new()),
             contacted: Contacted::new(),
+            spares: None,
         }
+    }
+
+    /// The result is written over `pool`'s spares, and given back to it
+    /// when dropped.
+    pub(crate) fn recycling(mut self, pool: &SparePool<V>) -> Self {
+        self.spares = Some(Arc::clone(pool));
+        self
+    }
+
+    /// `answer`, owned: written over a spare vector and spare entries when
+    /// there is a spare vector, collected as it comes when not (a `Vec<&V>`
+    /// of `Copy` entries becomes the result in place).
+    fn own(spares: &Option<SparePool<V>>, answer: impl Iterator<Item = A>) -> Vec<V> {
+        if let Some(spares) = spares {
+            let mut spares = lock(spares);
+            let Spares { answers, entries } = &mut *spares;
+            if let Some(mut out) = answers.pop() {
+                out.extend(answer.map(|a| match entries.pop() {
+                    Some(mut spare) => {
+                        a.write_over(&mut spare);
+                        spare
+                    }
+                    None => a.into_entry(),
+                }));
+                return out;
+            }
+        }
+        answer.map(A::into_entry).collect()
     }
 
     /// The next server to probe; `None` once the lookup is satisfied or
@@ -326,9 +453,9 @@ impl<'a, V: Entry, A: Answer<V>> LookupPlan<'a, V, A> {
         match &mut self.gathered {
             // A second answer can only be a probe that was already in
             // flight; the first one stands. It is the result: made owned
-            // here (a `Vec<V>` is reused as it is).
+            // here (a `Vec<V>` is reused as it is, without spares).
             Gathered::First(first) => {
-                first.get_or_insert_with(|| answer.map(A::into_entry).collect());
+                first.get_or_insert_with(|| Self::own(&self.spares, answer));
             }
             Gathered::Merged(acc) => {
                 if acc.is_empty() {
@@ -371,18 +498,20 @@ impl<'a, V: Entry, A: Answer<V>> LookupPlan<'a, V, A> {
     /// `t`-subset when merging over-delivered (the fairness model of §4.5
     /// has each entry returned with probability exactly `t/h`).
     pub fn finish(self, rng: &mut DetRng) -> LookupResult<V> {
-        let contacted = self.contacted;
+        let (contacted, spares) = (self.contacted, self.spares);
         match self.gathered {
             // As it came, unchecked: the answer is its sender's word (over
             // TCP, another program's), not something the plan merged.
             Gathered::First(first) => {
-                LookupResult { entries: first.unwrap_or_default(), contacted }
+                LookupResult { entries: first.unwrap_or_default(), contacted, spares }
             }
             // Trimmed first, made owned after: what the trim drops was
             // never copied.
             Gathered::Merged(acc) => {
                 let kept = acc.into_sample(self.t, rng);
-                LookupResult::new(kept.into_iter().map(A::into_entry).collect(), contacted)
+                let mut result = LookupResult::new(Self::own(&spares, kept.into_iter()), contacted);
+                result.spares = spares;
+                result
             }
         }
     }
@@ -426,10 +555,19 @@ pub(crate) fn update_coordinator(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::Cluster;
     use std::collections::HashSet;
+
+    /// The vectors and entries `pool` holds.
+    pub(crate) fn held<V>(pool: &SparePool<V>) -> (usize, usize) {
+        let spares = lock(pool);
+        (spares.answers.len(), spares.entries.len())
+    }
+
+    /// The most a pool holds.
+    pub(crate) const BOUND: (usize, usize) = (Spares::<()>::ANSWERS, Spares::<()>::ENTRIES);
 
     const N: usize = 10;
     const H: u64 = 100;

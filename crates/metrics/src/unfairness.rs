@@ -85,8 +85,15 @@ pub fn measure_instance<V: Entry>(
     let mut counts: HashMap<V, u64> = HashMap::with_capacity(universe.len());
     for _ in 0..lookups {
         let r = cluster.partial_lookup(t).expect("unfairness assumes operational servers");
+        // An entry is copied into the map the first time it is returned,
+        // not to look it up every time.
         for v in r.entries() {
-            *counts.entry(v.clone()).or_insert(0) += 1;
+            match counts.get_mut(v) {
+                Some(count) => *count += 1,
+                None => {
+                    counts.insert(v.clone(), 1);
+                }
+            }
         }
     }
     let probs: Vec<f64> = universe

@@ -194,6 +194,12 @@ mod tests {
             std::thread::spawn(move || {
                 let _g = m.lock();
                 held.store(true, Ordering::SeqCst);
+                // The wait starts once the waiter is counted contended
+                // (`lock()` counts before it starts the clock): hold for
+                // 20 ms from then, however late the waiter got there.
+                while m.stats().contended.get() == 0 {
+                    std::thread::yield_now();
+                }
                 std::thread::sleep(Duration::from_millis(20));
             })
         };
