@@ -621,13 +621,13 @@ fn audit_no_seed_lost(p: &Ports, seed: u64) -> Audit {
 fn await_epoch(audit: &mut Client, want: u64, deadline_s: u64) -> Result<Vec<u64>, String> {
     let reached = Deadline::within(Duration::from_secs(deadline_s)).wait_until(|| {
         let _ = audit.refresh_membership();
-        audit.membership_view().0 >= want
+        audit.membership_view().epoch() >= want
     });
-    let (epoch, members) = audit.membership_view();
+    let epoch = audit.membership_view().epoch();
     if !reached {
         return Err(format!("membership stuck at epoch {epoch} (want {want}) after {deadline_s}s"));
     }
-    Ok(members.into_iter().map(|(id, _)| id).collect())
+    Ok(audit.membership_view().ids())
 }
 
 /// Waits until every named member answers its status RPC.

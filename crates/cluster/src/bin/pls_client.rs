@@ -156,8 +156,8 @@ fn run(opts: Options) -> Result<(), String> {
             // Best-effort view refresh first, so a long-lived servers
             // list still reports joiners and skips drained members.
             let _ = client.refresh_membership();
-            let (_, members) = client.membership_view();
-            for (id, addr) in members {
+            for m in client.membership_view().members() {
+                let (id, addr) = (m.id, &m.addr);
                 match client.status_of(id as usize) {
                     Ok((keys, entries)) => {
                         println!("server {id} ({addr}): {keys} keys, {entries} entries")
@@ -170,28 +170,22 @@ fn run(opts: Options) -> Result<(), String> {
             }
         }
         ["membership"] => {
-            let (epoch, members) = client.membership().map_err(|e| e.to_string())?;
-            println!("epoch {epoch}, {} member{}:", members.len(), plural(members.len()));
-            for (id, addr) in members {
-                println!("  {id:>4}  {addr}");
+            let view = client.membership().map_err(|e| e.to_string())?;
+            println!("epoch {}, {} member{}:", view.epoch(), view.len(), plural(view.len()));
+            for m in view.members() {
+                println!("  {:>4}  {}", m.id, m.addr);
             }
         }
         ["join", addr] => {
-            let (epoch, members) = client.join(addr).map_err(|e| e.to_string())?;
-            println!(
-                "admitted `{addr}`: epoch {epoch}, {} member{}",
-                members.len(),
-                plural(members.len())
-            );
+            let view = client.join(addr).map_err(|e| e.to_string())?;
+            let (epoch, n) = (view.epoch(), view.len());
+            println!("admitted `{addr}`: epoch {epoch}, {n} member{}", plural(n));
         }
         ["drain", id] => {
             let id: u64 = id.parse().map_err(|e| format!("ID: {e}"))?;
-            let (epoch, members) = client.drain(id).map_err(|e| e.to_string())?;
-            println!(
-                "draining server {id}: epoch {epoch}, {} member{} remain",
-                members.len(),
-                plural(members.len())
-            );
+            let view = client.drain(id).map_err(|e| e.to_string())?;
+            let (epoch, n) = (view.epoch(), view.len());
+            println!("draining server {id}: epoch {epoch}, {n} member{} remain", plural(n));
         }
         [name, flags @ ..] if *name == "stats" || *name == "metrics" => {
             let mut reset = false;
@@ -237,10 +231,11 @@ fn run(opts: Options) -> Result<(), String> {
             loop {
                 // Track churn live: joiners appear, drained members drop.
                 let _ = client.refresh_membership();
-                let (_, members) = client.membership_view();
-                let per_server: Vec<(usize, Option<MetricsSnapshot>)> = members
-                    .iter()
-                    .map(|(id, _)| (*id as usize, client.metrics_of(*id as usize, false).ok()))
+                let per_server: Vec<(usize, Option<MetricsSnapshot>)> = client
+                    .membership_view()
+                    .ids()
+                    .into_iter()
+                    .map(|id| (id as usize, client.metrics_of(id as usize, false).ok()))
                     .collect();
                 let mut merged = MetricsSnapshot::new();
                 per_server.iter().filter_map(|(_, s)| s.as_ref()).for_each(|s| merged.merge(s));

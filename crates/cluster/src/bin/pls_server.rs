@@ -218,13 +218,11 @@ fn join_cluster(
         .with_placement(cfg.group_size, cfg.seed)
         .with_timeouts(cfg.timeouts);
     let mut admin = pls_cluster::Client::connect(ccfg);
-    let (epoch, members) =
-        admin.join(&advertise.to_string()).map_err(|e| format!("join refused: {e}"))?;
-    let view = pls_core::Membership::from_parts(epoch, members);
+    let view = admin.join(&advertise.to_string()).map_err(|e| format!("join refused: {e}"))?;
     let my_id = view
         .id_of_addr(&advertise.to_string())
         .ok_or_else(|| format!("cluster admitted the join but {advertise} is not in the view"))?;
-    pls_telemetry::info!("joined_cluster", id = my_id, epoch = epoch, members = view.len());
+    pls_telemetry::info!("joined_cluster", id = my_id, epoch = view.epoch(), members = view.len());
     Ok(ServerConfig { membership: Some((my_id, view)), ..cfg })
 }
 

@@ -262,16 +262,14 @@ impl Client {
 
     /// Adopts a membership view if it's strictly newer than the current
     /// one, dropping pooled clients (and with them breaker and health
-    /// state) and probers for members that left. Returns whether the
-    /// view changed.
-    fn adopt_view(&mut self, epoch: u64, members: Vec<(u64, String)>) -> bool {
-        if epoch <= self.view.epoch() {
-            return false;
+    /// state) and probers for members that left.
+    fn adopt_view(&mut self, view: Membership) {
+        if view.epoch() <= self.view.epoch() {
+            return;
         }
-        self.view = Membership::from_parts(epoch, members);
+        self.view = view;
         self.peers.prune(&self.view);
         self.probers.retain(|id, _| self.view.contains(*id));
-        true
     }
 
     /// Draws the id for one client operation and records it as the most
@@ -848,11 +846,9 @@ impl Client {
         Ok(merge_spans(req, remote))
     }
 
-    /// The membership view this client routes with: `(epoch, members)`.
-    pub fn membership_view(&self) -> (u64, Vec<(u64, String)>) {
-        let members =
-            self.view.members().iter().map(|m| (m.id, m.addr.clone())).collect::<Vec<_>>();
-        (self.view.epoch(), members)
+    /// The membership view this client routes with.
+    pub fn membership_view(&self) -> &Membership {
+        &self.view
     }
 
     /// Fetches the cluster's current membership from the first reachable
@@ -864,8 +860,8 @@ impl Client {
     ///
     /// [`ClusterError::NoServerAvailable`] when every known member is
     /// unreachable.
-    pub fn membership(&mut self) -> Result<(u64, Vec<(u64, String)>), ClusterError> {
-        self.membership_rpc(Request::Membership { epoch: 0, members: Vec::new() })
+    pub fn membership(&mut self) -> Result<Membership, ClusterError> {
+        self.membership_rpc(Request::Membership(Membership::empty()))
     }
 
     /// Refreshes the membership view ([`Client::membership`]) and reports
@@ -876,22 +872,20 @@ impl Client {
     /// As [`Client::membership`].
     pub fn refresh_membership(&mut self) -> Result<bool, ClusterError> {
         let before = self.view.epoch();
-        let (after, _) = self.membership()?;
-        Ok(after != before)
+        Ok(self.membership()?.epoch() != before)
     }
 
     /// Admin: asks the cluster to admit the server at `addr` (its
     /// advertised listen address) as a new member. Any current member
     /// accepts the request, bumps the epoch, and gossips the new view;
-    /// this client adopts it immediately. Returns the post-join
-    /// `(epoch, members)`.
+    /// this client adopts it immediately. Returns the post-join view.
     ///
     /// # Errors
     ///
     /// [`ClusterError::NoServerAvailable`] when every known member is
     /// unreachable; [`ClusterError::Remote`] when the cluster refuses
     /// the join.
-    pub fn join(&mut self, addr: &str) -> Result<(u64, Vec<(u64, String)>), ClusterError> {
+    pub fn join(&mut self, addr: &str) -> Result<Membership, ClusterError> {
         self.membership_rpc(Request::JoinLeave { join: Some(addr.to_string()), leave: None })
     }
 
@@ -899,27 +893,29 @@ impl Client {
     /// drain). The remaining members bump the epoch, re-home the
     /// departed member's placement groups via anti-entropy migration,
     /// and gossip the new view; this client adopts it immediately.
-    /// Returns the post-drain `(epoch, members)`.
+    /// Returns the post-drain view.
     ///
     /// # Errors
     ///
     /// [`ClusterError::NoServerAvailable`] when every known member is
     /// unreachable; [`ClusterError::Remote`] when `id` is unknown or the
     /// last member standing.
-    pub fn drain(&mut self, id: u64) -> Result<(u64, Vec<(u64, String)>), ClusterError> {
+    pub fn drain(&mut self, id: u64) -> Result<Membership, ClusterError> {
         self.membership_rpc(Request::JoinLeave { join: None, leave: Some(id) })
     }
 
     /// Sends a membership RPC to the first member that answers, adopts
-    /// the returned view when newer, and hands it back.
-    fn membership_rpc(&mut self, req: Request) -> Result<(u64, Vec<(u64, String)>), ClusterError> {
+    /// the returned view when newer, and hands it back. A member whose
+    /// answer does not decode (an empty view at a nonzero epoch among
+    /// them) is a peer fault: the next member is asked.
+    fn membership_rpc(&mut self, req: Request) -> Result<Membership, ClusterError> {
         let id = self.fresh_id();
         for member in self.view.ids() {
             let Some(peer) = self.peer_for(member) else { continue };
             match peer.call(id, &req) {
-                Ok(Response::Membership { epoch, members }) => {
-                    self.adopt_view(epoch, members.clone());
-                    return Ok((epoch, members));
+                Ok(Response::Membership(view)) => {
+                    self.adopt_view(view.clone());
+                    return Ok(view);
                 }
                 Ok(other) => {
                     return Err(ClusterError::Remote(format!(

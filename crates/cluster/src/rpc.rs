@@ -587,8 +587,7 @@ mod tests {
         let client = PeerClient::new(addr);
         // A membership fetch against the old server: the refusal comes
         // back as a *typed* Unsupported, not a generic remote error.
-        let err =
-            client.call(9, &Request::Membership { epoch: 0, members: Vec::new() }).unwrap_err();
+        let err = client.call(9, &Request::Membership(Membership::empty())).unwrap_err();
         assert_eq!(err, ClusterError::Unsupported(0x0D));
         // The exchange completed cleanly, so the connection went back to
         // the pool (not poisoned) and the breaker saw proof of life.

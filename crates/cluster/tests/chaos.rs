@@ -75,7 +75,9 @@ fn spawn_chaos_cluster(
 fn stored_at(addr: SocketAddr, key: &[u8]) -> Vec<Vec<u8>> {
     let req = pls_cluster::proto::Request::Snapshot { key: key.to_vec() };
     match call_raw(addr, 0xc0de, &req).unwrap().1 {
-        pls_cluster::proto::Response::Snapshot { entries, .. } => entries,
+        pls_cluster::proto::Response::Snapshot(snap) => {
+            snap.map(|snap| snap.entries).unwrap_or_default()
+        }
         other => panic!("unexpected snapshot response {other:?}"),
     }
 }

@@ -83,7 +83,9 @@ fn spawn_durable_cluster(
 fn entries_at(addr: SocketAddr, key: &[u8]) -> Vec<Vec<u8>> {
     let req = pls_cluster::proto::Request::Snapshot { key: key.to_vec() };
     match call_raw(addr, 0xd1f5, &req) {
-        Ok((_, pls_cluster::proto::Response::Snapshot { entries, .. })) => entries,
+        Ok((_, pls_cluster::proto::Response::Snapshot(snap))) => {
+            snap.map(|snap| snap.entries).unwrap_or_default()
+        }
         other => panic!("unexpected snapshot response from {addr}: {other:?}"),
     }
 }
@@ -289,7 +291,7 @@ fn cold_start_resync_adopts_the_modal_freshest_donor() {
     assert_eq!(entries_at(addrs[0], b"k1"), vec![late.clone()]);
     let unknown = call_raw(addrs[0], 0x5a9, &Request::Snapshot { key: b"k2".to_vec() });
     assert!(
-        matches!(unknown, Ok((_, Response::Snapshot { spec: None, .. }))),
+        matches!(unknown, Ok((_, Response::Snapshot(None)))),
         "server 0 must answer `k2` as a key it does not know: {unknown:?}"
     );
 

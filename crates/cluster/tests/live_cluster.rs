@@ -384,9 +384,10 @@ fn cold_start_resync_in_a_cluster_wider_than_the_group() {
     let _replacement = replacement.spawn();
     for key in owned {
         let req = Request::Snapshot { key: key.clone() };
-        let Ok((_, Response::Snapshot { mut entries, .. })) = call_raw(addrs[6], 6, &req) else {
+        let Ok((_, Response::Snapshot(Some(snap)))) = call_raw(addrs[6], 6, &req) else {
             panic!("no snapshot of {key:?}");
         };
+        let mut entries = snap.entries;
         entries.sort();
         assert_eq!(entries, common::entries(0..6), "{key:?}");
     }

@@ -37,8 +37,7 @@ fn spawn_cluster(n: usize, spec: StrategySpec, seed: u64) -> (Vec<SocketAddr>, V
 fn spawn_joiner(spec: StrategySpec, seed: u64, admin: &mut Client) -> (u64, ServerHandle) {
     let (mut listeners, addrs) = bind_all(1);
     let (listener, addr) = (listeners.remove(0), addrs[0]);
-    let (epoch, members) = admin.join(&addr.to_string()).expect("join accepted");
-    let view = Membership::from_parts(epoch, members);
+    let view = admin.join(&addr.to_string()).expect("join accepted");
     let my_id = view.id_of_addr(&addr.to_string()).expect("joiner in the admitted view");
     let cfg = ServerConfig {
         membership: Some((my_id, view)),
@@ -82,11 +81,11 @@ fn membership_fetch_reports_the_bootstrap_view() {
     let spec = StrategySpec::full_replication();
     let (addrs, _handles) = spawn_cluster(3, spec, 210);
     let mut client = Client::connect(ClientConfig::new(addrs.clone(), spec, 211));
-    let (epoch, members) = client.membership().unwrap();
-    assert_eq!(epoch, 1, "static --peers world is epoch 1");
-    assert_eq!(members.iter().map(|(id, _)| *id).collect::<Vec<_>>(), vec![0, 1, 2]);
-    for (i, (_, addr)) in members.iter().enumerate() {
-        assert_eq!(addr, &addrs[i].to_string());
+    let view = client.membership().unwrap();
+    assert_eq!(view.epoch(), 1, "static --peers world is epoch 1");
+    assert_eq!(view.ids(), vec![0, 1, 2]);
+    for (i, m) in view.members().iter().enumerate() {
+        assert_eq!(m.addr, addrs[i].to_string());
     }
 }
 
@@ -100,7 +99,7 @@ fn live_join_migrates_entries_and_converges_the_epoch() {
 
     let (joiner_id, _joiner) = spawn_joiner(spec, 220, &mut client);
     assert_eq!(joiner_id, 3, "ids are dense; the joiner gets the next one");
-    assert_eq!(client.membership_view().0, 2, "join bumped the epoch");
+    assert_eq!(client.membership_view().epoch(), 2, "join bumped the epoch");
 
     // Within a few anti-entropy rounds the joiner learns the key
     // universe from its peers and pulls its round-robin partitions.
@@ -170,9 +169,9 @@ fn drain_rehomes_entries_before_the_process_dies() {
     let mut client = Client::connect(ClientConfig::new(addrs.clone(), spec, 231));
     client.place(b"k", entries(0..12)).unwrap();
 
-    let (epoch, members) = client.drain(2).unwrap();
-    assert_eq!(epoch, 2);
-    assert_eq!(members.iter().map(|(id, _)| *id).collect::<Vec<_>>(), vec![0, 1]);
+    let view = client.drain(2).unwrap();
+    assert_eq!(view.epoch(), 2);
+    assert_eq!(view.ids(), vec![0, 1]);
 
     // Survivors pull the retiree's partitions while its process is
     // still up: a drained member drops out of every group but keeps
@@ -200,21 +199,21 @@ fn stale_view_cannot_regress_the_cluster() {
     let spec = StrategySpec::full_replication();
     let (addrs, _handles) = spawn_cluster(3, spec, 240);
     let mut client = Client::connect(ClientConfig::new(addrs.clone(), spec, 241));
-    let (epoch1, members1) = client.membership().unwrap();
-    assert_eq!(epoch1, 1);
+    let view1 = client.membership().unwrap();
+    assert_eq!(view1.epoch(), 1);
 
     let (_joiner_id, _joiner) = spawn_joiner(spec, 240, &mut client);
-    let (epoch2, members2) = client.membership().unwrap();
-    assert_eq!(epoch2, 2);
-    assert_eq!(members2.len(), members1.len() + 1);
+    let view2 = client.membership().unwrap();
+    assert_eq!(view2.epoch(), 2);
+    assert_eq!(view2.len(), view1.len() + 1);
 
     // Gossip the stale epoch-1 view at a member directly: the reply
     // must carry the (newer) installed view, unchanged.
-    let push = Request::Membership { epoch: epoch1, members: members1 };
+    let push = Request::Membership(view1);
     match call_raw(addrs[1], 99, &push).unwrap().1 {
-        Response::Membership { epoch, members } => {
-            assert_eq!(epoch, 2, "stale view must not regress the installed epoch");
-            assert_eq!(members.len(), 4);
+        Response::Membership(view) => {
+            assert_eq!(view.epoch(), 2, "stale view must not regress the installed epoch");
+            assert_eq!(view.len(), 4);
         }
         other => panic!("expected membership response, got {other:?}"),
     }
@@ -237,21 +236,18 @@ fn racing_joins_through_one_member_both_land() {
             Server::with_listener(cfg, l).expect("server").0.spawn()
         })
         .collect();
-    let view_of = |addr: SocketAddr| match call_raw(
-        addr,
-        1,
-        &Request::Membership { epoch: 0, members: Vec::new() },
-    ) {
-        Ok((_, Response::Membership { epoch, members })) => (epoch, members),
-        other => panic!("membership fetch from {addr}: {other:?}"),
-    };
+    let view_of =
+        |addr: SocketAddr| match call_raw(addr, 1, &Request::Membership(Membership::empty())) {
+            Ok((_, Response::Membership(view))) => view,
+            other => panic!("membership fetch from {addr}: {other:?}"),
+        };
 
     for round in 0..ROUNDS {
         // Joiners that never boot, each at a loopback address of its own:
         // a closed port refuses the later rounds' announcements at once.
         let joiners = [format!("127.7.{round}.1:9"), format!("127.7.{round}.2:9")];
         let barrier = std::sync::Barrier::new(2);
-        let replies: Vec<(u64, Vec<(u64, String)>)> = std::thread::scope(|scope| {
+        let replies: Vec<Membership> = std::thread::scope(|scope| {
             let racers: Vec<_> = joiners
                 .iter()
                 .map(|joiner| {
@@ -263,7 +259,7 @@ fn racing_joins_through_one_member_both_land() {
                         let payload = req.encode();
                         barrier.wait();
                         match exchange_raw(&mut stream, 2, &payload).expect("join").1 {
-                            Response::Membership { epoch, members } => (epoch, members),
+                            Response::Membership(view) => view,
                             other => panic!("join answered {other:?}"),
                         }
                     })
@@ -274,20 +270,24 @@ fn racing_joins_through_one_member_both_land() {
 
         let want_epoch = 1 + 2 * (round + 1);
         let last = view_of(addrs[0]);
-        assert_eq!(last.0, want_epoch, "round {round}: a join was announced but never installed");
+        assert_eq!(
+            last.epoch(),
+            want_epoch,
+            "round {round}: a join was announced but never installed"
+        );
         for joiner in &joiners {
-            assert!(last.1.iter().any(|(_, a)| a == joiner), "round {round}: {joiner} is missing");
+            assert!(last.id_of_addr(joiner).is_some(), "round {round}: {joiner} is missing");
         }
         for addr in &addrs[1..] {
             assert_eq!(view_of(*addr), last, "round {round}: {addr} holds another view");
         }
         // Both replies are views member 0 installed: the last one, and
         // the one before it (the last one minus the second joiner).
-        let (first, second) = if replies[0].0 < replies[1].0 { (0, 1) } else { (1, 0) };
+        let (first, second) = if replies[0].epoch() < replies[1].epoch() { (0, 1) } else { (1, 0) };
         assert_eq!(replies[second], last, "round {round}");
-        assert_eq!(replies[first].0, want_epoch - 1, "round {round}");
+        assert_eq!(replies[first].epoch(), want_epoch - 1, "round {round}");
         let before: Vec<_> =
-            last.1.iter().filter(|(_, a)| *a != joiners[second]).cloned().collect();
-        assert_eq!(replies[first].1, before, "round {round}");
+            last.members().iter().filter(|m| m.addr != joiners[second]).cloned().collect();
+        assert_eq!(replies[first].members(), before, "round {round}");
     }
 }

@@ -24,14 +24,14 @@ use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
 use pls_core::membership::group_index;
-use pls_core::{Membership, Placement};
+use pls_core::Placement;
 use pls_metrics::fault_tolerance::greedy_tolerance;
 
 use crate::error::ClusterError;
 use crate::metrics::strategy_index;
 use crate::proto::{Request, Response};
 use crate::retry::splitmix64;
-use crate::server::{parts, Node};
+use crate::server::Node;
 use crate::shard::{
     digest_verdict, entries_for_rebuild, merge_donor_rows, Digest, Rebuilt, RepairPlan,
 };
@@ -253,13 +253,13 @@ impl Maintenance {
                 got.listed += 1;
                 got.keys.extend(keys);
             }
-            (Request::Digest { .. }, answer) => got.digests.extend(Digest::from_response(answer)),
-            (Request::Snapshot { key }, answer) => {
-                let row = KeySnapshot::from_response(&key, answer);
-                got.rows.extend(row.map(|row| (pull.from, row)));
+            (Request::Digest { .. }, Response::Digest(digest)) => got.digests.extend(digest),
+            // A row about another key is no row of the pulled one.
+            (Request::Snapshot { key }, Response::Snapshot(Some(row))) if row.key == key => {
+                got.rows.push((pull.from, row));
             }
-            (Request::Membership { .. }, Response::Membership { epoch, members }) => {
-                self.node.install(Membership::from_parts(epoch, members));
+            (Request::Membership(_), Response::Membership(view)) => {
+                self.node.install(view);
             }
             _ => {}
         }
@@ -408,10 +408,9 @@ impl Repair {
                     self.stage = Stage::Listed;
                     self.keys = shards.keys();
                     let others: Vec<u64> = shards.other_members().iter().map(|m| m.0).collect();
-                    let gossip = self.periodic.filter(|_| !others.is_empty()).map(|round| {
-                        let (view, from) = (shards.view(), others[round as usize % others.len()]);
-                        let members = parts(&view);
-                        Pull { from, request: Request::Membership { epoch: view.epoch(), members } }
+                    let gossip = self.periodic.filter(|_| !others.is_empty()).map(|round| Pull {
+                        from: others[round as usize % others.len()],
+                        request: Request::Membership(shards.view()),
                     });
                     let keys = others.iter().map(|&from| Pull { from, request: Request::Keys });
                     gossip.into_iter().chain(keys).collect()
@@ -780,7 +779,7 @@ mod tests {
         let mut maint = Maintenance::new(Arc::clone(node), 0);
         // Not even a new view makes an unconfigured repair round due.
         let (next, _) = node.shards().view().with_join("127.0.0.1:9300");
-        cluster.call(0, Request::Membership { epoch: next.epoch(), members: parts(&next) });
+        cluster.call(0, Request::Membership(next));
         for now in (0..60_000).step_by(250) {
             assert_eq!(maint.tick(now), Vec::new(), "at {now}");
         }
@@ -803,12 +802,12 @@ mod tests {
         assert!(maint.next_due().is_some_and(|due| due >= 30_000));
         assert_eq!(maint.tick(1), Vec::new());
         let (next, _) = node.shards().view().with_join("127.0.0.1:9300");
-        cluster.call(1, Request::Membership { epoch: next.epoch(), members: parts(&next) });
+        cluster.call(1, Request::Membership(next.clone()));
         assert!(maint.next_due().is_some_and(|due| due >= 30_000), "member 1's view, not 0's");
-        cluster.call(0, Request::Membership { epoch: next.epoch(), members: parts(&next) });
+        cluster.call(0, Request::Membership(next));
         assert_eq!(maint.next_due(), Some(0));
         let pulls = maint.tick(2);
-        assert!(pulls.iter().any(|p| matches!(p.request, Request::Membership { .. })), "{pulls:?}");
+        assert!(pulls.iter().any(|p| matches!(p.request, Request::Membership(_))), "{pulls:?}");
         assert_eq!(node.metrics().antientropy_rounds.get(), 1);
     }
 
@@ -875,6 +874,70 @@ mod tests {
         assert_eq!(cluster.nodes[1].metrics().antientropy_repairs.get(), 1);
     }
 
+    /// A donor that answers a key's `Snapshot` pull with a row for
+    /// another key gives that key nothing: the row is not merged, and the
+    /// wiped member neither rebuilds the key nor counts a repair.
+    #[test]
+    fn a_row_for_another_key_is_not_absorbed() {
+        let spec = StrategySpec::FullReplication;
+        let mut cluster = Cluster::new(3, spec, every_second);
+        place(&cluster, b"k", 8);
+        cluster.nodes[1] = node(every_second(config(1, 3, spec)), Vec::new(), Vec::new()).0;
+        let mut maint = Maintenance::new(Arc::clone(&cluster.nodes[1]), cluster.now_ms);
+        cluster.now_ms = maint.next_due().unwrap();
+        let mut misdirected = 0;
+        loop {
+            let pulls = maint.tick(cluster.now_ms);
+            if pulls.is_empty() {
+                break;
+            }
+            for pull in pulls {
+                let mut answer = cluster.answer(maint.req_id(), &pull);
+                if let Some(Response::Snapshot(Some(row))) = answer.as_mut() {
+                    row.key = b"elsewhere".to_vec();
+                    misdirected += 1;
+                }
+                maint.absorb(pull, answer);
+            }
+        }
+        assert_eq!(misdirected, 2, "both donors answered the pull");
+        let node = &cluster.nodes[1];
+        assert_eq!(node.shards().snapshot(b"k"), None);
+        assert_eq!(node.shards().status().keys, 0);
+        let m = node.metrics();
+        assert_eq!((m.antientropy_rounds.get(), m.antientropy_repairs.get()), (1, 0));
+    }
+
+    /// One gossip frame with no member at a nonzero epoch is refused where
+    /// the shell decodes it. Installed, it would leave its holder nobody
+    /// to gossip with, and gossip would carry it to every member for good.
+    #[test]
+    fn an_empty_view_is_refused_and_every_view_stays_whole() {
+        let mut cluster = Cluster::new(3, StrategySpec::FullReplication, every_second);
+        place(&cluster, b"k", 4);
+        let mut frame = crate::wire::Writer::new();
+        frame.u8(0x0D).u64(7).u32(0);
+        let decoded = Request::decode(&frame.into_payload());
+        assert_eq!(decoded, Err(ClusterError::Decode("empty membership")));
+        let at = &cluster.nodes[0];
+        let (reply, _) = at.answer(at.serve(1, decoded, cluster.now_ms), Ok(()));
+        assert!(matches!(reply, Response::Error(_)), "{reply:?}");
+        let mut maints: Vec<Maintenance> =
+            (1..3).map(|id| Maintenance::new(Arc::clone(&cluster.nodes[id]), 0)).collect();
+        for _ in 0..6 {
+            for maint in &mut maints {
+                cluster.now_ms = cluster.now_ms.max(maint.next_due().unwrap());
+                cluster.drive(maint);
+            }
+        }
+        for node in &cluster.nodes {
+            let view = node.shards().view();
+            assert_eq!((view.epoch(), view.len()), (1, 3), "member {}", node.config().me);
+        }
+        let rounds = |id: usize| cluster.nodes[id].metrics().antientropy_rounds.get();
+        assert_eq!((rounds(1), rounds(2)), (6, 6));
+    }
+
     /// A cold-start resync in a cluster wider than the placement group:
     /// a key whose groups (current and previous) both leave this server
     /// out is not its to rebuild, and must not end the resync.
@@ -923,10 +986,9 @@ mod tests {
             Response::Ok
         );
         let join = Request::JoinLeave { join: Some("127.0.0.1:9203".into()), leave: None };
-        let Response::Membership { epoch, members } = cluster.call(0, join) else {
+        let Response::Membership(view) = cluster.call(0, join) else {
             panic!("the join was refused");
         };
-        let view = Membership::from_parts(epoch, members);
         let joiner =
             ServerConfig { membership: Some((3, view)), ..every_second(config(0, 1, spec)) };
         cluster.nodes.push(node(joiner, Vec::new(), Vec::new()).0);

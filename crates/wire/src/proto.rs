@@ -4,13 +4,15 @@
 //! Every request/response is one frame (see [`crate::wire`]). The first
 //! payload byte is the opcode.
 
-use pls_core::{Message, StrategySpec, Tombstone};
+use pls_core::{Membership, Message, StrategySpec, Tombstone};
 use pls_net::ServerId;
 use pls_telemetry::{HistogramSnapshot, MetricsSnapshot, SpanRecord, BUCKETS};
 
 use crate::error::ClusterError;
 use crate::metrics::ReqOp;
-use crate::wire::{Reader, Writer};
+use crate::shard::Digest;
+use crate::storage::KeySnapshot;
+use crate::wire::{Reader, Writer, MAX_FRAME};
 
 /// A live-cluster entry: an opaque byte string (peer address, URL, …).
 pub type Entry = Vec<u8>;
@@ -107,16 +109,11 @@ pub enum Request {
         key: Vec<u8>,
     },
     /// Membership gossip: "here is my view of the cluster — install it
-    /// if it is newer than yours, and reply with yours." Carrying the
-    /// empty epoch-0 view makes this a plain fetch. Sent by servers on
+    /// if it is newer than yours, and reply with yours." Carrying
+    /// [`Membership::empty`] makes this a plain fetch. Sent by servers on
     /// their anti-entropy cadence, by joiners at boot, and by clients
     /// refreshing their routing table.
-    Membership {
-        /// The sender's epoch (0 = "I know nothing, just tell me").
-        epoch: u64,
-        /// The sender's `(server id, dial address)` list.
-        members: Vec<(u64, String)>,
-    },
+    Membership(Membership),
     /// Operator-initiated membership change: join an address and/or
     /// gracefully remove a server. The receiving server bumps the
     /// epoch, installs the new view, fans it out to every member, and
@@ -148,23 +145,9 @@ pub enum Response {
     Error(String),
     /// Recovery: the keys this server manages.
     Keys(Vec<Vec<u8>>),
-    /// Recovery: one key's local state.
-    Snapshot {
-        /// The locally stored entries.
-        entries: Vec<Entry>,
-        /// Round-robin `(position, entry)` pairs (empty for other
-        /// strategies).
-        positions: Vec<(u64, Entry)>,
-        /// Round-robin coordinator counters, if this server holds them.
-        counters: Option<(u64, u64)>,
-        /// The key's version (per-key Lamport clock) at the donor.
-        version: u64,
-        /// Live delete tombstones at the donor.
-        tombstones: Vec<(Entry, Tombstone)>,
-        /// The strategy this key is managed under at the donor (`None`
-        /// for unknown keys).
-        spec: Option<StrategySpec>,
-    },
+    /// Recovery and repair: one key's local state, as a checkpoint row
+    /// holds it (`None` when the key is unknown to this server).
+    Snapshot(Option<KeySnapshot>),
     /// The strategy managing a key (`None` when the key is unknown to
     /// this server).
     SpecOf(Option<StrategySpec>),
@@ -174,35 +157,12 @@ pub enum Response {
     /// Observability: the flight-recorder spans answering a `Trace`
     /// request, oldest first.
     Spans(Vec<SpanRecord>),
-    /// Anti-entropy: one key's placement digest (see
-    /// [`Request::Digest`]).
-    Digest {
-        /// Whether this server has an engine for the key at all.
-        known: bool,
-        /// The strategy managing the key here (`None` when unknown).
-        spec: Option<StrategySpec>,
-        /// Locally stored entry count.
-        count: u64,
-        /// Order-independent hash of the stored entry set.
-        entry_hash: u64,
-        /// Order-independent hash of the round-robin `(position, entry)`
-        /// pairs (0 for other strategies).
-        positions_hash: u64,
-        /// The key's version (per-key Lamport clock) at this server —
-        /// lets peers rank donors by freshness and feeds the staleness
-        /// probes.
-        version: u64,
-        /// Round-robin coordinator counters, if held here.
-        counters: Option<(u64, u64)>,
-    },
-    /// The responder's membership view (see [`Request::Membership`] and
-    /// [`Request::JoinLeave`]).
-    Membership {
-        /// The responder's epoch after processing the request.
-        epoch: u64,
-        /// The responder's `(server id, dial address)` list.
-        members: Vec<(u64, String)>,
-    },
+    /// Anti-entropy: one key's placement digest (see [`Request::Digest`];
+    /// `None` when the key is unknown to this server).
+    Digest(Option<Digest>),
+    /// The responder's membership view after processing the request (see
+    /// [`Request::Membership`] and [`Request::JoinLeave`]).
+    Membership(Membership),
 }
 
 // ---- opcodes ----
@@ -241,26 +201,132 @@ const MAX_SPAN_FIELDS: usize = 64;
 /// Decode cap on membership entries — a view beyond this does not fit a
 /// gossip frame and is garbage.
 const MAX_MEMBERS: usize = 65_536;
+/// Decode cap on round-robin positions and tombstones per row.
+const MAX_ROW_ITEMS: usize = MAX_FRAME / 8;
 
-fn encode_members(w: &mut Writer, members: &[(u64, String)]) {
-    w.u32(members.len() as u32);
-    for (id, addr) in members {
-        w.u64(*id).bytes(addr.as_bytes());
+// ---- shared codecs ----
+
+/// A presence byte (0 or 1), then the value when there is one.
+fn encode_option<T>(w: &mut Writer, value: Option<&T>, encode: impl FnOnce(&mut Writer, &T)) {
+    w.u8(u8::from(value.is_some()));
+    if let Some(value) = value {
+        encode(w, value);
     }
 }
 
-fn decode_members(r: &mut Reader<'_>) -> Result<Vec<(u64, String)>, ClusterError> {
-    let n = r.u32("member count")? as usize;
-    if n > MAX_MEMBERS {
-        return Err(ClusterError::Decode("member count"));
+fn decode_option<T>(
+    r: &mut Reader<'_>,
+    what: &'static str,
+    decode: impl FnOnce(&mut Reader<'_>) -> Result<T, ClusterError>,
+) -> Result<Option<T>, ClusterError> {
+    match r.u8(what)? {
+        0 => Ok(None),
+        1 => decode(r).map(Some),
+        _ => Err(ClusterError::Decode(what)),
     }
-    let mut members = Vec::with_capacity(n.min(1024));
+}
+
+/// A `u32` count, refused above `cap`, then that many items.
+pub(crate) fn decode_list<T>(
+    r: &mut Reader<'_>,
+    what: &'static str,
+    cap: usize,
+    mut item: impl FnMut(&mut Reader<'_>) -> Result<T, ClusterError>,
+) -> Result<Vec<T>, ClusterError> {
+    let n = r.u32(what)? as usize;
+    if n > cap {
+        return Err(ClusterError::Decode(what));
+    }
+    let mut items = Vec::with_capacity(n.min(1024));
     for _ in 0..n {
-        let id = r.u64("member id")?;
-        let addr = r.bytes("member addr")?;
-        members.push((id, String::from_utf8_lossy(&addr).into_owned()));
+        items.push(item(r)?);
     }
-    Ok(members)
+    Ok(items)
+}
+
+fn encode_counters(w: &mut Writer, counters: Option<(u64, u64)>) {
+    encode_option(w, counters.as_ref(), |w, (head, tail)| {
+        w.u64(*head).u64(*tail);
+    });
+}
+
+fn decode_counters(r: &mut Reader<'_>) -> Result<Option<(u64, u64)>, ClusterError> {
+    decode_option(r, "counter flag", |r| Ok((r.u64("head")?, r.u64("tail")?)))
+}
+
+/// The one codec of a [`KeySnapshot`] row: a checkpoint holds one per
+/// key, and a `Snapshot` answer is a presence byte and one.
+pub(crate) fn encode_snapshot(w: &mut Writer, s: &KeySnapshot) {
+    w.bytes(&s.key);
+    encode_spec(w, &Some(s.spec));
+    w.bytes_list(&s.entries).u32(s.positions.len() as u32);
+    for (pos, v) in &s.positions {
+        w.u64(*pos).bytes(v);
+    }
+    encode_counters(w, s.counters);
+    w.u64(s.version).u32(s.tombstones.len() as u32);
+    for (v, t) in &s.tombstones {
+        w.bytes(v).u64(t.version).u64(t.born_ms);
+    }
+}
+
+/// Reads what [`encode_snapshot`] wrote; a row without a strategy is
+/// refused.
+pub(crate) fn decode_snapshot(r: &mut Reader<'_>) -> Result<KeySnapshot, ClusterError> {
+    let key = r.bytes("snapshot key")?;
+    let spec = decode_spec(r)?.ok_or(ClusterError::Decode("snapshot spec"))?;
+    let entries = r.bytes_list("snapshot entries")?;
+    let positions = decode_list(r, "position count", MAX_ROW_ITEMS, |r| {
+        Ok((r.u64("position")?, r.bytes("position entry")?))
+    })?;
+    let counters = decode_counters(r)?;
+    let version = r.u64("snapshot version")?;
+    let tombstones = decode_list(r, "tombstone count", MAX_ROW_ITEMS, |r| {
+        let v = r.bytes("tombstone entry")?;
+        let (version, born_ms) = (r.u64("tombstone version")?, r.u64("tombstone born")?);
+        Ok((v, Tombstone { version, born_ms }))
+    })?;
+    Ok(KeySnapshot { key, spec, entries, positions, counters, version, tombstones })
+}
+
+fn encode_digest(w: &mut Writer, d: &Digest) {
+    encode_spec(w, &Some(d.spec));
+    w.u64(d.count).u64(d.entry_hash).u64(d.positions_hash).u64(d.version);
+    encode_counters(w, d.counters);
+}
+
+/// Reads what [`encode_digest`] wrote; a digest without a strategy is
+/// refused.
+fn decode_digest(r: &mut Reader<'_>) -> Result<Digest, ClusterError> {
+    let spec = decode_spec(r)?.ok_or(ClusterError::Decode("digest spec"))?;
+    let (count, entry_hash) = (r.u64("digest count")?, r.u64("digest entry hash")?);
+    let (positions_hash, version) = (r.u64("digest positions hash")?, r.u64("digest version")?);
+    Ok(Digest { spec, count, entry_hash, positions_hash, version, counters: decode_counters(r)? })
+}
+
+/// A view as its epoch and its `(id, dial address)` members, in id order.
+fn encode_membership(w: &mut Writer, view: &Membership) {
+    w.u64(view.epoch()).u32(view.len() as u32);
+    for m in view.members() {
+        w.u64(m.id).bytes(m.addr.as_bytes());
+    }
+}
+
+/// Reads what [`encode_membership`] wrote, through
+/// [`Membership::from_parts`]. A nonzero epoch with no member is refused:
+/// installed, it would leave its holder nobody to gossip with or repair
+/// from, and only a higher epoch could replace it. Epoch 0 with none is
+/// [`Membership::empty`], the fetch.
+fn decode_membership(r: &mut Reader<'_>) -> Result<Membership, ClusterError> {
+    let epoch = r.u64("membership epoch")?;
+    let members = decode_list(r, "member count", MAX_MEMBERS, |r| {
+        let id = r.u64("member id")?;
+        Ok((id, String::from_utf8_lossy(&r.bytes("member addr")?).into_owned()))
+    })?;
+    if epoch > 0 && members.is_empty() {
+        return Err(ClusterError::Decode("empty membership"));
+    }
+    Ok(Membership::from_parts(epoch, members))
 }
 
 // ---- engine message opcodes ----
@@ -373,14 +439,9 @@ pub(crate) fn encode_msg(w: &mut Writer, msg: &Message<Entry>) {
         }
         Message::MigrateRep { v, dest_pos, replacement } => {
             w.u8(MSG_MIGRATE_REP).u64(*dest_pos).bytes(v);
-            match replacement {
-                Some(u) => {
-                    w.u8(1).bytes(u);
-                }
-                None => {
-                    w.u8(0);
-                }
-            }
+            encode_option(w, replacement.as_ref(), |w, u| {
+                w.bytes(u);
+            });
         }
         Message::RrRemoveAt { pos } => {
             w.u8(MSG_RR_REMOVE_AT).u64(*pos);
@@ -430,11 +491,7 @@ pub(crate) fn decode_msg(r: &mut Reader<'_>) -> Result<Message<Entry>, ClusterEr
         MSG_MIGRATE_REP => {
             let dest_pos = r.u64("migrate pos")?;
             let v = r.bytes("migrate entry")?;
-            let replacement = match r.u8("replacement flag")? {
-                0 => None,
-                1 => Some(r.bytes("replacement")?),
-                _ => return Err(ClusterError::Decode("replacement flag")),
-            };
+            let replacement = decode_option(r, "replacement flag", |r| r.bytes("replacement"))?;
             Message::MigrateRep { v, dest_pos, replacement }
         }
         MSG_RR_REMOVE_AT => Message::RrRemoveAt { pos: r.u64("rr pos")? },
@@ -501,28 +558,18 @@ impl Request {
             Request::Digest { key } => {
                 w.u8(REQ_DIGEST).bytes(key);
             }
-            Request::Membership { epoch, members } => {
-                w.u8(REQ_MEMBERSHIP).u64(*epoch);
-                encode_members(&mut w, members);
+            Request::Membership(view) => {
+                w.u8(REQ_MEMBERSHIP);
+                encode_membership(&mut w, view);
             }
             Request::JoinLeave { join, leave } => {
                 w.u8(REQ_JOIN_LEAVE);
-                match join {
-                    Some(addr) => {
-                        w.u8(1).bytes(addr.as_bytes());
-                    }
-                    None => {
-                        w.u8(0);
-                    }
-                }
-                match leave {
-                    Some(id) => {
-                        w.u8(1).u64(*id);
-                    }
-                    None => {
-                        w.u8(0);
-                    }
-                }
+                encode_option(&mut w, join.as_ref(), |w, addr| {
+                    w.bytes(addr.as_bytes());
+                });
+                encode_option(&mut w, leave.as_ref(), |w, id| {
+                    w.u64(*id);
+                });
             }
         }
         w.into_payload()
@@ -566,24 +613,12 @@ impl Request {
             },
             REQ_TRACE => Request::Trace { req: r.u64("trace req")? },
             REQ_DIGEST => Request::Digest { key: r.bytes("key")? },
-            REQ_MEMBERSHIP => {
-                let epoch = r.u64("membership epoch")?;
-                Request::Membership { epoch, members: decode_members(&mut r)? }
-            }
+            REQ_MEMBERSHIP => Request::Membership(decode_membership(&mut r)?),
             REQ_JOIN_LEAVE => {
-                let join = match r.u8("join flag")? {
-                    0 => None,
-                    1 => {
-                        let raw = r.bytes("join addr")?;
-                        Some(String::from_utf8_lossy(&raw).into_owned())
-                    }
-                    _ => return Err(ClusterError::Decode("join flag")),
-                };
-                let leave = match r.u8("leave flag")? {
-                    0 => None,
-                    1 => Some(r.u64("leave id")?),
-                    _ => return Err(ClusterError::Decode("leave flag")),
-                };
+                let join = decode_option(&mut r, "join flag", |r| {
+                    Ok(String::from_utf8_lossy(&r.bytes("join addr")?).into_owned())
+                })?;
+                let leave = decode_option(&mut r, "leave flag", |r| r.u64("leave id"))?;
                 Request::JoinLeave { join, leave }
             }
             // An opcode this build has never heard of is not a framing
@@ -616,7 +651,7 @@ impl Request {
             Request::Metrics { .. } => ReqOp::Metrics,
             Request::Trace { .. } => ReqOp::Trace,
             Request::Digest { .. } => ReqOp::Digest,
-            Request::Membership { .. } => ReqOp::Membership,
+            Request::Membership(_) => ReqOp::Membership,
             Request::JoinLeave { .. } => ReqOp::JoinLeave,
         }
     }
@@ -642,26 +677,9 @@ impl Response {
             Response::Keys(keys) => {
                 w.u8(RESP_KEYS).bytes_list(keys);
             }
-            Response::Snapshot { entries, positions, counters, version, tombstones, spec } => {
-                w.u8(RESP_SNAPSHOT).bytes_list(entries);
-                w.u32(positions.len() as u32);
-                for (pos, v) in positions {
-                    w.u64(*pos).bytes(v);
-                }
-                match counters {
-                    Some((head, tail)) => {
-                        w.u8(1).u64(*head).u64(*tail);
-                    }
-                    None => {
-                        w.u8(0);
-                    }
-                }
-                w.u64(*version);
-                w.u32(tombstones.len() as u32);
-                for (v, t) in tombstones {
-                    w.bytes(v).u64(t.version).u64(t.born_ms);
-                }
-                encode_spec(&mut w, spec);
+            Response::Snapshot(snap) => {
+                w.u8(RESP_SNAPSHOT);
+                encode_option(&mut w, snap.as_ref(), encode_snapshot);
             }
             Response::SpecOf(spec) => {
                 w.u8(RESP_SPEC_OF);
@@ -687,42 +705,20 @@ impl Response {
                     }
                 }
             }
-            Response::Digest {
-                known,
-                spec,
-                count,
-                entry_hash,
-                positions_hash,
-                version,
-                counters,
-            } => {
-                w.u8(RESP_DIGEST).u8(u8::from(*known));
-                encode_spec(&mut w, spec);
-                w.u64(*count).u64(*entry_hash).u64(*positions_hash).u64(*version);
-                match counters {
-                    Some((head, tail)) => {
-                        w.u8(1).u64(*head).u64(*tail);
-                    }
-                    None => {
-                        w.u8(0);
-                    }
-                }
+            Response::Digest(digest) => {
+                w.u8(RESP_DIGEST);
+                encode_option(&mut w, digest.as_ref(), encode_digest);
             }
-            Response::Membership { epoch, members } => {
-                w.u8(RESP_MEMBERSHIP).u64(*epoch);
-                encode_members(&mut w, members);
+            Response::Membership(view) => {
+                w.u8(RESP_MEMBERSHIP);
+                encode_membership(&mut w, view);
             }
             Response::Spans(spans) => {
                 w.u8(RESP_SPANS).u32(spans.len() as u32);
                 for s in spans {
-                    match s.req_id {
-                        Some(id) => {
-                            w.u8(1).u64(id);
-                        }
-                        None => {
-                            w.u8(0);
-                        }
-                    }
+                    encode_option(&mut w, s.req_id.as_ref(), |w, id| {
+                        w.u64(*id);
+                    });
                     w.bytes(s.name.as_bytes()).bytes(s.target.as_bytes());
                     w.u64(s.start_us).u64(s.elapsed_us);
                     w.u32(s.fields.len() as u32);
@@ -753,40 +749,12 @@ impl Response {
             }
             RESP_KEYS => Response::Keys(r.bytes_list("keys")?),
             RESP_SNAPSHOT => {
-                let entries = r.bytes_list("snapshot entries")?;
-                let count = r.u32("position count")? as usize;
-                if count > crate::wire::MAX_FRAME / 8 {
-                    return Err(ClusterError::Decode("position count"));
-                }
-                let mut positions = Vec::with_capacity(count.min(1024));
-                for _ in 0..count {
-                    let pos = r.u64("position")?;
-                    positions.push((pos, r.bytes("position entry")?));
-                }
-                let counters = match r.u8("counter flag")? {
-                    0 => None,
-                    1 => Some((r.u64("head")?, r.u64("tail")?)),
-                    _ => return Err(ClusterError::Decode("counter flag")),
-                };
-                let version = r.u64("snapshot version")?;
-                let n_tombs = r.u32("tombstone count")? as usize;
-                if n_tombs > crate::wire::MAX_FRAME / 8 {
-                    return Err(ClusterError::Decode("tombstone count"));
-                }
-                let mut tombstones = Vec::with_capacity(n_tombs.min(1024));
-                for _ in 0..n_tombs {
-                    let v = r.bytes("tombstone entry")?;
-                    let t_version = r.u64("tombstone version")?;
-                    let born_ms = r.u64("tombstone born")?;
-                    tombstones.push((v, Tombstone { version: t_version, born_ms }));
-                }
-                let spec = decode_spec(&mut r)?;
-                Response::Snapshot { entries, positions, counters, version, tombstones, spec }
+                Response::Snapshot(decode_option(&mut r, "snapshot flag", decode_snapshot)?)
             }
             RESP_SPEC_OF => Response::SpecOf(decode_spec(&mut r)?),
             RESP_METRICS => {
                 let n_counters = r.u32("counter count")? as usize;
-                if n_counters > crate::wire::MAX_FRAME / 12 {
+                if n_counters > MAX_FRAME / 12 {
                     return Err(ClusterError::Decode("counter count"));
                 }
                 let mut counters = Vec::with_capacity(n_counters.min(1024));
@@ -798,7 +766,7 @@ impl Response {
                 let mut snap = MetricsSnapshot::new();
                 snap.push_counters(counters);
                 let n_gauges = r.u32("gauge count")? as usize;
-                if n_gauges > crate::wire::MAX_FRAME / 12 {
+                if n_gauges > MAX_FRAME / 12 {
                     return Err(ClusterError::Decode("gauge count"));
                 }
                 for _ in 0..n_gauges {
@@ -834,76 +802,31 @@ impl Response {
                 }
                 Response::Metrics(snap)
             }
-            RESP_DIGEST => {
-                let known = match r.u8("digest known")? {
-                    0 => false,
-                    1 => true,
-                    _ => return Err(ClusterError::Decode("digest known")),
-                };
-                let spec = decode_spec(&mut r)?;
-                let count = r.u64("digest count")?;
-                let entry_hash = r.u64("digest entry hash")?;
-                let positions_hash = r.u64("digest positions hash")?;
-                let version = r.u64("digest version")?;
-                let counters = match r.u8("digest counter flag")? {
-                    0 => None,
-                    1 => Some((r.u64("digest head")?, r.u64("digest tail")?)),
-                    _ => return Err(ClusterError::Decode("digest counter flag")),
-                };
-                Response::Digest {
-                    known,
-                    spec,
-                    count,
-                    entry_hash,
-                    positions_hash,
-                    version,
-                    counters,
-                }
-            }
-            RESP_MEMBERSHIP => {
-                let epoch = r.u64("membership epoch")?;
-                Response::Membership { epoch, members: decode_members(&mut r)? }
-            }
-            RESP_SPANS => {
-                let n_spans = r.u32("span count")? as usize;
-                if n_spans > MAX_SPANS {
-                    return Err(ClusterError::Decode("span count"));
-                }
-                let mut spans = Vec::with_capacity(n_spans.min(1024));
-                for _ in 0..n_spans {
-                    let req_id = match r.u8("span req flag")? {
-                        0 => None,
-                        1 => Some(r.u64("span req id")?),
-                        _ => return Err(ClusterError::Decode("span req flag")),
-                    };
-                    let name = r.bytes("span name")?;
-                    let target = r.bytes("span target")?;
-                    let start_us = r.u64("span start")?;
-                    let elapsed_us = r.u64("span elapsed")?;
-                    let n_fields = r.u32("span field count")? as usize;
-                    if n_fields > MAX_SPAN_FIELDS {
-                        return Err(ClusterError::Decode("span field count"));
-                    }
-                    let mut fields = Vec::with_capacity(n_fields);
-                    for _ in 0..n_fields {
-                        let k = r.bytes("span field key")?;
-                        let v = r.bytes("span field value")?;
-                        fields.push((
-                            String::from_utf8_lossy(&k).into_owned(),
-                            String::from_utf8_lossy(&v).into_owned(),
-                        ));
-                    }
-                    spans.push(SpanRecord {
-                        req_id,
-                        name: String::from_utf8_lossy(&name).into_owned(),
-                        target: String::from_utf8_lossy(&target).into_owned(),
-                        start_us,
-                        elapsed_us,
-                        fields,
-                    });
-                }
-                Response::Spans(spans)
-            }
+            RESP_DIGEST => Response::Digest(decode_option(&mut r, "digest flag", decode_digest)?),
+            RESP_MEMBERSHIP => Response::Membership(decode_membership(&mut r)?),
+            RESP_SPANS => Response::Spans(decode_list(&mut r, "span count", MAX_SPANS, |r| {
+                let req_id = decode_option(r, "span req flag", |r| r.u64("span req id"))?;
+                let name = r.bytes("span name")?;
+                let target = r.bytes("span target")?;
+                let start_us = r.u64("span start")?;
+                let elapsed_us = r.u64("span elapsed")?;
+                let fields = decode_list(r, "span field count", MAX_SPAN_FIELDS, |r| {
+                    let k = r.bytes("span field key")?;
+                    let v = r.bytes("span field value")?;
+                    Ok((
+                        String::from_utf8_lossy(&k).into_owned(),
+                        String::from_utf8_lossy(&v).into_owned(),
+                    ))
+                })?;
+                Ok(SpanRecord {
+                    req_id,
+                    name: String::from_utf8_lossy(&name).into_owned(),
+                    target: String::from_utf8_lossy(&target).into_owned(),
+                    start_us,
+                    elapsed_us,
+                    fields,
+                })
+            })?),
             _ => return Err(ClusterError::Decode("response opcode")),
         };
         r.finish("response")?;
@@ -957,22 +880,20 @@ mod tests {
         roundtrip_req(Request::Digest { key: vec![] });
     }
 
+    fn view(epoch: u64, members: &[(u64, &str)]) -> Membership {
+        Membership::from_parts(epoch, members.iter().map(|&(id, a)| (id, a.into())).collect())
+    }
+
     #[test]
     fn membership_frames_roundtrip() {
-        roundtrip_req(Request::Membership { epoch: 0, members: vec![] });
-        roundtrip_req(Request::Membership {
-            epoch: 7,
-            members: vec![(0, "10.0.0.1:7000".into()), (3, "10.0.0.4:7000".into())],
-        });
+        roundtrip_req(Request::Membership(Membership::empty()));
+        roundtrip_req(Request::Membership(view(7, &[(0, "10.0.0.1:7000"), (3, "10.0.0.4:7000")])));
         roundtrip_req(Request::JoinLeave { join: None, leave: None });
         roundtrip_req(Request::JoinLeave { join: Some("10.0.0.9:7000".into()), leave: None });
         roundtrip_req(Request::JoinLeave { join: None, leave: Some(2) });
         roundtrip_req(Request::JoinLeave { join: Some("a:1".into()), leave: Some(u64::MAX) });
-        roundtrip_resp(Response::Membership { epoch: 0, members: vec![] });
-        roundtrip_resp(Response::Membership {
-            epoch: 42,
-            members: vec![(1, "x:1".into()), (9, "y:2".into())],
-        });
+        roundtrip_resp(Response::Membership(Membership::empty()));
+        roundtrip_resp(Response::Membership(view(42, &[(1, "x:1"), (9, "y:2")])));
         // A member count beyond the cap is rejected outright.
         let mut w = Writer::new();
         w.u8(REQ_MEMBERSHIP).u64(1).u32(u32::MAX);
@@ -981,6 +902,35 @@ mod tests {
         let mut w = Writer::new();
         w.u8(REQ_JOIN_LEAVE).u8(9);
         assert!(Request::decode(&w.into_payload()).is_err());
+    }
+
+    /// The bytes of a `Membership` frame, written out by hand: the
+    /// opcode, the epoch, the member count, then each id and
+    /// length-prefixed address.
+    #[test]
+    fn membership_frames_keep_their_bytes() {
+        let mut body = vec![0, 0, 0, 0, 0, 0, 0, 7, 0, 0, 0, 2];
+        body.extend([0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 13]);
+        body.extend(b"10.0.0.1:7000");
+        body.extend([0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 13]);
+        body.extend(b"10.0.0.4:7000");
+        let v = view(7, &[(3, "10.0.0.4:7000"), (0, "10.0.0.1:7000")]);
+        assert_eq!(Request::Membership(v.clone()).encode(), [&[0x0D][..], &body].concat());
+        assert_eq!(Response::Membership(v).encode(), [&[0x89][..], &body].concat());
+    }
+
+    /// A nonzero epoch with no member is no view: what one such gossip
+    /// frame would install, every member's gossip would then spread.
+    #[test]
+    fn an_empty_view_at_a_nonzero_epoch_is_refused() {
+        let frame = [0x0D, 0, 0, 0, 0, 0, 0, 0, 7, 0, 0, 0, 0];
+        assert_eq!(Request::decode(&frame), Err(ClusterError::Decode("empty membership")));
+        let mut reply = frame;
+        reply[0] = RESP_MEMBERSHIP;
+        assert_eq!(Response::decode(&reply), Err(ClusterError::Decode("empty membership")));
+        // Epoch 0 with no member is the fetch.
+        reply[8] = 0;
+        assert_eq!(Response::decode(&reply), Ok(Response::Membership(Membership::empty())));
     }
 
     #[test]
@@ -1000,28 +950,23 @@ mod tests {
 
     #[test]
     fn digest_response_roundtrips() {
-        roundtrip_resp(Response::Digest {
-            known: false,
-            spec: None,
-            count: 0,
-            entry_hash: 0,
-            positions_hash: 0,
-            version: 0,
-            counters: None,
-        });
-        roundtrip_resp(Response::Digest {
-            known: true,
-            spec: Some(StrategySpec::round_robin(2)),
+        roundtrip_resp(Response::Digest(None));
+        roundtrip_resp(Response::Digest(Some(Digest {
+            spec: StrategySpec::round_robin(2),
             count: 17,
             entry_hash: 0xDEAD_BEEF_DEAD_BEEF,
             positions_hash: u64::MAX,
             version: 42,
             counters: Some((4, 21)),
-        });
-        // A bogus known flag is rejected.
+        })));
+        // A bogus presence flag is rejected, and so is a digest without
+        // a strategy.
         let mut w = Writer::new();
         w.u8(RESP_DIGEST).u8(9);
         assert!(Response::decode(&w.into_payload()).is_err());
+        let mut w = Writer::new();
+        w.u8(RESP_DIGEST).u8(1).u8(SPEC_NONE).u64(0).u64(0).u64(0).u64(0).u8(0);
+        assert_eq!(Response::decode(&w.into_payload()), Err(ClusterError::Decode("digest spec")));
     }
 
     #[test]
@@ -1129,15 +1074,10 @@ mod tests {
 
     #[test]
     fn snapshot_response_roundtrips() {
-        roundtrip_resp(Response::Snapshot {
-            entries: vec![],
-            positions: vec![],
-            counters: None,
-            version: 0,
-            tombstones: vec![],
-            spec: None,
-        });
-        roundtrip_resp(Response::Snapshot {
+        roundtrip_resp(Response::Snapshot(None));
+        roundtrip_resp(Response::Snapshot(Some(KeySnapshot {
+            key: b"song".to_vec(),
+            spec: StrategySpec::round_robin(2),
             entries: vec![b"a".to_vec(), b"bb".to_vec()],
             positions: vec![(3, b"a".to_vec())],
             counters: Some((1, 9)),
@@ -1146,8 +1086,11 @@ mod tests {
                 (b"gone".to_vec(), Tombstone { version: 12, born_ms: 1_700_000_000_000 }),
                 (b"older".to_vec(), Tombstone { version: 4, born_ms: 0 }),
             ],
-            spec: Some(StrategySpec::round_robin(2)),
-        });
+        })));
+        // A row without a strategy is refused.
+        let mut w = Writer::new();
+        w.u8(RESP_SNAPSHOT).u8(1).bytes(b"song").u8(SPEC_NONE);
+        assert_eq!(Response::decode(&w.into_payload()), Err(ClusterError::Decode("snapshot spec")));
     }
 
     #[test]

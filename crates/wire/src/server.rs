@@ -38,8 +38,8 @@ use crate::metrics::{
 };
 use crate::proto::{Entry, Request, Response, UNSUPPORTED_PREFIX};
 use crate::retry::{splitmix64, RetryPolicy, Timeouts};
-use crate::shard::{Applied, Digest, Shards};
-use crate::storage::{self, KeySnapshot, Recovered, Storage};
+use crate::shard::{Applied, Shards};
+use crate::storage::{self, Recovered, Storage};
 
 /// Static configuration of one server in the cluster.
 #[derive(Debug, Clone)]
@@ -210,12 +210,6 @@ pub struct Plan {
     /// decode.
     flight: Option<(ReqOp, Span)>,
     req_id: u64,
-}
-
-/// A view flattened to the `(id, addr)` tuples the Membership request
-/// and response carry.
-pub(crate) fn parts(view: &Membership) -> Vec<(u64, String)> {
-    view.members().iter().map(|m| (m.id, m.addr.clone())).collect()
 }
 
 impl Node {
@@ -437,23 +431,20 @@ impl Node {
                 Response::Status { keys: status.keys, entries: status.entries }
             }
             Request::Keys => Response::Keys(self.shards.keys()),
-            Request::Snapshot { key } => KeySnapshot::into_response(self.shards.snapshot(&key)),
-            Request::Digest { key } => Digest::into_response(self.shards.digest(&key)),
+            Request::Snapshot { key } => Response::Snapshot(self.shards.snapshot(&key)),
+            Request::Digest { key } => Response::Digest(self.shards.digest(&key)),
             Request::SpecOf { key } => Response::SpecOf(self.shards.spec_of(&key)),
             Request::Metrics { reset } => Response::Metrics(self.collect_metrics(reset)),
             // What this process's flight recorder retains for the request.
             Request::Trace { req } => Response::Spans(
                 pls_telemetry::recorder::installed().map(|r| r.spans_for(req)).unwrap_or_default(),
             ),
-            // Gossip: adopt the sender's view when it is newer (epoch 0 is
-            // a plain fetch), then reply with this server's. Both sides of
-            // the exchange end on the max of the two epochs.
-            Request::Membership { epoch, members } => {
-                if epoch > 0 {
-                    self.install(Membership::from_parts(epoch, members));
-                }
-                let view = self.shards.view();
-                Response::Membership { epoch: view.epoch(), members: parts(&view) }
+            // Gossip: adopt the sender's view when it is newer (a fetch's
+            // epoch-0 view never is), then reply with this server's. Both
+            // sides of the exchange end on the max of the two epochs.
+            Request::Membership(view) => {
+                self.install(view);
+                Response::Membership(self.shards.view())
             }
             Request::JoinLeave { join, leave } => self.join_leave(plan, join, leave)?,
         })
@@ -532,14 +523,10 @@ impl Node {
                 break (next, joiner);
             }
         };
-        let (epoch, members) = (next.epoch(), parts(&next));
         let me = self.shards.my_id();
         let told = next.ids().into_iter().filter(|&id| id != me && Some(id) != joiner);
-        plan.calls = told
-            .chain(leave)
-            .map(|id| (id, Request::Membership { epoch, members: members.clone() }))
-            .collect();
-        Ok(Response::Membership { epoch, members })
+        plan.calls = told.chain(leave).map(|id| (id, Request::Membership(next.clone()))).collect();
+        Ok(Response::Membership(next))
     }
 
     /// Installs `next` if it is strictly newer than the current view and

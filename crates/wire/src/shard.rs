@@ -40,7 +40,7 @@ use pls_net::{Endpoint, ServerId};
 use pls_telemetry::{SiteStats, TimedMutex};
 
 use crate::error::ClusterError;
-use crate::proto::{Entry, Response};
+use crate::proto::Entry;
 use crate::retry::splitmix64;
 use crate::storage::{
     entry_set_hash, fnv1a64, merge_rr_counters, position_set_hash, KeySnapshot, Recovered, Storage,
@@ -214,39 +214,6 @@ impl Digest {
     pub fn absent(spec: StrategySpec) -> Digest {
         Digest::new(spec, &[], std::iter::empty(), 0, None)
     }
-
-    /// The `Digest` answer for a key; `None` is the key this server does
-    /// not know.
-    pub fn into_response(digest: Option<Digest>) -> Response {
-        let (count, entry_hash, positions_hash, version, counters) = digest
-            .map(|d| (d.count, d.entry_hash, d.positions_hash, d.version, d.counters))
-            .unwrap_or_default();
-        Response::Digest {
-            known: digest.is_some(),
-            spec: digest.map(|d| d.spec),
-            count,
-            entry_hash,
-            positions_hash,
-            version,
-            counters,
-        }
-    }
-
-    /// A peer's `Digest` answer, if it knows the key.
-    pub fn from_response(resp: Response) -> Option<Digest> {
-        match resp {
-            Response::Digest {
-                known: true,
-                spec: Some(spec),
-                count,
-                entry_hash,
-                positions_hash,
-                version,
-                counters,
-            } => Some(Digest { spec, count, entry_hash, positions_hash, version, counters }),
-            _ => None,
-        }
-    }
 }
 
 impl KeySnapshot {
@@ -268,39 +235,6 @@ impl KeySnapshot {
             counters: e.rr_counters(),
             version: e.version(),
             tombstones: e.tombstones().map(|(v, t)| (v.clone(), t)).collect(),
-        }
-    }
-
-    /// The `Snapshot` answer for a key; `None` is the empty row of a key
-    /// this server does not know.
-    pub fn into_response(snap: Option<KeySnapshot>) -> Response {
-        let spec = snap.as_ref().map(|s| s.spec);
-        let (entries, positions, counters, version, tombstones) = snap
-            .map(|s| (s.entries, s.positions, s.counters, s.version, s.tombstones))
-            .unwrap_or_default();
-        Response::Snapshot { entries, positions, counters, version, tombstones, spec }
-    }
-
-    /// A peer's `Snapshot` answer for `key`, if it knows the key.
-    pub fn from_response(key: &[u8], resp: Response) -> Option<KeySnapshot> {
-        match resp {
-            Response::Snapshot {
-                entries,
-                positions,
-                counters,
-                version,
-                tombstones,
-                spec: Some(spec),
-            } => Some(KeySnapshot {
-                key: key.to_vec(),
-                spec,
-                entries,
-                positions,
-                counters,
-                version,
-                tombstones,
-            }),
-            _ => None,
         }
     }
 }
@@ -1047,7 +981,7 @@ mod tests {
     use pls_core::{DetRng, GroupRouter};
 
     use super::*;
-    use crate::proto::Request;
+    use crate::proto::{Request, Response};
     use crate::server::harness::{config, node, Cluster, SEED};
     use crate::server::{Node, ServerConfig};
     use crate::storage::open_sharded;
@@ -1198,7 +1132,7 @@ mod tests {
 
     /// A peer on another epoch can name a sender outside the key's group.
     /// Its message is refused — and must not leave an empty engine behind
-    /// that `Keys`, `Status`, `Digest{known: true}` and the next checkpoint
+    /// that `Keys`, `Status`, `Digest` and the next checkpoint
     /// would all report.
     #[test]
     fn a_refused_message_leaves_no_engine_behind() {
@@ -1680,28 +1614,5 @@ mod tests {
         let gone = KeySnapshot { key: b"song/gone".to_vec(), ..wanted };
         assert_eq!(shards.rebuild(gone, Some(absent)).unwrap(), Rebuilt::Created);
         assert_eq!(shards.status().keys, 3);
-    }
-
-    #[test]
-    fn answers_round_trip_through_their_wire_shape() {
-        let spec = StrategySpec::round_robin(2);
-        let (cluster, key, rows, _) = placed(spec);
-        let snap = rows[0].clone();
-        let back = KeySnapshot::from_response(&key, KeySnapshot::into_response(Some(snap.clone())));
-        assert_eq!(back, Some(snap));
-        assert_eq!(KeySnapshot::from_response(&key, KeySnapshot::into_response(None)), None);
-        let digest = cluster.nodes[0].shards().digest(&key);
-        assert_eq!(Digest::from_response(Digest::into_response(digest)), digest);
-        assert_eq!(Digest::from_response(Digest::into_response(None)), None);
-        let unknown = Response::Digest {
-            known: false,
-            spec: None,
-            count: 0,
-            entry_hash: 0,
-            positions_hash: 0,
-            version: 0,
-            counters: None,
-        };
-        assert_eq!(Digest::into_response(None), unknown);
     }
 }

@@ -10,10 +10,11 @@
 //!   strategy override, and the message itself in the same encoding the
 //!   wire protocol uses.
 //! * `checkpoint.bin` — a point-in-time snapshot of every key's engine
-//!   state in the `Snapshot` wire shape (entries, round-robin
-//!   positions, coordinator counters, per-key version, delete
-//!   tombstones, strategy), stamped with the highest WAL sequence it
-//!   covers and a trailing CRC. Written to `checkpoint.tmp` first,
+//!   state: one [`KeySnapshot`] row per key (key, strategy, entries,
+//!   round-robin positions, coordinator counters, per-key version,
+//!   delete tombstones) in the row codec a `Snapshot` answer carries too,
+//!   stamped with the highest WAL sequence it covers and a trailing
+//!   CRC. Written to `checkpoint.tmp` first,
 //!   fsynced, then atomically renamed. The header magic is `PLSCKPT2`;
 //!   a file with any other magic counts as absent.
 //!
@@ -54,7 +55,10 @@ use pls_net::{Endpoint, ServerId};
 use pls_telemetry::{Counter, Gauge, SiteStats, TimedMutex};
 
 use crate::error::ClusterError;
-use crate::proto::{decode_msg, decode_spec, encode_msg, encode_spec, Entry};
+use crate::proto::{
+    decode_list, decode_msg, decode_snapshot, decode_spec, encode_msg, encode_snapshot,
+    encode_spec, Entry,
+};
 use crate::wire::{Reader, Writer, MAX_FRAME};
 
 /// The write-ahead log file inside a data dir.
@@ -135,8 +139,11 @@ pub fn merge_rr_counters(a: Option<(u64, u64)>, b: Option<(u64, u64)>) -> Option
     }
 }
 
-/// One key's engine state in the `Snapshot` wire shape — what a
-/// checkpoint stores and recovery rebuilds from.
+/// One key's engine state: a row of a checkpoint, the answer to a
+/// `Snapshot` pull, and what recovery and repair rebuild from. The
+/// checkpoint and the answer share one row codec
+/// (`proto::encode_snapshot`/`decode_snapshot`), so they hold the same
+/// bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KeySnapshot {
     /// The key.
@@ -584,27 +591,8 @@ fn scan_wal(file: &mut File) -> Result<(Vec<WalRecord>, u64, bool), ClusterError
 fn encode_checkpoint(last_seq: u64, snaps: &[KeySnapshot]) -> Vec<u8> {
     let mut w = Writer::new();
     w.u64(CHECKPOINT_MAGIC).u64(last_seq).u32(snaps.len() as u32);
-    for s in snaps {
-        w.bytes(&s.key);
-        encode_spec(&mut w, &Some(s.spec));
-        w.bytes_list(&s.entries);
-        w.u32(s.positions.len() as u32);
-        for (pos, v) in &s.positions {
-            w.u64(*pos).bytes(v);
-        }
-        match s.counters {
-            Some((head, tail)) => {
-                w.u8(1).u64(head).u64(tail);
-            }
-            None => {
-                w.u8(0);
-            }
-        }
-        w.u64(s.version);
-        w.u32(s.tombstones.len() as u32);
-        for (v, t) in &s.tombstones {
-            w.bytes(v).u64(t.version).u64(t.born_ms);
-        }
+    for snap in snaps {
+        encode_snapshot(&mut w, snap);
     }
     w.into_payload()
 }
@@ -630,51 +618,7 @@ fn read_checkpoint(path: &Path) -> Option<(u64, Vec<KeySnapshot>)> {
             return Err(ClusterError::Decode("ckpt magic"));
         }
         let last_seq = r.u64("ckpt seq")?;
-        let count = r.u32("ckpt key count")? as usize;
-        if count > MAX_RECORD / 8 {
-            return Err(ClusterError::Decode("ckpt key count"));
-        }
-        let mut snaps = Vec::with_capacity(count.min(1024));
-        for _ in 0..count {
-            let key = r.bytes("ckpt key")?;
-            let spec = decode_spec(&mut r)?.ok_or(ClusterError::Decode("ckpt spec"))?;
-            let entries = r.bytes_list("ckpt entries")?;
-            let n_pos = r.u32("ckpt position count")? as usize;
-            if n_pos > MAX_RECORD / 8 {
-                return Err(ClusterError::Decode("ckpt position count"));
-            }
-            let mut positions = Vec::with_capacity(n_pos.min(1024));
-            for _ in 0..n_pos {
-                let pos = r.u64("ckpt position")?;
-                positions.push((pos, r.bytes("ckpt position entry")?));
-            }
-            let counters = match r.u8("ckpt counter flag")? {
-                0 => None,
-                1 => Some((r.u64("ckpt head")?, r.u64("ckpt tail")?)),
-                _ => return Err(ClusterError::Decode("ckpt counter flag")),
-            };
-            let version = r.u64("ckpt version")?;
-            let n_tomb = r.u32("ckpt tombstone count")? as usize;
-            if n_tomb > MAX_RECORD / 8 {
-                return Err(ClusterError::Decode("ckpt tombstone count"));
-            }
-            let mut tombstones = Vec::with_capacity(n_tomb.min(1024));
-            for _ in 0..n_tomb {
-                let v = r.bytes("ckpt tombstone entry")?;
-                let t_version = r.u64("ckpt tombstone version")?;
-                let born_ms = r.u64("ckpt tombstone born")?;
-                tombstones.push((v, Tombstone { version: t_version, born_ms }));
-            }
-            snaps.push(KeySnapshot {
-                key,
-                spec,
-                entries,
-                positions,
-                counters,
-                version,
-                tombstones,
-            });
-        }
+        let snaps = decode_list(&mut r, "ckpt key count", MAX_RECORD / 8, decode_snapshot)?;
         r.finish("checkpoint")?;
         Ok((last_seq, snaps))
     })();
@@ -689,7 +633,10 @@ fn read_checkpoint(path: &Path) -> Option<(u64, Vec<KeySnapshot>)> {
 
 #[cfg(test)]
 mod tests {
+    use pls_net::DetRng;
+
     use super::*;
+    use crate::proto::Response;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("pls-storage-{}-{tag}", std::process::id()));
@@ -1020,6 +967,73 @@ mod tests {
         drop(storage);
         let (_, rec) = Storage::open(&dir).unwrap();
         assert_eq!(rec.snapshots, snaps);
+    }
+
+    /// An empty entry one time in four, a 200-byte one one time in four,
+    /// a short one otherwise.
+    fn entry(rng: &mut DetRng) -> Entry {
+        let len = match rng.below(4) {
+            0 => 0,
+            1 => 200,
+            _ => 1 + rng.below(16),
+        };
+        (0..len).map(|_| rng.next_u64() as u8).collect()
+    }
+
+    /// A row under the strategy `case` picks (all five in turn), with
+    /// Round-Robin positions and, at a coordinator, counters.
+    fn random_snapshot(case: usize, rng: &mut DetRng) -> KeySnapshot {
+        let x = 1 + rng.below(5);
+        let spec = [
+            StrategySpec::full_replication(),
+            StrategySpec::fixed(x),
+            StrategySpec::random_server(x),
+            StrategySpec::round_robin(x),
+            StrategySpec::hash(x),
+        ][case % 5];
+        let round = matches!(spec, StrategySpec::RoundRobin { .. });
+        let entries = (0..rng.below(6)).map(|_| entry(rng)).collect();
+        let n_positions = if round { rng.below(6) } else { 0 };
+        let positions = (0..n_positions).map(|_| (rng.next_u64(), entry(rng))).collect();
+        let counters = (round && rng.coin_flip(0.5)).then(|| (rng.next_u64(), rng.next_u64()));
+        let tombstone =
+            |rng: &mut DetRng| Tombstone { version: rng.next_u64(), born_ms: rng.next_u64() };
+        let tombstones = (0..rng.below(4)).map(|_| (entry(rng), tombstone(rng))).collect();
+        KeySnapshot {
+            key: entry(rng),
+            spec,
+            entries,
+            positions,
+            counters,
+            version: rng.next_u64(),
+            tombstones,
+        }
+    }
+
+    /// One row codec, two files: a snapshot comes back unchanged from a
+    /// `Snapshot` answer and from a checkpoint.
+    #[test]
+    fn a_snapshot_round_trips_through_the_answer_and_the_checkpoint() {
+        let mut rng = DetRng::seed_from(0x5EED_C0DE);
+        let snaps: Vec<KeySnapshot> =
+            (0..256).map(|case| random_snapshot(case, &mut rng)).collect();
+        for (case, snap) in snaps.iter().enumerate() {
+            let answer = Response::Snapshot(Some(snap.clone()));
+            assert_eq!(Response::decode(&answer.encode()), Ok(answer), "case {case}");
+        }
+        for absent in [Response::Snapshot(None), Response::Digest(None)] {
+            assert_eq!(Response::decode(&absent.encode()), Ok(absent));
+        }
+        let dir = tmpdir("codec");
+        let (storage, _) = Storage::open(&dir).unwrap();
+        storage.checkpoint(0, &snaps).unwrap();
+        drop(storage);
+        let (_, rec) = Storage::open(&dir).unwrap();
+        assert_eq!(rec.snapshots.len(), snaps.len(), "the checkpoint must read back");
+        for (case, (back, snap)) in rec.snapshots.iter().zip(&snaps).enumerate() {
+            assert_eq!(back, snap, "case {case}");
+        }
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

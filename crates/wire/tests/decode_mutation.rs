@@ -10,10 +10,12 @@
 mod common;
 
 use common::{damage, random_bytes};
-use pls_core::{Message, StrategySpec, Tombstone};
+use pls_core::{Membership, Message, StrategySpec, Tombstone};
 use pls_net::DetRng;
 use pls_telemetry::{Histogram, MetricsSnapshot, SpanRecord};
 use pls_wire::proto::{Request, Response};
+use pls_wire::shard::Digest;
+use pls_wire::storage::KeySnapshot;
 
 const SEED: u64 = 0x18DE_C0DE;
 const MUTATION_ROUNDS: usize = 16_000;
@@ -52,10 +54,10 @@ fn requests() -> Vec<Request> {
         Request::Metrics { reset: true },
         Request::Trace { req: 0xDEAD_BEEF },
         Request::Digest { key },
-        Request::Membership {
-            epoch: 7,
-            members: vec![(0, "10.0.0.1:7000".into()), (3, "10.0.0.4:7000".into())],
-        },
+        Request::Membership(Membership::from_parts(
+            7,
+            vec![(0, "10.0.0.1:7000".into()), (3, "10.0.0.4:7000".into())],
+        )),
         Request::JoinLeave { join: Some("10.0.0.9:7000".into()), leave: Some(2) },
     ]
 }
@@ -75,14 +77,16 @@ fn responses() -> Vec<Response> {
         Response::Status { keys: 3, entries: 999 },
         Response::Error("not the coordinator".into()),
         Response::Keys(vec![b"a".to_vec(), b"bb".to_vec()]),
-        Response::Snapshot {
+        Response::Snapshot(Some(KeySnapshot {
+            key: b"song/stairway".to_vec(),
+            spec: StrategySpec::round_robin(2),
             entries: vec![entry.clone(), b"b".to_vec()],
             positions: vec![(3, entry.clone())],
             counters: Some((1, 9)),
             version: 17,
             tombstones: vec![(b"gone".to_vec(), Tombstone { version: 12, born_ms: 1_700 })],
-            spec: Some(StrategySpec::round_robin(2)),
-        },
+        })),
+        Response::Snapshot(None),
         Response::SpecOf(Some(StrategySpec::hash(3))),
         Response::Metrics(snap),
         Response::Spans(vec![SpanRecord {
@@ -93,16 +97,19 @@ fn responses() -> Vec<Response> {
             elapsed_us: 1234,
             fields: vec![("server".into(), "2".into())],
         }]),
-        Response::Digest {
-            known: true,
-            spec: Some(StrategySpec::random_server(5)),
+        Response::Digest(Some(Digest {
+            spec: StrategySpec::random_server(5),
             count: 17,
             entry_hash: 0xDEAD_BEEF_DEAD_BEEF,
             positions_hash: u64::MAX,
             version: 42,
             counters: Some((4, 21)),
-        },
-        Response::Membership { epoch: 42, members: vec![(1, "x:1".into()), (9, "y:2".into())] },
+        })),
+        Response::Digest(None),
+        Response::Membership(Membership::from_parts(
+            42,
+            vec![(1, "x:1".into()), (9, "y:2".into())],
+        )),
     ]
 }
 
@@ -126,7 +133,7 @@ fn damaged_and_random_frames_never_panic_a_decoder() {
         assert_eq!(Response::decode(&payload).as_ref(), Ok(resp));
         corpus.push(payload);
     }
-    assert_eq!(corpus.len(), 14 + 11, "one frame per variant");
+    assert_eq!(corpus.len(), 14 + 13, "one frame per variant, and the `None` answers");
 
     let mut rng = DetRng::seed_from(SEED);
     let (mut frames, mut accepted) = (0usize, 0usize);
