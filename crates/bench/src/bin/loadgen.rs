@@ -9,8 +9,7 @@
 //! log₂-histogram latency quantiles, probe decomposition, robustness
 //! totals, the server-side `runtime` block — lock contention per site,
 //! allocation deltas, queue depths — and, for mixed workloads against
-//! servers running the staleness probe, the measured consistency
-//! block).
+//! servers running anti-entropy, the measured consistency block).
 //!
 //! ```text
 //! loadgen --servers A,B,... --strategy SPEC [--t T] [--seed S]
@@ -514,8 +513,9 @@ fn run(opts: Options) -> Result<(), String> {
 
     // The cluster's own consistency observatory, read back after the
     // run: per-strategy live staleness gauges, tombstone totals, and
-    // the observed version-lag distribution. All zeros/empty when the
-    // servers run without --staleness-ms or the workload is read-only.
+    // the observed version-lag distribution, measured by the servers'
+    // repair rounds (`probe_rounds` counts them). All zeros/empty when the
+    // servers run without --antientropy-ms or the workload is read-only.
     let mut live_staleness: Vec<String> = after
         .gauges_of("pls_live_staleness")
         .filter_map(|(labels, p_fresh)| {
@@ -532,7 +532,7 @@ fn run(opts: Options) -> Result<(), String> {
     live_staleness.sort();
     let staleness = Object::new()
         .field("live", &array(live_staleness))
-        .u64("probe_rounds", after.counter_sum("pls_staleness_rounds_total"))
+        .u64("probe_rounds", after.counter_sum("pls_antientropy_rounds_total"))
         .f64("tombstones_live", after.gauge("pls_tombstones_live").unwrap_or(0.0))
         .u64("tombstones_gc", after.counter_sum("pls_tombstones_gc_total"))
         .field(
@@ -576,9 +576,9 @@ fn run(opts: Options) -> Result<(), String> {
     if updates + deletes > 0 {
         println!(
             "{updates} updates, {deletes} deletes ({} failed); \
-             staleness probe rounds seen: {}",
+             repair rounds seen: {}",
             tally.mutation_failures.get(),
-            after.counter_sum("pls_staleness_rounds_total"),
+            after.counter_sum("pls_antientropy_rounds_total"),
         );
     }
     println!("-> {}", path.display());

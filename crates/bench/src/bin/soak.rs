@@ -190,7 +190,7 @@ fn server_command(o: &Opts, p: &Ports, index: usize) -> Command {
         .args(["--seed", &o.seed.to_string(), "--shards", "2"])
         .args(["--data-dir", &o.data_dir.join(index.to_string()).to_string_lossy()])
         .args(["--checkpoint-every", "32", "--antientropy-ms", "1000"])
-        .args(["--staleness-ms", "500", "--tombstone-ttl-ms", "60000"])
+        .args(["--tombstone-ttl-ms", "60000"])
         .args(["--scrape-ms", &SCRAPE_MS.to_string()])
         .args(["--slo-fast-s", &SLO_FAST_S.to_string(), "--slo-slow-s", &SLO_SLOW_S.to_string()])
         .args(["--slo-latency-ms", "50"])

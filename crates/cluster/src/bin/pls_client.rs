@@ -416,7 +416,7 @@ fn render_stats_table(merged: &MetricsSnapshot) -> String {
         let _ = writeln!(out, "  live fault tol (t={t}) {:>8.0}", tol);
     }
 
-    // Consistency: the staleness-probe loop's live PBS-style gauge
+    // Consistency: the repair round's live PBS-style gauge
     // (probability a t-probe partial lookup returns the freshest
     // version), tombstone accounting, and the observed version lag.
     let mut staleness: Vec<(String, String, f64)> = merged
@@ -427,12 +427,7 @@ fn render_stats_table(merged: &MetricsSnapshot) -> String {
     let tombs_live = merged.gauge("pls_tombstones_live");
     let behind = merged.histogram("pls_staleness_versions_behind");
     if !staleness.is_empty() || tombs_live.is_some() || behind.is_some() {
-        section(
-            &mut out,
-            "consistency (versions, tombstones, measured staleness)",
-            &[("staleness rounds", "pls_staleness_rounds_total")],
-            merged,
-        );
+        let _ = writeln!(out, "consistency (versions, tombstones, measured staleness)");
         for (strategy, t, p) in staleness {
             // Targeted strategies probe deterministically chosen holders,
             // not a uniform sample — there the PBS estimate only bounds
@@ -702,7 +697,6 @@ mod tests {
             ("pls_wal_checkpoints_total", 3),
             ("pls_antientropy_rounds_total", 14),
             ("pls_antientropy_repairs_total", 1),
-            ("pls_staleness_rounds_total", 12),
             ("pls_tombstones_gc_total", 4),
             ("pls_alloc_allocs_total", 1000),
             ("pls_alloc_frees_total", 990),
@@ -779,7 +773,6 @@ durability & self-healing
   live fault tol (t=1)        2
   live fault tol (t=2)        1
 consistency (versions, tombstones, measured staleness)
-  staleness rounds             12
   P(fresh | full   t=1)   0.6667
   P(fresh | full   t=2)   1.0000
   P(fresh | round  t=1)   0.9000 (upper bound)
@@ -821,7 +814,6 @@ hottest keys               probes
     #[test]
     fn stats_table_shows_the_consistency_section_when_staleness_is_measured() {
         let mut snap = MetricsSnapshot::new();
-        snap.counters.push(("pls_staleness_rounds_total".to_string(), 12));
         snap.gauges.push(("pls_live_staleness{strategy=\"full\",t=\"1\"}".to_string(), 0.6667));
         snap.gauges.push(("pls_live_staleness{strategy=\"full\",t=\"2\"}".to_string(), 1.0));
         snap.gauges.push(("pls_tombstones_live".to_string(), 3.0));
@@ -831,7 +823,6 @@ hottest keys               probes
         snap.histograms.push(("pls_staleness_versions_behind".to_string(), behind.snapshot()));
         let table = render_stats_table(&snap);
         assert!(table.contains("consistency (versions, tombstones, measured staleness)"));
-        assert!(table.contains("staleness rounds             12"));
         assert!(table.contains("P(fresh | full   t=1)   0.6667"));
         assert!(table.contains("P(fresh | full   t=2)   1.0000"));
         assert!(table.contains("tombstones live               3"));

@@ -5,7 +5,7 @@
 //!            [--seed S] [--group-size G] [--log LEVEL]
 //!            [--metrics-addr HOST:PORT] [--slow-ms MS]
 //!            [--rpc-timeout-ms MS] [--op-budget-ms MS] [--data-dir DIR]
-//!            [--checkpoint-every N] [--antientropy-ms MS] [--staleness-ms MS]
+//!            [--checkpoint-every N] [--antientropy-ms MS]
 //!            [--tombstone-ttl-ms MS] [--shards N] [--scrape-ms MS]
 //!            [--slo-fast-s S] [--slo-slow-s S] [--slo-latency-ms MS]
 //!
@@ -58,13 +58,10 @@
 //!                   (default 256)
 //!   --antientropy-ms    background anti-entropy interval: compare
 //!                   per-key placement digests with the peers on a
-//!                   jittered ~MS cadence and repair divergent or
-//!                   under-replicated keys (default 5000; 0 disables)
-//!   --staleness-ms      background staleness-probe interval: sample
-//!                   live keys, compare per-key version clocks across
-//!                   the cluster, and refresh the PBS-style
-//!                   `pls_live_staleness{strategy,t}` gauge on a
-//!                   jittered ~MS cadence (default 2000; 0 disables)
+//!                   jittered ~MS cadence, repair divergent or
+//!                   under-replicated keys, and refresh the PBS-style
+//!                   `pls_live_staleness{strategy,t}` gauge from the same
+//!                   digests (default 5000; 0 disables both)
 //!   --tombstone-ttl-ms  how long delete tombstones are retained
 //!                   before garbage collection (default 900000 = 15
 //!                   min; must comfortably exceed --antientropy-ms so
@@ -135,7 +132,6 @@ fn parse_args() -> Result<(ServerConfig, Option<SocketAddr>, Option<JoinPlan>), 
     // and strategy are filled in below.
     let mut cfg = ServerConfig::new(0, Vec::new(), StrategySpec::full_replication(), 0);
     cfg.anti_entropy = millis(5_000);
-    cfg.staleness_probe = millis(2_000);
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let args = &mut args;
@@ -154,7 +150,6 @@ fn parse_args() -> Result<(ServerConfig, Option<SocketAddr>, Option<JoinPlan>), 
             "--data-dir" => cfg.data_dir = Some(flag(&arg, args)?),
             "--checkpoint-every" => cfg.checkpoint_every = flag(&arg, args)?,
             "--antientropy-ms" => cfg.anti_entropy = millis(flag(&arg, args)?),
-            "--staleness-ms" => cfg.staleness_probe = millis(flag(&arg, args)?),
             "--tombstone-ttl-ms" => cfg.tombstone_ttl = Duration::from_millis(flag(&arg, args)?),
             "--shards" => cfg.shards = flag(&arg, args)?,
             "--scrape-ms" => cfg.self_scrape = millis(flag(&arg, args)?),
@@ -169,9 +164,9 @@ fn parse_args() -> Result<(ServerConfig, Option<SocketAddr>, Option<JoinPlan>), 
                     "usage: pls-server --index N --peers A,B,... --strategy SPEC [--seed S] \
                      [--group-size G] [--log LEVEL] [--metrics-addr HOST:PORT] [--slow-ms MS] \
                      [--rpc-timeout-ms MS] [--op-budget-ms MS] [--data-dir DIR] \
-                     [--checkpoint-every N] [--antientropy-ms MS] [--staleness-ms MS] \
-                     [--tombstone-ttl-ms MS] [--shards N] [--scrape-ms MS] [--slo-fast-s S] \
-                     [--slo-slow-s S] [--slo-latency-ms MS]\n       pls-server --join \
+                     [--checkpoint-every N] [--antientropy-ms MS] [--tombstone-ttl-ms MS] \
+                     [--shards N] [--scrape-ms MS] [--slo-fast-s S] [--slo-slow-s S] \
+                     [--slo-latency-ms MS]\n       pls-server --join \
                      SEED_HOST:PORT --advertise HOST:PORT --strategy SPEC [same optional flags]"
                         .to_string(),
                 )

@@ -38,10 +38,6 @@ pub struct ClientConfig {
     /// probes and retries (the `--rpc-timeout-ms` / `--op-budget-ms`
     /// flags).
     pub timeouts: Timeouts,
-    /// Retry policy for updates. Lookup probes never retry one server —
-    /// they move on to the next, which is both faster and the paper's
-    /// §3.1 rule.
-    pub retry: RetryPolicy,
     /// Circuit-breaker tuning for each per-server connection pool.
     pub breaker: BreakerConfig,
     /// Hedge-delay floor for lookups: probes silent this long trigger
@@ -64,15 +60,14 @@ pub struct ClientConfig {
 }
 
 impl ClientConfig {
-    /// Convenience constructor with default time bounds, retries, and
-    /// breaker tuning, hedging disabled.
+    /// Convenience constructor with default time bounds and breaker
+    /// tuning, hedging disabled.
     pub fn new(servers: Vec<SocketAddr>, spec: StrategySpec, seed: u64) -> Self {
         ClientConfig {
             servers,
             spec,
             seed,
             timeouts: Timeouts::default(),
-            retry: RetryPolicy::default(),
             breaker: BreakerConfig::default(),
             hedge: None,
             group_size: DEFAULT_GROUP_SIZE,
@@ -201,7 +196,6 @@ pub struct Client {
     reports: (Sender<Probed>, Receiver<Probed>),
     rng: DetRng,
     timeouts: Timeouts,
-    retry: RetryPolicy,
     hedge: Option<Duration>,
     /// Lock-free runtime counters; most importantly the probes-per-lookup
     /// histogram (the live-measured §4.2 client lookup cost).
@@ -235,7 +229,6 @@ impl Client {
             reports: mpsc::channel(),
             rng: DetRng::seed_from(cfg.seed),
             timeouts: cfg.timeouts,
-            retry: cfg.retry,
             hedge: cfg.hedge,
             metrics: ClientMetrics::default(),
             ids: AtomicU64::new(first_id),
@@ -308,10 +301,11 @@ impl Client {
     /// Sends an update to its coordinator: the key's group position 0
     /// for Round-Robin-y keys, any reachable group member otherwise
     /// (tried in random order, sick members last). Each candidate is
-    /// retried under the client's [`RetryPolicy`]; the whole operation
-    /// is bounded by the per-operation budget.
+    /// retried under the default [`RetryPolicy`] (a lookup probe never
+    /// retries one server: it moves on to the next, the paper's §3.1
+    /// rule); the whole operation is bounded by the per-operation budget.
     fn update(&mut self, key: &[u8], req: Request) -> Result<(), ClusterError> {
-        let id = self.fresh_id();
+        let (id, retry) = (self.fresh_id(), RetryPolicy::default());
         let deadline = Deadline::within(self.timeouts.op_budget);
         let group = self.group_of(key);
         if matches!(self.spec_of(key), StrategySpec::RoundRobin { .. }) {
@@ -320,7 +314,7 @@ impl Client {
                 self.metrics.update_failures.inc();
                 return Err(ClusterError::NoServerAvailable);
             };
-            if let Err(err) = peer.call_retry(id, &req, &self.retry, deadline) {
+            if let Err(err) = peer.call_retry(id, &req, &retry, deadline) {
                 self.metrics.update_failures.inc();
                 pls_telemetry::debug!(
                     "update_failed",
@@ -342,7 +336,7 @@ impl Client {
             }
             let member = group[s.index()];
             let Some(peer) = self.peer_for(member) else { continue };
-            match peer.call_retry(id, &req, &self.retry, deadline) {
+            match peer.call_retry(id, &req, &retry, deadline) {
                 Ok(_) => return Ok(()),
                 Err(err) if err.is_unavailable() => {
                     // Failed server: retry on the next one.

@@ -604,21 +604,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_health_closes_an_open_breaker() {
-        let (addr, _server) = spawn_black_hole();
-        let cfg = BreakerConfig { failure_threshold: 1, cooldown: Duration::from_secs(3600) };
-        let client = PeerClient::with_policies(addr, tight_timeouts(), cfg);
-        let _ = client.call(1, &Request::Status);
-        assert!(!client.healthy());
-        assert_eq!(client.call(2, &Request::Status).unwrap_err(), ClusterError::PeerUnhealthy);
-        client.breaker().reset();
-        assert!(client.healthy(), "a reset breaker is closed");
-        // The next call reaches the network again (and times out there,
-        // not in the breaker).
-        assert_eq!(client.call(3, &Request::Status).unwrap_err(), ClusterError::Timeout("rpc"));
-    }
-
-    #[test]
     fn reconnects_after_peer_drops_connection() {
         let (addr, _server) = spawn_one_shot_server();
         let client = PeerClient::new(addr);

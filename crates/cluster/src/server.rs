@@ -258,8 +258,8 @@ impl Server {
     }
 
     /// Starts serving: an accept thread with one thread per connection,
-    /// and — when any of anti-entropy, the staleness probe or the
-    /// self-scrape is configured — one maintenance thread.
+    /// and — when anti-entropy or the self-scrape is configured — one
+    /// maintenance thread.
     ///
     /// Two rules the blocking shape makes load-bearing. **No
     /// [`TimedMutex`](pls_telemetry::TimedMutex) guard is alive across a
@@ -442,7 +442,9 @@ fn serve_connection(state: &State, mut socket: &TcpStream) -> Result<(), Cluster
 
 /// Makes a plan's calls in order, each with the request's id, under one
 /// operation budget: however many peers and retries they touch, the
-/// request is answered in bounded time.
+/// request is answered in bounded time. A `retry` call gets a second
+/// attempt, which papers over a transient blip; a message to a crashed
+/// peer is still dropped (the paper's failure model).
 fn call_all(
     state: &State,
     req_id: u64,
@@ -451,7 +453,7 @@ fn call_all(
 ) -> Result<(), ClusterError> {
     let cfg = state.cfg();
     let deadline = Deadline::within(cfg.timeouts.op_budget);
-    let policy = if retry { cfg.retry } else { RetryPolicy { max_attempts: 1, ..cfg.retry } };
+    let policy = RetryPolicy { max_attempts: if retry { 2 } else { 1 }, ..RetryPolicy::default() };
     for (dest, req) in calls {
         if state.stopping() {
             // Killed mid-fan-out: the rest is lost with the process, and

@@ -1,8 +1,8 @@
-//! Consistency-observatory tests: the background staleness-probe loop
-//! must pin `pls_live_staleness` at 1.0 on a quiet, fully-converged
-//! cluster (with an all-zero versions-behind histogram), and a
-//! chaos-delayed server that keeps missing broadcast updates must drive
-//! the gauge measurably below 1.0.
+//! Consistency-observatory tests: the anti-entropy round's staleness
+//! measurement must pin `pls_live_staleness` at 1.0 on a quiet,
+//! fully-converged cluster (with an all-zero versions-behind histogram),
+//! and a chaos-delayed server that keeps missing broadcast updates must
+//! drive the gauge measurably below 1.0.
 
 mod common;
 
@@ -23,11 +23,11 @@ fn tight() -> Timeouts {
     Timeouts::default().with_connect_ms(500).with_rpc_ms(300).with_op_budget_ms(3_000)
 }
 
-/// Spawns `n` servers with the staleness-probe loop enabled. When
-/// `chaos_at` names a server, it is fronted by a chaos proxy sharing
-/// `chaos` — everyone (client and peers alike) reaches it through the
-/// proxy, so injected delay postpones that server's view of every
-/// broadcast update without cutting it off.
+/// Spawns `n` servers with anti-entropy, and so the staleness
+/// measurement, enabled. When `chaos_at` names a server, it is fronted
+/// by a chaos proxy sharing `chaos` — everyone (client and peers alike)
+/// reaches it through the proxy, so injected delay postpones that
+/// server's view of every broadcast update without cutting it off.
 fn spawn_probing_cluster(
     n: usize,
     spec: StrategySpec,
@@ -49,7 +49,7 @@ fn spawn_probing_cluster(
         .map(|(i, listener)| {
             let cfg = ServerConfig {
                 timeouts: tight(),
-                staleness_probe: Some(probe_every),
+                anti_entropy: Some(probe_every),
                 ..ServerConfig::new(i, public_addrs.clone(), spec, seed)
             };
             Server::with_listener(cfg, listener).expect("server").0.spawn()
@@ -89,10 +89,10 @@ fn converged_cluster_pins_live_staleness_at_one() {
         (0..3).all(|i| {
             client
                 .metrics_of(i, false)
-                .is_ok_and(|m| m.counter("pls_staleness_rounds_total").unwrap_or(0) >= 2)
+                .is_ok_and(|m| m.counter("pls_antientropy_rounds_total").unwrap_or(0) >= 2)
         })
     });
-    assert!(probed, "staleness probes never ran");
+    assert!(probed, "repair rounds never ran");
 
     let merged = client.cluster_metrics(false).unwrap();
     let gauges = staleness_gauges(&merged);

@@ -71,7 +71,6 @@ fn metrics_exposition_passes_the_format_lint() {
         let cfg = ServerConfig {
             data_dir: Some(dir),
             anti_entropy: Some(Duration::from_millis(100)),
-            staleness_probe: Some(Duration::from_millis(100)),
             ..ServerConfig::new(i, addrs.clone(), spec, 77)
         };
         let (server, _) = Server::with_listener(cfg, listener).expect("server");

@@ -284,8 +284,10 @@ impl<V: Entry> NodeEngine<V> {
     /// [`NodeEngine::rebuild`] starts from [`Message::Reset`] (which
     /// clears tombstones) and replays the donor entries; call this after
     /// it with the merged donor metadata. The version only moves forward; a tombstone for an
-    /// entry the rebuilt store deliberately kept is dropped (the two
-    /// must never coexist — the caller decided the entry is live).
+    /// entry the rebuilt store deliberately kept is dropped (the caller
+    /// decided the entry is live) — except under Round-Robin-y, where a
+    /// holder of one entry at two positions keeps the tombstone of a
+    /// deleted copy beside the surviving one, live and rebuilt alike.
     pub fn set_version_meta(
         &mut self,
         version: u64,
@@ -293,6 +295,9 @@ impl<V: Entry> NodeEngine<V> {
     ) {
         self.node.version = self.node.version.max(version);
         self.node.tombstones = tombstones.into_iter().collect();
+        if matches!(self.spec, StrategySpec::RoundRobin { .. }) {
+            return;
+        }
         let live: Vec<V> =
             self.node.tombstones.keys().filter(|v| self.node.store.contains(v)).cloned().collect();
         for v in live {

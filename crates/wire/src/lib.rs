@@ -13,10 +13,10 @@
 //! * [`server`] — [`server::Node`]: every request a server answers, with
 //!   its accounting, returning the reply or the peer calls to make first;
 //!   and [`server::ServerConfig`];
-//! * [`maintenance`] — [`maintenance::Maintenance`]: anti-entropy, the
-//!   staleness probe and the self-scrape as a scheduler that names the
-//!   pulls it needs and reads their answers; cold-start resync is one of
-//!   its repair rounds;
+//! * [`maintenance`] — [`maintenance::Maintenance`]: anti-entropy (which
+//!   also measures staleness) and the self-scrape as a scheduler that
+//!   names the pulls it needs and reads their answers; cold-start resync
+//!   is one of its repair rounds;
 //! * [`retry`] — deadlines, backoff and the per-peer circuit breaker;
 //! * [`metrics`] — the server's and the client's counters, histograms
 //!   and live-quality gauges;

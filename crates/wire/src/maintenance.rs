@@ -1,24 +1,24 @@
 //! The server's background work as a scheduler that does no I/O.
-//! [`Maintenance`] owns the due times of anti-entropy, the staleness probe
-//! and the self-scrape, their round counters and the state of the round in
-//! progress. The shell asks it when it is next due
-//! ([`Maintenance::next_due`]) and what to pull ([`Maintenance::tick`]),
-//! carries each [`Pull`] to its peer and hands the answer back
-//! ([`Maintenance::absorb`]), which reads it — once, here. Between two calls
-//! nothing is locked, so no guard is held across a pull. Time comes in as
-//! `now_ms`, in the clock the [`Node`] is given.
+//! [`Maintenance`] owns the due times of anti-entropy and the self-scrape,
+//! their round counters and the state of the round in progress. The shell
+//! asks it when it is next due ([`Maintenance::next_due`]) and what to pull
+//! ([`Maintenance::tick`]), carries each [`Pull`] to its peer and hands the
+//! answer back ([`Maintenance::absorb`]), which reads it — once, here.
+//! Between two calls nothing is locked, so no guard is held across a pull.
+//! Time comes in as `now_ms`, in the clock the [`Node`] is given.
 //!
 //! A repair round gossips membership with one rotating member, learns the
 //! key universe (`Keys` from every other member), and then reconciles each
 //! key whose current group holds this server: the digests of the key's
-//! group first; when they look wrong, when the key is migrating (missing
-//! here among them) or in the rotating deep window, every donor's snapshot,
-//! merged by [`merge_donor_rows`]; a share proven divergent is rebuilt
-//! under the guard captured with this server's own row. A cold-start resync
+//! group first — which also measure the key's staleness; when they look
+//! wrong, when the key is migrating (missing here among them) or in the
+//! rotating deep window, every donor's snapshot, merged by
+//! [`merge_donor_rows`]; a share proven divergent is rebuilt under the
+//! guard captured with this server's own row. A cold-start resync
 //! ([`Maintenance::resync`]) is one such round without the gossip and the
 //! deep window. The round's tail garbage-collects tombstones, checkpoints
-//! what it repaired and refreshes the migration and fault-tolerance
-//! gauges.
+//! what it repaired and refreshes the migration, fault-tolerance and
+//! staleness gauges.
 
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
@@ -42,11 +42,6 @@ use crate::storage::KeySnapshot;
 /// Hash/Round-Robin divergence checks, in a window rotating with the round.
 const DEEP_KEYS: usize = 16;
 
-/// Keys sampled per staleness round, of which the hottest probed keys take
-/// up to [`HOT_KEYS`] slots.
-const SAMPLE_KEYS: usize = 16;
-const HOT_KEYS: usize = 8;
-
 /// The `t` both live gauges report: adversary thresholds of the §4.4
 /// fault tolerance, probe counts of the staleness estimate.
 const THRESHOLDS: [usize; 3] = [1, 2, 4];
@@ -54,9 +49,8 @@ const THRESHOLDS: [usize; 3] = [1, 2, 4];
 /// The jobs, in the order they run when due together, and the [`jitter`]
 /// stream each draws from.
 const REPAIR: usize = 0;
-const STALENESS: usize = 1;
-const SCRAPE: usize = 2;
-const STREAMS: [u64; 3] = [0, 0x5354_414C_4500, 0x5343_5241_5045];
+const SCRAPE: usize = 1;
+const STREAMS: [u64; 2] = [0, 0x5343_5241_5045];
 
 /// One peer call a round needs answered: `Keys`, `Digest`, `Snapshot` or a
 /// `Membership` push to member `from`. Every pull of a round carries its
@@ -77,21 +71,6 @@ pub struct Pull {
 fn jitter(salt: u64, round: u64) -> f64 {
     let r = splitmix64(salt ^ round.wrapping_mul(0x9E37_79B9_7F4A_7C15));
     0.5 + (r >> 11) as f64 / (1u64 << 53) as f64
-}
-
-/// Every index below `len`, starting where round `round`'s window of
-/// `width` starts: the rotation the deep checks and the staleness sample
-/// both walk, so every key comes up once every `len / width` rounds.
-fn rotation(round: u64, width: usize, len: usize) -> impl Iterator<Item = usize> {
-    let start = (round as usize).wrapping_mul(width).checked_rem(len).unwrap_or(0);
-    (0..len).map(move |i| (start + i) % len)
-}
-
-/// The first step of repairing a key and of measuring its staleness: the
-/// digests of the key's group, `members` (this server not among them).
-fn digests_of(key: &[u8], members: impl Iterator<Item = u64>, got: &mut Answers) -> Vec<Pull> {
-    got.digests.clear();
-    members.map(|from| Pull { from, request: Request::Digest { key: key.to_vec() } }).collect()
 }
 
 /// One periodic job: its interval, its [`jitter`] salt, its round counter
@@ -119,35 +98,27 @@ struct Answers {
     keys: Vec<Vec<u8>>,
     /// Members that answered `Keys`.
     listed: usize,
-    digests: Vec<Digest>,
+    /// `(member id, its digest)` in the order the pulls were issued.
+    digests: Vec<(u64, Digest)>,
     /// `(member id, its row)` in the order the pulls were issued.
     rows: Vec<(u64, KeySnapshot)>,
 }
 
 /// The round in progress.
 struct Round {
-    /// The job it runs for; `None` for a resync.
-    job: Option<usize>,
     /// The request id of every pull.
     id: u64,
     started_ms: u64,
     until_ms: u64,
-    work: Work,
-}
-
-// One per scheduler, never moved while it runs.
-#[allow(clippy::large_enum_variant)]
-enum Work {
-    Repair(Repair),
-    Staleness(Staleness),
+    repair: Repair,
 }
 
 /// The scheduler. See the module documentation.
 pub struct Maintenance {
     node: Arc<Node>,
-    /// Anti-entropy, the staleness probe and the self-scrape, in the order
-    /// they run when due together.
-    jobs: [Option<Job>; 3],
+    /// Anti-entropy and the self-scrape, in the order they run when due
+    /// together.
+    jobs: [Option<Job>; 2],
     round: Option<Round>,
     got: Answers,
     /// The epoch the last repair round started under: a newer one makes
@@ -163,7 +134,7 @@ impl Maintenance {
     /// interval after `now_ms`. A job without an interval never runs.
     pub fn new(node: Arc<Node>, now_ms: u64) -> Maintenance {
         let cfg = node.config();
-        let every = [cfg.anti_entropy, cfg.staleness_probe, cfg.self_scrape];
+        let every = [cfg.anti_entropy, cfg.self_scrape];
         let jobs = std::array::from_fn(|i| {
             let salt = cfg.seed ^ STREAMS[i] ^ cfg.me as u64;
             let mut job = Job { every_ms: every[i]?.as_millis() as u64, salt, round: 0, due_ms: 0 };
@@ -189,7 +160,7 @@ impl Maintenance {
     /// [`Maintenance::tick`] has no pull left.
     pub fn resync(node: Arc<Node>, now_ms: u64) -> Maintenance {
         let mut resync = Maintenance { jobs: Default::default(), ..Maintenance::new(node, now_ms) };
-        resync.begin(None, Work::Repair(Repair::new(None)), now_ms);
+        resync.begin(Repair::new(None), now_ms);
         resync
     }
 
@@ -220,23 +191,19 @@ impl Maintenance {
     /// Call it again once every pull is absorbed.
     pub fn tick(&mut self, now_ms: u64) -> Vec<Pull> {
         while !self.stopped {
-            if self.round.is_none() {
+            let Some(round) = self.round.as_mut() else {
                 let due = |job| self.due_ms(job).is_some_and(|due| due <= now_ms);
                 let Some(job) = (0..self.jobs.len()).find(|&job| due(job)) else { break };
                 self.start(job, now_ms);
                 continue;
-            }
-            let round = self.round.as_mut().expect("a round is in progress");
-            let (node, got) = (&self.node, &mut self.got);
+            };
             // A round whose budget is spent issues no more pulls; its tail
             // still runs on what it has.
-            let pulls = match &mut round.work {
-                _ if now_ms >= round.until_ms => Vec::new(),
-                Work::Repair(repair) => repair.step(node, got, round.id),
-                Work::Staleness(staleness) => staleness.step(node, got),
-            };
-            if !pulls.is_empty() {
-                return pulls;
+            if now_ms < round.until_ms {
+                let pulls = round.repair.step(&self.node, &mut self.got, round.id);
+                if !pulls.is_empty() {
+                    return pulls;
+                }
             }
             self.end(now_ms);
         }
@@ -253,7 +220,9 @@ impl Maintenance {
                 got.listed += 1;
                 got.keys.extend(keys);
             }
-            (Request::Digest { .. }, Response::Digest(digest)) => got.digests.extend(digest),
+            (Request::Digest { .. }, Response::Digest(Some(digest))) => {
+                got.digests.push((pull.from, digest));
+            }
             // A row about another key is no row of the pulled one.
             (Request::Snapshot { key }, Response::Snapshot(Some(row))) if row.key == key => {
                 got.rows.push((pull.from, row));
@@ -283,56 +252,38 @@ impl Maintenance {
 
     /// Starts the due `job`'s round; a scrape is over at once.
     fn start(&mut self, job: usize, now_ms: u64) {
-        let (node, round) =
-            (Arc::clone(&self.node), self.jobs[job].as_ref().map_or(0, |j| j.round));
-        let work = match job {
-            REPAIR => {
-                node.metrics().antientropy_rounds.inc();
-                self.epoch = node.epoch();
-                Work::Repair(Repair::new(Some(round)))
-            }
-            STALENESS => {
-                node.metrics().staleness_rounds.inc();
-                Work::Staleness(Staleness::new(&node, round))
-            }
-            _ => {
-                node.scrape(now_ms);
-                if let Some(scrape) = &mut self.jobs[SCRAPE] {
-                    scrape.schedule(now_ms);
-                }
-                return;
-            }
-        };
-        self.begin(Some(job), work, now_ms);
+        let Some(scheduled) = self.jobs[job].as_mut() else { return };
+        if job == SCRAPE {
+            self.node.scrape(now_ms);
+            scheduled.schedule(now_ms);
+            return;
+        }
+        let round = scheduled.round;
+        self.node.metrics().antientropy_rounds.inc();
+        self.epoch = self.node.epoch();
+        self.begin(Repair::new(Some(round)), now_ms);
     }
 
-    fn begin(&mut self, job: Option<usize>, work: Work, now_ms: u64) {
+    fn begin(&mut self, repair: Repair, now_ms: u64) {
         let until_ms = now_ms + self.node.config().timeouts.op_budget.as_millis() as u64;
         let id = self.node.next_id();
-        self.round = Some(Round { job, id, started_ms: now_ms, until_ms, work });
+        self.round = Some(Round { id, started_ms: now_ms, until_ms, repair });
     }
 
     fn end(&mut self, now_ms: u64) {
-        let Some(Round { job, id, started_ms, until_ms, work }) = self.round.take() else { return };
+        let Some(Round { id, started_ms, until_ms, repair }) = self.round.take() else { return };
         let (node, me) = (&self.node, self.node.config().me);
         if now_ms >= until_ms {
             pls_telemetry::info!("round_budget_exhausted", req = id, server = me);
         }
-        let took_us = (now_ms.saturating_sub(started_ms) * 1_000) as f64;
-        match work {
-            Work::Repair(repair) if job.is_none() => {
-                self.resynced = Some(repair.finish(node, id, now_ms));
-            }
-            Work::Repair(repair) => {
-                let _periodic_rounds_always_finish = repair.finish(node, id, now_ms);
-                node.metrics().antientropy_round_us.set(took_us);
-            }
-            Work::Staleness(staleness) => {
-                staleness.finish(node);
-                node.metrics().staleness_round_us.set(took_us);
-            }
+        if repair.periodic.is_none() {
+            self.resynced = Some(repair.finish(node, id, now_ms));
+            return;
         }
-        if let Some(job) = job.and_then(|job| self.jobs[job].as_mut()) {
+        let _periodic_rounds_always_finish = repair.finish(node, id, now_ms);
+        let took_us = (now_ms.saturating_sub(started_ms) * 1_000) as f64;
+        node.metrics().antientropy_round_us.set(took_us);
+        if let Some(job) = self.jobs[REPAIR].as_mut() {
             job.schedule(now_ms);
         }
     }
@@ -351,6 +302,8 @@ struct Repair {
     listed: usize,
     repaired: u64,
     ft_min: BTreeMap<usize, usize>,
+    /// Per `(strategy, t)`: the sum of per-key P(fresh), and the key count.
+    p_fresh: BTreeMap<(usize, usize), (f64, u64)>,
 }
 
 enum Stage {
@@ -390,6 +343,7 @@ impl Repair {
             listed: 0,
             repaired: 0,
             ft_min: BTreeMap::new(),
+            p_fresh: BTreeMap::new(),
         }
     }
 
@@ -415,6 +369,8 @@ impl Repair {
                     let keys = others.iter().map(|&from| Pull { from, request: Request::Keys });
                     gossip.into_iter().chain(keys).collect()
                 }
+                // The deep window rotates with the round, so every key comes
+                // up once every `len / DEEP_KEYS` rounds.
                 Stage::Listed => {
                     self.keys.append(&mut got.keys);
                     self.keys.sort();
@@ -422,7 +378,9 @@ impl Repair {
                     self.listed = got.listed;
                     if let Some(round) = self.periodic {
                         let len = self.keys.len();
-                        self.deep = rotation(round, DEEP_KEYS, len).take(DEEP_KEYS).collect();
+                        let start = (round as usize).wrapping_mul(DEEP_KEYS).checked_rem(len);
+                        let start = start.unwrap_or(0);
+                        self.deep = (0..len.min(DEEP_KEYS)).map(|i| (start + i) % len).collect();
                     }
                     if self.periodic.is_some() || self.listed > 0 {
                         self.stage = Stage::Next(0);
@@ -454,7 +412,9 @@ impl Repair {
             return self.capture(node, got, Deep { i, plan, suspect: true, mine: None });
         }
         let local = node.shards().digest(key);
-        let pulls = digests_of(key, plan.donors.iter().copied(), got);
+        got.digests.clear();
+        let digest = |&from| Pull { from, request: Request::Digest { key: key.clone() } };
+        let pulls = plan.donors.iter().map(digest).collect();
         self.stage = Stage::Digests { i, plan, local };
         pulls
     }
@@ -467,7 +427,12 @@ impl Repair {
         plan: RepairPlan,
         local: Option<Digest>,
     ) -> Vec<Pull> {
-        let digests = std::mem::take(&mut got.digests);
+        let answered = std::mem::take(&mut got.digests);
+        // Only the key's current group holds it for a lookup: a grace-overlap
+        // donor outside it feeds the verdict, never the staleness estimate.
+        let holders = answered.iter().filter(|(id, _)| plan.group.contains(id));
+        self.measure(node, local.into_iter().chain(holders.map(|(_, d)| *d)).collect());
+        let digests: Vec<Digest> = answered.into_iter().map(|(_, d)| d).collect();
         let spec = local.or(digests.first().copied()).map_or(node.config().spec, |d| d.spec);
         let suspect = digest_verdict(spec, local.as_ref(), &digests);
         // No reachable donor knows the key: nothing to compare against,
@@ -477,6 +442,48 @@ impl Repair {
             return Vec::new();
         }
         self.capture(node, got, Deep { i, plan, suspect, mine: None })
+    }
+
+    /// The staleness of one key, from everyone's digest of it, this
+    /// server's first: every holder's version against the freshest one
+    /// anyone knows, turned into the PBS-style `pls_live_staleness{strategy,t}`
+    /// gauge — the estimated probability that a partial lookup probing `t`
+    /// of a key's `h` holders reaches at least one fully fresh copy:
+    ///
+    /// ```text
+    ///   P(fresh) = 1 - C(h - f, t) / C(h, t)        (t capped at h)
+    /// ```
+    ///
+    /// where `f` is the number of holders at the freshest observed version.
+    /// Per-holder lags also feed `pls_staleness_versions_behind`. Versions are
+    /// only cluster-comparable under the broadcast strategies; under Hash and
+    /// Round-Robin the gauge bounds divergence rather than measuring freshness.
+    fn measure(&mut self, node: &Node, digests: Vec<Digest>) {
+        // The freshest version anyone knows counts even from a holder-less
+        // server: a delete can leave the freshest server empty while
+        // laggards still hold the entry.
+        let (Some(spec), Some(max_ver)) =
+            (digests.first().map(|d| d.spec), digests.iter().map(|d| d.version).max())
+        else {
+            return;
+        };
+        // Holders: the servers a partial lookup can draw from.
+        let holders: Vec<u64> = digests.iter().filter(|d| d.count > 0).map(|d| d.version).collect();
+        let h = holders.len();
+        if h == 0 {
+            return;
+        }
+        for &version in &holders {
+            node.metrics().staleness_versions_behind.observe(max_ver - version);
+        }
+        let fresh = holders.iter().filter(|&&version| version == max_ver).count();
+        for t in THRESHOLDS {
+            let t_capped = t.min(h);
+            let p_fresh = 1.0 - choose(h - fresh, t_capped) / choose(h, t_capped);
+            let slot = self.p_fresh.entry((strategy_index(spec), t)).or_insert((0.0, 0));
+            slot.0 += p_fresh;
+            slot.1 += 1;
+        }
     }
 
     /// The deep phase: every donor's full snapshot — the live placement
@@ -591,113 +598,13 @@ impl Repair {
         if !self.ft_min.is_empty() {
             *node.live_ft.lock() = self.ft_min;
         }
+        if !self.p_fresh.is_empty() {
+            *node.live_staleness.lock() =
+                self.p_fresh.into_iter().map(|(k, (sum, n))| (k, sum / n as f64)).collect();
+        }
         let (keys, repaired) = (self.keys.len(), self.repaired);
         pls_telemetry::debug!("repair_round_done", req = id, keys = keys, repaired = repaired);
         Ok(repaired as usize)
-    }
-}
-
-/// A staleness round: per sampled key, every holder's version against the
-/// freshest one anyone knows, turned into the PBS-style
-/// `pls_live_staleness{strategy,t}` gauge — the estimated probability that
-/// a partial lookup probing `t` of a key's `h` holders reaches at least one
-/// fully fresh copy:
-///
-/// ```text
-///   P(fresh) = 1 - C(h - f, t) / C(h, t)        (t capped at h)
-/// ```
-///
-/// where `f` is the number of holders at the freshest observed version.
-/// Per-holder lags also feed `pls_staleness_versions_behind`. Versions are
-/// only cluster-comparable under the broadcast strategies; under Hash and
-/// Round-Robin the gauge bounds divergence rather than measuring freshness.
-struct Staleness {
-    sample: Vec<Vec<u8>>,
-    next: usize,
-    /// `Some(this server's digest)` while the digests of the last key's
-    /// group are out.
-    waiting: Option<Option<Digest>>,
-    /// Per `(strategy, t)`: the sum of per-key P(fresh), and the key count.
-    acc: BTreeMap<(usize, usize), (f64, u64)>,
-}
-
-impl Staleness {
-    /// Samples the hottest probed keys first (the traffic that matters
-    /// most), then uniform picks rotating with the round, so cold keys
-    /// cycle through too.
-    fn new(node: &Node, round: u64) -> Staleness {
-        let mut keys = node.shards().keys();
-        keys.sort();
-        let hot = node.metrics().hot_keys.snapshot();
-        let mut sample: Vec<Vec<u8>> = hot
-            .top(HOT_KEYS)
-            .iter()
-            .filter(|e| keys.binary_search(&e.key).is_ok())
-            .map(|e| e.key.clone())
-            .collect();
-        let rest: Vec<Vec<u8>> = rotation(round, SAMPLE_KEYS, keys.len())
-            .map(|i| &keys[i])
-            .filter(|key| !sample.contains(key))
-            .take(SAMPLE_KEYS.saturating_sub(sample.len()))
-            .cloned()
-            .collect();
-        sample.extend(rest);
-        Staleness { sample, next: 0, waiting: None, acc: BTreeMap::new() }
-    }
-
-    fn step(&mut self, node: &Node, got: &mut Answers) -> Vec<Pull> {
-        loop {
-            if let Some(local) = self.waiting.take() {
-                self.measure(node, local.into_iter().chain(got.digests.drain(..)).collect());
-            }
-            let Some(key) = self.sample.get(self.next) else { return Vec::new() };
-            self.next += 1;
-            let shards = node.shards();
-            self.waiting = Some(shards.digest(key));
-            // Only the key's group can hold it: probing outside the group
-            // would count non-holders as laggards.
-            let group = shards.group_of(key).into_iter().filter(|&id| id != shards.my_id());
-            let pulls = digests_of(key, group, got);
-            if !pulls.is_empty() {
-                return pulls;
-            }
-        }
-    }
-
-    /// Accounts one key from everyone's digest of it, this server's first.
-    fn measure(&mut self, node: &Node, digests: Vec<Digest>) {
-        // The freshest version anyone knows counts even from a holder-less
-        // server: a delete can leave the freshest server empty while
-        // laggards still hold the entry.
-        let (Some(spec), Some(max_ver)) =
-            (digests.first().map(|d| d.spec), digests.iter().map(|d| d.version).max())
-        else {
-            return;
-        };
-        // Holders: the servers a partial lookup can draw from.
-        let holders: Vec<u64> = digests.iter().filter(|d| d.count > 0).map(|d| d.version).collect();
-        let h = holders.len();
-        if h == 0 {
-            return;
-        }
-        for &version in &holders {
-            node.metrics().staleness_versions_behind.observe(max_ver - version);
-        }
-        let fresh = holders.iter().filter(|&&version| version == max_ver).count();
-        for t in THRESHOLDS {
-            let t_capped = t.min(h);
-            let p_fresh = 1.0 - choose(h - fresh, t_capped) / choose(h, t_capped);
-            let slot = self.acc.entry((strategy_index(spec), t)).or_insert((0.0, 0));
-            slot.0 += p_fresh;
-            slot.1 += 1;
-        }
-    }
-
-    fn finish(self, node: &Node) {
-        if !self.acc.is_empty() {
-            *node.live_staleness.lock() =
-                self.acc.into_iter().map(|(k, (sum, n))| (k, sum / n as f64)).collect();
-        }
     }
 }
 
@@ -746,12 +653,7 @@ mod tests {
             assert!((0.5..1.5).contains(&jitter(0xC0FFEE ^ round, round)), "round {round}");
         }
         let every = Some(Duration::from_millis(1_000));
-        let all = |cfg| ServerConfig {
-            anti_entropy: every,
-            staleness_probe: every,
-            self_scrape: every,
-            ..cfg
-        };
+        let all = |cfg| ServerConfig { anti_entropy: every, self_scrape: every, ..cfg };
         let cluster = Cluster::new(3, StrategySpec::FullReplication, all);
         let dues: Vec<Vec<u64>> = cluster
             .nodes
@@ -767,7 +669,7 @@ mod tests {
         let mut distinct: Vec<u64> = dues.iter().flatten().copied().collect();
         distinct.sort_unstable();
         distinct.dedup();
-        assert_eq!(distinct.len(), 9, "three jobs on three servers, one seed: {dues:?}");
+        assert_eq!(distinct.len(), 6, "two jobs on three servers, one seed: {dues:?}");
     }
 
     #[test]
@@ -784,7 +686,6 @@ mod tests {
             assert_eq!(maint.tick(now), Vec::new(), "at {now}");
         }
         assert_eq!(node.metrics().antientropy_rounds.get(), 0);
-        assert_eq!(node.metrics().staleness_rounds.get(), 0);
         assert!(maint.next_due().is_some_and(|due| due > 60_000), "only the scrape is due");
         let bare = cluster.nodes[1].config().clone();
         let bare = ServerConfig { self_scrape: None, ..bare };
@@ -872,6 +773,75 @@ mod tests {
         // Nothing is divergent any more: the next round repairs nothing.
         cluster.repair(1);
         assert_eq!(cluster.nodes[1].metrics().antientropy_repairs.get(), 1);
+    }
+
+    /// `pls_live_staleness{strategy="full",t}` of `node`, per `t`.
+    fn p_fresh(node: &Node, t: usize) -> Option<f64> {
+        let m = node.collect_metrics(false);
+        m.gauge(&format!("pls_live_staleness{{strategy=\"full\",t=\"{t}\"}}"))
+    }
+
+    /// The digests a repair round pulls measure staleness: member 2 missed
+    /// one add, so two of the key's three holders are fresh, and a lookup
+    /// probing one holder reaches a fresh copy with probability 2/3.
+    #[test]
+    fn a_repair_round_measures_staleness_from_its_digests() {
+        let mut cluster = Cluster::new(3, StrategySpec::FullReplication, every_second);
+        place(&cluster, b"k", 4);
+        let at = &cluster.nodes[0];
+        let add = Request::Add { key: b"k".to_vec(), entry: b"late:6699".to_vec() };
+        let mut plan = at.serve(1, Ok(add), cluster.now_ms);
+        for (to, req) in std::mem::take(&mut plan.calls).into_iter().filter(|c| c.0 == 1) {
+            assert_eq!(cluster.call(to, req), Response::Ok);
+        }
+        assert_eq!(at.answer(plan, Ok(())).0, Response::Ok);
+        cluster.repair(0);
+        let node = &cluster.nodes[0];
+        assert!(p_fresh(node, 1).is_some_and(|p| (p - 2.0 / 3.0).abs() < 1e-12));
+        assert_eq!((p_fresh(node, 2), p_fresh(node, 4)), (Some(1.0), Some(1.0)));
+        let m = node.collect_metrics(false);
+        let behind = m.histogram("pls_staleness_versions_behind").unwrap();
+        assert_eq!((behind.count, behind.sum), (3, 1), "lags 0, 0 and 1");
+    }
+
+    /// A grace-overlap donor outside a key's current group answers the
+    /// round's digest pull, but no lookup can reach it: its stale copy
+    /// feeds the verdict, never the staleness estimate.
+    #[test]
+    fn a_grace_overlap_donor_is_not_counted_as_a_holder() {
+        let spec = StrategySpec::FullReplication;
+        let g3 = |cfg| ServerConfig { group_size: 3, ..every_second(cfg) };
+        let mut cluster = Cluster::new(3, spec, g3);
+        // A key that member 3's join moves off member 2 and leaves on 0.
+        let (next, joiner) = cluster.nodes[0].shards().view().with_join("127.0.0.1:9203");
+        assert_eq!(joiner, 3);
+        let router = pls_core::GroupRouter::new(3, crate::server::harness::SEED);
+        let moves = |key: &Vec<u8>| {
+            let group = router.group(&next, key);
+            group.contains(&0) && !group.contains(&2)
+        };
+        let key = (0..).map(|i| format!("key/{i}").into_bytes()).find(moves).unwrap();
+        place(&cluster, &key, 4);
+        for id in 0..3 {
+            cluster.call(id, Request::Membership(next.clone()));
+        }
+        let joiner = ServerConfig { membership: Some((3, next)), ..g3(config(0, 1, spec)) };
+        cluster.nodes.push(node(joiner, Vec::new(), Vec::new()).0);
+        for id in [3, 0, 1] {
+            cluster.repair(id);
+        }
+        let add = Request::Add { key: key.clone(), entry: b"late:6699".to_vec() };
+        assert_eq!(cluster.call(0, add), Response::Ok);
+        let lagging = cluster.nodes[2].shards().digest(&key);
+        assert!(lagging.is_some_and(|d| d.count == 4), "member 2 kept its copy and missed the add");
+        cluster.repair(0);
+        let node = &cluster.nodes[0];
+        for t in THRESHOLDS {
+            assert_eq!(p_fresh(node, t), Some(1.0), "t = {t}");
+        }
+        let m = node.collect_metrics(false);
+        let behind = m.histogram("pls_staleness_versions_behind").unwrap();
+        assert_eq!((behind.count, behind.sum), (3, 0), "members 0, 1 and 3, all fresh");
     }
 
     /// A donor that answers a key's `Snapshot` pull with a row for

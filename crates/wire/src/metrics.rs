@@ -180,8 +180,6 @@ pub struct ServerMetrics {
     /// Keys repaired by anti-entropy (divergent, under-replicated, or
     /// missing locally, rebuilt through the snapshot-pull path).
     pub antientropy_repairs: Counter,
-    /// Background staleness-probe rounds started.
-    pub staleness_rounds: Counter,
     /// Delete tombstones dropped by TTL garbage collection.
     pub tombstones_gc: Counter,
     /// The epoch of this server's current membership view. A live value
@@ -194,7 +192,7 @@ pub struct ServerMetrics {
     /// the migration sweep and anti-entropy drain the backlog. Live
     /// value, exempt from `reset`.
     pub migration_pending: Gauge,
-    /// Per-holder version lag observed by staleness probes: how many
+    /// Per-holder version lag observed by anti-entropy digests: how many
     /// versions behind the key's freshest known version each holder's
     /// copy was (0 = fully fresh).
     pub staleness_versions_behind: Histogram,
@@ -215,9 +213,6 @@ pub struct ServerMetrics {
     /// Wall-clock duration of the last completed anti-entropy round
     /// (µs).
     pub antientropy_round_us: Gauge,
-    /// Wall-clock duration of the last completed staleness-probe round
-    /// (µs).
-    pub staleness_round_us: Gauge,
 }
 
 impl Default for ServerMetrics {
@@ -243,7 +238,6 @@ impl ServerMetrics {
             internal_send_failures: Counter::new(),
             antientropy_rounds: Counter::new(),
             antientropy_repairs: Counter::new(),
-            staleness_rounds: Counter::new(),
             tombstones_gc: Counter::new(),
             membership_epoch: Gauge::new(),
             migration_entries: Counter::new(),
@@ -255,7 +249,6 @@ impl ServerMetrics {
             entry_hits: KeyedCounterMap::new(),
             inflight: Gauge::new(),
             antientropy_round_us: Gauge::new(),
-            staleness_round_us: Gauge::new(),
         }
     }
 
@@ -311,7 +304,6 @@ impl ServerMetrics {
         );
         s.push_counter("pls_antientropy_rounds_total", val(&self.antientropy_rounds, reset));
         s.push_counter("pls_antientropy_repairs_total", val(&self.antientropy_repairs, reset));
-        s.push_counter("pls_staleness_rounds_total", val(&self.staleness_rounds, reset));
         s.push_counter("pls_tombstones_gc_total", val(&self.tombstones_gc, reset));
         s.push_counter("pls_migration_entries_total", val(&self.migration_entries, reset));
         // Live membership state: the epoch and the migration backlog are
@@ -328,18 +320,13 @@ impl ServerMetrics {
         s.push_histogram("pls_probe_latency_us", hist(&self.probe_latency_us, reset));
         // Queue-depth gauges. In-flight is a live depth: resetting it
         // would make the pending decrements drive it negative, so it is
-        // exempt from `reset`. The round-duration gauges are
-        // last-observation samples and do drain.
+        // exempt from `reset`. The round-duration gauge is a
+        // last-observation sample and does drain.
         s.push_gauge(labeled("pls_queue_depth", &[("queue", "inflight")]), self.inflight.get());
-        for (queue, round_us) in [
-            ("antientropy_round_us", &self.antientropy_round_us),
-            ("staleness_round_us", &self.staleness_round_us),
-        ] {
-            s.push_gauge(
-                labeled("pls_queue_depth", &[("queue", queue)]),
-                read(round_us, reset, Gauge::take, Gauge::get),
-            );
-        }
+        s.push_gauge(
+            labeled("pls_queue_depth", &[("queue", "antientropy_round_us")]),
+            read(&self.antientropy_round_us, reset, Gauge::take, Gauge::get),
+        );
 
         let hits = read(&self.entry_hits, reset, KeyedCounterMap::take, KeyedCounterMap::snapshot);
         let hot = read(&self.hot_keys, reset, TopK::take, TopK::snapshot);
@@ -587,11 +574,9 @@ mod tests {
         let m = ServerMetrics::new();
         m.inflight.add(3.0);
         m.antientropy_round_us.set(1500.0);
-        m.staleness_round_us.set(800.0);
         let first = m.collect(&[], true);
         assert_eq!(first.gauge("pls_queue_depth{queue=\"inflight\"}"), Some(3.0));
         assert_eq!(first.gauge("pls_queue_depth{queue=\"antientropy_round_us\"}"), Some(1500.0));
-        assert_eq!(first.gauge("pls_queue_depth{queue=\"staleness_round_us\"}"), Some(800.0));
         // Reset drained the round durations but left the live depth, so
         // the pending decrements still land at zero, not below it.
         let second = m.collect(&[], false);

@@ -102,9 +102,8 @@ pub const CATALOGUE: &[Family] = &[
     row(Server, Gauge, "pls_live_coverage", &[], "Fraction of stored entries retrieved at least once.", "stats, tests/live_cluster.rs"),
     row(Server, Gauge, "pls_hot_key_probes", &["key"], "Space-Saving estimate of the hottest probed keys.", "stats, top"),
     row(Server, Gauge, "pls_live_fault_tolerance", &["t"], "Greedy-adversary fault tolerance of the live placement (min across anti-entropy-checked keys, per coverage threshold t).", "stats, tests/consistency.rs"),
-    row(Server, Gauge, "pls_live_staleness", &["strategy", "t"], "Estimated probability that a partial lookup probing t holders returns the freshest version (PBS-style, averaged over sampled keys, per strategy). Upper bound for the targeted strategies (hash, round): the estimator assumes probes sample holders uniformly, but those clients probe deterministically chosen holders.", "stats, SLO staleness, /debug/timeline, soak staleness audit, loadgen artifact"),
-    row(Server, Histogram, "pls_staleness_versions_behind", &[], "Per-holder version lag behind the freshest known version (staleness probes).", "stats, loadgen artifact"),
-    row(Server, Counter, "pls_staleness_rounds_total", &[], "Background staleness-probe rounds started.", "stats, loadgen artifact (CI bench-smoke)"),
+    row(Server, Gauge, "pls_live_staleness", &["strategy", "t"], "Estimated probability that a partial lookup probing t holders returns the freshest version (PBS-style, averaged over the keys a repair round compared, per strategy). Upper bound for the targeted strategies (hash, round): the estimator assumes probes sample holders uniformly, but those clients probe deterministically chosen holders.", "stats, SLO staleness, /debug/timeline, soak staleness audit, loadgen artifact"),
+    row(Server, Histogram, "pls_staleness_versions_behind", &[], "Per-holder version lag behind the freshest known version: one observation per holder of each key a repair round compared.", "stats, loadgen artifact"),
     row(Server, Gauge, "pls_tombstones_live", &[], "Delete tombstones currently held across this server's keys (awaiting TTL garbage collection).", "stats, loadgen artifact"),
     row(Server, Counter, "pls_tombstones_gc_total", &[], "Delete tombstones dropped by TTL GC.", "stats, loadgen artifact"),
     // Durability, repair, membership.
@@ -112,7 +111,7 @@ pub const CATALOGUE: &[Family] = &[
     row(Server, Counter, "pls_wal_fsyncs_total", &[], "WAL fsyncs issued (group commit coalesces appends).", "stats"),
     row(Server, Counter, "pls_wal_replayed_total", &[], "WAL records replayed into engines at startup.", "stats, CI crash grep, tests/durability.rs"),
     row(Server, Counter, "pls_wal_checkpoints_total", &[], "Checkpoint snapshots written.", "stats, tests/durability.rs"),
-    row(Server, Counter, "pls_antientropy_rounds_total", &[], "Background anti-entropy rounds started.", "stats, CI crash grep"),
+    row(Server, Counter, "pls_antientropy_rounds_total", &[], "Background anti-entropy rounds started.", "stats, loadgen artifact (CI bench-smoke), CI crash grep, tests/consistency.rs"),
     row(Server, Counter, "pls_antientropy_repairs_total", &[], "Keys repaired by anti-entropy.", "stats, tests/consistency.rs, tests/durability.rs"),
     row(Server, Gauge, "pls_membership_epoch", &[], "Epoch of the current membership view.", "soak epoch audit, tests/membership.rs"),
     row(Server, Counter, "pls_migration_entries_total", &[], "Entries applied through migration pulls.", "soak migration audit, CI churn grep, tests/membership.rs"),
@@ -134,7 +133,7 @@ pub const CATALOGUE: &[Family] = &[
     row(Server, Counter, "pls_alloc_freed_bytes_total", &[], "Bytes freed since the last reset.", "/debug/contention, loadgen artifact"),
     row(Server, Gauge, "pls_alloc_current_bytes", &[], "Bytes currently live on the process heap.", "/debug/contention, perf runbook step 2 (leak check)"),
     row(Server, Gauge, "pls_alloc_peak_bytes", &[], "High-water mark of live heap bytes (process-wide).", "stats, /debug/contention"),
-    row(Server, Gauge, "pls_queue_depth", &["queue"], "Queue depths and backlog proxies: in-flight requests, WAL group-commit batch size, last background round durations (us).", "stats, top, /debug/contention, /debug/timeline, soak inflight audit, loadgen artifact"),
+    row(Server, Gauge, "pls_queue_depth", &["queue"], "Queue depths and backlog proxies: in-flight requests, WAL group-commit batch size, last anti-entropy round duration (us).", "stats, top, /debug/contention, /debug/timeline, soak inflight audit, loadgen artifact"),
     // RPC robustness: servers (as each other's clients) and the client library.
     row(Both, Counter, "pls_rpc_timeouts_total", &[], "RPC attempts that hit their deadline.", "stats, loadgen artifact, CI chaos grep, tests/chaos.rs"),
     row(Both, Counter, "pls_rpc_retries_total", &[], "RPC attempts retried after a transient failure.", "stats, loadgen artifact"),

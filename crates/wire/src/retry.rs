@@ -261,20 +261,6 @@ impl Breaker {
         let g = self.inner.lock().expect("breaker lock");
         g.consecutive_failures == 0 && g.open_until.is_none()
     }
-
-    /// Forgets all accumulated state: streak, open window, and any
-    /// half-open trial — the breaker is closed and healthy again, as if
-    /// freshly built.
-    ///
-    /// Called when membership changes re-scope a peer: a server that
-    /// *left* the cluster must stop consuming half-open trial calls and
-    /// probe-order demotions forever, and one that *rejoins* (same id,
-    /// fresh process) deserves a clean slate instead of inheriting the
-    /// failure streak its dead predecessor earned.
-    pub fn reset(&self) {
-        let mut g = self.inner.lock().expect("breaker lock");
-        *g = BreakerInner::default();
-    }
 }
 
 #[cfg(test)]
@@ -344,37 +330,6 @@ mod tests {
         b.record_success();
         assert!(b.admit());
         assert!(b.healthy());
-    }
-
-    #[test]
-    fn reset_clears_open_circuit_streak_and_trial() {
-        let b = Breaker::new(BreakerConfig {
-            failure_threshold: 1,
-            cooldown: Duration::from_secs(3600),
-        });
-        // Open the circuit with a cooldown far in the future: without a
-        // reset, this peer would fast-fail for an hour.
-        b.record_failure();
-        assert!(!b.admit());
-        assert!(!b.healthy());
-        b.reset();
-        assert!(b.healthy(), "reset must close the circuit");
-        assert!(b.admit(), "reset must admit calls immediately");
-        // The admitted call is a normal closed-circuit call, not a
-        // half-open trial: a second call is admitted concurrently.
-        assert!(b.admit());
-        // Reset also clears a stuck half-open trial. Open, cool down,
-        // admit the trial, then reset while it is "in flight".
-        let b = Breaker::new(BreakerConfig {
-            failure_threshold: 1,
-            cooldown: Duration::from_millis(5),
-        });
-        b.record_failure();
-        std::thread::sleep(Duration::from_millis(10));
-        assert!(b.admit()); // half-open trial claimed
-        assert!(!b.admit()); // everyone else blocked on it
-        b.reset();
-        assert!(b.admit(), "reset must release the trial slot");
     }
 
     #[test]

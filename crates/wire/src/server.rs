@@ -37,7 +37,7 @@ use crate::metrics::{
     self, merged_site_snapshot, strategy_index, views, ReqOp, ServerMetrics, STRATEGY_LABELS,
 };
 use crate::proto::{Entry, Request, Response, UNSUPPORTED_PREFIX};
-use crate::retry::{splitmix64, RetryPolicy, Timeouts};
+use crate::retry::{splitmix64, Timeouts};
 use crate::shard::{Applied, Shards};
 use crate::storage::{self, Recovered, Storage};
 
@@ -60,10 +60,6 @@ pub struct ServerConfig {
     /// Time bounds on this server's own outbound RPCs (internal fan-out,
     /// resync pulls).
     pub timeouts: Timeouts,
-    /// Retry policy for internal fan-out to flaky peers. A message to a
-    /// *crashed* peer is still dropped (paper failure model); retries
-    /// only paper over transient blips within the operation budget.
-    pub retry: RetryPolicy,
     /// Durable data directory (write-ahead log + checkpoints). `None`
     /// keeps the server memory-only, exactly as before.
     pub data_dir: Option<PathBuf>,
@@ -72,13 +68,9 @@ pub struct ServerConfig {
     pub checkpoint_every: u64,
     /// Background anti-entropy repair interval; each round fires after
     /// a jittered multiple (0.5x–1.5x) of this so servers do not
-    /// synchronize. `None` disables the loop.
+    /// synchronize, and refreshes `pls_live_staleness` from the digests
+    /// it compares. `None` disables both.
     pub anti_entropy: Option<Duration>,
-    /// Background staleness-probe interval (same 0.5x–1.5x jitter as
-    /// anti-entropy): each round samples live keys, compares every
-    /// holder's per-key version via the Digest RPC, and refreshes the
-    /// `pls_live_staleness{strategy,t}` gauge. `None` disables the loop.
-    pub staleness_probe: Option<Duration>,
     /// How long delete tombstones are kept before the anti-entropy loop
     /// garbage-collects them. Must comfortably exceed the repair
     /// interval, or a lagging donor could outlive the marker that
@@ -137,11 +129,9 @@ impl ServerConfig {
             seed,
             slow_ms: None,
             timeouts: Timeouts::default(),
-            retry: RetryPolicy { max_attempts: 2, ..RetryPolicy::default() },
             data_dir: None,
             checkpoint_every: 256,
             anti_entropy: None,
-            staleness_probe: None,
             tombstone_ttl: Duration::from_secs(900),
             shards: default_shards(),
             self_scrape: Some(Duration::from_secs(2)),
@@ -174,7 +164,7 @@ pub struct Node {
     /// refreshed by anti-entropy rounds (min across deep-checked keys).
     pub(crate) live_ft: TimedMutex<BTreeMap<usize, usize>>,
     /// Latest live PBS-style staleness estimate per `(strategy index, t)`,
-    /// averaged across the keys the staleness round sampled.
+    /// averaged across the keys an anti-entropy round compared.
     pub(crate) live_staleness: TimedMutex<BTreeMap<(usize, usize), f64>>,
     /// Process-wide allocation counters as of this server's last
     /// `Metrics{reset}`. The counting allocator's totals are shared by

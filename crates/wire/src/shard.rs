@@ -1278,8 +1278,8 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// *Replay is apply*, for each strategy where it holds today. The two
-    /// cases where it does not are the `#[ignore]`d tests below.
+    /// *Replay is apply*, for each strategy where it holds today. The
+    /// case where it does not is the `#[ignore]`d test below.
     #[test]
     fn replay_is_apply() {
         assert_replay_is_apply("full", StrategySpec::FullReplication);
@@ -1289,7 +1289,7 @@ mod tests {
         assert_replay_is_apply("hash", StrategySpec::hash(2));
     }
 
-    /// Open defect (ROADMAP 1f): a checkpoint holds neither a
+    /// Open defect (ROADMAP 1c): a checkpoint holds neither a
     /// RandomServer-x reservoir's arrival count nor its RNG position, so
     /// with more entries than `x` a recovered server admits the logged
     /// tail against `h = x` and keeps another subset than the live one.
@@ -1300,14 +1300,12 @@ mod tests {
         assert_replay_is_apply("random-past-x", StrategySpec::random_server(4));
     }
 
-    /// Open defect (ROADMAP 1f): when one entry sits at two Round-Robin
-    /// positions and is deleted once, a holder of both keeps the tombstone
-    /// beside the surviving copy; a rebuild from a checkpoint drops that
-    /// tombstone (`set_version_meta`: the two never coexist there), so the
-    /// second recovery differs from the live server. `replay_is_apply`
-    /// keeps a key's entries a set (§2).
+    /// When one entry sits at two Round-Robin positions and is deleted
+    /// once, a holder of both keeps the tombstone beside the surviving
+    /// copy, and so must a rebuild from a checkpoint (`set_version_meta`
+    /// keeps both under Round-Robin-y), or the second recovery differs
+    /// from the live server.
     #[test]
-    #[ignore = "open defect: a checkpoint rebuild drops the tombstone of an entry added twice"]
     fn replay_is_apply_for_an_entry_added_twice() {
         let spec = StrategySpec::round_robin(2);
         let dir = scratch("replay-twice");
