@@ -18,7 +18,7 @@ use pls_net::{MessageCounter, MsgClass, ServerId};
 
 use crate::engine::NodeEngine;
 use crate::group::{Group, Scratch};
-use crate::lookup::SparePool;
+use crate::lookup::{Bookkeeping, SparePool};
 use crate::{
     ConfigError, DetRng, Entry, FailureSet, IndexedSet, LookupResult, Message, Placement,
     ServiceError, StrategySpec,
@@ -47,6 +47,8 @@ pub struct Cluster<V: Entry> {
     failures: FailureSet,
     counter: MessageCounter,
     rng: DetRng,
+    /// Lent to every lookup.
+    bookkeeping: Bookkeeping,
     /// What dropped lookup results gave back, for the next lookup.
     spares: SparePool<V>,
 }
@@ -67,6 +69,7 @@ impl<V: Entry> Cluster<V> {
             failures: FailureSet::new(n),
             counter: MessageCounter::new(),
             rng: DetRng::seed_from(seed ^ 0xC11E_27D5_EED5_EED5),
+            bookkeeping: Bookkeeping::default(),
             spares: SparePool::default(),
         })
     }
@@ -295,7 +298,8 @@ impl<V: Entry> Cluster<V> {
     pub fn partial_lookup(&mut self, t: usize) -> Result<LookupResult<V>, ServiceError> {
         // One processed lookup message per contacted server.
         let charge = |_| self.counter.record(MsgClass::Lookup);
-        self.group.lookup(t, &self.failures, &mut self.rng, &self.spares, charge)
+        let lent = (&mut self.bookkeeping, &self.spares);
+        self.group.lookup(t, &self.failures, &mut self.rng, lent, charge)
     }
 
     /// Runs one client update to quiescence, charging every message a
@@ -1167,6 +1171,46 @@ mod tests {
             (c.placement(), trace)
         };
         assert_eq!(run(42), run(42));
+    }
+
+    #[test]
+    fn recycling_never_changes_an_answer() {
+        for spec in [
+            StrategySpec::full_replication(),
+            StrategySpec::fixed(20),
+            StrategySpec::random_server(20),
+            StrategySpec::round_robin(2),
+            StrategySpec::hash(2),
+        ] {
+            let (mut dropping, mut keeping) =
+                (Cluster::new(10, spec, 30).unwrap(), Cluster::new(10, spec, 30).unwrap());
+            let mut live = ids(100);
+            for c in [&mut dropping, &mut keeping] {
+                c.place(live.clone()).unwrap();
+            }
+            // `t` over 35, 5, 15 and 100, an add and a delete per step, and
+            // server 3 down for a third of the run.
+            for step in 0..400u64 {
+                let (added, at) = (100 + step, step as usize * 7 % live.len());
+                let victim = std::mem::replace(&mut live[at], added);
+                for c in [&mut dropping, &mut keeping] {
+                    c.add(added).unwrap();
+                    c.delete(&victim).unwrap();
+                    match (130..260).contains(&step) {
+                        true => c.fail_server(ServerId::new(3)),
+                        false => c.recover_server(ServerId::new(3)),
+                    }
+                }
+                // The twin keeps its results and looks up in fresh bookkeeping.
+                keeping.bookkeeping = Bookkeeping::default();
+                let t = [35, 5, 15, 100][step as usize % 4];
+                let seen = dropping.partial_lookup(t).unwrap();
+                let kept = keeping.partial_lookup(t).unwrap();
+                assert_eq!(seen.contacted(), kept.contacted(), "{spec}, step {step}, t = {t}");
+                assert_eq!(seen.entries(), kept.into_entries(), "{spec}, step {step}, t = {t}");
+            }
+            assert_eq!(dropping.placement(), keeping.placement(), "{spec}");
+        }
     }
 
     #[test]

@@ -31,87 +31,20 @@
 //!   soon.
 //!
 //! Hashing is keyed per set, because the TCP server stores bytes that
-//! clients supply: a seed drawn from [`RandomState`] when the set is made,
-//! shared only with its clones, starts a fold-multiply hash. (Not
-//! `HashMap`'s SipHash: a lookup's merge hashes entries it has not touched
-//! before, and a long chain of dependent rounds waits out each of those
-//! cache misses in turn.)
+//! clients supply: a [`HashSeed`] drawn when the set is made, shared only
+//! with its clones, keys `pls-net`'s fold-multiply hash, one multiply per
+//! 16 bytes. (Not `HashMap`'s SipHash: a lookup's merge hashes entries it
+//! has not touched before, and a long chain of dependent rounds waits out
+//! each of those cache misses in turn.)
+//!
+//! A lookup's merge runs on storage its owner lends it (`reuse`,
+//! `drain_sample`): an empty set's table grows in its own buffer, cleared
+//! only to the size asked for.
 
-use std::collections::hash_map::RandomState;
 use std::fmt;
-use std::hash::{BuildHasher, Hash, Hasher};
+use std::hash::{BuildHasher, Hash};
 
-use pls_net::DetRng;
-
-/// The set's hash function: one 128-bit multiply, folded to 64 bits, per
-/// 8-byte word written — the construction of `pls-telemetry`'s
-/// `hash_bytes`, behind [`Hasher`] so that any `T: Hash` can be a member.
-/// The state starts at the set's seed, so which values share a tag cannot
-/// be told from outside the process; the output is not a digest.
-struct FoldHasher {
-    state: u64,
-}
-
-impl FoldHasher {
-    const K0: u64 = 0x9e37_79b9_7f4a_7c15;
-    const K1: u64 = 0xd6e8_feb8_6659_fd93;
-
-    /// The 128-bit product of `a` and `b`, folded to 64 bits.
-    #[inline]
-    fn fold(a: u64, b: u64) -> u64 {
-        let wide = u128::from(a) * u128::from(b);
-        (wide as u64) ^ ((wide >> 64) as u64)
-    }
-
-    #[inline]
-    fn mix(&mut self, word: u64) {
-        self.state = Self::fold(self.state ^ word, Self::K0);
-    }
-}
-
-impl Hasher for FoldHasher {
-    /// Whole words, then one last word of the 0 to 7 bytes left over with
-    /// the length in its top byte: a zero-padded tail cannot pass for a
-    /// longer string, and no choice of bytes cancels the length.
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        let mut words = bytes.chunks_exact(8);
-        for word in &mut words {
-            self.mix(u64::from_le_bytes(word.try_into().expect("chunks_exact(8) yields 8 bytes")));
-        }
-        let tail = words.remainder();
-        let mut last = [0u8; 8];
-        last[..tail.len()].copy_from_slice(tail);
-        last[7] = bytes.len() as u8;
-        self.mix(u64::from_le_bytes(last));
-    }
-
-    // A 64-bit id, or the length prefix of a slice, is one word, not an
-    // 8-byte string with a length word after it. (Narrower integers, and
-    // the `0xff` that ends a `str`, already are one word through `write`.)
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        self.mix(n);
-    }
-
-    #[inline]
-    fn write_usize(&mut self, n: usize) {
-        self.mix(n as u64);
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        Self::fold(self.state, Self::K1)
-    }
-}
-
-/// `value`'s hash under `seed`.
-#[inline]
-fn hash_with<T: Hash + ?Sized>(seed: u64, value: &T) -> u64 {
-    let mut hasher = FoldHasher { state: seed };
-    value.hash(&mut hasher);
-    hasher.finish()
-}
+use pls_net::{DetRng, HashSeed};
 
 /// One cell of the table: vacant, or a value's tag and position.
 #[derive(Clone, Copy)]
@@ -178,15 +111,14 @@ fn slots_for(cap: usize) -> usize {
 pub struct IndexedSet<T> {
     items: Vec<T>,
     slots: Vec<Slot>,
-    /// Where this set's [`FoldHasher`] starts. Never leaves the set.
-    seed: u64,
+    /// This set's hash key. Never leaves the set.
+    seed: HashSeed,
 }
 
 // Manual impl: the derive would wrongly require `T: Default`.
 impl<T> Default for IndexedSet<T> {
     fn default() -> Self {
-        // `RandomState::new()` is keyed per process and differs per call.
-        IndexedSet { items: Vec::new(), slots: Vec::new(), seed: RandomState::new().hash_one(0u64) }
+        IndexedSet { items: Vec::new(), slots: Vec::new(), seed: HashSeed::random() }
     }
 }
 
@@ -318,15 +250,7 @@ impl<T: Eq + Hash> IndexedSet<T> {
     /// about to be trimmed and handed on.
     pub fn into_sample(self, k: usize, rng: &mut DetRng) -> Vec<T> {
         let mut items = self.items;
-        let len = items.len();
-        if k >= len {
-            return items;
-        }
-        // Partial Fisher–Yates: the front `k` become a uniform `k`-subset.
-        for i in 0..k {
-            items.swap(i, i + rng.below(len - i));
-        }
-        items.truncate(k);
+        keep_random(&mut items, k, rng);
         items
     }
 
@@ -353,7 +277,7 @@ impl<T: Eq + Hash> IndexedSet<T> {
 
     #[inline]
     fn tag_of(&self, value: &T) -> u32 {
-        hash_with(self.seed, value) as u32
+        self.seed.hash_one(value) as u32
     }
 
     /// How far the occupant of slot `i` sits from its home slot.
@@ -441,10 +365,16 @@ impl<T: Eq + Hash> IndexedSet<T> {
     }
 
     /// Replaces the table with one of `new_len` slots. The stored tags
-    /// carry every bit a home slot needs, so no value is hashed again.
+    /// carry every bit a home slot needs, so no value is hashed again. An
+    /// empty set's table is its own buffer, cleared to `new_len` slots.
     fn rebuild(&mut self, new_len: usize) {
         // Tags and positions are 32 bits wide.
         assert!(new_len as u64 <= 1 << 32, "IndexedSet is limited to 2^32 slots");
+        if self.items.is_empty() {
+            self.slots.clear();
+            self.slots.resize(new_len, Slot::VACANT);
+            return;
+        }
         let mut slots = vec![Slot::VACANT; new_len];
         for slot in self.slots.iter().filter(|s| !s.is_vacant()) {
             let i = Self::probe(&slots, slot.tag, |_| false).expect_err("nothing matches");
@@ -454,12 +384,46 @@ impl<T: Eq + Hash> IndexedSet<T> {
     }
 }
 
+impl<T> IndexedSet<T> {
+    /// Empties the set into a set of `U` on the same table, key and, when a
+    /// `U` is the size of a `T`, item buffer (std's in-place `collect`).
+    /// A lent merge set's items are `&V`, and `usize` in between.
+    pub(crate) fn reuse<U>(&mut self) -> IndexedSet<U> {
+        let mut items = std::mem::take(&mut self.items);
+        items.clear();
+        let mut slots = std::mem::take(&mut self.slots);
+        slots.clear();
+        let items = items.into_iter().map(|_| unreachable!("cleared")).collect();
+        IndexedSet { items, slots, seed: self.seed }
+    }
+
+    /// [`into_sample`](IndexedSet::into_sample)'s elements, drained: the
+    /// set is left empty with its storage.
+    pub(crate) fn drain_sample(&mut self, k: usize, rng: &mut DetRng) -> std::vec::Drain<'_, T> {
+        self.slots.clear();
+        keep_random(&mut self.items, k, rng);
+        self.items.drain(..)
+    }
+}
+
+/// Partial Fisher–Yates: the front `k` of `items` are a uniform `k`-subset.
+fn keep_random<T>(items: &mut Vec<T>, k: usize, rng: &mut DetRng) {
+    let len = items.len();
+    if k >= len {
+        return;
+    }
+    for i in 0..k {
+        items.swap(i, i + rng.below(len - i));
+    }
+    items.truncate(k);
+}
+
 impl<T: Clone + Eq + Hash> IndexedSet<T> {
     /// `k` distinct uniformly random elements (all elements when
     /// `k >= len`), copied out: the "return t random entries from the
     /// stored entries" server behaviour of every strategy's lookup, for
     /// an answer that outlives its borrow of the store. A caller that
-    /// can hold the borrow takes `rng.subset_refs(set.as_slice(), k)`
+    /// can hold the borrow takes `rng.subset_refs(set.as_slice(), k, indices)`
     /// and copies only what it keeps.
     pub fn sample(&self, k: usize, rng: &mut DetRng) -> Vec<T> {
         rng.subset(&self.items, k)
@@ -510,6 +474,11 @@ pub(crate) mod tests {
     use std::cell::Cell;
     use std::collections::HashSet;
     use std::hash::Hasher;
+
+    /// `value`'s hash under `seed`.
+    fn hash_with<T: Hash + ?Sized>(seed: u64, value: &T) -> u64 {
+        HashSeed::new(seed).hash_one(value)
+    }
 
     thread_local! {
         static CLONES: Cell<usize> = const { Cell::new(0) };
@@ -808,6 +777,37 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn a_reused_set_keeps_its_storage_and_comes_back_empty() {
+        // Full, grown, half-removed: whatever state it is in.
+        let mut full: IndexedSet<u64> = (0..100).collect();
+        (0..100).step_by(2).for_each(|i| assert!(full.remove(&i)));
+        let (items, slots, seed) = (full.items.capacity(), full.slots.capacity(), full.seed);
+        let mut lent: IndexedSet<usize> = full.reuse();
+        assert!(full.is_empty() && full.seed == seed);
+        assert_eq!((lent.items.capacity(), lent.slots.capacity(), lent.seed), (items, slots, seed));
+        lent.assert_invariants();
+        lent.extend(500..540);
+        lent.assert_invariants();
+        // Drained, a set gives the elements `into_sample` gives, in its
+        // order and from the same draws, and keeps its storage.
+        let (mut a, mut b) = (DetRng::seed_from(9), DetRng::seed_from(9));
+        let expected = lent.clone().into_sample(25, &mut a);
+        assert_eq!(lent.drain_sample(25, &mut b).collect::<Vec<_>>(), expected);
+        assert_eq!(a.next_u64(), b.next_u64());
+        assert!(lent.is_empty() && lent.items.capacity() == items);
+        let mut back: IndexedSet<u64> = lent.reuse();
+        back.assert_invariants();
+        assert!(back.insert(7) && back.contains(&7) && !back.contains(&8));
+        // However large the table grew, a reused set's table is as long as
+        // its own reservation asks, and that is all that is cleared.
+        let mut huge: IndexedSet<u64> = (0..10_000).collect();
+        let mut small: IndexedSet<usize> = huge.reuse();
+        small.reserve(70);
+        assert_eq!(small.slots.len(), 256);
+        assert!(small.slots.capacity() >= 16_384);
+    }
+
+    #[test]
     fn hash_depends_on_seed_length_and_every_byte() {
         // `Vec<u8>` writes its length, then its bytes; `String` its bytes,
         // then `0xff`; `u64` one word.
@@ -864,6 +864,7 @@ pub(crate) mod tests {
             format!("{a:03}.{b:03}.{c:03}.{d:03}:06699/00042").into_bytes()
         };
         for seed in (0..1000u64).map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15)) {
+            let seed = HashSeed::new(seed);
             let mut ids = IndexedSet { items: Vec::new(), slots: Vec::new(), seed };
             ids.extend(1000..1100u64);
             let mut addresses = IndexedSet { items: Vec::new(), slots: Vec::new(), seed };
@@ -871,8 +872,8 @@ pub(crate) mod tests {
             assert_eq!(addresses.as_slice()[0].len(), 27);
             // 100 values: the fullest a 256-slot table gets is 112.
             assert_eq!((ids.slots.len(), addresses.slots.len()), (256, 256));
-            assert!(longest_probe(&ids) <= 8, "seed {seed:#x}: {}", longest_probe(&ids));
-            assert!(longest_probe(&addresses) <= 8, "seed {seed:#x}");
+            assert!(longest_probe(&ids) <= 8, "{seed:?}: {}", longest_probe(&ids));
+            assert!(longest_probe(&addresses) <= 8, "{seed:?}");
         }
     }
 

@@ -21,7 +21,7 @@ use std::hash::{Hash, Hasher};
 use pls_net::ServerId;
 
 use crate::group::{self, Group, Scratch};
-use crate::lookup::SparePool;
+use crate::lookup::{Bookkeeping, SparePool};
 use crate::{
     ConfigError, DetRng, Entry, FailureSet, LookupResult, Message, ServiceError, StrategySpec,
 };
@@ -91,6 +91,8 @@ pub struct Directory<K: Key, V: Entry> {
     update_load: Vec<u64>,
     /// Lent to whichever key is being updated.
     scratch: Scratch<V>,
+    /// Lent to every lookup, whatever its key.
+    bookkeeping: Bookkeeping,
     /// What dropped lookup results gave back, for any key's next lookup.
     spares: SparePool<V>,
 }
@@ -120,6 +122,7 @@ impl<K: Key, V: Entry> Directory<K, V> {
             lookup_load: vec![0; n],
             update_load: vec![0; n],
             scratch: Scratch::default(),
+            bookkeeping: Bookkeeping::default(),
             spares: SparePool::default(),
         })
     }
@@ -259,8 +262,8 @@ impl<K: Key, V: Entry> Directory<K, V> {
             group::check_lookup(t, &self.failures)?;
             return Ok(LookupResult::new(Vec::new(), Vec::new()));
         };
-        let load = &mut self.lookup_load;
-        group.lookup(t, &self.failures, &mut self.rng, &self.spares, |s| load[s.index()] += 1)
+        let (load, lent) = (&mut self.lookup_load, (&mut self.bookkeeping, &self.spares));
+        group.lookup(t, &self.failures, &mut self.rng, lent, |s| load[s.index()] += 1)
     }
 
     /// The entries a server stores for one key (empty for unknown keys).
@@ -407,36 +410,121 @@ mod tests {
         dir
     }
 
+    /// One key per strategy, each with a store of its own size.
+    const MIXED: [(&str, StrategySpec, u64); 5] = [
+        ("full", StrategySpec::FullReplication, 60),
+        ("fixed", StrategySpec::Fixed { x: 20 }, 100),
+        ("random", StrategySpec::RandomServer { x: 20 }, 150),
+        ("round", StrategySpec::RoundRobin { y: 2 }, 200),
+        ("hash", StrategySpec::Hash { y: 2 }, 80),
+    ];
+
+    /// A directory of the five [`MIXED`] keys, their entries `0..size`
+    /// made by `entry`.
+    fn mixed<V: Entry>(seed: u64, entry: fn(u64) -> V) -> Directory<&'static str, V> {
+        let spec_of = |key: &&str| MIXED.iter().find(|(k, ..)| k == key).expect("a mixed key").1;
+        let mut dir =
+            Directory::new(10, StrategyAssignment::PerKey(Box::new(spec_of)), seed).unwrap();
+        for (key, _, size) in MIXED {
+            dir.place(key, (0..size).map(entry).collect()).unwrap();
+        }
+        dir
+    }
+
+    /// Step `step` of a history on the [`MIXED`] keys, run on both `dirs`:
+    /// one key gains entry `200 + step` and loses a live one (with [`sized`]
+    /// entries, long ones come in, then short ones, so spares of one length
+    /// are written over with the other), and server 3 is down for a third of
+    /// the history, so that the single probe, the stride walk and the
+    /// shuffle all meet a server believed down. Returns the step's `t`.
+    fn advance<V: Entry>(
+        dirs: [&mut Directory<&'static str, V>; 2],
+        live: &mut [Vec<u64>],
+        step: u64,
+        entry: fn(u64) -> V,
+    ) -> usize {
+        let k = step as usize % MIXED.len();
+        let at = step as usize * 7 % live[k].len();
+        let victim = std::mem::replace(&mut live[k][at], 200 + step);
+        for dir in dirs {
+            dir.add(&MIXED[k].0, entry(200 + step)).unwrap();
+            dir.delete(&MIXED[k].0, &entry(victim)).unwrap();
+            match (150..300).contains(&step) {
+                true => dir.fail_server(ServerId::new(3)),
+                false => dir.recover_server(ServerId::new(3)),
+            }
+        }
+        [35, 5, 15, 100][step as usize % 4]
+    }
+
+    /// The twin keeps every result and looks up in fresh bookkeeping; the
+    /// other drops its results and lends its bookkeeping to every lookup.
     #[test]
     fn recycling_never_changes_an_answer() {
-        for spec in [
-            StrategySpec::full_replication(),
-            StrategySpec::fixed(20),
-            StrategySpec::random_server(20),
-            StrategySpec::round_robin(2),
-            StrategySpec::hash(2),
-        ] {
-            let (mut dropping, mut keeping) = (sized_key(spec, 13), sized_key(spec, 13));
-            let mut live: Vec<u64> = (0..100).collect();
-            let mut kept = Vec::new();
-            // Long entries come in, then short ones: spares of one length
-            // are written over with the other.
-            for step in 0..600 {
-                let (added, victim) = (sized(100 + step), sized(live[step as usize * 7 % 100]));
-                live[step as usize * 7 % 100] = 100 + step;
-                for dir in [&mut dropping, &mut keeping] {
-                    dir.add(&"k", added.clone()).unwrap();
-                    dir.delete(&"k", &victim).unwrap();
-                }
-                let t = [35, 5, 15][step as usize % 3];
-                let seen = dropping.partial_lookup(&"k", t).unwrap().entries().to_vec();
-                kept.push(keeping.partial_lookup(&"k", t).unwrap().into_entries());
-                assert_eq!(&seen, kept.last().unwrap(), "{spec}, step {step}");
+        let (mut dropping, mut keeping) = (mixed(13, sized), mixed(13, sized));
+        let mut live: Vec<Vec<u64>> = MIXED.iter().map(|(.., size)| (0..*size).collect()).collect();
+        for step in 0..450 {
+            let t = advance([&mut dropping, &mut keeping], &mut live, step, sized);
+            for (key, ..) in MIXED {
+                keeping.bookkeeping = Bookkeeping::default();
+                let seen = dropping.partial_lookup(&key, t).unwrap();
+                let kept = keeping.partial_lookup(&key, t).unwrap();
+                assert_eq!(seen.contacted(), kept.contacted(), "{key}, step {step}, t = {t}");
+                assert_eq!(seen.entries(), kept.into_entries(), "{key}, step {step}, t = {t}");
             }
-            assert_eq!(dropping.lookup_load(), keeping.lookup_load(), "{spec}");
-            assert_eq!(held(&dropping.spares).0, 1, "{spec}: one result at a time");
-            assert_eq!(held(&keeping.spares), (0, 0), "{spec}: kept entries are not given back");
         }
+        assert_eq!(dropping.lookup_load(), keeping.lookup_load());
+        assert_eq!(held(&dropping.spares).0, 1, "one result at a time");
+        assert_eq!(held(&keeping.spares), (0, 0), "kept entries are not given back");
+    }
+
+    thread_local! {
+        static ARMED: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    }
+
+    /// An entry whose `clone_from` panics once after [`ARMED`] is set.
+    #[derive(Debug, PartialEq, Eq, Hash)]
+    struct Fragile(u64);
+
+    impl Clone for Fragile {
+        fn clone(&self) -> Self {
+            Fragile(self.0)
+        }
+
+        fn clone_from(&mut self, source: &Self) {
+            assert!(!ARMED.with(|armed| armed.replace(false)), "clone_from of {source:?}");
+            self.0 = source.0;
+        }
+    }
+
+    #[test]
+    fn a_lookup_that_panics_halfway_leaves_nothing_behind() {
+        let (mut dropping, mut keeping) = (mixed(16, Fragile), mixed(16, Fragile));
+        let mut live: Vec<Vec<u64>> = MIXED.iter().map(|(.., size)| (0..*size).collect()).collect();
+        for step in 0..300 {
+            let t = advance([&mut dropping, &mut keeping], &mut live, step, Fragile);
+            for (key, ..) in MIXED {
+                // Every fiftieth step, one key's copy over a spare panics.
+                // Every draw comes before the copies, so the twin's lookup
+                // leaves the two in step; the next hundred answers, and
+                // all after them, must agree.
+                if step % 50 == 10 && key == MIXED[step as usize / 50 % MIXED.len()].0 {
+                    ARMED.with(|armed| armed.set(true));
+                    let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        dropping.partial_lookup(&key, t).map(|r| r.entries().len())
+                    }));
+                    assert!(panicked.is_err(), "{key}, step {step}: nothing was written over");
+                    assert!(!ARMED.with(|armed| armed.get()));
+                    keeping.partial_lookup(&key, t).unwrap();
+                    continue;
+                }
+                let seen = dropping.partial_lookup(&key, t).unwrap();
+                let kept = keeping.partial_lookup(&key, t).unwrap();
+                assert_eq!(seen.contacted(), kept.contacted(), "{key}, step {step}, t = {t}");
+                assert_eq!(seen.entries(), kept.into_entries(), "{key}, step {step}, t = {t}");
+            }
+        }
+        assert_eq!(dropping.lookup_load(), keeping.lookup_load());
     }
 
     #[test]

@@ -187,9 +187,13 @@ impl<V: Entry> NodeEngine<V> {
     /// the same order from the same draws, not copied. What the
     /// in-process drivers hand to their [`LookupPlan`](crate::LookupPlan),
     /// which copies only the entries it returns. The draws are made
-    /// before this returns; the iterator borrows the store alone.
-    pub fn sample_refs(&self, t: usize) -> impl ExactSizeIterator<Item = &V> {
-        self.rng.borrow_mut().subset_refs(self.node.store.as_slice(), t)
+    /// before this returns, into `indices` past Floyd's regime.
+    pub fn sample_refs<'b>(
+        &self,
+        t: usize,
+        indices: &'b mut Vec<usize>,
+    ) -> impl ExactSizeIterator<Item = &V> + use<'_, 'b, V> {
+        self.rng.borrow_mut().subset_refs(self.node.store.as_slice(), t, indices)
     }
 
     /// Round-robin coordinator counters `(head, tail)`, if this engine
@@ -1372,7 +1376,7 @@ mod tests {
         let mut by_ref = owned.clone();
         // Fewer than stored (Floyd, then Fisher–Yates), all, more than all.
         for t in [1, 5, 19, 20, 21, 500] {
-            let refs: Vec<u64> = by_ref.sample_refs(t).copied().collect();
+            let refs: Vec<u64> = by_ref.sample_refs(t, &mut Vec::new()).copied().collect();
             assert_eq!(refs, owned.sample(t), "t={t}");
             assert_eq!(refs.len(), t.min(20));
             // Both engines drew the same: their next draws agree too.

@@ -14,6 +14,7 @@ use std::collections::VecDeque;
 use pls_net::{Endpoint, ServerId};
 
 use crate::engine::{NodeEngine, Outbound};
+use crate::lookup::{Bookkeeping, SparePool};
 use crate::{
     lookup, ConfigError, DetRng, Entry, FailureSet, LookupPlan, LookupResult, Message,
     ServiceError, StrategySpec,
@@ -94,30 +95,30 @@ impl<V: Entry> Group<V> {
         Ok(())
     }
 
-    /// `partial_lookup(t)` by §3's client procedure for this strategy. Each
-    /// server the plan names is probed on the spot for `t` random entries of
-    /// its store, by reference (the plan copies the ones it returns, over
-    /// `spares`), and reported as `probed(server)`; a failed one is
-    /// unreachable.
+    /// `partial_lookup(t)` by §3's client procedure for this strategy, in
+    /// the bookkeeping the owner lends (`lent`). Each server the plan names
+    /// is probed on the spot for `t` random entries of its store, by
+    /// reference (the plan copies the ones it returns, over `spares`), and
+    /// reported as `probed(server)`; a failed one is unreachable.
     pub(crate) fn lookup(
         &self,
         t: usize,
         failures: &FailureSet,
         rng: &mut DetRng,
-        spares: &lookup::SparePool<V>,
+        (lent, spares): (&mut Bookkeeping, &SparePool<V>),
         mut probed: impl FnMut(ServerId),
     ) -> Result<LookupResult<V>, ServiceError> {
         check_lookup(t, failures)?;
-        let mut plan = LookupPlan::new(self.spec, t, failures, rng).recycling(spares);
+        let mut plan = LookupPlan::lent(Some(self.spec), t, failures, rng, lent, Some(spares));
         while let Some(s) = plan.next(rng) {
             if failures.is_failed(s) {
                 plan.unreachable(s);
             } else {
                 probed(s);
-                plan.answered(s, self.engines[s.index()].sample_refs(t));
+                plan.answered(s, self.engines[s.index()].sample_refs(t, &mut lent.indices));
             }
         }
-        Ok(plan.finish(rng))
+        Ok(plan.finish_lent(rng, lent))
     }
 }
 

@@ -23,17 +23,19 @@
 //! merged and trimmed as references, and only the entries of the result
 //! are copied. Either way a lookup copies no entry it does not return.
 //!
-//! In process, a dropped answer's storage serves the next lookup. `Cluster`
-//! and `Directory` each keep a small spare pool: a [`LookupResult`] they
-//! handed out gives its vector and its entries back to it when dropped —
-//! at most four vectors and 128 entries, past which a drop frees as it
-//! always did — and the next result is written over them, a `&V` answer
-//! with `clone_from`, so a `Vec<u8>` entry reuses its buffer. The entries
-//! and their order are the same either way. A caller that keeps its
-//! entries ([`into_entries`](LookupResult::into_entries)) gives nothing
-//! back, and the TCP client's plan has no pool.
+//! In process, a lookup whose result is dropped reaches no allocator.
+//! `Cluster` and `Directory` each lend every lookup one [`Bookkeeping`]
+//! and keep a small spare pool: a [`LookupResult`] they handed out gives
+//! its vector and its entries back to it when dropped — at most four
+//! vectors and 128 entries, past which a drop frees as it always did — and
+//! the next result is written over them, a `&V` answer with `clone_from`,
+//! so a `Vec<u8>` entry reuses its buffer. The draws, the probes and the
+//! entries are the same either way. A caller that keeps its entries
+//! ([`into_entries`](LookupResult::into_entries)) gives nothing back, and
+//! the TCP client's plan has no owner: it allocates its own bookkeeping.
 
 use std::hash::Hash;
+use std::mem::take;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use pls_net::{FailureSet, ServerId};
@@ -224,6 +226,20 @@ impl<V> Spares<V> {
     }
 }
 
+/// A lookup's storage, which its owner lends to every lookup: the probe
+/// order (`fall_back`'s too), Round-Robin's `visited` flags, the merge set
+/// (its items are references into the stores while a lookup merges) and
+/// `sample_refs`'s Fisher–Yates index vector. Each part is reset when it
+/// is lent, never trusted to come back clean: an entry's `clone_from` is
+/// caller code and may panic mid-lookup.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Bookkeeping {
+    queue: Vec<ServerId>,
+    visited: Vec<bool>,
+    merge: IndexedSet<usize>,
+    pub(crate) indices: Vec<usize>,
+}
+
 /// Whom to probe next.
 #[derive(Debug)]
 enum Order {
@@ -234,10 +250,10 @@ enum Order {
     /// no entries, so each adds `h/n` fresh ones. Left for random probing
     /// on the first unreachable (or believed-down) contact, as the paper
     /// prescribes, and when the walk cycles short of `t`.
-    Walk { cur: ServerId, y: usize, visited: Vec<bool>, abandoned: bool },
+    Walk { cur: ServerId, y: usize, abandoned: bool },
     /// RandomServer-x and Hash-y, and what the other two fall back to:
-    /// a uniformly random order, servers believed down last.
-    Shuffled(std::vec::IntoIter<ServerId>),
+    /// `queue`, a uniformly random order, servers believed down last.
+    Shuffled,
 }
 
 /// The form a probe's answer arrives in: the entry itself (`V`, moved
@@ -312,6 +328,9 @@ pub struct LookupPlan<'a, V, A = V> {
     t: usize,
     down: &'a FailureSet,
     order: Order,
+    /// [`Order::Shuffled`]'s servers, popped from the back.
+    queue: Vec<ServerId>,
+    visited: Vec<bool>,
     gathered: Gathered<V, A>,
     contacted: Contacted,
     /// What the result is written over and gives back to.
@@ -329,52 +348,51 @@ impl<'a, V: Entry, A: Answer<V>> LookupPlan<'a, V, A> {
     /// Panics if there are no servers at all (`down.len() == 0`) to pick
     /// the single probe or the walk's start from.
     pub fn new(spec: StrategySpec, t: usize, down: &'a FailureSet, rng: &mut DetRng) -> Self {
-        // With everyone believed down the belief ranks nobody: start anywhere.
-        let mut start =
-            || rng.random_operational_server(down).unwrap_or_else(|| rng.random_server(down.len()));
-        match spec {
-            StrategySpec::FullReplication | StrategySpec::Fixed { .. } => LookupPlan {
-                t,
-                down,
-                order: Order::One { first: start(), yielded: false },
-                gathered: Gathered::First(None),
-                contacted: Contacted::new(),
-                spares: None,
-            },
-            StrategySpec::RoundRobin { y } => {
-                let visited = vec![false; down.len()];
-                Self::merging(t, down, Order::Walk { cur: start(), y, visited, abandoned: false })
-            }
-            StrategySpec::RandomServer { .. } | StrategySpec::Hash { .. } => {
-                Self::shuffled(t, down, rng)
-            }
-        }
+        Self::lent(Some(spec), t, down, rng, &mut Bookkeeping::default(), None)
     }
 
     /// Random probing with merging whatever the strategy — the procedure
     /// of RandomServer-x and Hash-y, for callers that want it on any
     /// placement (wave probing, the stride-vs-random ablation).
     pub fn shuffled(t: usize, down: &'a FailureSet, rng: &mut DetRng) -> Self {
-        let order = probe_order(rng.shuffled_servers(down.len()), down);
-        Self::merging(t, down, Order::Shuffled(order))
+        Self::lent(None, t, down, rng, &mut Bookkeeping::default(), None)
     }
 
-    fn merging(t: usize, down: &'a FailureSet, order: Order) -> Self {
-        LookupPlan {
-            t,
-            down,
-            order,
-            gathered: Gathered::Merged(IndexedSet::new()),
-            contacted: Contacted::new(),
-            spares: None,
-        }
-    }
-
-    /// The result is written over `pool`'s spares, and given back to it
-    /// when dropped.
-    pub(crate) fn recycling(mut self, pool: &SparePool<V>) -> Self {
-        self.spares = Some(Arc::clone(pool));
-        self
+    /// The procedure of `spec` (`None`: [`shuffled`](LookupPlan::shuffled))
+    /// in `lent`'s parts, each cleared as it is taken, its result written
+    /// over `spares` and given back to them when dropped.
+    pub(crate) fn lent(
+        spec: Option<StrategySpec>,
+        t: usize,
+        down: &'a FailureSet,
+        rng: &mut DetRng,
+        lent: &mut Bookkeeping,
+        spares: Option<&SparePool<V>>,
+    ) -> Self {
+        let (mut queue, mut visited) = (take(&mut lent.queue), take(&mut lent.visited));
+        queue.clear();
+        visited.clear();
+        // With everyone believed down the belief ranks nobody: start anywhere.
+        let mut start =
+            || rng.random_operational_server(down).unwrap_or_else(|| rng.random_server(down.len()));
+        let (order, gathered) = match spec {
+            Some(StrategySpec::FullReplication | StrategySpec::Fixed { .. }) => {
+                (Order::One { first: start(), yielded: false }, Gathered::First(None))
+            }
+            Some(StrategySpec::RoundRobin { y }) => {
+                visited.resize(down.len(), false);
+                let walk = Order::Walk { cur: start(), y, abandoned: false };
+                (walk, Gathered::Merged(lent.merge.reuse()))
+            }
+            Some(StrategySpec::RandomServer { .. } | StrategySpec::Hash { .. }) | None => {
+                // `shuffled_servers`' draws, into the queue.
+                queue.extend((0..down.len() as u32).map(ServerId::new));
+                probe_order(&mut queue, down, rng);
+                (Order::Shuffled, Gathered::Merged(lent.merge.reuse()))
+            }
+        };
+        let (contacted, spares) = (Contacted::new(), spares.map(Arc::clone));
+        LookupPlan { t, down, order, queue, visited, gathered, contacted, spares }
     }
 
     /// `answer`, owned: written over a spare vector and spare entries when
@@ -407,16 +425,16 @@ impl<'a, V: Entry, A: Answer<V>> LookupPlan<'a, V, A> {
             return None;
         }
         match &mut self.order {
-            Order::Shuffled(rest) => rest.next(),
+            Order::Shuffled => self.queue.pop(),
             Order::One { first, yielded } if !*yielded => {
                 *yielded = true;
                 Some(*first)
             }
-            Order::Walk { cur, y, visited, abandoned }
-                if !(*abandoned || visited[cur.index()] || self.down.is_failed(*cur)) =>
+            Order::Walk { cur, y, abandoned }
+                if !(*abandoned || self.visited[cur.index()] || self.down.is_failed(*cur)) =>
             {
                 let s = *cur;
-                visited[s.index()] = true;
+                self.visited[s.index()] = true;
                 *cur = s.wrapping_add(*y, self.down.len());
                 Some(s)
             }
@@ -425,20 +443,17 @@ impl<'a, V: Entry, A: Answer<V>> LookupPlan<'a, V, A> {
     }
 
     /// The single probe or the walk gives way to random probing over
-    /// whoever has not been asked yet.
+    /// whoever has not been asked yet (the single probe visits nobody).
     #[cold]
     fn fall_back(&mut self, rng: &mut DetRng) -> Option<ServerId> {
-        let everyone = (0..self.down.len() as u32).map(ServerId::new);
-        let mut unasked: Vec<ServerId> = match &mut self.order {
-            Order::One { first, .. } => everyone.filter(|s| s != first).collect(),
-            Order::Walk { visited, .. } => everyone.filter(|s| !visited[s.index()]).collect(),
-            Order::Shuffled(rest) => return rest.next(),
-        };
-        rng.shuffle(&mut unasked);
-        let mut rest = probe_order(unasked, self.down);
-        let s = rest.next();
-        self.order = Order::Shuffled(rest);
-        s
+        let first = if let Order::One { first, .. } = self.order { Some(first) } else { None };
+        let visited = &self.visited;
+        let asked = |s: ServerId| Some(s) == first || visited.get(s.index()) == Some(&true);
+        self.queue.clear();
+        self.queue.extend((0..self.down.len() as u32).map(ServerId::new).filter(|s| !asked(*s)));
+        probe_order(&mut self.queue, self.down, rng);
+        self.order = Order::Shuffled;
+        self.queue.pop()
     }
 
     /// Server `s` answered with up to `t` entries of its store.
@@ -498,32 +513,52 @@ impl<'a, V: Entry, A: Answer<V>> LookupPlan<'a, V, A> {
     /// `t`-subset when merging over-delivered (the fairness model of §4.5
     /// has each entry returned with probability exactly `t/h`).
     pub fn finish(self, rng: &mut DetRng) -> LookupResult<V> {
+        self.result(rng, None)
+    }
+
+    /// [`finish`](LookupPlan::finish), giving the bookkeeping back.
+    pub(crate) fn finish_lent(
+        mut self,
+        rng: &mut DetRng,
+        lent: &mut Bookkeeping,
+    ) -> LookupResult<V> {
+        (lent.queue, lent.visited) = (take(&mut self.queue), take(&mut self.visited));
+        self.result(rng, Some(&mut lent.merge))
+    }
+
+    fn result(self, rng: &mut DetRng, lent: Option<&mut IndexedSet<usize>>) -> LookupResult<V> {
         let (contacted, spares) = (self.contacted, self.spares);
-        match self.gathered {
+        let entries = match self.gathered {
             // As it came, unchecked: the answer is its sender's word (over
             // TCP, another program's), not something the plan merged.
             Gathered::First(first) => {
-                LookupResult { entries: first.unwrap_or_default(), contacted, spares }
+                return LookupResult { entries: first.unwrap_or_default(), contacted, spares };
             }
             // Trimmed first, made owned after: what the trim drops was
-            // never copied.
-            Gathered::Merged(acc) => {
-                let kept = acc.into_sample(self.t, rng);
-                let mut result = LookupResult::new(Self::own(&spares, kept.into_iter()), contacted);
-                result.spares = spares;
-                result
-            }
-        }
+            // never copied. A lent set goes back emptied.
+            Gathered::Merged(mut acc) => match lent {
+                Some(merge) => {
+                    let entries = Self::own(&spares, acc.drain_sample(self.t, rng));
+                    *merge = acc.reuse();
+                    entries
+                }
+                None => Self::own(&spares, acc.into_sample(self.t, rng).into_iter()),
+            },
+        };
+        let mut result = LookupResult::new(entries, contacted);
+        result.spares = spares;
+        result
     }
 }
 
-/// `shuffled` with the servers believed down moved behind the others;
-/// each class keeps its shuffled order.
-fn probe_order(mut shuffled: Vec<ServerId>, down: &FailureSet) -> std::vec::IntoIter<ServerId> {
+/// Shuffles `queue` and moves the servers believed down behind the others,
+/// each class in its shuffled order; then reverses it, for `pop`.
+fn probe_order(queue: &mut [ServerId], down: &FailureSet, rng: &mut DetRng) {
+    rng.shuffle(queue);
     if down.failed_count() > 0 {
-        shuffled.sort_by_key(|s| down.is_failed(*s));
+        queue.sort_by_key(|s| down.is_failed(*s));
     }
-    shuffled.into_iter()
+    queue.reverse();
 }
 
 /// The server a client sends an update to (§5): for Round-Robin-y the
@@ -659,7 +694,10 @@ pub(crate) mod tests {
                         if down.is_failed(s) {
                             by_ref.unreachable(s);
                         } else {
-                            by_ref.answered(s, rng.subset_refs(&stores[s.index()], t));
+                            by_ref.answered(
+                                s,
+                                rng.subset_refs(&stores[s.index()], t, &mut Vec::new()),
+                            );
                         }
                     }
                     assert_eq!(by_ref.finish(rng), result, "{spec} t={t}");

@@ -14,6 +14,8 @@
 //! * [`DetRng`] — deterministic seeded randomness with the sampling helpers
 //!   the strategies need (random operational server, random `x`-subset,
 //!   shuffled probe orders).
+//! * [`HashSeed`] — the one keyed hash of the in-memory tables of
+//!   `pls-core` and `pls-telemetry`: 16 bytes per folded multiply.
 //! * [`Topology`] — hop-count graphs for the limited-reachability extension
 //!   (paper §7.2).
 //! * [`SimNet`] — a mailbox-per-server network with [`SimNet::send`],
@@ -43,6 +45,7 @@
 mod counter;
 mod error;
 mod fault;
+mod hash;
 mod id;
 mod net;
 mod rng;
@@ -51,6 +54,7 @@ mod topology;
 pub use counter::{MessageCounter, MsgClass};
 pub use error::SendError;
 pub use fault::FailureSet;
+pub use hash::{FoldHasher, HashSeed};
 pub use id::{Endpoint, ServerId};
 pub use net::{Envelope, SimNet};
 pub use rng::{splitmix64, DetRng};

@@ -34,21 +34,21 @@ const FLOYD_MAX: usize = 11;
 
 /// What [`DetRng::subset_refs`] iterates: the whole slice, or the items
 /// at the indices drawn — the first `len` of an inline array (Floyd), or
-/// a `Vec` (partial Fisher–Yates).
-enum Picked<'a, T> {
+/// the caller's index vector (partial Fisher–Yates).
+enum Picked<'a, 'b, T> {
     All(std::slice::Iter<'a, T>),
     Few(&'a [T], [usize; FLOYD_MAX], std::ops::Range<usize>),
-    Some(&'a [T], std::vec::IntoIter<usize>),
+    Some(&'a [T], std::slice::Iter<'b, usize>),
 }
 
-impl<'a, T> Iterator for Picked<'a, T> {
+impl<'a, T> Iterator for Picked<'a, '_, T> {
     type Item = &'a T;
 
     fn next(&mut self) -> Option<&'a T> {
         match self {
             Picked::All(items) => items.next(),
             Picked::Few(items, indices, at) => at.next().map(|i| &items[indices[i]]),
-            Picked::Some(items, indices) => indices.next().map(|i| &items[i]),
+            Picked::Some(items, indices) => indices.next().map(|&i| &items[i]),
         }
     }
 
@@ -61,7 +61,7 @@ impl<'a, T> Iterator for Picked<'a, T> {
     }
 }
 
-impl<T> ExactSizeIterator for Picked<'_, T> {}
+impl<T> ExactSizeIterator for Picked<'_, '_, T> {}
 
 /// A seeded random number generator with strategy-oriented helpers.
 ///
@@ -165,18 +165,19 @@ impl DetRng {
     /// A uniformly random subset of `k` items from `items`, without
     /// replacement (order unspecified). Returns all items when `k >= len`.
     pub fn subset<T: Clone>(&mut self, items: &[T], k: usize) -> Vec<T> {
-        self.subset_refs(items, k).cloned().collect()
+        self.subset_refs(items, k, &mut Vec::new()).cloned().collect()
     }
 
     /// [`subset`](DetRng::subset) before the copies: references to the
     /// `k` items, in the order `subset` returns them. Draws nothing when
-    /// `k >= len`. The choice is made before this returns, so the
-    /// iterator borrows `items` only.
-    pub fn subset_refs<'a, T>(
+    /// `k >= len`. The choice is made before this returns, past Floyd's
+    /// regime into `indices`, a vector the caller may keep.
+    pub fn subset_refs<'a, 'b, T>(
         &mut self,
         items: &'a [T],
         k: usize,
-    ) -> impl ExactSizeIterator<Item = &'a T> {
+        indices: &'b mut Vec<usize>,
+    ) -> impl ExactSizeIterator<Item = &'a T> + use<'a, 'b, T> {
         let len = items.len();
         if k >= len {
             return Picked::All(items.iter());
@@ -191,13 +192,13 @@ impl DetRng {
             return Picked::Few(items, picked, 0..k);
         }
         // The first k steps of a Fisher–Yates shuffle of 0..len.
-        let mut indices: Vec<usize> = (0..len).collect();
+        indices.clear();
+        indices.extend(0..len);
         for i in 0..k {
             let j = i + self.below_u64((len - i) as u64) as usize;
             indices.swap(i, j);
         }
-        indices.truncate(k);
-        Picked::Some(items, indices.into_iter())
+        Picked::Some(items, indices[..k].iter())
     }
 
     /// All server ids `0..n` in a uniformly random order — the probe order

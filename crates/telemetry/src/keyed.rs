@@ -25,7 +25,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
-use crate::hash::{hash_bytes, random_seed};
+use pls_net::HashSeed;
 
 /// Logs per map; threads beyond this many share a log.
 const STRIPES: usize = 16;
@@ -135,7 +135,7 @@ fn stripe_of_thread() -> usize {
 /// A map of independent `u64` counters, one per byte-string key.
 #[derive(Debug)]
 pub struct KeyedCounterMap {
-    seed: u64,
+    seed: HashSeed,
     stripes: [Stripe; STRIPES],
     table: Mutex<Table>,
 }
@@ -150,7 +150,7 @@ impl KeyedCounterMap {
     /// An empty map.
     pub fn new() -> Self {
         KeyedCounterMap {
-            seed: random_seed(),
+            seed: HashSeed::random(),
             stripes: Default::default(),
             table: Mutex::default(),
         }
@@ -163,19 +163,19 @@ impl KeyedCounterMap {
 
     /// Adds `n` to `key`'s counter (creating it at zero first).
     pub fn add(&self, key: &[u8], n: u64) {
-        let hash = hash_bytes(self.seed, key);
+        let hash = self.seed.hash_bytes(key);
         let mut log = self.stripes[stripe_of_thread()].0.lock().expect(POISONED);
         log.keys.extend_from_slice(key);
         let end = log.keys.len();
         log.incs.push((hash, n, end));
         if log.incs.len() == FLUSH_AT || end > LOG_BYTES {
-            self.fold(&mut log);
+            self.flush(&mut log);
         }
     }
 
     /// Moves `log` into the table under one table lock and empties it.
     /// The caller holds the log's stripe lock.
-    fn fold(&self, log: &mut Pending) {
+    fn flush(&self, log: &mut Pending) {
         if log.incs.is_empty() {
             return;
         }
@@ -194,14 +194,14 @@ impl KeyedCounterMap {
     /// Folds every stripe's log, then locks the table for the caller.
     fn folded(&self) -> MutexGuard<'_, Table> {
         for stripe in &self.stripes {
-            self.fold(&mut stripe.0.lock().expect(POISONED));
+            self.flush(&mut stripe.0.lock().expect(POISONED));
         }
         self.table.lock().expect(POISONED)
     }
 
     /// The counter for `key`, or `None` if it was never touched.
     pub fn get(&self, key: &[u8]) -> Option<u64> {
-        self.folded().get(hash_bytes(self.seed, key), key)
+        self.folded().get(self.seed.hash_bytes(key), key)
     }
 
     /// The number of distinct keys recorded.

@@ -28,7 +28,7 @@
 //!   exposition format for scraping.
 //! * [`trace`] — a structured logging facade (levels, key/value fields,
 //!   timing spans with optional request-id correlation) with the shape
-//!   of the `tracing` crate but zero dependencies, so binaries and
+//!   of the `tracing` crate but no dependency, so binaries and
 //!   tests can enable it unconditionally. Span fields stay un-rendered
 //!   ([`trace::FieldValue`]) until a line is printed or a record read.
 //! * [`recorder`] — the flight recorder: a ring of the last few
@@ -48,7 +48,8 @@
 //!   budgets with fast/slow-window burn rates fed from [`Timeline`]
 //!   deltas.
 //!
-//! Everything here is `std`-only. The recording path is atomics for
+//! Everything here is `std` and `pls-net`'s keyed hash, which `TopK` and
+//! `KeyedCounterMap` find keys by. The recording path is atomics for
 //! counters, gauges and histograms, one per-slot, per-thread-log or
 //! per-sketch mutex held for tens of nanoseconds for spans, keyed
 //! counters and the sketch (plus, every 64th keyed increment, the
@@ -66,7 +67,6 @@ pub mod alloc;
 pub mod contention;
 pub mod counter;
 pub mod gauge;
-mod hash;
 pub mod histogram;
 pub mod json;
 pub mod keyed;

@@ -24,7 +24,7 @@
 
 use std::sync::Mutex;
 
-use crate::hash::{hash_bytes, random_seed};
+use pls_net::HashSeed;
 
 /// What the scans read: a slot's key hash and its count.
 #[derive(Debug, Clone, Copy)]
@@ -59,14 +59,14 @@ struct Slots {
 #[derive(Debug)]
 pub struct TopK {
     capacity: usize,
-    seed: u64,
+    seed: HashSeed,
     inner: Mutex<Slots>,
 }
 
 impl TopK {
     /// A sketch monitoring at most `capacity` keys (minimum 1).
     pub fn new(capacity: usize) -> Self {
-        TopK { capacity: capacity.max(1), seed: random_seed(), inner: Mutex::default() }
+        TopK { capacity: capacity.max(1), seed: HashSeed::random(), inner: Mutex::default() }
     }
 
     /// The maximum number of monitored keys.
@@ -94,7 +94,7 @@ impl TopK {
         if n == 0 {
             return;
         }
-        let hash = hash_bytes(self.seed, key);
+        let hash = self.seed.hash_bytes(key);
         let mut guard = self.inner.lock().expect("topk lock poisoned");
         let Slots { tallies, slots } = &mut *guard;
         // Equal hashes are almost always equal keys; the loop only
