@@ -65,11 +65,11 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pls_bench::output::BenchReport;
-use pls_cluster::metrics::views::{self, hist_json};
 use pls_cluster::{flag, flag_list, parse_spec, Client, ClientConfig, Timeouts};
 use pls_telemetry::json::{array, number, string, Object};
 use pls_telemetry::trace;
 use pls_telemetry::{Counter, Histogram, HistogramSnapshot, MetricsSnapshot, Timeline};
+use pls_wire::metrics::views::{self, hist_json};
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Mode {

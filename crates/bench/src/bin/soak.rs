@@ -63,11 +63,11 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pls_bench::output::git_rev;
-use pls_cluster::metrics::views::TIMELINE_SERIES;
 use pls_cluster::{flag, parse_spec, Client, ClientConfig, Deadline, Timeouts};
 use pls_telemetry::json::{array, parse, Object, Value};
 use pls_telemetry::snapshot::family_of;
 use pls_telemetry::MetricsSnapshot;
+use pls_wire::metrics::views::TIMELINE_SERIES;
 
 /// Keys the workload cycles over.
 const KEYS: u64 = 24;

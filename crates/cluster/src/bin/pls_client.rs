@@ -59,10 +59,10 @@
 use std::net::SocketAddr;
 use std::process::ExitCode;
 
-use pls_cluster::metrics::views::{self, Rates};
 use pls_cluster::{flag, flag_list, parse_req_id, parse_spec, Client, ClientConfig, Timeouts};
 use pls_telemetry::trace;
 use pls_telemetry::{MetricsSnapshot, SpanRecord};
+use pls_wire::metrics::views::{self, Rates};
 
 struct Options {
     cfg: ClientConfig,
@@ -231,12 +231,10 @@ fn run(opts: Options) -> Result<(), String> {
             loop {
                 // Track churn live: joiners appear, drained members drop.
                 let _ = client.refresh_membership();
-                let per_server: Vec<(usize, Option<MetricsSnapshot>)> = client
-                    .membership_view()
-                    .ids()
-                    .into_iter()
-                    .map(|id| (id as usize, client.metrics_of(id as usize, false).ok()))
-                    .collect();
+                let per_server = client.metrics_by_member(false).unwrap_or_else(|err| {
+                    pls_telemetry::warn!("scrape_failed", err = err);
+                    client.membership_view().ids().into_iter().map(|id| (id, None)).collect()
+                });
                 let mut merged = MetricsSnapshot::new();
                 per_server.iter().filter_map(|(_, s)| s.as_ref()).for_each(|s| merged.merge(s));
                 // (Deltas run on the monotonic stamp; the wall-clock one is
@@ -564,7 +562,7 @@ fn render_stats_table(merged: &MetricsSnapshot) -> String {
 /// snapshots.
 fn render_top(
     merged: &MetricsSnapshot,
-    per_server: &[(usize, Option<MetricsSnapshot>)],
+    per_server: &[(u64, Option<MetricsSnapshot>)],
     delta: Option<&pls_telemetry::Delta>,
 ) -> String {
     use std::fmt::Write as _;

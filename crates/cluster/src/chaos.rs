@@ -28,10 +28,11 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::error::ClusterError;
+use pls_wire::error::ClusterError;
+use pls_wire::proto::Response;
+use pls_wire::retry::splitmix64;
+
 use crate::frame::{read_frame, write_frame};
-use crate::proto::Response;
-use crate::retry::splitmix64;
 use crate::sock::Acceptor;
 
 /// The fault (if any) drawn for one request.
@@ -340,8 +341,16 @@ fn drain(stream: &mut &TcpStream) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::retry::{BreakerConfig, Timeouts};
     use crate::rpc::PeerClient;
+    use pls_wire::proto::Request;
+    use pls_wire::retry::{BreakerConfig, Deadline, Timeouts};
+
+    /// One `Status` call, one attempt: the per-RPC deadline is the bound
+    /// that bites.
+    fn status(client: &PeerClient, id: u64) -> Result<Response, ClusterError> {
+        let deadline = Deadline::within(Duration::from_secs(5));
+        client.call(id, &Request::Status, 1, deadline).map(|(resp, _)| resp)
+    }
 
     #[test]
     fn per_mille_clamps() {
@@ -381,30 +390,30 @@ mod tests {
         cfg.set_error(1.0);
         let (_proxy, addr) = ChaosPeer::bind(None, Arc::clone(&cfg)).unwrap();
         let client = PeerClient::with_policies(addr, tight, lenient);
-        let err = client.call(7, &crate::proto::Request::Status).unwrap_err();
+        let err = status(&client, 7).unwrap_err();
         assert!(matches!(err, ClusterError::Remote(msg) if msg.contains("chaos")));
 
         // Garbage fault → Decode.
         cfg.set_error(0.0);
         cfg.set_garbage(1.0);
-        let err = client.call(8, &crate::proto::Request::Status).unwrap_err();
+        let err = status(&client, 8).unwrap_err();
         assert!(matches!(err, ClusterError::Decode(_)));
 
         // Black hole → rpc timeout.
         cfg.set_garbage(0.0);
         cfg.set_black_hole(1.0);
-        let err = client.call(9, &crate::proto::Request::Status).unwrap_err();
+        let err = status(&client, 9).unwrap_err();
         assert_eq!(err, ClusterError::Timeout("rpc"));
 
         // Half close → I/O error (EOF instead of a response).
         cfg.set_black_hole(0.0);
         cfg.set_half_close(1.0);
-        let err = client.call(10, &crate::proto::Request::Status).unwrap_err();
+        let err = status(&client, 10).unwrap_err();
         assert!(matches!(err, ClusterError::Io(_)));
 
         // All faults off, no upstream → Ok ack.
         cfg.set_half_close(0.0);
-        let resp = client.call(11, &crate::proto::Request::Status).unwrap();
+        let resp = status(&client, 11).unwrap();
         assert_eq!(resp, Response::Ok);
     }
 
@@ -435,14 +444,14 @@ mod tests {
         let client = PeerClient::with_policies(addr, tight, lenient);
         // Connections are accepted then dropped on sight: the call sees
         // a reset or EOF, never an answer.
-        let err = client.call(20, &crate::proto::Request::Status).unwrap_err();
+        let err = status(&client, 20).unwrap_err();
         assert!(
             matches!(err, ClusterError::Io(_)) || err == ClusterError::Timeout("rpc"),
             "unexpected refusal error: {err:?}"
         );
         // Back up: the very next call succeeds (fresh dial).
         cfg.set_refuse(false);
-        let resp = client.call(21, &crate::proto::Request::Status).unwrap();
+        let resp = status(&client, 21).unwrap();
         assert_eq!(resp, Response::Ok);
     }
 }

@@ -16,11 +16,11 @@ use pls_core::{
 use pls_net::ServerId;
 use pls_telemetry::trace::Span;
 use pls_telemetry::{Level, MetricsSnapshot, SpanRecord};
+use pls_wire::error::ClusterError;
+use pls_wire::metrics::ClientMetrics;
+use pls_wire::proto::{Entry, Request, Response};
+use pls_wire::retry::{splitmix64, BreakerConfig, Deadline, Timeouts};
 
-use crate::error::ClusterError;
-use crate::metrics::ClientMetrics;
-use crate::proto::{Entry, Request, Response};
-use crate::retry::{splitmix64, BreakerConfig, Deadline, RetryPolicy, Timeouts};
 use crate::rpc::{PeerBook, PeerClient};
 
 /// Client-side configuration: where the servers are and which strategy
@@ -112,13 +112,13 @@ impl ClientConfig {
 
 /// One probe for a [`Prober`] to make: the lookup's request id, the
 /// group position asked, whether this is a hedge, and the request with
-/// its time limit.
+/// the lookup's deadline.
 struct Probe {
     id: u64,
     pos: ServerId,
     hedged: bool,
     req: Request,
-    limit: Duration,
+    deadline: Deadline,
 }
 
 /// A [`Prober`]'s report: the lookup's request id, the position probed,
@@ -142,9 +142,10 @@ impl Prober {
     fn spawn(peer: Arc<PeerClient>, reports: Sender<Probed>) -> Prober {
         let (probes, queue) = mpsc::channel::<Probe>();
         let thread = std::thread::spawn(move || {
-            for Probe { id, pos, hedged, req, limit } in queue {
+            for Probe { id, pos, hedged, req, deadline } in queue {
                 let started = Instant::now();
-                let outcome = match peer.call_bounded_timed(id, &req, limit) {
+                // One attempt: the next server is the retry (§3.1).
+                let outcome = match peer.call(id, &req, 1, deadline) {
                     Ok((Response::Entries(entries), service_us)) => Ok((entries, service_us)),
                     // Byzantine answer: a fault of this server.
                     Ok((other, _)) => {
@@ -236,10 +237,6 @@ impl Client {
         }
     }
 
-    fn n(&self) -> usize {
-        self.view.len()
-    }
-
     /// The members of `key`'s placement group under the current view,
     /// in group order (position 0 is the round-robin coordinator).
     fn group_of(&self, key: &[u8]) -> Vec<u64> {
@@ -286,57 +283,41 @@ impl Client {
         self.key_specs.get(key).copied().unwrap_or(self.spec)
     }
 
-    /// A shuffled order over a key's placement group (as **group
-    /// positions**) in which to offer an update, with breaker-suspect
-    /// members demoted to the tail. The sort is stable, so each health
-    /// class keeps its shuffled order — healthy members still share load
-    /// uniformly, and sick ones are only tried once everyone else has
-    /// failed.
-    fn probe_order(&mut self, group: &[u64]) -> Vec<ServerId> {
-        let mut order = self.rng.shuffled_servers(group.len());
-        order.sort_by_key(|s| !self.peers.healthy(group[s.index()]));
+    /// The members to offer an update to, in order: the coordinator alone
+    /// (group position 0) for a Round-Robin-y key, §5.4; otherwise the
+    /// key's whole group shuffled, with breaker-suspect members demoted to
+    /// the tail. The sort is stable, so each health class keeps its
+    /// shuffled order — healthy members still share load uniformly, and
+    /// sick ones are only tried once everyone else has failed.
+    fn update_order(&mut self, key: &[u8]) -> Vec<u64> {
+        let group = self.group_of(key);
+        if matches!(self.spec_of(key), StrategySpec::RoundRobin { .. }) {
+            return vec![group[0]];
+        }
+        let mut order: Vec<u64> =
+            self.rng.shuffled_servers(group.len()).iter().map(|s| group[s.index()]).collect();
+        order.sort_by_key(|member| !self.peers.healthy(*member));
         order
     }
 
-    /// Sends an update to its coordinator: the key's group position 0
-    /// for Round-Robin-y keys, any reachable group member otherwise
-    /// (tried in random order, sick members last). Each candidate is
-    /// retried under the default [`RetryPolicy`] (a lookup probe never
-    /// retries one server: it moves on to the next, the paper's §3.1
-    /// rule); the whole operation is bounded by the per-operation budget.
+    /// Sends an update to the first member of [`Client::update_order`]
+    /// that takes it. Each candidate gets 3 attempts (a lookup probe gets
+    /// one: it moves on to the next server, the paper's §3.1 rule) and the
+    /// whole operation one budget. A candidate that is unavailable passes
+    /// the update on to the next; a `Remote` answer is the cluster's
+    /// refusal and is not tried elsewhere.
     fn update(&mut self, key: &[u8], req: Request) -> Result<(), ClusterError> {
-        let (id, retry) = (self.fresh_id(), RetryPolicy::default());
+        let id = self.fresh_id();
         let deadline = Deadline::within(self.timeouts.op_budget);
-        let group = self.group_of(key);
-        if matches!(self.spec_of(key), StrategySpec::RoundRobin { .. }) {
-            let coordinator = group[0];
-            let Some(peer) = self.peer_for(coordinator) else {
-                self.metrics.update_failures.inc();
-                return Err(ClusterError::NoServerAvailable);
-            };
-            if let Err(err) = peer.call_retry(id, &req, &retry, deadline) {
-                self.metrics.update_failures.inc();
-                pls_telemetry::debug!(
-                    "update_failed",
-                    req = id,
-                    coordinator = coordinator,
-                    err = err
-                );
-                return Err(err);
-            }
-            return Ok(());
-        }
-        let order = self.probe_order(&group);
         let mut last_err = ClusterError::NoServerAvailable;
-        for s in order {
+        for member in self.update_order(key) {
             if deadline.expired() {
                 self.metrics.op_budget_exhausted.inc();
                 last_err = ClusterError::Timeout("op-budget");
                 break;
             }
-            let member = group[s.index()];
             let Some(peer) = self.peer_for(member) else { continue };
-            match peer.call_retry(id, &req, &retry, deadline) {
+            match peer.call(id, &req, 3, deadline) {
                 Ok(_) => return Ok(()),
                 Err(err) if err.is_unavailable() => {
                     // Failed server: retry on the next one.
@@ -383,9 +364,20 @@ impl Client {
     ) -> Result<(), ClusterError> {
         // Engines are group-local: the spec must fit the key's group
         // (the whole cluster only when it's no larger than the group).
-        spec.validate(self.n().min(self.router.group_size()).max(1))?;
-        self.key_specs.insert(key.to_vec(), spec);
-        self.update(key, Request::Place { key: key.to_vec(), entries, spec: Some(spec) })
+        spec.validate(self.view.len().min(self.router.group_size()).max(1))?;
+        // Recorded before the update, which routes by it (a Round-Robin
+        // place goes to the coordinator); a refused place puts back what
+        // was there.
+        let previous = self.key_specs.insert(key.to_vec(), spec);
+        let placed =
+            self.update(key, Request::Place { key: key.to_vec(), entries, spec: Some(spec) });
+        if placed.is_err() {
+            match previous {
+                Some(previous) => self.key_specs.insert(key.to_vec(), previous),
+                None => self.key_specs.remove(key),
+            };
+        }
+        placed
     }
 
     /// `add(v)` (§5).
@@ -433,57 +425,6 @@ impl Client {
         );
     }
 
-    /// `partial_lookup(k, t)`: at least `t` distinct entries when the
-    /// surviving placement allows it, using the strategy's §3 client
-    /// procedure, one probe at a time. Over-delivery from merged probes
-    /// is trimmed to exactly `t` (the §4.5 fairness model).
-    ///
-    /// The whole lookup is bounded by the configured per-operation
-    /// budget; every probe by the per-RPC deadline. A server that is
-    /// down, silent past its deadline, breaker-open, or answering
-    /// garbage is skipped like a crashed one. When the budget runs out
-    /// mid-merge, whatever was gathered is returned (fewer than `t`
-    /// results is already a defined outcome).
-    ///
-    /// # Errors
-    ///
-    /// [`ClusterError::Service`] with [`ServiceError::ZeroTarget`] if
-    /// `t == 0`; [`ClusterError::NoServerAvailable`] when no server could
-    /// be reached at all; [`ClusterError::Timeout`] when the budget
-    /// expired before any server answered. Fewer than `t` results (from
-    /// a degraded placement) is **not** an error — callers check the
-    /// length.
-    pub fn partial_lookup(&mut self, key: &[u8], t: usize) -> Result<Vec<Entry>, ClusterError> {
-        let spec = self.spec_of(key);
-        self.lookup("partial_lookup", key, t, 1, Some(spec))
-    }
-
-    /// Like [`Client::partial_lookup`], but probes up to `fanout` servers
-    /// **concurrently** per wave instead of one at a time — trading some
-    /// extra server load (later probes in a wave may be unnecessary) for
-    /// lower lookup latency, useful for the merging strategies
-    /// (RandomServer-x, Hash-y) whose sequential probing pays one round
-    /// trip per contacted server.
-    ///
-    /// Probes servers in a uniformly random order regardless of the
-    /// key's strategy (wave probing has no use for the stride walk's
-    /// sequencing). Unreachable servers are skipped; over-delivery is
-    /// trimmed to exactly `t`.
-    ///
-    /// # Errors
-    ///
-    /// As [`Client::partial_lookup`]; additionally
-    /// [`ClusterError::Service`] with [`ServiceError::ZeroTarget`] when
-    /// `fanout == 0`.
-    pub fn partial_lookup_parallel(
-        &mut self,
-        key: &[u8],
-        t: usize,
-        fanout: usize,
-    ) -> Result<Vec<Entry>, ClusterError> {
-        self.lookup("partial_lookup_parallel", key, t, fanout, None)
-    }
-
     /// The hedge delay in effect, `None` when hedging is disabled: the
     /// configured floor, raised to the observed p99 probe latency once
     /// enough samples exist, capped at the per-RPC deadline.
@@ -498,40 +439,41 @@ impl Client {
         Some(delay.min(self.timeouts.rpc))
     }
 
-    /// The one lookup driver. Whom to probe next, when enough is
-    /// gathered, the merge and the trim are the [`LookupPlan`]'s (`spec`
-    /// picks the key's §3 procedure, `None` strategy-blind random
-    /// probing; breaker-suspect members are what the plan is told to
-    /// ask last). This loop owns the clock: it keeps a wave of up to
-    /// `fanout` probes in flight on the members' [`Prober`] threads,
-    /// launches the next wave when one drains unsatisfied, and — with
-    /// hedging on — one more probe whenever those in flight stay silent
-    /// past the hedge delay, *without cancelling them*: first answer
-    /// wins, a late one still merges. Probes launch strictly in the
-    /// plan's order (only the trigger differs: completion or timer), so
-    /// with `fanout` 1 and no hedge this is §3's sequential procedure
-    /// and costs exactly its probe count. The lookup returns as soon as
-    /// the plan is satisfied and never waits for a straggler: a
-    /// black-holed probe ends on its prober within its own RPC deadline
-    /// and its report is dropped.
-    fn lookup(
-        &mut self,
-        name: &'static str,
-        key: &[u8],
-        t: usize,
-        fanout: usize,
-        spec: Option<StrategySpec>,
-    ) -> Result<Vec<Entry>, ClusterError> {
-        if t == 0 || fanout == 0 {
+    /// `partial_lookup(k, t)`: at least `t` distinct entries when the
+    /// surviving placement allows it, using the strategy's §3 client
+    /// procedure — the [`LookupPlan`]'s probe order (breaker-suspect
+    /// members last), merge and trim to exactly `t` (the §4.5 fairness
+    /// model). This loop owns the clock: one probe at a time goes to the
+    /// member's prober thread, the next when it is answered or failed,
+    /// and — with hedging on — one more whenever those in flight stay
+    /// silent past the hedge delay, *without cancelling them*: first
+    /// answer wins, a late one still merges. With no hedge this is §3's
+    /// sequential procedure and costs exactly its probe count. The lookup
+    /// never waits for a straggler: its probe ends on the prober within
+    /// its own RPC deadline and the report is dropped.
+    ///
+    /// The whole lookup is bounded by the per-operation budget, every
+    /// probe by the per-RPC deadline. A server that is down, silent,
+    /// breaker-open or answering garbage is skipped like a crashed one.
+    /// When the budget runs out mid-merge, whatever was gathered is
+    /// returned: fewer than `t` results is **not** an error — callers
+    /// check the length.
+    ///
+    /// # Errors
+    ///
+    /// [`ClusterError::Service`] with [`ServiceError::ZeroTarget`] if
+    /// `t == 0`; [`ClusterError::NoServerAvailable`] when no server could
+    /// be reached at all; [`ClusterError::Timeout`] when the budget
+    /// expired before any server answered.
+    pub fn partial_lookup(&mut self, key: &[u8], t: usize) -> Result<Vec<Entry>, ClusterError> {
+        if t == 0 {
             return Err(ClusterError::Service(ServiceError::ZeroTarget));
         }
+        let spec = self.spec_of(key);
         let id = self.fresh_id();
-        let mut span = Span::enter_with_id(Level::Debug, module_path!(), name, id);
+        let mut span = Span::enter_with_id(Level::Debug, module_path!(), "partial_lookup", id);
         span.field("t", t);
-        match spec {
-            Some(spec) => span.field("strategy", spec.to_string()),
-            None => span.field("fanout", fanout),
-        }
+        span.field("strategy", spec.to_string());
         let deadline = Deadline::within(self.timeouts.op_budget);
         let hedge = self.hedge_delay();
         let group = self.group_of(key);
@@ -546,16 +488,15 @@ impl Client {
                 suspect.fail(ServerId::new(pos as u32));
             }
         }
-        let mut plan = match spec {
-            Some(spec) => LookupPlan::new(spec, t, &suspect, &mut self.rng),
-            None => LookupPlan::shuffled(t, &suspect, &mut self.rng),
-        };
+        let mut plan = LookupPlan::new(spec, t, &suspect, &mut self.rng);
 
         // Probes of this lookup still out. Reports of an earlier lookup's
         // stragglers share the channel; they carry another id and are
         // dropped.
         let mut in_flight = 0usize;
-        let mut to_launch = fanout;
+        // Whether the next probe goes out now: at the start, when the
+        // last one came back, or when the hedge timer fired.
+        let mut launch = true;
         let mut hedging = false;
         let mut drained = false; // the plan has nobody left to offer
         let mut last_launch = Instant::now();
@@ -565,7 +506,7 @@ impl Client {
                 self.metrics.op_budget_exhausted.inc();
                 break;
             }
-            while to_launch > 0 && !drained {
+            while launch && !drained {
                 let Some(pos) = plan.next(&mut self.rng) else {
                     drained = true;
                     break;
@@ -587,13 +528,8 @@ impl Client {
                         after_ms = hedge.unwrap_or_default().as_millis()
                     );
                 }
-                let probe = Probe {
-                    id,
-                    pos,
-                    hedged: hedging,
-                    req: Request::Probe { key: key.to_vec(), t: t as u32 },
-                    limit: deadline.cap(self.timeouts.rpc),
-                };
+                let req = Request::Probe { key: key.to_vec(), t: t as u32 };
+                let probe = Probe { id, pos, hedged: hedging, req, deadline };
                 let reports = &self.reports.0;
                 let prober = self
                     .probers
@@ -611,9 +547,9 @@ impl Client {
                 }
                 in_flight += 1;
                 last_launch = Instant::now();
-                to_launch -= 1;
+                launch = false;
             }
-            (to_launch, hedging) = (0, false);
+            (launch, hedging) = (false, false);
             if in_flight == 0 {
                 break; // nobody left to ask
             }
@@ -661,7 +597,7 @@ impl Client {
                     // Those in flight are slow: hedge with the plan's
                     // next server. (Out of budget, the loop ends above.)
                     if hedge.is_some() && !drained {
-                        (to_launch, hedging) = (1, true);
+                        (launch, hedging) = (true, true);
                     }
                 }
                 Err(RecvTimeoutError::Disconnected) => {
@@ -669,7 +605,7 @@ impl Client {
                 }
             }
             if in_flight == 0 {
-                to_launch = fanout; // the wave drained: launch the next
+                launch = true; // nothing out: the next probe goes
             }
         }
         if plan.contacted().is_empty() {
@@ -684,52 +620,49 @@ impl Client {
         Ok(plan.finish(&mut self.rng).into_entries())
     }
 
+    /// `ids` with their dial addresses in the current view, leaving out
+    /// any member the view does not know.
+    fn addressed(&self, ids: impl IntoIterator<Item = u64>) -> Vec<(u64, &str)> {
+        ids.into_iter().filter_map(|id| Some((id, self.view.addr_of(id)?))).collect()
+    }
+
     /// Queries the cluster for a key's strategy and records it locally,
     /// so this client's lookups use the right procedure even for keys
-    /// placed by other clients. Returns the discovered strategy, or
-    /// `None` when no reachable server knows the key.
+    /// placed by other clients: the key's group is asked in random order
+    /// until a member knows the key. Returns the discovered strategy, or
+    /// `None` when no member that answered knows the key.
     ///
     /// # Errors
     ///
-    /// [`ClusterError::NoServerAvailable`] when every server is
-    /// unreachable.
+    /// As [`Client::metrics_by_member`], for the members of the key's
+    /// group.
     pub fn refresh_spec(&mut self, key: &[u8]) -> Result<Option<StrategySpec>, ClusterError> {
-        let id = self.fresh_id();
         let group = self.group_of(key);
         let order = self.rng.shuffled_servers(group.len());
-        let mut reached_any = false;
-        for s in order {
-            let Some(peer) = self.peer_for(group[s.index()]) else { continue };
-            match peer.call(id, &Request::SpecOf { key: key.to_vec() }) {
-                Ok(Response::SpecOf(Some(spec))) => {
-                    self.key_specs.insert(key.to_vec(), spec);
-                    return Ok(Some(spec));
-                }
-                Ok(_) => reached_any = true, // server up but key unknown there
-                Err(err) if err.is_peer_fault() => continue,
-                Err(other) => return Err(other),
-            }
+        let members = self.addressed(order.iter().map(|s| group[s.index()]));
+        let req = Request::SpecOf { key: key.to_vec() };
+        let found = self.peers.first(members, self.fresh_id(), &req, |resp| match resp {
+            Response::SpecOf(spec) => spec,
+            _ => None,
+        })?;
+        if let Some(spec) = found {
+            self.key_specs.insert(key.to_vec(), spec);
         }
-        if reached_any {
-            Ok(None)
-        } else {
-            Err(ClusterError::NoServerAvailable)
-        }
+        Ok(found)
     }
 
     /// Diagnostic: `(keys, entries)` stored at one server.
     ///
     /// # Errors
     ///
-    /// I/O errors when the server is unreachable.
+    /// The server's own fault (unreachable, silent, garbled, an error
+    /// answer); [`ClusterError::NoServerAvailable`] when the view does not
+    /// know it.
     pub fn status_of(&self, server: usize) -> Result<(u64, u64), ClusterError> {
-        let peer = self
-            .peer_for(server as u64)
-            .ok_or_else(|| ClusterError::Remote(format!("unknown member {server}")))?;
-        match peer.call(self.fresh_id(), &Request::Status)? {
-            Response::Status { keys, entries } => Ok((keys, entries)),
-            other => Err(ClusterError::Remote(format!("unexpected status response {other:?}"))),
-        }
+        self.first([server as u64], &Request::Status, "status", |resp| match resp {
+            Response::Status { keys, entries } => Some((keys, entries)),
+            _ => None,
+        })
     }
 
     /// This client's own runtime metrics (probe/lookup counters and the
@@ -745,7 +678,7 @@ impl Client {
         let dial_failures = self.peers.all().iter().map(|p| p.stats().dial_failures.get()).sum();
         s.push_counter("pls_client_pool_dial_failures_total", dial_failures);
         self.peers.push_robustness(&mut s);
-        crate::metrics::stamp(&mut s);
+        pls_wire::metrics::stamp(&mut s);
         s
     }
 
@@ -755,89 +688,70 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// I/O errors when the server is unreachable; protocol errors on an
-    /// unexpected response.
+    /// As [`Client::status_of`].
     pub fn metrics_of(&self, server: usize, reset: bool) -> Result<MetricsSnapshot, ClusterError> {
-        let peer = self
-            .peer_for(server as u64)
-            .ok_or_else(|| ClusterError::Remote(format!("unknown member {server}")))?;
-        match peer.call(self.fresh_id(), &Request::Metrics { reset })? {
-            Response::Metrics(snap) => Ok(snap),
-            other => Err(ClusterError::Remote(format!("unexpected metrics response {other:?}"))),
-        }
+        self.first([server as u64], &Request::Metrics { reset }, "metrics", metrics)
     }
 
-    /// Cluster-wide metrics: every reachable server's snapshot, merged
-    /// (same-named counters summed, same-named histograms merged) and
-    /// stamped with the catalogue's HELP texts, which do not travel in
-    /// the Metrics RPC. Unreachable servers are skipped.
+    /// Every member's metrics, one read of them all under one operation
+    /// budget: each member of the view with its snapshot, `None` for one
+    /// that was skipped (a peer fault). `reset` as [`Client::metrics_of`].
+    ///
+    /// # Errors
+    ///
+    /// When no member answered: [`ClusterError::Timeout`]`("op-budget")`
+    /// if the operation budget ran out, otherwise the fault of the last
+    /// member asked; [`ClusterError::NoServerAvailable`] when the view
+    /// names no member to ask.
+    pub fn metrics_by_member(
+        &self,
+        reset: bool,
+    ) -> Result<Vec<(u64, Option<MetricsSnapshot>)>, ClusterError> {
+        let members = self.addressed(self.view.ids());
+        self.peers.every(members, self.fresh_id(), &Request::Metrics { reset }, metrics)
+    }
+
+    /// Cluster-wide metrics: every answering member's snapshot
+    /// ([`Client::metrics_by_member`]), merged (same-named counters summed,
+    /// same-named histograms merged) and stamped with the catalogue's HELP
+    /// texts, which do not travel in the Metrics RPC.
     ///
     /// The `pls_live_unfairness` / `pls_live_coverage` gauges are
     /// **recomputed** from the merged `pls_entry_hits_total` counters
-    /// ([`live_quality_from_merged`](crate::metrics::live_quality_from_merged)):
+    /// ([`live_quality_from_merged`](pls_wire::metrics::live_quality_from_merged)):
     /// per-server gauge readings only describe each server's own share
     /// and cannot be combined directly.
     ///
     /// # Errors
     ///
-    /// [`ClusterError::NoServerAvailable`] when no server responds at
-    /// all; protocol errors from a malformed response.
+    /// As [`Client::metrics_by_member`].
     pub fn cluster_metrics(&self, reset: bool) -> Result<MetricsSnapshot, ClusterError> {
         let mut merged = MetricsSnapshot::new();
-        let mut reached = 0usize;
-        for server in self.view.ids() {
-            match self.metrics_of(server as usize, reset) {
-                Ok(snap) => {
-                    reached += 1;
-                    merged.merge(&snap);
-                }
-                Err(err) if err.is_unavailable() => continue,
-                Err(other) => return Err(other),
-            }
+        for snap in self.metrics_by_member(reset)?.into_iter().filter_map(|(_, snap)| snap) {
+            merged.merge(&snap);
         }
-        if reached == 0 {
-            return Err(ClusterError::NoServerAvailable);
-        }
-        if let Some((u, c)) = crate::metrics::live_quality_from_merged(&merged) {
+        if let Some((u, c)) = pls_wire::metrics::live_quality_from_merged(&merged) {
             merged.push_gauge("pls_live_unfairness", u);
             merged.push_gauge("pls_live_coverage", c);
         }
-        crate::metrics::stamp(&mut merged);
+        pls_wire::metrics::stamp(&mut merged);
         Ok(merged)
     }
 
     /// Cluster-wide timeline of one request: every span retained for
-    /// `req` by this process's flight recorder **and** by every
-    /// reachable server's (via [`Request::Trace`] fan-out, mirroring
+    /// `req` by this process's flight recorder **and** by every answering
+    /// member's ([`Request::Trace`], one read of them all, as
     /// [`Client::cluster_metrics`]). Duplicates — e.g. in-process test
-    /// clusters sharing one recorder — are dropped; the result is
-    /// sorted by start time, so it reads as a waterfall. Unreachable
-    /// servers are skipped.
+    /// clusters sharing one recorder — are dropped; the result is sorted
+    /// by start time, so it reads as a waterfall.
     ///
     /// # Errors
     ///
-    /// [`ClusterError::NoServerAvailable`] when no server responds at
-    /// all; protocol errors from a malformed response.
+    /// As [`Client::metrics_by_member`].
     pub fn trace_request(&self, req: u64) -> Result<Vec<SpanRecord>, ClusterError> {
-        let id = self.fresh_id();
-        let mut remote = Vec::new();
-        for server in self.view.ids() {
-            let Some(peer) = self.peer_for(server) else { continue };
-            match peer.call(id, &Request::Trace { req }) {
-                Ok(Response::Spans(spans)) => remote.push(spans),
-                Ok(other) => {
-                    return Err(ClusterError::Remote(format!(
-                        "unexpected trace response {other:?}"
-                    )))
-                }
-                Err(err) if err.is_unavailable() => continue,
-                Err(other) => return Err(other),
-            }
-        }
-        if remote.is_empty() {
-            return Err(ClusterError::NoServerAvailable);
-        }
-        Ok(merge_spans(req, remote))
+        let members = self.addressed(self.view.ids());
+        let answers = self.peers.every(members, self.fresh_id(), &Request::Trace { req }, spans)?;
+        Ok(merge_spans(req, answers))
     }
 
     /// The membership view this client routes with.
@@ -845,15 +759,14 @@ impl Client {
         &self.view
     }
 
-    /// Fetches the cluster's current membership from the first reachable
-    /// member, adopts it when strictly newer than the local view, and
-    /// returns it. This is how a long-lived client catches up with joins
-    /// and leaves it did not initiate.
+    /// Fetches the cluster's current membership from the first member
+    /// that answers, adopts it when strictly newer than the local view,
+    /// and returns it. This is how a long-lived client catches up with
+    /// joins and leaves it did not initiate.
     ///
     /// # Errors
     ///
-    /// [`ClusterError::NoServerAvailable`] when every known member is
-    /// unreachable.
+    /// As [`Client::metrics_by_member`].
     pub fn membership(&mut self) -> Result<Membership, ClusterError> {
         self.membership_rpc(Request::Membership(Membership::empty()))
     }
@@ -876,9 +789,8 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// [`ClusterError::NoServerAvailable`] when every known member is
-    /// unreachable; [`ClusterError::Remote`] when the cluster refuses
-    /// the join.
+    /// As [`Client::membership`]; [`ClusterError::Remote`] when every
+    /// member that answered refused the join.
     pub fn join(&mut self, addr: &str) -> Result<Membership, ClusterError> {
         self.membership_rpc(Request::JoinLeave { join: Some(addr.to_string()), leave: None })
     }
@@ -891,47 +803,67 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// [`ClusterError::NoServerAvailable`] when every known member is
-    /// unreachable; [`ClusterError::Remote`] when `id` is unknown or the
-    /// last member standing.
+    /// As [`Client::membership`]; [`ClusterError::Remote`] when `id` is
+    /// unknown or the last member standing.
     pub fn drain(&mut self, id: u64) -> Result<Membership, ClusterError> {
         self.membership_rpc(Request::JoinLeave { join: None, leave: Some(id) })
     }
 
-    /// Sends a membership RPC to the first member that answers, adopts
-    /// the returned view when newer, and hands it back. A member whose
+    /// Sends a membership RPC to the first member that answers with a
+    /// view, adopts the view when newer, and hands it back. A member whose
     /// answer does not decode (an empty view at a nonzero epoch among
-    /// them) is a peer fault: the next member is asked.
+    /// them) or that refuses is a peer fault: the next member is asked.
     fn membership_rpc(&mut self, req: Request) -> Result<Membership, ClusterError> {
-        let id = self.fresh_id();
-        for member in self.view.ids() {
-            let Some(peer) = self.peer_for(member) else { continue };
-            match peer.call(id, &req) {
-                Ok(Response::Membership(view)) => {
-                    self.adopt_view(view.clone());
-                    return Ok(view);
-                }
-                Ok(other) => {
-                    return Err(ClusterError::Remote(format!(
-                        "unexpected membership response {other:?}"
-                    )))
-                }
-                Err(err) if err.is_peer_fault() => continue,
-                Err(other) => return Err(other),
-            }
-        }
-        Err(ClusterError::NoServerAvailable)
+        let view = self.first(self.view.ids(), &req, "membership", |resp| match resp {
+            Response::Membership(view) => Some(view),
+            _ => None,
+        })?;
+        self.adopt_view(view.clone());
+        Ok(view)
+    }
+
+    /// The first answer of `ids`, asked in order, that `accept` takes
+    /// ([`PeerBook::first`]); members that answered something else make it
+    /// a `Remote` error naming `what` was asked.
+    fn first<T>(
+        &self,
+        ids: impl IntoIterator<Item = u64>,
+        req: &Request,
+        what: &str,
+        accept: impl FnMut(Response) -> Option<T>,
+    ) -> Result<T, ClusterError> {
+        let answer = self.peers.first(self.addressed(ids), self.fresh_id(), req, accept)?;
+        answer.ok_or_else(|| ClusterError::Remote(format!("unexpected {what} response")))
+    }
+}
+
+/// The snapshot in a [`Request::Metrics`] answer.
+fn metrics(resp: Response) -> Option<MetricsSnapshot> {
+    match resp {
+        Response::Metrics(snap) => Some(snap),
+        _ => None,
+    }
+}
+
+/// The spans in a [`Request::Trace`] answer.
+pub(crate) fn spans(resp: Response) -> Option<Vec<SpanRecord>> {
+    match resp {
+        Response::Spans(spans) => Some(spans),
+        _ => None,
     }
 }
 
 /// One request's cluster-wide timeline: what this process's flight
-/// recorder retains for `req` plus every reachable peer's answer to
+/// recorder retains for `req` plus every member's answer to
 /// [`Request::Trace`], duplicates dropped (in-process clusters share one
 /// recorder), sorted by `(start, duration)` so it reads as a waterfall.
-pub(crate) fn merge_spans(req: u64, remote: Vec<Vec<SpanRecord>>) -> Vec<SpanRecord> {
+pub(crate) fn merge_spans(
+    req: u64,
+    answers: Vec<(u64, Option<Vec<SpanRecord>>)>,
+) -> Vec<SpanRecord> {
     let mut spans =
         pls_telemetry::recorder::installed().map(|r| r.spans_for(req)).unwrap_or_default();
-    for span in remote.into_iter().flatten() {
+    for span in answers.into_iter().filter_map(|(_, answer)| answer).flatten() {
         if !spans.contains(&span) {
             spans.push(span);
         }

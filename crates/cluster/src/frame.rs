@@ -1,13 +1,13 @@
 //! Reading and writing one frame on a socket.
 //!
 //! The layout — `u32` payload length, `u64` request id, `u64` service
-//! time, payload — and its limits are [`crate::wire`]'s; this module is
+//! time, payload — and its limits are [`pls_wire::wire`]'s; this module is
 //! the only code that moves a frame through a [`Read`] or a [`Write`].
 
 use std::io::{ErrorKind, Read, Write};
 
-use crate::error::ClusterError;
-use crate::wire::{FRAME_OVERHEAD, MAX_FRAME};
+use pls_wire::error::ClusterError;
+use pls_wire::wire::{FRAME_OVERHEAD, MAX_FRAME};
 
 const HEADER: usize = FRAME_OVERHEAD as usize;
 

@@ -23,7 +23,8 @@ use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::retry::Deadline;
+use pls_wire::retry::Deadline;
+
 use crate::sock::{Acceptor, Bounded};
 
 /// Most bytes of request head we are willing to buffer before calling

@@ -9,39 +9,40 @@
 //!   same state machine the simulator executes, so the deployed protocol
 //!   is the validated one.
 //! * The wire format is a hand-rolled length-prefixed binary encoding
-//!   ([`wire`], [`proto`]) over byte slices; [`frame`] reads and writes
-//!   one frame on a socket. The codec, the write-ahead log
-//!   ([`storage`]), the server's per-key state machine ([`shard`]), its
-//!   request path (`pls_wire::server::Node`) and its background work
-//!   (`pls_wire::maintenance::Maintenance`), [`retry`] and [`metrics`]
-//!   touch no socket and live in `pls-wire`; this crate re-exports the
-//!   modules it had under their old paths and adds everything that does:
-//!   the [`Server`] shell (`std::net` sockets, one thread per connection,
-//!   one maintenance thread, no runtime), the client and the chaos proxy.
+//!   ([`pls_wire::wire`], [`pls_wire::proto`]) over byte slices; [`frame`]
+//!   reads and writes one frame on a socket. The codec, the write-ahead
+//!   log ([`pls_wire::storage`]), the server's per-key state machine
+//!   ([`pls_wire::shard`]), its request path ([`pls_wire::server::Node`])
+//!   and its background work ([`pls_wire::maintenance::Maintenance`]),
+//!   [`pls_wire::retry`] and [`pls_wire::metrics`] touch no socket and
+//!   live in `pls-wire`; this crate adds everything that does: the
+//!   [`Server`] shell (`std::net` sockets, one thread per connection, one
+//!   maintenance thread, no runtime), the client and the chaos proxy.
 //! * Server-to-server traffic (store/remove/migrate fan-out) is carried
-//!   as [`proto::Request::Internal`] RPCs with acknowledged, in-order
-//!   delivery per sender — the ordering the engines rely on.
+//!   as [`pls_wire::proto::Request::Internal`] RPCs with acknowledged,
+//!   in-order delivery per sender — the ordering the engines rely on.
 //! * The client ([`Client`]) implements the §3 lookup procedures over
 //!   sockets: single-probe for full replication and Fixed-x, shuffled
 //!   probing with merging for RandomServer-x and Hash-y, the stride walk
 //!   for Round-Robin-y; failed servers are skipped exactly as in the
 //!   paper.
 //! * Every server and client is instrumented with lock-free metrics
-//!   ([`metrics`], built on [`pls_telemetry`]); every exported family —
-//!   the paper's §4 quality metrics measured live among them — is a row
-//!   of [`metrics::CATALOGUE`]. Scrape one server with
-//!   [`proto::Request::Metrics`], over HTTP via the [`http`] exporter
-//!   (`pls-server --metrics-addr`), or the whole cluster with
+//!   ([`pls_wire::metrics`], built on [`pls_telemetry`]); every exported
+//!   family — the paper's §4 quality metrics measured live among them — is
+//!   a row of [`pls_wire::metrics::CATALOGUE`]. Scrape one server with
+//!   [`pls_wire::proto::Request::Metrics`], over HTTP via the [`http`]
+//!   exporter (`pls-server --metrics-addr`), or the whole cluster with
 //!   [`Client::cluster_metrics`] / `pls-client stats`.
-//! * Every network interaction is **time-bounded** ([`retry`]): dials
-//!   and RPCs carry deadlines, operations carry a total budget, flaky
-//!   peers are retried with jittered backoff, and a per-peer circuit
-//!   breaker demotes servers that keep failing. The merging lookups can
-//!   optionally *hedge* slow probes. A fault-injecting [`chaos`] proxy
-//!   proves all of it under black-holes, delays, garbage frames, and
-//!   half-closes (`tests/chaos.rs`).
+//! * Every network interaction is **time-bounded** ([`pls_wire::retry`]):
+//!   a peer is called one way, with an attempt count and a deadline;
+//!   operations carry a total budget, flaky peers are retried with
+//!   jittered backoff, and a per-peer circuit breaker demotes servers that
+//!   keep failing. Lookups and every read of the members skip a faulty
+//!   member; lookups can optionally *hedge* slow probes. A fault-injecting
+//!   [`chaos`] proxy proves all of it under black-holes, delays, garbage
+//!   frames, and half-closes (`tests/chaos.rs`).
 //! * Every request frame carries a client-generated **request id**
-//!   ([`wire`]); servers echo it, propagate it through internal
+//!   ([`pls_wire::wire`]); servers echo it, propagate it through internal
 //!   fan-out, and stamp it (`req=...`) on their tracing events, so one
 //!   lookup can be correlated across every machine it touched.
 //!
@@ -80,21 +81,14 @@ mod rpc;
 mod server;
 mod sock;
 
-use pls_wire::error;
-pub use pls_wire::{metrics, proto, retry, shard, storage, wire};
-
 pub use chaos::{ChaosConfig, ChaosPeer};
 pub use client::{Client, ClientConfig};
-pub use error::ClusterError;
-pub use metrics::{ClientMetrics, ReqOp, ServerMetrics};
+pub use pls_wire::metrics::{ClientMetrics, ReqOp, ServerMetrics};
+pub use pls_wire::retry::{Breaker, BreakerConfig, Deadline, Timeouts};
 pub use pls_wire::server::ServerConfig;
-pub use retry::{Breaker, BreakerConfig, Deadline, RetryPolicy, Timeouts};
+pub use pls_wire::ClusterError;
 pub use rpc::PoolStats;
 pub use server::{Server, ServerHandle};
-
-// Re-exported so downstream users of the cluster get the snapshot and
-// tracing types without naming the telemetry crate themselves.
-pub use pls_telemetry as telemetry;
 
 /// Parses a strategy spec from its CLI form: `full`, `fixed:20`,
 /// `random:20`, `round:2`, or `hash:2`.
@@ -175,9 +169,9 @@ mod tests {
     use std::sync::Arc;
 
     use super::*;
-    use crate::proto::{Request, Response};
     use crate::rpc::PeerClient;
     use pls_core::StrategySpec;
+    use pls_wire::proto::{Request, Response};
     use pls_wire::server::Node;
 
     /// The reads a client or a peer makes come back over TCP exactly as
@@ -227,7 +221,8 @@ mod tests {
         for (addr, node) in addrs.iter().zip(&nodes) {
             let peer = PeerClient::new(*addr);
             for req in &reads {
-                let tcp = peer.call(9, req).unwrap();
+                let deadline = pls_wire::retry::Deadline::within(std::time::Duration::from_secs(5));
+                let (tcp, _) = peer.call(9, req, 1, deadline).unwrap();
                 let (local, _) = node.answer(node.serve(9, Ok(req.clone()), 0), Ok(()));
                 assert_eq!(sorted(tcp), sorted(local), "{addr}: {req:?}");
             }

@@ -1,9 +1,15 @@
-//! Pooled per-peer RPC connections.
+//! Pooled per-peer RPC connections, and the one way to call a peer.
 //!
 //! Each [`PeerClient`] keeps a small pool of TCP connections to one peer.
-//! A call takes a connection out of the pool (or dials a new one),
-//! performs a single request/response exchange, and returns the
-//! connection. Crucially, **no lock is held while a response is
+//! [`PeerClient::call`] is the only exchange: an attempt count and a
+//! deadline; each attempt, admitted by the peer's breaker, takes a
+//! connection out of the pool (or dials a new one), performs a single
+//! request/response exchange, and returns the connection. A
+//! [`PeerBook`] holds one client per member and runs every read of the
+//! members — [`first`](PeerBook::first) and [`every`](PeerBook::every) —
+//! as one loop under one operation budget.
+//!
+//! Crucially, **no lock is held while a response is
 //! waited for**: concurrent calls to the same peer simply use different
 //! connections. A single mutually-exclusive connection would deadlock
 //! the round-robin migration protocol, whose RPC graph contains cycles
@@ -21,15 +27,14 @@
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 use pls_core::Membership;
 use pls_telemetry::{Counter, MetricsSnapshot};
+use pls_wire::error::ClusterError;
+use pls_wire::proto::{Request, Response, UNSUPPORTED_PREFIX};
+use pls_wire::retry::{self, Breaker, BreakerConfig, Deadline, Timeouts};
 
-use crate::error::ClusterError;
 use crate::frame::{read_frame, write_frame};
-use crate::proto::{Request, Response, UNSUPPORTED_PREFIX};
-use crate::retry::{Breaker, BreakerConfig, Deadline, RetryPolicy, Timeouts};
 use crate::sock::{timed_out, Bounded};
 
 /// Connections kept per peer; extras beyond this are closed on return.
@@ -119,25 +124,9 @@ impl PeerClient {
         }
     }
 
-    /// The peer's address.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
     /// This client's pool accounting.
     pub fn stats(&self) -> &PoolStats {
         &self.stats
-    }
-
-    /// This client's circuit breaker.
-    pub fn breaker(&self) -> &Breaker {
-        &self.breaker
-    }
-
-    /// Whether the peer currently looks healthy (no failure streak, no
-    /// open circuit). Probe orders sort unhealthy peers to the tail.
-    pub fn healthy(&self) -> bool {
-        self.breaker.healthy()
     }
 
     /// Connections currently idle in the pool.
@@ -163,86 +152,55 @@ impl PeerClient {
         }
     }
 
-    /// Sends `req` stamped with `request_id` and waits for the response,
-    /// bounded by the configured per-RPC deadline and guarded by the
-    /// peer's circuit breaker.
+    /// The one way to call a peer: sends `req` stamped with `request_id`
+    /// and returns the response with the **service time** the server
+    /// echoed in the reply frame (µs; zero from servers that don't stamp
+    /// it). Up to `attempts` attempts, each capped by `deadline` and the
+    /// per-RPC deadline and admitted by the peer's circuit breaker. An
+    /// attempt that found the peer unavailable (I/O, timeout) is re-issued
+    /// after a full-jitter backoff ([`retry::delay`]) while attempts and
+    /// `deadline` last; a breaker fast-fail is *not* — the breaker exists
+    /// to stop exactly that traffic.
     ///
     /// # Errors
     ///
     /// I/O errors (peer unreachable / connection torn mid-exchange);
     /// [`ClusterError::Timeout`] when the dial or the exchange runs out
-    /// of time; [`ClusterError::PeerUnhealthy`] when the breaker is
+    /// of time (`"op-budget"` when `deadline` had passed before an
+    /// attempt); [`ClusterError::PeerUnhealthy`] when the breaker is
     /// open; decode errors (including a response whose frame id does
     /// not echo `request_id`); any [`Response::Error`] is surfaced as
     /// [`ClusterError::Remote`].
-    pub fn call(&self, request_id: u64, req: &Request) -> Result<Response, ClusterError> {
-        self.call_bounded(request_id, req, self.timeouts.rpc)
-    }
-
-    /// [`PeerClient::call`] with an explicit attempt deadline — the
-    /// per-RPC deadline already capped to an operation's remaining
-    /// budget by the caller.
-    pub fn call_bounded(
+    pub fn call(
         &self,
         request_id: u64,
         req: &Request,
-        limit: Duration,
-    ) -> Result<Response, ClusterError> {
-        Ok(self.call_bounded_timed(request_id, req, limit)?.0)
-    }
-
-    /// [`PeerClient::call_bounded`], also returning the echoed service
-    /// time from the reply frame.
-    pub fn call_bounded_timed(
-        &self,
-        request_id: u64,
-        req: &Request,
-        limit: Duration,
-    ) -> Result<(Response, u64), ClusterError> {
-        if limit.is_zero() {
-            // The operation's budget is already spent.
-            return Err(ClusterError::Timeout("op-budget"));
-        }
-        if !self.breaker.admit() {
-            return Err(ClusterError::PeerUnhealthy);
-        }
-        let result = self.call_once(request_id, req, Deadline::within(limit));
-        match &result {
-            // A well-formed reply — even an application-level error or
-            // an "I don't implement that opcode" refusal — proves the
-            // peer alive; anything else feeds its breaker.
-            Ok(_) | Err(ClusterError::Remote(_)) | Err(ClusterError::Unsupported(_)) => {
-                self.breaker.record_success()
-            }
-            Err(_) => self.breaker.record_failure(),
-        }
-        result
-    }
-
-    /// [`PeerClient::call_bounded`] with bounded, jittered retries:
-    /// attempts are re-issued on unavailability errors (I/O, timeout)
-    /// until `policy.max_attempts` or `deadline` runs out, sleeping a
-    /// full-jitter backoff between attempts. A breaker fast-fail is
-    /// *not* retried — the breaker exists to stop exactly that traffic.
-    pub fn call_retry(
-        &self,
-        request_id: u64,
-        req: &Request,
-        policy: &RetryPolicy,
+        attempts: u32,
         deadline: Deadline,
-    ) -> Result<Response, ClusterError> {
+    ) -> Result<(Response, u64), ClusterError> {
         let mut attempt = 0u32;
         loop {
             attempt += 1;
             let limit = deadline.cap(self.timeouts.rpc);
-            match self.call_bounded(request_id, req, limit) {
-                Ok(resp) => return Ok(resp),
-                Err(err)
-                    if err.is_unavailable()
-                        && !matches!(err, ClusterError::PeerUnhealthy)
-                        && attempt < policy.max_attempts
-                        && !deadline.expired() =>
-                {
+            if limit.is_zero() {
+                // The operation's budget is already spent.
+                return Err(ClusterError::Timeout("op-budget"));
+            }
+            if !self.breaker.admit() {
+                return Err(ClusterError::PeerUnhealthy);
+            }
+            let result = self.call_once(request_id, req, Deadline::within(limit));
+            match &result {
+                // A well-formed reply — even an application-level error or
+                // an "I don't implement that opcode" refusal — proves the
+                // peer alive; anything else feeds its breaker.
+                Ok(_) | Err(ClusterError::Remote(_)) | Err(ClusterError::Unsupported(_)) => {
+                    self.breaker.record_success()
+                }
+                Err(_) => self.breaker.record_failure(),
+            }
+            match result {
+                Err(err) if err.is_unavailable() && attempt < attempts && !deadline.expired() => {
                     self.stats.retries.inc();
                     pls_telemetry::debug!(
                         "rpc_retry",
@@ -251,11 +209,10 @@ impl PeerClient {
                         attempt = attempt,
                         err = err
                     );
-                    let pause =
-                        deadline.cap(policy.delay(attempt, request_id ^ u64::from(attempt)));
-                    std::thread::sleep(pause);
+                    let seed = request_id ^ u64::from(attempt);
+                    std::thread::sleep(deadline.cap(retry::delay(attempt, seed)));
                 }
-                Err(err) => return Err(err),
+                result => return result,
             }
         }
     }
@@ -373,8 +330,8 @@ impl Robustness {
     fn absorb(&mut self, peer: &PeerClient) {
         self.timeouts += peer.stats().timeouts.get();
         self.retries += peer.stats().retries.get();
-        self.opens += peer.breaker().opens.get();
-        self.fast_fails += peer.breaker().fast_fails.get();
+        self.opens += peer.breaker.opens.get();
+        self.fast_fails += peer.breaker.fast_fails.get();
     }
 
     /// Appends these totals plus those of the live `peers` to a
@@ -425,7 +382,7 @@ impl PeerBook {
         let sockaddr: SocketAddr = addr.parse().ok()?;
         let mut book = self.inner.lock().expect("peer book lock");
         if let Some(existing) = book.clients.get(&id) {
-            if existing.addr() == sockaddr {
+            if existing.addr == sockaddr {
                 return Some(Arc::clone(existing));
             }
         }
@@ -438,7 +395,8 @@ impl PeerBook {
 
     /// Whether member `id` looks healthy; one never dialed does.
     pub fn healthy(&self, id: u64) -> bool {
-        self.inner.lock().expect("peer book lock").clients.get(&id).is_none_or(|p| p.healthy())
+        let book = self.inner.lock().expect("peer book lock");
+        book.clients.get(&id).is_none_or(|p| p.breaker.healthy())
     }
 
     /// Drops every client whose member left `view`, purging its breaker
@@ -468,6 +426,78 @@ impl PeerBook {
         let book = self.inner.lock().expect("peer book lock");
         book.retired.push(s, book.clients.values().map(|p| p.as_ref()));
     }
+
+    /// A read answered by one member: asks `members` (id, dial address)
+    /// in order until `accept` takes an answer; `Ok(None)` when members
+    /// answered but none was taken. Errors as [`PeerBook::every`].
+    pub fn first<T>(
+        &self,
+        members: impl IntoIterator<Item = (u64, impl AsRef<str>)>,
+        id: u64,
+        req: &Request,
+        accept: impl FnMut(Response) -> Option<T>,
+    ) -> Result<Option<T>, ClusterError> {
+        Ok(self.read(members, id, req, true, accept)?.into_iter().find_map(|(_, value)| value))
+    }
+
+    /// A read of every member: each of `members` (id, dial address) with
+    /// what `accept` took from its answer, `None` if it faulted. Both
+    /// reads stamp every call with `id`, run under one operation budget
+    /// and move on past a peer fault (§3.1); any other error ends them.
+    ///
+    /// # Errors
+    ///
+    /// When nobody answered: `Timeout("op-budget")` if the budget ran out,
+    /// otherwise the last peer fault (a one-member read reports that
+    /// member's own error); `NoServerAvailable` if nobody could be asked.
+    pub fn every<T>(
+        &self,
+        members: impl IntoIterator<Item = (u64, impl AsRef<str>)>,
+        id: u64,
+        req: &Request,
+        accept: impl FnMut(Response) -> Option<T>,
+    ) -> Result<Vec<(u64, Option<T>)>, ClusterError> {
+        self.read(members, id, req, false, accept)
+    }
+
+    /// The member loop of both reads; `first` stops at a taken answer.
+    fn read<T>(
+        &self,
+        members: impl IntoIterator<Item = (u64, impl AsRef<str>)>,
+        id: u64,
+        req: &Request,
+        first: bool,
+        mut accept: impl FnMut(Response) -> Option<T>,
+    ) -> Result<Vec<(u64, Option<T>)>, ClusterError> {
+        let deadline = Deadline::within(self.timeouts.op_budget);
+        let (mut outcomes, mut answered, mut fault) = (Vec::new(), false, None);
+        for (member, addr) in members {
+            let Some(peer) = self.client(member, addr.as_ref()) else { continue };
+            match peer.call(id, req, 1, deadline) {
+                Ok((resp, _)) => {
+                    answered = true;
+                    let value = accept(resp);
+                    let done = first && value.is_some();
+                    outcomes.push((member, value));
+                    if done {
+                        break;
+                    }
+                }
+                Err(err) if err.is_peer_fault() => {
+                    pls_telemetry::debug!("read_skipped", req = id, server = member, err = err);
+                    outcomes.push((member, None));
+                    fault = Some(err);
+                }
+                Err(err) => return Err(err),
+            }
+        }
+        match fault {
+            _ if answered => Ok(outcomes),
+            _ if deadline.expired() => Err(ClusterError::Timeout("op-budget")),
+            Some(err) => Err(err),
+            None => Err(ClusterError::NoServerAvailable),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -477,7 +507,7 @@ mod tests {
     use std::io::{Read, Write};
     use std::net::TcpListener;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::time::Instant;
+    use std::time::{Duration, Instant};
 
     /// A toy server on an ephemeral port running `serve` on a thread per
     /// connection; dropping the handle shuts its sockets down and joins.
@@ -492,6 +522,13 @@ mod tests {
     fn answer_one(sock: &mut &TcpStream, resp: &Response, service_us: u64) -> bool {
         let Ok(Some((id, _, _))) = read_frame(sock) else { return false };
         write_frame(sock, id, service_us, &resp.encode()).is_ok()
+    }
+
+    /// One attempt under a generous operation budget: the per-RPC
+    /// deadline is the only bound that bites.
+    fn one_call(client: &PeerClient, id: u64, req: &Request) -> Result<Response, ClusterError> {
+        let deadline = Deadline::within(Duration::from_secs(30));
+        client.call(id, req, 1, deadline).map(|(resp, _)| resp)
     }
 
     /// A toy server answering every request with `Ok`, echoing ids.
@@ -516,7 +553,7 @@ mod tests {
         let (addr, _server) = spawn_ok_server();
         let client = PeerClient::new(addr);
         for id in 0..5 {
-            let resp = client.call(id, &Request::Status).unwrap();
+            let resp = one_call(&client, id, &Request::Status).unwrap();
             assert_eq!(resp, Response::Ok);
         }
         // The pool holds the reused connection.
@@ -535,7 +572,7 @@ mod tests {
         std::thread::scope(|s| {
             let client = &client;
             let calls: Vec<_> =
-                (0..8).map(|id| s.spawn(move || client.call(id, &Request::Status))).collect();
+                (0..8).map(|id| s.spawn(move || one_call(client, id, &Request::Status))).collect();
             for c in calls {
                 assert_eq!(c.join().unwrap().unwrap(), Response::Ok);
             }
@@ -551,7 +588,7 @@ mod tests {
         });
         let client = PeerClient::new(addr);
         let (resp, service_us) =
-            client.call_bounded_timed(1, &Request::Status, Duration::from_secs(2)).unwrap();
+            client.call(1, &Request::Status, 1, Deadline::within(Duration::from_secs(2))).unwrap();
         assert_eq!(resp, Response::Ok);
         assert_eq!(service_us, 4321);
     }
@@ -562,7 +599,7 @@ mod tests {
             answer_one(&mut sock, &Response::Error("nope".into()), 0);
         });
         let client = PeerClient::new(addr);
-        let err = client.call(1, &Request::Status).unwrap_err();
+        let err = one_call(&client, 1, &Request::Status).unwrap_err();
         assert_eq!(err, ClusterError::Remote("nope".into()));
     }
 
@@ -587,15 +624,15 @@ mod tests {
         let client = PeerClient::new(addr);
         // A membership fetch against the old server: the refusal comes
         // back as a *typed* Unsupported, not a generic remote error.
-        let err = client.call(9, &Request::Membership(Membership::empty())).unwrap_err();
+        let err = one_call(&client, 9, &Request::Membership(Membership::empty())).unwrap_err();
         assert_eq!(err, ClusterError::Unsupported(0x0D));
         // The exchange completed cleanly, so the connection went back to
         // the pool (not poisoned) and the breaker saw proof of life.
         assert_eq!(client.pooled(), 1);
         assert_eq!(client.stats().discarded.get(), 0);
-        assert!(client.healthy());
+        assert!(client.breaker.healthy());
         // The very same connection keeps serving ordinary requests.
-        assert_eq!(client.call(10, &Request::Status).unwrap(), Response::Ok);
+        assert_eq!(one_call(&client, 10, &Request::Status).unwrap(), Response::Ok);
         assert_eq!(client.stats().dials.get(), 1);
         assert_eq!(client.stats().reuses.get(), 1);
         // A remote error that is not the refusal shape stays Remote.
@@ -607,14 +644,14 @@ mod tests {
     fn reconnects_after_peer_drops_connection() {
         let (addr, _server) = spawn_one_shot_server();
         let client = PeerClient::new(addr);
-        assert_eq!(client.call(1, &Request::Status).unwrap(), Response::Ok);
-        assert_eq!(client.call(2, &Request::Status).unwrap(), Response::Ok);
+        assert_eq!(one_call(&client, 1, &Request::Status).unwrap(), Response::Ok);
+        assert_eq!(one_call(&client, 2, &Request::Status).unwrap(), Response::Ok);
     }
 
     #[test]
     fn unreachable_peer_errors() {
         let client = PeerClient::new(dead_port());
-        assert!(matches!(client.call(1, &Request::Status), Err(ClusterError::Io(_))));
+        assert!(matches!(one_call(&client, 1, &Request::Status), Err(ClusterError::Io(_))));
     }
 
     #[test]
@@ -626,7 +663,7 @@ mod tests {
             write_frame(&mut sock, 7, 0, &[0x33]).unwrap();
         });
         let client = PeerClient::new(addr);
-        assert!(matches!(client.call(7, &Request::Status), Err(ClusterError::Decode(_))));
+        assert!(matches!(one_call(&client, 7, &Request::Status), Err(ClusterError::Decode(_))));
         // The desynchronized connection is poisoned: dropped, not
         // returned to the pool.
         assert_eq!(client.pooled(), 0);
@@ -641,7 +678,7 @@ mod tests {
             write_frame(&mut sock, 999, 0, &Response::Ok.encode()).unwrap();
         });
         let client = PeerClient::new(addr);
-        let err = client.call(5, &Request::Status).unwrap_err();
+        let err = one_call(&client, 5, &Request::Status).unwrap_err();
         assert_eq!(err, ClusterError::Decode("response id"));
         assert_eq!(client.pooled(), 0);
         assert_eq!(client.stats().discarded.get(), 1);
@@ -653,8 +690,8 @@ mod tests {
         // and succeeds on a fresh dial.
         let (addr, _server) = spawn_one_shot_server();
         let client = PeerClient::new(addr);
-        assert_eq!(client.call(1, &Request::Status).unwrap(), Response::Ok);
-        assert_eq!(client.call(2, &Request::Status).unwrap(), Response::Ok);
+        assert_eq!(one_call(&client, 1, &Request::Status).unwrap(), Response::Ok);
+        assert_eq!(one_call(&client, 2, &Request::Status).unwrap(), Response::Ok);
         assert_eq!(client.stats().dials.get(), 2);
         assert_eq!(client.stats().reuses.get(), 1);
         assert_eq!(client.stats().discarded.get(), 1);
@@ -663,7 +700,7 @@ mod tests {
     #[test]
     fn failed_dial_is_counted() {
         let client = PeerClient::new(dead_port());
-        assert!(client.call(1, &Request::Status).is_err());
+        assert!(one_call(&client, 1, &Request::Status).is_err());
         assert_eq!(client.stats().dials.get(), 1);
         assert_eq!(client.stats().dial_failures.get(), 1);
         assert_eq!(client.pooled(), 0);
@@ -683,7 +720,7 @@ mod tests {
                 .map(|id| {
                     s.spawn(move || {
                         barrier.wait();
-                        client.call(id, &Request::Status)
+                        one_call(client, id, &Request::Status)
                     })
                 })
                 .collect();
@@ -716,7 +753,7 @@ mod tests {
         let (addr, _server) = spawn_black_hole();
         let client = PeerClient::with_policies(addr, tight_timeouts(), BreakerConfig::default());
         let started = Instant::now();
-        let err = client.call(1, &Request::Status).unwrap_err();
+        let err = one_call(&client, 1, &Request::Status).unwrap_err();
         assert_eq!(err, ClusterError::Timeout("rpc"));
         assert!(started.elapsed() < Duration::from_secs(2));
         assert_eq!(client.stats().timeouts.get(), 1);
@@ -745,7 +782,7 @@ mod tests {
         let client = PeerClient::new(addr);
         let limit = Duration::from_millis(200);
         let started = Instant::now();
-        let err = client.call_bounded(1, &Request::Status, limit).unwrap_err();
+        let err = client.call(1, &Request::Status, 1, Deadline::within(limit)).unwrap_err();
         let elapsed = started.elapsed();
         assert_eq!(err, ClusterError::Timeout("rpc"));
         assert!(elapsed >= limit, "gave up early: {elapsed:?}");
@@ -761,43 +798,35 @@ mod tests {
         let client = PeerClient::with_policies(addr, tight_timeouts(), cfg);
         for id in 0..3 {
             assert_eq!(
-                client.call(id, &Request::Status).unwrap_err(),
+                one_call(&client, id, &Request::Status).unwrap_err(),
                 ClusterError::Timeout("rpc")
             );
         }
-        assert_eq!(client.breaker().opens.get(), 1);
-        assert!(!client.healthy());
+        assert_eq!(client.breaker.opens.get(), 1);
+        assert!(!client.breaker.healthy());
         // The fourth call never touches the network.
         let started = Instant::now();
-        let err = client.call(99, &Request::Status).unwrap_err();
+        let err = one_call(&client, 99, &Request::Status).unwrap_err();
         assert_eq!(err, ClusterError::PeerUnhealthy);
         assert!(started.elapsed() < Duration::from_millis(40));
         assert_eq!(client.stats().timeouts.get(), 3);
-        assert!(client.breaker().fast_fails.get() >= 1);
-    }
-
-    fn quick_retries() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 3,
-            backoff_base: Duration::from_millis(1),
-            backoff_cap: Duration::from_millis(2),
-        }
+        assert!(client.breaker.fast_fails.get() >= 1);
     }
 
     #[test]
-    fn call_retry_retries_with_backoff_then_gives_up() {
+    fn call_retries_with_backoff_then_gives_up() {
         // Unreachable port: every attempt fails fast with ECONNREFUSED.
         let client =
             PeerClient::with_policies(dead_port(), tight_timeouts(), BreakerConfig::default());
         let deadline = Deadline::within(Duration::from_secs(5));
-        let err = client.call_retry(7, &Request::Status, &quick_retries(), deadline).unwrap_err();
+        let err = client.call(7, &Request::Status, 3, deadline).unwrap_err();
         assert!(matches!(err, ClusterError::Io(_)), "{err}");
         assert_eq!(client.stats().dials.get(), 3);
         assert_eq!(client.stats().retries.get(), 2);
     }
 
     #[test]
-    fn call_retry_succeeds_after_transient_failure() {
+    fn call_succeeds_after_transient_failure() {
         // The first connection is dropped on sight (the client sees
         // EOF); the retry lands on a healthy accept.
         let accepted = Arc::new(AtomicUsize::new(0));
@@ -808,7 +837,7 @@ mod tests {
         });
         let client = PeerClient::with_policies(addr, tight_timeouts(), BreakerConfig::default());
         let deadline = Deadline::within(Duration::from_secs(5));
-        let resp = client.call_retry(7, &Request::Status, &quick_retries(), deadline).unwrap();
+        let (resp, _) = client.call(7, &Request::Status, 3, deadline).unwrap();
         assert_eq!(resp, Response::Ok);
         assert_eq!(client.stats().retries.get(), 1);
     }
@@ -817,7 +846,8 @@ mod tests {
     fn exhausted_deadline_fails_without_touching_network() {
         let (addr, _server) = spawn_black_hole();
         let client = PeerClient::with_policies(addr, tight_timeouts(), BreakerConfig::default());
-        let err = client.call_bounded(1, &Request::Status, Duration::ZERO).unwrap_err();
+        let err =
+            client.call(1, &Request::Status, 1, Deadline::within(Duration::ZERO)).unwrap_err();
         assert_eq!(err, ClusterError::Timeout("op-budget"));
         assert_eq!(client.stats().dials.get(), 0);
     }
@@ -829,8 +859,8 @@ mod tests {
         a.stats().timeouts.add(2);
         b.stats().timeouts.add(3);
         b.stats().retries.inc();
-        a.breaker().opens.inc();
-        b.breaker().fast_fails.add(4);
+        a.breaker.opens.inc();
+        b.breaker.fast_fails.add(4);
         // A client dropped from its book keeps counting.
         let mut retired = Robustness::default();
         retired.absorb(&a);

@@ -12,18 +12,19 @@ use std::time::{Duration, Instant};
 
 use pls_telemetry::trace::Span;
 use pls_telemetry::{Level, MetricsSnapshot, SpanRecord};
+use pls_wire::error::ClusterError;
 use pls_wire::maintenance::Maintenance;
+use pls_wire::metrics::{self, views};
+use pls_wire::proto::Request;
+use pls_wire::retry::{BreakerConfig, Deadline};
 use pls_wire::server::{Node, ServerConfig};
+use pls_wire::storage;
+use pls_wire::wire::FRAME_OVERHEAD;
 
-use crate::error::ClusterError;
+use crate::client;
 use crate::frame::{read_frame, write_frame};
-use crate::metrics::{self, views};
-use crate::proto::{Request, Response};
-use crate::retry::{BreakerConfig, Deadline, RetryPolicy};
 use crate::rpc::{PeerBook, PeerClient};
 use crate::sock::Acceptor;
-use crate::storage;
-use crate::wire::FRAME_OVERHEAD;
 
 /// The shell's half of a server: the node, the peer clients it dials for
 /// it, the clock, and what the maintenance thread waits on.
@@ -368,30 +369,28 @@ fn drive(state: &State, maint: &mut Maintenance) {
         }
         for pull in pulls {
             let left = Duration::from_millis(maint.until_ms().saturating_sub(state.now_ms()));
-            let cap = state.cfg().timeouts.rpc.min(left);
             let answer = state
                 .peer(pull.from)
-                .and_then(|peer| peer.call_bounded(maint.req_id(), &pull.request, cap))
+                .and_then(|peer| {
+                    peer.call(maint.req_id(), &pull.request, 1, Deadline::within(left))
+                })
                 .ok();
-            maint.absorb(pull, answer);
+            maint.absorb(pull, answer.map(|(resp, _)| resp));
         }
         state.follow_view();
     }
 }
 
 /// Every span retained for `req` across the cluster
-/// ([`merge_spans`](crate::client::merge_spans) of every reachable
-/// peer's [`Request::Trace`] answer). Unreachable peers are skipped — a
-/// partial timeline beats none.
+/// ([`merge_spans`](client::merge_spans) of every peer's
+/// [`Request::Trace`] answer, one read of them all). A faulty peer is
+/// skipped, and with no peer answering the timeline is this process's
+/// alone — a partial timeline beats none.
 fn cluster_spans(state: &Arc<State>, req: u64) -> Vec<SpanRecord> {
-    let id = state.node.next_id();
-    let remote = state.node.shards().other_members().into_iter().filter_map(|(pid, addr)| {
-        match state.peers.client(pid, &addr)?.call(id, &Request::Trace { req }) {
-            Ok(Response::Spans(spans)) => Some(spans),
-            _ => None,
-        }
-    });
-    crate::client::merge_spans(req, remote.collect())
+    let members = state.node.shards().other_members();
+    let answers =
+        state.peers.every(members, state.node.next_id(), &Request::Trace { req }, client::spans);
+    client::merge_spans(req, answers.unwrap_or_default())
 }
 
 /// Ring spans served by `/debug/recent`, at most this many (the most
@@ -453,7 +452,7 @@ fn call_all(
 ) -> Result<(), ClusterError> {
     let cfg = state.cfg();
     let deadline = Deadline::within(cfg.timeouts.op_budget);
-    let policy = RetryPolicy { max_attempts: if retry { 2 } else { 1 }, ..RetryPolicy::default() };
+    let attempts = if retry { 2 } else { 1 };
     for (dest, req) in calls {
         if state.stopping() {
             // Killed mid-fan-out: the rest is lost with the process, and
@@ -465,9 +464,8 @@ fn call_all(
         let mut span = Span::enter_with_id(Level::Trace, module_path!(), "internal_send", req_id);
         span.field("server", cfg.me);
         span.field("peer", dest);
-        let sent = state
-            .peer(dest)
-            .and_then(|peer| peer.call_retry(req_id, &req, &policy, deadline).map(drop));
+        let sent =
+            state.peer(dest).and_then(|peer| peer.call(req_id, &req, attempts, deadline).map(drop));
         drop(span);
         state.node.delivered(req_id, dest, sent.err());
     }

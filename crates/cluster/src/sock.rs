@@ -10,7 +10,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crate::retry::Deadline;
+use pls_wire::retry::Deadline;
 
 /// A stream under a deadline: the socket's read or write timeout is
 /// re-armed to the time left before every call, so a peer that trickles

@@ -10,7 +10,7 @@ use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use common::{bind_all, call_raw, entries, rebind};
+use common::{bind_all, call_raw, entries, http_get, rebind};
 use pls_cluster::{
     BreakerConfig, ChaosConfig, ChaosPeer, Client, ClientConfig, ClusterError, Deadline, Server,
     ServerConfig, ServerHandle, Timeouts,
@@ -73,9 +73,9 @@ fn spawn_chaos_cluster(
 /// One key's locally stored entries at a server, pulled over the raw
 /// wire protocol (bypassing any proxy).
 fn stored_at(addr: SocketAddr, key: &[u8]) -> Vec<Vec<u8>> {
-    let req = pls_cluster::proto::Request::Snapshot { key: key.to_vec() };
+    let req = pls_wire::proto::Request::Snapshot { key: key.to_vec() };
     match call_raw(addr, 0xc0de, &req).unwrap().1 {
-        pls_cluster::proto::Response::Snapshot(snap) => {
+        pls_wire::proto::Response::Snapshot(snap) => {
             snap.map(|snap| snap.entries).unwrap_or_default()
         }
         other => panic!("unexpected snapshot response {other:?}"),
@@ -322,6 +322,83 @@ fn byzantine_faults_are_skipped_like_crashes() {
             assert_eq!(got.len(), 6, "{name} round {round}");
         }
     }
+}
+
+/// Every read of the members skips a member that garbles its frames or
+/// answers with an error, as lookups do: `stats` and `trace` merge what
+/// the healthy members answered, and so does a server's `/trace`
+/// fan-out.
+#[test]
+fn reads_skip_a_garbling_and_an_erroring_member() {
+    let spec = StrategySpec::full_replication();
+    let (garbage, error) = (Arc::new(ChaosConfig::new(14)), Arc::new(ChaosConfig::new(15)));
+    let (listeners, real_addrs) = bind_all(4);
+    let mut addrs = real_addrs.clone();
+    let mut proxies = Vec::new();
+    for (i, chaos) in [(1, &garbage), (2, &error)] {
+        let (proxy, addr) =
+            ChaosPeer::bind(Some(real_addrs[i]), Arc::clone(chaos)).expect("proxy bind");
+        addrs[i] = addr;
+        proxies.push(proxy);
+    }
+    let servers: Vec<Server> = listeners
+        .into_iter()
+        .enumerate()
+        .map(|(i, listener)| {
+            let cfg = ServerConfig {
+                timeouts: tight(),
+                ..ServerConfig::new(i, addrs.clone(), spec, 260)
+            };
+            Server::with_listener(cfg, listener).expect("server").0
+        })
+        .collect();
+    let (mut http_listeners, http_addrs) = bind_all(1);
+    let router = Arc::new(servers[0].router());
+    let _exporter =
+        pls_cluster::http::serve_router(http_listeners.remove(0), router).expect("exporter");
+    let _servers: Vec<ServerHandle> = servers.into_iter().map(Server::spawn).collect();
+
+    let mut client = Client::connect(ClientConfig::new(addrs, spec, 261).with_timeouts(tight()));
+    client.place(b"k", entries(0..4)).unwrap();
+    garbage.set_garbage(1.0);
+    error.set_error(1.0);
+
+    // Every member holds the one key; the merge counts the two healthy
+    // members' only.
+    let merged = client.cluster_metrics(false).expect("stats skips the faulty members");
+    assert_eq!(merged.counter_sum("pls_keys"), 2);
+    assert_eq!(client.partial_lookup(b"k", 4).unwrap().len(), 4);
+    let req = client.last_request_id();
+    client.trace_request(req).expect("trace skips the faulty members");
+    let (status, _, body) = http_get(http_addrs[0], &format!("/trace?req={req}"));
+    assert!(status.contains("200"), "{status}");
+    assert!(body.starts_with('['), "not a JSON array: {body}");
+}
+
+/// A read of every member runs under one operation budget: with every
+/// member black-holed, `stats`, `trace` and `membership` give up when the
+/// budget is spent, not after one RPC deadline per member.
+#[test]
+fn reads_of_black_holed_members_end_within_the_op_budget() {
+    let chaos = Arc::new(ChaosConfig::new(16));
+    let spec = StrategySpec::full_replication();
+    let cluster = spawn_chaos_cluster(3, spec, 270, &[0, 1, 2], &chaos);
+    let timeouts = tight().with_rpc_ms(300).with_op_budget_ms(500);
+    let mut client = Client::connect(
+        ClientConfig::new(cluster.addrs.clone(), spec, 271).with_timeouts(timeouts),
+    );
+    chaos.set_black_hole(1.0);
+    let bound = timeouts.op_budget + Duration::from_millis(250);
+
+    let started = Instant::now();
+    let err = client.cluster_metrics(false).unwrap_err();
+    assert!(started.elapsed() < bound, "stats took {:?} ({err})", started.elapsed());
+    let started = Instant::now();
+    let err = client.trace_request(7).unwrap_err();
+    assert!(started.elapsed() < bound, "trace took {:?} ({err})", started.elapsed());
+    let started = Instant::now();
+    let err = client.membership().unwrap_err();
+    assert!(started.elapsed() < bound, "membership took {:?} ({err})", started.elapsed());
 }
 
 /// Server-side robustness: updates whose internal fan-out hits a

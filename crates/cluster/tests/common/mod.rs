@@ -7,8 +7,8 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 
 use pls_cluster::frame::{read_frame, write_frame};
-use pls_cluster::proto::{Request, Response};
 use pls_cluster::ClusterError;
+use pls_wire::proto::{Request, Response};
 
 /// Binds `n` listeners on ephemeral ports, so every server can be told
 /// the final address list before any of them starts.

@@ -81,9 +81,9 @@ fn spawn_durable_cluster(
 /// One key's locally stored entries at one server, over the raw wire
 /// protocol — ground truth for resurrection checks.
 fn entries_at(addr: SocketAddr, key: &[u8]) -> Vec<Vec<u8>> {
-    let req = pls_cluster::proto::Request::Snapshot { key: key.to_vec() };
+    let req = pls_wire::proto::Request::Snapshot { key: key.to_vec() };
     match call_raw(addr, 0xd1f5, &req) {
-        Ok((_, pls_cluster::proto::Response::Snapshot(snap))) => {
+        Ok((_, pls_wire::proto::Response::Snapshot(snap))) => {
             snap.map(|snap| snap.entries).unwrap_or_default()
         }
         other => panic!("unexpected snapshot response from {addr}: {other:?}"),
@@ -266,7 +266,7 @@ fn kill_during_a_stream_of_acked_adds_loses_none_and_writes_nothing_after() {
 
 #[test]
 fn cold_start_resync_adopts_the_modal_freshest_donor() {
-    use pls_cluster::proto::{Request, Response};
+    use pls_wire::proto::{Request, Response};
 
     let spec = StrategySpec::full_replication();
     let dirs = data_dirs("modal-donor", 4);

@@ -175,11 +175,11 @@ fn round_robin_update_rejected_at_non_coordinator() {
     let spec = StrategySpec::round_robin(2);
     let (addrs, _handles) = spawn_cluster(3, spec, 6);
     // Talk to server 1 directly with a raw add: must be refused.
-    let add = pls_cluster::proto::Request::Add { key: b"k".to_vec(), entry: b"e".to_vec() };
+    let add = pls_wire::proto::Request::Add { key: b"k".to_vec(), entry: b"e".to_vec() };
     let (id, response) = call_raw(addrs[1], 0xfeed, &add).unwrap();
     assert_eq!(id, 0xfeed, "server must echo the request id");
     match response {
-        pls_cluster::proto::Response::Error(msg) => {
+        pls_wire::proto::Response::Error(msg) => {
             assert!(msg.contains("coordinator"), "{msg}");
         }
         other => panic!("expected error, got {other:?}"),
@@ -360,8 +360,8 @@ fn cold_restarted_round_robin_server_resyncs_positions() {
 /// instead of failing on the first key that is not its own.
 #[test]
 fn cold_start_resync_in_a_cluster_wider_than_the_group() {
-    use pls_cluster::proto::{Request, Response};
     use pls_core::{GroupRouter, Membership};
+    use pls_wire::proto::{Request, Response};
 
     let (spec, seed) = (StrategySpec::full_replication(), 46);
     let (addrs, mut handles) = spawn_cluster(7, spec, seed);
@@ -406,34 +406,6 @@ fn resync_with_no_peers_reports_unavailable() {
     assert!(matches!(
         replacement.resync_from_peers(),
         Err(pls_cluster::ClusterError::NoServerAvailable)
-    ));
-}
-
-#[test]
-fn parallel_lookup_merges_and_skips_dead_servers() {
-    let spec = StrategySpec::random_server(4);
-    let (addrs, mut handles) = spawn_cluster(6, spec, 70);
-    let mut client = Client::connect(ClientConfig::new(addrs, spec, 71));
-    client.place(b"k", entries(0..20)).unwrap();
-    // Full fan-out: all 6 probes fly at once.
-    let got = client.partial_lookup_parallel(b"k", 12, 6).unwrap();
-    assert_eq!(got.len(), 12);
-    let mut sorted = got.clone();
-    sorted.sort();
-    sorted.dedup();
-    assert_eq!(sorted.len(), 12, "duplicates in parallel merge");
-    // Kill two servers; waves skip them.
-    handles[0].kill();
-    handles[5].kill();
-    let got = client.partial_lookup_parallel(b"k", 10, 3).unwrap();
-    assert!(got.len() >= 10);
-    // Everyone dead → reported.
-    for h in &mut handles {
-        h.kill();
-    }
-    assert!(matches!(
-        client.partial_lookup_parallel(b"k", 1, 4),
-        Err(pls_cluster::ClusterError::NoServerAvailable | pls_cluster::ClusterError::Io(_))
     ));
 }
 
@@ -491,6 +463,9 @@ fn conflicting_per_key_strategy_is_rejected() {
         pls_cluster::ClusterError::Remote(msg) => assert!(msg.contains("already managed"), "{msg}"),
         other => panic!("expected remote error, got {other:?}"),
     }
+    // The refused strategy is not recorded: the key keeps the procedure
+    // the cluster manages it under.
+    assert_eq!(client.spec_of(b"k"), StrategySpec::fixed(3));
 }
 
 #[test]

@@ -8,9 +8,9 @@ use std::net::SocketAddr;
 use std::time::Duration;
 
 use common::{bind_all, call_raw, entries, exchange_raw};
-use pls_cluster::proto::{Request, Response};
 use pls_cluster::{Client, ClientConfig, Deadline, Server, ServerConfig, ServerHandle};
 use pls_core::{Membership, StrategySpec};
+use pls_wire::proto::{Request, Response};
 
 /// Spawns an `n`-server cluster on ephemeral ports with a short
 /// anti-entropy interval, so membership gossip and migration converge

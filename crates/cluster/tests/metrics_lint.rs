@@ -17,11 +17,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use common::{bind_all, http_get};
-use pls_cluster::metrics::{Kind, Side, CATALOGUE};
 use pls_cluster::{Client, ClientConfig, Deadline, Server, ServerConfig};
 use pls_core::StrategySpec;
 use pls_telemetry::snapshot::labeled;
 use pls_telemetry::MetricsSnapshot;
+use pls_wire::metrics::{Kind, Side, CATALOGUE};
 
 /// Install the counting allocator exactly as the `pls-server` binary
 /// does, so the `pls_alloc_*` families carry real readings here too —

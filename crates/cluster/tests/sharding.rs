@@ -10,11 +10,11 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use common::{bind_all, entries, rebind};
-use pls_cluster::storage;
 use pls_cluster::{
     Client, ClientConfig, ClusterError, Deadline, Server, ServerConfig, ServerHandle,
 };
 use pls_core::StrategySpec;
+use pls_wire::storage;
 
 /// Per-test scratch directories under the system temp dir, wiped at
 /// entry so reruns start clean.

@@ -64,10 +64,9 @@ fn field_u64(span: &SpanRecord, key: &str) -> u64 {
         .unwrap_or_else(|e| panic!("span `{}` field `{key}`: {e}", span.name))
 }
 
-/// The tentpole acceptance scenario: a parallel lookup that must wait
-/// on a chaos-delayed server leaves a span tree showing exactly where
-/// the time went, and the tree survives ring wraparound via the pin
-/// list.
+/// A lookup that must wait on a chaos-delayed server leaves a span tree
+/// showing exactly where the time went, and the tree survives ring
+/// wraparound via the pin list.
 #[test]
 fn delayed_probe_shows_up_in_the_request_timeline() {
     // Fresh recorder for this test binary; servers, client, and the
@@ -80,7 +79,7 @@ fn delayed_probe_shows_up_in_the_request_timeline() {
     let chaos = Arc::new(ChaosConfig::new(41));
     // Round-Robin-1 places each entry on exactly one server, so a
     // t=all lookup needs every server's answer — including the slow
-    // one; the parallel fan-out probes all three concurrently.
+    // one; the stride walk probes all three.
     let spec = StrategySpec::round_robin(1);
     let slow_server = 2usize;
     let (addrs, servers, _proxy) = spawn_cluster_with_slow_server(spec, 400, slow_server, &chaos);
@@ -101,14 +100,13 @@ fn delayed_probe_shows_up_in_the_request_timeline() {
     // From now on server 2 answers correctly but DELAY_MS late.
     chaos.set_delay_ms(DELAY_MS);
 
-    let got = client.partial_lookup_parallel(b"slow-key", 6, 3).expect("lookup");
+    let got = client.partial_lookup(b"slow-key", 6).expect("lookup");
     assert_eq!(got.len(), 6);
     let req_id = client.last_request_id();
 
     // --- the cluster-wide span tree, via the client RPC fan-out ---
     let spans = client.trace_request(req_id).expect("trace");
-    let root: Vec<&SpanRecord> =
-        spans.iter().filter(|s| s.name == "partial_lookup_parallel").collect();
+    let root: Vec<&SpanRecord> = spans.iter().filter(|s| s.name == "partial_lookup").collect();
     assert_eq!(root.len(), 1, "expected exactly one root span, got {spans:#?}");
     assert_eq!(root[0].req_id, Some(req_id));
     assert!(
@@ -154,7 +152,7 @@ fn delayed_probe_shows_up_in_the_request_timeline() {
     assert!(status.contains("200"), "{status}");
     assert!(headers.to_ascii_lowercase().contains("application/json"), "{headers}");
     assert!(body.starts_with('['), "not a JSON array: {body}");
-    assert!(body.contains("partial_lookup_parallel"), "root span missing from {body}");
+    assert!(body.contains("partial_lookup"), "root span missing from {body}");
     assert!(body.contains(&format!("\"req_id\":{req_id}")), "req id missing from {body}");
 
     // Malformed and absent req parameters are client errors.
@@ -182,7 +180,7 @@ fn delayed_probe_shows_up_in_the_request_timeline() {
     }
     let after = rec.spans_for(req_id);
     assert!(
-        after.iter().any(|s| s.name == "partial_lookup_parallel"),
+        after.iter().any(|s| s.name == "partial_lookup"),
         "pinned root span did not survive ring wraparound"
     );
 

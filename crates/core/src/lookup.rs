@@ -11,10 +11,10 @@
 //!   [`Directory`](crate::directory::Directory) probe an in-process
 //!   engine on the spot (`sample_refs(t)`) and report servers in their
 //!   [`FailureSet`] unreachable;
-//! * `pls-cluster`'s TCP client sends each probe as a task, keeps up to
-//!   `fanout` (plus a hedge) in flight, and reports answers and peer
-//!   faults as they come back — `next` never waits for an outstanding
-//!   answer, which is all that fan-out and hedging need from the plan.
+//! * `pls-cluster`'s TCP client sends each probe as a task, keeps one
+//!   (plus a hedge) in flight, and reports answers and peer faults as
+//!   they come back — `next` never waits for an outstanding answer, which
+//!   is all that hedging needs from the plan.
 //!
 //! The plan owns the probe order, the `contacted` list, the
 //! [`IndexedSet`] merge and the uniform trim to `t`. It holds answers in
@@ -353,7 +353,7 @@ impl<'a, V: Entry, A: Answer<V>> LookupPlan<'a, V, A> {
 
     /// Random probing with merging whatever the strategy — the procedure
     /// of RandomServer-x and Hash-y, for callers that want it on any
-    /// placement (wave probing, the stride-vs-random ablation).
+    /// placement (`pls-sim`'s stride-vs-random ablation).
     pub fn shuffled(t: usize, down: &'a FailureSet, rng: &mut DetRng) -> Self {
         Self::lent(None, t, down, rng, &mut Bookkeeping::default(), None)
     }

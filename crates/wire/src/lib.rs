@@ -17,14 +17,15 @@
 //!   also measures staleness) and the self-scrape as a scheduler that
 //!   names the pulls it needs and reads their answers; cold-start resync
 //!   is one of its repair rounds;
-//! * [`retry`] — deadlines, backoff and the per-peer circuit breaker;
+//! * [`retry`] — deadlines, the backoff between a call's attempts and the
+//!   per-peer circuit breaker;
 //! * [`metrics`] — the server's and the client's counters, histograms
 //!   and live-quality gauges;
 //! * [`error`] — [`ClusterError`].
 //!
-//! `pls-cluster` re-exports the modules it had under their old paths and
-//! adds the TCP server (a shell around [`server`] and [`maintenance`]), the
-//! client and the frame reader and writer. Nothing here touches a socket,
+//! `pls-cluster` adds the TCP server (a shell around [`server`] and
+//! [`maintenance`]), the client and the frame reader and writer; code that
+//! needs these modules names this crate. Nothing here touches a socket,
 //! and [`server`], [`maintenance`] and [`shard`] take the time as an
 //! argument: the server's logic is tested through this crate without
 //! sockets or sleeps (`cargo test -p pls-wire`).

@@ -7,11 +7,11 @@
 //!
 //! * [`Timeouts`] — connect timeout, per-RPC deadline, and a total
 //!   per-operation budget ([`Deadline`]) that caps how long one client
-//!   operation (a lookup, an update, a resync pull) may run across all
-//!   its probes and retries.
-//! * [`RetryPolicy`] — bounded attempts with full-jitter exponential
-//!   backoff, so a flaky peer is retried without synchronized
-//!   thundering herds.
+//!   operation (a lookup, an update, a read of every member, a resync
+//!   pull) may run across all its probes and retries.
+//! * [`delay`] — the full-jitter exponential backoff between a call's
+//!   attempts (the caller picks only how many), so a flaky peer is
+//!   retried without synchronized thundering herds.
 //! * [`Breaker`] — a consecutive-failure circuit breaker per peer. A
 //!   peer that keeps failing is *demoted*: callers fast-fail against it
 //!   (and sort it to the tail of their probe order) until a cooldown
@@ -73,44 +73,22 @@ impl Timeouts {
     }
 }
 
-/// Bounded retries with full-jitter exponential backoff.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total attempts per call (1 = no retry).
-    pub max_attempts: u32,
-    /// Backoff ceiling before attempt 2.
-    pub backoff_base: Duration,
-    /// Backoff ceiling growth is capped here.
-    pub backoff_cap: Duration,
-}
+/// The ceiling of the backoff before a call's second attempt.
+const BACKOFF_BASE: Duration = Duration::from_millis(20);
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 3,
-            backoff_base: Duration::from_millis(20),
-            backoff_cap: Duration::from_millis(500),
-        }
-    }
-}
+/// The ceiling of the backoff doubles per attempt up to this.
+const BACKOFF_CAP: Duration = Duration::from_millis(500);
 
-impl RetryPolicy {
-    /// The jittered delay before retry number `attempt` (1-based: the
-    /// delay after the first failed attempt is `delay(1, ..)`). Full
-    /// jitter: uniform in `[0, min(cap, base << (attempt - 1))]`, drawn
-    /// deterministically from `seed` so identical call sites spread out
-    /// rather than retrying in lockstep.
-    pub fn delay(&self, attempt: u32, seed: u64) -> Duration {
-        let shift = attempt.saturating_sub(1).min(16);
-        let ceiling =
-            self.backoff_base.saturating_mul(1u32 << shift).min(self.backoff_cap).as_micros()
-                as u64;
-        if ceiling == 0 {
-            return Duration::ZERO;
-        }
-        let roll = splitmix64(seed ^ u64::from(attempt));
-        Duration::from_micros(roll % (ceiling + 1))
-    }
+/// The jittered delay before retry number `attempt` (1-based: the delay
+/// after the first failed attempt is `delay(1, ..)`). Full jitter:
+/// uniform in `[0, min(BACKOFF_CAP, BACKOFF_BASE << (attempt - 1))]`,
+/// drawn deterministically from `seed` so identical call sites spread
+/// out rather than retrying in lockstep.
+pub fn delay(attempt: u32, seed: u64) -> Duration {
+    let shift = attempt.saturating_sub(1).min(16);
+    let ceiling = BACKOFF_BASE.saturating_mul(1u32 << shift).min(BACKOFF_CAP).as_micros() as u64;
+    let roll = splitmix64(seed ^ u64::from(attempt));
+    Duration::from_micros(roll % (ceiling + 1))
 }
 
 /// An absolute time bound on one operation. Cheap to copy; every probe
@@ -269,22 +247,15 @@ mod tests {
 
     #[test]
     fn backoff_grows_and_is_capped() {
-        let p = RetryPolicy {
-            max_attempts: 5,
-            backoff_base: Duration::from_millis(10),
-            backoff_cap: Duration::from_millis(35),
-        };
-        for attempt in 1u32..=6 {
-            let ceiling = Duration::from_millis(10)
-                .saturating_mul(1u32 << (attempt - 1))
-                .min(Duration::from_millis(35));
+        for attempt in 1u32..=8 {
+            let ceiling = BACKOFF_BASE.saturating_mul(1u32 << (attempt - 1)).min(BACKOFF_CAP);
             for seed in 0u64..50 {
-                assert!(p.delay(attempt, seed) <= ceiling, "attempt {attempt} seed {seed}");
+                assert!(delay(attempt, seed) <= ceiling, "attempt {attempt} seed {seed}");
             }
         }
         // Jitter actually varies with the seed.
         let spread: std::collections::HashSet<Duration> =
-            (0u64..20).map(|seed| p.delay(3, seed)).collect();
+            (0u64..20).map(|seed| delay(3, seed)).collect();
         assert!(spread.len() > 1);
     }
 

@@ -40,10 +40,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         handles.push(server.spawn());
     }
 
-    let mut client = Client::connect(ClientConfig::new(addrs, spec, 7));
+    let mut client = Client::connect(ClientConfig::new(addrs.clone(), spec, 7));
 
     // Mixed traffic: two keys (one under a per-key strategy), a stream of
-    // adds/deletes, and both sequential and parallel lookups.
+    // adds/deletes, and both sequential and hedged lookups.
     let songs: Vec<Vec<u8>> = (0..12).map(|i| format!("peer{i}:6699").into_bytes()).collect();
     client.place(b"song/stairway", songs)?;
     let urls: Vec<Vec<u8>> = (0..8).map(|i| format!("http://host{i}/").into_bytes()).collect();
@@ -58,7 +58,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         client.partial_lookup(b"song/stairway", t)?;
         client.partial_lookup(b"category/guitar", t)?;
     }
-    client.partial_lookup_parallel(b"song/stairway", 10, 4)?;
+    // A hedged client sends the next probe whenever those in flight stay
+    // silent past the delay, so its probes overlap.
+    let mut hedged = Client::connect(
+        ClientConfig::new(addrs, spec, 8).with_hedging(std::time::Duration::from_micros(50)),
+    );
+    hedged.partial_lookup(b"song/stairway", 10)?;
+    println!("# hedged lookup: {} probes launched early", hedged.metrics().hedges.get());
 
     // Zipf-skewed phase: 12 more keys whose lookup traffic follows a
     // discrete Zipf law (rank 0 hottest) — the workload the hot-key
@@ -109,7 +115,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "# coverage (entries retrieved at least once): {:.4}",
         cluster.gauge("pls_live_coverage").unwrap_or(f64::NAN)
     );
-    let hot = partial_lookup::cluster::metrics::views::hot_keys(&cluster);
+    let hot = partial_lookup::wire::metrics::views::hot_keys(&cluster);
     println!("# hottest keys (Space-Saving estimates):");
     for (key, count) in hot.iter().take(5) {
         println!("#   {key:<20} {count}");

@@ -20,7 +20,8 @@
 //! * [`sim`] — the discrete-time update simulator (§6) and one
 //!   experiment driver per table/figure.
 //! * [`cluster`] — a real TCP deployment of the same protocol engines,
-//!   with a client library.
+//!   with a client library; [`wire`] — its half that touches no socket
+//!   (codec, write-ahead log, the server's state machine, metric sets).
 //! * [`telemetry`] — lock-free runtime metrics (atomic counters, log₂
 //!   histograms, Prometheus-style exposition) and a zero-dependency
 //!   structured tracing facade; the cluster uses it to measure the §4.2
@@ -56,6 +57,7 @@ pub use pls_metrics as metrics;
 pub use pls_net as net;
 pub use pls_sim as sim;
 pub use pls_telemetry as telemetry;
+pub use pls_wire as wire;
 
 // The types almost every user touches, at the crate root.
 pub use pls_core::{

@@ -18,8 +18,8 @@ fn simulated_and_live_placements_agree() {
     // The live server seeds each key's engine with `seed ^ hash(key)`
     // (so different keys randomize independently); the simulated twin is
     // seeded by the same function.
-    use partial_lookup::cluster::shard::key_seed;
     use partial_lookup::cluster::{Client, ClientConfig, Server, ServerConfig};
+    use partial_lookup::wire::shard::key_seed;
 
     let n = 5;
     let seed = 77;
@@ -64,7 +64,7 @@ fn simulated_and_live_placements_agree() {
             // Probe with a huge t returns everything the server stores.
             let live_raw = {
                 use partial_lookup::cluster::frame::{read_frame, write_frame};
-                use partial_lookup::cluster::proto::{Request, Response};
+                use partial_lookup::wire::proto::{Request, Response};
                 let mut stream = std::net::TcpStream::connect(server_addr).unwrap();
                 let req = Request::Probe { key: b"k".to_vec(), t: u32::MAX };
                 write_frame(&mut stream, 1, 0, &req.encode()).unwrap();
