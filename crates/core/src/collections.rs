@@ -38,8 +38,15 @@
 //! each of those cache misses in turn.)
 //!
 //! A lookup's merge runs on storage its owner lends it (`reuse`,
-//! `drain_sample`): an empty set's table grows in its own buffer, cleared
-//! only to the size asked for.
+//! `drain_sample`): a table with no occupied slot grows in its own
+//! buffer, cleared only to the size asked for.
+//!
+//! `extend` appends up to [`BATCH`] values past the table, hashes them in
+//! one straight loop (so their cache misses overlap instead of each waiting
+//! behind the last one's probe), then probes them one by one, moving first
+//! occurrences down to the table's end. Values sit past the table only
+//! inside that call: a panicking `Hash`, `Eq` or iterator leaves the values
+//! already in the table, a prefix of what one `insert` each leaves.
 
 use std::fmt;
 use std::hash::{BuildHasher, Hash};
@@ -64,6 +71,10 @@ impl Slot {
 
 /// Slots allocated by the first insert.
 const MIN_SLOTS: usize = 8;
+
+/// Values `extend` hashes before it probes any of them: a lookup's
+/// answer of up to 32 entries in one pass, its tags in a stack array.
+const BATCH: usize = 32;
 
 /// How many values a table of `slots` slots takes before it grows:
 /// `HashMap`'s capacities (3, 7, then 7/8 of its buckets) at two slots
@@ -179,9 +190,7 @@ impl<T: Eq + Hash> IndexedSet<T> {
     /// [`as_slice`]: IndexedSet::as_slice
     /// [`insert`]: IndexedSet::insert
     pub(crate) fn insert_full(&mut self, value: T) -> (usize, bool) {
-        if self.items.len() >= capacity_of(self.slots.len()) {
-            self.rebuild((self.slots.len() * 2).max(MIN_SLOTS));
-        }
+        self.make_room(self.items.len());
         let tag = self.tag_of(&value);
         match Self::probe(&self.slots, tag, |pos| self.items[pos] == value) {
             Ok(slot) => (self.slots[slot].pos as usize, false),
@@ -364,13 +373,45 @@ impl<T: Eq + Hash> IndexedSet<T> {
         self.items.swap_remove(pos as usize)
     }
 
+    /// Doubles the table, if full, before its `held + 1`th value goes in.
+    fn make_room(&mut self, held: usize) {
+        if held >= capacity_of(self.slots.len()) {
+            self.rebuild((self.slots.len() * 2).max(MIN_SLOTS));
+        }
+    }
+
+    /// Inserts `values` (at most [`BATCH`], fitting in `items`' spare
+    /// room) as one `insert` each would: same order, same table, same
+    /// allocations. Returns how many values there were.
+    fn insert_batch(&mut self, values: impl Iterator<Item = T>) -> usize {
+        let held = self.items.len();
+        let mut batch = Appended { set: self, held };
+        let set = &mut *batch.set;
+        set.items.extend(values);
+        let mut tags = [0u32; BATCH];
+        for (tag, value) in tags.iter_mut().zip(&set.items[held..]) {
+            *tag = set.tag_of(value);
+        }
+        let end = set.items.len();
+        for (next, &tag) in (held..end).zip(&tags) {
+            set.make_room(batch.held);
+            if let Err(i) = Self::probe(&set.slots, tag, |pos| set.items[pos] == set.items[next]) {
+                Self::shift_in(&mut set.slots, i, Slot { tag, pos: batch.held as u32 });
+                set.items.swap(batch.held, next);
+                batch.held += 1;
+            }
+        }
+        end - held
+    }
+
     /// Replaces the table with one of `new_len` slots. The stored tags
-    /// carry every bit a home slot needs, so no value is hashed again. An
-    /// empty set's table is its own buffer, cleared to `new_len` slots.
+    /// carry every bit a home slot needs, so no value is hashed again. A
+    /// table with no occupied slot is its own buffer, cleared to
+    /// `new_len` slots.
     fn rebuild(&mut self, new_len: usize) {
         // Tags and positions are 32 bits wide.
         assert!(new_len as u64 <= 1 << 32, "IndexedSet is limited to 2^32 slots");
-        if self.items.is_empty() {
+        if self.slots.iter().all(|s| s.is_vacant()) {
             self.slots.clear();
             self.slots.resize(new_len, Slot::VACANT);
             return;
@@ -440,14 +481,35 @@ impl<T: Eq + Hash> FromIterator<T> for IndexedSet<T> {
 
 impl<T: Eq + Hash> Extend<T> for IndexedSet<T> {
     fn extend<I: IntoIterator<Item = T>>(&mut self, iter: I) {
-        let iter = iter.into_iter();
+        let mut iter = iter.into_iter();
         // As `HashMap` does: trust the hint on an empty set, expect half
         // of it to be duplicates otherwise.
         let hint = iter.size_hint().0;
         self.reserve(if self.is_empty() { hint } else { hint.div_ceil(2) });
-        for v in iter {
-            self.insert(v);
+        loop {
+            // A batch fills only spare room, so `items` reallocates where one
+            // `insert` per value would: a full vector takes a value that way.
+            let room = (self.items.capacity() - self.items.len()).min(BATCH);
+            if room == 0 {
+                let Some(v) = iter.next() else { return };
+                self.insert(v);
+            } else if self.insert_batch(iter.by_ref().take(room)) < room {
+                return;
+            }
         }
+    }
+}
+
+/// A batch appended past a set's table. Dropped, unwinding or not, it
+/// truncates the set's items to the `held` values in the table.
+struct Appended<'a, T> {
+    set: &'a mut IndexedSet<T>,
+    held: usize,
+}
+
+impl<T> Drop for Appended<'_, T> {
+    fn drop(&mut self) {
+        self.set.items.truncate(self.held);
     }
 }
 
@@ -805,6 +867,12 @@ pub(crate) mod tests {
         small.reserve(70);
         assert_eq!(small.slots.len(), 256);
         assert!(small.slots.capacity() >= 16_384);
+        // So is a table grown by a batch of values with no length to
+        // reserve by.
+        let mut unhinted: IndexedSet<usize> = small.reuse();
+        unhinted.extend((0..3).filter(|_| true));
+        assert_eq!(unhinted.slots.len(), 8);
+        assert!(unhinted.slots.capacity() >= 16_384);
     }
 
     #[test]
@@ -890,6 +958,146 @@ pub(crate) mod tests {
             check_history(case, &ops, seed, |v| v);
             check_history(case, &ops, seed, Colliding::<1>);
             check_history(case, &ops, seed, Colliding::<2>);
+        }
+    }
+
+    /// What `extend` did before it worked in batches: reserve by the same
+    /// rule, then one `insert` per value.
+    fn extend_one_by_one<T: Eq + Hash>(set: &mut IndexedSet<T>, iter: impl Iterator<Item = T>) {
+        let hint = iter.size_hint().0;
+        set.reserve(if set.is_empty() { hint } else { hint.div_ceil(2) });
+        iter.for_each(|v| {
+            set.insert(v);
+        });
+    }
+
+    /// The items, the table slot by slot, and what both have allocated.
+    fn layout<T: Clone>(set: &IndexedSet<T>) -> (Vec<T>, Vec<(u32, u32)>, usize, usize) {
+        let slots = set.slots.iter().map(|s| (s.tag, s.pos)).collect();
+        (set.items.clone(), slots, set.items.capacity(), set.slots.capacity())
+    }
+
+    /// Seeded histories of extends interleaved with removals, replayed on
+    /// two sets of one seed: batched `extend` leaves the items, the table
+    /// and the allocations one `insert` per value leaves. Values come from
+    /// 0..60 and an extend is up to 80 long, so duplicates fall inside a
+    /// batch and across batches; some extends hide their length, so a
+    /// full vector takes values one at a time.
+    fn check_extends<T: Clone + Eq + Hash + fmt::Debug>(case: u64, make: impl Fn(u64) -> T) {
+        let mut rng = DetRng::seed_from(0xE87_0000 ^ case);
+        let start = || {
+            let mut set =
+                IndexedSet { items: Vec::new(), slots: Vec::new(), seed: HashSeed::new(case) };
+            if case % 2 == 1 {
+                // Storage and no table, as a lookup's merge set starts.
+                set.extend((0..60).map(&make));
+                set = set.reuse();
+            }
+            set
+        };
+        let (mut batched, mut single) = (start(), start());
+        let (mut a, mut b) = (DetRng::seed_from(case), DetRng::seed_from(case));
+        for step in 0..12 {
+            let values: Vec<u64> = (0..rng.below(81)).map(|_| rng.below(60) as u64).collect();
+            let hidden = rng.below(3) == 0;
+            let given = || -> Box<dyn Iterator<Item = T> + '_> {
+                let given = values.iter().map(|&v| make(v));
+                if hidden {
+                    Box::new(given.filter(|_| true))
+                } else {
+                    Box::new(given)
+                }
+            };
+            batched.extend(given());
+            extend_one_by_one(&mut single, given());
+            for _ in 0..rng.below(20) {
+                let v = make(rng.below(60) as u64);
+                assert_eq!(batched.remove(&v), single.remove(&v));
+                assert_eq!(batched.remove_random(&mut a), single.remove_random(&mut b));
+            }
+            assert!(layout(&batched) == layout(&single), "case {case}, step {step}: {values:?}");
+            batched.assert_invariants();
+        }
+    }
+
+    #[test]
+    fn a_batched_extend_is_one_insert_per_value() {
+        let pool: Vec<Vec<u8>> = (0..60).map(|v| format!("{v:040}").into_bytes()).collect();
+        for case in 0..64 {
+            check_extends(case, |v| v);
+            check_extends(case, |v| format!("{v:040}").into_bytes());
+            check_extends(case, |v| &pool[v as usize]);
+        }
+    }
+
+    thread_local! {
+        /// Calls of [`Touchy`]'s `Hash` (`true`) or `Eq` (`false`) left
+        /// before one panics.
+        pub(crate) static FUSE: Cell<Option<(bool, usize)>> = const { Cell::new(None) };
+    }
+
+    /// A value whose `Hash` or `Eq` panics once [`FUSE`] burns down.
+    #[derive(Debug, Clone)]
+    pub(crate) struct Touchy(pub u64);
+
+    fn burn(hashing: bool) {
+        if let Some((which, left)) = FUSE.get() {
+            if which == hashing {
+                FUSE.set((left > 0).then(|| (which, left - 1)));
+                assert!(left > 0, "the fuse burned down");
+            }
+        }
+    }
+
+    impl Hash for Touchy {
+        fn hash<H: Hasher>(&self, state: &mut H) {
+            burn(true);
+            self.0.hash(state);
+        }
+    }
+
+    impl PartialEq for Touchy {
+        fn eq(&self, other: &Self) -> bool {
+            burn(false);
+            self.0 == other.0
+        }
+    }
+
+    impl Eq for Touchy {}
+
+    /// A `Hash` or `Eq` that panics on its k-th call, in the first batch
+    /// or a later one, leaves a set that holds its invariants and a
+    /// prefix of what the whole extend gives, and goes on working.
+    #[test]
+    fn a_panic_inside_a_batch_leaves_a_prefix_in_a_whole_table() {
+        let mut rng = DetRng::seed_from(0x7_0C4);
+        let values: Vec<Touchy> = (0..100).map(|_| Touchy(rng.below(40) as u64)).collect();
+        let whole: IndexedSet<Touchy> = values.iter().cloned().collect();
+        let expected = whole.as_slice().iter().map(|t| t.0).collect::<Vec<_>>();
+        let started = || values[..7].iter().cloned().collect::<IndexedSet<_>>();
+        for hashing in [true, false] {
+            // Count the calls of a whole extend: a fuse that never burns down.
+            let mut set = started();
+            FUSE.set(Some((hashing, usize::MAX)));
+            set.extend(values[7..].iter().cloned());
+            let calls = usize::MAX - FUSE.take().expect("still lit").1;
+            // About one call per value, so more than a batch of them.
+            assert!(calls > BATCH, "hashing {hashing}: {calls} calls");
+            for k in 0..calls {
+                let mut set = started();
+                FUSE.set(Some((hashing, k)));
+                let extend =
+                    std::panic::AssertUnwindSafe(|| set.extend(values[7..].iter().cloned()));
+                let panicked = std::panic::catch_unwind(extend).is_err();
+                FUSE.set(None);
+                assert!(panicked, "hashing {hashing}, call {k}: no panic");
+                set.assert_invariants();
+                let held: Vec<u64> = set.iter().map(|t| t.0).collect();
+                assert_eq!(held, expected[..held.len()], "hashing {hashing}, call {k}");
+                set.extend(values.iter().cloned());
+                assert_eq!(set.iter().map(|t| t.0).collect::<Vec<_>>(), expected);
+                set.assert_invariants();
+            }
         }
     }
 

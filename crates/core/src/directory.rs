@@ -528,6 +528,42 @@ mod tests {
     }
 
     #[test]
+    fn a_merge_that_panics_halfway_leaves_nothing_behind() {
+        use crate::collections::tests::{Touchy, FUSE};
+        let (mut dropping, mut keeping) = (mixed(17, Touchy), mixed(17, Touchy));
+        let mut live: Vec<Vec<u64>> = MIXED.iter().map(|(.., size)| (0..*size).collect()).collect();
+        for step in 0..300 {
+            let t = advance([&mut dropping, &mut keeping], &mut live, step, Touchy);
+            for (key, ..) in MIXED {
+                keeping.bookkeeping = Bookkeeping::default();
+                // Every twentieth step (t = 35), one merging key's lookup
+                // panics at its k-th hash of an entry, in the first batch
+                // of an answer or a later one. It panics in both
+                // directories, so both have drawn alike; the one that
+                // lends its bookkeeping must then answer as the one that
+                // starts each lookup afresh.
+                let nth = step as usize / 20;
+                if step % 20 == 0 && key == ["random", "round", "hash"][nth % 3] {
+                    for dir in [&mut dropping, &mut keeping] {
+                        FUSE.set(Some((true, [3, 33, 20, 34, 31][nth % 5])));
+                        let panicked =
+                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                                dir.partial_lookup(&key, t).map(|r| r.entries().len())
+                            }));
+                        assert!(panicked.is_err() && FUSE.take().is_none(), "{key}, step {step}");
+                    }
+                    continue;
+                }
+                let seen = dropping.partial_lookup(&key, t).unwrap();
+                let kept = keeping.partial_lookup(&key, t).unwrap();
+                assert_eq!(seen.contacted(), kept.contacted(), "{key}, step {step}, t = {t}");
+                assert_eq!(seen.entries(), kept.into_entries(), "{key}, step {step}, t = {t}");
+            }
+        }
+        assert_eq!(dropping.lookup_load(), keeping.lookup_load());
+    }
+
+    #[test]
     fn dropping_many_held_results_leaves_the_pool_at_its_bound() {
         let mut dir = sized_key(StrategySpec::hash(2), 14);
         let results: Vec<_> = (0..10_000).map(|_| dir.partial_lookup(&"k", 35).unwrap()).collect();

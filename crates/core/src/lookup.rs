@@ -22,6 +22,9 @@
 //! are moved in and moved out; references into in-process stores are
 //! merged and trimmed as references, and only the entries of the result
 //! are copied. Either way a lookup copies no entry it does not return.
+//! An answer joins the merge through [`IndexedSet`]'s `extend`, which
+//! hashes a batch of entries before it probes for any of them, so the
+//! first reads of an answer's entries overlap instead of queueing.
 //!
 //! In process, a lookup whose result is dropped reaches no allocator.
 //! `Cluster` and `Directory` each lend every lookup one [`Bookkeeping`]

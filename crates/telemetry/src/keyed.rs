@@ -240,7 +240,7 @@ impl KeyedCounterMap {
 }
 
 /// A point-in-time copy of a [`KeyedCounterMap`]: plain `(key, count)`
-/// data, sorted by key, mergeable across servers.
+/// data, sorted by key.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct KeyedSnapshot {
     /// `(key, count)` pairs, sorted by key.
@@ -254,23 +254,6 @@ impl KeyedSnapshot {
             .binary_search_by(|(k, _)| k.as_slice().cmp(key))
             .ok()
             .map(|i| self.entries[i].1)
-    }
-
-    /// Accumulates another snapshot: counts for equal keys are summed,
-    /// new keys are inserted in order.
-    pub fn merge(&mut self, other: &KeyedSnapshot) {
-        for (key, count) in &other.entries {
-            match self.entries.binary_search_by(|(k, _)| k.cmp(key)) {
-                Ok(i) => self.entries[i].1 += count,
-                Err(i) => self.entries.insert(i, (key.clone(), *count)),
-            }
-        }
-    }
-
-    /// All counts, in key order — the raw vector that dispersion
-    /// statistics (coefficient of variation, unfairness) consume.
-    pub fn counts(&self) -> Vec<u64> {
-        self.entries.iter().map(|(_, v)| *v).collect()
     }
 }
 
@@ -305,25 +288,11 @@ mod tests {
         );
         assert_eq!(snap.get(b"mm"), Some(3));
         assert_eq!(snap.get(b"xx"), None);
-        assert_eq!(snap.counts(), vec![2, 3, 1]);
 
         let taken = m.take();
         assert_eq!(taken, snap);
         assert!(m.is_empty());
         assert_eq!(m.take(), KeyedSnapshot::default());
-    }
-
-    #[test]
-    fn merge_sums_and_inserts_in_order() {
-        let a = KeyedCounterMap::new();
-        a.add(b"k1", 1);
-        a.add(b"k3", 3);
-        let b = KeyedCounterMap::new();
-        b.add(b"k1", 10);
-        b.add(b"k2", 2);
-        let mut m = a.snapshot();
-        m.merge(&b.snapshot());
-        assert_eq!(m.entries, vec![(b"k1".to_vec(), 11), (b"k2".to_vec(), 2), (b"k3".to_vec(), 3)]);
     }
 
     #[test]
@@ -378,7 +347,7 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        let total: u64 = m.snapshot().counts().iter().sum();
+        let total: u64 = m.snapshot().entries.iter().map(|(_, count)| count).sum();
         assert_eq!(total, 8_000);
         assert_eq!(m.len(), 5);
     }
