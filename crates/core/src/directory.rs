@@ -722,6 +722,44 @@ mod tests {
         assert!((1..60).contains(&last_took_part), "both cases ran: {last_took_part}");
     }
 
+    /// Key "a"'s delete panics at each of its clones in turn, in two
+    /// directories alike, and one of them is given a fresh scratch. Key
+    /// "b"'s next updates must then do the same in both: nothing "a" left
+    /// queued reaches "b"'s engines.
+    #[test]
+    fn a_panicked_update_leaves_nothing_for_another_key() {
+        use crate::group::tests::{clones_of, Brittle, FUSE};
+        let (n, spec) = (10, StrategySpec::round_robin(2));
+        let twin = || {
+            let mut dir: Directory<&str, Brittle> = Directory::new(n, uniform(spec), 4).unwrap();
+            dir.place("a", (0..40).map(Brittle).collect()).unwrap();
+            dir.place("b", (100..140).map(Brittle).collect()).unwrap();
+            dir
+        };
+        let mut counted = twin();
+        let calls = clones_of(|| counted.delete(&"a", &Brittle(17)).unwrap());
+        assert!(calls > 3, "{calls} clones");
+        for k in 0..calls {
+            let mut dirs = [twin(), twin()];
+            for dir in &mut dirs {
+                FUSE.set(Some(k));
+                let delete = std::panic::AssertUnwindSafe(|| dir.delete(&"a", &Brittle(17)));
+                assert!(std::panic::catch_unwind(delete).is_err() && FUSE.take().is_none());
+                dir.reset_load();
+            }
+            dirs[1].scratch = Scratch::default();
+            for dir in &mut dirs {
+                dir.delete(&"b", &Brittle(117)).unwrap();
+                dir.add(&"b", Brittle(199)).unwrap();
+            }
+            assert_eq!(dirs[0].update_load(), dirs[1].update_load(), "clone {k}");
+            for s in (0..n as u32).map(ServerId::new) {
+                let [ours, theirs] = dirs.each_ref().map(|dir| dir.server_entries(&"b", s));
+                assert_eq!(ours, theirs, "{s}, clone {k}");
+            }
+        }
+    }
+
     #[test]
     fn lookup_load_is_tracked_per_server() {
         let mut dir: Directory<&str, u64> =

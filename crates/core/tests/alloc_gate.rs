@@ -11,8 +11,8 @@
 //! one message the servers read; the last of them takes it), Round-Robin-2's
 //! migrate requests and context and the two copies of the head entry that
 //! plug a hole — plus the amortised growth of the stores it changes. The
-//! fan-out itself (the queue and the engines' out buffer of `pls-core`'s
-//! one update loop) is reused and allocates nothing. What a lookup must
+//! fan-out itself (the one queue of `pls-core`'s one update loop) is
+//! reused and allocates nothing. What a lookup must
 //! allocate is the `t` entries it returns and the vector that holds them;
 //! its bookkeeping (probe order, merge set, index vector) is lent by the
 //! `Directory` or `Cluster` it runs on, and what the probed servers offered
