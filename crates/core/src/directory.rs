@@ -360,6 +360,50 @@ mod tests {
     }
 
     #[test]
+    fn the_unversioned_path_never_boxes_tombstones() {
+        use crate::Message;
+        use pls_net::Endpoint;
+        let mut dir = mixed(17, |v| v);
+        let mut rng = DetRng::seed_from(18);
+        for step in 0..400 {
+            let (key, spec, size) = MIXED[step % MIXED.len()];
+            let v = rng.below(2 * size as usize) as u64; // half of them absent
+            match rng.below(10) {
+                0 => dir.place(key, (0..size).collect()).unwrap(),
+                1..=3 => dir.add(&key, v).unwrap(),
+                4..=6 => dir.delete(&key, &v).unwrap(),
+                _ => assert!(dir.partial_lookup(&key, 5).is_ok(), "{spec}"),
+            }
+        }
+        for (key, spec, _) in MIXED {
+            let engines = &dir.groups[&key].engines;
+            assert!(engines.iter().all(|e| !e.holds_tombstones()), "{spec}");
+        }
+
+        // A versioned delete boxes them; each way of emptying them frees the box.
+        let versioned = |msg| Message::Versioned { version: 9, stamp_ms: 50, msg: Box::new(msg) };
+        let (client, server) = (Endpoint::client(0), Endpoint::Server(ServerId::new(0)));
+        let mut e = dir.groups[&"random"].engines[1].clone();
+        for how in ["gc", "Reset", "StoreSet", "ChooseSubset", "set_version_meta"] {
+            assert!(e.handle(server, versioned(Message::CountedRemove { v: 7 })).is_empty());
+            assert!(e.holds_tombstones() && e.tombstone_count() == 1, "{how}");
+            match how {
+                "gc" => assert_eq!(e.gc_tombstones(50), 1),
+                "Reset" => assert!(e.handle(client, Message::Reset).is_empty()),
+                "StoreSet" => {
+                    drop(e.handle(client, versioned(Message::StoreSet { entries: vec![3] })))
+                }
+                "ChooseSubset" => {
+                    let msg = Message::ChooseSubset { entries: vec![1, 2], x: 20 };
+                    drop(e.handle(client, versioned(msg)))
+                }
+                _ => e.set_version_meta(0, []),
+            }
+            assert!(!e.holds_tombstones(), "{how}");
+        }
+    }
+
+    #[test]
     fn a_lookup_copies_only_the_entries_it_returns() {
         use crate::collections::tests::{clones, Counted};
         for spec in

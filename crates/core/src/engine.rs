@@ -18,12 +18,12 @@
 
 use std::borrow::Cow;
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 use pls_net::{Endpoint, ServerId};
 
-use crate::node::{MigrationState, RrCoord, ServerNode};
-use crate::{ConfigError, DetRng, Entry, HashFamily, Message, StrategySpec, Tombstone};
+use crate::node::{MigrationState, RoundRobin, RrCoord, ServerNode, Strategy};
+use crate::{ConfigError, DetRng, Entry, IndexedSet, Message, StrategySpec, Tombstone};
 
 /// Where an outbound message should go.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -36,6 +36,11 @@ pub enum Outbound<V> {
 
 /// One server's protocol engine: local entry store plus the strategy
 /// state machine.
+///
+/// It carries the state of its own strategy only (Round-Robin's in one box
+/// made with the engine), and boxes delete markers once a versioned delete
+/// records one: a [`Directory`](crate::directory::Directory) pays every
+/// byte here `n` times per key.
 ///
 /// # Example
 ///
@@ -56,20 +61,12 @@ pub enum Outbound<V> {
 pub struct NodeEngine<V: Entry> {
     me: ServerId,
     n: usize,
-    spec: StrategySpec,
-    hash_family: Option<HashFamily>,
     node: ServerNode<V>,
     /// This server's private stream. In a `RefCell` for `sample_refs`
     /// alone (a lookup holds references into several engines' stores, so
     /// a probe cannot take `&mut self`); everything else goes through
     /// `get_mut`, which is free. The engine is `Send`, not `Sync`.
     rng: RefCell<DetRng>,
-    /// How many servers mirror the round-robin coordinator counters
-    /// (paper footnote 1: "the centralized head and tail scheme can be
-    /// generalized to one where several servers store copies to improve
-    /// reliability"). Servers `0..rr_mirrors` hold the counters; a
-    /// coordinator mirror propagates every counter change to its peers.
-    rr_mirrors: usize,
 }
 
 impl<V: Entry> NodeEngine<V> {
@@ -94,20 +91,13 @@ impl<V: Entry> NodeEngine<V> {
         if me.index() >= n {
             return Err(ConfigError::InvalidParameter("server id out of range"));
         }
-        let hash_family = match spec {
-            StrategySpec::Hash { y } => Some(HashFamily::new(y, n, cluster_seed)),
-            _ => None,
-        };
-        let mut node = ServerNode::new();
-        if matches!(spec, StrategySpec::RoundRobin { .. }) && me.index() == 0 {
-            node.rr_coord = Some(RrCoord::default());
-        }
+        let node = ServerNode::new(Strategy::new(spec, me.index() == 0, n, cluster_seed));
         // Each server gets its own stream; mixing `me` keeps streams
         // distinct even though the cluster seed is shared.
         let rng = RefCell::new(DetRng::seed_from(
             cluster_seed ^ (0x9e37_79b9_7f4a_7c15u64.wrapping_mul(me.index() as u64 + 1)),
         ));
-        Ok(NodeEngine { me, n, spec, hash_family, node, rng, rr_mirrors: 1 })
+        Ok(NodeEngine { me, n, node, rng })
     }
 
     /// Configures coordinator-counter mirroring for Round-Robin-y:
@@ -124,35 +114,14 @@ impl<V: Entry> NodeEngine<V> {
     /// Panics unless `1 <= mirrors <= n`.
     pub fn set_rr_mirrors(&mut self, mirrors: usize) {
         assert!(mirrors >= 1 && mirrors <= self.n, "mirrors must be in 1..=n");
-        if !matches!(self.spec, StrategySpec::RoundRobin { .. }) {
-            return;
-        }
-        self.rr_mirrors = mirrors;
-        if self.me.index() < mirrors {
-            if self.node.rr_coord.is_none() {
-                self.node.rr_coord = Some(RrCoord::default());
-            }
-        } else {
-            self.node.rr_coord = None;
-        }
+        let Strategy::RoundRobin(rr) = &mut self.node.strategy else { return };
+        rr.mirrors = mirrors;
+        rr.coord = (self.me.index() < mirrors).then(|| rr.coord.take().unwrap_or_default());
     }
 
-    /// The configured coordinator mirror count.
+    /// The configured coordinator mirror count (1 for other strategies).
     pub fn rr_mirrors(&self) -> usize {
-        self.rr_mirrors
-    }
-
-    /// Queues the messages that propagate this mirror's counters to its
-    /// peers.
-    fn rr_sync_counters(&self, out: &mut Vec<Outbound<V>>) {
-        let Some((head, tail)) = self.rr_counters() else {
-            return;
-        };
-        out.extend(
-            (0..self.rr_mirrors).filter(|&i| i != self.me.index()).map(|i| {
-                Outbound::To(ServerId::new(i as u32), Message::RrSetCounters { head, tail })
-            }),
-        );
+        self.round_robin().map_or(1, |rr| rr.mirrors)
     }
 
     /// This server's id.
@@ -167,7 +136,7 @@ impl<V: Entry> NodeEngine<V> {
 
     /// The strategy this engine runs.
     pub fn spec(&self) -> StrategySpec {
-        self.spec
+        self.node.strategy.spec()
     }
 
     /// The locally stored entries (unspecified order).
@@ -199,21 +168,28 @@ impl<V: Entry> NodeEngine<V> {
     /// Round-robin coordinator counters `(head, tail)`, if this engine
     /// holds them.
     pub fn rr_counters(&self) -> Option<(u64, u64)> {
-        self.node.rr_coord.as_ref().map(|c| (c.head, c.tail))
+        self.round_robin()?.coord.as_ref().map(|c| (c.head, c.tail))
     }
 
     /// Round-robin position map (position → entry) of the local copies,
     /// in ascending position order. Empty for non-round-robin strategies. Exposed for diagnostics and
     /// invariant checking.
     pub fn rr_positions(&self) -> impl Iterator<Item = (u64, &V)> + '_ {
-        self.node.rr_positions()
+        self.round_robin().into_iter().flat_map(|rr| rr.positions(&self.node.store))
+    }
+
+    fn round_robin(&self) -> Option<&RoundRobin<V>> {
+        match &self.node.strategy {
+            Strategy::RoundRobin(rr) => Some(rr),
+            _ => None,
+        }
     }
 
     /// Whether Hash-y's shared function family assigns entry `v` to
     /// server `s`. Always `false` for other strategies. Used by recovery
     /// to re-derive a rebuilt server's share of the coverage.
     pub fn assigns_to(&self, v: &V, s: ServerId) -> bool {
-        self.hash_family.as_ref().is_some_and(|f| f.assigned(v).any(|to| to == s))
+        matches!(&self.node.strategy, Strategy::Hash(f) if f.assigned(v).any(|to| to == s))
     }
 
     /// The key's current per-key version (Lamport clock) as seen by this
@@ -225,12 +201,12 @@ impl<V: Entry> NodeEngine<V> {
 
     /// The live delete tombstones: `(entry, marker)` pairs, unordered.
     pub fn tombstones(&self) -> impl Iterator<Item = (&V, Tombstone)> + '_ {
-        self.node.tombstones.iter().map(|(v, t)| (v, *t))
+        self.node.tombstones.iter().flat_map(|map| map.iter()).map(|(v, t)| (v, *t))
     }
 
     /// Number of live tombstones.
     pub fn tombstone_count(&self) -> usize {
-        self.node.tombstones.len()
+        self.node.tombstones.as_ref().map_or(0, |map| map.len())
     }
 
     /// Rebuilds this server's share of the key from what its peers hold,
@@ -252,7 +228,7 @@ impl<V: Entry> NodeEngine<V> {
     ) {
         let from = Endpoint::Server(self.me);
         self.handle(from, Message::Reset);
-        match self.spec {
+        match self.spec() {
             StrategySpec::FullReplication | StrategySpec::Fixed { .. } => {
                 self.handle(from, Message::StoreSet { entries });
             }
@@ -267,7 +243,7 @@ impl<V: Entry> NodeEngine<V> {
                 }
             }
             StrategySpec::RoundRobin { y } => {
-                if self.node.rr_coord.is_some() {
+                if self.rr_counters().is_some() {
                     let span = positions.first_key_value().zip(positions.last_key_value());
                     let (head, tail) = counters
                         .or(span.map(|((lo, _), (hi, _))| (*lo, hi + 1)))
@@ -275,7 +251,7 @@ impl<V: Entry> NodeEngine<V> {
                     self.handle(from, Message::RrSetCounters { head, tail });
                 }
                 for (pos, v) in positions {
-                    if self.rr_holders(pos, y).any(|s| s == self.me) {
+                    if holders(pos, y, self.n).any(|s| s == self.me) {
                         self.handle(from, Message::RrStore { v, pos });
                     }
                 }
@@ -298,15 +274,11 @@ impl<V: Entry> NodeEngine<V> {
         tombstones: impl IntoIterator<Item = (V, Tombstone)>,
     ) {
         self.node.version = self.node.version.max(version);
-        self.node.tombstones = tombstones.into_iter().collect();
-        if matches!(self.spec, StrategySpec::RoundRobin { .. }) {
-            return;
+        let mut tombstones: HashMap<V, Tombstone> = tombstones.into_iter().collect();
+        if !matches!(self.node.strategy, Strategy::RoundRobin(_)) {
+            tombstones.retain(|v, _| !self.node.store.contains(v));
         }
-        let live: Vec<V> =
-            self.node.tombstones.keys().filter(|v| self.node.store.contains(v)).cloned().collect();
-        for v in live {
-            self.node.tombstones.remove(&v);
-        }
+        self.node.tombstones = (!tombstones.is_empty()).then(|| Box::new(tombstones));
     }
 
     /// Garbage-collects tombstones born at or before `cutoff_ms`
@@ -314,9 +286,12 @@ impl<V: Entry> NodeEngine<V> {
     /// tombstones with an unknown birth time (`born_ms == 0`) are always
     /// eligible.
     pub fn gc_tombstones(&mut self, cutoff_ms: u64) -> usize {
-        let before = self.node.tombstones.len();
-        self.node.tombstones.retain(|_, t| t.born_ms > cutoff_ms);
-        before - self.node.tombstones.len()
+        let Some(tombstones) = &mut self.node.tombstones else { return 0 };
+        let before = tombstones.len();
+        tombstones.retain(|_, t| t.born_ms > cutoff_ms);
+        let dropped = before - tombstones.len();
+        self.node.tombstones.take_if(|map| map.is_empty());
+        dropped
     }
 
     /// Processes one inbound message, returning the outbound messages
@@ -406,6 +381,7 @@ impl<V: Entry> NodeEngine<V> {
                 let t = self
                     .node
                     .tombstones
+                    .get_or_insert_default()
                     .entry(v.clone())
                     .or_insert(Tombstone { version: 0, born_ms: 0 });
                 if version >= t.version {
@@ -416,22 +392,26 @@ impl<V: Entry> NodeEngine<V> {
                 self.clear_tombstone(v, version)
             }
             Message::MigrateRep { replacement: Some(u), .. } => self.clear_tombstone(u, version),
-            Message::StoreSet { .. } | Message::ChooseSubset { .. } => {
-                self.node.tombstones.clear();
-            }
+            Message::StoreSet { .. } | Message::ChooseSubset { .. } => self.node.tombstones = None,
             _ => {}
         }
     }
 
     fn clear_tombstone(&mut self, v: &V, version: u64) {
-        if self.node.tombstones.get(v).is_some_and(|t| version >= t.version) {
-            self.node.tombstones.remove(v);
+        let Some(tombstones) = &mut self.node.tombstones else { return };
+        if tombstones.get(v).is_some_and(|t| version >= t.version) {
+            tombstones.remove(v);
         }
     }
 
     /// Every arm reads the message where it is; the arms that keep the
     /// entry or send it on take it with [`entry_of`] / [`entries_of`],
     /// which copy only out of a message that was lent.
+    ///
+    /// A server's store is written either by position (Round-Robin-y) or
+    /// directly (the other four), never both: a message of the other
+    /// family finds no state of its kind here and is ignored, so the
+    /// positions always describe the whole store.
     fn dispatch(
         &mut self,
         from: Endpoint,
@@ -442,106 +422,105 @@ impl<V: Entry> NodeEngine<V> {
         if let Some((version, stamp_ms)) = version_ctx {
             self.note_version_effects(&msg, version, stamp_ms);
         }
-        // A server's store is written either by position (Round-Robin-y)
-        // or directly (the other four), never both: a message of the
-        // other family is not part of this server's protocol and is
-        // ignored (as `on_rr_remove` and `on_migrate_req` ignore theirs),
-        // so the positions always describe the whole store.
-        let by_position = matches!(self.spec, StrategySpec::RoundRobin { .. });
-        match &*msg {
-            Message::Versioned { .. } => {} // unreachable: handled above
-            Message::PlaceReq { .. } => self.on_place_req(entries_of(msg), out),
-            Message::AddReq { .. } => self.on_add_req(entry_of(msg), out),
-            Message::DeleteReq { .. } => self.on_delete_req(entry_of(msg), out),
-            Message::Reset => {
-                let keep_coord = self.node.rr_coord.is_some();
-                let version = self.node.version;
-                self.node = ServerNode::new();
-                self.node.version = version;
-                if keep_coord {
-                    self.node.rr_coord = Some(RrCoord::default());
+        let store = &mut self.node.store;
+        match (&mut self.node.strategy, &*msg) {
+            (_, Message::Versioned { .. }) => {} // unreachable: handled above
+            (_, Message::PlaceReq { .. }) => self.on_place_req(entries_of(msg), out),
+            (_, Message::AddReq { .. }) => self.on_add_req(entry_of(msg), out),
+            (_, Message::DeleteReq { .. }) => self.on_delete_req(entry_of(msg), out),
+            (strategy, Message::Reset) => {
+                *store = IndexedSet::new();
+                self.node.tombstones = None;
+                match strategy {
+                    Strategy::RandomServer { local_h, .. } => *local_h = 0,
+                    Strategy::RoundRobin(rr) => rr.reset(),
+                    _ => {}
                 }
             }
-            Message::RrInit { h } => self.node.rr_coord = Some(RrCoord { head: 0, tail: *h }),
-            Message::RrSetCounters { head, tail } => {
-                self.node.rr_coord = Some(RrCoord { head: *head, tail: *tail })
+            (Strategy::RoundRobin(rr), m) => match m {
+                Message::RrInit { h } => rr.coord = Some(RrCoord { head: 0, tail: *h }),
+                Message::RrSetCounters { head, tail } => {
+                    rr.coord = Some(RrCoord { head: *head, tail: *tail })
+                }
+                Message::RrStore { pos, .. } => rr.insert(store, *pos, entry_of(msg)),
+                Message::RrRemove { .. } => self.on_rr_remove(msg, out),
+                Message::MigrateReq { dest_pos, .. } => {
+                    rr.on_migrate_req(self.n, from, *dest_pos, entry_of(msg), out)
+                }
+                Message::MigrateRep { .. } => {
+                    if let Message::MigrateRep { dest_pos, replacement: Some(u), .. } =
+                        msg.into_owned()
+                    {
+                        rr.insert(store, dest_pos, u);
+                    }
+                }
+                Message::RrRemoveAt { pos } => {
+                    rr.remove_at(store, *pos);
+                }
+                _ => {} // a message of the direct family
+            },
+            (_, Message::StoreSet { .. }) => {
+                store.clear();
+                store.extend(entries_of(msg));
             }
-            Message::StoreSet { .. }
-            | Message::ChooseSubset { .. }
-            | Message::Store { .. }
-            | Message::Remove { .. }
-            | Message::SampledStore { .. }
-            | Message::CountedRemove { .. }
-                if by_position => {}
-            Message::StoreSet { .. } => {
-                self.node.store.clear();
-                self.node.store.extend(entries_of(msg));
-            }
-            Message::ChooseSubset { entries, x } => {
+            (strategy, Message::ChooseSubset { entries, x }) => {
                 let subset = self.rng.get_mut().subset(entries, *x);
-                self.node.store.clear();
-                self.node.store.extend(subset);
-                self.node.local_h = entries.len() as u64;
-            }
-            Message::Store { .. } => {
-                self.node.store.insert(entry_of(msg));
-            }
-            Message::Remove { v } => {
-                self.node.store.remove(v);
-            }
-            Message::SampledStore { x, .. } => {
-                if self.reservoir_admits(*x) {
-                    self.node.store.insert(entry_of(msg));
+                store.clear();
+                store.extend(subset);
+                if let Strategy::RandomServer { local_h, .. } = strategy {
+                    *local_h = entries.len() as u64;
                 }
             }
-            Message::CountedRemove { v } => {
-                self.node.local_h = self.node.local_h.saturating_sub(1);
-                self.node.store.remove(v);
+            (_, Message::Store { .. }) => {
+                store.insert(entry_of(msg));
             }
-            Message::RrStore { .. } | Message::MigrateRep { .. } | Message::RrRemoveAt { .. }
-                if !by_position => {}
-            Message::RrStore { pos, .. } => self.node.rr_insert(*pos, entry_of(msg)),
-            Message::RrRemove { .. } => self.on_rr_remove(msg, out),
-            Message::MigrateReq { dest_pos, .. } => {
-                let dest_pos = *dest_pos;
-                self.on_migrate_req(from, entry_of(msg), dest_pos, out)
+            (_, Message::Remove { v }) => {
+                store.remove(v);
             }
-            Message::MigrateRep { .. } => {
-                if let Message::MigrateRep { dest_pos, replacement: Some(u), .. } = msg.into_owned()
-                {
-                    self.node.rr_insert(dest_pos, u);
+            (Strategy::RandomServer { local_h, .. }, Message::SampledStore { x, .. }) => {
+                // Vitter's reservoir step (§5.3): count the newcomer, keep it
+                // with probability x/h in place of a random incumbent. Decided
+                // before the newcomer is copied.
+                *local_h += 1;
+                let rng = self.rng.get_mut();
+                if store.len() >= *x {
+                    if !rng.coin_flip(*x as f64 / *local_h as f64) {
+                        return;
+                    }
+                    store.remove_random(rng);
                 }
+                store.insert(entry_of(msg));
             }
-            Message::RrRemoveAt { pos } => {
-                self.node.rr_remove_at(*pos);
+            (strategy, Message::CountedRemove { v }) => {
+                if let Strategy::RandomServer { local_h, .. } = strategy {
+                    *local_h = local_h.saturating_sub(1);
+                }
+                store.remove(v);
             }
+            // The other family's messages, and a SampledStore where no
+            // reservoir count is kept.
+            _ => {}
         }
     }
 
-    /// The `y` consecutive servers that hold round-robin position `pos`.
-    fn rr_holders(&self, pos: u64, y: usize) -> impl Iterator<Item = ServerId> {
-        let n = self.n;
-        let first = ServerId::new((pos % n as u64) as u32);
-        (0..y).map(move |k| first.wrapping_add(k, n))
-    }
-
-    fn on_place_req(&mut self, entries: Vec<V>, out: &mut Vec<Outbound<V>>) {
-        match self.spec {
-            StrategySpec::FullReplication => {
+    fn on_place_req(&self, entries: Vec<V>, out: &mut Vec<Outbound<V>>) {
+        match &self.node.strategy {
+            Strategy::FullReplication => {
                 out.push(Outbound::Broadcast(Message::StoreSet { entries }))
             }
-            StrategySpec::Fixed { x } => {
+            Strategy::Fixed { x } => {
                 let mut entries = entries;
-                entries.truncate(x);
+                entries.truncate(*x);
                 out.push(Outbound::Broadcast(Message::StoreSet { entries }))
             }
-            StrategySpec::RandomServer { x } => {
-                out.push(Outbound::Broadcast(Message::ChooseSubset { entries, x }))
+            Strategy::RandomServer { x, .. } => {
+                out.push(Outbound::Broadcast(Message::ChooseSubset { entries, x: *x }))
             }
-            StrategySpec::RoundRobin { y } => {
-                out.reserve(entries.len() * y + 1 + self.rr_mirrors);
+            Strategy::RoundRobin(rr) => {
+                let y = rr.y;
+                out.reserve(entries.len() * y + 1 + rr.mirrors);
                 out.push(Outbound::Broadcast(Message::Reset));
-                for mirror in 0..self.rr_mirrors {
+                for mirror in 0..rr.mirrors {
                     out.push(Outbound::To(
                         ServerId::new(mirror as u32),
                         Message::RrInit { h: entries.len() as u64 },
@@ -549,11 +528,10 @@ impl<V: Entry> NodeEngine<V> {
                 }
                 for (i, v) in entries.into_iter().enumerate() {
                     let pos = i as u64;
-                    send_copies(out, self.rr_holders(pos, y), v, |v| Message::RrStore { v, pos });
+                    send_copies(out, holders(pos, y, self.n), v, |v| Message::RrStore { v, pos });
                 }
             }
-            StrategySpec::Hash { .. } => {
-                let family = self.hash_family.as_ref().expect("hash strategy has a family");
+            Strategy::Hash(family) => {
                 out.reserve(entries.len() * family.y() + 1);
                 out.push(Outbound::Broadcast(Message::Reset));
                 for v in entries {
@@ -563,82 +541,62 @@ impl<V: Entry> NodeEngine<V> {
         }
     }
 
+    /// A Round-Robin update runs at a server that holds the counters; at
+    /// any other it is not this server's to run, and sends nothing.
     fn on_add_req(&mut self, v: V, out: &mut Vec<Outbound<V>>) {
-        match self.spec {
-            StrategySpec::FullReplication => out.push(Outbound::Broadcast(Message::Store { v })),
-            StrategySpec::Fixed { x } => {
+        match &mut self.node.strategy {
+            Strategy::FullReplication => out.push(Outbound::Broadcast(Message::Store { v })),
+            Strategy::Fixed { x } => {
                 // Selective broadcast (§5.2): only while the shared subset
                 // is below x; all servers are identical, so the local view
                 // decides.
-                if self.node.store.len() < x {
+                if self.node.store.len() < *x {
                     out.push(Outbound::Broadcast(Message::Store { v }));
                 }
             }
-            StrategySpec::RandomServer { x } => {
-                out.push(Outbound::Broadcast(Message::SampledStore { v, x }))
+            Strategy::RandomServer { x, .. } => {
+                out.push(Outbound::Broadcast(Message::SampledStore { v, x: *x }))
             }
-            StrategySpec::RoundRobin { y } => {
-                let coord =
-                    self.node.rr_coord.as_mut().expect("round-robin updates go to the coordinator");
+            Strategy::RoundRobin(rr) => {
+                let Some(coord) = &mut rr.coord else { return };
                 let pos = coord.tail;
                 coord.tail += 1;
-                send_copies(out, self.rr_holders(pos, y), v, |v| Message::RrStore { v, pos });
-                self.rr_sync_counters(out);
+                send_copies(out, holders(pos, rr.y, self.n), v, |v| Message::RrStore { v, pos });
+                rr.sync_counters(self.me, out);
             }
-            StrategySpec::Hash { .. } => {
-                let family = self.hash_family.as_ref().expect("hash strategy has a family");
-                send_copies(out, family.assigned(&v), v, |v| Message::Store { v });
+            Strategy::Hash(family) => {
+                send_copies(out, family.assigned(&v), v, |v| Message::Store { v })
             }
         }
     }
 
     fn on_delete_req(&mut self, v: V, out: &mut Vec<Outbound<V>>) {
-        match self.spec {
-            StrategySpec::FullReplication => out.push(Outbound::Broadcast(Message::Remove { v })),
-            StrategySpec::Fixed { .. } => {
+        match &mut self.node.strategy {
+            Strategy::FullReplication => out.push(Outbound::Broadcast(Message::Remove { v })),
+            Strategy::Fixed { .. } => {
                 // Selective broadcast: only if the entry is actually among
                 // the shared stored entries (§5.2).
                 if self.node.store.contains(&v) {
                     out.push(Outbound::Broadcast(Message::Remove { v }));
                 }
             }
-            StrategySpec::RandomServer { .. } => {
+            Strategy::RandomServer { .. } => {
                 out.push(Outbound::Broadcast(Message::CountedRemove { v }))
             }
-            StrategySpec::RoundRobin { .. } => {
-                let coord =
-                    self.node.rr_coord.as_mut().expect("round-robin updates go to the coordinator");
+            Strategy::RoundRobin(rr) => {
+                let Some(coord) = &mut rr.coord else { return };
                 if coord.head == coord.tail {
                     return; // nothing live to delete
                 }
                 let head_pos = coord.head;
                 coord.head += 1;
                 out.push(Outbound::Broadcast(Message::RrRemove { v, head_pos }));
-                self.rr_sync_counters(out);
+                rr.sync_counters(self.me, out);
             }
-            StrategySpec::Hash { .. } => {
-                let family = self.hash_family.as_ref().expect("hash strategy has a family");
-                send_copies(out, family.assigned(&v), v, |v| Message::Remove { v });
+            Strategy::Hash(family) => {
+                send_copies(out, family.assigned(&v), v, |v| Message::Remove { v })
             }
         }
-    }
-
-    /// Reservoir-sampling step (Vitter): after incrementing the local
-    /// entry count `h`, keep the newcomer with probability `x/h`,
-    /// evicting a random incumbent — maintaining a uniformly random
-    /// `x`-subset under adds (§5.3). Decided without the newcomer, so that
-    /// only a server that keeps it copies it; `true` makes room for it.
-    fn reservoir_admits(&mut self, x: usize) -> bool {
-        self.node.local_h += 1;
-        if self.node.store.len() < x {
-            return true;
-        }
-        let p = x as f64 / self.node.local_h as f64;
-        let admits = self.rng.get_mut().coin_flip(p);
-        if admits {
-            self.node.store.remove_random(self.rng.get_mut());
-        }
-        admits
     }
 
     /// Fig. 11 `remove(v, head)`: drop the local copy of `v`; if this is
@@ -648,15 +606,15 @@ impl<V: Entry> NodeEngine<V> {
     /// A server that neither held `v` nor is the head server is done after
     /// one probe of its store, with the broadcast it was lent untouched.
     fn on_rr_remove(&mut self, msg: Cow<'_, Message<V>>, out: &mut Vec<Outbound<V>>) {
-        let (Message::RrRemove { v, head_pos }, StrategySpec::RoundRobin { y }) =
-            (&*msg, self.spec)
+        let (Message::RrRemove { v, head_pos }, Strategy::RoundRobin(rr)) =
+            (&*msg, &mut self.node.strategy)
         else {
             return;
         };
-        let head_pos = *head_pos;
+        let (store, head_pos) = (&mut self.node.store, *head_pos);
         let head_server = ServerId::new((head_pos % self.n as u64) as u32);
         if self.me != head_server {
-            if let Some(dest_pos) = self.node.rr_remove_entry(v) {
+            if let Some(dest_pos) = rr.remove_entry(store, v) {
                 let v = entry_of(msg);
                 out.push(Outbound::To(head_server, Message::MigrateReq { v, dest_pos }));
             }
@@ -664,40 +622,65 @@ impl<V: Entry> NodeEngine<V> {
         }
         // When the deleted entry *is* the head entry there is no hole to
         // plug: copies just vanish and head has already advanced.
-        let replacement = self.node.rr_entry_at(head_pos).filter(|u| *u != v).cloned();
-        let state = MigrationState { remaining: y, replacement, old_pos: head_pos };
-        let held_at = self.node.rr_remove_entry(v);
+        let replacement = rr.entry_at(store, head_pos).filter(|u| *u != v).cloned();
+        let state = MigrationState { remaining: rr.y, replacement, old_pos: head_pos };
+        let held_at = rr.remove_entry(store, v);
         // Migration requests that raced ahead of this broadcast (possible
         // over unordered transports) are replayed now.
-        let pending = self.node.rr_pending_migrations.remove(v);
+        let pending = rr.pending_migrations.remove(v);
         let v = entry_of(msg);
         if held_at.is_none() && pending.is_none() {
-            self.node.rr_migrations.insert(v, state); // nothing else names `v`
+            rr.migrations.insert(v, state); // nothing else names `v`
             return;
         }
-        self.node.rr_migrations.insert(v.clone(), state);
+        rr.migrations.insert(v.clone(), state);
         for (requester, dest_pos) in pending.into_iter().flatten() {
-            self.on_migrate_req(Endpoint::Server(requester), v.clone(), dest_pos, out);
+            rr.on_migrate_req(self.n, Endpoint::Server(requester), dest_pos, v.clone(), out);
         }
         if let Some(dest_pos) = held_at {
             out.push(Outbound::To(head_server, Message::MigrateReq { v, dest_pos }));
         }
     }
+}
 
-    /// Fig. 11 `migrate(v)` at the head server: hand out the replacement,
-    /// and once all `y` holders have migrated, retire the replacement's
-    /// old copies.
-    fn on_migrate_req(&mut self, from: Endpoint, v: V, dest_pos: u64, out: &mut Vec<Outbound<V>>) {
-        let StrategySpec::RoundRobin { y } = self.spec else { return };
+/// The `y` consecutive servers of `n` that hold round-robin position `pos`.
+fn holders(pos: u64, y: usize, n: usize) -> impl Iterator<Item = ServerId> {
+    let first = ServerId::new((pos % n as u64) as u32);
+    (0..y).map(move |k| first.wrapping_add(k, n))
+}
+
+impl<V: Entry> RoundRobin<V> {
+    /// Queues the messages that propagate this mirror's counters to its
+    /// peers.
+    fn sync_counters(&self, me: ServerId, out: &mut Vec<Outbound<V>>) {
+        let Some(RrCoord { head, tail }) = self.coord else { return };
+        out.extend(
+            (0..self.mirrors).filter(|&i| i != me.index()).map(|i| {
+                Outbound::To(ServerId::new(i as u32), Message::RrSetCounters { head, tail })
+            }),
+        );
+    }
+
+    /// Fig. 11 `migrate(v)` at the head server of `n`: hand out the
+    /// replacement, and once all `y` holders have migrated, retire the
+    /// replacement's old copies.
+    fn on_migrate_req(
+        &mut self,
+        n: usize,
+        from: Endpoint,
+        dest_pos: u64,
+        v: V,
+        out: &mut Vec<Outbound<V>>,
+    ) {
         let requester = from.as_server().expect("migrations come from servers");
 
-        let Some(state) = self.node.rr_migrations.get_mut(&v) else {
+        let Some(state) = self.migrations.get_mut(&v) else {
             // No context yet: either this request raced ahead of our own
             // copy of the RrRemove broadcast (buffer and replay), or it is
             // truly stale. The buffer is bounded; stale leftovers are
             // overwritten by the next migration of the same entry.
-            let pending = self.node.rr_pending_migrations.entry(v).or_default();
-            if pending.len() < self.n {
+            let pending = self.pending_migrations.entry(v).or_default();
+            if pending.len() < n {
                 pending.push((requester, dest_pos));
             }
             return;
@@ -712,7 +695,7 @@ impl<V: Entry> NodeEngine<V> {
         // replacement leaves with the last reply, and the replacement's
         // old copies are removed by position, so the new copies survive on
         // overlapping servers.
-        let state = self.node.rr_migrations.remove(&v).expect("context looked up above");
+        let state = self.migrations.remove(&v).expect("context looked up above");
         let retire = state.replacement.is_some();
         out.push(Outbound::To(
             requester,
@@ -721,7 +704,7 @@ impl<V: Entry> NodeEngine<V> {
         if retire {
             let old_pos = state.old_pos;
             out.extend(
-                self.rr_holders(old_pos, y)
+                holders(old_pos, self.y, n)
                     .map(|dest| Outbound::To(dest, Message::RrRemoveAt { pos: old_pos })),
             );
         }
@@ -776,6 +759,13 @@ fn send_copies<V: Entry>(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl<V: Entry> NodeEngine<V> {
+        /// Whether the tombstone box is allocated, empty or not.
+        pub(crate) fn holds_tombstones(&self) -> bool {
+            self.node.tombstones.is_some()
+        }
+    }
 
     #[test]
     fn engines_share_hash_family_but_not_rng() {
@@ -975,6 +965,68 @@ mod tests {
     }
 
     #[test]
+    fn round_robin_messages_leave_other_strategies_untouched() {
+        let from = Endpoint::Server(ServerId::new(1));
+        for spec in [
+            StrategySpec::full_replication(),
+            StrategySpec::fixed(3),
+            StrategySpec::random_server(3),
+            StrategySpec::hash(2),
+        ] {
+            let mut e: NodeEngine<u64> = NodeEngine::new(0.into(), 4, spec, 12).unwrap();
+            e.handle(from, Message::StoreSet { entries: vec![1, 2, 3] });
+            let before = (e.entries().to_vec(), e.version());
+            let mut out = Vec::new();
+            for msg in [
+                Message::RrInit { h: 5 },
+                Message::RrSetCounters { head: 1, tail: 6 },
+                Message::RrStore { v: 7, pos: 0 },
+                Message::RrRemove { v: 1, head_pos: 0 },
+                Message::MigrateReq { v: 2, dest_pos: 1 },
+                Message::MigrateRep { v: 3, dest_pos: 2, replacement: Some(8) },
+                Message::RrRemoveAt { pos: 0 },
+            ] {
+                e.handle_into(from, Cow::Owned(msg), &mut out);
+            }
+            e.set_rr_mirrors(2);
+            assert_eq!((e.entries().to_vec(), e.version()), before, "{spec}");
+            assert_eq!(e.rr_positions().count(), 0, "{spec}");
+            assert_eq!(e.rr_counters(), None, "{spec}: a counter message installed counters");
+            assert!(out.is_empty(), "{spec}: {out:?}");
+        }
+    }
+
+    #[test]
+    fn an_update_that_finds_no_state_to_run_on_sends_nothing() {
+        // A Round-Robin update at a server that holds no counters...
+        let mut rr: NodeEngine<u64> =
+            NodeEngine::new(1.into(), 3, StrategySpec::round_robin(2), 4).unwrap();
+        for msg in [Message::AddReq { v: 1 }, Message::DeleteReq { v: 1 }] {
+            assert!(rr.handle(Endpoint::client(0), versioned(msg, 1)).is_empty());
+        }
+        assert_eq!((rr.version(), rr.rr_counters()), (0, None));
+        // ... and a reservoir store where no reservoir count is kept.
+        let mut full: NodeEngine<u64> =
+            NodeEngine::new(0.into(), 3, StrategySpec::full_replication(), 4).unwrap();
+        assert!(full.handle(Endpoint::client(0), Message::SampledStore { v: 1, x: 5 }).is_empty());
+        assert!(full.entries().is_empty());
+    }
+
+    #[test]
+    fn an_engine_carries_only_its_own_strategy_state() {
+        for (entry, size) in [
+            ("Vec<u8>", std::mem::size_of::<NodeEngine<Vec<u8>>>()),
+            ("u64", std::mem::size_of::<NodeEngine<u64>>()),
+        ] {
+            assert!(
+                size <= 176,
+                "NodeEngine<{entry}> is {size} bytes, over the 176 of DESIGN.md §11 \
+                 (per-key footprint): a directory pays every byte of an engine n times per key"
+            );
+        }
+    }
+
+    #[test]
     fn rr_set_counters_overrides_init() {
         let mut e: NodeEngine<u64> =
             NodeEngine::new(0.into(), 3, StrategySpec::round_robin(2), 5).unwrap();
@@ -1118,12 +1170,25 @@ mod tests {
                 assert_eq!(a.store.as_slice(), b.store.as_slice(), "{spec} step {step}: {msg:?}");
                 assert!(given.rr_positions().eq(lent.rr_positions()), "{spec} step {step}");
                 assert_eq!(
-                    (a.local_h, &a.rr_coord, a.version, &a.tombstones),
-                    (b.local_h, &b.rr_coord, b.version, &b.tombstones),
+                    (a.version, &a.tombstones),
+                    (b.version, &b.tombstones),
                     "{spec} step {step}: {msg:?}"
                 );
-                assert_eq!(a.rr_migrations, b.rr_migrations, "{spec} step {step}: {msg:?}");
-                assert_eq!(a.rr_pending_migrations, b.rr_pending_migrations, "{spec} step {step}");
+                match (&a.strategy, &b.strategy) {
+                    (
+                        Strategy::RandomServer { local_h: ha, .. },
+                        Strategy::RandomServer { local_h: hb, .. },
+                    ) => assert_eq!(ha, hb, "{spec} step {step}: {msg:?}"),
+                    (Strategy::RoundRobin(ra), Strategy::RoundRobin(rb)) => {
+                        assert_eq!(ra.coord, rb.coord, "{spec} step {step}: {msg:?}");
+                        assert_eq!(ra.migrations, rb.migrations, "{spec} step {step}: {msg:?}");
+                        assert_eq!(
+                            ra.pending_migrations, rb.pending_migrations,
+                            "{spec} step {step}"
+                        );
+                    }
+                    _ => {}
+                }
             }
             let stored = given.entries().len();
             assert!(sent > 100 && stored > 0, "{spec}: {sent} sent, {stored} stored at the end");
@@ -1297,7 +1362,8 @@ mod tests {
         e.rebuild((0..30).collect(), BTreeMap::new(), None);
         assert_eq!(e.entries().len(), 4);
         assert!(e.entries().iter().all(|v| *v < 30));
-        assert_eq!(e.node.local_h, 30, "the reservoir resumes from the coverage's size");
+        let Strategy::RandomServer { local_h, .. } = e.node.strategy else { unreachable!() };
+        assert_eq!(local_h, 30, "the reservoir resumes from the coverage's size");
         // The draw is the one the message would have made.
         fed.handle(
             Endpoint::Server(2.into()),

@@ -21,7 +21,10 @@
 # and quartiles of ops_per_s and op_p50_ns, the pairs the change won on
 # each (ties count for neither), and a verdict line: a gain holds when at
 # least ten pairs ran, the change won at least nine in ten of them, and the
-# medians differ by more than the distance between the parent's quartiles. Needs bash, cargo
+# medians differ by more than the distance between the parent's quartiles.
+# Then, for each count metric, each side's median and min-max range and
+# the change in percent, and a `counts:` line naming the counts whose
+# medians differ in their first six significant digits. Needs bash, cargo
 # and a POSIX awk.
 set -euo pipefail
 
@@ -82,6 +85,10 @@ for i in $(seq 1 "$pairs"); do
         echo "$side $i $(run "$side" "$dir")"
     done
 done | awk '
+    BEGIN {
+        ncounts = split("msgs_per_op storage_per_entry allocs_per_op alloc_bytes_per_op peak_heap_mb",
+            counts, " ")
+    }
     # The value of metric `name` in a result line.
     function metric(line, name,    at, rest) {
         at = index(line, "\"" name "\":")
@@ -112,10 +119,10 @@ done | awk '
             bad = 1; exit 1
         }
         ops[side, pair] = metric($0, "ops_per_s"); p50[side, pair] = metric($0, "op_p50_ns")
+        for (c = 1; c <= ncounts; c++) count[c, side, pair] = metric($0, counts[c])
         printf "%-6s %4d %12.0f %10.1f %10.5f %10.5f %10.6f %12.4f %10.4f\n", side, pair,
-            ops[side, pair], p50[side, pair], metric($0, "msgs_per_op"),
-            metric($0, "storage_per_entry"), metric($0, "allocs_per_op"),
-            metric($0, "alloc_bytes_per_op"), metric($0, "peak_heap_mb")
+            ops[side, pair], p50[side, pair], count[1, side, pair], count[2, side, pair],
+            count[3, side, pair], count[4, side, pair], count[5, side, pair]
         fflush()
         n = pair
     }
@@ -131,6 +138,17 @@ done | awk '
             100 * (cm - pm) / pm, wins, n
         return holds
     }
+    # count_summary C: one row for count metric C; true when its medians differ.
+    function count_summary(c,    v, a, b, i, pm, cm) {
+        for (i = 1; i <= n; i++) {
+            v["parent", i] = count[c, "parent", i]; v["change", i] = count[c, "change", i]
+        }
+        sorted(v, "parent", n, a); sorted(v, "change", n, b)
+        pm = quantile(a, n, 0.5); cm = quantile(b, n, 0.5)
+        printf "%-18s parent %.6g [%.6g-%.6g]  change %.6g [%.6g-%.6g]  %+.2f%%\n", counts[c],
+            pm, a[1], a[n], cm, b[1], b[n], pm == 0 ? 0 : 100 * (cm - pm) / pm
+        return sprintf("%.6g", pm) != sprintf("%.6g", cm)
+    }
     END {
         if (bad || n == 0) exit 1
         print ""
@@ -138,4 +156,9 @@ done | awk '
         summary("op_p50_ns", p50, -1)
         printf "verdict: an ops_per_s gain %s", gain ? "holds" : "does not hold"
         print " (needs >= 10 pairs, >= 9/10 wins, a median gap > the parent IQR)"
+        print ""
+        moved = ""
+        for (c = 1; c <= ncounts; c++)
+            if (count_summary(c)) moved = moved " " counts[c]
+        print "counts:" (moved == "" ? " none moved" : moved)
     }'
