@@ -11,29 +11,46 @@
 //! The paper's storage cost (§4.1) counts one copy of an entry per
 //! server that keeps it, and [`ServerNode::store`] is that copy — the
 //! only one. What Round-Robin-y adds is integers beside it, in its
-//! [`RoundRobin`] box:
+//! [`RoundRobin`] box, each direction of the position ↔ store-index
+//! relation in a flat array:
 //!
-//! * `at[i]` lists the positions of the entry at index `i` of the
-//!   store: one, or transiently two while Fig. 11 migrates an entry onto a
-//!   server that still holds it at its old position, or more when a client
-//!   added the same entry twice.
-//! * `slots` maps each occupied position to that store index, in
-//!   ascending position order.
+//! * `at[i]` is the lowest position of the entry at index `i` of the
+//!   store. An entry held at more than one position — transiently while
+//!   Fig. 11 migrates it onto a server that still holds it at its old
+//!   position, or when a client added the same entry twice — keeps the
+//!   others in `extras`: `(store index, position)` pairs sorted by both,
+//!   so an entry's run is found by binary search on its index alone. The
+//!   list is empty and allocates nothing until an entry first has a
+//!   second position; afterwards it keeps its capacity, so the migration
+//!   of every later delete reuses it.
+//! * `slots` holds one `(position, store index)` pair per held position,
+//!   sorted by position, in a deque. A position cleared in the middle
+//!   stays as a vacancy (index `VACANT`): the hole Fig. 11 plugs, which
+//!   the `MigrateRep` for the same position refills in place, so no step
+//!   of a delete shifts the array. Adds append at the tail, and the
+//!   `RrRemoveAt` of the old head pops the head. Vacancies at either end
+//!   are trimmed at once, and the deque compacts in place when vacancies
+//!   outnumber held positions. Only a position never held between the
+//!   front and the back shifts it, which takes an anomaly: a delete of an
+//!   entry the key does not hold, or a migration reply lost over TCP.
 //!
 //! On a Round-Robin server the two describe each other exactly: every
-//! position in `slots` points at a live store index whose `at` list
-//! names it, and every store index has at least one position (an entry
+//! held slot points at a live store index whose `at` or `extras` names its
+//! position, and every store index has at least one position (an entry
 //! whose last position is cleared leaves the store in the same call). The
 //! store removes by swap-remove, so when an entry leaves, the entry that
-//! takes over its index brings its position list along and has its
-//! `slots` values repointed. Finding an entry's position is therefore
+//! takes over its index brings its `at` value and its extras along and
+//! has its slots repointed. Finding an entry's position is therefore
 //! the hash probe the store makes anyway, and a server that does not hold
 //! an entry learns so from that probe alone.
 //!
 //! The other strategies write `store` directly and have no positions to
 //! write, so no server does both.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{HashMap, VecDeque};
+use std::ops::Range;
+
+use pls_net::{HashSeed, ServerId};
 
 use crate::{Entry, HashFamily, IndexedSet, StrategySpec};
 
@@ -75,53 +92,6 @@ pub(crate) struct MigrationState<V> {
     pub old_pos: u64,
 }
 
-/// The round-robin positions one stored entry occupies on this server,
-/// in no particular order. One or two live inline; a third spills to the
-/// heap, where the list stays until the entry leaves.
-#[derive(Debug, Clone)]
-enum Positions {
-    Inline { len: u8, at: [u64; 2] },
-    Spilled(Vec<u64>),
-}
-
-impl Positions {
-    fn one(pos: u64) -> Self {
-        Positions::Inline { len: 1, at: [pos, 0] }
-    }
-
-    fn as_slice(&self) -> &[u64] {
-        match self {
-            Positions::Inline { len, at } => &at[..usize::from(*len)],
-            Positions::Spilled(list) => list,
-        }
-    }
-
-    fn push(&mut self, pos: u64) {
-        match self {
-            Positions::Inline { len, at } if usize::from(*len) < at.len() => {
-                at[usize::from(*len)] = pos;
-                *len += 1;
-            }
-            Positions::Inline { at, .. } => *self = Positions::Spilled(vec![at[0], at[1], pos]),
-            Positions::Spilled(list) => list.push(pos),
-        }
-    }
-
-    /// Forgets `pos`, which must be listed.
-    fn remove(&mut self, pos: u64) {
-        let i = self.as_slice().iter().position(|p| *p == pos).expect("position listed");
-        match self {
-            Positions::Inline { len, at } => {
-                *len -= 1;
-                at[i] = at[usize::from(*len)];
-            }
-            Positions::Spilled(list) => {
-                list.swap_remove(i);
-            }
-        }
-    }
-}
-
 /// A server's strategy and the state only that strategy keeps:
 /// RandomServer-x's local estimate `local_h` of the system-wide entry
 /// count (set by `ChooseSubset`, incremented on `SampledStore`,
@@ -144,15 +114,19 @@ impl<V> Strategy<V> {
             StrategySpec::FullReplication => Strategy::FullReplication,
             StrategySpec::Fixed { x } => Strategy::Fixed { x },
             StrategySpec::RandomServer { x } => Strategy::RandomServer { x, local_h: 0 },
-            StrategySpec::RoundRobin { y } => Strategy::RoundRobin(Box::new(RoundRobin {
-                y,
-                mirrors: 1,
-                coord: coordinator.then(RrCoord::default),
-                at: Vec::new(),
-                slots: BTreeMap::new(),
-                migrations: HashMap::new(),
-                pending_migrations: HashMap::new(),
-            })),
+            StrategySpec::RoundRobin { y } => {
+                let seed = HashSeed::random();
+                Strategy::RoundRobin(Box::new(RoundRobin {
+                    y,
+                    mirrors: 1,
+                    coord: coordinator.then(RrCoord::default),
+                    at: Vec::new(),
+                    extras: Vec::new(),
+                    slots: Slots::default(),
+                    migrations: HashMap::with_hasher(seed),
+                    pending_migrations: HashMap::with_hasher(seed),
+                }))
+            }
             StrategySpec::Hash { y } => Strategy::Hash(HashFamily::new(y, n, cluster_seed)),
         }
     }
@@ -181,18 +155,21 @@ pub(crate) struct RoundRobin<V> {
     pub mirrors: usize,
     /// Coordinator counters; `Some` only on the servers that hold them.
     pub coord: Option<RrCoord>,
-    /// The positions of the entry at the same index of the store: as many
-    /// lists as the store has entries.
-    at: Vec<Positions>,
-    /// Occupied position → index into the store and `at`.
-    slots: BTreeMap<u64, u32>,
+    /// The lowest position of the entry at the same index of the store:
+    /// as many as the store has entries.
+    at: Vec<u64>,
+    /// The positions beyond `at`'s of the entries held at more than one,
+    /// as `(store index, position)` pairs in ascending order.
+    extras: Vec<(u32, u64)>,
+    /// Held position → index into the store and `at`.
+    slots: Slots,
     /// In-flight migration contexts, keyed by the deleted entry.
-    pub migrations: HashMap<V, MigrationState<V>>,
+    pub migrations: HashMap<V, MigrationState<V>, HashSeed>,
     /// Migration requests that arrived before this server's own copy of
     /// the `RrRemove` broadcast (possible over transports without
     /// cross-mailbox ordering, e.g. TCP): `(requester, dest_pos)` pairs,
     /// replayed once the migration context exists.
-    pub pending_migrations: HashMap<V, Vec<(pls_net::ServerId, u64)>>,
+    pub pending_migrations: HashMap<V, Vec<(ServerId, u64)>, HashSeed>,
 }
 
 impl<V: Entry> RoundRobin<V> {
@@ -200,6 +177,7 @@ impl<V: Entry> RoundRobin<V> {
     /// zeroed counters where this server holds them.
     pub(crate) fn reset(&mut self) {
         self.at.clear();
+        self.extras.clear();
         self.slots.clear();
         self.migrations.clear();
         self.pending_migrations.clear();
@@ -212,49 +190,161 @@ impl<V: Entry> RoundRobin<V> {
         self.remove_at(store, pos);
         let (index, fresh) = store.insert_full(v);
         if fresh {
-            self.at.push(Positions::one(pos));
+            self.at.push(pos);
         } else {
-            self.at[index].push(pos);
+            let lowest = &mut self.at[index];
+            let extra = if pos < *lowest { std::mem::replace(lowest, pos) } else { pos };
+            let extra = (index as u32, extra);
+            let i = self.extras.partition_point(|held| *held < extra);
+            self.extras.insert(i, extra);
         }
-        self.slots.insert(pos, index as u32);
+        self.slots.set(pos, index as u32);
     }
 
     /// Clears a position. Returns the copy this server drops with it:
     /// `None` when the position was vacant, and when its entry stays on at
     /// another position.
     pub(crate) fn remove_at(&mut self, store: &mut IndexedSet<V>, pos: u64) -> Option<V> {
-        let index = self.slots.remove(&pos)? as usize;
-        self.at[index].remove(pos);
-        if !self.at[index].as_slice().is_empty() {
+        let index = self.slots.vacate(pos)?;
+        if self.forget(index, pos) {
             return None;
         }
+        let index = index as usize;
         let (v, moved_from) = store.swap_remove_index(index);
         self.at.swap_remove(index);
-        if moved_from.is_some() {
-            for moved_pos in self.at[index].as_slice() {
-                *self.slots.get_mut(moved_pos).expect("listed position is indexed") = index as u32;
+        if let Some(from) = moved_from {
+            self.slots.set(self.at[index], index as u32);
+            // The moved entry had the highest index: its extras are the
+            // tail of the list, and move to where `index`'s would sit (the
+            // removed entry had none).
+            let run = self.extras_of(from as u32);
+            if !run.is_empty() {
+                let to = self.extras.partition_point(|(i, _)| *i < index as u32);
+                for (i, pos) in &mut self.extras[run.clone()] {
+                    *i = index as u32;
+                    self.slots.set(*pos, index as u32);
+                }
+                self.extras[to..].rotate_right(run.len());
             }
         }
         Some(v)
     }
 
+    /// Where the extras of the entry at `index` sit in `extras`.
+    fn extras_of(&self, index: u32) -> Range<usize> {
+        let start = self.extras.partition_point(|(i, _)| *i < index);
+        start..start + self.extras[start..].partition_point(|(i, _)| *i == index)
+    }
+
+    /// Forgets that the entry at `index` sits at `pos`; returns whether it
+    /// sits at another position still.
+    fn forget(&mut self, index: u32, pos: u64) -> bool {
+        let run = self.extras_of(index);
+        if run.is_empty() {
+            return false;
+        }
+        let lowest = &mut self.at[index as usize];
+        let i = if *lowest == pos {
+            *lowest = self.extras[run.start].1;
+            run.start
+        } else {
+            self.extras.binary_search(&(index, pos)).expect("position listed")
+        };
+        self.extras.remove(i);
+        true
+    }
+
     /// Clears the lowest position `v` occupies here; returns it.
     pub(crate) fn remove_entry(&mut self, store: &mut IndexedSet<V>, v: &V) -> Option<u64> {
-        let index = store.index_of(v)?;
-        let pos = *self.at[index].as_slice().iter().min().expect("a stored entry has a position");
+        let pos = self.at[store.index_of(v)?];
         self.remove_at(store, pos);
         Some(pos)
     }
 
     /// The entry at a position.
     pub(crate) fn entry_at<'s>(&self, store: &'s IndexedSet<V>, pos: u64) -> Option<&'s V> {
-        store.as_slice().get(*self.slots.get(&pos)? as usize)
+        store.as_slice().get(self.slots.get(pos)? as usize)
     }
 
     /// Occupied positions and their entries, in ascending position order.
     pub fn positions<'s>(&'s self, store: &'s IndexedSet<V>) -> impl Iterator<Item = (u64, &'s V)> {
         let entries = store.as_slice();
-        self.slots.iter().map(move |(pos, index)| (*pos, &entries[*index as usize]))
+        self.slots.held().map(move |(pos, index)| (pos, &entries[index as usize]))
+    }
+}
+
+/// The store index of a cleared position that is kept as a vacancy.
+const VACANT: u32 = u32::MAX;
+
+/// One `(position, store index)` pair per held position, sorted by
+/// position, with cleared middle positions kept as vacancies (module doc).
+/// The front and the back are always held.
+#[derive(Debug, Clone, Default)]
+struct Slots {
+    deque: VecDeque<(u64, u32)>,
+    /// How many of `deque`'s slots are vacancies.
+    vacant: usize,
+}
+
+impl Slots {
+    fn find(&self, pos: u64) -> Result<usize, usize> {
+        self.deque.binary_search_by_key(&pos, |(p, _)| *p)
+    }
+
+    /// The store index at `pos`, if it is held.
+    fn get(&self, pos: u64) -> Option<u32> {
+        let index = self.deque[self.find(pos).ok()?].1;
+        (index != VACANT).then_some(index)
+    }
+
+    /// Points `pos` at store index `index`: repoints a held slot, refills
+    /// a vacancy in place, and inserts a position never held, which
+    /// shifts only when it falls between the front and the back.
+    fn set(&mut self, pos: u64, index: u32) {
+        match self.find(pos) {
+            Ok(i) => {
+                let slot = &mut self.deque[i].1;
+                if *slot == VACANT {
+                    self.vacant -= 1;
+                }
+                *slot = index;
+            }
+            Err(i) => self.deque.insert(i, (pos, index)),
+        }
+    }
+
+    /// Clears `pos`; returns the store index it held. Trims vacancies
+    /// left at either end, and compacts once they outnumber held slots.
+    fn vacate(&mut self, pos: u64) -> Option<u32> {
+        let i = self.find(pos).ok()?;
+        let index = std::mem::replace(&mut self.deque[i].1, VACANT);
+        if index == VACANT {
+            return None;
+        }
+        self.vacant += 1;
+        while self.deque.front().is_some_and(|(_, index)| *index == VACANT) {
+            self.deque.pop_front();
+            self.vacant -= 1;
+        }
+        while self.deque.back().is_some_and(|(_, index)| *index == VACANT) {
+            self.deque.pop_back();
+            self.vacant -= 1;
+        }
+        if self.vacant > self.deque.len() - self.vacant {
+            self.deque.retain(|(_, index)| *index != VACANT);
+            self.vacant = 0;
+        }
+        Some(index)
+    }
+
+    fn clear(&mut self) {
+        self.deque.clear();
+        self.vacant = 0;
+    }
+
+    /// The held positions and their store indices, ascending.
+    fn held(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
+        self.deque.iter().copied().filter(|(_, index)| *index != VACANT)
     }
 }
 
@@ -288,6 +378,8 @@ impl<V: Entry> ServerNode<V> {
 mod tests {
     use super::*;
     use crate::collections::tests::Colliding;
+    use std::collections::BTreeMap;
+
     use crate::DetRng;
 
     impl<V: Entry> ServerNode<V> {
@@ -325,18 +417,41 @@ mod tests {
         /// The module doc's invariants, checked index by index.
         fn assert_consistent(&mut self) {
             let (rr, store) = self.rr();
-            assert_eq!(rr.at.len(), store.len(), "one position list per stored entry");
+            assert_eq!(rr.at.len(), store.len(), "one lowest position per stored entry");
             let mut listed = 0;
-            for (index, positions) in rr.at.iter().enumerate() {
-                let positions = positions.as_slice();
-                assert!(!positions.is_empty(), "entry {index} is stored at no position");
+            for (index, lowest) in rr.at.iter().enumerate() {
+                let extras = rr.extras[rr.extras_of(index as u32)].iter().map(|(_, pos)| *pos);
+                let positions: Vec<u64> = std::iter::once(*lowest).chain(extras).collect();
+                assert!(positions.iter().all(|pos| pos >= lowest), "entry {index}: `at` is lowest");
                 for (i, pos) in positions.iter().enumerate() {
                     assert!(!positions[..i].contains(pos), "position {pos} listed twice");
-                    assert_eq!(rr.slots.get(pos), Some(&(index as u32)), "position {pos}");
+                    assert_eq!(rr.slots.get(*pos), Some(index as u32), "position {pos}");
                 }
                 listed += positions.len();
             }
+            assert!(rr.extras.windows(2).all(|pair| pair[0] < pair[1]), "extras ascending");
+            assert!(rr.extras.iter().all(|(index, _)| (*index as usize) < store.len()));
             assert_eq!(listed, rr.slots.len(), "a position points at an entry not listing it");
+            rr.slots.assert_flat();
+        }
+    }
+
+    impl Slots {
+        /// How many positions are held.
+        fn len(&self) -> usize {
+            self.deque.len() - self.vacant
+        }
+
+        /// Sorted, counted, trimmed at both ends, and at most one vacancy
+        /// per held position.
+        fn assert_flat(&self) {
+            let positions = self.deque.iter().map(|(pos, _)| pos);
+            assert!(positions.clone().zip(positions.skip(1)).all(|(a, b)| a < b), "sorted");
+            let vacant = self.deque.iter().filter(|(_, index)| *index == VACANT).count();
+            assert_eq!(vacant, self.vacant, "vacancies counted");
+            assert!(self.deque.front().is_none_or(|(_, index)| *index != VACANT), "front held");
+            assert!(self.deque.back().is_none_or(|(_, index)| *index != VACANT), "back held");
+            assert!(self.deque.len() <= 2 * self.len() + 1, "{vacant} vacancies");
         }
     }
 
@@ -355,11 +470,13 @@ mod tests {
         let mut node: ServerNode<V> = ServerNode::round_robin();
         let mut model: BTreeMap<u64, V> = BTreeMap::new();
         let mut order: Vec<V> = Vec::new();
+        // Positions cleared, for inserts to refill as Fig. 11 does.
+        let mut cleared: Vec<u64> = Vec::new();
         for _ in 0..400 {
             // Twelve values over forty positions: most inserts meet an
             // entry that already sits elsewhere, many an occupied position.
             let v = make(rng.below(12) as u8);
-            let pos = rng.below(40) as u64;
+            let mut pos = rng.below(40) as u64;
             match rng.below(100) {
                 0 => {
                     // What `Message::Reset` does.
@@ -369,6 +486,9 @@ mod tests {
                     order.clear();
                 }
                 1..=54 => {
+                    if rng.below(2) == 0 {
+                        pos = cleared.pop().unwrap_or(pos);
+                    }
                     node.rr_insert(pos, v);
                     // The old occupant is released first — also when it
                     // is `v` itself, which then re-enters at the end.
@@ -386,6 +506,7 @@ mod tests {
                     assert_eq!(node.rr_remove_at(pos), dropped, "rr_remove_at({pos})");
                     if let Some(old) = old {
                         release(&mut order, &model, &old);
+                        cleared.push(pos);
                     }
                 }
                 _ => {
@@ -394,6 +515,7 @@ mod tests {
                     if let Some(p) = lowest {
                         model.remove(&p);
                         release(&mut order, &model, &v);
+                        cleared.push(p);
                     }
                 }
             }
@@ -433,7 +555,50 @@ mod tests {
             node.assert_consistent();
         }
         assert_eq!(node.rr_remove_at(7), Some(42));
-        assert!(node.store.is_empty() && node.rr().0.slots.is_empty());
+        assert!(node.store.is_empty() && node.rr().0.slots.len() == 0);
+    }
+
+    /// Fig. 11 on one server of `n = 4` under Round-Robin-2, through
+    /// 20,000 positions: each cycle appends at the tail, clears a middle
+    /// position and refills it with the head's entry, then removes the
+    /// head. The refill lands on the vacancy the clear left, so the deque
+    /// never holds more than one vacancy per held position, and its ends
+    /// stay held.
+    #[test]
+    fn a_delete_refills_its_hole_in_place() {
+        const N: u64 = 4;
+        let holds = |pos: u64| matches!(pos % N, 0 | 3); // server 0's share
+        let mut rng = DetRng::seed_from(7);
+        let mut node: ServerNode<u64> = ServerNode::round_robin();
+        let mut model: BTreeMap<u64, u64> = BTreeMap::new();
+        let mut head = 0;
+        for tail in 0..20_000 {
+            model.insert(tail, tail);
+            if holds(tail) {
+                node.rr_insert(tail, tail);
+            }
+            node.rr().0.slots.assert_flat();
+            if tail - head < 40 {
+                continue;
+            }
+            let hole = head + 1 + rng.below((tail - head - 1) as usize) as u64;
+            let replacement = model[&head];
+            model.insert(hole, replacement);
+            if holds(hole) {
+                node.rr_remove_at(hole);
+                node.rr().0.slots.assert_flat();
+                node.rr_insert(hole, replacement);
+                node.rr().0.slots.assert_flat();
+            }
+            model.remove(&head);
+            if holds(head) {
+                node.rr_remove_at(head);
+            }
+            head += 1;
+            node.assert_consistent();
+            let held = model.iter().filter(|(pos, _)| holds(**pos)).map(|(p, v)| (*p, *v));
+            assert!(node.rr_positions().into_iter().eq(held), "positions at tail {tail}");
+        }
     }
 
     #[test]
