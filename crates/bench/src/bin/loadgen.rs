@@ -57,6 +57,8 @@
 //! over the measured run (`runtime_json` below): `runtime.locks.<site>`,
 //! `runtime.alloc` with the derived `allocs_per_lookup`, and the post-run
 //! `runtime.queues`.
+//! `results.quality` is the unfairness (§4.5) and coverage (§4.3) of the
+//! lookups' answers (`quality_json` below), which no server sees.
 
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -66,6 +68,7 @@ use std::time::{Duration, Instant};
 
 use pls_bench::output::BenchReport;
 use pls_cluster::{flag, flag_list, parse_spec, Client, ClientConfig, Timeouts};
+use pls_metrics::unfairness::cov_from_counts;
 use pls_telemetry::json::{array, number, string, Object};
 use pls_telemetry::trace;
 use pls_telemetry::{Counter, Histogram, HistogramSnapshot, MetricsSnapshot, Timeline};
@@ -244,6 +247,14 @@ fn key_name(i: usize) -> Vec<u8> {
     format!("key-{i:05}").into_bytes()
 }
 
+/// The index `j < per_key` of a placed entry `entry-{i:05}-{j:03}`;
+/// `None` for an entry a worker added.
+fn placed_index(entry: &[u8], per_key: usize) -> Option<usize> {
+    let rest = entry.strip_prefix(b"entry-")?;
+    let j = &rest[rest.iter().rposition(|&b| b == b'-')? + 1..];
+    std::str::from_utf8(j).ok()?.parse().ok().filter(|&j| j < per_key)
+}
+
 /// Shared run-wide tallies the workers feed.
 #[derive(Default)]
 struct Tally {
@@ -289,15 +300,17 @@ fn worker(
     opts_cfg: ClientConfig,
     w: usize,
     t: usize,
+    per_key: usize,
     zipf: Arc<Zipf>,
     tally: Arc<Tally>,
     deadline: Instant,
     mut rng: Rng,
     open_interval: Option<Duration>,
-    update_pct: f64,
-    delete_pct: f64,
-) -> MetricsSnapshot {
+    (update_pct, delete_pct): (f64, f64),
+) -> (MetricsSnapshot, Vec<u64>) {
     let mut client = Client::connect(opts_cfg);
+    // Returns of placed entry `j` of key `k` at `k * per_key + j`.
+    let mut returned = vec![0u64; zipf.cdf.len() * per_key];
     let start = Instant::now();
     let mut tick = 0u32;
     // Entries this worker added and has not yet deleted — the only
@@ -318,7 +331,8 @@ fn worker(
         if scheduled >= deadline || Instant::now() >= deadline {
             break;
         }
-        let key = key_name(zipf.sample(&mut rng));
+        let k = zipf.sample(&mut rng);
+        let key = key_name(k);
         let op = {
             let u = rng.f64() * 100.0;
             if u < update_pct {
@@ -339,6 +353,9 @@ fn worker(
                         tally.latency_us.observe(elapsed.as_micros().min(u64::MAX as u128) as u64);
                         if entries.len() < t {
                             tally.target_misses.inc();
+                        }
+                        for j in entries.iter().filter_map(|v| placed_index(v, per_key)) {
+                            returned[k * per_key + j] += 1;
                         }
                     }
                     Err(_) => {
@@ -387,7 +404,26 @@ fn worker(
             }
         }
     }
-    client.metrics_snapshot()
+    (client.metrics_snapshot(), returned)
+}
+
+/// The artifact's `quality` block from the workers' summed `returned`
+/// counts: `unfairness` is the mean over the observed keys (those with a
+/// placed entry returned) of the CoV of their entries' counts, eq. (1)
+/// when every lookup returns `t` placed entries; `coverage` is the share
+/// of their placed entries returned at least once. Added entries are not
+/// counted.
+fn quality_json(returned: &[u64], per_key: usize) -> String {
+    let observed: Vec<&[u64]> =
+        returned.chunks(per_key).filter(|counts| counts.iter().any(|&n| n > 0)).collect();
+    let keys = observed.len().max(1) as f64;
+    let unfairness = observed.iter().map(|counts| cov_from_counts(counts)).sum::<f64>() / keys;
+    let hit = observed.iter().flat_map(|counts| counts.iter()).filter(|&&n| n > 0).count();
+    Object::new()
+        .f64("unfairness", unfairness)
+        .f64("coverage", hit as f64 / (keys * per_key as f64))
+        .u64("keys_observed", observed.len() as u64)
+        .build()
 }
 
 /// The artifact's `runtime` block: the cluster's performance
@@ -440,18 +476,20 @@ fn run(opts: Options) -> Result<(), String> {
     let started = Instant::now();
     let mut handles = Vec::new();
     for w in 0..opts.concurrency {
-        let (cfg, t, zipf, tally) =
-            (opts.cfg.clone(), opts.t, Arc::clone(&zipf), Arc::clone(&tally));
+        let (cfg, t, per_key, zipf, tally) =
+            (opts.cfg.clone(), opts.t, opts.entries_per_key, Arc::clone(&zipf), Arc::clone(&tally));
         let rng = Rng(opts.seed ^ (w as u64).wrapping_mul(0xA24B_AED4_963E_E407));
-        let (update_pct, delete_pct) = (opts.update_pct, opts.delete_pct);
+        let mix = (opts.update_pct, opts.delete_pct);
         handles.push(std::thread::spawn(move || {
-            worker(cfg, w, t, zipf, tally, deadline, rng, open_interval, update_pct, delete_pct)
+            worker(cfg, w, t, per_key, zipf, tally, deadline, rng, open_interval, mix)
         }));
     }
     let mut client_metrics = MetricsSnapshot::new();
+    let mut returned = vec![0u64; opts.keys * opts.entries_per_key];
     for handle in handles {
-        let snap = handle.join().map_err(|_| "worker panicked".to_string())?;
+        let (snap, counts) = handle.join().map_err(|_| "worker panicked".to_string())?;
         client_metrics.merge(&snap);
+        returned.iter_mut().zip(counts).for_each(|(sum, n)| *sum += n);
     }
     let elapsed = started.elapsed();
 
@@ -560,6 +598,7 @@ fn run(opts: Options) -> Result<(), String> {
         .field("robustness", &robustness)
         .field("runtime", &runtime_json(&grown, lookups))
         .field("staleness", &staleness)
+        .field("quality", &quality_json(&returned, opts.entries_per_key))
         .build();
 
     let report = BenchReport::new(opts.name.clone(), config, results);

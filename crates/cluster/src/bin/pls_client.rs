@@ -33,9 +33,9 @@
 //!                                 new view
 //!   stats [--reset] [--raw]       cluster-wide metrics (alias: metrics):
 //!                                 a human-readable summary with latency
-//!                                 quantiles, live quality gauges, and the
-//!                                 hottest keys; --raw prints the merged
-//!                                 Prometheus text exposition instead;
+//!                                 quantiles and the hottest keys; --raw
+//!                                 prints the merged Prometheus text
+//!                                 exposition instead;
 //!                                 --reset drains each server's counters
 //!                                 as they are read
 //!   top [--interval-ms MS] [--count N]
@@ -402,8 +402,8 @@ fn section(out: &mut String, title: &str, rows: Rows, merged: &MetricsSnapshot) 
 }
 
 /// Renders the merged cluster metrics as a human-readable summary: raw
-/// totals, latency quantiles from the histogram snapshots, the
-/// recomputed cluster-level live quality gauges, and the hottest keys.
+/// totals, latency quantiles from the histogram snapshots, and the
+/// hottest keys.
 fn render_stats_table(merged: &MetricsSnapshot) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
@@ -449,16 +449,6 @@ fn render_stats_table(merged: &MetricsSnapshot) -> String {
                 h.mean()
             );
         }
-    }
-
-    let _ = writeln!(out, "live quality (cluster-level, recomputed from per-entry hits)");
-    for (label, name) in
-        [("unfairness (CoV)", "pls_live_unfairness"), ("coverage", "pls_live_coverage")]
-    {
-        let _ = match merged.gauge(name) {
-            Some(v) => writeln!(out, "  {label:<21}{v:>10.4}"),
-            None => writeln!(out, "  {label:<21}{:>10}", "n/a"),
-        };
     }
 
     let _ = writeln!(
@@ -712,8 +702,6 @@ mod tests {
             ("pls_live_staleness{strategy=\"full\",t=\"2\"}", 1.0),
             ("pls_live_staleness{strategy=\"full\",t=\"1\"}", 0.6667),
             ("pls_tombstones_live", 3.0),
-            ("pls_live_unfairness", 0.25),
-            ("pls_live_coverage", 0.875),
             ("pls_shard_keys{server=\"0\",shard=\"1\"}", 3.0),
             ("pls_shard_keys{server=\"0\",shard=\"0\"}", 4.0),
             ("pls_shard_lock_acquisitions{server=\"0\",shard=\"0\",site=\"engines\"}", 100.0),
@@ -777,9 +765,6 @@ consistency (versions, tombstones, measured staleness)
   tombstones live               3
   tombstones gc'd               4
   versions behind               3 sampled (p50 1, p99 3, max-lag mean 0.67)
-live quality (cluster-level, recomputed from per-entry hits)
-  unfairness (CoV)         0.2500
-  coverage                 0.8750
 latency (us)                p50      p90      p99     mean
   request                   255     1023     1023      400
   probe                      15       31       31       15

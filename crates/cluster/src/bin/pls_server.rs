@@ -34,8 +34,8 @@
 //!   --log           error|warn|info|debug|trace|off (default info); structured
 //!                   key=value events on stderr
 //!   --metrics-addr  serve the debug endpoint on this address:
-//!                   `GET /metrics` (Prometheus text, including the live
-//!                   unfairness/coverage gauges and hottest keys),
+//!                   `GET /metrics` (Prometheus text, including the
+//!                   hottest keys),
 //!                   `GET /trace?req=<id>` (cluster-wide JSON span
 //!                   timeline of one request), and `GET /debug/recent`
 //!                   (this server's flight-recorder ring, pinned slow

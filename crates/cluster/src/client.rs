@@ -716,12 +716,6 @@ impl Client {
     /// same-named histograms merged) and stamped with the catalogue's HELP
     /// texts, which do not travel in the Metrics RPC.
     ///
-    /// The `pls_live_unfairness` / `pls_live_coverage` gauges are
-    /// **recomputed** from the merged `pls_entry_hits_total` counters
-    /// ([`live_quality_from_merged`](pls_wire::metrics::live_quality_from_merged)):
-    /// per-server gauge readings only describe each server's own share
-    /// and cannot be combined directly.
-    ///
     /// # Errors
     ///
     /// As [`Client::metrics_by_member`].
@@ -729,10 +723,6 @@ impl Client {
         let mut merged = MetricsSnapshot::new();
         for snap in self.metrics_by_member(reset)?.into_iter().filter_map(|(_, snap)| snap) {
             merged.merge(&snap);
-        }
-        if let Some((u, c)) = pls_wire::metrics::live_quality_from_merged(&merged) {
-            merged.push_gauge("pls_live_unfairness", u);
-            merged.push_gauge("pls_live_coverage", c);
         }
         pls_wire::metrics::stamp(&mut merged);
         Ok(merged)

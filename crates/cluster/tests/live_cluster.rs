@@ -27,6 +27,20 @@ fn spawn_cluster(n: usize, spec: StrategySpec, seed: u64) -> (Vec<SocketAddr>, V
     (addrs, handles)
 }
 
+/// Runs `lookups` lookups of `t` entries of key `k` and counts how often
+/// each entry of `universe` was returned (§4.5's retrievals per entry).
+fn tally(client: &mut Client, universe: &[Vec<u8>], t: usize, lookups: usize) -> Vec<u64> {
+    let mut counts = vec![0u64; universe.len()];
+    for _ in 0..lookups {
+        let got = client.partial_lookup(b"k", t).unwrap();
+        assert_eq!(got.len(), t);
+        for v in &got {
+            counts[universe.iter().position(|u| u == v).expect("a placed entry")] += 1;
+        }
+    }
+    counts
+}
+
 #[test]
 fn full_replication_roundtrip() {
     let spec = StrategySpec::full_replication();
@@ -635,13 +649,9 @@ fn http_metrics_endpoint_serves_live_quality_series() {
     let (status, headers, body) = common::http_get(maddr, "/metrics");
     assert_eq!(status, "HTTP/1.1 200 OK");
     assert!(headers.contains("text/plain; version=0.0.4"), "{headers}");
-    // The live quality gauges, the per-entry counters behind them, the
-    // hot-key sketch, and the point-in-time stored-size gauges are all
+    // The hot-key sketch and the point-in-time stored-size gauges are
     // in the exposition.
-    assert!(body.contains("pls_live_unfairness"), "{body}");
-    assert!(body.contains("pls_live_coverage"), "{body}");
     assert!(body.contains("pls_hot_key_probes{key=\"song\"} 6"), "{body}");
-    assert!(body.contains("pls_entry_hits_total{key=\"song\",entry=\"peer0:6699\"}"), "{body}");
     assert!(body.contains("pls_keys 1"), "{body}");
     assert!(body.contains("pls_entries 4"), "{body}");
     assert!(body.contains("pls_requests_total{op=\"probe\"} 6"), "{body}");
@@ -649,13 +659,10 @@ fn http_metrics_endpoint_serves_live_quality_series() {
 
 #[test]
 fn live_unfairness_matches_analytic_for_fixed_x() {
-    use pls_telemetry::snapshot::labeled;
-
     // Fixed-5 over h=15, t=3: the closed-form §4.5 unfairness is
     // sqrt(h/t²·(h/x−1)) ≈ 1.414. Reconstruct per-entry retrieval
-    // probabilities from the cluster's merged live counters (entries the
-    // servers never stored have no series — probability 0) and check
-    // eq. (1) lands on the analytic value.
+    // probabilities from what the lookups returned (entries no lookup
+    // returned count 0) and check eq. (1) lands on the analytic value.
     let spec = StrategySpec::fixed(5);
     let (addrs, _handles) = spawn_cluster(3, spec, 92);
     let mut client = Client::connect(ClientConfig::new(addrs, spec, 93));
@@ -663,20 +670,7 @@ fn live_unfairness_matches_analytic_for_fixed_x() {
     client.place(b"k", universe.clone()).unwrap();
 
     let lookups = 600usize;
-    for _ in 0..lookups {
-        let got = client.partial_lookup(b"k", 3).unwrap();
-        assert_eq!(got.len(), 3);
-    }
-
-    let merged = client.cluster_metrics(false).unwrap();
-    let counts: Vec<u64> = universe
-        .iter()
-        .map(|v| {
-            let entry = String::from_utf8_lossy(v);
-            let name = labeled("pls_entry_hits_total", &[("key", "k"), ("entry", &entry)]);
-            merged.counter(&name).unwrap_or(0)
-        })
-        .collect();
+    let counts = tally(&mut client, &universe, 3, lookups);
     // Every lookup returned exactly t entries, all accounted for.
     assert_eq!(counts.iter().sum::<u64>(), (lookups * 3) as u64);
     // Only the 5 stored (prefix) entries ever got traffic.
@@ -694,8 +688,8 @@ fn round_robin_uniform_traffic_is_live_fair_with_full_coverage() {
     // under uniform lookups is the paper's perfectly fair strategy —
     // every entry sits on 2 of 4 servers and a t=6 lookup returns one
     // random server's whole shard, so p_j = 1/2 for every entry. The
-    // cluster's live gauge must read ≈ 0 with full coverage, and must
-    // agree exactly with eq. (1) computed from the same counters.
+    // CoV of the returned entries must read ≈ 0 with full coverage, and
+    // must agree exactly with eq. (1) computed from the same counts.
     let spec = StrategySpec::round_robin(2);
     let (addrs, _handles) = spawn_cluster(4, spec, 94);
     let mut client = Client::connect(ClientConfig::new(addrs, spec, 95));
@@ -703,35 +697,19 @@ fn round_robin_uniform_traffic_is_live_fair_with_full_coverage() {
     client.place(b"k", universe.clone()).unwrap();
 
     let lookups = 200usize;
-    for _ in 0..lookups {
-        let got = client.partial_lookup(b"k", 6).unwrap();
-        assert_eq!(got.len(), 6);
-    }
-
-    let merged = client.cluster_metrics(false).unwrap();
-    let unfairness = merged.gauge("pls_live_unfairness").expect("live unfairness gauge");
-    let coverage = merged.gauge("pls_live_coverage").expect("live coverage gauge");
+    let counts = tally(&mut client, &universe, 6, lookups);
+    let unfairness = pls_metrics::unfairness::cov_from_counts(&counts);
+    let coverage = counts.iter().filter(|&&c| c > 0).count() as f64 / counts.len() as f64;
     assert!(unfairness < 0.15, "round-robin live unfairness {unfairness}");
     assert_eq!(coverage, 1.0, "round-robin live coverage {coverage}");
 
     // Each lookup returned exactly t of the h counted entries, so the
     // live CoV form and eq. (1) are computed over identical data and
     // must agree to rounding error.
-    let counts: Vec<u64> = universe
-        .iter()
-        .map(|v| {
-            let entry = String::from_utf8_lossy(v);
-            let name = pls_telemetry::snapshot::labeled(
-                "pls_entry_hits_total",
-                &[("key", "k"), ("entry", &entry)],
-            );
-            merged.counter(&name).unwrap_or(0)
-        })
-        .collect();
     assert_eq!(counts.iter().sum::<u64>(), (lookups * 6) as u64);
     let probs: Vec<f64> = counts.iter().map(|&c| c as f64 / lookups as f64).collect();
     let eq1 = pls_metrics::unfairness::from_probabilities(&probs, 6);
-    assert!((unfairness - eq1).abs() < 1e-9, "gauge {unfairness} vs eq. (1) {eq1}");
+    assert!((unfairness - eq1).abs() < 1e-9, "CoV {unfairness} vs eq. (1) {eq1}");
 }
 
 #[test]

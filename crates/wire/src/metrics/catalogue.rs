@@ -96,10 +96,8 @@ pub const CATALOGUE: &[Family] = &[
     row(Server, Gauge, "pls_entries", &[], "Entries stored across keys.", "stats, tests/live_cluster.rs"),
     row(Server, Histogram, "pls_request_latency_us", &[], "End-to-end request handling latency (us).", "stats, top, SLO latency"),
     row(Server, Histogram, "pls_probe_latency_us", &[], "Probe handling latency, engine sampling only (us).", "stats, top"),
-    // Live quality: the paper's §4 metrics on production traffic.
-    row(Server, Counter, "pls_entry_hits_total", &["key", "entry"], "Retrievals per stored (key, entry) pair.", "Client::cluster_metrics (cluster-level unfairness and coverage)"),
-    row(Server, Gauge, "pls_live_unfairness", &[], "Mean per-key CoV of entry hit counts (paper 4.5).", "stats, tests/live_cluster.rs"),
-    row(Server, Gauge, "pls_live_coverage", &[], "Fraction of stored entries retrieved at least once.", "stats, tests/live_cluster.rs"),
+    // Live quality: the paper's §4 metrics on production traffic (unfairness and coverage are
+    // tallied from lookup answers by `loadgen`, not here).
     row(Server, Gauge, "pls_hot_key_probes", &["key"], "Space-Saving estimate of the hottest probed keys.", "stats, top"),
     row(Server, Gauge, "pls_live_fault_tolerance", &["t"], "Greedy-adversary fault tolerance of the live placement (min across anti-entropy-checked keys, per coverage threshold t).", "stats, tests/consistency.rs"),
     row(Server, Gauge, "pls_live_staleness", &["strategy", "t"], "Estimated probability that a partial lookup probing t holders returns the freshest version (PBS-style, averaged over the keys a repair round compared, per strategy). Upper bound for the targeted strategies (hash, round): the estimator assumes probes sample holders uniformly, but those clients probe deterministically chosen holders.", "stats, SLO staleness, /debug/timeline, soak staleness audit, loadgen artifact"),

@@ -411,8 +411,7 @@ impl Node {
                 span.field("server", self.cfg.me);
                 let (spec, entries) = self.shards.probe(&key, t as usize);
                 self.metrics.probes[strategy_index(spec)].inc();
-                // Live quality accounting: who asked, and what they got.
-                self.metrics.record_probe_answer(&key, &entries);
+                self.metrics.hot_keys.offer(&key);
                 self.metrics.probe_latency_us.observe(span.elapsed_us());
                 Response::Entries(entries)
             }
@@ -542,8 +541,8 @@ impl Node {
     /// both `/debug` views read what it returns. With `reset`, every
     /// counter and histogram is drained as it is read.
     pub fn collect_metrics(&self, reset: bool) -> MetricsSnapshot {
-        let stored = self.shards.stored_pairs();
-        let mut s = self.metrics.collect(&stored, reset);
+        let status = self.shards.status();
+        let mut s = self.metrics.collect(status.keys, status.entries, reset);
         (self.shell_rows)(&mut s);
         // Per-shard WAL segments export as one family: counters sum across
         // shards (with `reset`, each shard is drained exactly once, so
@@ -578,7 +577,7 @@ impl Node {
             let labels = [("strategy", STRATEGY_LABELS[*sidx]), ("t", &t.to_string())];
             s.push_gauge(labeled("pls_live_staleness", &labels), *p);
         }
-        s.push_gauge("pls_tombstones_live", self.shards.status().tombstones as f64);
+        s.push_gauge("pls_tombstones_live", status.tombstones as f64);
         // Per-shard drill-down, as gauges so the breakdown travels over the
         // Metrics RPC. Labeled with the *server* as well as the shard:
         // cluster merges replace same-named gauges, so without it every

@@ -478,18 +478,6 @@ impl Shards {
         sum
     }
 
-    /// The `(key, stored entries)` population, copied out shard by shard —
-    /// the denominator of the live quality gauges.
-    pub fn stored_pairs(&self) -> Vec<(Vec<u8>, Vec<Entry>)> {
-        let mut pairs = Vec::new();
-        for shard in &self.shards {
-            let core = shard.core.lock();
-            pairs
-                .extend(core.engines.iter().map(|(k, r)| (k.clone(), r.engine.entries().to_vec())));
-        }
-        pairs
-    }
-
     // ---- writes ----
 
     /// Creates the key's engine under `group` and the strategy recorded

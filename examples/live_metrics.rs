@@ -1,8 +1,9 @@
 //! Observability demo: a real 4-server TCP cluster under mixed traffic
 //! — including a Zipf-skewed hot-key phase — then the aggregated
 //! metrics in Prometheus text format and a live-quality readout (the
-//! online §4.5 unfairness and §4.3 coverage gauges plus the hottest
-//! keys from the servers' Space-Saving sketches).
+//! online §4.5 unfairness and §4.3 coverage of the hot-key phase's
+//! answers, tallied here, plus the hottest keys from the servers'
+//! Space-Saving sketches).
 //!
 //! ```sh
 //! cargo run --example live_metrics            # warnings only
@@ -68,20 +69,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Zipf-skewed phase: 12 more keys whose lookup traffic follows a
     // discrete Zipf law (rank 0 hottest) — the workload the hot-key
-    // sketch is built for. The per-entry hit counters behind the live
-    // unfairness gauge see the same skew.
+    // sketch is built for. Every answer is tallied: how often each
+    // placed entry of each key came back.
     let m = 12usize;
     let zipf = DiscreteZipf::new(m, 1.1);
     let mut rng = DetRng::seed_from(2003);
+    let peers: Vec<Vec<u8>> = (0..8).map(|p| format!("seed{p}:6699").into_bytes()).collect();
     for i in 0..m {
-        let key = format!("song/top{i}").into_bytes();
-        let peers: Vec<Vec<u8>> = (0..8).map(|p| format!("seed{p}:6699").into_bytes()).collect();
-        client.place(&key, peers)?;
+        client.place(format!("song/top{i}").as_bytes(), peers.clone())?;
     }
+    let mut returned = vec![vec![0u64; peers.len()]; m];
     for _ in 0..200 {
         let rank = zipf.sample(&mut rng);
         let key = format!("song/top{rank}").into_bytes();
-        client.partial_lookup(&key, 3)?;
+        for v in client.partial_lookup(&key, 3)? {
+            let j = peers.iter().position(|p| *p == v).expect("a placed entry");
+            returned[rank][j] += 1;
+        }
     }
 
     // Cluster-wide view: each server's Metrics RPC answer, merged by
@@ -102,18 +106,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         per_lookup.count
     );
 
-    // Live quality: the gauges are recomputed cluster-wide from the
-    // merged per-entry hit counters, and the hot-key ranking sums every
-    // server's sketch — under the Zipf workload it should surface the
-    // low ranks (song/top0, song/top1, ...) first.
+    // Live quality of the Zipf phase, from its own answers: the mean
+    // per-key CoV of the entries' return counts (eq. (1) when every
+    // lookup returns t entries) over the keys looked up, and the share of
+    // their entries returned at least once. The hot-key ranking sums
+    // every server's sketch — under the Zipf workload it should surface
+    // the low ranks (song/top0, song/top1, ...) first.
+    let observed: Vec<&Vec<u64>> = returned.iter().filter(|c| c.iter().any(|&n| n > 0)).collect();
+    let unfairness =
+        observed.iter().map(|c| partial_lookup::metrics::unfairness::cov_from_counts(c));
+    let hit = observed.iter().flat_map(|c| c.iter()).filter(|&&n| n > 0).count();
     println!("# ==== live quality ====");
     println!(
         "# unfairness (mean per-key CoV): {:.4}",
-        cluster.gauge("pls_live_unfairness").unwrap_or(f64::NAN)
+        unfairness.sum::<f64>() / observed.len() as f64
     );
     println!(
-        "# coverage (entries retrieved at least once): {:.4}",
-        cluster.gauge("pls_live_coverage").unwrap_or(f64::NAN)
+        "# coverage (entries returned at least once): {:.4}",
+        hit as f64 / (observed.len() * peers.len()) as f64
     );
     let hot = partial_lookup::wire::metrics::views::hot_keys(&cluster);
     println!("# hottest keys (Space-Saving estimates):");
