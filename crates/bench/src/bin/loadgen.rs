@@ -28,7 +28,9 @@
 //!   --entries-per-key entries placed under each key (default 8)
 //!   --zipf            Zipf(s) skew of the key popularity (default 0.9;
 //!                     0 = uniform)
-//!   --duration-s      measured run length in seconds (default 10)
+//!   --duration-s      measured run length in seconds (default 10); 0
+//!                     places the keys and exits without a measured run
+//!                     or an artifact
 //!   --concurrency     worker clients issuing lookups (default 4)
 //!   --mode            closed: each worker issues back-to-back lookups;
 //!                     open: workers fire on a fixed schedule at --rate
@@ -450,6 +452,10 @@ fn run(opts: Options) -> Result<(), String> {
             opts.keys, opts.entries_per_key, opts.cfg.spec
         );
         setup(&opts)?;
+    }
+    if opts.duration.is_zero() {
+        println!("--duration-s 0: keys placed, no run measured, no artifact written");
+        return Ok(());
     }
 
     // Server-side probe counters before the run: the artifact

@@ -224,9 +224,10 @@ fn run(opts: Options) -> Result<(), String> {
                 }
             }
             // A client-side timeline over the merged totals turns the
-            // servers' cumulative counters into the dashboard's rates.
+            // servers' cumulative counters into the dashboard's rates; a
+            // frame reads only the last delta, so two windows suffice.
             let started = std::time::Instant::now();
-            let mut timeline = pls_telemetry::Timeline::new(64);
+            let mut timeline = pls_telemetry::Timeline::new(2);
             let mut frames: u64 = 0;
             loop {
                 // Track churn live: joiners appear, drained members drop.

@@ -13,15 +13,17 @@
 //!   reads and writes one frame on a socket. The codec, the write-ahead
 //!   log ([`pls_wire::storage`]), the server's per-key state machine
 //!   ([`pls_wire::shard`]), its request path ([`pls_wire::server::Node`])
-//!   and its background work ([`pls_wire::maintenance::Maintenance`]),
-//!   [`pls_wire::retry`] and [`pls_wire::metrics`] touch no socket and
-//!   live in `pls-wire`; this crate adds everything that does: the
-//!   [`Server`] shell (`std::net` sockets, one thread per connection, one
-//!   maintenance thread, no runtime), the client and the chaos proxy.
+//!   and its background work ([`pls_wire::maintenance::Maintenance`]), the
+//!   client's policy ([`pls_wire::client::ClientCore`]), [`pls_wire::retry`]
+//!   and [`pls_wire::metrics`] touch no socket and live in `pls-wire`; this
+//!   crate adds everything that does: the [`Server`] shell (`std::net`
+//!   sockets, one thread per connection, one maintenance thread, no
+//!   runtime), the [`Client`] shell (one prober thread per member, the
+//!   clock) and the chaos proxy.
 //! * Server-to-server traffic (store/remove/migrate fan-out) is carried
 //!   as [`pls_wire::proto::Request::Internal`] RPCs with acknowledged,
 //!   in-order delivery per sender — the ordering the engines rely on.
-//! * The client ([`Client`]) implements the §3 lookup procedures over
+//! * The client ([`Client`]) runs the §3 lookup procedures over
 //!   sockets: single-probe for full replication and Fixed-x, shuffled
 //!   probing with merging for RandomServer-x and Hash-y, the stride walk
 //!   for Round-Robin-y; failed servers are skipped exactly as in the

@@ -5,9 +5,8 @@
 //! deadline; each attempt, admitted by the peer's breaker, takes a
 //! connection out of the pool (or dials a new one), performs a single
 //! request/response exchange, and returns the connection. A
-//! [`PeerBook`] holds one client per member and runs every read of the
-//! members — [`first`](PeerBook::first) and [`every`](PeerBook::every) —
-//! as one loop under one operation budget.
+//! [`PeerBook`] holds one client per member and carries a client
+//! operation's member loop ([`PeerBook::run`]) to its end.
 //!
 //! Crucially, **no lock is held while a response is
 //! waited for**: concurrent calls to the same peer simply use different
@@ -27,9 +26,11 @@
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 use pls_core::Membership;
 use pls_telemetry::{Counter, MetricsSnapshot};
+use pls_wire::client::Members;
 use pls_wire::error::ClusterError;
 use pls_wire::proto::{Request, Response, UNSUPPORTED_PREFIX};
 use pls_wire::retry::{self, Breaker, BreakerConfig, Deadline, Timeouts};
@@ -310,15 +311,16 @@ fn ok_or_remote((resp, service_us): (Response, u64)) -> Result<(Response, u64), 
     }
 }
 
-/// The robustness totals of a set of peer clients: RPC timeouts and
-/// retries (from [`PoolStats`]) and circuit breaker opens / fast-fails.
-/// A book that drops a client because its member left
-/// [`absorb`](Robustness::absorb)s it first, so the exported `_total`s
-/// never go backwards. Used by both the server's metrics collection and
-/// the client's snapshot, so `pls_rpc_timeouts_total` means the same
-/// thing everywhere.
+/// The robustness totals of a set of peer clients: dial failures, RPC
+/// timeouts and retries (from [`PoolStats`]) and circuit breaker opens /
+/// fast-fails. A book that drops a client because its member left or its
+/// id was re-addressed [`absorb`](Robustness::absorb)s it first, so the
+/// exported `_total`s never go backwards. Used by both the server's
+/// metrics collection and the client's snapshot, so
+/// `pls_rpc_timeouts_total` means the same thing everywhere.
 #[derive(Debug, Default, Clone, Copy)]
-struct Robustness {
+pub(crate) struct Robustness {
+    pub dial_failures: u64,
     timeouts: u64,
     retries: u64,
     opens: u64,
@@ -328,20 +330,16 @@ struct Robustness {
 impl Robustness {
     /// Adds one client's totals.
     fn absorb(&mut self, peer: &PeerClient) {
+        self.dial_failures += peer.stats().dial_failures.get();
         self.timeouts += peer.stats().timeouts.get();
         self.retries += peer.stats().retries.get();
         self.opens += peer.breaker.opens.get();
         self.fast_fails += peer.breaker.fast_fails.get();
     }
 
-    /// Appends these totals plus those of the live `peers` to a
-    /// snapshot.
-    fn push<'a>(
-        mut self,
-        s: &mut MetricsSnapshot,
-        peers: impl IntoIterator<Item = &'a PeerClient>,
-    ) {
-        peers.into_iter().for_each(|peer| self.absorb(peer));
+    /// Appends the totals every process exports to a snapshot (the dial
+    /// failures are the client's alone).
+    fn push(self, s: &mut MetricsSnapshot) {
         s.push_counter("pls_rpc_timeouts_total", self.timeouts);
         s.push_counter("pls_rpc_retries_total", self.retries);
         s.push_counter("pls_breaker_opens_total", self.opens);
@@ -415,87 +413,33 @@ impl PeerBook {
         before - clients.len()
     }
 
-    /// Every client held now.
-    pub fn all(&self) -> Vec<Arc<PeerClient>> {
-        self.inner.lock().expect("peer book lock").clients.values().cloned().collect()
+    /// The robustness totals of every client this book ever held.
+    pub fn totals(&self) -> Robustness {
+        let book = self.inner.lock().expect("peer book lock");
+        let mut totals = book.retired;
+        book.clients.values().for_each(|peer| totals.absorb(peer));
+        totals
     }
 
     /// Appends the robustness totals of every client this book ever
     /// held to a metrics snapshot.
     pub fn push_robustness(&self, s: &mut MetricsSnapshot) {
-        let book = self.inner.lock().expect("peer book lock");
-        book.retired.push(s, book.clients.values().map(|p| p.as_ref()));
+        self.totals().push(s);
     }
 
-    /// A read answered by one member: asks `members` (id, dial address)
-    /// in order until `accept` takes an answer; `Ok(None)` when members
-    /// answered but none was taken. Errors as [`PeerBook::every`].
-    pub fn first<T>(
-        &self,
-        members: impl IntoIterator<Item = (u64, impl AsRef<str>)>,
-        id: u64,
-        req: &Request,
-        accept: impl FnMut(Response) -> Option<T>,
-    ) -> Result<Option<T>, ClusterError> {
-        Ok(self.read(members, id, req, true, accept)?.into_iter().find_map(|(_, value)| value))
-    }
-
-    /// A read of every member: each of `members` (id, dial address) with
-    /// what `accept` took from its answer, `None` if it faulted. Both
-    /// reads stamp every call with `id`, run under one operation budget
-    /// and move on past a peer fault (§3.1); any other error ends them.
-    ///
-    /// # Errors
-    ///
-    /// When nobody answered: `Timeout("op-budget")` if the budget ran out,
-    /// otherwise the last peer fault (a one-member read reports that
-    /// member's own error); `NoServerAvailable` if nobody could be asked.
-    pub fn every<T>(
-        &self,
-        members: impl IntoIterator<Item = (u64, impl AsRef<str>)>,
-        id: u64,
-        req: &Request,
-        accept: impl FnMut(Response) -> Option<T>,
-    ) -> Result<Vec<(u64, Option<T>)>, ClusterError> {
-        self.read(members, id, req, false, accept)
-    }
-
-    /// The member loop of both reads; `first` stops at a taken answer.
-    fn read<T>(
-        &self,
-        members: impl IntoIterator<Item = (u64, impl AsRef<str>)>,
-        id: u64,
-        req: &Request,
-        first: bool,
-        mut accept: impl FnMut(Response) -> Option<T>,
-    ) -> Result<Vec<(u64, Option<T>)>, ClusterError> {
-        let deadline = Deadline::within(self.timeouts.op_budget);
-        let (mut outcomes, mut answered, mut fault) = (Vec::new(), false, None);
-        for (member, addr) in members {
-            let Some(peer) = self.client(member, addr.as_ref()) else { continue };
-            match peer.call(id, req, 1, deadline) {
-                Ok((resp, _)) => {
-                    answered = true;
-                    let value = accept(resp);
-                    let done = first && value.is_some();
-                    outcomes.push((member, value));
-                    if done {
-                        break;
-                    }
-                }
-                Err(err) if err.is_peer_fault() => {
-                    pls_telemetry::debug!("read_skipped", req = id, server = member, err = err);
-                    outcomes.push((member, None));
-                    fault = Some(err);
-                }
-                Err(err) => return Err(err),
-            }
-        }
-        match fault {
-            _ if answered => Ok(outcomes),
-            _ if deadline.expired() => Err(ClusterError::Timeout("op-budget")),
-            Some(err) => Err(err),
-            None => Err(ClusterError::NoServerAvailable),
+    /// Carries a member loop — an update or a read — to its end: each
+    /// call in turn, under the loop's budget, on the clock `now_ms` reads.
+    /// An address that does not parse is the member's fault, as an
+    /// unreachable one is.
+    pub fn run<T>(&self, op: &mut Members<'_, T>, now_ms: impl Fn() -> u64) {
+        let left = op.deadline_ms.saturating_sub(now_ms());
+        let deadline = Deadline::within(Duration::from_millis(left));
+        while let Some(call) = op.next_call(now_ms()) {
+            let outcome = match self.client(call.member, call.addr) {
+                Some(peer) => peer.call(call.req_id, &call.request, call.attempts, deadline),
+                None => Err(ClusterError::Io(std::io::ErrorKind::NotConnected.into())),
+            };
+            op.answered(outcome);
         }
     }
 }
@@ -854,21 +798,29 @@ mod tests {
 
     #[test]
     fn robustness_totals_are_summed_across_peers() {
-        let a = PeerClient::new("127.0.0.1:1".parse().unwrap());
-        let b = PeerClient::new("127.0.0.1:2".parse().unwrap());
+        let book = PeerBook::new(Timeouts::default(), BreakerConfig::default());
+        let a = book.client(0, "127.0.0.1:1").unwrap();
+        let b = book.client(1, "127.0.0.1:2").unwrap();
+        let c = book.client(2, "127.0.0.1:3").unwrap();
         a.stats().timeouts.add(2);
         b.stats().timeouts.add(3);
         b.stats().retries.inc();
         a.breaker.opens.inc();
         b.breaker.fast_fails.add(4);
-        // A client dropped from its book keeps counting.
-        let mut retired = Robustness::default();
-        retired.absorb(&a);
+        for (peer, failed) in [(&a, 1), (&b, 2), (&c, 4)] {
+            peer.stats().dial_failures.add(failed);
+        }
+        // A client dropped from its book keeps counting: member 0 leaves,
+        // and id 2 is re-addressed to another server.
+        let view = Membership::from_parts(2, vec![(1, "127.0.0.1:2".into()), (2, "x".into())]);
+        assert_eq!(book.prune(&view), 1);
+        assert!(!Arc::ptr_eq(&c, &book.client(2, "127.0.0.1:4").unwrap()));
         let mut s = MetricsSnapshot::new();
-        retired.push(&mut s, [&b]);
+        book.push_robustness(&mut s);
         assert_eq!(s.counter("pls_rpc_timeouts_total"), Some(5));
         assert_eq!(s.counter("pls_rpc_retries_total"), Some(1));
         assert_eq!(s.counter("pls_breaker_opens_total"), Some(1));
         assert_eq!(s.counter("pls_breaker_fast_fails_total"), Some(4));
+        assert_eq!(book.totals().dial_failures, 7);
     }
 }

@@ -12,6 +12,7 @@ use std::time::{Duration, Instant};
 
 use pls_telemetry::trace::Span;
 use pls_telemetry::{Level, MetricsSnapshot, SpanRecord};
+use pls_wire::client::{Members, Rule};
 use pls_wire::error::ClusterError;
 use pls_wire::maintenance::Maintenance;
 use pls_wire::metrics::{self, views};
@@ -383,14 +384,17 @@ fn drive(state: &State, maint: &mut Maintenance) {
 
 /// Every span retained for `req` across the cluster
 /// ([`merge_spans`](client::merge_spans) of every peer's
-/// [`Request::Trace`] answer, one read of them all). A faulty peer is
-/// skipped, and with no peer answering the timeline is this process's
-/// alone — a partial timeline beats none.
+/// [`Request::Trace`] answer, one read of them all, as a client reads
+/// them). A faulty peer is skipped, and with no peer answering the
+/// timeline is this process's alone — a partial timeline beats none.
 fn cluster_spans(state: &Arc<State>, req: u64) -> Vec<SpanRecord> {
-    let members = state.node.shards().other_members();
-    let answers =
-        state.peers.every(members, state.node.next_id(), &Request::Trace { req }, client::spans);
-    client::merge_spans(req, answers.unwrap_or_default())
+    let others = state.node.shards().other_members();
+    let members = others.iter().map(|(id, addr)| (*id, addr.as_str())).collect();
+    let deadline_ms = state.now_ms() + state.cfg().timeouts.op_budget.as_millis() as u64;
+    let (id, trace) = (state.node.next_id(), Request::Trace { req });
+    let mut read = Members::new(members, id, trace, Rule::Every, client::spans, deadline_ms);
+    state.peers.run(&mut read, || state.now_ms());
+    client::merge_spans(req, read.finish().unwrap_or_default())
 }
 
 /// Ring spans served by `/debug/recent`, at most this many (the most

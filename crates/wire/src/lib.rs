@@ -17,6 +17,10 @@
 //!   also measures staleness) and the self-scrape as a scheduler that
 //!   names the pulls it needs and reads their answers; cold-start resync
 //!   is one of its repair rounds;
+//! * [`client`] — [`client::ClientCore`]: the client's policy — the
+//!   lookup driver with its hedges, update routing, the reads of the
+//!   members, the operation budget — as operations that name their calls
+//!   and take their outcomes; and [`client::ClientConfig`];
 //! * [`retry`] — deadlines, the backoff between a call's attempts and the
 //!   per-peer circuit breaker;
 //! * [`metrics`] — the server's and the client's counters, histograms
@@ -24,15 +28,17 @@
 //! * [`error`] — [`ClusterError`].
 //!
 //! `pls-cluster` adds the TCP server (a shell around [`server`] and
-//! [`maintenance`]), the client and the frame reader and writer; code that
-//! needs these modules names this crate. Nothing here touches a socket,
-//! and [`server`], [`maintenance`] and [`shard`] take the time as an
-//! argument: the server's logic is tested through this crate without
-//! sockets or sleeps (`cargo test -p pls-wire`).
+//! [`maintenance`]), the client (a shell around [`client`]) and the frame
+//! reader and writer; code that needs these modules names this crate.
+//! Nothing here touches a socket, and [`server`], [`maintenance`],
+//! [`shard`] and [`client`] take the time as an argument: the server's and
+//! the client's logic are tested through this crate without sockets or
+//! sleeps (`cargo test -p pls-wire`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod client;
 pub mod error;
 pub mod maintenance;
 pub mod metrics;
