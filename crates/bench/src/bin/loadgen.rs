@@ -18,6 +18,7 @@
 //!         [--mode closed|open] [--rate RPS]
 //!         [--update-pct P] [--delete-pct P]
 //!         [--out DIR] [--name NAME] [--skip-setup]
+//!         [--group-size G] [--cluster-seed S]
 //!         [--rpc-timeout-ms MS] [--op-budget-ms MS] [--hedge-ms MS]
 //!         [--log LEVEL]
 //!
@@ -48,6 +49,11 @@
 //!   --out             artifact directory (default results/)
 //!   --name            artifact name: BENCH_<name>.json (default cluster)
 //!   --skip-setup      do not place keys first (cluster already loaded)
+//!   --group-size      the servers' --group-size (default 5)
+//!   --cluster-seed    the servers' --seed (default 0); with --group-size,
+//!                     a deployment setting that must match the servers',
+//!                     or updates and lookups go to other members than the
+//!                     servers place keys on
 //! ```
 //!
 //! With a mixed workload the artifact's `results.staleness` block
@@ -70,6 +76,7 @@ use std::time::{Duration, Instant};
 
 use pls_bench::output::BenchReport;
 use pls_cluster::{flag, flag_list, parse_spec, Client, ClientConfig, Timeouts};
+use pls_core::membership::DEFAULT_GROUP_SIZE;
 use pls_metrics::unfairness::cov_from_counts;
 use pls_telemetry::json::{array, number, string, Object};
 use pls_telemetry::trace;
@@ -117,8 +124,9 @@ fn parse_args() -> Result<Options, String> {
     let mut out = PathBuf::from("results");
     let mut name = "cluster".to_string();
     let mut skip_setup = false;
+    let (mut group_size, mut placement_seed) = (DEFAULT_GROUP_SIZE, 0);
     let mut timeouts = Timeouts::default();
-    let mut hedge_ms: Option<u64> = None;
+    let mut hedge = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let args = &mut args;
@@ -145,17 +153,19 @@ fn parse_args() -> Result<Options, String> {
             "--out" => out = flag(&arg, args)?,
             "--name" => name = flag(&arg, args)?,
             "--skip-setup" => skip_setup = true,
-            "--rpc-timeout-ms" => timeouts = timeouts.with_rpc_ms(flag(&arg, args)?),
-            "--op-budget-ms" => timeouts = timeouts.with_op_budget_ms(flag(&arg, args)?),
-            "--hedge-ms" => hedge_ms = Some(flag(&arg, args)?),
+            "--group-size" => group_size = flag(&arg, args)?,
+            "--cluster-seed" => placement_seed = flag(&arg, args)?,
+            "--rpc-timeout-ms" => timeouts.rpc = Duration::from_millis(flag(&arg, args)?),
+            "--op-budget-ms" => timeouts.op_budget = Duration::from_millis(flag(&arg, args)?),
+            "--hedge-ms" => hedge = Some(Duration::from_millis(flag(&arg, args)?)),
             "--log" => trace::init_from_str(&flag::<String>(&arg, args)?)?,
             "--help" | "-h" => {
                 return Err("usage: loadgen --servers A,B,... --strategy SPEC [--t T] \
                      [--keys N] [--entries-per-key M] [--zipf S] [--duration-s D] \
                      [--concurrency C] [--mode closed|open] [--rate RPS] \
                      [--update-pct P] [--delete-pct P] [--out DIR] \
-                     [--name NAME] [--skip-setup] [--rpc-timeout-ms MS] [--op-budget-ms MS] \
-                     [--hedge-ms MS] [--log LEVEL]"
+                     [--name NAME] [--skip-setup] [--group-size G] [--cluster-seed S] \
+                     [--rpc-timeout-ms MS] [--op-budget-ms MS] [--hedge-ms MS] [--log LEVEL]"
                     .to_string())
             }
             other => return Err(format!("unknown argument `{other}` (try --help)")),
@@ -175,10 +185,13 @@ fn parse_args() -> Result<Options, String> {
     {
         return Err("--update-pct/--delete-pct must be in [0,100] and sum to <= 100".to_string());
     }
-    let mut cfg = ClientConfig::new(servers, spec, seed).with_timeouts(timeouts);
-    if let Some(ms) = hedge_ms {
-        cfg = cfg.with_hedging(Duration::from_millis(ms));
-    }
+    let cfg = ClientConfig {
+        timeouts,
+        hedge,
+        group_size,
+        placement_seed,
+        ..ClientConfig::new(servers, spec, seed)
+    };
     Ok(Options {
         cfg,
         t,

@@ -580,7 +580,7 @@ fn audit_migration_completes(audit: &Client, members: &[u64], deadline_s: u64) -
 /// missing seed entry can only mean churn lost (or a tombstone screen
 /// failure resurrected-then-retrimmed) state.
 fn audit_no_seed_lost(p: &Ports, seed: u64) -> Audit {
-    let mut reader = Client::connect(client_config(p, seed ^ 0xD00D));
+    let mut reader = Client::connect(client_config(p, seed, 0xD00D));
     let _ = reader.refresh_membership();
     let mut missing = Vec::new();
     for k in 0..KEYS {
@@ -643,10 +643,16 @@ fn await_cluster_up(audit: &Client, members: &[u64], deadline_s: u64) -> Result<
     Ok(())
 }
 
-fn client_config(p: &Ports, seed: u64) -> ClientConfig {
+/// A client of the servers started with `--seed seed`, its own probe seed
+/// `seed ^ salt`.
+fn client_config(p: &Ports, seed: u64, salt: u64) -> ClientConfig {
     let spec = parse_spec("round:2").expect("round:2 parses");
-    ClientConfig::new(p.server.to_vec(), spec, seed)
-        .with_timeouts(Timeouts::default().with_rpc_ms(400).with_op_budget_ms(3000))
+    let timeouts = Timeouts { rpc: Duration::from_millis(400), op_budget: Duration::from_secs(3) };
+    ClientConfig {
+        timeouts,
+        placement_seed: seed,
+        ..ClientConfig::new(p.server.to_vec(), spec, seed ^ salt)
+    }
 }
 
 /// One closed-loop load worker: mixed lookups, adds, and deletes over
@@ -660,7 +666,7 @@ fn load_worker(
     ops: Arc<AtomicU64>,
     errors: Arc<AtomicU64>,
 ) {
-    let mut client = Client::connect(client_config(&p, seed ^ ((worker + 1) * 0x9E37)));
+    let mut client = Client::connect(client_config(&p, seed, (worker + 1) * 0x9E37));
     let mut added: Option<(Vec<u8>, Vec<u8>)> = None;
     let mut i = 0u64;
     while !stop.load(Ordering::Relaxed) {
@@ -720,12 +726,12 @@ fn run_soak(o: &Opts) -> Result<(Vec<PhaseStat>, Vec<Audit>), String> {
     procs.server0 = Some(spawn_server(o, &p, 0)?);
     procs.server1 = Some(spawn_server(o, &p, 1)?);
 
-    let mut audit = Client::connect(client_config(&p, o.seed));
+    let mut audit = Client::connect(client_config(&p, o.seed, 0));
     let members = vec![0u64, 1];
     await_cluster_up(&audit, &members, 15)?;
 
     // Seed the key population so lookups have something to find.
-    let mut seeder = Client::connect(client_config(&p, o.seed ^ 0x5EED));
+    let mut seeder = Client::connect(client_config(&p, o.seed, 0x5EED));
     for k in 0..KEYS {
         let key = format!("soak/k{k}");
         let entries: Vec<Vec<u8>> = (0..4).map(|e| format!("seed-{e}").into_bytes()).collect();

@@ -2,7 +2,16 @@
 //!
 //! ```text
 //! pls-client --servers A,B,... --strategy SPEC [--seed S] [--log LEVEL]
+//!            [--group-size G] [--cluster-seed S]
 //!            [--rpc-timeout-ms MS] [--op-budget-ms MS] [--hedge-ms MS] COMMAND
+//!
+//!   --seed            this client's own seed: probe order, request ids
+//!                     (default 1)
+//!
+//! deployment flags (must be the servers' values, or this client routes
+//! updates and lookups to other members than the servers place keys on):
+//!   --group-size      the servers' --group-size (default 5)
+//!   --cluster-seed    the servers' --seed (default 0)
 //!
 //! robustness flags:
 //!   --rpc-timeout-ms  deadline for each RPC attempt (default 2000)
@@ -56,10 +65,11 @@
 //!                                 or ui.perfetto.dev
 //! ```
 
-use std::net::SocketAddr;
 use std::process::ExitCode;
+use std::time::Duration;
 
-use pls_cluster::{flag, flag_list, parse_req_id, parse_spec, Client, ClientConfig, Timeouts};
+use pls_cluster::{flag, flag_list, parse_req_id, parse_spec, Client, ClientConfig};
+use pls_core::StrategySpec;
 use pls_telemetry::trace;
 use pls_telemetry::{MetricsSnapshot, SpanRecord};
 use pls_wire::metrics::views::{self, Rates};
@@ -70,11 +80,10 @@ struct Options {
 }
 
 fn parse_args() -> Result<Options, String> {
-    let mut servers: Option<Vec<SocketAddr>> = None;
-    let mut spec = None;
-    let mut seed = 1u64;
-    let mut timeouts = Timeouts::default();
-    let mut hedge_ms: Option<u64> = None;
+    let (mut servers, mut spec) = (None, None);
+    // Every other flag lands in the config as it is read; servers and
+    // strategy are filled in below.
+    let mut cfg = ClientConfig::new(Vec::new(), StrategySpec::full_replication(), 1);
     let mut command = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -82,14 +91,17 @@ fn parse_args() -> Result<Options, String> {
         match arg.as_str() {
             "--servers" => servers = Some(flag_list(&arg, args)?),
             "--strategy" => spec = Some(parse_spec(&flag::<String>(&arg, args)?)?),
-            "--seed" => seed = flag(&arg, args)?,
-            "--rpc-timeout-ms" => timeouts = timeouts.with_rpc_ms(flag(&arg, args)?),
-            "--op-budget-ms" => timeouts = timeouts.with_op_budget_ms(flag(&arg, args)?),
-            "--hedge-ms" => hedge_ms = Some(flag(&arg, args)?),
+            "--seed" => cfg.seed = flag(&arg, args)?,
+            "--group-size" => cfg.group_size = flag(&arg, args)?,
+            "--cluster-seed" => cfg.placement_seed = flag(&arg, args)?,
+            "--rpc-timeout-ms" => cfg.timeouts.rpc = Duration::from_millis(flag(&arg, args)?),
+            "--op-budget-ms" => cfg.timeouts.op_budget = Duration::from_millis(flag(&arg, args)?),
+            "--hedge-ms" => cfg.hedge = Some(Duration::from_millis(flag(&arg, args)?)),
             "--log" => trace::init_from_str(&flag::<String>(&arg, args)?)?,
             "--help" | "-h" => {
-                return Err("usage: pls-client --servers A,B,... --strategy SPEC [--log LEVEL] \
-                     [--rpc-timeout-ms MS] [--op-budget-ms MS] [--hedge-ms MS] COMMAND ..."
+                return Err("usage: pls-client --servers A,B,... --strategy SPEC [--seed S] \
+                     [--log LEVEL] [--group-size G] [--cluster-seed S] [--rpc-timeout-ms MS] \
+                     [--op-budget-ms MS] [--hedge-ms MS] COMMAND ..."
                     .to_string())
             }
             other => {
@@ -98,16 +110,12 @@ fn parse_args() -> Result<Options, String> {
             }
         }
     }
-    let servers = servers.ok_or("--servers is required")?;
-    let spec = spec.ok_or("--strategy is required")?;
+    cfg.servers = servers.ok_or("--servers is required")?;
+    cfg.spec = spec.ok_or("--strategy is required")?;
     if command.is_empty() {
         return Err("missing command (place/add/delete/lookup/status/membership/join/drain/\
                     stats/top/trace)"
             .to_string());
-    }
-    let mut cfg = ClientConfig::new(servers, spec, seed).with_timeouts(timeouts);
-    if let Some(ms) = hedge_ms {
-        cfg = cfg.with_hedging(std::time::Duration::from_millis(ms));
     }
     Ok(Options { cfg, command })
 }

@@ -209,10 +209,12 @@ fn join_cluster(
     seed_addr: SocketAddr,
     advertise: SocketAddr,
 ) -> Result<ServerConfig, String> {
-    let ccfg = pls_cluster::ClientConfig::new(vec![seed_addr], cfg.spec, cfg.seed)
-        .with_placement(cfg.group_size, cfg.seed)
-        .with_timeouts(cfg.timeouts);
-    let mut admin = pls_cluster::Client::connect(ccfg);
+    let mut admin = pls_cluster::Client::connect(pls_cluster::ClientConfig {
+        timeouts: cfg.timeouts,
+        group_size: cfg.group_size,
+        placement_seed: cfg.seed,
+        ..pls_cluster::ClientConfig::new(vec![seed_addr], cfg.spec, cfg.seed)
+    });
     let view = admin.join(&advertise.to_string()).map_err(|e| format!("join refused: {e}"))?;
     let my_id = view
         .id_of_addr(&advertise.to_string())

@@ -382,7 +382,7 @@ mod tests {
 
     #[test]
     fn faults_map_to_the_expected_client_errors() {
-        let tight = Timeouts::default().with_connect_ms(500).with_rpc_ms(300);
+        let tight = Timeouts { rpc: Duration::from_millis(300), ..Timeouts::default() };
         let lenient = BreakerConfig { failure_threshold: u32::MAX, ..BreakerConfig::default() };
 
         // Error fault → Remote.
@@ -436,7 +436,7 @@ mod tests {
 
     #[test]
     fn refuse_mode_kills_connections_and_recovers_when_lifted() {
-        let tight = Timeouts::default().with_connect_ms(500).with_rpc_ms(300);
+        let tight = Timeouts { rpc: Duration::from_millis(300), ..Timeouts::default() };
         let lenient = BreakerConfig { failure_threshold: u32::MAX, ..BreakerConfig::default() };
         let cfg = Arc::new(ChaosConfig::new(3));
         cfg.set_refuse(true);

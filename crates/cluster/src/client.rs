@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 use pls_core::{Membership, StrategySpec};
 use pls_telemetry::trace::Span;
 use pls_telemetry::{Level, MetricsSnapshot, SpanRecord};
-use pls_wire::client::{ClientCore, Members, Report, Rule};
+use pls_wire::client::{ClientCore, Report, Rule};
 use pls_wire::error::ClusterError;
 use pls_wire::metrics::ClientMetrics;
 use pls_wire::proto::{Entry, Request, Response};
@@ -76,6 +76,8 @@ pub struct Client {
     reports: (Sender<Report>, Receiver<Report>),
     /// The clock every `now_ms` is read from: milliseconds since connect.
     started: Instant,
+    /// The operation budget: the deadline of a member loop's calls.
+    budget: Duration,
 }
 
 /// Milliseconds since `started`: the core's clock.
@@ -95,6 +97,7 @@ impl Client {
             probers: HashMap::new(),
             reports: mpsc::channel(),
             started: Instant::now(),
+            budget: cfg.timeouts.op_budget,
         }
     }
 
@@ -126,10 +129,9 @@ impl Client {
     /// it ([`ClientCore::update`]): breaker-suspect members last, each
     /// candidate 3 attempts, the whole operation one budget.
     fn update(&mut self, key: &[u8], req: Request) -> Result<(), ClusterError> {
-        let (peers, started) = (&self.peers, self.started);
-        let mut op = self.core.update(key, req, |m| !peers.healthy(m), ms_since(started));
-        peers.run(&mut op, || ms_since(started));
-        op.first()
+        let Client { core, peers, started, budget, .. } = self;
+        let (suspect, deadline) = (|m| !peers.healthy(m), Deadline::within(*budget));
+        core.update(key, &req, suspect, || ms_since(*started), |c| peers.call(c, deadline))
     }
 
     /// `place`: batch-specify a key's entries (§2), under the cluster's
@@ -206,7 +208,7 @@ impl Client {
     /// at all; [`ClusterError::Timeout`] when the budget expired before any
     /// server answered.
     pub fn partial_lookup(&mut self, key: &[u8], t: usize) -> Result<Vec<Entry>, ClusterError> {
-        let Client { core, peers, probers, reports, started } = self;
+        let Client { core, peers, probers, reports, started, .. } = self;
         let spec = core.spec_of(key);
         let mut op = core.lookup(key, t, |m| !peers.healthy(m), ms_since(*started))?;
         let mut span =
@@ -256,10 +258,22 @@ impl Client {
         request: Request,
         rule: Rule,
         accept: fn(Response) -> Option<T>,
-    ) -> Members<'_, T> {
-        let mut op = self.core.read(ids, request, rule, accept, ms_since(self.started));
-        self.peers.run(&mut op, || ms_since(self.started));
-        op
+    ) -> Result<Vec<(u64, Option<T>)>, ClusterError> {
+        let (now_ms, deadline) = (|| ms_since(self.started), Deadline::within(self.budget));
+        self.core.read(ids, &request, rule, accept, now_ms, |c| self.peers.call(c, deadline))
+    }
+
+    /// The first answer a `Rule::First` read of `ids` takes; a `Remote`
+    /// error when members answered but none was taken.
+    fn first<T>(
+        &self,
+        ids: impl IntoIterator<Item = u64>,
+        request: Request,
+        accept: fn(Response) -> Option<T>,
+    ) -> Result<T, ClusterError> {
+        let what = request.op().as_str();
+        let taken = self.read(ids, request, Rule::First, accept)?.into_iter().find_map(|(_, v)| v);
+        taken.ok_or_else(|| ClusterError::Remote(format!("unexpected {what} response")))
     }
 
     /// Queries the cluster for a key's strategy and records it locally,
@@ -273,14 +287,9 @@ impl Client {
     /// As [`Client::metrics_by_member`], for the members of the key's
     /// group.
     pub fn refresh_spec(&mut self, key: &[u8]) -> Result<Option<StrategySpec>, ClusterError> {
-        let (peers, started) = (&self.peers, self.started);
-        let mut op = self.core.spec_read(key, ms_since(started));
-        peers.run(&mut op, || ms_since(started));
-        let found = op.finish()?.into_iter().find_map(|(_, spec)| spec);
-        if found.is_some() {
-            self.core.set_spec(key, found);
-        }
-        Ok(found)
+        let Client { core, peers, started, budget, .. } = self;
+        let deadline = Deadline::within(*budget);
+        core.refresh_spec(key, || ms_since(*started), |c| peers.call(c, deadline))
     }
 
     /// Diagnostic: `(keys, entries)` stored at one server.
@@ -295,7 +304,7 @@ impl Client {
             Response::Status { keys, entries } => Some((keys, entries)),
             _ => None,
         };
-        self.read([server as u64], Request::Status, Rule::First, status).first()
+        self.first([server as u64], Request::Status, status)
     }
 
     /// This client's own runtime metrics (probe/lookup counters and the
@@ -323,7 +332,7 @@ impl Client {
     ///
     /// As [`Client::status_of`].
     pub fn metrics_of(&self, server: usize, reset: bool) -> Result<MetricsSnapshot, ClusterError> {
-        self.read([server as u64], Request::Metrics { reset }, Rule::First, metrics).first()
+        self.first([server as u64], Request::Metrics { reset }, metrics)
     }
 
     /// Every member's metrics, one read of them all under one operation
@@ -340,7 +349,7 @@ impl Client {
         &self,
         reset: bool,
     ) -> Result<Vec<(u64, Option<MetricsSnapshot>)>, ClusterError> {
-        self.read(self.core.view().ids(), Request::Metrics { reset }, Rule::Every, metrics).finish()
+        self.read(self.core.view().ids(), Request::Metrics { reset }, Rule::Every, metrics)
     }
 
     /// Cluster-wide metrics: every answering member's snapshot
@@ -372,7 +381,7 @@ impl Client {
     /// As [`Client::metrics_by_member`].
     pub fn trace_request(&self, req: u64) -> Result<Vec<SpanRecord>, ClusterError> {
         let answers = self.read(self.core.view().ids(), Request::Trace { req }, Rule::Every, spans);
-        Ok(merge_spans(req, answers.finish()?))
+        Ok(merge_spans(req, answers?))
     }
 
     /// The membership view this client routes with.
@@ -439,7 +448,7 @@ impl Client {
             Response::Membership(view) => Some(view),
             _ => None,
         };
-        let view = self.read(self.core.view().ids(), req, Rule::First, view).first()?;
+        let view = self.first(self.core.view().ids(), req, view)?;
         self.adopt_view(view.clone());
         Ok(view)
     }

@@ -5,8 +5,8 @@
 //! deadline; each attempt, admitted by the peer's breaker, takes a
 //! connection out of the pool (or dials a new one), performs a single
 //! request/response exchange, and returns the connection. A
-//! [`PeerBook`] holds one client per member and carries a client
-//! operation's member loop ([`PeerBook::run`]) to its end.
+//! [`PeerBook`] holds one client per member and makes a member loop's
+//! calls ([`PeerBook::call`]).
 //!
 //! Crucially, **no lock is held while a response is
 //! waited for**: concurrent calls to the same peer simply use different
@@ -30,9 +30,9 @@ use std::time::Duration;
 
 use pls_core::Membership;
 use pls_telemetry::{Counter, MetricsSnapshot};
-use pls_wire::client::Members;
+use pls_wire::client::{Call, Outcome};
 use pls_wire::error::ClusterError;
-use pls_wire::proto::{Request, Response, UNSUPPORTED_PREFIX};
+use pls_wire::proto::{Request, Response};
 use pls_wire::retry::{self, Breaker, BreakerConfig, Deadline, Timeouts};
 
 use crate::frame::{read_frame, write_frame};
@@ -40,6 +40,9 @@ use crate::sock::{timed_out, Bounded};
 
 /// Connections kept per peer; extras beyond this are closed on return.
 const POOL_SIZE: usize = 4;
+
+/// The longest a dial may take, within the attempt's deadline.
+const CONNECT: Duration = Duration::from_secs(1);
 
 /// Pool accounting for one peer's connection pool: how connections are
 /// obtained (fresh dial vs. pool reuse) and how they leave the pool
@@ -92,7 +95,7 @@ fn exchange_timed(
 /// A lazily-connected pool of RPC connections to one peer address.
 ///
 /// Every call is **time-bounded** ([`Timeouts`]): dials are capped by
-/// the connect timeout, whole attempts by the per-RPC deadline. A
+/// [`CONNECT`], whole attempts by the per-RPC deadline. A
 /// per-peer circuit [`Breaker`] tracks consecutive failures and
 /// fast-fails calls against a peer that keeps timing out, so a
 /// black-holed server costs one deadline per cooldown instead of one
@@ -192,12 +195,9 @@ impl PeerClient {
             }
             let result = self.call_once(request_id, req, Deadline::within(limit));
             match &result {
-                // A well-formed reply — even an application-level error or
-                // an "I don't implement that opcode" refusal — proves the
-                // peer alive; anything else feeds its breaker.
-                Ok(_) | Err(ClusterError::Remote(_)) | Err(ClusterError::Unsupported(_)) => {
-                    self.breaker.record_success()
-                }
+                // A well-formed reply — even an application-level error —
+                // proves the peer alive; anything else feeds its breaker.
+                Ok(_) | Err(ClusterError::Remote(_)) => self.breaker.record_success(),
                 Err(_) => self.breaker.record_failure(),
             }
             match result {
@@ -239,9 +239,12 @@ impl PeerClient {
                 None => self.dial(request_id, deadline)?,
             };
             match exchange_timed(&stream, deadline, request_id, req) {
-                Ok(resp) => {
+                Ok((resp, service_us)) => {
                     self.put_back(stream);
-                    return ok_or_remote(resp);
+                    return match resp {
+                        Response::Error(msg) => Err(ClusterError::Remote(msg)),
+                        resp => Ok((resp, service_us)),
+                    };
                 }
                 Err(ClusterError::Io(e)) if timed_out(&e) => {
                     return Err(self.ran_out("rpc", request_id));
@@ -260,7 +263,7 @@ impl PeerClient {
         }
     }
 
-    /// Dials the peer within the connect timeout and `deadline`.
+    /// Dials the peer within [`CONNECT`] and `deadline`.
     fn dial(&self, request_id: u64, deadline: Deadline) -> Result<TcpStream, ClusterError> {
         self.stats.dials.inc();
         pls_telemetry::event!(
@@ -269,7 +272,7 @@ impl PeerClient {
             req = request_id,
             addr = self.addr
         );
-        let limit = deadline.cap(self.timeouts.connect);
+        let limit = deadline.cap(CONNECT);
         if limit.is_zero() {
             return Err(self.ran_out("rpc", request_id));
         }
@@ -279,7 +282,7 @@ impl PeerClient {
                 return e.into();
             }
             // Whichever bound was the tighter one ran out.
-            self.ran_out(if limit == self.timeouts.connect { "connect" } else { "rpc" }, request_id)
+            self.ran_out(if limit == CONNECT { "connect" } else { "rpc" }, request_id)
         })?;
         // Request/response over Nagle + delayed ACK stalls for 40 ms.
         let _ = stream.set_nodelay(true);
@@ -292,22 +295,6 @@ impl PeerClient {
         self.stats.timeouts.inc();
         pls_telemetry::debug!("rpc_timeout", req = request_id, addr = self.addr, phase = phase);
         ClusterError::Timeout(phase)
-    }
-}
-
-fn ok_or_remote((resp, service_us): (Response, u64)) -> Result<(Response, u64), ClusterError> {
-    match resp {
-        Response::Error(msg) => {
-            if let Some(op) = msg
-                .strip_prefix(UNSUPPORTED_PREFIX)
-                .and_then(|rest| rest.strip_prefix("0x"))
-                .and_then(|hex| u8::from_str_radix(hex, 16).ok())
-            {
-                return Err(ClusterError::Unsupported(op));
-            }
-            Err(ClusterError::Remote(msg))
-        }
-        other => Ok((other, service_us)),
     }
 }
 
@@ -427,19 +414,13 @@ impl PeerBook {
         self.totals().push(s);
     }
 
-    /// Carries a member loop — an update or a read — to its end: each
-    /// call in turn, under the loop's budget, on the clock `now_ms` reads.
-    /// An address that does not parse is the member's fault, as an
-    /// unreachable one is.
-    pub fn run<T>(&self, op: &mut Members<'_, T>, now_ms: impl Fn() -> u64) {
-        let left = op.deadline_ms.saturating_sub(now_ms());
-        let deadline = Deadline::within(Duration::from_millis(left));
-        while let Some(call) = op.next_call(now_ms()) {
-            let outcome = match self.client(call.member, call.addr) {
-                Some(peer) => peer.call(call.req_id, &call.request, call.attempts, deadline),
-                None => Err(ClusterError::Io(std::io::ErrorKind::NotConnected.into())),
-            };
-            op.answered(outcome);
+    /// Makes one call of a member loop ([`pls_wire::client::ask`]) within
+    /// `deadline`, the loop's budget. An address that does not parse is
+    /// the member's fault, as an unreachable one is.
+    pub fn call(&self, call: Call<'_>, deadline: Deadline) -> Outcome {
+        match self.client(call.member, call.addr) {
+            Some(peer) => peer.call(call.req_id, &call.request, call.attempts, deadline),
+            None => Err(ClusterError::Io(std::io::ErrorKind::NotConnected.into())),
         }
     }
 }
@@ -549,14 +530,15 @@ mod tests {
 
     #[test]
     fn unsupported_refusal_keeps_connection_and_breaker_healthy() {
-        // An "old server" that predates the membership RPCs: any frame
-        // carrying opcode 0x0D gets the clean refusal frame, everything
-        // else is answered normally — all on the same connection, the
-        // mixed-version rollout contract.
-        let (addr, _server) = spawn_server(|mut sock| {
+        // A server that does not take opcode 0x0D answers it with the
+        // error frame of a decode failure and everything else normally,
+        // all on the same connection.
+        let refusal = ClusterError::Decode("request opcode").to_string();
+        let refused = refusal.clone();
+        let (addr, _server) = spawn_server(move |mut sock| {
             while let Ok(Some((id, _, payload))) = read_frame(&mut sock) {
                 let resp = if payload.first() == Some(&0x0D) {
-                    Response::Error(format!("{UNSUPPORTED_PREFIX}{:#04x}", 0x0D))
+                    Response::Error(refused.clone())
                 } else {
                     Response::Ok
                 };
@@ -566,10 +548,9 @@ mod tests {
             }
         });
         let client = PeerClient::new(addr);
-        // A membership fetch against the old server: the refusal comes
-        // back as a *typed* Unsupported, not a generic remote error.
+        // A membership fetch against it: the refusal is a remote error.
         let err = one_call(&client, 9, &Request::Membership(Membership::empty())).unwrap_err();
-        assert_eq!(err, ClusterError::Unsupported(0x0D));
+        assert_eq!(err, ClusterError::Remote(refusal));
         // The exchange completed cleanly, so the connection went back to
         // the pool (not poisoned) and the breaker saw proof of life.
         assert_eq!(client.pooled(), 1);
@@ -579,9 +560,6 @@ mod tests {
         assert_eq!(one_call(&client, 10, &Request::Status).unwrap(), Response::Ok);
         assert_eq!(client.stats().dials.get(), 1);
         assert_eq!(client.stats().reuses.get(), 1);
-        // A remote error that is not the refusal shape stays Remote.
-        let generic = ok_or_remote((Response::Error("kaput".into()), 0));
-        assert_eq!(generic.unwrap_err(), ClusterError::Remote("kaput".into()));
     }
 
     #[test]
@@ -689,7 +667,7 @@ mod tests {
     }
 
     fn tight_timeouts() -> Timeouts {
-        Timeouts::default().with_connect_ms(200).with_rpc_ms(50).with_op_budget_ms(500)
+        Timeouts { rpc: Duration::from_millis(50), op_budget: Duration::from_millis(500) }
     }
 
     #[test]

@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 
 use pls_telemetry::trace::Span;
 use pls_telemetry::{Level, MetricsSnapshot, SpanRecord};
-use pls_wire::client::{Members, Rule};
+use pls_wire::client::{ask, Call, Rule};
 use pls_wire::error::ClusterError;
 use pls_wire::maintenance::Maintenance;
 use pls_wire::metrics::{self, views};
@@ -389,12 +389,13 @@ fn drive(state: &State, maint: &mut Maintenance) {
 /// timeline is this process's alone — a partial timeline beats none.
 fn cluster_spans(state: &Arc<State>, req: u64) -> Vec<SpanRecord> {
     let others = state.node.shards().other_members();
-    let members = others.iter().map(|(id, addr)| (*id, addr.as_str())).collect();
-    let deadline_ms = state.now_ms() + state.cfg().timeouts.op_budget.as_millis() as u64;
-    let (id, trace) = (state.node.next_id(), Request::Trace { req });
-    let mut read = Members::new(members, id, trace, Rule::Every, client::spans, deadline_ms);
-    state.peers.run(&mut read, || state.now_ms());
-    client::merge_spans(req, read.finish().unwrap_or_default())
+    let members = others.iter().map(|(id, addr)| (*id, addr.as_str()));
+    let (budget, id, trace) =
+        (state.cfg().timeouts.op_budget, state.node.next_id(), Request::Trace { req });
+    let (now, deadline) = (|| state.now_ms(), Deadline::within(budget));
+    let call = |c: Call<'_>| state.peers.call(c, deadline);
+    let spans = ask(members, id, &trace, Rule::Every, client::spans, budget, None, now, call);
+    client::merge_spans(req, spans.unwrap_or_default())
 }
 
 /// Ring spans served by `/debug/recent`, at most this many (the most

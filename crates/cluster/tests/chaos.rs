@@ -19,7 +19,7 @@ use pls_core::StrategySpec;
 
 /// Tight time bounds so fault detection (and hence the tests) is fast.
 fn tight() -> Timeouts {
-    Timeouts::default().with_connect_ms(500).with_rpc_ms(300).with_op_budget_ms(3_000)
+    Timeouts { rpc: Duration::from_millis(300), op_budget: Duration::from_millis(3_000) }
 }
 
 /// A cluster in which some servers are fronted by chaos proxies. The
@@ -93,9 +93,10 @@ fn black_holed_server_lookups_complete_within_budget_for_every_strategy() {
     let cluster = spawn_chaos_cluster(3, default, 200, &[2], &chaos);
     let real_addrs = &cluster.real_addrs;
 
-    let mut client = Client::connect(
-        ClientConfig::new(cluster.addrs.clone(), default, 201).with_timeouts(tight()),
-    );
+    let mut client = Client::connect(ClientConfig {
+        timeouts: tight(),
+        ..ClientConfig::new(cluster.addrs.clone(), default, 201)
+    });
 
     // Place five keys, one per strategy, while the proxy forwards
     // cleanly — every server (including the soon-to-be-silenced one)
@@ -164,13 +165,13 @@ fn breaker_opens_fast_fails_and_half_opens_after_cooldown() {
     chaos.set_black_hole(1.0);
     let (_proxy, addr) = ChaosPeer::bind(None, Arc::clone(&chaos)).unwrap();
 
-    let timeouts = Timeouts::default().with_connect_ms(500).with_rpc_ms(100);
+    let timeouts = Timeouts { rpc: Duration::from_millis(100), ..Timeouts::default() };
     let breaker = BreakerConfig { failure_threshold: 3, cooldown: Duration::from_millis(300) };
-    let client = Client::connect(
-        ClientConfig::new(vec![addr], StrategySpec::full_replication(), 202)
-            .with_timeouts(timeouts)
-            .with_breaker(breaker),
-    );
+    let client = Client::connect(ClientConfig {
+        timeouts,
+        breaker,
+        ..ClientConfig::new(vec![addr], StrategySpec::full_replication(), 202)
+    });
 
     // Three timed-out calls open the circuit...
     for i in 0..3 {
@@ -213,11 +214,11 @@ fn hedged_probes_fire_and_win_against_a_slow_server() {
     let spec = StrategySpec::random_server(4);
     let cluster = spawn_chaos_cluster(3, spec, 210, &[2], &chaos);
 
-    let mut client = Client::connect(
-        ClientConfig::new(cluster.addrs.clone(), spec, 211)
-            .with_timeouts(tight())
-            .with_hedging(Duration::from_millis(30)),
-    );
+    let mut client = Client::connect(ClientConfig {
+        timeouts: tight(),
+        hedge: Some(Duration::from_millis(30)),
+        ..ClientConfig::new(cluster.addrs.clone(), spec, 211)
+    });
     client.place(b"k", entries(0..6)).unwrap();
 
     // From now on server 2 answers correctly but 200ms late — well past
@@ -256,12 +257,12 @@ fn a_hedged_lookup_leaves_its_black_holed_probe_behind_and_drop_joins_it() {
     let spec = StrategySpec::full_replication();
     let cluster = spawn_chaos_cluster(3, spec, 250, &[2], &chaos);
     let rpc = Duration::from_millis(800);
-    let timeouts = tight().with_rpc_ms(800);
-    let mut client = Client::connect(
-        ClientConfig::new(cluster.addrs.clone(), spec, 251)
-            .with_timeouts(timeouts)
-            .with_hedging(Duration::from_millis(20)),
-    );
+    let timeouts = Timeouts { rpc, ..tight() };
+    let mut client = Client::connect(ClientConfig {
+        timeouts,
+        hedge: Some(Duration::from_millis(20)),
+        ..ClientConfig::new(cluster.addrs.clone(), spec, 251)
+    });
     client.place(b"k", entries(0..6)).unwrap();
     chaos.set_black_hole(1.0);
 
@@ -296,13 +297,13 @@ fn byzantine_faults_are_skipped_like_crashes() {
     let spec = StrategySpec::full_replication();
     let cluster = spawn_chaos_cluster(3, spec, 220, &[1], &chaos);
 
-    let mut client = Client::connect(
-        ClientConfig::new(cluster.addrs.clone(), spec, 221)
-            .with_timeouts(tight())
-            // Keep the breaker out of the picture: this test pins the
-            // skip-and-move-on path, not demotion.
-            .with_breaker(BreakerConfig { failure_threshold: u32::MAX, ..Default::default() }),
-    );
+    let mut client = Client::connect(ClientConfig {
+        timeouts: tight(),
+        // Keep the breaker out of the picture: this test pins the
+        // skip-and-move-on path, not demotion.
+        breaker: BreakerConfig { failure_threshold: u32::MAX, ..Default::default() },
+        ..ClientConfig::new(cluster.addrs.clone(), spec, 221)
+    });
     client.place(b"k", entries(0..6)).unwrap();
 
     let arm: [(&str, &dyn Fn()); 3] = [
@@ -358,7 +359,8 @@ fn reads_skip_a_garbling_and_an_erroring_member() {
         pls_cluster::http::serve_router(http_listeners.remove(0), router).expect("exporter");
     let _servers: Vec<ServerHandle> = servers.into_iter().map(Server::spawn).collect();
 
-    let mut client = Client::connect(ClientConfig::new(addrs, spec, 261).with_timeouts(tight()));
+    let mut client =
+        Client::connect(ClientConfig { timeouts: tight(), ..ClientConfig::new(addrs, spec, 261) });
     client.place(b"k", entries(0..4)).unwrap();
     garbage.set_garbage(1.0);
     error.set_error(1.0);
@@ -383,10 +385,12 @@ fn reads_of_black_holed_members_end_within_the_op_budget() {
     let chaos = Arc::new(ChaosConfig::new(16));
     let spec = StrategySpec::full_replication();
     let cluster = spawn_chaos_cluster(3, spec, 270, &[0, 1, 2], &chaos);
-    let timeouts = tight().with_rpc_ms(300).with_op_budget_ms(500);
-    let mut client = Client::connect(
-        ClientConfig::new(cluster.addrs.clone(), spec, 271).with_timeouts(timeouts),
-    );
+    let timeouts =
+        Timeouts { rpc: Duration::from_millis(300), op_budget: Duration::from_millis(500) };
+    let mut client = Client::connect(ClientConfig {
+        timeouts,
+        ..ClientConfig::new(cluster.addrs.clone(), spec, 271)
+    });
     chaos.set_black_hole(1.0);
     let bound = timeouts.op_budget + Duration::from_millis(250);
 
@@ -413,8 +417,10 @@ fn black_holed_fan_out_is_bounded_and_counted() {
     let spec = StrategySpec::full_replication();
     let cluster = spawn_chaos_cluster(3, spec, 230, &[2], &chaos);
 
-    let mut client =
-        Client::connect(ClientConfig::new(cluster.addrs.clone(), spec, 231).with_timeouts(tight()));
+    let mut client = Client::connect(ClientConfig {
+        timeouts: tight(),
+        ..ClientConfig::new(cluster.addrs.clone(), spec, 231)
+    });
 
     // Every update's fan-out to server 2 dies in the proxy; the
     // coordinating server must give up on it within its own budget and
@@ -461,8 +467,10 @@ fn black_holed_donor_delays_but_never_hangs_resync() {
     let mut cluster = spawn_chaos_cluster(4, spec, 240, &[1], &chaos);
     let addrs = cluster.addrs.clone();
 
-    let mut client =
-        Client::connect(ClientConfig::new(addrs.clone(), spec, 241).with_timeouts(tight()));
+    let mut client = Client::connect(ClientConfig {
+        timeouts: tight(),
+        ..ClientConfig::new(addrs.clone(), spec, 241)
+    });
     client.place(b"k1", entries(0..10)).unwrap();
     client.place(b"k2", entries(50..55)).unwrap();
 

@@ -20,7 +20,7 @@ use pls_core::StrategySpec;
 
 /// Tight time bounds so fault detection (and hence the tests) is fast.
 fn tight() -> Timeouts {
-    Timeouts::default().with_connect_ms(500).with_rpc_ms(300).with_op_budget_ms(3_000)
+    Timeouts { rpc: Duration::from_millis(300), op_budget: Duration::from_millis(3_000) }
 }
 
 /// Spawns `n` servers with anti-entropy, and so the staleness
@@ -75,8 +75,10 @@ fn converged_cluster_pins_live_staleness_at_one() {
     let spec = StrategySpec::full_replication();
     let every = Duration::from_millis(100);
     let (addrs, _handles, _) = spawn_probing_cluster(3, spec, 31, every, None);
-    let mut client =
-        Client::connect(ClientConfig::new(addrs.clone(), spec, 310).with_timeouts(tight()));
+    let mut client = Client::connect(ClientConfig {
+        timeouts: tight(),
+        ..ClientConfig::new(addrs.clone(), spec, 310)
+    });
     // Two strategies so the gauge's `strategy` label is exercised; both
     // placements are fully acknowledged before returning, so the
     // cluster is converged before the first probe round fires.
@@ -115,8 +117,10 @@ fn chaos_delayed_donor_drives_live_staleness_below_one() {
     let every = Duration::from_millis(100);
     let chaos = Arc::new(ChaosConfig::new(33));
     let (addrs, _handles, _proxy) = spawn_probing_cluster(3, spec, 33, every, Some((2, &chaos)));
-    let mut client =
-        Client::connect(ClientConfig::new(addrs.clone(), spec, 330).with_timeouts(tight()));
+    let mut client = Client::connect(ClientConfig {
+        timeouts: tight(),
+        ..ClientConfig::new(addrs.clone(), spec, 330)
+    });
     client.place(b"k", entries(0..4)).unwrap();
 
     // 150ms of injected delay (inside the 300ms rpc deadline, so
@@ -132,7 +136,8 @@ fn chaos_delayed_donor_drives_live_staleness_below_one() {
     let (mut dipped, mut lag_seen) = (false, false);
     std::thread::scope(|s| {
         s.spawn(|| {
-            let cfg = ClientConfig::new(addrs.clone(), spec, 331).with_timeouts(tight());
+            let cfg =
+                ClientConfig { timeouts: tight(), ..ClientConfig::new(addrs.clone(), spec, 331) };
             let mut writer = Client::connect(cfg);
             for update in 0u64.. {
                 if stop.load(Ordering::SeqCst) {
@@ -193,8 +198,10 @@ fn flaky_donors_never_cost_a_converged_replica_its_entries() {
             Server::with_listener(cfg, listener).expect("server").0.spawn()
         })
         .collect();
-    let mut client =
-        Client::connect(ClientConfig::new(public_addrs, spec, 350).with_timeouts(tight()));
+    let mut client = Client::connect(ClientConfig {
+        timeouts: tight(),
+        ..ClientConfig::new(public_addrs, spec, 350)
+    });
     client.place(b"k", entries(0..6)).unwrap();
 
     chaos.set_error(0.5);

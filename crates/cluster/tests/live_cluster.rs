@@ -379,8 +379,11 @@ fn cold_start_resync_in_a_cluster_wider_than_the_group() {
 
     let (spec, seed) = (StrategySpec::full_replication(), 46);
     let (addrs, mut handles) = spawn_cluster(7, spec, seed);
-    let mut client =
-        Client::connect(ClientConfig::new(addrs.clone(), spec, 47).with_placement(5, seed));
+    let mut client = Client::connect(ClientConfig {
+        group_size: 5,
+        placement_seed: seed,
+        ..ClientConfig::new(addrs.clone(), spec, 47)
+    });
     let keys: Vec<Vec<u8>> = (0..24).map(|i| format!("key/{i}").into_bytes()).collect();
     for key in &keys {
         client.place(key, entries(0..6)).unwrap();
@@ -710,6 +713,54 @@ fn round_robin_uniform_traffic_is_live_fair_with_full_coverage() {
     let probs: Vec<f64> = counts.iter().map(|&c| c as f64 / lookups as f64).collect();
     let eq1 = pls_metrics::unfairness::from_probabilities(&probs, 6);
     assert!((unfairness - eq1).abs() < 1e-9, "CoV {unfairness} vs eq. (1) {eq1}");
+}
+
+/// The other three strategies: the §4.5 unfairness of the answers to `L`
+/// lookups over TCP against `pls-metrics`' value for the same shape — the
+/// closed form of RandomServer-x (single-probe regime, t ≤ x), and
+/// otherwise `measure_instance` over `L'` lookups of the same instance (a
+/// `pls_core::Cluster` whose engines are seeded as the servers seed `k`'s).
+///
+/// Tolerance. Entry j's estimate `p̂_j = c_j/L` has variance
+/// `p_j(1 − p_j)/L` and `Σ_j p_j = t`, so the noise adds at most
+/// `(h/t)²·(1/h)·t/L = h/(t·L)` to eq. (1)'s square: a value from `L`
+/// lookups is within `σ(L) = sqrt(h/(t·L))` of its instance's (rms). The
+/// closed form is an expectation over placements, and an instance spreads
+/// around it by about `U/sqrt(2h)` (the sampling error of the spread of
+/// `h` per-entry replica counts). The bound is three times each term:
+/// `3·(σ(L) + σ(L'))`, or `3·(σ(L) + U/sqrt(2h))` against the closed form.
+#[test]
+fn live_unfairness_matches_pls_metrics_for_full_random_server_and_hash() {
+    use pls_metrics::unfairness::{analytic_random_server_single_probe, measure_instance};
+    let (seed, lookups, reference) = (96, 1_000, 20_000);
+    let sigma = |h: usize, t: usize, l: usize| (h as f64 / (t * l) as f64).sqrt();
+    let shapes = [
+        (StrategySpec::full_replication(), 3, 20, 4),
+        (StrategySpec::random_server(100), 5, 200, 100),
+        (StrategySpec::hash(2), 5, 40, 8),
+    ];
+    for (spec, n, h, t) in shapes {
+        let (addrs, _handles) = spawn_cluster(n, spec, seed);
+        let mut client = Client::connect(ClientConfig::new(addrs, spec, 97));
+        let universe = entries(0..h as u32);
+        client.place(b"k", universe.clone()).unwrap();
+        let live =
+            pls_metrics::unfairness::cov_from_counts(&tally(&mut client, &universe, t, lookups));
+        let (metric, tolerance) = if let StrategySpec::RandomServer { x } = spec {
+            let closed = analytic_random_server_single_probe(x, h, n);
+            (closed, 3.0 * (sigma(h, t, lookups) + closed / (2.0 * h as f64).sqrt()))
+        } else {
+            let engines_seed = pls_wire::shard::key_seed(seed, b"k");
+            let mut instance = pls_core::Cluster::new(n, spec, engines_seed).unwrap();
+            instance.place(universe.clone()).unwrap();
+            let measured = measure_instance(&mut instance, &universe, t, reference);
+            (measured, 3.0 * (sigma(h, t, lookups) + sigma(h, t, reference)))
+        };
+        assert!(
+            (live - metric).abs() <= tolerance,
+            "{spec}: live unfairness {live} vs pls-metrics {metric} (tolerance {tolerance})"
+        );
+    }
 }
 
 #[test]

@@ -10,6 +10,7 @@ mod common;
 
 use std::net::SocketAddr;
 use std::sync::Arc;
+use std::time::Duration;
 
 use common::{bind_all, http_get};
 use pls_cluster::{
@@ -27,7 +28,7 @@ const DELAY_MS: u64 = 100;
 const SLOW_THRESHOLD_US: u64 = 50_000;
 
 fn timeouts() -> Timeouts {
-    Timeouts::default().with_connect_ms(1_000).with_rpc_ms(2_000).with_op_budget_ms(10_000)
+    Timeouts { rpc: Duration::from_millis(2_000), op_budget: Duration::from_millis(10_000) }
 }
 
 /// Three servers; the one at `slow` is fronted by a chaos proxy whose
@@ -92,8 +93,10 @@ fn delayed_probe_shows_up_in_the_request_timeline() {
         pls_cluster::http::serve_router(http_listeners.remove(0), router).expect("exporter");
     let _servers: Vec<ServerHandle> = servers.into_iter().map(Server::spawn).collect();
 
-    let mut client =
-        Client::connect(ClientConfig::new(addrs.clone(), spec, 401).with_timeouts(timeouts()));
+    let mut client = Client::connect(ClientConfig {
+        timeouts: timeouts(),
+        ..ClientConfig::new(addrs.clone(), spec, 401)
+    });
     let entries: Vec<Vec<u8>> = (0..6).map(|i| format!("entry-{i}").into_bytes()).collect();
     client.place(b"slow-key", entries).expect("place");
 
@@ -192,10 +195,11 @@ fn delayed_probe_shows_up_in_the_request_timeline() {
 #[test]
 fn trace_fan_out_fails_cleanly_with_no_servers() {
     let dead: SocketAddr = "127.0.0.1:1".parse().unwrap();
-    let client = Client::connect(
-        ClientConfig::new(vec![dead], StrategySpec::full_replication(), 402)
-            .with_timeouts(Timeouts::default().with_connect_ms(200).with_rpc_ms(200)),
-    );
+    let timeouts = Timeouts { rpc: Duration::from_millis(200), ..Timeouts::default() };
+    let client = Client::connect(ClientConfig {
+        timeouts,
+        ..ClientConfig::new(vec![dead], StrategySpec::full_replication(), 402)
+    });
     // No recorder installed here: local spans contribute nothing, and
     // the only server is unreachable.
     let err = client.trace_request(7);

@@ -1,12 +1,12 @@
 //! The client without its sockets: [`ClientCore`] is the policy of §3's
 //! lookup and §5's update routing — each key's strategy, the membership
 //! view and its router, the probe order, request ids, metrics, the hedge
-//! delay and the operation budget. An operation names the calls to make
-//! ([`Call`]), takes each one's [`Outcome`] and says when it is done:
-//! [`Lookup`] drives a [`LookupPlan`] with hedged probes, and [`Members`]
-//! is the one member loop of updates and reads. Time is an argument
-//! (`now_ms`, any monotonic clock); the client in `pls-cluster` dials,
-//! waits and keeps the clock.
+//! delay and the operation budget. [`Lookup`] drives a [`LookupPlan`] with
+//! hedged probes: it names the calls to make ([`Call`]), takes each one's
+//! [`Outcome`] and says when it is done. Updates and reads are one member
+//! loop, [`ask`], that makes its calls one at a time through a closure.
+//! Time is an argument (`now_ms`, any monotonic clock); the client in
+//! `pls-cluster` dials, waits and keeps the clock.
 
 use core::net::SocketAddr;
 use std::borrow::Cow;
@@ -28,19 +28,24 @@ use crate::proto::{Entry, Request, Response};
 use crate::retry::{splitmix64, BreakerConfig, Timeouts};
 
 /// Client-side configuration: where the servers are and which strategy
-/// they run (the client procedures are strategy-specific).
+/// they run (the client procedures are strategy-specific). Plain data:
+/// `ClientConfig { hedge: Some(d), ..ClientConfig::new(servers, spec, seed) }`.
+///
+/// Two seeds: `seed` is the client's own (its probe order and request
+/// ids); `placement_seed` and `group_size` are the cluster's, and must be
+/// the servers' `--seed` and `--group-size` for client and cluster to agree
+/// on every key's group. [`ClientConfig::new`] takes the servers' defaults.
 #[derive(Debug, Clone)]
 pub struct ClientConfig {
     /// Every server's address, indexed by server id.
     pub servers: Vec<SocketAddr>,
     /// The cluster's placement strategy.
     pub spec: StrategySpec,
-    /// Seed for the client's probe-order randomness.
+    /// Seed for the client's probe-order randomness and request ids.
     pub seed: u64,
-    /// Time bounds: connect/per-RPC deadlines and the total budget each
-    /// operation (one lookup, one update) may spend across all its
-    /// probes and retries (the `--rpc-timeout-ms` / `--op-budget-ms`
-    /// flags).
+    /// The per-RPC deadline and the total budget each operation (one
+    /// lookup, one update) may spend across all its probes and retries
+    /// (the `--rpc-timeout-ms` / `--op-budget-ms` flags).
     pub timeouts: Timeouts,
     /// Circuit-breaker tuning for each per-server connection pool.
     pub breaker: BreakerConfig,
@@ -54,18 +59,16 @@ pub struct ClientConfig {
     /// Placement-group size `g`: each key lives on (at most) `g`
     /// servers chosen by consistent hashing over the membership. Must
     /// match the servers' `--group-size`; clusters no larger than `g`
-    /// place every key on every server, which is the pre-membership
-    /// behavior.
+    /// place every key on every server.
     pub group_size: usize,
-    /// Placement seed: must match the servers' `--seed` so client and
-    /// cluster agree on every key's group. (Bootstrap deployments used
-    /// one shared seed for engines already; the router reuses it.)
+    /// Placement seed: must match the servers' `--seed`.
     pub placement_seed: u64,
 }
 
 impl ClientConfig {
-    /// Convenience constructor with default time bounds and breaker
-    /// tuning, hedging disabled.
+    /// A client of `servers` with probe seed `seed`, default time bounds
+    /// and breaker tuning, hedging off, routing as servers started with
+    /// the default `--seed` (0) and `--group-size`.
     pub fn new(servers: Vec<SocketAddr>, spec: StrategySpec, seed: u64) -> Self {
         ClientConfig {
             servers,
@@ -75,42 +78,8 @@ impl ClientConfig {
             breaker: BreakerConfig::default(),
             hedge: None,
             group_size: DEFAULT_GROUP_SIZE,
-            // Deployed clusters share one seed between client and
-            // servers already (the engines need it); the router reuses
-            // it, so client and cluster derive identical groups.
-            placement_seed: seed,
+            placement_seed: 0,
         }
-    }
-
-    /// Replaces the placement-group size and routing seed (must match
-    /// the servers' `--group-size` and `--seed`).
-    #[must_use]
-    pub fn with_placement(mut self, group_size: usize, seed: u64) -> Self {
-        self.group_size = group_size.max(1);
-        self.placement_seed = seed;
-        self
-    }
-
-    /// Replaces the time bounds.
-    #[must_use]
-    pub fn with_timeouts(mut self, timeouts: Timeouts) -> Self {
-        self.timeouts = timeouts;
-        self
-    }
-
-    /// Replaces the circuit-breaker tuning.
-    #[must_use]
-    pub fn with_breaker(mut self, breaker: BreakerConfig) -> Self {
-        self.breaker = breaker;
-        self
-    }
-
-    /// Enables hedged probes for lookups, with `floor` as the minimum
-    /// hedge delay.
-    #[must_use]
-    pub fn with_hedging(mut self, floor: Duration) -> Self {
-        self.hedge = Some(floor);
-        self
     }
 }
 
@@ -237,34 +206,34 @@ impl ClientCore {
         self.rng.shuffled_servers(group.len()).iter().map(|s| group[s.index()]).collect()
     }
 
-    /// A read at `now_ms` of the members of `ids` the view knows, in order;
-    /// `accept` says what an answer gives.
+    /// A read of the members of `ids` the view knows, in order, under the
+    /// operation budget: [`ask`], with its result and errors.
     pub fn read<T>(
         &self,
         ids: impl IntoIterator<Item = u64>,
-        request: Request,
+        request: &Request,
         rule: Rule,
-        accept: fn(Response) -> Option<T>,
-        now_ms: u64,
-    ) -> Members<'_, T> {
+        accept: impl Fn(Response) -> Option<T>,
+        now_ms: impl Fn() -> u64,
+        call: impl FnMut(Call<'_>) -> Outcome,
+    ) -> Result<Vec<(u64, Option<T>)>, ClusterError> {
         let members = ids.into_iter().filter_map(|id| Some((id, self.view.addr_of(id)?)));
-        let deadline_ms = now_ms + self.timeouts.op_budget.as_millis() as u64;
-        let op =
-            Members::new(members.collect(), self.fresh_id(), request, rule, accept, deadline_ms);
-        Members { metrics: Some(&self.metrics), ..op }
+        let (id, budget, metrics) = (self.fresh_id(), self.timeouts.op_budget, Some(&self.metrics));
+        ask(members, id, request, rule, accept, budget, metrics, now_ms, call)
     }
 
-    /// An update of `key` (§5) at `now_ms`: to the coordinator alone (group
-    /// position 0) for Round-Robin-y, §5.4; otherwise to the key's group
-    /// shuffled, the members `suspect` names last, so healthy members share
-    /// the load and sick ones are tried once everyone else failed.
+    /// An update of `key` (§5): to the coordinator alone (group position
+    /// 0) for Round-Robin-y, §5.4; otherwise to the key's group shuffled,
+    /// the members `suspect` names last, so healthy members share the load
+    /// and sick ones are tried once everyone else failed. Errors as [`ask`].
     pub fn update(
         &mut self,
         key: &[u8],
-        request: Request,
+        request: &Request,
         suspect: impl Fn(u64) -> bool,
-        now_ms: u64,
-    ) -> Members<'_, ()> {
+        now_ms: impl Fn() -> u64,
+        call: impl FnMut(Call<'_>) -> Outcome,
+    ) -> Result<(), ClusterError> {
         let order = if matches!(self.spec_of(key), StrategySpec::RoundRobin { .. }) {
             let mut coordinator = self.router.group(&self.view, key);
             coordinator.truncate(1);
@@ -274,15 +243,26 @@ impl ClientCore {
             order.sort_by_key(|member| suspect(*member));
             order
         };
-        self.read(order, request, Rule::Update, |_| Some(()), now_ms)
+        self.read(order, request, Rule::Update, |_| Some(()), now_ms, call).map(drop)
     }
 
-    /// Asks `key`'s group in random order for its strategy, until a member
-    /// knows it.
-    pub fn spec_read(&mut self, key: &[u8], now_ms: u64) -> Members<'_, StrategySpec> {
+    /// Asks `key`'s group in random order for its strategy until a member
+    /// knows it, and records what it learns as the key's override. Errors
+    /// as [`ask`].
+    pub fn refresh_spec(
+        &mut self,
+        key: &[u8],
+        now_ms: impl Fn() -> u64,
+        call: impl FnMut(Call<'_>) -> Outcome,
+    ) -> Result<Option<StrategySpec>, ClusterError> {
         let (order, request) = (self.shuffled_group(key), Request::SpecOf { key: key.to_vec() });
         let known = |resp| if let Response::SpecOf(spec) = resp { spec } else { None };
-        self.read(order, request, Rule::First, known, now_ms)
+        let answers = self.read(order, &request, Rule::First, known, now_ms, call)?;
+        let found = answers.into_iter().find_map(|(_, spec)| spec);
+        if found.is_some() {
+            self.set_spec(key, found);
+        }
+        Ok(found)
     }
 
     /// `partial_lookup(key, t)` (§3) at `now_ms`, the members `suspect`
@@ -504,7 +484,7 @@ impl Lookup<'_> {
     }
 }
 
-/// How a [`Members`] loop treats its members.
+/// How a member loop ([`ask`]) treats its members.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Rule {
     /// An update (§5): 3 attempts a member, an unavailable one passes it
@@ -516,133 +496,78 @@ pub enum Rule {
     Every,
 }
 
-/// The member loop of updates and reads: `request` to each member in
-/// order, one call at a time, under one budget. An error that passes the
+/// The member loop of updates and reads: `request`, stamped with `req_id`,
+/// to each of `members` (id, dial address) in order, one `call` at a time,
+/// until `budget` from the first `now_ms` runs out. `accept` says what an
+/// answer gives; `None` passes a `First` read on. An error that passes the
 /// loop on (`is_unavailable` for an update, `is_peer_fault` for a read)
 /// moves it to the next member; any other ends it — a `Remote` answer to
-/// an update is the cluster's refusal, not tried elsewhere.
-#[derive(Debug)]
-pub struct Members<'a, T> {
-    members: Vec<(u64, &'a str)>,
-    asked: usize,
+/// an update is the cluster's refusal, not tried elsewhere. `metrics`, if
+/// any, counts a spent budget and a failed update.
+///
+/// Returns every member with what its answer gave, `None` for one that
+/// faulted or was not asked.
+///
+/// # Errors
+///
+/// The error that ended the loop; when nobody answered, the budget's
+/// `Timeout("op-budget")` or else the last member's fault (a one-member
+/// read reports that member's own error), or `NoServerAvailable` if
+/// nobody could be asked.
+#[allow(clippy::too_many_arguments)]
+pub fn ask<'a, T>(
+    members: impl IntoIterator<Item = (u64, &'a str)>,
     req_id: u64,
-    request: Request,
+    request: &Request,
     rule: Rule,
-    /// What an answer gives; `None` passes a `First` read on.
-    accept: fn(Response) -> Option<T>,
-    /// When the budget runs out.
-    pub deadline_ms: u64,
-    metrics: Option<&'a ClientMetrics>,
-    outcomes: Vec<(u64, Option<T>)>,
-    answered: bool,
-    done: bool,
-    /// The last error that passed the loop on, the one that `ended` it, or
-    /// the budget's.
-    fault: Option<ClusterError>,
-    ended: bool,
-}
-
-impl<'a, T> Members<'a, T> {
-    /// A loop over `members` (id, dial address) stamped with `req_id`,
-    /// whose budget runs out at `deadline_ms`.
-    pub fn new(
-        members: Vec<(u64, &'a str)>,
-        req_id: u64,
-        request: Request,
-        rule: Rule,
-        accept: fn(Response) -> Option<T>,
-        deadline_ms: u64,
-    ) -> Self {
-        Members {
-            members,
-            asked: 0,
-            req_id,
-            request,
-            rule,
-            accept,
-            deadline_ms,
-            metrics: None,
-            outcomes: Vec::new(),
-            answered: false,
-            done: false,
-            fault: None,
-            ended: false,
+    accept: impl Fn(Response) -> Option<T>,
+    budget: Duration,
+    metrics: Option<&ClientMetrics>,
+    now_ms: impl Fn() -> u64,
+    mut call: impl FnMut(Call<'_>) -> Outcome,
+) -> Result<Vec<(u64, Option<T>)>, ClusterError> {
+    let (update, mut members) = (rule == Rule::Update, members.into_iter());
+    let deadline_ms = now_ms() + budget.as_millis() as u64;
+    let (mut outcomes, mut answered, mut ended, mut fault) = (Vec::new(), false, false, None);
+    for (member, addr) in members.by_ref() {
+        if now_ms() >= deadline_ms {
+            fault = Some(ClusterError::Timeout("op-budget"));
+            metrics.inspect(|m| m.op_budget_exhausted.inc());
+            outcomes.push((member, None));
+            break;
         }
-    }
-
-    /// The next call at `now_ms`, once the last one was answered; `None`
-    /// when the loop is over or its budget ran out.
-    pub fn next_call(&mut self, now_ms: u64) -> Option<Call<'_>> {
-        if self.done || self.asked == self.members.len() {
-            return None;
-        }
-        if now_ms >= self.deadline_ms {
-            (self.done, self.fault) = (true, Some(ClusterError::Timeout("op-budget")));
-            self.metrics.inspect(|m| m.op_budget_exhausted.inc());
-            return None;
-        }
-        let ((member, addr), request) = (self.members[self.asked], Cow::Borrowed(&self.request));
-        self.asked += 1;
-        let attempts = if self.rule == Rule::Update { 3 } else { 1 };
-        Some(Call { member, addr, req_id: self.req_id, request, attempts })
-    }
-
-    /// The last call's outcome.
-    pub fn answered(&mut self, outcome: Outcome) {
-        let member = self.members[self.asked - 1].0;
-        let value = match outcome {
+        let (request, attempts) = (Cow::Borrowed(request), if update { 3 } else { 1 });
+        let value = match call(Call { member, addr, req_id, request, attempts }) {
             Ok((resp, _)) => {
-                self.answered = true;
-                (self.accept)(resp)
+                answered = true;
+                accept(resp)
             }
             Err(err) => {
-                let update = self.rule == Rule::Update;
-                self.ended = !if update { err.is_unavailable() } else { err.is_peer_fault() };
+                ended = !if update { err.is_unavailable() } else { err.is_peer_fault() };
                 let skipped = if update { "update_retry" } else { "read_skipped" };
-                pls_telemetry::debug!(skipped, req = self.req_id, server = member, err = err);
-                self.fault = Some(err);
+                pls_telemetry::debug!(skipped, req = req_id, server = member, err = err);
+                fault = Some(err);
                 None
             }
         };
-        self.done = self.ended || (self.rule != Rule::Every && value.is_some());
-        self.outcomes.push((member, value));
-    }
-
-    /// Every member with what its answer gave, `None` for one that faulted
-    /// or was not asked.
-    ///
-    /// # Errors
-    ///
-    /// The error that ended the loop; when nobody answered, the budget's
-    /// `Timeout("op-budget")` or else the last member's fault (a one-member
-    /// read reports that member's own error), or `NoServerAvailable` if
-    /// nobody could be asked.
-    pub fn finish(mut self) -> Result<Vec<(u64, Option<T>)>, ClusterError> {
-        let result = match self.fault {
-            Some(err) if self.ended || !self.answered => Err(err),
-            None if !self.answered => Err(ClusterError::NoServerAvailable),
-            _ => {
-                self.outcomes.extend(self.members[self.asked..].iter().map(|(id, _)| (*id, None)));
-                Ok(self.outcomes)
-            }
-        };
-        if self.rule == Rule::Update && result.is_err() {
-            self.metrics.inspect(|m| m.update_failures.inc());
+        let done = ended || (rule != Rule::Every && value.is_some());
+        outcomes.push((member, value));
+        if done {
+            break;
         }
-        result
     }
-
-    /// The first answer taken.
-    ///
-    /// # Errors
-    ///
-    /// As [`Members::finish`]; [`ClusterError::Remote`] when members
-    /// answered but none was taken.
-    pub fn first(self) -> Result<T, ClusterError> {
-        let what = self.request.op().as_str();
-        let taken = self.finish()?.into_iter().find_map(|(_, value)| value);
-        taken.ok_or_else(|| ClusterError::Remote(format!("unexpected {what} response")))
+    let result = match fault {
+        Some(err) if ended || !answered => Err(err),
+        None if !answered => Err(ClusterError::NoServerAvailable),
+        _ => {
+            outcomes.extend(members.map(|(id, _)| (id, None)));
+            Ok(outcomes)
+        }
+    };
+    if update && result.is_err() {
+        metrics.inspect(|m| m.update_failures.inc());
     }
+    result
 }
 
 #[cfg(test)]
@@ -668,6 +593,19 @@ mod tests {
 
     fn add() -> Request {
         Request::Add { key: b"k".to_vec(), entry: b"e".to_vec() }
+    }
+
+    /// A member loop's `call` answering with `outcomes` in turn, each call's
+    /// member and attempts pushed onto `asked`.
+    fn script(
+        asked: &mut Vec<(u64, u32)>,
+        mut outcomes: Vec<Outcome>,
+    ) -> impl FnMut(Call<'_>) -> Outcome + '_ {
+        outcomes.reverse();
+        move |call| {
+            asked.push((call.member, call.attempts));
+            outcomes.pop().expect("an outcome for every call")
+        }
     }
 
     #[test]
@@ -722,57 +660,46 @@ mod tests {
     #[test]
     fn an_update_passes_an_unavailable_member_on_and_ends_at_a_refusal() {
         let mut core = core(3, StrategySpec::random_server(2), None);
-        let mut op = core.update(b"k", add(), |_| false, 0);
-        let first = op.next_call(0).unwrap();
-        assert_eq!(first.attempts, 3);
-        let first = first.member;
-        op.answered(Err(refused()));
-        let second = op.next_call(1).unwrap().member;
-        assert_ne!(first, second);
-        op.answered(Ok((Response::Ok, 0)));
-        assert!(op.next_call(2).is_none());
-        assert_eq!(op.first(), Ok(()));
+        let mut asked = Vec::new();
+        let acked = script(&mut asked, vec![Err(refused()), Ok((Response::Ok, 0))]);
+        assert_eq!(core.update(b"k", &add(), |_| false, || 0, acked), Ok(()));
+        assert_eq!((asked.len(), asked[0].1, asked[1].1), (2, 3, 3));
+        assert_ne!(asked[0].0, asked[1].0);
 
-        let mut op = core.update(b"k", add(), |_| false, 10);
-        op.next_call(10).unwrap();
-        op.answered(Err(ClusterError::Remote("strategy mismatch".into())));
-        assert!(op.next_call(11).is_none(), "a refusal is tried elsewhere");
-        assert_eq!(op.first(), Err(ClusterError::Remote("strategy mismatch".into())));
+        let (mut asked, refusal) =
+            (Vec::new(), || ClusterError::Remote("strategy mismatch".into()));
+        let refused_once = script(&mut asked, vec![Err(refusal())]);
+        assert_eq!(core.update(b"k", &add(), |_| false, || 10, refused_once), Err(refusal()));
+        assert_eq!(asked.len(), 1, "a refusal is tried elsewhere");
         assert_eq!(core.metrics().update_failures.get(), 1);
 
         // Round-Robin-y: the coordinator alone (§5.4).
         let mut core = self::core(3, StrategySpec::round_robin(2), None);
-        let mut op = core.update(b"k", add(), |_| false, 0);
-        op.next_call(0).unwrap();
-        op.answered(Err(refused()));
-        assert!(op.next_call(1).is_none());
-        assert_eq!(op.first(), Err(refused()));
+        let mut asked = Vec::new();
+        let down = script(&mut asked, vec![Err(refused())]);
+        assert_eq!(core.update(b"k", &add(), |_| false, || 0, down), Err(refused()));
+        assert_eq!(asked.len(), 1);
     }
 
     #[test]
     fn an_every_read_skips_a_faulty_member() {
         let core = core(3, StrategySpec::full_replication(), None);
         let keys = |resp| if let Response::Status { keys, .. } = resp { Some(keys) } else { None };
-        let mut op = core.read(core.view().ids(), Request::Status, Rule::Every, keys, 0);
-        while let Some(call) = op.next_call(0) {
+        let status = |call: Call<'_>| {
             assert_eq!(call.attempts, 1);
-            let member = call.member;
-            op.answered(match member {
+            match call.member {
                 1 => Err(ClusterError::Decode("garbage")),
-                _ => Ok((Response::Status { keys: member * 10, entries: 0 }, 0)),
-            });
-        }
-        assert_eq!(op.finish(), Ok(vec![(0, Some(0)), (1, None), (2, Some(20))]));
+                member => Ok((Response::Status { keys: member * 10, entries: 0 }, 0)),
+            }
+        };
+        let every = core.read(core.view().ids(), &Request::Status, Rule::Every, keys, || 0, status);
+        assert_eq!(every, Ok(vec![(0, Some(0)), (1, None), (2, Some(20))]));
         // Nobody answering: the last fault.
-        let mut op = core.read([0, 1], Request::Status, Rule::First, keys, 0);
-        while op.next_call(0).is_some() {
-            op.answered(Err(ClusterError::Decode("garbage")));
-        }
-        assert_eq!(op.first(), Err(ClusterError::Decode("garbage")));
-        assert_eq!(
-            core.read([9], Request::Status, Rule::First, keys, 0).first(),
-            Err(ClusterError::NoServerAvailable)
-        );
+        let garbled = |_: Call<'_>| Err(ClusterError::Decode("garbage"));
+        let first = core.read([0, 1], &Request::Status, Rule::First, keys, || 0, garbled);
+        assert_eq!(first, Err(ClusterError::Decode("garbage")));
+        let unknown = core.read([9], &Request::Status, Rule::First, keys, || 0, garbled);
+        assert_eq!(unknown, Err(ClusterError::NoServerAvailable));
     }
 
     #[test]
@@ -793,11 +720,13 @@ mod tests {
         assert_eq!(op.finish(), Err(ClusterError::Timeout("op-budget")));
         assert_eq!(core.metrics().op_budget_exhausted.get(), 2);
 
-        let mut read = core.read([0, 1, 2], Request::Status, Rule::First, |_| Some(()), 0);
-        read.next_call(0).unwrap();
-        read.answered(Err(ClusterError::Timeout("rpc")));
-        assert!(read.next_call(10_000).is_none());
-        assert_eq!(read.finish(), Err(ClusterError::Timeout("op-budget")));
+        let clock = std::cell::Cell::new(0);
+        let slow = |_: Call<'_>| {
+            clock.set(10_000);
+            Err(ClusterError::Timeout("rpc"))
+        };
+        let read = core.read([0, 1, 2], &Request::Status, Rule::First, Some, || clock.get(), slow);
+        assert_eq!(read, Err(ClusterError::Timeout("op-budget")));
         assert_eq!(core.metrics().op_budget_exhausted.get(), 3);
     }
 
@@ -815,13 +744,10 @@ mod tests {
             assert_eq!((order.len(), order[3]), (4, 2), "lookup {now}: {order:?}");
             assert_eq!(op.finish(), Err(ClusterError::NoServerAvailable));
 
-            let mut op = core.update(b"k", add(), |m| m == 2, now);
-            let mut order = Vec::new();
-            while let Some(call) = op.next_call(now) {
-                order.push(call.member);
-                op.answered(Err(refused()));
-            }
-            assert_eq!((order.len(), order[3]), (4, 2), "update {now}: {order:?}");
+            let mut asked = Vec::new();
+            let down = script(&mut asked, (0..4).map(|_| Err(refused())).collect());
+            assert_eq!(core.update(b"k", &add(), |m| m == 2, || now, down), Err(refused()));
+            assert_eq!((asked.len(), asked[3].0), (4, 2), "update {now}: {asked:?}");
         }
         assert_eq!(core.metrics().probe_failures.get(), 80);
     }

@@ -14,12 +14,6 @@ pub enum ClusterError {
     Decode(&'static str),
     /// The remote answered with an application-level error.
     Remote(String),
-    /// The peer does not implement the request: the frame was
-    /// well-formed but carried an opcode this (older) server has never
-    /// heard of. Unlike [`ClusterError::Decode`], this is a clean,
-    /// connection-preserving refusal — mixed-version clusters hit it
-    /// during rollouts and must not poison the connection over it.
-    Unsupported(u8),
     /// A deadline elapsed; names the phase that ran out of time
     /// (`"connect"`, `"rpc"`, `"op-budget"`).
     Timeout(&'static str),
@@ -43,7 +37,6 @@ impl PartialEq for ClusterError {
             (E::FrameTooLarge(a), E::FrameTooLarge(b)) => a == b,
             (E::Decode(a), E::Decode(b)) => a == b,
             (E::Remote(a), E::Remote(b)) => a == b,
-            (E::Unsupported(a), E::Unsupported(b)) => a == b,
             (E::Timeout(a), E::Timeout(b)) => a == b,
             (E::PeerUnhealthy, E::PeerUnhealthy) => true,
             (E::NoServerAvailable, E::NoServerAvailable) => true,
@@ -61,9 +54,6 @@ impl fmt::Display for ClusterError {
             ClusterError::FrameTooLarge(n) => write!(f, "frame of {n} bytes exceeds limit"),
             ClusterError::Decode(what) => write!(f, "malformed frame while decoding {what}"),
             ClusterError::Remote(msg) => write!(f, "remote error: {msg}"),
-            ClusterError::Unsupported(op) => {
-                write!(f, "peer does not support request opcode {op:#04x}")
-            }
             ClusterError::Timeout(phase) => write!(f, "{phase} deadline exceeded"),
             ClusterError::PeerUnhealthy => write!(f, "peer circuit breaker open"),
             ClusterError::NoServerAvailable => write!(f, "no server available"),
@@ -102,10 +92,7 @@ impl ClusterError {
         self.is_unavailable()
             || matches!(
                 self,
-                ClusterError::Decode(_)
-                    | ClusterError::FrameTooLarge(_)
-                    | ClusterError::Remote(_)
-                    | ClusterError::Unsupported(_)
+                ClusterError::Decode(_) | ClusterError::FrameTooLarge(_) | ClusterError::Remote(_)
             )
     }
 }
@@ -153,12 +140,6 @@ mod tests {
 
         assert!(ClusterError::Remote("x".into()).is_peer_fault());
         assert!(ClusterError::Decode("field").is_peer_fault());
-        assert!(ClusterError::Unsupported(0x7f).is_peer_fault());
-        assert!(!ClusterError::Unsupported(0x7f).is_unavailable());
-        assert_eq!(
-            ClusterError::Unsupported(0x0d).to_string(),
-            "peer does not support request opcode 0x0d"
-        );
         assert!(ClusterError::FrameTooLarge(99).is_peer_fault());
         assert!(!ClusterError::NoServerAvailable.is_peer_fault());
         assert!(!ClusterError::Service(pls_core::ServiceError::ZeroTarget).is_peer_fault());

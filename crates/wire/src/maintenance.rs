@@ -624,6 +624,7 @@ mod tests {
     use pls_core::StrategySpec;
 
     use super::*;
+    use crate::retry::Timeouts;
     use crate::server::harness::{config, node, Cluster};
     use crate::server::ServerConfig;
 
@@ -715,7 +716,7 @@ mod tests {
     #[test]
     fn a_round_out_of_budget_pulls_no_more_and_counts_once() {
         let budget = |cfg: ServerConfig| ServerConfig {
-            timeouts: cfg.timeouts.with_op_budget_ms(100),
+            timeouts: Timeouts { op_budget: Duration::from_millis(100), ..cfg.timeouts },
             ..every_second(cfg)
         };
         let cluster = Cluster::new(3, StrategySpec::FullReplication, budget);

@@ -17,10 +17,6 @@ use crate::wire::{Reader, Writer, MAX_FRAME};
 /// A live-cluster entry: an opaque byte string (peer address, URL, …).
 pub type Entry = Vec<u8>;
 
-/// How a server's error reply refuses an opcode it does not implement;
-/// a client reads it back as [`ClusterError::Unsupported`].
-pub const UNSUPPORTED_PREFIX: &str = "unsupported request opcode ";
-
 /// A request frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Request {
@@ -579,9 +575,8 @@ impl Request {
     ///
     /// # Errors
     ///
-    /// [`ClusterError::Decode`] on malformed input;
-    /// [`ClusterError::Unsupported`] on a well-formed frame whose opcode
-    /// this build does not implement.
+    /// [`ClusterError::Decode`] on malformed input, an unknown opcode
+    /// included.
     pub fn decode(payload: &[u8]) -> Result<Self, ClusterError> {
         let mut r = Reader::new(payload);
         let op = r.u8("request opcode")?;
@@ -621,11 +616,7 @@ impl Request {
                 let leave = decode_option(&mut r, "leave flag", |r| r.u64("leave id"))?;
                 Request::JoinLeave { join, leave }
             }
-            // An opcode this build has never heard of is not a framing
-            // error: the frame was well-delimited, a *newer* peer simply
-            // asked for something we don't implement. Refuse cleanly so
-            // mixed-version clusters keep their connections.
-            _ => return Err(ClusterError::Unsupported(op)),
+            _ => return Err(ClusterError::Decode("request opcode")),
         };
         r.finish("request")?;
         Ok(req)
@@ -934,17 +925,14 @@ mod tests {
     }
 
     #[test]
-    fn unknown_request_opcode_is_unsupported_not_decode() {
-        // The rollout contract: a frame from a newer peer with an opcode
-        // this build has never heard of is a clean `Unsupported` refusal,
-        // not a decode failure — the connection stays healthy.
+    fn unknown_request_opcode_is_a_decode_error() {
         for op in [0x0Fu8, 0x42, 0x77] {
-            match Request::decode(&[op, 1, 2, 3]) {
-                Err(ClusterError::Unsupported(got)) => assert_eq!(got, op),
-                other => panic!("opcode {op:#04x}: expected Unsupported, got {other:?}"),
-            }
+            assert_eq!(
+                Request::decode(&[op, 1, 2, 3]),
+                Err(ClusterError::Decode("request opcode"))
+            );
         }
-        // A *known* opcode with a malformed body is still a decode error.
+        // So is a known opcode with a malformed body.
         assert!(matches!(Request::decode(&[REQ_PROBE]), Err(ClusterError::Decode(_))));
     }
 

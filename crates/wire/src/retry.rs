@@ -5,10 +5,10 @@
 //! bounded time. This module supplies the three pieces that make every
 //! network interaction time-bounded:
 //!
-//! * [`Timeouts`] — connect timeout, per-RPC deadline, and a total
-//!   per-operation budget ([`Deadline`]) that caps how long one client
-//!   operation (a lookup, an update, a read of every member, a resync
-//!   pull) may run across all its probes and retries.
+//! * [`Timeouts`] — a per-RPC deadline and a total per-operation budget
+//!   ([`Deadline`]) that caps how long one client operation (a lookup, an
+//!   update, a read of every member, a resync pull) may run across all its
+//!   probes and retries.
 //! * [`delay`] — the full-jitter exponential backoff between a call's
 //!   attempts (the caller picks only how many), so a flaky peer is
 //!   retried without synchronized thundering herds.
@@ -28,11 +28,10 @@ use pls_telemetry::Counter;
 /// each a full-period sequence of distinct ids.
 pub use pls_net::splitmix64;
 
-/// Time bounds for RPCs and whole operations.
+/// Time bounds for RPCs and whole operations. A dial is capped by the
+/// attempt's deadline and by one second (`pls-cluster`'s connect bound).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Timeouts {
-    /// Maximum time to establish a TCP connection to a peer.
-    pub connect: Duration,
     /// Deadline for one RPC attempt (dial + request + response).
     pub rpc: Duration,
     /// Total budget for one client/server *operation* — a lookup across
@@ -42,34 +41,7 @@ pub struct Timeouts {
 
 impl Default for Timeouts {
     fn default() -> Self {
-        Timeouts {
-            connect: Duration::from_secs(1),
-            rpc: Duration::from_secs(2),
-            op_budget: Duration::from_secs(10),
-        }
-    }
-}
-
-impl Timeouts {
-    /// Sets the connect timeout, in milliseconds.
-    #[must_use]
-    pub fn with_connect_ms(mut self, ms: u64) -> Self {
-        self.connect = Duration::from_millis(ms);
-        self
-    }
-
-    /// Sets the per-RPC deadline, in milliseconds.
-    #[must_use]
-    pub fn with_rpc_ms(mut self, ms: u64) -> Self {
-        self.rpc = Duration::from_millis(ms);
-        self
-    }
-
-    /// Sets the per-operation budget, in milliseconds.
-    #[must_use]
-    pub fn with_op_budget_ms(mut self, ms: u64) -> Self {
-        self.op_budget = Duration::from_millis(ms);
-        self
+        Timeouts { rpc: Duration::from_secs(2), op_budget: Duration::from_secs(10) }
     }
 }
 

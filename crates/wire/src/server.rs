@@ -36,7 +36,7 @@ use crate::error::ClusterError;
 use crate::metrics::{
     self, merged_site_snapshot, strategy_index, views, ReqOp, ServerMetrics, STRATEGY_LABELS,
 };
-use crate::proto::{Entry, Request, Response, UNSUPPORTED_PREFIX};
+use crate::proto::{Entry, Request, Response};
 use crate::retry::{splitmix64, Timeouts};
 use crate::shard::{Applied, Shards};
 use crate::storage::{self, Recovered, Storage};
@@ -288,10 +288,8 @@ impl Node {
 
     /// Handles one request frame's payload as [`Request::decode`] read it:
     /// the per-op counter, the in-flight gauge and the request span start
-    /// here, and [`Node::answer`] ends them. An opcode this build does not
-    /// know is refused with a structured error, the connection kept — a
-    /// newer peer probing during a rolling upgrade must not poison its
-    /// pooled connections (or the decode-error counter) on every probe.
+    /// here, and [`Node::answer`] ends them. A request that does not decode
+    /// is answered with an error, the connection kept.
     pub fn serve(&self, req_id: u64, decoded: Result<Request, ClusterError>, now_ms: u64) -> Plan {
         let me = self.cfg.me;
         let mut plan = Plan {
@@ -304,11 +302,6 @@ impl Node {
         };
         let req = match decoded {
             Ok(req) => req,
-            Err(ClusterError::Unsupported(op)) => {
-                pls_telemetry::debug!("unsupported_opcode", req = req_id, server = me, op = op);
-                plan.reply = Ok(Response::Error(format!("{UNSUPPORTED_PREFIX}{op:#04x}")));
-                return plan;
-            }
             Err(err) => {
                 self.metrics.decode_errors.inc();
                 pls_telemetry::warn!("decode_error", req = req_id, server = me, err = err);

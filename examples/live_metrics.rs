@@ -61,9 +61,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     // A hedged client sends the next probe whenever those in flight stay
     // silent past the delay, so its probes overlap.
-    let mut hedged = Client::connect(
-        ClientConfig::new(addrs, spec, 8).with_hedging(std::time::Duration::from_micros(50)),
-    );
+    let mut hedged = Client::connect(ClientConfig {
+        hedge: Some(std::time::Duration::from_micros(50)),
+        ..ClientConfig::new(addrs, spec, 8)
+    });
     hedged.partial_lookup(b"song/stairway", 10)?;
     println!("# hedged lookup: {} probes launched early", hedged.metrics().hedges.get());
 
