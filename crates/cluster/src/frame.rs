@@ -4,7 +4,7 @@
 //! time, payload — and its limits are [`pls_wire::wire`]'s; this module is
 //! the only code that moves a frame through a [`Read`] or a [`Write`].
 
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, IoSlice, Read, Write};
 
 use pls_wire::error::ClusterError;
 use pls_wire::wire::{FRAME_OVERHEAD, MAX_FRAME};
@@ -12,9 +12,10 @@ use pls_wire::wire::{FRAME_OVERHEAD, MAX_FRAME};
 const HEADER: usize = FRAME_OVERHEAD as usize;
 
 /// Writes one frame (length prefix + request id + service time +
-/// payload) to a stream as two writes: the 20-byte header, then the
-/// payload. `service_us` is zero on requests; replies carry the
-/// server's handling time in microseconds.
+/// payload) to a stream as one vectored write of the 20-byte header and
+/// the payload (more only when the stream takes part of it).
+/// `service_us` is zero on requests; replies carry the server's handling
+/// time in microseconds.
 ///
 /// # Errors
 ///
@@ -33,8 +34,16 @@ pub fn write_frame<W: Write>(
     header[..4].copy_from_slice(&(payload.len() as u32).to_be_bytes());
     header[4..12].copy_from_slice(&request_id.to_be_bytes());
     header[12..].copy_from_slice(&service_us.to_be_bytes());
-    stream.write_all(&header)?;
-    stream.write_all(payload)?;
+    let mut slices = [IoSlice::new(&header), IoSlice::new(payload)];
+    let mut unsent = &mut slices[..];
+    while !unsent.is_empty() {
+        match stream.write_vectored(unsent) {
+            Ok(0) => return Err(ClusterError::Io(ErrorKind::WriteZero.into())),
+            Ok(n) => IoSlice::advance_slices(&mut unsent, n),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e.into()),
+        }
+    }
     Ok(())
 }
 
@@ -74,7 +83,7 @@ mod tests {
     use super::*;
 
     /// An in-memory pipe: what was written is what is read, then EOF.
-    /// Counts the `write` calls it saw.
+    /// Counts the `write` and `write_vectored` calls it saw.
     #[derive(Default)]
     struct Pipe {
         buf: std::collections::VecDeque<u8>,
@@ -86,6 +95,11 @@ mod tests {
             self.writes += 1;
             self.buf.extend(data);
             Ok(data.len())
+        }
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            self.writes += 1;
+            bufs.iter().for_each(|buf| self.buf.extend(&buf[..]));
+            Ok(bufs.iter().map(|buf| buf.len()).sum())
         }
         fn flush(&mut self) -> std::io::Result<()> {
             Ok(())
@@ -142,14 +156,36 @@ mod tests {
     }
 
     #[test]
-    fn a_frame_is_two_writes() {
-        // One request/response exchange costs four `write` calls (two a
-        // side); the integer-at-a-time writer it replaces issued eight
-        // and two flushes.
+    fn a_frame_is_one_write() {
+        // One request/response exchange costs two vectored writes (one a
+        // side); the header-then-payload writer it replaces issued four,
+        // and the integer-at-a-time one before it eight and two flushes.
         let mut pipe = Pipe::default();
         write_frame(&mut pipe, 1, 0, &[0u8; 300]).unwrap();
-        assert_eq!(pipe.writes, 2);
+        assert_eq!(pipe.writes, 1);
         write_frame(&mut pipe, 1, 9, &[0u8; 300]).unwrap();
-        assert_eq!(pipe.writes, 4);
+        assert_eq!(pipe.writes, 2);
+        let (id, service_us, payload) = read_frame(&mut pipe).unwrap().unwrap();
+        assert_eq!((id, service_us, payload.len()), (1, 0, 300));
+    }
+
+    #[test]
+    fn a_short_write_resumes_where_it_stopped() {
+        // A stream that takes 7 bytes a call: the frame still arrives whole.
+        struct Trickle(Vec<u8>);
+        impl Write for Trickle {
+            fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
+                let n = data.len().min(7);
+                self.0.extend(&data[..n]);
+                Ok(n)
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut trickle = Trickle(Vec::new());
+        write_frame(&mut trickle, 5, 6, b"a payload of some length").unwrap();
+        let (id, service_us, payload) = read_frame(&mut &trickle.0[..]).unwrap().unwrap();
+        assert_eq!((id, service_us, &payload[..]), (5, 6, &b"a payload of some length"[..]));
     }
 }

@@ -3,12 +3,12 @@
 //! one thread per connection that can be stopped and joined.
 
 use std::collections::HashMap;
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, IoSlice, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use pls_wire::retry::Deadline;
 
@@ -29,6 +29,17 @@ impl Bounded<'_> {
         }
         Ok(left)
     }
+
+    /// Whether the peer starts to answer (a byte, an end of stream or an
+    /// error) before `wake` or the deadline: a peek, under a socket timeout.
+    /// A socket whose timeout cannot be armed counts as answering, so it
+    /// is read in place under the deadline.
+    pub fn answers_by(&self, wake: Instant) -> bool {
+        let left = wake.saturating_duration_since(Instant::now()).min(self.deadline.remaining());
+        !left.is_zero()
+            && (self.stream.set_read_timeout(Some(left)).is_err()
+                || !matches!(self.stream.peek(&mut [0]), Err(e) if timed_out(&e)))
+    }
 }
 
 impl Read for Bounded<'_> {
@@ -42,6 +53,11 @@ impl Write for Bounded<'_> {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
         self.stream.set_write_timeout(Some(self.left()?))?;
         self.stream.write(buf)
+    }
+
+    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+        self.stream.set_write_timeout(Some(self.left()?))?;
+        self.stream.write_vectored(bufs)
     }
 
     fn flush(&mut self) -> std::io::Result<()> {

@@ -248,9 +248,10 @@ fn hedged_probes_fire_and_win_against_a_slow_server() {
 
 /// A hedged lookup never waits for its straggler: with one server
 /// black-holed, a lookup that probes it first returns from the hedge
-/// long before that probe's RPC deadline — and the probe, still out on
-/// its prober thread, is joined when the client is dropped, so the drop
-/// returns only once the deadline has run out (and not much later).
+/// long before that probe's RPC deadline — and the probe, still silent
+/// at the hedge time and so handed to a thread of its own, is joined
+/// when the client is dropped, so the drop returns only once the
+/// deadline has run out (and not much later).
 #[test]
 fn a_hedged_lookup_leaves_its_black_holed_probe_behind_and_drop_joins_it() {
     let chaos = Arc::new(ChaosConfig::new(13));
