@@ -1,13 +1,16 @@
 //! What several of the end-to-end test files need: listeners on
 //! ephemeral ports, test entries, one raw wire exchange, one raw HTTP
-//! `GET`.
+//! `GET`, `pls-server` child processes and this process's thread and
+//! socket counts.
 #![allow(dead_code)] // each test binary uses its own subset
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::process::{Child, Command, Stdio};
+use std::time::Duration;
 
 use pls_cluster::frame::{read_frame, write_frame};
-use pls_cluster::ClusterError;
+use pls_cluster::{ClusterError, Deadline};
 use pls_wire::proto::{Request, Response};
 
 /// Binds `n` listeners on ephemeral ports, so every server can be told
@@ -60,4 +63,59 @@ pub fn http_get(addr: SocketAddr, target: &str) -> (String, String, String) {
     let (head, body) = text.split_once("\r\n\r\n").expect("header/body split");
     let (status, headers) = head.split_once("\r\n").unwrap_or((head, ""));
     (status.to_string(), headers.to_string(), body.to_string())
+}
+
+/// `pls-server` child processes, killed and reaped on drop: on a failed
+/// assertion as on a passing run.
+pub struct Servers(pub Vec<Child>);
+
+impl Servers {
+    /// Starts one `pls-server` per address, one cluster under `strategy`,
+    /// and waits until every one accepts. Each is a process of its own, so
+    /// every thread and socket of this process is the test's.
+    pub fn spawn(addrs: &[SocketAddr], strategy: &str) -> Servers {
+        let peers = addrs.iter().map(|a| a.to_string()).collect::<Vec<_>>().join(",");
+        let mut servers = Servers(Vec::new());
+        for index in 0..addrs.len() {
+            let child = Command::new(env!("CARGO_BIN_EXE_pls-server"))
+                .args(["--index", &index.to_string(), "--peers", &peers, "--strategy", strategy])
+                .args(["--log", "warn"])
+                .stdout(Stdio::null())
+                .stderr(Stdio::null())
+                .spawn()
+                .expect("pls-server starts");
+            servers.0.push(child);
+        }
+        let up = Deadline::within(Duration::from_secs(10));
+        assert!(
+            up.wait_until(|| addrs.iter().all(|a| TcpStream::connect(a).is_ok())),
+            "servers up"
+        );
+        servers
+    }
+}
+
+impl Drop for Servers {
+    fn drop(&mut self) {
+        for child in &mut self.0 {
+            let _ = child.kill();
+            let _ = child.wait();
+        }
+    }
+}
+
+/// This process's thread count, from `/proc/self/status`.
+pub fn threads() -> usize {
+    let status = std::fs::read_to_string("/proc/self/status").expect("/proc/self/status");
+    let line = status.lines().find_map(|l| l.strip_prefix("Threads:")).expect("a Threads: line");
+    line.trim().parse().expect("a thread count")
+}
+
+/// The sockets this process holds open, from `/proc/self/fd`.
+pub fn sockets() -> usize {
+    let fds = std::fs::read_dir("/proc/self/fd").expect("/proc/self/fd");
+    let link = |fd: std::fs::DirEntry| std::fs::read_link(fd.path()).ok();
+    fds.filter_map(|fd| link(fd.ok()?))
+        .filter(|l| l.to_string_lossy().starts_with("socket:"))
+        .count()
 }
